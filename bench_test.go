@@ -755,25 +755,21 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 		}
 		return body
 	}
-	// One gateway per internal-wire configuration over the same shards:
-	// the json/binary pairs isolate the codec's contribution, and the
-	// coalesce variant adds the micro-batching window — singles are
-	// where it differentiates most (each otherwise pays its own
-	// per-shard round trip), but batches splice into the same shared
-	// fan-outs, so both shapes run.
+	// One gateway per configuration over the same shards: the coalesce
+	// variant adds the micro-batching window — singles are where it
+	// differentiates most (each otherwise pays its own per-shard round
+	// trip), but batches splice into the same shared fan-outs, so both
+	// shapes run.
 	variants := []struct {
 		name   string
-		wire   cluster.WireKind
 		window time.Duration
 		shapes []int
 	}{
-		{"wire-json", cluster.WireJSON, 0, []int{1, 32}},
-		{"wire-binary", cluster.WireBinary, 0, []int{1, 32}},
-		{"wire-binary-coalesce", cluster.WireBinary, 500 * time.Microsecond, []int{1, 4, 32}},
+		{"wire-binary", 0, []int{1, 32}},
+		{"wire-binary-coalesce", 500 * time.Microsecond, []int{1, 4, 32}},
 	}
 	for _, v := range variants {
 		cfg := cluster.DefaultGatewayConfig()
-		cfg.Wire = v.wire
 		cfg.CoalesceWindow = v.window
 		g, err := cluster.NewGateway(cfg, targets)
 		if err != nil {
@@ -820,10 +816,7 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 
 // BenchmarkInternalCodec measures the gateway↔shard codec in isolation
 // at the fan-out's realistic shape: a 32-item batch of catalog tag
-// lists and world-sized float64 reply vectors. The json twins encode
-// and decode the same payloads through the InternalPredict wire
-// structs — the before/after pair behind the binary wire's throughput
-// claim in EXPERIMENTS.md.
+// lists and world-sized float64 reply vectors.
 func BenchmarkInternalCodec(b *testing.B) {
 	res := benchFixture(b)
 	nC := res.World.N()
@@ -892,34 +885,5 @@ func BenchmarkInternalCodec(b *testing.B) {
 			}
 		}
 		b.SetBytes(int64(len(frame)))
-	})
-
-	// The JSON twins: what each response direction cost before the
-	// binary wire (the request side is small either way; the response's
-	// world-sized float64 vectors are where JSON text rendering burns).
-	jsonResp := server.InternalPredictResponse{Partials: make([]server.PartialMixture, len(items))}
-	for i := range jsonResp.Partials {
-		jsonResp.Partials[i] = server.PartialMixture{WeightSum: wsums[i], Sum: vec}
-	}
-	jsonFrame, err := json.Marshal(&jsonResp)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("response-encode-json", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(&jsonResp); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(len(jsonFrame)))
-	})
-	b.Run("response-decode-json", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var out server.InternalPredictResponse
-			if err := json.Unmarshal(jsonFrame, &out); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.SetBytes(int64(len(jsonFrame)))
 	})
 }

@@ -112,11 +112,8 @@ func TestClusterGatewayEndToEnd(t *testing.T) {
 	}
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.HealthInterval = 20 * time.Millisecond
-	// The tier under test is the shipping configuration: binary
-	// internal wire (the default) with micro-batch coalescing on, so
-	// the equivalence assertions below cover the fast path, not just
-	// the JSON debug fallback.
-	gcfg.Wire = cluster.WireBinary
+	// Micro-batch coalescing on, so the equivalence assertions below
+	// cover the coalesced fan-out too.
 	gcfg.CoalesceWindow = 250 * time.Microsecond
 	g, err := cluster.NewGateway(gcfg, targets)
 	if err != nil {

@@ -51,11 +51,9 @@ func run() error {
 		healthEvery = flag.Duration("health-interval", time.Second, "shard health poll cadence")
 		syncWait    = flag.Duration("sync-wait", 30*time.Second, "how long to retry the startup shard sync (jittered exponential backoff)")
 		replicas    = flag.Int("replicas", 1, "copies of each tag's slice the shard tier places (must match every shard's -replicas; 1 = unreplicated)")
-		wireName    = flag.String("internal-wire", "binary", "gateway-to-shard predict codec: binary (compact float64 frames) or json (debug fallback)")
 		coalesce    = flag.Duration("coalesce-window", 0, "micro-batch concurrent single predicts arriving within this window into one fan-out per shard (0 = off; useful range ~250us-1ms)")
 		maxIdle     = flag.Int("max-idle-per-host", 0, "keep-alive connections kept per shard (0 = 2 x max-inflight; never let this fall below expected concurrency or gathers churn connections)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = off)")
-		slowReq     = flag.Duration("slow-request", 0, "log any request at or above this wall time, with its X-Request-Id and per-stage predict timings (0 = off)")
 		traceDump   = flag.String("trace-dump-dir", ".", "flight recorder: dump the retained trace ring to traces_<event>.json here on SIGQUIT or a recovered handler panic (empty = off)")
 	)
 	flag.Parse()
@@ -72,11 +70,6 @@ func run() error {
 		return fmt.Errorf("no usable targets in -shards %q", *shards)
 	}
 
-	wire, err := cluster.ParseWire(*wireName)
-	if err != nil {
-		return err
-	}
-
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	cfg := cluster.DefaultGatewayConfig()
 	cfg.MaxInFlight = *maxInflight
@@ -84,10 +77,8 @@ func run() error {
 	cfg.Logger = logger
 	cfg.LogRequests = *logRequests
 	cfg.HealthInterval = *healthEvery
-	cfg.Wire = wire
 	cfg.CoalesceWindow = *coalesce
 	cfg.MaxIdleConnsPerHost = *maxIdle
-	cfg.SlowRequest = *slowReq
 	cfg.Replicas = *replicas
 	g, err := cluster.NewGateway(cfg, targets)
 	if err != nil {
@@ -118,7 +109,7 @@ func run() error {
 	if err := g.SyncRetry(ctx, *syncWait); err != nil {
 		return err
 	}
-	logger.Printf("gateway: synced %d shards (wire %s, coalesce %s), serving on http://%s (^C to drain)",
-		len(targets), wire, *coalesce, *addr)
+	logger.Printf("gateway: synced %d shards (coalesce %s), serving on http://%s (^C to drain)",
+		len(targets), *coalesce, *addr)
 	return g.Run(ctx, *addr, *grace)
 }

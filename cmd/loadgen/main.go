@@ -3,9 +3,9 @@
 // video ids and tag sets), replays a Zipf-distributed upload stream
 // against /v1/predict — fresh uploads are dominated by a popular head,
 // exactly the arrival process a UGC ingest sees — and reports sustained
-// throughput plus p50/p90/p99 latency from P² streaming sketches
-// (internal/stats), so the report costs O(1) memory at any request
-// count.
+// throughput plus p50/p90/p99 latency from a fixed-bucket histogram
+// (obs.Histogram, the one the daemons report theirs from), so the
+// report costs O(1) memory at any request count.
 //
 // With -ingest-frac > 0 it runs in mixed read/write mode: that fraction
 // of requests become POST /v1/ingest batches of live view events (video
@@ -22,7 +22,7 @@
 // visibly skew p99.
 //
 // Collection runs on scenario.Collector — the same warmup-aware,
-// P²-backed stream accounting the chaos harness scores SLOs with — so
+// histogram-backed stream accounting the chaos harness scores SLOs with — so
 // the two load paths cannot drift in what "p99" or "error" means.
 //
 // Usage:
@@ -151,14 +151,8 @@ func run() error {
 		}
 	}
 
-	reads, err := scenario.NewCollector(time.Time{})
-	if err != nil {
-		return err
-	}
-	writes, err := scenario.NewCollector(time.Time{})
-	if err != nil {
-		return err
-	}
+	reads := scenario.NewCollector(time.Time{})
+	writes := scenario.NewCollector(time.Time{})
 	// dedup coordinates the one-time Upload flag per video across all
 	// workers — CAS claim/release ownership, see dedup.go.
 	var dedup *uploadDedup

@@ -101,7 +101,7 @@ func TestWarmupWindowExcludedFromBenchOut(t *testing.T) {
 		t.Fatal("no requests tallied as warmup-excluded; the window did nothing")
 	}
 	// The slow stretch served 300ms responses; the measured stream is
-	// pure loopback. Any leak of a slow completion into the sketches
+	// pure loopback. Any leak of a slow completion into the histogram
 	// drags max (and p99) to ~300ms.
 	if rep.Read.Latency.MaxMs >= 150 {
 		t.Fatalf("slow warmup completions leaked into measured latency: max=%.1fms p99=%.1fms",

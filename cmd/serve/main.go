@@ -110,7 +110,6 @@ func run() error {
 		fsyncPolicy  = flag.String("fsync", "never", "WAL/checkpoint fsync policy: always (survives power loss) or never (survives process death)")
 		ckptEvery    = flag.Int("checkpoint-every", 16, "checkpoint the serving snapshot every N folds (0 = only at shutdown or via POST /v1/checkpoint)")
 		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = off)")
-		slowReq      = flag.Duration("slow-request", 0, "log any request at or above this wall time, with its X-Request-Id (0 = off)")
 		traceDump    = flag.String("trace-dump-dir", ".", "flight recorder: dump the retained trace ring to traces_<event>.json here on SIGQUIT or a recovered handler panic (empty = off)")
 	)
 	flag.Parse()
@@ -223,7 +222,6 @@ func run() error {
 		}
 		return r, nil
 	}
-	cfg.SlowRequest = *slowReq
 	srv, err := server.New(cfg, store)
 	if err != nil {
 		return err

@@ -56,7 +56,6 @@ type coalesceWaiter struct {
 
 type coalesceBatch struct {
 	weighting tagviews.Weighting
-	wstr      string
 	items     [][]string
 	waiters   []coalesceWaiter
 	// bytes approximates the encoded size of items (tag bytes plus
@@ -70,7 +69,7 @@ type coalesceBatch struct {
 // requests with long tag lists could splice into one internal body
 // past the shard's server.MaxBodyBytes reader limit, failing every
 // co-batched waiter at once. Half the shard bound leaves generous
-// room for framing slack on either wire.
+// room for framing slack.
 const coalesceByteBudget = server.MaxBodyBytes / 2
 
 // itemsBytes approximates the encoded size of a request's tag lists.
@@ -88,9 +87,9 @@ func itemsBytes(items [][]string) int {
 // coalesceReply is one waiter's share of a batch outcome: its
 // normalized distributions in pooled vectors (the waiter must return
 // each to g.scratch after rendering), or the batch-wide error — plus
-// the stage timings the slow-request log and the request trace report
-// (wait is this waiter's enqueue-to-fan-out time; fanStart, fanout,
-// merge and the shard legs are batch-wide). The legs travel by value:
+// the stage timings the request trace reports (wait is this waiter's
+// enqueue-to-fan-out time; fanStart, fanout, merge and the shard legs
+// are batch-wide). The legs travel by value:
 // a waiter whose context ended abandons its reply and its pooled trace
 // gets recycled, so the batch goroutine must never hold a pointer into
 // waiter-owned state.
@@ -123,7 +122,7 @@ func newCoalescer(g *Gateway, window time.Duration, limit int) *coalescer {
 // opens one) and blocks until the batch's fan-out resolves or ctx ends.
 // len(items) must be in [1, limit] — the gateway's MaxBatch check
 // guarantees it.
-func (co *coalescer) do(ctx context.Context, items [][]string, weighting tagviews.Weighting, wstr, trace string) coalesceReply {
+func (co *coalescer) do(ctx context.Context, items [][]string, weighting tagviews.Weighting, trace string) coalesceReply {
 	ch := make(chan coalesceReply, 1)
 	nb := itemsBytes(items)
 	enq := time.Now()
@@ -139,7 +138,7 @@ func (co *coalescer) do(ctx context.Context, items [][]string, weighting tagview
 		b = nil
 	}
 	if b == nil {
-		b = &coalesceBatch{weighting: weighting, wstr: wstr}
+		b = &coalesceBatch{weighting: weighting}
 		co.pending[weighting] = b
 		b.timer = time.AfterFunc(co.window, func() { co.flush(b) })
 	}
@@ -210,7 +209,7 @@ func (co *coalescer) run(b *coalesceBatch) {
 	fanStart := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ShardTimeout)
 	defer cancel()
-	merged, fe := g.predictFanout(ctx, b.items, b.weighting, b.wstr, trace)
+	merged, fe := g.predictFanout(ctx, b.items, b.weighting, trace)
 	if fe != nil {
 		for _, wt := range b.waiters {
 			wt.ch <- coalesceReply{wait: fanStart.Sub(wt.enq), fe: fe}

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,18 +17,17 @@ import (
 	"viewstags/internal/server"
 )
 
-// flakyShard fronts one node with a proxy whose /internal/predict can
-// be "killed" at runtime: while dead, predict calls get their
-// connection dropped — a genuine transport failure, exactly what the
-// gateway sees when a shard is SIGKILLed mid-batch — while
-// /internal/meta and everything else pass through, keeping Sync and
-// health probes honest.
+// flakyShard fronts one node with a proxy whose one route (path) can be
+// "killed" at runtime: while dead, calls to it get their connection
+// dropped — a genuine transport failure, exactly what the gateway sees
+// when a shard is SIGKILLed mid-batch — while /internal/meta and
+// everything else pass through, keeping Sync and health probes honest.
 type flakyShard struct {
 	ts   *httptest.Server
 	dead atomic.Bool
 }
 
-func newFlakyShard(t *testing.T, target string) *flakyShard {
+func newFlakyShard(t *testing.T, target, path string) *flakyShard {
 	t.Helper()
 	u, err := url.Parse(target)
 	if err != nil {
@@ -36,7 +36,7 @@ func newFlakyShard(t *testing.T, target string) *flakyShard {
 	rp := httputil.NewSingleHostReverseProxy(u)
 	f := &flakyShard{}
 	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if f.dead.Load() && r.URL.Path == "/internal/predict" {
+		if f.dead.Load() && r.URL.Path == path {
 			hj, ok := w.(http.Hijacker)
 			if !ok {
 				t.Error("response writer is not a hijacker")
@@ -97,7 +97,7 @@ func wave(t *testing.T, g *Gateway, reqs []server.PredictRequest) []*httptest.Re
 // pre-death ones, through the same coalescer instance.
 func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	nodes, _ := startCluster(t, 3)
-	flaky := newFlakyShard(t, nodes[2].ts.URL)
+	flaky := newFlakyShard(t, nodes[2].ts.URL, "/internal/predict")
 	targets := []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.ts.URL}
 	g := newSyncedGateway(t, targets, func(c *GatewayConfig) {
 		c.CoalesceWindow = 10 * time.Millisecond
@@ -190,5 +190,45 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	if g.coalesceRequests.Load() <= g.coalesceBatches.Load() {
 		t.Fatalf("no sharing observed: %d requests over %d batches",
 			g.coalesceRequests.Load(), g.coalesceBatches.Load())
+	}
+}
+
+// TestIngestShardDeathSheds pins the shared shard-reply mapping: a
+// shard dying under an ingest scatter gets the same retryable verdict
+// as one dying under a predict fan-out — 503 + Retry-After, not a 502 —
+// and the transport failure feeds the health tracker exactly once.
+func TestIngestShardDeathSheds(t *testing.T) {
+	nodes, _ := startCluster(t, 3)
+	flaky := newFlakyShard(t, nodes[2].ts.URL, "/internal/ingest")
+	targets := []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.ts.URL}
+	// High threshold: the verdict must come from the in-flight gather,
+	// not from health shedding.
+	g := newSyncedGateway(t, targets, func(c *GatewayConfig) { c.FailThreshold = 1000 })
+
+	// An upload is announced to every shard, so shard 2 is involved
+	// wherever the ring puts the tag.
+	body, err := json.Marshal(server.IngestRequest{Events: []server.IngestEvent{
+		{Video: "dead-1", Tags: []string{"zz-dead"}, Country: "JP", Views: 10, Upload: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky.dead.Store(true)
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("ingest through a dying shard: status %d, want 503: %s", rec.Code, rec.Body.Bytes())
+	}
+	if rec.Header().Get("Retry-After") == "" {
+		t.Fatal("503 without Retry-After")
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "shard 2") {
+		t.Fatalf("error envelope does not name shard 2: %q", rec.Body.Bytes())
+	}
+	if fails := g.topo.Load().shards[2].fails.Load(); fails != 1 {
+		t.Fatalf("shard 2 failure counted %d times, want 1", fails)
 	}
 }

@@ -58,11 +58,10 @@ func predictVia(t *testing.T, g *Gateway, req server.PredictRequest) (int, serve
 	return rec.Code, resp
 }
 
-// TestGatewayWireEquivalence is the cross-wire acceptance test: the
-// same shards behind a binary-wire gateway and a JSON-wire gateway
-// answer float-identically (1e-9) to each other and to a single full
-// node — the compact codec is a transport change, never an arithmetic
-// one.
+// TestGatewayWireEquivalence is the wire acceptance test: the same
+// shards behind a plain gateway and a coalescing gateway answer
+// float-identically (1e-9) to a single full node — the compact codec
+// and the micro-batching are transport changes, never arithmetic ones.
 func TestGatewayWireEquivalence(t *testing.T) {
 	res := fixture(t)
 	ringOne, err := NewRing(1, 0)
@@ -76,10 +75,8 @@ func TestGatewayWireEquivalence(t *testing.T) {
 		targets[i] = n.ts.URL
 	}
 	gateways := map[string]*Gateway{
-		"binary": newSyncedGateway(t, targets, func(c *GatewayConfig) { c.Wire = WireBinary }),
-		"json":   newSyncedGateway(t, targets, func(c *GatewayConfig) { c.Wire = WireJSON }),
+		"binary": newSyncedGateway(t, targets, nil),
 		"binary+coalesce": newSyncedGateway(t, targets, func(c *GatewayConfig) {
-			c.Wire = WireBinary
 			c.CoalesceWindow = 200 * time.Microsecond
 		}),
 	}
@@ -122,7 +119,7 @@ func TestGatewayWireEquivalence(t *testing.T) {
 	}
 
 	// Batched requests join the coalescer's micro-batches too (each
-	// waiter is an offset and a width), and cross the wire either way.
+	// waiter is an offset and a width).
 	batchReq := server.PredictRequest{Top: 5}
 	for _, tags := range cases {
 		batchReq.Batch = append(batchReq.Batch, server.PredictItem{Tags: tags})
@@ -149,9 +146,9 @@ func TestGatewayWireEquivalence(t *testing.T) {
 
 // TestInternalPredictContentNegotiation pins the shard-side codec
 // contract: a binary-content-typed POST gets a binary reply (mirroring
-// the request's CRC choice), anything else keeps getting JSON, and a
-// corrupt binary body is a 400 with the JSON error envelope — not a
-// panic, not a hung connection.
+// the request's CRC choice), any other content type is a 415, and a
+// corrupt binary body is a 400 — both with the JSON error envelope, not
+// a panic, not a hung connection.
 func TestInternalPredictContentNegotiation(t *testing.T) {
 	ringOne, err := NewRing(1, 0)
 	if err != nil {
@@ -194,31 +191,32 @@ func TestInternalPredictContentNegotiation(t *testing.T) {
 		}
 	}
 
-	// The JSON debug fallback is untouched: same route, JSON in ⇒ JSON out.
-	var jsonResp server.InternalPredictResponse
-	if code := post(t, n.ts.URL+"/internal/predict",
-		server.InternalPredictRequest{Items: items, Weighting: "idf"}, &jsonResp); code != http.StatusOK {
-		t.Fatalf("JSON fallback: %d", code)
-	}
-	if len(jsonResp.Partials) != len(items) {
-		t.Fatalf("JSON fallback: %d partials", len(jsonResp.Partials))
-	}
-
-	// Corrupt binary: 400 + JSON error envelope.
-	resp, err := http.Post(n.ts.URL+"/internal/predict", server.WireContentType,
-		bytes.NewReader([]byte("VTIPRQ01 garbage")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("corrupt frame: status %d, want 400", resp.StatusCode)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Error == "" {
-		t.Fatalf("corrupt frame: no JSON error envelope (%v, %q)", err, e.Error)
+	// Anything else — here the JSON body the route once also took — is a
+	// 415, and a corrupt binary frame a 400; both carry the JSON error
+	// envelope.
+	for _, tc := range []struct {
+		name, contentType string
+		body              []byte
+		want              int
+	}{
+		{"JSON body", "application/json", []byte(`{"items":[["pop"]],"weighting":"idf"}`), http.StatusUnsupportedMediaType},
+		{"corrupt frame", server.WireContentType, []byte("VTIPRQ01 garbage"), http.StatusBadRequest},
+	} {
+		resp, err := http.Post(n.ts.URL+"/internal/predict", tc.contentType, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		_ = resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+		if err != nil || e.Error == "" {
+			t.Fatalf("%s: no JSON error envelope (%v, %q)", tc.name, err, e.Error)
+		}
 	}
 }
 
@@ -382,7 +380,7 @@ func TestGatewayCoalesceCanceledWaiter(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	done := make(chan coalesceReply, 1)
-	go func() { done <- g.co.do(ctx, [][]string{{"pop"}}, tagviews.WeightIDF, "idf", "t-cancel") }()
+	go func() { done <- g.co.do(ctx, [][]string{{"pop"}}, tagviews.WeightIDF, "t-cancel") }()
 	select {
 	case rep := <-done:
 		if rep.fe == nil || rep.fe.status != http.StatusServiceUnavailable {
@@ -419,33 +417,35 @@ func TestMergeSkipsNaNWeightSum(t *testing.T) {
 	}
 }
 
-// TestMergeJSONRejectsWrongWidth: a JSON-wire shard reply whose Sum
-// vector differs from the gateway's country-table width must be a 502,
-// not an out-of-range panic (too long) or a silent partial merge (too
-// short).
+// TestMergeJSONRejectsWrongWidth (the name predates the single wire): a
+// shard reply frame whose country count differs from the gateway's
+// country-table width must be a 502, not an out-of-range panic (too
+// long) or a silent partial merge (too short).
 func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 	_, g := startCluster(t, 3)
 	nC := len(g.codes)
 	for _, width := range []int{nC + 7, nC - 1} {
-		resp := server.InternalPredictResponse{
-			Partials: []server.PartialMixture{{WeightSum: 1.5, Sum: make([]float64, width)}},
-		}
-		body, err := json.Marshal(&resp)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := server.GetPredictWireEncoder()
+		enc.Begin(tagviews.WeightIDF, 1, 0, width, 1, false)
+		sum := make([]float64, width)
+		sum[0] = 1.5
+		enc.Item(1.5, sum)
 		merged := g.getMerged(1)
-		fe := g.mergeJSONReply(g.topo.Load(), merged, shardReply{shard: 0, status: http.StatusOK, body: body}, 1)
-		g.putMerged(merged)
+		fe := g.mergeBinaryReply(g.topo.Load(), merged, shardReply{shard: 0, status: http.StatusOK, body: enc.Finish()}, 1)
+		server.PutPredictWireEncoder(enc)
 		if fe == nil || fe.status != http.StatusBadGateway {
 			t.Fatalf("width %d (table %d): %+v, want a 502 reply error", width, nC, fe)
 		}
+		if merged.wsums[0] != 0 || merged.row(0)[0] != 0 {
+			t.Fatalf("width %d: rejected frame partially merged (wsum %v, row[0] %v)", width, merged.wsums[0], merged.row(0)[0])
+		}
+		g.putMerged(merged)
 	}
 }
 
 // TestPredictRejectsOversizedTag pins the uniform MaxTagLen contract:
 // a tag too long for the binary wire's decoder is a 400 at every edge
-// — gateway, single-node public, shard-internal JSON — so no request
+// — gateway, single-node public, shard-internal frame — so no request
 // one edge accepts can bounce off another's decoder mid-fan-out (under
 // coalescing that bounce would fail every co-batched waiter).
 func TestPredictRejectsOversizedTag(t *testing.T) {
@@ -466,9 +466,14 @@ func TestPredictRejectsOversizedTag(t *testing.T) {
 	if code := post(t, n.ts.URL+"/v1/predict", server.PredictRequest{Tags: []string{long}}, &e); code != http.StatusBadRequest || e.Error == "" {
 		t.Fatalf("public predict accepted an oversized tag: %d %q", code, e.Error)
 	}
-	if code := post(t, n.ts.URL+"/internal/predict",
-		server.InternalPredictRequest{Items: [][]string{{long}}, Weighting: "idf"}, &e); code != http.StatusBadRequest {
-		t.Fatalf("internal JSON predict accepted an oversized tag: %d", code)
+	frame := server.AppendPredictRequest(nil, [][]string{{long}}, tagviews.WeightIDF, false)
+	resp, err := http.Post(n.ts.URL+"/internal/predict", server.WireContentType, bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("internal predict accepted an oversized tag: %d", resp.StatusCode)
 	}
 }
 

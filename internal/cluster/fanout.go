@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -14,12 +13,11 @@ import (
 )
 
 // This file is the predict fan-out core: one function that scatters a
-// batch of items to every shard over the configured wire (binary by
-// default, JSON as the debug fallback), accumulates the partial
-// mixtures into a flat merged slab, and normalizes. Both client-facing
-// predict paths run through it — handlePredict directly, and the
-// coalescer on behalf of a micro-batch of single requests — so the
-// merge arithmetic and the shard-failure semantics cannot drift
+// batch of items to every shard as one binary frame, accumulates the
+// partial mixtures into a flat merged slab, and normalizes. Both
+// client-facing predict paths run through it — handlePredict directly,
+// and the coalescer on behalf of a micro-batch of single requests — so
+// the merge arithmetic and the shard-failure semantics cannot drift
 // between them.
 
 // maxTraceLegs bounds the per-shard timing legs a fan-out records for
@@ -49,9 +47,8 @@ type shardLeg struct {
 // in one row-major [nItems × nC] slab plus known flags. Values are
 // pooled (getMerged/putMerged); wsums is merge-time scratch. fanStart,
 // fanout, merge and the shard legs are the stage timings predictFanout
-// stamps for the slow-request log and the request trace (always
-// overwritten on success, so pooling cannot leak a previous request's
-// timings).
+// stamps for the request trace (always overwritten on success, so
+// pooling cannot leak a previous request's timings).
 type mergedPredict struct {
 	nC       int
 	known    []bool
@@ -167,13 +164,12 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *replyError {
 }
 
 // predictFanout scatters items to every shard, gathers the partial
-// mixtures over the configured wire and merges them into normalized
-// per-item distributions: add the partial sums, add the weight masses,
-// divide — falling back to the shared prior when no shard knew any tag.
-// weighting and wstr are the parsed scheme and its canonical spelling;
-// trace is the request id (or comma-joined member ids, for a coalesced
-// micro-batch) propagated to every shard. On success the caller owns
-// the returned value and must putMerged it.
+// mixtures and merges them into normalized per-item distributions: add
+// the partial sums, add the weight masses, divide — falling back to the
+// shared prior when no shard knew any tag. trace is the request id (or
+// comma-joined member ids, for a coalesced micro-batch) propagated to
+// every shard. On success the caller owns the returned value and must
+// putMerged it.
 //
 // With replicas (R >= 2) a shard failing mid-fan-out is not fatal:
 // the failed shards join the request's exclusion list and the whole
@@ -183,7 +179,7 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *replyError {
 // computed against the old exclusion and are missing the failed
 // shards' assignments — so failover costs one extra round trip, and
 // read availability holds as long as every slice keeps a live replica.
-func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting tagviews.Weighting, wstr, trace string) (*mergedPredict, *replyError) {
+func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting tagviews.Weighting, trace string) (*mergedPredict, *replyError) {
 	tp := g.topo.Load()
 	replicas := tp.ring.Replicas()
 	exclude := tp.excludedShards(nil)
@@ -209,21 +205,8 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 		// rank discount (see profilestore.PredictPartialInto). The
 		// exclusion list rides along so each replica set elects exactly
 		// one server per tag.
-		var body []byte
-		contentType := server.WireContentType
-		var encBuf *[]byte
-		if g.cfg.Wire == WireJSON {
-			contentType = "application/json"
-			b, err := json.Marshal(server.InternalPredictRequest{Items: items, Weighting: wstr, Exclude: exclude})
-			if err != nil {
-				g.putMerged(merged)
-				return nil, &replyError{status: http.StatusInternalServerError, msg: err.Error()}
-			}
-			body = b
-		} else {
-			encBuf = reqBufPool.Get().(*[]byte)
-			body = server.AppendPredictRequestExclude((*encBuf)[:0], items, weighting, exclude, false)
-		}
+		encBuf := reqBufPool.Get().(*[]byte)
+		body := server.AppendPredictRequestExclude((*encBuf)[:0], items, weighting, exclude, false)
 		bodies := make([][]byte, len(tp.targets))
 		for i := range bodies {
 			bodies[i] = body
@@ -232,15 +215,13 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 			bodies[x] = nil
 		}
 		fanStart := time.Now()
-		replies = g.scatter(ctx, tp, "/internal/predict", bodies, contentType, trace)
+		replies = g.scatter(ctx, tp, "/internal/predict", bodies, server.WireContentType, trace)
 		fanDur += time.Since(fanStart)
 		if attempt == 0 {
 			merged.fanStart = fanStart
 		}
-		if encBuf != nil {
-			*encBuf = body[:0]
-			reqBufPool.Put(encBuf)
-		}
+		*encBuf = body[:0]
+		reqBufPool.Put(encBuf)
 
 		var failed []int
 		for _, rep := range replies {
@@ -283,13 +264,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 			g.putMerged(merged)
 			return nil, fe
 		}
-		var fe *replyError
-		if rep.contentType == server.WireContentType {
-			fe = g.mergeBinaryReply(tp, merged, rep, len(items))
-		} else {
-			fe = g.mergeJSONReply(tp, merged, rep, len(items))
-		}
-		if fe != nil {
+		if fe := g.mergeBinaryReply(tp, merged, rep, len(items)); fe != nil {
 			g.putMerged(merged)
 			return nil, fe
 		}
@@ -370,41 +345,5 @@ func (g *Gateway) mergeBinaryReply(tp *topology, merged *mergedPredict, rep shar
 		}
 	}
 	g.markOK(tp, rep.shard, pp.Epoch)
-	return nil
-}
-
-// mergeJSONReply is the debug-wire twin of mergeBinaryReply.
-func (g *Gateway) mergeJSONReply(tp *topology, merged *mergedPredict, rep shardReply, nItems int) *replyError {
-	var resp server.InternalPredictResponse
-	if err := json.Unmarshal(rep.body, &resp); err != nil {
-		g.markFail(tp, rep.shard)
-		return &replyError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("shard %d: undecodable response: %v", rep.shard, err)}
-	}
-	if len(resp.Partials) != nItems {
-		return &replyError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("shard %d returned %d partials for %d items", rep.shard, len(resp.Partials), nItems)}
-	}
-	for i := 0; i < nItems; i++ {
-		part := &resp.Partials[i]
-		if !(part.WeightSum > 0) {
-			continue
-		}
-		// The shard controls len(part.Sum); the merge row is fixed at
-		// the gateway's country-table width. Validate like the binary
-		// twin's NC check or a skewed/byzantine reply panics the
-		// handler (too long) or silently under-merges (too short).
-		if len(part.Sum) != merged.nC {
-			return &replyError{status: http.StatusBadGateway,
-				msg: fmt.Sprintf("shard %d item %d carries %d countries, want %d",
-					rep.shard, i, len(part.Sum), merged.nC)}
-		}
-		merged.wsums[i] += part.WeightSum
-		row := merged.row(i)
-		for c, x := range part.Sum {
-			row[c] += x
-		}
-	}
-	g.markOK(tp, rep.shard, resp.Epoch)
 	return nil
 }

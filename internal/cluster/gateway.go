@@ -41,44 +41,6 @@ var gatewayRoutes = []string{
 // API.md, exactly like server.Routes.
 func GatewayRoutes() []string { return append([]string(nil), gatewayRoutes...) }
 
-// WireKind selects the gateway↔shard codec for the /internal/predict
-// hot path. The zero value is the binary wire: compact frames with raw
-// little-endian float64 slabs (see server's wire codec). WireJSON is
-// the debug fallback — byte-for-byte the shard surface a hand-held curl
-// sees — kept selectable so a wire suspicion can be bisected in
-// production with one flag flip.
-type WireKind int
-
-// Wire kinds.
-const (
-	WireBinary WireKind = iota
-	WireJSON
-)
-
-// String renders the flag spelling.
-func (k WireKind) String() string {
-	switch k {
-	case WireBinary:
-		return "binary"
-	case WireJSON:
-		return "json"
-	default:
-		return fmt.Sprintf("WireKind(%d)", int(k))
-	}
-}
-
-// ParseWire resolves a -internal-wire flag value.
-func ParseWire(name string) (WireKind, error) {
-	switch name {
-	case "binary":
-		return WireBinary, nil
-	case "json":
-		return WireJSON, nil
-	default:
-		return 0, fmt.Errorf("cluster: unknown internal wire %q (want binary or json)", name)
-	}
-}
-
 // GatewayConfig parameterizes the gateway.
 type GatewayConfig struct {
 	// MaxInFlight and MaxBatch mirror server.Config: the same limiter
@@ -106,8 +68,6 @@ type GatewayConfig struct {
 	// entirely (connection-counting tests, custom TLS); the
 	// MaxIdleConnsPerHost default above is ignored in that case.
 	Transport http.RoundTripper
-	// Wire selects the /internal/predict codec (default WireBinary).
-	Wire WireKind
 	// CoalesceWindow enables the micro-batching coalescer: concurrent
 	// /v1/predict requests (singles and batches alike) arriving within
 	// this window are merged into one internal batch call per shard
@@ -115,11 +75,6 @@ type GatewayConfig struct {
 	// cost 1 round trip per shard instead of N. 0 disables (the
 	// default); ~250µs–1ms is the useful range, see OPERATIONS.md.
 	CoalesceWindow time.Duration
-	// SlowRequest enables the threshold-gated slow-request log: any
-	// request at or above this wall time gets one structured line with
-	// its trace id, and /v1/predict additionally logs per-stage timing
-	// (decode, coalesce wait, fan-out, merge, encode). 0 disables.
-	SlowRequest time.Duration
 	// Replicas is the copies-per-tag count the shard tier places
 	// (cmd/serve -replicas, identical on every shard). With R >= 2 the
 	// gateway fails reads over to a surviving replica instead of
@@ -319,7 +274,6 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 		mux.HandleFunc(path, g.handlerFor(path))
 	}
 	mw := server.NewMiddleware(cfg.MaxInFlight, g.metrics, cfg.Logger, cfg.LogRequests)
-	mw.SetSlowRequest(cfg.SlowRequest)
 	g.traces = obs.NewTraceStore(0)
 	mw.SetTraceStore(g.traces)
 	g.mw = mw

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"viewstags/internal/dist"
+	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 	"viewstags/internal/server"
@@ -25,14 +26,13 @@ import (
 // start and dur time the whole leg (connect + shard handler + body
 // read) for the per-shard trace spans.
 type shardReply struct {
-	shard       int
-	status      int
-	retryAfter  string
-	contentType string
-	body        []byte
-	err         error
-	start       time.Time
-	dur         time.Duration
+	shard      int
+	status     int
+	retryAfter string
+	body       []byte
+	err        error
+	start      time.Time
+	dur        time.Duration
 }
 
 // postShard round-trips one POST against a shard, feeding the health
@@ -53,8 +53,7 @@ func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path s
 		req.Header.Set(obs.TraceHeader, trace)
 		// Span context: tell the shard which gateway stage made the
 		// call, so its retained trace names its parent in a stitched
-		// cross-process view. Both wires are HTTP, so one header covers
-		// binary and JSON alike.
+		// cross-process view.
 		req.Header.Set(obs.SpanContextHeader, "gateway"+path)
 	}
 	start := time.Now()
@@ -78,13 +77,12 @@ func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path s
 		return shardReply{shard: shard, err: err, start: start, dur: time.Since(start)}
 	}
 	return shardReply{
-		shard:       shard,
-		status:      resp.StatusCode,
-		retryAfter:  resp.Header.Get("Retry-After"),
-		contentType: resp.Header.Get("Content-Type"),
-		body:        raw,
-		start:       start,
-		dur:         time.Since(start),
+		shard:      shard,
+		status:     resp.StatusCode,
+		retryAfter: resp.Header.Get("Retry-After"),
+		body:       raw,
+		start:      start,
+		dur:        time.Since(start),
 	}
 }
 
@@ -157,7 +155,6 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	weighting := parsed.String()
 	single := len(req.Tags) > 0
 	if single && len(req.Batch) > 0 {
 		server.WriteError(w, http.StatusBadRequest, "set either tags or batch, not both")
@@ -194,18 +191,16 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	trace := server.RequestID(r)
 	tr := server.TraceFrom(r)
 	tr.Add("decode", obs.NoShard, start, decodeDur, "")
-	var waitDur, fanoutDur, mergeDur time.Duration
 	results := make([]server.PredictResult, len(items))
 	if g.co != nil {
 		// Coalescing on: splice this request's items onto the shared
 		// micro-batch and render from the rows handed back. Singles and
 		// small batches alike ride one fan-out per window.
-		rep := g.co.do(r.Context(), items, parsed, weighting, trace)
+		rep := g.co.do(r.Context(), items, parsed, trace)
 		if rep.fe != nil {
 			g.writeReplyError(w, rep.fe)
 			return
 		}
-		waitDur, fanoutDur, mergeDur = rep.wait, rep.fanout, rep.merge
 		// The batch-wide timings are de-muxed back to every waiter: each
 		// member's trace carries its own coalesce wait plus the shared
 		// fan-out legs (the shard-side spans live under the comma-joined
@@ -217,12 +212,11 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 			g.scratch.Put(rep.vecs[i])
 		}
 	} else {
-		merged, fe := g.predictFanout(r.Context(), items, parsed, weighting, trace)
+		merged, fe := g.predictFanout(r.Context(), items, parsed, trace)
 		if fe != nil {
 			g.writeReplyError(w, fe)
 			return
 		}
-		fanoutDur, mergeDur = merged.fanout, merged.merge
 		addFanoutSpans(tr, merged.fanStart, merged.fanout, merged.merge, merged.legs[:merged.nlegs])
 		for i := range items {
 			results[i] = server.PredictResult{Known: merged.known[i], Top: g.topShares(merged.row(i), req.Top)}
@@ -230,7 +224,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		g.putMerged(merged)
 	}
 
-	resp := server.PredictResponse{Weighting: weighting}
+	resp := server.PredictResponse{Weighting: parsed.String()}
 	if single {
 		resp.Result = &results[0]
 	} else {
@@ -239,38 +233,22 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	encStart := time.Now()
 	server.WriteJSON(w, http.StatusOK, resp)
 	tr.Add("encode", obs.NoShard, encStart, time.Since(encStart), "")
-	if slow := g.cfg.SlowRequest; slow > 0 {
-		if total := time.Since(start); total >= slow {
-			g.logger.Printf("cluster: slow-request trace=%s items=%d total=%s decode=%s coalesce_wait=%s fanout=%s merge=%s encode=%s",
-				trace, len(items), total, decodeDur, waitDur, fanoutDur, mergeDur, time.Since(encStart))
-		}
-	}
 }
 
-// gatherOK maps one shard reply onto the client response: transport
-// failures become 502, shard sheds (503) are propagated with the
-// shard's Retry-After, shard 400s are forwarded verbatim (the gateway
-// mirrors shard-side validation, so these indicate a version skew worth
+// gatherOK maps one shard reply onto the client response through the
+// same replyErr mapping the predict fan-out uses, so a shard dying
+// mid-ingest sheds exactly like one dying mid-predict (503 +
+// Retry-After); shard 400s surface as 502 (the gateway validates with
+// the shard's own validator, so these indicate a version skew worth
 // surfacing, not hiding). Returns false when the reply ended the
 // request; on true, out holds the decoded body. Skipped shards
 // (status -1) are ignored.
 func (g *Gateway) gatherOK(w http.ResponseWriter, tp *topology, rep shardReply, out any) bool {
-	switch {
-	case rep.status == -1:
+	if rep.status == -1 {
 		return true
-	case rep.err != nil:
-		server.WriteError(w, http.StatusBadGateway, "shard %d (%s): %v", rep.shard, tp.targets[rep.shard], rep.err)
-		return false
-	case rep.status == http.StatusServiceUnavailable:
-		if rep.retryAfter != "" {
-			w.Header().Set("Retry-After", rep.retryAfter)
-		} else {
-			server.SetRetryAfter(w, 0)
-		}
-		server.WriteError(w, http.StatusServiceUnavailable, "shard %d shedding: %s", rep.shard, errText(rep.body))
-		return false
-	case rep.status != http.StatusOK:
-		server.WriteError(w, http.StatusBadGateway, "shard %d returned %d: %s", rep.shard, rep.status, errText(rep.body))
+	}
+	if fe := g.replyErr(tp, rep); fe != nil {
+		g.writeReplyError(w, fe)
 		return false
 	}
 	if err := json.Unmarshal(rep.body, out); err != nil {
@@ -317,37 +295,22 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		server.WriteError(w, http.StatusBadRequest, "batch of %d events exceeds limit %d", len(req.Events), g.cfg.MaxBatch)
 		return
 	}
-	// Validate the whole batch up front, mirroring Accumulator.Add: the
-	// batch is all-or-nothing across shards, so nothing may be
+	// Validate the whole batch up front with the shards' own validator:
+	// the batch is all-or-nothing across shards, so nothing may be
 	// dispatched until every event would be accepted everywhere.
+	events := make([]ingest.Event, len(req.Events))
 	for i := range req.Events {
 		e := &req.Events[i]
-		if len(e.Tags) == 0 {
-			server.WriteError(w, http.StatusBadRequest, "event %d has no tags", i)
-			return
-		}
-		if len(e.Tags) > ingest.MaxEventTags {
-			server.WriteError(w, http.StatusBadRequest, "event %d has %d tags, limit %d", i, len(e.Tags), ingest.MaxEventTags)
-			return
-		}
-		for _, tag := range e.Tags {
-			if tag == "" {
-				server.WriteError(w, http.StatusBadRequest, "event %d has an empty tag", i)
-				return
-			}
-		}
-		if _, ok := g.codeIndex[e.Country]; !ok {
+		c, ok := g.codeIndex[e.Country]
+		if !ok {
 			server.WriteError(w, http.StatusBadRequest, "event %d: unknown country %q", i, e.Country)
 			return
 		}
-		if e.Views < 0 {
-			server.WriteError(w, http.StatusBadRequest, "event %d has negative views", i)
-			return
-		}
-		if e.Upload && e.Video == "" {
-			server.WriteError(w, http.StatusBadRequest, "event %d is an upload without a video id", i)
-			return
-		}
+		events[i] = ingest.Event{Video: e.Video, Tags: e.Tags, Country: geo.CountryID(c), Views: e.Views, Upload: e.Upload}
+	}
+	if _, err := ingest.Validate(events, len(g.codes)); err != nil {
+		server.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
 	}
 
 	// Partition: each event's tags split by ring owner — every live

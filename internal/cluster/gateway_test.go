@@ -326,6 +326,47 @@ func TestGatewayIngestEquivalence(t *testing.T) {
 	}
 }
 
+// TestGatewayIngestValidationMatchesNode: the gateway refuses a bad
+// event with the single node's own verdict — same status, same message —
+// because both run ingest.Validate after resolving country codes. Every
+// bad event sits second in its batch, so the reported index is checked
+// too.
+func TestGatewayIngestValidationMatchesNode(t *testing.T) {
+	ringOne, err := NewRing(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := startNode(t, ringOne, 0, 1)
+	_, g := startCluster(t, 3)
+	gw := gatewayServer(t, g)
+
+	good := server.IngestEvent{Video: "ok-1", Tags: []string{"pop"}, Country: "JP", Views: 1}
+	for _, tc := range []struct {
+		name string
+		bad  server.IngestEvent
+	}{
+		{"no tags", server.IngestEvent{Video: "v", Country: "JP", Views: 1}},
+		{"too many tags", server.IngestEvent{Video: "v", Tags: make([]string, ingest.MaxEventTags+1), Country: "JP", Views: 1}},
+		{"empty tag", server.IngestEvent{Video: "v", Tags: []string{"pop", ""}, Country: "JP", Views: 1}},
+		{"unknown country", server.IngestEvent{Video: "v", Tags: []string{"pop"}, Country: "ZZ", Views: 1}},
+		{"negative views", server.IngestEvent{Video: "v", Tags: []string{"pop"}, Country: "JP", Views: -1}},
+		{"upload without id", server.IngestEvent{Tags: []string{"pop"}, Country: "JP", Views: 1, Upload: true}},
+	} {
+		req := server.IngestRequest{Events: []server.IngestEvent{good, tc.bad}}
+		var node, edge struct {
+			Error string `json:"error"`
+		}
+		nodeCode := post(t, full.ts.URL+"/v1/ingest", req, &node)
+		edgeCode := post(t, gw.URL+"/v1/ingest", req, &edge)
+		if nodeCode != http.StatusBadRequest || node.Error == "" {
+			t.Fatalf("%s: single node answered %d %q, want a 400", tc.name, nodeCode, node.Error)
+		}
+		if edgeCode != nodeCode || edge.Error != node.Error {
+			t.Errorf("%s: gateway %d %q, single node %d %q", tc.name, edgeCode, edge.Error, nodeCode, node.Error)
+		}
+	}
+}
+
 // TestGatewayEpochSkewKeepsServing pins the degraded-but-serving
 // contract: when one shard has folded ahead of the others, the gateway
 // reports the minimum epoch on /healthz and /v1/stats — the

@@ -207,10 +207,13 @@ func (a *Accumulator) Restore(gen, epoch uint64) {
 	a.epoch.Store(epoch)
 }
 
-// validate checks a batch against the event contract and returns its
-// buffered-attribution charge. It is the single validation layer for
-// event semantics (the HTTP handler only resolves country codes).
-func (a *Accumulator) validate(events []Event) (int64, error) {
+// Validate checks a batch against the event contract for a world of
+// nCountries and returns its buffered-attribution charge. It is the
+// single validation layer for event semantics: Add and Replay run it,
+// the HTTP handlers only resolve country codes, and the cluster gateway
+// calls it before dispatching so an all-or-nothing batch is refused at
+// the edge with the shard's own verdict.
+func Validate(events []Event, nCountries int) (int64, error) {
 	charge := int64(0) // tag attributions this batch will buffer
 	for i := range events {
 		e := &events[i]
@@ -225,7 +228,7 @@ func (a *Accumulator) validate(events []Event) (int64, error) {
 				return 0, fmt.Errorf("ingest: event %d has an empty tag", i)
 			}
 		}
-		if int(e.Country) < 0 || int(e.Country) >= a.nC {
+		if int(e.Country) < 0 || int(e.Country) >= nCountries {
 			return 0, fmt.Errorf("ingest: event %d country %d out of range", i, int(e.Country))
 		}
 		if e.Views < 0 {
@@ -284,7 +287,7 @@ func (a *Accumulator) apply(events []Event) {
 // is applied. A nil-error return therefore means the batch is both
 // visible to the next fold and durable.
 func (a *Accumulator) Add(events []Event) error {
-	charge, err := a.validate(events)
+	charge, err := Validate(events, a.nC)
 	if err != nil {
 		return err
 	}
@@ -314,7 +317,7 @@ func (a *Accumulator) Add(events []Event) error {
 // serving traffic; the replayed events sit in the buffer until the
 // recovery fold drains them.
 func (a *Accumulator) Replay(events []Event, uploads []string) error {
-	charge, err := a.validate(events)
+	charge, err := Validate(events, a.nC)
 	if err != nil {
 		return err
 	}

@@ -6,12 +6,15 @@ import (
 	"sync"
 	"time"
 
+	"viewstags/internal/obs"
 	"viewstags/internal/stats"
 )
 
 // Collector aggregates one request stream's observations behind a
-// mutex: counts by outcome plus streaming P² latency quantiles, so a
-// run of any length costs O(1) memory. It is shared by cmd/loadgen's
+// mutex: counts by outcome plus a fixed-bucket latency histogram — the
+// same obs.Histogram behind the daemons' /v1/stats and /metrics, so
+// client-side and server-side percentiles are directly comparable — so
+// a run of any length costs O(1) memory. It is shared by cmd/loadgen's
 // closed-loop report and the scenario engine's SLO scoring, which is
 // exactly why it lives here rather than in either binary.
 //
@@ -23,10 +26,8 @@ import (
 type Collector struct {
 	mu     sync.Mutex
 	cutoff time.Time // zero = no warmup exclusion
-	p50    *stats.P2Quantile
-	p90    *stats.P2Quantile
-	p99    *stats.P2Quantile
-	lat    stats.Summary
+	hist   obs.Histogram
+	lat    stats.Summary // exact mean and max
 
 	requests int64
 	items    int64 // predictions served / events accepted
@@ -39,19 +40,8 @@ type Collector struct {
 
 // NewCollector returns an empty collector. A zero cutoff disables
 // warmup exclusion.
-func NewCollector(cutoff time.Time) (*Collector, error) {
-	c := &Collector{cutoff: cutoff}
-	for _, q := range []struct {
-		p    **stats.P2Quantile
-		frac float64
-	}{{&c.p50, 0.5}, {&c.p90, 0.9}, {&c.p99, 0.99}} {
-		est, err := stats.NewP2Quantile(q.frac)
-		if err != nil {
-			return nil, err
-		}
-		*q.p = est
-	}
-	return c, nil
+func NewCollector(cutoff time.Time) *Collector {
+	return &Collector{cutoff: cutoff}
 }
 
 // SetCutoff (re)arms the warmup exclusion window. Call before traffic
@@ -85,9 +75,7 @@ func (c *Collector) Observe(latency time.Duration, items, fallback int64, failed
 		c.errors++
 		return
 	}
-	c.p50.Add(ms)
-	c.p90.Add(ms)
-	c.p99.Add(ms)
+	c.hist.Observe(latency)
 	c.lat.Add(ms)
 	c.items += items
 	c.fallback += fallback
@@ -129,12 +117,16 @@ type Stream struct {
 }
 
 // Snapshot renders the collector over the measured window (the run
-// minus any warmup). NaN quantiles (empty stream) are flattened to 0 so
-// the JSON stays valid.
+// minus any warmup). Quantiles interpolate inside a histogram bucket, so
+// they are capped at the exact observed maximum; an empty stream's NaN
+// mean and max are flattened to 0 so the JSON stays valid.
 func (c *Collector) Snapshot(measured time.Duration) Stream {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	secs := measured.Seconds()
+	h := c.hist.Snapshot()
+	maxMs := noNaN(c.lat.Max())
+	quantileMs := func(q float64) float64 { return math.Min(h.Quantile(q)*1e3, maxMs) }
 	s := Stream{
 		Requests:  c.requests,
 		Items:     c.items,
@@ -145,10 +137,10 @@ func (c *Collector) Snapshot(measured time.Duration) Stream {
 		Warmup:    c.warmup,
 		Latency: Latency{
 			MeanMs: noNaN(c.lat.Mean()),
-			P50Ms:  noNaN(c.p50.Value()),
-			P90Ms:  noNaN(c.p90.Value()),
-			P99Ms:  noNaN(c.p99.Value()),
-			MaxMs:  noNaN(c.lat.Max()),
+			P50Ms:  quantileMs(0.50),
+			P90Ms:  quantileMs(0.90),
+			P99Ms:  quantileMs(0.99),
+			MaxMs:  maxMs,
 		},
 	}
 	if secs > 0 {

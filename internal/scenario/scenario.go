@@ -3,7 +3,7 @@
 // regional waves, flash-crowd viral tags, ingest bursts, catalog
 // churn), injects chaos (SIGKILL a shard, slow-shard brownout via a
 // delaying proxy, gateway restart) and scores the run against declared
-// SLOs — latency quantiles from the same P² sketches cmd/loadgen uses,
+// SLOs — latency quantiles from the same collector cmd/loadgen uses,
 // error/shed budgets, epoch staleness and recovery time from mid-run
 // gateway scrapes. Runs emit a machine-readable report (schema
 // viewstags-scenario/v1) that the comparator diffs against a
@@ -160,7 +160,8 @@ type Spec struct {
 	// precondition for kill-and-recover chaos to restore state.
 	Durable bool `json:"durable,omitempty"`
 	// Warmup is excluded from all scoring: observations completing
-	// before start+Warmup land in the warmup tally, not the P² sketches.
+	// before start+Warmup land in the warmup tally, not the latency
+	// histogram.
 	Warmup Duration `json:"warmup,omitempty"`
 	// MaxOutstanding caps in-flight requests; open-loop arrivals beyond
 	// it are dropped (and charged to the error budget). Default 256.

@@ -4,8 +4,8 @@ import "fmt"
 
 // metricValue resolves one SLO's measured value from the report.
 // Cluster metrics read the scrape-derived block; stream metrics read
-// the P² snapshot of the named stream. A declared SLO over a stream
-// that never flowed (nil) scores the zero stream — bounds like
+// the collector snapshot of the named stream. A declared SLO over a
+// stream that never flowed (nil) scores the zero stream — bounds like
 // "throughput min" then fail loudly instead of vacuously passing.
 func metricValue(rep *Report, o *SLO) float64 {
 	if o.Stream == "cluster" {

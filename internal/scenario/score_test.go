@@ -115,12 +115,9 @@ func TestStreamRates(t *testing.T) {
 
 func TestCollectorWarmupCutoff(t *testing.T) {
 	base := time.Now()
-	c, err := NewCollector(base.Add(2 * time.Second))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCollector(base.Add(2 * time.Second))
 	// Warmup observations: slow outliers that must never reach the
-	// sketches.
+	// histogram.
 	for i := 0; i < 50; i++ {
 		c.Observe(5*time.Second, 1, 0, false, false, base.Add(time.Second))
 	}
@@ -187,10 +184,7 @@ func TestResolveRecoveriesWaitsForObservedImpact(t *testing.T) {
 }
 
 func TestCollectorZeroCutoffDisablesWarmup(t *testing.T) {
-	c, err := NewCollector(time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewCollector(time.Time{})
 	c.Observe(time.Millisecond, 1, 0, false, false, time.Now().Add(-time.Hour))
 	if s := c.Snapshot(time.Second); s.Warmup != 0 || s.Requests != 1 {
 		t.Fatalf("zero cutoff mis-tallied: %+v", s)

@@ -93,23 +93,11 @@ func newWorkload(sc *Spec, gatewayURL string) (*workload, error) {
 			return nil, fmt.Errorf("scenario: phase %q region %q is not in the country table", sc.Phases[i].Name, r)
 		}
 	}
-	if w.reads, err = NewCollector(time.Time{}); err != nil {
-		return nil, err
-	}
-	if w.writes, err = NewCollector(time.Time{}); err != nil {
-		return nil, err
-	}
+	w.reads = NewCollector(time.Time{})
+	w.writes = NewCollector(time.Time{})
 	for range sc.Phases {
-		pr, err := NewCollector(time.Time{})
-		if err != nil {
-			return nil, err
-		}
-		pw, err := NewCollector(time.Time{})
-		if err != nil {
-			return nil, err
-		}
-		w.phaseReads = append(w.phaseReads, pr)
-		w.phaseWrites = append(w.phaseWrites, pw)
+		w.phaseReads = append(w.phaseReads, NewCollector(time.Time{}))
+		w.phaseWrites = append(w.phaseWrites, NewCollector(time.Time{}))
 	}
 	return w, nil
 }

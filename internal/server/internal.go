@@ -7,7 +7,6 @@ import (
 
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
-	"viewstags/internal/tagviews"
 )
 
 // This file is the shard-internal API: the three /internal/* routes a
@@ -18,43 +17,6 @@ import (
 // documented separately (API.md, "Shard-internal routes"). Every node
 // serves them: a standalone daemon is simply a 1-shard cluster, so a
 // gateway pointed at it works unchanged.
-
-// InternalPredictRequest is the /internal/predict wire request: the
-// full tag list of each item, in original order. The shard skips tags
-// it does not own (they are absent from its vocabulary), but it needs
-// the full list because tag weights carry a harmonic rank discount
-// keyed to each tag's position in the original request.
-type InternalPredictRequest struct {
-	Items     [][]string `json:"items"`
-	Weighting string     `json:"weighting,omitempty"`
-	// Exclude lists the shard indexes the gateway has taken out of read
-	// rotation (down or re-syncing replicas). Under replication a shard
-	// serves a tag only when the shared ring assigns it that tag given
-	// this exclusion — computed identically on both sides, so exactly
-	// one live replica contributes each tag to the merge. Ignored on
-	// unreplicated nodes.
-	Exclude []int `json:"exclude,omitempty"`
-}
-
-// PartialMixture is one item's partial prediction: the unnormalized
-// weighted sum of this shard's known-tag vectors and the weight mass
-// behind it. Sum is omitted when WeightSum is zero (no owned tag
-// matched). Partials from disjoint shards merge exactly: add the sums,
-// add the weight sums, divide (profilestore.PredictPartialInto).
-type PartialMixture struct {
-	WeightSum float64   `json:"wsum"`
-	Sum       []float64 `json:"sum,omitempty"`
-}
-
-// InternalPredictResponse is the /internal/predict wire response, one
-// partial per requested item, in order. Records reports the shard's
-// current training-corpus size so a gateway can observe IDF skew.
-type InternalPredictResponse struct {
-	Weighting string           `json:"weighting"`
-	Records   int              `json:"records"`
-	Epoch     uint64           `json:"epoch"`
-	Partials  []PartialMixture `json:"partials"`
-}
 
 // InternalIngestRequest is the /internal/ingest wire request: the
 // events whose tags this shard owns (tag lists already filtered to the
@@ -90,59 +52,24 @@ type InternalMetaResponse struct {
 	Ready bool `json:"ready"`
 }
 
+// handleInternalPredict serves the gateway's predict fan-out: one
+// binary frame in (the full tag list of each item, in original order —
+// the shard skips tags it does not own, but tag weights carry a harmonic
+// rank discount keyed to each tag's position — plus the shards the
+// gateway has taken out of read rotation), one binary frame of partial
+// mixtures out, encoded straight from the scratch vector into a pooled
+// frame. Partials from disjoint shards merge exactly: add the sums, add
+// the weight sums, divide (profilestore.PredictPartialInto). Errors go
+// out as the JSON error envelope: they are off the hot path and a
+// uniform envelope keeps the gateway's error plumbing single-sourced.
 func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	if !RequirePost(w, r) {
 		return
 	}
-	if r.Header.Get("Content-Type") == WireContentType {
-		s.handleInternalPredictBinary(w, r)
+	if ct := r.Header.Get("Content-Type"); ct != WireContentType {
+		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q: /internal/predict takes %s", ct, WireContentType)
 		return
 	}
-	var req InternalPredictRequest
-	if !DecodeBody(w, r, &req) {
-		return
-	}
-	weighting, err := tagviews.ParseWeighting(req.Weighting)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if !s.validPredictItems(w, req.Items) {
-		return
-	}
-
-	snap := s.store.Load()
-	bufp := s.scratch.Get()
-	defer s.scratch.Put(bufp)
-	buf := *bufp
-
-	resp := InternalPredictResponse{
-		Weighting: weighting.String(),
-		Records:   snap.Records(),
-		Partials:  make([]PartialMixture, len(req.Items)),
-	}
-	resp.Epoch = s.epoch()
-	serve := s.serveFilter(req.Exclude)
-	predictStart := time.Now()
-	for i, tags := range req.Items {
-		wSum := snap.PredictPartialFilterInto(buf, tags, weighting, serve)
-		resp.Partials[i].WeightSum = wSum
-		if wSum > 0 {
-			resp.Partials[i].Sum = append([]float64(nil), buf...)
-		}
-	}
-	TraceFrom(r).Add("predict", obs.NoShard, predictStart, time.Since(predictStart), "")
-	s.metrics.Predictions.Add(int64(len(req.Items)))
-	WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleInternalPredictBinary is the binary-wire twin of the JSON path
-// above: same validation, same partial arithmetic, but the reply is
-// encoded straight from the scratch vector into a pooled frame — no
-// per-item vector copy, no float-to-text rendering. Errors still go out
-// as the JSON error envelope: they are off the hot path and a uniform
-// envelope keeps the gateway's error plumbing single-sourced.
-func (s *Server) handleInternalPredictBinary(w http.ResponseWriter, r *http.Request) {
 	body := GetWireBuf()
 	defer PutWireBuf(body)
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
@@ -155,8 +82,18 @@ func (s *Server) handleInternalPredictBinary(w http.ResponseWriter, r *http.Requ
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	if !s.validPredictItems(w, items) {
+	if len(items) == 0 {
+		WriteError(w, http.StatusBadRequest, "empty request: provide items")
 		return
+	}
+	if len(items) > s.cfg.MaxBatch {
+		WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(items), s.cfg.MaxBatch)
+		return
+	}
+	for i, tags := range items {
+		if !ValidTags(w, i, tags) {
+			return
+		}
 	}
 	serve := s.serveFilter(exclude)
 
@@ -174,8 +111,8 @@ func (s *Server) handleInternalPredictBinary(w http.ResponseWriter, r *http.Requ
 	for _, tags := range items {
 		enc.Item(snap.PredictPartialFilterInto(buf, tags, weighting, serve), buf)
 	}
-	// Span record is allocation-free, so even the binary hot path keeps
-	// its zero-steady-state budget.
+	// Span record is allocation-free, so the hot path keeps its
+	// zero-steady-state budget.
 	TraceFrom(r).Add("predict", obs.NoShard, predictStart, time.Since(predictStart), "")
 	s.metrics.Predictions.Add(int64(len(items)))
 	w.Header().Set("Content-Type", WireContentType)
@@ -183,30 +120,11 @@ func (s *Server) handleInternalPredictBinary(w http.ResponseWriter, r *http.Requ
 	_, _ = w.Write(enc.Finish())
 }
 
-// validPredictItems applies the shared /internal/predict batch checks;
-// on failure the 400 has been written.
-func (s *Server) validPredictItems(w http.ResponseWriter, items [][]string) bool {
-	if len(items) == 0 {
-		WriteError(w, http.StatusBadRequest, "empty request: provide items")
-		return false
-	}
-	if len(items) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(items), s.cfg.MaxBatch)
-		return false
-	}
-	for i, tags := range items {
-		if !ValidTags(w, i, tags) {
-			return false
-		}
-	}
-	return true
-}
-
 // ValidTags applies the per-item tag checks every predict entry point
-// shares — public JSON, internal JSON, and (via the gateway edge) the
-// binary wire: the item must have tags, and no tag may exceed
-// MaxTagLen, or a request one edge accepts would bounce off another's
-// decoder. On failure the 400 has been written.
+// shares — public JSON, the gateway edge, and the binary wire: the item
+// must have tags, and no tag may exceed MaxTagLen, or a request one edge
+// accepts would bounce off another's decoder. On failure the 400 has
+// been written.
 func ValidTags(w http.ResponseWriter, item int, tags []string) bool {
 	if len(tags) == 0 {
 		WriteError(w, http.StatusBadRequest, "item %d has no tags", item)

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +13,16 @@ import (
 	"viewstags/internal/tagviews"
 )
 
+// postFrame drives one POST /internal/predict through the handler
+// stack with the given content type and raw body.
+func postFrame(srv *Server, contentType string, frame []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, "/internal/predict", bytes.NewReader(frame))
+	req.Header.Set("Content-Type", contentType)
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec
+}
+
 // TestInternalPredictPartials: the shard-internal predict answers the
 // exact partial quantities profilestore.PredictPartialInto computes —
 // weight mass and unnormalized sum per item, ordering preserved.
@@ -19,15 +31,17 @@ func TestInternalPredictPartials(t *testing.T) {
 	snap := srv.Store().Load()
 	nC := res.World.N()
 
-	var resp InternalPredictResponse
-	code := do(t, srv, http.MethodPost, "/internal/predict", InternalPredictRequest{
-		Items: [][]string{{"favela", "samba"}, {"zz-unknown"}, {"pop"}},
-	}, &resp)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	items := [][]string{{"favela", "samba"}, {"zz-unknown"}, {"pop"}}
+	rec := postFrame(srv, WireContentType, AppendPredictRequest(nil, items, tagviews.WeightIDF, false))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	if resp.Weighting != "idf" || len(resp.Partials) != 3 {
-		t.Fatalf("response shape %+v", resp)
+	var resp PredictPartials
+	if err := DecodePredictResponse(rec.Body.Bytes(), &resp, len(items), nC); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Weighting != tagviews.WeightIDF || resp.NItems != 3 || resp.NC != nC {
+		t.Fatalf("response shape: weighting %v, %d items of %d countries", resp.Weighting, resp.NItems, resp.NC)
 	}
 	if resp.Records != snap.Records() {
 		t.Fatalf("records %d, want %d", resp.Records, snap.Records())
@@ -35,38 +49,51 @@ func TestInternalPredictPartials(t *testing.T) {
 
 	buf := make([]float64, nC)
 	wantW := snap.PredictPartialInto(buf, []string{"favela", "samba"}, tagviews.WeightIDF)
-	got := resp.Partials[0]
-	if got.WeightSum != wantW {
-		t.Fatalf("weight sum %v, want %v", got.WeightSum, wantW)
-	}
-	if len(got.Sum) != nC {
-		t.Fatalf("sum has %d countries, want %d", len(got.Sum), nC)
+	if resp.WSums[0] != wantW {
+		t.Fatalf("weight sum %v, want %v", resp.WSums[0], wantW)
 	}
 	for c := range buf {
-		if math.Abs(got.Sum[c]-buf[c]) > 1e-15 {
-			t.Fatalf("country %d: wire sum %v, direct %v", c, got.Sum[c], buf[c])
+		if math.Abs(resp.Sums[c]-buf[c]) > 1e-15 {
+			t.Fatalf("country %d: wire sum %v, direct %v", c, resp.Sums[c], buf[c])
 		}
 	}
-	// Unknown-everywhere item: zero mass, sum omitted.
-	if resp.Partials[1].WeightSum != 0 || resp.Partials[1].Sum != nil {
-		t.Fatalf("unknown item partial %+v, want zero/omitted", resp.Partials[1])
+	// Unknown-everywhere item: zero mass, an absent (all-zero) row.
+	if resp.WSums[1] != 0 {
+		t.Fatalf("unknown item weight sum %v, want 0", resp.WSums[1])
+	}
+	for c, x := range resp.Sums[nC : 2*nC] {
+		if x != 0 {
+			t.Fatalf("unknown item country %d carries %v, want an absent row", c, x)
+		}
+	}
+	if resp.WSums[2] <= 0 {
+		t.Fatalf("known item after an unknown one lost its mass: %v", resp.WSums[2])
 	}
 }
 
 func TestInternalPredictErrors(t *testing.T) {
 	_, srv := fixture(t)
+	badWeighting := AppendPredictRequest(nil, [][]string{{"pop"}}, tagviews.WeightIDF, false)
+	badWeighting[9] = 0xEE // the weighting byte follows the 8-byte magic and the flags
 	cases := []struct {
-		name string
-		req  any
+		name        string
+		contentType string
+		body        []byte
+		want        int
 	}{
-		{"no items", InternalPredictRequest{}},
-		{"empty item", InternalPredictRequest{Items: [][]string{{}}}},
-		{"bad weighting", InternalPredictRequest{Items: [][]string{{"pop"}}, Weighting: "bogus"}},
-		{"unknown field", map[string]any{"itemz": []any{}}},
+		{"no items", WireContentType, AppendPredictRequest(nil, nil, tagviews.WeightIDF, false), http.StatusBadRequest},
+		{"empty item", WireContentType, AppendPredictRequest(nil, [][]string{{}}, tagviews.WeightIDF, false), http.StatusBadRequest},
+		{"bad weighting", WireContentType, badWeighting, http.StatusBadRequest},
+		{"JSON body", "application/json", []byte(`{"items":[["pop"]]}`), http.StatusUnsupportedMediaType},
+		{"no content type", "", AppendPredictRequest(nil, [][]string{{"pop"}}, tagviews.WeightIDF, false), http.StatusUnsupportedMediaType},
 	}
 	for _, c := range cases {
-		if code := do(t, srv, http.MethodPost, "/internal/predict", c.req, nil); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", c.name, code)
+		rec := postFrame(srv, c.contentType, c.body)
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != c.want || err != nil || e.Error == "" {
+			t.Errorf("%s: status %d (want %d), envelope %q (%v)", c.name, rec.Code, c.want, rec.Body, err)
 		}
 	}
 	if code := do(t, srv, http.MethodGet, "/internal/predict", nil, nil); code != http.StatusMethodNotAllowed {

@@ -7,7 +7,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"viewstags/internal/obs"
@@ -88,10 +87,6 @@ type Middleware struct {
 	logger      *log.Logger
 	sem         chan struct{}
 	logRequests bool
-	// slowNs is the slow-request log threshold in nanoseconds; 0
-	// disables. Atomic so it can be set after construction without
-	// racing in-flight requests.
-	slowNs atomic.Int64
 	// traces, when set, turns on span recording: every traced request
 	// carries a pooled span buffer and offers it to this store at the
 	// end (tail sampling decides retention).
@@ -121,16 +116,6 @@ func (m *Middleware) SetTraceStore(ts *obs.TraceStore) { m.traces = ts }
 // middleware fires after a handler panic (after the stack is logged).
 // Call before serving traffic.
 func (m *Middleware) SetPanicHook(f func()) { m.onPanic = f }
-
-// SetSlowRequest enables the threshold-gated slow-request log line:
-// requests whose wall time meets or exceeds d get one structured line
-// with their trace id. d <= 0 disables.
-func (m *Middleware) SetSlowRequest(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	m.slowNs.Store(d.Nanoseconds())
-}
 
 // Wrap chains the stack around next, innermost first: metrics ←
 // recovery ← logging ← concurrency limit ← trace. The limiter sits
@@ -264,9 +249,7 @@ func (m *Middleware) withLogging(next http.Handler) http.Handler {
 }
 
 // withMetrics counts requests and errors per route and records wall
-// time into the route's latency histogram (allocation-free Observe),
-// then emits the threshold-gated slow-request line when one is
-// configured.
+// time into the route's latency histogram (allocation-free Observe).
 func (m *Middleware) withMetrics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		rm := m.metrics.route(r.URL.Path)
@@ -285,9 +268,5 @@ func (m *Middleware) withMetrics(next http.Handler) http.Handler {
 			status = "error"
 		}
 		TraceFrom(r).Add("handler", obs.NoShard, start, d, status)
-		if slow := m.slowNs.Load(); slow > 0 && d.Nanoseconds() >= slow {
-			m.logger.Printf("server: slow-request trace=%s method=%s path=%s status=%d total=%s",
-				RequestID(r), r.Method, r.URL.Path, sw.status, d)
-		}
 	})
 }

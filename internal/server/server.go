@@ -125,10 +125,6 @@ type Config struct {
 	// (normally a closure over cluster.NewRingReplicas). Nil disables
 	// the transfer routes (503).
 	MakeTopology func(shards, replicas int) (ShardTopology, error)
-	// SlowRequest, when positive, logs one structured line (with the
-	// request's trace id) for every request at least this slow. Off by
-	// default.
-	SlowRequest time.Duration
 }
 
 // DefaultConfig returns the standard serving configuration.
@@ -271,7 +267,6 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 		topo:     cfg.Topology,
 	})
 	s.mw = NewMiddleware(cfg.MaxInFlight, s.metrics, logger, cfg.LogRequests)
-	s.mw.SetSlowRequest(cfg.SlowRequest)
 	s.traces = obs.NewTraceStore(0)
 	s.mw.SetTraceStore(s.traces)
 	s.scratch = profilestore.NewVecPool(world.N())

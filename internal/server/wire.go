@@ -13,19 +13,18 @@ import (
 )
 
 // This file is the compact binary codec for the shard-internal predict
-// wire — the gateway↔shard hot path. JSON renders a world-sized float64
-// vector as hundreds of bytes of number text per item per shard; at
-// fan-out rates that encode/decode dominates the whole scatter-gather
-// (see EXPERIMENTS.md "Fast internal wire"). The binary frame keeps the
-// persist package's conventions — an 8-byte magic whose trailing digits
-// version the layout, little-endian fixed-width primitives, uvarint
-// counts, raw float64 bit-pattern slabs, an optional CRC-32 (IEEE)
-// trailer — so a layout change is a new magic, not a silent misparse.
+// wire — the gateway↔shard hot path, and the only body /internal/predict
+// takes. JSON would render a world-sized float64 vector as hundreds of
+// bytes of number text per item per shard; at fan-out rates that
+// encode/decode dominated the whole scatter-gather (see EXPERIMENTS.md
+// "Fast internal wire"). The binary frame keeps the persist package's
+// conventions — an 8-byte magic whose trailing digits version the
+// layout, little-endian fixed-width primitives, uvarint counts, raw
+// float64 bit-pattern slabs, an optional CRC-32 (IEEE) trailer — so a
+// layout change is a new magic, not a silent misparse.
 //
-// Negotiation is by Content-Type: a gateway POSTs /internal/predict
-// with WireContentType and the shard answers in kind; any other
-// content type gets the JSON codec, which stays the debug fallback
-// (curl a shard by hand and it still speaks JSON).
+// A gateway POSTs /internal/predict with WireContentType and the shard
+// answers in kind; any other content type is refused with a 415.
 //
 // Request frame:
 //
@@ -48,7 +47,7 @@ import (
 // but a paranoid deployment can turn it on without a format change,
 // and the decoder always verifies a trailer it finds.
 const (
-	// WireContentType selects the binary codec on /internal/predict.
+	// WireContentType is the media type of /internal/predict frames.
 	WireContentType = "application/x-viewstags-predict-v1"
 
 	wireFlagCRC = 1 << 0

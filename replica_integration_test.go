@@ -183,7 +183,6 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.Replicas = replicas
 	gcfg.FailThreshold = 2
-	gcfg.Wire = cluster.WireBinary
 	g, err := cluster.NewGateway(gcfg, targets)
 	if err != nil {
 		t.Fatal(err)

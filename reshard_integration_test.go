@@ -45,7 +45,6 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 	}
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.Replicas = replicas
-	gcfg.Wire = cluster.WireBinary
 	g, err := cluster.NewGateway(gcfg, targets)
 	if err != nil {
 		t.Fatal(err)
