@@ -8,14 +8,20 @@
 package viewstags_test
 
 import (
+	"bufio"
 	"bytes"
+	"context"
+	"encoding/json"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"viewstags/internal/cluster"
 	"viewstags/internal/obs"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
@@ -150,6 +156,111 @@ func TestAllocBudgets(t *testing.T) {
 		// Measured 42 (JSON decode/encode dominates); rendering
 		// world-sized response vectors would add dozens more.
 		runHandler(t, "/v1/predict", "application/json", body, 72)
+	})
+
+	// One batch-4 frame through the shard side of the data-plane stream:
+	// envelope decode, the pooled in-memory request and writer, the same
+	// handler chain as above, one reply frame. AllocsPerRun counts every
+	// goroutine, so this is the whole shard-side cost of a gateway leg.
+	// The client below reuses its buffers and allocates nothing.
+	t.Run("StreamFrameDispatch", func(t *testing.T) {
+		ts := httptest.NewServer(h)
+		defer ts.Close()
+		conn, err := net.Dial("tcp", strings.TrimPrefix(ts.URL, "http://"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = conn.Close() }()
+		if _, err := io.WriteString(conn, "GET "+server.StreamPath+" HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: "+server.StreamProtocol+"\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		if resp, err := http.ReadResponse(br, nil); err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+			t.Fatalf("upgrade: %v %+v", err, resp)
+		}
+		items4 := [][]string{tags[:3], tags[3:6], tags[6:9], tags[9:12]}
+		env := server.StreamRequest{Path: "/internal/predict", ContentType: server.WireContentType,
+			RequestID: "alloc-budget-test", SpanContext: "gateway/internal/predict",
+			Body: server.AppendPredictRequest(nil, items4, tagviews.WeightIDF, false)}
+		var frame, reply []byte
+		var rep server.StreamReply
+		do := func() {
+			env.ID++
+			if frame, err = server.AppendStreamRequest(frame[:0], &env); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			n, err := server.ReadStreamFrameLen(br)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cap(reply) < n {
+				reply = make([]byte, n)
+			}
+			if _, err := io.ReadFull(br, reply[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if err := server.DecodeStreamReply(reply[:n], &rep); err != nil || rep.ID != env.ID || rep.Status != http.StatusOK {
+				t.Fatalf("reply: %v id %d status %d", err, rep.ID, rep.Status)
+			}
+		}
+		do()
+		allocs := testing.AllocsPerRun(200, do)
+		// The HTTP handler-stack budget (38 measured + the middleware's
+		// 8): carrying the frame must not cost more than the handler it
+		// carries it to.
+		if allocs > 46 {
+			t.Fatalf("stream frame dispatch allocates %.1f/op, budget 46", allocs)
+		}
+		t.Logf("stream frame dispatch: %.1f allocs/op (budget 46)", allocs)
+	})
+
+	// A whole batch-4 predict through Gateway.Handler() with three
+	// in-process shards: edge JSON, three stream legs (each of them the
+	// dispatch above plus the gateway's envelope, waiter and leg-latency
+	// observe), merge, encode. This is the count the net/http-per-leg
+	// carrier put at 589; a per-leg request object or header map coming
+	// back shows here first.
+	t.Run("GatewayPredictFanout", func(t *testing.T) {
+		const shards = 3
+		ring, err := cluster.NewRing(shards, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets := make([]string, shards)
+		for i := range targets {
+			n := startClusterNode(t, ring, i, shards, time.Hour)
+			defer n.stop()
+			targets[i] = n.ts.URL
+		}
+		cfg := cluster.DefaultGatewayConfig()
+		cfg.Logger = log.New(io.Discard, "", 0)
+		g, err := cluster.NewGateway(cfg, targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		if err := g.Sync(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		body, err := json.Marshal(server.PredictRequest{Weighting: "idf", Top: 3, Batch: []server.PredictItem{
+			{Tags: tags[:3]}, {Tags: tags[3:6]}, {Tags: tags[6:9]}, {Tags: tags[9:12]}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gh := g.Handler()
+		w := &nullResponseWriter{h: make(http.Header)}
+		do := func() {
+			gh.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+		}
+		do()
+		allocs := testing.AllocsPerRun(200, do)
+		if allocs > 256 {
+			t.Fatalf("gateway batch-4 predict allocates %.1f/op, budget 256", allocs)
+		}
+		t.Logf("gateway batch-4 predict over 3 shards: %.1f allocs/op (budget 256)", allocs)
 	})
 
 	// The observe path itself: recording a latency into a route

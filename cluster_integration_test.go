@@ -33,6 +33,10 @@ type clusterNode struct {
 	acc  *ingest.Accumulator
 	ts   *httptest.Server
 	stop func()
+	// settle returns once no fold is mid-install: the accumulator's
+	// pending count drops to zero when a fold drains it, before the new
+	// snapshot is served, and FoldNow queues behind that fold.
+	settle func()
 }
 
 func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEvery time.Duration) *clusterNode {
@@ -80,7 +84,7 @@ func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEv
 		cancel()
 		<-done // shutdown fold flushes the tail
 		ts.Close()
-	}}
+	}, settle: func() { _, _ = comp.FoldNow() }}
 	return n
 }
 

@@ -52,7 +52,6 @@ func run() error {
 		syncWait    = flag.Duration("sync-wait", 30*time.Second, "how long to retry the startup shard sync (jittered exponential backoff)")
 		replicas    = flag.Int("replicas", 1, "copies of each tag's slice the shard tier places (must match every shard's -replicas; 1 = unreplicated)")
 		coalesce    = flag.Duration("coalesce-window", 0, "micro-batch concurrent single predicts arriving within this window into one fan-out per shard (0 = off; useful range ~250us-1ms)")
-		maxIdle     = flag.Int("max-idle-per-host", 0, "keep-alive connections kept per shard (0 = 2 x max-inflight; never let this fall below expected concurrency or gathers churn connections)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = off)")
 		traceDump   = flag.String("trace-dump-dir", ".", "flight recorder: dump the retained trace ring to traces_<event>.json here on SIGQUIT or a recovered handler panic (empty = off)")
 	)
@@ -78,7 +77,6 @@ func run() error {
 	cfg.LogRequests = *logRequests
 	cfg.HealthInterval = *healthEvery
 	cfg.CoalesceWindow = *coalesce
-	cfg.MaxIdleConnsPerHost = *maxIdle
 	cfg.Replicas = *replicas
 	g, err := cluster.NewGateway(cfg, targets)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 
 // The coalescer turns N concurrent /v1/predict requests into one
 // internal batch call per shard. A request's fan-out cost is dominated
-// by the per-request HTTP round trip to every shard — work that is
+// by the per-request round trip to every shard — work that is
 // identical whether the internal call carries one item or two hundred —
 // so under concurrent load the gateway can spend one round trip per
 // shard per *window* instead of per request. The first request to

@@ -6,51 +6,28 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"viewstags/internal/scenario"
 	"viewstags/internal/server"
 )
 
-// flakyShard fronts one node with a proxy whose one route (path) can be
-// "killed" at runtime: while dead, calls to it get their connection
-// dropped — a genuine transport failure, exactly what the gateway sees
-// when a shard is SIGKILLed mid-batch — while /internal/meta and
-// everything else pass through, keeping Sync and health probes honest.
-type flakyShard struct {
-	ts   *httptest.Server
-	dead atomic.Bool
-}
-
-func newFlakyShard(t *testing.T, target, path string) *flakyShard {
+// newFlakyShard fronts one node with a connection-level fault proxy:
+// Kill cuts the gateway's stream (and any other connection) to it and
+// refuses new ones — a genuine transport failure, exactly what the
+// gateway sees when a shard is SIGKILLed mid-batch — and Revive brings
+// the same URL back.
+func newFlakyShard(t *testing.T, target string) *scenario.FaultProxy {
 	t.Helper()
-	u, err := url.Parse(target)
+	p, err := scenario.NewFaultProxy(target)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := httputil.NewSingleHostReverseProxy(u)
-	f := &flakyShard{}
-	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if f.dead.Load() && r.URL.Path == path {
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				t.Error("response writer is not a hijacker")
-				return
-			}
-			if conn, _, err := hj.Hijack(); err == nil {
-				_ = conn.Close()
-			}
-			return
-		}
-		rp.ServeHTTP(w, r)
-	}))
-	t.Cleanup(f.ts.Close)
-	return f
+	t.Cleanup(p.Close)
+	return p
 }
 
 // predictRec runs one /v1/predict through the gateway handler and
@@ -97,8 +74,8 @@ func wave(t *testing.T, g *Gateway, reqs []server.PredictRequest) []*httptest.Re
 // pre-death ones, through the same coalescer instance.
 func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	nodes, _ := startCluster(t, 3)
-	flaky := newFlakyShard(t, nodes[2].ts.URL, "/internal/predict")
-	targets := []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.ts.URL}
+	flaky := newFlakyShard(t, nodes[2].ts.URL)
+	targets := []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.URL()}
 	g := newSyncedGateway(t, targets, func(c *GatewayConfig) {
 		c.CoalesceWindow = 10 * time.Millisecond
 		// High threshold: the point is the in-flight fan-out verdict,
@@ -127,7 +104,7 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	// waiter 503 with a Retry-After hint — the same retryable verdict
 	// health shedding gives — and the shard must NOT get marked down
 	// (high threshold), proving the verdict came from the fan-out path.
-	flaky.dead.Store(true)
+	flaky.Kill()
 	for waveNo := 1; waveNo <= 2; waveNo++ {
 		recs := wave(t, g, reqs)
 		for i, rec := range recs {
@@ -153,7 +130,7 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	// known flags, same shares as before the death. A poisoned
 	// coalescer (stale waiter, corrupted batch offsets, a dead window's
 	// error leaking forward) fails exactly here.
-	flaky.dead.Store(false)
+	flaky.Revive()
 	after := wave(t, g, reqs)
 	for i, rec := range after {
 		if rec.Code != http.StatusOK {
@@ -199,8 +176,8 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 // and the transport failure feeds the health tracker exactly once.
 func TestIngestShardDeathSheds(t *testing.T) {
 	nodes, _ := startCluster(t, 3)
-	flaky := newFlakyShard(t, nodes[2].ts.URL, "/internal/ingest")
-	targets := []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.ts.URL}
+	flaky := newFlakyShard(t, nodes[2].ts.URL)
+	targets := []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.URL()}
 	// High threshold: the verdict must come from the in-flight gather,
 	// not from health shedding.
 	g := newSyncedGateway(t, targets, func(c *GatewayConfig) { c.FailThreshold = 1000 })
@@ -213,7 +190,7 @@ func TestIngestShardDeathSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flaky.dead.Store(true)
+	flaky.Kill()
 	rec := httptest.NewRecorder()
 	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", bytes.NewReader(body)))
 	if rec.Code != http.StatusServiceUnavailable {

@@ -32,6 +32,7 @@ func newSyncedGateway(t *testing.T, targets []string, mutate func(*GatewayConfig
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(g.Close)
 	if err := g.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -477,12 +478,10 @@ func TestPredictRejectsOversizedTag(t *testing.T) {
 	}
 }
 
-// TestGatewayKeepAliveReusesConnections is the keep-alive tuning
-// regression test: concurrent gathers, round after round, must ride a
-// stable keep-alive pool instead of churning fresh TCP connects (the
-// default Transport's 2-per-host idle cap forced exactly that). The
-// shard counts accepted connections; the gateway drives many times more
-// requests than the asserted connection bound.
+// TestGatewayKeepAliveReusesConnections pins the data plane's
+// connection discipline: however many predicts run at once, round after
+// round, each shard carries them on exactly one long-lived stream. The
+// shard counts accepted connections.
 func TestGatewayKeepAliveReusesConnections(t *testing.T) {
 	res := fixture(t)
 	ringOne, err := NewRing(1, 0)
@@ -523,13 +522,9 @@ func TestGatewayKeepAliveReusesConnections(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	g := newSyncedGateway(t, []string{ts.URL}, nil)
-	// The constructor's default must cover the in-flight bound, not
-	// net/http's 2.
-	if tr, ok := g.client.Transport.(*http.Transport); !ok || tr.MaxIdleConnsPerHost != g.cfg.MaxInFlight*2 {
-		t.Fatalf("gateway transport MaxIdleConnsPerHost: %+v, want %d", g.client.Transport, g.cfg.MaxInFlight*2)
-	}
+	synced := conns.Load()
 
-	const conc, rounds = 8, 25
+	const conc, rounds = 200, 2
 	body := []byte(`{"tags":["pop"],"top":3}`)
 	for r := 0; r < rounds; r++ {
 		var wg sync.WaitGroup
@@ -547,11 +542,12 @@ func TestGatewayKeepAliveReusesConnections(t *testing.T) {
 		}
 		wg.Wait()
 	}
-	// 200 fanned-out requests; the old 2-idle default churned a handful
-	// of fresh connects per round (~150 total). A healthy pool stays at
-	// roughly the peak concurrency.
-	if got := conns.Load(); got > 3*conc {
-		t.Fatalf("%d requests opened %d connections (bound %d): keep-alive pool is churning",
-			conc*rounds, got, 3*conc)
+	// Exactly one upgrade, on at most one new TCP connection (zero when
+	// the transport reused the idle connection Sync left behind).
+	if got := g.topo.Load().streams[0].dials.Load(); got != 1 {
+		t.Fatalf("%d predicts dialled the shard's stream %d times, want exactly 1", conc*rounds, got)
+	}
+	if got := conns.Load() - synced; got > 1 {
+		t.Fatalf("%d predicts opened %d connections to the shard, want at most 1", conc*rounds, got)
 	}
 }

@@ -56,17 +56,13 @@ type GatewayConfig struct {
 	// shard down (default 3). A down shard is shed from, not called: the
 	// gateway answers 503 immediately instead of stacking timeouts.
 	FailThreshold int
-	// ShardTimeout bounds each scatter call (default 5s).
+	// ShardTimeout bounds each scatter call, and the dial of a shard's
+	// data-plane stream (default 5s).
 	ShardTimeout time.Duration
-	// MaxIdleConnsPerHost sizes the keep-alive pool per shard target.
-	// Every client request fans out to every shard, so the pool must
-	// cover the whole in-flight bound or concurrent gathers churn
-	// through fresh TCP connects (net/http's default of 2 collapses
-	// exactly this way under load). Default: 2 × MaxInFlight.
-	MaxIdleConnsPerHost int
 	// Transport, when non-nil, replaces the shard HTTP transport
-	// entirely (connection-counting tests, custom TLS); the
-	// MaxIdleConnsPerHost default above is ignored in that case.
+	// entirely (connection-counting tests, custom TLS). Control-plane
+	// calls round-trip through it, and each shard's data-plane stream
+	// is dialled through it as an HTTP Upgrade.
 	Transport http.RoundTripper
 	// CoalesceWindow enables the micro-batching coalescer: concurrent
 	// /v1/predict requests (singles and batches alike) arriving within
@@ -95,6 +91,16 @@ func DefaultGatewayConfig() GatewayConfig {
 	}
 }
 
+// Data-plane routes, as indexes into shardState.legs and as the route
+// label of viewstags_shard_leg_duration_seconds.
+const (
+	legPredict = iota
+	legIngest
+	numLegRoutes
+)
+
+var legRouteNames = [numLegRoutes]string{"predict", "ingest"}
+
 // shardState is the gateway's live view of one shard, updated by every
 // scatter call and by the background health poll. All fields are
 // atomics: the serving path reads them lock-free.
@@ -111,17 +117,21 @@ type shardState struct {
 	// the tier is replicated — at R=1 there is no peer to rebuild
 	// from, and revival keeps its historical semantics.
 	syncing atomic.Bool
+	// legs are the per-route leg latencies postShard observes: the
+	// in-program per-shard number behind a slow fan-out.
+	legs [numLegRoutes]obs.Histogram
 }
 
 // topology is the gateway's immutable view of the shard tier at one
 // instant: the targets, the ring partitioning them, and the per-shard
-// health state. Serving paths load it once per request through an
-// atomic pointer; a live reshard installs a fresh topology at cutover,
-// so a request never observes half a swap.
+// health state and data-plane stream. Serving paths load it once per
+// request through an atomic pointer; a live reshard installs a fresh
+// topology at cutover, so a request never observes half a swap.
 type topology struct {
 	ring    *Ring
 	targets []string
 	shards  []*shardState
+	streams []*shardStream
 }
 
 // excludedShards appends the indexes currently out of read rotation —
@@ -140,7 +150,10 @@ func (tp *topology) excludedShards(dst []int) []int {
 // the shard tier's partial results. Construct with NewGateway, then
 // Sync before serving.
 type Gateway struct {
-	cfg     GatewayConfig
+	cfg GatewayConfig
+	// client carries the control plane (meta probes, /v1/tags, transfers,
+	// trace stitching) as plain HTTP; the data plane rides the per-shard
+	// streams in topology, dialled through the same Transport.
 	client  *http.Client
 	metrics *server.Metrics
 	logger  *log.Logger
@@ -226,12 +239,6 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = log.Default()
 	}
-	if cfg.MaxIdleConnsPerHost <= 0 {
-		// The gateway fans every request out to every shard; keep
-		// enough hot connections per shard for the whole in-flight
-		// bound.
-		cfg.MaxIdleConnsPerHost = cfg.MaxInFlight * 2
-	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
 	}
@@ -241,10 +248,9 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 	}
 	transport := cfg.Transport
 	if transport == nil {
-		transport = &http.Transport{
-			MaxIdleConns:        cfg.MaxIdleConnsPerHost * len(targets),
-			MaxIdleConnsPerHost: cfg.MaxIdleConnsPerHost,
-		}
+		// The data plane needs one connection per shard and the control
+		// plane a handful of probes a second: net/http's defaults do.
+		transport = &http.Transport{}
 	}
 	g := &Gateway{
 		cfg:     cfg,
@@ -259,9 +265,11 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 		ring:    ring,
 		targets: append([]string(nil), targets...),
 		shards:  make([]*shardState, len(targets)),
+		streams: make([]*shardStream, len(targets)),
 	}
 	for i := range tp.shards {
 		tp.shards[i] = &shardState{}
+		tp.streams[i] = g.newStream(targets[i])
 	}
 	g.topo.Store(tp)
 	g.mergedPool.New = func() any { return new(mergedPredict) }
@@ -279,6 +287,23 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 	g.mw = mw
 	g.handler = mw.Wrap(mux)
 	return g, nil
+}
+
+// newStream builds the (not yet dialled) data-plane stream to one shard
+// target.
+func (g *Gateway) newStream(target string) *shardStream {
+	return &shardStream{target: target, rt: g.client.Transport, timeout: g.cfg.ShardTimeout}
+}
+
+// Close ends every shard stream — calls in flight fail with a transport
+// error — and drops the control plane's idle connections. Serve calls
+// it on shutdown; a gateway used through Handler() alone should be
+// closed by its owner.
+func (g *Gateway) Close() {
+	for _, s := range g.topo.Load().streams {
+		s.close()
+	}
+	g.client.CloseIdleConnections()
 }
 
 // Traces returns the gateway's tail-sampled trace ring — the flight
@@ -406,8 +431,8 @@ func (g *Gateway) Handler() http.Handler { return g.handler }
 func (g *Gateway) Metrics() *server.Metrics { return g.metrics }
 
 // Run serves on addr until ctx is canceled, polling shard health in the
-// background, then shuts down gracefully, draining in-flight requests
-// for up to grace.
+// background, then shuts down gracefully: in-flight requests drain for
+// up to grace, then the shard streams close.
 func (g *Gateway) Run(ctx context.Context, addr string, grace time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -421,7 +446,7 @@ func (g *Gateway) Serve(ctx context.Context, ln net.Listener, grace time.Duratio
 	pollCtx, stopPoll := context.WithCancel(ctx)
 	defer stopPoll()
 	go g.healthLoop(pollCtx)
-	return server.ServeHandler(ctx, ln, g.handler, grace)
+	return server.ServeHandler(ctx, ln, g.handler, grace, func(context.Context) { g.Close() })
 }
 
 // healthLoop refreshes shard state roughly every HealthInterval until
@@ -520,6 +545,9 @@ func (g *Gateway) markFail(tp *topology, i int) {
 		if s.down.CompareAndSwap(false, true) {
 			g.logger.Printf("cluster: shard %d (%s) marked down after %d consecutive failures",
 				i, tp.targets[i], g.cfg.FailThreshold)
+			// Whatever is left of its stream may be half-open; a revived
+			// shard is reached over a fresh connection.
+			tp.streams[i].reset()
 		}
 	}
 }

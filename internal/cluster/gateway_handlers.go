@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -23,8 +22,8 @@ import (
 
 // shardReply is one shard's answer to a scatter call: the decoded-later
 // body plus the transport-level facts the gather step branches on.
-// start and dur time the whole leg (connect + shard handler + body
-// read) for the per-shard trace spans.
+// start and dur time the whole leg (envelope write + shard handler +
+// reply read) for the per-shard trace spans.
 type shardReply struct {
 	shard      int
 	status     int
@@ -35,29 +34,23 @@ type shardReply struct {
 	dur        time.Duration
 }
 
-// postShard round-trips one POST against a shard, feeding the health
-// tracker. Non-2xx statuses are returned for the caller to map — they
-// are protocol answers (shed, malformed), not transport failures, so
-// they do not count toward marking the shard down. trace, when
-// non-empty, rides the X-Request-Id header so the shard's access log
-// carries the same id the client saw (for a coalesced micro-batch it is
-// every member's id, comma-joined) — the wire frames themselves never
-// change.
+// postShard runs one data-plane call against a shard over its stream,
+// feeding the health tracker and the per-shard leg histogram. Non-2xx
+// statuses are returned for the caller to map — they are protocol
+// answers (shed, malformed), not transport failures, so they do not
+// count toward marking the shard down. trace, when non-empty, rides the
+// envelope as the request id so the shard's access log carries the same
+// id the client saw (for a coalesced micro-batch it is every member's
+// id, comma-joined) — the wire frames themselves never change.
 func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path string, body []byte, contentType, trace string) shardReply {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, tp.targets[shard]+path, bytes.NewReader(body))
-	if err != nil {
-		return shardReply{shard: shard, err: err}
-	}
-	req.Header.Set("Content-Type", contentType)
-	if trace != "" {
-		req.Header.Set(obs.TraceHeader, trace)
-		// Span context: tell the shard which gateway stage made the
-		// call, so its retained trace names its parent in a stitched
-		// cross-process view.
-		req.Header.Set(obs.SpanContextHeader, "gateway"+path)
+	route := legPredict
+	if path == "/internal/ingest" {
+		route = legIngest
 	}
 	start := time.Now()
-	resp, err := g.client.Do(req)
+	status, retryAfter, raw, err := tp.streams[shard].call(ctx, path, contentType, trace, body)
+	dur := time.Since(start)
+	tp.shards[shard].legs[route].Observe(dur)
 	if err != nil {
 		// A canceled client context aborts every in-flight shard call;
 		// that says nothing about shard health, so it must not count
@@ -66,23 +59,15 @@ func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path s
 		if ctx.Err() == nil {
 			g.markFail(tp, shard)
 		}
-		return shardReply{shard: shard, err: err, start: start, dur: time.Since(start)}
-	}
-	defer func() { _ = resp.Body.Close() }()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		if ctx.Err() == nil {
-			g.markFail(tp, shard)
-		}
-		return shardReply{shard: shard, err: err, start: start, dur: time.Since(start)}
+		return shardReply{shard: shard, err: err, start: start, dur: dur}
 	}
 	return shardReply{
 		shard:      shard,
-		status:     resp.StatusCode,
-		retryAfter: resp.Header.Get("Retry-After"),
+		status:     status,
+		retryAfter: retryAfter,
 		body:       raw,
 		start:      start,
-		dur:        time.Since(start),
+		dur:        dur,
 	}
 }
 

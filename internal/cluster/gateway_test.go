@@ -53,6 +53,12 @@ type node struct {
 // listener.
 func startNode(t *testing.T, ring *Ring, index, count int) *node {
 	t.Helper()
+	return startNodeWith(t, ring, index, count, nil)
+}
+
+// startNodeWith is startNode with a hook to adjust the server config.
+func startNodeWith(t *testing.T, ring *Ring, index, count int, mutate func(*server.Config)) *node {
+	t.Helper()
 	res := fixture(t)
 	var owns func(string) bool
 	if count > 1 {
@@ -70,6 +76,9 @@ func startNode(t *testing.T, ring *Ring, index, count int) *node {
 	cfg.ShardIndex = index
 	cfg.ShardCount = count
 	cfg.RingSignature = ring.Signature()
+	if mutate != nil {
+		mutate(&cfg)
+	}
 	srv, err := server.New(cfg, store)
 	if err != nil {
 		t.Fatal(err)
@@ -112,6 +121,7 @@ func startCluster(t *testing.T, shards int) ([]*node, *Gateway) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(g.Close)
 	if err := g.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -64,6 +64,16 @@ func (g *Gateway) writeClusterProm(tw *obs.TextWriter, tp *topology) {
 		tw.Sample("viewstags_shard_epoch_lag", labels, float64(maxEpoch-epoch))
 		tw.Sample("viewstags_shard_records", labels, float64(s.records.Load()))
 	}
+	tw.HistogramFamily("viewstags_shard_leg_duration_seconds", "One shard's leg of a fan-out (envelope write to reply read), by shard and data-plane route.")
+	tw.Counter("viewstags_shard_stream_reconnects_total", "Data-plane stream dials to the shard after the first.")
+	for i, s := range tp.shards {
+		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
+		for route := range s.legs {
+			tw.Histogram("viewstags_shard_leg_duration_seconds",
+				[]obs.Label{shard, {Name: "route", Value: legRouteNames[route]}}, s.legs[route].Snapshot())
+		}
+		tw.Sample("viewstags_shard_stream_reconnects_total", []obs.Label{shard}, float64(tp.streams[i].reconnects()))
+	}
 	tw.Gauge("viewstags_cluster_min_epoch", "Lowest epoch any shard reports — the conservative fold horizon.")
 	tw.Sample("viewstags_cluster_min_epoch", nil, float64(tp.minEpoch()))
 	tw.Gauge("viewstags_cluster_replicas", "Copies of each tag's slice the ring places.")

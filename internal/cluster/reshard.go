@@ -332,23 +332,31 @@ func (g *Gateway) Reshard(ctx context.Context, newTargets []string, tr *obs.Trac
 	}
 
 	// Cutover: install the new topology. Nodes carried over keep their
-	// shardState (health history, epoch); genuinely new nodes start
-	// fresh and get their state from the post-cutover health refresh.
+	// shardState (health history, epoch) and their stream; genuinely
+	// new nodes start fresh and get their state from the post-cutover
+	// health refresh. Departed nodes' streams close once nothing can
+	// route to them.
 	cStart := time.Now()
 	g.setHandoff(epoch, HandoffCutover, len(tp.targets), len(newTargets))
 	ntp := &topology{
 		ring:    newRing,
 		targets: append([]string(nil), newTargets...),
 		shards:  make([]*shardState, len(newTargets)),
+		streams: make([]*shardStream, len(newTargets)),
 	}
 	for j, dst := range newTargets {
 		if s := slices.Index(tp.targets, dst); s >= 0 {
-			ntp.shards[j] = tp.shards[s]
+			ntp.shards[j], ntp.streams[j] = tp.shards[s], tp.streams[s]
 		} else {
-			ntp.shards[j] = &shardState{}
+			ntp.shards[j], ntp.streams[j] = &shardState{}, g.newStream(dst)
 		}
 	}
 	g.topo.Store(ntp)
+	for s, st := range tp.streams {
+		if !slices.Contains(newTargets, tp.targets[s]) {
+			st.close()
+		}
+	}
 	g.setHandoff(epoch, HandoffIdle, len(tp.targets), len(newTargets))
 	tr.Add("cutover", obs.NoShard, cStart, time.Since(cStart), "")
 	g.logger.Printf("cluster: reshard complete in %s: %d shards, ring %s",

@@ -1,0 +1,318 @@
+package cluster
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"log"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+	"time"
+
+	"viewstags/internal/ingest"
+	"viewstags/internal/server"
+)
+
+// These tests pin the data-plane stream's own failure modes — what the
+// gateway does when the one connection to a shard dies, stalls, sheds
+// or is abandoned mid-call. The happy path is every other test in the
+// package: they all ride the stream.
+
+// gateJournal blocks every ingest on a node until released, which holds
+// that node's /internal/ingest frames in flight for as long as a test
+// needs them there.
+type gateJournal struct {
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func holdIngest(t *testing.T, n *node) *gateJournal {
+	t.Helper()
+	j := &gateJournal{entered: make(chan struct{}, 256), release: make(chan struct{})}
+	n.acc.SetJournal(j)
+	t.Cleanup(j.open)
+	return j
+}
+
+func (j *gateJournal) Append(uint64, []ingest.Event, []string) error {
+	j.entered <- struct{}{}
+	<-j.release
+	return nil
+}
+
+func (j *gateJournal) open() { j.once.Do(func() { close(j.release) }) }
+
+// uploadBody is a /v1/ingest body whose upload is announced to every
+// shard, so every shard gets a leg.
+func uploadBody(t *testing.T, video string) []byte {
+	t.Helper()
+	body, err := json.Marshal(server.IngestRequest{Events: []server.IngestEvent{
+		{Video: video, Tags: []string{"zz-stream"}, Country: "JP", Views: 10, Upload: true},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+func serve(g *Gateway, ctx context.Context, path string, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)).WithContext(ctx))
+	return rec
+}
+
+func wantShed(t *testing.T, what string, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("%s: status %d Retry-After %q, want 503 with a hint: %s",
+			what, rec.Code, rec.Header().Get("Retry-After"), rec.Body.Bytes())
+	}
+}
+
+// TestStreamShardKilledWithWaitersInFlight is failure mode (a): a shard
+// dying with N calls in flight on its stream fails all N the retryable
+// way, none hangs, the failures take it out of rotation, and once it is
+// back the gateway redials and answers exactly what it answered before.
+func TestStreamShardKilledWithWaitersInFlight(t *testing.T) {
+	nodes, _ := startCluster(t, 3)
+	flaky := newFlakyShard(t, nodes[2].ts.URL)
+	g := newSyncedGateway(t, []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.URL()}, func(c *GatewayConfig) {
+		c.FailThreshold = 3
+		c.Logger = log.New(io.Discard, "", 0)
+	})
+	predict := server.PredictRequest{Tags: []string{"favela", "samba", "pop"}, Weighting: "idf", Top: 5}
+	before := predictRec(t, g, predict)
+	if before.Code != http.StatusOK {
+		t.Fatalf("healthy predict: %d", before.Code)
+	}
+
+	const waiters = 16
+	hold := holdIngest(t, nodes[2])
+	recs := make(chan *httptest.ResponseRecorder, waiters)
+	body := uploadBody(t, "kill-1")
+	for i := 0; i < waiters; i++ {
+		go func() { recs <- serve(g, context.Background(), "/v1/ingest", body) }()
+	}
+	for i := 0; i < waiters; i++ {
+		<-hold.entered // all N legs are inside shard 2
+	}
+	flaky.Kill()
+	for i := 0; i < waiters; i++ {
+		select {
+		case rec := <-recs:
+			wantShed(t, "waiter on a killed stream", rec)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("waiter %d still hanging 5 s after its shard died", i)
+		}
+	}
+	tp := g.topo.Load()
+	if !tp.shards[2].down.Load() {
+		t.Fatalf("%d transport failures did not mark shard 2 down (fails=%d)", waiters, tp.shards[2].fails.Load())
+	}
+	wantShed(t, "predict with the shard down", predictRec(t, g, predict))
+
+	hold.open()
+	flaky.Revive()
+	g.RefreshHealth(context.Background())
+	after := predictRec(t, g, predict)
+	if after.Code != http.StatusOK {
+		t.Fatalf("predict after revival: %d: %s", after.Code, after.Body.Bytes())
+	}
+	var want, got server.PredictResponse
+	if err := json.Unmarshal(before.Body.Bytes(), &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(after.Body.Bytes(), &got); err != nil {
+		t.Fatal(err)
+	}
+	for c := range want.Result.Top {
+		if got.Result.Top[c].Country != want.Result.Top[c].Country ||
+			math.Abs(got.Result.Top[c].Share-want.Result.Top[c].Share) > 1e-9 {
+			t.Fatalf("country %d after revival: %+v, was %+v", c, got.Result.Top[c], want.Result.Top[c])
+		}
+	}
+	if n := tp.streams[2].reconnects(); n < 1 {
+		t.Fatalf("stream to the revived shard reports %d reconnects", n)
+	}
+}
+
+// TestStreamTimeoutDropsLateReply is failure mode (b): a shard that
+// takes a frame and sits on it costs that call ShardTimeout and a 503,
+// not the stream; and when the reply finally arrives it goes nowhere —
+// in particular not to whichever call is waiting by then.
+func TestStreamTimeoutDropsLateReply(t *testing.T) {
+	nodes, _ := startCluster(t, 3)
+	g := newSyncedGateway(t, []string{nodes[0].ts.URL, nodes[1].ts.URL, nodes[2].ts.URL}, func(c *GatewayConfig) {
+		c.ShardTimeout = 150 * time.Millisecond
+		c.FailThreshold = 1000
+	})
+	hold := holdIngest(t, nodes[2])
+
+	start := time.Now()
+	rec := serve(g, context.Background(), "/v1/ingest", uploadBody(t, "late-1"))
+	wantShed(t, "ingest through a stalled shard", rec)
+	if took := time.Since(start); took < 150*time.Millisecond || took > 2*time.Second {
+		t.Fatalf("stalled leg answered after %s, want about the 150ms shard timeout", took)
+	}
+
+	// The late reply lands while the next calls are in flight.
+	<-hold.entered
+	hold.open()
+	for i := 0; i < 20; i++ {
+		pr := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}, Top: 3})
+		if pr.Code != http.StatusOK {
+			t.Fatalf("predict %d after a timed-out leg: %d: %s", i, pr.Code, pr.Body.Bytes())
+		}
+	}
+	if rec := serve(g, context.Background(), "/v1/ingest", uploadBody(t, "late-2")); rec.Code != http.StatusOK {
+		t.Fatalf("ingest after a timed-out leg: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	st := g.topo.Load().streams[2]
+	if st.dials.Load() != 1 {
+		t.Fatalf("a timed-out call cost the stream its connection (%d dials)", st.dials.Load())
+	}
+}
+
+// TestStreamClientCancelIsNotAShardFailure is failure mode (c): a client
+// that walks away mid-leg abandons its call, and the shard's health
+// record does not pay for it.
+func TestStreamClientCancelIsNotAShardFailure(t *testing.T) {
+	nodes, _ := startCluster(t, 3)
+	g := newSyncedGateway(t, []string{nodes[0].ts.URL, nodes[1].ts.URL, nodes[2].ts.URL}, nil)
+	hold := holdIngest(t, nodes[2])
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan *httptest.ResponseRecorder, 1)
+	body := uploadBody(t, "cancel-1")
+	go func() { done <- serve(g, ctx, "/v1/ingest", body) }()
+	<-hold.entered
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled request still waiting on its leg")
+	}
+	tp := g.topo.Load()
+	for i, s := range tp.shards {
+		if n := s.fails.Load(); n != 0 {
+			t.Fatalf("shard %d charged %d failures for a client cancel", i, n)
+		}
+	}
+	hold.open()
+	if pr := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}); pr.Code != http.StatusOK {
+		t.Fatalf("predict after a cancelled leg: %d", pr.Code)
+	}
+	if n := tp.streams[2].dials.Load(); n != 1 {
+		t.Fatalf("a cancelled call cost the stream its connection (%d dials)", n)
+	}
+}
+
+// TestStreamShedPropagatesRetryAfter is failure mode (e): a frame that
+// finds its shard at -max-inflight is shed by the shard's own limiter —
+// the one in the handler chain, not a copy — and the gateway hands the
+// shard's Retry-After to the client verbatim.
+func TestStreamShedPropagatesRetryAfter(t *testing.T) {
+	ring, err := NewRing(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := startNodeWith(t, ring, 0, 1, func(c *server.Config) { c.MaxInFlight = 1 })
+	g := newSyncedGateway(t, []string{n.ts.URL}, func(c *GatewayConfig) {
+		// The gateway's own hint would be 7 s; the shard's limiter says 1.
+		c.HealthInterval = 7 * time.Second
+		c.FailThreshold = 1000
+	})
+	hold := holdIngest(t, n)
+	done := make(chan *httptest.ResponseRecorder, 1)
+	body := uploadBody(t, "shed-1")
+	go func() { done <- serve(g, context.Background(), "/v1/ingest", body) }()
+	<-hold.entered // the shard's one slot is taken
+
+	rejected := n.srv.Metrics().Rejected.Load()
+	rec := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}})
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("predict into a saturated shard: status %d Retry-After %q, want 503 with the shard's \"1\": %s",
+			rec.Code, rec.Header().Get("Retry-After"), rec.Body.Bytes())
+	}
+	if got := n.srv.Metrics().Rejected.Load() - rejected; got != 1 {
+		t.Fatalf("shard limiter rejected %d frames, want 1", got)
+	}
+	if n := g.topo.Load().shards[0].fails.Load(); n != 0 {
+		t.Fatalf("a shed frame counted as %d shard failures", n)
+	}
+	hold.open()
+	if rec := <-done; rec.Code != http.StatusOK {
+		t.Fatalf("held ingest: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// TestStreamUpgradeRefusedIsAFailedShard: there is no per-leg HTTP
+// fallback. A target that answers /internal/meta but cannot upgrade
+// fails its legs like any unreachable shard.
+func TestStreamUpgradeRefusedIsAFailedShard(t *testing.T) {
+	ring, err := NewRing(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := newFakeShard(t, ring.Signature()) // serves /internal/meta only
+	g := readinessGateway(t, shard.ts.URL)
+	t.Cleanup(g.Close)
+	if err := g.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	wantShed(t, "predict against a shard that cannot upgrade", predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}))
+	if n := g.topo.Load().shards[0].fails.Load(); n != 1 {
+		t.Fatalf("refused upgrade counted as %d failures, want 1", n)
+	}
+}
+
+// TestStreamCloseFailsLaterCalls: a closed gateway's streams refuse
+// work instead of silently redialling.
+func TestStreamCloseFailsLaterCalls(t *testing.T) {
+	_, g := startCluster(t, 3)
+	if rec := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}); rec.Code != http.StatusOK {
+		t.Fatalf("predict: %d", rec.Code)
+	}
+	g.Close()
+	wantShed(t, "predict on a closed gateway", predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}))
+	for i, st := range g.topo.Load().streams {
+		if n := st.dials.Load(); n != 1 {
+			t.Fatalf("stream %d dialled %d times across a close", i, n)
+		}
+	}
+}
+
+// TestGatewayLargeReplyCarriesContentLength: a 32-item predict through
+// the gateway (~5 KB of JSON) is sized up front like a node's — no
+// chunked fallback at the edge.
+func TestGatewayLargeReplyCarriesContentLength(t *testing.T) {
+	res := fixture(t)
+	_, g := startCluster(t, 3)
+	gw := gatewayServer(t, g)
+	names := res.Analysis.TagNames()
+	var req server.PredictRequest
+	for i := 0; i < 32; i++ {
+		req.Batch = append(req.Batch, server.PredictItem{Tags: names[i*3 : i*3+3]})
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(gw.URL+"/v1/predict", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || len(raw) <= 2048 {
+		t.Fatalf("status %d, %d bytes — not the large reply this test needs", resp.StatusCode, len(raw))
+	}
+	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(raw)) {
+		t.Fatalf("Transfer-Encoding %v, Content-Length %d for a %d-byte body", resp.TransferEncoding, resp.ContentLength, len(raw))
+	}
+}

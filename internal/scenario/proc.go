@@ -147,7 +147,7 @@ func waitHTTP(client *http.Client, url string, deadline time.Duration) error {
 }
 
 // Cluster is the booted topology: N shard daemons, each fronted by a
-// DelayProxy (the brownout injector), behind one gateway whose targets
+// FaultProxy (the brownout injector), behind one gateway whose targets
 // are the proxies. Everything chaos needs — kill, restart, delay —
 // hangs off this struct.
 type Cluster struct {
@@ -158,7 +158,7 @@ type Cluster struct {
 	client  *http.Client
 
 	shards  []*proc
-	proxies []*DelayProxy
+	proxies []*FaultProxy
 	gateway *proc
 }
 
@@ -195,7 +195,7 @@ func StartCluster(bins Binaries, sc *Spec, workdir string, logger *log.Logger) (
 		}
 		c.shards = append(c.shards, p)
 
-		proxy, err := NewDelayProxy(p.url)
+		proxy, err := NewFaultProxy(p.url)
 		if err != nil {
 			return nil, err
 		}
@@ -278,7 +278,7 @@ func (c *Cluster) newShardProc(i, n int) (*proc, error) {
 // GrowCluster boots shard n of a tier growing n → n+1 (same dataset
 // knobs, identity already in the grown ring), waits for it to build,
 // and POSTs /v1/reshard so the gateway streams slices over and cuts
-// the topology live. The new daemon gets its own DelayProxy so later
+// the topology live. The new daemon gets its own FaultProxy so later
 // chaos can address it like any other member.
 func (c *Cluster) GrowCluster() error {
 	i := len(c.shards)
@@ -291,7 +291,7 @@ func (c *Cluster) GrowCluster() error {
 		return err
 	}
 	c.shards = append(c.shards, p)
-	proxy, err := NewDelayProxy(p.url)
+	proxy, err := NewFaultProxy(p.url)
 	if err != nil {
 		return err
 	}

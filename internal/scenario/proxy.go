@@ -2,76 +2,165 @@ package scenario
 
 import (
 	"net"
-	"net/http"
-	"net/http/httputil"
 	"net/url"
+	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// DelayProxy fronts one shard with a reverse proxy whose per-request
-// delay is settable at runtime — the slow-shard brownout injector. The
-// gateway is pointed at the proxy, so a brownout needs no cooperation
-// from the shard binary: the delay happens on the wire, exactly where
-// a congested link or an overloaded peer would put it.
+// FaultProxy fronts one shard with a TCP proxy whose faults are
+// settable at runtime — the slow-shard and dead-shard injector. The
+// gateway is pointed at the proxy, so a fault needs no cooperation from
+// the shard binary: it happens on the wire, exactly where a congested
+// link or a crashed peer would put it. It works on connections, not
+// requests, because the gateway's data plane is one long-lived stream
+// per shard: a proxy that only acted on the next HTTP request would
+// never touch an established stream.
 //
-// The delay applies to every proxied call, including /internal/meta
-// health probes — intentionally: a browned-out shard is slow to answer
-// its health checks too, and the gateway's FailThreshold discipline
-// (slow ≠ down, as long as calls complete) is part of what a brownout
-// scenario exercises.
-type DelayProxy struct {
-	ln    net.Listener
-	srv   *http.Server
-	delay atomic.Int64 // nanoseconds
+// The delay applies to every byte the gateway sends, including
+// /internal/meta health probes — intentionally: a browned-out shard is
+// slow to answer its health checks too, and the gateway's FailThreshold
+// discipline (slow ≠ down, as long as calls complete) is part of what a
+// brownout scenario exercises. A backend that cannot be dialled drops
+// the gateway's connection: a transport failure, never a polite 502,
+// because only transport failures count toward down-marking.
+type FaultProxy struct {
+	ln      net.Listener
+	backend string       // host:port
+	delay   atomic.Int64 // nanoseconds
+
+	mu    sync.Mutex
+	conns map[net.Conn]struct{} // both halves of every live pair
+	dead  bool
+	wg    sync.WaitGroup
 }
 
-// NewDelayProxy starts a proxy for the shard base URL on a fresh
+// NewFaultProxy starts a proxy for the shard base URL on a fresh
 // loopback port.
-func NewDelayProxy(target string) (*DelayProxy, error) {
+func NewFaultProxy(target string) (*FaultProxy, error) {
 	u, err := url.Parse(target)
 	if err != nil {
 		return nil, err
-	}
-	p := &DelayProxy{}
-	rp := httputil.NewSingleHostReverseProxy(u)
-	// A dead backend must surface to the gateway as a TRANSPORT failure
-	// (connection reset), not a synthesized 502: the gateway's health
-	// tracker only counts transport errors toward down-marking, and a
-	// proxy that answered politely for a dead shard would make the
-	// shard look alive forever. Hijack and drop the connection instead.
-	rp.ErrorHandler = func(w http.ResponseWriter, r *http.Request, err error) {
-		if hj, ok := w.(http.Hijacker); ok {
-			if conn, _, herr := hj.Hijack(); herr == nil {
-				_ = conn.Close()
-				return
-			}
-		}
-		w.WriteHeader(http.StatusBadGateway)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
-	p.ln = ln
-	p.srv = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if d := time.Duration(p.delay.Load()); d > 0 {
-			time.Sleep(d)
-		}
-		rp.ServeHTTP(w, r)
-	})}
-	go func() { _ = p.srv.Serve(ln) }()
+	p := &FaultProxy{ln: ln, backend: u.Host, conns: make(map[net.Conn]struct{})}
+	p.wg.Add(1)
+	go p.accept()
 	return p, nil
 }
 
 // URL is the proxy's base URL — what the gateway's -shards list names.
-func (p *DelayProxy) URL() string { return "http://" + p.ln.Addr().String() }
+func (p *FaultProxy) URL() string { return "http://" + p.ln.Addr().String() }
 
-// SetDelay sets the injected per-request delay; 0 lifts the brownout.
-func (p *DelayProxy) SetDelay(d time.Duration) { p.delay.Store(int64(d)) }
+// SetDelay sets the delay injected before each chunk forwarded toward
+// the shard; 0 lifts the brownout.
+func (p *FaultProxy) SetDelay(d time.Duration) { p.delay.Store(int64(d)) }
 
-// Delay reports the current injected delay.
-func (p *DelayProxy) Delay() time.Duration { return time.Duration(p.delay.Load()) }
+// Kill cuts every live connection and refuses new ones until Revive —
+// what a crashed daemon looks like from the gateway.
+func (p *FaultProxy) Kill() {
+	p.mu.Lock()
+	p.dead = true
+	for c := range p.conns {
+		_ = c.Close()
+	}
+	p.mu.Unlock()
+}
 
-// Close stops the proxy immediately.
-func (p *DelayProxy) Close() { _ = p.srv.Close() }
+// Revive lets connections through again.
+func (p *FaultProxy) Revive() {
+	p.mu.Lock()
+	p.dead = false
+	p.mu.Unlock()
+}
+
+// Close stops the proxy: the listener, every live connection, and the
+// goroutines serving them.
+func (p *FaultProxy) Close() {
+	_ = p.ln.Close()
+	p.Kill()
+	p.wg.Wait()
+}
+
+// track registers a connection unless the proxy is dead, in which case
+// it is closed on the spot.
+func (p *FaultProxy) track(c net.Conn) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.dead {
+		_ = c.Close()
+		return false
+	}
+	p.conns[c] = struct{}{}
+	return true
+}
+
+func (p *FaultProxy) untrack(c net.Conn) {
+	p.mu.Lock()
+	delete(p.conns, c)
+	p.mu.Unlock()
+	_ = c.Close()
+}
+
+func (p *FaultProxy) accept() {
+	defer p.wg.Done()
+	for {
+		client, err := p.ln.Accept()
+		if err != nil {
+			return
+		}
+		if !p.track(client) {
+			continue
+		}
+		p.wg.Add(1)
+		go p.serve(client)
+	}
+}
+
+// serve pipes one client connection to a fresh backend connection until
+// either side ends, then closes both.
+func (p *FaultProxy) serve(client net.Conn) {
+	defer p.wg.Done()
+	defer p.untrack(client)
+	backend, err := net.DialTimeout("tcp", p.backend, 5*time.Second)
+	if err != nil || !p.track(backend) {
+		return
+	}
+	defer p.untrack(backend)
+	// Whichever direction ends first cuts both halves, so the other
+	// copy returns too.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.pipe(backend, client, true)
+		_ = client.Close()
+		_ = backend.Close()
+	}()
+	p.pipe(client, backend, false)
+	_ = client.Close()
+	_ = backend.Close()
+	<-done
+}
+
+// pipe copies src to dst chunk by chunk; toward the shard (delayed) it
+// sleeps the current delay before forwarding each chunk.
+func (p *FaultProxy) pipe(dst, src net.Conn, delayed bool) {
+	buf := make([]byte, 32<<10)
+	for {
+		n, err := src.Read(buf)
+		if n > 0 {
+			if d := time.Duration(p.delay.Load()); delayed && d > 0 {
+				time.Sleep(d)
+			}
+			if _, werr := dst.Write(buf[:n]); werr != nil {
+				return
+			}
+		}
+		if err != nil {
+			return
+		}
+	}
+}

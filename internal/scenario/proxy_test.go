@@ -2,18 +2,19 @@ package scenario
 
 import (
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
 )
 
-func TestDelayProxyForwardsAndDelays(t *testing.T) {
+func TestFaultProxyForwardsAndDelays(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("pong"))
 	}))
 	defer backend.Close()
-	p, err := NewDelayProxy(backend.URL)
+	p, err := NewFaultProxy(backend.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,9 +44,9 @@ func TestDelayProxyForwardsAndDelays(t *testing.T) {
 	}
 }
 
-func TestDelayProxyDeadBackendDropsConnection(t *testing.T) {
+func TestFaultProxyDeadBackendDropsConnection(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	p, err := NewDelayProxy(backend.URL)
+	p, err := NewFaultProxy(backend.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,5 +59,71 @@ func TestDelayProxyDeadBackendDropsConnection(t *testing.T) {
 	if err == nil {
 		resp.Body.Close()
 		t.Fatalf("dead backend answered status %d; want a transport error", resp.StatusCode)
+	}
+}
+
+// TestFaultProxyKillCutsEstablishedConnections pins what a
+// request-level proxy could not do: Kill reaches a connection that is
+// already open and idle mid-stream, refuses new ones, and Revive lets
+// traffic through again.
+func TestFaultProxyKillCutsEstablishedConnections(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() { // echo backend
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() { _, _ = io.Copy(c, c); _ = c.Close() }()
+		}
+	}()
+	p, err := NewFaultProxy("http://" + ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	addr := p.ln.Addr().String()
+
+	echo := func(c net.Conn) error {
+		_ = c.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := c.Write([]byte("x")); err != nil {
+			return err
+		}
+		_, err := io.ReadFull(c, make([]byte, 1))
+		return err
+	}
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := echo(c); err != nil {
+		t.Fatalf("echo through a live proxy: %v", err)
+	}
+
+	p.Kill()
+	if err := echo(c); err == nil {
+		t.Fatal("an established connection survived Kill")
+	}
+	c2, err := net.Dial("tcp", addr)
+	if err == nil {
+		defer c2.Close()
+		if err := echo(c2); err == nil {
+			t.Fatal("a killed proxy served a new connection")
+		}
+	}
+
+	p.Revive()
+	c3, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c3.Close()
+	if err := echo(c3); err != nil {
+		t.Fatalf("echo after Revive: %v", err)
 	}
 }

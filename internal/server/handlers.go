@@ -143,10 +143,26 @@ type errorResponse struct {
 // must encode errors, decode bodies and gate methods identically.
 
 // WriteJSON encodes v as the JSON response body with the given status.
+// The body is encoded into a pooled buffer first, so the reply carries
+// Content-Length and goes out in one write (net/http switches to
+// chunked encoding for anything it cannot size within its 2 KB buffer),
+// and a value that fails to encode answers 500 instead of a torn 200.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := GetWireBuf()
+	defer PutWireBuf(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		status = http.StatusInternalServerError
+		buf.Reset()
+		_ = json.NewEncoder(buf).Encode(errorResponse{
+			Error:     "response encode failed: " + err.Error(),
+			RequestID: w.Header().Get(obs.TraceHeader),
+		})
+	}
+	h := w.Header()
+	h.Set("Content-Type", jsonContentType)
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // WriteError writes the uniform error envelope, echoing the request's

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"net/http"
+	"strconv"
 	"time"
 
 	"viewstags/internal/ingest"
@@ -115,9 +116,11 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	// zero-steady-state budget.
 	TraceFrom(r).Add("predict", obs.NoShard, predictStart, time.Since(predictStart), "")
 	s.metrics.Predictions.Add(int64(len(items)))
+	frame := enc.Finish()
 	w.Header().Set("Content-Type", WireContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(enc.Finish())
+	_, _ = w.Write(frame)
 }
 
 // ValidTags applies the per-item tag checks every predict entry point

@@ -23,6 +23,10 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the connection beneath the
+// middleware stack; /internal/stream hijacks through it.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 // SetRetryAfter stamps the Retry-After header for a 503, in whole
 // seconds rounded up, with a floor of one second (the header takes
 // integers, and "0" would tell clients to hammer a saturated server).
@@ -137,10 +141,13 @@ func (m *Middleware) Wrap(next http.Handler) http.Handler {
 // merely busy node from rotation), expose the counters that explain the
 // overload — /v1/stats and the /metrics scrape alike — (on shards)
 // answer the gateway's cheap topology probe, and serve the trace ring:
-// an overload is precisely when /debug/traces is wanted.
+// an overload is precisely when /debug/traces is wanted. The stream
+// upgrade is exempt for a different reason: its "request" lasts as long
+// as the connection, so it must not hold a slot — the frames it carries
+// each take one on their own way through the chain.
 func limiterExempt(path string) bool {
 	return path == "/healthz" || path == "/readyz" || path == "/v1/stats" ||
-		path == "/metrics" || path == "/internal/meta" ||
+		path == "/metrics" || path == "/internal/meta" || path == StreamPath ||
 		path == "/debug/traces" || strings.HasPrefix(path, "/debug/traces/")
 }
 
@@ -250,8 +257,14 @@ func (m *Middleware) withLogging(next http.Handler) http.Handler {
 
 // withMetrics counts requests and errors per route and records wall
 // time into the route's latency histogram (allocation-free Observe).
+// The stream upgrade is skipped: a connection lifetime is not a request
+// latency, and the frames it carries are counted one by one.
 func (m *Middleware) withMetrics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == StreamPath {
+			next.ServeHTTP(w, r)
+			return
+		}
 		rm := m.metrics.route(r.URL.Path)
 		m.metrics.InFlight.Add(1)
 		defer m.metrics.InFlight.Add(-1)

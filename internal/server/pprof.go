@@ -36,7 +36,7 @@ func StartPprof(ctx context.Context, addr string, logger *log.Logger) error {
 		return err
 	}
 	go func() {
-		if err := ServeHandler(ctx, ln, PprofHandler(), time.Second); err != nil {
+		if err := ServeHandler(ctx, ln, PprofHandler(), time.Second, nil); err != nil {
 			logger.Printf("pprof: %v", err)
 		}
 	}()

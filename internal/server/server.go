@@ -23,6 +23,8 @@
 //
 //	POST /internal/predict — unnormalized partial tag mixtures
 //	POST /internal/ingest  — owned-tag events + upload announcements
+//	GET  /internal/stream  — Upgrade to the multiplexed frame stream the
+//	                         gateway carries the two POSTs above on
 //	GET  /internal/meta    — shard identity, ring signature, globals
 //
 // The read path loads tag profiles from an internal/profilestore
@@ -70,6 +72,7 @@ var routes = []string{
 	"/metrics",
 	"/internal/predict",
 	"/internal/ingest",
+	"/internal/stream",
 	"/internal/meta",
 	"/internal/transfer/export",
 	"/internal/transfer/import",
@@ -210,6 +213,10 @@ type Server struct {
 	walHist  *obs.Histogram
 	ckptHist *obs.Histogram
 
+	// streams tracks the hijacked /internal/stream connections, which
+	// http.Server.Shutdown cannot see; DrainStreams ends them.
+	streams streamSet
+
 	// traces is the tail-sampled trace ring behind /debug/traces and
 	// the flight recorder; always on (span recording is allocation-free
 	// and the ring is bounded).
@@ -307,6 +314,8 @@ func (s *Server) handlerFor(path string) http.HandlerFunc {
 		return s.handleInternalPredict
 	case "/internal/ingest":
 		return s.handleInternalIngest
+	case StreamPath:
+		return s.handleStream
 	case "/internal/meta":
 		return s.handleInternalMeta
 	case "/internal/transfer/export":
@@ -475,14 +484,17 @@ func (s *Server) Run(ctx context.Context, addr string, grace time.Duration) erro
 // serve an ephemeral port (listen on ":0", read the address, Serve).
 // It owns the listener and closes it on shutdown.
 func (s *Server) Serve(ctx context.Context, ln net.Listener, grace time.Duration) error {
-	return ServeHandler(ctx, ln, s.handler, grace)
+	return ServeHandler(ctx, ln, s.handler, grace, s.DrainStreams)
 }
 
 // ServeHandler runs any handler on ln until ctx is canceled, then shuts
 // down gracefully, draining in-flight requests for up to grace. It is
 // the one serve-lifecycle implementation the daemon and the cluster
 // gateway share. It owns the listener and closes it on shutdown.
-func ServeHandler(ctx context.Context, ln net.Listener, handler http.Handler, grace time.Duration) error {
+// drain ends what http.Server.Shutdown cannot see — each side's
+// data-plane streams — inside the same grace period, after the HTTP
+// requests have drained; nil when there is nothing of the kind.
+func ServeHandler(ctx context.Context, ln net.Listener, handler http.Handler, grace time.Duration, drain func(context.Context)) error {
 	srv := &http.Server{
 		Handler:           handler,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -496,7 +508,11 @@ func ServeHandler(ctx context.Context, ln net.Listener, handler http.Handler, gr
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
+	err := srv.Shutdown(shutCtx)
+	if drain != nil {
+		drain(shutCtx)
+	}
+	if err != nil {
 		return fmt.Errorf("server: shutdown: %w", err)
 	}
 	<-errc // always http.ErrServerClosed after a clean Shutdown

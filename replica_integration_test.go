@@ -16,17 +16,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/http/httputil"
-	"net/url"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"viewstags/internal/cluster"
 	"viewstags/internal/ingest"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/scenario"
 	"viewstags/internal/server"
 	"viewstags/internal/tagviews"
 )
@@ -94,41 +92,21 @@ func startReplicaNode(t *testing.T, index, count, replicas int, foldEvery time.D
 		cancel()
 		<-done
 		ts.Close()
-	}}
+	}, settle: func() { _, _ = comp.FoldNow() }}
 }
 
-// flakyShard fronts one node with a proxy whose failure mode is a cut
-// connection — the transport error a crashed daemon produces — while
-// the URL the gateway routes to stays stable across "crashes", so the
-// same shard can die and come back.
-type flakyShard struct {
-	blocked atomic.Bool
-	ts      *httptest.Server
-}
-
-func newFlakyShard(t *testing.T, backend string) *flakyShard {
+// newFlakyShard fronts one node with a connection-level fault proxy
+// whose failure mode is a cut connection — the transport error a crashed
+// daemon produces — while the URL the gateway routes to stays stable
+// across "crashes", so the same shard can die and come back.
+func newFlakyShard(t *testing.T, backend string) *scenario.FaultProxy {
 	t.Helper()
-	target, err := url.Parse(backend)
+	p, err := scenario.NewFaultProxy(backend)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := httputil.NewSingleHostReverseProxy(target)
-	f := &flakyShard{}
-	f.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if f.blocked.Load() {
-			hj, ok := w.(http.Hijacker)
-			if !ok {
-				t.Error("proxy response writer not hijackable")
-				return
-			}
-			conn, _, _ := hj.Hijack()
-			_ = conn.Close()
-			return
-		}
-		rp.ServeHTTP(w, r)
-	}))
-	t.Cleanup(f.ts.Close)
-	return f
+	t.Cleanup(p.Close)
+	return p
 }
 
 // promCounter scrapes one counter from the gateway's /metrics text.
@@ -172,13 +150,13 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	defer single.stop()
 
 	nodes := make([]*clusterNode, shards)
-	proxies := make([]*flakyShard, shards)
+	proxies := make([]*scenario.FaultProxy, shards)
 	targets := make([]string, shards)
 	for i := range nodes {
 		nodes[i] = startReplicaNode(t, i, shards, replicas, foldEvery)
 		defer nodes[i].stop()
 		proxies[i] = newFlakyShard(t, nodes[i].ts.URL)
-		targets[i] = proxies[i].ts.URL
+		targets[i] = proxies[i].URL()
 	}
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.Replicas = replicas
@@ -211,7 +189,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	// Cut shard 1 with the gateway still believing it healthy: every
 	// read that routes there must fail over to the other replica with
 	// no client-visible error.
-	proxies[1].blocked.Store(true)
+	proxies[1].Kill()
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"pop", "music"})
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, res.Analysis.TagNames()[:40])
 	if v := promCounter(t, client, gw.URL, "viewstags_replica_failover_total"); v <= 0 {
@@ -251,6 +229,9 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 				pending += n.acc.Stats().Pending
 			}
 			if pending == 0 {
+				for _, n := range append(ns, single) {
+					n.settle()
+				}
 				return
 			}
 			time.Sleep(foldEvery)
@@ -263,7 +244,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	// Revive: the shard answers again but is stale, so it re-enters as
 	// syncing (writes yes, reads no) until catch-up rebuilds it from
 	// the live replicas under the gateway's write barrier.
-	proxies[1].blocked.Store(false)
+	proxies[1].Revive()
 	g.RefreshHealth(ctx)
 	if err := g.CatchUp(ctx); err != nil {
 		t.Fatalf("catch-up after revival: %v", err)
@@ -275,7 +256,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 	// Exactness of the rebuild: cut the OTHER replica, forcing shard 1
 	// to serve the slices the two share — including everything ingested
 	// while it was dead. Any catch-up gap shows up as a float mismatch.
-	proxies[2].blocked.Store(true)
+	proxies[2].Kill()
 	g.RefreshHealth(ctx)
 	g.RefreshHealth(ctx)
 	if code := readyCode(); code != http.StatusOK {

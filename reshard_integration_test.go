@@ -80,6 +80,9 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 				pending += n.acc.Stats().Pending
 			}
 			if pending == 0 {
+				for _, n := range append(ns, single) {
+					n.settle()
+				}
 				return
 			}
 			time.Sleep(foldEvery)

@@ -93,7 +93,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	// itself stays fast, so a correct stitch shows a slow gateway-side
 	// leg over a fast shard-side handler — the "network or proxy, not
 	// the shard" triage signature from OPERATIONS.md.
-	proxy, err := scenario.NewDelayProxy(targets[1])
+	proxy, err := scenario.NewFaultProxy(targets[1])
 	if err != nil {
 		t.Fatal(err)
 	}
