@@ -35,10 +35,13 @@ type shardReply struct {
 }
 
 // postShard runs one data-plane call against a shard over its stream,
-// feeding the health tracker and the per-shard leg histogram. Non-2xx
-// statuses are returned for the caller to map — they are protocol
-// answers (shed, malformed), not transport failures, so they do not
-// count toward marking the shard down. trace, when non-empty, rides the
+// feeding the health tracker and the per-shard leg histogram (answered
+// legs only: a leg that was cancelled, refused at the dial, cut or timed
+// out has no latency to report, and a dead shard's instant failures
+// would drag its quantiles toward zero). Non-2xx statuses are returned
+// for the caller to map — they are protocol answers (shed, malformed),
+// not transport failures, so they do not count toward marking the shard
+// down. trace, when non-empty, rides the
 // envelope as the request id so the shard's access log carries the same
 // id the client saw (for a coalesced micro-batch it is every member's
 // id, comma-joined) — the wire frames themselves never change.
@@ -50,7 +53,6 @@ func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path s
 	start := time.Now()
 	status, retryAfter, raw, err := tp.streams[shard].call(ctx, path, contentType, trace, body)
 	dur := time.Since(start)
-	tp.shards[shard].legs[route].Observe(dur)
 	if err != nil {
 		// A canceled client context aborts every in-flight shard call;
 		// that says nothing about shard health, so it must not count
@@ -61,6 +63,7 @@ func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path s
 		}
 		return shardReply{shard: shard, err: err, start: start, dur: dur}
 	}
+	tp.shards[shard].legs[route].Observe(dur)
 	return shardReply{
 		shard:      shard,
 		status:     status,

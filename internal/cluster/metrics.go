@@ -64,7 +64,7 @@ func (g *Gateway) writeClusterProm(tw *obs.TextWriter, tp *topology) {
 		tw.Sample("viewstags_shard_epoch_lag", labels, float64(maxEpoch-epoch))
 		tw.Sample("viewstags_shard_records", labels, float64(s.records.Load()))
 	}
-	tw.HistogramFamily("viewstags_shard_leg_duration_seconds", "One shard's leg of a fan-out (envelope write to reply read), by shard and data-plane route.")
+	tw.HistogramFamily("viewstags_shard_leg_duration_seconds", "One shard's answered leg of a fan-out (envelope write to reply read), by shard and data-plane route; legs that failed, timed out or were cancelled are not observed.")
 	tw.Counter("viewstags_shard_stream_reconnects_total", "Data-plane stream dials to the shard after the first.")
 	for i, s := range tp.shards {
 		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"viewstags/internal/obs"
 	"viewstags/internal/server"
 )
 
@@ -112,6 +114,15 @@ var streamBufPool = sync.Pool{New: func() any {
 // reply, for ctx, or for the shard timeout — whichever comes first. A
 // non-nil error is a transport-level failure (dial, write, read,
 // timeout, cancellation); a shard's own non-200 comes back as a status.
+//
+// An envelope that cannot be built is neither: nothing reached the wire
+// and the shard did nothing wrong, so it must not count against the
+// shard's health. The request id is only a log label, and one longer
+// than the envelope carries (the coalescer comma-joins every member's
+// client-chosen id) is left out — the shard mints its own, exactly what
+// its trace middleware does with an overlong X-Request-Id. That leaves
+// a body past the frame limit, which is answered here with the 400 the
+// shard's own body limit gives an over-long POST.
 func (s *shardStream) call(ctx context.Context, path, contentType, trace string, body []byte) (status int, retryAfter string, reply []byte, err error) {
 	w := streamWaiterPool.Get().(*streamWaiter)
 	w.timer.Reset(s.timeout)
@@ -139,20 +150,30 @@ func (s *shardStream) call(ctx context.Context, path, contentType, trace string,
 	c.pending[id] = w
 	c.mu.Unlock()
 
-	env := server.StreamRequest{ID: id, Path: path, ContentType: contentType, RequestID: trace, Body: body}
+	env := server.StreamRequest{ID: id, Path: path, ContentType: contentType, Body: body}
 	if trace != "" {
 		// Span context: tell the shard which gateway stage made the
 		// call, so its retained trace names its parent in a stitched
 		// cross-process view.
 		env.SpanContext = "gateway" + path
 	}
+	if len(trace) <= obs.MaxRequestIDLen {
+		env.RequestID = trace
+	}
 	bufp := streamBufPool.Get().(*[]byte)
-	frame, err := server.AppendStreamRequest((*bufp)[:0], &env)
-	if err == nil {
+	frame, encErr := server.AppendStreamRequest((*bufp)[:0], &env)
+	if encErr == nil {
 		err = s.write(ctx, c, w, frame)
 	}
 	*bufp = frame[:0]
 	streamBufPool.Put(bufp)
+	if encErr != nil {
+		c.abandon(id, w)
+		msg, _ := json.Marshal(struct {
+			Error string `json:"error"`
+		}{"invalid request body: " + encErr.Error()})
+		return http.StatusBadRequest, "", msg, nil
+	}
 	if err != nil {
 		c.abandon(id, w)
 		return 0, "", nil, err

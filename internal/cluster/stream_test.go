@@ -9,11 +9,13 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"viewstags/internal/ingest"
+	"viewstags/internal/obs"
 	"viewstags/internal/server"
 )
 
@@ -203,12 +205,32 @@ func TestStreamClientCancelIsNotAShardFailure(t *testing.T) {
 			t.Fatalf("shard %d charged %d failures for a client cancel", i, n)
 		}
 	}
+	// Nor does its leg histogram: only answered legs are samples.
+	if n := tp.shards[2].legs[legIngest].Snapshot().Count; n != 0 {
+		t.Fatalf("a cancelled leg was observed as %d latency samples", n)
+	}
 	hold.open()
 	if pr := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}); pr.Code != http.StatusOK {
 		t.Fatalf("predict after a cancelled leg: %d", pr.Code)
 	}
 	if n := tp.streams[2].dials.Load(); n != 1 {
 		t.Fatalf("a cancelled call cost the stream its connection (%d dials)", n)
+	}
+	for i, s := range tp.shards {
+		if n := s.legs[legPredict].Snapshot().Count; n != 1 {
+			t.Fatalf("shard %d: one answered predict leg observed as %d samples", i, n)
+		}
+	}
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		`viewstags_shard_leg_duration_seconds_count{route="predict",shard="2"} 1`,
+		`viewstags_shard_leg_duration_seconds_count{route="ingest",shard="2"} 0`,
+		`viewstags_shard_stream_reconnects_total{shard="2"} 0`,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Fatalf("/metrics lacks %q", want)
+		}
 	}
 }
 
@@ -266,8 +288,85 @@ func TestStreamUpgradeRefusedIsAFailedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantShed(t, "predict against a shard that cannot upgrade", predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}))
-	if n := g.topo.Load().shards[0].fails.Load(); n != 1 {
+	s := g.topo.Load().shards[0]
+	if n := s.fails.Load(); n != 1 {
 		t.Fatalf("refused upgrade counted as %d failures, want 1", n)
+	}
+	if n := s.legs[legPredict].Snapshot().Count; n != 0 {
+		t.Fatalf("a leg refused at the dial was observed as %d latency samples", n)
+	}
+}
+
+// TestStreamOverlongJoinedIDIsNotAShardFailure: the edge honours request
+// ids up to obs.MaxRequestIDLen each, and the coalescer comma-joins its
+// members' ids for the shard-bound leg, so the join can outgrow what an
+// envelope carries. That is the gateway's own doing: the leg goes out
+// without the id (the shard mints one, as its trace middleware does for
+// an overlong X-Request-Id), both members are answered, and no shard is
+// charged a failure.
+func TestStreamOverlongJoinedIDIsNotAShardFailure(t *testing.T) {
+	nodes, _ := startCluster(t, 3)
+	g := newSyncedGateway(t, []string{nodes[0].ts.URL, nodes[1].ts.URL, nodes[2].ts.URL}, func(c *GatewayConfig) {
+		c.CoalesceWindow = time.Hour // only the batch-full path flushes:
+		c.MaxBatch = 2               // both requests share one fan-out
+	})
+	body, err := json.Marshal(server.PredictRequest{Tags: []string{"pop"}, Top: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make(chan *httptest.ResponseRecorder, 2)
+	for _, c := range []string{"a", "b"} {
+		id := strings.Repeat(c, 9<<10) // two of them pass 16 KB joined
+		go func() {
+			hr := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+			hr.Header.Set(obs.TraceHeader, id)
+			rec := httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, hr)
+			recs <- rec
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		select {
+		case rec := <-recs:
+			if rec.Code != http.StatusOK {
+				t.Fatalf("coalesced predict with a 9 KB request id: %d: %.200s", rec.Code, rec.Body.Bytes())
+			}
+			if got := rec.Header().Get(obs.TraceHeader); len(got) != 9<<10 {
+				t.Fatalf("client's own %d-byte request id came back as %d bytes", 9<<10, len(got))
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("coalesced predict still waiting")
+		}
+	}
+	if n := g.coalesceBatches.Load(); n != 1 {
+		t.Fatalf("%d fan-outs, want the one shared batch this test is about", n)
+	}
+	for i, s := range g.topo.Load().shards {
+		if n := s.fails.Load(); n != 0 {
+			t.Fatalf("shard %d charged %d failures for an id the gateway built itself", i, n)
+		}
+	}
+}
+
+// TestStreamOversizedBodyIsRefusedLocally: a body no frame can carry
+// never reaches the wire. It is answered with the 400 the shard's body
+// limit gives an over-long POST — a status, not a transport error — so
+// the shard's health record and its stream are untouched.
+func TestStreamOversizedBodyIsRefusedLocally(t *testing.T) {
+	_, g := startCluster(t, 1)
+	tp := g.topo.Load()
+	rep := g.postShard(context.Background(), tp, 0, "/internal/ingest", make([]byte, server.MaxStreamFrame), "application/json", "rid-1")
+	if rep.err != nil || rep.status != http.StatusBadRequest || errText(rep.body) == "" {
+		t.Fatalf("oversized body: status %d err %v body %q, want a 400 with an error message", rep.status, rep.err, rep.body)
+	}
+	if n := tp.shards[0].fails.Load(); n != 0 {
+		t.Fatalf("a locally refused envelope counted as %d shard failures", n)
+	}
+	if rec := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}); rec.Code != http.StatusOK {
+		t.Fatalf("predict after a refused envelope: %d", rec.Code)
+	}
+	if n := tp.streams[0].dials.Load(); n != 1 {
+		t.Fatalf("a refused envelope cost the stream its connection (%d dials)", n)
 	}
 }
 

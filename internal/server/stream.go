@@ -254,9 +254,11 @@ type streamConn struct {
 	conn net.Conn
 	// wmu serializes reply frames onto the connection: one Write each.
 	wmu sync.Mutex
-	// sem bounds the frames in flight on this connection; the read loop
-	// blocks on it, which turns into TCP backpressure on the gateway.
-	sem chan struct{}
+	// frames counts the frames in service, so that the connection closes
+	// only after their replies are written. It is not a bound: admission
+	// is the chain's limiter, which sheds a frame past -max-inflight with
+	// 503 + Retry-After exactly as it sheds a POST.
+	frames sync.WaitGroup
 }
 
 // handleStream is GET /internal/stream: it upgrades the connection and
@@ -275,7 +277,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := &s.streams
-	c := &streamConn{sem: make(chan struct{}, 2*s.cfg.MaxInFlight)}
+	c := &streamConn{}
 	st.mu.Lock()
 	if st.draining {
 		st.mu.Unlock()
@@ -296,11 +298,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	st.wg.Add(1)
 	st.mu.Unlock()
 	defer func() {
-		// Every frame holds a sem slot until its reply is written, so
-		// filling the semaphore waits for the in-flight ones.
-		for i := 0; i < cap(c.sem); i++ {
-			c.sem <- struct{}{}
-		}
+		c.frames.Wait()
 		_ = conn.Close()
 		st.mu.Lock()
 		delete(st.live, c)
@@ -332,7 +330,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			streamCallPool.Put(call)
 			return
 		}
-		c.sem <- struct{}{}
+		c.frames.Add(1)
 		go s.serveFrame(c, call)
 	}
 }
@@ -444,7 +442,7 @@ func (s *Server) serveFrame(c *streamConn, call *streamCall) {
 		_ = c.conn.Close()
 	}
 	streamCallPool.Put(call)
-	<-c.sem
+	c.frames.Done()
 }
 
 // DrainStreams ends every data-plane stream gracefully: no further
