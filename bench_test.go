@@ -13,6 +13,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -886,4 +888,74 @@ func BenchmarkInternalCodec(b *testing.B) {
 		}
 		b.SetBytes(int64(len(frame)))
 	})
+}
+
+// edgeBenchItems returns n catalog tag lists, cycling the fixture.
+func edgeBenchItems(b *testing.B, n int) []server.PredictItem {
+	cat := benchFixture(b).Catalog
+	var items []server.PredictItem
+	for i := 0; len(items) < n; i = (i + 1) % len(cat.Videos) {
+		if names := cat.Videos[i].TagNames(cat.Vocab); len(names) > 0 {
+			items = append(items, server.PredictItem{Tags: names})
+		}
+	}
+	return items
+}
+
+// BenchmarkEdgeDecode reads a /v1/predict body the way the handlers do,
+// through the edge codec and through the strict encoding/json decode it
+// declines to — the per-layer ratio behind the codec, without daemons.
+func BenchmarkEdgeDecode(b *testing.B) {
+	for _, n := range []int{4, 32} {
+		body, err := json.Marshal(&server.PredictRequest{Weighting: "idf", Top: 3, Batch: edgeBenchItems(b, n)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		metrics := server.NewMetrics()
+		w := &nullResponseWriter{h: make(http.Header)}
+		rd := bytes.NewReader(body)
+		r := httptest.NewRequest(http.MethodPost, "/v1/predict", rd)
+		run := func(name string, decode func(*server.PredictRequest) bool) {
+			b.Run(fmt.Sprintf("%s-b%d", name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(len(body)))
+				for i := 0; i < b.N; i++ {
+					rd.Reset(body)
+					r.Body = io.NopCloser(rd)
+					var req server.PredictRequest
+					if !decode(&req) || len(req.Batch) != n {
+						b.Fatal("decode failed")
+					}
+				}
+			})
+		}
+		run("codec", func(req *server.PredictRequest) bool { return server.DecodePredictBody(w, r, metrics, req) })
+		run("encoding-json", func(req *server.PredictRequest) bool { return server.DecodeBody(w, r, req) })
+		if n := metrics.Predict.DecodeGeneral.Load(); n != 0 {
+			b.Fatalf("the codec declined %d benchmark bodies", n)
+		}
+	}
+}
+
+// BenchmarkEdgeEncode writes a /v1/predict reply through the edge codec
+// and through WriteJSON, top-3 per item as the benchmark asks for.
+func BenchmarkEdgeEncode(b *testing.B) {
+	for _, n := range []int{4, 32} {
+		resp := server.PredictResponse{Weighting: "idf", Results: make([]server.PredictResult, n)}
+		for i := range resp.Results {
+			resp.Results[i] = server.PredictResult{Known: true, Top: []server.CountryShare{
+				{Country: "BR", Share: 0.5912345678901234 / float64(i+1)}, {Country: "PT", Share: 0.0523456789012345}, {Country: "US", Share: 3.1e-7}}}
+		}
+		w := &nullResponseWriter{h: make(http.Header)}
+		run := func(name string, encode func()) {
+			b.Run(fmt.Sprintf("%s-b%d", name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					encode()
+				}
+			})
+		}
+		run("codec", func() { server.WritePredictResponse(w, &resp) })
+		run("encoding-json", func() { server.WriteJSON(w, http.StatusOK, &resp) })
+	}
 }

@@ -1,0 +1,154 @@
+// Error and reply parity of the edge codec at repository scope: both
+// daemons' hot routes take the hand-written codec (internal/server
+// edge_*.go) for canonical bodies and encoding/json for everything else,
+// and a client must not be able to tell which one answered. The strings
+// below were captured from the commit before the codec existed.
+package viewstags_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"viewstags/internal/cluster"
+	"viewstags/internal/server"
+)
+
+// edgeParityCase is one malformed or unusual body. Either it is refused
+// with wantStatus and the pinned wantError, or (sameAs set) it answers
+// 200 with exactly the bytes its canonical spelling sameAs gets.
+type edgeParityCase struct {
+	name       string
+	path       string
+	body       string
+	wantStatus int
+	wantError  string
+	sameAs     string
+}
+
+var edgeParityCases = []edgeParityCase{
+	{name: "unknown field", path: "/v1/predict", body: `{"tagz":["pop"]}`,
+		wantStatus: 400, wantError: `invalid request body: json: unknown field "tagz"`},
+	{name: "wrong type", path: "/v1/predict", body: `{"tags":"pop"}`,
+		wantStatus: 400, wantError: `invalid request body: json: cannot unmarshal string into Go struct field PredictRequest.tags of type []string`},
+	{name: "truncated", path: "/v1/predict", body: `{"tags":["pop"`,
+		wantStatus: 400, wantError: `invalid request body: unexpected EOF`},
+	{name: "empty body", path: "/v1/predict", body: ``,
+		wantStatus: 400, wantError: `invalid request body: EOF`},
+	{name: "not an object", path: "/v1/predict", body: `[["pop"]]`,
+		wantStatus: 400, wantError: `invalid request body: json: cannot unmarshal array into Go value of type server.PredictRequest`},
+	{name: "over-long tag", path: "/v1/predict", body: `{"tags":["` + strings.Repeat("x", server.MaxTagLen+1) + `"]}`,
+		wantStatus: 400, wantError: `item 0 tag 0 is 65537 bytes (limit 65536)`},
+	{name: "over-long body", path: "/v1/predict", body: `{"tags":["` + strings.Repeat("x", server.MaxBodyBytes) + `"]}`,
+		wantStatus: 400, wantError: `invalid request body: http: request body too large`},
+	{name: "tags and batch", path: "/v1/predict", body: `{"tags":["pop"],"batch":[{"tags":["pop"]}]}`,
+		wantStatus: 400, wantError: `set either tags or batch, not both`},
+	{name: "empty batch", path: "/v1/predict", body: `{"batch":[]}`,
+		wantStatus: 400, wantError: `empty request: provide tags or batch`},
+	{name: "batch item without tags", path: "/v1/predict", body: `{"batch":[{"tags":["pop"]},{}]}`,
+		wantStatus: 400, wantError: `item 1 has no tags`},
+	{name: "bad weighting", path: "/v1/predict", body: `{"tags":["pop"],"weighting":"bogus"}`,
+		wantStatus: 400, wantError: `tagviews: unknown weighting "bogus"`},
+	{name: "top 1e2", path: "/v1/predict", body: `{"tags":["pop"],"top":1e2}`,
+		wantStatus: 400, wantError: `invalid request body: json: cannot unmarshal number 1e2 into Go struct field PredictRequest.top of type int`},
+	{name: "leading-zero top", path: "/v1/predict", body: `{"tags":["pop"],"top":03}`,
+		wantStatus: 400, wantError: `invalid request body: invalid character '3' after object key:value pair`},
+	{name: "escaped tag", path: "/v1/predict", body: `{"tags":["fav\u0065la","samba"],"top":3}`,
+		sameAs: `{"tags":["favela","samba"],"top":3}`},
+	{name: "case-variant keys", path: "/v1/predict", body: `{"Tags":["favela","samba"],"TOP":3}`,
+		sameAs: `{"tags":["favela","samba"],"top":3}`},
+	{name: "duplicate key, last wins", path: "/v1/predict", body: `{"tags":["pop"],"top":3,"tags":["favela","samba"]}`,
+		sameAs: `{"tags":["favela","samba"],"top":3}`},
+	{name: "null batch", path: "/v1/predict", body: `{"batch":null,"tags":["favela","samba"],"top":3}`,
+		sameAs: `{"tags":["favela","samba"],"top":3}`},
+	{name: "negative top", path: "/v1/predict", body: `{"tags":["favela","samba"],"top":-1}`,
+		sameAs: `{"tags":["favela","samba"]}`},
+	{name: "whitespace and key order", path: "/v1/predict", body: " {\n\t\"top\" : 3 ,\r\n \"tags\" : [ \"favela\" , \"samba\" ] }\n",
+		sameAs: `{"tags":["favela","samba"],"top":3}`},
+
+	{name: "ingest unknown field", path: "/v1/ingest", body: `{"eventz":[]}`,
+		wantStatus: 400, wantError: `invalid request body: json: unknown field "eventz"`},
+	{name: "ingest no events", path: "/v1/ingest", body: `{}`,
+		wantStatus: 400, wantError: `empty request: provide events`},
+	{name: "ingest views as string", path: "/v1/ingest", body: `{"events":[{"tags":["pop"],"country":"JP","views":"7"}]}`,
+		wantStatus: 400, wantError: `invalid request body: json: cannot unmarshal string into Go struct field IngestEvent.events.views of type float64`},
+	{name: "ingest views out of range", path: "/v1/ingest", body: `{"events":[{"tags":["pop"],"country":"JP","views":1e400}]}`,
+		wantStatus: 400, wantError: `invalid request body: json: cannot unmarshal number 1e400 into Go struct field IngestEvent.events.views of type float64`},
+	{name: "ingest upload as string", path: "/v1/ingest", body: `{"events":[{"video":"v","tags":["pop"],"country":"JP","views":1,"upload":"yes"}]}`,
+		wantStatus: 400, wantError: `invalid request body: json: cannot unmarshal string into Go struct field IngestEvent.events.upload of type bool`},
+	{name: "ingest unknown country", path: "/v1/ingest", body: `{"events":[{"tags":["pop"],"country":"JP","views":1},{"tags":["pop"],"country":"ZZ","views":1}]}`,
+		wantStatus: 400, wantError: `event 1: unknown country "ZZ"`},
+	{name: "ingest negative views", path: "/v1/ingest", body: `{"events":[{"tags":["pop"],"country":"JP","views":-1}]}`,
+		wantStatus: 400, wantError: `ingest: event 0 has negative views`},
+}
+
+// TestEdgeErrorParity runs the table against a node and against a
+// gateway over three in-process shards.
+func TestEdgeErrorParity(t *testing.T) {
+	const shards = 3
+	ringOne, err := cluster.NewRing(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := startClusterNode(t, ringOne, 0, 1, time.Hour)
+	defer single.stop()
+	ring, err := cluster.NewRing(shards, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make([]string, shards)
+	for i := range targets {
+		n := startClusterNode(t, ring, i, shards, time.Hour)
+		defer n.stop()
+		targets[i] = n.ts.URL
+	}
+	cfg := cluster.DefaultGatewayConfig()
+	cfg.Logger = log.New(io.Discard, "", 0)
+	g, err := cluster.NewGateway(cfg, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	post := func(h http.Handler, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		return rec
+	}
+	for _, d := range []struct {
+		name string
+		h    http.Handler
+	}{{"node", single.srv.Handler()}, {"gateway", g.Handler()}} {
+		for _, c := range edgeParityCases {
+			rec := post(d.h, c.path, c.body)
+			if c.sameAs != "" {
+				want := post(d.h, c.path, c.sameAs)
+				if want.Code != http.StatusOK || rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+					t.Errorf("%s %s: answered %d %s, its canonical spelling %d %s",
+						d.name, c.name, rec.Code, rec.Body.Bytes(), want.Code, want.Body.Bytes())
+				}
+				continue
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Errorf("%s %s: body %q: %v", d.name, c.name, rec.Body.Bytes(), err)
+				continue
+			}
+			if rec.Code != c.wantStatus || e.Error != c.wantError {
+				t.Errorf("%s %s:\n got %d %q\nwant %d %q", d.name, c.name, rec.Code, e.Error, c.wantStatus, c.wantError)
+			}
+		}
+	}
+}

@@ -134,7 +134,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
 	var req server.PredictRequest
-	if !server.DecodeBody(w, r, &req) {
+	if !server.DecodePredictBody(w, r, g.metrics, &req) {
 		return
 	}
 	decodeDur := time.Since(start)
@@ -219,7 +219,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		resp.Results = results
 	}
 	encStart := time.Now()
-	server.WriteJSON(w, http.StatusOK, resp)
+	server.WritePredictResponse(w, &resp)
 	tr.Add("encode", obs.NoShard, encStart, time.Since(encStart), "")
 }
 
@@ -229,9 +229,9 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 // Retry-After); shard 400s surface as 502 (the gateway validates with
 // the shard's own validator, so these indicate a version skew worth
 // surfacing, not hiding). Returns false when the reply ended the
-// request; on true, out holds the decoded body. Skipped shards
+// request; on true, out holds the decoded ack. Skipped shards
 // (status -1) are ignored.
-func (g *Gateway) gatherOK(w http.ResponseWriter, tp *topology, rep shardReply, out any) bool {
+func (g *Gateway) gatherOK(w http.ResponseWriter, tp *topology, rep shardReply, out *server.IngestResponse) bool {
 	if rep.status == -1 {
 		return true
 	}
@@ -239,7 +239,7 @@ func (g *Gateway) gatherOK(w http.ResponseWriter, tp *topology, rep shardReply, 
 		g.writeReplyError(w, fe)
 		return false
 	}
-	if err := json.Unmarshal(rep.body, out); err != nil {
+	if err := server.DecodeIngestResponse(rep.body, out); err != nil {
 		g.markFail(tp, rep.shard)
 		server.WriteError(w, http.StatusBadGateway, "shard %d: undecodable response: %v", rep.shard, err)
 		return false
@@ -272,7 +272,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	g.writeGate.RLock()
 	defer g.writeGate.RUnlock()
 	var req server.IngestRequest
-	if !server.DecodeBody(w, r, &req) {
+	if !server.DecodeIngestBody(w, r, g.metrics, &req) {
 		return
 	}
 	if len(req.Events) == 0 {
@@ -372,7 +372,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		needed[s] = true
-		body, err := json.Marshal(&perShard[s])
+		body, err := server.MarshalInternalIngestRequest(&perShard[s])
 		if err != nil {
 			server.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
@@ -409,7 +409,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 			pending += acks[s].Pending
 		}
 	}
-	server.WriteJSON(w, http.StatusOK, server.IngestResponse{
+	server.WriteIngestResponse(w, &server.IngestResponse{
 		Accepted: len(req.Events),
 		Epoch:    tp.minEpoch(),
 		Pending:  pending,

@@ -128,11 +128,17 @@ func startCluster(t *testing.T, shards int) ([]*node, *Gateway) {
 	return nodes, g
 }
 
+// rawBody is a request body post sends as written instead of
+// marshalling it: the malformed bodies no Go value encodes to.
+type rawBody string
+
 // post round-trips one JSON request against a live URL.
 func post(t *testing.T, url string, req, out any) int {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(req); err != nil {
+	if raw, ok := req.(rawBody); ok {
+		buf.WriteString(string(raw))
+	} else if err := json.NewEncoder(&buf).Encode(req); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := http.Post(url, "application/json", &buf)
@@ -485,7 +491,9 @@ func TestGatewayHealthShedding(t *testing.T) {
 
 // TestGatewayEmptyInputs pins the gateway-side empty-input contract: an
 // explicitly empty tags/batch/events list is a 400 at the edge — no
-// shard is ever contacted, no epoch moves.
+// shard is ever contacted, no epoch moves. The same goes for the bodies
+// the strict decoder refuses: unknown fields and anything after the
+// JSON value.
 func TestGatewayEmptyInputs(t *testing.T) {
 	nodes, g := startCluster(t, 3)
 	gw := gatewayServer(t, g)
@@ -497,6 +505,12 @@ func TestGatewayEmptyInputs(t *testing.T) {
 		{"predict empty tags", "/v1/predict", map[string]any{"tags": []string{}}},
 		{"predict empty batch", "/v1/predict", map[string]any{"batch": []any{}}},
 		{"ingest empty events", "/v1/ingest", map[string]any{"events": []any{}}},
+		{"predict unknown field", "/v1/predict", map[string]any{"tagz": []string{"pop"}}},
+		{"predict trailing garbage", "/v1/predict", rawBody(`{"tags":["pop"]}garbage`)},
+		{"predict second value", "/v1/predict", rawBody(`{"tags":["pop"]} {"tags":["pop"]}`)},
+		{"ingest unknown field", "/v1/ingest", map[string]any{"eventz": []any{}}},
+		{"ingest trailing garbage", "/v1/ingest", rawBody(`{"events":[{"tags":["pop"],"country":"JP","views":1}]}]`)},
+		{"reshard trailing garbage", "/v1/reshard", rawBody(`{"targets":[]}x`)},
 	}
 	for _, c := range cases {
 		var e struct {

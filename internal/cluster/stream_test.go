@@ -264,9 +264,54 @@ func TestStreamShedPropagatesRetryAfter(t *testing.T) {
 	if got := n.srv.Metrics().Rejected.Load() - rejected; got != 1 {
 		t.Fatalf("shard limiter rejected %d frames, want 1", got)
 	}
+	// The shed frame carried the JSON envelope, so the message is read out
+	// of it rather than trimmed off a text/plain body.
+	wantEnvelope(t, rec, "shard 0 shedding: server at capacity")
 	if n := g.topo.Load().shards[0].fails.Load(); n != 0 {
 		t.Fatalf("a shed frame counted as %d shard failures", n)
 	}
+	hold.open()
+	if rec := <-done; rec.Code != http.StatusOK {
+		t.Fatalf("held ingest: %d: %s", rec.Code, rec.Body.Bytes())
+	}
+}
+
+// wantEnvelope checks a non-2xx answer is the documented error envelope:
+// JSON, the message, and the request id the response headers carry.
+func wantEnvelope(t *testing.T, rec *httptest.ResponseRecorder, msg string) {
+	t.Helper()
+	var e struct {
+		Error     string `json:"error"`
+		RequestID string `json:"request_id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("body %q is not the error envelope: %v", rec.Body.Bytes(), err)
+	}
+	id := rec.Header().Get("X-Request-Id")
+	if rec.Header().Get("Content-Type") != "application/json" || e.Error != msg || id == "" || e.RequestID != id {
+		t.Fatalf("answered %d (%s) %+v with X-Request-Id %q; want application/json %q echoing the id",
+			rec.Code, rec.Header().Get("Content-Type"), e, id, msg)
+	}
+}
+
+// TestGatewayLimiterShedCarriesErrorEnvelope: the gateway's own limiter
+// answers the documented envelope too, not text/plain.
+func TestGatewayLimiterShedCarriesErrorEnvelope(t *testing.T) {
+	ring, err := NewRing(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := startNode(t, ring, 0, 1)
+	g := newSyncedGateway(t, []string{n.ts.URL}, func(c *GatewayConfig) { c.MaxInFlight = 1 })
+	hold := holdIngest(t, n)
+	done := make(chan *httptest.ResponseRecorder, 1)
+	body := uploadBody(t, "gw-shed-1")
+	go func() { done <- serve(g, context.Background(), "/v1/ingest", body) }()
+	<-hold.entered // the gateway's one slot is taken
+
+	rec := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}})
+	wantShed(t, "predict into a saturated gateway", rec)
+	wantEnvelope(t, rec, "server at capacity")
 	hold.open()
 	if rec := <-done; rec.Code != http.StatusOK {
 		t.Fatalf("held ingest: %d: %s", rec.Code, rec.Body.Bytes())

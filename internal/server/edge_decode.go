@@ -1,0 +1,479 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"strconv"
+	"strings"
+	"unicode/utf8"
+)
+
+// This file and edge_encode.go are the edge codec: hand-written,
+// reflection-free JSON for the two hot public routes (/v1/predict,
+// /v1/ingest) and the shard's /internal/ingest, shared by the node and
+// the gateway. The decoder takes the canonical subset of JSON that
+// clients actually send and declines everything else — it never reports
+// an error of its own. A declined body goes, byte for byte, through the
+// strict encoding/json decode every other route uses (decodeStrict), so
+// encoding/json stays the one reference for odd input and for every
+// error message. Whenever the fast decoder accepts, its result is
+// reflect.DeepEqual to that strict decode (FuzzEdgeDecode holds it to
+// that).
+//
+// Outside the subset, hence declined: a backslash or control byte in a
+// string, invalid UTF-8, a key that is not exactly one of the struct's
+// JSON names (encoding/json folds case), a duplicate key, null anywhere,
+// a `top` that is not a plain unsigned integer, an out-of-range number,
+// anything after the closing brace.
+//
+// Allocation is the other half of the saving: the body becomes ONE Go
+// string and every decoded string is a substring of it; all tag lists of
+// a request share one backing []string. Substrings of an immutable
+// string are safe to retain past the handler (the coalescer keeps items
+// when a waiter is cancelled), which aliasing the pooled byte buffer
+// would not be.
+
+// maxPooledBody bounds the body buffers that go back to the pool: a
+// 4 MB body must not pin 4 MB per pool slot.
+const maxPooledBody = 64 << 10
+
+// edgeHintMax bounds the slice capacities pre-sized from byte counts of
+// the body, so a body of nothing but quotes or braces cannot amplify
+// into a large allocation before it is declined; append grows past it.
+const edgeHintMax = 4096
+
+// errTrailingData is the strict decoder's answer to anything but
+// whitespace after the JSON value.
+var errTrailingData = errors.New("unexpected data after the JSON value")
+
+// decodeStrict is the general decode every JSON route ends in: unknown
+// fields are an error, and so is anything but whitespace after the value.
+func decodeStrict(src io.Reader, v any) error {
+	dec := json.NewDecoder(src)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var syntax *json.SyntaxError
+		if err == nil || errors.As(err, &syntax) {
+			return errTrailingData
+		}
+		return err // the read failed (body over the cap) in trailing whitespace
+	}
+	return nil
+}
+
+// failingReader replays a body read's error after the bytes that
+// arrived before it.
+type failingReader struct{ err error }
+
+func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
+
+// decodeEdge reads the whole body through the MaxBodyBytes cap, offers it
+// to the fast decoder and, when that declines, to decodeStrict over the
+// same bytes (counted per route, so /metrics says what share of traffic
+// pays the reflection decoder). A failed read is replayed into
+// decodeStrict after the bytes that did arrive, so an over-long or
+// truncated body answers what it always has. On failure the 400 has been
+// written.
+func decodeEdge[T any](w http.ResponseWriter, r *http.Request, m *Metrics, fast func(string, *T) bool, v *T) bool {
+	buf := GetWireBuf()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			PutWireBuf(buf)
+		}
+	}()
+	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	if readErr == nil && fast(buf.String(), v) {
+		return true
+	}
+	m.route(r.URL.Path).DecodeGeneral.Add(1)
+	*v = *new(T) // a declined fast decode may have filled some fields
+	var src io.Reader = bytes.NewReader(buf.Bytes())
+	if readErr != nil {
+		src = io.MultiReader(src, failingReader{readErr})
+	}
+	if err := decodeStrict(src, v); err != nil {
+		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// DecodePredictBody decodes a /v1/predict request body into req; m is
+// the daemon's counter set. On failure the 400 has been written.
+func DecodePredictBody(w http.ResponseWriter, r *http.Request, m *Metrics, req *PredictRequest) bool {
+	return decodeEdge(w, r, m, parsePredictRequest, req)
+}
+
+// DecodeIngestBody decodes a /v1/ingest request body into req, as
+// DecodePredictBody does for predicts.
+func DecodeIngestBody(w http.ResponseWriter, r *http.Request, m *Metrics, req *IngestRequest) bool {
+	return decodeEdge(w, r, m, parseIngestRequest, req)
+}
+
+// DecodeIngestResponse decodes a shard's ingest ack for the gateway.
+func DecodeIngestResponse(body []byte, resp *IngestResponse) error {
+	if parseIngestResponse(string(body), resp) {
+		return nil
+	}
+	*resp = IngestResponse{}
+	return json.Unmarshal(body, resp)
+}
+
+// edgeScanner walks one body. Every method that can fail returns
+// ok=false to decline; none of them reports why.
+type edgeScanner struct {
+	s string
+	i int
+	// strs backs every tag list handed out, so a request's tags cost one
+	// allocation. A list is cut off its end once complete; if append has
+	// to move the array, the lists already handed out keep the old one.
+	strs []string
+}
+
+func newEdgeScanner(s string) edgeScanner {
+	return edgeScanner{s: s, strs: make([]string, 0, min(strings.Count(s, `"`)/2, edgeHintMax))}
+}
+
+// objects bounds the number of nested objects in the body, for
+// pre-sizing the batch or event slice.
+func (p *edgeScanner) objects() int {
+	return min(strings.Count(p.s, "{")-1, edgeHintMax)
+}
+
+func (p *edgeScanner) ws() {
+	for p.i < len(p.s) {
+		// One compare in the common case: nothing to skip.
+		if c := p.s[p.i]; c > ' ' || (c != ' ' && c != '\n' && c != '\t' && c != '\r') {
+			return
+		}
+		p.i++
+	}
+}
+
+// byte consumes c, after whitespace.
+func (p *edgeScanner) byte(c byte) bool {
+	p.ws()
+	if p.i < len(p.s) && p.s[p.i] == c {
+		p.i++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace remains.
+func (p *edgeScanner) end() bool {
+	p.ws()
+	return p.i == len(p.s)
+}
+
+// strByte classifies a byte inside a string: 0 is plain ASCII, the
+// string continues; strHigh starts a multi-byte sequence, to be
+// validated as UTF-8 at the closing quote; strStop is the closing quote
+// or a byte the fast path does not take (a backslash, a control byte).
+const (
+	strHigh = 1
+	strStop = 2
+)
+
+var strByte = func() (t [256]uint8) {
+	for c := range t {
+		switch {
+		case c < 0x20 || c == '"' || c == '\\':
+			t[c] = strStop
+		case c >= utf8.RuneSelf:
+			t[c] = strHigh
+		}
+	}
+	return t
+}()
+
+// str consumes a string that needs no unescaping and is valid UTF-8, and
+// returns it as a substring of the body.
+func (p *edgeScanner) str() (string, bool) {
+	if !p.byte('"') {
+		return "", false
+	}
+	s, start := p.s, p.i
+	var high uint8
+	for i := start; i < len(s); i++ {
+		class := strByte[s[i]]
+		if class != strStop {
+			high |= class
+			continue
+		}
+		if s[i] != '"' {
+			break
+		}
+		p.i = i + 1
+		v := s[start:i]
+		return v, high == 0 || utf8.ValidString(v)
+	}
+	return "", false
+}
+
+// strList consumes an array of strings. An empty array is an empty
+// non-nil slice, as encoding/json makes it.
+func (p *edgeScanner) strList() ([]string, bool) {
+	start := len(p.strs)
+	ok := p.array(func() bool {
+		v, ok := p.str()
+		p.strs = append(p.strs, v)
+		return ok
+	})
+	return p.strs[start:len(p.strs):len(p.strs)], ok
+}
+
+// next consumes what follows an element: a comma (more elements) or the
+// closing delimiter.
+func (p *edgeScanner) next(closing byte) (more, ok bool) {
+	p.ws()
+	if p.i == len(p.s) {
+		return false, false
+	}
+	c := p.s[p.i]
+	p.i++
+	return c == ',', c == ',' || c == closing
+}
+
+// digits consumes a JSON integer part without sign: "0" or a run of
+// digits with no leading zero.
+func (p *edgeScanner) digits() bool {
+	start := p.i
+	return p.anyDigits() && (p.i-start == 1 || p.s[start] != '0')
+}
+
+// uint consumes a plain unsigned integer of at most bits bits. What
+// follows it is the caller's to check; a fraction or exponent fails
+// there, as it is no delimiter.
+func (p *edgeScanner) uint(bits int) (uint64, bool) {
+	p.ws()
+	start := p.i
+	if !p.digits() {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(p.s[start:p.i], 10, bits)
+	return v, err == nil
+}
+
+// float consumes a number of the JSON grammar and converts it with the
+// function encoding/json uses, so the two cannot disagree on a value; an
+// out-of-range one is declined.
+func (p *edgeScanner) float() (float64, bool) {
+	p.ws()
+	start := p.i
+	if p.i < len(p.s) && p.s[p.i] == '-' {
+		p.i++
+	}
+	if !p.digits() {
+		return 0, false
+	}
+	if p.i < len(p.s) && p.s[p.i] == '.' {
+		p.i++
+		if !p.anyDigits() {
+			return 0, false
+		}
+	}
+	if p.i < len(p.s) && (p.s[p.i] == 'e' || p.s[p.i] == 'E') {
+		p.i++
+		if p.i < len(p.s) && (p.s[p.i] == '+' || p.s[p.i] == '-') {
+			p.i++
+		}
+		if !p.anyDigits() {
+			return 0, false
+		}
+	}
+	v, err := strconv.ParseFloat(p.s[start:p.i], 64)
+	return v, err == nil
+}
+
+// anyDigits consumes one or more digits.
+func (p *edgeScanner) anyDigits() bool {
+	start := p.i
+	for p.i < len(p.s) && p.s[p.i] >= '0' && p.s[p.i] <= '9' {
+		p.i++
+	}
+	return p.i > start
+}
+
+// boolean consumes true or false.
+func (p *edgeScanner) boolean() (v, ok bool) {
+	p.ws()
+	switch rest := p.s[p.i:]; {
+	case strings.HasPrefix(rest, "true"):
+		p.i += 4
+		return true, true
+	case strings.HasPrefix(rest, "false"):
+		p.i += 5
+		return false, true
+	}
+	return false, false
+}
+
+// object consumes one object whose keys are exactly those of names,
+// each at most once, calling field with the key's index to consume its
+// value.
+func (p *edgeScanner) object(names []string, field func(key int) bool) bool {
+	if !p.byte('{') {
+		return false
+	}
+	if p.byte('}') {
+		return true
+	}
+	seen := 0
+	for {
+		name, ok := p.str()
+		if !ok || !p.byte(':') {
+			return false
+		}
+		key := -1
+		for i, n := range names {
+			if name == n {
+				key = i
+				break
+			}
+		}
+		if key < 0 || seen&(1<<key) != 0 || !field(key) {
+			return false
+		}
+		seen |= 1 << key
+		if more, ok := p.next('}'); !more {
+			return ok
+		}
+	}
+}
+
+// array consumes an array, calling elem to consume each element.
+func (p *edgeScanner) array(elem func() bool) bool {
+	if !p.byte('[') {
+		return false
+	}
+	if p.byte(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if more, ok := p.next(']'); !more {
+			return ok
+		}
+	}
+}
+
+// The key tables below are the JSON names of the structs they decode;
+// TestEdgeKeyTablesMatchStructTags keeps them from drifting.
+var (
+	predictRequestKeys        = []string{"tags", "batch", "weighting", "top"}
+	predictItemKeys           = []string{"tags"}
+	ingestRequestKeys         = []string{"events"}
+	ingestEventKeys           = []string{"video", "tags", "country", "views", "upload"}
+	internalIngestRequestKeys = []string{"events", "uploads"}
+	ingestResponseKeys        = []string{"accepted", "epoch", "pending"}
+)
+
+func parsePredictRequest(s string, req *PredictRequest) bool {
+	p := newEdgeScanner(s)
+	ok := p.object(predictRequestKeys, func(key int) (ok bool) {
+		switch key {
+		case 0:
+			req.Tags, ok = p.strList()
+		case 1:
+			req.Batch = make([]PredictItem, 0, p.objects())
+			ok = p.array(func() bool {
+				var item PredictItem
+				ok := p.object(predictItemKeys, func(int) (ok bool) {
+					item.Tags, ok = p.strList()
+					return ok
+				})
+				req.Batch = append(req.Batch, item)
+				return ok
+			})
+		case 2:
+			req.Weighting, ok = p.str()
+		case 3:
+			var top uint64
+			top, ok = p.uint(31)
+			req.Top = int(top)
+		}
+		return ok
+	})
+	return ok && p.end()
+}
+
+// events consumes an array of ingest events.
+func (p *edgeScanner) events() ([]IngestEvent, bool) {
+	events := make([]IngestEvent, 0, p.objects())
+	ok := p.array(func() bool {
+		var e IngestEvent
+		ok := p.object(ingestEventKeys, func(key int) (ok bool) {
+			switch key {
+			case 0:
+				e.Video, ok = p.str()
+			case 1:
+				e.Tags, ok = p.strList()
+			case 2:
+				e.Country, ok = p.str()
+			case 3:
+				e.Views, ok = p.float()
+			case 4:
+				e.Upload, ok = p.boolean()
+			}
+			return ok
+		})
+		events = append(events, e)
+		return ok
+	})
+	return events, ok
+}
+
+func parseIngestRequest(s string, req *IngestRequest) bool {
+	p := newEdgeScanner(s)
+	ok := p.object(ingestRequestKeys, func(int) (ok bool) {
+		req.Events, ok = p.events()
+		return ok
+	})
+	return ok && p.end()
+}
+
+func parseInternalIngestRequest(s string, req *InternalIngestRequest) bool {
+	p := newEdgeScanner(s)
+	ok := p.object(internalIngestRequestKeys, func(key int) (ok bool) {
+		if key == 0 {
+			req.Events, ok = p.events()
+		} else {
+			req.Uploads, ok = p.strList()
+		}
+		return ok
+	})
+	return ok && p.end()
+}
+
+func parseIngestResponse(s string, resp *IngestResponse) bool {
+	p := edgeScanner{s: s}
+	ok := p.object(ingestResponseKeys, func(key int) bool {
+		bits := 63 // Accepted and Pending are signed
+		if key == 1 {
+			bits = 64
+		}
+		v, ok := p.uint(bits)
+		switch key {
+		case 0:
+			resp.Accepted = int(v)
+		case 1:
+			resp.Epoch = v
+		case 2:
+			resp.Pending = int64(v)
+		}
+		return ok
+	})
+	return ok && p.end()
+}

@@ -1,0 +1,449 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"viewstags/internal/synth"
+)
+
+// strictDecode is the reference the fast decoders are held to: what a
+// declined body goes through.
+func strictDecode(data []byte, v any) error {
+	return decodeStrict(bytes.NewReader(data), v)
+}
+
+// checkFastAgainstStrict runs one fast decoder over data and, when it
+// accepts, requires the strict decode to succeed with a DeepEqual value.
+func checkFastAgainstStrict[T any](t *testing.T, shape string, data []byte, fast func(string, *T) bool) (accepted bool) {
+	t.Helper()
+	var got, want T
+	if !fast(string(data), &got) {
+		return false
+	}
+	if err := strictDecode(data, &want); err != nil {
+		t.Fatalf("%s: fast decoder accepted %q, strict decode refuses it: %v", shape, data, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: %q\nfast   %#v\nstrict %#v", shape, data, got, want)
+	}
+	return true
+}
+
+// edgeSeedAccepted are request bodies the fast decoders must accept:
+// every request example in API.md for the routes they cover, in the
+// spellings clients marshal them.
+var edgeSeedAccepted = []string{
+	`{"tags":["favela","samba"],"weighting":"idf","top":3}`,
+	`{"batch":[{"tags":["pop"]},{"tags":["favela","samba"]}],"weighting":"idf","top":3}`,
+	`{"tags": ["favela", "samba"], "top": 3}`,
+	`{"tags":[]}`, `{"batch":[]}`, `{"batch":[{}]}`, `{}`, ` { } `,
+	`{"tags":["música","東京"]}`,
+	"{\n  \"events\": [\n    {\"video\": \"d-ZCcD-xHU0\", \"tags\": [\"favela\", \"samba\"],\n     \"country\": \"BR\", \"views\": 120, \"upload\": true},\n    {\"video\": \"d-ZCcD-xHU0\", \"tags\": [\"favela\", \"samba\"],\n     \"country\": \"PT\", \"views\": 11}\n  ]\n}",
+	`{"events":[{"video":"gw-v","tags":["zz-gw"],"country":"KR","views":500,"upload":true}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":-0.5e-3,"upload":false}]}`,
+	`{"events":[]}`,
+	`{"events":[{"video":"d-ZC","tags":["samba"],"country":"BR","views":120,"upload":true}],"uploads":["other-shards-video"]}`,
+	`{"uploads":["a","b"]}`,
+	`{"accepted":2,"epoch":17,"pending":2412}`,
+	`{"accepted": 2, "epoch": 18446744073709551615, "pending": 0}` + "\n",
+}
+
+// edgeSeedDeclined are the classes the fast decoders must decline, one
+// body per class; the strict decoder accepts some and refuses others.
+var edgeSeedDeclined = []string{
+	`{"tags":["fav\u0065la"]}`,                    // escape in a string
+	`{"tags":["a\"b"]}`,                           // escaped quote
+	"{\"tags\":[\"a\tb\"]}",                       // control byte in a string
+	"{\"tags\":[\"a\xffb\"]}",                     // invalid UTF-8
+	`{"tagz":["pop"]}`,                            // unknown key
+	`{"Tags":["pop"]}`,                            // case-variant key
+	`{"t\u0061gs":["pop"]}`,                       // escaped key
+	`{"tags":["pop"],"tags":["rock"]}`,            // duplicate key
+	`{"batch":[{"tags":["a"],"tags":["b"]}]}`,     // duplicate key, nested
+	`{"tags":null}`,                               // null
+	`{"batch":[null]}`,                            // null element
+	`{"tags":[null]}`,                             // null string
+	`null`,                                        // null document
+	`{"tags":["pop"],"top":1e2}`,                  // non-integer top
+	`{"tags":["pop"],"top":3.0}`,                  // fraction
+	`{"tags":["pop"],"top":-1}`,                   // signed
+	`{"tags":["pop"],"top":03}`,                   // leading zero
+	`{"tags":["pop"],"top":99999999999999999999}`, // out of range
+	`{"tags":["pop"]}garbage`,                     // trailing bytes
+	`{"tags":["pop"]}{"tags":["pop"]}`,            // second value
+	`{"tags":["pop"]}}`,                           // trailing brace
+	`{"tags":["pop"],}`,                           // trailing comma
+	`{"tags":["pop",]}`,                           // trailing comma in array
+	`{"tags":["pop"]`,                             // truncated
+	`{"tags":"pop"}`,                              // wrong type
+	`[]`, ``, ` `, `{`, `"`, `{"`, `{"tags"`, `{"tags":`, `{"tags":[`, `{"tags":["`,
+	`{"events":[{"tags":["t"],"country":"US","views":1e400}]}`, // out-of-range float
+	`{"events":[{"tags":["t"],"country":"US","views":01}]}`,    // leading zero
+	`{"events":[{"tags":["t"],"country":"US","views":.5}]}`,    // not the JSON grammar
+	`{"events":[{"tags":["t"],"country":"US","views":1.}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":+1}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":1e}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":0x10}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":NaN}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":"7"}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":"yes"}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":truex}]}`,
+	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":tru}]}`,
+	`{"accepted":-1,"epoch":1,"pending":0}`,
+	`{"accepted":1,"epoch":18446744073709551616,"pending":0}`,
+	`{"accepted":1,"epoch":1,"pending":9223372036854775808}`,
+}
+
+func TestEdgeDecodeSeeds(t *testing.T) {
+	accepted := func(data string) bool {
+		b := []byte(data)
+		return checkFastAgainstStrict(t, "predict", b, parsePredictRequest) ||
+			checkFastAgainstStrict(t, "ingest", b, parseIngestRequest) ||
+			checkFastAgainstStrict(t, "internal ingest", b, parseInternalIngestRequest) ||
+			checkFastAgainstStrict(t, "ingest ack", b, parseIngestResponse)
+	}
+	for _, s := range edgeSeedAccepted {
+		if !accepted(s) {
+			t.Errorf("no fast decoder accepts %q", s)
+		}
+	}
+	for _, s := range edgeSeedDeclined {
+		if accepted(s) {
+			t.Errorf("a fast decoder accepted %q", s)
+		}
+	}
+}
+
+// FuzzEdgeDecode: for arbitrary bytes no fast decoder panics, and
+// whichever accepts agrees with the strict encoding/json decode of the
+// same bytes.
+func FuzzEdgeDecode(f *testing.F) {
+	for _, s := range edgeSeedAccepted {
+		f.Add([]byte(s))
+	}
+	for _, s := range edgeSeedDeclined {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFastAgainstStrict(t, "predict", data, parsePredictRequest)
+		checkFastAgainstStrict(t, "ingest", data, parseIngestRequest)
+		checkFastAgainstStrict(t, "internal ingest", data, parseInternalIngestRequest)
+		checkFastAgainstStrict(t, "ingest ack", data, parseIngestResponse)
+	})
+}
+
+// TestEdgeKeyTablesMatchStructTags keeps the decoder's key tables equal
+// to the JSON names encoding/json derives from the struct tags, in field
+// order (the decoders switch on the index).
+func TestEdgeKeyTablesMatchStructTags(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		keys []string
+	}{
+		{PredictRequest{}, predictRequestKeys},
+		{PredictItem{}, predictItemKeys},
+		{IngestRequest{}, ingestRequestKeys},
+		{IngestEvent{}, ingestEventKeys},
+		{InternalIngestRequest{}, internalIngestRequestKeys},
+		{IngestResponse{}, ingestResponseKeys},
+	} {
+		typ := reflect.TypeOf(c.v)
+		var names []string
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			names = append(names, name)
+		}
+		if !reflect.DeepEqual(names, c.keys) {
+			t.Errorf("%s: struct tags %q, key table %q", typ, names, c.keys)
+		}
+	}
+}
+
+// TestEdgeFastPathCoversBenchCatalog is the measured share the codec's
+// speed-up rests on: every tag list of the benchmark's catalog
+// (-videos 20000 -seed 20110301), marshalled the way bench/stream.go and
+// cmd/loadgen marshal requests, is accepted by the fast decoders.
+func TestEdgeFastPathCoversBenchCatalog(t *testing.T) {
+	if testing.Short() {
+		t.Skip("generates the 20000-video catalog")
+	}
+	cfg := synth.DefaultConfig(20000)
+	cfg.Seed = 20110301
+	cat, err := synth.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lists, declined := 0, 0
+	for i := range cat.Videos {
+		tags := cat.Videos[i].TagNames(cat.Vocab)
+		if len(tags) == 0 {
+			continue
+		}
+		lists++
+		predict, err := json.Marshal(&PredictRequest{Weighting: "idf", Top: 3, Batch: []PredictItem{{Tags: tags}, {Tags: tags}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ingest, err := json.Marshal(&IngestRequest{Events: []IngestEvent{
+			{Video: cat.Videos[i].ID, Tags: tags, Country: "BR", Views: float64(1 + i%50), Upload: i%20 == 0}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !checkFastAgainstStrict(t, "predict", predict, parsePredictRequest) ||
+			!checkFastAgainstStrict(t, "ingest", ingest, parseIngestRequest) {
+			declined++
+		}
+	}
+	if lists == 0 || declined != 0 {
+		t.Fatalf("fast decoders declined %d of %d catalog tag lists, want 0", declined, lists)
+	}
+	t.Logf("fast path share: %d of %d tag lists (100%%)", lists, lists)
+}
+
+// jsonEncoderBytes is the reference the encoders are held to.
+func jsonEncoderBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// edgeRandomShare draws finite shares across 1e-12…1 plus the values the
+// float format switches on.
+func edgeRandomShare(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return [...]float64{1e-6, 9.999999e-7, 1e-7, 1e-9, 1.5e-10, 1e21, 1e20, 123456789.25, -2.5e-8, math.SmallestNonzeroFloat64}[rng.Intn(10)]
+	default:
+		return math.Pow(10, -12*rng.Float64()) * rng.Float64()
+	}
+}
+
+func edgeRandomResult(rng *rand.Rand) PredictResult {
+	r := PredictResult{Known: rng.Intn(2) == 0}
+	switch n := rng.Intn(7); n {
+	case 0: // nil Top: "top":null
+	case 1:
+		r.Top = []CountryShare{}
+	default:
+		r.Top = make([]CountryShare, n-1)
+		for i := range r.Top {
+			r.Top[i] = CountryShare{Country: string([]byte{'A' + byte(rng.Intn(26)), 'A' + byte(rng.Intn(26))}), Share: edgeRandomShare(rng)}
+		}
+	}
+	return r
+}
+
+// TestEdgeEncodeMatchesEncodingJSON: the encoders' bytes equal
+// json.Encoder's for random finite responses, single and batch, and for
+// random acks and per-shard ingest bodies.
+func TestEdgeEncodeMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(20110301))
+	for i := 0; i < 3000; i++ {
+		resp := PredictResponse{Weighting: [...]string{"idf", "uniform", "by-views", ""}[rng.Intn(4)]}
+		switch rng.Intn(3) {
+		case 0:
+			r := edgeRandomResult(rng)
+			resp.Result = &r
+		case 1:
+			resp.Results = make([]PredictResult, rng.Intn(6))
+			for j := range resp.Results {
+				resp.Results[j] = edgeRandomResult(rng)
+			}
+		}
+		got, ok := appendPredictResponse(nil, &resp)
+		if want := jsonEncoderBytes(t, &resp); !ok || !bytes.Equal(append(got, '\n'), want) {
+			t.Fatalf("predict response (ok=%v)\n got %s\nwant %s", ok, got, want)
+		}
+
+		ack := IngestResponse{Accepted: rng.Intn(2000), Epoch: rng.Uint64() >> uint(rng.Intn(64)), Pending: rng.Int63() >> uint(rng.Intn(63))}
+		if got, want := append(appendIngestResponse(nil, &ack), '\n'), jsonEncoderBytes(t, &ack); !bytes.Equal(got, want) {
+			t.Fatalf("ingest ack\n got %s\nwant %s", got, want)
+		}
+
+		var req InternalIngestRequest
+		for j := rng.Intn(4); j > 0; j-- {
+			e := IngestEvent{Tags: []string{"samba", "música"}[:rng.Intn(3)], Country: "BR", Views: edgeRandomShare(rng) * 1e6, Upload: rng.Intn(2) == 0}
+			if rng.Intn(2) == 0 {
+				e.Video = "d-ZCcD-xHU0"
+			}
+			if rng.Intn(8) == 0 {
+				e.Tags = nil
+			}
+			req.Events = append(req.Events, e)
+		}
+		for j := rng.Intn(3); j > 0; j-- {
+			req.Uploads = append(req.Uploads, "bench-1-2-3")
+		}
+		body, err := MarshalInternalIngestRequest(&req)
+		want, _ := json.Marshal(&req)
+		if _, fast := appendInternalIngestRequest(nil, &req); err != nil || !fast || !bytes.Equal(body, want) {
+			t.Fatalf("internal ingest request (fast=%v, err=%v)\n got %s\nwant %s", fast, err, body, want)
+		}
+	}
+}
+
+// TestEdgeEncodeDeclines: what encoding/json would escape, repair or
+// refuse goes through encoding/json, with the reply it has always had.
+func TestEdgeEncodeDeclines(t *testing.T) {
+	for _, s := range []string{"a\"b", `a\b`, "<b>", "a&b", "a\nb", "\x00", "a\xffb", "a\u2028b", "a\u2029b"} {
+		if _, ok := appendString(nil, s); ok {
+			t.Errorf("appendString took %q", s)
+		}
+		req := InternalIngestRequest{Uploads: []string{s}}
+		got, err := MarshalInternalIngestRequest(&req)
+		if want, _ := json.Marshal(&req); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("uploads %q: got %s (%v), want %s", s, got, err, want)
+		}
+	}
+	for _, s := range []string{"", "plain", "música", "東京", "a\x7fb", "it's"} {
+		got, ok := appendString(nil, s)
+		if want, _ := json.Marshal(s); !ok || !bytes.Equal(got, want) {
+			t.Errorf("appendString(%q) = %s, %v; want %s", s, got, ok, want)
+		}
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		resp := PredictResponse{Weighting: "idf", Result: &PredictResult{Top: []CountryShare{{Country: "BR", Share: f}}}}
+		rec := httptest.NewRecorder()
+		WritePredictResponse(rec, &resp)
+		want := httptest.NewRecorder()
+		WriteJSON(want, http.StatusOK, &resp)
+		if rec.Code != http.StatusInternalServerError || rec.Body.String() != want.Body.String() {
+			t.Errorf("share %v: answered %d %s, WriteJSON answers %d %s", f, rec.Code, rec.Body, want.Code, want.Body)
+		}
+	}
+	resp := PredictResponse{Weighting: "<idf>", Results: []PredictResult{{Known: true}}}
+	rec, want := httptest.NewRecorder(), httptest.NewRecorder()
+	WritePredictResponse(rec, &resp)
+	WriteJSON(want, http.StatusOK, &resp)
+	if rec.Code != http.StatusOK || rec.Body.String() != want.Body.String() || !strings.Contains(rec.Body.String(), `\u003cidf\u003e`) {
+		t.Errorf("escaped weighting: answered %d %s, WriteJSON answers %s", rec.Code, rec.Body, want.Body)
+	}
+}
+
+// TestEdgeRepliesAreEncodingJSONBytes drives the real handlers: the
+// reply to a canonical request re-encodes, through json.Encoder, to the
+// bytes that were sent, with the headers WriteJSON sets; and a body the
+// fast decoder declines gets the same bytes and shows on the counter.
+func TestEdgeRepliesAreEncodingJSONBytes(t *testing.T) {
+	srv, _, _ := freshServer(t, false, 0, time.Hour)
+	h := srv.Handler()
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST %s %s: %d %s", path, body, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) || rec.Header().Get("Content-Type") != "application/json" {
+			t.Fatalf("POST %s: Content-Length %q for %d bytes, Content-Type %q", path, got, rec.Body.Len(), rec.Header().Get("Content-Type"))
+		}
+		return rec
+	}
+	for _, body := range []string{
+		`{"tags":["favela","samba"],"top":3}`,
+		`{"batch":[{"tags":["pop"]},{"tags":["favela","samba"]},{"tags":["zz-unknown"]}],"weighting":"uniform","top":60}`,
+	} {
+		rec := post("/v1/predict", body)
+		var resp PredictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if want := jsonEncoderBytes(t, &resp); !bytes.Equal(rec.Body.Bytes(), want) {
+			t.Fatalf("predict reply\n got %s\nwant %s", rec.Body.Bytes(), want)
+		}
+	}
+	if n := srv.Metrics().Predict.DecodeGeneral.Load(); n != 0 {
+		t.Fatalf("canonical predict bodies counted %d general decodes, want 0", n)
+	}
+	plain := post("/v1/predict", `{"tags":["favela","samba"],"top":3}`)
+	escaped := post("/v1/predict", `{"tags":["fav\u0065la","samba"],"top":3}`)
+	if !bytes.Equal(plain.Body.Bytes(), escaped.Body.Bytes()) {
+		t.Fatalf("escaped tag answered %s, plain %s", escaped.Body, plain.Body)
+	}
+	if n := srv.Metrics().Predict.DecodeGeneral.Load(); n != 1 {
+		t.Fatalf("one escaped body counted %d general decodes, want 1", n)
+	}
+
+	rec := post("/v1/ingest", `{"events":[{"video":"v1","tags":["favela"],"country":"BR","views":12,"upload":true}]}`)
+	var ack IngestResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &ack); err != nil {
+		t.Fatal(err)
+	}
+	if want := jsonEncoderBytes(t, &ack); !bytes.Equal(rec.Body.Bytes(), want) || ack.Accepted != 1 {
+		t.Fatalf("ingest ack\n got %s\nwant %s", rec.Body.Bytes(), want)
+	}
+	post("/v1/ingest", `{"events":[{"video":"v1","tags":["fav\u0065la"],"country":"BR","views":12}]}`)
+	post("/internal/ingest", `{"uploads":["v2"]}`)
+	post("/internal/ingest", `{"Uploads":["v3"]}`)
+	m := srv.Metrics()
+	if in, internal := m.Ingest.DecodeGeneral.Load(), m.Internal.DecodeGeneral.Load(); in != 1 || internal != 1 {
+		t.Fatalf("general decodes: ingest %d, internal %d; want 1 and 1", in, internal)
+	}
+	metrics := httptest.NewRecorder()
+	h.ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, line := range []string{
+		`viewstags_edge_decode_general_total{route="predict"} 1`,
+		`viewstags_edge_decode_general_total{route="ingest"} 1`,
+		`viewstags_edge_decode_general_total{route="internal"} 1`,
+	} {
+		if !strings.Contains(metrics.Body.String(), line+"\n") {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	var stats struct {
+		Predict struct {
+			General int64 `json:"edge_decode_general"`
+		} `json:"predict"`
+	}
+	if code := do(t, srv, http.MethodGet, "/v1/stats", nil, &stats); code != http.StatusOK || stats.Predict.General != 1 {
+		t.Fatalf("/v1/stats predict.edge_decode_general = %d (status %d), want 1", stats.Predict.General, code)
+	}
+}
+
+// TestEdgeBodyBufferNotPinned: a large body's buffer is dropped, not
+// pooled, and the decoded strings do not alias any pooled buffer.
+func TestEdgeBodyBufferNotPinned(t *testing.T) {
+	srv, _, _ := freshServer(t, false, 0, time.Hour)
+	big := `{"tags":["` + strings.Repeat("x", 2*maxPooledBody) + `"]}`
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(big)))
+	if rec.Code != http.StatusBadRequest { // over MaxTagLen: a 400 from ValidTags, after a full decode
+		t.Fatalf("status %d", rec.Code)
+	}
+	for i := 0; i < 64; i++ {
+		if b := GetWireBuf(); b.Cap() > maxPooledBody {
+			t.Fatalf("pool handed out a %d-byte buffer after a large body", b.Cap())
+		}
+	}
+
+	var req PredictRequest
+	body := []byte(`{"tags":["favela","samba"]}`)
+	r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+	if !DecodePredictBody(httptest.NewRecorder(), r, NewMetrics(), &req) {
+		t.Fatal("decode failed")
+	}
+	for i := 0; i < 8; i++ { // scribble over whatever the pool holds
+		b := GetWireBuf()
+		b.WriteString(strings.Repeat("#", 64))
+		defer PutWireBuf(b)
+	}
+	if !reflect.DeepEqual(req.Tags, []string{"favela", "samba"}) {
+		t.Fatalf("decoded tags changed under a reused buffer: %q", req.Tags)
+	}
+}

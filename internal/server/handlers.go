@@ -158,11 +158,16 @@ func WriteJSON(w http.ResponseWriter, status int, v any) {
 			RequestID: w.Header().Get(obs.TraceHeader),
 		})
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends one fully rendered JSON body: sized, in one write.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", jsonContentType)
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // WriteError writes the uniform error envelope, echoing the request's
@@ -176,13 +181,13 @@ func WriteError(w http.ResponseWriter, status int, format string, args ...any) {
 	})
 }
 
-// DecodeBody decodes a JSON body with a size cap and strict fields, so
-// typos in request shapes fail loudly instead of silently defaulting.
+// DecodeBody decodes a JSON body with a size cap, strict fields and
+// nothing after the value, so typos in request shapes fail loudly
+// instead of silently defaulting. (The hot routes decode through the
+// edge codec, which ends in the same strict decode; see edge_decode.go.)
 func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(r.Body, v); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return false
 	}
@@ -218,7 +223,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req PredictRequest
-	if !DecodeBody(w, r, &req) {
+	if !DecodePredictBody(w, r, s.metrics, &req) {
 		return
 	}
 	weighting, err := tagviews.ParseWeighting(req.Weighting)
@@ -266,7 +271,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		s.metrics.Predictions.Add(int64(len(req.Batch)))
 	}
 	TraceFrom(r).Add("predict", obs.NoShard, predictStart, time.Since(predictStart), "")
-	WriteJSON(w, http.StatusOK, resp)
+	WritePredictResponse(w, &resp)
 }
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
@@ -380,7 +385,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req IngestRequest
-	if !DecodeBody(w, r, &req) {
+	if !DecodeIngestBody(w, r, s.metrics, &req) {
 		return
 	}
 	if len(req.Events) == 0 {
@@ -407,7 +412,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// synchronous WAL append when the daemon is durable.
 	TraceFrom(r).Add("journal", obs.NoShard, journalStart, time.Since(journalStart), "")
 	st := s.ing.Stats()
-	WriteJSON(w, http.StatusOK, IngestResponse{
+	WriteIngestResponse(w, &IngestResponse{
 		Accepted: len(events),
 		Epoch:    st.Epoch,
 		Pending:  st.Pending,

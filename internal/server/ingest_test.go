@@ -151,6 +151,8 @@ func TestIngestErrors(t *testing.T) {
 		{"empty tag string", IngestRequest{Events: []IngestEvent{{Tags: []string{""}, Country: "US", Views: 1}}}, http.StatusBadRequest},
 		{"tag cap", IngestRequest{Events: []IngestEvent{{Tags: make([]string, ingest.MaxEventTags+1), Country: "US", Views: 1}}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"eventz": []any{}}, http.StatusBadRequest},
+		{"trailing garbage", rawBody(`{"events":[{"tags":["t"],"country":"US","views":1}]}x`), http.StatusBadRequest},
+		{"second value", rawBody(`{"events":[{"tags":["t"],"country":"US","views":1}]} {}`), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		var e struct {

@@ -174,7 +174,7 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req InternalIngestRequest
-	if !DecodeBody(w, r, &req) {
+	if !decodeEdge(w, r, s.metrics, parseInternalIngestRequest, &req) {
 		return
 	}
 	if len(req.Events) == 0 && len(req.Uploads) == 0 {
@@ -212,7 +212,7 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	st := s.ing.Stats()
-	WriteJSON(w, http.StatusOK, IngestResponse{
+	WriteIngestResponse(w, &IngestResponse{
 		Accepted: len(events) + len(req.Uploads),
 		Epoch:    st.Epoch,
 		Pending:  st.Pending,

@@ -16,10 +16,14 @@ import (
 // (also allocation-free), so a histogram spike links to a fetchable
 // /debug/traces id.
 type RouteMetrics struct {
-	Requests  atomic.Int64
-	Errors    atomic.Int64
-	Latency   obs.Histogram
-	Exemplars obs.Exemplars
+	Requests atomic.Int64
+	Errors   atomic.Int64
+	// DecodeGeneral counts the requests whose body the fast edge decoder
+	// declined, so they paid the encoding/json decode (edge_decode.go).
+	// Only routes with a fast decoder ever count here.
+	DecodeGeneral atomic.Int64
+	Latency       obs.Histogram
+	Exemplars     obs.Exemplars
 }
 
 // maxExemplarsPerRoute bounds the exemplars surfaced per route on both
@@ -87,12 +91,16 @@ func (m *Metrics) EachRoute(f func(name string, rm *RouteMetrics)) {
 // the quantiles are all derived from the same histogram snapshot, so
 // the two surfaces (/v1/stats and /metrics) can never disagree.
 type RouteSnapshot struct {
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors"`
-	MeanMs   float64 `json:"mean_ms"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
+	Requests int64 `json:"requests"`
+	Errors   int64 `json:"errors"`
+	// DecodeGeneral is the route's viewstags_edge_decode_general_total:
+	// requests whose body took the encoding/json decode. Always zero, and
+	// so omitted, on routes without a fast decoder.
+	DecodeGeneral int64   `json:"edge_decode_general,omitempty"`
+	MeanMs        float64 `json:"mean_ms"`
+	P50Ms         float64 `json:"p50_ms"`
+	P95Ms         float64 `json:"p95_ms"`
+	P99Ms         float64 `json:"p99_ms"`
 	// Exemplars are the slowest buckets' most recent request ids —
 	// each one a /debug/traces/{id} lookup away from its spans.
 	Exemplars []obs.BucketExemplar `json:"exemplars,omitempty"`
@@ -117,8 +125,9 @@ type Snapshot struct {
 
 func snapRoute(m *RouteMetrics) RouteSnapshot {
 	s := RouteSnapshot{
-		Requests: m.Requests.Load(),
-		Errors:   m.Errors.Load(),
+		Requests:      m.Requests.Load(),
+		Errors:        m.Errors.Load(),
+		DecodeGeneral: m.DecodeGeneral.Load(),
 	}
 	h := m.Latency.Snapshot()
 	if h.Count > 0 {
@@ -152,11 +161,15 @@ func (m *Metrics) Snapshot() Snapshot {
 func (m *Metrics) WriteProm(w *obs.TextWriter) {
 	w.Counter("viewstags_requests_total", "Requests served, by route group.")
 	w.Counter("viewstags_request_errors_total", "Requests answered with status >= 400, by route group.")
+	w.Counter("viewstags_edge_decode_general_total", "Requests whose body the fast edge decoder declined to the encoding/json decode, by route group (routes with a fast decoder only).")
 	w.HistogramFamily("viewstags_request_duration_seconds", "Request wall time by route group, measured inside the middleware.")
 	m.EachRoute(func(name string, rm *RouteMetrics) {
 		labels := []obs.Label{{Name: "route", Value: name}}
 		w.Sample("viewstags_requests_total", labels, float64(rm.Requests.Load()))
 		w.Sample("viewstags_request_errors_total", labels, float64(rm.Errors.Load()))
+		if rm == &m.Predict || rm == &m.Ingest || rm == &m.Internal {
+			w.Sample("viewstags_edge_decode_general_total", labels, float64(rm.DecodeGeneral.Load()))
+		}
 		w.HistogramEx("viewstags_request_duration_seconds", labels, rm.Latency.Snapshot(),
 			rm.Exemplars.Top(maxExemplarsPerRoute))
 	})

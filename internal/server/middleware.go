@@ -220,7 +220,7 @@ func (m *Middleware) withLimit(next http.Handler) http.Handler {
 			m.metrics.Rejected.Add(1)
 			TraceFrom(r).MarkShed()
 			SetRetryAfter(w, 0)
-			http.Error(w, "server at capacity", http.StatusServiceUnavailable)
+			WriteError(w, http.StatusServiceUnavailable, "server at capacity")
 		}
 	})
 }
@@ -232,7 +232,7 @@ func (m *Middleware) withRecovery(next http.Handler) http.Handler {
 		defer func() {
 			if rec := recover(); rec != nil {
 				m.logger.Printf("server: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
-				http.Error(w, "internal error", http.StatusInternalServerError)
+				WriteError(w, http.StatusInternalServerError, "internal error")
 				if m.onPanic != nil {
 					// Flight recorder: a panic is exactly the moment the
 					// ring's recent history is worth preserving.

@@ -3,7 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-
+	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -70,12 +71,18 @@ func fixture(t *testing.T) (*pipeline.Result, *Server) {
 	return fixRes, fixSrv
 }
 
+// rawBody is a request body do sends as written instead of marshalling
+// it: the malformed bodies no Go value encodes to.
+type rawBody string
+
 // do round-trips one JSON request through the full middleware-wrapped
 // handler and decodes the response into out.
 func do(t *testing.T, srv *Server, method, path string, body, out any) int {
 	t.Helper()
 	var buf bytes.Buffer
-	if body != nil {
+	if raw, ok := body.(rawBody); ok {
+		buf.WriteString(string(raw))
+	} else if body != nil {
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
 			t.Fatal(err)
 		}
@@ -174,6 +181,9 @@ func TestPredictErrors(t *testing.T) {
 		{"invalid weighting", PredictRequest{Tags: []string{"pop"}, Weighting: "bogus"}, http.StatusBadRequest},
 		{"tags and batch", PredictRequest{Tags: []string{"pop"}, Batch: []PredictItem{{Tags: []string{"pop"}}}}, http.StatusBadRequest},
 		{"unknown field", map[string]any{"tagz": []string{"pop"}}, http.StatusBadRequest},
+		{"trailing garbage", rawBody(`{"tags":["pop"]}garbage`), http.StatusBadRequest},
+		{"second value", rawBody(`{"tags":["pop"]}{"tags":["pop"]}`), http.StatusBadRequest},
+		{"trailing brace after an escaped body", rawBody(`{"tags":["p\u006fp"]} }`), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		var e struct {
@@ -264,6 +274,32 @@ func TestPlaceErrors(t *testing.T) {
 		if code := do(t, srv, http.MethodPost, "/v1/place", c.req, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", c.name, code)
 		}
+	}
+	// Trailing data is refused in the general decoder, so on every route.
+	var e struct {
+		Error string `json:"error"`
+	}
+	if code := do(t, srv, http.MethodPost, "/v1/place", rawBody(`{"upload":"US"} {"upload":"BR"}`), &e); code != http.StatusBadRequest ||
+		e.Error != "invalid request body: unexpected data after the JSON value" {
+		t.Errorf("second value: status %d %q, want the trailing-data 400", code, e.Error)
+	}
+	if code := do(t, srv, http.MethodPost, "/v1/place", rawBody("{\"upload\":\"US\"} \n\t"), nil); code != http.StatusOK {
+		t.Errorf("trailing whitespace: status %d, want 200", code)
+	}
+}
+
+// wantEnvelope checks a non-2xx answer is the documented error envelope:
+// JSON, the message, and the request id the response headers carry.
+func wantEnvelope(t *testing.T, rec *httptest.ResponseRecorder, status int, msg string) {
+	t.Helper()
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+		t.Fatalf("body %q is not the error envelope: %v", rec.Body.Bytes(), err)
+	}
+	id := rec.Header().Get("X-Request-Id")
+	if rec.Code != status || rec.Header().Get("Content-Type") != "application/json" || e.Error != msg || id == "" || e.RequestID != id {
+		t.Fatalf("answered %d (%s) %+v with X-Request-Id %q; want %d application/json %q echoing the id",
+			rec.Code, rec.Header().Get("Content-Type"), e, id, status, msg)
 	}
 }
 
@@ -416,6 +452,10 @@ func TestConcurrencyLimit(t *testing.T) {
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("overflow request got %d, want 503", rec.Code)
 	}
+	wantEnvelope(t, rec, http.StatusServiceUnavailable, "server at capacity")
+	if rec.Header().Get("Retry-After") != "1" {
+		t.Fatalf("shed carries Retry-After %q, want 1", rec.Header().Get("Retry-After"))
+	}
 	// Liveness must bypass the limiter: a saturated server still
 	// answers its health checker.
 	rec = httptest.NewRecorder()
@@ -429,16 +469,24 @@ func TestConcurrencyLimit(t *testing.T) {
 	}
 }
 
-// TestRecoveryMiddleware turns a handler panic into a 500.
+// TestRecoveryMiddleware turns a handler panic into a 500 that carries
+// the error envelope — through the stack both daemons wrap their handlers
+// in (the gateway builds its own from NewMiddleware).
 func TestRecoveryMiddleware(t *testing.T) {
-	_, srv := fixture(t)
-	h := srv.mw.withRecovery(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	mw := NewMiddleware(4, NewMetrics(), log.New(io.Discard, "", 0), false)
+	h := mw.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		panic("boom")
 	}))
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/predict", nil))
+	req := httptest.NewRequest(http.MethodGet, "/v1/predict", nil)
+	req.Header.Set("X-Request-Id", "recovery-test-1")
+	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panic produced %d, want 500", rec.Code)
+	}
+	wantEnvelope(t, rec, http.StatusInternalServerError, "internal error")
+	if rec.Header().Get("X-Request-Id") != "recovery-test-1" {
+		t.Fatalf("inbound request id not echoed: %q", rec.Header().Get("X-Request-Id"))
 	}
 }
 

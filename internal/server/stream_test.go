@@ -293,6 +293,64 @@ func TestStreamGracefulShutdownAnswersInFlightFrames(t *testing.T) {
 	}
 }
 
+// TestStreamShedFrameCarriesErrorEnvelope: a frame the limiter sheds is
+// answered with the same JSON envelope a shed POST gets — the request id
+// the envelope named, Retry-After in the reply frame — so the gateway
+// never has to guess at a text/plain body.
+func TestStreamShedFrameCarriesErrorEnvelope(t *testing.T) {
+	res, _ := fixture(t)
+	snap, err := profilestore.Build(res.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := profilestore.NewStore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MaxInFlight = 1
+	srv, err := New(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := ingest.NewAccumulator(store, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := newGateJournal()
+	acc.SetJournal(journal)
+	if err := srv.EnableIngest(acc, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	conn, br := dialStream(t, ts.URL)
+
+	held := []byte(`{"uploads":["shed-frame-video"]}`)
+	if _, err := conn.Write(mustFrame(t, StreamRequest{ID: 1, Path: "/internal/ingest", ContentType: jsonContentType, Body: held})); err != nil {
+		t.Fatal(err)
+	}
+	<-journal.entered // the one slot is taken
+	predict := AppendPredictRequest(nil, [][]string{{"pop"}}, tagviews.WeightIDF, false)
+	if _, err := conn.Write(mustFrame(t, StreamRequest{ID: 2, Path: "/internal/predict", ContentType: WireContentType,
+		RequestID: "shed-frame-2", Body: predict})); err != nil {
+		t.Fatal(err)
+	}
+	rep := readReply(t, conn, br)
+	var e errorResponse
+	if err := json.Unmarshal(rep.Body, &e); err != nil {
+		t.Fatalf("shed frame body %q is not the error envelope: %v", rep.Body, err)
+	}
+	if rep.ID != 2 || rep.Status != http.StatusServiceUnavailable || rep.RetryAfter != "1" ||
+		e.Error != "server at capacity" || e.RequestID != "shed-frame-2" {
+		t.Fatalf("shed frame: id %d status %d Retry-After %q envelope %+v", rep.ID, rep.Status, rep.RetryAfter, e)
+	}
+	close(journal.release)
+	if rep := readReply(t, conn, br); rep.ID != 1 || rep.Status != http.StatusOK {
+		t.Fatalf("held frame: id %d status %d body %q", rep.ID, rep.Status, rep.Body)
+	}
+}
+
 // TestJSONRepliesCarryContentLength: every JSON and binary reply is
 // sized up front, so net/http never falls back to chunked encoding for
 // bodies past its 2 KB buffer (a 32-item batch is ~5 KB at the edge).
