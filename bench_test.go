@@ -905,34 +905,51 @@ func edgeBenchItems(b *testing.B, n int) []server.PredictItem {
 // BenchmarkEdgeDecode reads a /v1/predict body the way the handlers do,
 // through the edge codec and through the strict encoding/json decode it
 // declines to — the per-layer ratio behind the codec, without daemons.
+// The -declined rows price the other side of the bargain: a body whose
+// LAST tag is escaped ("r&b" as json.Marshal writes it), so the codec
+// scans all of it before handing it to encoding/json.
 func BenchmarkEdgeDecode(b *testing.B) {
 	for _, n := range []int{4, 32} {
-		body, err := json.Marshal(&server.PredictRequest{Weighting: "idf", Top: 3, Batch: edgeBenchItems(b, n)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		metrics := server.NewMetrics()
+		items := edgeBenchItems(b, n)
+		escaped := append([]server.PredictItem(nil), items...)
+		last := &escaped[n-1]
+		last.Tags = append(append([]string(nil), last.Tags...), "r&b")
 		w := &nullResponseWriter{h: make(http.Header)}
-		rd := bytes.NewReader(body)
-		r := httptest.NewRequest(http.MethodPost, "/v1/predict", rd)
-		run := func(name string, decode func(*server.PredictRequest) bool) {
-			b.Run(fmt.Sprintf("%s-b%d", name, n), func(b *testing.B) {
-				b.ReportAllocs()
-				b.SetBytes(int64(len(body)))
-				for i := 0; i < b.N; i++ {
-					rd.Reset(body)
-					r.Body = io.NopCloser(rd)
-					var req server.PredictRequest
-					if !decode(&req) || len(req.Batch) != n {
-						b.Fatal("decode failed")
+		for _, v := range []struct {
+			suffix   string
+			items    []server.PredictItem
+			declines bool
+		}{{"", items, false}, {"-declined", escaped, true}} {
+			body, err := json.Marshal(&server.PredictRequest{Weighting: "idf", Top: 3, Batch: v.items})
+			if err != nil {
+				b.Fatal(err)
+			}
+			metrics := server.NewMetrics()
+			rd := bytes.NewReader(body)
+			r := httptest.NewRequest(http.MethodPost, "/v1/predict", rd)
+			decoded := int64(0)
+			run := func(name string, decode func(*server.PredictRequest) bool) {
+				b.Run(fmt.Sprintf("%s%s-b%d", name, v.suffix, n), func(b *testing.B) {
+					b.ReportAllocs()
+					b.SetBytes(int64(len(body)))
+					for i := 0; i < b.N; i++ {
+						rd.Reset(body)
+						r.Body = io.NopCloser(rd)
+						var req server.PredictRequest
+						if !decode(&req) || len(req.Batch) != n {
+							b.Fatal("decode failed")
+						}
 					}
-				}
+				})
+			}
+			run("codec", func(req *server.PredictRequest) bool {
+				decoded++
+				return server.DecodePredictBody(w, r, metrics, req)
 			})
-		}
-		run("codec", func(req *server.PredictRequest) bool { return server.DecodePredictBody(w, r, metrics, req) })
-		run("encoding-json", func(req *server.PredictRequest) bool { return server.DecodeBody(w, r, req) })
-		if n := metrics.Predict.DecodeGeneral.Load(); n != 0 {
-			b.Fatalf("the codec declined %d benchmark bodies", n)
+			run("encoding-json", func(req *server.PredictRequest) bool { return server.DecodeBody(w, r, req) })
+			if got := metrics.Predict.DecodeGeneral.Load(); (got != 0) != v.declines || (v.declines && got != decoded) {
+				b.Fatalf("the codec declined %d of %d %q bodies", got, decoded, v.suffix)
+			}
 		}
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -252,7 +253,7 @@ func (a *Accumulator) apply(events []Event) {
 			vs := a.shardOf(e.Video)
 			vs.mu.Lock()
 			if !vs.uploads[e.Video] {
-				vs.uploads[e.Video] = true
+				vs.uploads[strings.Clone(e.Video)] = true
 				newUpload = true
 			}
 			vs.mu.Unlock()
@@ -268,7 +269,11 @@ func (a *Accumulator) apply(events []Event) {
 				if id, ok := snap.Lookup(tag); ok {
 					acc.id = id
 				}
-				sh.tags[tag] = acc
+				// The key outlives the batch (Drain hands it to Rebuild,
+				// which keeps a novel tag's name for good), and the edge
+				// decoder's strings are substrings of the request body:
+				// clone, or one tag pins its whole body.
+				sh.tags[strings.Clone(tag)] = acc
 			}
 			acc.views[e.Country] += e.Views
 			acc.total += e.Views
@@ -364,7 +369,9 @@ func (a *Accumulator) AddUploads(videos []string) error {
 	for _, v := range videos {
 		vs := a.shardOf(v)
 		vs.mu.Lock()
-		vs.uploads[v] = true
+		if !vs.uploads[v] {
+			vs.uploads[strings.Clone(v)] = true
+		}
 		vs.mu.Unlock()
 	}
 	return nil

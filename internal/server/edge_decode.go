@@ -34,7 +34,9 @@ import (
 // a request share one backing []string. Substrings of an immutable
 // string are safe to retain past the handler (the coalescer keeps items
 // when a waiter is cancelled), which aliasing the pooled byte buffer
-// would not be.
+// would not be. A substring keeps its whole body alive, though, so code
+// that keeps a decoded string for long copies it where it keeps it (the
+// ingest accumulator's maps: strings.Clone at first touch).
 
 // maxPooledBody bounds the body buffers that go back to the pool: a
 // 4 MB body must not pin 4 MB per pool slot.
@@ -67,6 +69,16 @@ func decodeStrict(src io.Reader, v any) error {
 	return nil
 }
 
+// releaseBodyBuf returns a body buffer to the pool unless it grew past
+// maxPooledBody, and reports which.
+func releaseBodyBuf(buf *bytes.Buffer) (pooled bool) {
+	if buf.Cap() > maxPooledBody {
+		return false
+	}
+	PutWireBuf(buf)
+	return true
+}
+
 // failingReader replays a body read's error after the bytes that
 // arrived before it.
 type failingReader struct{ err error }
@@ -82,16 +94,15 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 // written.
 func decodeEdge[T any](w http.ResponseWriter, r *http.Request, m *Metrics, fast func(string, *T) bool, v *T) bool {
 	buf := GetWireBuf()
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			PutWireBuf(buf)
-		}
-	}()
+	defer releaseBodyBuf(buf)
 	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
 	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	if readErr == nil && fast(buf.String(), v) {
+	// A backslash anywhere declines (in a string it is an escape, outside
+	// one it is no JSON), and escaping clients are the common declined
+	// case: find it before paying the string copy and the scan.
+	if readErr == nil && bytes.IndexByte(buf.Bytes(), '\\') < 0 && fast(buf.String(), v) {
 		return true
 	}
 	m.route(r.URL.Path).DecodeGeneral.Add(1)

@@ -3,11 +3,13 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -416,20 +418,17 @@ func TestEdgeRepliesAreEncodingJSONBytes(t *testing.T) {
 	}
 }
 
-// TestEdgeBodyBufferNotPinned: a large body's buffer is dropped, not
-// pooled, and the decoded strings do not alias any pooled buffer.
+// TestEdgeBodyBufferNotPinned: a body buffer that grew large is dropped,
+// not pooled, and the decoded strings do not alias any pooled buffer.
 func TestEdgeBodyBufferNotPinned(t *testing.T) {
-	srv, _, _ := freshServer(t, false, 0, time.Hour)
-	big := `{"tags":["` + strings.Repeat("x", 2*maxPooledBody) + `"]}`
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(big)))
-	if rec.Code != http.StatusBadRequest { // over MaxTagLen: a 400 from ValidTags, after a full decode
-		t.Fatalf("status %d", rec.Code)
+	small, large := new(bytes.Buffer), new(bytes.Buffer)
+	small.Grow(maxPooledBody / 2)
+	large.Grow(2 * maxPooledBody)
+	if !releaseBodyBuf(small) {
+		t.Fatalf("a %d-byte buffer was not pooled", small.Cap())
 	}
-	for i := 0; i < 64; i++ {
-		if b := GetWireBuf(); b.Cap() > maxPooledBody {
-			t.Fatalf("pool handed out a %d-byte buffer after a large body", b.Cap())
-		}
+	if releaseBodyBuf(large) {
+		t.Fatalf("a %d-byte buffer was pooled", large.Cap())
 	}
 
 	var req PredictRequest
@@ -445,5 +444,59 @@ func TestEdgeBodyBufferNotPinned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(req.Tags, []string{"favela", "samba"}) {
 		t.Fatalf("decoded tags changed under a reused buffer: %q", req.Tags)
+	}
+}
+
+// TestIngestDoesNotPinRequestBody: the fast decoder's strings are
+// substrings of the request body, and the ingest path keeps tags and
+// video ids (until the fold, and a novel tag's name for good). What it
+// keeps must be a copy, or each 1 MB body below would stay live for its
+// one tag — both while pending and after the fold.
+func TestIngestDoesNotPinRequestBody(t *testing.T) {
+	srv, _, comp := freshServer(t, false, 0, time.Hour)
+	h := srv.Handler()
+	ingestOne := func(i, pad int) {
+		t.Helper()
+		path, body := "/v1/ingest", fmt.Sprintf(`{"events":[%s{"video":"pin-video-%d","tags":["pin-tag-%d"],"country":"BR","views":3,"upload":true}]}`,
+			strings.Repeat(" ", pad), i, i)
+		if i%2 == 1 { // the shard's route, with a bare upload announcement
+			path, body = "/internal/ingest", body[:len(body)-1]+fmt.Sprintf(`,"uploads":["pin-bare-%d"]}`, i)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	fold := func() {
+		t.Helper()
+		if folded, err := comp.FoldNow(); err != nil || !folded {
+			t.Fatalf("fold: folded=%v err=%v", folded, err)
+		}
+	}
+	ingestOne(-1, 0) // warm up: one fold's worth of steady-state garbage
+	fold()
+
+	const n, pad = 16, 1 << 20
+	before := heap()
+	for i := 0; i < n; i++ {
+		ingestOne(i, pad)
+	}
+	if grew := heap() - before; grew > n*pad/4 {
+		t.Errorf("heap grew %d bytes over %d pending 1 MB ingests: the accumulator pins the bodies", grew, n)
+	}
+	fold()
+	if grew := heap() - before; grew > n*pad/4 {
+		t.Errorf("heap grew %d bytes after folding %d novel tags: the snapshot pins the bodies", grew, n)
+	}
+	if m := srv.Metrics(); m.Ingest.DecodeGeneral.Load() != 0 || m.Internal.DecodeGeneral.Load() != 0 {
+		t.Fatal("a body took the general decode; this test is about the fast one")
 	}
 }

@@ -20,7 +20,7 @@ type RouteMetrics struct {
 	Errors   atomic.Int64
 	// DecodeGeneral counts the requests whose body the fast edge decoder
 	// declined, so they paid the encoding/json decode (edge_decode.go).
-	// Only routes with a fast decoder ever count here.
+	// Only routes with a fast decoder ever count here; the rest read zero.
 	DecodeGeneral atomic.Int64
 	Latency       obs.Histogram
 	Exemplars     obs.Exemplars
@@ -94,9 +94,9 @@ type RouteSnapshot struct {
 	Requests int64 `json:"requests"`
 	Errors   int64 `json:"errors"`
 	// DecodeGeneral is the route's viewstags_edge_decode_general_total:
-	// requests whose body took the encoding/json decode. Always zero, and
-	// so omitted, on routes without a fast decoder.
-	DecodeGeneral int64   `json:"edge_decode_general,omitempty"`
+	// requests whose body took the encoding/json decode. Always zero on
+	// routes without a fast decoder.
+	DecodeGeneral int64   `json:"edge_decode_general"`
 	MeanMs        float64 `json:"mean_ms"`
 	P50Ms         float64 `json:"p50_ms"`
 	P95Ms         float64 `json:"p95_ms"`
@@ -161,15 +161,13 @@ func (m *Metrics) Snapshot() Snapshot {
 func (m *Metrics) WriteProm(w *obs.TextWriter) {
 	w.Counter("viewstags_requests_total", "Requests served, by route group.")
 	w.Counter("viewstags_request_errors_total", "Requests answered with status >= 400, by route group.")
-	w.Counter("viewstags_edge_decode_general_total", "Requests whose body the fast edge decoder declined to the encoding/json decode, by route group (routes with a fast decoder only).")
+	w.Counter("viewstags_edge_decode_general_total", "Requests whose body the fast edge decoder declined to the encoding/json decode, by route group (zero on routes without a fast decoder).")
 	w.HistogramFamily("viewstags_request_duration_seconds", "Request wall time by route group, measured inside the middleware.")
 	m.EachRoute(func(name string, rm *RouteMetrics) {
 		labels := []obs.Label{{Name: "route", Value: name}}
 		w.Sample("viewstags_requests_total", labels, float64(rm.Requests.Load()))
 		w.Sample("viewstags_request_errors_total", labels, float64(rm.Errors.Load()))
-		if rm == &m.Predict || rm == &m.Ingest || rm == &m.Internal {
-			w.Sample("viewstags_edge_decode_general_total", labels, float64(rm.DecodeGeneral.Load()))
-		}
+		w.Sample("viewstags_edge_decode_general_total", labels, float64(rm.DecodeGeneral.Load()))
 		w.HistogramEx("viewstags_request_duration_seconds", labels, rm.Latency.Snapshot(),
 			rm.Exemplars.Top(maxExemplarsPerRoute))
 	})
