@@ -251,11 +251,14 @@ func TestAllocBudgets(t *testing.T) {
 	})
 
 	// A whole batch-4 predict through Gateway.Handler() with three
-	// in-process shards: edge JSON, three stream legs (each of them the
-	// dispatch above plus the gateway's envelope, waiter and leg-latency
-	// observe), merge, encode. This is the count the net/http-per-leg
-	// carrier put at 589; a per-leg request object or header map coming
-	// back shows here first.
+	// in-process shards. Warm — every tag's row already held — it is the
+	// edge codec, twelve cache lookups, the combine and the encode: no
+	// leg, so none of the per-leg cost the stream carrier put at 140 (and
+	// net/http per leg at 589). Cold — twelve tags never seen before — it
+	// is the same plus up to three stream legs (each the dispatch above
+	// plus the gateway's envelope, waiter and leg-latency observe) and the
+	// rows it publishes: a row, its vector and its key apiece. That is the
+	// price of the warm count, and this row keeps it in view.
 	t.Run("GatewayPredictFanout", func(t *testing.T) {
 		const shards = 3
 		ring, err := cluster.NewRing(shards, 0)
@@ -278,23 +281,51 @@ func TestAllocBudgets(t *testing.T) {
 		if err := g.Sync(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		body, err := json.Marshal(server.PredictRequest{Weighting: "idf", Top: 3, Batch: []server.PredictItem{
-			{Tags: tags[:3]}, {Tags: tags[3:6]}, {Tags: tags[6:9]}, {Tags: tags[9:12]}}})
-		if err != nil {
-			t.Fatal(err)
+		batch4 := func(tags []string) []byte {
+			body, err := json.Marshal(server.PredictRequest{Weighting: "idf", Top: 3, Batch: []server.PredictItem{
+				{Tags: tags[:3]}, {Tags: tags[3:6]}, {Tags: tags[6:9]}, {Tags: tags[9:12]}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return body
 		}
 		gh := g.Handler()
 		w := &nullResponseWriter{h: make(http.Header)}
+		body := batch4(tags)
 		do := func() {
 			gh.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
 		}
 		do()
 		allocs := testing.AllocsPerRun(200, do)
-		// Measured 140 (176 with encoding/json at the edge).
-		if allocs > 156 {
-			t.Fatalf("gateway batch-4 predict allocates %.1f/op, budget 156", allocs)
+		// Measured 38 (140 when every predict made three legs).
+		if allocs > 46 {
+			t.Fatalf("warm gateway batch-4 predict allocates %.1f/op, budget 46", allocs)
 		}
-		t.Logf("gateway batch-4 predict over 3 shards: %.1f allocs/op (budget 156)", allocs)
+		t.Logf("warm gateway batch-4 predict over 3 shards: %.1f allocs/op (budget 46)", allocs)
+
+		// Cold: every run asks for twelve vocabulary tags no run before it
+		// asked for.
+		const coldRuns = 50
+		names := res.Analysis.TagNames()[12:]
+		if len(names) < 12*(coldRuns+1) {
+			t.Fatalf("fixture vocabulary of %d tags is too small for %d cold runs", len(names), coldRuns)
+		}
+		bodies := make([][]byte, coldRuns+1) // AllocsPerRun warms up with one call
+		for i := range bodies {
+			bodies[i] = batch4(names[12*i : 12*i+12])
+		}
+		next := 0
+		cold := func() {
+			gh.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[next])))
+			next++
+		}
+		allocs = testing.AllocsPerRun(coldRuns, cold)
+		// Measured 155: the warm 38, three legs' worth of carrier and
+		// shard handler, and three allocations per row kept.
+		if allocs > 171 {
+			t.Fatalf("cold gateway batch-4 predict allocates %.1f/op, budget 171", allocs)
+		}
+		t.Logf("cold gateway batch-4 predict over 3 shards: %.1f allocs/op (budget 171)", allocs)
 	})
 
 	// The observe path itself: recording a latency into a route

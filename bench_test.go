@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -700,6 +701,17 @@ func BenchmarkIngestFold(b *testing.B) {
 // throughput tracks shard capacity rather than one request's 3-way
 // round trip. CI uploads both benches as the gateway-vs-single-node
 // throughput artifact.
+//
+// Those variants cycle 256 bodies, so after the first pass every row
+// they need is cached. The rows/ variants (batch 4, one driver, no
+// coalescing; read them with -benchmem) put a number on each state of
+// the row cache instead: warm (every row held), cold (every shard's
+// epoch has moved and been observed since the last request, so every
+// row is fetched again: the all-miss cost, three legs) and epoch-churn
+// (32 bodies cycling while one shard folds every 64 requests,
+// round-robin: after each fold the next 32 requests fetch that shard's
+// rows again over one leg and the 32 after them are warm). The folds and
+// the health observation run with the timer stopped.
 func BenchmarkClusterGatewayPredict(b *testing.B) {
 	res := benchFixture(b)
 	const shards = 3
@@ -708,6 +720,7 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 		b.Fatal(err)
 	}
 	targets := make([]string, shards)
+	foldShard := make([]func(), shards)
 	for i := 0; i < shards; i++ {
 		i := i
 		snap, err := profilestore.BuildOwned(res.Analysis, func(name string) bool { return ring.Owner(name) == i })
@@ -730,6 +743,34 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 		// Sync (which refuses unready shards since the durable tier)
 		// never succeeds.
 		srv.SetReady()
+		// The write path is attached but nothing folds unless a rows/
+		// variant asks (foldShard): an idle accumulator costs reads nothing.
+		acc, err := ingest.NewAccumulator(store, 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.EnableIngest(acc, time.Hour); err != nil {
+			b.Fatal(err)
+		}
+		comp, err := ingest.NewCompactor(acc, time.Hour, func(d []profilestore.TagDelta, n int) error {
+			return srv.ApplyDeltas(d, n, tagviews.WeightIDF)
+		}, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		uploads := 0
+		foldShard[i] = func() {
+			uploads++
+			body := fmt.Sprintf(`{"uploads":["bench-fold-%d"]}`, uploads)
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/internal/ingest", strings.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("shard ingest: %d: %s", rec.Code, rec.Body)
+			}
+			if folded, err := comp.FoldNow(); err != nil || !folded {
+				b.Fatalf("fold: %v %v", folded, err)
+			}
+		}
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
 		targets[i] = ts.URL
@@ -813,6 +854,60 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 				b.ReportMetric(preds/b.Elapsed().Seconds(), "preds/sec")
 			})
 		}
+	}
+
+	g, err := cluster.NewGateway(cluster.DefaultGatewayConfig(), targets)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer g.Close()
+	if err := g.Sync(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	h := g.Handler()
+	bodies := make([][]byte, 32)
+	for i := range bodies {
+		bodies[i] = makeBody(4, i)
+	}
+	predict := func(i int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	}
+	// fold moves the given shards' epochs and has the gateway see it.
+	fold := func(b *testing.B, which ...int) {
+		b.StopTimer()
+		for _, s := range which {
+			foldShard[s]()
+		}
+		g.RefreshHealth(context.Background())
+		b.StartTimer()
+	}
+	for _, v := range []struct {
+		name   string
+		before func(b *testing.B, i int)
+	}{
+		{"warm", func(*testing.B, int) {}},
+		{"cold", func(b *testing.B, _ int) { fold(b, 0, 1, 2) }},
+		{"epoch-churn", func(b *testing.B, i int) {
+			if i%64 == 0 {
+				fold(b, i/64%shards)
+			}
+		}},
+	} {
+		b.Run("rows/"+v.name, func(b *testing.B) {
+			for i := range bodies {
+				predict(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v.before(b, i)
+				predict(i)
+			}
+			b.ReportMetric(float64(b.N*4)/b.Elapsed().Seconds(), "preds/sec")
+		})
 	}
 }
 

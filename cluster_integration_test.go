@@ -208,6 +208,13 @@ func TestClusterGatewayEndToEnd(t *testing.T) {
 	}
 
 	// Phase 3: post-stream equivalence, including the ingested tags.
+	// A fold whose install is still in flight has already zeroed its
+	// pending count, and the gateway answers from the rows it holds until
+	// it observes a shard's new epoch: settle every fold, then observe.
+	for _, n := range append(nodes, single) {
+		n.settle()
+	}
+	g.RefreshHealth(context.Background())
 	for _, tags := range [][]string{
 		{"zz-clu-a"},
 		{"zz-clu-b", "pop"},

@@ -11,11 +11,11 @@ import (
 	"viewstags/internal/tagviews"
 )
 
-// The coalescer turns N concurrent /v1/predict requests into one
-// internal batch call per shard. A request's fan-out cost is dominated
-// by the per-request round trip to every shard — work that is
-// identical whether the internal call carries one item or two hundred —
-// so under concurrent load the gateway can spend one round trip per
+// The coalescer turns N concurrent /v1/predict requests into one pass
+// through predictFanout. What a predict costs beyond its cached rows is
+// the round trip to each shard it is missing rows from — work that is
+// identical whether the frame asks for one tag or two hundred — so under
+// concurrent load the gateway can spend at most one round trip per
 // shard per *window* instead of per request. The first request to
 // arrive opens a micro-batch and arms a timer (CoalesceWindow,
 // ~250µs–1ms); requests landing inside the window splice their items

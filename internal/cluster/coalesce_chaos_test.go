@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -65,13 +66,34 @@ func wave(t *testing.T, g *Gateway, reqs []server.PredictRequest) []*httptest.Re
 	return recs
 }
 
+// ownedTags returns one tag per shard of the ring, owned by that shard,
+// none of them in the fixture's vocabulary and all of them distinct for
+// distinct labels: a predict carrying them needs a leg to every shard,
+// whatever the gateway has cached for other tags, and since an unknown
+// tag carries no weight they change no answer.
+func ownedTags(ring *Ring, label string) []string {
+	tags := make([]string, ring.Shards())
+	for found, i := 0, 0; found < len(tags); i++ {
+		tag := fmt.Sprintf("zz-%s-%d", label, i)
+		if s := ring.Owner(tag); tags[s] == "" {
+			tags[s] = tag
+			found++
+		}
+	}
+	return tags
+}
+
 // TestCoalesceShardDeathMidBatch pins the coalescer's failure
 // isolation: a shard dying under a coalesced window must fail exactly
 // that window's waiters — every one of them with a retryable
 // 503+Retry-After, not a 502 — and must not poison later windows: the
 // next window after the death fails the same clean way, and once the
 // shard is back the very next window serves answers identical to the
-// pre-death ones, through the same coalescer instance.
+// pre-death ones, through the same coalescer instance. Every request of
+// every wave ends in a tag of shard 2's that no earlier wave asked for,
+// so each one needs a leg to the dying shard however warm the row cache
+// is; the mirror case — rows all cached, no leg, 200 through the death —
+// is pinned too.
 func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	nodes, _ := startCluster(t, 3)
 	flaky := newFlakyShard(t, nodes[2].ts.URL)
@@ -87,13 +109,19 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	// Distinct singles that will share coalesced windows; the last one
 	// is prior-fallback, so known=false survives the round trip too.
 	tagSets := [][]string{{"pop"}, {"favela", "samba"}, {"music", "pop"}, {"favela"}, {"zz-unknown"}}
-	reqs := make([]server.PredictRequest, len(tagSets))
-	for i, tags := range tagSets {
-		reqs[i] = server.PredictRequest{Tags: tags, Weighting: "idf", Top: 5}
+	ring := g.topo.Load().ring
+	waveReqs := func(waveNo int) []server.PredictRequest {
+		reqs := make([]server.PredictRequest, len(tagSets))
+		for i, tags := range tagSets {
+			cold := ownedTags(ring, fmt.Sprintf("death-%d-%d", waveNo, i))[2]
+			reqs[i] = server.PredictRequest{Tags: append(append([]string(nil), tags...), cold), Weighting: "idf", Top: 5}
+		}
+		return reqs
 	}
 
 	// Wave 0: healthy reference answers.
-	before := wave(t, g, reqs)
+	healthy := waveReqs(0)
+	before := wave(t, g, healthy)
 	for i, rec := range before {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("healthy wave req %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
@@ -105,8 +133,16 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	// health shedding gives — and the shard must NOT get marked down
 	// (high threshold), proving the verdict came from the fan-out path.
 	flaky.Kill()
+	for i, rec := range wave(t, g, healthy) {
+		// The detector window: rows read before the death stay valid for
+		// the epoch last observed, so a request needing nothing else is
+		// answered without noticing.
+		if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), before[i].Body.Bytes()) {
+			t.Fatalf("cached req %d through the death: status %d: %s", i, rec.Code, rec.Body.Bytes())
+		}
+	}
 	for waveNo := 1; waveNo <= 2; waveNo++ {
-		recs := wave(t, g, reqs)
+		recs := wave(t, g, waveReqs(waveNo))
 		for i, rec := range recs {
 			if rec.Code != http.StatusServiceUnavailable {
 				t.Fatalf("dead wave %d req %d: status %d, want 503: %s", waveNo, i, rec.Code, rec.Body.Bytes())
@@ -131,7 +167,7 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	// coalescer (stale waiter, corrupted batch offsets, a dead window's
 	// error leaking forward) fails exactly here.
 	flaky.Revive()
-	after := wave(t, g, reqs)
+	after := wave(t, g, waveReqs(3))
 	for i, rec := range after {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("revived wave req %d: status %d: %s", i, rec.Code, rec.Body.Bytes())

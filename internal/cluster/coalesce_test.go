@@ -43,13 +43,19 @@ func newSyncedGateway(t *testing.T, targets []string, mutate func(*GatewayConfig
 // handler stack and decodes the response.
 func predictVia(t *testing.T, g *Gateway, req server.PredictRequest) (int, server.PredictResponse) {
 	t.Helper()
+	return predictOn(t, g.Handler(), req)
+}
+
+// predictOn is predictVia for any handler stack — a gateway's or a
+// node's.
+func predictOn(t *testing.T, h http.Handler, req server.PredictRequest) (int, server.PredictResponse) {
+	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hr := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
 	rec := httptest.NewRecorder()
-	g.Handler().ServeHTTP(rec, hr)
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
 	var resp server.PredictResponse
 	if rec.Code == http.StatusOK {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
@@ -392,36 +398,59 @@ func TestGatewayCoalesceCanceledWaiter(t *testing.T) {
 	}
 }
 
+// takeOneRow hands takeRows a hand-built reply frame as shard 0's
+// answer to a one-tag fetch, the way predictFanout's gather step does,
+// and returns the request's row for that tag and what the topology's
+// cache holds for it afterwards. inFlight, when non-nil, runs between
+// the request reading its view of the shard and the reply arriving.
+func takeOneRow(t *testing.T, g *Gateway, tag string, frame []byte, inFlight func(*shardState)) (fe *replyError, row, cached *tagRow) {
+	t.Helper()
+	tp := g.topo.Load()
+	m := g.getMerged(1, 1, len(tp.shards))
+	defer g.putMerged(m)
+	m.view[0] = shardView{ok: true, gen: tp.shards[0].gen.Load()}
+	m.misses = append(m.misses[:0], missTag{tag: tag})
+	m.missIdx[tag] = 0
+	m.want[0] = append(m.want[0][:0], 0)
+	m.fetched = true
+	if inFlight != nil {
+		inFlight(tp.shards[0])
+	}
+	fe = g.takeRows(tp, m, shardReply{shard: 0, status: http.StatusOK, body: frame}, new(server.PredictPartials), tagviews.WeightIDF)
+	return fe, m.misses[0].row, tp.rows.get(tag, tagviews.WeightIDF)
+}
+
 // TestMergeSkipsNaNWeightSum: the codec transits a NaN weight sum as an
-// absent row, so the merge must skip it exactly like the encoder's
-// `> 0` predicate — an accumulated NaN would poison the whole item
-// (1/NaN normalization, NaN shares, a 200 with an unencodable body).
+// absent row, so the gateway must take it as one, exactly like the
+// encoder's `> 0` predicate — a NaN combined into an item would poison
+// it (1/NaN normalization, NaN shares, a 200 with an unencodable body).
 func TestMergeSkipsNaNWeightSum(t *testing.T) {
 	_, g := startCluster(t, 3)
-	nC := len(g.codes)
 	enc := server.GetPredictWireEncoder()
 	defer server.PutPredictWireEncoder(enc)
-	enc.Begin(tagviews.WeightIDF, 1, 0, nC, 1, false)
+	enc.Begin(tagviews.WeightIDF, 1, 0, len(g.codes), 1, false)
 	enc.Item(math.NaN(), nil)
-	merged := g.getMerged(1)
-	defer g.putMerged(merged)
-	if fe := g.mergeBinaryReply(g.topo.Load(), merged, shardReply{shard: 0, status: http.StatusOK, body: enc.Finish()}, 1); fe != nil {
+	fe, row, cached := takeOneRow(t, g, "zz-nan", enc.Finish(), nil)
+	if fe != nil {
 		t.Fatalf("NaN-weight frame rejected: %+v", fe)
 	}
-	if ws := merged.wsums[0]; ws != 0 {
-		t.Fatalf("NaN weight sum accumulated into the merge: %v", ws)
+	if row == nil || row.vec != nil || row.ws != 0 {
+		t.Fatalf("NaN weight sum taken as a present row: %+v", row)
 	}
-	for c, x := range merged.row(0) {
-		if x != 0 {
-			t.Fatalf("country %d accumulated %v from an absent row", c, x)
-		}
+	if cached != row {
+		t.Fatal("the absent row was not cached as a negative")
+	}
+	code, resp := predictVia(t, g, server.PredictRequest{Tags: []string{"zz-nan"}})
+	if code != http.StatusOK || resp.Result.Known {
+		t.Fatalf("predict over the absent row: %d known=%v, want the prior fallback", code, resp.Result.Known)
 	}
 }
 
 // TestMergeJSONRejectsWrongWidth (the name predates the single wire): a
 // shard reply frame whose country count differs from the gateway's
 // country-table width must be a 502, not an out-of-range panic (too
-// long) or a silent partial merge (too short).
+// long) or a silently short row (too short) — and none of it may reach
+// the request or the cache.
 func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 	_, g := startCluster(t, 3)
 	nC := len(g.codes)
@@ -431,16 +460,14 @@ func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 		sum := make([]float64, width)
 		sum[0] = 1.5
 		enc.Item(1.5, sum)
-		merged := g.getMerged(1)
-		fe := g.mergeBinaryReply(g.topo.Load(), merged, shardReply{shard: 0, status: http.StatusOK, body: enc.Finish()}, 1)
+		fe, row, cached := takeOneRow(t, g, "zz-width", enc.Finish(), nil)
 		server.PutPredictWireEncoder(enc)
 		if fe == nil || fe.status != http.StatusBadGateway {
 			t.Fatalf("width %d (table %d): %+v, want a 502 reply error", width, nC, fe)
 		}
-		if merged.wsums[0] != 0 || merged.row(0)[0] != 0 {
-			t.Fatalf("width %d: rejected frame partially merged (wsum %v, row[0] %v)", width, merged.wsums[0], merged.row(0)[0])
+		if row != nil || cached != nil {
+			t.Fatalf("width %d: rejected frame still produced a row (request %+v, cache %+v)", width, row, cached)
 		}
-		g.putMerged(merged)
 	}
 }
 

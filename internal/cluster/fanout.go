@@ -12,13 +12,14 @@ import (
 	"viewstags/internal/tagviews"
 )
 
-// This file is the predict fan-out core: one function that scatters a
-// batch of items to every shard as one binary frame, accumulates the
-// partial mixtures into a flat merged slab, and normalizes. Both
+// This file is the predict core: one function that resolves every tag
+// of a batch of items to a per-tag partial row — from the topology's row
+// cache where a valid one is held, from the tag's owner shard otherwise
+// — combines the rows into per-item mixtures and normalizes. Both
 // client-facing predict paths run through it — handlePredict directly,
 // and the coalescer on behalf of a micro-batch of single requests — so
-// the merge arithmetic and the shard-failure semantics cannot drift
-// between them.
+// the arithmetic, the row-validity rules and the shard-failure
+// semantics cannot drift between them.
 
 // maxTraceLegs bounds the per-shard timing legs a fan-out records for
 // span tracing. A fixed array keeps the legs inside the pooled result
@@ -43,55 +44,125 @@ type shardLeg struct {
 	failover bool
 }
 
-// mergedPredict is a fan-out result: per-item normalized distributions
+// maxEpochMoves bounds how often one request lets one shard's replies
+// move its view of that shard's epoch before it gives up with a
+// retryable 503. One move is a fold this request was the first to
+// observe; two, a reply whose label trailed its fold; more means the
+// shard is folding faster than a request can re-read it.
+const maxEpochMoves = 4
+
+// shardView is one request's view of one shard, read once when the
+// request starts: whether the shard is in read rotation, its slot
+// generation, and the fold epoch the gateway has observed for it. A
+// fetch reply labelled with another epoch moves epoch (and nothing
+// else) for the rest of the request, and is counted in moves.
+type shardView struct {
+	ok    bool
+	gen   uint64
+	epoch uint64
+	moves int
+}
+
+// usable is the validity rule — the whole correctness argument of the
+// row cache: a row may serve this request iff its shard is in read
+// rotation for the request, it was fetched under the shard slot's
+// current generation, and it is labelled with the epoch this request
+// holds for that shard. Every row a request combines passed this
+// against the request's final view, so all rows taken from one shard
+// come from one epoch of it — what a single leg used to guarantee, and
+// what IDF needs (the shard's record count n enters every weight).
+func usable(view []shardView, r *tagRow) bool {
+	v := &view[r.shard]
+	return v.ok && r.gen == v.gen && r.epoch == v.epoch
+}
+
+// missTag is one distinct tag a request could not resolve from the
+// cache this round, and the row its owner answered with.
+type missTag struct {
+	tag string
+	row *tagRow
+}
+
+// mergedPredict is a predict result: per-item normalized distributions
 // in one row-major [nItems × nC] slab plus known flags. Values are
-// pooled (getMerged/putMerged); wsums is merge-time scratch. fanStart,
-// fanout, merge and the shard legs are the stage timings predictFanout
-// stamps for the request trace (always overwritten on success, so
-// pooling cannot leak a previous request's timings).
+// pooled (getMerged/putMerged). fanStart, fanout, merge and the shard
+// legs are the stage timings predictFanout stamps for the request trace
+// (always overwritten on success, so pooling cannot leak a previous
+// request's timings); a request answered from cached rows alone has no
+// legs and a zero fanout. Everything below the timings is per-request
+// resolve scratch, cleared by putMerged.
 type mergedPredict struct {
 	nC       int
 	known    []bool
-	wsums    []float64
 	vecs     []float64
 	fanStart time.Time
 	fanout   time.Duration
 	merge    time.Duration
 	legs     [maxTraceLegs]shardLeg
 	nlegs    int
+
+	view     []shardView
+	rows     []*tagRow        // one per tag position, items flattened
+	fetched  bool             // some round had misses: the scratch below is dirty
+	slotMiss []int32          // per position: its index in misses, when unresolved
+	misses   []missTag        // distinct unresolved tags of the current round
+	missIdx  map[string]int32 // tag → index in misses
+	want     [][]int32        // per shard: the misses asked of it this round
+	bodies   [][]byte         // per shard: this round's request frame
+	bufs     []*[]byte        // per shard: the pooled buffer behind bodies
+	oneTag   []string         // frame-encode scratch: the tags of one frame,
+	oneItems [][]string       // and the one-tag items over them
 }
 
 // row returns item i's distribution, aliasing the slab.
 func (m *mergedPredict) row(i int) []float64 { return m.vecs[i*m.nC : (i+1)*m.nC] }
 
-// getMerged takes a pooled result sized for nItems, with the
-// accumulation state zeroed.
-func (g *Gateway) getMerged(nItems int) *mergedPredict {
+// getMerged takes a pooled result sized for nItems items carrying nTags
+// tags in all, over nShards shards.
+func (g *Gateway) getMerged(nItems, nTags, nShards int) *mergedPredict {
 	m := g.mergedPool.Get().(*mergedPredict)
 	m.nC = len(g.codes)
+	m.nlegs, m.fanout, m.fetched = 0, 0, false
 	if cap(m.known) < nItems {
 		m.known = make([]bool, nItems)
 	}
 	m.known = m.known[:nItems]
-	m.wsums = growZeroed(m.wsums, nItems)
-	m.vecs = growZeroed(m.vecs, nItems*m.nC)
+	if cap(m.vecs) < nItems*m.nC {
+		m.vecs = make([]float64, nItems*m.nC)
+	}
+	m.vecs = m.vecs[:nItems*m.nC]
+	if cap(m.rows) < nTags {
+		m.rows = make([]*tagRow, nTags)
+		m.slotMiss = make([]int32, nTags)
+	}
+	m.rows, m.slotMiss = m.rows[:nTags], m.slotMiss[:nTags]
+	if cap(m.view) < nShards {
+		m.view = make([]shardView, nShards)
+		m.want = make([][]int32, nShards)
+		m.bodies = make([][]byte, nShards)
+		m.bufs = make([]*[]byte, nShards)
+	}
+	m.view, m.want, m.bodies, m.bufs = m.view[:nShards], m.want[:nShards], m.bodies[:nShards], m.bufs[:nShards]
+	if m.missIdx == nil {
+		m.missIdx = make(map[string]int32)
+	}
 	return m
 }
 
-// putMerged recycles a fan-out result.
-func (g *Gateway) putMerged(m *mergedPredict) { g.mergedPool.Put(m) }
-
-// growZeroed returns s resized to n and zeroed, reallocating only when
-// capacity falls short.
-func growZeroed(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// putMerged recycles a predict result. The resolve scratch is cleared
+// first: its tags are substrings of request bodies and its rows may
+// since have been evicted, and a pooled value must pin neither. The
+// miss-side scratch is cleared to capacity (a later round may have used
+// less of it than an earlier one), and only when the request missed.
+func (g *Gateway) putMerged(m *mergedPredict) {
+	clear(m.rows)
+	if m.fetched {
+		clear(m.misses[:cap(m.misses)])
+		clear(m.missIdx)
+		clear(m.oneTag[:cap(m.oneTag)])
+		clear(m.oneItems[:cap(m.oneItems)])
 	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
+	g.mergedPool.Put(m)
 }
 
 // reqBufPool recycles the binary request-encode buffers.
@@ -163,23 +234,34 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *replyError {
 	return nil
 }
 
-// predictFanout scatters items to every shard, gathers the partial
-// mixtures and merges them into normalized per-item distributions: add
-// the partial sums, add the weight masses, divide — falling back to the
-// shared prior when no shard knew any tag. trace is the request id (or
-// comma-joined member ids, for a coalesced micro-batch) propagated to
-// every shard. On success the caller owns the returned value and must
-// putMerged it.
+// predictFanout answers a batch of items from per-tag partial rows:
+// resolve every tag to a row (the topology's cache first), fetch the
+// distinct tags still missing — each from the one shard the ring assigns
+// it, as one-tag items over the ordinary /internal/predict frame — then
+// combine per position (an item's partial mixture is Σ_j row(tag_j)/(j+1),
+// the harmonic rank discount applied here instead of on the shard) and
+// normalize, falling back to the shared prior when no tag carried
+// weight. A request whose rows are all cached and usable makes no shard
+// leg. trace is the request id (or comma-joined member ids, for a
+// coalesced micro-batch) propagated to every shard asked. On success the
+// caller owns the returned value and must putMerged it.
 //
-// With replicas (R >= 2) a shard failing mid-fan-out is not fatal:
-// the failed shards join the request's exclusion list and the whole
-// fan-out re-scatters to the survivors, whose shard-side assignment
-// filter re-routes the failed replicas' slices to the next live owner.
-// The re-scatter must be total — the survivors' first replies were
-// computed against the old exclusion and are missing the failed
-// shards' assignments — so failover costs one extra round trip, and
-// read availability holds as long as every slice keeps a live replica.
+// Rows are re-checked against the request's view (see usable) at the
+// top of every round, so whatever moved the view during the last round
+// — a reply labelled with a newer epoch, a replica that failed —
+// un-resolves exactly the rows it invalidated and the next round
+// fetches them again. A shard gets at most one frame per round, of at
+// most MaxBatch tags; what does not fit waits for the next round.
+//
+// With replicas (R >= 2) a shard failing mid-request is not fatal: it
+// joins the request's exclusion list, which both drops its rows from
+// this request's view and re-assigns its missing tags to their next
+// live owner (the shards run the same Ring.Assign over the exclusion
+// list the frame carries). Only the failed shard's tags are fetched
+// again, and read availability holds as long as every slice keeps a
+// live replica.
 func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting tagviews.Weighting, trace string) (*mergedPredict, *replyError) {
+	start := time.Now()
 	tp := g.topo.Load()
 	replicas := tp.ring.Replicas()
 	exclude := tp.excludedShards(nil)
@@ -190,115 +272,268 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 				msg: fmt.Sprintf("shard %d (%s) is down", i, tp.targets[i])}
 		}
 		if !tp.ring.Covered(exclude) {
-			return nil, &replyError{status: http.StatusServiceUnavailable, retryAfterDur: g.cfg.HealthInterval,
-				msg: fmt.Sprintf("%d of %d shards unavailable — slice coverage lost", len(exclude), len(tp.targets))}
+			return nil, g.coverageLost(tp, exclude)
 		}
 	}
 
-	merged := g.getMerged(len(items))
-	merged.nlegs = 0
-	var fanDur time.Duration
-	var replies []shardReply
-	for attempt := 0; ; attempt++ {
-		// Every shard sees every item's full tag list: it skips tags it
-		// does not own, but needs the original positions for the harmonic
-		// rank discount (see profilestore.PredictPartialInto). The
-		// exclusion list rides along so each replica set elects exactly
-		// one server per tag.
-		encBuf := reqBufPool.Get().(*[]byte)
-		body := server.AppendPredictRequestExclude((*encBuf)[:0], items, weighting, exclude, false)
-		bodies := make([][]byte, len(tp.targets))
-		for i := range bodies {
-			bodies[i] = body
+	nTags := 0
+	for _, tags := range items {
+		nTags += len(tags)
+	}
+	m := g.getMerged(len(items), nTags, len(tp.shards))
+	for s, st := range tp.shards {
+		m.view[s] = shardView{ok: true, gen: st.gen.Load(), epoch: st.epoch.Load()}
+	}
+	for _, s := range exclude {
+		m.view[s].ok = false
+	}
+
+	var pp *server.PredictPartials
+	failedOver := false
+	for round := 0; ; round++ {
+		// Resolve: keep what is still usable, look the rest up, and
+		// collect what the cache cannot answer.
+		m.misses = m.misses[:0]
+		clear(m.missIdx)
+		k, missed := 0, 0
+		for _, tags := range items {
+			for _, tag := range tags {
+				r := m.rows[k]
+				if r == nil || !usable(m.view, r) {
+					if r = tp.rows.get(tag, weighting); r != nil && !usable(m.view, r) {
+						r = nil
+					}
+					m.rows[k] = r
+				}
+				if r == nil {
+					i, seen := m.missIdx[tag]
+					if !seen {
+						i = int32(len(m.misses))
+						m.missIdx[tag] = i
+						m.misses = append(m.misses, missTag{tag: tag})
+					}
+					m.slotMiss[k] = i
+					missed++
+				}
+				k++
+			}
 		}
-		for _, x := range exclude {
-			bodies[x] = nil
+		if round == 0 {
+			g.rowHits.Add(int64(nTags - missed))
+			g.rowMisses.Add(int64(missed))
+		}
+		if len(m.misses) == 0 {
+			break
+		}
+		m.fetched = true
+
+		// Fetch: each missing tag from the owner the ring assigns it.
+		for s := range m.want {
+			m.want[s] = m.want[s][:0]
+		}
+		for i := range m.misses {
+			s := tp.ring.Owner(m.misses[i].tag)
+			if replicas > 1 {
+				if s = tp.ring.Assign(m.misses[i].tag, exclude); s < 0 {
+					g.putMerged(m)
+					return nil, g.coverageLost(tp, exclude)
+				}
+			}
+			if len(m.want[s]) < g.cfg.MaxBatch {
+				m.want[s] = append(m.want[s], int32(i))
+			}
+		}
+		for s, want := range m.want {
+			m.bodies[s] = nil
+			if len(want) == 0 {
+				continue
+			}
+			m.oneTag = m.oneTag[:0]
+			for _, i := range want {
+				m.oneTag = append(m.oneTag, m.misses[i].tag)
+			}
+			m.oneItems = m.oneItems[:0]
+			for j := range m.oneTag {
+				m.oneItems = append(m.oneItems, m.oneTag[j:j+1:j+1])
+			}
+			m.bufs[s] = reqBufPool.Get().(*[]byte)
+			m.bodies[s] = server.AppendPredictRequestExclude((*m.bufs[s])[:0], m.oneItems, weighting, exclude, false)
 		}
 		fanStart := time.Now()
-		replies = g.scatter(ctx, tp, "/internal/predict", bodies, server.WireContentType, trace)
-		fanDur += time.Since(fanStart)
-		if attempt == 0 {
-			merged.fanStart = fanStart
+		replies := g.scatter(ctx, tp, "/internal/predict", m.bodies, server.WireContentType, trace)
+		m.fanout += time.Since(fanStart)
+		if m.nlegs == 0 {
+			m.fanStart = fanStart
 		}
-		*encBuf = body[:0]
-		reqBufPool.Put(encBuf)
+		for s, body := range m.bodies {
+			if body != nil {
+				*m.bufs[s] = body[:0]
+				reqBufPool.Put(m.bufs[s])
+			}
+		}
 
+		// Gather: turn each reply into rows, publish them, and let the
+		// reply's epoch label and the shard's fate move the view.
 		var failed []int
 		for _, rep := range replies {
 			if rep.status == -1 {
 				continue
 			}
-			if merged.nlegs < maxTraceLegs {
-				merged.legs[merged.nlegs] = shardLeg{
+			g.predictLegs.Add(1)
+			if m.nlegs < maxTraceLegs {
+				m.legs[m.nlegs] = shardLeg{
 					shard:    rep.shard,
 					start:    rep.start,
 					dur:      rep.dur,
 					err:      rep.err != nil || rep.status != http.StatusOK,
-					failover: attempt > 0,
+					failover: failedOver,
 				}
-				merged.nlegs++
+				m.nlegs++
 			}
-			if rep.err != nil || rep.status == http.StatusServiceUnavailable {
+			if replicas > 1 && (rep.err != nil || rep.status == http.StatusServiceUnavailable) {
 				failed = append(failed, rep.shard)
+				continue
+			}
+			fe := g.replyErr(tp, rep)
+			if fe == nil {
+				if pp == nil {
+					pp = g.partialsPool.Get().(*server.PredictPartials)
+					defer g.partialsPool.Put(pp)
+				}
+				fe = g.takeRows(tp, m, rep, pp, weighting)
+			}
+			if v := &m.view[rep.shard]; fe == nil && v.epoch != pp.Epoch {
+				v.epoch = pp.Epoch
+				if v.moves++; v.moves > maxEpochMoves {
+					fe = &replyError{status: http.StatusServiceUnavailable, retryAfterDur: g.cfg.HealthInterval,
+						msg: fmt.Sprintf("shard %d (%s) changed epoch %d times under one predict", rep.shard, tp.targets[rep.shard], v.moves)}
+				}
+			}
+			if fe != nil {
+				g.putMerged(m)
+				return nil, fe
 			}
 		}
-		if len(failed) == 0 || replicas <= 1 {
-			break
+		if len(failed) > 0 {
+			g.failovers.Add(int64(len(failed)))
+			failedOver = true
+			exclude = append(exclude, failed...)
+			for _, s := range failed {
+				m.view[s].ok = false
+			}
+			if !tp.ring.Covered(exclude) {
+				g.putMerged(m)
+				return nil, g.coverageLost(tp, exclude)
+			}
+			g.logger.Printf("cluster: predict failing over from shard(s) %v, asking their tags of the surviving replicas", failed)
 		}
-		g.failovers.Add(int64(len(failed)))
-		exclude = append(exclude, failed...)
-		if !tp.ring.Covered(exclude) {
-			g.putMerged(merged)
-			return nil, &replyError{status: http.StatusServiceUnavailable, retryAfterDur: g.cfg.HealthInterval,
-				msg: fmt.Sprintf("%d of %d shards unavailable — slice coverage lost", len(exclude), len(tp.targets))}
-		}
-		g.logger.Printf("cluster: predict failing over from shard(s) %v, re-scattering to survivors", failed)
-	}
-
-	mergeStart := time.Now()
-	for _, rep := range replies {
-		if rep.status == -1 {
-			continue
-		}
-		if fe := g.replyErr(tp, rep); fe != nil {
-			g.putMerged(merged)
-			return nil, fe
-		}
-		if fe := g.mergeBinaryReply(tp, merged, rep, len(items)); fe != nil {
-			g.putMerged(merged)
-			return nil, fe
+		for k, r := range m.rows {
+			if r == nil {
+				m.rows[k] = m.misses[m.slotMiss[k]].row
+			}
 		}
 	}
 
-	for i := range items {
-		row := merged.row(i)
-		if merged.wsums[i] == 0 {
-			copy(row, g.prior)
-			merged.known[i] = false
+	// Combine per position, duplicates included, and normalize.
+	k := 0
+	for i, tags := range items {
+		dst := m.row(i)
+		for c := range dst {
+			dst[c] = 0
+		}
+		var ws float64
+		for j := range tags {
+			r := m.rows[k]
+			k++
+			if r.vec == nil {
+				continue
+			}
+			d := 1 / float64(j+1)
+			ws += r.ws * d
+			for c, x := range r.vec {
+				dst[c] += x * d
+			}
+		}
+		if ws == 0 {
+			copy(dst, g.prior)
+			m.known[i] = false
 			continue
 		}
-		inv := 1 / merged.wsums[i]
-		for c := range row {
-			row[c] *= inv
+		inv := 1 / ws
+		for c := range dst {
+			dst[c] *= inv
 		}
-		merged.known[i] = true
+		m.known[i] = true
 	}
-	merged.fanout = fanDur
-	merged.merge = time.Since(mergeStart)
+	if m.nlegs == 0 {
+		m.fanStart = start
+	}
+	m.merge = time.Since(start) - m.fanout
 	g.metrics.Predictions.Add(int64(len(items)))
-	return merged, nil
+	return m, nil
 }
 
-// addFanoutSpans records the scatter-gather stage spans onto a predict
-// trace: the fan-out envelope, each shard leg (the attributable
-// slow-shard evidence), and the merge. tr may be nil (tracing off or
-// route exempt) — Add is nil-safe, the early return just skips the
-// loop.
+// coverageLost is the 503 for an exclusion list that leaves some slice
+// without a live replica.
+func (g *Gateway) coverageLost(tp *topology, exclude []int) *replyError {
+	return &replyError{status: http.StatusServiceUnavailable, retryAfterDur: g.cfg.HealthInterval,
+		msg: fmt.Sprintf("%d of %d shards unavailable — slice coverage lost", len(exclude), len(tp.targets))}
+}
+
+// takeRows decodes one shard's reply to this round's frame into rows,
+// hands them to the request, and publishes them to the topology's
+// cache — unless the shard slot's generation moved while the fetch was
+// in flight: such rows answer the request that fetched them (it holds
+// the generation it started under, like every row it took from that
+// shard) but are not worth keeping, since no later request could use
+// them. A row holds its own copy of the vector, never the reply buffer.
+func (g *Gateway) takeRows(tp *topology, m *mergedPredict, rep shardReply, pp *server.PredictPartials, weighting tagviews.Weighting) *replyError {
+	want := m.want[rep.shard]
+	if err := server.DecodePredictResponse(rep.body, pp, len(want), m.nC); err != nil {
+		g.markFail(tp, rep.shard)
+		return &replyError{status: http.StatusBadGateway,
+			msg: fmt.Sprintf("shard %d: undecodable response: %v", rep.shard, err)}
+	}
+	if pp.NItems != len(want) || pp.NC != m.nC {
+		return &replyError{status: http.StatusBadGateway,
+			msg: fmt.Sprintf("shard %d returned %d partials of %d countries for %d items of %d",
+				rep.shard, pp.NItems, pp.NC, len(want), m.nC)}
+	}
+	g.markOK(tp, rep.shard, pp.Epoch)
+	gen := m.view[rep.shard].gen
+	publish := tp.shards[rep.shard].gen.Load() == gen
+	for j, i := range want {
+		r := &tagRow{shard: rep.shard, gen: gen, epoch: pp.Epoch}
+		// !(ws > 0), not ws <= 0: the codec transits a NaN weight sum
+		// as an absent row (mirroring the encoder's predicate), and a
+		// NaN combined later would poison the whole item.
+		if ws := pp.WSums[j]; ws > 0 {
+			r.ws = ws
+			r.vec = append([]float64(nil), pp.Sums[j*pp.NC:(j+1)*pp.NC]...)
+		}
+		m.misses[i].row = r
+		if publish {
+			tp.rows.put(m.misses[i].tag, weighting, r)
+		}
+	}
+	return nil
+}
+
+// addFanoutSpans records the predict core's stage spans onto a trace:
+// when the request needed any shard, the fan-out envelope (every fetch
+// round, end to end) and each shard leg (the attributable slow-shard
+// evidence); always the merge — the time predictFanout spent outside
+// its legs, resolving rows and combining them. A request answered from
+// cached rows has a merge span and nothing else here. tr may be nil
+// (tracing off or route exempt) — Add is nil-safe, the early return just
+// skips the loop.
 func addFanoutSpans(tr *obs.Trace, fanStart time.Time, fanout, merge time.Duration, legs []shardLeg) {
 	if tr == nil {
 		return
 	}
-	tr.Add("fanout", obs.NoShard, fanStart, fanout, "")
+	if len(legs) > 0 {
+		tr.Add("fanout", obs.NoShard, fanStart, fanout, "")
+	}
 	for _, leg := range legs {
 		status := ""
 		if leg.err {
@@ -313,37 +548,4 @@ func addFanoutSpans(tr *obs.Trace, fanStart time.Time, fanout, merge time.Durati
 		tr.Add(name, leg.shard, leg.start, leg.dur, status)
 	}
 	tr.Add("merge", obs.NoShard, fanStart.Add(fanout), merge, "")
-}
-
-// mergeBinaryReply decodes one shard's binary frame and accumulates it.
-func (g *Gateway) mergeBinaryReply(tp *topology, merged *mergedPredict, rep shardReply, nItems int) *replyError {
-	pp := g.partialsPool.Get().(*server.PredictPartials)
-	defer g.partialsPool.Put(pp)
-	if err := server.DecodePredictResponse(rep.body, pp, nItems, merged.nC); err != nil {
-		g.markFail(tp, rep.shard)
-		return &replyError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("shard %d: undecodable response: %v", rep.shard, err)}
-	}
-	if pp.NItems != nItems || pp.NC != merged.nC {
-		return &replyError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("shard %d returned %d partials of %d countries for %d items of %d",
-				rep.shard, pp.NItems, pp.NC, nItems, merged.nC)}
-	}
-	for i := 0; i < nItems; i++ {
-		ws := pp.WSums[i]
-		// !(ws > 0), not ws <= 0: the codec transits a NaN weight sum
-		// as an absent row (mirroring the encoder's predicate), and a
-		// NaN accumulated here would poison the whole merged item.
-		if !(ws > 0) {
-			continue
-		}
-		merged.wsums[i] += ws
-		row := merged.row(i)
-		src := pp.Sums[i*pp.NC : (i+1)*pp.NC]
-		for c, x := range src {
-			row[c] += x
-		}
-	}
-	g.markOK(tp, rep.shard, pp.Epoch)
-	return nil
 }

@@ -101,6 +101,19 @@ const (
 
 var legRouteNames = [numLegRoutes]string{"predict", "ingest"}
 
+// Why a shard's cached rows stopped being usable, as indexes into
+// shardState.invalidations and as the cause label of
+// viewstags_row_cache_invalidations_total.
+const (
+	invalEpoch   = iota // the tracked fold epoch advanced
+	invalDown           // marked down
+	invalRevived        // back up, possibly at an earlier epoch
+	invalCatchup        // rebuilt from its peers
+	numInvalCauses
+)
+
+var invalCauseNames = [numInvalCauses]string{"epoch", "down", "revived", "catchup"}
+
 // shardState is the gateway's live view of one shard, updated by every
 // scatter call and by the background health poll. All fields are
 // atomics: the serving path reads them lock-free.
@@ -117,21 +130,42 @@ type shardState struct {
 	// the tier is replicated — at R=1 there is no peer to rebuild
 	// from, and revival keeps its historical semantics.
 	syncing atomic.Bool
+	// gen is the slot's generation: it advances whenever the shard's
+	// content can change without its epoch saying so — at mark-down, at
+	// revival (a restarted shard may reuse epoch numbers for different
+	// content, and revival is the one place the tracked epoch moves
+	// backward) and when catch-up finishes (the import installs without a
+	// fold). A cached row is usable only under the generation its fetch
+	// began in; see usable in fanout.go.
+	gen atomic.Uint64
+	// invalidations counts, by cause, the moments every row cached from
+	// this shard went stale at once.
+	invalidations [numInvalCauses]atomic.Int64
 	// legs are the per-route leg latencies postShard observes: the
 	// in-program per-shard number behind a slow fan-out.
 	legs [numLegRoutes]obs.Histogram
 }
 
+// invalidate advances the slot generation, which strands every row
+// cached from the shard, and counts why.
+func (s *shardState) invalidate(cause int) {
+	s.gen.Add(1)
+	s.invalidations[cause].Add(1)
+}
+
 // topology is the gateway's immutable view of the shard tier at one
-// instant: the targets, the ring partitioning them, and the per-shard
-// health state and data-plane stream. Serving paths load it once per
-// request through an atomic pointer; a live reshard installs a fresh
-// topology at cutover, so a request never observes half a swap.
+// instant: the targets, the ring partitioning them, the per-shard
+// health state and data-plane stream, and the per-tag rows cached from
+// those shards under that ring (rows; a reshard's fresh topology starts
+// with none). Serving paths load it once per request through an atomic
+// pointer; a live reshard installs a fresh topology at cutover, so a
+// request never observes half a swap.
 type topology struct {
 	ring    *Ring
 	targets []string
 	shards  []*shardState
 	streams []*shardStream
+	rows    *rowCache
 }
 
 // excludedShards appends the indexes currently out of read rotation —
@@ -146,9 +180,9 @@ func (tp *topology) excludedShards(dst []int) []int {
 }
 
 // Gateway is the cluster edge: it owns request semantics (validation,
-// batching, backpressure) and the merge arithmetic, scatter-gathering
-// the shard tier's partial results. Construct with NewGateway, then
-// Sync before serving.
+// batching, backpressure) and the predict arithmetic, combining the
+// per-tag partial rows it fetches from the shard tier and keeps.
+// Construct with NewGateway, then Sync before serving.
 type Gateway struct {
 	cfg GatewayConfig
 	// client carries the control plane (meta probes, /v1/tags, transfers,
@@ -182,9 +216,16 @@ type Gateway struct {
 	// catch-up).
 	opMu sync.Mutex
 
-	// failovers counts reads re-scattered to surviving replicas after a
-	// shard failed mid-fan-out (viewstags_replica_failover_total).
+	// failovers counts shards a predict dropped mid-request, their tags
+	// asked of the surviving replicas (viewstags_replica_failover_total).
 	failovers atomic.Int64
+	// rowHits / rowMisses count tag positions a predict resolved from the
+	// row cache at first look, or had to fetch; predictLegs counts the
+	// shard frames those fetches cost. Legs per predict request is the
+	// number the row cache exists to move.
+	rowHits     atomic.Int64
+	rowMisses   atomic.Int64
+	predictLegs atomic.Int64
 	// handoff is the last reshard's observable record; nil before the
 	// first one.
 	handoff atomic.Pointer[HandoffStatus]
@@ -199,8 +240,9 @@ type Gateway struct {
 	// scratch recycles per-request merge buffers (country-vector
 	// size); sized at Sync, once the country table is known.
 	scratch *profilestore.VecPool
-	// mergedPool and partialsPool recycle the fan-out path's larger
-	// scratch state: merged-result slabs and per-shard binary decoders.
+	// mergedPool and partialsPool recycle the predict path's larger
+	// scratch state: result slabs with their resolve scratch, and the
+	// binary reply decoders.
 	mergedPool   sync.Pool
 	partialsPool sync.Pool
 
@@ -266,6 +308,7 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 		targets: append([]string(nil), targets...),
 		shards:  make([]*shardState, len(targets)),
 		streams: make([]*shardStream, len(targets)),
+		rows:    newRowCache(),
 	}
 	for i := range tp.shards {
 		tp.shards[i] = &shardState{}
@@ -505,6 +548,7 @@ func (g *Gateway) markOK(tp *topology, i int, epoch uint64) {
 	s := tp.shards[i]
 	s.fails.Store(0)
 	if s.down.CompareAndSwap(true, false) {
+		s.invalidate(invalRevived)
 		// Revival is the one moment the tracked epoch may move BACKWARD:
 		// a shard that crashed and recovered from its last checkpoint
 		// legitimately rejoins at the epoch it restored, which can trail
@@ -527,10 +571,16 @@ func (g *Gateway) markOK(tp *topology, i int, epoch uint64) {
 		return
 	}
 	// Steady state: epochs only move forward; a stale concurrent read
-	// must not regress the tracked value.
+	// must not regress the tracked value. A forward move is what retires
+	// the shard's cached rows: requests that start from here on hold the
+	// new epoch, and rows labelled with the old one no longer match it.
 	for {
 		cur := s.epoch.Load()
-		if epoch <= cur || s.epoch.CompareAndSwap(cur, epoch) {
+		if epoch <= cur {
+			return
+		}
+		if s.epoch.CompareAndSwap(cur, epoch) {
+			s.invalidations[invalEpoch].Add(1)
 			return
 		}
 	}
@@ -543,6 +593,7 @@ func (g *Gateway) markFail(tp *topology, i int) {
 	s := tp.shards[i]
 	if s.fails.Add(1) >= int64(g.cfg.FailThreshold) {
 		if s.down.CompareAndSwap(false, true) {
+			s.invalidate(invalDown)
 			g.logger.Printf("cluster: shard %d (%s) marked down after %d consecutive failures",
 				i, tp.targets[i], g.cfg.FailThreshold)
 			// Whatever is left of its stream may be half-open; a revived

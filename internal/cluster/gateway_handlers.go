@@ -76,20 +76,31 @@ func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path s
 
 // scatter posts one body per involved shard concurrently and gathers
 // the replies. bodies[i] == nil skips shard i. trace is propagated to
-// every involved shard.
+// every involved shard. The last involved shard's call runs on the
+// caller's goroutine, so the common one-shard scatter — a predict
+// missing a row or two, an ingest without an upload — spawns nothing.
 func (g *Gateway) scatter(ctx context.Context, tp *topology, path string, bodies [][]byte, contentType, trace string) []shardReply {
 	replies := make([]shardReply, len(bodies))
+	last := -1
+	for i, body := range bodies {
+		if body != nil {
+			last = i
+		}
+	}
 	var wg sync.WaitGroup
 	for i, body := range bodies {
-		if body == nil {
+		switch {
+		case body == nil:
 			replies[i] = shardReply{shard: i, status: -1}
-			continue
-		}
-		wg.Add(1)
-		go func(i int, body []byte) {
-			defer wg.Done()
+		case i == last:
 			replies[i] = g.postShard(ctx, tp, i, path, body, contentType, trace)
-		}(i, body)
+		default:
+			wg.Add(1)
+			go func(i int, body []byte) {
+				defer wg.Done()
+				replies[i] = g.postShard(ctx, tp, i, path, body, contentType, trace)
+			}(i, body)
+		}
 	}
 	wg.Wait()
 	return replies
@@ -538,13 +549,37 @@ func (g *Gateway) handleTags(w http.ResponseWriter, r *http.Request) {
 // ShardStatus is one shard's entry in the gateway's /v1/stats and
 // /healthz cluster blocks. Syncing marks a revived replica still
 // rebuilding from its peers: taking writes, out of read rotation.
+// RowInvalidations counts, by cause, the times every row cached from
+// the shard went stale at once.
 type ShardStatus struct {
-	Index   int    `json:"index"`
-	Target  string `json:"target"`
-	Epoch   uint64 `json:"epoch"`
-	Records int64  `json:"records"`
-	Healthy bool   `json:"healthy"`
-	Syncing bool   `json:"syncing,omitempty"`
+	Index            int              `json:"index"`
+	Target           string           `json:"target"`
+	Epoch            uint64           `json:"epoch"`
+	Records          int64            `json:"records"`
+	Healthy          bool             `json:"healthy"`
+	Syncing          bool             `json:"syncing,omitempty"`
+	RowInvalidations RowInvalidations `json:"row_invalidations"`
+}
+
+// RowInvalidations is one shard's viewstags_row_cache_invalidations_total
+// by cause: its tracked epoch advanced, it was marked down, it came back
+// up, it was rebuilt from its peers.
+type RowInvalidations struct {
+	Epoch   int64 `json:"epoch"`
+	Down    int64 `json:"down"`
+	Revived int64 `json:"revived"`
+	Catchup int64 `json:"catchup"`
+}
+
+// RowCacheStats is the predict row cache's view in the /v1/stats
+// cluster block; /metrics renders the same counters as
+// viewstags_row_cache_*. Hits and Misses count tag positions resolved
+// from the cache at first look or fetched; Rows is what the current
+// topology's cache holds.
+type RowCacheStats struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
+	Rows   int64 `json:"rows"`
 }
 
 // ClusterStats is the gateway's cluster-level view: per-shard status
@@ -555,7 +590,10 @@ type ShardStatus struct {
 // CoalesceBatches/CoalesceRequests count the micro-batching coalescer's
 // shared fan-outs and the single predicts they served (both zero when
 // coalescing is disabled); their ratio is the observed batching factor,
-// the first thing to check when tuning -coalesce-window.
+// the first thing to check when tuning -coalesce-window. RowCache and
+// PredictLegs are the predict path's own counters: PredictLegs over the
+// predict route's request count is legs per request, the number the row
+// cache moves.
 type ClusterStats struct {
 	Shards           []ShardStatus  `json:"shards"`
 	Epoch            uint64         `json:"epoch"`
@@ -564,6 +602,8 @@ type ClusterStats struct {
 	Handoff          *HandoffStatus `json:"handoff,omitempty"`
 	CoalesceBatches  int64          `json:"coalesce_batches,omitempty"`
 	CoalesceRequests int64          `json:"coalesce_requests,omitempty"`
+	RowCache         RowCacheStats  `json:"row_cache"`
+	PredictLegs      int64          `json:"predict_legs"`
 }
 
 // gatewayStats is the gateway /v1/stats wire shape.
@@ -580,6 +620,8 @@ func (g *Gateway) clusterStats(tp *topology) ClusterStats {
 		Handoff:          g.handoff.Load(),
 		CoalesceBatches:  g.coalesceBatches.Load(),
 		CoalesceRequests: g.coalesceRequests.Load(),
+		RowCache:         RowCacheStats{Hits: g.rowHits.Load(), Misses: g.rowMisses.Load(), Rows: tp.rows.n.Load()},
+		PredictLegs:      g.predictLegs.Load(),
 	}
 	if r := tp.ring.Replicas(); r > 1 {
 		cs.Replicas = r
@@ -596,6 +638,12 @@ func (g *Gateway) clusterStats(tp *topology) ClusterStats {
 			Records: s.records.Load(),
 			Healthy: healthy,
 			Syncing: s.syncing.Load(),
+		}
+		cs.Shards[i].RowInvalidations = RowInvalidations{
+			Epoch:   s.invalidations[invalEpoch].Load(),
+			Down:    s.invalidations[invalDown].Load(),
+			Revived: s.invalidations[invalRevived].Load(),
+			Catchup: s.invalidations[invalCatchup].Load(),
 		}
 	}
 	return cs

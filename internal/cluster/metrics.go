@@ -11,10 +11,10 @@ import (
 // handleMetrics is the gateway's GET /metrics: the shared route
 // families (the same middleware-fed histograms a shard exposes), the
 // cluster-level view — per-shard health, epoch and epoch lag, the
-// conservative min-epoch fold horizon — the coalescer's batching
-// counters, and Go runtime gauges. Like /v1/stats, the scrape bypasses
-// the concurrency limiter so a saturated gateway can still explain
-// itself.
+// conservative min-epoch fold horizon — the predict path's leg and
+// row-cache counters, the coalescer's batching counters, and Go runtime
+// gauges. Like /v1/stats, the scrape bypasses the concurrency limiter so
+// a saturated gateway can still explain itself.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -89,6 +89,20 @@ func (g *Gateway) writeClusterProm(tw *obs.TextWriter, tp *topology) {
 			active = 0
 		}
 		tw.Sample("viewstags_handoff_active", nil, active)
+	}
+	tw.Counter("viewstags_predict_legs_total", "Shard frames predict requests cost (over viewstags_requests_total{route=\"predict\"}: legs per request).")
+	tw.Sample("viewstags_predict_legs_total", nil, float64(g.predictLegs.Load()))
+	tw.Counter("viewstags_row_cache_lookups_total", "Tag positions a predict resolved from cached rows at first look (hit) or had to fetch (miss).")
+	tw.Sample("viewstags_row_cache_lookups_total", []obs.Label{{Name: "result", Value: "hit"}}, float64(g.rowHits.Load()))
+	tw.Sample("viewstags_row_cache_lookups_total", []obs.Label{{Name: "result", Value: "miss"}}, float64(g.rowMisses.Load()))
+	tw.Gauge("viewstags_row_cache_rows", "Per-tag partial rows the current topology's cache holds.")
+	tw.Sample("viewstags_row_cache_rows", nil, float64(tp.rows.n.Load()))
+	tw.Counter("viewstags_row_cache_invalidations_total", "Times every row cached from the shard went stale at once, by cause: its epoch advanced, it was marked down, it came back, it was rebuilt from its peers.")
+	for i, s := range tp.shards {
+		for c := range s.invalidations {
+			tw.Sample("viewstags_row_cache_invalidations_total",
+				[]obs.Label{{Name: "shard", Value: strconv.Itoa(i)}, {Name: "cause", Value: invalCauseNames[c]}}, float64(s.invalidations[c].Load()))
+		}
 	}
 	tw.Counter("viewstags_coalesce_batches_total", "Shared fan-outs the micro-batching coalescer ran.")
 	tw.Sample("viewstags_coalesce_batches_total", nil, float64(g.coalesceBatches.Load()))

@@ -170,6 +170,9 @@ func (g *Gateway) catchUpLocked(ctx context.Context) error {
 		if err := g.catchUpShard(ctx, tp, d); err != nil {
 			return fmt.Errorf("shard %d (%s): %w", d, tp.targets[d], err)
 		}
+		// The import changed what the shard holds without a fold, so
+		// anything cached from it before now is stale under its epoch.
+		sd.invalidate(invalCatchup)
 		sd.syncing.Store(false)
 		g.logger.Printf("cluster: shard %d (%s) caught up, back in read rotation", d, tp.targets[d])
 	}
@@ -343,6 +346,7 @@ func (g *Gateway) Reshard(ctx context.Context, newTargets []string, tr *obs.Trac
 		targets: append([]string(nil), newTargets...),
 		shards:  make([]*shardState, len(newTargets)),
 		streams: make([]*shardStream, len(newTargets)),
+		rows:    newRowCache(),
 	}
 	for j, dst := range newTargets {
 		if s := slices.Index(tp.targets, dst); s >= 0 {

@@ -1,0 +1,148 @@
+package cluster
+
+import (
+	"hash/maphash"
+	"strings"
+	"sync"
+	"sync/atomic"
+
+	"viewstags/internal/tagviews"
+)
+
+// This file is the gateway's per-tag partial-row cache: what a shard
+// answered for the one-tag item [tag] under one weighting — the weight
+// and weight·vector at rank 0 — kept with the shard state it was read
+// from. predictFanout (fanout.go) combines an item's rows locally, so a
+// request whose rows are all here and still valid makes no shard leg.
+// The cache only stores; whether a row may be used is decided per
+// request by shardView.usable, and one cache lives exactly as long as
+// the topology it was filled under.
+
+// rowCacheBytes bounds the cache's accounted size. A row costs
+// rowOverhead + len(tag) + 8·countries bytes, so at the synthetic
+// world's 60 countries the bound holds ≈100k rows — eight times the
+// benchmark catalog's 12 304-tag vocabulary (≈6 MB resident) — and a
+// 250-country table still keeps ≈30k, far more than the Zipf head that
+// carries the hit ratio. DESIGN.md "Gateway row cache" has the sums.
+const rowCacheBytes = 64 << 20
+
+// rowCacheStripes splits the cache into independently locked maps so
+// the hit path never takes a process-wide lock.
+const rowCacheStripes = 64
+
+// rowOverhead is the accounted fixed cost of one row: the tagRow
+// struct, its map slot and the key's string header.
+const rowOverhead = 128
+
+// rowEvictProbe is how many entries one eviction inspects; see put.
+const rowEvictProbe = 8
+
+// tagRow is one cached partial row. Immutable once published apart
+// from the second-chance bit. vec is nil for an absent row — the tag is
+// unknown to its owner, or carries no weight — which is cached like any
+// other answer: it stays true until the shard's epoch moves.
+type tagRow struct {
+	shard int    // the shard that answered
+	gen   uint64 // that shard slot's generation when the fetch began
+	epoch uint64 // the fold epoch the reply was labelled with
+	ws    float64
+	vec   []float64
+	used  atomic.Bool
+}
+
+type rowKey struct {
+	tag string
+	w   tagviews.Weighting
+}
+
+type rowStripe struct {
+	mu    sync.RWMutex
+	m     map[rowKey]*tagRow
+	bytes int
+}
+
+type rowCache struct {
+	seed maphash.Seed
+	// budget is each stripe's share of rowCacheBytes (a field so a test
+	// can fill a small cache).
+	budget  int
+	n       atomic.Int64 // rows held, for viewstags_row_cache_rows
+	stripes [rowCacheStripes]rowStripe
+}
+
+func newRowCache() *rowCache {
+	c := &rowCache{seed: maphash.MakeSeed(), budget: rowCacheBytes / rowCacheStripes}
+	for i := range c.stripes {
+		c.stripes[i].m = make(map[rowKey]*tagRow)
+	}
+	return c
+}
+
+func (c *rowCache) stripe(tag string) *rowStripe {
+	return &c.stripes[maphash.String(c.seed, tag)%rowCacheStripes]
+}
+
+// get returns the row held for (tag, w), or nil. The caller checks it
+// against its view of the shard before using it.
+func (c *rowCache) get(tag string, w tagviews.Weighting) *tagRow {
+	s := c.stripe(tag)
+	s.mu.RLock()
+	r := s.m[rowKey{tag, w}]
+	s.mu.RUnlock()
+	if r != nil && !r.used.Load() {
+		r.used.Store(true)
+	}
+	return r
+}
+
+func rowCost(tag string, r *tagRow) int { return rowOverhead + len(tag) + 8*len(r.vec) }
+
+// put publishes a row, replacing whatever was held for the key. The key
+// is cloned: the edge decoder's tags are substrings of the request
+// body, and a map assignment stores the new key's pointer even when an
+// equal key is already present.
+//
+// Over budget, the stripe evicts by sampled second chance: it walks up
+// to rowEvictProbe entries from wherever Go's randomised map iteration
+// starts and drops the first one not used since it was last aged. Only
+// when every entry it sampled is in use does it age them (clear the
+// bit) and drop the last — so a scan of rows nobody asks for twice
+// evicts itself, and the Zipf head, re-marked by every hit, stays.
+func (c *rowCache) put(tag string, w tagviews.Weighting, r *tagRow) {
+	key := rowKey{strings.Clone(tag), w}
+	s := c.stripe(tag)
+	s.mu.Lock()
+	if old := s.m[key]; old != nil {
+		s.bytes -= rowCost(tag, old)
+		c.n.Add(-1)
+	}
+	s.m[key] = r
+	s.bytes += rowCost(tag, r)
+	c.n.Add(1)
+	for s.bytes > c.budget && len(s.m) > 1 {
+		var victim rowKey
+		var inUse [rowEvictProbe]*tagRow
+		n := 0
+		for k, v := range s.m {
+			if k == key {
+				continue
+			}
+			victim = k
+			if !v.used.Load() {
+				n = 0
+				break
+			}
+			inUse[n] = v
+			if n++; n == rowEvictProbe {
+				break
+			}
+		}
+		for _, v := range inUse[:n] {
+			v.used.Store(false)
+		}
+		s.bytes -= rowCost(victim.tag, s.m[victim])
+		delete(s.m, victim)
+		c.n.Add(-1)
+	}
+	s.mu.Unlock()
+}

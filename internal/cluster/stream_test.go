@@ -210,7 +210,8 @@ func TestStreamClientCancelIsNotAShardFailure(t *testing.T) {
 		t.Fatalf("a cancelled leg was observed as %d latency samples", n)
 	}
 	hold.open()
-	if pr := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}); pr.Code != http.StatusOK {
+	// One tag of each shard's, none resolved yet: one predict leg each.
+	if pr := predictRec(t, g, server.PredictRequest{Tags: ownedTags(tp.ring, "cancel")}); pr.Code != http.StatusOK {
 		t.Fatalf("predict after a cancelled leg: %d", pr.Code)
 	}
 	if n := tp.streams[2].dials.Load(); n != 1 {
@@ -416,14 +417,16 @@ func TestStreamOversizedBodyIsRefusedLocally(t *testing.T) {
 }
 
 // TestStreamCloseFailsLaterCalls: a closed gateway's streams refuse
-// work instead of silently redialling.
+// work instead of silently redialling — a predict that needs a row it
+// does not hold is the 503 with a hint, not a redial.
 func TestStreamCloseFailsLaterCalls(t *testing.T) {
 	_, g := startCluster(t, 3)
-	if rec := predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}); rec.Code != http.StatusOK {
+	ring := g.topo.Load().ring
+	if rec := predictRec(t, g, server.PredictRequest{Tags: ownedTags(ring, "open")}); rec.Code != http.StatusOK {
 		t.Fatalf("predict: %d", rec.Code)
 	}
 	g.Close()
-	wantShed(t, "predict on a closed gateway", predictRec(t, g, server.PredictRequest{Tags: []string{"pop"}}))
+	wantShed(t, "predict for cold tags on a closed gateway", predictRec(t, g, server.PredictRequest{Tags: ownedTags(ring, "closed")}))
 	for i, st := range g.topo.Load().streams {
 		if n := st.dials.Load(); n != 1 {
 			t.Fatalf("stream %d dialled %d times across a close", i, n)

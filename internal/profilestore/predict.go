@@ -43,9 +43,10 @@ func (s *Snapshot) PredictInto(dst []float64, tagNames []string, w tagviews.Weig
 //
 // Exactness rests on two globals every partial snapshot retains in
 // full: Records (the IDF numerator n) and the harmonic rank discount,
-// which uses each tag's position in the caller's full tag list — so a
-// gateway must send the complete, original tag list to every shard, not
-// just the shard's owned subset.
+// which uses each tag's position in the list it is given — so a partial
+// over a sub-list is only mergeable if the caller accounts for the
+// positions itself (the cluster gateway asks for one tag at a time and
+// divides each rank-0 row by the tag's position in its item).
 func (s *Snapshot) PredictPartialInto(dst []float64, tagNames []string, w tagviews.Weighting) float64 {
 	return s.PredictPartialFilterInto(dst, tagNames, w, nil)
 }

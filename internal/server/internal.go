@@ -53,16 +53,17 @@ type InternalMetaResponse struct {
 	Ready bool `json:"ready"`
 }
 
-// handleInternalPredict serves the gateway's predict fan-out: one
-// binary frame in (the full tag list of each item, in original order —
-// the shard skips tags it does not own, but tag weights carry a harmonic
-// rank discount keyed to each tag's position — plus the shards the
-// gateway has taken out of read rotation), one binary frame of partial
-// mixtures out, encoded straight from the scratch vector into a pooled
-// frame. Partials from disjoint shards merge exactly: add the sums, add
-// the weight sums, divide (profilestore.PredictPartialInto). Errors go
-// out as the JSON error envelope: they are off the hot path and a
-// uniform envelope keeps the gateway's error plumbing single-sourced.
+// handleInternalPredict serves the gateway's row fetches: one binary
+// frame in (items as tag lists — the shard skips tags it does not own
+// and discounts each tag's weight by its position in its item; a gateway
+// asks for one-tag items, so every row comes back at rank 0 and it
+// applies the discount itself — plus the shards the gateway has taken
+// out of read rotation), one binary frame of partial mixtures out,
+// encoded straight from the scratch vector into a pooled frame. Partials
+// over disjoint tags combine exactly: add the sums, add the weight sums,
+// divide (profilestore.PredictPartialInto). Errors go out as the JSON
+// error envelope: they are off the hot path and a uniform envelope keeps
+// the gateway's error plumbing single-sourced.
 func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	if !RequirePost(w, r) {
 		return
@@ -98,6 +99,13 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	}
 	serve := s.serveFilter(exclude)
 
+	// The epoch label is read BEFORE the snapshot: a fold installs its
+	// snapshot and then advances the epoch, so in this order the label may
+	// trail the rows by one fold but can never lead them. A gateway keeps
+	// rows under their label; rows labelled E+1 but computed before fold
+	// E+1 would look current to it for a whole epoch, while rows labelled
+	// E that already hold E+1 are merely re-fetched once it observes E+1.
+	epoch := s.epoch()
 	snap := s.store.Load()
 	bufp := s.scratch.Get()
 	defer s.scratch.Put(bufp)
@@ -107,7 +115,7 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	defer PutPredictWireEncoder(enc)
 	// The reply mirrors the request's CRC choice, so integrity stays an
 	// end-to-end gateway decision.
-	enc.Begin(weighting, snap.Records(), s.epoch(), len(buf), len(items), crc)
+	enc.Begin(weighting, snap.Records(), epoch, len(buf), len(items), crc)
 	predictStart := time.Now()
 	for _, tags := range items {
 		enc.Item(snap.PredictPartialFilterInto(buf, tags, weighting, serve), buf)

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -294,5 +295,69 @@ func TestInternalRoutesBypassOnlyMeta(t *testing.T) {
 		if limiterExempt(p) {
 			t.Fatalf("%s exempt from the limiter", p)
 		}
+	}
+}
+
+// TestInternalPredictLabelNeverLeadsContent: a gateway keeps the rows of
+// a reply under the epoch the reply is labelled with, so a label may
+// trail the snapshot the rows were computed from (the rows are fetched
+// again once the gateway sees the next epoch) but must never lead it —
+// rows labelled E computed before fold E would look current for a whole
+// epoch. Every fold here adds exactly 100 views to one tag, so under
+// by-views weighting the tag's weight at rank 0 IS 100 × the number of
+// folds its row has seen; predicts race the fold loop and each reply's
+// weight must cover its label.
+func TestInternalPredictLabelNeverLeadsContent(t *testing.T) {
+	const tag, folds, readers = "zz-label-race", 400, 2
+	srv, acc, comp := freshServer(t, false, 0, time.Hour)
+	frame := AppendPredictRequest(nil, [][]string{{tag}}, tagviews.WeightByViews, false)
+	nC := srv.Store().Load().World().N()
+
+	done := make(chan struct{})
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			var resp PredictPartials
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				rec := postFrame(srv, WireContentType, frame)
+				if rec.Code != http.StatusOK {
+					errs <- fmt.Errorf("status %d: %s", rec.Code, rec.Body)
+					return
+				}
+				if err := DecodePredictResponse(rec.Body.Bytes(), &resp, 1, nC); err != nil {
+					errs <- err
+					return
+				}
+				if seen := resp.WSums[0] / 100; seen < float64(resp.Epoch) {
+					errs <- fmt.Errorf("reply labelled epoch %d carries a row that has seen %v folds", resp.Epoch, seen)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < folds; i++ {
+		if code := do(t, srv, http.MethodPost, "/v1/ingest", IngestRequest{Events: []IngestEvent{
+			{Tags: []string{tag}, Country: "JP", Views: 100},
+		}}, nil); code != http.StatusOK {
+			t.Fatalf("ingest %d: %d", i, code)
+		}
+		if folded, err := comp.FoldNow(); err != nil || !folded {
+			t.Fatalf("fold %d: %v %v", i, folded, err)
+		}
+	}
+	close(done)
+	for r := 0; r < readers; r++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	if acc.Epoch() != folds {
+		t.Fatalf("epoch %d after %d folds", acc.Epoch(), folds)
 	}
 }

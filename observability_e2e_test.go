@@ -287,7 +287,10 @@ func TestTraceEndToEnd(t *testing.T) {
 
 	post := func(id string) *http.Response {
 		t.Helper()
-		body := strings.NewReader(`{"tags":["pop","music"],"top":3}`)
+		// Cold tags of every shard's (legTags), distinct per id: a
+		// gateway that already held the rows would not call a shard, and
+		// this test is about what the shard-bound leg carries.
+		body := strings.NewReader(`{"tags":[` + legTags(ring, "e2e"+id) + `],"top":3}`)
 		req, err := http.NewRequest(http.MethodPost, gw.URL+"/v1/predict", body)
 		if err != nil {
 			t.Fatal(err)

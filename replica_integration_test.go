@@ -238,6 +238,10 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 		}
 	}
 	waitFolded(nodes[0], nodes[2])
+	// The folds above happened behind the gateway's back: it answers
+	// from the rows it holds until it observes the new epochs, so observe
+	// them (what its health loop does every HealthInterval).
+	g.RefreshHealth(ctx)
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rf-a"})
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rf-b", "pop"})
 

@@ -89,6 +89,10 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 		}
 	}
 	waitFolded(nodes)
+	// The folds above happened behind the gateway's back: it answers
+	// from the rows it holds until it observes the new epochs, so observe
+	// them (what its health loop does every HealthInterval).
+	g.RefreshHealth(context.Background())
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-a", "pop"})
 
 	// Boot the incoming shard with its grown identity: shard 3 of 4
@@ -204,6 +208,7 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 		}
 	}
 	waitFolded(append(append([]*clusterNode(nil), nodes...), n3))
+	g.RefreshHealth(context.Background())
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-d"})
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-e", "zz-rs-a", "favela"})
 }

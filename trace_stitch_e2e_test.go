@@ -71,6 +71,23 @@ func promSum(t *testing.T, text, prefix string) float64 {
 	return 0
 }
 
+// legTags returns a predict body's tag list that costs one leg to every
+// shard of the ring: two vocabulary tags, then one tag owned by each
+// shard that no request with another label has asked for — the gateway
+// answers from the rows it holds, so only a tag it has not resolved yet
+// makes the leg these tests are about.
+func legTags(ring *cluster.Ring, label string) string {
+	owned := make([]string, ring.Shards())
+	for found, i := 0, 0; found < len(owned); i++ {
+		tag := "zz-" + label + "-" + strconv.Itoa(i)
+		if s := ring.Owner(tag); owned[s] == "" {
+			owned[s] = tag
+			found++
+		}
+	}
+	return `"pop","music","` + strings.Join(owned, `","`) + `"`
+}
+
 // TestTraceStitchEndToEnd drives a predict through a cluster whose
 // shard 1 sits behind a 50ms delay proxy and checks the stitched trace
 // blames exactly that leg.
@@ -116,9 +133,10 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	client := gw.Client()
 	proxy.SetDelay(delay)
 
-	post := func(id string) {
+	// label picks the cold tags: requests sharing a label share them.
+	post := func(id, label string) {
 		t.Helper()
-		body := strings.NewReader(`{"tags":["pop","music"],"top":3}`)
+		body := strings.NewReader(`{"tags":[` + legTags(ring, label) + `],"top":3}`)
 		req, err := http.NewRequest(http.MethodPost, gw.URL+"/v1/predict", body)
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +155,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	}
 
 	const slowID = "stitch-e2e-slow1"
-	post(slowID)
+	post(slowID, "slow")
 
 	st, code := getStitched(t, client, gw.URL, slowID)
 	if code != http.StatusOK {
@@ -185,6 +203,28 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	}
 	if fanout.DurNs > st.DurNs {
 		t.Errorf("fanout stage (%v) exceeds the trace (%v)", time.Duration(fanout.DurNs), time.Duration(st.DurNs))
+	}
+
+	// The mirror case: the same request again is answered from the rows
+	// the first one fetched — resolve, combine, encode, and no leg, so
+	// the delayed shard costs it nothing.
+	post(slowID+"-again", "slow")
+	warm, code := getStitched(t, client, gw.URL, slowID+"-again")
+	if code != http.StatusOK {
+		t.Fatalf("gateway did not retain the repeated request: status %d", code)
+	}
+	for _, name := range []string{"decode", "merge", "encode"} {
+		if spanByName(warm.Spans, name) == nil {
+			t.Errorf("repeated request's trace missing %q span; spans: %+v", name, warm.Spans)
+		}
+	}
+	for _, name := range []string{"shard", "fanout", "failover"} {
+		if sp := spanByName(warm.Spans, name); sp != nil {
+			t.Errorf("repeated request still made a leg: %+v", sp)
+		}
+	}
+	if warm.DurNs >= int64(delay)*8/10 {
+		t.Errorf("repeated request took %v behind a %v proxy it should not have touched", time.Duration(warm.DurNs), delay)
 	}
 
 	// Sum-consistency with the edge histogram: the predict route's
@@ -245,7 +285,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(id string) {
 			defer wg.Done()
-			post(id)
+			post(id, id)
 		}(id)
 	}
 	wg.Wait()
