@@ -702,16 +702,16 @@ func BenchmarkIngestFold(b *testing.B) {
 // round trip. CI uploads both benches as the gateway-vs-single-node
 // throughput artifact.
 //
-// Those variants cycle 256 bodies, so after the first pass every row
-// they need is cached. The rows/ variants (batch 4, one driver, no
-// coalescing; read them with -benchmem) put a number on each state of
-// the row cache instead: warm (every row held), cold (every shard's
-// epoch has moved and been observed since the last request, so every
-// row is fetched again: the all-miss cost, three legs) and epoch-churn
-// (32 bodies cycling while one shard folds every 64 requests,
-// round-robin: after each fold the next 32 requests fetch that shard's
-// rows again over one leg and the 32 after them are warm). The folds and
-// the health observation run with the timer stopped.
+// Those variants (single, batch 4, batch 32) cycle 256 bodies, so after
+// the first pass every row they need is cached. The rows/ variants
+// (batch 4, one driver; read them with -benchmem) put a number on each
+// state of the row cache instead: warm (every row held), cold (every
+// shard's epoch has moved and been observed since the last request, so
+// every row is fetched again: the all-miss cost, three legs) and
+// epoch-churn (32 bodies cycling while one shard folds every 64
+// requests, round-robin: after each fold the next 32 requests fetch that
+// shard's rows again over one leg and the 32 after them are warm). The
+// folds and the health observation run with the timer stopped.
 func BenchmarkClusterGatewayPredict(b *testing.B) {
 	res := benchFixture(b)
 	const shards = 3
@@ -798,72 +798,58 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 		}
 		return body
 	}
-	// One gateway per configuration over the same shards: the coalesce
-	// variant adds the micro-batching window — singles are where it
-	// differentiates most (each otherwise pays its own per-shard round
-	// trip), but batches splice into the same shared fan-outs, so both
-	// shapes run.
-	variants := []struct {
-		name   string
-		window time.Duration
-		shapes []int
-	}{
-		{"wire-binary", 0, []int{1, 32}},
-		{"wire-binary-coalesce", 500 * time.Microsecond, []int{1, 4, 32}},
-	}
-	for _, v := range variants {
-		cfg := cluster.DefaultGatewayConfig()
-		cfg.CoalesceWindow = v.window
-		g, err := cluster.NewGateway(cfg, targets)
+	newGateway := func() *cluster.Gateway {
+		g, err := cluster.NewGateway(cluster.DefaultGatewayConfig(), targets)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := g.Sync(context.Background()); err != nil {
 			b.Fatal(err)
 		}
-		for _, batch := range v.shapes {
-			name := v.name + "/single"
-			if batch > 1 {
-				name = v.name + "/" + benchName("batch", batch)
-			}
-			b.Run(name, func(b *testing.B) {
-				h := g.Handler()
-				bodies := make([][]byte, 256)
-				for i := range bodies {
-					bodies[i] = makeBody(batch, i)
-				}
-				var seq atomic.Int64
-				// 32 closed-loop drivers regardless of GOMAXPROCS: the
-				// tier's design point is many concurrent clients (the
-				// coalescer batches across them), and on the 1-vCPU CI
-				// runner RunParallel would otherwise drive one worker.
-				b.SetParallelism(max(1, 32/runtime.GOMAXPROCS(0)))
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					for pb.Next() {
-						i := int(seq.Add(1))
-						req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i%len(bodies)]))
-						rec := httptest.NewRecorder()
-						h.ServeHTTP(rec, req)
-						if rec.Code != http.StatusOK {
-							b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
-						}
-					}
-				})
-				preds := float64(b.N * batch)
-				b.ReportMetric(preds/b.Elapsed().Seconds(), "preds/sec")
-			})
+		return g
+	}
+	loaded := newGateway()
+	defer loaded.Close()
+	// The "wire-binary/" prefix predates the single wire; it stays so
+	// these rows line up with earlier runs.
+	for _, batch := range []int{1, 4, 32} {
+		name := "wire-binary/single"
+		if batch > 1 {
+			name = "wire-binary/" + benchName("batch", batch)
 		}
+		b.Run(name, func(b *testing.B) {
+			h := loaded.Handler()
+			bodies := make([][]byte, 256)
+			for i := range bodies {
+				bodies[i] = makeBody(batch, i)
+			}
+			var seq atomic.Int64
+			// 32 closed-loop drivers regardless of GOMAXPROCS: the
+			// tier's design point is many concurrent clients, and on
+			// the 1-vCPU CI runner RunParallel would otherwise drive
+			// one worker.
+			b.SetParallelism(max(1, 32/runtime.GOMAXPROCS(0)))
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					i := int(seq.Add(1))
+					req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i%len(bodies)]))
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, req)
+					if rec.Code != http.StatusOK {
+						b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+					}
+				}
+			})
+			preds := float64(b.N * batch)
+			b.ReportMetric(preds/b.Elapsed().Seconds(), "preds/sec")
+		})
 	}
 
-	g, err := cluster.NewGateway(cluster.DefaultGatewayConfig(), targets)
-	if err != nil {
-		b.Fatal(err)
-	}
+	// The rows/ variants get a gateway of their own, so what they measure
+	// is a cache holding their 32 bodies' rows and nothing else.
+	g := newGateway()
 	defer g.Close()
-	if err := g.Sync(context.Background()); err != nil {
-		b.Fatal(err)
-	}
 	h := g.Handler()
 	bodies := make([][]byte, 32)
 	for i := range bodies {

@@ -116,9 +116,6 @@ func TestClusterGatewayEndToEnd(t *testing.T) {
 	}
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.HealthInterval = 20 * time.Millisecond
-	// Micro-batch coalescing on, so the equivalence assertions below
-	// cover the coalesced fan-out too.
-	gcfg.CoalesceWindow = 250 * time.Microsecond
 	g, err := cluster.NewGateway(gcfg, targets)
 	if err != nil {
 		t.Fatal(err)

@@ -51,7 +51,6 @@ func run() error {
 		healthEvery = flag.Duration("health-interval", time.Second, "shard health poll cadence")
 		syncWait    = flag.Duration("sync-wait", 30*time.Second, "how long to retry the startup shard sync (jittered exponential backoff)")
 		replicas    = flag.Int("replicas", 1, "copies of each tag's slice the shard tier places (must match every shard's -replicas; 1 = unreplicated)")
-		coalesce    = flag.Duration("coalesce-window", 0, "micro-batch concurrent single predicts arriving within this window into one fan-out per shard (0 = off; useful range ~250us-1ms)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = off)")
 		traceDump   = flag.String("trace-dump-dir", ".", "flight recorder: dump the retained trace ring to traces_<event>.json here on SIGQUIT or a recovered handler panic (empty = off)")
 	)
@@ -76,7 +75,6 @@ func run() error {
 	cfg.Logger = logger
 	cfg.LogRequests = *logRequests
 	cfg.HealthInterval = *healthEvery
-	cfg.CoalesceWindow = *coalesce
 	cfg.Replicas = *replicas
 	g, err := cluster.NewGateway(cfg, targets)
 	if err != nil {
@@ -107,7 +105,6 @@ func run() error {
 	if err := g.SyncRetry(ctx, *syncWait); err != nil {
 		return err
 	}
-	logger.Printf("gateway: synced %d shards (coalesce %s), serving on http://%s (^C to drain)",
-		len(targets), *coalesce, *addr)
+	logger.Printf("gateway: synced %d shards, serving on http://%s (^C to drain)", len(targets), *addr)
 	return g.Run(ctx, *addr, *grace)
 }

@@ -66,14 +66,8 @@ type uploadItem struct {
 }
 
 func run() error {
-	var concurrency int
-	// -conc is the short spelling: a coalescing gateway only shows its
-	// win with many in-flight singles, so the recipes in OPERATIONS.md
-	// lean on high closed-loop concurrency and the short flag keeps
-	// them readable. Both names set the same knob; last one wins.
-	flag.IntVar(&concurrency, "concurrency", 4, "closed-loop workers")
-	flag.IntVar(&concurrency, "conc", 4, "alias for -concurrency")
 	var (
+		concurrency = flag.Int("concurrency", 4, "closed-loop workers")
 		baseURL     = flag.String("url", "http://127.0.0.1:8091", "serve daemon base URL")
 		videos      = flag.Int("videos", 20000, "catalog size (must match the daemon)")
 		seed        = flag.Uint64("seed", 20110301, "catalog seed (must match the daemon)")
@@ -88,7 +82,7 @@ func run() error {
 		slowestN    = flag.Int("slowest", 8, "track this many slowest request ids per stream for /debug/traces cross-referencing (0 = off)")
 	)
 	flag.Parse()
-	if concurrency < 1 || *batch < 1 {
+	if *concurrency < 1 || *batch < 1 {
 		return fmt.Errorf("concurrency and batch must be >= 1")
 	}
 	if *ingestFrac < 0 || *ingestFrac > 1 {
@@ -135,8 +129,8 @@ func run() error {
 	// One shared transport with enough idle conns for every worker keeps
 	// the loop on hot keep-alive connections.
 	transport := &http.Transport{
-		MaxIdleConns:        concurrency * 2,
-		MaxIdleConnsPerHost: concurrency * 2,
+		MaxIdleConns:        *concurrency * 2,
+		MaxIdleConnsPerHost: *concurrency * 2,
 	}
 	client := &http.Client{Transport: transport, Timeout: 10 * time.Second}
 
@@ -173,7 +167,7 @@ func run() error {
 	slowReads := newSlowTracker(*slowestN, startWall, startWall.Add(*warmup))
 	slowWrites := newSlowTracker(*slowestN, startWall, startWall.Add(*warmup))
 	var wg sync.WaitGroup
-	for wkr := 0; wkr < concurrency; wkr++ {
+	for wkr := 0; wkr < *concurrency; wkr++ {
 		wg.Add(1)
 		go func(wkr int) {
 			defer wg.Done()
@@ -272,7 +266,7 @@ func run() error {
 			Schema: benchSchema,
 			Config: benchConfig{
 				Targets:     targets,
-				Concurrency: concurrency,
+				Concurrency: *concurrency,
 				Batch:       *batch,
 				Duration:    duration.String(),
 				Warmup:      warmup.String(),

@@ -15,17 +15,15 @@ import (
 // This file is the predict core: one function that resolves every tag
 // of a batch of items to a per-tag partial row — from the topology's row
 // cache where a valid one is held, from the tag's owner shard otherwise
-// — combines the rows into per-item mixtures and normalizes. Both
-// client-facing predict paths run through it — handlePredict directly,
-// and the coalescer on behalf of a micro-batch of single requests — so
-// the arithmetic, the row-validity rules and the shard-failure
-// semantics cannot drift between them.
+// — combines the rows into per-item mixtures and normalizes.
+// handlePredict is its one caller, so every fan-out runs on its client's
+// goroutine, under that handler's gate and bounded by that client's
+// context.
 
 // maxTraceLegs bounds the per-shard timing legs a fan-out records for
 // span tracing. A fixed array keeps the legs inside the pooled result
-// (and inside coalesceReply, which copies them by value) with zero
-// allocation; clusters wider than this trace the first maxTraceLegs
-// shards only.
+// with zero allocation; clusters wider than this trace the first
+// maxTraceLegs shards only.
 const maxTraceLegs = 16
 
 // shardLeg is one shard's leg of a predict fan-out: when the call
@@ -213,12 +211,10 @@ func (tp *topology) downShard(needed []bool) int {
 // shard died under us — the same condition health shedding answers
 // 503+Retry-After for once the detector catches up — so it gets the
 // identical retryable answer here, instead of a 502 that only a
-// request racing the detector would ever see. (Under coalescing this
-// is every waiter in the dead window's verdict, so it must be the
-// retryable one.) Shard sheds propagate as 503 with the shard's
-// Retry-After; any other non-200 — a shard that is alive but answered
-// malformed or mismatched — stays 502, the true bad-gateway case. nil
-// means the reply body is ready to decode.
+// request racing the detector would ever see. Shard sheds propagate as
+// 503 with the shard's Retry-After; any other non-200 — a shard that is
+// alive but answered malformed or mismatched — stays 502, the true
+// bad-gateway case. nil means the reply body is ready to decode.
 func (g *Gateway) replyErr(tp *topology, rep shardReply) *replyError {
 	switch {
 	case rep.err != nil:
@@ -242,9 +238,8 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *replyError {
 // the harmonic rank discount applied here instead of on the shard) and
 // normalize, falling back to the shared prior when no tag carried
 // weight. A request whose rows are all cached and usable makes no shard
-// leg. trace is the request id (or comma-joined member ids, for a
-// coalesced micro-batch) propagated to every shard asked. On success the
-// caller owns the returned value and must putMerged it.
+// leg. trace is the request id, propagated to every shard asked. On
+// success the caller owns the returned value and must putMerged it.
 //
 // Rows are re-checked against the request's view (see usable) at the
 // top of every round, so whatever moved the view during the last round
@@ -527,12 +522,13 @@ func (g *Gateway) takeRows(tp *topology, m *mergedPredict, rep shardReply, pp *s
 // cached rows has a merge span and nothing else here. tr may be nil
 // (tracing off or route exempt) — Add is nil-safe, the early return just
 // skips the loop.
-func addFanoutSpans(tr *obs.Trace, fanStart time.Time, fanout, merge time.Duration, legs []shardLeg) {
+func addFanoutSpans(tr *obs.Trace, m *mergedPredict) {
 	if tr == nil {
 		return
 	}
+	legs := m.legs[:m.nlegs]
 	if len(legs) > 0 {
-		tr.Add("fanout", obs.NoShard, fanStart, fanout, "")
+		tr.Add("fanout", obs.NoShard, m.fanStart, m.fanout, "")
 	}
 	for _, leg := range legs {
 		status := ""
@@ -547,5 +543,5 @@ func addFanoutSpans(tr *obs.Trace, fanStart time.Time, fanout, merge time.Durati
 		}
 		tr.Add(name, leg.shard, leg.start, leg.dur, status)
 	}
-	tr.Add("merge", obs.NoShard, fanStart.Add(fanout), merge, "")
+	tr.Add("merge", obs.NoShard, m.fanStart.Add(m.fanout), m.merge, "")
 }

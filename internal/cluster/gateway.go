@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"viewstags/internal/obs"
-	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
 )
 
@@ -64,13 +63,6 @@ type GatewayConfig struct {
 	// calls round-trip through it, and each shard's data-plane stream
 	// is dialled through it as an HTTP Upgrade.
 	Transport http.RoundTripper
-	// CoalesceWindow enables the micro-batching coalescer: concurrent
-	// /v1/predict requests (singles and batches alike) arriving within
-	// this window are merged into one internal batch call per shard
-	// and de-multiplexed back to their waiters — N concurrent requests
-	// cost 1 round trip per shard instead of N. 0 disables (the
-	// default); ~250µs–1ms is the useful range, see OPERATIONS.md.
-	CoalesceWindow time.Duration
 	// Replicas is the copies-per-tag count the shard tier places
 	// (cmd/serve -replicas, identical on every shard). With R >= 2 the
 	// gateway fails reads over to a surviving replica instead of
@@ -202,10 +194,8 @@ type Gateway struct {
 	// gate is the request barrier a reshard cutover closes: every
 	// client-facing data handler holds it shared for its full duration,
 	// and Reshard takes it exclusively across transfer+adopt+cutover so
-	// no in-flight request straddles two topologies. The coalescer's
-	// flush goroutine deliberately takes NO gate — a pending writer
-	// would deadlock against waiters already inside the gate — it just
-	// loads whichever topology is current.
+	// no in-flight request — and so no fan-out, which only ever runs
+	// inside its handler — straddles two topologies.
 	gate sync.RWMutex
 	// writeGate additionally covers the write path only: replica
 	// catch-up holds it exclusively across its export+import pair so
@@ -237,22 +227,11 @@ type Gateway struct {
 	codeIndex map[string]int
 	prior     []float64
 
-	// scratch recycles per-request merge buffers (country-vector
-	// size); sized at Sync, once the country table is known.
-	scratch *profilestore.VecPool
 	// mergedPool and partialsPool recycle the predict path's larger
 	// scratch state: result slabs with their resolve scratch, and the
 	// binary reply decoders.
 	mergedPool   sync.Pool
 	partialsPool sync.Pool
-
-	// co is the micro-batching coalescer; nil unless CoalesceWindow
-	// is set.
-	co *coalescer
-	// coalesceBatches / coalesceRequests count shared fan-outs and the
-	// single predicts they served, for /v1/stats.
-	coalesceBatches  atomic.Int64
-	coalesceRequests atomic.Int64
 }
 
 // NewGateway wires a gateway over the shard target base URLs, in shard
@@ -317,9 +296,6 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 	g.topo.Store(tp)
 	g.mergedPool.New = func() any { return new(mergedPredict) }
 	g.partialsPool.New = func() any { return new(server.PredictPartials) }
-	if cfg.CoalesceWindow > 0 {
-		g.co = newCoalescer(g, cfg.CoalesceWindow, cfg.MaxBatch)
-	}
 	mux := http.NewServeMux()
 	for _, path := range gatewayRoutes {
 		mux.HandleFunc(path, g.handlerFor(path))
@@ -436,7 +412,6 @@ func (g *Gateway) Sync(ctx context.Context) error {
 	if len(g.codes) == 0 {
 		return fmt.Errorf("cluster: shards report an empty country table")
 	}
-	g.scratch = profilestore.NewVecPool(len(g.codes))
 	return nil
 }
 

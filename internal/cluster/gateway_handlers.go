@@ -41,10 +41,9 @@ type shardReply struct {
 // would drag its quantiles toward zero). Non-2xx statuses are returned
 // for the caller to map — they are protocol answers (shed, malformed),
 // not transport failures, so they do not count toward marking the shard
-// down. trace, when non-empty, rides the
-// envelope as the request id so the shard's access log carries the same
-// id the client saw (for a coalesced micro-batch it is every member's
-// id, comma-joined) — the wire frames themselves never change.
+// down. trace, when non-empty, rides the envelope as the request id so
+// the shard's access log carries the same id the client saw — the wire
+// frames themselves never change.
 func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path string, body []byte, contentType, trace string) shardReply {
 	route := legPredict
 	if path == "/internal/ingest" {
@@ -169,8 +168,7 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	// Full per-item validation at the edge (including the MaxTagLen
 	// bound the binary wire enforces): a bad item must 400 here, not
-	// bounce off a shard decoder mid-fan-out — which under coalescing
-	// would fail every innocent request sharing the micro-batch.
+	// bounce off a shard decoder mid-fan-out as a 502.
 	var items [][]string
 	if single {
 		if !server.ValidTags(w, 0, req.Tags) {
@@ -187,41 +185,19 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	trace := server.RequestID(r)
 	tr := server.TraceFrom(r)
 	tr.Add("decode", obs.NoShard, start, decodeDur, "")
 	results := make([]server.PredictResult, len(items))
-	if g.co != nil {
-		// Coalescing on: splice this request's items onto the shared
-		// micro-batch and render from the rows handed back. Singles and
-		// small batches alike ride one fan-out per window.
-		rep := g.co.do(r.Context(), items, parsed, trace)
-		if rep.fe != nil {
-			g.writeReplyError(w, rep.fe)
-			return
-		}
-		// The batch-wide timings are de-muxed back to every waiter: each
-		// member's trace carries its own coalesce wait plus the shared
-		// fan-out legs (the shard-side spans live under the comma-joined
-		// batch id; /debug/traces stitching re-associates them).
-		tr.Add("coalesce_wait", obs.NoShard, rep.fanStart.Add(-rep.wait), rep.wait, "")
-		addFanoutSpans(tr, rep.fanStart, rep.fanout, rep.merge, rep.legs[:rep.nlegs])
-		for i := range items {
-			results[i] = server.PredictResult{Known: rep.known[i], Top: g.topShares(*rep.vecs[i], req.Top)}
-			g.scratch.Put(rep.vecs[i])
-		}
-	} else {
-		merged, fe := g.predictFanout(r.Context(), items, parsed, trace)
-		if fe != nil {
-			g.writeReplyError(w, fe)
-			return
-		}
-		addFanoutSpans(tr, merged.fanStart, merged.fanout, merged.merge, merged.legs[:merged.nlegs])
-		for i := range items {
-			results[i] = server.PredictResult{Known: merged.known[i], Top: g.topShares(merged.row(i), req.Top)}
-		}
-		g.putMerged(merged)
+	merged, fe := g.predictFanout(r.Context(), items, parsed, server.RequestID(r))
+	if fe != nil {
+		g.writeReplyError(w, fe)
+		return
 	}
+	addFanoutSpans(tr, merged)
+	for i := range items {
+		results[i] = server.PredictResult{Known: merged.known[i], Top: g.topShares(merged.row(i), req.Top)}
+	}
+	g.putMerged(merged)
 
 	resp := server.PredictResponse{Weighting: parsed.String()}
 	if single {
@@ -587,23 +563,17 @@ type RowCacheStats struct {
 // compare ingest acks against. Replicas reports the placement factor
 // when the tier is replicated, and Handoff the last reshard's record
 // (phase "idle" once complete; its epoch counts completed handoffs).
-// CoalesceBatches/CoalesceRequests count the micro-batching coalescer's
-// shared fan-outs and the single predicts they served (both zero when
-// coalescing is disabled); their ratio is the observed batching factor,
-// the first thing to check when tuning -coalesce-window. RowCache and
-// PredictLegs are the predict path's own counters: PredictLegs over the
-// predict route's request count is legs per request, the number the row
-// cache moves.
+// RowCache and PredictLegs are the predict path's own counters:
+// PredictLegs over the predict route's request count is legs per
+// request, the number the row cache moves.
 type ClusterStats struct {
-	Shards           []ShardStatus  `json:"shards"`
-	Epoch            uint64         `json:"epoch"`
-	Healthy          int            `json:"healthy"`
-	Replicas         int            `json:"replicas,omitempty"`
-	Handoff          *HandoffStatus `json:"handoff,omitempty"`
-	CoalesceBatches  int64          `json:"coalesce_batches,omitempty"`
-	CoalesceRequests int64          `json:"coalesce_requests,omitempty"`
-	RowCache         RowCacheStats  `json:"row_cache"`
-	PredictLegs      int64          `json:"predict_legs"`
+	Shards      []ShardStatus  `json:"shards"`
+	Epoch       uint64         `json:"epoch"`
+	Healthy     int            `json:"healthy"`
+	Replicas    int            `json:"replicas,omitempty"`
+	Handoff     *HandoffStatus `json:"handoff,omitempty"`
+	RowCache    RowCacheStats  `json:"row_cache"`
+	PredictLegs int64          `json:"predict_legs"`
 }
 
 // gatewayStats is the gateway /v1/stats wire shape.
@@ -615,13 +585,11 @@ type gatewayStats struct {
 // clusterStats assembles the per-shard block.
 func (g *Gateway) clusterStats(tp *topology) ClusterStats {
 	cs := ClusterStats{
-		Shards:           make([]ShardStatus, len(tp.targets)),
-		Epoch:            tp.minEpoch(),
-		Handoff:          g.handoff.Load(),
-		CoalesceBatches:  g.coalesceBatches.Load(),
-		CoalesceRequests: g.coalesceRequests.Load(),
-		RowCache:         RowCacheStats{Hits: g.rowHits.Load(), Misses: g.rowMisses.Load(), Rows: tp.rows.n.Load()},
-		PredictLegs:      g.predictLegs.Load(),
+		Shards:      make([]ShardStatus, len(tp.targets)),
+		Epoch:       tp.minEpoch(),
+		Handoff:     g.handoff.Load(),
+		RowCache:    RowCacheStats{Hits: g.rowHits.Load(), Misses: g.rowMisses.Load(), Rows: tp.rows.n.Load()},
+		PredictLegs: g.predictLegs.Load(),
 	}
 	if r := tp.ring.Replicas(); r > 1 {
 		cs.Replicas = r

@@ -9,12 +9,14 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"viewstags/internal/alexa"
 	"viewstags/internal/ingest"
+	"viewstags/internal/obs"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
@@ -625,5 +627,94 @@ func TestGatewayIngestSkipsDownShardWithoutReviving(t *testing.T) {
 		{Video: "up-1", Tags: []string{tag}, Country: "US", Views: 5, Upload: true},
 	}}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("upload batch (needs every shard): %d, want 503", code)
+	}
+}
+
+// newSyncedGateway wires and syncs a gateway over live shard targets
+// with a config tweak applied.
+func newSyncedGateway(t *testing.T, targets []string, mutate func(*GatewayConfig)) *Gateway {
+	t.Helper()
+	cfg := DefaultGatewayConfig()
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	g, err := NewGateway(cfg, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	if err := g.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// predictVia runs one /v1/predict request straight through a gateway's
+// handler stack and decodes the response.
+func predictVia(t *testing.T, g *Gateway, req server.PredictRequest) (int, server.PredictResponse) {
+	t.Helper()
+	return predictOn(t, g.Handler(), req)
+}
+
+// predictOn is predictVia for any handler stack — a gateway's or a
+// node's.
+func predictOn(t *testing.T, h http.Handler, req server.PredictRequest) (int, server.PredictResponse) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+	var resp server.PredictResponse
+	if rec.Code == http.StatusOK {
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("decode %q: %v", rec.Body.Bytes(), err)
+		}
+	}
+	return rec.Code, resp
+}
+
+// TestGatewayRequestIDBound: the gateway honours an inbound X-Request-Id
+// of up to obs.MaxRequestIDLen bytes of [0-9A-Za-z-_.:] and replaces
+// anything else — one byte longer, or the comma that once joined several
+// requests' ids — with a generated one; whichever id it answers with is
+// the one id every shard leg of that request carries.
+func TestGatewayRequestIDBound(t *testing.T) {
+	nodes, g := startCluster(t, 3)
+	ring := g.topo.Load().ring
+	for i, tc := range []struct {
+		name, id string
+		honoured bool
+	}{
+		{"longest honoured id", strings.Repeat("x", obs.MaxRequestIDLen), true},
+		{"one byte too long", strings.Repeat("x", obs.MaxRequestIDLen+1), false},
+		{"comma", "aaa,bbb", false},
+	} {
+		// Cold tags of every shard's, so the request makes a leg to each.
+		body, err := json.Marshal(server.PredictRequest{Tags: ownedTags(ring, fmt.Sprintf("rid-%d", i))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+		req.Header.Set(obs.TraceHeader, tc.id)
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, req)
+		got := rec.Header().Get(obs.TraceHeader)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body.Bytes())
+		}
+		if tc.honoured && got != tc.id {
+			t.Errorf("%s: id came back as %q, want it echoed whole", tc.name, got)
+		}
+		if !tc.honoured && (got == tc.id || len(got) != 16 || !obs.ValidRequestID(got)) {
+			t.Errorf("%s: id came back as %q, want a generated one", tc.name, got)
+		}
+		// A shard's first few traces of a route are all retained.
+		for s, n := range nodes {
+			if v, ok := n.srv.Traces().Get(got); !ok || v.ID != got {
+				t.Errorf("%s: shard %d holds no trace under the id the gateway answered with (%q): %+v", tc.name, s, got, v)
+			}
+		}
 	}
 }

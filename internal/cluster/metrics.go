@@ -12,9 +12,9 @@ import (
 // families (the same middleware-fed histograms a shard exposes), the
 // cluster-level view — per-shard health, epoch and epoch lag, the
 // conservative min-epoch fold horizon — the predict path's leg and
-// row-cache counters, the coalescer's batching counters, and Go runtime
-// gauges. Like /v1/stats, the scrape bypasses the concurrency limiter so
-// a saturated gateway can still explain itself.
+// row-cache counters, and Go runtime gauges. Like /v1/stats, the scrape
+// bypasses the concurrency limiter so a saturated gateway can still
+// explain itself.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -104,8 +104,4 @@ func (g *Gateway) writeClusterProm(tw *obs.TextWriter, tp *topology) {
 				[]obs.Label{{Name: "shard", Value: strconv.Itoa(i)}, {Name: "cause", Value: invalCauseNames[c]}}, float64(s.invalidations[c].Load()))
 		}
 	}
-	tw.Counter("viewstags_coalesce_batches_total", "Shared fan-outs the micro-batching coalescer ran.")
-	tw.Sample("viewstags_coalesce_batches_total", nil, float64(g.coalesceBatches.Load()))
-	tw.Counter("viewstags_coalesce_requests_total", "Predict requests served through coalesced fan-outs.")
-	tw.Sample("viewstags_coalesce_requests_total", nil, float64(g.coalesceRequests.Load()))
 }

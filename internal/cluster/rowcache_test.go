@@ -334,7 +334,7 @@ func TestPredictReflectsObservedEpoch(t *testing.T) {
 
 // TestPredictSplitsMissesAcrossFrames: more distinct missing tags for
 // one shard than a frame may carry are fetched over several frames, not
-// refused — the cold coalesced micro-batch case.
+// refused — the cold batch of long tag lists.
 func TestPredictSplitsMissesAcrossFrames(t *testing.T) {
 	ringOne, err := NewRing(1, 0)
 	if err != nil {

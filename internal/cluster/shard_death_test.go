@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"viewstags/internal/scenario"
 	"viewstags/internal/server"
@@ -46,8 +45,8 @@ func predictRec(t *testing.T, g *Gateway, req server.PredictRequest) *httptest.R
 }
 
 // wave fires all requests concurrently (start-barrier synchronized, so
-// they land in the same coalescing window with high probability) and
-// returns the recorders in request order.
+// their fan-outs overlap with high probability) and returns the recorders
+// in request order.
 func wave(t *testing.T, g *Gateway, reqs []server.PredictRequest) []*httptest.ResponseRecorder {
 	t.Helper()
 	recs := make([]*httptest.ResponseRecorder, len(reqs))
@@ -83,31 +82,30 @@ func ownedTags(ring *Ring, label string) []string {
 	return tags
 }
 
-// TestCoalesceShardDeathMidBatch pins the coalescer's failure
-// isolation: a shard dying under a coalesced window must fail exactly
-// that window's waiters — every one of them with a retryable
-// 503+Retry-After, not a 502 — and must not poison later windows: the
-// next window after the death fails the same clean way, and once the
-// shard is back the very next window serves answers identical to the
-// pre-death ones, through the same coalescer instance. Every request of
-// every wave ends in a tag of shard 2's that no earlier wave asked for,
-// so each one needs a leg to the dying shard however warm the row cache
-// is; the mirror case — rows all cached, no leg, 200 through the death —
-// is pinned too.
-func TestCoalesceShardDeathMidBatch(t *testing.T) {
+// TestPredictShardDeathMidFlight pins the predict path's failure
+// isolation under concurrency: a shard dying under a wave of concurrent
+// predicts must fail exactly the requests that need a leg to it — every
+// one of them with a retryable 503+Retry-After, not a 502 — and must
+// not poison later requests: the next wave after the death fails the
+// same clean way, and once the shard is back the very next wave serves
+// answers identical to the pre-death ones, through the same gateway and
+// the same shard stream. Every request of every wave ends in a tag of
+// shard 2's that no earlier wave asked for, so each one needs a leg to
+// the dying shard however warm the row cache is; the mirror case — rows
+// all cached, no leg, 200 through the death — is pinned too.
+func TestPredictShardDeathMidFlight(t *testing.T) {
 	nodes, _ := startCluster(t, 3)
 	flaky := newFlakyShard(t, nodes[2].ts.URL)
 	targets := []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.URL()}
 	g := newSyncedGateway(t, targets, func(c *GatewayConfig) {
-		c.CoalesceWindow = 10 * time.Millisecond
 		// High threshold: the point is the in-flight fan-out verdict,
 		// not health shedding — the shard must never be marked down, so
-		// every wave exercises the coalescer's own failure path.
+		// every wave exercises the fan-out's own failure path.
 		c.FailThreshold = 1000
 	})
 
-	// Distinct singles that will share coalesced windows; the last one
-	// is prior-fallback, so known=false survives the round trip too.
+	// Distinct singles in flight together; the last one is
+	// prior-fallback, so known=false survives the round trip too.
 	tagSets := [][]string{{"pop"}, {"favela", "samba"}, {"music", "pop"}, {"favela"}, {"zz-unknown"}}
 	ring := g.topo.Load().ring
 	waveReqs := func(waveNo int) []server.PredictRequest {
@@ -129,7 +127,7 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 	}
 
 	// Shard 2 dies. Two consecutive waves must fail cleanly: every
-	// waiter 503 with a Retry-After hint — the same retryable verdict
+	// request 503 with a Retry-After hint — the same retryable verdict
 	// health shedding gives — and the shard must NOT get marked down
 	// (high threshold), proving the verdict came from the fan-out path.
 	flaky.Kill()
@@ -162,10 +160,10 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 		t.Fatal("shard 2 was marked down; the test meant to exercise the fan-out verdict, not shedding")
 	}
 
-	// Shard back: the next windows must be clean — same status, same
-	// known flags, same shares as before the death. A poisoned
-	// coalescer (stale waiter, corrupted batch offsets, a dead window's
-	// error leaking forward) fails exactly here.
+	// Shard back: the next wave must be clean — same status, same
+	// known flags, same shares as before the death. A poisoned stream
+	// or pool (a stale waiter, a dead leg's error or a failed request's
+	// pooled scratch leaking forward) fails exactly here.
 	flaky.Revive()
 	after := wave(t, g, waveReqs(3))
 	for i, rec := range after {
@@ -195,14 +193,6 @@ func TestCoalesceShardDeathMidBatch(t *testing.T) {
 					i, c, got.Result.Top[c], want.Result.Top[c])
 			}
 		}
-	}
-
-	// The coalescer actually coalesced along the way (the waves are
-	// start-synchronized, so at least some windows were shared) — guard
-	// against this test silently degrading into serial fan-outs.
-	if g.coalesceRequests.Load() <= g.coalesceBatches.Load() {
-		t.Fatalf("no sharing observed: %d requests over %d batches",
-			g.coalesceRequests.Load(), g.coalesceBatches.Load())
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"viewstags/internal/obs"
 	"viewstags/internal/server"
 )
 
@@ -117,10 +116,8 @@ var streamBufPool = sync.Pool{New: func() any {
 //
 // An envelope that cannot be built is neither: nothing reached the wire
 // and the shard did nothing wrong, so it must not count against the
-// shard's health. The request id is only a log label, and one longer
-// than the envelope carries (the coalescer comma-joins every member's
-// client-chosen id) is left out — the shard mints its own, exactly what
-// its trace middleware does with an overlong X-Request-Id. That leaves
+// shard's health. trace is the one id the gateway's own middleware
+// honoured or minted, so it always fits its envelope field; that leaves
 // a body past the frame limit, which is answered here with the 400 the
 // shard's own body limit gives an over-long POST.
 func (s *shardStream) call(ctx context.Context, path, contentType, trace string, body []byte) (status int, retryAfter string, reply []byte, err error) {
@@ -150,15 +147,12 @@ func (s *shardStream) call(ctx context.Context, path, contentType, trace string,
 	c.pending[id] = w
 	c.mu.Unlock()
 
-	env := server.StreamRequest{ID: id, Path: path, ContentType: contentType, Body: body}
+	env := server.StreamRequest{ID: id, Path: path, ContentType: contentType, RequestID: trace, Body: body}
 	if trace != "" {
 		// Span context: tell the shard which gateway stage made the
 		// call, so its retained trace names its parent in a stitched
 		// cross-process view.
 		env.SpanContext = "gateway" + path
-	}
-	if len(trace) <= obs.MaxRequestIDLen {
-		env.RequestID = trace
 	}
 	bufp := streamBufPool.Get().(*[]byte)
 	frame, encErr := server.AppendStreamRequest((*bufp)[:0], &env)

@@ -7,15 +7,17 @@ import (
 	"io"
 	"log"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"viewstags/internal/ingest"
-	"viewstags/internal/obs"
+	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
 )
 
@@ -343,57 +345,6 @@ func TestStreamUpgradeRefusedIsAFailedShard(t *testing.T) {
 	}
 }
 
-// TestStreamOverlongJoinedIDIsNotAShardFailure: the edge honours request
-// ids up to obs.MaxRequestIDLen each, and the coalescer comma-joins its
-// members' ids for the shard-bound leg, so the join can outgrow what an
-// envelope carries. That is the gateway's own doing: the leg goes out
-// without the id (the shard mints one, as its trace middleware does for
-// an overlong X-Request-Id), both members are answered, and no shard is
-// charged a failure.
-func TestStreamOverlongJoinedIDIsNotAShardFailure(t *testing.T) {
-	nodes, _ := startCluster(t, 3)
-	g := newSyncedGateway(t, []string{nodes[0].ts.URL, nodes[1].ts.URL, nodes[2].ts.URL}, func(c *GatewayConfig) {
-		c.CoalesceWindow = time.Hour // only the batch-full path flushes:
-		c.MaxBatch = 2               // both requests share one fan-out
-	})
-	body, err := json.Marshal(server.PredictRequest{Tags: []string{"pop"}, Top: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs := make(chan *httptest.ResponseRecorder, 2)
-	for _, c := range []string{"a", "b"} {
-		id := strings.Repeat(c, 9<<10) // two of them pass 16 KB joined
-		go func() {
-			hr := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-			hr.Header.Set(obs.TraceHeader, id)
-			rec := httptest.NewRecorder()
-			g.Handler().ServeHTTP(rec, hr)
-			recs <- rec
-		}()
-	}
-	for i := 0; i < 2; i++ {
-		select {
-		case rec := <-recs:
-			if rec.Code != http.StatusOK {
-				t.Fatalf("coalesced predict with a 9 KB request id: %d: %.200s", rec.Code, rec.Body.Bytes())
-			}
-			if got := rec.Header().Get(obs.TraceHeader); len(got) != 9<<10 {
-				t.Fatalf("client's own %d-byte request id came back as %d bytes", 9<<10, len(got))
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("coalesced predict still waiting")
-		}
-	}
-	if n := g.coalesceBatches.Load(); n != 1 {
-		t.Fatalf("%d fan-outs, want the one shared batch this test is about", n)
-	}
-	for i, s := range g.topo.Load().shards {
-		if n := s.fails.Load(); n != 0 {
-			t.Fatalf("shard %d charged %d failures for an id the gateway built itself", i, n)
-		}
-	}
-}
-
 // TestStreamOversizedBodyIsRefusedLocally: a body no frame can carry
 // never reaches the wire. It is answered with the 400 the shard's body
 // limit gives an over-long POST — a status, not a transport error — so
@@ -461,5 +412,79 @@ func TestGatewayLargeReplyCarriesContentLength(t *testing.T) {
 	}
 	if len(resp.TransferEncoding) != 0 || resp.ContentLength != int64(len(raw)) {
 		t.Fatalf("Transfer-Encoding %v, Content-Length %d for a %d-byte body", resp.TransferEncoding, resp.ContentLength, len(raw))
+	}
+}
+
+// TestGatewayKeepAliveReusesConnections pins the data plane's
+// connection discipline: however many predicts run at once, round after
+// round, each shard carries them on exactly one long-lived stream. The
+// shard counts accepted connections.
+func TestGatewayKeepAliveReusesConnections(t *testing.T) {
+	res := fixture(t)
+	ringOne, err := NewRing(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := profilestore.BuildOwned(res.Analysis, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := profilestore.NewStore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := server.DefaultConfig()
+	cfg.ShardIndex, cfg.ShardCount, cfg.RingSignature = 0, 1, ringOne.Signature()
+	srv, err := server.New(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := ingest.NewAccumulator(store, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.EnableIngest(acc, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	srv.SetReady()
+
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(srv.Handler())
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+
+	g := newSyncedGateway(t, []string{ts.URL}, nil)
+	synced := conns.Load()
+
+	const conc, rounds = 200, 2
+	body := []byte(`{"tags":["pop"],"top":3}`)
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for c := 0; c < conc; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hr := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
+				rec := httptest.NewRecorder()
+				g.Handler().ServeHTTP(rec, hr)
+				if rec.Code != http.StatusOK {
+					t.Errorf("predict: %d", rec.Code)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	// Exactly one upgrade, on at most one new TCP connection (zero when
+	// the transport reused the idle connection Sync left behind).
+	if got := g.topo.Load().streams[0].dials.Load(); got != 1 {
+		t.Fatalf("%d predicts dialled the shard's stream %d times, want exactly 1", conc*rounds, got)
+	}
+	if got := conns.Load() - synced; got > 1 {
+		t.Fatalf("%d predicts opened %d connections to the shard, want at most 1", conc*rounds, got)
 	}
 }

@@ -16,12 +16,8 @@ import (
 // every shard's retained view of the same request id and returns the
 // cross-process picture — gateway stage spans plus each shard's
 // handler/predict spans — so a slow fan-out leg is attributable to a
-// specific shard without grepping N daemons' logs.
-//
-// Coalesced micro-batches de-mux transparently: the shard retains the
-// batch trace under the comma-joined member ids, and its by-id lookup
-// matches individual members, so asking for one waiter's id returns
-// the batch trace it rode (Members says how many requests shared it).
+// specific shard without grepping N daemons' logs. One request is one
+// id on every daemon it touched, so each lookup is an exact match.
 
 // StitchedTrace is the gateway's GET /debug/traces/{id} reply: the
 // gateway-side trace plus each shard's retained view of the request.
@@ -88,7 +84,7 @@ func (g *Gateway) stitchShards(ctx context.Context, id string) []ShardTraceView 
 			defer wg.Done()
 			out[i] = ShardTraceView{Shard: i, Target: tp.targets[i]}
 			var v obs.TraceView
-			// The id charset ([0-9A-Za-z-_.,:], enforced above) is
+			// The id charset ([0-9A-Za-z-_.:], enforced above) is
 			// path-safe, so no escaping is needed.
 			if err := g.getJSON(ctx, tp.targets[i]+"/debug/traces/"+id, &v); err != nil {
 				var se *statusError

@@ -18,10 +18,9 @@ type Exemplars struct {
 	slots [numBuckets + 1]exemplarSlot
 }
 
-// exemplarIDCap bounds the stored id bytes. Coalesced batch ids can
-// run to kilobytes; an exemplar needs one fetchable member, so longer
-// ids are cut at the last whole member that fits.
-const exemplarIDCap = 64
+// exemplarIDCap is the slot's id capacity: any id the middleware
+// honours or mints fits whole, so a stored exemplar is always fetchable.
+const exemplarIDCap = MaxRequestIDLen
 
 type exemplarSlot struct {
 	mu sync.Mutex
@@ -45,19 +44,7 @@ func (e *Exemplars) Observe(d time.Duration, id string, at time.Time) {
 	if !s.mu.TryLock() {
 		return
 	}
-	n := len(id)
-	if n > exemplarIDCap {
-		// Cut at a member boundary so the stored id stays fetchable.
-		n = exemplarIDCap
-		for n > 0 && id[n-1] != ',' {
-			n--
-		}
-		if n > 0 {
-			n-- // drop the trailing comma too
-		}
-	}
-	copy(s.id[:], id[:n])
-	s.n = int8(n)
+	s.n = int8(copy(s.id[:], id))
 	s.ns = ns
 	s.at = at.UnixNano()
 	s.mu.Unlock()

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -154,12 +155,14 @@ func TestRequestIDs(t *testing.T) {
 		}
 		seen[id] = true
 	}
-	for _, bad := range []string{"", "id with space", "a\nb", "x;y", string(make([]byte, MaxRequestIDLen+1))} {
+	for _, bad := range []string{"", "id with space", "a\nb", "x;y", "a,b", strings.Repeat("x", MaxRequestIDLen+1)} {
 		if ValidRequestID(bad) {
 			t.Errorf("ValidRequestID(%q) = true, want false", bad)
 		}
 	}
-	if !ValidRequestID("abc123,def456.g:h-i_j") {
-		t.Error("comma-joined coalesced ids must validate")
+	for _, good := range []string{"abc123.def456:g-h_i", strings.Repeat("x", MaxRequestIDLen)} {
+		if !ValidRequestID(good) {
+			t.Errorf("ValidRequestID(%q) = false, want true", good)
+		}
 	}
 }

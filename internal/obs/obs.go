@@ -22,21 +22,19 @@ import (
 
 // TraceHeader is the request-id header: generated (or honored) at the
 // edge, propagated through gateway fan-out to the shards, and echoed
-// on every response. Coalesced micro-batches carry the comma-joined
-// ids of every member request.
+// on every response. One request carries one id on every hop.
 const TraceHeader = "X-Request-Id"
 
-// MaxRequestIDLen bounds an honored inbound request id. It is generous
-// because the gateway's coalescer joins every member id of a
-// micro-batch into the shard-bound header; a longer (or malformed) id
-// is replaced, not truncated, so logs never carry attacker-shaped
-// bytes.
-const MaxRequestIDLen = 1 << 14
+// MaxRequestIDLen bounds an honored inbound request id: the size of an
+// exemplar slot, so every id a histogram points at is a whole, fetchable
+// one. A longer (or malformed) id is replaced, not truncated, so logs
+// never carry attacker-shaped bytes.
+const MaxRequestIDLen = 64
 
 // ValidRequestID reports whether an inbound id is safe to honor: ASCII
-// letters, digits and -_.,: (comma joins coalesced member ids), within
-// MaxRequestIDLen. Anything else is replaced by NewRequestID so log
-// lines and error envelopes stay single-line and grep-safe.
+// letters, digits and -_.: within MaxRequestIDLen. Anything else is
+// replaced by NewRequestID so log lines and error envelopes stay
+// single-line and grep-safe.
 func ValidRequestID(s string) bool {
 	if s == "" || len(s) > MaxRequestIDLen {
 		return false
@@ -47,7 +45,7 @@ func ValidRequestID(s string) bool {
 		case c >= '0' && c <= '9':
 		case c >= 'a' && c <= 'z':
 		case c >= 'A' && c <= 'Z':
-		case c == '-' || c == '_' || c == '.' || c == ',' || c == ':':
+		case c == '-' || c == '_' || c == '.' || c == ':':
 		default:
 			return false
 		}

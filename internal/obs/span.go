@@ -1,26 +1,24 @@
 package obs
 
 import (
-	"strings"
 	"sync"
 	"time"
 )
 
 // Spans are the per-request flight data: each request carries a pooled
 // Trace holding a fixed array of child spans, one per instrumented
-// stage (gateway decode/coalesce-wait/per-shard fan-out leg/merge/
-// encode; shard handler/predict/journal; background fold/WAL/
-// checkpoint). Recording a span is allocation-free — the Trace comes
-// from a pool, the span array is fixed, and names must be string
-// constants — so instrumentation can stay on even on the binary-wire
-// hot path. Finished traces are offered to the process TraceStore,
-// which tail-samples them (see tracestore.go).
+// stage (gateway decode/per-shard fan-out leg/merge/encode; shard
+// handler/predict/journal; background fold/WAL/checkpoint). Recording a
+// span is allocation-free — the Trace comes from a pool, the span array
+// is fixed, and names must be string constants — so instrumentation can
+// stay on even on the binary-wire hot path. Finished traces are offered
+// to the process TraceStore, which tail-samples them (see tracestore.go).
 
 // MaxSpans bounds the spans one trace can carry. A gateway request
-// records decode + coalesce-wait + one leg per shard + merge + encode;
-// a shard request a handful. Beyond the cap spans are counted, not
-// recorded, so a pathological request degrades to a truncated trace
-// rather than an allocation.
+// records decode + one leg per shard asked + merge + encode; a shard
+// request a handful. Beyond the cap spans are counted, not recorded, so
+// a pathological request degrades to a truncated trace rather than an
+// allocation.
 const MaxSpans = 48
 
 // NoShard marks a span that is not a per-shard fan-out leg.
@@ -38,17 +36,14 @@ type Span struct {
 }
 
 // Trace is one request's pooled span buffer. Acquire with GetTrace,
-// record spans with Add while the request runs (single-goroutine, or
-// externally ordered: the coalescer writes waiter spans before the
-// reply send that releases the waiter), then hand it to
-// TraceStore.Offer — which either retains it or returns it to the
-// pool. A Trace must not be touched after Offer.
+// record spans with Add while the request runs (single-goroutine), then
+// hand it to TraceStore.Offer — which either retains it or returns it
+// to the pool. A Trace must not be touched after Offer.
 type Trace struct {
 	id      string
 	route   string
 	start   time.Time
 	parent  string // upstream span context, e.g. "gateway/fanout"
-	members int    // >1: coalesced batch carrying that many member ids
 	spans   [MaxSpans]Span
 	n       int
 	dropped int
@@ -66,7 +61,6 @@ func GetTrace(id, route string, start time.Time) *Trace {
 	t.route = route
 	t.start = start
 	t.parent = ""
-	t.members = 0
 	t.n = 0
 	t.dropped = 0
 	t.status = 0
@@ -96,10 +90,6 @@ func (t *Trace) Start() time.Time { return t.start }
 // SpanContextHeader ("role/span", e.g. "gateway/fanout").
 func (t *Trace) SetParent(p string) { t.parent = p }
 
-// SetMembers marks a coalesced-batch trace: the id is the comma-joined
-// member ids and n is the member count.
-func (t *Trace) SetMembers(n int) { t.members = n }
-
 // Add records one child span. Allocation-free: name must be a string
 // constant (or an already-live string), shard is NoShard unless the
 // span is a per-shard fan-out leg.
@@ -118,22 +108,6 @@ func (t *Trace) Add(name string, shard int, start time.Time, dur time.Duration, 
 		DurNs:   dur.Nanoseconds(),
 		Status:  status,
 	}
-	t.n++
-}
-
-// AddRel records a span by offsets relative to the trace start rather
-// than wall times — for stages measured in another frame (the
-// coalescer's batch-wide fan-out) whose absolute times are already
-// deltas.
-func (t *Trace) AddRel(name string, shard int, startNs, durNs int64, status string) {
-	if t == nil {
-		return
-	}
-	if t.n >= MaxSpans {
-		t.dropped++
-		return
-	}
-	t.spans[t.n] = Span{Name: name, Shard: shard, StartNs: startNs, DurNs: durNs, Status: status}
 	t.n++
 }
 
@@ -173,7 +147,6 @@ type TraceView struct {
 	StartNs int64  `json:"start_unix_ns"`
 	DurNs   int64  `json:"dur_ns"`
 	Parent  string `json:"parent,omitempty"`
-	Members int    `json:"members,omitempty"`
 	Dropped int    `json:"spans_dropped,omitempty"`
 	Spans   []Span `json:"spans"`
 }
@@ -190,7 +163,6 @@ func (t *Trace) view() TraceView {
 		StartNs: t.start.UnixNano(),
 		DurNs:   t.durNs,
 		Parent:  t.parent,
-		Members: t.members,
 		Dropped: t.dropped,
 		Spans:   make([]Span, t.n),
 	}
@@ -198,25 +170,6 @@ func (t *Trace) view() TraceView {
 	return v
 }
 
-// idMatches reports whether the trace answers for the requested id:
-// exactly, or as a coalesced batch whose comma-joined id contains it
-// as a member — the de-mux hook that lets a gateway look up a member
-// request inside the one shard call that served its whole micro-batch.
-func (t *Trace) idMatches(id string) bool {
-	if t.id == id {
-		return true
-	}
-	if t.members < 2 || len(t.id) <= len(id) {
-		return false
-	}
-	for rest := t.id; ; {
-		i := strings.IndexByte(rest, ',')
-		if i < 0 {
-			return rest == id
-		}
-		if rest[:i] == id {
-			return true
-		}
-		rest = rest[i+1:]
-	}
-}
+// idMatches reports whether the trace answers for the requested id: one
+// request is one id on every daemon it touched, so exactly.
+func (t *Trace) idMatches(id string) bool { return t.id == id }

@@ -16,7 +16,7 @@ func TestSpanRecordAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.n = 0
 		tr.Add("fanout", 2, start, time.Millisecond, "")
-		tr.AddRel("merge", NoShard, 100, 200, "")
+		tr.Add("merge", NoShard, start, 200, "")
 	})
 	if allocs != 0 {
 		t.Fatalf("span record allocates %.1f/op, want 0", allocs)
@@ -43,26 +43,19 @@ func TestTraceSpanCapAndView(t *testing.T) {
 	PutTrace(tr)
 }
 
+// TestTraceIDMemberMatch pins that there is no member matching: a trace
+// answers for its own id and for nothing else, however the id reads.
 func TestTraceIDMemberMatch(t *testing.T) {
 	tr := GetTrace("aaa,bbb,ccc", "/internal/predict", time.Now())
-	tr.SetMembers(3)
-	for _, want := range []string{"aaa", "bbb", "ccc", "aaa,bbb,ccc"} {
-		if !tr.idMatches(want) {
-			t.Errorf("idMatches(%q) = false, want true", want)
-		}
+	if !tr.idMatches("aaa,bbb,ccc") {
+		t.Error("a trace must match its own id")
 	}
-	for _, not := range []string{"aa", "bb", "cc", "aaa,bbb", "ddd", ""} {
+	for _, not := range []string{"aaa", "bbb", "ccc", "aa", "aaa,bbb", "ddd", ""} {
 		if tr.idMatches(not) {
 			t.Errorf("idMatches(%q) = true, want false", not)
 		}
 	}
-	// Without the member flag, only exact ids match.
-	tr2 := GetTrace("aaa,bbb", "/internal/predict", time.Now())
-	if tr2.idMatches("aaa") {
-		t.Error("non-batch trace matched a member id")
-	}
 	PutTrace(tr)
-	PutTrace(tr2)
 }
 
 func offerTrace(s *TraceStore, id, route string, status int, shed bool, dur time.Duration) bool {
@@ -108,20 +101,30 @@ func TestTraceStoreTailSampling(t *testing.T) {
 	}
 }
 
+// TestTraceStoreMemberLookup pins that Get is an exact lookup in the one
+// store shard its id hashes to: a piece of a stored id finds nothing, and
+// a miss takes no other shard's lock — every other shard is held locked
+// for the whole call, so a Get that scanned them would hang the test.
 func TestTraceStoreMemberLookup(t *testing.T) {
 	s := NewTraceStore(16)
 	tr := GetTrace("m1,m2,m3", "/internal/predict", time.Now())
-	tr.SetMembers(3)
 	tr.End(200, false, 5*time.Second) // slow: retained
 	if !s.Offer(tr) {
-		t.Fatal("slow batch trace must be retained")
+		t.Fatal("slow trace must be retained")
 	}
-	v, ok := s.Get("m2")
-	if !ok || v.ID != "m1,m2,m3" || v.Members != 3 {
-		t.Fatalf("member lookup = %+v ok=%v", v, ok)
+	if v, ok := s.Get("m1,m2,m3"); !ok || v.ID != "m1,m2,m3" {
+		t.Fatalf("exact lookup = %+v ok=%v", v, ok)
 	}
-	if got := s.List(TraceFilter{MatchID: "m3"}); len(got) != 1 {
-		t.Fatalf("MatchID filter found %d, want 1", len(got))
+	const unknown = "m2"
+	home := s.shardFor(unknown)
+	for i := range s.shards {
+		if sh := &s.shards[i]; sh != home {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+		}
+	}
+	if v, ok := s.Get(unknown); ok {
+		t.Fatalf("a piece of a stored id found %+v", v)
 	}
 }
 
@@ -193,16 +196,16 @@ func TestExemplars(t *testing.T) {
 	if top[0].Seconds != 90 {
 		t.Fatalf("exemplar seconds = %v, want 90", top[0].Seconds)
 	}
-	// A kilobyte coalesced id is cut at a member boundary.
-	long := strings.Repeat("0123456789abcdef,", 64)
-	long = long[:len(long)-1]
-	e.Observe(time.Second, long, now)
-	for _, ex := range e.Top(8) {
-		if len(ex.RequestID) > exemplarIDCap || strings.HasSuffix(ex.RequestID, ",") {
-			t.Fatalf("stored id not cut cleanly: %q", ex.RequestID)
-		}
+	// The longest id the middleware honours is stored whole.
+	full := strings.Repeat("0123456789abcdef", exemplarIDCap/16)
+	if len(full) != MaxRequestIDLen {
+		t.Fatalf("exemplar slot holds %d bytes, MaxRequestIDLen is %d", len(full), MaxRequestIDLen)
 	}
-	allocs := testing.AllocsPerRun(1000, func() { e.Observe(time.Millisecond, "req-c", now) })
+	e.Observe(time.Second, full, now)
+	if ex := e.Top(8); len(ex) != 3 || ex[1].RequestID != full {
+		t.Fatalf("a %d-byte id was not stored whole: %+v", len(full), ex)
+	}
+	allocs := testing.AllocsPerRun(1000, func() { e.Observe(time.Millisecond, full, now) })
 	if allocs != 0 {
 		t.Fatalf("Exemplars.Observe allocates %.1f/op, want 0", allocs)
 	}

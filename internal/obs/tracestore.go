@@ -157,7 +157,6 @@ type TraceFilter struct {
 	Status  string        // "", "ok", "error" (>=400) or "shed"
 	Limit   int           // max results (0 = defaultListLimit)
 	SinceNs int64         // keep traces starting at/after this unix ns
-	MatchID string        // exact or coalesced-member id match
 }
 
 const defaultListLimit = 64
@@ -186,9 +185,6 @@ func (f *TraceFilter) match(t *Trace) bool {
 		if !t.shed {
 			return false
 		}
-	}
-	if f.MatchID != "" && !t.idMatches(f.MatchID) {
-		return false
 	}
 	return true
 }
@@ -221,30 +217,13 @@ func (s *TraceStore) List(f TraceFilter) []TraceView {
 	return out
 }
 
-// Get looks up one retained trace by request id — exact, or as a
-// member of a coalesced batch's comma-joined id.
+// Get looks up one retained trace by request id, in the one store shard
+// the id hashes to.
 func (s *TraceStore) Get(id string) (TraceView, bool) {
 	if s == nil {
 		return TraceView{}, false
 	}
-	// Exact ids land on a known shard; member lookups must scan all of
-	// them (the batch id hashed elsewhere).
 	sh := s.shardFor(id)
-	if v, ok := sh.get(id); ok {
-		return v, true
-	}
-	for i := range s.shards {
-		if &s.shards[i] == sh {
-			continue
-		}
-		if v, ok := s.shards[i].get(id); ok {
-			return v, true
-		}
-	}
-	return TraceView{}, false
-}
-
-func (sh *storeShard) get(id string) (TraceView, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	for _, t := range sh.ring {

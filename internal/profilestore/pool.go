@@ -4,9 +4,8 @@ import "sync"
 
 // VecPool recycles fixed-length float64 scratch vectors — the
 // country-sized buffers every prediction writes into. The serving
-// handlers and the cluster gateway's merge path run one Get/Put per
-// request (or per coalesced waiter), so the pool is what keeps the hot
-// path at zero steady-state allocations; hand-rolled sync.Pools grew in
+// handlers run one Get/Put per request, so the pool is what keeps the
+// hot path at zero steady-state allocations; hand-rolled sync.Pools grew in
 // three packages before this helper consolidated them.
 //
 // The pool stores *[]float64 (not []float64) so Put does not box the

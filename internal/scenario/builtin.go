@@ -29,7 +29,6 @@ var builtins = map[string]func() *Spec{
 			Videos:         4000,
 			Seed:           20110301,
 			FoldInterval:   d(300 * time.Millisecond),
-			CoalesceWindow: d(2 * time.Millisecond),
 			HealthInterval: d(250 * time.Millisecond),
 			Durable:        true,
 			Warmup:         d(2 * time.Second),
@@ -68,7 +67,6 @@ var builtins = map[string]func() *Spec{
 			Videos:         8000,
 			Seed:           20110301,
 			FoldInterval:   d(300 * time.Millisecond),
-			CoalesceWindow: d(2 * time.Millisecond),
 			HealthInterval: d(250 * time.Millisecond),
 			Durable:        true,
 			Warmup:         d(3 * time.Second),
@@ -100,7 +98,6 @@ var builtins = map[string]func() *Spec{
 			Videos:         8000,
 			Seed:           20110301,
 			FoldInterval:   d(300 * time.Millisecond),
-			CoalesceWindow: d(2 * time.Millisecond),
 			Warmup:         d(2 * time.Second),
 			MaxOutstanding: 256,
 			Phases: []Phase{
@@ -126,7 +123,6 @@ var builtins = map[string]func() *Spec{
 			Videos:         6000,
 			Seed:           20110301,
 			FoldInterval:   d(300 * time.Millisecond),
-			CoalesceWindow: d(2 * time.Millisecond),
 			HealthInterval: d(250 * time.Millisecond),
 			Warmup:         d(2 * time.Second),
 			MaxOutstanding: 512,
@@ -162,7 +158,6 @@ var builtins = map[string]func() *Spec{
 			Videos:         4000,
 			Seed:           20110301,
 			FoldInterval:   d(300 * time.Millisecond),
-			CoalesceWindow: d(2 * time.Millisecond),
 			HealthInterval: d(250 * time.Millisecond),
 			Durable:        true,
 			Warmup:         d(2 * time.Second),
@@ -206,7 +201,6 @@ var builtins = map[string]func() *Spec{
 			Videos:         4000,
 			Seed:           20110301,
 			FoldInterval:   d(300 * time.Millisecond),
-			CoalesceWindow: d(2 * time.Millisecond),
 			HealthInterval: d(250 * time.Millisecond),
 			Warmup:         d(2 * time.Second),
 			MaxOutstanding: 512,
@@ -242,7 +236,6 @@ var builtins = map[string]func() *Spec{
 			Videos:         6000,
 			Seed:           20110301,
 			FoldInterval:   d(200 * time.Millisecond),
-			CoalesceWindow: d(2 * time.Millisecond),
 			Warmup:         d(2 * time.Second),
 			MaxOutstanding: 512,
 			Phases: []Phase{

@@ -70,21 +70,6 @@ func TestChaosSmokeEndToEnd(t *testing.T) {
 	if rep.Write == nil || rep.Write.Requests == 0 {
 		t.Fatal("no measured write traffic")
 	}
-	// The coalescer must be in the serving path: every single predict
-	// rides a micro-batch window, so zero batches means the gateway was
-	// started without -coalesce-window. Whether windows actually SHARED
-	// fan-outs (requests > batches) depends on arrivals overlapping,
-	// which an oversubscribed test box can't guarantee when the rest of
-	// the suite runs alongside — sharing itself is pinned
-	// deterministically by TestGatewayCoalesceSharesFanouts, so here it
-	// only warns.
-	if rep.Cluster.CoalesceBatches == 0 {
-		t.Fatal("coalescer never engaged: the gateway ran without a coalesce window")
-	}
-	if rep.Cluster.CoalesceRequests <= rep.Cluster.CoalesceBatches {
-		t.Logf("note: no shared fan-outs this run (%d requests over %d batches); arrivals never overlapped",
-			rep.Cluster.CoalesceRequests, rep.Cluster.CoalesceBatches)
-	}
 
 	// Report file: schema-valid, atomic, and loadable by the comparator
 	// entry point — and self-comparison is a clean no-op.

@@ -223,9 +223,6 @@ func StartCluster(bins Binaries, sc *Spec, workdir string, logger *log.Logger) (
 		"-sync-wait", "60s",
 		"-grace", "2s",
 	}
-	if sc.CoalesceWindow > 0 {
-		gwArgs = append(gwArgs, "-coalesce-window", sc.CoalesceWindow.String())
-	}
 	if sc.Replicas > 1 {
 		gwArgs = append(gwArgs, "-replicas", fmt.Sprint(sc.Replicas))
 	}

@@ -35,14 +35,12 @@ type ChaosResult struct {
 // (a freshly recovered shard legitimately lags until its next fold;
 // the SLO bounds how far).
 type ClusterResult struct {
-	Scrapes          int     `json:"scrapes"`
-	MaxStaleness     uint64  `json:"max_staleness_epochs"`
-	FinalEpoch       uint64  `json:"final_epoch"`
-	FinalHealthy     int     `json:"final_healthy"`
-	Shards           int     `json:"shards"`
-	CoalesceBatches  int64   `json:"coalesce_batches,omitempty"`
-	CoalesceRequests int64   `json:"coalesce_requests,omitempty"`
-	WorstRecovery    float64 `json:"worst_recovery_seconds,omitempty"`
+	Scrapes       int     `json:"scrapes"`
+	MaxStaleness  uint64  `json:"max_staleness_epochs"`
+	FinalEpoch    uint64  `json:"final_epoch"`
+	FinalHealthy  int     `json:"final_healthy"`
+	Shards        int     `json:"shards"`
+	WorstRecovery float64 `json:"worst_recovery_seconds,omitempty"`
 	// HandoffEpoch is the highest reshard handoff epoch scraped from
 	// the gateway — nonzero proves a grow-cluster event actually moved
 	// the tier.

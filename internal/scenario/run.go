@@ -54,8 +54,6 @@ type scrapeSample struct {
 	minEpoch     uint64
 	promMin      float64
 	promOK       bool
-	coalesceB    int64
-	coalesceR    int64
 	handoffEpoch uint64
 }
 
@@ -67,11 +65,9 @@ type statsView struct {
 			Epoch   uint64 `json:"epoch"`
 			Healthy bool   `json:"healthy"`
 		} `json:"shards"`
-		Epoch            uint64 `json:"epoch"`
-		Healthy          int    `json:"healthy"`
-		CoalesceBatches  int64  `json:"coalesce_batches"`
-		CoalesceRequests int64  `json:"coalesce_requests"`
-		Handoff          *struct {
+		Epoch   uint64 `json:"epoch"`
+		Healthy int    `json:"healthy"`
+		Handoff *struct {
 			Epoch uint64 `json:"epoch"`
 			Phase string `json:"phase"`
 		} `json:"handoff"`
@@ -111,8 +107,6 @@ func (s *scraper) scrapeOnce(ctx context.Context) {
 		sample.ok = true
 		sample.healthy = sv.Cluster.Healthy
 		sample.minEpoch = sv.Cluster.Epoch
-		sample.coalesceB = sv.Cluster.CoalesceBatches
-		sample.coalesceR = sv.Cluster.CoalesceRequests
 		if sv.Cluster.Handoff != nil {
 			sample.handoffEpoch = sv.Cluster.Handoff.Epoch
 		}
@@ -429,10 +423,6 @@ func clusterResult(sc *Spec, samples []scrapeSample) ClusterResult {
 		// changes it mid-run and the report should show where it landed.
 		if len(s.shardHealthy) > 0 {
 			out.Shards = len(s.shardHealthy)
-		}
-		if s.coalesceB > out.CoalesceBatches {
-			out.CoalesceBatches = s.coalesceB
-			out.CoalesceRequests = s.coalesceR
 		}
 		if n := len(s.epochs); n > 0 && s.healthy == n {
 			min, max := s.epochs[0], s.epochs[0]

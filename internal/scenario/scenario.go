@@ -151,8 +151,6 @@ type Spec struct {
 	// FoldInterval is each shard's -ingest-interval; short intervals
 	// make epoch staleness observable on short runs.
 	FoldInterval Duration `json:"fold_interval,omitempty"`
-	// CoalesceWindow is the gateway's micro-batching window (0 = off).
-	CoalesceWindow Duration `json:"coalesce_window,omitempty"`
 	// HealthInterval is the gateway's shard poll cadence; chaos
 	// scenarios want it short so detection fits the run.
 	HealthInterval Duration `json:"health_interval,omitempty"`

@@ -125,9 +125,16 @@ func TestValidateRejections(t *testing.T) {
 }
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
-	_, err := Load([]byte(`{"name":"x","shards":1,"videos":10,"frobnicate":true}`))
-	if err == nil || !strings.Contains(err.Error(), "frobnicate") {
-		t.Fatalf("unknown field not rejected: %v", err)
+	for _, tc := range []struct{ field, body string }{
+		{"frobnicate", `{"name":"x","shards":1,"videos":10,"frobnicate":true}`},
+		// A spec written for the gateway's deleted micro-batching window is
+		// refused, not run without it.
+		{"coalesce_window", `{"name":"x","shards":1,"videos":10,"coalesce_window":"2ms"}`},
+	} {
+		_, err := Load([]byte(tc.body))
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("unknown field %s not rejected: %v", tc.field, err)
+		}
 	}
 }
 

@@ -32,11 +32,11 @@ import (
 // Allocation is the other half of the saving: the body becomes ONE Go
 // string and every decoded string is a substring of it; all tag lists of
 // a request share one backing []string. Substrings of an immutable
-// string are safe to retain past the handler (the coalescer keeps items
-// when a waiter is cancelled), which aliasing the pooled byte buffer
-// would not be. A substring keeps its whole body alive, though, so code
-// that keeps a decoded string for long copies it where it keeps it (the
-// ingest accumulator's maps: strings.Clone at first touch).
+// string stay valid for as long as anything holds them, which aliasing
+// the pooled byte buffer would not be. A substring keeps its whole body
+// alive, though, so code that keeps a decoded string for long copies it
+// where it keeps it (the ingest accumulator's maps: strings.Clone at
+// first touch).
 
 // maxPooledBody bounds the body buffers that go back to the pool: a
 // 4 MB body must not pin 4 MB per pool slot.

@@ -19,8 +19,8 @@ import (
 )
 
 // MaxBodyBytes bounds request bodies; a maximal batch of tag lists fits
-// comfortably. Exported so the gateway's coalescer can budget merged
-// internal requests against the same bound the shard enforces.
+// comfortably. Exported so tests outside the package can size a body
+// against the bound the daemons enforce.
 const MaxBodyBytes = 4 << 20
 
 // CountryShare is one (country, share) pair of a predicted

@@ -152,8 +152,7 @@ func limiterExempt(path string) bool {
 }
 
 // withTrace assigns the request id: an inbound X-Request-Id is honored
-// when well-formed (the gateway propagates ids to shards this way —
-// including comma-joined member ids for coalesced micro-batches),
+// when well-formed (the gateway propagates ids to shards this way),
 // anything else is replaced. The id is set on the request headers (for
 // handlers and fan-out to read back) and echoed on the response before
 // any handler runs, so WriteError can include it in error envelopes.
@@ -179,11 +178,6 @@ func (m *Middleware) withTrace(next http.Handler) http.Handler {
 		tr := obs.GetTrace(id, r.URL.Path, start)
 		if p := r.Header.Get(obs.SpanContextHeader); validSpanParent(p) {
 			tr.SetParent(p)
-		}
-		if n := strings.Count(id, ","); n > 0 {
-			// A comma-joined id marks a coalesced micro-batch: record the
-			// member count so trace lookups can de-mux it.
-			tr.SetMembers(n + 1)
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), traceKey{}, tr)))

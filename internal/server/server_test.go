@@ -7,11 +7,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"viewstags/internal/alexa"
 	"viewstags/internal/geocache"
+	"viewstags/internal/obs"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/tagviews"
@@ -487,6 +489,46 @@ func TestRecoveryMiddleware(t *testing.T) {
 	wantEnvelope(t, rec, http.StatusInternalServerError, "internal error")
 	if rec.Header().Get("X-Request-Id") != "recovery-test-1" {
 		t.Fatalf("inbound request id not echoed: %q", rec.Header().Get("X-Request-Id"))
+	}
+}
+
+// requestIDCases are the bounds of an honoured X-Request-Id: up to
+// obs.MaxRequestIDLen bytes of [0-9A-Za-z-_.:]. Anything else — one byte
+// longer, or the comma that once joined several requests' ids — is
+// replaced by a generated id, never truncated or passed on.
+var requestIDCases = []struct {
+	name, id string
+	honoured bool
+}{
+	{"longest honoured id", strings.Repeat("x", obs.MaxRequestIDLen), true},
+	{"one byte too long", strings.Repeat("x", obs.MaxRequestIDLen+1), false},
+	{"comma", "aaa,bbb", false},
+}
+
+// wantRequestID checks got against one requestIDCases row: the inbound id
+// itself when honoured, a freshly generated one otherwise.
+func wantRequestID(t *testing.T, name, inbound, got string, honoured bool) {
+	t.Helper()
+	if honoured && got != inbound {
+		t.Errorf("%s: id came back as %q, want it echoed whole", name, got)
+	}
+	if !honoured && (got == inbound || len(got) != 16 || !obs.ValidRequestID(got)) {
+		t.Errorf("%s: id came back as %q, want a generated one", name, got)
+	}
+}
+
+// TestRequestIDBound: the node's middleware honours or replaces an
+// inbound id by the rule above, in the response header and the error
+// envelope alike.
+func TestRequestIDBound(t *testing.T) {
+	_, srv := fixture(t)
+	for _, tc := range requestIDCases {
+		req := httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(`{"tags":[]}`))
+		req.Header.Set(obs.TraceHeader, tc.id)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		wantEnvelope(t, rec, http.StatusBadRequest, "empty request: provide tags or batch")
+		wantRequestID(t, tc.name, tc.id, rec.Header().Get(obs.TraceHeader), tc.honoured)
 	}
 }
 

@@ -13,11 +13,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"viewstags/internal/ingest"
+	"viewstags/internal/obs"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/tagviews"
 )
@@ -486,6 +488,50 @@ func TestStreamEnvelopeRefusals(t *testing.T) {
 		if _, err := ReadStreamFrameLen(bytes.NewReader(binary.LittleEndian.AppendUint32(nil, n))); err == nil {
 			t.Fatalf("frame length %d accepted", n)
 		}
+	}
+}
+
+// TestStreamFrameRequestIDBound: the envelope's request id meets the same
+// rule as the X-Request-Id header, because a frame runs the same trace
+// middleware: the error envelope in the reply names the id when it is
+// well-formed and a generated one otherwise. An id past the bound is not
+// a frame either end produces or accepts.
+func TestStreamFrameRequestIDBound(t *testing.T) {
+	_, srv := fixture(t)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	conn, br := dialStream(t, ts.URL)
+	env := StreamRequest{Path: "/internal/predict", ContentType: jsonContentType, Body: []byte("{}")}
+	for i, tc := range requestIDCases {
+		if len(tc.id) > obs.MaxRequestIDLen {
+			continue // not a frame: refused below
+		}
+		env.ID, env.RequestID = uint64(i+1), tc.id
+		if _, err := conn.Write(mustFrame(t, env)); err != nil {
+			t.Fatal(err)
+		}
+		rep := readReply(t, conn, br)
+		var e errorResponse
+		if err := json.Unmarshal(rep.Body, &e); err != nil || rep.Status != http.StatusUnsupportedMediaType {
+			t.Fatalf("%s: status %d body %q (%v), want the 415 error envelope", tc.name, rep.Status, rep.Body, err)
+		}
+		wantRequestID(t, tc.name, tc.id, e.RequestID, tc.honoured)
+	}
+
+	env.RequestID = strings.Repeat("x", obs.MaxRequestIDLen+1)
+	if _, err := AppendStreamRequest(nil, &env); err == nil {
+		t.Fatal("an id one byte past the bound encoded")
+	}
+	// The same by hand, for the decoder: grow a maximal id by one byte. Its
+	// u16 length sits after the stream id and the two u8-counted fields.
+	env.RequestID = env.RequestID[1:]
+	data := mustFrame(t, env)[4:]
+	at := 8 + 1 + len(env.Path) + 1 + len(env.ContentType)
+	binary.LittleEndian.PutUint16(data[at:], obs.MaxRequestIDLen+1)
+	data = slices.Insert(data, at+2, 'x')
+	var back StreamRequest
+	if err := DecodeStreamRequest(data, &back); err == nil || !strings.Contains(err.Error(), "request id of") {
+		t.Fatalf("an id one byte past the bound decoded as %+v (%v)", back, err)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // The /debug/traces family: retrieval for the tail-sampled trace ring.
 //
 //	GET /debug/traces                 — list retained traces (filters below)
-//	GET /debug/traces/{request_id}    — one trace by id (incl. coalesced members)
+//	GET /debug/traces/{request_id}    — one trace by id
 //
 // Filters: ?route= (exact path), ?min_ms= (at least this slow),
 // ?status= (ok | error | shed), ?limit= (max results). The gateway

@@ -48,27 +48,21 @@ func (c *Catalog) TopInCountry(id geo.CountryID, k int) []int {
 	return idx[:k]
 }
 
-// ByID finds a video by its YouTube-shaped id.
+// ByID finds a video by its YouTube-shaped id. Safe for concurrent use:
+// the id→index map is built on the first call, once — the API server's
+// handlers are the first callers, many at a time under a parallel crawl.
 func (c *Catalog) ByID(id string) (*Video, bool) {
-	// Linear scan is fine for tests; hot paths use the index map below.
-	if c.idIndex == nil {
-		c.buildIDIndex()
-	}
+	c.idOnce.Do(func() {
+		c.idIndex = make(map[string]int, len(c.Videos))
+		for i := range c.Videos {
+			c.idIndex[c.Videos[i].ID] = i
+		}
+	})
 	i, ok := c.idIndex[id]
 	if !ok {
 		return nil, false
 	}
 	return &c.Videos[i], true
-}
-
-// buildIDIndex populates the lazy id→index map. Catalog generation is
-// single-threaded and ByID is first called before any concurrent use (the
-// API server builds it at construction), so laziness here is safe.
-func (c *Catalog) buildIDIndex() {
-	c.idIndex = make(map[string]int, len(c.Videos))
-	for i := range c.Videos {
-		c.idIndex[c.Videos[i].ID] = i
-	}
 }
 
 // TagIndex returns a map from vocabulary tag id to the indices of videos

@@ -15,6 +15,7 @@ package synth
 
 import (
 	"fmt"
+	"sync"
 
 	"viewstags/internal/geo"
 	"viewstags/internal/mapchart"
@@ -177,7 +178,8 @@ type Catalog struct {
 	Videos []Video
 	Config Config
 
-	idIndex map[string]int // lazy id→index map; see ByID
+	idOnce  sync.Once // guards the lazy id→index map; see ByID
+	idIndex map[string]int
 }
 
 // youTubeCategories2011 is the category list of the GData API circa 2011.

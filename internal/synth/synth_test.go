@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -213,6 +214,33 @@ func TestByID(t *testing.T) {
 	if _, ok := cat.ByID("AAAAAAAAAAA"); ok {
 		t.Fatal("ByID accepted unknown id")
 	}
+}
+
+// TestByIDConcurrentFirstUse: the first lookups on a fresh catalog arrive
+// together — what a parallel crawl does to cmd/ytsim — and must all be
+// answered from one index. Run under -race.
+func TestByIDConcurrentFirstUse(t *testing.T) {
+	cat, err := Generate(DefaultConfig(300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := g; i < len(cat.Videos); i += 16 {
+				if v, ok := cat.ByID(cat.Videos[i].ID); !ok || v.Index != i {
+					t.Errorf("ByID(%q) = %v,%v, want video %d", cat.Videos[i].ID, v, ok, i)
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
 }
 
 func TestUploadGravityShapesViews(t *testing.T) {

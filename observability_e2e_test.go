@@ -3,8 +3,8 @@
 // conformant Prometheus text while traffic flows, that /v1/stats'
 // histogram-derived quantiles are coherent, and that one X-Request-Id
 // follows a request through the gateway log, every shard's log and the
-// response the client holds — including through a coalesced
-// micro-batch, where the shard-bound header carries every member's id.
+// response the client holds — each concurrent request under its own id
+// and no other.
 package viewstags_test
 
 import (
@@ -143,7 +143,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.HealthInterval = 20 * time.Millisecond
-	gcfg.CoalesceWindow = 250 * time.Microsecond
 	g, err := cluster.NewGateway(gcfg, targets)
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +154,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	defer gw.Close()
 	client := gw.Client()
 
-	// Mixed traffic: predicts (single + batch, so the coalescer runs)
-	// and ingest batches (so folds happen and the fold histogram
-	// fills), scraping both tiers mid-run.
+	// Mixed traffic: predicts and ingest batches (so folds happen and
+	// the fold histogram fills), scraping both tiers mid-run.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -202,7 +200,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 		`viewstags_shard_up{shard="0"} 1`,
 		`viewstags_shard_up{shard="2"} 1`,
 		"viewstags_cluster_min_epoch",
-		"viewstags_coalesce_batches_total",
 		"go_goroutines",
 	} {
 		if !strings.Contains(gwText, want) {
@@ -249,8 +246,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 // TestTraceEndToEnd asserts the request-id contract: an id supplied by
 // the client comes back on the response, shows up in the gateway's
 // access log, and reaches every shard's access log over the internal
-// fan-out — and when two requests share a coalesced micro-batch, the
-// one internal call carries both ids.
+// fan-out — and two requests in flight together each make their own
+// internal calls, every one carrying exactly its own request's id.
 func TestTraceEndToEnd(t *testing.T) {
 	const shards = 2
 	foldEvery := 50 * time.Millisecond
@@ -271,9 +268,6 @@ func TestTraceEndToEnd(t *testing.T) {
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.Logger = log.New(gwLog, "", 0)
 	gcfg.LogRequests = true
-	// A generous window so the two concurrent requests below reliably
-	// land in one micro-batch.
-	gcfg.CoalesceWindow = 50 * time.Millisecond
 	g, err := cluster.NewGateway(gcfg, targets)
 	if err != nil {
 		t.Fatal(err)
@@ -304,8 +298,8 @@ func TestTraceEndToEnd(t *testing.T) {
 		return resp
 	}
 
-	// Two concurrent predicts with distinct ids: the coalescer merges
-	// them into one fan-out, so the shard-bound header must carry both.
+	// Two concurrent predicts with distinct ids: each runs its own
+	// fan-out, so every shard-bound leg must carry one id, whole.
 	idA, idB := "trace-e2e-aaaa", "trace-e2e-bbbb"
 	var wg sync.WaitGroup
 	for _, id := range []string{idA, idB} {
@@ -330,8 +324,16 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	for i, sl := range shardLogs {
 		text := sl.String()
-		if !strings.Contains(text, idA) || !strings.Contains(text, idB) {
-			t.Errorf("shard %d access log missing a member trace id (coalesced batch must carry both):\n%s", i, text)
+		var sawA, sawB bool
+		for _, line := range strings.Split(text, "\n") {
+			a, b := strings.HasSuffix(line, "trace="+idA), strings.HasSuffix(line, "trace="+idB)
+			sawA, sawB = sawA || a, sawB || b
+			if !a && !b && (strings.Contains(line, idA) || strings.Contains(line, idB)) {
+				t.Errorf("shard %d access-log line carries a request's id beside something else: %s", i, line)
+			}
+		}
+		if !sawA || !sawB {
+			t.Errorf("shard %d access log is missing a leg under its own request's id:\n%s", i, text)
 		}
 	}
 

@@ -4,7 +4,7 @@
 // slow request, (b) carries per-shard fan-out leg spans whose worst leg
 // points at the delayed shard, (c) stays sum-consistent with the edge
 // latency histogram, and (d) stitches the shard-side span view on —
-// including de-muxing a coalesced micro-batch back to a member id.
+// each of two concurrent requests to its own legs and no one else's.
 package viewstags_test
 
 import (
@@ -119,8 +119,6 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.HealthInterval = 20 * time.Millisecond
-	// Generous window so the concurrent pair below shares a batch.
-	gcfg.CoalesceWindow = 25 * time.Millisecond
 	g, err := cluster.NewGateway(gcfg, targets)
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +162,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	if st.ID != slowID || st.Route != "/v1/predict" || st.Status != http.StatusOK {
 		t.Fatalf("stitched trace header wrong: id=%q route=%q status=%d", st.ID, st.Route, st.Status)
 	}
-	for _, name := range []string{"decode", "coalesce_wait", "fanout", "merge", "encode", "handler"} {
+	for _, name := range []string{"decode", "fanout", "merge", "encode", "handler"} {
 		if spanByName(st.Spans, name) == nil {
 			t.Errorf("gateway trace missing %q span; spans: %+v", name, st.Spans)
 		}
@@ -276,9 +274,9 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 		t.Errorf("?stitch=0 still stitched %d shard views", len(flat.Shards))
 	}
 
-	// Coalesced micro-batch: two concurrent predicts share one fan-out,
-	// so the shard retains the batch under a comma-joined id — the
-	// stitch must de-mux a member id back to that trace.
+	// Two concurrent predicts each run their own fan-out, so a shard
+	// retains one trace per request under exactly that request's id —
+	// the stitch must hand each id its own legs.
 	idA, idB := "stitch-e2e-aaaa", "stitch-e2e-bbbb"
 	var wg sync.WaitGroup
 	for _, id := range []string{idA, idB} {
@@ -289,28 +287,30 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 		}(id)
 	}
 	wg.Wait()
-	stA, code := getStitched(t, client, gw.URL, idA)
-	if code != http.StatusOK {
-		t.Fatalf("gateway did not retain %s: status %d", idA, code)
-	}
-	var demux *obs.TraceView
-	for i := range stA.Shards {
-		if stA.Shards[i].Trace != nil {
-			demux = stA.Shards[i].Trace
-			break
+	for _, id := range []string{idA, idB} {
+		stitched, code := getStitched(t, client, gw.URL, id)
+		if code != http.StatusOK {
+			t.Fatalf("gateway did not retain %s: status %d", id, code)
 		}
-	}
-	if demux == nil {
-		t.Fatalf("no shard-side trace stitched for coalesced member %s: %+v", idA, stA.Shards)
-	}
-	if !strings.Contains(demux.ID, idA) {
-		t.Errorf("de-muxed shard trace id %q does not cover member %s", demux.ID, idA)
+		own := 0
+		for _, sv := range stitched.Shards {
+			if sv.Trace == nil {
+				continue
+			}
+			if sv.Trace.ID != id {
+				t.Errorf("shard %d trace stitched onto %s carries id %q", sv.Shard, id, sv.Trace.ID)
+			}
+			own++
+		}
+		if own == 0 {
+			t.Fatalf("no shard-side trace stitched for %s: %+v", id, stitched.Shards)
+		}
 	}
 
 	// The list endpoint orders slowest-first and retained the slow
 	// request. Which id is literally slowest can shift on a loaded box
-	// (the coalesced pair above also rode the delayed proxy, plus a
-	// window's wait), so pin the ordering contract, not a winner.
+	// (the concurrent pair above also rode the delayed proxy), so pin
+	// the ordering contract, not a winner.
 	var lst server.TracesListResponse
 	respList, err := client.Get(gw.URL + "/debug/traces?route=/v1/predict&limit=64")
 	if err != nil {
