@@ -12,11 +12,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -266,10 +268,11 @@ func TestAllocBudgets(t *testing.T) {
 			t.Fatal(err)
 		}
 		targets := make([]string, shards)
+		nodes := make([]*clusterNode, shards)
 		for i := range targets {
-			n := startClusterNode(t, ring, i, shards, time.Hour)
-			defer n.stop()
-			targets[i] = n.ts.URL
+			nodes[i] = startClusterNode(t, ring, i, shards, time.Hour)
+			defer nodes[i].stop()
+			targets[i] = nodes[i].ts.URL
 		}
 		cfg := cluster.DefaultGatewayConfig()
 		cfg.Logger = log.New(io.Discard, "", 0)
@@ -320,12 +323,46 @@ func TestAllocBudgets(t *testing.T) {
 			next++
 		}
 		allocs = testing.AllocsPerRun(coldRuns, cold)
-		// Measured 155: the warm 38, three legs' worth of carrier and
-		// shard handler, and three allocations per row kept.
+		// Measured 136 (155 when every row kept cost three allocations): the
+		// warm 38, three legs' worth of carrier and shard handler, a key per
+		// row kept, and per frame one allocation for its rows and one for
+		// their vectors.
 		if allocs > 171 {
 			t.Fatalf("cold gateway batch-4 predict allocates %.1f/op, budget 171", allocs)
 		}
 		t.Logf("cold gateway batch-4 predict over 3 shards: %.1f allocs/op (budget 171)", allocs)
+
+		// The first request after an observed fold, once the refresh passes
+		// have landed: every row it needs was re-read off the request path,
+		// so it costs what the warm one does — no leg, no row, no key.
+		// AllocsPerRun cannot put a fold between its runs, so each of these
+		// is counted by hand, the same way.
+		const folds = 5
+		allocs = 0
+		for i := 0; i < folds; i++ {
+			upload := fmt.Sprintf(`{"events":[{"video":"alloc-fold-%d","tags":["zz-alloc"],"country":"US","views":1,"upload":true}]}`, i)
+			rec := httptest.NewRecorder()
+			gh.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(upload)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("ingest: %d: %s", rec.Code, rec.Body)
+			}
+			for _, n := range nodes {
+				n.settle()
+			}
+			g.RefreshHealth(context.Background())
+			g.WaitRowRefresh()
+			procs := runtime.GOMAXPROCS(1)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			do()
+			runtime.ReadMemStats(&after)
+			runtime.GOMAXPROCS(procs)
+			allocs += float64(after.Mallocs-before.Mallocs) / folds
+		}
+		if allocs > 46 {
+			t.Fatalf("first gateway batch-4 predict after an observed fold allocates %.1f/op, warm budget 46", allocs)
+		}
+		t.Logf("first gateway batch-4 predict after an observed fold, pass landed: %.1f allocs/op (budget 46)", allocs)
 	})
 
 	// The observe path itself: recording a latency into a route

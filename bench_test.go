@@ -705,13 +705,19 @@ func BenchmarkIngestFold(b *testing.B) {
 // Those variants (single, batch 4, batch 32) cycle 256 bodies, so after
 // the first pass every row they need is cached. The rows/ variants
 // (batch 4, one driver; read them with -benchmem) put a number on each
-// state of the row cache instead: warm (every row held), cold (every
-// shard's epoch has moved and been observed since the last request, so
-// every row is fetched again: the all-miss cost, three legs) and
-// epoch-churn (32 bodies cycling while one shard folds every 64
-// requests, round-robin: after each fold the next 32 requests fetch that
-// shard's rows again over one leg and the 32 after them are warm). The
-// folds and the health observation run with the timer stopped.
+// state of the row cache instead: warm (every row held), cold (a gateway
+// that holds none of the request's rows, so the request fetches every one
+// itself: the all-miss cost, three legs — a fresh gateway per request,
+// built and dialled with the timer stopped, because rows a fold retired
+// no longer stay missing: the refresh pass re-reads them, and racing it
+// would not be a number), epoch-churn (32 bodies cycling while one shard
+// folds every 64 requests, round-robin: the fold and the health
+// observation run with the timer stopped, the refresh pass that
+// observation starts runs beside the timed requests, as in production)
+// and refresh (every shard folds, then the timed part is the observation
+// plus the three passes it starts, waited out: ns per refreshed row,
+// rows per frame, and allocations per frame net of the observation's
+// own — the in-process shards' handler allocations are in it).
 func BenchmarkClusterGatewayPredict(b *testing.B) {
 	res := benchFixture(b)
 	const shards = 3
@@ -849,18 +855,31 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 	// The rows/ variants get a gateway of their own, so what they measure
 	// is a cache holding their 32 bodies' rows and nothing else.
 	g := newGateway()
-	defer g.Close()
-	h := g.Handler()
+	defer func() { g.Close() }()
 	bodies := make([][]byte, 32)
 	for i := range bodies {
 		bodies[i] = makeBody(4, i)
 	}
-	predict := func(i int) {
+	post := func(body []byte) {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(bodies[i%len(bodies)])))
+		g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
+	}
+	predict := func(i int) { post(bodies[i%len(bodies)]) }
+	// dial asks for one tag nobody knows of every shard: the streams are
+	// up afterwards and none of the bodies' rows is held.
+	var dialTags []string
+	for s, i := 0, 0; s < shards; i++ {
+		if tag := fmt.Sprintf("zz-dial-%d", i); ring.Owner(tag) == s {
+			dialTags = append(dialTags, tag)
+			s++
+		}
+	}
+	dial, err := json.Marshal(server.PredictRequest{Tags: dialTags})
+	if err != nil {
+		b.Fatal(err)
 	}
 	// fold moves the given shards' epochs and has the gateway see it.
 	fold := func(b *testing.B, which ...int) {
@@ -876,7 +895,13 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 		before func(b *testing.B, i int)
 	}{
 		{"warm", func(*testing.B, int) {}},
-		{"cold", func(b *testing.B, _ int) { fold(b, 0, 1, 2) }},
+		{"cold", func(b *testing.B, _ int) {
+			b.StopTimer()
+			g.Close()
+			g = newGateway()
+			post(dial)
+			b.StartTimer()
+		}},
 		{"epoch-churn", func(b *testing.B, i int) {
 			if i%64 == 0 {
 				fold(b, i/64%shards)
@@ -895,6 +920,57 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 			b.ReportMetric(float64(b.N*4)/b.Elapsed().Seconds(), "preds/sec")
 		})
 	}
+	b.Run("rows/refresh", func(b *testing.B) {
+		refreshed := func() (rows, legs int64) {
+			var stats struct {
+				Cluster cluster.ClusterStats `json:"cluster"`
+			}
+			rec := httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+			if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
+				b.Fatal(err)
+			}
+			return stats.Cluster.RowCache.RefreshRows, stats.Cluster.RowCache.RefreshLegs
+		}
+		// observe is what the timed part does; its mallocs are counted
+		// process-wide, so the in-process shards' are in them.
+		observe := func() uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.StartTimer()
+			g.RefreshHealth(context.Background())
+			g.WaitRowRefresh()
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			return after.Mallocs - before.Mallocs
+		}
+		b.StopTimer()
+		for i := range bodies {
+			predict(i)
+		}
+		g.WaitRowRefresh()
+		probe := observe() // nothing folded: the three health probes alone
+		rows0, legs0 := refreshed()
+		var mallocs uint64
+		b.ResetTimer()
+		b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			for s := range foldShard {
+				foldShard[s]()
+			}
+			mallocs += observe() - probe
+			// Every row is asked for again before the next fold, so none
+			// ages out of the refresh as idle.
+			for i := range bodies {
+				predict(i)
+			}
+		}
+		rows, legs := refreshed()
+		rows, legs = rows-rows0, legs-legs0
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
+		b.ReportMetric(float64(rows)/float64(legs), "rows/frame")
+		b.ReportMetric(float64(mallocs)/float64(legs), "allocs/frame")
+	})
 }
 
 // BenchmarkInternalCodec measures the gateway↔shard codec in isolation

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -114,6 +115,23 @@ type mergedPredict struct {
 
 // row returns item i's distribution, aliasing the slab.
 func (m *mergedPredict) row(i int) []float64 { return m.vecs[i*m.nC : (i+1)*m.nC] }
+
+// wantTags lists the tags asked of shard s this round (shared scratch).
+func (m *mergedPredict) wantTags(s int) []string {
+	m.oneTag = m.oneTag[:0]
+	for _, i := range m.want[s] {
+		m.oneTag = append(m.oneTag, m.misses[i].tag)
+	}
+	return m.oneTag
+}
+
+// oneTagItems appends one one-tag item per tag, aliasing tags, to dst.
+func oneTagItems(dst [][]string, tags []string) [][]string {
+	for j := range tags {
+		dst = append(dst, tags[j:j+1:j+1])
+	}
+	return dst
+}
 
 // getMerged takes a pooled result sized for nItems items carrying nTags
 // tags in all, over nShards shards.
@@ -343,19 +361,12 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 			if len(want) == 0 {
 				continue
 			}
-			m.oneTag = m.oneTag[:0]
-			for _, i := range want {
-				m.oneTag = append(m.oneTag, m.misses[i].tag)
-			}
-			m.oneItems = m.oneItems[:0]
-			for j := range m.oneTag {
-				m.oneItems = append(m.oneItems, m.oneTag[j:j+1:j+1])
-			}
+			m.oneItems = oneTagItems(m.oneItems[:0], m.wantTags(s))
 			m.bufs[s] = reqBufPool.Get().(*[]byte)
 			m.bodies[s] = server.AppendPredictRequestExclude((*m.bufs[s])[:0], m.oneItems, weighting, exclude, false)
 		}
 		fanStart := time.Now()
-		replies := g.scatter(ctx, tp, "/internal/predict", m.bodies, server.WireContentType, trace)
+		replies := g.scatter(ctx, tp, legPredict, m.bodies, server.WireContentType, trace)
 		m.fanout += time.Since(fanStart)
 		if m.nlegs == 0 {
 			m.fanStart = fanStart
@@ -395,7 +406,16 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 					pp = g.partialsPool.Get().(*server.PredictPartials)
 					defer g.partialsPool.Put(pp)
 				}
-				fe = g.takeRows(tp, m, rep, pp, weighting)
+				// Cache keys must not alias the request body, as the tags do.
+				tags := m.wantTags(rep.shard)
+				for j := range tags {
+					tags[j] = strings.Clone(tags[j])
+				}
+				var rows []tagRow
+				rows, fe = g.takeRows(tp, rep.shard, m.view[rep.shard].gen, tags, weighting, rep.body, pp)
+				for j := range rows {
+					m.misses[m.want[rep.shard][j]].row = &rows[j]
+				}
 			}
 			if v := &m.view[rep.shard]; fe == nil && v.epoch != pp.Epoch {
 				v.epoch = pp.Epoch
@@ -475,43 +495,52 @@ func (g *Gateway) coverageLost(tp *topology, exclude []int) *replyError {
 		msg: fmt.Sprintf("%d of %d shards unavailable — slice coverage lost", len(exclude), len(tp.targets))}
 }
 
-// takeRows decodes one shard's reply to this round's frame into rows,
-// hands them to the request, and publishes them to the topology's
-// cache — unless the shard slot's generation moved while the fetch was
-// in flight: such rows answer the request that fetched them (it holds
-// the generation it started under, like every row it took from that
-// shard) but are not worth keeping, since no later request could use
-// them. A row holds its own copy of the vector, never the reply buffer.
-func (g *Gateway) takeRows(tp *topology, m *mergedPredict, rep shardReply, pp *server.PredictPartials, weighting tagviews.Weighting) *replyError {
-	want := m.want[rep.shard]
-	if err := server.DecodePredictResponse(rep.body, pp, len(want), m.nC); err != nil {
-		g.markFail(tp, rep.shard)
-		return &replyError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("shard %d: undecodable response: %v", rep.shard, err)}
+// takeRows is the one row constructor, for a request's fetch and a
+// refresh pass (rowrefresh.go) alike: it decodes a shard's reply to a
+// frame of one-tag items (tags, in order; the cache keeps them as keys)
+// into rows labelled with the reply's own epoch and the slot generation
+// the fetch began under, records the epoch as observed, and publishes
+// the rows to the topology's cache — unless the generation moved while
+// the fetch was in flight: such rows answer the request that fetched
+// them, which holds the generation it started under, and no later one.
+// Read and retired together, a frame's rows share two allocations: the
+// structs, and one slab for the vectors (a copy, never the reply buffer).
+func (g *Gateway) takeRows(tp *topology, shard int, gen uint64, tags []string, w tagviews.Weighting, body []byte, pp *server.PredictPartials) ([]tagRow, *replyError) {
+	n, nC := len(tags), len(g.codes)
+	if err := server.DecodePredictResponse(body, pp, n, nC); err != nil {
+		g.markFail(tp, shard)
+		return nil, &replyError{status: http.StatusBadGateway,
+			msg: fmt.Sprintf("shard %d: undecodable response: %v", shard, err)}
 	}
-	if pp.NItems != len(want) || pp.NC != m.nC {
-		return &replyError{status: http.StatusBadGateway,
+	if pp.NItems != n || pp.NC != nC {
+		return nil, &replyError{status: http.StatusBadGateway,
 			msg: fmt.Sprintf("shard %d returned %d partials of %d countries for %d items of %d",
-				rep.shard, pp.NItems, pp.NC, len(want), m.nC)}
+				shard, pp.NItems, pp.NC, n, nC)}
 	}
-	g.markOK(tp, rep.shard, pp.Epoch)
-	gen := m.view[rep.shard].gen
-	publish := tp.shards[rep.shard].gen.Load() == gen
-	for j, i := range want {
-		r := &tagRow{shard: rep.shard, gen: gen, epoch: pp.Epoch}
-		// !(ws > 0), not ws <= 0: the codec transits a NaN weight sum
-		// as an absent row (mirroring the encoder's predicate), and a
-		// NaN combined later would poison the whole item.
+	g.markOK(tp, shard, pp.Epoch)
+	// !(ws > 0), not ws <= 0: the codec transits a NaN weight sum as an
+	// absent row (mirroring the encoder's predicate), and a NaN combined
+	// later would poison the whole item.
+	known := 0
+	for _, ws := range pp.WSums[:n] {
+		if ws > 0 {
+			known++
+		}
+	}
+	rows, vecs := make([]tagRow, n), make([]float64, known*nC)
+	for j := range rows {
+		r := &rows[j]
+		r.shard, r.gen, r.epoch = shard, gen, pp.Epoch
 		if ws := pp.WSums[j]; ws > 0 {
 			r.ws = ws
-			r.vec = append([]float64(nil), pp.Sums[j*pp.NC:(j+1)*pp.NC]...)
+			r.vec, vecs = vecs[:nC:nC], vecs[nC:]
+			copy(r.vec, pp.Sums[j*nC:(j+1)*nC])
 		}
-		m.misses[i].row = r
-		if publish {
-			tp.rows.put(m.misses[i].tag, weighting, r)
+		if tp.shards[shard].gen.Load() == gen {
+			tp.rows.put(tags[j], w, r)
 		}
 	}
-	return nil
+	return rows, nil
 }
 
 // addFanoutSpans records the predict core's stage spans onto a trace:

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"net/http"
+	"runtime/debug"
 	"testing"
 
 	"viewstags/internal/server"
@@ -17,18 +19,15 @@ import (
 func takeOneRow(t *testing.T, g *Gateway, tag string, frame []byte, inFlight func(*shardState)) (fe *replyError, row, cached *tagRow) {
 	t.Helper()
 	tp := g.topo.Load()
-	m := g.getMerged(1, 1, len(tp.shards))
-	defer g.putMerged(m)
-	m.view[0] = shardView{ok: true, gen: tp.shards[0].gen.Load()}
-	m.misses = append(m.misses[:0], missTag{tag: tag})
-	m.missIdx[tag] = 0
-	m.want[0] = append(m.want[0][:0], 0)
-	m.fetched = true
+	gen := tp.shards[0].gen.Load()
 	if inFlight != nil {
 		inFlight(tp.shards[0])
 	}
-	fe = g.takeRows(tp, m, shardReply{shard: 0, status: http.StatusOK, body: frame}, new(server.PredictPartials), tagviews.WeightIDF)
-	return fe, m.misses[0].row, tp.rows.get(tag, tagviews.WeightIDF)
+	rows, fe := g.takeRows(tp, 0, gen, []string{tag}, tagviews.WeightIDF, frame, new(server.PredictPartials))
+	if fe == nil {
+		row = &rows[0]
+	}
+	return fe, row, tp.rows.get(tag, tagviews.WeightIDF)
 }
 
 // TestMergeSkipsNaNWeightSum: the codec transits a NaN weight sum as an
@@ -79,5 +78,46 @@ func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 		if row != nil || cached != nil {
 			t.Fatalf("width %d: rejected frame still produced a row (request %+v, cache %+v)", width, row, cached)
 		}
+	}
+}
+
+// TestTakeRowsAllocatesPerFrame: the rows of one frame share their
+// allocations — one for the structs, one for the vectors — and takeRows
+// copies no key (a request's fetch clones its own, a refresh pass hands
+// back the cache's), so what a pass costs the heap is per frame, not per
+// row.
+func TestTakeRowsAllocatesPerFrame(t *testing.T) {
+	_, g := startCluster(t, 3)
+	const n = 512
+	enc := server.GetPredictWireEncoder()
+	defer server.PutPredictWireEncoder(enc)
+	vec := make([]float64, len(g.codes))
+	vec[0] = 2
+	tags := make([]string, n)
+	enc.Begin(tagviews.WeightIDF, 1, 0, len(g.codes), n, false)
+	for j := range tags {
+		tags[j] = fmt.Sprintf("zz-frame-%d", j)
+		enc.Item(2, vec)
+	}
+	frame := append([]byte(nil), enc.Finish()...)
+	tp, pp := g.topo.Load(), new(server.PredictPartials)
+	take := func() {
+		if rows, fe := g.takeRows(tp, 0, 0, tags, tagviews.WeightIDF, frame, pp); fe != nil || len(rows) != n {
+			t.Fatalf("takeRows: %+v, %d rows", fe, len(rows))
+		}
+	}
+	// Held rows are the case: the first frame grows the stripes' maps,
+	// which are still settling under the second. The count is
+	// process-wide, and a collection started by these very allocations
+	// would add a few of its own.
+	take()
+	take()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(20, take)
+	if allocs > 2 {
+		t.Fatalf("a frame of %d rows costs %.0f allocations, want the two slabs", n, allocs)
+	}
+	if held := tp.rows.n.Load(); held != n {
+		t.Fatalf("cache holds %d rows, want %d", held, n)
 	}
 }

@@ -84,14 +84,17 @@ func DefaultGatewayConfig() GatewayConfig {
 }
 
 // Data-plane routes, as indexes into shardState.legs and as the route
-// label of viewstags_shard_leg_duration_seconds.
+// label of viewstags_shard_leg_duration_seconds. A refresh leg is a
+// predict frame of up to MaxBatch rows no request waits on, timed apart.
 const (
 	legPredict = iota
 	legIngest
+	legRefresh
 	numLegRoutes
 )
 
-var legRouteNames = [numLegRoutes]string{"predict", "ingest"}
+var legRouteNames = [numLegRoutes]string{"predict", "ingest", "refresh"}
+var legRoutePaths = [numLegRoutes]string{"/internal/predict", "/internal/ingest", "/internal/predict"}
 
 // Why a shard's cached rows stopped being usable, as indexes into
 // shardState.invalidations and as the cause label of
@@ -107,8 +110,8 @@ const (
 var invalCauseNames = [numInvalCauses]string{"epoch", "down", "revived", "catchup"}
 
 // shardState is the gateway's live view of one shard, updated by every
-// scatter call and by the background health poll. All fields are
-// atomics: the serving path reads them lock-free.
+// scatter call and by the background health poll. Every field the
+// serving path reads is an atomic, so it reads them lock-free.
 type shardState struct {
 	epoch   atomic.Uint64
 	records atomic.Int64
@@ -136,6 +139,10 @@ type shardState struct {
 	// legs are the per-route leg latencies postShard observes: the
 	// in-program per-shard number behind a slow fan-out.
 	legs [numLegRoutes]obs.Histogram
+	// refreshing (under Gateway.refreshMu): a refresh pass is running for
+	// the slot. refreshLegs counts the frames passes have sent the shard.
+	refreshing  bool
+	refreshLegs atomic.Int64
 }
 
 // invalidate advances the slot generation, which strands every row
@@ -216,6 +223,15 @@ type Gateway struct {
 	rowHits     atomic.Int64
 	rowMisses   atomic.Int64
 	predictLegs atomic.Int64
+	// The row refresher (rowrefresh.go): refreshMu guards the slots'
+	// refreshing marks and the count of passes running (refreshIdle signals
+	// each end); none starts once closed. Then its two row counters.
+	refreshMu      sync.Mutex
+	refreshIdle    *sync.Cond
+	refreshes      int
+	closed         atomic.Bool
+	refreshedRows  atomic.Int64
+	refreshDropped atomic.Int64
 	// handoff is the last reshard's observable record; nil before the
 	// first one.
 	handoff atomic.Pointer[HandoffStatus]
@@ -294,6 +310,7 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 		tp.streams[i] = g.newStream(targets[i])
 	}
 	g.topo.Store(tp)
+	g.refreshIdle = sync.NewCond(&g.refreshMu)
 	g.mergedPool.New = func() any { return new(mergedPredict) }
 	g.partialsPool.New = func() any { return new(server.PredictPartials) }
 	mux := http.NewServeMux()
@@ -315,13 +332,15 @@ func (g *Gateway) newStream(target string) *shardStream {
 }
 
 // Close ends every shard stream — calls in flight fail with a transport
-// error — and drops the control plane's idle connections. Serve calls
-// it on shutdown; a gateway used through Handler() alone should be
-// closed by its owner.
+// error, which also ends the row refresh passes it then waits for — and
+// drops the control plane's idle connections. Serve calls it on shutdown;
+// a gateway used through Handler() alone should be closed by its owner.
 func (g *Gateway) Close() {
+	g.closed.Store(true)
 	for _, s := range g.topo.Load().streams {
 		s.close()
 	}
+	g.WaitRowRefresh()
 	g.client.CloseIdleConnections()
 }
 
@@ -556,6 +575,7 @@ func (g *Gateway) markOK(tp *topology, i int, epoch uint64) {
 		}
 		if s.epoch.CompareAndSwap(cur, epoch) {
 			s.invalidations[invalEpoch].Add(1)
+			g.startRefresh(tp, i)
 			return
 		}
 	}

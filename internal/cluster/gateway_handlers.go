@@ -43,14 +43,11 @@ type shardReply struct {
 // not transport failures, so they do not count toward marking the shard
 // down. trace, when non-empty, rides the envelope as the request id so
 // the shard's access log carries the same id the client saw — the wire
-// frames themselves never change.
-func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path string, body []byte, contentType, trace string) shardReply {
-	route := legPredict
-	if path == "/internal/ingest" {
-		route = legIngest
-	}
+// frames themselves never change. route (legPredict, legIngest,
+// legRefresh) names the shard path and the histogram the leg lands in.
+func (g *Gateway) postShard(ctx context.Context, tp *topology, shard, route int, body []byte, contentType, trace string) shardReply {
 	start := time.Now()
-	status, retryAfter, raw, err := tp.streams[shard].call(ctx, path, contentType, trace, body)
+	status, retryAfter, raw, err := tp.streams[shard].call(ctx, legRoutePaths[route], contentType, trace, body)
 	dur := time.Since(start)
 	if err != nil {
 		// A canceled client context aborts every in-flight shard call;
@@ -78,7 +75,7 @@ func (g *Gateway) postShard(ctx context.Context, tp *topology, shard int, path s
 // every involved shard. The last involved shard's call runs on the
 // caller's goroutine, so the common one-shard scatter — a predict
 // missing a row or two, an ingest without an upload — spawns nothing.
-func (g *Gateway) scatter(ctx context.Context, tp *topology, path string, bodies [][]byte, contentType, trace string) []shardReply {
+func (g *Gateway) scatter(ctx context.Context, tp *topology, route int, bodies [][]byte, contentType, trace string) []shardReply {
 	replies := make([]shardReply, len(bodies))
 	last := -1
 	for i, body := range bodies {
@@ -92,12 +89,12 @@ func (g *Gateway) scatter(ctx context.Context, tp *topology, path string, bodies
 		case body == nil:
 			replies[i] = shardReply{shard: i, status: -1}
 		case i == last:
-			replies[i] = g.postShard(ctx, tp, i, path, body, contentType, trace)
+			replies[i] = g.postShard(ctx, tp, i, route, body, contentType, trace)
 		default:
 			wg.Add(1)
 			go func(i int, body []byte) {
 				defer wg.Done()
-				replies[i] = g.postShard(ctx, tp, i, path, body, contentType, trace)
+				replies[i] = g.postShard(ctx, tp, i, route, body, contentType, trace)
 			}(i, body)
 		}
 	}
@@ -379,7 +376,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// "Cluster topology" for the contract.
 	acks := make([]server.IngestResponse, len(tp.targets))
 	fanStart := time.Now()
-	replies := g.scatter(r.Context(), tp, "/internal/ingest", bodies, "application/json", server.RequestID(r))
+	replies := g.scatter(r.Context(), tp, legIngest, bodies, "application/json", server.RequestID(r))
 	server.TraceFrom(r).Add("fanout", obs.NoShard, fanStart, time.Since(fanStart), "")
 	for _, rep := range replies {
 		if rep.status == -1 {
@@ -551,11 +548,15 @@ type RowInvalidations struct {
 // cluster block; /metrics renders the same counters as
 // viewstags_row_cache_*. Hits and Misses count tag positions resolved
 // from the cache at first look or fetched; Rows is what the current
-// topology's cache holds.
+// topology's cache holds. Refresh*: rows re-read in bulk after observed
+// folds, the frames that took (never in PredictLegs), rows dropped idle.
 type RowCacheStats struct {
-	Hits   int64 `json:"hits"`
-	Misses int64 `json:"misses"`
-	Rows   int64 `json:"rows"`
+	Hits           int64 `json:"hits"`
+	Misses         int64 `json:"misses"`
+	Rows           int64 `json:"rows"`
+	RefreshRows    int64 `json:"refresh_rows"`
+	RefreshLegs    int64 `json:"refresh_legs"`
+	RefreshDropped int64 `json:"refresh_dropped"`
 }
 
 // ClusterStats is the gateway's cluster-level view: per-shard status
@@ -591,6 +592,7 @@ func (g *Gateway) clusterStats(tp *topology) ClusterStats {
 		RowCache:    RowCacheStats{Hits: g.rowHits.Load(), Misses: g.rowMisses.Load(), Rows: tp.rows.n.Load()},
 		PredictLegs: g.predictLegs.Load(),
 	}
+	cs.RowCache.RefreshRows, cs.RowCache.RefreshDropped = g.refreshedRows.Load(), g.refreshDropped.Load()
 	if r := tp.ring.Replicas(); r > 1 {
 		cs.Replicas = r
 	}
@@ -599,6 +601,7 @@ func (g *Gateway) clusterStats(tp *topology) ClusterStats {
 		if healthy {
 			cs.Healthy++
 		}
+		cs.RowCache.RefreshLegs += s.refreshLegs.Load()
 		cs.Shards[i] = ShardStatus{
 			Index:   i,
 			Target:  tp.targets[i],

@@ -66,6 +66,7 @@ func (g *Gateway) writeClusterProm(tw *obs.TextWriter, tp *topology) {
 	}
 	tw.HistogramFamily("viewstags_shard_leg_duration_seconds", "One shard's answered leg of a fan-out (envelope write to reply read), by shard and data-plane route; legs that failed, timed out or were cancelled are not observed.")
 	tw.Counter("viewstags_shard_stream_reconnects_total", "Data-plane stream dials to the shard after the first.")
+	tw.Counter("viewstags_row_cache_refresh_legs_total", "Refresh frames sent to the shard.")
 	for i, s := range tp.shards {
 		shard := obs.Label{Name: "shard", Value: strconv.Itoa(i)}
 		for route := range s.legs {
@@ -73,6 +74,7 @@ func (g *Gateway) writeClusterProm(tw *obs.TextWriter, tp *topology) {
 				[]obs.Label{shard, {Name: "route", Value: legRouteNames[route]}}, s.legs[route].Snapshot())
 		}
 		tw.Sample("viewstags_shard_stream_reconnects_total", []obs.Label{shard}, float64(tp.streams[i].reconnects()))
+		tw.Sample("viewstags_row_cache_refresh_legs_total", []obs.Label{shard}, float64(s.refreshLegs.Load()))
 	}
 	tw.Gauge("viewstags_cluster_min_epoch", "Lowest epoch any shard reports — the conservative fold horizon.")
 	tw.Sample("viewstags_cluster_min_epoch", nil, float64(tp.minEpoch()))
@@ -90,13 +92,17 @@ func (g *Gateway) writeClusterProm(tw *obs.TextWriter, tp *topology) {
 		}
 		tw.Sample("viewstags_handoff_active", nil, active)
 	}
-	tw.Counter("viewstags_predict_legs_total", "Shard frames predict requests cost (over viewstags_requests_total{route=\"predict\"}: legs per request).")
+	tw.Counter("viewstags_predict_legs_total", "Shard frames predict requests paid for (over viewstags_requests_total{route=\"predict\"}: legs per request); refresh frames are not among them.")
 	tw.Sample("viewstags_predict_legs_total", nil, float64(g.predictLegs.Load()))
 	tw.Counter("viewstags_row_cache_lookups_total", "Tag positions a predict resolved from cached rows at first look (hit) or had to fetch (miss).")
 	tw.Sample("viewstags_row_cache_lookups_total", []obs.Label{{Name: "result", Value: "hit"}}, float64(g.rowHits.Load()))
 	tw.Sample("viewstags_row_cache_lookups_total", []obs.Label{{Name: "result", Value: "miss"}}, float64(g.rowMisses.Load()))
 	tw.Gauge("viewstags_row_cache_rows", "Per-tag partial rows the current topology's cache holds.")
 	tw.Sample("viewstags_row_cache_rows", nil, float64(tp.rows.n.Load()))
+	tw.Counter("viewstags_row_cache_refresh_rows_total", "Rows re-read in bulk, off the request path, after the gateway observed their shard's epoch move.")
+	tw.Sample("viewstags_row_cache_refresh_rows_total", nil, float64(g.refreshedRows.Load()))
+	tw.Counter("viewstags_row_cache_refresh_dropped_total", "Rows dropped instead of re-read: nobody had asked for them through the last refreshes.")
+	tw.Sample("viewstags_row_cache_refresh_dropped_total", nil, float64(g.refreshDropped.Load()))
 	tw.Counter("viewstags_row_cache_invalidations_total", "Times every row cached from the shard went stale at once, by cause: its epoch advanced, it was marked down, it came back, it was rebuilt from its peers.")
 	for i, s := range tp.shards {
 		for c := range s.invalidations {

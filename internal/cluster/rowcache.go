@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"hash/maphash"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -37,6 +36,10 @@ const rowOverhead = 128
 // rowEvictProbe is how many entries one eviction inspects; see put.
 const rowEvictProbe = 8
 
+// rowIdleRefreshes is how many refreshes in a row (rowrefresh.go) re-read
+// a row nobody asks for before one drops it (EXPERIMENTS.md "Row refresh").
+const rowIdleRefreshes = 32
+
 // tagRow is one cached partial row. Immutable once published apart
 // from the second-chance bit. vec is nil for an absent row — the tag is
 // unknown to its owner, or carries no weight — which is cached like any
@@ -47,7 +50,8 @@ type tagRow struct {
 	epoch uint64 // the fold epoch the reply was labelled with
 	ws    float64
 	vec   []float64
-	used  atomic.Bool
+	used  atomic.Bool // asked for since it was published or last aged
+	idle  uint8       // rows in a row replaced under this key unasked for
 }
 
 type rowKey struct {
@@ -97,10 +101,12 @@ func (c *rowCache) get(tag string, w tagviews.Weighting) *tagRow {
 
 func rowCost(tag string, r *tagRow) int { return rowOverhead + len(tag) + 8*len(r.vec) }
 
-// put publishes a row, replacing whatever was held for the key. The key
-// is cloned: the edge decoder's tags are substrings of the request
-// body, and a map assignment stores the new key's pointer even when an
-// equal key is already present.
+// put publishes a row, replacing whatever was held for the key — unless
+// that is a later read of the same shard (higher generation, or higher
+// epoch under it): fetches race, and the older reply must not undo the
+// newer. A row replacing one nobody asked for carries its idle count on,
+// one higher. tag must not be a substring of a request body: a map
+// assignment stores the new key's pointer even when an equal key is held.
 //
 // Over budget, the stripe evicts by sampled second chance: it walks up
 // to rowEvictProbe entries from wherever Go's randomised map iteration
@@ -109,10 +115,16 @@ func rowCost(tag string, r *tagRow) int { return rowOverhead + len(tag) + 8*len(
 // bit) and drop the last — so a scan of rows nobody asks for twice
 // evicts itself, and the Zipf head, re-marked by every hit, stays.
 func (c *rowCache) put(tag string, w tagviews.Weighting, r *tagRow) {
-	key := rowKey{strings.Clone(tag), w}
-	s := c.stripe(tag)
+	key, s := rowKey{tag, w}, c.stripe(tag)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if old := s.m[key]; old != nil {
+		if old.shard == r.shard && (old.gen > r.gen || old.gen == r.gen && old.epoch > r.epoch) {
+			return
+		}
+		if !old.used.Load() {
+			r.idle = old.idle + 1
+		}
 		s.bytes -= rowCost(tag, old)
 		c.n.Add(-1)
 	}
@@ -144,5 +156,31 @@ func (c *rowCache) put(tag string, w tagviews.Weighting, r *tagRow) {
 		delete(s.m, victim)
 		c.n.Add(-1)
 	}
-	s.mu.Unlock()
+}
+
+// stale lists, by weighting, the tags of the rows held from shard under
+// gen from before epoch — what an observed fold just retired — for a
+// refresh pass to re-read, and counts the rows it dropped instead: idle
+// through rowIdleRefreshes refreshes, so a scan leaves the cache rather
+// than being re-read at every fold for as long as the budget lasts.
+func (c *rowCache) stale(shard int, gen, epoch uint64) (tags map[tagviews.Weighting][]string, dropped int) {
+	tags = make(map[tagviews.Weighting][]string)
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		s.mu.Lock()
+		for k, r := range s.m {
+			switch {
+			case r.shard != shard || r.gen != gen || r.epoch >= epoch:
+			case r.used.Load() || r.idle < rowIdleRefreshes:
+				tags[k.w] = append(tags[k.w], k.tag)
+			default:
+				s.bytes -= rowCost(k.tag, r)
+				delete(s.m, k)
+				c.n.Add(-1)
+				dropped++
+			}
+		}
+		s.mu.Unlock()
+	}
+	return tags, dropped
 }

@@ -71,12 +71,13 @@ func sameAnswers(t *testing.T, what string, single, gateway http.Handler, tagSet
 	}
 }
 
-// shardLegs reads how many predict legs each shard has answered.
+// shardLegs reads how many row-fetching frames each shard has answered:
+// the predict legs requests paid for and the refresh passes' frames.
 func shardLegs(g *Gateway) []uint64 {
 	tp := g.topo.Load()
 	legs := make([]uint64, len(tp.shards))
 	for i, s := range tp.shards {
-		legs[i] = s.legs[legPredict].Snapshot().Count
+		legs[i] = s.legs[legPredict].Snapshot().Count + s.legs[legRefresh].Snapshot().Count
 	}
 	return legs
 }
@@ -248,7 +249,11 @@ func TestRowCacheEpochMoveInvalidatesThatShardOnly(t *testing.T) {
 	if after := shardLegs(g); fmt.Sprint(after) != fmt.Sprint(before) {
 		t.Fatalf("legs %v → %v before the gateway observed the fold: nothing should have been fetched", before, after)
 	}
+	// Whether the request or the refresh pass the observation starts gets
+	// to them first, shard 0's rows are read again over one frame. Waiting
+	// the pass out makes it the pass.
 	g.RefreshHealth(context.Background())
+	g.WaitRowRefresh()
 	if code, _ := predictVia(t, g, req); code != http.StatusOK {
 		t.Fatalf("predict: %d", code)
 	}
@@ -351,16 +356,19 @@ func TestPredictSplitsMissesAcrossFrames(t *testing.T) {
 	}
 }
 
-// restlessShard is a fake shard whose every /internal/predict reply is
-// labelled with an epoch one past the last: it answers /internal/meta
-// like newFakeShard and serves the data-plane stream by hand.
-func restlessShard(t *testing.T, sig string) *fakeShard {
+// labelShard is a fake shard that serves the data-plane stream by hand:
+// it answers /internal/meta like newFakeShard (reporting f.epoch) and
+// every /internal/predict frame with one known row per item, labelled
+// with the epoch label returns for that frame. label runs on the
+// stream's goroutine before the reply is written, so it can also hold a
+// frame in flight or change gateway state under it.
+func labelShard(t *testing.T, sig string, label func(f *fakeShard, items int) uint64) *fakeShard {
 	t.Helper()
 	f := &fakeShard{sig: sig}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/internal/meta", func(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(server.InternalMetaResponse{Shards: 1, RingSignature: sig,
-			Countries: []string{"US", "JP"}, Prior: []float64{0.6, 0.4}, Ready: true})
+			Countries: []string{"US", "JP"}, Prior: []float64{0.6, 0.4}, Epoch: f.epoch.Load(), Ready: true})
 	})
 	mux.HandleFunc(server.StreamPath, func(w http.ResponseWriter, r *http.Request) {
 		conn, brw, err := http.NewResponseController(w).Hijack()
@@ -386,7 +394,7 @@ func restlessShard(t *testing.T, sig string) *fakeShard {
 				t.Error(err)
 				return
 			}
-			enc.Begin(weighting, 10, f.epoch.Add(1), 2, len(items), false)
+			enc.Begin(weighting, 10, label(f, len(items)), 2, len(items), false)
 			for range items {
 				enc.Item(1, []float64{0.5, 0.5})
 			}
@@ -405,29 +413,25 @@ func restlessShard(t *testing.T, sig string) *fakeShard {
 	return f
 }
 
+// restlessLabel labels every reply with an epoch one past the last.
+func restlessLabel(f *fakeShard, _ int) uint64 { return f.epoch.Add(1) }
+
 // TestPredictGivesUpOnRestlessShard: the re-fetch rounds are bounded. A
 // shard whose every reply carries a new epoch can never give one request
 // two rows of the same epoch, and the request ends in a retryable 503
 // after maxEpochMoves tries instead of looping.
 func TestPredictGivesUpOnRestlessShard(t *testing.T) {
-	ring, err := NewRing(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := restlessShard(t, ring.Signature())
-	g := newSyncedGateway(t, []string{shard.ts.URL}, func(c *GatewayConfig) {
-		c.MaxBatch = 1 // one tag to a frame: two tags take two rounds
-		c.Logger = log.New(io.Discard, "", 0)
-	})
+	_, g := refreshGateway(t, 1, restlessLabel) // one tag to a frame: two tags take two rounds
 	if code, resp := predictVia(t, g, server.PredictRequest{Tags: []string{"a"}}); code != http.StatusOK || !resp.Result.Known {
 		t.Fatalf("one tag, one reply, one epoch: %d %+v", code, resp.Result)
 	}
-	before := shard.epoch.Load()
+	before := g.predictLegs.Load()
 	rec := predictRec(t, g, server.PredictRequest{Tags: []string{"b", "c"}})
 	wantShed(t, "two rows of a shard that never holds still", rec)
 	// Each frame moved the view once; the frame after the last allowed
-	// move is the one that gave up.
-	if frames := shard.epoch.Load() - before; frames != maxEpochMoves+1 {
+	// move is the one that gave up. (The request's own frames: the shard
+	// also answers the refresh passes those moves start.)
+	if frames := g.predictLegs.Load() - before; frames != maxEpochMoves+1 {
 		t.Fatalf("gave up after %d frames, want %d", frames, maxEpochMoves+1)
 	}
 	if n := g.topo.Load().shards[0].fails.Load(); n != 0 {

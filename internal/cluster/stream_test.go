@@ -352,7 +352,7 @@ func TestStreamUpgradeRefusedIsAFailedShard(t *testing.T) {
 func TestStreamOversizedBodyIsRefusedLocally(t *testing.T) {
 	_, g := startCluster(t, 1)
 	tp := g.topo.Load()
-	rep := g.postShard(context.Background(), tp, 0, "/internal/ingest", make([]byte, server.MaxStreamFrame), "application/json", "rid-1")
+	rep := g.postShard(context.Background(), tp, 0, legIngest, make([]byte, server.MaxStreamFrame), "application/json", "rid-1")
 	if rep.err != nil || rep.status != http.StatusBadRequest || errText(rep.body) == "" {
 		t.Fatalf("oversized body: status %d err %v body %q, want a 400 with an error message", rep.status, rep.err, rep.body)
 	}

@@ -103,6 +103,12 @@ func SearchCrawl(ctx context.Context, client *ytapi.Client, cfg SearchConfig) (*
 		entries, err := searchTermAllPages(ctx, client, term, cfg)
 		if err != nil {
 			res.Stats.TermsFailed++
+			// A term that failed because the context ended is the crawl
+			// being cancelled, not a bad term to skip: when it was the
+			// last one on the frontier the loop would end as a success.
+			if cerr := ctx.Err(); cerr != nil {
+				return res, cerr
+			}
 			continue
 		}
 		for _, e := range entries {

@@ -2,6 +2,7 @@ package crawler
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -71,6 +72,25 @@ func TestSearchCrawlHonorsContext(t *testing.T) {
 	defer cancel()
 	if _, err := SearchCrawl(ctx, client, DefaultSearchConfig([]string{"music"})); err == nil {
 		t.Fatal("cancelled search crawl returned nil error")
+	}
+}
+
+// TestSearchCrawlCancelledOnLastTermIsAnError: the deadline passes inside
+// the first (and only) term's first page, so the frontier is empty when
+// the term fails — a cancelled crawl must still say so, not end as a
+// success with one failed term.
+func TestSearchCrawlCancelledOnLastTermIsAnError(t *testing.T) {
+	scfg := ytapi.DefaultServerConfig()
+	scfg.Latency = 50 * time.Millisecond
+	client := testBackend(t, scfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	res, err := SearchCrawl(ctx, client, DefaultSearchConfig([]string{"music"}))
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the context's deadline error", err)
+	}
+	if res == nil || res.Stats.TermsFailed != 1 || len(res.Records) != 0 {
+		t.Fatalf("result %+v, want the partial result with the one failed term", res)
 	}
 }
 

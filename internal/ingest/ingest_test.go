@@ -294,37 +294,36 @@ func TestConcurrentAddDrain(t *testing.T) {
 			}
 		}(w)
 	}
+	sum := func(deltas []profilestore.TagDelta) (total float64) {
+		for _, d := range deltas {
+			if d.Name == "zz-conc" {
+				total += d.Total
+			}
+		}
+		return total
+	}
 	stop := make(chan struct{})
-	var mu sync.Mutex
-	var total float64
+	drained := make(chan float64)
 	go func() {
+		var total float64
 		for {
 			select {
 			case <-stop:
+				drained <- total
 				return
 			default:
 			}
 			deltas, _, _, _ := a.Drain()
-			mu.Lock()
-			for _, d := range deltas {
-				if d.Name == "zz-conc" {
-					total += d.Total
-				}
-			}
-			mu.Unlock()
+			total += sum(deltas)
 		}
 	}()
 	wg.Wait()
 	close(stop)
+	// Wait for the drainer to exit before the last Drain: deltas it has
+	// taken out of the accumulator but not yet added are in neither tally.
+	got := <-drained
 	deltas, _, _, _ := a.Drain()
-	mu.Lock()
-	for _, d := range deltas {
-		if d.Name == "zz-conc" {
-			total += d.Total
-		}
-	}
-	got := total
-	mu.Unlock()
+	got += sum(deltas)
 	if got != writers*perWriter {
 		t.Fatalf("conservation violated: drained %v views, wrote %v", got, writers*perWriter)
 	}
