@@ -133,30 +133,35 @@ func run() error {
 		return err
 	}
 
-	logger := log.New(os.Stderr, "", log.LstdFlags)
-	start := time.Now()
-	var res *pipeline.Result
-	if *datasetPath != "" {
-		logger.Printf("loading dataset %s...", *datasetPath)
-		res, err = pipeline.FromFile(*datasetPath, alexa.DefaultConfig())
-	} else {
-		logger.Printf("generating %d-video synthetic catalog (seed %d)...", *videos, *seed)
-		res, err = pipeline.FromSynthetic(*videos, *seed, alexa.DefaultConfig())
-	}
-	if err != nil {
-		return err
-	}
-
 	var owns func(string) bool
 	if shardCount > 1 {
 		// With replicas a shard holds every tag it is ANY of the R owners
 		// for, not just the primary — Owns generalizes Owner == index.
 		owns = func(name string) bool { return ring.Owns(name, shardIndex) }
 	}
-	snap, err := profilestore.BuildOwned(res.Analysis, owns)
+
+	// One streaming pass builds the snapshot: the corpus is aggregated a
+	// video (or a JSONL line) at a time into the sums of the tags this
+	// shard owns and never held. Only a standalone node keeps the
+	// synthetic catalog, for /v1/preload.
+	logger := log.New(os.Stderr, "", log.LstdFlags)
+	start := time.Now()
+	var boot *pipeline.Boot
+	if *datasetPath != "" {
+		logger.Printf("loading dataset %s...", *datasetPath)
+		boot, err = pipeline.BootFile(*datasetPath, alexa.DefaultConfig(), owns)
+	} else {
+		logger.Printf("generating %d-video synthetic catalog (seed %d)...", *videos, *seed)
+		boot, err = pipeline.BootSynthetic(*videos, *seed, alexa.DefaultConfig(), owns, shardCount == 1)
+	}
 	if err != nil {
 		return err
 	}
+	snap, err := profilestore.BuildAggregate(boot.Aggregate, nil)
+	if err != nil {
+		return err
+	}
+	boot.Aggregate = nil // the snapshot has its own copy of every vector
 
 	// Durable state: open the data directory and, when a checkpoint
 	// exists, serve the recovered snapshot instead of the fresh build —
@@ -178,7 +183,7 @@ func run() error {
 		if mgr, err = persist.Open(persist.Options{Dir: pdir, Fsync: fsync, Logger: logger}); err != nil {
 			return err
 		}
-		recSnap, meta, found, err := mgr.LoadCheckpoint(res.Analysis.World)
+		recSnap, meta, found, err := mgr.LoadCheckpoint(boot.World)
 		if err != nil {
 			return err
 		}
@@ -238,11 +243,11 @@ func run() error {
 	// preload advisories stay a whole-vocabulary (standalone) feature.
 	if shardCount > 1 {
 		logger.Printf("shard mode: /v1/preload disabled (advisories need the whole vocabulary)")
-	} else if res.Catalog != nil {
-		if err := srv.SetCatalog(res.Catalog, snap.PredictCatalog(res.Catalog, w)); err != nil {
+	} else if boot.Catalog != nil {
+		if err := srv.SetCatalog(boot.Catalog, snap.PredictCatalog(boot.Catalog, w)); err != nil {
 			return err
 		}
-		logger.Printf("preload advisories enabled over %d catalog videos", len(res.Catalog.Videos))
+		logger.Printf("preload advisories enabled over %d catalog videos", len(boot.Catalog.Videos))
 	} else {
 		logger.Printf("no synthetic catalog: /v1/preload disabled")
 	}

@@ -34,6 +34,13 @@ type Record struct {
 // inconsistent, out of range, entirely zero, or mentions unknown
 // countries — the "incorrect or empty popularity vector" conditions of §2.
 func (r *Record) PopVector(world *geo.World) ([]int, error) {
+	return r.PopVectorInto(nil, world)
+}
+
+// PopVectorInto is PopVector densifying into out's backing array when it
+// holds a country table's worth, and into a fresh slice otherwise — so a
+// caller that drops each vector before the next record allocates none.
+func (r *Record) PopVectorInto(out []int, world *geo.World) ([]int, error) {
 	if len(r.PopCodes) == 0 {
 		return nil, fmt.Errorf("dataset: video %s: %w", r.VideoID, ErrNoPopVector)
 	}
@@ -41,7 +48,11 @@ func (r *Record) PopVector(world *geo.World) ([]int, error) {
 		return nil, fmt.Errorf("dataset: video %s: %w: %d codes, %d values",
 			r.VideoID, ErrBadPopVector, len(r.PopCodes), len(r.PopValues))
 	}
-	out := make([]int, world.N())
+	if cap(out) < world.N() {
+		out = make([]int, world.N())
+	}
+	out = out[:world.N()]
+	clear(out)
 	any := false
 	for i, code := range r.PopCodes {
 		id, ok := world.ByCode(code)
@@ -54,8 +65,6 @@ func (r *Record) PopVector(world *geo.World) ([]int, error) {
 		}
 		if v > 0 {
 			any = true
-		}
-		if v > 0 {
 			out[id] = v
 		}
 	}

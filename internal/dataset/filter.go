@@ -43,37 +43,45 @@ type Clean struct {
 	Report  FilterReport
 }
 
-// Filter applies the paper's §2 admission rules to raw records: drop
-// videos with no tags, then drop videos whose popularity vector is
-// missing, undecodable, or empty. It never fails on bad data — bad data
-// is the phenomenon being counted.
+// Admit applies the paper's §2 admission rules to one raw record and
+// counts it in the report: drop a video with no tags, then one whose
+// popularity vector is missing, undecodable, or empty. An admitted
+// record's dense vector is returned (in scratch's backing array when it
+// has room, see PopVectorInto). It never fails on bad data — bad data is
+// the phenomenon being counted.
+func (fr *FilterReport) Admit(world *geo.World, r *Record, scratch []int) (pop []int, ok bool) {
+	fr.Crawled++
+	if r.VideoID == "" || r.TotalViews < 0 {
+		fr.Malformed++
+		return nil, false
+	}
+	if len(r.Tags) == 0 {
+		fr.Untagged++
+		return nil, false
+	}
+	pop, err := r.PopVectorInto(scratch, world)
+	if err != nil {
+		if errors.Is(err, ErrNoPopVector) {
+			fr.NoPopVector++
+		} else {
+			fr.BadPopVector++
+		}
+		return nil, false
+	}
+	fr.Kept++
+	return pop, true
+}
+
+// Filter applies Admit to every raw record and keeps the admitted ones
+// with their dense vectors.
 func Filter(world *geo.World, raw []Record) *Clean {
 	c := &Clean{World: world}
-	c.Report.Crawled = len(raw)
 	for i := range raw {
-		r := &raw[i]
-		if r.VideoID == "" || r.TotalViews < 0 {
-			c.Report.Malformed++
-			continue
+		if pop, ok := c.Report.Admit(world, &raw[i], nil); ok {
+			c.Records = append(c.Records, raw[i])
+			c.Pop = append(c.Pop, pop)
 		}
-		if len(r.Tags) == 0 {
-			c.Report.Untagged++
-			continue
-		}
-		pop, err := r.PopVector(world)
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrNoPopVector):
-				c.Report.NoPopVector++
-			default:
-				c.Report.BadPopVector++
-			}
-			continue
-		}
-		c.Records = append(c.Records, *r)
-		c.Pop = append(c.Pop, pop)
 	}
-	c.Report.Kept = len(c.Records)
 	return c
 }
 

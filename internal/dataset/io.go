@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/json"
 	"fmt"
@@ -26,28 +27,47 @@ func WriteJSONL(w io.Writer, records []Record) error {
 	return nil
 }
 
-// ReadJSONL reads records from a JSONL stream until EOF. Blank lines are
-// skipped; a malformed line is an error (corrupted files should fail
-// loudly, not silently shrink the dataset).
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	var out []Record
+// ScanJSONL decodes a JSONL stream one record at a time and hands each to
+// fn; it holds one line, not the file. Blank lines are skipped; a
+// malformed line is an error (corrupted files should fail loudly, not
+// silently shrink the dataset), and so is the first error fn returns.
+func ScanJSONL(r io.Reader, fn func(*Record) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 {
 			continue
 		}
 		var rec Record
-		if err := json.Unmarshal([]byte(text), &rec); err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
+		if err := json.Unmarshal(text, &rec); err != nil {
+			return fmt.Errorf("dataset: line %d: %w", line, err)
 		}
-		out = append(out, rec)
+		if err := fn(&rec); err != nil {
+			return err
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: scan: %w", err)
+		return fmt.Errorf("dataset: scan: %w", err)
+	}
+	return nil
+}
+
+// ReadJSONL collects every record of a JSONL stream (see ScanJSONL).
+func ReadJSONL(r io.Reader) ([]Record, error) {
+	return collect(func(fn func(*Record) error) error { return ScanJSONL(r, fn) })
+}
+
+func collect(scan func(fn func(*Record) error) error) ([]Record, error) {
+	var out []Record
+	err := scan(func(rec *Record) error {
+		out = append(out, *rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -77,11 +97,12 @@ func SaveFile(path string, records []Record) (err error) {
 	return WriteJSONL(w, records)
 }
 
-// LoadFile reads a JSONL (optionally .gz) dataset file.
-func LoadFile(path string) (_ []Record, err error) {
+// ScanFile streams a JSONL (optionally .gz) dataset file through fn (see
+// ScanJSONL).
+func ScanFile(path string, fn func(*Record) error) (err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, fmt.Errorf("dataset: open %s: %w", path, err)
+		return fmt.Errorf("dataset: open %s: %w", path, err)
 	}
 	defer func() {
 		if cerr := f.Close(); cerr != nil && err == nil {
@@ -92,7 +113,7 @@ func LoadFile(path string) (_ []Record, err error) {
 	if strings.HasSuffix(path, ".gz") {
 		gz, gerr := gzip.NewReader(f)
 		if gerr != nil {
-			return nil, fmt.Errorf("dataset: gzip %s: %w", path, gerr)
+			return fmt.Errorf("dataset: gzip %s: %w", path, gerr)
 		}
 		defer func() {
 			if cerr := gz.Close(); cerr != nil && err == nil {
@@ -101,5 +122,10 @@ func LoadFile(path string) (_ []Record, err error) {
 		}()
 		r = gz
 	}
-	return ReadJSONL(r)
+	return ScanJSONL(r, fn)
+}
+
+// LoadFile reads a JSONL (optionally .gz) dataset file.
+func LoadFile(path string) ([]Record, error) {
+	return collect(func(fn func(*Record) error) error { return ScanFile(path, fn) })
 }

@@ -140,24 +140,29 @@ func Quantize(intensity []float64) []int {
 // quantization: simple encoding tops out at 61, extended encoding at
 // 4095. It panics on a non-positive level (programming error).
 func QuantizeTo(intensity []float64, maxLevel int) []int {
+	return QuantizeInto(make([]int, len(intensity)), intensity, maxLevel)
+}
+
+// QuantizeInto is QuantizeTo writing into out, which must be as long as
+// intensity; every entry is overwritten.
+func QuantizeInto(out []int, intensity []float64, maxLevel int) []int {
 	if maxLevel <= 0 {
 		panic("mapchart: QuantizeTo with non-positive level")
 	}
-	out := make([]int, len(intensity))
+	if len(out) != len(intensity) {
+		panic("mapchart: QuantizeInto length mismatch")
+	}
 	var maxI float64
 	for _, x := range intensity {
 		if x > maxI {
 			maxI = x
 		}
 	}
-	if maxI <= 0 {
-		return out
-	}
 	for i, x := range intensity {
-		if x <= 0 {
-			continue
+		out[i] = 0
+		if x > 0 && maxI > 0 {
+			out[i] = int(math.Round(float64(maxLevel) * x / maxI))
 		}
-		out[i] = int(math.Round(float64(maxLevel) * x / maxI))
 	}
 	return out
 }
@@ -168,11 +173,20 @@ func QuantizeTo(intensity []float64, maxLevel int) []int {
 // Countries with non-positive traffic get zero intensity. It returns an
 // error on length mismatch.
 func Intensity(views []float64, traffic []float64) ([]float64, error) {
+	return IntensityInto(make([]float64, len(views)), views, traffic)
+}
+
+// IntensityInto is Intensity writing into out, which must be as long as
+// views; every entry is overwritten.
+func IntensityInto(out, views, traffic []float64) ([]float64, error) {
 	if len(views) != len(traffic) {
 		return nil, fmt.Errorf("mapchart: views/traffic length mismatch %d != %d", len(views), len(traffic))
 	}
-	out := make([]float64, len(views))
+	if len(out) != len(views) {
+		panic("mapchart: IntensityInto length mismatch")
+	}
 	for i, v := range views {
+		out[i] = 0
 		if traffic[i] > 0 && v > 0 {
 			out[i] = v / traffic[i]
 		}

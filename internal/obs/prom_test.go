@@ -73,4 +73,15 @@ func TestValidateAcceptsRuntimeFamilies(t *testing.T) {
 	if err := Validate(w.Bytes()); err != nil {
 		t.Fatalf("runtime families fail validation: %v\n%s", err, w.Bytes())
 	}
+	// The resident-memory gauges ride with the runtime families exactly
+	// where the kernel reports them, and are omitted — not zero — elsewhere.
+	rss, peak, ok := ResidentMemory()
+	for _, name := range []string{"process_resident_memory_bytes", "viewstags_process_peak_rss_bytes"} {
+		if has := strings.Contains(string(w.Bytes()), "\n"+name+" "); has != ok {
+			t.Errorf("%s present=%v, /proc/self/status readable=%v", name, has, ok)
+		}
+	}
+	if ok && (rss < 1<<20 || peak < rss) {
+		t.Errorf("resident %d bytes, peak %d: want at least a megabyte and peak >= resident", rss, peak)
+	}
 }

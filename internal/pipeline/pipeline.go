@@ -2,6 +2,14 @@
 // crawled dataset file) → §2 filter → Alexa estimate → reconstruction →
 // tag analysis — behind one call, shared by the binaries, the examples
 // and the benchmark harness.
+//
+// It has two shapes over the same per-record steps. The From* entry
+// points run them stage by stage and keep every stage's output (catalog,
+// records, dense vectors, per-video fields) for the evaluators and
+// examples that read them; the Boot* entry points run them record by
+// record and keep only the per-tag aggregate a serving snapshot is built
+// from, so a daemon's boot peaks at its slice of the vocabulary plus one
+// video of scratch.
 package pipeline
 
 import (
@@ -64,4 +72,89 @@ func fromRecords(world *geo.World, cat *synth.Catalog, records []dataset.Record,
 		return nil, fmt.Errorf("pipeline: analysis: %w", err)
 	}
 	return &Result{World: world, Catalog: cat, Clean: clean, Pyt: pyt, Analysis: an}, nil
+}
+
+// Boot is what a serving daemon keeps of the pipeline: the per-tag
+// aggregate over the tags it owns and the §2 audit trail.
+type Boot struct {
+	World     *geo.World
+	Catalog   *synth.Catalog // nil unless BootSynthetic was asked to keep it
+	Report    dataset.FilterReport
+	Aggregate *tagviews.Aggregate
+}
+
+// BootSynthetic is FromSynthetic in one streaming pass: each video is
+// generated, converted to its crawl record, filtered, reconstructed,
+// added to the sums of the tags owns admits (nil = all) and dropped. Same
+// videos and the same accumulation order as the retaining path, so
+// profilestore.BuildAggregate(boot.Aggregate, nil) exports bit for bit
+// what profilestore.BuildOwned(res.Analysis, owns) does. keepCatalog
+// collects the videos, from this same pass, into Boot.Catalog.
+func BootSynthetic(videos int, seed uint64, alexaCfg alexa.Config, owns func(tag string) bool, keepCatalog bool) (*Boot, error) {
+	cfg := synth.DefaultConfig(videos)
+	cfg.Seed = seed
+	gen, err := synth.NewGenerator(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: generate: %w", err)
+	}
+	cat := gen.Catalog()
+	if keepCatalog {
+		cat.Videos = make([]synth.Video, cfg.Videos)
+	}
+	b, err := boot(cat.World, alexaCfg, owns, func(visit func(*dataset.Record) error) error {
+		var scratch synth.Video
+		var rec dataset.Record
+		for i := 0; i < cfg.Videos; i++ {
+			v := &scratch
+			if keepCatalog {
+				v = &cat.Videos[i] // zero: the video owns what Next allocates
+			}
+			gen.Next(v)
+			cat.RecordInto(&rec, v)
+			if err := visit(&rec); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err == nil && keepCatalog {
+		b.Catalog = cat
+	}
+	return b, err
+}
+
+// BootFile is FromFile in one streaming pass over the default world: the
+// file is decoded a line at a time and never held. A malformed line
+// fails the boot.
+func BootFile(path string, alexaCfg alexa.Config, owns func(tag string) bool) (*Boot, error) {
+	return boot(geo.DefaultWorld(), alexaCfg, owns, func(visit func(*dataset.Record) error) error {
+		return dataset.ScanFile(path, visit) // its errors name the file and the line
+	})
+}
+
+// boot runs the non-retaining pass: each record the source hands to visit
+// is admitted (or counted as dropped) and aggregated before the source
+// produces the next, and is not kept.
+func boot(world *geo.World, alexaCfg alexa.Config, owns func(string) bool, source func(visit func(*dataset.Record) error) error) (*Boot, error) {
+	pyt, err := alexa.Estimate(world, alexaCfg)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: alexa: %w", err)
+	}
+	agg, err := tagviews.NewAggregator(world, pyt, owns)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: analysis: %w", err)
+	}
+	b := &Boot{World: world}
+	scratch := make([]int, world.N())
+	err = source(func(rec *dataset.Record) error {
+		if pop, ok := b.Report.Admit(world, rec, scratch); ok {
+			agg.Add(rec, pop)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	b.Aggregate = agg.Finish()
+	return b, nil
 }

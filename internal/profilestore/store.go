@@ -96,6 +96,16 @@ func BuildOwned(an *tagviews.Analysis, owns func(name string) bool) (*Snapshot, 
 	if an == nil {
 		return nil, fmt.Errorf("profilestore: nil analysis")
 	}
+	return BuildAggregate(&an.Aggregate, owns)
+}
+
+// BuildAggregate is BuildOwned over the per-tag half of an analysis —
+// all a snapshot reads — for a daemon whose boot aggregated its slice
+// without keeping the corpus (tagviews.Aggregator).
+func BuildAggregate(an *tagviews.Aggregate, owns func(name string) bool) (*Snapshot, error) {
+	if an == nil {
+		return nil, fmt.Errorf("profilestore: nil aggregate")
+	}
 	names := an.TagNames()
 	if owns != nil {
 		kept := names[:0] // TagNames returns a fresh slice; filter in place

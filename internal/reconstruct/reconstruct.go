@@ -37,15 +37,22 @@ func Views(pop []int, pyt []float64, total int64) ([]int64, error) {
 
 // ViewsFloat is Views without integer rounding.
 func ViewsFloat(pop []int, pyt []float64, total float64) ([]float64, error) {
-	if len(pop) != len(pyt) {
+	return ViewsFloatInto(make([]float64, len(pop)), pop, pyt, total)
+}
+
+// ViewsFloatInto is ViewsFloat writing the field into out, which must be
+// as long as pop; every entry is overwritten. On error out's contents are
+// unspecified.
+func ViewsFloatInto(out []float64, pop []int, pyt []float64, total float64) ([]float64, error) {
+	if len(pop) != len(pyt) || len(out) != len(pop) {
 		return nil, fmt.Errorf("reconstruct: pop/pyt length mismatch %d != %d", len(pop), len(pyt))
 	}
 	if total < 0 {
 		return nil, fmt.Errorf("reconstruct: negative total %v", total)
 	}
-	out := make([]float64, len(pop))
 	var denom float64
 	for c, p := range pop {
+		out[c] = 0
 		if p <= 0 || pyt[c] <= 0 {
 			continue
 		}

@@ -121,6 +121,10 @@ type Snapshot struct {
 	// Events mirrors the ingest accumulator's accepted-event count;
 	// the handler fills it (the Metrics struct holds no copy).
 	Events int64 `json:"events"`
+	// The process's resident set and its high-water mark, as on
+	// /metrics; absent where /proc/self/status is.
+	RSSBytes     int64 `json:"rss_bytes,omitempty"`
+	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
 }
 
 func snapRoute(m *RouteMetrics) RouteSnapshot {
@@ -142,7 +146,7 @@ func snapRoute(m *RouteMetrics) RouteSnapshot {
 
 // Snapshot captures all counters.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
+	s := Snapshot{
 		Predict:     snapRoute(&m.Predict),
 		Ingest:      snapRoute(&m.Ingest),
 		Place:       snapRoute(&m.Place),
@@ -153,6 +157,8 @@ func (m *Metrics) Snapshot() Snapshot {
 		Rejected:    m.Rejected.Load(),
 		Predictions: m.Predictions.Load(),
 	}
+	s.RSSBytes, s.PeakRSSBytes, _ = obs.ResidentMemory()
+	return s
 }
 
 // WriteProm renders the request-level families onto an exposition —

@@ -189,8 +189,45 @@ var youTubeCategories2011 = []string{
 	"Travel", "Nonprofit",
 }
 
-// Generate builds a catalog from cfg. It is deterministic in cfg.Seed.
+// Generate builds a catalog from cfg by draining a Generator into it. It
+// is deterministic in cfg.Seed.
 func Generate(cfg Config) (*Catalog, error) {
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		return nil, err
+	}
+	cat := g.Catalog()
+	cat.Videos = make([]Video, cfg.Videos)
+	for i := range cat.Videos {
+		g.Next(&cat.Videos[i])
+	}
+	return cat, nil
+}
+
+// Generator produces a catalog's videos one at a time, in catalog order:
+// the resumable form of Generate, for a caller that wants each video
+// once (a daemon aggregating tag profiles at boot) and not the corpus.
+// Not safe for concurrent use.
+type Generator struct {
+	cfg   Config
+	world *geo.World
+	voc   *tags.Vocabulary
+	next  int // index of the video the next call produces
+
+	prior     []float64
+	gravity   [][]float64 // language-gravity vector per upload country
+	uploadCat *xrand.Categorical
+
+	viewSrc, tagSrc, geoSrc, pathSrc, titleSrc *xrand.Source
+
+	// Per-video scratch, world-sized; spread is re-aimed at each draw.
+	alpha, field, affinity, draw, views, intensity []float64
+	spread                                         xrand.Categorical
+}
+
+// NewGenerator validates cfg and builds the world and vocabulary the
+// videos are drawn over.
+func NewGenerator(cfg Config) (*Generator, error) {
 	if cfg.Videos <= 0 {
 		return nil, fmt.Errorf("synth: non-positive catalog size %d", cfg.Videos)
 	}
@@ -220,66 +257,92 @@ func Generate(cfg Config) (*Catalog, error) {
 		return nil, fmt.Errorf("synth: vocabulary: %w", err)
 	}
 
-	cat := &Catalog{World: world, Vocab: voc, Config: cfg, Videos: make([]Video, cfg.Videos)}
-	prior := world.Traffic()
-	uploadCat := xrand.NewCategorical(root.Fork("upload"), prior)
-
-	viewSrc := root.Fork("views")
-	tagSrc := root.Fork("tagsets")
-	geoSrc := root.Fork("geo")
-	pathSrc := root.Fork("pathology")
-	titleSrc := root.Fork("title")
-
+	n := world.N()
+	scratch := make([]float64, 6*n)
+	g := &Generator{
+		cfg: cfg, world: world, voc: voc,
+		prior:    world.Traffic(),
+		viewSrc:  root.Fork("views"),
+		tagSrc:   root.Fork("tagsets"),
+		geoSrc:   root.Fork("geo"),
+		pathSrc:  root.Fork("pathology"),
+		titleSrc: root.Fork("title"),
+		alpha:    scratch[0*n : 1*n], field: scratch[1*n : 2*n], affinity: scratch[2*n : 3*n],
+		draw: scratch[3*n : 4*n], views: scratch[4*n : 5*n], intensity: scratch[5*n : 6*n],
+	}
+	g.uploadCat = xrand.NewCategorical(root.Fork("upload"), g.prior)
 	// Language-gravity vectors are shared per country; precompute.
-	gravity := make([][]float64, world.N())
-	for c := 0; c < world.N(); c++ {
-		gravity[c] = gravityVector(world, geo.CountryID(c))
+	g.gravity = make([][]float64, n)
+	for c := range g.gravity {
+		g.gravity[c] = gravityVector(world, geo.CountryID(c))
 	}
+	return g, nil
+}
 
-	alpha := make([]float64, world.N())
-	field := make([]float64, world.N())
-	for i := range cat.Videos {
-		v := &cat.Videos[i]
-		v.Index = i
-		v.ID = VideoID(cfg.Seed, i)
-		v.Upload = geo.CountryID(uploadCat.Draw())
-		v.Category = youTubeCategories2011[titleSrc.Intn(len(youTubeCategories2011))]
-		v.TotalViews = boundedPareto(viewSrc, cfg.ViewsAlpha, cfg.ViewsMin, cfg.ViewsMax)
+// Catalog returns an empty catalog over the generator's world, vocabulary
+// and configuration, for the caller to fill with the videos it keeps.
+func (g *Generator) Catalog() *Catalog {
+	return &Catalog{World: g.world, Vocab: g.voc, Config: g.cfg}
+}
 
-		// Topic drift: most videos' topical tags anchor at home, but a
-		// fraction anchor elsewhere (the uploader's subject, not their
-		// location). Gravity still follows the upload country.
-		topic := v.Upload
-		if cfg.TopicDrift > 0 && tagSrc.Bernoulli(cfg.TopicDrift) {
-			topic = geo.CountryID(uploadCat.Draw())
-		}
-		if !pathSrc.Bernoulli(cfg.UntaggedRate) {
-			v.TagIDs = voc.SampleTagSet(tagSrc, topic, cfg.TagSet)
-		}
-		v.Title = synthTitle(titleSrc, voc, v)
-
-		// Mixture mean over countries.
-		mean := mixtureMean(cfg, prior, gravity[v.Upload], voc, v.TagIDs, field)
-		// Dirichlet jitter around the mean keeps per-video variety.
-		for c := range alpha {
-			a := cfg.JitterConcentration * mean[c]
-			if a < 1e-4 {
-				a = 1e-4 // keep Gamma well-defined for near-zero components
-			}
-			alpha[c] = a
-		}
-		draw := make([]float64, world.N())
-		geoSrc.Dirichlet(alpha, draw)
-		v.TrueViews = spreadViews(geoSrc, draw, v.TotalViews)
-
-		assignPopVector(pathSrc, cfg, world, v)
+// Next overwrites v with the next video and reports whether there was
+// one (false once cfg.Videos have been produced). v's TrueViews and
+// PopVector backing arrays are reused when they hold a country table's
+// worth: a caller that passes the same Video every time allocates
+// neither, a caller that passes a zero Video (Generate) gets slices it
+// owns. Either way the RNG calls, and so the videos, are the same.
+func (g *Generator) Next(v *Video) bool {
+	if g.next >= g.cfg.Videos {
+		return false
 	}
-	return cat, nil
+	cfg, voc, n := &g.cfg, g.voc, g.world.N()
+	trueViews, pop := v.TrueViews, v.PopVector
+	*v = Video{Index: g.next}
+	g.next++
+	v.ID = VideoID(cfg.Seed, v.Index)
+	v.Upload = geo.CountryID(g.uploadCat.Draw())
+	v.Category = youTubeCategories2011[g.titleSrc.Intn(len(youTubeCategories2011))]
+	v.TotalViews = boundedPareto(g.viewSrc, cfg.ViewsAlpha, cfg.ViewsMin, cfg.ViewsMax)
+
+	// Topic drift: most videos' topical tags anchor at home, but a
+	// fraction anchor elsewhere (the uploader's subject, not their
+	// location). Gravity still follows the upload country.
+	topic := v.Upload
+	if cfg.TopicDrift > 0 && g.tagSrc.Bernoulli(cfg.TopicDrift) {
+		topic = geo.CountryID(g.uploadCat.Draw())
+	}
+	if !g.pathSrc.Bernoulli(cfg.UntaggedRate) {
+		v.TagIDs = voc.SampleTagSet(g.tagSrc, topic, cfg.TagSet)
+	}
+	v.Title = synthTitle(g.titleSrc, voc, v)
+
+	// Mixture mean over countries.
+	mean := mixtureMean(*cfg, g.prior, g.gravity[v.Upload], voc, v.TagIDs, g.field, g.affinity)
+	// Dirichlet jitter around the mean keeps per-video variety.
+	for c := range g.alpha {
+		a := cfg.JitterConcentration * mean[c]
+		if a < 1e-4 {
+			a = 1e-4 // keep Gamma well-defined for near-zero components
+		}
+		g.alpha[c] = a
+	}
+	g.geoSrc.Dirichlet(g.alpha, g.draw)
+	// Distribute the total across countries by the drawn field, exactly
+	// (counts sum to TotalViews).
+	g.spread.Reset(g.geoSrc.Fork("spread"), g.draw)
+	if cap(trueViews) < n {
+		trueViews = make([]int64, n)
+	}
+	v.TrueViews = g.spread.MultinomialInto(trueViews[:n], v.TotalViews)
+
+	g.assignPopVector(v, pop)
+	return true
 }
 
 // mixtureMean fills field with the normalized mixture of prior, gravity
-// and tag affinities and returns it.
-func mixtureMean(cfg Config, prior, gravity []float64, voc *tags.Vocabulary, tagIDs []int, field []float64) []float64 {
+// and tag affinities and returns it; aff is scratch for one tag's
+// affinity at a time.
+func mixtureMean(cfg Config, prior, gravity []float64, voc *tags.Vocabulary, tagIDs []int, field, aff []float64) []float64 {
 	wSum := cfg.WeightPrior + cfg.WeightGravity + cfg.WeightTags
 	wp, wg, wt := cfg.WeightPrior/wSum, cfg.WeightGravity/wSum, cfg.WeightTags/wSum
 	if len(tagIDs) == 0 {
@@ -300,7 +363,7 @@ func mixtureMean(cfg Config, prior, gravity []float64, voc *tags.Vocabulary, tag
 		}
 		for k, tid := range tagIDs {
 			per := wt * (1 / float64(k+1)) / hSum
-			aff := voc.Affinity(tid)
+			voc.AffinityInto(aff, tid)
 			for c := range field {
 				field[c] += per * aff[c]
 			}
@@ -335,39 +398,38 @@ func gravityVector(world *geo.World, upload geo.CountryID) []float64 {
 	return out
 }
 
-// spreadViews distributes total views across countries according to the
-// probability field p, exactly (counts sum to total).
-func spreadViews(src *xrand.Source, p []float64, total int64) []int64 {
-	cat := xrand.NewCategorical(src.Fork("spread"), p)
-	return cat.Multinomial(total)
-}
-
 // assignPopVector computes the Map-Chart popularity vector from the
 // ground-truth views, or injects one of the paper's two popularity-vector
-// pathologies (empty map / corrupt vector).
-func assignPopVector(src *xrand.Source, cfg Config, world *geo.World, v *Video) {
-	u := src.Float64()
-	switch {
-	case u < cfg.PopEmptyRate:
+// pathologies (empty map / corrupt vector). pop is the backing array to
+// reuse when it holds a country table's worth.
+func (g *Generator) assignPopVector(v *Video, pop []int) {
+	u := g.pathSrc.Float64()
+	if u < g.cfg.PopEmptyRate {
 		v.PopState = PopStateEmpty
+		v.PopVector = pop[:0] // no vector; nil unless the caller lent an array
 		return
-	case u < cfg.PopEmptyRate+cfg.PopCorruptRate:
+	}
+	if n := g.world.N(); cap(pop) < n {
+		pop = make([]int, n)
+	} else {
+		pop = pop[:n]
+	}
+	v.PopVector = pop
+	if u < g.cfg.PopEmptyRate+g.cfg.PopCorruptRate {
 		v.PopState = PopStateCorrupt
 		// A corrupt vector is present but useless: the map rendered but
 		// carried no data ("incorrect popularity vector" in §2's terms),
 		// which densifies to all zeros downstream.
-		v.PopVector = make([]int, world.N())
+		clear(pop)
 		return
 	}
-	views := make([]float64, world.N())
-	for c, n := range v.TrueViews {
-		views[c] = float64(n)
+	for c, x := range v.TrueViews {
+		g.views[c] = float64(x)
 	}
-	intensity, err := mapchart.Intensity(views, world.Traffic())
-	if err != nil {
+	if _, err := mapchart.IntensityInto(g.intensity, g.views, g.prior); err != nil {
 		// Lengths come from the same world; a mismatch is a bug.
 		panic("synth: intensity: " + err.Error())
 	}
-	v.PopVector = mapchart.Quantize(intensity)
+	mapchart.QuantizeInto(pop, g.intensity, mapchart.MaxIntensity)
 	v.PopState = PopStateOK
 }

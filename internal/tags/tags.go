@@ -101,6 +101,7 @@ func DefaultConfig(size int) Config {
 // sampling indexes.
 type Vocabulary struct {
 	world  *geo.World
+	prior  []float64 // world.Traffic(), copied once: Affinity reads it per call
 	tags   []Tag
 	byName map[string]int
 	freq   *xrand.Zipf // usage frequency over ranks == indices
@@ -189,6 +190,7 @@ func NewVocabulary(world *geo.World, src *xrand.Source, cfg Config) (*Vocabulary
 
 	v := &Vocabulary{
 		world:  world,
+		prior:  world.Traffic(),
 		tags:   make([]Tag, 0, cfg.Size),
 		byName: make(map[string]int, cfg.Size),
 	}
@@ -323,19 +325,21 @@ func (v *Vocabulary) World() *geo.World { return v.world }
 // or spread over the language cluster proportionally to traffic
 // (regional), with the remaining mass following the global traffic prior.
 func (v *Vocabulary) Affinity(i int) []float64 {
-	t := v.tags[i]
-	prior := v.world.Traffic()
-	out := make([]float64, len(prior))
+	return v.AffinityInto(make([]float64, len(v.prior)), i)
+}
+
+// AffinityInto is Affinity writing into out (one entry per country, all
+// overwritten) — the form for a caller that mixes many tags' affinities
+// per video and keeps none of them.
+func (v *Vocabulary) AffinityInto(out []float64, i int) []float64 {
+	t := &v.tags[i]
+	prior := v.prior
 	switch t.Class {
-	case ClassGlobal:
-		copy(out, prior)
-		return out
 	case ClassLocal:
 		for c := range out {
 			out[c] = (1 - t.AnchorMass) * prior[c]
 		}
 		out[t.Anchor] += t.AnchorMass
-		return out
 	case ClassRegional:
 		peers := v.world.LanguagePeers(t.Language)
 		var clusterTraffic float64
@@ -352,11 +356,10 @@ func (v *Vocabulary) Affinity(i int) []float64 {
 		} else {
 			out[t.Anchor] += t.AnchorMass
 		}
-		return out
-	default:
+	default: // ClassGlobal, and anything unclassified, follows the prior
 		copy(out, prior)
-		return out
 	}
+	return out
 }
 
 // TagSetConfig controls per-video tag-set sampling.

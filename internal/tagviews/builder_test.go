@@ -8,17 +8,85 @@ import (
 	"viewstags/internal/geo"
 )
 
+// TestBuilderMatchesBatchBuild: every entry point runs the one fold, in
+// record order, so they agree bit for bit — Build (the fixture), a
+// Builder fed record by record, BuildParallel, and a non-retaining
+// Aggregator. Merging split halves sums each tag as (first half) +
+// (second half), a different association of the same terms: counts and
+// view totals (integer-valued) stay exact, fields agree to rounding.
 func TestBuilderMatchesBatchBuild(t *testing.T) {
 	f := testFixture(t)
-	b, err := NewBuilder(f.cat.World, f.pyt)
+	world, recs, pop := f.cat.World, f.clean.Records, f.clean.Pop
+	newBuilder := func(lo, hi int) *Builder {
+		b, err := NewBuilder(world, f.pyt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := lo; i < hi; i++ {
+			b.Add(recs[i], pop[i])
+		}
+		return b
+	}
+	assertAnalysesEqual(t, f.an, newBuilder(0, len(recs)).Finish(), 0)
+
+	par, err := BuildParallel(world, recs, pop, f.pyt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertAnalysesEqual(t, f.an, par, 0)
+
+	g, err := NewAggregator(world, f.pyt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range recs {
+		g.Add(&recs[i], pop[i])
+	}
+	assertAggregatesEqual(t, &f.an.Aggregate, g.Finish(), 0)
+
+	half := len(recs) / 2
+	merged := newBuilder(0, half)
+	if err := merged.Merge(newBuilder(half, len(recs))); err != nil {
+		t.Fatal(err)
+	}
+	assertAnalysesEqual(t, f.an, merged.Finish(), 1e-12)
+}
+
+// TestAggregatorOwnsFilter: an owns filter drops tags, never records — the
+// slice's sums are bit for bit the whole aggregate's, and N stays the
+// corpus's.
+func TestAggregatorOwnsFilter(t *testing.T) {
+	f := testFixture(t)
+	owns := func(tag string) bool { return len(tag)%2 == 0 }
+	g, err := NewAggregator(f.cat.World, f.pyt, owns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range f.clean.Records {
-		b.Add(f.clean.Records[i], f.clean.Pop[i])
+		g.Add(&f.clean.Records[i], f.clean.Pop[i])
 	}
-	got := b.Finish()
-	assertAnalysesEqual(t, f.an, got)
+	got := g.Finish()
+	if got.N() != f.an.N() || got.Skipped() != f.an.Skipped() {
+		t.Fatalf("N/skipped = %d/%d, want the corpus's %d/%d", got.N(), got.Skipped(), f.an.N(), f.an.Skipped())
+	}
+	kept := 0
+	for _, name := range f.an.TagNames() {
+		wp, _ := f.an.TagProfile(name)
+		gp, ok := got.TagProfile(name)
+		if ok != owns(name) {
+			t.Fatalf("tag %q: present=%v, owned=%v", name, ok, owns(name))
+		}
+		if !ok {
+			continue
+		}
+		kept++
+		if wp.Videos != gp.Videos || wp.TotalViews != gp.TotalViews || !sameField(wp.Views, gp.Views, 0) {
+			t.Fatalf("owned tag %q differs from the whole aggregate's", name)
+		}
+	}
+	if kept == 0 || kept != got.NumTags() {
+		t.Fatalf("filter kept %d tags, aggregate holds %d", kept, got.NumTags())
+	}
 }
 
 func TestBuildParallelMatchesSequential(t *testing.T) {
@@ -28,38 +96,51 @@ func TestBuildParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		assertAnalysesEqual(t, f.an, got)
+		assertAnalysesEqual(t, f.an, got, 0)
 	}
 }
 
-func assertAnalysesEqual(t *testing.T, want, got *Analysis) {
+// sameField compares two view fields entry by entry: bitwise at relTol 0,
+// else to that relative tolerance.
+func sameField(want, got []float64, relTol float64) bool {
+	if len(want) != len(got) {
+		return false
+	}
+	for c := range want {
+		if want[c] != got[c] && math.Abs(want[c]-got[c]) > relTol*math.Abs(want[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+func assertAggregatesEqual(t *testing.T, want, got *Aggregate, relTol float64) {
 	t.Helper()
-	if got.N() != want.N() {
-		t.Fatalf("N = %d, want %d", got.N(), want.N())
+	if got.N() != want.N() || got.NumTags() != want.NumTags() || got.Skipped() != want.Skipped() {
+		t.Fatalf("N/tags/skipped = %d/%d/%d, want %d/%d/%d",
+			got.N(), got.NumTags(), got.Skipped(), want.N(), want.NumTags(), want.Skipped())
 	}
-	if got.NumTags() != want.NumTags() {
-		t.Fatalf("tags = %d, want %d", got.NumTags(), want.NumTags())
+	for _, name := range want.TagNames() {
+		wp, _ := want.TagProfile(name)
+		gp, ok := got.TagProfile(name)
+		if !ok {
+			t.Fatalf("tag %q missing", name)
+		}
+		if wp.Videos != gp.Videos || wp.TotalViews != gp.TotalViews {
+			t.Fatalf("tag %q: %d videos / %v views, want %d / %v", name, gp.Videos, gp.TotalViews, wp.Videos, wp.TotalViews)
+		}
+		if !sameField(wp.Views, gp.Views, relTol) {
+			t.Fatalf("tag %q: field %v, want %v (tolerance %g)", name, gp.Views, wp.Views, relTol)
+		}
 	}
-	if got.Skipped() != want.Skipped() {
-		t.Fatalf("skipped = %d, want %d", got.Skipped(), want.Skipped())
-	}
-	// Aggregates agree up to FP summation order.
-	for _, name := range []string{"pop", "music", "favela"} {
-		wp, ok1 := want.TagProfile(name)
-		gp, ok2 := got.TagProfile(name)
-		if ok1 != ok2 {
-			t.Fatalf("tag %q presence differs", name)
-		}
-		if !ok1 {
-			continue
-		}
-		if wp.Videos != gp.Videos {
-			t.Fatalf("tag %q videos %d vs %d", name, gp.Videos, wp.Videos)
-		}
-		for c := range wp.Views {
-			if math.Abs(wp.Views[c]-gp.Views[c]) > 1e-6*(1+math.Abs(wp.Views[c])) {
-				t.Fatalf("tag %q country %d: %v vs %v", name, c, gp.Views[c], wp.Views[c])
-			}
+}
+
+func assertAnalysesEqual(t *testing.T, want, got *Analysis, relTol float64) {
+	t.Helper()
+	assertAggregatesEqual(t, &want.Aggregate, &got.Aggregate, relTol)
+	for i := 0; i < want.N(); i++ {
+		if want.Record(i).VideoID != got.Record(i).VideoID || !sameField(want.VideoField(i), got.VideoField(i), 0) {
+			t.Fatalf("record %d (%s): per-video field differs", i, want.Record(i).VideoID)
 		}
 	}
 }

@@ -8,24 +8,23 @@
 package tagviews
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
 	"viewstags/internal/dataset"
 	"viewstags/internal/dist"
 	"viewstags/internal/geo"
-	"viewstags/internal/reconstruct"
 )
 
-// Analysis holds the reconstructed per-video view fields and the
-// aggregated per-tag view fields of one dataset.
-type Analysis struct {
+// Aggregate is the per-tag half of an analysis — the Eq. 3 sums, each
+// tag's video count and view total, and the size of the corpus they were
+// taken over. It is all a serving snapshot is built from, so a daemon can
+// hold it without the corpus (see Aggregator).
+type Aggregate struct {
 	World *geo.World
 	Pyt   []float64 // the traffic estimate used for reconstruction
 
-	records []dataset.Record
-	fields  [][]float64 // per-record reconstructed view fields (sum = record views)
+	n       int // records folded in, skipped ones included
 	skipped int
 
 	tagViews  map[string][]float64 // Eq. 3 aggregates
@@ -33,58 +32,32 @@ type Analysis struct {
 	tagTotal  map[string]float64
 }
 
+// Analysis is an Aggregate together with the records it was taken over
+// and their reconstructed per-video view fields — what the evaluators
+// (E5–E7) and the per-video accessors need on top of the tag profiles.
+type Analysis struct {
+	Aggregate
+
+	records []dataset.Record
+	fields  [][]float64 // per-record reconstructed view fields (sum = record views)
+}
+
 // Build reconstructs every record's view field with the given traffic
 // estimate and aggregates tag view fields (Eq. 3). Records whose
 // popularity vector carries no signal are skipped and counted (the §2
 // filter removes them up front, so normally none are).
 func Build(world *geo.World, records []dataset.Record, pop [][]int, pyt []float64) (*Analysis, error) {
-	if len(records) != len(pop) {
-		return nil, fmt.Errorf("tagviews: %d records but %d pop vectors", len(records), len(pop))
-	}
-	if len(pyt) != world.N() {
-		return nil, fmt.Errorf("tagviews: traffic estimate has %d entries for %d countries", len(pyt), world.N())
-	}
-	a := &Analysis{
-		World:     world,
-		Pyt:       append([]float64(nil), pyt...),
-		records:   records,
-		fields:    make([][]float64, len(records)),
-		tagViews:  make(map[string][]float64),
-		tagVideos: make(map[string]int),
-		tagTotal:  make(map[string]float64),
-	}
-	for i := range records {
-		r := &records[i]
-		field, err := reconstruct.ViewsFloat(pop[i], pyt, float64(r.TotalViews))
-		if err != nil {
-			a.skipped++
-			continue
-		}
-		a.fields[i] = field
-		for _, t := range r.Tags {
-			agg := a.tagViews[t]
-			if agg == nil {
-				agg = make([]float64, world.N())
-				a.tagViews[t] = agg
-			}
-			for c, x := range field {
-				agg[c] += x
-			}
-			a.tagVideos[t]++
-			a.tagTotal[t] += float64(r.TotalViews)
-		}
-	}
-	return a, nil
+	return BuildParallel(world, records, pop, pyt, 1)
 }
 
 // N returns the number of records in the analysis.
-func (a *Analysis) N() int { return len(a.records) }
+func (a *Aggregate) N() int { return a.n }
 
 // Skipped returns how many records failed reconstruction.
-func (a *Analysis) Skipped() int { return a.skipped }
+func (a *Aggregate) Skipped() int { return a.skipped }
 
 // NumTags returns the number of distinct tags aggregated.
-func (a *Analysis) NumTags() int { return len(a.tagViews) }
+func (a *Aggregate) NumTags() int { return len(a.tagViews) }
 
 // VideoField returns record i's reconstructed view field (nil when the
 // record was skipped). The slice is shared; do not modify.
@@ -115,7 +88,7 @@ type TagProfile struct {
 
 // TagProfile computes the profile of one tag. The boolean reports
 // whether the tag exists in the dataset.
-func (a *Analysis) TagProfile(name string) (*TagProfile, bool) {
+func (a *Aggregate) TagProfile(name string) (*TagProfile, bool) {
 	views, ok := a.tagViews[name]
 	if !ok {
 		return nil, false
@@ -123,7 +96,7 @@ func (a *Analysis) TagProfile(name string) (*TagProfile, bool) {
 	return a.profileFor(name, views), true
 }
 
-func (a *Analysis) profileFor(name string, views []float64) *TagProfile {
+func (a *Aggregate) profileFor(name string, views []float64) *TagProfile {
 	p := dist.Normalize(views)
 	top := dist.ArgMax(p)
 	// A tag can aggregate to zero mass when every carrying record had
@@ -161,7 +134,7 @@ func (a *Analysis) profileFor(name string, views []float64) *TagProfile {
 
 // TopTags returns the k tags with the most aggregated views, descending.
 // Ties break by name for determinism.
-func (a *Analysis) TopTags(k int) []*TagProfile {
+func (a *Aggregate) TopTags(k int) []*TagProfile {
 	names := make([]string, 0, len(a.tagTotal))
 	for n := range a.tagTotal {
 		names = append(names, n)
@@ -185,7 +158,7 @@ func (a *Analysis) TopTags(k int) []*TagProfile {
 
 // SpreadCensus classifies every tag and counts the classes — the
 // dataset-wide version of the paper's local-vs-global observation.
-func (a *Analysis) SpreadCensus() map[dist.Spread]int {
+func (a *Aggregate) SpreadCensus() map[dist.Spread]int {
 	out := make(map[dist.Spread]int, 3)
 	for _, views := range a.tagViews {
 		out[dist.Classify(views)]++
@@ -195,7 +168,7 @@ func (a *Analysis) SpreadCensus() map[dist.Spread]int {
 
 // TagNames returns all aggregated tag names, sorted (stable iteration
 // for reports and tests).
-func (a *Analysis) TagNames() []string {
+func (a *Aggregate) TagNames() []string {
 	names := make([]string, 0, len(a.tagViews))
 	for n := range a.tagViews {
 		names = append(names, n)

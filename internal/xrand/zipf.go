@@ -88,10 +88,24 @@ type Categorical struct {
 // NewCategorical builds a categorical sampler from weights. It panics if
 // weights is empty, contains a negative entry, or sums to zero.
 func NewCategorical(src *Source, weights []float64) *Categorical {
+	c := &Categorical{}
+	c.Reset(src, weights)
+	return c
+}
+
+// Reset re-aims the sampler at a new stream and new weights, reusing its
+// CDF table — the per-video form of NewCategorical for a caller that
+// builds one sampler per item and keeps none. It panics as
+// NewCategorical does.
+func (c *Categorical) Reset(src *Source, weights []float64) {
 	if len(weights) == 0 {
 		panic("xrand: NewCategorical with empty weights")
 	}
-	cdf := make([]float64, len(weights))
+	cdf := c.cdf
+	if cap(cdf) < len(weights) {
+		cdf = make([]float64, len(weights))
+	}
+	cdf = cdf[:len(weights)]
 	var sum float64
 	for i, w := range weights {
 		if w < 0 || math.IsNaN(w) {
@@ -106,7 +120,7 @@ func NewCategorical(src *Source, weights []float64) *Categorical {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Categorical{cdf: cdf, src: src}
+	c.cdf, c.src = cdf, src
 }
 
 // Draw samples one index.
@@ -122,7 +136,16 @@ func (c *Categorical) N() int { return len(c.cdf) }
 // counts plus stochastic rounding when total is large. The returned slice
 // always sums exactly to total.
 func (c *Categorical) Multinomial(total int64) []int64 {
-	out := make([]int64, len(c.cdf))
+	return c.MultinomialInto(make([]int64, len(c.cdf)), total)
+}
+
+// MultinomialInto is Multinomial writing into out, which must have one
+// entry per category; its previous contents are overwritten.
+func (c *Categorical) MultinomialInto(out []int64, total int64) []int64 {
+	if len(out) != len(c.cdf) {
+		panic("xrand: MultinomialInto length mismatch")
+	}
+	clear(out)
 	if total <= 0 {
 		return out
 	}

@@ -218,10 +218,21 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Resident memory: both daemons, both surfaces (how big must the
+	// container be, and did boot or traffic set the peak).
+	_, _, procfs := obs.ResidentMemory()
+	for _, name := range []string{"process_resident_memory_bytes", "viewstags_process_peak_rss_bytes"} {
+		if strings.Contains(gwText, name+" ") != procfs || strings.Contains(shardText, name+" ") != procfs {
+			t.Errorf("%s: want on both expositions exactly when /proc/self/status is readable (%v)", name, procfs)
+		}
+	}
+
 	// /v1/stats quantiles come from the same histograms: they must be
 	// ordered and the mean must be inside the observed range.
 	var stats struct {
-		Predict server.RouteSnapshot `json:"predict"`
+		Predict      server.RouteSnapshot `json:"predict"`
+		RSSBytes     int64                `json:"rss_bytes"`
+		PeakRSSBytes int64                `json:"peak_rss_bytes"`
 	}
 	resp, err := client.Get(gw.URL + "/v1/stats")
 	if err != nil {
@@ -234,6 +245,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	p := stats.Predict
 	if p.Requests == 0 {
 		t.Fatal("gateway /v1/stats reports zero predict requests after load")
+	}
+	if procfs && (stats.RSSBytes <= 0 || stats.PeakRSSBytes < stats.RSSBytes) {
+		t.Errorf("gateway /v1/stats resident memory: rss %d, peak %d", stats.RSSBytes, stats.PeakRSSBytes)
 	}
 	if p.MeanMs <= 0 || p.P50Ms <= 0 {
 		t.Errorf("predict latency stats not populated: %+v", p)
