@@ -365,6 +365,71 @@ func TestAllocBudgets(t *testing.T) {
 		t.Logf("first gateway batch-4 predict after an observed fold, pass landed: %.1f allocs/op (budget 46)", allocs)
 	})
 
+	// A standalone node over the benchmark's 20 000-video catalog. Its fold
+	// is the store's fold: setting the catalog adds nothing to an install
+	// (it used to add a 20 000-row prediction table, recomputed under the
+	// install lock). And its advisory is computed per request in pooled
+	// scratch: what a request allocates grows with the slots it asks for,
+	// not with the catalog — a column of 20 000 float64s alone is 160 KB.
+	t.Run("NodeFoldWithCatalog", func(t *testing.T) {
+		snap, _ := nodeFixture(t)
+		views := make([]float64, snap.World().N())
+		views[0] = 1
+		var deltas []profilestore.TagDelta
+		for _, p := range snap.TopProfiles(100) {
+			deltas = append(deltas, profilestore.TagDelta{Name: p.Name, Views: views, Total: 1, ID: p.ID})
+		}
+		fold := func(withCatalog bool) float64 {
+			srv := nodeServer(t, withCatalog)
+			return testing.AllocsPerRun(20, func() {
+				if err := srv.ApplyDeltas(deltas, 0, tagviews.WeightIDF); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		without, with := fold(false), fold(true)
+		if with > without {
+			t.Fatalf("a fold allocates %.0f/op with the catalog set, %.0f/op without: the install does per-catalog work again", with, without)
+		}
+		t.Logf("100-tag fold: %.0f allocs/op with the 20 000-video catalog set, %.0f without", with, without)
+	})
+	t.Run("NodePreload", func(t *testing.T) {
+		h := nodeServer(t, true).Handler()
+		w := &nullResponseWriter{h: make(http.Header)}
+		for _, policy := range []string{"tag-push", "pop-push", "oracle-push"} {
+			perOp := func(slots int) (mallocs, size float64) {
+				body := []byte(fmt.Sprintf(`{"country":"BR","policy":%q,"slots":%d}`, policy, slots))
+				do := func() {
+					h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/preload", bytes.NewReader(body)))
+				}
+				const runs = 20
+				procs := runtime.GOMAXPROCS(1)
+				defer runtime.GOMAXPROCS(procs)
+				do() // fill this P's scratch pool
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < runs; i++ {
+					do()
+				}
+				runtime.ReadMemStats(&after)
+				return float64(after.Mallocs-before.Mallocs) / runs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+			}
+			// Measured at 64 slots: 39–40 allocations, 10–12 KB (request
+			// plumbing, the selection's 64 entries, the ids, the reply).
+			mallocs, size := perOp(64)
+			if mallocs > 60 || size > 24<<10 {
+				t.Errorf("%s, 64 slots: %.0f allocs and %.0f B per request, budget 60 and 24 KB: something sized by the catalog is allocated per request", policy, mallocs, size)
+			}
+			// 16 times the slots may cost 16 times the bytes, not a
+			// catalog's worth more.
+			_, size1k := perOp(1024)
+			if size1k > 16*size {
+				t.Errorf("%s: %.0f B at 1024 slots against %.0f B at 64: not O(slots)", policy, size1k, size)
+			}
+			t.Logf("/v1/preload %s: %.0f allocs/op and %.0f B/op at 64 slots, %.0f B/op at 1024", policy, mallocs, size, size1k)
+		}
+	})
+
 	// The observe path itself: recording a latency into a route
 	// histogram is a few atomic adds and must never allocate — it runs
 	// inside every single request.

@@ -64,6 +64,53 @@ func benchFixture(b *testing.B) *pipeline.Result {
 	return benchRes
 }
 
+var (
+	nodeOnce   sync.Once
+	nodeSnap   *profilestore.Snapshot
+	nodeServed *synth.Served
+	nodeErr    error
+)
+
+// nodeFixture is a standalone node's boot over the benchmark's catalog
+// (bench/spec.go: 20 000 videos, seed 20110301): the whole-vocabulary
+// snapshot and the served catalog, from the one streaming pass.
+func nodeFixture(tb testing.TB) (*profilestore.Snapshot, *synth.Served) {
+	tb.Helper()
+	nodeOnce.Do(func() {
+		var boot *pipeline.Boot
+		if boot, nodeErr = pipeline.BootSynthetic(bootPeakVideos, bootPeakSeed, alexa.DefaultConfig(), nil, true); nodeErr != nil {
+			return
+		}
+		nodeSnap, nodeErr = profilestore.BuildAggregate(boot.Aggregate, nil)
+		nodeServed = boot.Served
+	})
+	if nodeErr != nil {
+		tb.Fatalf("node fixture: %v", nodeErr)
+	}
+	return nodeSnap, nodeServed
+}
+
+// nodeServer is a server over its own store of the node fixture's
+// snapshot, with the served catalog set when withCatalog.
+func nodeServer(tb testing.TB, withCatalog bool) *server.Server {
+	tb.Helper()
+	snap, served := nodeFixture(tb)
+	store, err := profilestore.NewStore(snap)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := server.New(server.DefaultConfig(), store)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if withCatalog {
+		if err := srv.SetCatalog(served, tagviews.WeightIDF); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return srv
+}
+
 // BenchmarkT1DatasetPipeline regenerates the §2 dataset table: generate
 // → extract records → filter. Reported metric: drop-rate percent
 // (paper: 35.0%).
@@ -654,9 +701,16 @@ func BenchmarkIngestFold(b *testing.B) {
 	}
 	names := res.Analysis.TagNames()
 	nC := res.World.N()
-	for _, touch := range []int{100, len(names)} {
-		b.Run(benchName("touch", touch), func(b *testing.B) {
+	// run times add → drain → install, where install is what puts the
+	// drained deltas into the store it is handed.
+	type installFunc func([]profilestore.TagDelta, int) error
+	run := func(name string, touch int, installer func(*profilestore.Store) (installFunc, error)) {
+		b.Run(benchName(name, touch), func(b *testing.B) {
 			store, err := profilestore.NewStore(base)
+			if err != nil {
+				b.Fatal(err)
+			}
+			install, err := installer(store)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -673,21 +727,73 @@ func BenchmarkIngestFold(b *testing.B) {
 					Views:   1,
 				}
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := acc.Add(events); err != nil {
 					b.Fatal(err)
 				}
 				deltas, n, _, _ := acc.Drain()
-				next, err := profilestore.Rebuild(store.Load(), deltas, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := store.Swap(next); err != nil {
+				if err := install(deltas, n); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportMetric(float64(b.N)*float64(touch)/b.Elapsed().Seconds(), "events/sec")
+		})
+	}
+	for _, touch := range []int{100, len(names)} {
+		// Rebuild + Swap alone: the store's share of a fold.
+		run("touch", touch, func(store *profilestore.Store) (installFunc, error) {
+			return func(deltas []profilestore.TagDelta, n int) error {
+				next, err := profilestore.Rebuild(store.Load(), deltas, n)
+				if err != nil {
+					return err
+				}
+				_, err = store.Swap(next)
+				return err
+			}, nil
+		})
+		// The fold a standalone node runs: Server.ApplyDeltas with the
+		// fixture's catalog set, so whatever an install does beyond the
+		// swap is on the clock.
+		run("node-touch", touch, func(store *profilestore.Store) (installFunc, error) {
+			srv, err := server.New(server.DefaultConfig(), store)
+			if err != nil {
+				return nil, err
+			}
+			if err := srv.SetCatalog(res.Catalog.Served(), tagviews.WeightIDF); err != nil {
+				return nil, err
+			}
+			return func(deltas []profilestore.TagDelta, n int) error {
+				return srv.ApplyDeltas(deltas, n, tagviews.WeightIDF)
+			}, nil
+		})
+	}
+}
+
+// BenchmarkPreload times one /v1/preload advisory of 64 slots through
+// Server.Handler() over the benchmark's catalog, per push policy, cycling
+// through every country. tag-push is the one that reads the profiles: a
+// column of predictions computed per request.
+func BenchmarkPreload(b *testing.B) {
+	srv := nodeServer(b, true)
+	snap, _ := nodeFixture(b)
+	h := srv.Handler()
+	codes := snap.World().Codes()
+	for _, policy := range []string{"tag-push", "pop-push", "oracle-push"} {
+		bodies := make([][]byte, len(codes))
+		for i, code := range codes {
+			bodies[i] = []byte(fmt.Sprintf(`{"country":%q,"policy":%q,"slots":64}`, code, policy))
+		}
+		b.Run(policy, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/preload", bytes.NewReader(bodies[i%len(bodies)])))
+				if rec.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", rec.Code, rec.Body)
+				}
+			}
 		})
 	}
 }

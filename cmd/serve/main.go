@@ -238,16 +238,16 @@ func run() error {
 	}
 
 	// With a synthetic catalog the daemon can also serve preload
-	// advisories: precompute every video's predicted demand field.
-	// A shard's partial vocabulary would bias the demand fields, so
-	// preload advisories stay a whole-vocabulary (standalone) feature.
+	// advisories, each computed on request against the snapshot then
+	// serving. A shard's partial vocabulary would bias the demand fields,
+	// so preload advisories stay a whole-vocabulary (standalone) feature.
 	if shardCount > 1 {
 		logger.Printf("shard mode: /v1/preload disabled (advisories need the whole vocabulary)")
-	} else if boot.Catalog != nil {
-		if err := srv.SetCatalog(boot.Catalog, snap.PredictCatalog(boot.Catalog, w)); err != nil {
+	} else if boot.Served != nil {
+		if err := srv.SetCatalog(boot.Served, w); err != nil {
 			return err
 		}
-		logger.Printf("preload advisories enabled over %d catalog videos", len(boot.Catalog.Videos))
+		logger.Printf("preload advisories enabled over %d catalog videos", boot.Served.N())
 	} else {
 		logger.Printf("no synthetic catalog: /v1/preload disabled")
 	}

@@ -55,8 +55,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Preload advisories need the catalog plus per-video predictions.
-	if err := srv.SetCatalog(res.Catalog, snap.PredictCatalog(res.Catalog, tagviews.WeightIDF)); err != nil {
+	// Preload advisories need the served form of the catalog (ids, tags,
+	// view totals, ground truth); each request ranks it against the
+	// snapshot then serving, tag-push under this weighting.
+	if err := srv.SetCatalog(res.Catalog.Served(), tagviews.WeightIDF); err != nil {
 		return err
 	}
 	// No recovery phase here, so the server is ready as soon as it is

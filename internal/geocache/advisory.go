@@ -2,7 +2,6 @@ package geocache
 
 import (
 	"fmt"
-	"sort"
 
 	"viewstags/internal/geo"
 	"viewstags/internal/synth"
@@ -12,15 +11,16 @@ import (
 // question a per-country edge cache asks at provisioning time: "which
 // videos should I warm my slots with?" It returns the catalog indices
 // the given push policy would preload into country c's cache,
-// highest-demand first — exactly the sets Simulator.push installs, so
+// highest-demand first. Simulator.push installs what this returns, so
 // the HTTP advisory endpoint and the offline simulation can never
 // disagree.
 //
-// predicted is the tag-predicted per-video view distribution slice
-// (indexed by catalog video index, nil entries = unpredicted); it is
-// only consulted for PolicyTagPush. Reactive policies (LRU/LFU/hybrid)
-// have no push set and are rejected.
-func PreloadAdvisory(cat *synth.Catalog, predicted [][]float64, policy PolicyKind, country geo.CountryID, slots int) ([]int, error) {
+// share is the tag-predicted share of each video's views in country c
+// (indexed by catalog video index, not positive = unpredicted: one column
+// of profilestore.PredictCatalog, or PredictColumn); it is only consulted
+// for PolicyTagPush. Reactive policies (LRU/LFU/hybrid) have no push set
+// and are rejected.
+func PreloadAdvisory(cat *synth.Served, share []float64, policy PolicyKind, country geo.CountryID, slots int) ([]int, error) {
 	if int(country) < 0 || int(country) >= cat.World.N() {
 		return nil, fmt.Errorf("geocache: country %d out of range", int(country))
 	}
@@ -36,13 +36,16 @@ func PreloadAdvisory(cat *synth.Catalog, predicted [][]float64, policy PolicyKin
 	case PolicyOracle:
 		return cat.TopInCountry(country, slots), nil
 	case PolicyTagPush:
-		if predicted == nil {
+		if share == nil {
 			return nil, fmt.Errorf("geocache: PolicyTagPush requires predictions")
 		}
-		if len(predicted) != len(cat.Videos) {
-			return nil, fmt.Errorf("geocache: %d predictions for %d videos", len(predicted), len(cat.Videos))
+		if len(share) != cat.N() {
+			return nil, fmt.Errorf("geocache: %d predictions for %d videos", len(share), cat.N())
 		}
-		return tagPushSelect(cat, predicted, int(country), slots), nil
+		// Demand score: predicted share × total views.
+		return synth.TopK(cat.N(), slots, func(v int) (float64, bool) {
+			return share[v] * float64(cat.TotalViews[v]), share[v] > 0
+		}), nil
 	default:
 		return nil, fmt.Errorf("geocache: policy %v has no push set", policy)
 	}
@@ -59,36 +62,4 @@ func ParsePolicy(name string) (PolicyKind, error) {
 		}
 	}
 	return PolicyInvalid, fmt.Errorf("geocache: unknown policy %q", name)
-}
-
-// tagPushSelect picks the top `slots` videos for country c by
-// tag-predicted demand score (predicted share × total views),
-// deterministic with index tiebreak.
-func tagPushSelect(cat *synth.Catalog, predicted [][]float64, c, slots int) []int {
-	type scored struct {
-		v     int
-		score float64
-	}
-	cand := make([]scored, 0, len(cat.Videos))
-	for v := range cat.Videos {
-		p := predicted[v]
-		if p == nil || p[c] <= 0 {
-			continue
-		}
-		cand = append(cand, scored{v: v, score: p[c] * float64(cat.Videos[v].TotalViews)})
-	}
-	sort.Slice(cand, func(a, b int) bool {
-		if cand[a].score != cand[b].score {
-			return cand[a].score > cand[b].score
-		}
-		return cand[a].v < cand[b].v
-	})
-	if slots > len(cand) {
-		slots = len(cand)
-	}
-	out := make([]int, slots)
-	for i := 0; i < slots; i++ {
-		out[i] = cand[i].v
-	}
-	return out
 }

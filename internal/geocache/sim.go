@@ -115,7 +115,7 @@ func (r Result) String() string {
 // sampled request stream (identical across policies, so comparisons are
 // paired), and optional predicted demand fields for PolicyTagPush.
 type Simulator struct {
-	cat      *synth.Catalog
+	cat      *synth.Served // what PreloadAdvisory reads of the catalog
 	requests []request
 	// predicted[v] is the tag-predicted normalized view distribution of
 	// video v (nil entries fall back to nothing — the video is never
@@ -157,7 +157,7 @@ func NewSimulator(cat *synth.Catalog, cfg Config) (*Simulator, error) {
 	countrySamplers := make([]*xrand.Categorical, len(cat.Videos))
 	countrySrc := src.Fork("country")
 
-	s := &Simulator{cat: cat, requests: make([]request, cfg.Requests)}
+	s := &Simulator{cat: cat.Served(), requests: make([]request, cfg.Requests)}
 	// Per-country recency rings for the temporal-locality re-draw.
 	recent := make([][]int32, cat.World.N())
 	localitySrc := src.Fork("locality")
@@ -205,8 +205,8 @@ func NewSimulator(cat *synth.Catalog, cfg Config) (*Simulator, error) {
 // PolicyTagPush. The slice is indexed by catalog video index; nil
 // entries mean "no prediction".
 func (s *Simulator) SetPredictions(pred [][]float64) error {
-	if len(pred) != len(s.cat.Videos) {
-		return fmt.Errorf("geocache: %d predictions for %d videos", len(pred), len(s.cat.Videos))
+	if len(pred) != s.cat.N() {
+		return fmt.Errorf("geocache: %d predictions for %d videos", len(pred), s.cat.N())
 	}
 	s.predicted = pred
 	return nil
@@ -281,37 +281,32 @@ func staticHalves(caches []cache) []cache {
 	return out
 }
 
-// push preloads static caches according to the policy's demand score.
+// push preloads static caches with the policy's advisory for each
+// country (PreloadAdvisory: the online path's own selection).
 func (s *Simulator) push(policy PolicyKind, caches []cache, slots int) error {
 	if slots <= 0 {
 		return nil
 	}
-	nC := s.cat.World.N()
-	switch policy {
-	case PolicyPopPush:
-		top := s.cat.TopByViews(slots)
-		for c := 0; c < nC; c++ {
-			for _, v := range top {
-				caches[c].preload(v)
-			}
-		}
-	case PolicyOracle:
-		for c := 0; c < nC; c++ {
-			for _, v := range s.cat.TopInCountry(geo.CountryID(c), slots) {
-				caches[c].preload(v)
-			}
-		}
-	case PolicyTagPush:
+	var share []float64
+	if policy == PolicyTagPush {
 		if s.predicted == nil {
 			return fmt.Errorf("geocache: PolicyTagPush requires SetPredictions")
 		}
-		// Demand score of video v in country c: predicted share × total
-		// views. Select top `slots` per country (shared with the online
-		// advisory path, see advisory.go).
-		for c := 0; c < nC; c++ {
-			for _, v := range tagPushSelect(s.cat, s.predicted, c, slots) {
-				caches[c].preload(v)
+		share = make([]float64, len(s.predicted))
+	}
+	for c := range caches {
+		for v := range share {
+			share[v] = 0
+			if p := s.predicted[v]; p != nil {
+				share[v] = p[c]
 			}
+		}
+		top, err := PreloadAdvisory(s.cat, share, policy, geo.CountryID(c), slots)
+		if err != nil {
+			return err
+		}
+		for _, v := range top {
+			caches[c].preload(v)
 		}
 	}
 	return nil

@@ -157,19 +157,38 @@ func TestBootSyntheticMatchesRetainingPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if b.Catalog != nil {
+			if b.Served != nil {
 				t.Fatalf("%d/%s: catalog kept unasked", videos, names[i])
 			}
 			checkBoot(t, names[i], res, b, owns[i])
 		}
-		// The standalone node's form: same pass, catalog collected from it.
+		// The standalone node's form: same pass, the served catalog
+		// collected from it — equal to the research catalog's served form,
+		// which in turn says of every video what the video does.
 		b, err := BootSynthetic(videos, bootSeed, alexa.DefaultConfig(), nil, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkBoot(t, "whole+catalog", res, b, nil)
-		if !reflect.DeepEqual(b.Catalog.Videos, res.Catalog.Videos) || !reflect.DeepEqual(b.Catalog.Config, res.Catalog.Config) {
-			t.Fatalf("%d videos: catalog collected from the streaming pass differs from Generate's", videos)
+		cat, got := res.Catalog, b.Served
+		if !reflect.DeepEqual(got, cat.Served()) {
+			t.Fatalf("%d videos: served catalog collected from the streaming pass differs from the research catalog's", videos)
+		}
+		nC := cat.World.N()
+		if got.N() != len(cat.Videos) || len(got.TrueViews) != got.N()*nC {
+			t.Fatalf("%d videos: served catalog holds %d videos, %d ground-truth entries", videos, got.N(), len(got.TrueViews))
+		}
+		for i := range cat.Videos {
+			v := &cat.Videos[i]
+			tags := make([]string, 0, len(v.TagIDs))
+			for _, id := range got.TagIDs[got.TagOff[i]:got.TagOff[i+1]] {
+				tags = append(tags, got.TagNames[id])
+			}
+			if got.IDs[i] != v.ID || got.TotalViews[i] != v.TotalViews ||
+				!reflect.DeepEqual(got.TrueViews[i*nC:(i+1)*nC], v.TrueViews) ||
+				!reflect.DeepEqual(tags, v.TagNames(cat.Vocab)) {
+				t.Fatalf("%d videos: served video %d differs from the catalog's", videos, i)
+			}
 		}
 	}
 }

@@ -75,10 +75,11 @@ func fromRecords(world *geo.World, cat *synth.Catalog, records []dataset.Record,
 }
 
 // Boot is what a serving daemon keeps of the pipeline: the per-tag
-// aggregate over the tags it owns and the §2 audit trail.
+// aggregate over the tags it owns, the §2 audit trail and, on a
+// standalone node, the served form of the catalog.
 type Boot struct {
 	World     *geo.World
-	Catalog   *synth.Catalog // nil unless BootSynthetic was asked to keep it
+	Served    *synth.Served // nil unless BootSynthetic was asked to keep it
 	Report    dataset.FilterReport
 	Aggregate *tagviews.Aggregate
 }
@@ -88,9 +89,11 @@ type Boot struct {
 // added to the sums of the tags owns admits (nil = all) and dropped. Same
 // videos and the same accumulation order as the retaining path, so
 // profilestore.BuildAggregate(boot.Aggregate, nil) exports bit for bit
-// what profilestore.BuildOwned(res.Analysis, owns) does. keepCatalog
-// collects the videos, from this same pass, into Boot.Catalog.
-func BootSynthetic(videos int, seed uint64, alexaCfg alexa.Config, owns func(tag string) bool, keepCatalog bool) (*Boot, error) {
+// what profilestore.BuildOwned(res.Analysis, owns) does. keepServed
+// collects, from this same pass, what /v1/preload reads of each video
+// into Boot.Served — which refers to neither the generator nor its
+// vocabulary, so both are garbage once this returns.
+func BootSynthetic(videos int, seed uint64, alexaCfg alexa.Config, owns func(tag string) bool, keepServed bool) (*Boot, error) {
 	cfg := synth.DefaultConfig(videos)
 	cfg.Seed = seed
 	gen, err := synth.NewGenerator(cfg)
@@ -98,27 +101,26 @@ func BootSynthetic(videos int, seed uint64, alexaCfg alexa.Config, owns func(tag
 		return nil, fmt.Errorf("pipeline: generate: %w", err)
 	}
 	cat := gen.Catalog()
-	if keepCatalog {
-		cat.Videos = make([]synth.Video, cfg.Videos)
+	var served *synth.Served
+	if keepServed {
+		served = cat.NewServed(cfg.Videos)
 	}
 	b, err := boot(cat.World, alexaCfg, owns, func(visit func(*dataset.Record) error) error {
-		var scratch synth.Video
+		var v synth.Video
 		var rec dataset.Record
-		for i := 0; i < cfg.Videos; i++ {
-			v := &scratch
-			if keepCatalog {
-				v = &cat.Videos[i] // zero: the video owns what Next allocates
+		for gen.Next(&v) {
+			if served != nil {
+				served.Add(&v)
 			}
-			gen.Next(v)
-			cat.RecordInto(&rec, v)
+			cat.RecordInto(&rec, &v)
 			if err := visit(&rec); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	if err == nil && keepCatalog {
-		b.Catalog = cat
+	if err == nil {
+		b.Served = served
 	}
 	return b, err
 }

@@ -63,7 +63,6 @@ func (s *Snapshot) PredictPartialFilterInto(dst []float64, tagNames []string, w 
 		dst[i] = 0
 	}
 	var wSum float64
-	n := float64(s.records)
 	for rank, t := range tagNames {
 		id, ok := s.Lookup(t)
 		if !ok {
@@ -72,25 +71,7 @@ func (s *Snapshot) PredictPartialFilterInto(dst []float64, tagNames []string, w 
 		if serve != nil && !serve(t) {
 			continue
 		}
-		p := &s.profiles[id]
-		// Zero-mass tags carry no signal (mirrors the offline
-		// predictor's guard; their stored vector is all-zero).
-		if p.TotalViews <= 0 {
-			continue
-		}
-		var weight float64
-		switch w {
-		case tagviews.WeightUniform:
-			weight = 1
-		case tagviews.WeightByViews:
-			weight = p.TotalViews
-		case tagviews.WeightIDF:
-			df := float64(p.Videos)
-			if df <= 0 {
-				continue
-			}
-			weight = math.Log(1 + n/df)
-		}
+		weight := s.tagWeight(id, w)
 		if weight <= 0 {
 			continue
 		}
@@ -104,4 +85,27 @@ func (s *Snapshot) PredictPartialFilterInto(dst []float64, tagNames []string, w 
 		wSum += weight
 	}
 	return wSum
+}
+
+// tagWeight is the one weight rule: what tag id counts for in a mixture
+// under w, before the rank discount. Not positive means the tag is
+// skipped — a zero-mass tag carries no signal (mirrors the offline
+// predictor's guard; its stored vector is all-zero), and neither does one
+// no video carries.
+func (s *Snapshot) tagWeight(id int32, w tagviews.Weighting) float64 {
+	p := &s.profiles[id]
+	if p.TotalViews <= 0 {
+		return 0
+	}
+	switch w {
+	case tagviews.WeightUniform:
+		return 1
+	case tagviews.WeightByViews:
+		return p.TotalViews
+	case tagviews.WeightIDF:
+		if df := float64(p.Videos); df > 0 {
+			return math.Log(1 + float64(s.records)/df)
+		}
+	}
+	return 0
 }

@@ -340,9 +340,7 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	if !DecodeBody(w, r, &req) {
 		return
 	}
-	s.mu.RLock()
-	cat, predicted := s.cat, s.predicted
-	s.mu.RUnlock()
+	cat := s.cat
 	if cat == nil {
 		WriteError(w, http.StatusServiceUnavailable, "no catalog loaded: preload advisories need synthetic ground truth")
 		return
@@ -364,14 +362,22 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	if slots == 0 {
 		slots = 64
 	}
-	vids, err := geocache.PreloadAdvisory(cat, predicted, policy, country, slots)
+	// Only tag-push reads the profiles: its column is computed here, per
+	// request, against whatever snapshot is serving.
+	var share []float64
+	if policy == geocache.PolicyTagPush {
+		buf := s.colScratch.Get()
+		defer s.colScratch.Put(buf)
+		share = s.store.Load().PredictColumn(*buf, cat, country, tagviews.Weighting(s.preloadW.Load()))
+	}
+	vids, err := geocache.PreloadAdvisory(cat, share, policy, country, slots)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	resp := PreloadResponse{Country: req.Country, Policy: policy.String(), Videos: make([]string, len(vids))}
 	for i, v := range vids {
-		resp.Videos[i] = cat.Videos[v].ID
+		resp.Videos[i] = cat.IDs[v]
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -48,7 +49,7 @@ func freshServer(t *testing.T, withCatalog bool, buffer int, interval time.Durat
 		t.Fatal(err)
 	}
 	if withCatalog {
-		if err := srv.SetCatalog(res.Catalog, snap.PredictCatalog(res.Catalog, tagviews.WeightIDF)); err != nil {
+		if err := srv.SetCatalog(res.Catalog.Served(), tagviews.WeightIDF); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -230,39 +231,30 @@ func TestIngestBackpressure503(t *testing.T) {
 	}
 }
 
-// TestFoldRefreshesPreloadAdvisories is the regression test for the
-// shared install helper: the ingest fold path must recompute catalog
-// preload predictions exactly like a batch Reload does, so the two code
-// paths cannot drift.
+// TestFoldRefreshesPreloadAdvisories: once an ingest fold has installed
+// its snapshot, /v1/preload ranks by it, exactly as after a batch Reload
+// — there is one install path and no per-install advisory state to
+// forget.
 func TestFoldRefreshesPreloadAdvisories(t *testing.T) {
 	srv, _, comp := freshServer(t, true, 0, time.Hour)
-	srv.mu.RLock()
-	before := srv.predicted
-	srv.mu.RUnlock()
-
-	if code := do(t, srv, http.MethodPost, "/v1/ingest", IngestRequest{Events: []IngestEvent{
-		{Video: "fold-1", Tags: []string{"pop"}, Country: "BR", Views: 10, Upload: true},
-	}}, nil); code != http.StatusOK {
+	res, _ := fixture(t)
+	base := srv.Store().Load()
+	var events []IngestEvent
+	for _, p := range base.TopProfiles(20) {
+		events = append(events, IngestEvent{Tags: []string{p.Name}, Country: "BR", Views: 50 * p.TotalViews})
+	}
+	if code := do(t, srv, http.MethodPost, "/v1/ingest", IngestRequest{Events: events}, nil); code != http.StatusOK {
 		t.Fatalf("ingest: %d", code)
 	}
 	if folded, err := comp.FoldNow(); err != nil || !folded {
 		t.Fatalf("fold: %v", err)
 	}
-
-	srv.mu.RLock()
-	after := srv.predicted
-	srv.mu.RUnlock()
-	if len(before) == 0 || len(after) != len(before) {
-		t.Fatalf("prediction set shape changed: %d -> %d", len(before), len(after))
+	got := preloadIDs(t, srv, "BR", "tag-push", 32)
+	if want := wantTagPush(res, srv.Store().Load(), tagviews.WeightIDF, "BR", 32); !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-fold advisory = %v, want the folded snapshot's ranking %v", got, want)
 	}
-	if &before[0] == &after[0] {
-		t.Fatal("ingest fold kept the stale preload prediction set (install helper drift)")
-	}
-	// And /v1/preload still serves against the refreshed set.
-	var resp PreloadResponse
-	if code := do(t, srv, http.MethodPost, "/v1/preload",
-		PreloadRequest{Country: "BR", Slots: 4}, &resp); code != http.StatusOK || len(resp.Videos) == 0 {
-		t.Fatalf("post-fold preload: code=%d videos=%d", code, len(resp.Videos))
+	if stale := wantTagPush(res, base, tagviews.WeightIDF, "BR", 32); reflect.DeepEqual(got, stale) {
+		t.Fatal("the fold left BR's ranking where it was: a stale ranking would pass")
 	}
 }
 

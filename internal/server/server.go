@@ -222,12 +222,18 @@ type Server struct {
 	// and the ring is bounded).
 	traces *obs.TraceStore
 
-	// mu serializes snapshot installs (batch Reload and ingest folds)
-	// and guards the catalog state for /v1/preload (absent when serving
-	// a crawled dataset with no synthetic ground truth).
-	mu        sync.RWMutex
-	cat       *synth.Catalog
-	predicted [][]float64
+	// mu serializes snapshot installs (batch Reload and ingest folds);
+	// no request path takes it.
+	mu sync.Mutex
+
+	// cat is the served catalog /v1/preload ranks and colScratch the pool
+	// of column scratch sized for it (profilestore.ColumnLen); nil until
+	// SetCatalog — never, on a shard or over a crawled dataset with no
+	// synthetic ground truth. preloadW is the weighting tag-push ranks by:
+	// set with the catalog, then by every install.
+	cat        *synth.Served
+	colScratch *profilestore.VecPool
+	preloadW   atomic.Int32
 }
 
 // New builds a server over a profile store. The world is taken from the
@@ -331,22 +337,24 @@ func (s *Server) handlerFor(path string) http.HandlerFunc {
 	}
 }
 
-// SetCatalog installs the synthetic catalog and its per-video predicted
-// demand fields, enabling /v1/preload (and oracle advisories).
-func (s *Server) SetCatalog(cat *synth.Catalog, predicted [][]float64) error {
-	if cat != nil && predicted != nil && len(predicted) != len(cat.Videos) {
-		return fmt.Errorf("server: %d predictions for %d videos", len(predicted), len(cat.Videos))
+// SetCatalog installs the served form of the synthetic catalog, enabling
+// /v1/preload: each request ranks it against the snapshot being served at
+// that moment, tag-push under weighting w until a Reload or ApplyDeltas
+// names another. Call before serving traffic.
+func (s *Server) SetCatalog(cat *synth.Served, w tagviews.Weighting) error {
+	if cat == nil {
+		return fmt.Errorf("server: nil catalog")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cat = cat
-	s.predicted = predicted
+	if got, want := cat.World.N(), s.world().N(); got != want {
+		return fmt.Errorf("server: catalog over %d countries, snapshot over %d", got, want)
+	}
+	s.cat, s.colScratch = cat, profilestore.NewVecPool(profilestore.ColumnLen(cat))
+	s.preloadW.Store(int32(w))
 	return nil
 }
 
-// Store returns the underlying profile store. For hot reloads prefer
-// Reload, which also refreshes the catalog's preload predictions — a
-// bare Store().Swap leaves /v1/preload ranking by the old snapshot.
+// Store returns the underlying profile store. Reload is a Swap on it
+// under the install lock; every route reads the snapshot it holds.
 func (s *Server) Store() *profilestore.Store { return s.store }
 
 // EnableIngest attaches the streaming write path: /v1/ingest starts
@@ -413,11 +421,9 @@ func (s *Server) SetReady() { s.ready.Store(true) }
 // Ready reports whether the server has been marked ready.
 func (s *Server) Ready() bool { return s.ready.Load() }
 
-// Reload installs a freshly built snapshot and, when a catalog is
-// loaded, recomputes its per-video predicted demand against the new
-// profiles — keeping /v1/predict and /v1/preload consistent with each
-// other across a hot reload. Reload and the ingest fold path
-// (ApplyDeltas) share installLocked, so the two cannot drift.
+// Reload installs a freshly built snapshot; w is the weighting
+// /v1/preload ranks tag-push by from here on. Reload and the ingest fold
+// path (ApplyDeltas) share installLocked, so the two cannot drift.
 func (s *Server) Reload(snap *profilestore.Snapshot, w tagviews.Weighting) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -439,18 +445,14 @@ func (s *Server) ApplyDeltas(deltas []profilestore.TagDelta, newRecords int, w t
 	return s.installLocked(next, w)
 }
 
-// installLocked is the one snapshot-install path: atomically swap the
-// serving snapshot and recompute the catalog's preload predictions
-// against it. Callers hold s.mu, which serializes installs and keeps
-// /v1/predict and /v1/preload mutually consistent — predict readers
-// are lock-free and simply observe the swap.
+// installLocked is the one snapshot-install path: an atomic swap of the
+// serving snapshot, which every reader — /v1/preload included — loads
+// lock-free per request. Callers hold s.mu, which serializes installs.
 func (s *Server) installLocked(snap *profilestore.Snapshot, w tagviews.Weighting) error {
 	if _, err := s.store.Swap(snap); err != nil {
 		return err
 	}
-	if s.cat != nil {
-		s.predicted = snap.PredictCatalog(s.cat, w)
-	}
+	s.preloadW.Store(int32(w))
 	return nil
 }
 

@@ -7,9 +7,11 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"viewstags/internal/alexa"
 	"viewstags/internal/geocache"
@@ -26,8 +28,8 @@ var (
 	fixErr  error
 )
 
-// fixture builds one shared pipeline + fully wired server (catalog and
-// predictions installed) for every test.
+// fixture builds one shared pipeline + fully wired server (catalog
+// installed) for every test.
 func fixture(t *testing.T) (*pipeline.Result, *Server) {
 	t.Helper()
 	fixOnce.Do(func() {
@@ -49,23 +51,7 @@ func fixture(t *testing.T) (*pipeline.Result, *Server) {
 		if fixErr != nil {
 			return
 		}
-		pred, err := tagviews.NewPredictor(fixRes.Analysis, tagviews.WeightIDF)
-		if err != nil {
-			fixErr = err
-			return
-		}
-		cat := fixRes.Catalog
-		predicted := make([][]float64, len(cat.Videos))
-		for i := range cat.Videos {
-			names := cat.Videos[i].TagNames(cat.Vocab)
-			if len(names) == 0 {
-				continue
-			}
-			if p, ok := pred.Predict(names); ok {
-				predicted[i] = p
-			}
-		}
-		fixErr = fixSrv.SetCatalog(cat, predicted)
+		fixErr = fixSrv.SetCatalog(fixRes.Catalog.Served(), tagviews.WeightIDF)
 	})
 	if fixErr != nil {
 		t.Fatalf("fixture: %v", fixErr)
@@ -316,19 +302,24 @@ func TestPreload(t *testing.T) {
 	if len(resp.Videos) == 0 || len(resp.Videos) > 16 {
 		t.Fatalf("%d advisory videos, want 1..16", len(resp.Videos))
 	}
-	// The advisory must be exactly what the simulator would push.
-	br := res.World.MustByCode("BR")
-	srv.mu.RLock()
-	predicted := srv.predicted
-	srv.mu.RUnlock()
-	want, err := geocache.PreloadAdvisory(res.Catalog, predicted, geocache.PolicyTagPush, br, 16)
+	// The advisory must be exactly what the simulator would push: the
+	// table path over the offline predictor's fields.
+	pred, err := tagviews.NewPredictor(res.Analysis, tagviews.WeightIDF)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range want {
-		if resp.Videos[i] != res.Catalog.Videos[v].ID {
-			t.Fatalf("advisory[%d] = %s, want %s", i, resp.Videos[i], res.Catalog.Videos[v].ID)
+	cat := res.Catalog
+	predicted := make([][]float64, len(cat.Videos))
+	for i := range cat.Videos {
+		if names := cat.Videos[i].TagNames(cat.Vocab); len(names) > 0 {
+			if p, ok := pred.Predict(names); ok {
+				predicted[i] = p
+			}
 		}
+	}
+	br := res.World.MustByCode("BR")
+	if want := tableAdvisory(cat, predicted, geocache.PolicyTagPush, br, 16); !reflect.DeepEqual(resp.Videos, want) {
+		t.Fatalf("advisory = %v, want %v", resp.Videos, want)
 	}
 	// Oracle and pop-push also serve.
 	for _, policy := range []string{"pop-push", "oracle-push"} {
@@ -549,31 +540,23 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestReloadRefreshesPredictions pins the hot-reload contract: Reload
-// swaps the snapshot AND recomputes the catalog's preload predictions,
-// so /v1/preload cannot keep ranking by the old profiles.
+// TestReloadRefreshesPredictions pins the hot-reload contract: once
+// Reload returns, /v1/preload ranks by the snapshot it installed and the
+// weighting it named, not by the one before.
 func TestReloadRefreshesPredictions(t *testing.T) {
-	res, srv := fixture(t)
-	srv.mu.RLock()
-	before := srv.predicted
-	srv.mu.RUnlock()
-	next, err := profilestore.Build(res.Analysis)
-	if err != nil {
+	srv, _, _ := freshServer(t, true, 0, time.Hour)
+	res, _ := fixture(t)
+	base := srv.Store().Load()
+	next := shifted(t, base, res.World.MustByCode("BR"))
+	if err := srv.Reload(next, tagviews.WeightByViews); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Reload(next, tagviews.WeightIDF); err != nil {
-		t.Fatal(err)
+	got := preloadIDs(t, srv, "BR", "tag-push", 32)
+	if want := wantTagPush(res, next, tagviews.WeightByViews, "BR", 32); !reflect.DeepEqual(got, want) {
+		t.Fatalf("post-reload advisory = %v, want the new snapshot's by-views ranking %v", got, want)
 	}
-	srv.mu.RLock()
-	after := srv.predicted
-	srv.mu.RUnlock()
-	if &before[0] == &after[0] {
-		t.Fatal("Reload kept the stale prediction set")
-	}
-	var resp PreloadResponse
-	if code := do(t, srv, http.MethodPost, "/v1/preload",
-		PreloadRequest{Country: "BR", Slots: 4}, &resp); code != http.StatusOK || len(resp.Videos) == 0 {
-		t.Fatalf("post-reload preload: code=%d videos=%d", code, len(resp.Videos))
+	if stale := wantTagPush(res, base, tagviews.WeightIDF, "BR", 32); reflect.DeepEqual(got, stale) {
+		t.Fatal("the reloaded snapshot ranks BR as the old one did: a stale ranking would pass")
 	}
 }
 

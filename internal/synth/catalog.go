@@ -7,45 +7,70 @@ import (
 	"viewstags/internal/geo"
 )
 
+// TopK returns the indices of the k best of n candidates, highest score
+// first and lower index first among equal scores: the one ordering behind
+// every "top videos" list (TopByViews, TopInCountry, the cache
+// simulator's push sets and the /v1/preload advisories), so none of them
+// can break a tie differently. score reports false for an index that is
+// not a candidate. It holds k entries, never n: O(n log k) time.
+func TopK[S int64 | float64](n, k int, score func(i int) (S, bool)) []int {
+	type entry struct {
+		s S
+		i int
+	}
+	below := func(a, b entry) bool { return a.s < b.s || (a.s == b.s && a.i > b.i) }
+	// h holds the best k so far; once full it is a heap with the
+	// lowest-ranked of them at h[0], the one a better candidate evicts.
+	h := make([]entry, 0, max(0, min(k, n)))
+	down := func(p int) {
+		for {
+			c := 2*p + 1
+			if c+1 < len(h) && below(h[c+1], h[c]) {
+				c++
+			}
+			if c >= len(h) || !below(h[c], h[p]) {
+				return
+			}
+			h[c], h[p] = h[p], h[c]
+			p = c
+		}
+	}
+	for i := 0; i < n && k > 0; i++ {
+		s, ok := score(i)
+		if !ok {
+			continue
+		}
+		switch e := (entry{s, i}); {
+		case len(h) < k:
+			if h = append(h, e); len(h) == k {
+				for p := k/2 - 1; p >= 0; p-- {
+					down(p)
+				}
+			}
+		case below(h[0], e):
+			h[0] = e
+			down(0)
+		}
+	}
+	sort.Slice(h, func(a, b int) bool { return below(h[b], h[a]) })
+	out := make([]int, len(h))
+	for j, e := range h {
+		out[j] = e.i
+	}
+	return out
+}
+
 // TopByViews returns the indices of the k most-viewed videos, descending.
 // k is clamped to the catalog size.
 func (c *Catalog) TopByViews(k int) []int {
-	if k > len(c.Videos) {
-		k = len(c.Videos)
-	}
-	idx := make([]int, len(c.Videos))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := c.Videos[idx[a]].TotalViews, c.Videos[idx[b]].TotalViews
-		if va != vb {
-			return va > vb
-		}
-		return idx[a] < idx[b]
-	})
-	return idx[:k]
+	return TopK(len(c.Videos), k, func(i int) (int64, bool) { return c.Videos[i].TotalViews, true })
 }
 
 // TopInCountry returns the indices of the k videos with the most
 // ground-truth views in country id, descending — the oracle behind the
 // simulated API's per-country most_popular standard feed.
 func (c *Catalog) TopInCountry(id geo.CountryID, k int) []int {
-	if k > len(c.Videos) {
-		k = len(c.Videos)
-	}
-	idx := make([]int, len(c.Videos))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		va, vb := c.Videos[idx[a]].TrueViews[id], c.Videos[idx[b]].TrueViews[id]
-		if va != vb {
-			return va > vb
-		}
-		return idx[a] < idx[b]
-	})
-	return idx[:k]
+	return TopK(len(c.Videos), k, func(i int) (int64, bool) { return c.Videos[i].TrueViews[id], true })
 }
 
 // ByID finds a video by its YouTube-shaped id. Safe for concurrent use:

@@ -2,6 +2,8 @@ package synth
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -201,6 +203,38 @@ func TestTopInCountrySorted(t *testing.T) {
 	// The #1 Brazilian video should have substantial Brazilian views.
 	if cat.Videos[top[0]].TrueViews[br] == 0 {
 		t.Fatal("top Brazilian video has zero BR views")
+	}
+}
+
+// TestTopKTies pins the one ordering every top list shares, against a
+// full sort: score descending, lower index first among equals,
+// non-candidates left out, for k = 0, 1, in between, n and beyond.
+func TestTopKTies(t *testing.T) {
+	scores := []float64{3, 7, 3, -1, 7, 0, 3, 9, 7, 3, 0, 9}
+	skip := map[int]bool{3: true, 10: true}
+	score := func(i int) (float64, bool) { return scores[i], !skip[i] }
+	var want []int
+	for i := range scores {
+		if !skip[i] {
+			want = append(want, i)
+		}
+	}
+	sort.SliceStable(want, func(a, b int) bool { return scores[want[a]] > scores[want[b]] })
+	if !reflect.DeepEqual(want, []int{7, 11, 1, 4, 8, 0, 2, 6, 9, 5}) {
+		t.Fatalf("reference ranking %v", want)
+	}
+	n := len(scores)
+	for _, k := range []int{-1, 0, 1, 2, 3, 5, len(want), n, n + 5} {
+		got := TopK(n, k, score)
+		cut := max(0, min(k, len(want)))
+		if len(got) != cut || (cut > 0 && !reflect.DeepEqual(got, want[:cut])) {
+			t.Errorf("TopK(k=%d) = %v, want %v", k, got, want[:cut])
+		}
+	}
+	// All equal: the first k indices, in order, whatever the heap did.
+	got := TopK(100, 10, func(int) (int64, bool) { return 5, true })
+	if !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		t.Errorf("TopK over equal scores = %v, want the ten lowest indices in order", got)
 	}
 }
 
