@@ -396,7 +396,7 @@ func TestAllocBudgets(t *testing.T) {
 	t.Run("NodePreload", func(t *testing.T) {
 		h := nodeServer(t, true).Handler()
 		w := &nullResponseWriter{h: make(http.Header)}
-		for _, policy := range []string{"tag-push", "pop-push", "oracle-push"} {
+		for _, policy := range []string{"tag-push", "pop-push"} {
 			perOp := func(slots int) (mallocs, size float64) {
 				body := []byte(fmt.Sprintf(`{"country":"BR","policy":%q,"slots":%d}`, policy, slots))
 				do := func() {

@@ -771,6 +771,38 @@ func BenchmarkIngestFold(b *testing.B) {
 	}
 }
 
+// BenchmarkBoot times a daemon's whole boot over the benchmark's catalog,
+// as cmd/serve runs it — the streaming pass, then the build adopting its
+// sums — for shard 0 of 3 and for a standalone node, which also collects
+// the served catalog. Read it with -benchmem; the generator is most of
+// the pass (EXPERIMENTS.md "Boot peak").
+func BenchmarkBoot(b *testing.B) {
+	ring, err := cluster.NewRing(3, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		owns func(string) bool
+	}{
+		{"shard", func(tag string) bool { return ring.Owns(tag, 0) }},
+		{"node", nil},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				boot, err := pipeline.BootSynthetic(bootPeakVideos, bootPeakSeed, alexa.DefaultConfig(), c.owns, c.owns == nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := profilestore.BuildAggregate(boot.Aggregate, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkPreload times one /v1/preload advisory of 64 slots through
 // Server.Handler() over the benchmark's catalog, per push policy, cycling
 // through every country. tag-push is the one that reads the profiles: a
@@ -780,7 +812,7 @@ func BenchmarkPreload(b *testing.B) {
 	snap, _ := nodeFixture(b)
 	h := srv.Handler()
 	codes := snap.World().Codes()
-	for _, policy := range []string{"tag-push", "pop-push", "oracle-push"} {
+	for _, policy := range []string{"tag-push", "pop-push"} {
 		bodies := make([][]byte, len(codes))
 		for i, code := range codes {
 			bodies[i] = []byte(fmt.Sprintf(`{"country":%q,"policy":%q,"slots":64}`, code, policy))

@@ -142,8 +142,9 @@ func run() error {
 
 	// One streaming pass builds the snapshot: the corpus is aggregated a
 	// video (or a JSONL line) at a time into the sums of the tags this
-	// shard owns and never held. Only a standalone node keeps the
-	// synthetic catalog, for /v1/preload.
+	// shard owns and never held, and the snapshot adopts those sums as its
+	// vectors. Only a standalone node keeps the synthetic catalog, for
+	// /v1/preload.
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	start := time.Now()
 	var boot *pipeline.Boot
@@ -161,7 +162,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	boot.Aggregate = nil // the snapshot has its own copy of every vector
 
 	// Durable state: open the data directory and, when a checkpoint
 	// exists, serve the recovered snapshot instead of the fresh build —

@@ -19,7 +19,9 @@ import (
 // (indexed by catalog video index, not positive = unpredicted: one column
 // of profilestore.PredictCatalog, or PredictColumn); it is only consulted
 // for PolicyTagPush. Reactive policies (LRU/LFU/hybrid) have no push set
-// and are rejected.
+// and are rejected, and so is PolicyOracle: it ranks by ground-truth
+// demand, which a served catalog does not carry — only the Simulator,
+// handed the research catalog, runs it.
 func PreloadAdvisory(cat *synth.Served, share []float64, policy PolicyKind, country geo.CountryID, slots int) ([]int, error) {
 	if int(country) < 0 || int(country) >= cat.World.N() {
 		return nil, fmt.Errorf("geocache: country %d out of range", int(country))
@@ -34,7 +36,7 @@ func PreloadAdvisory(cat *synth.Served, share []float64, policy PolicyKind, coun
 	case PolicyPopPush:
 		return cat.TopByViews(slots), nil
 	case PolicyOracle:
-		return cat.TopInCountry(country, slots), nil
+		return nil, fmt.Errorf("geocache: %v needs ground-truth demand, unavailable to a serving node; it is an offline baseline (run cmd/cachesim)", policy)
 	case PolicyTagPush:
 		if share == nil {
 			return nil, fmt.Errorf("geocache: PolicyTagPush requires predictions")

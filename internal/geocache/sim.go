@@ -115,7 +115,8 @@ func (r Result) String() string {
 // sampled request stream (identical across policies, so comparisons are
 // paired), and optional predicted demand fields for PolicyTagPush.
 type Simulator struct {
-	cat      *synth.Served // what PreloadAdvisory reads of the catalog
+	cat      *synth.Served  // what PreloadAdvisory reads of the catalog
+	truth    *synth.Catalog // the ground truth PolicyOracle ranks by
 	requests []request
 	// predicted[v] is the tag-predicted normalized view distribution of
 	// video v (nil entries fall back to nothing — the video is never
@@ -157,7 +158,7 @@ func NewSimulator(cat *synth.Catalog, cfg Config) (*Simulator, error) {
 	countrySamplers := make([]*xrand.Categorical, len(cat.Videos))
 	countrySrc := src.Fork("country")
 
-	s := &Simulator{cat: cat.Served(), requests: make([]request, cfg.Requests)}
+	s := &Simulator{cat: cat.Served(), truth: cat, requests: make([]request, cfg.Requests)}
 	// Per-country recency rings for the temporal-locality re-draw.
 	recent := make([][]int32, cat.World.N())
 	localitySrc := src.Fork("locality")
@@ -282,7 +283,8 @@ func staticHalves(caches []cache) []cache {
 }
 
 // push preloads static caches with the policy's advisory for each
-// country (PreloadAdvisory: the online path's own selection).
+// country: PreloadAdvisory, the online path's own selection, or for the
+// oracle the catalog's ground-truth ranking, which no serving node has.
 func (s *Simulator) push(policy PolicyKind, caches []cache, slots int) error {
 	if slots <= 0 {
 		return nil
@@ -301,9 +303,14 @@ func (s *Simulator) push(policy PolicyKind, caches []cache, slots int) error {
 				share[v] = p[c]
 			}
 		}
-		top, err := PreloadAdvisory(s.cat, share, policy, geo.CountryID(c), slots)
-		if err != nil {
-			return err
+		var top []int
+		if policy == PolicyOracle {
+			top = s.truth.TopInCountry(geo.CountryID(c), slots)
+		} else {
+			var err error
+			if top, err = PreloadAdvisory(s.cat, share, policy, geo.CountryID(c), slots); err != nil {
+				return err
+			}
 		}
 		for _, v := range top {
 			caches[c].preload(v)

@@ -2,7 +2,6 @@ package profilestore
 
 import (
 	"fmt"
-	"hash/maphash"
 
 	"viewstags/internal/geo"
 )
@@ -162,15 +161,5 @@ func FromData(data SnapshotData, world *geo.World) (*Snapshot, error) {
 		// Ids are positional; normalize rather than trust the wire.
 		p.ID = int32(i)
 	}
-	s := &Snapshot{
-		world:    world,
-		nC:       nC,
-		records:  data.Records,
-		profiles: data.Profiles,
-		vecTab:   data.Vecs,
-		prior:    data.Prior,
-		seed:     maphash.MakeSeed(),
-	}
-	s.buildIndexes()
-	return s, nil
+	return newSnapshot(data, world), nil
 }

@@ -124,7 +124,7 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 	// Finalize touched tags: renormalize and recompute the derived
 	// concentration measures, exactly the fields Build derives.
 	for id, r := range raw {
-		next.vecTab[id] = normalizeProfile(&next.profiles[id], r)
+		next.vecTab[id] = normalizeProfile(&next.profiles[id], make([]float64, len(r)), r)
 	}
 
 	// Intern new tags with ids after base's, in name order so the id
@@ -140,7 +140,7 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 			Videos:     d.Videos,
 			TotalViews: d.Total,
 		})
-		next.vecTab = append(next.vecTab, normalizeProfile(&next.profiles[id], d.Views))
+		next.vecTab = append(next.vecTab, normalizeProfile(&next.profiles[id], make([]float64, len(d.Views)), d.Views))
 		h := next.shardOf(d.Name)
 		if !cloned[h] {
 			// Copy-on-write of the one shard map gaining entries; the
@@ -172,24 +172,22 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 }
 
 // normalizeProfile fills p's derived concentration fields from a raw
-// view vector and returns the freshly normalized field — the Rebuild
-// analogue of what Build copies out of a tagviews.TagProfile. A
-// zero-mass vector degrades to the all-zero field with TopCountry -1,
-// mirroring Build's treatment of zero-view tags.
-func normalizeProfile(p *Profile, rawViews []float64) []float64 {
-	vec := make([]float64, len(rawViews))
+// view vector, writes the normalized field into vec — all zeros on entry,
+// or rawViews itself to normalize in place — and returns vec. It is the
+// one place a profile is derived from sums: the builds and Rebuild share
+// it. A zero-mass vector degrades to the all-zero field with TopCountry
+// -1.
+func normalizeProfile(p *Profile, vec, rawViews []float64) []float64 {
+	p.Spread = dist.Classify(rawViews)
+	top := dist.ArgMax(rawViews)
 	if t := dist.Sum(rawViews); t > 0 {
 		for c, x := range rawViews {
 			vec[c] = x / t
 		}
 	}
-	p.Spread = dist.Classify(rawViews)
-	if top := dist.ArgMax(rawViews); top >= 0 {
-		p.TopCountry = geo.CountryID(top)
+	p.TopCountry, p.TopShare = geo.CountryID(top), 0
+	if top >= 0 {
 		p.TopShare = vec[top]
-	} else {
-		p.TopCountry = -1
-		p.TopShare = 0
 	}
 	return vec
 }

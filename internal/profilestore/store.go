@@ -5,11 +5,13 @@
 //
 // Layout: tag names are interned to dense int32 ids at build time; each
 // tag's normalized per-country vector is one entry of a per-snapshot
-// vector table. Build backs the whole table with one contiguous slab
-// (id*C .. id*C+C), so a predict touches two cache-friendly slabs — the
-// shard's name index and the vector slab — and allocates nothing.
-// Lookups hash into one of a power-of-two number of shards, which keeps
-// individual maps small and lets Build populate them in parallel.
+// vector table, so a predict touches the shard's name index and one
+// vector per tag and allocates nothing. Build backs the whole table with
+// one contiguous slab (id*C .. id*C+C); a daemon's boot (BuildAggregate)
+// adopts the per-tag sums it aggregated instead, as every fold does for
+// the tags it touches. Lookups hash into one of a power-of-two number of
+// shards, which keeps individual maps small and lets the build populate
+// them in parallel.
 //
 // The store itself is a single atomic pointer to an immutable Snapshot.
 // Readers never lock: they load the pointer once per request and work
@@ -25,7 +27,6 @@ package profilestore
 import (
 	"fmt"
 	"hash/maphash"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -63,9 +64,10 @@ type Snapshot struct {
 	records  int // training-corpus size, the IDF numerator
 	shards   [numShards]shard
 	profiles []Profile
-	// vecTab[i] is profiles[i]'s normalized field. Build points every
-	// entry into one contiguous slab; Rebuild replaces only the touched
-	// tags' entries and aliases the rest into its base snapshot.
+	// vecTab[i] is profiles[i]'s normalized field: a piece of one slab
+	// after Build, the aggregate's own slice after BuildAggregate; Rebuild
+	// replaces only the touched tags' entries and aliases the rest into
+	// its base snapshot.
 	vecTab  [][]float64
 	prior   []float64 // normalized traffic prior, the unknown-tag fallback
 	byViews []int32   // profile ids by TotalViews descending (name tiebreak)
@@ -74,8 +76,7 @@ type Snapshot struct {
 
 // Build constructs a Snapshot from a tag analysis. Profile ids are
 // assigned in sorted-name order, so two builds over the same analysis
-// are identical. Vector fills run on all cores; paper-scale vocabularies
-// (~700k tags) build in well under a second.
+// are identical.
 func Build(an *tagviews.Analysis) (*Snapshot, error) {
 	return BuildOwned(an, nil)
 }
@@ -91,21 +92,33 @@ func Build(an *tagviews.Analysis) (*Snapshot, error) {
 // predictions merge exactly into the single-node answer (see
 // PredictPartialInto). Ids are interned per shard (dense over the owned
 // names, in sorted order), so a given (analysis, filter) pair builds
-// deterministically.
+// deterministically. The analysis is only read — evaluators go on using
+// it — so the vectors are normalised into one fresh contiguous slab.
 func BuildOwned(an *tagviews.Analysis, owns func(name string) bool) (*Snapshot, error) {
 	if an == nil {
 		return nil, fmt.Errorf("profilestore: nil analysis")
 	}
-	return BuildAggregate(&an.Aggregate, owns)
+	return build(&an.Aggregate, owns, false), nil
 }
 
-// BuildAggregate is BuildOwned over the per-tag half of an analysis —
-// all a snapshot reads — for a daemon whose boot aggregated its slice
-// without keeping the corpus (tagviews.Aggregator).
+// BuildAggregate is BuildOwned for a daemon whose boot aggregated its
+// slice without keeping the corpus (tagviews.Aggregator), and it takes
+// ownership of the aggregate: each admitted tag's sums are normalised in
+// place and become the snapshot's vector — the same division, so bit for
+// bit what BuildOwned writes into its slab — and the aggregate is
+// released, left with no tags. The boot ends holding one copy of what it
+// serves.
 func BuildAggregate(an *tagviews.Aggregate, owns func(name string) bool) (*Snapshot, error) {
 	if an == nil {
 		return nil, fmt.Errorf("profilestore: nil aggregate")
 	}
+	return build(an, owns, true), nil
+}
+
+// build fills a SnapshotData from the aggregate's raw sums, in sorted-name
+// order, and adopts it. With adopt the sums themselves become the vectors
+// and the aggregate is released; without, the vectors are a fresh slab.
+func build(an *tagviews.Aggregate, owns func(name string) bool, adopt bool) *Snapshot {
 	names := an.TagNames()
 	if owns != nil {
 		kept := names[:0] // TagNames returns a fresh slice; filter in place
@@ -117,78 +130,52 @@ func BuildAggregate(an *tagviews.Aggregate, owns func(name string) bool) (*Snaps
 		names = kept
 	}
 	nC := an.World.N()
+	data := SnapshotData{
+		Records:  an.N(),
+		Prior:    dist.Normalize(an.Pyt),
+		Profiles: make([]Profile, len(names)),
+		Vecs:     make([][]float64, len(names)),
+	}
+	var slab []float64
+	if !adopt {
+		slab = make([]float64, len(names)*nC)
+	}
+	for i, name := range names {
+		sums, _ := an.Sums(name) // names come from the aggregate
+		dst := sums.Views
+		if !adopt {
+			dst = slab[i*nC : (i+1)*nC : (i+1)*nC]
+		}
+		p := &data.Profiles[i]
+		*p = Profile{ID: int32(i), Name: name, Videos: sums.Videos, TotalViews: sums.TotalViews}
+		data.Vecs[i] = normalizeProfile(p, dst, sums.Views)
+	}
+	if adopt {
+		an.Release()
+	}
+	return newSnapshot(data, an.World)
+}
+
+// newSnapshot adopts data — already checked against world, or built for
+// it — as a snapshot's storage and derives its lookup structures.
+func newSnapshot(data SnapshotData, world *geo.World) *Snapshot {
 	s := &Snapshot{
-		world:    an.World,
-		nC:       nC,
-		records:  an.N(),
-		profiles: make([]Profile, len(names)),
-		vecTab:   make([][]float64, len(names)),
-		prior:    dist.Normalize(an.Pyt),
+		world:    world,
+		nC:       world.N(),
+		records:  data.Records,
+		profiles: data.Profiles,
+		vecTab:   data.Vecs,
+		prior:    data.Prior,
 		seed:     maphash.MakeSeed(),
 	}
-	slab := make([]float64, len(names)*nC)
-	for i := range s.vecTab {
-		s.vecTab[i] = slab[i*nC : (i+1)*nC : (i+1)*nC]
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(names) {
-		workers = len(names)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	chunk := (len(names) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(names) {
-			hi = len(names)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				p, ok := an.TagProfile(names[i])
-				if !ok {
-					continue // unreachable: names come from the analysis
-				}
-				s.profiles[i] = Profile{
-					ID:         int32(i),
-					Name:       p.Name,
-					Videos:     p.Videos,
-					TotalViews: p.TotalViews,
-					Spread:     p.Spread,
-					TopCountry: p.TopCountry,
-					TopShare:   p.TopShare,
-				}
-				// Normalize straight into the slab — this loop owns
-				// vecTab[i] exclusively, and a transient dist.Normalize
-				// copy per tag would be the build's dominant allocation
-				// at paper-scale vocabularies.
-				vec := s.vecTab[i]
-				if t := dist.Sum(p.Views); t > 0 {
-					for c, x := range p.Views {
-						vec[c] = x / t
-					}
-				}
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-
 	s.buildIndexes()
-	return s, nil
+	return s
 }
 
 // buildIndexes derives the lookup structures a snapshot carries beyond
 // its raw profile table: the sharded name→id index and the by-volume
-// ranking. Build and the checkpoint import path (FromData) share it, so
-// a snapshot restored from disk indexes identically to the one that was
+// ranking. Every constructor reaches it through newSnapshot, so a
+// snapshot restored from disk indexes identically to the one that was
 // saved.
 func (s *Snapshot) buildIndexes() {
 	// Partition ids by shard, then build each shard's map in parallel —

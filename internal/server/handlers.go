@@ -79,7 +79,7 @@ type PlaceResponse struct {
 // PreloadRequest is the /v1/preload wire request.
 type PreloadRequest struct {
 	Country string `json:"country"`          // ISO alpha-2
-	Policy  string `json:"policy,omitempty"` // pop-push | tag-push (default) | oracle-push
+	Policy  string `json:"policy,omitempty"` // pop-push | tag-push (default)
 	Slots   int    `json:"slots,omitempty"`  // default 64
 }
 
@@ -342,7 +342,7 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	}
 	cat := s.cat
 	if cat == nil {
-		WriteError(w, http.StatusServiceUnavailable, "no catalog loaded: preload advisories need synthetic ground truth")
+		WriteError(w, http.StatusServiceUnavailable, "no catalog loaded: preload advisories need the synthetic catalog (video ids, tags and view totals)")
 		return
 	}
 	country, ok := cat.World.ByCode(req.Country)

@@ -23,9 +23,9 @@ import (
 
 // tableAdvisory is the advisory as it was computed before /v1/preload
 // ranked on demand, kept as the reference: score every video of the
-// research catalog from a resident prediction table (tag-push), its view
-// total (pop-push) or its ground truth (oracle-push), fully sort by score
-// descending and index ascending, cut at slots. It shares no code with the
+// research catalog from a resident prediction table (tag-push) or its
+// view total (pop-push), fully sort by score descending and index
+// ascending, cut at slots. It shares no code with the
 // served path — not the column, not the bounded selection.
 func tableAdvisory(cat *synth.Catalog, predicted [][]float64, policy geocache.PolicyKind, c geo.CountryID, slots int) []string {
 	type scored struct {
@@ -38,8 +38,6 @@ func tableAdvisory(cat *synth.Catalog, predicted [][]float64, policy geocache.Po
 		switch policy {
 		case geocache.PolicyPopPush:
 			cand = append(cand, scored{v, float64(vid.TotalViews)})
-		case geocache.PolicyOracle:
-			cand = append(cand, scored{v, float64(vid.TrueViews[c])})
 		case geocache.PolicyTagPush:
 			if p := predicted[v]; p != nil && p[c] > 0 {
 				cand = append(cand, scored{v, p[c] * float64(vid.TotalViews)})
@@ -141,7 +139,7 @@ func TestPreloadOnDemandMatchesTablePath(t *testing.T) {
 	}
 
 	countries := []string{"BR", "US", "JP", "FR", "IN", "KR"}
-	policies := []geocache.PolicyKind{geocache.PolicyPopPush, geocache.PolicyTagPush, geocache.PolicyOracle}
+	policies := []geocache.PolicyKind{geocache.PolicyPopPush, geocache.PolicyTagPush}
 	buf := make([]float64, profilestore.ColumnLen(served))
 	check := func(stage string) {
 		t.Helper()

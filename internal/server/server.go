@@ -228,8 +228,8 @@ type Server struct {
 
 	// cat is the served catalog /v1/preload ranks and colScratch the pool
 	// of column scratch sized for it (profilestore.ColumnLen); nil until
-	// SetCatalog — never, on a shard or over a crawled dataset with no
-	// synthetic ground truth. preloadW is the weighting tag-push ranks by:
+	// SetCatalog — never, on a shard or over a crawled dataset, which has no
+	// synthetic catalog. preloadW is the weighting tag-push ranks by:
 	// set with the catalog, then by every install.
 	cat        *synth.Served
 	colScratch *profilestore.VecPool

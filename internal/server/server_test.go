@@ -321,12 +321,10 @@ func TestPreload(t *testing.T) {
 	if want := tableAdvisory(cat, predicted, geocache.PolicyTagPush, br, 16); !reflect.DeepEqual(resp.Videos, want) {
 		t.Fatalf("advisory = %v, want %v", resp.Videos, want)
 	}
-	// Oracle and pop-push also serve.
-	for _, policy := range []string{"pop-push", "oracle-push"} {
-		if code := do(t, srv, http.MethodPost, "/v1/preload",
-			PreloadRequest{Country: "US", Policy: policy, Slots: 4}, &resp); code != http.StatusOK {
-			t.Fatalf("%s: status %d", policy, code)
-		}
+	// Pop-push also serves.
+	if code := do(t, srv, http.MethodPost, "/v1/preload",
+		PreloadRequest{Country: "US", Policy: "pop-push", Slots: 4}, &resp); code != http.StatusOK {
+		t.Fatalf("pop-push: status %d", code)
 	}
 }
 
@@ -340,12 +338,21 @@ func TestPreloadErrors(t *testing.T) {
 		{"unknown country", PreloadRequest{Country: "ZZ"}, http.StatusBadRequest},
 		{"unknown policy", PreloadRequest{Country: "US", Policy: "telepathy"}, http.StatusBadRequest},
 		{"reactive policy", PreloadRequest{Country: "US", Policy: "lru"}, http.StatusBadRequest},
+		{"oracle online", PreloadRequest{Country: "US", Policy: "oracle-push"}, http.StatusBadRequest},
 		{"negative slots", PreloadRequest{Country: "US", Slots: -1}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if code := do(t, srv, http.MethodPost, "/v1/preload", c.req, nil); code != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
 		}
+	}
+	// The oracle's refusal says where it still runs.
+	var e struct {
+		Error string `json:"error"`
+	}
+	do(t, srv, http.MethodPost, "/v1/preload", PreloadRequest{Country: "US", Policy: "oracle-push"}, &e)
+	if !strings.Contains(e.Error, "ground-truth") || !strings.Contains(e.Error, "cmd/cachesim") {
+		t.Errorf("oracle-push refused with %q, want the reason and the offline tool", e.Error)
 	}
 }
 

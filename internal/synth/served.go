@@ -3,17 +3,14 @@ package synth
 import "viewstags/internal/geo"
 
 // Served is what a standalone node keeps of a catalog to answer
-// /v1/preload: ids, tag lists, view totals and the ground truth the
-// oracle policy reads, as flat slabs in catalog order. It holds no Video,
-// no vocabulary and no generator, so whatever built it is collectable
-// afterwards. Immutable once filled.
+// /v1/preload: ids, tag lists and view totals, as flat slabs in catalog
+// order — what a provider knows of its videos at serving time, so no
+// ground truth. It holds no Video, no vocabulary and no generator, so
+// whatever built it is collectable afterwards. Immutable once filled.
 type Served struct {
 	World      *geo.World
 	IDs        []string
 	TotalViews []int64
-	// TrueViews is every video's ground-truth field back to back: video
-	// v's views in country c are TrueViews[v*World.N()+c].
-	TrueViews []int64
 	// TagNames is the vocabulary's names, indexed by the ids in TagIDs.
 	// Video v carries TagIDs[TagOff[v]:TagOff[v+1]], in tag order.
 	TagNames []string
@@ -29,7 +26,6 @@ func (c *Catalog) NewServed(n int) *Served {
 		World:      c.World,
 		IDs:        make([]string, 0, n),
 		TotalViews: make([]int64, 0, n),
-		TrueViews:  make([]int64, 0, n*c.World.N()),
 		TagNames:   make([]string, c.Vocab.N()),
 		TagIDs:     make([]int32, 0, n*c.Config.TagSet.MeanTags),
 		TagOff:     make([]int32, 1, n+1),
@@ -45,7 +41,6 @@ func (c *Catalog) NewServed(n int) *Served {
 func (s *Served) Add(v *Video) {
 	s.IDs = append(s.IDs, v.ID)
 	s.TotalViews = append(s.TotalViews, v.TotalViews)
-	s.TrueViews = append(s.TrueViews, v.TrueViews...)
 	for _, t := range v.TagIDs {
 		s.TagIDs = append(s.TagIDs, int32(t))
 	}
@@ -67,10 +62,4 @@ func (s *Served) N() int { return len(s.IDs) }
 // TopByViews is Catalog.TopByViews over the served totals.
 func (s *Served) TopByViews(k int) []int {
 	return TopK(s.N(), k, func(i int) (int64, bool) { return s.TotalViews[i], true })
-}
-
-// TopInCountry is Catalog.TopInCountry over the served ground truth.
-func (s *Served) TopInCountry(id geo.CountryID, k int) []int {
-	nC := s.World.N()
-	return TopK(s.N(), k, func(i int) (int64, bool) { return s.TrueViews[i*nC+int(id)], true })
 }

@@ -32,11 +32,9 @@ func NewAggregator(world *geo.World, pyt []float64, owns func(name string) bool)
 	}
 	return &Aggregator{
 		agg: Aggregate{
-			World:     world,
-			Pyt:       append([]float64(nil), pyt...),
-			tagViews:  make(map[string][]float64),
-			tagVideos: make(map[string]int),
-			tagTotal:  make(map[string]float64),
+			World: world,
+			Pyt:   append([]float64(nil), pyt...),
+			tags:  make(map[string]*TagSums),
 		},
 		owns:  owns,
 		field: make([]float64, world.N()),
@@ -67,16 +65,16 @@ func (g *Aggregator) fold(rec *dataset.Record, field []float64) {
 		if g.owns != nil && !g.owns(t) {
 			continue
 		}
-		views := a.tagViews[t]
-		if views == nil {
-			views = make([]float64, a.World.N())
-			a.tagViews[t] = views
+		s := a.tags[t]
+		if s == nil {
+			s = &TagSums{Views: make([]float64, a.World.N())}
+			a.tags[t] = s
 		}
 		for c, x := range field {
-			views[c] += x
+			s.Views[c] += x
 		}
-		a.tagVideos[t]++
-		a.tagTotal[t] += float64(rec.TotalViews)
+		s.Videos++
+		s.TotalViews += float64(rec.TotalViews)
 	}
 }
 
@@ -139,17 +137,17 @@ func (b *Builder) Merge(other *Builder) error {
 	b.fields = append(b.fields, other.fields...)
 	a.n += o.n
 	a.skipped += o.skipped
-	for t, views := range o.tagViews {
-		agg := a.tagViews[t]
-		if agg == nil {
-			a.tagViews[t] = views
-		} else {
-			for c, x := range views {
-				agg[c] += x
-			}
+	for t, from := range o.tags {
+		s := a.tags[t]
+		if s == nil {
+			a.tags[t] = from
+			continue
 		}
-		a.tagVideos[t] += o.tagVideos[t]
-		a.tagTotal[t] += o.tagTotal[t]
+		for c, x := range from.Views {
+			s.Views[c] += x
+		}
+		s.Videos += from.Videos
+		s.TotalViews += from.TotalViews
 	}
 	return nil
 }

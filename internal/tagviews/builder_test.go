@@ -2,6 +2,7 @@ package tagviews
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"viewstags/internal/alexa"
@@ -132,6 +133,52 @@ func assertAggregatesEqual(t *testing.T, want, got *Aggregate, relTol float64) {
 		if !sameField(wp.Views, gp.Views, relTol) {
 			t.Fatalf("tag %q: field %v, want %v (tolerance %g)", name, gp.Views, wp.Views, relTol)
 		}
+		// Same sums, same portrait: every derived measure too.
+		if relTol == 0 && !reflect.DeepEqual(wp, gp) {
+			t.Fatalf("tag %q: profile %+v, want %+v", name, *gp, *wp)
+		}
+	}
+}
+
+// TestAggregateSumsAndRelease: Sums hands out the one per-tag record the
+// profile is derived from, and Release leaves an aggregate with its record
+// counts and no tags — nothing a normalised vector could be read through.
+func TestAggregateSumsAndRelease(t *testing.T) {
+	f := testFixture(t)
+	g, err := NewAggregator(f.cat.World, f.pyt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range f.clean.Records {
+		g.Add(&f.clean.Records[i], f.clean.Pop[i])
+	}
+	agg := g.Finish()
+	names := agg.TagNames()
+	for _, name := range names {
+		p, _ := agg.TagProfile(name)
+		s, ok := agg.Sums(name)
+		if !ok || s.Videos != p.Videos || s.TotalViews != p.TotalViews || &s.Views[0] != &p.Views[0] {
+			t.Fatalf("tag %q: sums %+v (found %v) are not the profile's %d videos / %v views", name, s, ok, p.Videos, p.TotalViews)
+		}
+	}
+	if _, ok := agg.Sums("no-such-tag"); ok {
+		t.Fatal("sums found for an unknown tag")
+	}
+	n, skipped := agg.N(), agg.Skipped()
+	agg.Release()
+	if agg.NumTags() != 0 || len(agg.TagNames()) != 0 || len(agg.TopTags(5)) != 0 || len(agg.SpreadCensus()) != 0 {
+		t.Fatalf("a released aggregate still lists %d tags", agg.NumTags())
+	}
+	for _, name := range names {
+		if _, ok := agg.TagProfile(name); ok {
+			t.Fatalf("a released aggregate still profiles %q", name)
+		}
+		if _, ok := agg.Sums(name); ok {
+			t.Fatalf("a released aggregate still has sums for %q", name)
+		}
+	}
+	if agg.N() != n || agg.Skipped() != skipped {
+		t.Fatalf("release changed the record counts: %d/%d, were %d/%d", agg.N(), agg.Skipped(), n, skipped)
 	}
 }
 

@@ -14,11 +14,11 @@ import (
 // few uploads; the interval says how firmly the Fig. 3 claim is
 // supported by the sample.
 func (a *Analysis) TagTopShareCI(name string, reps int, level float64, seed uint64) (stats.CI, error) {
-	views, ok := a.tagViews[name]
+	s, ok := a.tags[name]
 	if !ok {
 		return stats.CI{}, fmt.Errorf("tagviews: unknown tag %q", name)
 	}
-	top := dist.ArgMax(views)
+	top := dist.ArgMax(s.Views)
 	if top < 0 {
 		return stats.CI{}, fmt.Errorf("tagviews: tag %q has no view mass", name)
 	}

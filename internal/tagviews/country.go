@@ -51,11 +51,11 @@ func (a *Analysis) CountryProfile(c geo.CountryID, k int) (*CountryProfile, erro
 		name  string
 		views float64
 	}
-	all := make([]tv, 0, len(a.tagViews))
+	all := make([]tv, 0, len(a.tags))
 	var total float64
-	values := make([]float64, 0, len(a.tagViews))
-	for name, views := range a.tagViews {
-		v := views[c]
+	values := make([]float64, 0, len(a.tags))
+	for name, s := range a.tags {
+		v := s.Views[c]
 		if v <= 0 {
 			continue
 		}
@@ -93,22 +93,22 @@ func (a *Analysis) CountryProfile(c geo.CountryID, k int) (*CountryProfile, erro
 // tags' geographic view fields — small for tags consumed in the same
 // places. It returns an error when either tag is unknown.
 func (a *Analysis) TagSimilarity(x, y string) (float64, error) {
-	vx, ok := a.tagViews[x]
+	sx, ok := a.tags[x]
 	if !ok {
 		return 0, fmt.Errorf("tagviews: unknown tag %q", x)
 	}
-	vy, ok := a.tagViews[y]
+	sy, ok := a.tags[y]
 	if !ok {
 		return 0, fmt.Errorf("tagviews: unknown tag %q", y)
 	}
-	return jsOrPanic(vx, vy), nil
+	return jsOrPanic(sx.Views, sy.Views), nil
 }
 
 // NearestTags returns the k tags whose geographic fields are closest
 // (smallest JS divergence) to the named tag, among tags with at least
 // minVideos videos. The named tag itself is excluded.
 func (a *Analysis) NearestTags(name string, k, minVideos int) ([]string, []float64, error) {
-	ref, ok := a.tagViews[name]
+	ref, ok := a.tags[name]
 	if !ok {
 		return nil, nil, fmt.Errorf("tagviews: unknown tag %q", name)
 	}
@@ -117,11 +117,11 @@ func (a *Analysis) NearestTags(name string, k, minVideos int) ([]string, []float
 		js   float64
 	}
 	var cands []cand
-	for other, views := range a.tagViews {
-		if other == name || a.tagVideos[other] < minVideos {
+	for other, s := range a.tags {
+		if other == name || s.Videos < minVideos {
 			continue
 		}
-		cands = append(cands, cand{name: other, js: jsOrPanic(ref, views)})
+		cands = append(cands, cand{name: other, js: jsOrPanic(ref.Views, s.Views)})
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].js != cands[j].js {

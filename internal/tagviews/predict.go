@@ -80,13 +80,13 @@ func (p *Predictor) Predict(tagNames []string) ([]float64, bool) {
 	var weights []float64
 	n := float64(p.a.N())
 	for rank, t := range tagNames {
-		views, ok := p.a.tagViews[t]
+		s, ok := p.a.tags[t]
 		if !ok {
 			continue
 		}
 		// Zero-mass tags (all carrying records had zero views) have no
 		// geographic signal to contribute and would poison the mixture.
-		if p.a.tagTotal[t] <= 0 {
+		if s.TotalViews <= 0 {
 			continue
 		}
 		var w float64
@@ -94,9 +94,9 @@ func (p *Predictor) Predict(tagNames []string) ([]float64, bool) {
 		case WeightUniform:
 			w = 1
 		case WeightByViews:
-			w = p.a.tagTotal[t]
+			w = s.TotalViews
 		case WeightIDF:
-			df := float64(p.a.tagVideos[t])
+			df := float64(s.Videos)
 			if df <= 0 {
 				continue
 			}
@@ -108,7 +108,7 @@ func (p *Predictor) Predict(tagNames []string) ([]float64, bool) {
 		// Uploaders front-load topical tags, so earlier tags carry more
 		// geographic signal; harmonic rank discounting exploits that.
 		w /= float64(rank + 1)
-		comps = append(comps, views)
+		comps = append(comps, s.Views)
 		weights = append(weights, w)
 	}
 	if len(comps) == 0 {

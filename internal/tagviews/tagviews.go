@@ -27,9 +27,14 @@ type Aggregate struct {
 	n       int // records folded in, skipped ones included
 	skipped int
 
-	tagViews  map[string][]float64 // Eq. 3 aggregates
-	tagVideos map[string]int
-	tagTotal  map[string]float64
+	tags map[string]*TagSums
+}
+
+// TagSums is one tag's raw aggregate: what its profile is derived from.
+type TagSums struct {
+	Views      []float64 // Eq. 3: Σ of the carrying videos' view fields
+	Videos     int       // videos carrying the tag
+	TotalViews float64   // Σ views of those videos
 }
 
 // Analysis is an Aggregate together with the records it was taken over
@@ -57,7 +62,23 @@ func (a *Aggregate) N() int { return a.n }
 func (a *Aggregate) Skipped() int { return a.skipped }
 
 // NumTags returns the number of distinct tags aggregated.
-func (a *Aggregate) NumTags() int { return len(a.tagViews) }
+func (a *Aggregate) NumTags() int { return len(a.tags) }
+
+// Sums returns one tag's raw aggregate. Views is shared: read-only unless
+// the caller goes on to Release the aggregate.
+func (a *Aggregate) Sums(name string) (TagSums, bool) {
+	s, ok := a.tags[name]
+	if !ok {
+		return TagSums{}, false
+	}
+	return *s, true
+}
+
+// Release empties the aggregate, handing every Views slice Sums returned
+// to whoever holds it — profilestore.BuildAggregate normalises them in
+// place into a snapshot's vectors. Afterwards the aggregate has no tags,
+// so nothing can read a normalised vector as sums.
+func (a *Aggregate) Release() { a.tags = nil }
 
 // VideoField returns record i's reconstructed view field (nil when the
 // record was skipped). The slice is shared; do not modify.
@@ -89,14 +110,15 @@ type TagProfile struct {
 // TagProfile computes the profile of one tag. The boolean reports
 // whether the tag exists in the dataset.
 func (a *Aggregate) TagProfile(name string) (*TagProfile, bool) {
-	views, ok := a.tagViews[name]
+	s, ok := a.tags[name]
 	if !ok {
 		return nil, false
 	}
-	return a.profileFor(name, views), true
+	return a.profileFor(name, s), true
 }
 
-func (a *Aggregate) profileFor(name string, views []float64) *TagProfile {
+func (a *Aggregate) profileFor(name string, s *TagSums) *TagProfile {
+	views := s.Views
 	p := dist.Normalize(views)
 	top := dist.ArgMax(p)
 	// A tag can aggregate to zero mass when every carrying record had
@@ -114,8 +136,8 @@ func (a *Aggregate) profileFor(name string, views []float64) *TagProfile {
 	eff := dist.EffectiveCountries(views)
 	prof := &TagProfile{
 		Name:               name,
-		Videos:             a.tagVideos[name],
-		TotalViews:         a.tagTotal[name],
+		Videos:             s.Videos,
+		TotalViews:         s.TotalViews,
 		Views:              views,
 		EffectiveCountries: eff,
 		TopCountry:         geo.CountryID(top),
@@ -135,12 +157,12 @@ func (a *Aggregate) profileFor(name string, views []float64) *TagProfile {
 // TopTags returns the k tags with the most aggregated views, descending.
 // Ties break by name for determinism.
 func (a *Aggregate) TopTags(k int) []*TagProfile {
-	names := make([]string, 0, len(a.tagTotal))
-	for n := range a.tagTotal {
+	names := make([]string, 0, len(a.tags))
+	for n := range a.tags {
 		names = append(names, n)
 	}
 	sort.Slice(names, func(i, j int) bool {
-		ti, tj := a.tagTotal[names[i]], a.tagTotal[names[j]]
+		ti, tj := a.tags[names[i]].TotalViews, a.tags[names[j]].TotalViews
 		if ti != tj {
 			return ti > tj
 		}
@@ -151,7 +173,7 @@ func (a *Aggregate) TopTags(k int) []*TagProfile {
 	}
 	out := make([]*TagProfile, k)
 	for i := 0; i < k; i++ {
-		out[i] = a.profileFor(names[i], a.tagViews[names[i]])
+		out[i] = a.profileFor(names[i], a.tags[names[i]])
 	}
 	return out
 }
@@ -160,8 +182,8 @@ func (a *Aggregate) TopTags(k int) []*TagProfile {
 // dataset-wide version of the paper's local-vs-global observation.
 func (a *Aggregate) SpreadCensus() map[dist.Spread]int {
 	out := make(map[dist.Spread]int, 3)
-	for _, views := range a.tagViews {
-		out[dist.Classify(views)]++
+	for _, s := range a.tags {
+		out[dist.Classify(s.Views)]++
 	}
 	return out
 }
@@ -169,8 +191,8 @@ func (a *Aggregate) SpreadCensus() map[dist.Spread]int {
 // TagNames returns all aggregated tag names, sorted (stable iteration
 // for reports and tests).
 func (a *Aggregate) TagNames() []string {
-	names := make([]string, 0, len(a.tagViews))
-	for n := range a.tagViews {
+	names := make([]string, 0, len(a.tags))
+	for n := range a.tags {
 		names = append(names, n)
 	}
 	sort.Strings(names)
