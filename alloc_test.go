@@ -467,7 +467,8 @@ func TestAllocBudgets(t *testing.T) {
 	// real per-request state — but it must stay small and flat.
 	t.Run("MetricsMiddleware", func(t *testing.T) {
 		mw := server.NewMiddleware(16, server.NewMetrics(), log.New(io.Discard, "", 0), false)
-		noop := mw.Wrap(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
+		noop := server.Mount(mw, struct{}{}, []server.Route[struct{}]{{Path: "/v1/predict", Method: http.MethodPost,
+			Group: server.GroupPredict, Handler: func(struct{}, http.ResponseWriter, *http.Request) {}}})
 		w := &nullResponseWriter{h: make(http.Header)}
 		req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
 		req.Header.Set("X-Request-Id", "alloc-budget-test")

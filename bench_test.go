@@ -1239,7 +1239,7 @@ func BenchmarkEdgeDecode(b *testing.B) {
 			}
 			run("codec", func(req *server.PredictRequest) bool {
 				decoded++
-				return server.DecodePredictBody(w, r, metrics, req)
+				return server.DecodePredictBody(w, r, &metrics.Predict, req)
 			})
 			run("encoding-json", func(req *server.PredictRequest) bool { return server.DecodeBody(w, r, req) })
 			if got := metrics.Predict.DecodeGeneral.Load(); (got != 0) != v.declines || (v.declines && got != decoded) {

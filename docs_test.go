@@ -4,6 +4,7 @@
 package viewstags_test
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"os"
@@ -15,48 +16,61 @@ import (
 	"viewstags/internal/server"
 )
 
-// TestAPIDocCoversEveryRoute enumerates both route tables — the
-// daemon's (internal/server, public + shard-internal) and the cluster
-// gateway's (internal/cluster) — against API.md: each registered path
-// must appear in a markdown heading, so a new endpoint cannot ship
-// undocumented (and the doc cannot reference the muxes indirectly —
-// all derive from server.Routes() / cluster.GatewayRoutes()).
+// policyTable renders a route table the way API.md's "Route policy"
+// section prints it: one line per row, the policy bits spelled out.
+func policyTable[D any](rows []server.Route[D]) string {
+	word := func(set bool, yes, no string) string {
+		if set {
+			return yes
+		}
+		return no
+	}
+	var b strings.Builder
+	b.WriteString("| path | method | limiter | traced | metric group | stream frame |\n|---|---|---|---|---|---|\n")
+	for _, rt := range rows {
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s | %s | %s |\n", rt.Path, rt.Method,
+			word(rt.Policy&server.Unlimited != 0, "bypasses", "limited"),
+			word(rt.Policy&server.Untraced != 0, "no", "yes"),
+			word(rt.Policy&server.Unmetered != 0, "—", rt.Group.String()),
+			word(rt.Policy&server.Streamable != 0, "yes", "no"))
+	}
+	return b.String()
+}
+
+// checkAPIDoc holds one daemon's route table against API.md: each
+// registered path must appear in a markdown heading under the method its
+// row takes, so a new endpoint cannot ship undocumented, and the "Route
+// policy" table must be the rendering of the rows — the doc reads the
+// same table the mux, the chain and the stream decoder do.
+func checkAPIDoc[D any](t *testing.T, doc, owner string, rows []server.Route[D]) {
+	t.Helper()
+	if len(rows) == 0 {
+		t.Fatalf("%s registers no routes", owner)
+	}
+	for _, rt := range rows {
+		want, found := "`"+rt.Method+" "+rt.Path, false
+		for _, line := range strings.Split(doc, "\n") {
+			found = found || strings.HasPrefix(line, "#") && strings.Contains(line, want)
+		}
+		if !found {
+			t.Errorf("route %s %s registered by %s but no API.md heading documents it under that method", rt.Method, rt.Path, owner)
+		}
+	}
+	if table := policyTable(rows); !strings.Contains(doc, table) {
+		t.Errorf("API.md's Route policy table for %s is not the code's; it should read:\n%s", owner, table)
+	}
+}
+
+// TestAPIDocCoversEveryRoute holds both route tables — the daemon's
+// (internal/server, public + shard-internal) and the cluster gateway's
+// (internal/cluster) — against API.md.
 func TestAPIDocCoversEveryRoute(t *testing.T) {
 	raw, err := os.ReadFile("API.md")
 	if err != nil {
 		t.Fatalf("API.md missing: %v", err)
 	}
-	doc := string(raw)
-	var headings []string
-	for _, line := range strings.Split(doc, "\n") {
-		if strings.HasPrefix(line, "#") {
-			headings = append(headings, line)
-		}
-	}
-	tables := []struct {
-		owner  string
-		routes []string
-	}{
-		{"internal/server", server.Routes()},
-		{"internal/cluster (gateway)", cluster.GatewayRoutes()},
-	}
-	for _, table := range tables {
-		if len(table.routes) == 0 {
-			t.Fatalf("%s registers no routes", table.owner)
-		}
-		for _, route := range table.routes {
-			found := false
-			for _, h := range headings {
-				if strings.Contains(h, route) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Errorf("route %s registered by %s but not documented in an API.md heading", route, table.owner)
-			}
-		}
-	}
+	checkAPIDoc(t, string(raw), "internal/server", server.Routes())
+	checkAPIDoc(t, string(raw), "internal/cluster (gateway)", cluster.GatewayRoutes())
 }
 
 // TestEveryPackageHasDocComment is the doc-comment lint: every package

@@ -17,28 +17,28 @@ import (
 	"viewstags/internal/server"
 )
 
-// gatewayRoutes is the canonical list of paths the gateway registers —
-// the client-facing subset of the single-node surface that is
-// meaningful at the cluster edge. Placement and preload stay
-// shard-local: they need catalog ground truth the gateway does not
-// hold.
-var gatewayRoutes = []string{
-	"/v1/predict",
-	"/v1/ingest",
-	"/v1/tags",
-	"/v1/stats",
-	"/v1/reshard",
-	"/healthz",
-	"/readyz",
-	"/metrics",
-	"/debug/traces",
-	"/debug/traces/",
+// gatewayRoutes is the gateway's route table (server.Route): the
+// client-facing subset of the single-node surface that is meaningful at
+// the cluster edge, mounted on the same chain with the same policy
+// columns. Placement and preload stay shard-local: they need a catalog
+// the gateway does not hold.
+var gatewayRoutes = []server.Route[*Gateway]{
+	{Path: "/v1/predict", Method: "POST", Group: server.GroupPredict, Handler: (*Gateway).handlePredict},
+	{Path: "/v1/ingest", Method: "POST", Group: server.GroupIngest, Handler: (*Gateway).handleIngest},
+	{Path: "/v1/tags", Method: "GET", Group: server.GroupOther, Handler: (*Gateway).handleTags},
+	{Path: "/v1/stats", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleStats},
+	{Path: "/v1/reshard", Method: "POST", Group: server.GroupOther, Handler: (*Gateway).handleReshard},
+	{Path: "/healthz", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleHealth},
+	{Path: "/readyz", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleReady},
+	{Path: "/metrics", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleMetrics},
+	{Path: "/debug/traces", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleDebugTraces},
+	{Path: "/debug/traces/", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleDebugTraces},
 }
 
-// GatewayRoutes returns every route path the gateway registers, in
-// registration order. Documentation tests enumerate this against
-// API.md, exactly like server.Routes.
-func GatewayRoutes() []string { return append([]string(nil), gatewayRoutes...) }
+// GatewayRoutes returns the gateway's route table, in registration
+// order. Documentation tests hold it against API.md, exactly like
+// server.Routes.
+func GatewayRoutes() []server.Route[*Gateway] { return slices.Clone(gatewayRoutes) }
 
 // GatewayConfig parameterizes the gateway.
 type GatewayConfig struct {
@@ -94,7 +94,7 @@ const (
 )
 
 var legRouteNames = [numLegRoutes]string{"predict", "ingest", "refresh"}
-var legRoutePaths = [numLegRoutes]string{"/internal/predict", "/internal/ingest", "/internal/predict"}
+var legRoutePaths = [numLegRoutes]string{server.InternalPredictPath, server.InternalIngestPath, server.InternalPredictPath}
 
 // Why a shard's cached rows stopped being usable, as indexes into
 // shardState.invalidations and as the cause label of
@@ -313,15 +313,11 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 	g.refreshIdle = sync.NewCond(&g.refreshMu)
 	g.mergedPool.New = func() any { return new(mergedPredict) }
 	g.partialsPool.New = func() any { return new(server.PredictPartials) }
-	mux := http.NewServeMux()
-	for _, path := range gatewayRoutes {
-		mux.HandleFunc(path, g.handlerFor(path))
-	}
 	mw := server.NewMiddleware(cfg.MaxInFlight, g.metrics, cfg.Logger, cfg.LogRequests)
 	g.traces = obs.NewTraceStore(0)
 	mw.SetTraceStore(g.traces)
 	g.mw = mw
-	g.handler = mw.Wrap(mux)
+	g.handler = server.Mount(mw, g, gatewayRoutes)
 	return g, nil
 }
 
@@ -352,34 +348,6 @@ func (g *Gateway) Traces() *obs.TraceStore { return g.traces }
 // fires after a handler panic. Call before serving traffic.
 func (g *Gateway) SetPanicHook(f func()) { g.mw.SetPanicHook(f) }
 
-// handlerFor resolves a gatewayRoutes entry to its handler — the same
-// total-switch pattern server uses, so a route cannot be registered
-// without a handler.
-func (g *Gateway) handlerFor(path string) http.HandlerFunc {
-	switch path {
-	case "/v1/predict":
-		return g.handlePredict
-	case "/v1/ingest":
-		return g.handleIngest
-	case "/v1/tags":
-		return g.handleTags
-	case "/v1/stats":
-		return g.handleStats
-	case "/v1/reshard":
-		return g.handleReshard
-	case "/healthz":
-		return g.handleHealth
-	case "/readyz":
-		return g.handleReady
-	case "/metrics":
-		return g.handleMetrics
-	case "/debug/traces", "/debug/traces/":
-		return g.handleDebugTraces
-	default:
-		panic("cluster: gateway route " + path + " has no handler")
-	}
-}
-
 // Sync interrogates every shard's /internal/meta and pins the cluster
 // contract: each target must identify as the expected shard of the
 // expected count, carry the gateway's ring signature, and agree on the
@@ -391,7 +359,7 @@ func (g *Gateway) Sync(ctx context.Context) error {
 	sig := tp.ring.Signature()
 	for i, target := range tp.targets {
 		var meta server.InternalMetaResponse
-		if err := g.getJSON(ctx, target+"/internal/meta", &meta); err != nil {
+		if err := g.getJSON(ctx, target+server.InternalMetaPath, &meta); err != nil {
 			return fmt.Errorf("cluster: shard %d (%s): %w", i, target, err)
 		}
 		if meta.Shards != len(tp.targets) || meta.Index != i {
@@ -522,7 +490,7 @@ func (g *Gateway) RefreshHealth(ctx context.Context) {
 		go func(i int) {
 			defer wg.Done()
 			var meta server.InternalMetaResponse
-			if err := g.getJSON(ctx, tp.targets[i]+"/internal/meta", &meta); err != nil {
+			if err := g.getJSON(ctx, tp.targets[i]+server.InternalMetaPath, &meta); err != nil {
 				g.markFail(tp, i)
 				return
 			}

@@ -132,16 +132,13 @@ func (g *Gateway) topShares(p []float64, k int) []server.CountryShare {
 
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	if !server.RequirePost(w, r) {
-		return
-	}
 	// Request barrier: a reshard cutover takes this exclusively, so no
 	// predict straddles two topologies. Uncontended RLock in steady
 	// state.
 	g.gate.RLock()
 	defer g.gate.RUnlock()
 	var req server.PredictRequest
-	if !server.DecodePredictBody(w, r, g.metrics, &req) {
+	if !server.DecodePredictBody(w, r, &g.metrics.Predict, &req) {
 		return
 	}
 	decodeDur := time.Since(start)
@@ -243,9 +240,6 @@ func errText(body []byte) string {
 }
 
 func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !server.RequirePost(w, r) {
-		return
-	}
 	// Both barriers: the reshard cutover holds gate exclusively, and
 	// replica catch-up holds writeGate exclusively across its
 	// export+import pair — a write landing mid-copy on the exporting
@@ -256,7 +250,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	g.writeGate.RLock()
 	defer g.writeGate.RUnlock()
 	var req server.IngestRequest
-	if !server.DecodeIngestBody(w, r, g.metrics, &req) {
+	if !server.DecodeIngestBody(w, r, &g.metrics.Ingest, &req) {
 		return
 	}
 	if len(req.Events) == 0 {
@@ -401,11 +395,6 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (g *Gateway) handleTags(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	k := 20
 	if v := r.URL.Query().Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -445,7 +434,9 @@ func (g *Gateway) handleTags(w http.ResponseWriter, r *http.Request) {
 	type tagsReply struct {
 		Tags []server.TagInfo `json:"tags"`
 	}
-	merged := make([]server.TagInfo, 0, k*len(tp.targets))
+	// Sized by what the shards return, never by the client's k (a shard
+	// clamps k to its vocabulary; the gateway has none to clamp to).
+	merged := []server.TagInfo{}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	errc := make(chan error, len(tp.targets))

@@ -5,7 +5,6 @@ import (
 	"strconv"
 
 	"viewstags/internal/obs"
-	"viewstags/internal/server"
 )
 
 // handleMetrics is the gateway's GET /metrics: the shared route
@@ -16,11 +15,6 @@ import (
 // bypasses the concurrency limiter so a saturated gateway can still
 // explain itself.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	tp := g.topo.Load()
 	tw := obs.NewTextWriter()
 	g.metrics.WriteProm(tw)

@@ -387,9 +387,6 @@ type ReshardResponse struct {
 // live topology change. It deliberately takes NO request gate: Reshard
 // itself closes the barrier the data handlers hold.
 func (g *Gateway) handleReshard(w http.ResponseWriter, r *http.Request) {
-	if !server.RequirePost(w, r) {
-		return
-	}
 	var req ReshardRequest
 	if !server.DecodeBody(w, r, &req) {
 		return

@@ -38,11 +38,6 @@ type ShardTraceView struct {
 }
 
 func (g *Gateway) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		server.WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	if id := server.TraceIDFromPath(r.URL.Path); id != "" {
 		if !obs.ValidRequestID(id) {
 			server.WriteError(w, http.StatusBadRequest, "malformed request id")

@@ -101,6 +101,23 @@ func TestTraceStoreTailSampling(t *testing.T) {
 	}
 }
 
+// TestTraceStoreSlowKeysBoundedByRoutes: the per-route slowest-K state is
+// one entry per route label per ring shard, forever. Callers label a
+// trace with a route pattern out of a fixed table, never a raw path, and
+// this is the bound that buys: R labels leave at most R keys a shard.
+func TestTraceStoreSlowKeysBoundedByRoutes(t *testing.T) {
+	s := NewTraceStore(8)
+	routes := []string{"/v1/predict", "/v1/ingest", "/v1/tags", "unmatched"}
+	for i := 0; i < 5000; i++ {
+		offerTrace(s, fmt.Sprintf("id-%d", i), routes[i%len(routes)], 200, false, time.Duration(i)*time.Microsecond)
+	}
+	for i := range s.shards {
+		if n := len(s.shards[i].slow); n == 0 || n > len(routes) {
+			t.Fatalf("ring shard %d holds %d slow-window keys for %d route labels", i, n, len(routes))
+		}
+	}
+}
+
 // TestTraceStoreMemberLookup pins that Get is an exact lookup in the one
 // store shard its id hashes to: a piece of a stored id finds nothing, and
 // a miss takes no other shard's lock — every other shard is held locked

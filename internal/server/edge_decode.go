@@ -87,12 +87,12 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 
 // decodeEdge reads the whole body through the MaxBodyBytes cap, offers it
 // to the fast decoder and, when that declines, to decodeStrict over the
-// same bytes (counted per route, so /metrics says what share of traffic
-// pays the reflection decoder). A failed read is replayed into
+// same bytes (counted in rm, the caller's metric group, so /metrics says
+// what share of traffic pays the reflection decoder). A failed read is replayed into
 // decodeStrict after the bytes that did arrive, so an over-long or
 // truncated body answers what it always has. On failure the 400 has been
 // written.
-func decodeEdge[T any](w http.ResponseWriter, r *http.Request, m *Metrics, fast func(string, *T) bool, v *T) bool {
+func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics, fast func(string, *T) bool, v *T) bool {
 	buf := GetWireBuf()
 	defer releaseBodyBuf(buf)
 	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
@@ -105,7 +105,7 @@ func decodeEdge[T any](w http.ResponseWriter, r *http.Request, m *Metrics, fast 
 	if readErr == nil && bytes.IndexByte(buf.Bytes(), '\\') < 0 && fast(buf.String(), v) {
 		return true
 	}
-	m.route(r.URL.Path).DecodeGeneral.Add(1)
+	rm.DecodeGeneral.Add(1)
 	*v = *new(T) // a declined fast decode may have filled some fields
 	var src io.Reader = bytes.NewReader(buf.Bytes())
 	if readErr != nil {
@@ -118,16 +118,16 @@ func decodeEdge[T any](w http.ResponseWriter, r *http.Request, m *Metrics, fast 
 	return true
 }
 
-// DecodePredictBody decodes a /v1/predict request body into req; m is
-// the daemon's counter set. On failure the 400 has been written.
-func DecodePredictBody(w http.ResponseWriter, r *http.Request, m *Metrics, req *PredictRequest) bool {
-	return decodeEdge(w, r, m, parsePredictRequest, req)
+// DecodePredictBody decodes a /v1/predict request body into req; rm is
+// the daemon's predict group. On failure the 400 has been written.
+func DecodePredictBody(w http.ResponseWriter, r *http.Request, rm *RouteMetrics, req *PredictRequest) bool {
+	return decodeEdge(w, r, rm, parsePredictRequest, req)
 }
 
 // DecodeIngestBody decodes a /v1/ingest request body into req, as
 // DecodePredictBody does for predicts.
-func DecodeIngestBody(w http.ResponseWriter, r *http.Request, m *Metrics, req *IngestRequest) bool {
-	return decodeEdge(w, r, m, parseIngestRequest, req)
+func DecodeIngestBody(w http.ResponseWriter, r *http.Request, rm *RouteMetrics, req *IngestRequest) bool {
+	return decodeEdge(w, r, rm, parseIngestRequest, req)
 }
 
 // DecodeIngestResponse decodes a shard's ingest ack for the gateway.

@@ -434,7 +434,7 @@ func TestEdgeBodyBufferNotPinned(t *testing.T) {
 	var req PredictRequest
 	body := []byte(`{"tags":["favela","samba"]}`)
 	r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-	if !DecodePredictBody(httptest.NewRecorder(), r, NewMetrics(), &req) {
+	if !DecodePredictBody(httptest.NewRecorder(), r, &NewMetrics().Predict, &req) {
 		t.Fatal("decode failed")
 	}
 	for i := 0; i < 8; i++ { // scribble over whatever the pool holds

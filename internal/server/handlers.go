@@ -137,10 +137,11 @@ type errorResponse struct {
 	RequestID string `json:"request_id,omitempty"`
 }
 
-// WriteJSON, WriteError, DecodeBody and RequirePost are the wire-level
-// helpers every handler is built from. They are exported because the
-// cluster gateway (internal/cluster) serves the same wire protocol and
-// must encode errors, decode bodies and gate methods identically.
+// WriteJSON, WriteError and DecodeBody are the wire-level helpers every
+// handler is built from. They are exported because the cluster gateway
+// (internal/cluster) serves the same wire protocol and must encode
+// errors and decode bodies identically. (Methods are gated by the route
+// table's guard, Mount, not by handlers.)
 
 // WriteJSON encodes v as the JSON response body with the given status.
 // The body is encoded into a pooled buffer first, so the reply carries
@@ -194,16 +195,6 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// RequirePost rejects non-POST methods with 405 + Allow.
-func RequirePost(w http.ResponseWriter, r *http.Request) bool {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		WriteError(w, http.StatusMethodNotAllowed, "use POST")
-		return false
-	}
-	return true
-}
-
 // topShares renders the k highest-share countries of a prediction.
 func topShares(snap *profilestore.Snapshot, p []float64, k int) []CountryShare {
 	if k <= 0 {
@@ -219,11 +210,8 @@ func topShares(snap *profilestore.Snapshot, p []float64, k int) []CountryShare {
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	var req PredictRequest
-	if !DecodePredictBody(w, r, s.metrics, &req) {
+	if !DecodePredictBody(w, r, &s.metrics.Predict, &req) {
 		return
 	}
 	weighting, err := tagviews.ParseWeighting(req.Weighting)
@@ -275,9 +263,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	var req PlaceRequest
 	if !DecodeBody(w, r, &req) {
 		return
@@ -333,9 +318,6 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	var req PreloadRequest
 	if !DecodeBody(w, r, &req) {
 		return
@@ -383,15 +365,12 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	if s.ing == nil {
 		WriteError(w, http.StatusServiceUnavailable, "ingest disabled: daemon started without an event stream (-ingest-interval 0)")
 		return
 	}
 	var req IngestRequest
-	if !DecodeIngestBody(w, r, s.metrics, &req) {
+	if !DecodeIngestBody(w, r, &s.metrics.Ingest, &req) {
 		return
 	}
 	if len(req.Events) == 0 {
@@ -453,11 +432,6 @@ func (s *Server) resolveEvents(w http.ResponseWriter, wire []IngestEvent) ([]ing
 }
 
 func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	k := 20
 	if v := r.URL.Query().Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -511,9 +485,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	if s.checkpoint == nil {
 		if s.persistStats != nil {
 			WriteError(w, http.StatusServiceUnavailable, "persistence is read-only on this daemon (-ingest-interval 0): no fold loop to checkpoint")

@@ -19,6 +19,14 @@ import (
 // serves them: a standalone daemon is simply a 1-shard cluster, so a
 // gateway pointed at it works unchanged.
 
+// The paths of the shard-internal routes a gateway dials by name, beside
+// StreamPath; the route table's rows are written with the same constants.
+const (
+	InternalPredictPath = "/internal/predict"
+	InternalIngestPath  = "/internal/ingest"
+	InternalMetaPath    = "/internal/meta"
+)
+
 // InternalIngestRequest is the /internal/ingest wire request: the
 // events whose tags this shard owns (tag lists already filtered to the
 // owned subset by the gateway), plus bare upload announcements — video
@@ -65,9 +73,6 @@ type InternalMetaResponse struct {
 // error envelope: they are off the hot path and a uniform envelope keeps
 // the gateway's error plumbing single-sourced.
 func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	if ct := r.Header.Get("Content-Type"); ct != WireContentType {
 		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q: /internal/predict takes %s", ct, WireContentType)
 		return
@@ -174,15 +179,12 @@ func (s *Server) epoch() uint64 {
 }
 
 func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	if s.ing == nil {
 		WriteError(w, http.StatusServiceUnavailable, "ingest disabled: daemon started without an event stream (-ingest-interval 0)")
 		return
 	}
 	var req InternalIngestRequest
-	if !decodeEdge(w, r, s.metrics, parseInternalIngestRequest, &req) {
+	if !decodeEdge(w, r, &s.metrics.Internal, parseInternalIngestRequest, &req) {
 		return
 	}
 	if len(req.Events) == 0 && len(req.Uploads) == 0 {
@@ -228,11 +230,6 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInternalMeta(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	snap := s.store.Load()
 	id := s.ident.Load()
 	resp := InternalMetaResponse{

@@ -217,7 +217,7 @@ func TestRetryAfterDerivation(t *testing.T) {
 		close(inside)
 		<-hold
 	})
-	h := small.mw.Wrap(blocked)
+	h := Mount(small.mw, small, stubTable(blocked))
 	go func() {
 		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/predict", nil))
 	}()
@@ -281,20 +281,6 @@ func TestEmptyInputsRejected(t *testing.T) {
 	}
 	if acc.Epoch() != epochBefore || acc.Stats().Events != eventsBefore {
 		t.Fatal("empty requests moved the accumulator (epoch or event count)")
-	}
-}
-
-// TestInternalRoutesBypassOnlyMeta: /internal/meta rides outside the
-// limiter (the gateway must be able to probe a saturated shard), while
-// /internal/predict and /internal/ingest are limited like any work.
-func TestInternalRoutesBypassOnlyMeta(t *testing.T) {
-	if !limiterExempt("/internal/meta") {
-		t.Fatal("meta not exempt")
-	}
-	for _, p := range []string{"/internal/predict", "/internal/ingest"} {
-		if limiterExempt(p) {
-			t.Fatalf("%s exempt from the limiter", p)
-		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"strings"
-
 	"sync/atomic"
 
 	"viewstags/internal/obs"
@@ -31,20 +29,52 @@ type RouteMetrics struct {
 // tail spike to a trace; deeper history belongs to the trace ring.
 const maxExemplarsPerRoute = 4
 
-// Metrics is the server's counter set: per-route request counters and
+// Group is a metric group: the unit requests are counted in. A route's
+// row names its group (Route.Group), and the label is both the group's
+// /v1/stats key and its route label on /metrics.
+type Group uint8
+
+// The six groups are enumerated here and nowhere else: these constants,
+// groupNames, and the fields of perGroup with ptrs, all in this order.
+const (
+	GroupPredict Group = iota
+	GroupIngest
+	GroupPlace
+	GroupPreload
+	// GroupInternal aggregates the shard-internal /internal/* routes the
+	// cluster gateway drives, so shard operators can tell gateway
+	// traffic from direct client traffic at a glance.
+	GroupInternal
+	GroupOther
+	numGroups
+)
+
+var groupNames = [numGroups]string{"predict", "ingest", "place", "preload", "internal", "other"}
+
+func (g Group) String() string { return groupNames[g] }
+
+// perGroup is one T per metric group — counters in Metrics, their
+// rendering in Snapshot, whose JSON keys are the tags here.
+type perGroup[T any] struct {
+	Predict  T `json:"predict"`
+	Ingest   T `json:"ingest"`
+	Place    T `json:"place"`
+	Preload  T `json:"preload"`
+	Internal T `json:"internal"`
+	Other    T `json:"other"`
+}
+
+// ptrs indexes the fields by Group.
+func (p *perGroup[T]) ptrs() [numGroups]*T {
+	return [numGroups]*T{&p.Predict, &p.Ingest, &p.Place, &p.Preload, &p.Internal, &p.Other}
+}
+
+// Metrics is the server's counter set: per-group request counters and
 // log-bucket latency histograms, cheap enough to leave on at load-test
 // rates. /v1/stats renders quantile summaries from the histograms and
 // GET /metrics exposes the full buckets for scraping.
 type Metrics struct {
-	Predict RouteMetrics
-	Ingest  RouteMetrics
-	Place   RouteMetrics
-	Preload RouteMetrics
-	// Internal aggregates the shard-internal /internal/* routes the
-	// cluster gateway drives, so shard operators can tell gateway
-	// traffic from direct client traffic at a glance.
-	Internal RouteMetrics
-	Other    RouteMetrics
+	perGroup[RouteMetrics]
 
 	InFlight atomic.Int64
 	Rejected atomic.Int64
@@ -58,33 +88,12 @@ type Metrics struct {
 // NewMetrics returns a zeroed counter set.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-func (m *Metrics) route(path string) *RouteMetrics {
-	switch path {
-	case "/v1/predict":
-		return &m.Predict
-	case "/v1/ingest":
-		return &m.Ingest
-	case "/v1/place":
-		return &m.Place
-	case "/v1/preload":
-		return &m.Preload
-	default:
-		if strings.HasPrefix(path, "/internal/") {
-			return &m.Internal
-		}
-		return &m.Other
-	}
-}
-
-// EachRoute visits every route bucket with its exposition label, in a
-// fixed order — the iteration the /metrics renderers are built on.
+// EachRoute visits every group's counters with their exposition label,
+// in a fixed order — the iteration the /metrics renderers are built on.
 func (m *Metrics) EachRoute(f func(name string, rm *RouteMetrics)) {
-	f("predict", &m.Predict)
-	f("ingest", &m.Ingest)
-	f("place", &m.Place)
-	f("preload", &m.Preload)
-	f("internal", &m.Internal)
-	f("other", &m.Other)
+	for g, rm := range m.ptrs() {
+		f(groupNames[g], rm)
+	}
 }
 
 // RouteSnapshot is one route's counters at a point in time. MeanMs and
@@ -109,15 +118,10 @@ type RouteSnapshot struct {
 // Snapshot is the JSON shape of /v1/stats (wrapped with the ingest
 // stream stats by the handler when the write path is enabled).
 type Snapshot struct {
-	Predict     RouteSnapshot `json:"predict"`
-	Ingest      RouteSnapshot `json:"ingest"`
-	Place       RouteSnapshot `json:"place"`
-	Preload     RouteSnapshot `json:"preload"`
-	Internal    RouteSnapshot `json:"internal"`
-	Other       RouteSnapshot `json:"other"`
-	InFlight    int64         `json:"in_flight"`
-	Rejected    int64         `json:"rejected"`
-	Predictions int64         `json:"predictions"`
+	perGroup[RouteSnapshot]
+	InFlight    int64 `json:"in_flight"`
+	Rejected    int64 `json:"rejected"`
+	Predictions int64 `json:"predictions"`
 	// Events mirrors the ingest accumulator's accepted-event count;
 	// the handler fills it (the Metrics struct holds no copy).
 	Events int64 `json:"events"`
@@ -147,15 +151,13 @@ func snapRoute(m *RouteMetrics) RouteSnapshot {
 // Snapshot captures all counters.
 func (m *Metrics) Snapshot() Snapshot {
 	s := Snapshot{
-		Predict:     snapRoute(&m.Predict),
-		Ingest:      snapRoute(&m.Ingest),
-		Place:       snapRoute(&m.Place),
-		Preload:     snapRoute(&m.Preload),
-		Internal:    snapRoute(&m.Internal),
-		Other:       snapRoute(&m.Other),
 		InFlight:    m.InFlight.Load(),
 		Rejected:    m.Rejected.Load(),
 		Predictions: m.Predictions.Load(),
+	}
+	dst := s.ptrs()
+	for g, rm := range m.ptrs() {
+		*dst[g] = snapRoute(rm)
 	}
 	s.RSSBytes, s.PeakRSSBytes, _ = obs.ResidentMemory()
 	return s

@@ -15,11 +15,6 @@ import (
 // and Go runtime gauges. Exempt from the concurrency limiter, like
 // /v1/stats: a scrape must still answer while the server sheds.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	tw := obs.NewTextWriter()
 	s.metrics.WriteProm(tw)
 	if s.ing != nil {

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"time"
 
 	"viewstags/internal/obs"
@@ -52,7 +51,7 @@ func RequestID(r *http.Request) string { return r.Header.Get(obs.TraceHeader) }
 type traceKey struct{}
 
 // TraceFrom returns the request's span buffer, or nil when tracing is
-// off (no store attached) or the route is trace-exempt. Handlers call
+// off (no store attached) or the route's row says Untraced. Handlers call
 // Trace.Add on the result — nil-safe, so no guard is needed.
 func TraceFrom(r *http.Request) *obs.Trace {
 	tr, _ := r.Context().Value(traceKey{}).(*obs.Trace)
@@ -80,10 +79,67 @@ func validSpanParent(s string) bool {
 	return true
 }
 
+// Policy is what the middleware chain applies to a route, as bits of its
+// row. The zero value is the common case: limited, traced, metered,
+// reachable over HTTP only.
+type Policy uint8
+
+const (
+	// Unlimited bypasses the concurrency limiter. A loaded server must
+	// still answer its health checker (liveness AND readiness: shedding a
+	// probe reads as "unready" and would eject a merely busy node from
+	// rotation), expose the counters that explain the overload, answer
+	// the gateway's cheap topology probe and serve the trace ring — an
+	// overload is precisely when /debug/traces is wanted. The stream
+	// upgrade is unlimited for a different reason: its "request" lasts as
+	// long as the connection, so it must not hold a slot — the frames it
+	// carries each take one on their own way through the chain.
+	Unlimited Policy = 1 << iota
+	// Untraced records no spans: probes, scrape and stats surfaces, and
+	// the /debug/traces family itself (tracing the trace reader would fill
+	// the ring with its own reflections).
+	Untraced
+	// Unmetered counts in no group. Only the stream upgrade: a connection
+	// lifetime is not a request latency, and the frames it carries are
+	// counted one by one.
+	Unmetered
+	// Streamable rows may ride a data-plane stream frame
+	// (DecodeStreamRequest refuses every other path); a frame is served
+	// by the chain its row is mounted with, the one a POST takes.
+	Streamable
+
+	// Probe is the policy of the surfaces that must outlive an overload
+	// and never describe themselves.
+	Probe = Unlimited | Untraced
+)
+
+// Route is one row of a daemon's route table: the path it is mounted at,
+// the method it takes, the metric group it counts in, what the chain
+// applies to it, and its handler as a method expression of the daemon
+// type D — so codec-level code (the stream decoder, the docs test) reads
+// the table without a daemon. What applies to a route is this row and
+// nothing else; the chain (Mount) is code and reads only the row.
+type Route[D any] struct {
+	Path string
+	// Method is http.MethodGet or http.MethodPost. A GET row also admits
+	// HEAD (health probes use it; net/http drops the body); anything else
+	// is a 405 with Allow.
+	Method  string
+	Group   Group
+	Policy  Policy
+	Handler func(D, http.ResponseWriter, *http.Request)
+}
+
+// UnmatchedRoute labels the traces of requests that match no row — a
+// 404 or the mux's 301 to a cleaned path. They are limited and counted
+// as GroupOther; their raw path is never a label, so nothing keyed by
+// route grows with what clients send.
+const UnmatchedRoute = "unmatched"
+
 // Middleware is the serving tier's shared HTTP middleware stack —
 // request-id tracing, concurrency limiting, panic recovery, optional
-// access logging and per-route metrics — factored out of Server so the
-// cluster gateway wraps its handlers in the identical chain (same
+// access logging and per-group metrics — factored out of Server so the
+// cluster gateway mounts its table on the identical chain (same
 // shedding semantics, same counters) instead of growing a parallel
 // one.
 type Middleware struct {
@@ -121,34 +177,69 @@ func (m *Middleware) SetTraceStore(ts *obs.TraceStore) { m.traces = ts }
 // Call before serving traffic.
 func (m *Middleware) SetPanicHook(f func()) { m.onPanic = f }
 
-// Wrap chains the stack around next, innermost first: metrics ←
-// recovery ← logging ← concurrency limit ← trace. The limiter sits
-// outside everything but the trace assignment, so a saturated server
-// sheds load before doing any work — and even a shed 503 carries a
-// request id for the client to quote.
-func (m *Middleware) Wrap(next http.Handler) http.Handler {
-	h := m.withMetrics(next)
+// mounted is one row's chain. The mux hands it back for a request that
+// matches the row, which is how Mount tells a match from the mux's own
+// 404 and redirect handlers.
+type mounted struct{ http.Handler }
+
+// serve is the innermost stage of a row's chain: the method guard, then
+// the handler.
+func (rt *Route[D]) serve(d D, w http.ResponseWriter, r *http.Request) {
+	if r.Method == rt.Method || r.Method == http.MethodHead && rt.Method == http.MethodGet {
+		rt.Handler(d, w, r)
+		return
+	}
+	allow := rt.Method
+	if allow == http.MethodGet {
+		allow = "GET, HEAD"
+	}
+	w.Header().Set("Allow", allow)
+	WriteError(w, http.StatusMethodNotAllowed, "use %s", rt.Method)
+}
+
+// Mount builds daemon d's handler from its table: every row's handler
+// behind the chain its row asks for, on one mux. A request is resolved
+// to its row once, by the mux; each stage of the row's chain closes over
+// what it needs of the row. A request that matches no row runs the chain
+// of a fixed row (UnmatchedRoute) around whatever the mux answers it
+// with.
+func Mount[D any](m *Middleware, d D, table []Route[D]) http.Handler {
+	mux := http.NewServeMux()
+	for _, rt := range table {
+		rt := rt
+		mux.Handle(rt.Path, mounted{m.chain(rt.Path, rt.Group, rt.Policy, func(w http.ResponseWriter, r *http.Request) {
+			rt.serve(d, w, r)
+		})})
+	}
+	unmatched := m.chain(UnmatchedRoute, GroupOther, 0, mux.ServeHTTP)
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h, _ := mux.Handler(r)
+		if row, ok := h.(mounted); ok {
+			row.ServeHTTP(w, r)
+			return
+		}
+		unmatched.ServeHTTP(w, r)
+	})
+}
+
+// chain wraps next in the stack, innermost first: metrics ← recovery ←
+// logging ← concurrency limit ← trace, each stage only if the row's
+// policy asks for it. The limiter sits outside everything but the trace
+// assignment, so a saturated server sheds load before doing any work —
+// and even a shed 503 carries a request id for the client to quote.
+func (m *Middleware) chain(route string, group Group, policy Policy, next http.HandlerFunc) http.Handler {
+	var h http.Handler = next
+	if policy&Unmetered == 0 {
+		h = m.withMetrics(m.metrics.ptrs()[group], h)
+	}
 	h = m.withRecovery(h)
 	if m.logRequests {
 		h = m.withLogging(h)
 	}
-	return m.withTrace(m.withLimit(h))
-}
-
-// limiterExempt lists the paths that bypass the concurrency limiter — a
-// loaded server must still answer its health checker (liveness AND
-// readiness: shedding a probe reads as "unready" and would eject a
-// merely busy node from rotation), expose the counters that explain the
-// overload — /v1/stats and the /metrics scrape alike — (on shards)
-// answer the gateway's cheap topology probe, and serve the trace ring:
-// an overload is precisely when /debug/traces is wanted. The stream
-// upgrade is exempt for a different reason: its "request" lasts as long
-// as the connection, so it must not hold a slot — the frames it carries
-// each take one on their own way through the chain.
-func limiterExempt(path string) bool {
-	return path == "/healthz" || path == "/readyz" || path == "/v1/stats" ||
-		path == "/metrics" || path == "/internal/meta" || path == StreamPath ||
-		path == "/debug/traces" || strings.HasPrefix(path, "/debug/traces/")
+	if policy&Unlimited == 0 {
+		h = m.withLimit(h)
+	}
+	return m.withTrace(route, policy&Untraced == 0, h)
 }
 
 // withTrace assigns the request id: an inbound X-Request-Id is honored
@@ -162,7 +253,10 @@ func limiterExempt(path string) bool {
 // child spans into it, and the finished trace is offered to the
 // tail-sampling ring — including requests the limiter sheds, which is
 // the whole point of sampling at the outermost layer.
-func (m *Middleware) withTrace(next http.Handler) http.Handler {
+//
+// route is the trace's route label: the row's pattern, never the raw
+// path, so the store's per-route state is bounded by the table.
+func (m *Middleware) withTrace(route string, traced bool, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(obs.TraceHeader)
 		if !obs.ValidRequestID(id) {
@@ -170,12 +264,12 @@ func (m *Middleware) withTrace(next http.Handler) http.Handler {
 			r.Header.Set(obs.TraceHeader, id)
 		}
 		w.Header().Set(obs.TraceHeader, id)
-		if m.traces == nil || traceExempt(r.URL.Path) {
+		if m.traces == nil || !traced {
 			next.ServeHTTP(w, r)
 			return
 		}
 		start := time.Now()
-		tr := obs.GetTrace(id, r.URL.Path, start)
+		tr := obs.GetTrace(id, route, start)
 		if p := r.Header.Get(obs.SpanContextHeader); validSpanParent(p) {
 			tr.SetParent(p)
 		}
@@ -190,22 +284,11 @@ func (m *Middleware) withTrace(next http.Handler) http.Handler {
 	})
 }
 
-// traceExempt lists paths that never record spans: probes, scrape and
-// stats surfaces, and the /debug/traces family itself (tracing the
-// trace reader would fill the ring with its own reflections).
-func traceExempt(path string) bool {
-	return limiterExempt(path) || strings.HasPrefix(path, "/debug/")
-}
-
 // withLimit bounds in-flight requests with a semaphore; requests beyond
 // the bound get an immediate 503 with Retry-After, which keeps tail
 // latency flat under overload instead of queueing without bound.
 func (m *Middleware) withLimit(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if limiterExempt(r.URL.Path) {
-			next.ServeHTTP(w, r)
-			return
-		}
 		select {
 		case m.sem <- struct{}{}:
 			defer func() { <-m.sem }()
@@ -249,17 +332,10 @@ func (m *Middleware) withLogging(next http.Handler) http.Handler {
 	})
 }
 
-// withMetrics counts requests and errors per route and records wall
-// time into the route's latency histogram (allocation-free Observe).
-// The stream upgrade is skipped: a connection lifetime is not a request
-// latency, and the frames it carries are counted one by one.
-func (m *Middleware) withMetrics(next http.Handler) http.Handler {
+// withMetrics counts requests and errors in the row's group and records
+// wall time into the group's latency histogram (allocation-free Observe).
+func (m *Middleware) withMetrics(rm *RouteMetrics, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == StreamPath {
-			next.ServeHTTP(w, r)
-			return
-		}
-		rm := m.metrics.route(r.URL.Path)
 		m.metrics.InFlight.Add(1)
 		defer m.metrics.InFlight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}

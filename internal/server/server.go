@@ -42,6 +42,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,34 +57,46 @@ import (
 	"viewstags/internal/tagviews"
 )
 
-// routes is the canonical list of registered paths. New builds the mux
-// from it and Routes exposes it, so the mux, /v1/stats routing and the
-// API.md coverage test all share one source of truth.
-var routes = []string{
-	"/v1/predict",
-	"/v1/ingest",
-	"/v1/place",
-	"/v1/preload",
-	"/v1/tags",
-	"/v1/stats",
-	"/v1/checkpoint",
-	"/healthz",
-	"/readyz",
-	"/metrics",
-	"/internal/predict",
-	"/internal/ingest",
-	"/internal/stream",
-	"/internal/meta",
-	"/internal/transfer/export",
-	"/internal/transfer/import",
-	"/internal/transfer/adopt",
-	"/debug/traces",
-	"/debug/traces/",
+// serverRoutes is the daemon's route table: what is mounted, and every
+// policy the middleware chain, the metrics, the stream decoder and
+// API.md's "Route policy" table apply to it. Adding a route is one row
+// here, its handler, and its API.md heading. (Assigned in init, not by an
+// initializer: handleStream reaches DecodeStreamRequest, which reads the
+// table, and Go refuses that as an initialization cycle.)
+var serverRoutes []Route[*Server]
+
+func init() {
+	serverRoutes = []Route[*Server]{
+		{Path: "/v1/predict", Method: "POST", Group: GroupPredict, Handler: (*Server).handlePredict},
+		{Path: "/v1/ingest", Method: "POST", Group: GroupIngest, Handler: (*Server).handleIngest},
+		{Path: "/v1/place", Method: "POST", Group: GroupPlace, Handler: (*Server).handlePlace},
+		{Path: "/v1/preload", Method: "POST", Group: GroupPreload, Handler: (*Server).handlePreload},
+		{Path: "/v1/tags", Method: "GET", Group: GroupOther, Handler: (*Server).handleTags},
+		{Path: "/v1/stats", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleStats},
+		{Path: "/v1/checkpoint", Method: "POST", Group: GroupOther, Handler: (*Server).handleCheckpoint},
+		{Path: "/healthz", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleHealth},
+		{Path: "/readyz", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleReady},
+		{Path: "/metrics", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleMetrics},
+		{Path: InternalPredictPath, Method: "POST", Group: GroupInternal, Policy: Streamable, Handler: (*Server).handleInternalPredict},
+		{Path: InternalIngestPath, Method: "POST", Group: GroupInternal, Policy: Streamable, Handler: (*Server).handleInternalIngest},
+		{Path: StreamPath, Method: "GET", Group: GroupInternal, Policy: Probe | Unmetered, Handler: (*Server).handleStream},
+		{Path: InternalMetaPath, Method: "GET", Group: GroupInternal, Policy: Probe, Handler: (*Server).handleInternalMeta},
+		{Path: "/internal/transfer/export", Method: "POST", Group: GroupInternal, Handler: (*Server).handleTransferExport},
+		{Path: "/internal/transfer/import", Method: "POST", Group: GroupInternal, Handler: (*Server).handleTransferImport},
+		{Path: "/internal/transfer/adopt", Method: "POST", Group: GroupInternal, Handler: (*Server).handleTransferAdopt},
+		{Path: "/debug/traces", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleDebugTraces},
+		{Path: "/debug/traces/", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleDebugTraces},
+	}
+	for _, rt := range serverRoutes {
+		if rt.Policy&Streamable != 0 {
+			streamable = append(streamable, streamRoute{rt.Path, "gateway" + rt.Path})
+		}
+	}
 }
 
-// Routes returns every route path the server registers, in registration
-// order. Documentation tests enumerate this against API.md.
-func Routes() []string { return append([]string(nil), routes...) }
+// Routes returns the daemon's route table, in registration order.
+// Documentation tests hold it against API.md.
+func Routes() []Route[*Server] { return slices.Clone(serverRoutes) }
 
 // Config parameterizes the service.
 type Config struct {
@@ -283,58 +296,8 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 	s.traces = obs.NewTraceStore(0)
 	s.mw.SetTraceStore(s.traces)
 	s.scratch = profilestore.NewVecPool(world.N())
-	mux := http.NewServeMux()
-	for _, path := range routes {
-		mux.HandleFunc(path, s.handlerFor(path))
-	}
-	s.handler = s.mw.Wrap(mux)
+	s.handler = Mount(s.mw, s, serverRoutes)
 	return s, nil
-}
-
-// handlerFor resolves a routes entry to its handler. Keeping this a
-// total switch over the same list the mux iterates means a route cannot
-// be registered without a handler or vice versa.
-func (s *Server) handlerFor(path string) http.HandlerFunc {
-	switch path {
-	case "/v1/predict":
-		return s.handlePredict
-	case "/v1/ingest":
-		return s.handleIngest
-	case "/v1/place":
-		return s.handlePlace
-	case "/v1/preload":
-		return s.handlePreload
-	case "/v1/tags":
-		return s.handleTags
-	case "/v1/stats":
-		return s.handleStats
-	case "/v1/checkpoint":
-		return s.handleCheckpoint
-	case "/healthz":
-		return s.handleHealth
-	case "/readyz":
-		return s.handleReady
-	case "/metrics":
-		return s.handleMetrics
-	case "/internal/predict":
-		return s.handleInternalPredict
-	case "/internal/ingest":
-		return s.handleInternalIngest
-	case StreamPath:
-		return s.handleStream
-	case "/internal/meta":
-		return s.handleInternalMeta
-	case "/internal/transfer/export":
-		return s.handleTransferExport
-	case "/internal/transfer/import":
-		return s.handleTransferImport
-	case "/internal/transfer/adopt":
-		return s.handleTransferAdopt
-	case "/debug/traces", "/debug/traces/":
-		return s.handleDebugTraces
-	default:
-		panic("server: route " + path + " has no handler")
-	}
 }
 
 // SetCatalog installs the served form of the synthetic catalog, enabling

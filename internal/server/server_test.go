@@ -278,6 +278,16 @@ func TestPlaceErrors(t *testing.T) {
 
 // wantEnvelope checks a non-2xx answer is the documented error envelope:
 // JSON, the message, and the request id the response headers carry.
+// stubTable is the daemon's route table with every handler replaced by
+// h: the real policy columns around a handler the test controls.
+func stubTable(h http.HandlerFunc) []Route[*Server] {
+	table := Routes()
+	for i := range table {
+		table[i].Handler = func(_ *Server, w http.ResponseWriter, r *http.Request) { h(w, r) }
+	}
+	return table
+}
+
 func wantEnvelope(t *testing.T, rec *httptest.ResponseRecorder, status int, msg string) {
 	t.Helper()
 	var e errorResponse
@@ -441,7 +451,7 @@ func TestConcurrencyLimit(t *testing.T) {
 		close(inside)
 		<-hold
 	})
-	h := small.mw.Wrap(blocked)
+	h := Mount(small.mw, small, stubTable(blocked))
 	go func() {
 		req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
 		h.ServeHTTP(httptest.NewRecorder(), req)
@@ -474,11 +484,11 @@ func TestConcurrencyLimit(t *testing.T) {
 // in (the gateway builds its own from NewMiddleware).
 func TestRecoveryMiddleware(t *testing.T) {
 	mw := NewMiddleware(4, NewMetrics(), log.New(io.Discard, "", 0), false)
-	h := mw.Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := Mount(mw, nil, stubTable(func(w http.ResponseWriter, r *http.Request) {
 		panic("boom")
 	}))
 	rec := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodGet, "/v1/predict", nil)
+	req := httptest.NewRequest(http.MethodPost, "/v1/predict", nil)
 	req.Header.Set("X-Request-Id", "recovery-test-1")
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusInternalServerError {

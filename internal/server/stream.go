@@ -53,13 +53,13 @@ const (
 	MaxStreamFrame = MaxBodyBytes + streamReqFixed + 3*255 + obs.MaxRequestIDLen
 )
 
-// streamRoutes is the envelope path allow-list: the POST data-plane
-// routes, and nothing else, are reachable through a stream. streamSpans
-// are the span contexts the gateway's legs to them carry.
-var (
-	streamRoutes = [...]string{"/internal/predict", "/internal/ingest"}
-	streamSpans  = [...]string{"gateway/internal/predict", "gateway/internal/ingest"}
-)
+// streamable is the envelope path allow-list, derived from the route
+// table where the table is assigned: the rows with the Streamable bit,
+// and nothing else, are reachable through a stream. span is the span
+// context the gateway's legs to the row carry.
+var streamable []streamRoute
+
+type streamRoute struct{ path, span string }
 
 const jsonContentType = "application/json"
 
@@ -167,17 +167,17 @@ func DecodeStreamRequest(data []byte, r *StreamRequest) error {
 	if err != nil {
 		return err
 	}
-	i := slices.IndexFunc(streamRoutes[:], func(p string) bool { return p == string(path) })
+	i := slices.IndexFunc(streamable, func(rt streamRoute) bool { return rt.path == string(path) })
 	if i < 0 {
 		return frameErrorf("path %q is not a data-plane route", path)
 	}
 	if len(rid) > obs.MaxRequestIDLen {
 		return frameErrorf("request id of %d bytes", len(rid))
 	}
-	r.Path = streamRoutes[i]
+	r.Path = streamable[i].path
 	r.ContentType = intern(ct, WireContentType, jsonContentType)
 	r.RequestID = string(rid)
-	r.SpanContext = intern(span, streamSpans[i])
+	r.SpanContext = intern(span, streamable[i].span)
 	r.Body = data
 	return nil
 }
@@ -265,11 +265,6 @@ type streamConn struct {
 // then serves frames on it until either side closes. It stays inside the
 // mux so it works under any http.Server that serves Handler().
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	if !headerHasToken(r.Header.Values("Connection"), "upgrade") || !strings.EqualFold(r.Header.Get("Upgrade"), StreamProtocol) {
 		w.Header().Set("Connection", "Upgrade")
 		w.Header().Set("Upgrade", StreamProtocol)

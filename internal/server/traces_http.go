@@ -63,11 +63,6 @@ func TraceIDFromPath(path string) string {
 }
 
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		WriteError(w, http.StatusMethodNotAllowed, "use GET")
-		return
-	}
 	if id := TraceIDFromPath(r.URL.Path); id != "" {
 		if !obs.ValidRequestID(id) {
 			WriteError(w, http.StatusBadRequest, "malformed request id")

@@ -92,9 +92,6 @@ func (s *Server) flushFolds(w http.ResponseWriter) bool {
 }
 
 func (s *Server) handleTransferExport(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	if !s.requireTopology(w) {
 		return
 	}
@@ -148,9 +145,6 @@ func (s *Server) handleTransferExport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTransferImport(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	if !s.requireTopology(w) {
 		return
 	}
@@ -198,9 +192,6 @@ func (s *Server) handleTransferImport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTransferAdopt(w http.ResponseWriter, r *http.Request) {
-	if !RequirePost(w, r) {
-		return
-	}
 	if !s.requireTopology(w) {
 		return
 	}
