@@ -774,8 +774,11 @@ func BenchmarkIngestFold(b *testing.B) {
 // BenchmarkBoot times a daemon's whole boot over the benchmark's catalog,
 // as cmd/serve runs it — the streaming pass, then the build adopting its
 // sums — for shard 0 of 3 and for a standalone node, which also collects
-// the served catalog. Read it with -benchmem; the generator is most of
-// the pass (EXPERIMENTS.md "Boot peak").
+// the served catalog. Read it with -benchmem and -cpu 1,2: the generator
+// is most of the pass and runs as two stages, so two cores show what the
+// stages overlap and one core what the draws themselves cost — which must
+// be no more than before the split (EXPERIMENTS.md "Boot at the speed of
+// the cores").
 func BenchmarkBoot(b *testing.B) {
 	ring, err := cluster.NewRing(3, 0)
 	if err != nil {

@@ -27,7 +27,8 @@
 // ingest batch is journaled to a write-ahead log before the ack, the
 // serving snapshot is checkpointed every -checkpoint-every folds (and
 // at shutdown), and a restart recovers the newest checkpoint plus the
-// journal tail — so a crash loses nothing that was acknowledged. Under
+// journal tail — so a crash loses nothing that was acknowledged (and a
+// shard that finds a checkpoint does not generate the corpus again). Under
 // -shard i/n the state lives in a shard-<i>-of-<n> subdirectory, so
 // shards can share one volume. See OPERATIONS.md "Durability &
 // recovery" for fsync and checkpoint tuning.
@@ -52,11 +53,13 @@ import (
 
 	"viewstags/internal/alexa"
 	"viewstags/internal/cluster"
+	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
 	"viewstags/internal/persist"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
+	"viewstags/internal/synth"
 	"viewstags/internal/tagviews"
 )
 
@@ -140,36 +143,17 @@ func run() error {
 		owns = func(name string) bool { return ring.Owns(name, shardIndex) }
 	}
 
-	// One streaming pass builds the snapshot: the corpus is aggregated a
-	// video (or a JSONL line) at a time into the sums of the tags this
-	// shard owns and never held, and the snapshot adopts those sums as its
-	// vectors. Only a standalone node keeps the synthetic catalog, for
-	// /v1/preload.
 	logger := log.New(os.Stderr, "", log.LstdFlags)
 	start := time.Now()
-	var boot *pipeline.Boot
-	if *datasetPath != "" {
-		logger.Printf("loading dataset %s...", *datasetPath)
-		boot, err = pipeline.BootFile(*datasetPath, alexa.DefaultConfig(), owns)
-	} else {
-		logger.Printf("generating %d-video synthetic catalog (seed %d)...", *videos, *seed)
-		boot, err = pipeline.BootSynthetic(*videos, *seed, alexa.DefaultConfig(), owns, shardCount == 1)
-	}
-	if err != nil {
-		return err
-	}
-	snap, err := profilestore.BuildAggregate(boot.Aggregate, nil)
-	if err != nil {
-		return err
-	}
 
-	// Durable state: open the data directory and, when a checkpoint
-	// exists, serve the recovered snapshot instead of the fresh build —
-	// the checkpoint is the build plus every fold the previous process
-	// acked. Shards get per-shard subdirectories so a cluster can share
-	// one volume.
+	// Durable state first: open the data directory and, when a checkpoint
+	// exists, serve the recovered snapshot — the checkpoint is the build
+	// plus every fold the previous process acked, so there is no fresh
+	// build to make. Shards get per-shard subdirectories so a cluster can
+	// share one volume.
 	var mgr *persist.Manager
 	var recMeta persist.CheckpointMeta
+	var snap *profilestore.Snapshot
 	recovered := false
 	if *dataDir != "" {
 		fsync, err := persist.ParseFsync(*fsyncPolicy)
@@ -183,18 +167,47 @@ func run() error {
 		if mgr, err = persist.Open(persist.Options{Dir: pdir, Fsync: fsync, Logger: logger}); err != nil {
 			return err
 		}
-		recSnap, meta, found, err := mgr.LoadCheckpoint(boot.World)
+		// Both boot paths run over the default world.
+		if snap, recMeta, recovered, err = mgr.LoadCheckpoint(geo.DefaultWorld()); err != nil {
+			return err
+		}
+		if recovered {
+			logger.Printf("persist: recovered checkpoint gen %d epoch %d (%d tags, %d records) from %s",
+				recMeta.Gen, recMeta.Epoch, snap.NumTags(), snap.Records(), pdir)
+		} else {
+			logger.Printf("persist: no checkpoint in %s, starting from the fresh build", pdir)
+		}
+	}
+
+	// One streaming pass builds the snapshot: the corpus is aggregated a
+	// video (or a JSONL line) at a time into the sums of the tags this
+	// shard owns and never held, and the snapshot adopts those sums as its
+	// vectors. Only a standalone node keeps the synthetic catalog, for
+	// /v1/preload — all a recovered daemon still wants of the pass, so a
+	// recovered shard (or dataset node) skips it and a recovered synthetic
+	// node runs it admitting no tag: nothing is aggregated or built.
+	keepServed := shardCount == 1 && *datasetPath == ""
+	var served *synth.Served
+	if !recovered || keepServed {
+		if recovered {
+			owns = func(string) bool { return false }
+		}
+		var boot *pipeline.Boot
+		if *datasetPath != "" {
+			logger.Printf("loading dataset %s...", *datasetPath)
+			boot, err = pipeline.BootFile(*datasetPath, alexa.DefaultConfig(), owns)
+		} else {
+			logger.Printf("generating %d-video synthetic catalog (seed %d)...", *videos, *seed)
+			boot, err = pipeline.BootSynthetic(*videos, *seed, alexa.DefaultConfig(), owns, keepServed)
+		}
 		if err != nil {
 			return err
 		}
-		if found {
-			snap = recSnap
-			recMeta = meta
-			recovered = true
-			logger.Printf("persist: recovered checkpoint gen %d epoch %d (%d tags, %d records) from %s",
-				meta.Gen, meta.Epoch, snap.NumTags(), snap.Records(), pdir)
-		} else {
-			logger.Printf("persist: no checkpoint in %s, starting from the fresh build", pdir)
+		served = boot.Served
+		if !recovered {
+			if snap, err = profilestore.BuildAggregate(boot.Aggregate, nil); err != nil {
+				return err
+			}
 		}
 	}
 
@@ -243,11 +256,11 @@ func run() error {
 	// so preload advisories stay a whole-vocabulary (standalone) feature.
 	if shardCount > 1 {
 		logger.Printf("shard mode: /v1/preload disabled (advisories need the whole vocabulary)")
-	} else if boot.Served != nil {
-		if err := srv.SetCatalog(boot.Served, w); err != nil {
+	} else if served != nil {
+		if err := srv.SetCatalog(served, w); err != nil {
 			return err
 		}
-		logger.Printf("preload advisories enabled over %d catalog videos", boot.Served.N())
+		logger.Printf("preload advisories enabled over %d catalog videos", served.N())
 	} else {
 		logger.Printf("no synthetic catalog: /v1/preload disabled")
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"viewstags/internal/alexa"
@@ -134,8 +135,18 @@ func checkBoot(t *testing.T, what string, res *Result, b *Boot, owns func(string
 
 // TestBootSyntheticMatchesRetainingPath: satellite tests (b) and (d) —
 // BootSynthetic against FromSynthetic on the benchmark catalog and a
-// small one, every slice.
+// small one, every slice — and with 1, 2 and 8 Ps under the generator's
+// two stages, which must not show in a bit of either path.
 func TestBootSyntheticMatchesRetainingPath(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			testBootSyntheticMatchesRetainingPath(t)
+		})
+	}
+}
+
+func testBootSyntheticMatchesRetainingPath(t *testing.T) {
 	sizes := []int{2000, 20000}
 	if testing.Short() {
 		sizes = sizes[:1]

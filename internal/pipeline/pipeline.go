@@ -101,6 +101,7 @@ func BootSynthetic(videos int, seed uint64, alexaCfg alexa.Config, owns func(tag
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: generate: %w", err)
 	}
+	defer gen.Close() // a visit error leaves it half drained
 	cat := gen.Catalog()
 	var served *synth.Served
 	if keepServed {

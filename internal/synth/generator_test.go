@@ -1,9 +1,11 @@
 package synth
 
 import (
+	"fmt"
 	"hash"
 	"hash/fnv"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"viewstags/internal/dataset"
@@ -43,18 +45,32 @@ func hashVideo(h hash.Hash64, v *Video) {
 	put(uint64(v.PopState))
 }
 
+// atEachGOMAXPROCS runs f as a subtest with 1, 2 and 8 Ps: the generator's
+// two stages time-slicing one thread, on a core each, and among more
+// threads than this box has cores. The videos must not depend on which.
+func atEachGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
+	}
+}
+
 func TestGenerateMatchesPreStreamingGolden(t *testing.T) {
-	cat, err := Generate(DefaultConfig(2000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	for i := range cat.Videos {
-		hashVideo(h, &cat.Videos[i])
-	}
-	if got := h.Sum64(); got != catalogHash2000 {
-		t.Fatalf("catalog hash %#x, want %#x: generation order or arithmetic changed", got, uint64(catalogHash2000))
-	}
+	atEachGOMAXPROCS(t, func(t *testing.T) {
+		cat, err := Generate(DefaultConfig(2000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for i := range cat.Videos {
+			hashVideo(h, &cat.Videos[i])
+		}
+		if got := h.Sum64(); got != catalogHash2000 {
+			t.Fatalf("catalog hash %#x, want %#x: generation order or arithmetic changed", got, uint64(catalogHash2000))
+		}
+	})
 }
 
 // TestGeneratorDrainsToGenerate pins the two ways of calling Next to the
@@ -62,6 +78,10 @@ func TestGenerateMatchesPreStreamingGolden(t *testing.T) {
 // slices owned per video) and into one reused Video (the non-retaining
 // boot — same content, TrueViews and PopVector in one backing array).
 func TestGeneratorDrainsToGenerate(t *testing.T) {
+	atEachGOMAXPROCS(t, testGeneratorDrainsToGenerate)
+}
+
+func testGeneratorDrainsToGenerate(t *testing.T) {
 	for _, seed := range []uint64{20110301, 7} {
 		cfg := DefaultConfig(1500)
 		cfg.Seed = seed
@@ -136,6 +156,40 @@ func TestGeneratorDrainsToGenerate(t *testing.T) {
 		if reuse.Next(&v) {
 			t.Fatalf("seed %d: Next produced a video past the end", seed)
 		}
+		reuse.Close() // after exhaustion: nothing left to stop
+		if reuse.Next(&v) {
+			t.Fatalf("seed %d: Next produced a video after Close", seed)
+		}
+	}
+}
+
+// TestGeneratorCloseLeavesNoGoroutine: a generator abandoned part-way —
+// what a visit error does to a boot — is stopped and joined by Close, at
+// whatever point of a batch or of the ring it was left; Close is
+// idempotent, works before the first Next, and ends the stream.
+func TestGeneratorCloseLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := DefaultConfig(1000)
+	for i := 0; i < 200; i++ {
+		g, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v Video
+		for n := 0; n < i; n++ { // 0 videos (never started) … 199 (six batches in)
+			if !g.Next(&v) {
+				t.Fatalf("generator %d ended at video %d", i, n)
+			}
+		}
+		g.Close()
+		g.Close()
+		if g.Next(&v) {
+			t.Fatalf("generator %d: Next produced a video after Close", i)
+		}
+	}
+	// Close has joined every producer, so there is nothing to wait for.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after closing 200 half-drained generators, %d before", after, before)
 	}
 }
 

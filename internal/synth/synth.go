@@ -196,6 +196,7 @@ func Generate(cfg Config) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer g.Close()
 	cat := g.Catalog()
 	cat.Videos = make([]Video, cfg.Videos)
 	for i := range cat.Videos {
@@ -207,22 +208,67 @@ func Generate(cfg Config) (*Catalog, error) {
 // Generator produces a catalog's videos one at a time, in catalog order:
 // the resumable form of Generate, for a caller that wants each video
 // once (a daemon aggregating tag profiles at boot) and not the corpus.
-// Not safe for concurrent use.
+//
+// It is a two-stage pipeline. The first Next starts a producer goroutine
+// that draws, a batch of videos ahead, everything that precedes a video's
+// view field; Next itself spreads the views and derives the Map-Chart
+// vector. Each RNG stream is read by one stage only, in catalog order, so
+// the videos do not depend on how the two are scheduled (DESIGN.md §2).
+// Close stops the producer; a Generator that is not drained must be
+// closed. Not safe for concurrent use.
 type Generator struct {
 	cfg   Config
 	world *geo.World
 	voc   *tags.Vocabulary
-	next  int // index of the video the next call produces
 
-	prior     []float64
-	gravity   [][]float64 // language-gravity vector per upload country
-	uploadCat *xrand.Categorical
+	prior   []float64
+	gravity [][]float64 // language-gravity vector per upload country
 
+	// Producer stage: its streams, and world-sized scratch.
+	uploadCat                                  *xrand.Categorical
 	viewSrc, tagSrc, geoSrc, pathSrc, titleSrc *xrand.Source
+	alpha, field, affinity                     []float64
 
-	// Per-video scratch, world-sized; spread is re-aimed at each draw.
-	alpha, field, affinity, draw, views, intensity []float64
-	spread                                         xrand.Categorical
+	// The ring between the stages: ringDepth batches circulate, so neither
+	// channel (each of that capacity) ever blocks a send. full is closed by
+	// the producer when it returns; stop tells it to, and done says it has.
+	full, free chan *batch
+	stop, done chan struct{}
+	closed     bool // exhausted or Closed: Next returns false
+
+	// Consumer stage (the caller's goroutine): the batch being handed out,
+	// the spread sampler with the stream every video's spread restarts
+	// from, and world-sized scratch.
+	cur              *batch
+	pos              int
+	spread           xrand.Categorical
+	spreadStart      xrand.Source
+	spreadSrc        xrand.Source
+	views, intensity []float64
+}
+
+const (
+	// batchVideos is how many videos the producer draws per hand-over:
+	// enough that the two channel operations a batch costs vanish beside
+	// its draws.
+	batchVideos = 32
+	// ringDepth is the number of batches in circulation: one being read,
+	// one being filled, two of slack for uneven videos. The ring is
+	// ringDepth × batchVideos × (a country table of float64 + a Video),
+	// ≈ 80 KB.
+	ringDepth = 4
+)
+
+// draft is what the producer stage draws of one video.
+type draft struct {
+	video Video   // everything but TrueViews, PopVector and PopState
+	popU  float64 // the video's second pathology draw: which PopState
+}
+
+// batch is one hand-over of the ring.
+type batch struct {
+	drafts []draft
+	fields []float64 // per draft, its Dirichlet-drawn view field: a world-sized row
 }
 
 // NewGenerator validates cfg and builds the world and vocabulary the
@@ -258,7 +304,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 
 	n := world.N()
-	scratch := make([]float64, 6*n)
+	scratch := make([]float64, 5*n)
 	g := &Generator{
 		cfg: cfg, world: world, voc: voc,
 		prior:    world.Traffic(),
@@ -268,9 +314,12 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		pathSrc:  root.Fork("pathology"),
 		titleSrc: root.Fork("title"),
 		alpha:    scratch[0*n : 1*n], field: scratch[1*n : 2*n], affinity: scratch[2*n : 3*n],
-		draw: scratch[3*n : 4*n], views: scratch[4*n : 5*n], intensity: scratch[5*n : 6*n],
+		views: scratch[3*n : 4*n], intensity: scratch[4*n : 5*n],
 	}
 	g.uploadCat = xrand.NewCategorical(root.Fork("upload"), g.prior)
+	// Fork reads only its parent's seed, so this is one fixed stream:
+	// every video's spread restarts from it (DESIGN.md §2).
+	g.spreadStart = *g.geoSrc.Fork("spread")
 	// Language-gravity vectors are shared per country; precompute.
 	g.gravity = make([][]float64, n)
 	for c := range g.gravity {
@@ -285,20 +334,60 @@ func (g *Generator) Catalog() *Catalog {
 	return &Catalog{World: g.world, Vocab: g.voc, Config: g.cfg}
 }
 
-// Next overwrites v with the next video and reports whether there was
-// one (false once cfg.Videos have been produced). v's TrueViews and
-// PopVector backing arrays are reused when they hold a country table's
-// worth: a caller that passes the same Video every time allocates
-// neither, a caller that passes a zero Video (Generate) gets slices it
-// owns. Either way the RNG calls, and so the videos, are the same.
-func (g *Generator) Next(v *Video) bool {
-	if g.next >= g.cfg.Videos {
-		return false
+// Close stops the producer stage and waits for it to exit. It is
+// idempotent; after it Next returns false.
+func (g *Generator) Close() {
+	if g.closed {
+		return
 	}
-	cfg, voc, n := &g.cfg, g.voc, g.world.N()
-	trueViews, pop := v.TrueViews, v.PopVector
-	*v = Video{Index: g.next}
-	g.next++
+	g.closed, g.cur = true, nil
+	if g.stop != nil {
+		close(g.stop)
+		<-g.done
+	}
+}
+
+// start fills the ring with empty batches and launches the producer.
+func (g *Generator) start() {
+	n := g.world.N()
+	g.full, g.free = make(chan *batch, ringDepth), make(chan *batch, ringDepth)
+	g.stop, g.done = make(chan struct{}), make(chan struct{})
+	for i := 0; i < ringDepth; i++ {
+		g.free <- &batch{drafts: make([]draft, 0, batchVideos), fields: make([]float64, batchVideos*n)}
+	}
+	go g.produce()
+}
+
+// produce is the producer stage: it drafts the catalog in order, a batch
+// at a time, until the last video or a Close.
+func (g *Generator) produce() {
+	defer close(g.done)
+	defer close(g.full)
+	n := g.world.N()
+	for next := 0; next < g.cfg.Videos; {
+		var b *batch
+		select {
+		case b = <-g.free:
+		case <-g.stop:
+			return
+		}
+		b.drafts = b.drafts[:0]
+		for ; next < g.cfg.Videos && len(b.drafts) < batchVideos; next++ {
+			i := len(b.drafts)
+			b.drafts = b.drafts[:i+1]
+			g.draft(&b.drafts[i], b.fields[i*n:(i+1)*n], next)
+		}
+		g.full <- b
+	}
+}
+
+// draft draws video index's draft into d and its view field into field,
+// consuming the upload, title, views, tag-set, pathology and geo streams
+// in the order the videos have always consumed them.
+func (g *Generator) draft(d *draft, field []float64, index int) {
+	cfg, voc := &g.cfg, g.voc
+	v := &d.video
+	*v = Video{Index: index}
 	v.ID = VideoID(cfg.Seed, v.Index)
 	v.Upload = geo.CountryID(g.uploadCat.Draw())
 	v.Category = youTubeCategories2011[g.titleSrc.Intn(len(youTubeCategories2011))]
@@ -326,16 +415,50 @@ func (g *Generator) Next(v *Video) bool {
 		}
 		g.alpha[c] = a
 	}
-	g.geoSrc.Dirichlet(g.alpha, g.draw)
+	g.geoSrc.Dirichlet(g.alpha, field)
+	d.popU = g.pathSrc.Float64()
+}
+
+// Next overwrites v with the next video and reports whether there was
+// one (false once cfg.Videos have been produced, or after Close). v's
+// TrueViews and PopVector backing arrays are reused when they hold a
+// country table's worth: a caller that passes the same Video every time
+// allocates neither, a caller that passes a zero Video (Generate) gets
+// slices it owns. Either way the RNG calls, and so the videos, are the
+// same.
+func (g *Generator) Next(v *Video) bool {
+	if g.closed {
+		return false
+	}
+	if g.cur == nil || g.pos == len(g.cur.drafts) {
+		if g.cur == nil {
+			g.start() // the first Next
+		} else {
+			g.free <- g.cur
+		}
+		b, ok := <-g.full
+		if !ok {
+			g.Close()
+			return false
+		}
+		g.cur, g.pos = b, 0
+	}
+	n := g.world.N()
+	d, field := &g.cur.drafts[g.pos], g.cur.fields[g.pos*n:(g.pos+1)*n]
+	g.pos++
+
+	trueViews, pop := v.TrueViews, v.PopVector
+	*v = d.video
 	// Distribute the total across countries by the drawn field, exactly
 	// (counts sum to TotalViews).
-	g.spread.Reset(g.geoSrc.Fork("spread"), g.draw)
+	g.spreadSrc = g.spreadStart
+	g.spread.Reset(&g.spreadSrc, field)
 	if cap(trueViews) < n {
 		trueViews = make([]int64, n)
 	}
 	v.TrueViews = g.spread.MultinomialInto(trueViews[:n], v.TotalViews)
 
-	g.assignPopVector(v, pop)
+	g.assignPopVector(v, pop, d.popU)
 	return true
 }
 
@@ -401,9 +524,9 @@ func gravityVector(world *geo.World, upload geo.CountryID) []float64 {
 // assignPopVector computes the Map-Chart popularity vector from the
 // ground-truth views, or injects one of the paper's two popularity-vector
 // pathologies (empty map / corrupt vector). pop is the backing array to
-// reuse when it holds a country table's worth.
-func (g *Generator) assignPopVector(v *Video, pop []int) {
-	u := g.pathSrc.Float64()
+// reuse when it holds a country table's worth, u the video's draw from
+// the pathology stream.
+func (g *Generator) assignPopVector(v *Video, pop []int, u float64) {
 	if u < g.cfg.PopEmptyRate {
 		v.PopState = PopStateEmpty
 		v.PopVector = pop[:0] // no vector; nil unless the caller lent an array

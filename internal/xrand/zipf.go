@@ -83,7 +83,19 @@ func searchCDF(cdf []float64, u float64) int {
 type Categorical struct {
 	cdf []float64
 	src *Source
+
+	// guide[k] is searchCDF(cdf, k/guideBuckets): a draw whose u falls in
+	// bucket k is found between guide[k] and guide[k+1], usually a step or
+	// two apart. Built by the first Draw after a Reset, so a sampler that
+	// is re-aimed and never drawn from does not pay for it.
+	guide  [guideBuckets + 1]uint16
+	guided bool
 }
+
+// guideBuckets divides [0, 1) for the guide table. A power of two, so
+// u*guideBuckets is exact and a u on a bucket edge lands in the bucket it
+// opens.
+const guideBuckets = 64
 
 // NewCategorical builds a categorical sampler from weights. It panics if
 // weights is empty, contains a negative entry, or sums to zero.
@@ -120,12 +132,44 @@ func (c *Categorical) Reset(src *Source, weights []float64) {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	c.cdf, c.src = cdf, src
+	c.cdf, c.src, c.guided = cdf, src, false
 }
 
 // Draw samples one index.
-func (c *Categorical) Draw() int {
-	return searchCDF(c.cdf, c.src.Float64())
+func (c *Categorical) Draw() int { return c.find(c.src.Float64()) }
+
+// find returns exactly searchCDF(c.cdf, u), from the guide table instead
+// of a search of the whole CDF.
+func (c *Categorical) find(u float64) int {
+	if len(c.cdf) > math.MaxUint16 {
+		return searchCDF(c.cdf, u) // a guide entry is 16 bits
+	}
+	if !c.guided {
+		c.buildGuide()
+	}
+	// searchCDF is monotone in u, so the answer lies between the answers
+	// for the bucket's two edges; the CDF is non-decreasing, so the first
+	// entry at or above u in that range is it.
+	k := int(u * guideBuckets)
+	i, hi := int(c.guide[k]), int(c.guide[k+1])
+	for i < hi && c.cdf[i] < u {
+		i++
+	}
+	return i
+}
+
+// buildGuide fills the guide table in one sweep of the CDF.
+func (c *Categorical) buildGuide() {
+	last := len(c.cdf) - 1
+	i := 0
+	for k := range c.guide {
+		edge := float64(k) / guideBuckets
+		for i < last && c.cdf[i] < edge {
+			i++
+		}
+		c.guide[k] = uint16(i)
+	}
+	c.guided = true
 }
 
 // N returns the number of categories.

@@ -16,6 +16,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -344,6 +345,49 @@ func TestRecoveryEndToEnd(t *testing.T) {
 	ref, closeRef := referenceNode(t, []server.IngestRequest{recoveryBatchA(), recoveryBatchB()})
 	defer closeRef()
 	assertSameGeography(t, d2.url, ref.URL, 1e-9)
+}
+
+// TestShardRestartSkipsTheBuild: a durable shard that finds a checkpoint
+// serves it without generating the corpus first — the fresh build it used
+// to make was discarded for the checkpoint's snapshot. The restarted
+// shard reports the state it stopped with and never ran the pass.
+func TestShardRestartSkipsTheBuild(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and kills a real daemon")
+	}
+	dataDir := t.TempDir()
+	d := startDaemon(t, dataDir, "-shard", "0/3", "-checkpoint-every", "1")
+	client := &http.Client{Timeout: 30 * time.Second}
+	if code := postJSON(t, client, d.url+"/v1/ingest", recoveryBatchA(), nil); code != http.StatusOK {
+		t.Fatalf("ingest: status %d", code)
+	}
+	if code := postJSON(t, client, d.url+"/v1/checkpoint", struct{}{}, nil); code != http.StatusOK {
+		t.Fatalf("checkpoint: status %d", code)
+	}
+	var before, after server.InternalMetaResponse
+	if code := getJSON(t, client, d.url+server.InternalMetaPath, &before); code != http.StatusOK {
+		t.Fatalf("meta: status %d", code)
+	}
+	if before.Epoch < 1 {
+		t.Fatalf("epoch %d after a fold, want >= 1", before.Epoch)
+	}
+	d.kill() // a log is read only once its daemon has exited
+	if log := d.stderr.String(); !strings.Contains(log, "generating") {
+		t.Fatalf("first boot did not run the synthetic pass:\n%s", log)
+	}
+
+	d2 := startDaemon(t, dataDir, "-shard", "0/3", "-checkpoint-every", "1")
+	if code := getJSON(t, client, d2.url+server.InternalMetaPath, &after); code != http.StatusOK {
+		t.Fatalf("meta after restart: status %d", code)
+	}
+	if after.Tags != before.Tags || after.Records != before.Records || after.Epoch != before.Epoch {
+		t.Fatalf("restarted shard reports %d tags, %d records, epoch %d; it stopped with %d, %d, %d",
+			after.Tags, after.Records, after.Epoch, before.Tags, before.Records, before.Epoch)
+	}
+	d2.term()
+	if log := d2.stderr.String(); !strings.Contains(log, "recovered checkpoint") || strings.Contains(log, "generating") {
+		t.Fatalf("restarted shard should recover and not generate:\n%s", log)
+	}
 }
 
 // TestGracefulShutdownFlush pins the clean-stop contract: ack, SIGTERM,
