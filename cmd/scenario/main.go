@@ -2,13 +2,17 @@
 // it boots a real serve/gateway cluster, drives a scripted open-loop
 // workload with injected faults, scores the run against the scenario's
 // SLOs and writes the machine-readable BENCH_scenarios.json trajectory
-// artifact.
+// artifact. With -target it boots nothing and drives the same phases,
+// scored the same way, at a daemon that is already running (a node or a
+// gateway; the spec's videos and seed must be the daemon's, and it may
+// declare no chaos).
 //
 // Usage:
 //
 //	scenario list
 //	scenario run -scenario chaos-smoke -out BENCH_scenarios.json
 //	scenario run -spec my-scenario.json -serve-bin ./serve -gateway-bin ./gateway
+//	scenario run -target http://127.0.0.1:8091 -spec examples/scenarios/steady-mixed.json
 //	scenario compare -baseline BENCH_scenarios.json -run /tmp/new.json
 //
 // `run` exits 0 only when the run completed AND every SLO passed.
@@ -61,6 +65,9 @@ run flags:
   -scenario NAME   builtin scenario (see list)
   -spec FILE       JSON spec instead of a builtin
   -out FILE        write BENCH_scenarios.json here (default BENCH_scenarios.json)
+  -target URL      drive a running node or gateway at this base URL: nothing is
+                   built or booted, the spec may declare no chaos, and the flags
+                   below that shape a booted tier have no effect
   -serve-bin PATH  prebuilt cmd/serve (default: go build into the workdir)
   -gateway-bin PATH  prebuilt cmd/gateway
   -workdir DIR     scratch dir (default: temp, removed)
@@ -81,6 +88,7 @@ func runCmd(args []string) error {
 		name     = fs.String("scenario", "", "builtin scenario name")
 		specPath = fs.String("spec", "", "JSON spec file (overrides -scenario)")
 		out      = fs.String("out", "BENCH_scenarios.json", "report output path")
+		target   = fs.String("target", "", "base URL of a running node or gateway to drive instead of booting a tier (the spec may declare no chaos)")
 		serveBin = fs.String("serve-bin", "", "prebuilt cmd/serve binary")
 		gwBin    = fs.String("gateway-bin", "", "prebuilt cmd/gateway binary")
 		workdir  = fs.String("workdir", "", "scratch directory (default: temp)")
@@ -114,6 +122,7 @@ func runCmd(args []string) error {
 		dir = filepath.Dir(*out)
 	}
 	rep, err := scenario.Run(sc, scenario.RunOptions{
+		Target:  *target,
 		Bins:    scenario.Binaries{Serve: *serveBin, Gateway: *gwBin},
 		Workdir: *workdir,
 		Keep:    *keep,

@@ -5,8 +5,8 @@
 // placement service on an ephemeral loopback port, and then plays the
 // client side: predict where a fresh Brazilian-tagged upload will be
 // watched, ask where its replicas should go, and fetch Brazil's
-// cache-preload advisory — the same session a curl user or cmd/loadgen
-// would drive against cmd/serve.
+// cache-preload advisory — the same session a curl user or
+// cmd/scenario run -target would drive against cmd/serve.
 //
 //	go run ./examples/serve-predict
 package main

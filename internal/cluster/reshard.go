@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -214,33 +215,45 @@ func (g *Gateway) catchUpShard(ctx context.Context, tp *topology, d int) error {
 	return nil
 }
 
-// Reshard moves the cluster onto newTargets live: every destination
+// errReshardRequest marks a Reshard failure as the shape of the request
+// (a 400: nothing the tier's state could change), as opposed to the
+// state of the tier (a 503: heal it and retry).
+var errReshardRequest = errors.New("cluster: bad reshard request")
+
+// Reshard moves the cluster onto targets live: every destination
 // receives its slice from the current tier, adopts its new identity,
 // and the gateway cuts its topology over — all under the request
 // barrier, so no client request ever straddles the move. Targets
 // already in the cluster keep their node (and its health state); their
 // adopt step prunes the slice they no longer own. The replica factor is
-// preserved, so len(newTargets) must still be >= Replicas. tr, when
-// non-nil, receives per-step spans (transfer per destination, adopt,
-// cutover) for the stitched trace view.
+// preserved, so len(targets) must still be >= Replicas, and a URL may
+// appear once. tr, when non-nil, receives per-step spans (transfer per
+// destination, adopt, cutover) for the stitched trace view.
 //
 // Preconditions: every current shard up and in read rotation (a
 // reshard is a planned operation; run it on a healthy tier), and every
 // incoming target ready with the same dataset (country table and
 // prior).
-func (g *Gateway) Reshard(ctx context.Context, newTargets []string, tr *obs.Trace) error {
-	for i, t := range newTargets {
+func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) error {
+	newTargets := make([]string, len(targets))
+	for i, t := range targets {
 		newTargets[i] = strings.TrimSuffix(strings.TrimSpace(t), "/")
+		// One daemon cannot hold two ring indexes: it would adopt each in
+		// turn, pruning to the first slice and then pruning that to the
+		// second, and a ring signature carries no index to catch it.
+		if slices.Contains(newTargets[:i], newTargets[i]) {
+			return fmt.Errorf("%w: target %s is listed twice", errReshardRequest, newTargets[i])
+		}
 	}
 	g.opMu.Lock()
 	defer g.opMu.Unlock()
 	tp := g.topo.Load()
 	replicas := tp.ring.Replicas()
 	if len(newTargets) == 0 {
-		return fmt.Errorf("cluster: reshard needs at least one target")
+		return fmt.Errorf("%w: at least one target is needed", errReshardRequest)
 	}
 	if len(newTargets) < replicas {
-		return fmt.Errorf("cluster: %d targets cannot hold %d replicas", len(newTargets), replicas)
+		return fmt.Errorf("%w: %d targets cannot hold %d replicas", errReshardRequest, len(newTargets), replicas)
 	}
 	for i, s := range tp.shards {
 		if s.down.Load() {
@@ -343,7 +356,7 @@ func (g *Gateway) Reshard(ctx context.Context, newTargets []string, tr *obs.Trac
 	g.setHandoff(epoch, HandoffCutover, len(tp.targets), len(newTargets))
 	ntp := &topology{
 		ring:    newRing,
-		targets: append([]string(nil), newTargets...),
+		targets: newTargets,
 		shards:  make([]*shardState, len(newTargets)),
 		streams: make([]*shardStream, len(newTargets)),
 		rows:    newRowCache(),
@@ -392,7 +405,11 @@ func (g *Gateway) handleReshard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := g.Reshard(r.Context(), req.Targets, server.TraceFrom(r)); err != nil {
-		server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
+		status := http.StatusServiceUnavailable
+		if errors.Is(err, errReshardRequest) {
+			status = http.StatusBadRequest
+		}
+		server.WriteError(w, status, "%v", err)
 		return
 	}
 	tp := g.topo.Load()

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"time"
@@ -14,9 +13,7 @@ import (
 // mutex: counts by outcome plus a fixed-bucket latency histogram — the
 // same obs.Histogram behind the daemons' /v1/stats and /metrics, so
 // client-side and server-side percentiles are directly comparable — so
-// a run of any length costs O(1) memory. It is shared by cmd/loadgen's
-// closed-loop report and the scenario engine's SLO scoring, which is
-// exactly why it lives here rather than in either binary.
+// a run of any length costs O(1) memory.
 //
 // A collector may carry a warmup cutoff: observations whose request
 // *completed* before the cutoff are tallied separately (Warmup) and
@@ -100,8 +97,8 @@ type Latency struct {
 	MaxMs  float64 `json:"max_ms"`
 }
 
-// Stream is one direction's (read or write) machine-readable summary —
-// the block both BENCH_loadgen.json and BENCH_scenarios.json embed.
+// Stream is one direction's (read or write) machine-readable summary,
+// the block a scenario report embeds per run and per phase.
 // Rates are computed over the measured (post-warmup) window.
 type Stream struct {
 	Requests       int64   `json:"requests"`
@@ -148,40 +145,6 @@ func (c *Collector) Snapshot(measured time.Duration) Stream {
 		s.ItemsPerSec = float64(c.items) / secs
 	}
 	return s
-}
-
-// Requests returns the scored (post-warmup) request count.
-func (c *Collector) Requests() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.requests
-}
-
-// Items returns the scored item count.
-func (c *Collector) Items() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.items
-}
-
-// Report prints the human block cmd/loadgen shows; itemNoun is
-// "predictions" or "events".
-func (c *Collector) Report(label, itemNoun string, measured time.Duration, batch int) {
-	s := c.Snapshot(measured)
-	warm := ""
-	if s.Warmup > 0 {
-		warm = fmt.Sprintf(", %d warmup excluded", s.Warmup)
-	}
-	fmt.Printf("%s requests  %d (%.0f req/s, %d errors, %d shed%s)\n",
-		label, s.Requests, s.RequestsPerSec, s.Errors, s.Shed, warm)
-	extra := ""
-	if itemNoun == "predictions" {
-		extra = fmt.Sprintf(", %d prior-fallbacks", s.Fallbacks)
-	}
-	fmt.Printf("%s %-9s %d (%.0f/s, batch=%d%s)\n",
-		label, itemNoun, s.Items, s.ItemsPerSec, batch, extra)
-	fmt.Printf("%s latency ms mean=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f\n",
-		label, s.Latency.MeanMs, s.Latency.P50Ms, s.Latency.P90Ms, s.Latency.P99Ms, s.Latency.MaxMs)
 }
 
 func noNaN(v float64) float64 {

@@ -17,6 +17,15 @@ import (
 
 // RunOptions parameterizes one engine run.
 type RunOptions struct {
+	// Target, when set, is the base URL of a daemon that is already
+	// running — a node or a gateway. The engine then builds, boots and
+	// owns nothing: it drives the spec's phases at that address and
+	// scrapes, traces and scores as it does a tier it booted. The spec's
+	// topology fields are ignored (videos and seed must match the daemon,
+	// or its tags are not the ones asked about) and a spec with chaos is
+	// refused, because the engine can only fault processes it started.
+	// Bins, ModuleDir, Race, Workdir and Keep have no effect.
+	Target string
 	// Bins are prebuilt serve/gateway binaries; zero means build them
 	// into the workdir (requires the go toolchain and the module root
 	// as the working directory or ModuleDir).
@@ -185,11 +194,12 @@ func (s *scraper) snapshot() []scrapeSample {
 	return append([]scrapeSample(nil), s.samples...)
 }
 
-// Run executes one scenario end to end: boot, traffic + chaos, scrape,
-// score. The returned report is fully scored; rep.Pass is the SLO
-// verdict. An error means the run itself could not be carried out
-// (boot failure, chaos that wouldn't apply) — an SLO breach is NOT an
-// error, it's a scored fail.
+// Run executes one scenario end to end: boot (or, with opts.Target,
+// attach to what is already running), traffic + chaos, scrape, score.
+// The returned report is fully scored; rep.Pass is the SLO verdict. An
+// error means the run itself could not be carried out (boot failure,
+// chaos that wouldn't apply) — an SLO breach is NOT an error, it's a
+// scored fail.
 func Run(sc *Spec, opts RunOptions) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
@@ -198,37 +208,50 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 	if logger == nil {
 		logger = log.New(os.Stderr, "scenario: ", log.LstdFlags)
 	}
-	workdir := opts.Workdir
-	if workdir == "" {
-		dir, err := Workdir()
-		if err != nil {
+	// base is where traffic, scrapes and trace fetches go; cluster stays
+	// nil when the daemon there is not the engine's (no chaos to apply).
+	base := strings.TrimSuffix(opts.Target, "/")
+	var cluster *Cluster
+	if base != "" {
+		if len(sc.Chaos) > 0 {
+			return nil, fmt.Errorf("scenario %s declares %d chaos event(s), and the engine can only fault processes it started — drop the chaos block to drive the target %s, or run without a target",
+				sc.Name, len(sc.Chaos), base)
+		}
+		logger.Printf("driving %s (videos=%d seed=%d must match it)", base, sc.Videos, sc.Seed)
+	} else {
+		workdir := opts.Workdir
+		if workdir == "" {
+			dir, err := Workdir()
+			if err != nil {
+				return nil, err
+			}
+			workdir = dir
+			if !opts.Keep {
+				defer func() { _ = os.RemoveAll(dir) }()
+			} else {
+				logger.Printf("keeping workdir %s", dir)
+			}
+		}
+		bins := opts.Bins
+		if bins.Serve == "" || bins.Gateway == "" {
+			logger.Printf("building serve + gateway into %s", workdir)
+			built, err := BuildBinaries(workdir, opts.ModuleDir, opts.Race)
+			if err != nil {
+				return nil, err
+			}
+			bins = built
+		}
+
+		logger.Printf("booting %d shard(s) + gateway (videos=%d durable=%v)", sc.Shards, sc.Videos, sc.Durable)
+		var err error
+		if cluster, err = StartCluster(bins, sc, workdir, logger); err != nil {
 			return nil, err
 		}
-		workdir = dir
-		if !opts.Keep {
-			defer func() { _ = os.RemoveAll(dir) }()
-		} else {
-			logger.Printf("keeping workdir %s", dir)
-		}
-	}
-	bins := opts.Bins
-	if bins.Serve == "" || bins.Gateway == "" {
-		logger.Printf("building serve + gateway into %s", workdir)
-		built, err := BuildBinaries(workdir, opts.ModuleDir, opts.Race)
-		if err != nil {
-			return nil, err
-		}
-		bins = built
+		defer cluster.Stop()
+		base = cluster.GatewayURL()
 	}
 
-	logger.Printf("booting %d shard(s) + gateway (videos=%d durable=%v)", sc.Shards, sc.Videos, sc.Durable)
-	cluster, err := StartCluster(bins, sc, workdir, logger)
-	if err != nil {
-		return nil, err
-	}
-	defer cluster.Stop()
-
-	w, err := newWorkload(sc, cluster.GatewayURL())
+	w, err := newWorkload(sc, base)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +263,7 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 	trafficStart := time.Now()
 	w.start(trafficStart)
 	scr := &scraper{
-		base:     cluster.GatewayURL(),
+		base:     base,
 		client:   &http.Client{Timeout: 3 * time.Second},
 		start:    trafficStart,
 		interval: scrapeEvery,
@@ -248,7 +271,7 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 	runCtx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	trc := &tracer{
-		base:   cluster.GatewayURL(),
+		base:   base,
 		client: &http.Client{Timeout: 3 * time.Second},
 		logger: logger,
 	}

@@ -1,13 +1,17 @@
-// Package scenario is the declarative chaos/SLO harness: it boots real
-// serve/gateway binaries, drives open-loop traffic phases (diurnal
+// Package scenario is the declarative chaos/SLO harness and the
+// repository's one open-loop load driver: it boots real serve/gateway
+// binaries — or attaches to a daemon that is already running
+// (RunOptions.Target) — drives open-loop traffic phases (diurnal
 // regional waves, flash-crowd viral tags, ingest bursts, catalog
-// churn), injects chaos (SIGKILL a shard, slow-shard brownout via a
-// delaying proxy, gateway restart) and scores the run against declared
-// SLOs — latency quantiles from the same collector cmd/loadgen uses,
-// error/shed budgets, epoch staleness and recovery time from mid-run
-// gateway scrapes. Runs emit a machine-readable report (schema
-// viewstags-scenario/v1) that the comparator diffs against a
-// checked-in baseline, so the perf trajectory lives in-repo.
+// churn), injects chaos into what it booted (SIGKILL a shard, slow-shard
+// brownout via a delaying proxy, gateway restart) and scores the run
+// against declared SLOs — latency quantiles from the histogram the
+// daemons report theirs from, error/shed budgets, epoch staleness and
+// recovery time from mid-run gateway scrapes. Runs emit a
+// machine-readable report (schema viewstags-scenario/v1) that the
+// comparator diffs against a checked-in baseline, so the perf
+// trajectory lives in-repo. Closed-loop capacity ("how much can it
+// take") is bench/'s question, not this package's.
 //
 // cmd/scenario is the CLI; the package is exported so the root e2e
 // test drives the same engine CI does.
@@ -66,7 +70,7 @@ type Phase struct {
 	Rate float64 `json:"rate"`
 	// Batch is items per request (predict items or ingest events).
 	Batch int `json:"batch,omitempty"`
-	// IngestFrac is the write fraction of arrivals, as in loadgen.
+	// IngestFrac is the write fraction of arrivals (0 = read-only).
 	IngestFrac float64 `json:"ingest_frac,omitempty"`
 	// Zipf is the base popularity exponent for video draws (default 1.1).
 	Zipf float64 `json:"zipf,omitempty"`

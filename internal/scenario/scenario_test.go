@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -158,5 +159,18 @@ func TestLoadParsesFullSpec(t *testing.T) {
 	}
 	if got := sc.Duration(); got != 2500*time.Millisecond {
 		t.Fatalf("Duration() = %s, want 2.5s", got)
+	}
+
+	// The checked-in spec the docs and CI hand to `run -target` stays
+	// loadable, and attachable: no chaos, both streams declared.
+	data, err := os.ReadFile("../../examples/scenarios/steady-mixed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc, err = Load(data); err != nil {
+		t.Fatal(err)
+	}
+	if len(sc.Chaos) != 0 || sc.Phases[0].IngestFrac <= 0 || sc.Phases[0].IngestFrac >= 1 || sc.Warmup <= 0 {
+		t.Fatalf("example spec is not an attachable mixed run with warmup: %+v", sc)
 	}
 }

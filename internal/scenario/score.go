@@ -5,17 +5,21 @@ import "fmt"
 // metricValue resolves one SLO's measured value from the report.
 // Cluster metrics read the scrape-derived block; stream metrics read
 // the collector snapshot of the named stream. A declared SLO over a
-// stream that never flowed (nil) scores the zero stream — bounds like
-// "throughput min" then fail loudly instead of vacuously passing.
-func metricValue(rep *Report, o *SLO) float64 {
+// stream that never flowed (nil) scores the zero stream, so a
+// "throughput min" bound fails loudly instead of vacuously passing.
+// observed is false when nothing stands behind the value — a latency
+// quantile over a stream that served no request (every one failed, was
+// shed, or none was sent: the 0 is not a latency), or a recovery the run
+// never saw complete — and such a row fails whatever its bound.
+func metricValue(rep *Report, o *SLO) (v float64, observed bool) {
 	if o.Stream == "cluster" {
 		switch o.Metric {
 		case MetricStaleness:
-			return float64(rep.Cluster.MaxStaleness)
+			return float64(rep.Cluster.MaxStaleness), true
 		case MetricRecoverySecs:
-			return rep.Cluster.WorstRecovery
+			return rep.Cluster.WorstRecovery, rep.Cluster.WorstRecovery >= 0
 		}
-		return 0
+		return 0, true
 	}
 	var s Stream
 	switch o.Stream {
@@ -28,33 +32,33 @@ func metricValue(rep *Report, o *SLO) float64 {
 			s = *rep.Write
 		}
 	}
+	served := s.Requests-s.Errors-s.Shed > 0
 	switch o.Metric {
 	case MetricP50:
-		return s.Latency.P50Ms
+		return s.Latency.P50Ms, served
 	case MetricP90:
-		return s.Latency.P90Ms
+		return s.Latency.P90Ms, served
 	case MetricP99:
-		return s.Latency.P99Ms
+		return s.Latency.P99Ms, served
 	case MetricErrorRate:
-		return s.ErrorRate()
+		return s.ErrorRate(), true
 	case MetricShedRate:
-		return s.ShedRate()
+		return s.ShedRate(), true
 	case MetricThroughput:
-		return s.RequestsPerSec
+		return s.RequestsPerSec, true
 	}
-	return 0
+	return 0, true
 }
 
 // Score fills the report's scorecard and overall pass verdict from the
-// spec's SLOs. A recovery SLO with no observed recovery (WorstRecovery
-// < 0: chaos fired but the cluster never came back inside the run)
+// spec's SLOs. A row whose metric was never observed (see metricValue)
 // fails regardless of bound.
 func Score(rep *Report) {
 	rep.Scorecard = rep.Scorecard[:0]
 	rep.Pass = true
 	for i := range rep.Spec.SLOs {
 		o := &rep.Spec.SLOs[i]
-		v := metricValue(rep, o)
+		v, observed := metricValue(rep, o)
 		row := ScoreRow{Name: o.Name, Stream: o.Stream, Metric: o.Metric, Value: v, Pass: true,
 			WorstTrace: attributeTrace(rep.Traces, o)}
 		switch {
@@ -68,8 +72,8 @@ func Score(rep *Report) {
 			row.Bound = fmt.Sprintf("min %g", *o.Min)
 			row.Pass = v >= *o.Min
 		}
-		if o.Metric == MetricRecoverySecs && v < 0 {
-			row.Pass = false // chaos fired, recovery never observed
+		if !observed {
+			row.Pass = false
 		}
 		if !row.Pass {
 			rep.Pass = false

@@ -78,12 +78,32 @@ func TestScoreUnobservedRecoveryFails(t *testing.T) {
 }
 
 func TestScoreAbsentStreamScoresZero(t *testing.T) {
-	min := 1.0
-	rep := reportFor(t, []SLO{{Name: "w", Stream: "write", Metric: MetricThroughput, Min: &min}})
-	rep.Write = nil
-	Score(rep)
-	if rep.Pass {
-		t.Fatal("throughput-min SLO over an absent stream passed vacuously")
+	min, max := 1.0, 1000.0
+	cases := []struct {
+		name   string
+		slo    SLO
+		mutate func(*Report)
+	}{
+		{"throughput-min over an absent stream",
+			SLO{Name: "w", Stream: "write", Metric: MetricThroughput, Min: &min},
+			func(r *Report) { r.Write = nil }},
+		// A latency of 0 over a stream that served nothing is not a
+		// latency: aimed at a wrong port, every request fails and the
+		// quantiles of the empty histogram read 0 <= max.
+		{"p99-max over an absent stream",
+			SLO{Name: "w99", Stream: "write", Metric: MetricP99, Max: &max},
+			func(r *Report) { r.Write = nil }},
+		{"p50-max over a stream whose every request failed or was shed",
+			SLO{Name: "r50", Stream: "read", Metric: MetricP50, Max: &max},
+			func(r *Report) { r.Read = &Stream{Requests: 40, Errors: 30, Shed: 10} }},
+	}
+	for _, tc := range cases {
+		rep := reportFor(t, []SLO{tc.slo})
+		tc.mutate(rep)
+		Score(rep)
+		if rep.Pass || rep.Scorecard[0].Pass {
+			t.Errorf("%s passed vacuously: %+v", tc.name, rep.Scorecard[0])
+		}
 	}
 }
 

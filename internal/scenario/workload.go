@@ -21,7 +21,8 @@ type catalogItem struct {
 	tags []string
 }
 
-// workload drives the open-loop traffic schedule against the gateway:
+// workload drives the open-loop traffic schedule against one base URL
+// (the gateway the engine booted, or the daemon it was pointed at):
 // arrivals are paced by the phase's rate regardless of response
 // latency — a slow cluster faces a growing backlog, not a politely
 // waiting client — bounded only by the outstanding-request cap, whose
@@ -45,11 +46,11 @@ type workload struct {
 }
 
 // newWorkload regenerates the daemon's synthetic catalog (same
-// videos/seed ⇒ same ids and tag sets, the loadgen contract) and
-// prepares collectors: run-wide ones that get their warmup cutoff
+// videos/seed ⇒ same ids and tag sets, so the tags asked about are tags
+// the daemon trained on) and prepares collectors: run-wide ones that get their warmup cutoff
 // pinned at traffic start (see start), plus one per phase for the
 // trajectory.
-func newWorkload(sc *Spec, gatewayURL string) (*workload, error) {
+func newWorkload(sc *Spec, base string) (*workload, error) {
 	cfg := synth.DefaultConfig(sc.Videos)
 	cfg.Seed = sc.Seed
 	cat, err := synth.Generate(cfg)
@@ -71,7 +72,7 @@ func newWorkload(sc *Spec, gatewayURL string) (*workload, error) {
 	}
 	w := &workload{
 		sc:      sc,
-		base:    gatewayURL,
+		base:    base,
 		items:   items,
 		codes:   cat.World.Codes(),
 		traffic: cat.World.Traffic(),

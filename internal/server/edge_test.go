@@ -174,7 +174,7 @@ func TestEdgeKeyTablesMatchStructTags(t *testing.T) {
 // TestEdgeFastPathCoversBenchCatalog is the measured share the codec's
 // speed-up rests on: every tag list of the benchmark's catalog
 // (-videos 20000 -seed 20110301), marshalled the way bench/stream.go and
-// cmd/loadgen marshal requests, is accepted by the fast decoders.
+// internal/scenario marshal requests, is accepted by the fast decoders.
 func TestEdgeFastPathCoversBenchCatalog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the 20000-video catalog")

@@ -277,8 +277,8 @@ func (m *Middleware) withTrace(route string, traced bool, next http.Handler) htt
 		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), traceKey{}, tr)))
 		// A 503 is backpressure by design everywhere in this tier —
 		// the local limiter's shed or a shard's propagated one — so it
-		// counts as shed here too, matching how loadgen and the chaos
-		// harness classify it.
+		// counts as shed here too, matching how the scenario engine's
+		// collector classifies it.
 		tr.End(sw.status, sw.status == http.StatusServiceUnavailable, time.Since(start))
 		m.traces.Offer(tr)
 	})

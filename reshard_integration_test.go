@@ -212,3 +212,65 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-d"})
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-e", "zz-rs-a", "favela"})
 }
+
+// TestReshardRejectsRepeatedTarget pins the request-shape half of
+// POST /v1/reshard: a target list naming one daemon twice would have that
+// daemon adopt two ring indexes in turn — pruning to the first slice,
+// then pruning that to the second — and no signature check could notice.
+// It is refused 400 before the pre-flight touches a node: every shard
+// keeps its tags and the tier still answers like a single node.
+func TestReshardRejectsRepeatedTarget(t *testing.T) {
+	res := testFixture(t)
+	const shards = 3
+	foldEvery := 15 * time.Millisecond
+
+	ringOne, err := cluster.NewRing(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := startClusterNode(t, ringOne, 0, 1, foldEvery)
+	defer single.stop()
+
+	nodes := make([]*clusterNode, shards)
+	targets := make([]string, shards)
+	numTags := make([]int, shards)
+	for i := range nodes {
+		nodes[i] = startReplicaNode(t, i, shards, 1, foldEvery)
+		defer nodes[i].stop()
+		targets[i] = nodes[i].ts.URL
+		numTags[i] = nodes[i].srv.Store().Load().NumTags()
+	}
+	g, err := cluster.NewGateway(cluster.DefaultGatewayConfig(), targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	client := gw.Client()
+
+	for name, list := range map[string][]string{
+		"repeated":            {targets[0], targets[0], targets[2]},
+		"repeated after trim": {targets[0], " " + targets[0] + "/ ", targets[2]},
+		"empty":               {},
+	} {
+		var envelope struct {
+			Error string `json:"error"`
+		}
+		code := postJSON(t, client, gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: list}, &envelope)
+		if code != http.StatusBadRequest || envelope.Error == "" {
+			t.Errorf("%s target list: status %d (%q), want 400 with an error", name, code, envelope.Error)
+		}
+	}
+	for i, n := range nodes {
+		if got := n.srv.Store().Load().NumTags(); got != numTags[i] {
+			t.Errorf("shard %d holds %d tags after the refused reshards, had %d", i, got, numTags[i])
+		}
+	}
+	g.RefreshHealth(context.Background())
+	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"favela", "samba"})
+	assertSamePrediction(t, client, single.ts.URL, gw.URL, res.Analysis.TagNames()[:40])
+	assertSamePrediction(t, client, single.ts.URL, gw.URL, res.Analysis.TagNames()[len(res.Analysis.TagNames())-40:])
+}
