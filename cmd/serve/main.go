@@ -116,6 +116,7 @@ func run() error {
 		traceDump    = flag.String("trace-dump-dir", ".", "flight recorder: dump the retained trace ring to traces_<event>.json here on SIGQUIT or a recovered handler panic (empty = off)")
 	)
 	flag.Parse()
+	server.HeapSamplingFor(*pprofAddr)
 
 	shardIndex, shardCount, err := parseShard(*shardSpec)
 	if err != nil {

@@ -34,19 +34,53 @@ type Record struct {
 // inconsistent, out of range, entirely zero, or mentions unknown
 // countries — the "incorrect or empty popularity vector" conditions of §2.
 func (r *Record) PopVector(world *geo.World) ([]int, error) {
-	return r.PopVectorInto(nil, world)
+	pop, fault, at := r.densify(nil, world)
+	if fault == popOK {
+		return pop, nil
+	}
+	return nil, r.popError(fault, at)
 }
 
-// PopVectorInto is PopVector densifying into out's backing array when it
-// holds a country table's worth, and into a fresh slice otherwise — so a
-// caller that drops each vector before the next record allocates none.
-func (r *Record) PopVectorInto(out []int, world *geo.World) ([]int, error) {
+// popFault is why a popularity map did not densify. It is a plain value:
+// FilterReport.Admit counts faults by the thousand and prints none, so
+// the error is formatted only for a caller that asked for one.
+type popFault int
+
+const (
+	popOK popFault = iota
+	popMissing
+	popLengths        // codes and values differ in number
+	popUnknownCountry // at names the pair
+	popIntensity      // at names the pair
+	popAllZero
+)
+
+func (r *Record) popError(fault popFault, at int) error {
+	switch fault {
+	case popMissing:
+		return fmt.Errorf("dataset: video %s: %w", r.VideoID, ErrNoPopVector)
+	case popLengths:
+		return fmt.Errorf("dataset: video %s: %w: %d codes, %d values",
+			r.VideoID, ErrBadPopVector, len(r.PopCodes), len(r.PopValues))
+	case popUnknownCountry:
+		return fmt.Errorf("dataset: video %s: %w: unknown country %q", r.VideoID, ErrBadPopVector, r.PopCodes[at])
+	case popIntensity:
+		return fmt.Errorf("dataset: video %s: %w: intensity %d", r.VideoID, ErrBadPopVector, r.PopValues[at])
+	default:
+		return fmt.Errorf("dataset: video %s: %w: all-zero map", r.VideoID, ErrBadPopVector)
+	}
+}
+
+// densify is PopVector into out's backing array when it holds a country
+// table's worth, and into a fresh slice otherwise — so a caller that drops
+// each vector before the next record allocates none — reporting a refused
+// map as a fault and the pair it was found at.
+func (r *Record) densify(out []int, world *geo.World) (pop []int, fault popFault, at int) {
 	if len(r.PopCodes) == 0 {
-		return nil, fmt.Errorf("dataset: video %s: %w", r.VideoID, ErrNoPopVector)
+		return nil, popMissing, 0
 	}
 	if len(r.PopCodes) != len(r.PopValues) {
-		return nil, fmt.Errorf("dataset: video %s: %w: %d codes, %d values",
-			r.VideoID, ErrBadPopVector, len(r.PopCodes), len(r.PopValues))
+		return nil, popLengths, 0
 	}
 	if cap(out) < world.N() {
 		out = make([]int, world.N())
@@ -57,11 +91,11 @@ func (r *Record) PopVectorInto(out []int, world *geo.World) ([]int, error) {
 	for i, code := range r.PopCodes {
 		id, ok := world.ByCode(code)
 		if !ok {
-			return nil, fmt.Errorf("dataset: video %s: %w: unknown country %q", r.VideoID, ErrBadPopVector, code)
+			return nil, popUnknownCountry, i
 		}
 		v := r.PopValues[i]
 		if v < -1 || v > mapchart.MaxIntensity {
-			return nil, fmt.Errorf("dataset: video %s: %w: intensity %d", r.VideoID, ErrBadPopVector, v)
+			return nil, popIntensity, i
 		}
 		if v > 0 {
 			any = true
@@ -69,9 +103,9 @@ func (r *Record) PopVectorInto(out []int, world *geo.World) ([]int, error) {
 		}
 	}
 	if !any {
-		return nil, fmt.Errorf("dataset: video %s: %w: all-zero map", r.VideoID, ErrBadPopVector)
+		return nil, popAllZero, 0
 	}
-	return out, nil
+	return out, popOK, 0
 }
 
 // Validate performs the §2 admission check without densifying.

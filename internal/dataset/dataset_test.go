@@ -42,20 +42,24 @@ func TestPopVectorDensify(t *testing.T) {
 	}
 }
 
+// popVectorFaults is every way a record's popularity map is refused: the
+// sentinel a printing caller matches, and the detail its error carries.
+var popVectorFaults = []struct {
+	name   string
+	mutate func(*Record)
+	want   error
+	detail string
+}{
+	{"missing", func(r *Record) { r.PopCodes, r.PopValues = nil, nil }, ErrNoPopVector, "abc12345678"},
+	{"length mismatch", func(r *Record) { r.PopValues = r.PopValues[:1] }, ErrBadPopVector, "2 codes, 1 values"},
+	{"unknown country", func(r *Record) { r.PopCodes = []string{"US", "QQ"} }, ErrBadPopVector, `unknown country "QQ"`},
+	{"out of range", func(r *Record) { r.PopValues = []int{61, 99} }, ErrBadPopVector, "intensity 99"},
+	{"all zero", func(r *Record) { r.PopValues = []int{0, 0} }, ErrBadPopVector, "all-zero map"},
+}
+
 func TestPopVectorErrors(t *testing.T) {
 	w := geo.DefaultWorld()
-	cases := []struct {
-		name   string
-		mutate func(*Record)
-		want   error
-	}{
-		{"missing", func(r *Record) { r.PopCodes, r.PopValues = nil, nil }, ErrNoPopVector},
-		{"length mismatch", func(r *Record) { r.PopValues = r.PopValues[:1] }, ErrBadPopVector},
-		{"unknown country", func(r *Record) { r.PopCodes = []string{"US", "QQ"} }, ErrBadPopVector},
-		{"out of range", func(r *Record) { r.PopValues = []int{61, 99} }, ErrBadPopVector},
-		{"all zero", func(r *Record) { r.PopValues = []int{0, 0} }, ErrBadPopVector},
-	}
-	for _, c := range cases {
+	for _, c := range popVectorFaults {
 		t.Run(c.name, func(t *testing.T) {
 			r := validRecord()
 			c.mutate(&r)
@@ -63,7 +67,38 @@ func TestPopVectorErrors(t *testing.T) {
 			if !errors.Is(err, c.want) {
 				t.Fatalf("err = %v, want %v", err, c.want)
 			}
+			if !strings.Contains(err.Error(), "video abc12345678") || !strings.Contains(err.Error(), c.detail) {
+				t.Fatalf("err = %q, want it to name the video and %q", err, c.detail)
+			}
 		})
+	}
+}
+
+// TestAdmitAllocatesNothing: the filter counts a dropped record in the
+// right bucket without formatting the error nobody reads, and densifies
+// an admitted one into the scratch it was lent.
+func TestAdmitAllocatesNothing(t *testing.T) {
+	w := geo.DefaultWorld()
+	scratch := make([]int, w.N())
+	for _, c := range popVectorFaults {
+		r := validRecord()
+		c.mutate(&r)
+		var fr FilterReport
+		if n := testing.AllocsPerRun(100, func() { fr.Admit(w, &r, scratch) }); n != 0 {
+			t.Errorf("%s: Admit on a dropped record: %v allocs, want 0", c.name, n)
+		}
+		bucket := fr.BadPopVector
+		if c.want == ErrNoPopVector {
+			bucket = fr.NoPopVector
+		}
+		if bucket != fr.Crawled || fr.Kept != 0 {
+			t.Errorf("%s: report %+v, want every record in the %v bucket", c.name, fr, c.want)
+		}
+	}
+	r := validRecord()
+	var fr FilterReport
+	if n := testing.AllocsPerRun(100, func() { fr.Admit(w, &r, scratch) }); n != 0 || fr.Kept != fr.Crawled {
+		t.Errorf("Admit on a kept record with scratch lent: %v allocs, report %+v", n, fr)
 	}
 }
 

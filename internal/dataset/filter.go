@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"errors"
 	"fmt"
 
 	"viewstags/internal/geo"
@@ -46,9 +45,9 @@ type Clean struct {
 // Admit applies the paper's §2 admission rules to one raw record and
 // counts it in the report: drop a video with no tags, then one whose
 // popularity vector is missing, undecodable, or empty. An admitted
-// record's dense vector is returned (in scratch's backing array when it
-// has room, see PopVectorInto). It never fails on bad data — bad data is
-// the phenomenon being counted.
+// record's dense vector is returned, in scratch's backing array when it
+// holds a country table's worth. It never fails on bad data — bad data is
+// the phenomenon being counted — and a dropped record costs no allocation.
 func (fr *FilterReport) Admit(world *geo.World, r *Record, scratch []int) (pop []int, ok bool) {
 	fr.Crawled++
 	if r.VideoID == "" || r.TotalViews < 0 {
@@ -59,17 +58,17 @@ func (fr *FilterReport) Admit(world *geo.World, r *Record, scratch []int) (pop [
 		fr.Untagged++
 		return nil, false
 	}
-	pop, err := r.PopVectorInto(scratch, world)
-	if err != nil {
-		if errors.Is(err, ErrNoPopVector) {
-			fr.NoPopVector++
-		} else {
-			fr.BadPopVector++
-		}
-		return nil, false
+	pop, fault, _ := r.densify(scratch, world)
+	switch fault {
+	case popOK:
+		fr.Kept++
+		return pop, true
+	case popMissing:
+		fr.NoPopVector++
+	default:
+		fr.BadPopVector++
 	}
-	fr.Kept++
-	return pop, true
+	return nil, false
 }
 
 // Filter applies Admit to every raw record and keeps the admitted ones

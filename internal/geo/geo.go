@@ -189,7 +189,8 @@ func (w *World) Traffic() []float64 {
 func (w *World) TrafficOf(id CountryID) float64 { return w.traffic[id] }
 
 // LanguagePeers returns the countries sharing the given language cluster,
-// in table order. The returned slice is a copy.
+// in table order. The returned slice is a copy: a caller that needs it per
+// video takes it once and keeps it, as tags.Vocabulary does.
 func (w *World) LanguagePeers(lang string) []CountryID {
 	return append([]CountryID(nil), w.langPeers[lang]...)
 }

@@ -190,14 +190,18 @@ func TestRunTargetRefusals(t *testing.T) {
 	sc = attachSpec()
 	sc.Warmup = 0
 	sc.Phases = sc.Phases[:1]
-	sc.SLOs = []SLO{sc.SLOs[0], sc.SLOs[2]} // the two latency rows, no error budget to notice
+	// The two latency rows and a throughput floor, no error budget to notice.
+	sc.SLOs = []SLO{sc.SLOs[0], sc.SLOs[2], {Name: "read-served", Stream: "read", Metric: MetricThroughput, Min: f(1)}}
 	opts, _ = noBoot(t, dead)
 	rep, err := Run(sc, opts)
 	if err != nil {
 		t.Fatalf("run against a dead target: %v (want a scored fail)", err)
 	}
-	if rep.Pass || rep.Scorecard[0].Pass || rep.Scorecard[1].Pass {
-		t.Errorf("latency rows passed over streams that served nothing:\n%s", Scorecard(rep))
+	if rep.Pass || rep.Scorecard[0].Pass || rep.Scorecard[1].Pass || rep.Scorecard[2].Pass {
+		t.Errorf("rows passed over streams that served nothing:\n%s", Scorecard(rep))
+	}
+	if rep.Read != nil && rep.Read.RequestsPerSec == 0 {
+		t.Errorf("the report's requests_per_sec is the offered rate and the run did send: %+v", rep.Read)
 	}
 	if rep.Read == nil || rep.Read.Errors == 0 || rep.Read.Items != 0 {
 		t.Errorf("dead target read stream: %+v, want only errors", rep.Read)

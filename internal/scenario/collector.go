@@ -99,7 +99,10 @@ type Latency struct {
 
 // Stream is one direction's (read or write) machine-readable summary,
 // the block a scenario report embeds per run and per phase.
-// Rates are computed over the measured (post-warmup) window.
+// Rates are computed over the measured (post-warmup) window, and are
+// offered rates: RequestsPerSec and ItemsPerSec count every request sent,
+// whatever became of it. The rate a throughput_rps SLO bounds is
+// ServedPerSec.
 type Stream struct {
 	Requests       int64   `json:"requests"`
 	Items          int64   `json:"items"`
@@ -152,6 +155,17 @@ func noNaN(v float64) float64 {
 		return 0
 	}
 	return v
+}
+
+// ServedPerSec is the rate of requests that were answered — neither
+// failed nor shed — over the measured window: RequestsPerSec scaled by
+// the answered share, so a run aimed at a dead port serves 0 however
+// fast it sent.
+func (s Stream) ServedPerSec() float64 {
+	if s.Requests == 0 {
+		return 0
+	}
+	return s.RequestsPerSec * float64(s.Requests-s.Errors-s.Shed) / float64(s.Requests)
 }
 
 // ErrorRate is the stream's error-budget fraction: hard failures plus

@@ -115,7 +115,8 @@ type ChaosEvent struct {
 
 // SLO metric names. Latency/error/shed/throughput metrics address one
 // stream ("read" or "write"); staleness and recovery address the
-// cluster.
+// cluster. throughput_rps is the served rate (Stream.ServedPerSec), not
+// the offered requests_per_sec the report also carries.
 const (
 	MetricP50          = "p50_ms"
 	MetricP90          = "p90_ms"

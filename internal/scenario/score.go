@@ -45,7 +45,7 @@ func metricValue(rep *Report, o *SLO) (v float64, observed bool) {
 	case MetricShedRate:
 		return s.ShedRate(), true
 	case MetricThroughput:
-		return s.RequestsPerSec, true
+		return s.ServedPerSec(), true
 	}
 	return 0, true
 }

@@ -25,6 +25,8 @@ func reportFor(t *testing.T, slos []SLO) *Report {
 
 func TestScoreBounds(t *testing.T) {
 	lo, hi := 50.0, 100.0
+	// Of 1000 requests at 100/s, 10 failed and 100 were shed: 89/s served.
+	served, offered := 89.0, 100.0
 	cases := []struct {
 		name string
 		slo  SLO
@@ -33,7 +35,8 @@ func TestScoreBounds(t *testing.T) {
 		{"p99 under max", SLO{Name: "a", Stream: "read", Metric: MetricP99, Max: &hi}, true},
 		{"p99 over max", SLO{Name: "b", Stream: "read", Metric: MetricP99, Max: &lo}, false},
 		{"throughput over min", SLO{Name: "c", Stream: "read", Metric: MetricThroughput, Min: &lo}, true},
-		{"throughput at min", SLO{Name: "d", Stream: "read", Metric: MetricThroughput, Min: &hi}, true},
+		{"throughput at min", SLO{Name: "d", Stream: "read", Metric: MetricThroughput, Min: &served}, true},
+		{"offered rate is not throughput", SLO{Name: "d2", Stream: "read", Metric: MetricThroughput, Min: &offered}, false},
 		{"staleness", SLO{Name: "e", Stream: "cluster", Metric: MetricStaleness, Max: &lo}, true},
 		{"recovery", SLO{Name: "f", Stream: "cluster", Metric: MetricRecoverySecs, Max: &lo}, true},
 	}
@@ -96,6 +99,11 @@ func TestScoreAbsentStreamScoresZero(t *testing.T) {
 		{"p50-max over a stream whose every request failed or was shed",
 			SLO{Name: "r50", Stream: "read", Metric: MetricP50, Max: &max},
 			func(r *Report) { r.Read = &Stream{Requests: 40, Errors: 30, Shed: 10} }},
+		// Requests sent are not requests served: the offered rate of a
+		// stream that answered nothing is whatever the spec asked for.
+		{"throughput-min over a stream whose every request failed or was shed",
+			SLO{Name: "r", Stream: "read", Metric: MetricThroughput, Min: &min},
+			func(r *Report) { r.Read = &Stream{Requests: 40, Errors: 30, Shed: 10, RequestsPerSec: 232} }},
 	}
 	for _, tc := range cases {
 		rep := reportFor(t, []SLO{tc.slo})

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"time"
 )
 
@@ -42,4 +43,17 @@ func StartPprof(ctx context.Context, addr string, logger *log.Logger) error {
 	}()
 	logger.Printf("pprof listening on http://%s/debug/pprof/", ln.Addr())
 	return nil
+}
+
+// HeapSamplingFor turns the runtime's heap sampling off in a daemon whose
+// -pprof-addr is empty: net/http/pprof is linked either way, so the
+// runtime would otherwise sample an allocation every 512 KB and keep its
+// bucket table resident (a few hundred KB on a booted daemon) with no
+// listener to read /debug/pprof/heap from. With an address the default
+// rate stands. Call it once, right after flag parsing — before the build
+// pass, whose allocations are the ones worth a profile.
+func HeapSamplingFor(pprofAddr string) {
+	if pprofAddr == "" {
+		runtime.MemProfileRate = 0
+	}
 }

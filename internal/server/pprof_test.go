@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -90,5 +91,22 @@ func TestServingMuxHasNoPprof(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("/debug/pprof/ on the serving mux: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestHeapSamplingFor pins both states of a daemon's heap sampling: left
+// at the runtime's rate when -pprof-addr names a listener to read the
+// profile from, off when nobody could.
+func TestHeapSamplingFor(t *testing.T) {
+	rate := runtime.MemProfileRate
+	defer func() { runtime.MemProfileRate = rate }()
+	runtime.MemProfileRate = 512 * 1024 // the runtime's default, whatever flags this test binary got
+	HeapSamplingFor("127.0.0.1:6060")
+	if runtime.MemProfileRate != 512*1024 {
+		t.Errorf("with -pprof-addr set: MemProfileRate = %d, want the default left alone", runtime.MemProfileRate)
+	}
+	HeapSamplingFor("")
+	if runtime.MemProfileRate != 0 {
+		t.Errorf("with -pprof-addr empty: MemProfileRate = %d, want 0", runtime.MemProfileRate)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"hash/fnv"
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
+	"unsafe"
 
 	"viewstags/internal/dataset"
 )
@@ -224,4 +226,62 @@ func sameRecord(a, b *dataset.Record) bool {
 		}
 	}
 	return true
+}
+
+// TestGenerateVideosOwnTheirSlices: the generator's drafts reuse their tag
+// arrays, so a retaining caller must get copies. After Generate no two
+// videos' TagIDs, TrueViews or PopVector share memory and the catalog is
+// still the golden one (a video left holding a ring slot's array would
+// have been overwritten by the slot's next draft); and a caller that
+// lends one Video for every Next is charged only for the two strings a
+// video carries.
+func TestGenerateVideosOwnTheirSlices(t *testing.T) {
+	cat, err := Generate(DefaultConfig(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		lo, hi uintptr
+		what   string
+	}
+	var spans []span
+	add := func(p unsafe.Pointer, bytes uintptr, video int, field string) {
+		if bytes > 0 {
+			spans = append(spans, span{uintptr(p), uintptr(p) + bytes, fmt.Sprintf("video %d %s", video, field)})
+		}
+	}
+	h := fnv.New64a()
+	for i := range cat.Videos {
+		v := &cat.Videos[i]
+		hashVideo(h, v)
+		add(unsafe.Pointer(unsafe.SliceData(v.TagIDs)), uintptr(cap(v.TagIDs))*unsafe.Sizeof(int(0)), i, "TagIDs")
+		add(unsafe.Pointer(unsafe.SliceData(v.TrueViews)), uintptr(cap(v.TrueViews))*unsafe.Sizeof(int64(0)), i, "TrueViews")
+		add(unsafe.Pointer(unsafe.SliceData(v.PopVector)), uintptr(cap(v.PopVector))*unsafe.Sizeof(int(0)), i, "PopVector")
+	}
+	if got := h.Sum64(); got != catalogHash2000 {
+		t.Errorf("catalog hash %#x, want %#x: a retained video was written to after Next returned it", got, uint64(catalogHash2000))
+	}
+	sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			t.Fatalf("%s and %s share a backing array", spans[i-1].what, spans[i].what)
+		}
+	}
+
+	const warm, runs = ringDepth * batchVideos * 4, 1000
+	g, err := NewGenerator(DefaultConfig(warm + runs + 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	var v Video
+	for i := 0; i < warm; i++ { // every ring slot's tag array has grown, and v's three
+		g.Next(&v)
+	}
+	// AllocsPerRun counts the producer stage's allocations too, and
+	// truncates the mean: a slot's array still growing to a longer set
+	// now and then does not reach a third per video.
+	if n := testing.AllocsPerRun(runs, func() { g.Next(&v) }); n > 2 {
+		t.Errorf("Next into a reused Video: %v allocs per video, want at most its id and title", n)
+	}
 }

@@ -2,9 +2,7 @@ package synth
 
 import (
 	"math"
-	"strings"
 
-	"viewstags/internal/tags"
 	"viewstags/internal/xrand"
 )
 
@@ -18,15 +16,14 @@ const idAlphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz01234567
 // characters plus a constrained 11th, matching real id shapes.
 func VideoID(seed uint64, index int) string {
 	x := mix(seed ^ (uint64(index)*0x9e3779b97f4a7c15 + 0x85ebca6b))
-	var b strings.Builder
-	b.Grow(11)
+	var b [11]byte
 	for i := 0; i < 10; i++ {
-		b.WriteByte(idAlphabet[x&63])
+		b[i] = idAlphabet[x&63]
 		x >>= 6
 	}
 	// 4 bits remain; real ids' final character is similarly constrained.
-	b.WriteByte(idAlphabet[(x&15)<<2])
-	return b.String()
+	b[10] = idAlphabet[(x&15)<<2]
+	return string(b[:])
 }
 
 // mix is one round of SplitMix64 finalization — a bijection on uint64,
@@ -59,28 +56,33 @@ func boundedPareto(src *xrand.Source, alpha float64, lo, hi int64) int64 {
 	return int64(x)
 }
 
-// titlePatterns give synthetic titles a recognizable UGC shape.
-var titlePatterns = []string{
-	"%s - %s (Official Video)",
-	"%s %s HD",
-	"%s | %s",
-	"%s - %s live",
-	"BEST OF %s %s",
-	"%s vs %s",
+// titlePatterns give synthetic titles a recognizable UGC shape: the text
+// before, between and after the two names a title carries.
+var titlePatterns = [][3]string{
+	{"", " - ", " (Official Video)"},
+	{"", " ", " HD"},
+	{"", " | ", ""},
+	{"", " - ", " live"},
+	{"BEST OF ", " ", ""},
+	{"", " vs ", ""},
 }
 
 // synthTitle builds a title from the video's tags (or category when
-// untagged), mirroring how uploader titles echo their tags.
-func synthTitle(src *xrand.Source, voc *tags.Vocabulary, v *Video) string {
-	pat := titlePatterns[src.Intn(len(titlePatterns))]
+// untagged), mirroring how uploader titles echo their tags. It is
+// assembled in the producer stage's scratch: the string is the one
+// allocation.
+func (g *Generator) synthTitle(v *Video) string {
+	pat := &titlePatterns[g.titleSrc.Intn(len(titlePatterns))]
 	a, b := v.Category, v.ID[:4]
 	if len(v.TagIDs) >= 2 {
-		a, b = voc.Name(v.TagIDs[0]), voc.Name(v.TagIDs[1])
+		a, b = g.voc.Name(v.TagIDs[0]), g.voc.Name(v.TagIDs[1])
 	} else if len(v.TagIDs) == 1 {
-		a = voc.Name(v.TagIDs[0])
+		a = g.voc.Name(v.TagIDs[0])
 	}
-	title := strings.ReplaceAll(pat, "%s", "\x00")
-	title = strings.Replace(title, "\x00", a, 1)
-	title = strings.Replace(title, "\x00", b, 1)
-	return title
+	t := append(g.title[:0], pat[0]...)
+	t = append(t, a...)
+	t = append(t, pat[1]...)
+	t = append(t, b...)
+	g.title = append(t, pat[2]...)
+	return string(g.title)
 }

@@ -228,6 +228,7 @@ type Generator struct {
 	uploadCat                                  *xrand.Categorical
 	viewSrc, tagSrc, geoSrc, pathSrc, titleSrc *xrand.Source
 	alpha, field, affinity                     []float64
+	title                                      []byte // the title being assembled
 
 	// The ring between the stages: ringDepth batches circulate, so neither
 	// channel (each of that capacity) ever blocks a send. full is closed by
@@ -254,14 +255,17 @@ const (
 	batchVideos = 32
 	// ringDepth is the number of batches in circulation: one being read,
 	// one being filled, two of slack for uneven videos. The ring is
-	// ringDepth × batchVideos × (a country table of float64 + a Video),
-	// ≈ 80 KB.
+	// ringDepth × batchVideos × (a country table of float64 + a Video + a
+	// tag set), ≈ 90 KB.
 	ringDepth = 4
 )
 
 // draft is what the producer stage draws of one video.
 type draft struct {
-	video Video   // everything but TrueViews, PopVector and PopState
+	// video is everything but TrueViews, PopVector and PopState. Its TagIDs
+	// live in this ring slot's own array, redrawn into by the slot's next
+	// video: Next copies them out and never hands the array on.
+	video Video
 	popU  float64 // the video's second pathology draw: which PopState
 }
 
@@ -387,7 +391,8 @@ func (g *Generator) produce() {
 func (g *Generator) draft(d *draft, field []float64, index int) {
 	cfg, voc := &g.cfg, g.voc
 	v := &d.video
-	*v = Video{Index: index}
+	tagIDs := v.TagIDs[:0]
+	*v = Video{Index: index, TagIDs: tagIDs}
 	v.ID = VideoID(cfg.Seed, v.Index)
 	v.Upload = geo.CountryID(g.uploadCat.Draw())
 	v.Category = youTubeCategories2011[g.titleSrc.Intn(len(youTubeCategories2011))]
@@ -401,9 +406,9 @@ func (g *Generator) draft(d *draft, field []float64, index int) {
 		topic = geo.CountryID(g.uploadCat.Draw())
 	}
 	if !g.pathSrc.Bernoulli(cfg.UntaggedRate) {
-		v.TagIDs = voc.SampleTagSet(g.tagSrc, topic, cfg.TagSet)
+		v.TagIDs = voc.SampleTagSetInto(tagIDs, g.tagSrc, topic, cfg.TagSet)
 	}
-	v.Title = synthTitle(g.titleSrc, voc, v)
+	v.Title = g.synthTitle(v)
 
 	// Mixture mean over countries.
 	mean := mixtureMean(*cfg, g.prior, g.gravity[v.Upload], voc, v.TagIDs, g.field, g.affinity)
@@ -421,11 +426,12 @@ func (g *Generator) draft(d *draft, field []float64, index int) {
 
 // Next overwrites v with the next video and reports whether there was
 // one (false once cfg.Videos have been produced, or after Close). v's
-// TrueViews and PopVector backing arrays are reused when they hold a
-// country table's worth: a caller that passes the same Video every time
-// allocates neither, a caller that passes a zero Video (Generate) gets
-// slices it owns. Either way the RNG calls, and so the videos, are the
-// same.
+// TagIDs backing array is reused when the tag set fits it, its TrueViews
+// and PopVector arrays when they hold a country table's worth: a caller
+// that passes the same Video every time allocates none of the three, a
+// caller that passes a zero Video (Generate) gets slices it owns, which
+// nothing the generator does later writes to. Either way the RNG calls,
+// and so the videos, are the same.
 func (g *Generator) Next(v *Video) bool {
 	if g.closed {
 		return false
@@ -447,8 +453,9 @@ func (g *Generator) Next(v *Video) bool {
 	d, field := &g.cur.drafts[g.pos], g.cur.fields[g.pos*n:(g.pos+1)*n]
 	g.pos++
 
-	trueViews, pop := v.TrueViews, v.PopVector
+	tagIDs, trueViews, pop := v.TagIDs, v.TrueViews, v.PopVector
 	*v = d.video
+	v.TagIDs = append(tagIDs[:0], d.video.TagIDs...) // nil for an untagged video unless the caller lent an array
 	// Distribute the total across countries by the drawn field, exactly
 	// (counts sum to TotalViews).
 	g.spreadSrc = g.spreadStart

@@ -13,50 +13,43 @@ import (
 // the normalization path with realistic inputs.
 type nameGen struct {
 	src *xrand.Source
+	buf []byte // the word being synthesized; a name is copied out once, when kept
 }
 
 func newNameGen(src *xrand.Source) *nameGen {
 	return &nameGen{src: src}
 }
 
-// syllables returns the inventory for a language cluster key; unknown
-// clusters use a neutral inventory.
-func syllables(lang string) []string {
-	switch lang {
-	case "pt":
-		return []string{"ca", "ri", "o", "fa", "ve", "la", "sam", "ba", "do", "bra", "zu", "mor", "ro", "nho", "gol"}
-	case "es":
-		return []string{"el", "la", "cor", "ri", "da", "fue", "go", "ce", "le", "bre", "mun", "do", "can", "ta"}
-	case "fr":
-		return []string{"le", "mon", "de", "pa", "ri", "chan", "son", "vé", "lo", "bleu", "coeur", "nuit"}
-	case "de":
-		return []string{"der", "schau", "spiel", "lich", "berg", "wald", "lied", "zeit", "fest", "bahn"}
-	case "ja":
-		return []string{"ka", "wa", "ii", "to", "kyo", "sa", "ku", "ra", "ne", "ko", "man", "ga"}
-	case "ko":
-		return []string{"han", "gug", "seo", "ul", "no", "rae", "chum", "gi", "mu", "dae"}
-	case "ru":
-		return []string{"mos", "kva", "pes", "nya", "zhi", "vot", "koto", "rusk", "da", "net"}
-	case "hi":
-		return []string{"bha", "rat", "ga", "na", "fil", "mi", "des", "hi", "ma", "sa", "la"}
-	case "zh":
-		return []string{"zhong", "guo", "hua", "mei", "xi", "ju", "ge", "wu", "dian", "ying"}
-	case "ar":
-		return []string{"al", "ma", "ka", "bir", "sha", "riq", "ha", "bi", "bi", "nur"}
-	default:
-		return []string{"ta", "ke", "lo", "mi", "ra", "zen", "po", "vu", "na", "si", "ko", "da", "fi", "ru"}
-	}
+// syllables is the inventory per language cluster key.
+var syllables = map[string][]string{
+	"pt": {"ca", "ri", "o", "fa", "ve", "la", "sam", "ba", "do", "bra", "zu", "mor", "ro", "nho", "gol"},
+	"es": {"el", "la", "cor", "ri", "da", "fue", "go", "ce", "le", "bre", "mun", "do", "can", "ta"},
+	"fr": {"le", "mon", "de", "pa", "ri", "chan", "son", "vé", "lo", "bleu", "coeur", "nuit"},
+	"de": {"der", "schau", "spiel", "lich", "berg", "wald", "lied", "zeit", "fest", "bahn"},
+	"ja": {"ka", "wa", "ii", "to", "kyo", "sa", "ku", "ra", "ne", "ko", "man", "ga"},
+	"ko": {"han", "gug", "seo", "ul", "no", "rae", "chum", "gi", "mu", "dae"},
+	"ru": {"mos", "kva", "pes", "nya", "zhi", "vot", "koto", "rusk", "da", "net"},
+	"hi": {"bha", "rat", "ga", "na", "fil", "mi", "des", "hi", "ma", "sa", "la"},
+	"zh": {"zhong", "guo", "hua", "mei", "xi", "ju", "ge", "wu", "dian", "ying"},
+	"ar": {"al", "ma", "ka", "bir", "sha", "riq", "ha", "bi", "bi", "nur"},
 }
 
-// word synthesizes one 2–4 syllable word in the given language flavor.
-func (g *nameGen) word(lang string) string {
-	syl := syllables(lang)
-	n := 2 + g.src.Intn(3)
-	var b strings.Builder
-	for i := 0; i < n; i++ {
-		b.WriteString(syl[g.src.Intn(len(syl))])
+// neutralSyllables is the inventory of a cluster that has none of its own.
+var neutralSyllables = []string{"ta", "ke", "lo", "mi", "ra", "zen", "po", "vu", "na", "si", "ko", "da", "fi", "ru"}
+
+// word synthesizes one 2–4 syllable word in the given language flavor
+// into g.buf and returns it; the bytes are overwritten by the next word.
+func (g *nameGen) word(lang string) []byte {
+	syl, ok := syllables[lang]
+	if !ok {
+		syl = neutralSyllables
 	}
-	return b.String()
+	n := 2 + g.src.Intn(3)
+	g.buf = g.buf[:0]
+	for i := 0; i < n; i++ {
+		g.buf = append(g.buf, syl[g.src.Intn(len(syl))]...)
+	}
+	return g.buf
 }
 
 // unique returns a synthesized tag name not already present in taken.
@@ -65,15 +58,15 @@ func (g *nameGen) word(lang string) string {
 func (g *nameGen) unique(taken map[string]int, lang string) string {
 	for attempt := 0; attempt < 8; attempt++ {
 		w := g.word(lang)
-		if _, dup := taken[w]; !dup {
-			return w
+		if _, dup := taken[string(w)]; !dup { // a lookup by converted bytes does not allocate
+			return string(w)
 		}
 	}
-	base := g.word(lang)
+	base := len(g.word(lang))
 	for i := 2; ; i++ {
-		w := base + strconv.Itoa(i)
-		if _, dup := taken[w]; !dup {
-			return w
+		g.buf = strconv.AppendInt(g.buf[:base], int64(i), 10)
+		if _, dup := taken[string(g.buf)]; !dup {
+			return string(g.buf)
 		}
 	}
 }

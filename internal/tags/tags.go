@@ -14,7 +14,7 @@ package tags
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"viewstags/internal/geo"
 	"viewstags/internal/xrand"
@@ -105,6 +105,9 @@ type Vocabulary struct {
 	tags   []Tag
 	byName map[string]int
 	freq   *xrand.Zipf // usage frequency over ranks == indices
+	// clusters holds, per language key, what a regional tag's affinity
+	// reads of the world — worked out once, not per tag per video.
+	clusters map[string]langCluster
 
 	// Sampling indexes: tags grouped by anchor country / language, with
 	// intra-group categorical samplers weighted by usage frequency.
@@ -114,6 +117,13 @@ type Vocabulary struct {
 	languageCat map[string]*xrand.Categorical
 	globalIdx   []int
 	globalCat   *xrand.Categorical
+}
+
+// langCluster is one language cluster: its member countries in table
+// order and their summed traffic share.
+type langCluster struct {
+	peers   []geo.CountryID
+	traffic float64
 }
 
 // curatedTag pins a real tag name from the paper's figures (and a few
@@ -189,10 +199,18 @@ func NewVocabulary(world *geo.World, src *xrand.Source, cfg Config) (*Vocabulary
 	}
 
 	v := &Vocabulary{
-		world:  world,
-		prior:  world.Traffic(),
-		tags:   make([]Tag, 0, cfg.Size),
-		byName: make(map[string]int, cfg.Size),
+		world:    world,
+		prior:    world.Traffic(),
+		tags:     make([]Tag, 0, cfg.Size),
+		byName:   make(map[string]int, cfg.Size),
+		clusters: make(map[string]langCluster),
+	}
+	for _, lang := range world.Languages() {
+		cl := langCluster{peers: world.LanguagePeers(lang)}
+		for _, p := range cl.peers {
+			cl.traffic += v.prior[p]
+		}
+		v.clusters[lang] = cl
 	}
 	classSrc := src.Fork("class")
 	nameSrc := src.Fork("name")
@@ -341,17 +359,13 @@ func (v *Vocabulary) AffinityInto(out []float64, i int) []float64 {
 		}
 		out[t.Anchor] += t.AnchorMass
 	case ClassRegional:
-		peers := v.world.LanguagePeers(t.Language)
-		var clusterTraffic float64
-		for _, p := range peers {
-			clusterTraffic += prior[p]
-		}
+		cl := v.clusters[t.Language]
 		for c := range out {
 			out[c] = (1 - t.AnchorMass) * prior[c]
 		}
-		if clusterTraffic > 0 {
-			for _, p := range peers {
-				out[p] += t.AnchorMass * prior[p] / clusterTraffic
+		if cl.traffic > 0 {
+			for _, p := range cl.peers {
+				out[p] += t.AnchorMass * prior[p] / cl.traffic
 			}
 		} else {
 			out[t.Anchor] += t.AnchorMass
@@ -381,6 +395,13 @@ func DefaultTagSetConfig() TagSetConfig {
 // the global pool. The result is deduplicated, non-empty, and at most
 // cfg.MaxTags long.
 func (v *Vocabulary) SampleTagSet(src *xrand.Source, upload geo.CountryID, cfg TagSetConfig) []int {
+	return v.SampleTagSetInto(nil, src, upload, cfg)
+}
+
+// SampleTagSetInto is SampleTagSet writing into dst's backing array
+// (growing it as append does; its contents are overwritten) — the form
+// for a caller that draws a set per video and keeps none of them.
+func (v *Vocabulary) SampleTagSetInto(dst []int, src *xrand.Source, upload geo.CountryID, cfg TagSetConfig) []int {
 	if cfg.MeanTags < 1 {
 		cfg.MeanTags = 1
 	}
@@ -394,24 +415,25 @@ func (v *Vocabulary) SampleTagSet(src *xrand.Source, upload geo.CountryID, cfg T
 		size++
 	}
 	lang := v.world.Country(upload).Language
-	seen := make(map[int]bool, size)
-	out := make([]int, 0, size)
+	anchorCat, anchored := v.anchorCat[upload], v.byAnchor[upload]
+	languageCat, spoken := v.languageCat[lang], v.byLanguage[lang]
+	out := dst[:0]
 	// Bound the attempts so tiny vocabularies cannot loop forever.
 	for attempts := 0; len(out) < size && attempts < 20*size; attempts++ {
 		var idx int
 		u := src.Float64()
 		switch {
-		case u < cfg.LocalBias && v.anchorCat[upload] != nil:
-			idx = v.byAnchor[upload][v.anchorCat[upload].Draw()]
-		case u < cfg.LocalBias+cfg.RegionalBias && v.languageCat[lang] != nil:
-			idx = v.byLanguage[lang][v.languageCat[lang].Draw()]
+		case u < cfg.LocalBias && anchorCat != nil:
+			idx = anchored[anchorCat.Draw()]
+		case u < cfg.LocalBias+cfg.RegionalBias && languageCat != nil:
+			idx = spoken[languageCat.Draw()]
 		case v.globalCat != nil:
 			idx = v.globalIdx[v.globalCat.Draw()]
 		default:
 			idx = v.freqSample(src)
 		}
-		if !seen[idx] {
-			seen[idx] = true
+		// A set is at most MaxTags long: a scan beats a map made per video.
+		if !slices.Contains(out, idx) {
 			out = append(out, idx)
 		}
 	}
@@ -430,7 +452,7 @@ func (v *Vocabulary) SampleTagSet(src *xrand.Source, upload geo.CountryID, cfg T
 // that a video's topical tags dominate its viewing geography.
 func (v *Vocabulary) sortTopicalFirst(set []int, upload geo.CountryID) {
 	rank := func(idx int) int {
-		t := v.tags[idx]
+		t := &v.tags[idx]
 		switch t.Class {
 		case ClassLocal:
 			if t.Anchor == upload {
@@ -443,7 +465,7 @@ func (v *Vocabulary) sortTopicalFirst(set []int, upload geo.CountryID) {
 			return 3
 		}
 	}
-	sort.SliceStable(set, func(a, b int) bool { return rank(set[a]) < rank(set[b]) })
+	slices.SortStableFunc(set, func(a, b int) int { return rank(a) - rank(b) })
 }
 
 // freqSample draws a tag by raw usage frequency, ignoring geography. The

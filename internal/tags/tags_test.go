@@ -2,6 +2,8 @@ package tags
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -368,5 +370,127 @@ func TestUsageProbSumsToOne(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("usage probs sum to %v", sum)
+	}
+}
+
+// sampleTagSetParent is SampleTagSet as it was before it wrote into lent
+// storage — a map and a fresh slice per set, sort.SliceStable — kept as the
+// reference the lending form is held to, id for id and draw for draw.
+func sampleTagSetParent(v *Vocabulary, src *xrand.Source, upload geo.CountryID, cfg TagSetConfig) []int {
+	size := 1
+	p := 1 / float64(cfg.MeanTags)
+	for size < cfg.MaxTags && !src.Bernoulli(p) {
+		size++
+	}
+	lang := v.world.Country(upload).Language
+	seen := make(map[int]bool, size)
+	out := make([]int, 0, size)
+	for attempts := 0; len(out) < size && attempts < 20*size; attempts++ {
+		var idx int
+		u := src.Float64()
+		switch {
+		case u < cfg.LocalBias && v.anchorCat[upload] != nil:
+			idx = v.byAnchor[upload][v.anchorCat[upload].Draw()]
+		case u < cfg.LocalBias+cfg.RegionalBias && v.languageCat[lang] != nil:
+			idx = v.byLanguage[lang][v.languageCat[lang].Draw()]
+		case v.globalCat != nil:
+			idx = v.globalIdx[v.globalCat.Draw()]
+		default:
+			idx = v.freqSample(src)
+		}
+		if !seen[idx] {
+			seen[idx] = true
+			out = append(out, idx)
+		}
+	}
+	if len(out) == 0 {
+		out = append(out, v.freqSample(src))
+	}
+	rank := func(idx int) int {
+		t := v.tags[idx]
+		switch t.Class {
+		case ClassLocal:
+			if t.Anchor == upload {
+				return 0
+			}
+			return 1
+		case ClassRegional:
+			return 2
+		default:
+			return 3
+		}
+	}
+	sort.SliceStable(out, func(a, b int) bool { return rank(out[a]) < rank(out[b]) })
+	return out
+}
+
+// TestSampleTagSetIntoMatchesParent: the lending sampler draws the sets
+// the allocating one did, from the same streams, and allocates nothing
+// once its destination has grown to a set's size.
+func TestSampleTagSetIntoMatchesParent(t *testing.T) {
+	got, want := testVocab(t, 3000), testVocab(t, 3000) // same seed: the samplers' own streams match too
+	gotSrc, wantSrc := xrand.NewSource(41), xrand.NewSource(41)
+	cfg := DefaultTagSetConfig()
+	var set []int
+	for trial := 0; trial < 4000; trial++ {
+		upload := geo.CountryID(trial % got.World().N())
+		set = got.SampleTagSetInto(set, gotSrc, upload, cfg)
+		if ref := sampleTagSetParent(want, wantSrc, upload, cfg); !slices.Equal(set, ref) {
+			t.Fatalf("trial %d (upload %d): set %v, the parent's sampler drew %v", trial, upload, set, ref)
+		}
+	}
+	if gotSrc.Float64() != wantSrc.Float64() {
+		t.Fatal("the two samplers consumed different numbers of draws")
+	}
+
+	set = make([]int, 0, cfg.MaxTags)
+	br := got.World().MustByCode("BR")
+	if n := testing.AllocsPerRun(500, func() { set = got.SampleTagSetInto(set, gotSrc, br, cfg) }); n != 0 {
+		t.Errorf("SampleTagSetInto with room lent: %v allocs per set, want 0", n)
+	}
+	if n := testing.AllocsPerRun(500, func() { sampleTagSetParent(want, wantSrc, br, cfg) }); n < 2 {
+		t.Errorf("the reference sampler allocates %v per set: it no longer shows what lending saves", n)
+	}
+}
+
+// TestAffinityIntoRegional: a regional tag's affinity is, bit for bit,
+// what summing its language cluster from the world on every call gave,
+// and reading it allocates nothing.
+func TestAffinityIntoRegional(t *testing.T) {
+	v := testVocab(t, 2000)
+	w := v.World()
+	prior := w.Traffic()
+	out := make([]float64, w.N())
+	regional := -1
+	for i := 0; i < v.N(); i++ {
+		tg := v.Tag(i)
+		if tg.Class != ClassRegional {
+			continue
+		}
+		regional = i
+		peers := w.LanguagePeers(tg.Language)
+		var clusterTraffic float64
+		for _, p := range peers {
+			clusterTraffic += prior[p]
+		}
+		want := make([]float64, w.N())
+		for c := range want {
+			want[c] = (1 - tg.AnchorMass) * prior[c]
+		}
+		for _, p := range peers {
+			want[p] += tg.AnchorMass * prior[p] / clusterTraffic
+		}
+		v.AffinityInto(out, i)
+		for c := range want {
+			if math.Float64bits(out[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("tag %d (%s) country %d: affinity %v, want %v", i, tg.Language, c, out[c], want[c])
+			}
+		}
+	}
+	if regional < 0 {
+		t.Fatal("no regional tag in the vocabulary")
+	}
+	if n := testing.AllocsPerRun(1000, func() { v.AffinityInto(out, regional) }); n != 0 {
+		t.Errorf("AffinityInto on a regional tag: %v allocs, want 0", n)
 	}
 }

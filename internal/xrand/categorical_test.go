@@ -68,7 +68,8 @@ func TestGuidedDrawMatchesSearchCDF(t *testing.T) {
 		{1, 0}, {2, 0}, {2, 1}, {2, 2}, {3, 0b101},
 		{60, 0}, {60, 0x0f0f0f0f0f0f0f0f}, {60, ^uint64(1 << 17)}, {60, math.MaxUint64},
 		{64, 0}, {65, 0xff}, {700, 0}, {700, 0xffffffff00000000}, {5000, 0xaaaaaaaaaaaaaaaa},
-		{math.MaxUint16, 0}, {math.MaxUint16 + 1, 0}, {70000, 0xf0f0}, // the last two: no guide, the fallback
+		{12304, 0}, {12304, 0x00ffff0000ffff00}, // a 20 000-video vocabulary's global sampler: buckets hundreds wide, halved
+		{math.MaxUint16, 0}, {math.MaxUint16, 0xfffffffffffffff0}, {math.MaxUint16 + 1, 0}, {70000, 0xf0f0}, // the last two: no guide, the fallback
 	} {
 		c.Reset(src, testWeights(src, tc.n, tc.zeroMask))
 		checkFind(t, &c, src)
@@ -151,6 +152,13 @@ func BenchmarkCategoricalDraw(b *testing.B) {
 	w := testWeights(src, 60, 0)
 	b.Run("draw", func(b *testing.B) {
 		c := NewCategorical(src, w)
+		for i := 0; i < b.N; i++ {
+			sinkInt += c.Draw()
+		}
+	})
+	// A vocabulary sampler at the benchmark's catalog: buckets ≈190 wide.
+	b.Run("draw-12304", func(b *testing.B) {
+		c := NewCategorical(src, testWeights(src, 12304, 0))
 		for i := 0; i < b.N; i++ {
 			sinkInt += c.Draw()
 		}

@@ -97,6 +97,10 @@ type Categorical struct {
 // opens.
 const guideBuckets = 64
 
+// guideScan is the widest range find walks entry by entry: a country
+// table's buckets (a step or two) never reach the search.
+const guideScan = 8
+
 // NewCategorical builds a categorical sampler from weights. It panics if
 // weights is empty, contains a negative entry, or sums to zero.
 func NewCategorical(src *Source, weights []float64) *Categorical {
@@ -152,6 +156,11 @@ func (c *Categorical) find(u float64) int {
 	// entry at or above u in that range is it.
 	k := int(u * guideBuckets)
 	i, hi := int(c.guide[k]), int(c.guide[k+1])
+	if hi-i > guideScan {
+		// A wide bucket: a vocabulary sampler's thousands of entries over
+		// 64 buckets. The same search, over the bucket alone.
+		return i + searchCDF(c.cdf[i:hi+1], u)
+	}
 	for i < hi && c.cdf[i] < u {
 		i++
 	}
