@@ -215,8 +215,7 @@ func TestAllocBudgets(t *testing.T) {
 		}
 		items4 := [][]string{tags[:3], tags[3:6], tags[6:9], tags[9:12]}
 		env := server.StreamRequest{Path: "/internal/predict", ContentType: server.WireContentType,
-			RequestID: "alloc-budget-test", SpanContext: "gateway/internal/predict",
-			Body: server.AppendPredictRequest(nil, items4, tagviews.WeightIDF, false)}
+			RequestID: "alloc-budget-test", Body: server.AppendPredictRequest(nil, items4, tagviews.WeightIDF, false)}
 		var frame, reply []byte
 		var rep server.StreamReply
 		do := func() {

@@ -1,8 +1,10 @@
-// Error and reply parity of the edge codec at repository scope: both
-// daemons' hot routes take the hand-written codec (internal/server
-// edge_*.go) for canonical bodies and encoding/json for everything else,
-// and a client must not be able to tell which one answered. The strings
-// below were captured from the commit before the codec existed.
+// Error and reply parity at repository scope: both daemons serve the
+// public contract (internal/server edge.go) — their hot routes take the
+// hand-written codec for canonical bodies and encoding/json for
+// everything else — and a client must not be able to tell which daemon,
+// or which decoder, answered. The body strings below were captured from
+// the commit before the codec existed; the GET rows from the one before
+// the contract was written once (PR 27), when the gateway kept a copy.
 package viewstags_test
 
 import (
@@ -26,6 +28,7 @@ import (
 // 200 with exactly the bytes its canonical spelling sameAs gets.
 type edgeParityCase struct {
 	name       string
+	method     string // "" is POST
 	path       string
 	body       string
 	wantStatus int
@@ -87,6 +90,20 @@ var edgeParityCases = []edgeParityCase{
 		wantStatus: 400, wantError: `event 1: unknown country "ZZ"`},
 	{name: "ingest negative views", path: "/v1/ingest", body: `{"events":[{"tags":["pop"],"country":"JP","views":-1}]}`,
 		wantStatus: 400, wantError: `ingest: event 0 has negative views`},
+	{name: "ingest upload without id", path: "/v1/ingest", body: `{"events":[{"tags":["pop"],"country":"JP","views":1,"upload":true}]}`,
+		wantStatus: 400, wantError: `ingest: event 0 is an upload without a video id`},
+	{name: "ingest empty tag", path: "/v1/ingest", body: `{"events":[{"tags":["pop",""],"country":"JP","views":1}]}`,
+		wantStatus: 400, wantError: `ingest: event 0 has an empty tag`},
+
+	{name: "tags k=0", method: "GET", path: "/v1/tags?k=0", wantStatus: 400, wantError: `invalid k "0"`},
+	{name: "tags k not a number", method: "GET", path: "/v1/tags?k=ten", wantStatus: 400, wantError: `invalid k "ten"`},
+	{name: "tags k with sign", method: "GET", path: "/v1/tags?k=%2B3", sameAs: "/v1/tags?k=3"},
+	{name: "traces bad min_ms", method: "GET", path: "/debug/traces?min_ms=-1", wantStatus: 400, wantError: `invalid min_ms "-1"`},
+	{name: "traces bad status", method: "GET", path: "/debug/traces?status=slow", wantStatus: 400, wantError: `invalid status "slow" (want ok, error or shed)`},
+	{name: "traces bad limit", method: "GET", path: "/debug/traces?limit=0", wantStatus: 400, wantError: `invalid limit "0"`},
+	{name: "trace id malformed", method: "GET", path: "/debug/traces/a,b", wantStatus: 400, wantError: `malformed request id`},
+	{name: "trace id not retained", method: "GET", path: "/debug/traces/parity-never-sent", wantStatus: 404,
+		wantError: `trace parity-never-sent not retained (tail sampling keeps errors, sheds and the slowest per route)`},
 }
 
 // TestEdgeErrorParity runs the table against a node and against a
@@ -120,9 +137,12 @@ func TestEdgeErrorParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	post := func(h http.Handler, path, body string) *httptest.ResponseRecorder {
+	send := func(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+		if method == "" {
+			method = http.MethodPost
+		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
 		return rec
 	}
 	for _, d := range []struct {
@@ -130,9 +150,13 @@ func TestEdgeErrorParity(t *testing.T) {
 		h    http.Handler
 	}{{"node", single.srv.Handler()}, {"gateway", g.Handler()}} {
 		for _, c := range edgeParityCases {
-			rec := post(d.h, c.path, c.body)
+			rec := send(d.h, c.method, c.path, c.body)
 			if c.sameAs != "" {
-				want := post(d.h, c.path, c.sameAs)
+				// A POST's canonical spelling is a body; a GET's, a path.
+				want := send(d.h, c.method, c.path, c.sameAs)
+				if c.method == http.MethodGet {
+					want = send(d.h, c.method, c.sameAs, "")
+				}
 				if want.Code != http.StatusOK || rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
 					t.Errorf("%s %s: answered %d %s, its canonical spelling %d %s",
 						d.name, c.name, rec.Code, rec.Body.Bytes(), want.Code, want.Body.Bytes())

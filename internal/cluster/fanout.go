@@ -17,9 +17,9 @@ import (
 // of a batch of items to a per-tag partial row — from the topology's row
 // cache where a valid one is held, from the tag's owner shard otherwise
 // — combines the rows into per-item mixtures and normalizes.
-// handlePredict is its one caller, so every fan-out runs on its client's
-// goroutine, under that handler's gate and bounded by that client's
-// context.
+// Gateway.Predict is its one caller, so every fan-out runs on its
+// client's goroutine, under the request barrier and bounded by that
+// client's context.
 
 // maxTraceLegs bounds the per-shard timing legs a fan-out records for
 // span tracing. A fixed array keeps the legs inside the pooled result
@@ -82,18 +82,15 @@ type missTag struct {
 	row *tagRow
 }
 
-// mergedPredict is a predict result: per-item normalized distributions
-// in one row-major [nItems × nC] slab plus known flags. Values are
-// pooled (getMerged/putMerged). fanStart, fanout, merge and the shard
-// legs are the stage timings predictFanout stamps for the request trace
-// (always overwritten on success, so pooling cannot leak a previous
-// request's timings); a request answered from cached rows alone has no
-// legs and a zero fanout. Everything below the timings is per-request
-// resolve scratch, cleared by putMerged.
+// mergedPredict is a predict's own state beside the distributions it
+// writes into the contract's server.Predictions. Values are pooled
+// (getMerged/putMerged). fanStart, fanout, merge and the shard legs are
+// the stage timings predictFanout stamps for the request trace (always
+// overwritten on success, so pooling cannot leak a previous request's
+// timings); a request answered from cached rows alone has no legs and a
+// zero fanout. Everything below the timings is per-request resolve
+// scratch, cleared by putMerged.
 type mergedPredict struct {
-	nC       int
-	known    []bool
-	vecs     []float64
 	fanStart time.Time
 	fanout   time.Duration
 	merge    time.Duration
@@ -113,9 +110,6 @@ type mergedPredict struct {
 	oneItems [][]string       // and the one-tag items over them
 }
 
-// row returns item i's distribution, aliasing the slab.
-func (m *mergedPredict) row(i int) []float64 { return m.vecs[i*m.nC : (i+1)*m.nC] }
-
 // wantTags lists the tags asked of shard s this round (shared scratch).
 func (m *mergedPredict) wantTags(s int) []string {
 	m.oneTag = m.oneTag[:0]
@@ -133,20 +127,11 @@ func oneTagItems(dst [][]string, tags []string) [][]string {
 	return dst
 }
 
-// getMerged takes a pooled result sized for nItems items carrying nTags
-// tags in all, over nShards shards.
-func (g *Gateway) getMerged(nItems, nTags, nShards int) *mergedPredict {
+// getMerged takes a pooled predict state for items carrying nTags tags
+// in all, over nShards shards.
+func (g *Gateway) getMerged(nTags, nShards int) *mergedPredict {
 	m := g.mergedPool.Get().(*mergedPredict)
-	m.nC = len(g.codes)
 	m.nlegs, m.fanout, m.fetched = 0, 0, false
-	if cap(m.known) < nItems {
-		m.known = make([]bool, nItems)
-	}
-	m.known = m.known[:nItems]
-	if cap(m.vecs) < nItems*m.nC {
-		m.vecs = make([]float64, nItems*m.nC)
-	}
-	m.vecs = m.vecs[:nItems*m.nC]
 	if cap(m.rows) < nTags {
 		m.rows = make([]*tagRow, nTags)
 		m.slotMiss = make([]int32, nTags)
@@ -187,31 +172,16 @@ var reqBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// replyError is a fan-out outcome that must end the client request: an
-// HTTP status, the message for the error envelope, and — for 503s — the
-// Retry-After hint, either propagated verbatim from a shard or derived
-// from a duration.
-type replyError struct {
-	status        int
-	msg           string
-	retryAfter    string        // literal shard header, wins when set
-	retryAfterDur time.Duration // fallback; SetRetryAfter floors it at 1s
-}
-
-// writeReplyError renders a fan-out failure onto the client response.
-func (g *Gateway) writeReplyError(w http.ResponseWriter, fe *replyError) {
-	if fe.status == http.StatusServiceUnavailable {
-		if fe.retryAfter != "" {
-			w.Header().Set("Retry-After", fe.retryAfter)
-		} else {
-			server.SetRetryAfter(w, fe.retryAfterDur)
-		}
-	}
-	server.WriteError(w, fe.status, "%s", fe.msg)
+// unavailable is the gateway's own 503: the tier cannot serve the
+// request now, and the health loop is what changes that, so the client is
+// told to come back after one health interval.
+func (g *Gateway) unavailable(format string, args ...any) *server.ErrorReply {
+	return &server.ErrorReply{Status: http.StatusServiceUnavailable, Msg: fmt.Sprintf(format, args...),
+		RetryAfter: server.RetryAfterSecs(g.cfg.HealthInterval)}
 }
 
 // downShard returns the index of the first down shard among the needed
-// ones (nil = all), or -1. The non-writing core of shedIfDown.
+// ones (nil = all), or -1.
 func (tp *topology) downShard(needed []bool) int {
 	for i, s := range tp.shards {
 		if needed != nil && !needed[i] {
@@ -233,17 +203,20 @@ func (tp *topology) downShard(needed []bool) int {
 // 503 with the shard's Retry-After; any other non-200 — a shard that is
 // alive but answered malformed or mismatched — stays 502, the true
 // bad-gateway case. nil means the reply body is ready to decode.
-func (g *Gateway) replyErr(tp *topology, rep shardReply) *replyError {
+func (g *Gateway) replyErr(tp *topology, rep shardReply) *server.ErrorReply {
 	switch {
 	case rep.err != nil:
-		return &replyError{status: http.StatusServiceUnavailable, retryAfterDur: g.cfg.HealthInterval,
-			msg: fmt.Sprintf("shard %d (%s): %v", rep.shard, tp.targets[rep.shard], rep.err)}
+		return g.unavailable("shard %d (%s): %v", rep.shard, tp.targets[rep.shard], rep.err)
 	case rep.status == http.StatusServiceUnavailable:
-		return &replyError{status: http.StatusServiceUnavailable, retryAfter: rep.retryAfter,
-			msg: fmt.Sprintf("shard %d shedding: %s", rep.shard, errText(rep.body))}
+		retry := rep.retryAfter
+		if retry == "" {
+			retry = server.RetryAfterSecs(0)
+		}
+		return &server.ErrorReply{Status: http.StatusServiceUnavailable, RetryAfter: retry,
+			Msg: fmt.Sprintf("shard %d shedding: %s", rep.shard, errText(rep.body))}
 	case rep.status != http.StatusOK:
-		return &replyError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("shard %d returned %d: %s", rep.shard, rep.status, errText(rep.body))}
+		return &server.ErrorReply{Status: http.StatusBadGateway,
+			Msg: fmt.Sprintf("shard %d returned %d: %s", rep.shard, rep.status, errText(rep.body))}
 	}
 	return nil
 }
@@ -255,9 +228,10 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *replyError {
 // combine per position (an item's partial mixture is Σ_j row(tag_j)/(j+1),
 // the harmonic rank discount applied here instead of on the shard) and
 // normalize, falling back to the shared prior when no tag carried
-// weight. A request whose rows are all cached and usable makes no shard
-// leg. trace is the request id, propagated to every shard asked. On
-// success the caller owns the returned value and must putMerged it.
+// weight. The distributions go into out, the contract's lent rows. A
+// request whose rows are all cached and usable makes no shard leg. trace
+// is the request id, propagated to every shard asked. On success the
+// caller owns the returned value and must putMerged it.
 //
 // Rows are re-checked against the request's view (see usable) at the
 // top of every round, so whatever moved the view during the last round
@@ -273,7 +247,7 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *replyError {
 // list the frame carries). Only the failed shard's tags are fetched
 // again, and read availability holds as long as every slice keeps a
 // live replica.
-func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting tagviews.Weighting, trace string) (*mergedPredict, *replyError) {
+func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting tagviews.Weighting, trace string, out *server.Predictions) (*mergedPredict, *server.ErrorReply) {
 	start := time.Now()
 	tp := g.topo.Load()
 	replicas := tp.ring.Replicas()
@@ -281,8 +255,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 	if len(exclude) > 0 {
 		if replicas <= 1 {
 			i := exclude[0]
-			return nil, &replyError{status: http.StatusServiceUnavailable, retryAfterDur: g.cfg.HealthInterval,
-				msg: fmt.Sprintf("shard %d (%s) is down", i, tp.targets[i])}
+			return nil, g.unavailable("shard %d (%s) is down", i, tp.targets[i])
 		}
 		if !tp.ring.Covered(exclude) {
 			return nil, g.coverageLost(tp, exclude)
@@ -293,7 +266,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 	for _, tags := range items {
 		nTags += len(tags)
 	}
-	m := g.getMerged(len(items), nTags, len(tp.shards))
+	m := g.getMerged(nTags, len(tp.shards))
 	for s, st := range tp.shards {
 		m.view[s] = shardView{ok: true, gen: st.gen.Load(), epoch: st.epoch.Load()}
 	}
@@ -420,8 +393,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 			if v := &m.view[rep.shard]; fe == nil && v.epoch != pp.Epoch {
 				v.epoch = pp.Epoch
 				if v.moves++; v.moves > maxEpochMoves {
-					fe = &replyError{status: http.StatusServiceUnavailable, retryAfterDur: g.cfg.HealthInterval,
-						msg: fmt.Sprintf("shard %d (%s) changed epoch %d times under one predict", rep.shard, tp.targets[rep.shard], v.moves)}
+					fe = g.unavailable("shard %d (%s) changed epoch %d times under one predict", rep.shard, tp.targets[rep.shard], v.moves)
 				}
 			}
 			if fe != nil {
@@ -452,7 +424,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 	// Combine per position, duplicates included, and normalize.
 	k := 0
 	for i, tags := range items {
-		dst := m.row(i)
+		dst := out.Row(i)
 		for c := range dst {
 			dst[c] = 0
 		}
@@ -471,28 +443,26 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 		}
 		if ws == 0 {
 			copy(dst, g.prior)
-			m.known[i] = false
+			out.Known[i] = false
 			continue
 		}
 		inv := 1 / ws
 		for c := range dst {
 			dst[c] *= inv
 		}
-		m.known[i] = true
+		out.Known[i] = true
 	}
 	if m.nlegs == 0 {
 		m.fanStart = start
 	}
 	m.merge = time.Since(start) - m.fanout
-	g.metrics.Predictions.Add(int64(len(items)))
 	return m, nil
 }
 
 // coverageLost is the 503 for an exclusion list that leaves some slice
 // without a live replica.
-func (g *Gateway) coverageLost(tp *topology, exclude []int) *replyError {
-	return &replyError{status: http.StatusServiceUnavailable, retryAfterDur: g.cfg.HealthInterval,
-		msg: fmt.Sprintf("%d of %d shards unavailable — slice coverage lost", len(exclude), len(tp.targets))}
+func (g *Gateway) coverageLost(tp *topology, exclude []int) *server.ErrorReply {
+	return g.unavailable("%d of %d shards unavailable — slice coverage lost", len(exclude), len(tp.targets))
 }
 
 // takeRows is the one row constructor, for a request's fetch and a
@@ -505,16 +475,16 @@ func (g *Gateway) coverageLost(tp *topology, exclude []int) *replyError {
 // them, which holds the generation it started under, and no later one.
 // Read and retired together, a frame's rows share two allocations: the
 // structs, and one slab for the vectors (a copy, never the reply buffer).
-func (g *Gateway) takeRows(tp *topology, shard int, gen uint64, tags []string, w tagviews.Weighting, body []byte, pp *server.PredictPartials) ([]tagRow, *replyError) {
+func (g *Gateway) takeRows(tp *topology, shard int, gen uint64, tags []string, w tagviews.Weighting, body []byte, pp *server.PredictPartials) ([]tagRow, *server.ErrorReply) {
 	n, nC := len(tags), len(g.codes)
 	if err := server.DecodePredictResponse(body, pp, n, nC); err != nil {
 		g.markFail(tp, shard)
-		return nil, &replyError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("shard %d: undecodable response: %v", shard, err)}
+		return nil, &server.ErrorReply{Status: http.StatusBadGateway,
+			Msg: fmt.Sprintf("shard %d: undecodable response: %v", shard, err)}
 	}
 	if pp.NItems != n || pp.NC != nC {
-		return nil, &replyError{status: http.StatusBadGateway,
-			msg: fmt.Sprintf("shard %d returned %d partials of %d countries for %d items of %d",
+		return nil, &server.ErrorReply{Status: http.StatusBadGateway,
+			Msg: fmt.Sprintf("shard %d returned %d partials of %d countries for %d items of %d",
 				shard, pp.NItems, pp.NC, n, nC)}
 	}
 	g.markOK(tp, shard, pp.Epoch)

@@ -16,7 +16,7 @@ import (
 // and returns the request's row for that tag and what the topology's
 // cache holds for it afterwards. inFlight, when non-nil, runs between
 // the request reading its view of the shard and the reply arriving.
-func takeOneRow(t *testing.T, g *Gateway, tag string, frame []byte, inFlight func(*shardState)) (fe *replyError, row, cached *tagRow) {
+func takeOneRow(t *testing.T, g *Gateway, tag string, frame []byte, inFlight func(*shardState)) (fe *server.ErrorReply, row, cached *tagRow) {
 	t.Helper()
 	tp := g.topo.Load()
 	gen := tp.shards[0].gen.Load()
@@ -72,7 +72,7 @@ func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 		enc.Item(1.5, sum)
 		fe, row, cached := takeOneRow(t, g, "zz-width", enc.Finish(), nil)
 		server.PutPredictWireEncoder(enc)
-		if fe == nil || fe.status != http.StatusBadGateway {
+		if fe == nil || fe.Status != http.StatusBadGateway {
 			t.Fatalf("width %d (table %d): %+v, want a 502 reply error", width, nC, fe)
 		}
 		if row != nil || cached != nil {

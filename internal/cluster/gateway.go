@@ -17,28 +17,24 @@ import (
 	"viewstags/internal/server"
 )
 
-// gatewayRoutes is the gateway's route table (server.Route): the
-// client-facing subset of the single-node surface that is meaningful at
-// the cluster edge, mounted on the same chain with the same policy
-// columns. Placement and preload stay shard-local: they need a catalog
-// the gateway does not hold.
-var gatewayRoutes = []server.Route[*Gateway]{
-	{Path: "/v1/predict", Method: "POST", Group: server.GroupPredict, Handler: (*Gateway).handlePredict},
-	{Path: "/v1/ingest", Method: "POST", Group: server.GroupIngest, Handler: (*Gateway).handleIngest},
-	{Path: "/v1/tags", Method: "GET", Group: server.GroupOther, Handler: (*Gateway).handleTags},
-	{Path: "/v1/stats", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleStats},
-	{Path: "/v1/reshard", Method: "POST", Group: server.GroupOther, Handler: (*Gateway).handleReshard},
-	{Path: "/healthz", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleHealth},
-	{Path: "/readyz", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleReady},
-	{Path: "/metrics", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleMetrics},
-	{Path: "/debug/traces", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleDebugTraces},
-	{Path: "/debug/traces/", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleDebugTraces},
+// GatewayRoutes returns the gateway's route table (server.Route), in
+// registration order, mounted on the node's chain with the same policy
+// columns: the public contract's rows (server.EdgeRoutes, the node's own
+// handlers over this gateway as their backend), then the gateway's
+// surfaces. Placement and preload stay shard-local: they need a catalog
+// the gateway does not hold. Documentation tests hold it against API.md,
+// exactly like server.Routes. (A function, not a package variable: a
+// variable built by a call is initialised in every binary that imports
+// the package, which would link the whole gateway into cmd/serve.)
+func GatewayRoutes() []server.Route[*Gateway] {
+	return append(server.EdgeRoutes(func(g *Gateway) *server.Edge { return g.edge }), []server.Route[*Gateway]{
+		{Path: "/v1/stats", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleStats},
+		{Path: "/v1/reshard", Method: "POST", Group: server.GroupOther, Handler: (*Gateway).handleReshard},
+		{Path: "/healthz", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleHealth},
+		{Path: "/readyz", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleReady},
+		{Path: "/metrics", Method: "GET", Group: server.GroupOther, Policy: server.Probe, Handler: (*Gateway).handleMetrics},
+	}...)
 }
-
-// GatewayRoutes returns the gateway's route table, in registration
-// order. Documentation tests hold it against API.md, exactly like
-// server.Routes.
-func GatewayRoutes() []server.Route[*Gateway] { return slices.Clone(gatewayRoutes) }
 
 // GatewayConfig parameterizes the gateway.
 type GatewayConfig struct {
@@ -178,10 +174,11 @@ func (tp *topology) excludedShards(dst []int) []int {
 	return dst
 }
 
-// Gateway is the cluster edge: it owns request semantics (validation,
-// batching, backpressure) and the predict arithmetic, combining the
-// per-tag partial rows it fetches from the shard tier and keeps.
-// Construct with NewGateway, then Sync before serving.
+// Gateway is the cluster edge: the node's public contract (server.Edge)
+// over a backend that owns the predict arithmetic — combining the per-tag
+// partial rows it fetches from the shard tier and keeps — and splits
+// writes by ring owner. Construct with NewGateway, then Sync before
+// serving.
 type Gateway struct {
 	cfg GatewayConfig
 	// client carries the control plane (meta probes, /v1/tags, transfers,
@@ -192,6 +189,8 @@ type Gateway struct {
 	logger  *log.Logger
 	handler http.Handler
 	mw      *server.Middleware
+	// edge is the public contract over this gateway as its Backend.
+	edge *server.Edge
 	// topo is the current shard-tier view; see type topology.
 	topo atomic.Pointer[topology]
 	// traces is the gateway's own tail-sampled span ring; the
@@ -237,10 +236,10 @@ type Gateway struct {
 	handoff atomic.Pointer[HandoffStatus]
 
 	// Global (unpartitioned) state learned from the shards at Sync:
-	// the country table and the traffic prior, identical on every
-	// shard by construction.
+	// the country table (codes, and indexed in countries) and the
+	// traffic prior, identical on every shard by construction.
 	codes     []string
-	codeIndex map[string]int
+	countries *server.Countries
 	prior     []float64
 
 	// mergedPool and partialsPool recycle the predict path's larger
@@ -290,9 +289,10 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 		transport = &http.Transport{}
 	}
 	g := &Gateway{
-		cfg:     cfg,
-		metrics: server.NewMetrics(),
-		logger:  cfg.Logger,
+		cfg:       cfg,
+		metrics:   server.NewMetrics(),
+		logger:    cfg.Logger,
+		countries: server.NewCountries(nil), // until Sync learns the shards'
 		client: &http.Client{
 			Timeout:   cfg.ShardTimeout,
 			Transport: transport,
@@ -317,7 +317,8 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 	g.traces = obs.NewTraceStore(0)
 	mw.SetTraceStore(g.traces)
 	g.mw = mw
-	g.handler = server.Mount(mw, g, gatewayRoutes)
+	g.edge = server.NewEdge(g, cfg.MaxBatch, g.metrics, g.traces)
+	g.handler = server.Mount(mw, g, GatewayRoutes())
 	return g, nil
 }
 
@@ -385,11 +386,8 @@ func (g *Gateway) Sync(ctx context.Context) error {
 		}
 		if g.codes == nil {
 			g.codes = meta.Countries
+			g.countries = server.NewCountries(g.codes)
 			g.prior = meta.Prior
-			g.codeIndex = make(map[string]int, len(g.codes))
-			for c, code := range g.codes {
-				g.codeIndex[code] = c
-			}
 		} else if !slices.Equal(g.codes, meta.Countries) || !slices.Equal(g.prior, meta.Prior) {
 			return fmt.Errorf("cluster: shard %d (%s) disagrees with shard 0 on the country table or prior — different datasets?", i, target)
 		}

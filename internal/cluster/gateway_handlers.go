@@ -8,12 +8,9 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
-	"viewstags/internal/dist"
-	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 	"viewstags/internal/server"
@@ -102,130 +99,55 @@ func (g *Gateway) scatter(ctx context.Context, tp *topology, route int, bodies [
 	return replies
 }
 
-// shedIfDown answers 503 when any of the needed shards is marked down —
-// the health-based shedding path: a request that must touch a dead
-// shard is rejected immediately instead of stacking connect timeouts
-// onto every client. needed == nil means "all shards".
-func (g *Gateway) shedIfDown(w http.ResponseWriter, tp *topology, needed []bool) bool {
+// shedIfDown is the 503 for a request that needs a shard marked down —
+// the health-based shedding path: a request that must touch a dead shard
+// is refused immediately instead of stacking connect timeouts onto every
+// client. needed == nil means "all shards"; nil when none is down.
+func (g *Gateway) shedIfDown(tp *topology, needed []bool) *server.ErrorReply {
 	if i := tp.downShard(needed); i >= 0 {
-		server.SetRetryAfter(w, g.cfg.HealthInterval)
-		server.WriteError(w, http.StatusServiceUnavailable, "shard %d (%s) is down", i, tp.targets[i])
-		return true
+		return g.unavailable("shard %d (%s) is down", i, tp.targets[i])
 	}
-	return false
+	return nil
 }
 
-// topShares renders the k highest-share countries of a merged
-// prediction — the gateway analogue of the server-side helper, over the
-// synced country table.
-func (g *Gateway) topShares(p []float64, k int) []server.CountryShare {
-	if k <= 0 {
-		k = 5
-	}
-	_, top := dist.TopShare(p, k)
-	out := make([]server.CountryShare, len(top))
-	for i, c := range top {
-		out[i] = server.CountryShare{Country: g.codes[c], Share: p[c]}
-	}
-	return out
-}
+// The gateway is the public contract's scattering backend (server.Edge):
+// the contract decodes, checks and encodes; these fetch and merge.
 
-func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	// Request barrier: a reshard cutover takes this exclusively, so no
-	// predict straddles two topologies. Uncontended RLock in steady
-	// state.
+// Countries is the Backend's country table, learned from the shards at
+// Sync.
+func (g *Gateway) Countries() *server.Countries { return g.countries }
+
+// Predict is the Backend's predict: predictFanout over the row cache and
+// the shards, under the request barrier — which covers the fan-out, not
+// the client's body: a reshard cutover waits for the legs in flight, not
+// for a slow upload.
+func (g *Gateway) Predict(r *http.Request, items [][]string, w tagviews.Weighting, out *server.Predictions) *server.ErrorReply {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
-	var req server.PredictRequest
-	if !server.DecodePredictBody(w, r, &g.metrics.Predict, &req) {
-		return
-	}
-	decodeDur := time.Since(start)
-	parsed, err := tagviews.ParseWeighting(req.Weighting)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	single := len(req.Tags) > 0
-	if single && len(req.Batch) > 0 {
-		server.WriteError(w, http.StatusBadRequest, "set either tags or batch, not both")
-		return
-	}
-	if !single && len(req.Batch) == 0 {
-		server.WriteError(w, http.StatusBadRequest, "empty request: provide tags or batch")
-		return
-	}
-	if len(req.Batch) > g.cfg.MaxBatch {
-		server.WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Batch), g.cfg.MaxBatch)
-		return
-	}
-	// Full per-item validation at the edge (including the MaxTagLen
-	// bound the binary wire enforces): a bad item must 400 here, not
-	// bounce off a shard decoder mid-fan-out as a 502.
-	var items [][]string
-	if single {
-		if !server.ValidTags(w, 0, req.Tags) {
-			return
-		}
-		items = [][]string{req.Tags}
-	} else {
-		items = make([][]string, len(req.Batch))
-		for i := range req.Batch {
-			if !server.ValidTags(w, i, req.Batch[i].Tags) {
-				return
-			}
-			items[i] = req.Batch[i].Tags
-		}
-	}
-
-	tr := server.TraceFrom(r)
-	tr.Add("decode", obs.NoShard, start, decodeDur, "")
-	results := make([]server.PredictResult, len(items))
-	merged, fe := g.predictFanout(r.Context(), items, parsed, server.RequestID(r))
+	m, fe := g.predictFanout(r.Context(), items, w, server.RequestID(r), out)
 	if fe != nil {
-		g.writeReplyError(w, fe)
-		return
+		return fe
 	}
-	addFanoutSpans(tr, merged)
-	for i := range items {
-		results[i] = server.PredictResult{Known: merged.known[i], Top: g.topShares(merged.row(i), req.Top)}
-	}
-	g.putMerged(merged)
-
-	resp := server.PredictResponse{Weighting: parsed.String()}
-	if single {
-		resp.Result = &results[0]
-	} else {
-		resp.Results = results
-	}
-	encStart := time.Now()
-	server.WritePredictResponse(w, &resp)
-	tr.Add("encode", obs.NoShard, encStart, time.Since(encStart), "")
+	addFanoutSpans(server.TraceFrom(r), m)
+	g.putMerged(m)
+	return nil
 }
 
-// gatherOK maps one shard reply onto the client response through the
+// gatherAck maps one shard reply onto the client response through the
 // same replyErr mapping the predict fan-out uses, so a shard dying
 // mid-ingest sheds exactly like one dying mid-predict (503 +
-// Retry-After); shard 400s surface as 502 (the gateway validates with
+// Retry-After); shard 400s surface as 502 (the contract validates with
 // the shard's own validator, so these indicate a version skew worth
-// surfacing, not hiding). Returns false when the reply ended the
-// request; on true, out holds the decoded ack. Skipped shards
-// (status -1) are ignored.
-func (g *Gateway) gatherOK(w http.ResponseWriter, tp *topology, rep shardReply, out *server.IngestResponse) bool {
-	if rep.status == -1 {
-		return true
-	}
+// surfacing, not hiding). On nil, out holds the decoded ack.
+func (g *Gateway) gatherAck(tp *topology, rep shardReply, out *server.IngestResponse) *server.ErrorReply {
 	if fe := g.replyErr(tp, rep); fe != nil {
-		g.writeReplyError(w, fe)
-		return false
+		return fe
 	}
 	if err := server.DecodeIngestResponse(rep.body, out); err != nil {
 		g.markFail(tp, rep.shard)
-		server.WriteError(w, http.StatusBadGateway, "shard %d: undecodable response: %v", rep.shard, err)
-		return false
+		return &server.ErrorReply{Status: http.StatusBadGateway, Msg: fmt.Sprintf("shard %d: undecodable response: %v", rep.shard, err)}
 	}
-	return true
+	return nil
 }
 
 // errText extracts the error envelope's message for propagation.
@@ -239,7 +161,10 @@ func errText(body []byte) string {
 	return string(bytes.TrimSpace(body))
 }
 
-func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
+// Ingest is the Backend's ingest: each event's tags split by ring owner
+// and scattered as one /internal/ingest frame per shard involved. The
+// batch is already validated whole, with the shards' own validator.
+func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestResponse, *server.ErrorReply) {
 	// Both barriers: the reshard cutover holds gate exclusively, and
 	// replica catch-up holds writeGate exclusively across its
 	// export+import pair — a write landing mid-copy on the exporting
@@ -249,35 +174,6 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	defer g.gate.RUnlock()
 	g.writeGate.RLock()
 	defer g.writeGate.RUnlock()
-	var req server.IngestRequest
-	if !server.DecodeIngestBody(w, r, &g.metrics.Ingest, &req) {
-		return
-	}
-	if len(req.Events) == 0 {
-		server.WriteError(w, http.StatusBadRequest, "empty request: provide events")
-		return
-	}
-	if len(req.Events) > g.cfg.MaxBatch {
-		server.WriteError(w, http.StatusBadRequest, "batch of %d events exceeds limit %d", len(req.Events), g.cfg.MaxBatch)
-		return
-	}
-	// Validate the whole batch up front with the shards' own validator:
-	// the batch is all-or-nothing across shards, so nothing may be
-	// dispatched until every event would be accepted everywhere.
-	events := make([]ingest.Event, len(req.Events))
-	for i := range req.Events {
-		e := &req.Events[i]
-		c, ok := g.codeIndex[e.Country]
-		if !ok {
-			server.WriteError(w, http.StatusBadRequest, "event %d: unknown country %q", i, e.Country)
-			return
-		}
-		events[i] = ingest.Event{Video: e.Video, Tags: e.Tags, Country: geo.CountryID(c), Views: e.Views, Upload: e.Upload}
-	}
-	if _, err := ingest.Validate(events, len(g.codes)); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
 
 	// Partition: each event's tags split by ring owner — every live
 	// owner when the tier is replicated — and an upload is announced to
@@ -297,8 +193,8 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	perShard := make([]server.InternalIngestRequest, len(tp.targets))
 	tagsByShard := make([][]string, len(tp.targets))
 	var ownerBuf []int
-	for i := range req.Events {
-		e := &req.Events[i]
+	for i := range events {
+		e := &events[i]
 		for s := range tagsByShard {
 			tagsByShard[s] = tagsByShard[s][:0]
 		}
@@ -319,9 +215,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 					tagsByShard[s] = append(tagsByShard[s], tag)
 				}
 				if live == 0 {
-					server.SetRetryAfter(w, g.cfg.HealthInterval)
-					server.WriteError(w, http.StatusServiceUnavailable, "event %d: every replica of tag %q's slice is down", i, tag)
-					return
+					return server.IngestResponse{}, g.unavailable("event %d: every replica of tag %q's slice is down", i, tag)
 				}
 			}
 		}
@@ -333,7 +227,7 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 				perShard[s].Events = append(perShard[s].Events, server.IngestEvent{
 					Video:   e.Video,
 					Tags:    append([]string(nil), tagsByShard[s]...),
-					Country: e.Country,
+					Country: g.codes[e.Country],
 					Views:   e.Views,
 					Upload:  e.Upload,
 				})
@@ -352,13 +246,14 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 		needed[s] = true
 		body, err := server.MarshalInternalIngestRequest(&perShard[s])
 		if err != nil {
-			server.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
+			return server.IngestResponse{}, &server.ErrorReply{Status: http.StatusInternalServerError, Msg: err.Error()}
 		}
 		bodies[s] = body
 	}
-	if replicas <= 1 && g.shedIfDown(w, tp, needed) {
-		return
+	if replicas <= 1 {
+		if fe := g.shedIfDown(tp, needed); fe != nil {
+			return server.IngestResponse{}, fe
+		}
 	}
 
 	// Gather. The sub-batches commit independently on their shards, so
@@ -372,38 +267,25 @@ func (g *Gateway) handleIngest(w http.ResponseWriter, r *http.Request) {
 	fanStart := time.Now()
 	replies := g.scatter(r.Context(), tp, legIngest, bodies, "application/json", server.RequestID(r))
 	server.TraceFrom(r).Add("fanout", obs.NoShard, fanStart, time.Since(fanStart), "")
+	var pending int64
 	for _, rep := range replies {
 		if rep.status == -1 {
 			continue // shard not involved: no reply, no health signal
 		}
-		if !g.gatherOK(w, tp, rep, &acks[rep.shard]) {
-			return
+		if fe := g.gatherAck(tp, rep, &acks[rep.shard]); fe != nil {
+			return server.IngestResponse{}, fe
 		}
 		g.markOK(tp, rep.shard, acks[rep.shard].Epoch)
+		pending += acks[rep.shard].Pending
 	}
-	var pending int64
-	for s := range acks {
-		if needed[s] {
-			pending += acks[s].Pending
-		}
-	}
-	server.WriteIngestResponse(w, &server.IngestResponse{
-		Accepted: len(req.Events),
-		Epoch:    tp.minEpoch(),
-		Pending:  pending,
-	})
+	return server.IngestResponse{Accepted: len(events), Epoch: tp.minEpoch(), Pending: pending}, nil
 }
 
-func (g *Gateway) handleTags(w http.ResponseWriter, r *http.Request) {
-	k := 20
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			server.WriteError(w, http.StatusBadRequest, "invalid k %q", v)
-			return
-		}
-		k = n
-	}
+// TopTags is the Backend's top-k: tags are partitioned, so each shard's
+// top-k is globally correct for the tags it owns and the global top-k is
+// a k-way merge of the per-shard lists (replicas contribute duplicates,
+// dropped below).
+func (g *Gateway) TopTags(r *http.Request, k int) ([]server.TagInfo, *server.ErrorReply) {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
 	tp := g.topo.Load()
@@ -416,23 +298,15 @@ func (g *Gateway) handleTags(w http.ResponseWriter, r *http.Request) {
 		excl := tp.excludedShards(nil)
 		if len(excl) > 0 {
 			if !tp.ring.Covered(excl) {
-				server.SetRetryAfter(w, g.cfg.HealthInterval)
-				server.WriteError(w, http.StatusServiceUnavailable, "%d of %d shards unavailable — slice coverage lost", len(excl), len(tp.targets))
-				return
+				return nil, g.coverageLost(tp, excl)
 			}
 			skip = make([]bool, len(tp.targets))
 			for _, s := range excl {
 				skip[s] = true
 			}
 		}
-	} else if g.shedIfDown(w, tp, nil) {
-		return
-	}
-	// Tags are partitioned, so each shard's top-k is globally correct
-	// for the tags it owns and the global top-k is a k-way merge of the
-	// per-shard lists (replicas contribute duplicates, dropped below).
-	type tagsReply struct {
-		Tags []server.TagInfo `json:"tags"`
+	} else if fe := g.shedIfDown(tp, nil); fe != nil {
+		return nil, fe
 	}
 	// Sized by what the shards return, never by the client's k (a shard
 	// clamps k to its vocabulary; the gateway has none to clamp to).
@@ -447,7 +321,7 @@ func (g *Gateway) handleTags(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var reply tagsReply
+			var reply server.TagsResponse
 			url := fmt.Sprintf("%s/v1/tags?k=%d", tp.targets[i], k)
 			if err := g.getJSON(r.Context(), url, &reply); err != nil {
 				// Only transport failures are health signals; a non-200
@@ -471,12 +345,9 @@ func (g *Gateway) handleTags(w http.ResponseWriter, r *http.Request) {
 	case err := <-errc:
 		var se *statusError
 		if errors.As(err, &se) && se.code == http.StatusServiceUnavailable {
-			server.SetRetryAfter(w, 0)
-			server.WriteError(w, http.StatusServiceUnavailable, "%v", err)
-			return
+			return nil, &server.ErrorReply{Status: http.StatusServiceUnavailable, Msg: err.Error(), RetryAfter: server.RetryAfterSecs(0)}
 		}
-		server.WriteError(w, http.StatusBadGateway, "%v", err)
-		return
+		return nil, &server.ErrorReply{Status: http.StatusBadGateway, Msg: err.Error()}
 	default:
 	}
 	if replicas > 1 {
@@ -507,7 +378,7 @@ func (g *Gateway) handleTags(w http.ResponseWriter, r *http.Request) {
 	if len(merged) > k {
 		merged = merged[:k]
 	}
-	server.WriteJSON(w, http.StatusOK, map[string][]server.TagInfo{"tags": merged})
+	return merged, nil
 }
 
 // ShardStatus is one shard's entry in the gateway's /v1/stats and

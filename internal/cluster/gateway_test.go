@@ -718,3 +718,51 @@ func TestGatewayRequestIDBound(t *testing.T) {
 		}
 	}
 }
+
+// TestBarrierDoesNotWaitOnBodies: the request barrier a reshard cutover
+// closes covers a request's fan-out, not the client's upload. While it
+// covered the whole handler, one client trickling a body held it shared,
+// and once a reshard queued for it exclusively every later request on the
+// gateway queued behind that client too (a sync.RWMutex stops new readers
+// while a writer waits).
+func TestBarrierDoesNotWaitOnBodies(t *testing.T) {
+	_, g := startCluster(t, 3)
+	for _, tc := range []struct{ path, head, tail string }{
+		{"/v1/predict", `{"tags":["pop"`, `]}`},
+		{"/v1/ingest", `{"events":[{"tags":["zz-barrier"],"country":"US"`, `,"views":1}]}`},
+	} {
+		pr, pw := io.Pipe()
+		done := make(chan int)
+		go func() {
+			rec := httptest.NewRecorder()
+			g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, tc.path, pr))
+			done <- rec.Code
+		}()
+		// A pipe write returns once the reader has taken the bytes: the
+		// handler is inside its body read from here on.
+		if _, err := io.WriteString(pw, tc.head); err != nil {
+			t.Fatal(err)
+		}
+		locked := make(chan struct{})
+		go func() {
+			g.gate.Lock()
+			close(locked)
+			g.gate.Unlock()
+		}()
+		var waited bool
+		select {
+		case <-locked:
+		case <-time.After(2 * time.Second):
+			waited = true
+		}
+		_, _ = io.WriteString(pw, tc.tail)
+		_ = pw.Close()
+		if code := <-done; code != http.StatusOK {
+			t.Errorf("%s: %d once the body arrived", tc.path, code)
+		}
+		<-locked
+		if waited {
+			t.Errorf("%s: the reshard barrier waited on a client's unfinished body", tc.path)
+		}
+	}
+}

@@ -148,12 +148,6 @@ func (s *shardStream) call(ctx context.Context, path, contentType, trace string,
 	c.mu.Unlock()
 
 	env := server.StreamRequest{ID: id, Path: path, ContentType: contentType, RequestID: trace, Body: body}
-	if trace != "" {
-		// Span context: tell the shard which gateway stage made the
-		// call, so its retained trace names its parent in a stitched
-		// cross-process view.
-		env.SpanContext = "gateway" + path
-	}
 	bufp := streamBufPool.Get().(*[]byte)
 	frame, encErr := server.AppendStreamRequest((*bufp)[:0], &env)
 	if encErr == nil {

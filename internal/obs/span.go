@@ -43,7 +43,7 @@ type Trace struct {
 	id      string
 	route   string
 	start   time.Time
-	parent  string // upstream span context, e.g. "gateway/fanout"
+	parent  string // the upstream span, e.g. "gateway/internal/predict"
 	spans   [MaxSpans]Span
 	n       int
 	dropped int
@@ -86,8 +86,9 @@ func (t *Trace) Route() string { return t.route }
 // Start returns the trace's start time.
 func (t *Trace) Start() time.Time { return t.start }
 
-// SetParent records the upstream span context propagated on
-// SpanContextHeader ("role/span", e.g. "gateway/fanout").
+// SetParent records the upstream span the trace is a child of
+// ("role/span"; a shard names the gateway leg a stream frame is, e.g.
+// "gateway/internal/predict").
 func (t *Trace) SetParent(p string) { t.parent = p }
 
 // Add records one child span. Allocation-free: name must be a string
@@ -130,12 +131,6 @@ func (t *Trace) End(status int, shed bool, dur time.Duration) {
 	t.shed = t.shed || shed
 	t.durNs = dur.Nanoseconds()
 }
-
-// SpanContextHeader carries span context on internal hops, alongside
-// TraceHeader: "role/span" names the upstream span the downstream
-// trace is a child of. It rides the HTTP headers of both internal
-// wires (JSON and binary bodies alike).
-const SpanContextHeader = "X-Span-Context"
 
 // TraceView is the JSON shape of a retained trace — what
 // /debug/traces returns and flight-recorder dumps contain.

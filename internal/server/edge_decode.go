@@ -119,15 +119,11 @@ func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics,
 }
 
 // DecodePredictBody decodes a /v1/predict request body into req; rm is
-// the daemon's predict group. On failure the 400 has been written.
+// the daemon's predict group. On failure the 400 has been written. The
+// contract decodes through it; it is exported for the root benchmarks
+// that price the codec against encoding/json.
 func DecodePredictBody(w http.ResponseWriter, r *http.Request, rm *RouteMetrics, req *PredictRequest) bool {
 	return decodeEdge(w, r, rm, parsePredictRequest, req)
-}
-
-// DecodeIngestBody decodes a /v1/ingest request body into req, as
-// DecodePredictBody does for predicts.
-func DecodeIngestBody(w http.ResponseWriter, r *http.Request, rm *RouteMetrics, req *IngestRequest) bool {
-	return decodeEdge(w, r, rm, parseIngestRequest, req)
 }
 
 // DecodeIngestResponse decodes a shard's ingest ack for the gateway.

@@ -213,7 +213,8 @@ func MarshalInternalIngestRequest(req *InternalIngestRequest) ([]byte, error) {
 }
 
 // WritePredictResponse answers 200 with resp, byte for byte what
-// WriteJSON would send.
+// WriteJSON would send. Exported, like DecodePredictBody, for the root
+// benchmarks.
 func WritePredictResponse(w http.ResponseWriter, resp *PredictResponse) {
 	buf := GetWireBuf()
 	defer PutWireBuf(buf)
@@ -226,9 +227,9 @@ func WritePredictResponse(w http.ResponseWriter, resp *PredictResponse) {
 	writeBody(w, http.StatusOK, buf.Bytes())
 }
 
-// WriteIngestResponse answers 200 with the ingest ack, byte for byte
+// writeIngestResponse answers 200 with the ingest ack, byte for byte
 // what WriteJSON would send.
-func WriteIngestResponse(w http.ResponseWriter, resp *IngestResponse) {
+func writeIngestResponse(w http.ResponseWriter, resp *IngestResponse) {
 	buf := GetWireBuf()
 	defer PutWireBuf(buf)
 	buf.Write(append(appendIngestResponse(buf.AvailableBuffer(), resp), '\n'))

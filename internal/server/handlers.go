@@ -1,20 +1,18 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
 	"time"
 
-	"viewstags/internal/dist"
-	"viewstags/internal/geo"
 	"viewstags/internal/geocache"
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 	"viewstags/internal/persist"
 	"viewstags/internal/placement"
-	"viewstags/internal/profilestore"
 	"viewstags/internal/tagviews"
 )
 
@@ -138,10 +136,11 @@ type errorResponse struct {
 }
 
 // WriteJSON, WriteError and DecodeBody are the wire-level helpers every
-// handler is built from. They are exported because the cluster gateway
-// (internal/cluster) serves the same wire protocol and must encode
-// errors and decode bodies identically. (Methods are gated by the route
-// table's guard, Mount, not by handlers.)
+// handler is built from. They are exported for the gateway's own routes
+// (stats, health, reshard), which must encode errors and decode bodies
+// as a node's do; the routes both daemons serve are one implementation
+// (edge.go). (Methods are gated by the route table's guard, Mount, not by
+// handlers.)
 
 // WriteJSON encodes v as the JSON response body with the given status.
 // The body is encoded into a pooled buffer first, so the reply carries
@@ -195,71 +194,23 @@ func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// topShares renders the k highest-share countries of a prediction.
-func topShares(snap *profilestore.Snapshot, p []float64, k int) []CountryShare {
-	if k <= 0 {
-		k = 5
-	}
-	_, top := dist.TopShare(p, k)
-	out := make([]CountryShare, len(top))
-	world := snap.World()
-	for i, c := range top {
-		out[i] = CountryShare{Country: world.Country(geo.CountryID(c)).Code, Share: p[c]}
-	}
-	return out
-}
+// A node is the public contract's local backend (edge.go): every answer
+// comes from the snapshot it serves and the accumulator it feeds.
 
-func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	var req PredictRequest
-	if !DecodePredictBody(w, r, &s.metrics.Predict, &req) {
-		return
-	}
-	weighting, err := tagviews.ParseWeighting(req.Weighting)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	single := len(req.Tags) > 0
-	if single && len(req.Batch) > 0 {
-		WriteError(w, http.StatusBadRequest, "set either tags or batch, not both")
-		return
-	}
-	if !single && len(req.Batch) == 0 {
-		WriteError(w, http.StatusBadRequest, "empty request: provide tags or batch")
-		return
-	}
-	if len(req.Batch) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Batch), s.cfg.MaxBatch)
-		return
-	}
+// Countries is the Backend's country table: the world every snapshot the
+// store installs shares.
+func (s *Server) Countries() *Countries { return s.countries }
 
+// Predict is the Backend's predict: each item through PredictInto over
+// one snapshot, straight into the contract's rows.
+func (s *Server) Predict(r *http.Request, items [][]string, w tagviews.Weighting, out *Predictions) *ErrorReply {
 	snap := s.store.Load()
-	bufp := s.scratch.Get()
-	defer s.scratch.Put(bufp)
-	buf := *bufp
-
-	predictStart := time.Now()
-	resp := PredictResponse{Weighting: weighting.String()}
-	if single {
-		if !ValidTags(w, 0, req.Tags) {
-			return
-		}
-		known := snap.PredictInto(buf, req.Tags, weighting)
-		resp.Result = &PredictResult{Known: known, Top: topShares(snap, buf, req.Top)}
-		s.metrics.Predictions.Add(1)
-	} else {
-		resp.Results = make([]PredictResult, len(req.Batch))
-		for i := range req.Batch {
-			if !ValidTags(w, i, req.Batch[i].Tags) {
-				return
-			}
-			known := snap.PredictInto(buf, req.Batch[i].Tags, weighting)
-			resp.Results[i] = PredictResult{Known: known, Top: topShares(snap, buf, req.Top)}
-		}
-		s.metrics.Predictions.Add(int64(len(req.Batch)))
+	start := time.Now()
+	for i, tags := range items {
+		out.Known[i] = snap.PredictInto(out.Row(i), tags, w)
 	}
-	TraceFrom(r).Add("predict", obs.NoShard, predictStart, time.Since(predictStart), "")
-	WritePredictResponse(w, &resp)
+	TraceFrom(r).Add("predict", obs.NoShard, start, time.Since(start), "")
+	return nil
 }
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
@@ -364,83 +315,30 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
+// Ingest is the Backend's ingest: the batch into the accumulator, whose
+// Add journals it first when the daemon is durable.
+func (s *Server) Ingest(r *http.Request, events []ingest.Event) (IngestResponse, *ErrorReply) {
 	if s.ing == nil {
-		WriteError(w, http.StatusServiceUnavailable, "ingest disabled: daemon started without an event stream (-ingest-interval 0)")
-		return
-	}
-	var req IngestRequest
-	if !DecodeIngestBody(w, r, &s.metrics.Ingest, &req) {
-		return
-	}
-	if len(req.Events) == 0 {
-		WriteError(w, http.StatusBadRequest, "empty request: provide events")
-		return
-	}
-	if len(req.Events) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusBadRequest, "batch of %d events exceeds limit %d", len(req.Events), s.cfg.MaxBatch)
-		return
-	}
-	events, ok := s.resolveEvents(w, req.Events)
-	if !ok {
-		return
-	}
-	journalStart := time.Now()
-	if err := s.ing.Add(events); err != nil {
-		// Backpressure sheds with the fold interval as the Retry-After
-		// hint — the buffer only clears when the next fold drains it.
-		TraceFrom(r).Add("journal", obs.NoShard, journalStart, time.Since(journalStart), "error")
-		s.writeIngestError(w, err)
-		return
+		return IngestResponse{}, &ErrorReply{Status: http.StatusServiceUnavailable, Msg: "ingest disabled: daemon started without an event stream (-ingest-interval 0)"}
 	}
 	// The journal span covers Add end to end: buffer splice plus the
 	// synchronous WAL append when the daemon is durable.
-	TraceFrom(r).Add("journal", obs.NoShard, journalStart, time.Since(journalStart), "")
+	start := time.Now()
+	err := s.ing.Add(events)
+	status := ""
+	if err != nil {
+		status = "error"
+	}
+	TraceFrom(r).Add("journal", obs.NoShard, start, time.Since(start), status)
+	if err != nil {
+		return IngestResponse{}, s.ingestRefusal(err)
+	}
 	st := s.ing.Stats()
-	WriteIngestResponse(w, &IngestResponse{
-		Accepted: len(events),
-		Epoch:    st.Epoch,
-		Pending:  st.Pending,
-	})
+	return IngestResponse{Accepted: len(events), Epoch: st.Epoch, Pending: st.Pending}, nil
 }
 
-// resolveEvents maps wire events onto ingest events, resolving country
-// codes — the only event validation the handler layer owns; everything
-// else (tag presence and caps, view signs, upload-needs-video) is
-// validated in one place, Accumulator.Add. Shared by the public and the
-// shard-internal ingest routes. The boolean reports success; on failure
-// the 400 has already been written.
-func (s *Server) resolveEvents(w http.ResponseWriter, wire []IngestEvent) ([]ingest.Event, bool) {
-	world := s.world()
-	events := make([]ingest.Event, len(wire))
-	for i := range wire {
-		e := &wire[i]
-		country, ok := world.ByCode(e.Country)
-		if !ok {
-			WriteError(w, http.StatusBadRequest, "event %d: unknown country %q", i, e.Country)
-			return nil, false
-		}
-		events[i] = ingest.Event{
-			Video:   e.Video,
-			Tags:    e.Tags,
-			Country: country,
-			Views:   e.Views,
-			Upload:  e.Upload,
-		}
-	}
-	return events, true
-}
-
-func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
-	k := 20
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			WriteError(w, http.StatusBadRequest, "invalid k %q", v)
-			return
-		}
-		k = n
-	}
+// TopTags is the Backend's top-k: the snapshot's highest-volume profiles.
+func (s *Server) TopTags(_ *http.Request, k int) ([]TagInfo, *ErrorReply) {
 	snap := s.store.Load()
 	world := snap.World()
 	top := snap.TopProfiles(k)
@@ -458,8 +356,12 @@ func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
 		}
 		out[i] = info
 	}
-	WriteJSON(w, http.StatusOK, map[string][]TagInfo{"tags": out})
+	return out, nil
 }
+
+// StitchTrace is the Backend's stitch: a node calls no other process, so
+// its traces are whole.
+func (s *Server) StitchTrace(context.Context, string) []ShardTraceView { return nil }
 
 // statsPayload is the /v1/stats wire shape: the per-route counters,
 // plus the ingest stream's accumulator stats when the write path is

@@ -98,7 +98,7 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for i, tags := range items {
-		if !ValidTags(w, i, tags) {
+		if !validTags(w, i, tags) {
 			return
 		}
 	}
@@ -136,12 +136,12 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(frame)
 }
 
-// ValidTags applies the per-item tag checks every predict entry point
-// shares — public JSON, the gateway edge, and the binary wire: the item
-// must have tags, and no tag may exceed MaxTagLen, or a request one edge
-// accepts would bounce off another's decoder. On failure the 400 has
-// been written.
-func ValidTags(w http.ResponseWriter, item int, tags []string) bool {
+// validTags applies the per-item tag checks both predict entry points
+// share — the public contract and the binary wire: the item must have
+// tags, and no tag may exceed MaxTagLen, or a request the gateway accepts
+// would bounce off a shard's decoder. On failure the 400 has been
+// written.
+func validTags(w http.ResponseWriter, item int, tags []string) bool {
 	if len(tags) == 0 {
 		WriteError(w, http.StatusBadRequest, "item %d has no tags", item)
 		return false
@@ -203,13 +203,14 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	events, ok := s.resolveEvents(w, req.Events)
-	if !ok {
+	events, fe := resolveEvents(s.countries, req.Events)
+	if fe != nil {
+		fe.Write(w)
 		return
 	}
 	if len(events) > 0 {
 		if err := s.ing.Add(events); err != nil {
-			s.writeIngestError(w, err)
+			s.ingestRefusal(err).Write(w)
 			return
 		}
 	}
@@ -222,7 +223,7 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	st := s.ing.Stats()
-	WriteIngestResponse(w, &IngestResponse{
+	writeIngestResponse(w, &IngestResponse{
 		Accepted: len(events) + len(req.Uploads),
 		Epoch:    st.Epoch,
 		Pending:  st.Pending,
@@ -252,22 +253,16 @@ func (s *Server) handleInternalMeta(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// writeIngestError maps an Accumulator.Add error onto the wire:
-// backpressure is a 503 with the fold interval as the Retry-After hint,
-// a journal failure is a 503 too (the batch was well-formed — the disk,
-// not the client, is the problem, and "ack means durable" forbids
-// accepting it anyway; see OPERATIONS.md's disk-full playbook), and
-// anything else is a 400 (malformed batch).
-func (s *Server) writeIngestError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ingest.ErrBufferFull) {
-		SetRetryAfter(w, s.foldInterval)
-		WriteError(w, http.StatusServiceUnavailable, "%v", err)
-		return
+// ingestRefusal maps an Accumulator.Add error onto the wire:
+// backpressure is a 503 with the fold interval as the Retry-After hint
+// (the buffer only clears when the next fold drains it), a journal
+// failure is a 503 too (the batch was well-formed — the disk, not the
+// client, is the problem, and "ack means durable" forbids accepting it
+// anyway; see OPERATIONS.md's disk-full playbook), and anything else is a
+// 400 (malformed batch).
+func (s *Server) ingestRefusal(err error) *ErrorReply {
+	if errors.Is(err, ingest.ErrBufferFull) || errors.Is(err, ingest.ErrJournal) {
+		return &ErrorReply{Status: http.StatusServiceUnavailable, Msg: err.Error(), RetryAfter: RetryAfterSecs(s.foldInterval)}
 	}
-	if errors.Is(err, ingest.ErrJournal) {
-		SetRetryAfter(w, s.foldInterval)
-		WriteError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	WriteError(w, http.StatusBadRequest, "%v", err)
+	return &ErrorReply{Status: http.StatusBadRequest, Msg: err.Error()}
 }

@@ -26,20 +26,20 @@ func (w *statusWriter) WriteHeader(code int) {
 // middleware stack; /internal/stream hijacks through it.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// SetRetryAfter stamps the Retry-After header for a 503, in whole
+// RetryAfterSecs renders a backoff hint as a Retry-After value: whole
 // seconds rounded up, with a floor of one second (the header takes
 // integers, and "0" would tell clients to hammer a saturated server).
-// It is the one place shed responses get their backoff hint: the
+// Every 503 takes its hint from what actually clears the condition: the
 // concurrency limiter passes 0 (capacity frees as soon as any in-flight
 // request finishes), the ingest path passes the fold interval (the
-// buffer only clears when the next fold drains it), and the gateway
-// propagates whichever a shard reported.
-func SetRetryAfter(w http.ResponseWriter, d time.Duration) {
+// buffer only clears when the next fold drains it), and the gateway its
+// health interval or whatever a shard reported.
+func RetryAfterSecs(d time.Duration) string {
 	secs := int64((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
 	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
+	return strconv.FormatInt(secs, 10)
 }
 
 // RequestID returns the request's trace id — set by the trace
@@ -56,27 +56,6 @@ type traceKey struct{}
 func TraceFrom(r *http.Request) *obs.Trace {
 	tr, _ := r.Context().Value(traceKey{}).(*obs.Trace)
 	return tr
-}
-
-// validSpanParent bounds the honored X-Span-Context header: short,
-// printable "role/span" tokens only, so logs and trace dumps never
-// carry attacker-shaped bytes.
-func validSpanParent(s string) bool {
-	if s == "" || len(s) > 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-		case c >= 'a' && c <= 'z':
-		case c >= 'A' && c <= 'Z':
-		case c == '-' || c == '_' || c == '.' || c == '/':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // Policy is what the middleware chain applies to a route, as bits of its
@@ -255,7 +234,9 @@ func (m *Middleware) chain(route string, group Group, policy Policy, next http.H
 // the whole point of sampling at the outermost layer.
 //
 // route is the trace's route label: the row's pattern, never the raw
-// path, so the store's per-route state is bounded by the table.
+// path, so the store's per-route state is bounded by the table. A stream
+// frame's trace is a child of the gateway leg that sent it, which its
+// path names (streamRoute.parent); nothing on the wire says so.
 func (m *Middleware) withTrace(route string, traced bool, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get(obs.TraceHeader)
@@ -270,8 +251,8 @@ func (m *Middleware) withTrace(route string, traced bool, next http.Handler) htt
 		}
 		start := time.Now()
 		tr := obs.GetTrace(id, route, start)
-		if p := r.Header.Get(obs.SpanContextHeader); validSpanParent(p) {
-			tr.SetParent(p)
+		if f, ok := w.(*streamWriter); ok {
+			tr.SetParent(f.parent)
 		}
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), traceKey{}, tr)))
@@ -296,7 +277,7 @@ func (m *Middleware) withLimit(next http.Handler) http.Handler {
 		default:
 			m.metrics.Rejected.Add(1)
 			TraceFrom(r).MarkShed()
-			SetRetryAfter(w, 0)
+			w.Header().Set("Retry-After", RetryAfterSecs(0))
 			WriteError(w, http.StatusServiceUnavailable, "server at capacity")
 		}
 	})

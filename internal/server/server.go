@@ -18,6 +18,10 @@
 //	GET  /v1/stats    — request counters per route + ingest stream stats
 //	GET  /healthz     — liveness + snapshot shape + fold epoch
 //
+// /v1/predict, /v1/ingest, /v1/tags and /debug/traces are the public
+// contract (edge.go): one implementation over a Backend, which this node
+// is and the cluster gateway is too.
+//
 // Plus the shard-internal routes a cluster gateway (internal/cluster)
 // drives — partial predictions, owner-routed ingest, topology metadata:
 //
@@ -59,19 +63,18 @@ import (
 
 // serverRoutes is the daemon's route table: what is mounted, and every
 // policy the middleware chain, the metrics, the stream decoder and
-// API.md's "Route policy" table apply to it. Adding a route is one row
-// here, its handler, and its API.md heading. (Assigned in init, not by an
-// initializer: handleStream reaches DecodeStreamRequest, which reads the
-// table, and Go refuses that as an initialization cycle.)
+// API.md's "Route policy" table apply to it. It begins with the public
+// contract's rows (EdgeRoutes), which the gateway's table begins with
+// too. Adding a route is one row here, its handler, and its API.md
+// heading. (Assigned in init, not by an initializer: handleStream reaches
+// DecodeStreamRequest, which reads the table, and Go refuses that as an
+// initialization cycle.)
 var serverRoutes []Route[*Server]
 
 func init() {
-	serverRoutes = []Route[*Server]{
-		{Path: "/v1/predict", Method: "POST", Group: GroupPredict, Handler: (*Server).handlePredict},
-		{Path: "/v1/ingest", Method: "POST", Group: GroupIngest, Handler: (*Server).handleIngest},
+	serverRoutes = append(EdgeRoutes(func(s *Server) *Edge { return s.edge }), []Route[*Server]{
 		{Path: "/v1/place", Method: "POST", Group: GroupPlace, Handler: (*Server).handlePlace},
 		{Path: "/v1/preload", Method: "POST", Group: GroupPreload, Handler: (*Server).handlePreload},
-		{Path: "/v1/tags", Method: "GET", Group: GroupOther, Handler: (*Server).handleTags},
 		{Path: "/v1/stats", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleStats},
 		{Path: "/v1/checkpoint", Method: "POST", Group: GroupOther, Handler: (*Server).handleCheckpoint},
 		{Path: "/healthz", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleHealth},
@@ -84,9 +87,7 @@ func init() {
 		{Path: "/internal/transfer/export", Method: "POST", Group: GroupInternal, Handler: (*Server).handleTransferExport},
 		{Path: "/internal/transfer/import", Method: "POST", Group: GroupInternal, Handler: (*Server).handleTransferImport},
 		{Path: "/internal/transfer/adopt", Method: "POST", Group: GroupInternal, Handler: (*Server).handleTransferAdopt},
-		{Path: "/debug/traces", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleDebugTraces},
-		{Path: "/debug/traces/", Method: "GET", Group: GroupOther, Policy: Probe, Handler: (*Server).handleDebugTraces},
-	}
+	}...)
 	for _, rt := range serverRoutes {
 		if rt.Policy&Streamable != 0 {
 			streamable = append(streamable, streamRoute{rt.Path, "gateway" + rt.Path})
@@ -186,6 +187,10 @@ type Server struct {
 	logger  *log.Logger
 	mw      *Middleware
 	handler http.Handler
+	// edge is the public contract over this node as its Backend, and
+	// countries the country table it answers over.
+	edge      *Edge
+	countries *Countries
 
 	// scratch recycles per-request prediction buffers.
 	scratch *profilestore.VecPool
@@ -279,11 +284,12 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 	}
 	world := store.Load().World()
 	s := &Server{
-		cfg:     cfg,
-		store:   store,
-		rec:     placement.NewRecommender(world),
-		metrics: NewMetrics(),
-		logger:  logger,
+		cfg:       cfg,
+		store:     store,
+		rec:       placement.NewRecommender(world),
+		metrics:   NewMetrics(),
+		logger:    logger,
+		countries: NewCountries(world.Codes()),
 	}
 	s.ident.Store(&shardIdent{
 		index:    cfg.ShardIndex,
@@ -296,6 +302,7 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 	s.traces = obs.NewTraceStore(0)
 	s.mw.SetTraceStore(s.traces)
 	s.scratch = profilestore.NewVecPool(world.N())
+	s.edge = NewEdge(s, cfg.MaxBatch, s.metrics, s.traces)
 	s.handler = Mount(s.mw, s, serverRoutes)
 	return s, nil
 }

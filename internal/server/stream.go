@@ -33,33 +33,36 @@ import (
 // byte count of what follows it:
 //
 //	request:  u64 stream id | u8 n, path | u8 n, content type |
-//	          u16 n, request id | u8 n, span context | body (the rest)
+//	          u16 n, request id | body (the rest)
 //	reply:    u64 stream id | u16 status | u8 n, Retry-After | body (the rest)
 //
 // Field lengths are fixed-width and the body is whatever remains, so an
-// envelope has exactly one encoding.
+// envelope has exactly one encoding. A frame carries no span context: the
+// trace it opens is a child of the gateway leg to its path, and the path
+// is in the frame already (v1 spelled it out a second time; the token
+// moved to v2 so a v1 peer refuses the upgrade instead of misreading).
 
 const (
 	// StreamPath is the upgrade route.
 	StreamPath = "/internal/stream"
 	// StreamProtocol is the Upgrade token both ends must name.
-	StreamProtocol = "viewstags-stream-v1"
+	StreamProtocol = "viewstags-stream-v2"
 
-	streamReqFixed   = 8 + 1 + 1 + 2 + 1
+	streamReqFixed   = 8 + 1 + 1 + 2
 	streamReplyFixed = 8 + 2 + 1
 	// MaxStreamFrame bounds a frame's byte count in either direction: a
 	// maximal body plus maximal envelope fields. A reader checks the
 	// length prefix against it before allocating anything.
-	MaxStreamFrame = MaxBodyBytes + streamReqFixed + 3*255 + obs.MaxRequestIDLen
+	MaxStreamFrame = MaxBodyBytes + streamReqFixed + 2*255 + obs.MaxRequestIDLen
 )
 
 // streamable is the envelope path allow-list, derived from the route
 // table where the table is assigned: the rows with the Streamable bit,
-// and nothing else, are reachable through a stream. span is the span
-// context the gateway's legs to the row carry.
+// and nothing else, are reachable through a stream. parent names the
+// gateway leg a frame for the row is, as its trace's parent.
 var streamable []streamRoute
 
-type streamRoute struct{ path, span string }
+type streamRoute struct{ path, parent string }
 
 const jsonContentType = "application/json"
 
@@ -70,8 +73,9 @@ type StreamRequest struct {
 	Path        string
 	ContentType string
 	RequestID   string
-	SpanContext string
 	Body        []byte
+	// parent is the decoded path's streamRoute.parent.
+	parent string
 }
 
 // StreamReply is one decoded reply envelope. Body aliases the frame it
@@ -95,10 +99,10 @@ func frameErrorf(format string, args ...any) error {
 // AppendStreamRequest appends r as one length-prefixed frame. It refuses
 // what DecodeStreamRequest would: the two are inverses.
 func AppendStreamRequest(dst []byte, r *StreamRequest) ([]byte, error) {
-	if len(r.Path) > 255 || len(r.ContentType) > 255 || len(r.SpanContext) > 255 || len(r.RequestID) > obs.MaxRequestIDLen {
+	if len(r.Path) > 255 || len(r.ContentType) > 255 || len(r.RequestID) > obs.MaxRequestIDLen {
 		return dst, frameErrorf("envelope field too long")
 	}
-	n := streamReqFixed + len(r.Path) + len(r.ContentType) + len(r.RequestID) + len(r.SpanContext) + len(r.Body)
+	n := streamReqFixed + len(r.Path) + len(r.ContentType) + len(r.RequestID) + len(r.Body)
 	if n > MaxStreamFrame {
 		return dst, frameErrorf("%d bytes exceed the limit %d", n, MaxStreamFrame)
 	}
@@ -110,8 +114,6 @@ func AppendStreamRequest(dst []byte, r *StreamRequest) ([]byte, error) {
 	dst = append(dst, r.ContentType...)
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.RequestID)))
 	dst = append(dst, r.RequestID...)
-	dst = append(dst, byte(len(r.SpanContext)))
-	dst = append(dst, r.SpanContext...)
 	return append(dst, r.Body...), nil
 }
 
@@ -163,10 +165,6 @@ func DecodeStreamRequest(data []byte, r *StreamRequest) error {
 	if err != nil {
 		return err
 	}
-	span, data, err := streamField(data, 1)
-	if err != nil {
-		return err
-	}
 	i := slices.IndexFunc(streamable, func(rt streamRoute) bool { return rt.path == string(path) })
 	if i < 0 {
 		return frameErrorf("path %q is not a data-plane route", path)
@@ -174,10 +172,9 @@ func DecodeStreamRequest(data []byte, r *StreamRequest) error {
 	if len(rid) > obs.MaxRequestIDLen {
 		return frameErrorf("request id of %d bytes", len(rid))
 	}
-	r.Path = streamable[i].path
+	r.Path, r.parent = streamable[i].path, streamable[i].parent
 	r.ContentType = intern(ct, WireContentType, jsonContentType)
 	r.RequestID = string(rid)
-	r.SpanContext = intern(span, streamable[i].span)
 	r.Body = data
 	return nil
 }
@@ -357,7 +354,7 @@ type streamCall struct {
 	req    http.Request
 	url    url.URL
 	header http.Header
-	vals   [3][1]string // header value slices, so setting them allocates nothing
+	vals   [2][1]string // header value slices, so setting them allocates nothing
 	body   streamBody
 	w      streamWriter
 	out    []byte
@@ -369,10 +366,13 @@ var streamCallPool = sync.Pool{New: func() any {
 
 // streamWriter is the in-memory ResponseWriter behind a frame. As over
 // HTTP, the status and headers are final once the handler commits them.
+// parent is the frame's trace parent, which the trace middleware reads
+// off the writer it is handed.
 type streamWriter struct {
 	header http.Header
 	reply  StreamReply
 	body   []byte
+	parent string
 }
 
 func (w *streamWriter) Header() http.Header { return w.header }
@@ -395,13 +395,10 @@ func (w *streamWriter) Write(p []byte) (int, error) {
 func (s *Server) serveFrame(c *streamConn, call *streamCall) {
 	env := &call.env
 	clear(call.header)
-	call.vals = [3][1]string{{env.ContentType}, {env.RequestID}, {env.SpanContext}}
+	call.vals = [2][1]string{{env.ContentType}, {env.RequestID}}
 	call.header["Content-Type"] = call.vals[0][:]
 	if env.RequestID != "" {
 		call.header[obs.TraceHeader] = call.vals[1][:]
-	}
-	if env.SpanContext != "" {
-		call.header[obs.SpanContextHeader] = call.vals[2][:]
 	}
 	call.url = url.URL{Path: env.Path}
 	call.body.Reset(env.Body)
@@ -416,6 +413,7 @@ func (s *Server) serveFrame(c *streamConn, call *streamCall) {
 	clear(w.header)
 	w.reply = StreamReply{ID: env.ID}
 	w.body = w.body[:0]
+	w.parent = env.parent
 
 	s.handler.ServeHTTP(w, &call.req)
 

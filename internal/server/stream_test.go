@@ -78,7 +78,8 @@ func mustFrame(t *testing.T, r StreamRequest) []byte {
 // TestStreamCarriesTheHandlerChain: a frame answers byte-for-byte what
 // the POST route answers, ids match replies to requests out of order,
 // and the frames show up in the same route metrics and trace ring an
-// HTTP call would.
+// HTTP call would — each trace a child of the gateway leg its path
+// names, which no frame spells out.
 func TestStreamCarriesTheHandlerChain(t *testing.T) {
 	_, srv := fixture(t)
 	ts := httptest.NewServer(srv.Handler())
@@ -91,9 +92,9 @@ func TestStreamCarriesTheHandlerChain(t *testing.T) {
 
 	var out []byte
 	out = append(out, mustFrame(t, StreamRequest{ID: 7, Path: "/internal/predict", ContentType: WireContentType,
-		RequestID: "stream-chain-7", SpanContext: "gateway/internal/predict", Body: body})...)
+		RequestID: "stream-chain-7", Body: body})...)
 	out = append(out, mustFrame(t, StreamRequest{ID: 8, Path: "/internal/predict", ContentType: jsonContentType,
-		RequestID: "stream-chain-8", SpanContext: "gateway/internal/predict", Body: []byte("{}")})...)
+		RequestID: "stream-chain-8", Body: []byte("{}")})...)
 	if _, err := conn.Write(out); err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +122,24 @@ func TestStreamCarriesTheHandlerChain(t *testing.T) {
 	if tr.Parent != "gateway/internal/predict" || tr.Route != "/internal/predict" {
 		t.Fatalf("trace route %q parent %q", tr.Route, tr.Parent)
 	}
+	if _, err := conn.Write(mustFrame(t, StreamRequest{ID: 9, Path: "/internal/ingest", ContentType: jsonContentType,
+		RequestID: "stream-chain-9", Body: []byte("{}")})); err != nil {
+		t.Fatal(err)
+	}
+	if rep := readReply(t, conn, br); rep.Status != http.StatusServiceUnavailable {
+		t.Fatalf("frame 9 (ingest on a read-only node): status %d, want 503", rep.Status)
+	}
+	if tr, ok := srv.Traces().Get("stream-chain-9"); !ok || tr.Parent != "gateway/internal/ingest" {
+		t.Fatalf("ingest frame's trace: %v parent %q", ok, tr.Parent)
+	}
+	// Over plain HTTP there is no leg, so no parent.
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/internal/predict", strings.NewReader("{}"))
+	req.Header.Set(obs.TraceHeader, "stream-chain-http")
+	srv.Handler().ServeHTTP(rec, req)
+	if tr, ok := srv.Traces().Get("stream-chain-http"); !ok || tr.Parent != "" {
+		t.Fatalf("POST's trace: %v parent %q, want none", ok, tr.Parent)
+	}
 }
 
 // TestStreamUpgradeRefusals: the route answers plain HTTP errors to
@@ -146,6 +165,18 @@ func TestStreamUpgradeRefusals(t *testing.T) {
 	_ = resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST: %d, want 405", resp.StatusCode)
+	}
+	// A peer of the v1 layout, whose frames carried a span-context field,
+	// is refused the upgrade rather than read as v2.
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+StreamPath, nil)
+	req.Header.Set("Connection", "Upgrade")
+	req.Header.Set("Upgrade", "viewstags-stream-v1")
+	if resp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != StreamProtocol {
+		t.Fatalf("v1 upgrade: %d (Upgrade: %q), want 426 naming %s", resp.StatusCode, resp.Header.Get("Upgrade"), StreamProtocol)
 	}
 
 	inflight := srv.Metrics().InFlight.Load()
@@ -416,7 +447,7 @@ func FuzzStreamEnvelope(f *testing.F) {
 		f.Add(frame[4:])
 	}
 	seed(AppendStreamRequest(nil, &StreamRequest{ID: 1, Path: "/internal/predict", ContentType: WireContentType,
-		RequestID: "a1b2,c3d4", SpanContext: "gateway/internal/predict", Body: []byte("VTIPRQ01\x00\x03\x01\x01\x03pop")}))
+		RequestID: "a1b2,c3d4", Body: []byte("VTIPRQ01\x00\x03\x01\x01\x03pop")}))
 	seed(AppendStreamRequest(nil, &StreamRequest{ID: 1 << 40, Path: "/internal/ingest", ContentType: "text/plain", Body: []byte(`{"uploads":["v"]}`)}))
 	seed(AppendStreamReply(nil, &StreamReply{ID: 9, Status: 503, RetryAfter: "1", Body: []byte(`{"error":"server at capacity"}`)}))
 	seed(AppendStreamReply(nil, &StreamReply{ID: 2, Status: 200}))
@@ -432,7 +463,7 @@ func FuzzStreamEnvelope(f *testing.F) {
 			var back StreamRequest
 			if err := DecodeStreamRequest(again[4:], &back); err != nil || back.ID != req.ID || back.Path != req.Path ||
 				back.ContentType != req.ContentType || back.RequestID != req.RequestID ||
-				back.SpanContext != req.SpanContext || !bytes.Equal(back.Body, req.Body) {
+				back.parent != req.parent || !bytes.Equal(back.Body, req.Body) {
 				t.Fatalf("request round trip: %v: %+v != %+v", err, back, req)
 			}
 		}
@@ -448,7 +479,7 @@ func FuzzStreamEnvelope(f *testing.F) {
 
 // TestStreamEnvelopeRefusals pins the decoder's refusals by name.
 func TestStreamEnvelopeRefusals(t *testing.T) {
-	good := mustFrame(t, StreamRequest{ID: 5, Path: "/internal/ingest", ContentType: jsonContentType, RequestID: "r", SpanContext: "s", Body: []byte("{}")})[4:]
+	good := mustFrame(t, StreamRequest{ID: 5, Path: "/internal/ingest", ContentType: jsonContentType, RequestID: "r", Body: []byte("{}")})[4:]
 	var req StreamRequest
 	if err := DecodeStreamRequest(good, &req); err != nil || req.ID != 5 || string(req.Body) != "{}" {
 		t.Fatalf("good frame: %v %+v", err, req)

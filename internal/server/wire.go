@@ -68,7 +68,7 @@ var (
 // public JSON, internal JSON, and the binary wire. Real vocabulary
 // tags are tens of bytes; the bound exists so the binary decoder can
 // refuse a corrupt length before allocating it, and it is enforced
-// uniformly at the JSON edges (ValidTags) so both wires accept exactly
+// uniformly at the JSON edges (validTags) so both wires accept exactly
 // the same requests — a tag the gateway accepts must never bounce off
 // a shard's decoder mid-fan-out.
 const MaxTagLen = 1 << 16

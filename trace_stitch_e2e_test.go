@@ -26,7 +26,7 @@ import (
 )
 
 // getStitched fetches one stitched trace off the gateway.
-func getStitched(t *testing.T, client *http.Client, base, id string) (*cluster.StitchedTrace, int) {
+func getStitched(t *testing.T, client *http.Client, base, id string) (*server.StitchedTrace, int) {
 	t.Helper()
 	resp, err := client.Get(base + "/debug/traces/" + id)
 	if err != nil {
@@ -37,7 +37,7 @@ func getStitched(t *testing.T, client *http.Client, base, id string) (*cluster.S
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil, resp.StatusCode
 	}
-	var st cluster.StitchedTrace
+	var st server.StitchedTrace
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("decode stitched trace %s: %v", id, err)
 	}
@@ -241,7 +241,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	// The stitch reached shard 1 through the proxy and got its span
 	// view: the shard-side handler ran fast (the delay lives in front of
 	// it), which is exactly what pins the slowness on the link.
-	var shardView *cluster.ShardTraceView
+	var shardView *server.ShardTraceView
 	for i := range st.Shards {
 		if st.Shards[i].Shard == 1 {
 			shardView = &st.Shards[i]
@@ -265,7 +265,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flat cluster.StitchedTrace
+	var flat server.StitchedTrace
 	if err := json.NewDecoder(respFlat.Body).Decode(&flat); err != nil {
 		t.Fatal(err)
 	}
