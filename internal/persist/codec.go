@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"viewstags/internal/dist"
 	"viewstags/internal/geo"
@@ -44,12 +45,22 @@ var (
 )
 
 // Decode-time sanity bounds: a corrupt length must produce an error,
-// not an allocation the size of the corruption.
+// not an allocation the size of the corruption. Below them, a decoder
+// allocates as bytes arrive (dec.take, the snapshot's growing slices and
+// vector chunks) or bounds a count by the bytes left (readRecord), so
+// what it allocates is a small multiple of what its input held.
 const (
 	maxStrLen    = 1 << 20
 	maxCountries = 1 << 16
 	maxTags      = 1 << 28
 	maxFrameLen  = 64 << 20
+
+	// takeChunk is the most take allocates before the first byte arrives.
+	takeChunk = 4 << 10
+	// vecChunk is the first vector chunk ReadSnapshot allocates, in
+	// float64s (at least one vector); each later chunk holds as many
+	// vectors as have arrived.
+	vecChunk = 8 << 10
 )
 
 // errTorn marks a partially written (or CRC-corrupt) frame at a WAL
@@ -106,7 +117,7 @@ func (e *enc) f64s(v []float64) {
 // feeds it, so the caller can compare against a stored checksum after
 // decoding.
 type dec struct {
-	r   *bufio.Reader
+	r   io.Reader
 	crc hash.Hash32
 	err error
 	buf [8]byte
@@ -189,9 +200,23 @@ func (d *dec) str() string {
 		d.fail(fmt.Errorf("persist: string length %d exceeds bound", n))
 		return ""
 	}
-	p := make([]byte, n)
-	d.bytes(p)
-	return string(p)
+	return string(d.take(n))
+}
+
+// take reads n bytes into a slice grown as they arrive — from takeChunk,
+// doubling, up to n — so a corrupt length fails at EOF having allocated
+// about twice what the input held.
+func (d *dec) take(n uint64) []byte {
+	p := make([]byte, 0, min(n, takeChunk))
+	for uint64(len(p)) < n && d.err == nil {
+		if len(p) == cap(p) {
+			p = slices.Grow(p, int(min(n-uint64(len(p)), uint64(len(p)))))
+		}
+		k := int(min(n-uint64(len(p)), uint64(cap(p)-len(p))))
+		p = p[:len(p)+k]
+		d.bytes(p[len(p)-k:])
+	}
+	return p
 }
 
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
@@ -200,6 +225,16 @@ func (d *dec) f64s(out []float64) {
 	for i := range out {
 		out[i] = d.f64()
 	}
+}
+
+// appendGrown appends x, doubling s's capacity when it is full: a slice
+// grown to n this way has allocated under 2n in all, where append's
+// 1.25× steps for large slices allocate ≈5n.
+func appendGrown[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, max(len(s), 64))
+	}
+	return append(s, x)
 }
 
 type byteReaderFunc func() (byte, error)
@@ -253,7 +288,7 @@ func WriteSnapshot(w io.Writer, meta CheckpointMeta, data profilestore.SnapshotD
 
 // ReadSnapshot decodes a checkpoint written by WriteSnapshot, verifying
 // magic and checksum. The returned data is freshly allocated (vectors
-// share one slab), ready for profilestore.FromData.
+// share a few slab chunks), ready for profilestore.FromData.
 func ReadSnapshot(r io.Reader) (CheckpointMeta, profilestore.SnapshotData, error) {
 	var meta CheckpointMeta
 	var data profilestore.SnapshotData
@@ -274,12 +309,13 @@ func ReadSnapshot(r io.Reader) (CheckpointMeta, profilestore.SnapshotData, error
 		d.fail(fmt.Errorf("persist: country count %d exceeds bound", nCodes))
 	}
 	if d.err == nil {
-		data.Codes = make([]string, nCodes)
-		for i := range data.Codes {
-			data.Codes[i] = d.str()
+		// Grown as they arrive, like the profiles below: nCodes is a claim.
+		for uint64(len(data.Codes)) < nCodes && d.err == nil {
+			data.Codes = appendGrown(data.Codes, d.str())
 		}
-		data.Prior = make([]float64, nCodes)
-		d.f64s(data.Prior)
+		for uint64(len(data.Prior)) < nCodes && d.err == nil {
+			data.Prior = appendGrown(data.Prior, d.f64())
+		}
 	}
 	nTags := d.uvarint()
 	if d.err == nil && nTags > maxTags {
@@ -291,7 +327,6 @@ func ReadSnapshot(r io.Reader) (CheckpointMeta, profilestore.SnapshotData, error
 		// preallocate gigabytes before the trailing CRC is ever
 		// checked (recovery's fallback-to-older-checkpoint depends on
 		// corrupt files erroring, not OOM-killing the process).
-		data.Profiles = make([]profilestore.Profile, 0, min(int(nTags), 4096))
 		for i := 0; i < int(nTags) && d.err == nil; i++ {
 			p := profilestore.Profile{ID: int32(i)}
 			p.Name = d.str()
@@ -300,16 +335,25 @@ func ReadSnapshot(r io.Reader) (CheckpointMeta, profilestore.SnapshotData, error
 			p.Spread = dist.Spread(d.varint())
 			p.TopCountry = geo.CountryID(d.varint())
 			p.TopShare = d.f64()
-			data.Profiles = append(data.Profiles, p)
+			data.Profiles = appendGrown(data.Profiles, p)
 		}
 	}
 	if d.err == nil {
-		// Every profile above was proven by consumed bytes, so
-		// nTags*nCodes is now a trustworthy size for the vector slab.
-		slab := make([]float64, int(nTags)*int(nCodes))
+		// Bytes proved each of nTags and nCodes, not their product: the
+		// vectors' slab is allocated a chunk at a time, each chunk holding
+		// as many vectors as have arrived, so a file truncated after its
+		// profiles fails at EOF having allocated one chunk, not the product.
+		// The prior proved one vector's size.
+		nC := int(nCodes)
 		data.Vecs = make([][]float64, nTags)
+		var slab []float64
 		for i := range data.Vecs {
-			vec := slab[i*int(nCodes) : (i+1)*int(nCodes) : (i+1)*int(nCodes)]
+			if len(slab) < nC {
+				k := min(len(data.Vecs)-i, max(i, vecChunk/max(nC, 1), 1))
+				slab = make([]float64, k*nC)
+			}
+			vec := slab[:nC:nC]
+			slab = slab[nC:]
 			d.f64s(vec)
 			data.Vecs[i] = vec
 			if d.err != nil {
@@ -372,6 +416,10 @@ func encodeRecord(buf *bytes.Buffer, gen uint64, events []ingest.Event, uploads 
 	return nil
 }
 
+// minEventLen is the fewest bytes an encoded event takes: an empty video
+// id, no tags, a one-byte country, the views and the upload flag.
+const minEventLen = 1 + 1 + 1 + 8 + 1
+
 // walRecord is one decoded journal record.
 type walRecord struct {
 	gen     uint64
@@ -397,18 +445,26 @@ func readRecord(br *bufio.Reader) (walRecord, int64, error) {
 		return rec, 0, errTorn
 	}
 	size := int64(8) + int64(n)
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(br, payload); err != nil {
+	// Read as the bytes arrive: a torn tail's header claims up to
+	// maxFrameLen that are not there.
+	hd := &dec{r: br}
+	payload := hd.take(uint64(n))
+	if hd.err != nil {
 		return rec, 0, errTorn // partial payload
 	}
 	if crc32.ChecksumIEEE(payload) != stored {
 		return rec, 0, errTorn
 	}
-	d := &dec{r: bufio.NewReader(bytes.NewReader(payload))}
+	pr := bytes.NewReader(payload)
+	d := &dec{r: pr}
+	// A count past what the bytes left could encode fails before its make:
+	// the CRC proves the frame is what was written, not that a writer
+	// wrote sense.
+	left := func() uint64 { return uint64(pr.Len()) }
 	rec.gen = d.u64()
 	nEvents := d.uvarint()
-	if d.err == nil && nEvents > maxFrameLen {
-		d.fail(fmt.Errorf("persist: event count %d exceeds bound", nEvents))
+	if d.err == nil && nEvents > left()/minEventLen {
+		d.fail(fmt.Errorf("persist: event count %d exceeds the %d bytes left", nEvents, left()))
 	}
 	if d.err == nil {
 		rec.events = make([]ingest.Event, nEvents)
@@ -416,8 +472,10 @@ func readRecord(br *bufio.Reader) (walRecord, int64, error) {
 			ev := &rec.events[i]
 			ev.Video = d.str()
 			nt := d.uvarint()
-			if d.err != nil || nt > maxFrameLen {
-				d.fail(fmt.Errorf("persist: tag count %d exceeds bound", nt))
+			if d.err == nil && nt > left() {
+				d.fail(fmt.Errorf("persist: tag count %d exceeds the %d bytes left", nt, left()))
+			}
+			if d.err != nil {
 				break
 			}
 			ev.Tags = make([]string, nt)
@@ -433,8 +491,8 @@ func readRecord(br *bufio.Reader) (walRecord, int64, error) {
 		}
 	}
 	nUploads := d.uvarint()
-	if d.err == nil && nUploads > maxFrameLen {
-		d.fail(fmt.Errorf("persist: upload count %d exceeds bound", nUploads))
+	if d.err == nil && nUploads > left() {
+		d.fail(fmt.Errorf("persist: upload count %d exceeds the %d bytes left", nUploads, left()))
 	}
 	if d.err == nil {
 		rec.uploads = make([]string, nUploads)

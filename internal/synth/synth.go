@@ -238,13 +238,11 @@ type Generator struct {
 	closed     bool // exhausted or Closed: Next returns false
 
 	// Consumer stage (the caller's goroutine): the batch being handed out,
-	// the spread sampler with the stream every video's spread restarts
-	// from, and world-sized scratch.
+	// the spread sampler, whose stream every video's spread restarts from,
+	// and world-sized scratch.
 	cur              *batch
 	pos              int
-	spread           xrand.Categorical
-	spreadStart      xrand.Source
-	spreadSrc        xrand.Source
+	spread           *xrand.Spread
 	views, intensity []float64
 }
 
@@ -323,7 +321,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	g.uploadCat = xrand.NewCategorical(root.Fork("upload"), g.prior)
 	// Fork reads only its parent's seed, so this is one fixed stream:
 	// every video's spread restarts from it (DESIGN.md §2).
-	g.spreadStart = *g.geoSrc.Fork("spread")
+	g.spread = xrand.NewSpread(*g.geoSrc.Fork("spread"))
 	// Language-gravity vectors are shared per country; precompute.
 	g.gravity = make([][]float64, n)
 	for c := range g.gravity {
@@ -458,12 +456,10 @@ func (g *Generator) Next(v *Video) bool {
 	v.TagIDs = append(tagIDs[:0], d.video.TagIDs...) // nil for an untagged video unless the caller lent an array
 	// Distribute the total across countries by the drawn field, exactly
 	// (counts sum to TotalViews).
-	g.spreadSrc = g.spreadStart
-	g.spread.Reset(&g.spreadSrc, field)
 	if cap(trueViews) < n {
 		trueViews = make([]int64, n)
 	}
-	v.TrueViews = g.spread.MultinomialInto(trueViews[:n], v.TotalViews)
+	v.TrueViews = g.spread.Into(trueViews[:n], field, v.TotalViews)
 
 	g.assignPopVector(v, pop, d.popU)
 	return true

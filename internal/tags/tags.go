@@ -450,22 +450,50 @@ func (v *Vocabulary) SampleTagSetInto(dst []int, src *xrand.Source, upload geo.C
 // how uploaders front-load topical tags, and the synthetic view model
 // weights leading tags more — together they encode the paper's premise
 // that a video's topical tags dominate its viewing geography.
+//
+// It is a stable partition into the four ranks, each tag's rank worked out
+// once: a set of at most topicalInline tags (any default-config set) is
+// sorted on the stack, a longer one by slices.SortStableFunc.
 func (v *Vocabulary) sortTopicalFirst(set []int, upload geo.CountryID) {
-	rank := func(idx int) int {
-		t := &v.tags[idx]
-		switch t.Class {
-		case ClassLocal:
-			if t.Anchor == upload {
-				return 0
-			}
-			return 1
-		case ClassRegional:
-			return 2
-		default:
-			return 3
+	if len(set) > topicalInline {
+		slices.SortStableFunc(set, func(a, b int) int { return v.topicalRank(a, upload) - v.topicalRank(b, upload) })
+		return
+	}
+	var ranks [topicalInline]uint8
+	var orig [topicalInline]int
+	var next [4]int // where each rank's next tag goes
+	for i, idx := range set {
+		r := v.topicalRank(idx, upload)
+		ranks[i], orig[i] = uint8(r), idx
+		for q := r + 1; q < len(next); q++ {
+			next[q]++
 		}
 	}
-	slices.SortStableFunc(set, func(a, b int) int { return rank(a) - rank(b) })
+	for i := range set {
+		r := ranks[i]
+		set[next[r]] = orig[i]
+		next[r]++
+	}
+}
+
+// topicalInline is the longest tag set sortTopicalFirst sorts on the stack.
+const topicalInline = 64
+
+// topicalRank is tag idx's place in sortTopicalFirst's order: local tags
+// anchored at upload, other local tags, regional tags, the rest.
+func (v *Vocabulary) topicalRank(idx int, upload geo.CountryID) int {
+	t := &v.tags[idx]
+	switch t.Class {
+	case ClassLocal:
+		if t.Anchor == upload {
+			return 0
+		}
+		return 1
+	case ClassRegional:
+		return 2
+	default:
+		return 3
+	}
 }
 
 // freqSample draws a tag by raw usage frequency, ignoring geography. The

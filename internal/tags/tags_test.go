@@ -494,3 +494,31 @@ func TestAffinityIntoRegional(t *testing.T) {
 		t.Errorf("AffinityInto on a regional tag: %v allocs, want 0", n)
 	}
 }
+
+// TestSortTopicalFirstMatchesStableSort: the four-bucket partition orders
+// every set as the stable sort on rank it replaced — sets up to MaxTags,
+// across the inline bound and into the fallback.
+func TestSortTopicalFirstMatchesStableSort(t *testing.T) {
+	v := testVocab(t, 3000)
+	src := xrand.NewSource(59)
+	for trial := 0; trial < 5000; trial++ {
+		n := src.Intn(DefaultTagSetConfig().MaxTags + 1)
+		if trial%10 == 0 {
+			n = topicalInline - 2 + src.Intn(2*topicalInline) // the inline bound and past it
+		}
+		set := make([]int, n)
+		for i := range set {
+			set[i] = src.Intn(v.N())
+		}
+		upload := geo.CountryID(src.Intn(v.World().N()))
+		if n > 0 && trial%2 == 0 {
+			upload = v.Tag(set[0]).Anchor // so rank 0 is not rare
+		}
+		want := slices.Clone(set)
+		slices.SortStableFunc(want, func(a, b int) int { return v.topicalRank(a, upload) - v.topicalRank(b, upload) })
+		v.sortTopicalFirst(set, upload)
+		if !slices.Equal(set, want) {
+			t.Fatalf("trial %d: %d tags from %d: got %v, want %v", trial, n, upload, set, want)
+		}
+	}
+}

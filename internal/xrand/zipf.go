@@ -202,7 +202,6 @@ func (c *Categorical) MultinomialInto(out []int64, total int64) []int64 {
 	if total <= 0 {
 		return out
 	}
-	const exactThreshold = 2048
 	if total <= exactThreshold {
 		for i := int64(0); i < total; i++ {
 			out[c.Draw()]++
