@@ -229,7 +229,11 @@ func (d *dec) f64s(out []float64) {
 
 // appendGrown appends x, doubling s's capacity when it is full: a slice
 // grown to n this way has allocated under 2n in all, where append's
-// 1.25× steps for large slices allocate ≈5n.
+// 1.25× steps for large slices allocate ≈5n. It is for a count whose
+// elements take a byte or eight of input each (country codes, the prior),
+// where ≈5n would outgrow what the input paid for; the profiles (twenty
+// bytes or more each) use plain append, whose table stays ≈1.25× its
+// length for as long as a restored store keeps it.
 func appendGrown[T any](s []T, x T) []T {
 	if len(s) == cap(s) {
 		s = slices.Grow(s, max(len(s), 64))
@@ -335,7 +339,7 @@ func ReadSnapshot(r io.Reader) (CheckpointMeta, profilestore.SnapshotData, error
 			p.Spread = dist.Spread(d.varint())
 			p.TopCountry = geo.CountryID(d.varint())
 			p.TopShare = d.f64()
-			data.Profiles = appendGrown(data.Profiles, p)
+			data.Profiles = append(data.Profiles, p)
 		}
 	}
 	if d.err == nil {

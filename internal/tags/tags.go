@@ -452,32 +452,26 @@ func (v *Vocabulary) SampleTagSetInto(dst []int, src *xrand.Source, upload geo.C
 // that a video's topical tags dominate its viewing geography.
 //
 // It is a stable partition into the four ranks, each tag's rank worked out
-// once: a set of at most topicalInline tags (any default-config set) is
-// sorted on the stack, a longer one by slices.SortStableFunc.
+// once. Its scratch is on the stack for any set of up to 64 tags (a
+// default-config set has at most 30); append moves a longer one's to the heap.
 func (v *Vocabulary) sortTopicalFirst(set []int, upload geo.CountryID) {
-	if len(set) > topicalInline {
-		slices.SortStableFunc(set, func(a, b int) int { return v.topicalRank(a, upload) - v.topicalRank(b, upload) })
-		return
-	}
-	var ranks [topicalInline]uint8
-	var orig [topicalInline]int
+	var origBuf [64]int
+	var rankBuf [64]uint8
+	orig, ranks := append(origBuf[:0], set...), rankBuf[:0]
 	var next [4]int // where each rank's next tag goes
-	for i, idx := range set {
+	for _, idx := range orig {
 		r := v.topicalRank(idx, upload)
-		ranks[i], orig[i] = uint8(r), idx
+		ranks = append(ranks, uint8(r))
 		for q := r + 1; q < len(next); q++ {
 			next[q]++
 		}
 	}
-	for i := range set {
+	for i, idx := range orig {
 		r := ranks[i]
-		set[next[r]] = orig[i]
+		set[next[r]] = idx
 		next[r]++
 	}
 }
-
-// topicalInline is the longest tag set sortTopicalFirst sorts on the stack.
-const topicalInline = 64
 
 // topicalRank is tag idx's place in sortTopicalFirst's order: local tags
 // anchored at upload, other local tags, regional tags, the rest.

@@ -497,14 +497,14 @@ func TestAffinityIntoRegional(t *testing.T) {
 
 // TestSortTopicalFirstMatchesStableSort: the four-bucket partition orders
 // every set as the stable sort on rank it replaced — sets up to MaxTags,
-// across the inline bound and into the fallback.
+// and every tenth one longer than any default-config set.
 func TestSortTopicalFirstMatchesStableSort(t *testing.T) {
 	v := testVocab(t, 3000)
 	src := xrand.NewSource(59)
 	for trial := 0; trial < 5000; trial++ {
 		n := src.Intn(DefaultTagSetConfig().MaxTags + 1)
 		if trial%10 == 0 {
-			n = topicalInline - 2 + src.Intn(2*topicalInline) // the inline bound and past it
+			n = src.Intn(200)
 		}
 		set := make([]int, n)
 		for i := range set {

@@ -173,14 +173,14 @@ func BenchmarkCategoricalDraw(b *testing.B) {
 			}
 		}
 	})
-	// A video's spread: re-aim, then one sweep of the 128-key level, beside
-	// reset+50's fifty draws. (A default-catalog video under the exact-draw
-	// threshold sweeps 449 keys on average, for a mean total of 319.)
-	b.Run("spread-127", func(b *testing.B) {
+	// A video's spread at the default catalog's mean exact-path total (319
+	// views): re-aim, then one sweep of the 512-key level, beside reset+50's
+	// fifty draws.
+	b.Run("spread-319", func(b *testing.B) {
 		s := NewSpread(*src.Fork("spread"))
 		out := make([]int64, len(w))
 		for i := 0; i < b.N; i++ {
-			sinkInt += int(s.Into(out, w, 127)[0])
+			sinkInt += int(s.Into(out, w, 319)[0])
 		}
 	})
 }
