@@ -385,7 +385,7 @@ func BenchmarkAblationQuantization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, levels := range []int{mapchart.MaxIntensity, mapchart.MaxExtended} {
+	for _, levels := range []int{mapchart.MaxIntensity, 64*64 - 1} { // simple and extended encoding's top levels
 		b.Run(benchName("levels", levels), func(b *testing.B) {
 			var meanJS float64
 			for i := 0; i < b.N; i++ {
@@ -400,11 +400,11 @@ func BenchmarkAblationQuantization(b *testing.B) {
 					for c, x := range v.TrueViews {
 						views[c] = float64(x)
 					}
-					intens, err := mapchart.Intensity(views, cat.World.Traffic())
+					intens, err := mapchart.IntensityInto(make([]float64, len(views)), views, cat.World.Traffic())
 					if err != nil {
 						b.Fatal(err)
 					}
-					pop := mapchart.QuantizeTo(intens, levels)
+					pop := mapchart.QuantizeInto(make([]int, len(intens)), intens, levels)
 					rec, err := reconstruct.Views(pop, pyt, v.TotalViews)
 					if err != nil {
 						continue
@@ -583,18 +583,13 @@ func BenchmarkE7Placement(b *testing.B) {
 	}
 }
 
-// BenchmarkAggregationParallel measures the sharded Eq. 3 builder at
-// several worker counts (scalability of the core aggregation).
-func BenchmarkAggregationParallel(b *testing.B) {
+// BenchmarkAggregation measures the Eq. 3 build over the bench corpus.
+func BenchmarkAggregation(b *testing.B) {
 	res := benchFixture(b)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(benchName("workers", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := tagviews.BuildParallel(res.World, res.Clean.Records, res.Clean.Pop, res.Pyt, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := tagviews.Build(res.World, res.Clean.Records, res.Clean.Pop, res.Pyt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -29,10 +29,11 @@ import (
 // clusterNode is one daemon of the tier: shard or standalone,
 // compactor folding in the background.
 type clusterNode struct {
-	srv  *server.Server
-	acc  *ingest.Accumulator
-	ts   *httptest.Server
-	stop func()
+	srv   *server.Server
+	store *profilestore.Store // the store srv serves
+	acc   *ingest.Accumulator
+	ts    *httptest.Server
+	stop  func()
 	// settle returns once no fold is mid-install: the accumulator's
 	// pending count drops to zero when a fold drains it, before the new
 	// snapshot is served, and FoldNow queues behind that fold.
@@ -80,7 +81,7 @@ func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEv
 	done := make(chan struct{})
 	go func() { defer close(done); comp.Run(ctx) }()
 	ts := httptest.NewServer(srv.Handler())
-	n := &clusterNode{srv: srv, acc: acc, ts: ts, stop: func() {
+	n := &clusterNode{srv: srv, store: store, acc: acc, ts: ts, stop: func() {
 		cancel()
 		<-done // shutdown fold flushes the tail
 		ts.Close()
@@ -237,7 +238,7 @@ func TestClusterGatewayEndToEnd(t *testing.T) {
 	// shards owning none of the stream's tags (announcement routing).
 	for i, n := range nodes {
 		base := testFixture(t).Analysis.N()
-		if got := n.srv.Store().Load().Records(); got != base+rounds {
+		if got := n.store.Load().Records(); got != base+rounds {
 			t.Fatalf("shard %d records %d, want %d", i, got, base+rounds)
 		}
 	}

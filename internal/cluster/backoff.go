@@ -58,9 +58,6 @@ func (b *Backoff) Next() time.Duration {
 	return d
 }
 
-// Reset rewinds the schedule to Base for the next Next.
-func (b *Backoff) Reset() { b.cur = 0 }
-
 // newSyncBackoff is the gateway's startup sync-retry schedule: quick
 // first probes while shards finish booting, backing off toward a few
 // seconds for longer recoveries.

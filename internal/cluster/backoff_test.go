@@ -30,10 +30,6 @@ func TestBackoffSchedule(t *testing.T) {
 			t.Fatalf("Next() call %d = %s, want %s", i, got, w)
 		}
 	}
-	b.Reset()
-	if got := b.Next(); got != want[0] {
-		t.Fatalf("after Reset, Next() = %s, want %s", got, want[0])
-	}
 }
 
 // TestBackoffJitterBounds pins the jitter envelope: a delay d spreads

@@ -44,10 +44,11 @@ func fixture(t *testing.T) *pipeline.Result {
 // shard (or full) snapshot, with its write path attached but folded
 // manually (comp.FoldNow) for determinism.
 type node struct {
-	srv  *server.Server
-	acc  *ingest.Accumulator
-	comp *ingest.Compactor
-	ts   *httptest.Server
+	srv   *server.Server
+	store *profilestore.Store // the store srv serves
+	acc   *ingest.Accumulator
+	comp  *ingest.Compactor
+	ts    *httptest.Server
 }
 
 // startNode builds one shard daemon (index/count identify it; count 1 =
@@ -99,7 +100,7 @@ func startNodeWith(t *testing.T, ring *Ring, index, count int, mutate func(*serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &node{srv: srv, acc: acc, comp: comp, ts: httptest.NewServer(srv.Handler())}
+	n := &node{srv: srv, store: store, acc: acc, comp: comp, ts: httptest.NewServer(srv.Handler())}
 	t.Cleanup(n.ts.Close)
 	return n
 }
@@ -300,7 +301,7 @@ func TestGatewayIngestEquivalence(t *testing.T) {
 
 	recordsBefore := make([]int, len(nodes))
 	for i, n := range nodes {
-		recordsBefore[i] = n.srv.Store().Load().Records()
+		recordsBefore[i] = n.store.Load().Records()
 	}
 	for _, n := range nodes {
 		if _, err := n.comp.FoldNow(); err != nil {
@@ -314,7 +315,7 @@ func TestGatewayIngestEquivalence(t *testing.T) {
 	// Every shard's corpus grew by exactly the 2 uploads — including
 	// shards owning none of the uploads' tags (the announcement path).
 	for i, n := range nodes {
-		if got := n.srv.Store().Load().Records(); got != recordsBefore[i]+2 {
+		if got := n.store.Load().Records(); got != recordsBefore[i]+2 {
 			t.Fatalf("shard %d records %d, want %d (+2 uploads)", i, got, recordsBefore[i]+2)
 		}
 	}

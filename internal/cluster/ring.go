@@ -100,13 +100,10 @@ func hash64(s string) uint64 {
 	return x
 }
 
-// Shards returns the shard count the ring partitions over.
-func (r *Ring) Shards() int { return r.shards }
-
 // Replicas returns the copies-per-tag count the ring places.
 func (r *Ring) Replicas() int { return r.replicas }
 
-// Owner returns the shard index in [0, Shards()) that owns the tag:
+// Owner returns the shard index in [0, shards) that owns the tag:
 // the first virtual node at or clockwise of the tag's hash. Under
 // replication this is the preferred (first) replica.
 func (r *Ring) Owner(tag string) int {

@@ -182,8 +182,8 @@ func TestGatewayTagsHugeK(t *testing.T) {
 		if code := get(t, gw.URL+"/v1/tags?k="+k, &got); code != http.StatusOK {
 			t.Fatalf("k=%s on the gateway: %d", k, code)
 		}
-		if len(want.Tags) != full.srv.Store().Load().NumTags() || len(got.Tags) != len(want.Tags) {
-			t.Fatalf("k=%s: gateway %d tags, single node %d, vocabulary %d", k, len(got.Tags), len(want.Tags), full.srv.Store().Load().NumTags())
+		if len(want.Tags) != full.store.Load().NumTags() || len(got.Tags) != len(want.Tags) {
+			t.Fatalf("k=%s: gateway %d tags, single node %d, vocabulary %d", k, len(got.Tags), len(want.Tags), full.store.Load().NumTags())
 		}
 		for i := range want.Tags {
 			if got.Tags[i].Name != want.Tags[i].Name || got.Tags[i].TotalViews != want.Tags[i].TotalViews {

@@ -71,7 +71,7 @@ func wave(t *testing.T, g *Gateway, reqs []server.PredictRequest) []*httptest.Re
 // whatever the gateway has cached for other tags, and since an unknown
 // tag carries no weight they change no answer.
 func ownedTags(ring *Ring, label string) []string {
-	tags := make([]string, ring.Shards())
+	tags := make([]string, ring.shards)
 	for found, i := 0, 0; found < len(tags); i++ {
 		tag := fmt.Sprintf("zz-%s-%d", label, i)
 		if s := ring.Owner(tag); tags[s] == "" {

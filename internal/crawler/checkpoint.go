@@ -22,9 +22,9 @@ type Checkpoint struct {
 	Stats          Stats `json:"stats"`
 }
 
-// SaveCheckpoint writes cp to path atomically (write temp + rename), so
+// saveCheckpoint writes cp to path atomically (write temp + rename), so
 // a crash mid-write never corrupts the previous checkpoint.
-func SaveCheckpoint(path string, cp *Checkpoint) error {
+func saveCheckpoint(path string, cp *Checkpoint) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -47,8 +47,8 @@ func SaveCheckpoint(path string, cp *Checkpoint) error {
 	return nil
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint.
-func LoadCheckpoint(path string) (*Checkpoint, error) {
+// loadCheckpoint reads a checkpoint written by saveCheckpoint.
+func loadCheckpoint(path string) (*Checkpoint, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("crawler: checkpoint open: %w", err)
@@ -78,5 +78,5 @@ func (c *Crawler) checkpoint(res *Result, seen map[string]bool, queue []job) {
 	for id := range seen {
 		cp.Seen = append(cp.Seen, id)
 	}
-	_ = SaveCheckpoint(c.cfg.CheckpointPath, cp)
+	_ = saveCheckpoint(c.cfg.CheckpointPath, cp)
 }

@@ -149,7 +149,7 @@ func (c *Crawler) Run(ctx context.Context) (*Result, error) {
 
 	// Resume from checkpoint if one exists at the configured path.
 	if c.cfg.CheckpointPath != "" {
-		if cp, err := LoadCheckpoint(c.cfg.CheckpointPath); err == nil {
+		if cp, err := loadCheckpoint(c.cfg.CheckpointPath); err == nil {
 			for i, id := range cp.Frontier {
 				depth := 0
 				if i < len(cp.FrontierDepths) {

@@ -212,10 +212,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Frontier: []string{"b"},
 		Stats:    Stats{Seeded: 1, Enqueued: 2},
 	}
-	if err := SaveCheckpoint(path, cp); err != nil {
+	if err := saveCheckpoint(path, cp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCheckpoint(path)
+	got, err := loadCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 func TestLoadCheckpointMissing(t *testing.T) {
-	if _, err := LoadCheckpoint(filepath.Join(t.TempDir(), "none")); err == nil {
+	if _, err := loadCheckpoint(filepath.Join(t.TempDir(), "none")); err == nil {
 		t.Fatal("missing checkpoint accepted")
 	}
 }

@@ -108,27 +108,8 @@ func (r *Record) densify(out []int, world *geo.World) (pop []int, fault popFault
 	return out, popOK, 0
 }
 
-// Validate performs the §2 admission check without densifying.
-func (r *Record) Validate(world *geo.World) error {
-	if r.VideoID == "" {
-		return fmt.Errorf("dataset: %w: empty video id", ErrBadRecord)
-	}
-	if r.TotalViews < 0 {
-		return fmt.Errorf("dataset: video %s: %w: negative views", r.VideoID, ErrBadRecord)
-	}
-	if len(r.Tags) == 0 {
-		return fmt.Errorf("dataset: video %s: %w", r.VideoID, ErrUntagged)
-	}
-	if _, err := r.PopVector(world); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Sentinel errors for record admission; FilterReport buckets on them.
+// Sentinel errors PopVector wraps.
 var (
-	ErrBadRecord    = fmt.Errorf("dataset: malformed record")
-	ErrUntagged     = fmt.Errorf("dataset: video has no tags")
 	ErrNoPopVector  = fmt.Errorf("dataset: popularity vector missing")
 	ErrBadPopVector = fmt.Errorf("dataset: popularity vector invalid")
 )

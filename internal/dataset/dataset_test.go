@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"errors"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -102,28 +103,6 @@ func TestAdmitAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
-	w := geo.DefaultWorld()
-	r := validRecord()
-	if err := r.Validate(w); err != nil {
-		t.Fatalf("valid record rejected: %v", err)
-	}
-	r.Tags = nil
-	if err := r.Validate(w); !errors.Is(err, ErrUntagged) {
-		t.Fatalf("untagged err = %v", err)
-	}
-	r = validRecord()
-	r.VideoID = ""
-	if err := r.Validate(w); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("empty-id err = %v", err)
-	}
-	r = validRecord()
-	r.TotalViews = -1
-	if err := r.Validate(w); !errors.Is(err, ErrBadRecord) {
-		t.Fatalf("negative-views err = %v", err)
-	}
-}
-
 func TestFilterBucketsReasons(t *testing.T) {
 	w := geo.DefaultWorld()
 	good := validRecord()
@@ -182,10 +161,10 @@ func TestJSONLRoundTrip(t *testing.T) {
 		return r
 	}()}
 	var buf bytes.Buffer
-	if err := WriteJSONL(&buf, recs); err != nil {
+	if err := writeJSONL(&buf, recs); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadJSONL(&buf)
+	got, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +174,11 @@ func TestJSONLRoundTrip(t *testing.T) {
 }
 
 func TestReadJSONLSkipsBlanksRejectsGarbage(t *testing.T) {
-	got, err := ReadJSONL(strings.NewReader("\n\n" + `{"video_id":"a","total_views":1,"tags":["x"]}` + "\n\n"))
+	got, err := readJSONL(strings.NewReader("\n\n" + `{"video_id":"a","total_views":1,"tags":["x"]}` + "\n\n"))
 	if err != nil || len(got) != 1 {
 		t.Fatalf("blank-line handling: %v %v", got, err)
 	}
-	if _, err := ReadJSONL(strings.NewReader("{not json}\n")); err == nil {
+	if _, err := readJSONL(strings.NewReader("{not json}\n")); err == nil {
 		t.Fatal("garbage line accepted")
 	}
 }
@@ -228,20 +207,7 @@ func TestLoadFileMissing(t *testing.T) {
 	}
 }
 
-func TestMergeRecords(t *testing.T) {
-	a := []Record{{VideoID: "x", TotalViews: 1}, {VideoID: "y", TotalViews: 2}}
-	b := []Record{{VideoID: "y", TotalViews: 99}, {VideoID: "z", TotalViews: 3}, {VideoID: ""}}
-	got := MergeRecords(a, b)
-	if len(got) != 3 {
-		t.Fatalf("merged %d records", len(got))
-	}
-	if got[0].VideoID != "x" || got[1].VideoID != "y" || got[2].VideoID != "z" {
-		t.Fatalf("order/dedup wrong: %+v", got)
-	}
-	if got[1].TotalViews != 2 {
-		t.Fatal("merge did not keep the first occurrence")
-	}
-	if out := MergeRecords(nil, nil); len(out) != 0 {
-		t.Fatal("empty merge not empty")
-	}
+// readJSONL collects every record of a JSONL stream through scanJSONL.
+func readJSONL(r io.Reader) ([]Record, error) {
+	return collect(func(fn func(*Record) error) error { return scanJSONL(r, fn) })
 }

@@ -98,23 +98,3 @@ func (c *Clean) UniqueTags() (int, int64) {
 	}
 	return len(seen), views
 }
-
-// MergeRecords combines crawls (e.g. a related-video snowball and a
-// tag-search crawl) into one deduplicated dataset, keeping the first
-// occurrence of each video id. Order is preserved: all of a, then the
-// novel part of b.
-func MergeRecords(a, b []Record) []Record {
-	seen := make(map[string]bool, len(a)+len(b))
-	out := make([]Record, 0, len(a)+len(b))
-	for _, recs := range [][]Record{a, b} {
-		for i := range recs {
-			id := recs[i].VideoID
-			if id == "" || seen[id] {
-				continue
-			}
-			seen[id] = true
-			out = append(out, recs[i])
-		}
-	}
-	return out
-}

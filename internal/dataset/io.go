@@ -11,9 +11,9 @@ import (
 	"strings"
 )
 
-// WriteJSONL streams records to w as one JSON object per line — the
+// writeJSONL streams records to w as one JSON object per line — the
 // interchange format of cmd/crawl and cmd/analyze.
-func WriteJSONL(w io.Writer, records []Record) error {
+func writeJSONL(w io.Writer, records []Record) error {
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i := range records {
@@ -27,11 +27,11 @@ func WriteJSONL(w io.Writer, records []Record) error {
 	return nil
 }
 
-// ScanJSONL decodes a JSONL stream one record at a time and hands each to
+// scanJSONL decodes a JSONL stream one record at a time and hands each to
 // fn; it holds one line, not the file. Blank lines are skipped; a
 // malformed line is an error (corrupted files should fail loudly, not
 // silently shrink the dataset), and so is the first error fn returns.
-func ScanJSONL(r io.Reader, fn func(*Record) error) error {
+func scanJSONL(r io.Reader, fn func(*Record) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -53,11 +53,6 @@ func ScanJSONL(r io.Reader, fn func(*Record) error) error {
 		return fmt.Errorf("dataset: scan: %w", err)
 	}
 	return nil
-}
-
-// ReadJSONL collects every record of a JSONL stream (see ScanJSONL).
-func ReadJSONL(r io.Reader) ([]Record, error) {
-	return collect(func(fn func(*Record) error) error { return ScanJSONL(r, fn) })
 }
 
 func collect(scan func(fn func(*Record) error) error) ([]Record, error) {
@@ -94,11 +89,11 @@ func SaveFile(path string, records []Record) (err error) {
 		}()
 		w = gz
 	}
-	return WriteJSONL(w, records)
+	return writeJSONL(w, records)
 }
 
 // ScanFile streams a JSONL (optionally .gz) dataset file through fn (see
-// ScanJSONL).
+// scanJSONL).
 func ScanFile(path string, fn func(*Record) error) (err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -122,7 +117,7 @@ func ScanFile(path string, fn func(*Record) error) (err error) {
 		}()
 		r = gz
 	}
-	return ScanJSONL(r, fn)
+	return scanJSONL(r, fn)
 }
 
 // LoadFile reads a JSONL (optionally .gz) dataset file.

@@ -205,17 +205,6 @@ func (w *World) Languages() []string {
 	return out
 }
 
-// RegionMembers returns the countries in the given region, in table order.
-func (w *World) RegionMembers(r Region) []CountryID {
-	var out []CountryID
-	for i, c := range w.countries {
-		if c.Region == r {
-			out = append(out, CountryID(i))
-		}
-	}
-	return out
-}
-
 // YouTube2011Locales is the list of the 25 countries for which YouTube
 // exposed localized "most popular" standard feeds in March 2011 — the
 // seed countries of the paper's crawl (§2).
@@ -223,21 +212,6 @@ var YouTube2011Locales = []string{
 	"US", "GB", "FR", "DE", "BR", "JP", "KR", "IN", "RU", "MX",
 	"ES", "IT", "NL", "PL", "SE", "CZ", "AU", "CA", "AR", "TW",
 	"HK", "IE", "IL", "NZ", "ZA",
-}
-
-// SeedCountries resolves YouTube2011Locales against this world. It
-// returns an error if a locale is missing from the table (possible with a
-// caller-supplied world).
-func (w *World) SeedCountries() ([]CountryID, error) {
-	out := make([]CountryID, 0, len(YouTube2011Locales))
-	for _, code := range YouTube2011Locales {
-		id, ok := w.byCode[code]
-		if !ok {
-			return nil, fmt.Errorf("geo: seed locale %q not in world", code)
-		}
-		out = append(out, id)
-	}
-	return out, nil
 }
 
 // ytFactor returns the country's effective YouTube-access factor (the

@@ -103,7 +103,7 @@ func testSim(t *testing.T, nReq int) (*synth.Catalog, *Simulator) {
 		comps := make([][]float64, 0, len(v.TagIDs))
 		ws := make([]float64, 0, len(v.TagIDs))
 		for k, tid := range v.TagIDs {
-			comps = append(comps, cat.Vocab.Affinity(tid))
+			comps = append(comps, cat.Vocab.AffinityInto(make([]float64, cat.World.N()), tid))
 			ws = append(ws, 1/float64(k+1))
 		}
 		m, err := dist.Mix(comps, ws)

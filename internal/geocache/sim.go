@@ -213,9 +213,6 @@ func (s *Simulator) SetPredictions(pred [][]float64) error {
 	return nil
 }
 
-// Requests returns the stream length.
-func (s *Simulator) Requests() int { return len(s.requests) }
-
 // Run replays the request stream against the given policy with the given
 // per-country capacity and returns the aggregate result.
 func (s *Simulator) Run(policy PolicyKind, slotsPerCountry int) (Result, error) {

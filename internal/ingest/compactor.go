@@ -13,9 +13,8 @@ import (
 
 // InstallFunc folds a drained epoch's deltas into the current serving
 // snapshot and installs the result atomically. internal/server's
-// ApplyDeltas is the canonical implementation — the same helper a batch
-// Reload uses, so preload advisories are recomputed identically on both
-// paths and the two cannot drift.
+// ApplyDeltas is the canonical implementation — the same install path
+// every snapshot takes, so preload advisories cannot drift from it.
 type InstallFunc func(deltas []profilestore.TagDelta, newRecords int) error
 
 // CheckpointFunc persists the currently served snapshot as covering

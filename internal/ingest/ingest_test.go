@@ -205,7 +205,7 @@ func TestCompactorFoldInstallsSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatal("ingested tag not served")
 	}
-	if p := now.Profile(id); p.TotalViews != 50 || p.Videos != 1 {
+	if p := now.Export().Profiles[id]; p.TotalViews != 50 || p.Videos != 1 {
 		t.Fatalf("ingested profile %+v", p)
 	}
 	if now.Records() != base.Records()+1 {

@@ -17,10 +17,10 @@ func ExampleEncodeSimple() {
 	// Output: 9eA
 }
 
-// Quantize implements the per-video normalization K(v): the hottest
-// country is pushed to 61 and the rest scale linearly.
-func ExampleQuantize() {
-	pop := mapchart.Quantize([]float64{2.0, 1.0, 0.5})
+// QuantizeInto at MaxIntensity implements the per-video normalization
+// K(v): the hottest country is pushed to 61 and the rest scale linearly.
+func ExampleQuantizeInto() {
+	pop := mapchart.QuantizeInto(make([]int, 3), []float64{2.0, 1.0, 0.5}, mapchart.MaxIntensity)
 	fmt.Println(pop)
 	// Output: [61 31 15]
 }

@@ -33,10 +33,6 @@ const simpleAlphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123
 
 const extendedAlphabet = simpleAlphabet + "-."
 
-// MaxExtended is the largest value representable by one extended-encoding
-// character pair.
-const MaxExtended = 64*64 - 1
-
 // Sentinel errors for malformed chart data.
 var (
 	ErrBadSimpleChar   = fmt.Errorf("mapchart: character outside simple-encoding alphabet")
@@ -64,9 +60,9 @@ func EncodeSimple(values []int) (string, error) {
 	return b.String(), nil
 }
 
-// DecodeSimple decodes a simple-encoding payload. '_' (missing) decodes
+// decodeSimple decodes a simple-encoding payload. '_' (missing) decodes
 // to -1.
-func DecodeSimple(s string) ([]int, error) {
+func decodeSimple(s string) ([]int, error) {
 	out := make([]int, 0, len(s))
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -83,28 +79,8 @@ func DecodeSimple(s string) ([]int, error) {
 	return out, nil
 }
 
-// EncodeExtended encodes integer values 0..4095 into an "e:" payload
-// (two characters per value). Negative values encode as the "__"
-// placeholder.
-func EncodeExtended(values []int) (string, error) {
-	var b strings.Builder
-	b.Grow(2 * len(values))
-	for i, v := range values {
-		switch {
-		case v < 0:
-			b.WriteString("__")
-		case v <= MaxExtended:
-			b.WriteByte(extendedAlphabet[v/64])
-			b.WriteByte(extendedAlphabet[v%64])
-		default:
-			return "", fmt.Errorf("%w: value %d at index %d exceeds %d", ErrRange, v, i, MaxExtended)
-		}
-	}
-	return b.String(), nil
-}
-
-// DecodeExtended decodes an "e:" payload; "__" decodes to -1.
-func DecodeExtended(s string) ([]int, error) {
+// decodeExtended decodes an "e:" payload; "__" decodes to -1.
+func decodeExtended(s string) ([]int, error) {
 	if len(s)%2 != 0 {
 		return nil, fmt.Errorf("%w: odd payload length %d", ErrBadExtendedPair, len(s))
 	}
@@ -124,30 +100,20 @@ func DecodeExtended(s string) ([]int, error) {
 	return out, nil
 }
 
-// Quantize converts a per-country intensity field into the chart's
-// integer scale: the maximum intensity maps to MaxIntensity and the rest
-// scale linearly (rounding to nearest). This implements the per-video
-// normalization constant K(v) of the paper's Eq. (1): K(v) is whatever
-// scales the largest views(v)[c]/ytube[c] ratio to 61.
-//
-// An all-zero or empty field quantizes to all zeros.
-func Quantize(intensity []float64) []int {
-	return QuantizeTo(intensity, MaxIntensity)
-}
-
-// QuantizeTo is Quantize with a configurable top level — the ablation
-// knob that shows how much of the paper's reconstruction error is pure
+// QuantizeInto converts a per-country intensity field into an integer
+// scale, writing it into out, which must be as long as intensity; every
+// entry is overwritten. The maximum intensity maps to maxLevel and the
+// rest scale linearly (rounding to nearest). At MaxIntensity this is the
+// chart's scale and implements the per-video normalization constant K(v)
+// of the paper's Eq. (1): K(v) is whatever scales the largest
+// views(v)[c]/ytube[c] ratio to 61. Other levels are the ablation knob
+// that shows how much of the paper's reconstruction error is pure
 // quantization: simple encoding tops out at 61, extended encoding at
-// 4095. It panics on a non-positive level (programming error).
-func QuantizeTo(intensity []float64, maxLevel int) []int {
-	return QuantizeInto(make([]int, len(intensity)), intensity, maxLevel)
-}
-
-// QuantizeInto is QuantizeTo writing into out, which must be as long as
-// intensity; every entry is overwritten.
+// 4095. An all-zero or empty field quantizes to all zeros. It panics on
+// a non-positive level (programming error).
 func QuantizeInto(out []int, intensity []float64, maxLevel int) []int {
 	if maxLevel <= 0 {
-		panic("mapchart: QuantizeTo with non-positive level")
+		panic("mapchart: QuantizeInto with non-positive level")
 	}
 	if len(out) != len(intensity) {
 		panic("mapchart: QuantizeInto length mismatch")
@@ -167,17 +133,12 @@ func QuantizeInto(out []int, intensity []float64, maxLevel int) []int {
 	return out
 }
 
-// Intensity converts per-country view counts into the intensity field of
-// Eq. (1), views(v)[c]/ytube[c], given the per-country traffic volume
-// (any vector proportional to ytube works; K(v) absorbs the scale).
-// Countries with non-positive traffic get zero intensity. It returns an
-// error on length mismatch.
-func Intensity(views []float64, traffic []float64) ([]float64, error) {
-	return IntensityInto(make([]float64, len(views)), views, traffic)
-}
-
-// IntensityInto is Intensity writing into out, which must be as long as
-// views; every entry is overwritten.
+// IntensityInto converts per-country view counts into the intensity
+// field of Eq. (1), views(v)[c]/ytube[c], given the per-country traffic
+// volume (any vector proportional to ytube works; K(v) absorbs the
+// scale), writing it into out, which must be as long as views; every
+// entry is overwritten. Countries with non-positive traffic get zero
+// intensity. It returns an error on length mismatch.
 func IntensityInto(out, views, traffic []float64) ([]float64, error) {
 	if len(views) != len(traffic) {
 		return nil, fmt.Errorf("mapchart: views/traffic length mismatch %d != %d", len(views), len(traffic))

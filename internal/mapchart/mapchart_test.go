@@ -2,6 +2,7 @@ package mapchart
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -26,7 +27,7 @@ func TestSimpleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeSimple(enc)
+	dec, err := decodeSimple(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSimpleMissingValue(t *testing.T) {
 	if enc != "F_9" {
 		t.Fatalf("encoded %q", enc)
 	}
-	dec, err := DecodeSimple(enc)
+	dec, err := decodeSimple(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestSimpleRejectsOutOfRange(t *testing.T) {
 }
 
 func TestDecodeSimpleRejectsBadChar(t *testing.T) {
-	if _, err := DecodeSimple("AB*"); !errors.Is(err, ErrBadSimpleChar) {
+	if _, err := decodeSimple("AB*"); !errors.Is(err, ErrBadSimpleChar) {
 		t.Fatalf("err = %v, want ErrBadSimpleChar", err)
 	}
 }
@@ -76,7 +77,7 @@ func TestSimpleRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dec, err := DecodeSimple(enc)
+		dec, err := decodeSimple(enc)
 		if err != nil || len(dec) != len(in) {
 			return false
 		}
@@ -92,17 +93,40 @@ func TestSimpleRoundTripProperty(t *testing.T) {
 	}
 }
 
+// encodeExtended is decodeExtended's inverse for values in -1..4095.
+func encodeExtended(values []int) string {
+	var b strings.Builder
+	for _, v := range values {
+		if v < 0 {
+			b.WriteString("__")
+			continue
+		}
+		b.WriteByte(extendedAlphabet[v/64])
+		b.WriteByte(extendedAlphabet[v%64])
+	}
+	return b.String()
+}
+
+// quantize is QuantizeInto at the chart's scale, into a fresh slice.
+func quantize(intensity []float64) []int { return quantizeTo(intensity, MaxIntensity) }
+
+// quantizeTo is QuantizeInto into a fresh slice.
+func quantizeTo(intensity []float64, maxLevel int) []int {
+	return QuantizeInto(make([]int, len(intensity)), intensity, maxLevel)
+}
+
+// intensity is IntensityInto with a fresh slice.
+func intensity(views, traffic []float64) ([]float64, error) {
+	return IntensityInto(make([]float64, len(views)), views, traffic)
+}
+
 func TestExtendedRoundTripProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		in := make([]int, len(raw))
 		for i, v := range raw {
 			in[i] = int(v % 4096)
 		}
-		enc, err := EncodeExtended(in)
-		if err != nil {
-			return false
-		}
-		dec, err := DecodeExtended(enc)
+		dec, err := decodeExtended(encodeExtended(in))
 		if err != nil || len(dec) != len(in) {
 			return false
 		}
@@ -119,29 +143,26 @@ func TestExtendedRoundTripProperty(t *testing.T) {
 }
 
 func TestExtendedKnownValues(t *testing.T) {
-	enc, err := EncodeExtended([]int{0, 63, 64, 4095, -1})
+	got, err := decodeExtended("AA" + "A." + "BA" + ".." + "__")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc != "AA"+"A."+"BA"+".."+"__" {
-		t.Fatalf("encoded %q", enc)
+	if want := []int{0, 63, 64, 4095, -1}; !slices.Equal(got, want) {
+		t.Fatalf("decoded %v, want %v", got, want)
 	}
 }
 
 func TestExtendedErrors(t *testing.T) {
-	if _, err := EncodeExtended([]int{4096}); !errors.Is(err, ErrRange) {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := DecodeExtended("ABC"); !errors.Is(err, ErrBadExtendedPair) {
+	if _, err := decodeExtended("ABC"); !errors.Is(err, ErrBadExtendedPair) {
 		t.Fatalf("odd length err = %v", err)
 	}
-	if _, err := DecodeExtended("A*"); !errors.Is(err, ErrBadExtendedPair) {
+	if _, err := decodeExtended("A*"); !errors.Is(err, ErrBadExtendedPair) {
 		t.Fatalf("bad char err = %v", err)
 	}
 }
 
 func TestQuantizeMaxMapsTo61(t *testing.T) {
-	got := Quantize([]float64{0.5, 1.0, 0.25, 0})
+	got := quantize([]float64{0.5, 1.0, 0.25, 0})
 	want := []int{31, 61, 15, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -151,13 +172,13 @@ func TestQuantizeMaxMapsTo61(t *testing.T) {
 }
 
 func TestQuantizeAllZero(t *testing.T) {
-	got := Quantize([]float64{0, 0, 0})
+	got := quantize([]float64{0, 0, 0})
 	for _, v := range got {
 		if v != 0 {
 			t.Fatalf("zero field quantized to %v", got)
 		}
 	}
-	if got := Quantize(nil); len(got) != 0 {
+	if got := quantize(nil); len(got) != 0 {
 		t.Fatalf("empty quantize = %v", got)
 	}
 }
@@ -168,7 +189,7 @@ func TestQuantizePropertyInRange(t *testing.T) {
 		for i, v := range raw {
 			in[i] = float64(v)
 		}
-		out := Quantize(in)
+		out := quantize(in)
 		sawMax := len(out) == 0
 		var maxIn float64
 		for _, v := range in {
@@ -199,24 +220,24 @@ func TestIntensityDividesByTraffic(t *testing.T) {
 	// from wildly different absolute views when traffic differs.
 	views := []float64{1000, 10}
 	traffic := []float64{100, 1}
-	in, err := Intensity(views, traffic)
+	in, err := intensity(views, traffic)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if in[0] != in[1] {
 		t.Fatalf("intensities %v should be equal", in)
 	}
-	q := Quantize(in)
+	q := quantize(in)
 	if q[0] != 61 || q[1] != 61 {
 		t.Fatalf("both countries should cap at 61, got %v", q)
 	}
 }
 
 func TestIntensityErrorsAndZeros(t *testing.T) {
-	if _, err := Intensity([]float64{1}, []float64{1, 2}); err == nil {
+	if _, err := intensity([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	in, err := Intensity([]float64{5, 5}, []float64{0, 1})
+	in, err := intensity([]float64{5, 5}, []float64{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,14 +386,14 @@ func TestParseURLNeverPanicsOnChartShapedInput(t *testing.T) {
 
 func TestQuantizeToLevels(t *testing.T) {
 	in := []float64{1, 0.5, 0.25}
-	q := QuantizeTo(in, 4095)
+	q := quantizeTo(in, 4095)
 	if q[0] != 4095 || q[1] != 2048 || q[2] != 1024 {
-		t.Fatalf("QuantizeTo(4095) = %v", q)
+		t.Fatalf("quantizeTo(4095) = %v", q)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("QuantizeTo(0) did not panic")
+			t.Fatal("QuantizeInto at level 0 did not panic")
 		}
 	}()
-	QuantizeTo(in, 0)
+	quantizeTo(in, 0)
 }

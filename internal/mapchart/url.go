@@ -97,9 +97,9 @@ func ParseURL(raw string) (*Chart, error) {
 	var values []int
 	switch {
 	case strings.HasPrefix(chd, "s:"):
-		values, err = DecodeSimple(chd[2:])
+		values, err = decodeSimple(chd[2:])
 	case strings.HasPrefix(chd, "e:"):
-		values, err = DecodeExtended(chd[2:])
+		values, err = decodeExtended(chd[2:])
 	default:
 		return nil, fmt.Errorf("%w: unsupported chd %q", ErrBadURL, chd)
 	}

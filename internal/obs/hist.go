@@ -30,12 +30,11 @@ const (
 // binary-searches (a time.Duration compare, no float conversion on the
 // hot path).
 var (
-	bucketEdges   [numBuckets]float64
-	bucketEdgeNs  [numBuckets]int64
-	bucketEdgesOK = initBucketEdges()
+	bucketEdges  [numBuckets]float64
+	bucketEdgeNs [numBuckets]int64
 )
 
-func initBucketEdges() bool {
+func init() {
 	h, err := stats.NewLogHistogram(minLatency, maxLatency, numBuckets)
 	if err != nil {
 		panic("obs: bucket edge init: " + err.Error())
@@ -45,7 +44,6 @@ func initBucketEdges() bool {
 		bucketEdges[i] = hi
 		bucketEdgeNs[i] = int64(math.Round(hi * 1e9))
 	}
-	return true
 }
 
 // Histogram is a fixed log-bucket latency histogram with atomic
@@ -172,8 +170,3 @@ func (s *HistSnapshot) Quantile(q float64) float64 {
 	}
 	return maxLatency
 }
-
-// Buckets returns the shared upper-edge table in seconds (without the
-// +Inf bucket). Exposed for the text encoder and the tests; callers
-// must not mutate it.
-func Buckets() []float64 { return bucketEdges[:] }

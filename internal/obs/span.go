@@ -77,15 +77,6 @@ func PutTrace(t *Trace) {
 	}
 }
 
-// ID returns the trace's request id.
-func (t *Trace) ID() string { return t.id }
-
-// Route returns the route the trace was opened under.
-func (t *Trace) Route() string { return t.route }
-
-// Start returns the trace's start time.
-func (t *Trace) Start() time.Time { return t.start }
-
 // SetParent records the upstream span the trace is a child of
 // ("role/span"; a shard names the gateway leg a stream frame is, e.g.
 // "gateway/internal/predict").

@@ -80,11 +80,6 @@ func (e *enc) bytes(p []byte) {
 	}
 }
 
-func (e *enc) u32(v uint32) {
-	binary.LittleEndian.PutUint32(e.buf[:4], v)
-	e.bytes(e.buf[:4])
-}
-
 func (e *enc) u64(v uint64) {
 	binary.LittleEndian.PutUint64(e.buf[:8], v)
 	e.bytes(e.buf[:8])
@@ -140,14 +135,6 @@ func (d *dec) bytes(p []byte) {
 	if d.crc != nil {
 		_, _ = d.crc.Write(p)
 	}
-}
-
-func (d *dec) u32() uint32 {
-	d.bytes(d.buf[:4])
-	if d.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(d.buf[:4])
 }
 
 func (d *dec) u64() uint64 {

@@ -592,8 +592,8 @@ func TestRecoverToLastAckedEpoch(t *testing.T) {
 			t.Fatalf("recovered geography diverges at %d: %v vs %v", c, va[c], vb[c])
 		}
 	}
-	if rec2.Profile(id).Videos != ref.Profile(refID).Videos {
-		t.Fatalf("videos %d != reference %d", rec2.Profile(id).Videos, ref.Profile(refID).Videos)
+	if rec2.Export().Profiles[id].Videos != ref.Export().Profiles[refID].Videos {
+		t.Fatalf("videos %d != reference %d", rec2.Export().Profiles[id].Videos, ref.Export().Profiles[refID].Videos)
 	}
 	_ = m2.Close()
 }

@@ -128,9 +128,6 @@ func checkBoot(t *testing.T, what string, res *Result, b *Boot, owns func(string
 	if b.Aggregate.N() != res.Clean.Report.Kept || got.Records() != res.Clean.Report.Kept {
 		t.Fatalf("%s: records %d (snapshot %d), want the whole corpus's %d", what, b.Aggregate.N(), got.Records(), res.Clean.Report.Kept)
 	}
-	if b.Aggregate.Skipped() != res.Analysis.Skipped() {
-		t.Fatalf("%s: skipped %d, want %d", what, b.Aggregate.Skipped(), res.Analysis.Skipped())
-	}
 }
 
 // TestBootSyntheticMatchesRetainingPath: satellite tests (b) and (d) —

@@ -34,7 +34,7 @@ func testEvaluator(t *testing.T, cfg Config) (*synth.Catalog, *Evaluator) {
 		comps := make([][]float64, 0, len(v.TagIDs))
 		ws := make([]float64, 0, len(v.TagIDs))
 		for k, tid := range v.TagIDs {
-			comps = append(comps, cachedCat.Vocab.Affinity(tid))
+			comps = append(comps, cachedCat.Vocab.AffinityInto(make([]float64, cachedCat.World.N()), tid))
 			ws = append(ws, 1/float64(k+1))
 		}
 		m, err := dist.Mix(comps, ws)

@@ -37,7 +37,7 @@ func sameSnapshot(t *testing.T, what string, want, got *profilestore.Snapshot) {
 		}
 	}
 	for id := int32(0); int(id) < want.NumTags(); id++ {
-		w, g := want.Profile(id), got.Profile(id)
+		w, g := &want.Export().Profiles[id], &got.Export().Profiles[id]
 		if g.ID != w.ID || g.Name != w.Name || g.Videos != w.Videos || bits(g.TotalViews) != bits(w.TotalViews) ||
 			g.Spread != w.Spread || g.TopCountry != w.TopCountry || bits(g.TopShare) != bits(w.TopShare) {
 			t.Fatalf("%s: profile %d = %+v, want %+v", what, id, *g, *w)

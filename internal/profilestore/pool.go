@@ -25,9 +25,6 @@ func NewVecPool(n int) *VecPool {
 	return vp
 }
 
-// Len returns the pooled vector length.
-func (vp *VecPool) Len() int { return vp.n }
-
 // Get takes a vector from the pool. Contents are undefined — every
 // consumer (PredictInto, PredictPartialInto, the gateway merge) zeroes
 // or overwrites the full vector before reading it.

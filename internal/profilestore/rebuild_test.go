@@ -29,7 +29,7 @@ func TestRebuildFoldsDeltaMath(t *testing.T) {
 	if !ok {
 		t.Fatal("fixture has no 'pop' tag")
 	}
-	oldP := *base.Profile(id)
+	oldP := base.profiles[id]
 	oldVec := append([]float64(nil), base.Vec(id)...)
 
 	jp := base.World().MustByCode("JP")
@@ -45,7 +45,7 @@ func TestRebuildFoldsDeltaMath(t *testing.T) {
 	if !ok || nid != id {
 		t.Fatalf("pop re-interned: id %d -> %d (ok=%v)", id, nid, ok)
 	}
-	p := next.Profile(id)
+	p := &next.profiles[id]
 	if p.TotalViews != oldP.TotalViews+added || p.Videos != oldP.Videos+3 {
 		t.Fatalf("profile mass not folded: %+v (was %+v)", p, oldP)
 	}
@@ -81,7 +81,7 @@ func TestRebuildFoldsDeltaMath(t *testing.T) {
 			t.Fatal("Rebuild mutated the base snapshot")
 		}
 	}
-	if bp := base.Profile(id); bp.TotalViews != oldP.TotalViews {
+	if bp := &base.profiles[id]; bp.TotalViews != oldP.TotalViews {
 		t.Fatal("Rebuild mutated the base profile")
 	}
 }
@@ -109,7 +109,7 @@ func TestRebuildSharesUntouchedVectors(t *testing.T) {
 			continue
 		}
 		if &bv[0] != &nv[0] {
-			t.Fatalf("untouched tag %q got a fresh vector", base.Profile(i).Name)
+			t.Fatalf("untouched tag %q got a fresh vector", base.profiles[i].Name)
 		}
 		shared++
 	}
@@ -152,7 +152,7 @@ func TestRebuildInternsNewTags(t *testing.T) {
 		t.Fatalf("new ids %d,%d — want appended in name order %d,%d",
 			aID, zID, base.NumTags(), base.NumTags()+1)
 	}
-	z := next.Profile(zID)
+	z := &next.profiles[zID]
 	if z.TotalViews != 1000 || z.Videos != 1 {
 		t.Fatalf("merged new-tag profile wrong: %+v", z)
 	}
@@ -197,7 +197,7 @@ func TestRebuildDeterministic(t *testing.T) {
 		t.Fatal("rebuilds disagree on shape")
 	}
 	for i := int32(0); i < int32(a.NumTags()); i++ {
-		pa, pb := a.Profile(i), b.Profile(i)
+		pa, pb := &a.profiles[i], &b.profiles[i]
 		if *pa != *pb {
 			t.Fatalf("profiles diverge at %d: %+v != %+v", i, pa, pb)
 		}
@@ -227,10 +227,10 @@ func TestRebuildStaleIDHintFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if next.Profile(id).TotalViews != base.Profile(id).TotalViews+999 {
+	if next.profiles[id].TotalViews != base.profiles[id].TotalViews+999 {
 		t.Fatal("stale hint not resolved by name")
 	}
-	if other := next.Profile(wrong); other.TotalViews != base.Profile(wrong).TotalViews {
+	if other := &next.profiles[wrong]; other.TotalViews != base.profiles[wrong].TotalViews {
 		t.Fatal("stale hint folded into the wrong profile")
 	}
 }

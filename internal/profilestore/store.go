@@ -225,10 +225,6 @@ func (s *Snapshot) Lookup(name string) (int32, bool) {
 	return id, ok
 }
 
-// Profile returns the profile record for id (which must come from
-// Lookup on this snapshot).
-func (s *Snapshot) Profile(id int32) *Profile { return &s.profiles[id] }
-
 // Vec returns tag id's normalized geographic field. The slice aliases
 // the snapshot's backing storage (possibly shared with the snapshot it
 // was incrementally rebuilt from); callers must not modify it.

@@ -49,7 +49,7 @@ func TestBuildInternsEveryTag(t *testing.T) {
 		if !ok {
 			t.Fatalf("tag %q not interned", name)
 		}
-		p := s.Profile(id)
+		p := &s.profiles[id]
 		if p.Name != name {
 			t.Fatalf("id %d resolves to %q, want %q", id, p.Name, name)
 		}
@@ -75,7 +75,7 @@ func TestVecsNormalized(t *testing.T) {
 			sum += x
 		}
 		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("tag %q vector sums to %v", s.Profile(id).Name, sum)
+			t.Fatalf("tag %q vector sums to %v", s.profiles[id].Name, sum)
 		}
 	}
 }

@@ -233,11 +233,11 @@ func TestQuantizationLossBounded(t *testing.T) {
 	for c, n := range views {
 		fviews[c] = float64(n)
 	}
-	intensity, err := mapchart.Intensity(fviews, pyt)
+	intensity, err := mapchart.IntensityInto(make([]float64, len(fviews)), fviews, pyt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pop := mapchart.Quantize(intensity)
+	pop := mapchart.QuantizeInto(make([]int, len(intensity)), intensity, mapchart.MaxIntensity)
 	rec, err := Views(pop, pyt, total)
 	if err != nil {
 		t.Fatal(err)

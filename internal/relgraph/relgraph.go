@@ -141,39 +141,3 @@ func (g *Graph) N() int { return len(g.adj) }
 // Related returns video i's related list as catalog indices. The
 // returned slice is shared; callers must not modify it.
 func (g *Graph) Related(i int) []int32 { return g.adj[i] }
-
-// OutDegree returns len(Related(i)).
-func (g *Graph) OutDegree(i int) int { return len(g.adj[i]) }
-
-// ReachableFrom runs a BFS from the given seed set and returns the
-// number of distinct vertices visited (including seeds) and the maximum
-// BFS depth reached. It is the structural check behind the crawl's
-// coverage claims.
-func (g *Graph) ReachableFrom(seeds []int) (visited int, depth int) {
-	mark := make([]bool, len(g.adj))
-	var frontier []int32
-	for _, s := range seeds {
-		if s >= 0 && s < len(g.adj) && !mark[s] {
-			mark[s] = true
-			frontier = append(frontier, int32(s))
-			visited++
-		}
-	}
-	for len(frontier) > 0 {
-		var next []int32
-		for _, u := range frontier {
-			for _, v := range g.adj[u] {
-				if !mark[v] {
-					mark[v] = true
-					visited++
-					next = append(next, v)
-				}
-			}
-		}
-		if len(next) > 0 {
-			depth++
-		}
-		frontier = next
-	}
-	return visited, depth
-}

@@ -111,7 +111,7 @@ func noBoot(t *testing.T, target string) (RunOptions, string) {
 }
 
 // TestRunAttachesToRunningDaemon drives a daemon the engine did not
-// start: the same workload, scraper, tracer and Score as a booted run,
+// start: the same workload, scraper, tracer and score as a booted run,
 // at an address. Both streams flow, the warmup window is excluded and
 // rates are over what is left, the scorecard's trace ids are fetchable
 // from the daemon, and nothing is built, spawned or left on disk.

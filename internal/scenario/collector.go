@@ -35,9 +35,9 @@ type Collector struct {
 	warmup   int64 // observations excluded by the warmup cutoff
 }
 
-// NewCollector returns an empty collector. A zero cutoff disables
+// newCollector returns an empty collector. A zero cutoff disables
 // warmup exclusion.
-func NewCollector(cutoff time.Time) *Collector {
+func newCollector(cutoff time.Time) *Collector {
 	return &Collector{cutoff: cutoff}
 }
 

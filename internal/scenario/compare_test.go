@@ -184,7 +184,7 @@ func TestCompareSkipsUnobservedRecovery(t *testing.T) {
 func TestReportFileRoundTripAndSchemaGate(t *testing.T) {
 	dir := t.TempDir()
 	base, _ := twoReports()
-	Score(base)
+	score(base)
 	path := filepath.Join(dir, "BENCH_scenarios.json")
 	if err := base.WriteFile(path); err != nil {
 		t.Fatal(err)

@@ -26,11 +26,11 @@ type Binaries struct {
 	Gateway string
 }
 
-// BuildBinaries compiles cmd/serve and cmd/gateway into dir with the
+// buildBinaries compiles cmd/serve and cmd/gateway into dir with the
 // local go toolchain. moduleDir is the repo root ("" = current dir).
 // race additionally instruments the daemons with the race detector, so
 // a chaos run doubles as a data-race hunt over the real processes.
-func BuildBinaries(dir, moduleDir string, race bool) (Binaries, error) {
+func buildBinaries(dir, moduleDir string, race bool) (Binaries, error) {
 	b := Binaries{
 		Serve:   filepath.Join(dir, "serve"),
 		Gateway: filepath.Join(dir, "gateway"),
@@ -165,11 +165,11 @@ type Cluster struct {
 // GatewayURL is the traffic entrypoint.
 func (c *Cluster) GatewayURL() string { return c.gateway.url }
 
-// StartCluster boots shards, proxies and gateway and waits until the
+// startCluster boots shards, proxies and gateway and waits until the
 // gateway reports every shard healthy. workdir holds binaries (when
 // built here), shard data dirs and nothing else; the caller owns its
 // lifetime.
-func StartCluster(bins Binaries, sc *Spec, workdir string, logger *log.Logger) (*Cluster, error) {
+func startCluster(bins Binaries, sc *Spec, workdir string, logger *log.Logger) (*Cluster, error) {
 	c := &Cluster{
 		spec:    &bins,
 		sc:      sc,
@@ -371,8 +371,8 @@ func (c *Cluster) Stop() {
 	}
 }
 
-// Workdir creates a scratch directory for one run. Callers pass keep
+// makeWorkdir creates a scratch directory for one run. Callers pass keep
 // to preserve it for debugging; otherwise they os.RemoveAll it.
-func Workdir() (string, error) {
+func makeWorkdir() (string, error) {
 	return os.MkdirTemp("", "viewstags-scenario-*")
 }

@@ -221,7 +221,7 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 	} else {
 		workdir := opts.Workdir
 		if workdir == "" {
-			dir, err := Workdir()
+			dir, err := makeWorkdir()
 			if err != nil {
 				return nil, err
 			}
@@ -235,7 +235,7 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 		bins := opts.Bins
 		if bins.Serve == "" || bins.Gateway == "" {
 			logger.Printf("building serve + gateway into %s", workdir)
-			built, err := BuildBinaries(workdir, opts.ModuleDir, opts.Race)
+			built, err := buildBinaries(workdir, opts.ModuleDir, opts.Race)
 			if err != nil {
 				return nil, err
 			}
@@ -244,7 +244,7 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 
 		logger.Printf("booting %d shard(s) + gateway (videos=%d durable=%v)", sc.Shards, sc.Videos, sc.Durable)
 		var err error
-		if cluster, err = StartCluster(bins, sc, workdir, logger); err != nil {
+		if cluster, err = startCluster(bins, sc, workdir, logger); err != nil {
 			return nil, err
 		}
 		defer cluster.Stop()
@@ -414,7 +414,7 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 	refCancel()
 	refs.Dumps = dumps
 	rep.Traces = &refs
-	Score(rep)
+	score(rep)
 	if !rep.Pass && opts.DumpDir != "" {
 		if p := trc.dump(opts.DumpDir, "slo-breach"); p != "" {
 			rep.Traces.Dumps = append(rep.Traces.Dumps, p)

@@ -50,10 +50,10 @@ func metricValue(rep *Report, o *SLO) (v float64, observed bool) {
 	return 0, true
 }
 
-// Score fills the report's scorecard and overall pass verdict from the
+// score fills the report's scorecard and overall pass verdict from the
 // spec's SLOs. A row whose metric was never observed (see metricValue)
 // fails regardless of bound.
-func Score(rep *Report) {
+func score(rep *Report) {
 	rep.Scorecard = rep.Scorecard[:0]
 	rep.Pass = true
 	for i := range rep.Spec.SLOs {

@@ -42,7 +42,7 @@ func TestScoreBounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		rep := reportFor(t, []SLO{tc.slo})
-		Score(rep)
+		score(rep)
 		if len(rep.Scorecard) != 1 {
 			t.Fatalf("%s: %d rows", tc.name, len(rep.Scorecard))
 		}
@@ -57,14 +57,14 @@ func TestScoreErrorRateCountsDrops(t *testing.T) {
 	max := 0.05
 	rep := reportFor(t, []SLO{{Name: "err", Stream: "read", Metric: MetricErrorRate, Max: &max}})
 	// 10 errors / 1000 = 1%: passes.
-	Score(rep)
+	score(rep)
 	if !rep.Pass {
 		t.Fatalf("1%% error rate failed a 5%% budget: %+v", rep.Scorecard)
 	}
 	// Open-loop drops count against the same budget: 90 drops push the
 	// rate to (10+90)/1090 ≈ 9%.
 	rep.Read.Dropped = 90
-	Score(rep)
+	score(rep)
 	if rep.Pass {
 		t.Fatal("dropped arrivals did not count toward the error budget")
 	}
@@ -74,7 +74,7 @@ func TestScoreUnobservedRecoveryFails(t *testing.T) {
 	max := 1000.0
 	rep := reportFor(t, []SLO{{Name: "rec", Stream: "cluster", Metric: MetricRecoverySecs, Max: &max}})
 	rep.Cluster.WorstRecovery = -1 // chaos fired; cluster never healed
-	Score(rep)
+	score(rep)
 	if rep.Pass {
 		t.Fatal("unobserved recovery passed a recovery SLO")
 	}
@@ -108,7 +108,7 @@ func TestScoreAbsentStreamScoresZero(t *testing.T) {
 	for _, tc := range cases {
 		rep := reportFor(t, []SLO{tc.slo})
 		tc.mutate(rep)
-		Score(rep)
+		score(rep)
 		if rep.Pass || rep.Scorecard[0].Pass {
 			t.Errorf("%s passed vacuously: %+v", tc.name, rep.Scorecard[0])
 		}
@@ -118,7 +118,7 @@ func TestScoreAbsentStreamScoresZero(t *testing.T) {
 func TestScorecardRendering(t *testing.T) {
 	hi := 100.0
 	rep := reportFor(t, []SLO{{Name: "p99", Stream: "read", Metric: MetricP99, Max: &hi}})
-	Score(rep)
+	score(rep)
 	out := Scorecard(rep)
 	for _, want := range []string{"PASS", "p99", "=> PASS"} {
 		if !strings.Contains(out, want) {
@@ -143,7 +143,7 @@ func TestStreamRates(t *testing.T) {
 
 func TestCollectorWarmupCutoff(t *testing.T) {
 	base := time.Now()
-	c := NewCollector(base.Add(2 * time.Second))
+	c := newCollector(base.Add(2 * time.Second))
 	// Warmup observations: slow outliers that must never reach the
 	// histogram.
 	for i := 0; i < 50; i++ {
@@ -212,7 +212,7 @@ func TestResolveRecoveriesWaitsForObservedImpact(t *testing.T) {
 }
 
 func TestCollectorZeroCutoffDisablesWarmup(t *testing.T) {
-	c := NewCollector(time.Time{})
+	c := newCollector(time.Time{})
 	c.Observe(time.Millisecond, 1, 0, false, false, time.Now().Add(-time.Hour))
 	if s := c.Snapshot(time.Second); s.Warmup != 0 || s.Requests != 1 {
 		t.Fatalf("zero cutoff mis-tallied: %+v", s)

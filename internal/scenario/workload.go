@@ -94,11 +94,11 @@ func newWorkload(sc *Spec, base string) (*workload, error) {
 			return nil, fmt.Errorf("scenario: phase %q region %q is not in the country table", sc.Phases[i].Name, r)
 		}
 	}
-	w.reads = NewCollector(time.Time{})
-	w.writes = NewCollector(time.Time{})
+	w.reads = newCollector(time.Time{})
+	w.writes = newCollector(time.Time{})
 	for range sc.Phases {
-		w.phaseReads = append(w.phaseReads, NewCollector(time.Time{}))
-		w.phaseWrites = append(w.phaseWrites, NewCollector(time.Time{}))
+		w.phaseReads = append(w.phaseReads, newCollector(time.Time{}))
+		w.phaseWrites = append(w.phaseWrites, newCollector(time.Time{}))
 	}
 	return w, nil
 }

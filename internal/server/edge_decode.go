@@ -75,7 +75,7 @@ func releaseBodyBuf(buf *bytes.Buffer) (pooled bool) {
 	if buf.Cap() > maxPooledBody {
 		return false
 	}
-	PutWireBuf(buf)
+	putWireBuf(buf)
 	return true
 }
 
@@ -93,7 +93,7 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 // truncated body answers what it always has. On failure the 400 has been
 // written.
 func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics, fast func(string, *T) bool, v *T) bool {
-	buf := GetWireBuf()
+	buf := getWireBuf()
 	defer releaseBodyBuf(buf)
 	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
 		buf.Grow(int(n) + bytes.MinRead)

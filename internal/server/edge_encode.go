@@ -216,8 +216,8 @@ func MarshalInternalIngestRequest(req *InternalIngestRequest) ([]byte, error) {
 // WriteJSON would send. Exported, like DecodePredictBody, for the root
 // benchmarks.
 func WritePredictResponse(w http.ResponseWriter, resp *PredictResponse) {
-	buf := GetWireBuf()
-	defer PutWireBuf(buf)
+	buf := getWireBuf()
+	defer putWireBuf(buf)
 	body, ok := appendPredictResponse(buf.AvailableBuffer(), resp)
 	if !ok {
 		WriteJSON(w, http.StatusOK, resp)
@@ -230,8 +230,8 @@ func WritePredictResponse(w http.ResponseWriter, resp *PredictResponse) {
 // writeIngestResponse answers 200 with the ingest ack, byte for byte
 // what WriteJSON would send.
 func writeIngestResponse(w http.ResponseWriter, resp *IngestResponse) {
-	buf := GetWireBuf()
-	defer PutWireBuf(buf)
+	buf := getWireBuf()
+	defer putWireBuf(buf)
 	buf.Write(append(appendIngestResponse(buf.AvailableBuffer(), resp), '\n'))
 	writeBody(w, http.StatusOK, buf.Bytes())
 }

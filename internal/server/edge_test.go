@@ -438,9 +438,9 @@ func TestEdgeBodyBufferNotPinned(t *testing.T) {
 		t.Fatal("decode failed")
 	}
 	for i := 0; i < 8; i++ { // scribble over whatever the pool holds
-		b := GetWireBuf()
+		b := getWireBuf()
 		b.WriteString(strings.Repeat("#", 64))
-		defer PutWireBuf(b)
+		defer putWireBuf(b)
 	}
 	if !reflect.DeepEqual(req.Tags, []string{"favela", "samba"}) {
 		t.Fatalf("decoded tags changed under a reused buffer: %q", req.Tags)

@@ -148,8 +148,8 @@ type errorResponse struct {
 // chunked encoding for anything it cannot size within its 2 KB buffer),
 // and a value that fails to encode answers 500 instead of a torn 200.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
-	buf := GetWireBuf()
-	defer PutWireBuf(buf)
+	buf := getWireBuf()
+	defer putWireBuf(buf)
 	if err := json.NewEncoder(buf).Encode(v); err != nil {
 		status = http.StatusInternalServerError
 		buf.Reset()

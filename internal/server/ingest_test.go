@@ -232,13 +232,13 @@ func TestIngestBackpressure503(t *testing.T) {
 }
 
 // TestFoldRefreshesPreloadAdvisories: once an ingest fold has installed
-// its snapshot, /v1/preload ranks by it, exactly as after a batch Reload
+// its snapshot, /v1/preload ranks by it, exactly as after a batch reload
 // — there is one install path and no per-install advisory state to
 // forget.
 func TestFoldRefreshesPreloadAdvisories(t *testing.T) {
 	srv, _, comp := freshServer(t, true, 0, time.Hour)
 	res, _ := fixture(t)
-	base := srv.Store().Load()
+	base := srv.store.Load()
 	var events []IngestEvent
 	for _, p := range base.TopProfiles(20) {
 		events = append(events, IngestEvent{Tags: []string{p.Name}, Country: "BR", Views: 50 * p.TotalViews})
@@ -250,7 +250,7 @@ func TestFoldRefreshesPreloadAdvisories(t *testing.T) {
 		t.Fatalf("fold: %v", err)
 	}
 	got := preloadIDs(t, srv, "BR", "tag-push", 32)
-	if want := wantTagPush(res, srv.Store().Load(), tagviews.WeightIDF, "BR", 32); !reflect.DeepEqual(got, want) {
+	if want := wantTagPush(res, srv.store.Load(), tagviews.WeightIDF, "BR", 32); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-fold advisory = %v, want the folded snapshot's ranking %v", got, want)
 	}
 	if stale := wantTagPush(res, base, tagviews.WeightIDF, "BR", 32); reflect.DeepEqual(got, stale) {

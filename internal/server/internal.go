@@ -77,14 +77,14 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q: /internal/predict takes %s", ct, WireContentType)
 		return
 	}
-	body := GetWireBuf()
-	defer PutWireBuf(body)
+	body := getWireBuf()
+	defer putWireBuf(body)
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	if _, err := body.ReadFrom(r.Body); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	items, weighting, exclude, crc, err := DecodePredictRequestExclude(body.Bytes())
+	items, weighting, exclude, crc, err := decodePredictRequestExclude(body.Bytes())
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return

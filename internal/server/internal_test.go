@@ -29,7 +29,7 @@ func postFrame(srv *Server, contentType string, frame []byte) *httptest.Response
 // weight mass and unnormalized sum per item, ordering preserved.
 func TestInternalPredictPartials(t *testing.T) {
 	res, srv := fixture(t)
-	snap := srv.Store().Load()
+	snap := srv.store.Load()
 	nC := res.World.N()
 
 	items := [][]string{{"favela", "samba"}, {"zz-unknown"}, {"pop"}}
@@ -115,8 +115,8 @@ func TestInternalMeta(t *testing.T) {
 	if len(meta.Countries) != res.World.N() || len(meta.Prior) != res.World.N() {
 		t.Fatalf("globals shape: %d countries, %d prior", len(meta.Countries), len(meta.Prior))
 	}
-	if meta.Tags != srv.Store().Load().NumTags() {
-		t.Fatalf("tags %d, want %d", meta.Tags, srv.Store().Load().NumTags())
+	if meta.Tags != srv.store.Load().NumTags() {
+		t.Fatalf("tags %d, want %d", meta.Tags, srv.store.Load().NumTags())
 	}
 	if code := do(t, srv, http.MethodPost, "/internal/meta", nil, nil); code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST meta: %d, want 405", code)
@@ -140,11 +140,11 @@ func TestInternalIngest(t *testing.T) {
 	if resp.Accepted != 3 {
 		t.Fatalf("accepted %d, want 3", resp.Accepted)
 	}
-	before := srv.Store().Load().Records()
+	before := srv.store.Load().Records()
 	if folded, err := comp.FoldNow(); err != nil || !folded {
 		t.Fatalf("fold: %v folded=%v", err, folded)
 	}
-	if got := srv.Store().Load().Records(); got != before+3 {
+	if got := srv.store.Load().Records(); got != before+3 {
 		t.Fatalf("records %d, want %d (+1 event upload, +2 announcements)", got, before+3)
 	}
 	var pr PredictResponse
@@ -297,7 +297,7 @@ func TestInternalPredictLabelNeverLeadsContent(t *testing.T) {
 	const tag, folds, readers = "zz-label-race", 400, 2
 	srv, acc, comp := freshServer(t, false, 0, time.Hour)
 	frame := AppendPredictRequest(nil, [][]string{{tag}}, tagviews.WeightByViews, false)
-	nC := srv.Store().Load().World().N()
+	nC := srv.store.Load().World().N()
 
 	done := make(chan struct{})
 	errs := make(chan error, readers)

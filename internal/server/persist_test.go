@@ -68,8 +68,8 @@ func TestReadyzSplitsFromHealthz(t *testing.T) {
 	if code := do(t, srv, http.MethodGet, "/readyz", nil, &ready); code != http.StatusOK || ready.Status != "ready" {
 		t.Fatalf("/readyz after SetReady: %d %+v, want 200 ready", code, ready)
 	}
-	if !srv.Ready() {
-		t.Fatal("Ready() false after SetReady")
+	if !srv.ready.Load() {
+		t.Fatal("not ready after SetReady")
 	}
 }
 
@@ -142,7 +142,7 @@ func (failingJournal) Append(uint64, []ingest.Event, []string) error {
 // see a 400), with the batch rejected whole.
 func TestIngestJournalFailureSheds(t *testing.T) {
 	srv := bareServer(t)
-	acc, err := ingest.NewAccumulator(srv.Store(), 1<<16)
+	acc, err := ingest.NewAccumulator(srv.store, 1<<16)
 	if err != nil {
 		t.Fatal(err)
 	}

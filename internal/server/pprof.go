@@ -10,14 +10,14 @@ import (
 	"time"
 )
 
-// PprofHandler returns the net/http/pprof surface (/debug/pprof/...)
+// pprofHandler returns the net/http/pprof surface (/debug/pprof/...)
 // on a private mux, so the daemons can expose profiling on a separate,
 // operator-only listener (-pprof-addr) without registering anything on
 // http.DefaultServeMux or mixing diagnostics into the serving mux —
 // the serving tier's limiter and metrics never see profile scrapes,
 // and the public port never leaks heap dumps. See OPERATIONS.md
 // "Profiling".
-func PprofHandler() http.Handler {
+func pprofHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -27,7 +27,7 @@ func PprofHandler() http.Handler {
 	return mux
 }
 
-// StartPprof listens on addr and serves PprofHandler in the background
+// StartPprof listens on addr and serves pprofHandler in the background
 // until ctx ends — the shared -pprof-addr implementation of cmd/serve
 // and cmd/gateway. The listen itself is synchronous so a bad address
 // fails startup loudly instead of logging from a goroutine.
@@ -37,7 +37,7 @@ func StartPprof(ctx context.Context, addr string, logger *log.Logger) error {
 		return err
 	}
 	go func() {
-		if err := ServeHandler(ctx, ln, PprofHandler(), time.Second, nil); err != nil {
+		if err := ServeHandler(ctx, ln, pprofHandler(), time.Second, nil); err != nil {
 			logger.Printf("pprof: %v", err)
 		}
 	}()

@@ -17,7 +17,7 @@ import (
 // surface: the index answers with the profile listing, and a profile
 // endpoint actually streams data.
 func TestPprofHandlerServesIndex(t *testing.T) {
-	ts := httptest.NewServer(PprofHandler())
+	ts := httptest.NewServer(pprofHandler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/debug/pprof/")
 	if err != nil {

@@ -143,7 +143,7 @@ func TestPreloadOnDemandMatchesTablePath(t *testing.T) {
 	buf := make([]float64, profilestore.ColumnLen(served))
 	check := func(stage string) {
 		t.Helper()
-		snap := srv.Store().Load()
+		snap := srv.store.Load()
 		for _, w := range []tagviews.Weighting{tagviews.WeightUniform, tagviews.WeightByViews, tagviews.WeightIDF} {
 			table := snap.PredictCatalog(cat, w)
 			none := 0
@@ -203,7 +203,7 @@ func TestPreloadOnDemandMatchesTablePath(t *testing.T) {
 		}
 	}
 	fold([]IngestEvent{{Video: "on-demand-1", Tags: []string{unknown}, Country: "KR", Views: 1e6, Upload: true}})
-	if _, ok := srv.Store().Load().Lookup(unknown); !ok {
+	if _, ok := srv.store.Load().Lookup(unknown); !ok {
 		t.Fatalf("fold did not make %q known", unknown)
 	}
 	check("fold 1 (a previously unknown tag known)")
@@ -242,14 +242,14 @@ func TestPreloadDoesNotWaitForInstall(t *testing.T) {
 }
 
 // TestPreloadFollowsBareSwap: the advisory is computed from the store's
-// current snapshot, so a Swap that bypasses Reload cannot leave it ranking
+// current snapshot, so a Swap that bypasses the install lock cannot leave it ranking
 // by the snapshot before.
 func TestPreloadFollowsBareSwap(t *testing.T) {
 	srv, _, _ := freshServer(t, true, 0, time.Hour)
 	res, _ := fixture(t)
-	base := srv.Store().Load()
+	base := srv.store.Load()
 	next := shifted(t, base, res.World.MustByCode("JP"))
-	if _, err := srv.Store().Swap(next); err != nil {
+	if _, err := srv.store.Swap(next); err != nil {
 		t.Fatal(err)
 	}
 	got := preloadIDs(t, srv, "JP", "tag-push", 32)

@@ -36,8 +36,8 @@
 // core sustains tens of thousands of predictions per second; batching
 // amortizes the HTTP+JSON overhead further (see BenchmarkServePredict).
 // The write path (internal/ingest) accumulates view events off the read
-// path and installs fresh snapshots through the same atomic swap a
-// batch Reload uses, so readers never block on ingestion.
+// path and installs fresh snapshots through an atomic swap, so readers
+// never block on ingestion.
 package server
 
 import (
@@ -240,8 +240,8 @@ type Server struct {
 	// and the ring is bounded).
 	traces *obs.TraceStore
 
-	// mu serializes snapshot installs (batch Reload and ingest folds);
-	// no request path takes it.
+	// mu serializes snapshot installs (ingest folds and slice
+	// transfers); no request path takes it.
 	mu sync.Mutex
 
 	// cat is the served catalog /v1/preload ranks and colScratch the pool
@@ -309,8 +309,8 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 
 // SetCatalog installs the served form of the synthetic catalog, enabling
 // /v1/preload: each request ranks it against the snapshot being served at
-// that moment, tag-push under weighting w until a Reload or ApplyDeltas
-// names another. Call before serving traffic.
+// that moment, tag-push under weighting w until an install names
+// another. Call before serving traffic.
 func (s *Server) SetCatalog(cat *synth.Served, w tagviews.Weighting) error {
 	if cat == nil {
 		return fmt.Errorf("server: nil catalog")
@@ -322,10 +322,6 @@ func (s *Server) SetCatalog(cat *synth.Served, w tagviews.Weighting) error {
 	s.preloadW.Store(int32(w))
 	return nil
 }
-
-// Store returns the underlying profile store. Reload is a Swap on it
-// under the install lock; every route reads the snapshot it holds.
-func (s *Server) Store() *profilestore.Store { return s.store }
 
 // EnableIngest attaches the streaming write path: /v1/ingest starts
 // accepting events into acc. The caller runs the compactor that drains
@@ -388,23 +384,11 @@ func (s *Server) SetFoldHook(f func() (bool, error)) { s.foldNow = f }
 // call this right after New.)
 func (s *Server) SetReady() { s.ready.Store(true) }
 
-// Ready reports whether the server has been marked ready.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
-// Reload installs a freshly built snapshot; w is the weighting
-// /v1/preload ranks tag-push by from here on. Reload and the ingest fold
-// path (ApplyDeltas) share installLocked, so the two cannot drift.
-func (s *Server) Reload(snap *profilestore.Snapshot, w tagviews.Weighting) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.installLocked(snap, w)
-}
-
 // ApplyDeltas folds accumulated ingest deltas into the currently served
 // snapshot (profilestore.Rebuild, copy-on-write) and installs the
 // result. It is the ingest.InstallFunc the compactor drives, holding
-// the install lock across load+rebuild+swap so a concurrent batch
-// Reload cannot interleave and lose either update.
+// the install lock across load+rebuild+swap so a concurrent slice
+// transfer cannot interleave and lose either update.
 func (s *Server) ApplyDeltas(deltas []profilestore.TagDelta, newRecords int, w tagviews.Weighting) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

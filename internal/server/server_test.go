@@ -557,15 +557,23 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
+// reload installs a freshly built snapshot under the install lock; w is
+// the weighting /v1/preload ranks tag-push by from here on.
+func (s *Server) reload(snap *profilestore.Snapshot, w tagviews.Weighting) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.installLocked(snap, w)
+}
+
 // TestReloadRefreshesPredictions pins the hot-reload contract: once
-// Reload returns, /v1/preload ranks by the snapshot it installed and the
+// reload returns, /v1/preload ranks by the snapshot it installed and the
 // weighting it named, not by the one before.
 func TestReloadRefreshesPredictions(t *testing.T) {
 	srv, _, _ := freshServer(t, true, 0, time.Hour)
 	res, _ := fixture(t)
-	base := srv.Store().Load()
+	base := srv.store.Load()
 	next := shifted(t, base, res.World.MustByCode("BR"))
-	if err := srv.Reload(next, tagviews.WeightByViews); err != nil {
+	if err := srv.reload(next, tagviews.WeightByViews); err != nil {
 		t.Fatal(err)
 	}
 	got := preloadIDs(t, srv, "BR", "tag-push", 32)
@@ -608,7 +616,7 @@ func TestHotReloadUnderTraffic(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := srv.Store().Swap(next); err != nil {
+		if _, err := srv.store.Swap(next); err != nil {
 			t.Error(err)
 			break
 		}

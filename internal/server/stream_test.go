@@ -572,7 +572,7 @@ func TestStreamOversizedReplyIsA500(t *testing.T) {
 	res, fix := fixture(t)
 	cfg := DefaultConfig()
 	cfg.MaxBatch = 1 << 15
-	srv, err := New(cfg, fix.Store())
+	srv, err := New(cfg, fix.store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -265,13 +265,13 @@ func AppendPredictRequestExclude(dst []byte, items [][]string, weighting tagview
 // the snapshot's interner). Also reports whether the frame carried a
 // CRC trailer, so the reply can mirror the caller's integrity choice.
 func DecodePredictRequest(data []byte) (items [][]string, weighting tagviews.Weighting, crc bool, err error) {
-	items, weighting, _, crc, err = DecodePredictRequestExclude(data)
+	items, weighting, _, crc, err = decodePredictRequestExclude(data)
 	return items, weighting, crc, err
 }
 
-// DecodePredictRequestExclude is DecodePredictRequest plus the frame's
+// decodePredictRequestExclude is DecodePredictRequest plus the frame's
 // shard exclusion list (nil when the flag is absent).
-func DecodePredictRequestExclude(data []byte) (items [][]string, weighting tagviews.Weighting, exclude []int, crc bool, err error) {
+func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagviews.Weighting, exclude []int, crc bool, err error) {
 	r := wireReader{b: data}
 	flags := r.checkHeader(wireReqMagic, wireFlagCRC|wireFlagExclude)
 	weighting = tagviews.Weighting(r.u8())
@@ -478,12 +478,12 @@ func growFloats(s []float64, n int) []float64 {
 // hot path (gateway request encode, shard body reads).
 var wireBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// GetWireBuf takes a pooled, reset bytes.Buffer.
-func GetWireBuf() *bytes.Buffer {
+// getWireBuf takes a pooled, reset bytes.Buffer.
+func getWireBuf() *bytes.Buffer {
 	b := wireBufPool.Get().(*bytes.Buffer)
 	b.Reset()
 	return b
 }
 
-// PutWireBuf returns a buffer to the pool.
-func PutWireBuf(b *bytes.Buffer) { wireBufPool.Put(b) }
+// putWireBuf returns a buffer to the pool.
+func putWireBuf(b *bytes.Buffer) { wireBufPool.Put(b) }

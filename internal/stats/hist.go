@@ -12,8 +12,6 @@ import (
 type Histogram struct {
 	edges []float64 // len = bins+1, strictly increasing
 	count []int64   // len = bins
-	under int64
-	over  int64
 	log   bool
 }
 
@@ -54,14 +52,9 @@ func NewLogHistogram(lo, hi float64, bins int) (*Histogram, error) {
 	return h, nil
 }
 
-// Add records one observation.
+// Add records one observation; one outside the range is dropped.
 func (h *Histogram) Add(x float64) {
-	if x < h.edges[0] {
-		h.under++
-		return
-	}
-	if x >= h.edges[len(h.edges)-1] {
-		h.over++
+	if x < h.edges[0] || x >= h.edges[len(h.edges)-1] {
 		return
 	}
 	// Binary search for the bin whose [edge[i], edge[i+1]) contains x.
@@ -77,26 +70,10 @@ func (h *Histogram) Add(x float64) {
 	h.count[lo]++
 }
 
-// Bins returns the number of bins.
-func (h *Histogram) Bins() int { return len(h.count) }
-
 // Bin returns the i-th bin's half-open interval and count.
 func (h *Histogram) Bin(i int) (lo, hi float64, count int64) {
 	return h.edges[i], h.edges[i+1], h.count[i]
 }
-
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 {
-	var t int64
-	for _, c := range h.count {
-		t += c
-	}
-	return t
-}
-
-// Outliers returns the number of observations below and at-or-above the
-// histogram range.
-func (h *Histogram) Outliers() (under, over int64) { return h.under, h.over }
 
 // Render returns a fixed-width ASCII bar rendering, one line per bin,
 // scaled so the fullest bin spans `width` characters. Empty histograms

@@ -1,7 +1,7 @@
 // Package stats is the repository's statistics substrate: streaming
-// moments, quantiles, histograms, correlation, inequality measures and
-// bootstrap confidence intervals. It underpins the characterization
-// numbers reported by cmd/analyze and the evaluation harnesses.
+// moments, quantiles, histograms and inequality measures. It underpins
+// the characterization numbers reported by cmd/analyze and the
+// evaluation harnesses.
 package stats
 
 import (
@@ -38,9 +38,6 @@ func (s *Summary) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// N returns the number of observations.
-func (s *Summary) N() int64 { return s.n }
-
 // Mean returns the running mean (0 for an empty summary).
 func (s *Summary) Mean() float64 { return s.mean }
 
@@ -55,9 +52,6 @@ func (s *Summary) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (s *Summary) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the minimum observation (0 for an empty summary).
-func (s *Summary) Min() float64 { return s.min }
 
 // Max returns the maximum observation (0 for an empty summary).
 func (s *Summary) Max() float64 { return s.max }
@@ -112,63 +106,6 @@ func quantileSorted(sorted []float64, q float64) float64 {
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
 
-// Pearson returns the Pearson linear correlation coefficient of the
-// paired samples. It returns an error on length mismatch, fewer than two
-// pairs, or a degenerate (zero-variance) margin.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: pearson length mismatch %d != %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("stats: pearson needs >= 2 pairs, got %d", len(xs))
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, fmt.Errorf("stats: pearson degenerate margin")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation of the paired samples,
-// with average ranks for ties.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, fmt.Errorf("stats: spearman length mismatch %d != %d", len(xs), len(ys))
-	}
-	return Pearson(Ranks(xs), Ranks(ys))
-}
-
-// Ranks returns the 1-based average ranks of xs (ties share the mean of
-// the ranks they cover).
-func Ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		avg := (float64(i+1) + float64(j+1)) / 2
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
 // Gini returns the Gini coefficient of the non-negative values xs: 0 for
 // perfect equality, approaching 1 for extreme concentration. It returns 0
 // for empty input or a zero total.
@@ -209,51 +146,4 @@ func Entropy(ws []float64) float64 {
 		h -= p * math.Log2(p)
 	}
 	return h
-}
-
-// CCDF returns the complementary CDF of xs evaluated at each distinct
-// value, as (value, P[X >= value]) pairs sorted by value ascending. This
-// is the standard presentation for heavy-tailed popularity data.
-func CCDF(xs []float64) (values, probs []float64) {
-	n := len(xs)
-	if n == 0 {
-		return nil, nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && sorted[j+1] == sorted[i] {
-			j++
-		}
-		values = append(values, sorted[i])
-		probs = append(probs, float64(n-i)/float64(n))
-		i = j + 1
-	}
-	return values, probs
-}
-
-// Merge folds another summary into s (Chan et al. parallel-variance
-// combination), so per-shard summaries combine into the exact batch
-// result up to floating point.
-func (s *Summary) Merge(o *Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = *o
-		return
-	}
-	n1, n2 := float64(s.n), float64(o.n)
-	delta := o.mean - s.mean
-	total := n1 + n2
-	s.m2 += o.m2 + delta*delta*n1*n2/total
-	s.mean += delta * n2 / total
-	s.n += o.n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 }

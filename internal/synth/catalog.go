@@ -60,12 +60,6 @@ func TopK[S int64 | float64](n, k int, score func(i int) (S, bool)) []int {
 	return out
 }
 
-// TopByViews returns the indices of the k most-viewed videos, descending.
-// k is clamped to the catalog size.
-func (c *Catalog) TopByViews(k int) []int {
-	return TopK(len(c.Videos), k, func(i int) (int64, bool) { return c.Videos[i].TotalViews, true })
-}
-
 // TopInCountry returns the indices of the k videos with the most
 // ground-truth views in country id, descending — the oracle behind the
 // simulated API's per-country most_popular standard feed.
@@ -100,15 +94,6 @@ func (c *Catalog) TagIndex() map[int][]int {
 		}
 	}
 	return out
-}
-
-// TotalViews returns the catalog-wide view total.
-func (c *Catalog) TotalViews() int64 {
-	var t int64
-	for i := range c.Videos {
-		t += c.Videos[i].TotalViews
-	}
-	return t
 }
 
 // Stats summarizes the catalog's pathology composition.

@@ -112,8 +112,10 @@ func testGeneratorDrainsToGenerate(t *testing.T) {
 		if !reflect.DeepEqual(got.Config, want.Config) || got.Vocab.N() != want.Vocab.N() {
 			t.Fatalf("seed %d: generator catalog header differs from Generate's", seed)
 		}
+		nC := want.World.N()
 		for i := 0; i < want.Vocab.N(); i++ {
-			if got.Vocab.Tag(i) != want.Vocab.Tag(i) {
+			if got.Vocab.Name(i) != want.Vocab.Name(i) ||
+				!reflect.DeepEqual(got.Vocab.AffinityInto(make([]float64, nC), i), want.Vocab.AffinityInto(make([]float64, nC), i)) {
 				t.Fatalf("seed %d: vocabulary tag %d differs", seed, i)
 			}
 		}

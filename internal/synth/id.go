@@ -9,12 +9,12 @@ import (
 // idAlphabet is YouTube's video-id alphabet (URL-safe base64).
 const idAlphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789-_"
 
-// VideoID deterministically derives an 11-character YouTube-shaped id
+// videoID deterministically derives an 11-character YouTube-shaped id
 // from the catalog seed and the video's dense index. Distinct
 // (seed, index) pairs map to distinct ids: the mapping is a bijective
 // mix of a 64-bit word rendered in base64, and 64 bits cover 10 full
 // characters plus a constrained 11th, matching real id shapes.
-func VideoID(seed uint64, index int) string {
+func videoID(seed uint64, index int) string {
 	x := mix(seed ^ (uint64(index)*0x9e3779b97f4a7c15 + 0x85ebca6b))
 	var b [11]byte
 	for i := 0; i < 10; i++ {
@@ -27,7 +27,7 @@ func VideoID(seed uint64, index int) string {
 }
 
 // mix is one round of SplitMix64 finalization — a bijection on uint64,
-// which is what makes VideoID collision-free for a fixed seed.
+// which is what makes videoID collision-free for a fixed seed.
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -59,7 +59,8 @@ func (c *Catalog) Served() *Served {
 // N returns the number of videos.
 func (s *Served) N() int { return len(s.IDs) }
 
-// TopByViews is Catalog.TopByViews over the served totals.
+// TopByViews returns the indices of the k most-viewed served videos, most
+// viewed first (synth.TopK: ties go to the lower index).
 func (s *Served) TopByViews(k int) []int {
 	return TopK(s.N(), k, func(i int) (int64, bool) { return s.TotalViews[i], true })
 }

@@ -391,7 +391,7 @@ func (g *Generator) draft(d *draft, field []float64, index int) {
 	v := &d.video
 	tagIDs := v.TagIDs[:0]
 	*v = Video{Index: index, TagIDs: tagIDs}
-	v.ID = VideoID(cfg.Seed, v.Index)
+	v.ID = videoID(cfg.Seed, v.Index)
 	v.Upload = geo.CountryID(g.uploadCat.Draw())
 	v.Category = youTubeCategories2011[g.titleSrc.Intn(len(youTubeCategories2011))]
 	v.TotalViews = boundedPareto(g.viewSrc, cfg.ViewsAlpha, cfg.ViewsMin, cfg.ViewsMax)

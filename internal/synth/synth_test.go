@@ -50,7 +50,7 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestVideoIDShape(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 50000; i++ {
-		id := VideoID(1, i)
+		id := videoID(1, i)
 		if len(id) != 11 {
 			t.Fatalf("id %q has length %d", id, len(id))
 		}
@@ -63,7 +63,7 @@ func TestVideoIDShape(t *testing.T) {
 
 func TestVideoIDAlphabetProperty(t *testing.T) {
 	f := func(seed uint64, idx uint16) bool {
-		id := VideoID(seed, int(idx))
+		id := videoID(seed, int(idx))
 		if len(id) != 11 {
 			return false
 		}
@@ -162,7 +162,7 @@ func TestPopVectorConsistency(t *testing.T) {
 
 func TestViewsHeavyTailed(t *testing.T) {
 	cat := testCatalog(t)
-	top := cat.TopByViews(len(cat.Videos))
+	top := TopK(len(cat.Videos), len(cat.Videos), func(i int) (int64, bool) { return cat.Videos[i].TotalViews, true })
 	head := cat.Videos[top[0]].TotalViews
 	median := cat.Videos[top[len(top)/2]].TotalViews
 	if head < 100*median {
@@ -174,19 +174,6 @@ func TestViewsHeavyTailed(t *testing.T) {
 	for _, i := range top {
 		if cat.Videos[i].TotalViews < cat.Config.ViewsMin {
 			t.Fatalf("video below configured min views")
-		}
-	}
-}
-
-func TestTopByViewsSorted(t *testing.T) {
-	cat := testCatalog(t)
-	top := cat.TopByViews(100)
-	if len(top) != 100 {
-		t.Fatalf("TopByViews returned %d", len(top))
-	}
-	for i := 1; i < len(top); i++ {
-		if cat.Videos[top[i-1]].TotalViews < cat.Videos[top[i]].TotalViews {
-			t.Fatal("TopByViews not descending")
 		}
 	}
 }
@@ -308,8 +295,13 @@ func TestUploadGravityShapesViews(t *testing.T) {
 
 func TestTagAffinityShapesViews(t *testing.T) {
 	cat := testCatalog(t)
-	fi, ok := cat.Vocab.ByName("favela")
-	if !ok {
+	fi := -1
+	for i := 0; i < cat.Vocab.N(); i++ {
+		if cat.Vocab.Name(i) == "favela" {
+			fi = i
+		}
+	}
+	if fi < 0 {
 		t.Fatal("favela missing from vocabulary")
 	}
 	br := cat.World.MustByCode("BR")
@@ -337,7 +329,11 @@ func TestCatalogStatsConsistency(t *testing.T) {
 	if s.Videos != len(cat.Videos) {
 		t.Fatal("stats video count mismatch")
 	}
-	if s.TotalViews != cat.TotalViews() {
+	var total int64
+	for i := range cat.Videos {
+		total += cat.Videos[i].TotalViews
+	}
+	if s.TotalViews != total {
 		t.Fatal("stats view total mismatch")
 	}
 	if s.UniqueTags == 0 || s.UniqueTags > cat.Vocab.N() {

@@ -101,7 +101,7 @@ func DefaultConfig(size int) Config {
 // sampling indexes.
 type Vocabulary struct {
 	world  *geo.World
-	prior  []float64 // world.Traffic(), copied once: Affinity reads it per call
+	prior  []float64 // world.Traffic(), copied once: AffinityInto reads it per call
 	tags   []Tag
 	byName map[string]int
 	freq   *xrand.Zipf // usage frequency over ranks == indices
@@ -320,35 +320,14 @@ func (v *Vocabulary) freqWeights(idxs []int) []float64 {
 // N returns the vocabulary size.
 func (v *Vocabulary) N() int { return len(v.tags) }
 
-// Tag returns the i-th tag record.
-func (v *Vocabulary) Tag(i int) Tag { return v.tags[i] }
-
 // Name returns the i-th tag's name.
 func (v *Vocabulary) Name(i int) string { return v.tags[i].Name }
 
-// ByName resolves a (normalized) tag name to its vocabulary index.
-func (v *Vocabulary) ByName(name string) (int, bool) {
-	i, ok := v.byName[name]
-	return i, ok
-}
-
-// UsageProb returns the prior usage probability of tag i (Zipf mass).
-func (v *Vocabulary) UsageProb(i int) float64 { return v.freq.Prob(i) }
-
-// World returns the world the vocabulary was generated over.
-func (v *Vocabulary) World() *geo.World { return v.world }
-
-// Affinity returns tag i's ground-truth geographic affinity as a dense
-// normalized distribution over countries: AnchorMass on the anchor (local)
-// or spread over the language cluster proportionally to traffic
-// (regional), with the remaining mass following the global traffic prior.
-func (v *Vocabulary) Affinity(i int) []float64 {
-	return v.AffinityInto(make([]float64, len(v.prior)), i)
-}
-
-// AffinityInto is Affinity writing into out (one entry per country, all
-// overwritten) — the form for a caller that mixes many tags' affinities
-// per video and keeps none of them.
+// AffinityInto writes tag i's ground-truth geographic affinity into out
+// (one entry per country, all overwritten) as a normalized distribution:
+// AnchorMass on the anchor (local) or spread over the language cluster
+// proportionally to traffic (regional), with the remaining mass following
+// the global traffic prior.
 func (v *Vocabulary) AffinityInto(out []float64, i int) []float64 {
 	t := &v.tags[i]
 	prior := v.prior
@@ -389,18 +368,13 @@ func DefaultTagSetConfig() TagSetConfig {
 	return TagSetConfig{MeanTags: 9, MaxTags: 30, LocalBias: 0.35, RegionalBias: 0.25}
 }
 
-// SampleTagSet draws a tag set for a video uploaded from the given
+// SampleTagSetInto draws a tag set for a video uploaded from the given
 // country: a geometric-size set whose members are biased toward tags
 // anchored at the uploader's country and language, the rest drawn from
 // the global pool. The result is deduplicated, non-empty, and at most
-// cfg.MaxTags long.
-func (v *Vocabulary) SampleTagSet(src *xrand.Source, upload geo.CountryID, cfg TagSetConfig) []int {
-	return v.SampleTagSetInto(nil, src, upload, cfg)
-}
-
-// SampleTagSetInto is SampleTagSet writing into dst's backing array
-// (growing it as append does; its contents are overwritten) — the form
-// for a caller that draws a set per video and keeps none of them.
+// cfg.MaxTags long. It is written into dst's backing array (growing it
+// as append does; its contents are overwritten), so a caller that draws
+// a set per video keeps none of them.
 func (v *Vocabulary) SampleTagSetInto(dst []int, src *xrand.Source, upload geo.CountryID, cfg TagSetConfig) []int {
 	if cfg.MeanTags < 1 {
 		cfg.MeanTags = 1

@@ -22,6 +22,16 @@ func testVocab(t *testing.T, size int) *Vocabulary {
 	return v
 }
 
+// SampleTagSet is SampleTagSetInto with a fresh slice per set.
+func (v *Vocabulary) SampleTagSet(src *xrand.Source, upload geo.CountryID, cfg TagSetConfig) []int {
+	return v.SampleTagSetInto(nil, src, upload, cfg)
+}
+
+// affinity is AffinityInto with a fresh slice.
+func affinity(v *Vocabulary, i int) []float64 {
+	return v.AffinityInto(make([]float64, len(v.prior)), i)
+}
+
 func TestVocabularySizeAndUniqueNames(t *testing.T) {
 	v := testVocab(t, 2000)
 	if v.N() != 2000 {
@@ -51,7 +61,7 @@ func TestVocabularyDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < a.N(); i++ {
-		if a.Name(i) != b.Name(i) || a.Tag(i).Class != b.Tag(i).Class {
+		if a.Name(i) != b.Name(i) || a.tags[i].Class != b.tags[i].Class {
 			t.Fatalf("vocabulary not deterministic at %d", i)
 		}
 	}
@@ -60,36 +70,36 @@ func TestVocabularyDeterministic(t *testing.T) {
 func TestByNameRoundTrip(t *testing.T) {
 	v := testVocab(t, 300)
 	for i := 0; i < v.N(); i++ {
-		j, ok := v.ByName(v.Name(i))
+		j, ok := v.byName[v.Name(i)]
 		if !ok || j != i {
 			t.Fatalf("ByName(%q) = %d,%v want %d", v.Name(i), j, ok, i)
 		}
 	}
-	if _, ok := v.ByName("definitely-not-a-tag-xyz"); ok {
+	if _, ok := v.byName["definitely-not-a-tag-xyz"]; ok {
 		t.Fatal("ByName accepted unknown name")
 	}
 }
 
 func TestCuratedTagsPresent(t *testing.T) {
 	v := testVocab(t, 200)
-	w := v.World()
-	i, ok := v.ByName("favela")
+	w := v.world
+	i, ok := v.byName["favela"]
 	if !ok {
 		t.Fatal("curated tag 'favela' missing")
 	}
-	tg := v.Tag(i)
+	tg := v.tags[i]
 	if tg.Class != ClassLocal {
 		t.Fatalf("favela class = %v", tg.Class)
 	}
 	if w.Country(tg.Anchor).Code != "BR" {
 		t.Fatalf("favela anchored at %s, want BR", w.Country(tg.Anchor).Code)
 	}
-	j, ok := v.ByName("pop")
+	j, ok := v.byName["pop"]
 	if !ok {
 		t.Fatal("curated tag 'pop' missing")
 	}
-	if v.Tag(j).Class != ClassGlobal {
-		t.Fatalf("pop class = %v", v.Tag(j).Class)
+	if v.tags[j].Class != ClassGlobal {
+		t.Fatalf("pop class = %v", v.tags[j].Class)
 	}
 	if j > 15 {
 		t.Fatalf("'pop' at rank %d; should be near the usage-frequency head", j)
@@ -100,7 +110,7 @@ func TestClassMixRoughlyRespected(t *testing.T) {
 	v := testVocab(t, 5000)
 	counts := map[Class]int{}
 	for i := 0; i < v.N(); i++ {
-		counts[v.Tag(i).Class]++
+		counts[v.tags[i].Class]++
 	}
 	fracLocal := float64(counts[ClassLocal]) / float64(v.N())
 	fracRegional := float64(counts[ClassRegional]) / float64(v.N())
@@ -120,7 +130,7 @@ func TestHeadIsGlobalHeavy(t *testing.T) {
 	classFrac := func(lo, hi int) float64 {
 		globals := 0
 		for i := lo; i < hi; i++ {
-			if v.Tag(i).Class == ClassGlobal {
+			if v.tags[i].Class == ClassGlobal {
 				globals++
 			}
 		}
@@ -139,8 +149,8 @@ func TestHeadIsGlobalHeavy(t *testing.T) {
 func TestAffinityIsDistribution(t *testing.T) {
 	v := testVocab(t, 500)
 	for _, i := range []int{0, 1, 50, 200, 499} {
-		a := v.Affinity(i)
-		if len(a) != v.World().N() {
+		a := affinity(v, i)
+		if len(a) != v.world.N() {
 			t.Fatalf("affinity length %d", len(a))
 		}
 		var sum float64
@@ -158,11 +168,11 @@ func TestAffinityIsDistribution(t *testing.T) {
 
 func TestAffinityClassShapes(t *testing.T) {
 	v := testVocab(t, 500)
-	w := v.World()
+	w := v.world
 
 	// favela: local, Brazil-dominated.
-	fi, _ := v.ByName("favela")
-	fa := v.Affinity(fi)
+	fi := v.byName["favela"]
+	fa := affinity(v, fi)
 	br := w.MustByCode("BR")
 	if dist.ArgMax(fa) != int(br) {
 		t.Fatalf("favela affinity peaks at %s", w.Country(geo.CountryID(dist.ArgMax(fa))).Code)
@@ -172,8 +182,8 @@ func TestAffinityClassShapes(t *testing.T) {
 	}
 
 	// pop: global — must match the traffic prior exactly.
-	pi, _ := v.ByName("pop")
-	pa := v.Affinity(pi)
+	pi := v.byName["pop"]
+	pa := affinity(v, pi)
 	prior := w.Traffic()
 	for c := range prior {
 		if math.Abs(pa[c]-prior[c]) > 1e-12 {
@@ -182,8 +192,8 @@ func TestAffinityClassShapes(t *testing.T) {
 	}
 
 	// kpop: regional — Korean cluster should hold most of the mass.
-	ki, _ := v.ByName("kpop")
-	ka := v.Affinity(ki)
+	ki := v.byName["kpop"]
+	ka := affinity(v, ki)
 	kr := w.MustByCode("KR")
 	if ka[kr] < 0.5 {
 		t.Fatalf("kpop KR mass = %v", ka[kr])
@@ -192,12 +202,12 @@ func TestAffinityClassShapes(t *testing.T) {
 
 func TestAffinitySpreadClassesAgree(t *testing.T) {
 	v := testVocab(t, 500)
-	fi, _ := v.ByName("favela")
-	if got := dist.Classify(v.Affinity(fi)); got != dist.SpreadLocal {
+	fi := v.byName["favela"]
+	if got := dist.Classify(affinity(v, fi)); got != dist.SpreadLocal {
 		t.Fatalf("favela classified %v", got)
 	}
-	pi, _ := v.ByName("pop")
-	if got := dist.Classify(v.Affinity(pi)); got != dist.SpreadGlobal {
+	pi := v.byName["pop"]
+	if got := dist.Classify(affinity(v, pi)); got != dist.SpreadGlobal {
 		t.Fatalf("pop classified %v", got)
 	}
 }
@@ -205,7 +215,7 @@ func TestAffinitySpreadClassesAgree(t *testing.T) {
 func TestSampleTagSetProperties(t *testing.T) {
 	v := testVocab(t, 2000)
 	src := xrand.NewSource(99)
-	us := v.World().MustByCode("US")
+	us := v.world.MustByCode("US")
 	cfg := DefaultTagSetConfig()
 	sizes := 0
 	for trial := 0; trial < 500; trial++ {
@@ -236,7 +246,7 @@ func TestSampleTagSetProperties(t *testing.T) {
 
 func TestSampleTagSetUploadBias(t *testing.T) {
 	v := testVocab(t, 5000)
-	w := v.World()
+	w := v.world
 	br := w.MustByCode("BR")
 	jp := w.MustByCode("JP")
 	src := xrand.NewSource(7)
@@ -245,7 +255,7 @@ func TestSampleTagSetUploadBias(t *testing.T) {
 		n := 0
 		for trial := 0; trial < 300; trial++ {
 			for _, idx := range v.SampleTagSet(src, upload, DefaultTagSetConfig()) {
-				tg := v.Tag(idx)
+				tg := v.tags[idx]
 				if tg.Class == ClassLocal && tg.Anchor == anchor {
 					n++
 				}
@@ -334,39 +344,11 @@ func TestSplitJoinRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestCooccurrence(t *testing.T) {
-	c := NewCooccurrence()
-	c.AddSet([]int{1, 2, 3})
-	c.AddSet([]int{2, 3})
-	c.AddSet([]int{3, 3, 3}) // duplicates count once
-	if c.Sets() != 3 {
-		t.Fatalf("Sets = %d", c.Sets())
-	}
-	if c.Count(3) != 3 || c.Count(1) != 1 {
-		t.Fatalf("counts = %d,%d", c.Count(3), c.Count(1))
-	}
-	if c.Pair(2, 3) != 2 || c.Pair(3, 2) != 2 {
-		t.Fatalf("pair(2,3) = %d", c.Pair(2, 3))
-	}
-	if c.Pair(1, 3) != 1 {
-		t.Fatalf("pair(1,3) = %d", c.Pair(1, 3))
-	}
-	if c.Pair(5, 6) != 0 {
-		t.Fatal("unseen pair non-zero")
-	}
-	if j := c.Jaccard(2, 3); math.Abs(j-2.0/3.0) > 1e-12 {
-		t.Fatalf("jaccard(2,3) = %v", j)
-	}
-	if j := c.Jaccard(7, 8); j != 0 {
-		t.Fatalf("jaccard of unseen = %v", j)
-	}
-}
-
 func TestUsageProbSumsToOne(t *testing.T) {
 	v := testVocab(t, 400)
 	var sum float64
 	for i := 0; i < v.N(); i++ {
-		sum += v.UsageProb(i)
+		sum += v.freq.Prob(i)
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("usage probs sum to %v", sum)
@@ -433,7 +415,7 @@ func TestSampleTagSetIntoMatchesParent(t *testing.T) {
 	cfg := DefaultTagSetConfig()
 	var set []int
 	for trial := 0; trial < 4000; trial++ {
-		upload := geo.CountryID(trial % got.World().N())
+		upload := geo.CountryID(trial % got.world.N())
 		set = got.SampleTagSetInto(set, gotSrc, upload, cfg)
 		if ref := sampleTagSetParent(want, wantSrc, upload, cfg); !slices.Equal(set, ref) {
 			t.Fatalf("trial %d (upload %d): set %v, the parent's sampler drew %v", trial, upload, set, ref)
@@ -444,7 +426,7 @@ func TestSampleTagSetIntoMatchesParent(t *testing.T) {
 	}
 
 	set = make([]int, 0, cfg.MaxTags)
-	br := got.World().MustByCode("BR")
+	br := got.world.MustByCode("BR")
 	if n := testing.AllocsPerRun(500, func() { set = got.SampleTagSetInto(set, gotSrc, br, cfg) }); n != 0 {
 		t.Errorf("SampleTagSetInto with room lent: %v allocs per set, want 0", n)
 	}
@@ -458,12 +440,12 @@ func TestSampleTagSetIntoMatchesParent(t *testing.T) {
 // and reading it allocates nothing.
 func TestAffinityIntoRegional(t *testing.T) {
 	v := testVocab(t, 2000)
-	w := v.World()
+	w := v.world
 	prior := w.Traffic()
 	out := make([]float64, w.N())
 	regional := -1
 	for i := 0; i < v.N(); i++ {
-		tg := v.Tag(i)
+		tg := v.tags[i]
 		if tg.Class != ClassRegional {
 			continue
 		}
@@ -510,9 +492,9 @@ func TestSortTopicalFirstMatchesStableSort(t *testing.T) {
 		for i := range set {
 			set[i] = src.Intn(v.N())
 		}
-		upload := geo.CountryID(src.Intn(v.World().N()))
+		upload := geo.CountryID(src.Intn(v.world.N()))
 		if n > 0 && trial%2 == 0 {
-			upload = v.Tag(set[0]).Anchor // so rank 0 is not rare
+			upload = v.tags[set[0]].Anchor // so rank 0 is not rare
 		}
 		want := slices.Clone(set)
 		slices.SortStableFunc(want, func(a, b int) int { return v.topicalRank(a, upload) - v.topicalRank(b, upload) })

@@ -89,21 +89,6 @@ func (a *Analysis) CountryProfile(c geo.CountryID, k int) (*CountryProfile, erro
 	return p, nil
 }
 
-// TagSimilarity returns the Jensen–Shannon divergence (bits) between two
-// tags' geographic view fields — small for tags consumed in the same
-// places. It returns an error when either tag is unknown.
-func (a *Analysis) TagSimilarity(x, y string) (float64, error) {
-	sx, ok := a.tags[x]
-	if !ok {
-		return 0, fmt.Errorf("tagviews: unknown tag %q", x)
-	}
-	sy, ok := a.tags[y]
-	if !ok {
-		return 0, fmt.Errorf("tagviews: unknown tag %q", y)
-	}
-	return jsOrPanic(sx.Views, sy.Views), nil
-}
-
 // NearestTags returns the k tags whose geographic fields are closest
 // (smallest JS divergence) to the named tag, among tags with at least
 // minVideos videos. The named tag itself is excluded.

@@ -69,41 +69,6 @@ func TestCountryProfileOutOfRange(t *testing.T) {
 	}
 }
 
-func TestTagSimilaritySymmetricAndSelfZero(t *testing.T) {
-	f := testFixture(t)
-	self, err := f.an.TagSimilarity("pop", "pop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if self > 1e-12 {
-		t.Fatalf("self similarity JS = %v", self)
-	}
-	ab, err := f.an.TagSimilarity("pop", "favela")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, err := f.an.TagSimilarity("favela", "pop")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ab-ba) > 1e-12 {
-		t.Fatal("similarity not symmetric")
-	}
-	if ab <= 0 {
-		t.Fatal("pop and favela should diverge")
-	}
-}
-
-func TestTagSimilarityUnknown(t *testing.T) {
-	f := testFixture(t)
-	if _, err := f.an.TagSimilarity("pop", "zzz-none"); err == nil {
-		t.Fatal("unknown tag accepted")
-	}
-	if _, err := f.an.TagSimilarity("zzz-none", "pop"); err == nil {
-		t.Fatal("unknown tag accepted")
-	}
-}
-
 func TestNearestTagsFindsBrazilianNeighbours(t *testing.T) {
 	f := testFixture(t)
 	if _, ok := f.an.TagProfile("samba"); !ok {
@@ -124,14 +89,9 @@ func TestNearestTagsFindsBrazilianNeighbours(t *testing.T) {
 	// Another BR-anchored tag should be nearer to favela than a global
 	// one: compare positions of samba and pop if both appear; otherwise
 	// compare raw divergences.
-	sambaJS, err := f.an.TagSimilarity("favela", "samba")
-	if err != nil {
-		t.Fatal(err)
-	}
-	popJS, err := f.an.TagSimilarity("favela", "pop")
-	if err != nil {
-		t.Fatal(err)
-	}
+	favela := f.an.tags["favela"].Views
+	sambaJS := jsOrPanic(favela, f.an.tags["samba"].Views)
+	popJS := jsOrPanic(favela, f.an.tags["pop"].Views)
 	if sambaJS >= popJS {
 		t.Fatalf("JS(favela,samba)=%v not below JS(favela,pop)=%v", sambaJS, popJS)
 	}
@@ -148,39 +108,5 @@ func TestNearestTagsValidation(t *testing.T) {
 	}
 	if len(names) >= f.an.NumTags() {
 		t.Fatal("nearest tags should exclude the query tag")
-	}
-}
-
-func TestTagTopShareCI(t *testing.T) {
-	f := testFixture(t)
-	ci, err := f.an.TagTopShareCI("favela", 300, 0.95, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ci.Lo > ci.Point || ci.Hi < ci.Point {
-		t.Fatalf("CI %v does not bracket its point estimate", ci)
-	}
-	if ci.Lo < 0 || ci.Hi > 1 {
-		t.Fatalf("CI %v outside [0,1]", ci)
-	}
-	// Fig. 3's claim should be firm: even the lower bound keeps Brazil
-	// clearly dominant.
-	if ci.Lo < 0.3 {
-		t.Fatalf("favela top-share lower bound %v; dominance not supported", ci.Lo)
-	}
-	// A global tag's top share is small with a tight interval.
-	popCI, err := f.an.TagTopShareCI("pop", 300, 0.95, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if popCI.Hi > 0.5 {
-		t.Fatalf("pop top-share upper bound %v; should be far from dominance", popCI.Hi)
-	}
-}
-
-func TestTagTopShareCIUnknown(t *testing.T) {
-	f := testFixture(t)
-	if _, err := f.an.TagTopShareCI("zzz-none", 10, 0.9, 1); err == nil {
-		t.Fatal("unknown tag accepted")
 	}
 }

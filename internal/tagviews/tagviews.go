@@ -5,6 +5,11 @@
 // use tag profiles as predictive markers of where a video's views come
 // from — the conjecture the paper closes on and the basis of its
 // proactive-geographic-caching proposal.
+//
+// Aggregator is the one Eq. 3 loop: it folds records into an Aggregate
+// and keeps none of them, which is how the daemons boot. Build runs it
+// serially over a retained corpus and keeps the records beside the sums
+// for the per-video accessors research callers use.
 package tagviews
 
 import (
@@ -24,8 +29,7 @@ type Aggregate struct {
 	World *geo.World
 	Pyt   []float64 // the traffic estimate used for reconstruction
 
-	n       int // records folded in, skipped ones included
-	skipped int
+	n int // records folded in, unreconstructable ones included
 
 	tags map[string]*TagSums
 }
@@ -37,29 +41,16 @@ type TagSums struct {
 	TotalViews float64   // Σ views of those videos
 }
 
-// Analysis is an Aggregate together with the records it was taken over
-// and their reconstructed per-video view fields — what the evaluators
-// (E5–E7) and the per-video accessors need on top of the tag profiles.
+// Analysis is an Aggregate together with the records it was taken over —
+// what the per-video accessors need on top of the tag profiles.
 type Analysis struct {
 	Aggregate
 
 	records []dataset.Record
-	fields  [][]float64 // per-record reconstructed view fields (sum = record views)
-}
-
-// Build reconstructs every record's view field with the given traffic
-// estimate and aggregates tag view fields (Eq. 3). Records whose
-// popularity vector carries no signal are skipped and counted (the §2
-// filter removes them up front, so normally none are).
-func Build(world *geo.World, records []dataset.Record, pop [][]int, pyt []float64) (*Analysis, error) {
-	return BuildParallel(world, records, pop, pyt, 1)
 }
 
 // N returns the number of records in the analysis.
 func (a *Aggregate) N() int { return a.n }
-
-// Skipped returns how many records failed reconstruction.
-func (a *Aggregate) Skipped() int { return a.skipped }
 
 // NumTags returns the number of distinct tags aggregated.
 func (a *Aggregate) NumTags() int { return len(a.tags) }
@@ -79,10 +70,6 @@ func (a *Aggregate) Sums(name string) (TagSums, bool) {
 // place into a snapshot's vectors. Afterwards the aggregate has no tags,
 // so nothing can read a normalised vector as sums.
 func (a *Aggregate) Release() { a.tags = nil }
-
-// VideoField returns record i's reconstructed view field (nil when the
-// record was skipped). The slice is shared; do not modify.
-func (a *Analysis) VideoField(i int) []float64 { return a.fields[i] }
 
 // Record returns record i.
 func (a *Analysis) Record(i int) *dataset.Record { return &a.records[i] }

@@ -12,6 +12,7 @@ import (
 	"viewstags/internal/dataset"
 	"viewstags/internal/dist"
 	"viewstags/internal/geo"
+	"viewstags/internal/reconstruct"
 	"viewstags/internal/relgraph"
 	"viewstags/internal/synth"
 	"viewstags/internal/xrand"
@@ -82,13 +83,25 @@ func buildFixture() error {
 	return nil
 }
 
+// videoField reconstructs record i's view field as Build does (nil when
+// reconstruction fails), outside Build's loop.
+func videoField(f *pipelineFixture, i int) []float64 {
+	field, err := reconstruct.ViewsFloat(f.clean.Pop[i], f.pyt, float64(f.clean.Records[i].TotalViews))
+	if err != nil {
+		return nil
+	}
+	return field
+}
+
 func TestBuildBasics(t *testing.T) {
 	f := testFixture(t)
 	if f.an.N() != len(f.clean.Records) {
 		t.Fatalf("analysis over %d records, want %d", f.an.N(), len(f.clean.Records))
 	}
-	if f.an.Skipped() != 0 {
-		t.Fatalf("%d records skipped post-filter", f.an.Skipped())
+	for i := range f.clean.Records {
+		if videoField(f, i) == nil {
+			t.Fatalf("record %d does not reconstruct post-filter", i)
+		}
 	}
 	if f.an.NumTags() == 0 {
 		t.Fatal("no tags aggregated")
@@ -113,7 +126,7 @@ func TestEquation3Additivity(t *testing.T) {
 		if !has {
 			continue
 		}
-		for c, x := range f.an.VideoField(i) {
+		for c, x := range videoField(f, i) {
 			want[c] += x
 		}
 	}
@@ -131,7 +144,7 @@ func TestEquation3Additivity(t *testing.T) {
 func TestVideoFieldsSumToTotals(t *testing.T) {
 	f := testFixture(t)
 	for i := 0; i < f.an.N(); i++ {
-		field := f.an.VideoField(i)
+		field := videoField(f, i)
 		var sum float64
 		for _, x := range field {
 			sum += x

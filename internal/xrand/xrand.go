@@ -65,14 +65,6 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Int63n returns a uniform int64 in [0, n). It panics if n <= 0.
-func (s *Source) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n called with non-positive n")
-	}
-	return int64(s.Uint64() % uint64(n))
-}
-
 // Perm returns a pseudo-random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)
@@ -82,14 +74,6 @@ func (s *Source) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // NormFloat64 returns a standard normal deviate (Box–Muller; we favour
@@ -103,23 +87,6 @@ func (s *Source) NormFloat64() float64 {
 		v := s.Float64()
 		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
 	}
-}
-
-// ExpFloat64 returns an exponential deviate with rate 1.
-func (s *Source) ExpFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u == 0 {
-			continue
-		}
-		return -math.Log(u)
-	}
-}
-
-// LogNormal returns a log-normal deviate with the given location mu and
-// scale sigma of the underlying normal.
-func (s *Source) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.NormFloat64())
 }
 
 // Gamma returns a Gamma(shape, 1) deviate using the Marsaglia–Tsang
@@ -187,30 +154,4 @@ func (s *Source) Dirichlet(alpha []float64, out []float64) {
 // Bernoulli returns true with probability p.
 func (s *Source) Bernoulli(p float64) bool {
 	return s.Float64() < p
-}
-
-// Poisson returns a Poisson(lambda) deviate. For large lambda it uses a
-// normal approximation, which is adequate for workload generation.
-func (s *Source) Poisson(lambda float64) int64 {
-	if lambda <= 0 {
-		return 0
-	}
-	if lambda > 64 {
-		n := math.Round(lambda + math.Sqrt(lambda)*s.NormFloat64())
-		if n < 0 {
-			return 0
-		}
-		return int64(n)
-	}
-	// Knuth's multiplication method.
-	limit := math.Exp(-lambda)
-	var k int64
-	p := 1.0
-	for {
-		p *= s.Float64()
-		if p <= limit {
-			return k
-		}
-		k++
-	}
 }

@@ -181,19 +181,11 @@ func (c *Categorical) buildGuide() {
 	c.guided = true
 }
 
-// N returns the number of categories.
-func (c *Categorical) N() int { return len(c.cdf) }
-
-// Multinomial distributes total units across the categories by repeated
-// categorical draws when total is small, or by a single pass of expected
-// counts plus stochastic rounding when total is large. The returned slice
-// always sums exactly to total.
-func (c *Categorical) Multinomial(total int64) []int64 {
-	return c.MultinomialInto(make([]int64, len(c.cdf)), total)
-}
-
-// MultinomialInto is Multinomial writing into out, which must have one
-// entry per category; its previous contents are overwritten.
+// MultinomialInto distributes total units across the categories, writing
+// the counts into out (one entry per category; its previous contents are
+// overwritten): by repeated categorical draws when total is small, or by
+// a single pass of expected counts plus stochastic rounding when total is
+// large. The counts always sum exactly to total.
 func (c *Categorical) MultinomialInto(out []int64, total int64) []int64 {
 	if len(out) != len(c.cdf) {
 		panic("xrand: MultinomialInto length mismatch")

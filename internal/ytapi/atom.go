@@ -82,32 +82,8 @@ func (e *Entry) toAtom() atomEntry {
 	return out
 }
 
-// fromAtom converts an Atom entry back to the wire form.
-func (a *atomEntry) fromAtom() Entry {
-	e := Entry{
-		MediaGroup: MediaGroup{
-			VideoID:  Text{T: a.Group.VideoID},
-			Title:    Text{T: a.Group.Title},
-			Keywords: Text{T: a.Group.Keywords},
-		},
-	}
-	for _, c := range a.Group.Category {
-		e.MediaGroup.Category = append(e.MediaGroup.Category, Text{T: c})
-	}
-	if a.Stats != nil {
-		e.Statistics = &Statistics{ViewCount: a.Stats.ViewCount, FavoriteCount: a.Stats.FavoriteCount}
-	}
-	for _, au := range a.Authors {
-		e.Authors = append(e.Authors, Author{Name: Text{T: au.Name}, YtLocation: Text{T: au.Location}})
-	}
-	if a.PopMap != nil {
-		e.PopMap = &PopMap{URL: a.PopMap.URL}
-	}
-	return e
-}
-
-// MarshalAtomFeed renders a feed as Atom XML.
-func MarshalAtomFeed(f *Feed) ([]byte, error) {
+// marshalAtomFeed renders a feed as Atom XML.
+func marshalAtomFeed(f *Feed) ([]byte, error) {
 	total, _ := strconv.Atoi(f.TotalResults.T)
 	start, _ := strconv.Atoi(f.StartIndex.T)
 	per, _ := strconv.Atoi(f.ItemsPerPage.T)
@@ -129,38 +105,11 @@ func MarshalAtomFeed(f *Feed) ([]byte, error) {
 	return append([]byte(xml.Header), out...), nil
 }
 
-// UnmarshalAtomFeed parses an Atom feed document.
-func UnmarshalAtomFeed(data []byte) (*Feed, error) {
-	var af atomFeed
-	if err := xml.Unmarshal(data, &af); err != nil {
-		return nil, fmt.Errorf("ytapi: unmarshal atom feed: %w", err)
-	}
-	f := &Feed{
-		TotalResults: IntText{T: strconv.Itoa(af.TotalResults)},
-		StartIndex:   IntText{T: strconv.Itoa(af.StartIndex)},
-		ItemsPerPage: IntText{T: strconv.Itoa(af.ItemsPerPage)},
-	}
-	for i := range af.Entries {
-		f.Entries = append(f.Entries, af.Entries[i].fromAtom())
-	}
-	return f, nil
-}
-
-// MarshalAtomEntry renders a single entry document.
-func MarshalAtomEntry(e *Entry) ([]byte, error) {
+// marshalAtomEntry renders a single entry document.
+func marshalAtomEntry(e *Entry) ([]byte, error) {
 	out, err := xml.MarshalIndent(e.toAtom(), "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("ytapi: marshal atom entry: %w", err)
 	}
 	return append([]byte(xml.Header), out...), nil
-}
-
-// UnmarshalAtomEntry parses a single entry document.
-func UnmarshalAtomEntry(data []byte) (*Entry, error) {
-	var ae atomEntry
-	if err := xml.Unmarshal(data, &ae); err != nil {
-		return nil, fmt.Errorf("ytapi: unmarshal atom entry: %w", err)
-	}
-	e := ae.fromAtom()
-	return &e, nil
 }

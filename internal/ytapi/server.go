@@ -73,7 +73,6 @@ type Server struct {
 	tokens   float64
 	lastFill time.Time
 	faults   *xrand.Source
-	requests int64
 
 	topByCountry map[geo.CountryID][]int
 	entries      []Entry // precomputed per-video entries
@@ -111,14 +110,6 @@ func NewServer(cat *synth.Catalog, graph *relgraph.Graph, cfg ServerConfig) (*Se
 	s.mux.HandleFunc("/feeds/api/videos/", s.handleVideos)
 	s.mux.HandleFunc("/feeds/api/videos", s.handleSearch)
 	return s, nil
-}
-
-// Requests returns how many requests the server has admitted (after
-// key/rate checks) — used by crawl politeness tests.
-func (s *Server) Requests() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests
 }
 
 func (s *Server) buildEntries() {
@@ -221,23 +212,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// admit implements the token bucket; it also counts admitted requests.
+// admit implements the token bucket.
 func (s *Server) admit() bool {
+	if s.cfg.RatePerSec <= 0 {
+		return true
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cfg.RatePerSec > 0 {
-		now := time.Now()
-		s.tokens += now.Sub(s.lastFill).Seconds() * s.cfg.RatePerSec
-		if s.tokens > s.cfg.Burst {
-			s.tokens = s.cfg.Burst
-		}
-		s.lastFill = now
-		if s.tokens < 1 {
-			return false
-		}
-		s.tokens--
+	now := time.Now()
+	s.tokens += now.Sub(s.lastFill).Seconds() * s.cfg.RatePerSec
+	if s.tokens > s.cfg.Burst {
+		s.tokens = s.cfg.Burst
 	}
-	s.requests++
+	s.lastFill = now
+	if s.tokens < 1 {
+		return false
+	}
+	s.tokens--
 	return true
 }
 
@@ -404,7 +395,7 @@ func (s *Server) writeFeedTotal(w http.ResponseWriter, r *http.Request, entries 
 		ItemsPerPage: IntText{T: strconv.Itoa(perPage)},
 	}
 	if wantsAtom(r) {
-		data, err := MarshalAtomFeed(&feed)
+		data, err := marshalAtomFeed(&feed)
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -419,7 +410,7 @@ func (s *Server) writeFeedTotal(w http.ResponseWriter, r *http.Request, entries 
 // asked for (GData's default was Atom; alt=json selects JSON).
 func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, e Entry) {
 	if wantsAtom(r) {
-		data, err := MarshalAtomEntry(&e)
+		data, err := marshalAtomEntry(&e)
 		if err != nil {
 			s.writeError(w, http.StatusInternalServerError, err.Error())
 			return

@@ -141,8 +141,8 @@ func TestRelatedPagination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if total != g.OutDegree(0) {
-		t.Fatalf("total = %d, want %d", total, g.OutDegree(0))
+	if total != len(g.Related(0)) {
+		t.Fatalf("total = %d, want %d", total, len(g.Related(0)))
 	}
 	if len(page1) != 8 {
 		t.Fatalf("page1 size = %d", len(page1))
@@ -303,19 +303,6 @@ func TestCorruptMapScrapesButFailsValidation(t *testing.T) {
 		}
 	}
 	t.Skip("no corrupt video at this scale")
-}
-
-func TestRequestsCounter(t *testing.T) {
-	srv, client := testServer(t, DefaultServerConfig())
-	before := srv.Requests()
-	for i := 0; i < 5; i++ {
-		if _, err := client.MostPopular(context.Background(), "US"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := srv.Requests() - before; got != 5 {
-		t.Fatalf("requests counter advanced by %d, want 5", got)
-	}
 }
 
 func TestLatencyInjection(t *testing.T) {

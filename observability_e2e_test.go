@@ -92,7 +92,7 @@ func startLoggedNode(t *testing.T, ring *cluster.Ring, index, count int, foldEve
 	done := make(chan struct{})
 	go func() { defer close(done); comp.Run(ctx) }()
 	ts := httptest.NewServer(srv.Handler())
-	return &clusterNode{srv: srv, acc: acc, ts: ts, stop: func() {
+	return &clusterNode{srv: srv, store: store, acc: acc, ts: ts, stop: func() {
 		cancel()
 		<-done
 		ts.Close()
@@ -298,7 +298,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		// Cold tags of every shard's (legTags), distinct per id: a
 		// gateway that already held the rows would not call a shard, and
 		// this test is about what the shard-bound leg carries.
-		body := strings.NewReader(`{"tags":[` + legTags(ring, "e2e"+id) + `],"top":3}`)
+		body := strings.NewReader(`{"tags":[` + legTags(ring, shards, "e2e"+id) + `],"top":3}`)
 		req, err := http.NewRequest(http.MethodPost, gw.URL+"/v1/predict", body)
 		if err != nil {
 			t.Fatal(err)

@@ -88,7 +88,7 @@ func startReplicaNode(t *testing.T, index, count, replicas int, foldEvery time.D
 	done := make(chan struct{})
 	go func() { defer close(done); comp.Run(ctx) }()
 	ts := httptest.NewServer(srv.Handler())
-	return &clusterNode{srv: srv, acc: acc, ts: ts, stop: func() {
+	return &clusterNode{srv: srv, store: store, acc: acc, ts: ts, stop: func() {
 		cancel()
 		<-done
 		ts.Close()

@@ -238,7 +238,7 @@ func TestReshardRejectsRepeatedTarget(t *testing.T) {
 		nodes[i] = startReplicaNode(t, i, shards, 1, foldEvery)
 		defer nodes[i].stop()
 		targets[i] = nodes[i].ts.URL
-		numTags[i] = nodes[i].srv.Store().Load().NumTags()
+		numTags[i] = nodes[i].store.Load().NumTags()
 	}
 	g, err := cluster.NewGateway(cluster.DefaultGatewayConfig(), targets)
 	if err != nil {
@@ -265,7 +265,7 @@ func TestReshardRejectsRepeatedTarget(t *testing.T) {
 		}
 	}
 	for i, n := range nodes {
-		if got := n.srv.Store().Load().NumTags(); got != numTags[i] {
+		if got := n.store.Load().NumTags(); got != numTags[i] {
 			t.Errorf("shard %d holds %d tags after the refused reshards, had %d", i, got, numTags[i])
 		}
 	}

@@ -72,12 +72,12 @@ func promSum(t *testing.T, text, prefix string) float64 {
 }
 
 // legTags returns a predict body's tag list that costs one leg to every
-// shard of the ring: two vocabulary tags, then one tag owned by each
+// one of the ring's shards: two vocabulary tags, then one tag owned by each
 // shard that no request with another label has asked for — the gateway
 // answers from the rows it holds, so only a tag it has not resolved yet
 // makes the leg these tests are about.
-func legTags(ring *cluster.Ring, label string) string {
-	owned := make([]string, ring.Shards())
+func legTags(ring *cluster.Ring, shards int, label string) string {
+	owned := make([]string, shards)
 	for found, i := 0, 0; found < len(owned); i++ {
 		tag := "zz-" + label + "-" + strconv.Itoa(i)
 		if s := ring.Owner(tag); owned[s] == "" {
@@ -134,7 +134,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	// label picks the cold tags: requests sharing a label share them.
 	post := func(id, label string) {
 		t.Helper()
-		body := strings.NewReader(`{"tags":[` + legTags(ring, label) + `],"top":3}`)
+		body := strings.NewReader(`{"tags":[` + legTags(ring, shards, label) + `],"top":3}`)
 		req, err := http.NewRequest(http.MethodPost, gw.URL+"/v1/predict", body)
 		if err != nil {
 			t.Fatal(err)
