@@ -203,10 +203,10 @@ type Gateway struct {
 	// no in-flight request — and so no fan-out, which only ever runs
 	// inside its handler — straddles two topologies.
 	gate sync.RWMutex
-	// writeGate additionally covers the write path only: replica
-	// catch-up holds it exclusively across its export+import pair so
-	// the fold-then-replace merge is an exact dedup, while reads keep
-	// flowing (the syncing replica is excluded from them anyway).
+	// writeGate additionally covers the write path only (taken after
+	// gate): moveSlices holds it exclusively across its copies so the
+	// fold-then-replace merge is an exact dedup, while catch-up's reads
+	// keep flowing (they exclude the syncing replicas anyway).
 	writeGate sync.RWMutex
 	// opMu serializes the topology operations themselves (reshard,
 	// catch-up).

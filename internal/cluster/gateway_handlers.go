@@ -166,8 +166,8 @@ func errText(body []byte) string {
 // batch is already validated whole, with the shards' own validator.
 func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestResponse, *server.ErrorReply) {
 	// Both barriers: the reshard cutover holds gate exclusively, and
-	// replica catch-up holds writeGate exclusively across its
-	// export+import pair — a write landing mid-copy on the exporting
+	// every slice copy (moveSlices) holds writeGate exclusively across
+	// its export+import pairs — a write landing mid-copy on the exporting
 	// side would be missed by the importer yet already folded by the
 	// exporter, breaking the exact-dedup merge.
 	g.gate.RLock()
@@ -425,7 +425,7 @@ type RowCacheStats struct {
 // plus the minimum epoch — the conservative fold horizon clients should
 // compare ingest acks against. Replicas reports the placement factor
 // when the tier is replicated, and Handoff the last reshard's record
-// (phase "idle" once complete; its epoch counts completed handoffs).
+// (phase "idle" once over; its epoch counts started handoffs).
 // RowCache and PredictLegs are the predict path's own counters:
 // PredictLegs over the predict route's request count is legs per
 // request, the number the row cache moves.

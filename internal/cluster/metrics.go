@@ -77,7 +77,7 @@ func (g *Gateway) writeClusterProm(tw *obs.TextWriter, tp *topology) {
 	tw.Counter("viewstags_replica_failover_total", "Reads re-scattered to surviving replicas after a shard failed mid-fan-out.")
 	tw.Sample("viewstags_replica_failover_total", nil, float64(g.failovers.Load()))
 	if h := g.handoff.Load(); h != nil {
-		tw.Gauge("viewstags_handoff_epoch", "Completed reshard handoffs since gateway start.")
+		tw.Gauge("viewstags_handoff_epoch", "Reshard handoffs started since gateway start.")
 		tw.Sample("viewstags_handoff_epoch", nil, float64(h.Epoch))
 		tw.Gauge("viewstags_handoff_active", "1 while a reshard handoff is in flight.")
 		active := 1.0

@@ -19,12 +19,13 @@ import (
 // This file is the gateway side of live topology change: replica
 // catch-up (rebuild a revived replica from its peers without stopping
 // reads) and resharding (move the whole tier onto a new shard set
-// without dropping a request). Both ride the shard /internal/transfer
-// routes: export streams a slice as a persist-codec snapshot, import
-// merges it, adopt cuts a node over to its new identity. opMu
-// serializes the two operations; the request barriers (gate for
-// reshard, writeGate for catch-up) keep in-flight traffic consistent
-// with whichever topology it started under.
+// without dropping a request). Both copy state through one function,
+// moveSlices, over the shard /internal/transfer routes: export streams
+// a slice as a persist-codec snapshot, import merges it, adopt cuts a
+// node over to its new identity. opMu serializes the two operations;
+// moveSlices holds writeGate across its copies, and a reshard also holds
+// gate across transfer, adopt and cutover, so in-flight traffic stays
+// consistent with whichever topology it started under.
 
 // Handoff phases, in order. A reshard walks transfer → cutover → idle;
 // catch-up never appears here (it is per-shard, see ShardStatus.Syncing).
@@ -52,41 +53,46 @@ func (g *Gateway) setHandoff(epoch uint64, phase string, from, to int) {
 	g.handoff.Store(&HandoffStatus{Epoch: epoch, Phase: phase, From: from, To: to})
 }
 
-// postBody POSTs a body to an absolute URL (which need not be a current
-// shard target — reshard talks to the incoming shard set before it is
-// adopted) and returns the response. The caller owns resp.Body.
-func (g *Gateway) postBody(ctx context.Context, url, contentType string, body io.Reader) (*http.Response, error) {
+// post POSTs to an absolute URL (which need not be a current shard
+// target — reshard talks to the incoming shard set before it is
+// adopted): in is sent as JSON, or streamed as a persist-codec snapshot
+// when it is an io.Reader. A non-200 comes back as an error carrying the
+// shard's message; otherwise the caller owns resp.Body.
+func (g *Gateway) post(ctx context.Context, url string, in any) (*http.Response, error) {
+	body, ok := in.(io.Reader)
+	contentType := server.TransferContentType
+	if !ok {
+		raw, err := json.Marshal(in)
+		if err != nil {
+			return nil, err
+		}
+		body, contentType = bytes.NewReader(raw), "application/json"
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, body)
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	return g.client.Do(req)
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		raw, _ := io.ReadAll(resp.Body)
+		_ = resp.Body.Close()
+		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, errText(raw))
+	}
+	return resp, nil
 }
 
-// postTransferJSON POSTs a JSON value and decodes a JSON reply,
-// mapping any non-200 onto an error carrying the shard's message.
-func (g *Gateway) postTransferJSON(ctx context.Context, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	resp, err := g.postBody(ctx, url, "application/json", bytes.NewReader(body))
+// postJSON is post with the JSON reply decoded into out.
+func (g *Gateway) postJSON(ctx context.Context, url string, in, out any) error {
+	resp, err := g.post(ctx, url, in)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = resp.Body.Close() }()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: status %d: %s", url, resp.StatusCode, errText(raw))
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(raw, out)
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // transfer streams one export from src into dst's import: the export
@@ -94,53 +100,58 @@ func (g *Gateway) postTransferJSON(ctx context.Context, url string, in, out any)
 // the import request, so the slice never materializes on the gateway.
 func (g *Gateway) transfer(ctx context.Context, src, dst string, req server.TransferExportRequest) (server.TransferImportResponse, error) {
 	var imported server.TransferImportResponse
-	body, err := json.Marshal(&req)
-	if err != nil {
-		return imported, err
-	}
-	exp, err := g.postBody(ctx, src+"/internal/transfer/export", "application/json", bytes.NewReader(body))
+	exp, err := g.post(ctx, src+"/internal/transfer/export", &req)
 	if err != nil {
 		return imported, fmt.Errorf("export from %s: %w", src, err)
 	}
 	defer func() { _ = exp.Body.Close() }()
-	if exp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(exp.Body)
-		return imported, fmt.Errorf("export from %s: status %d: %s", src, exp.StatusCode, errText(raw))
-	}
-	imp, err := g.postBody(ctx, dst+"/internal/transfer/import", server.TransferContentType, exp.Body)
-	if err != nil {
+	if err := g.postJSON(ctx, dst+"/internal/transfer/import", exp.Body, &imported); err != nil {
 		return imported, fmt.Errorf("import into %s: %w", dst, err)
-	}
-	defer func() { _ = imp.Body.Close() }()
-	raw, err := io.ReadAll(imp.Body)
-	if err != nil {
-		return imported, fmt.Errorf("import into %s: %w", dst, err)
-	}
-	if imp.StatusCode != http.StatusOK {
-		return imported, fmt.Errorf("import into %s: status %d: %s", dst, imp.StatusCode, errText(raw))
-	}
-	if err := json.Unmarshal(raw, &imported); err != nil {
-		return imported, fmt.Errorf("import into %s: undecodable ack: %w", dst, err)
 	}
 	return imported, nil
 }
 
-// maybeCatchUp runs replica catch-up opportunistically from the health
-// loop: only if a revived replica is waiting and no other topology
-// operation is in flight (TryLock — the health loop must never block
-// behind a reshard).
-func (g *Gateway) maybeCatchUp(ctx context.Context) {
-	tp := g.topo.Load()
-	waiting := false
-	for _, s := range tp.shards {
-		if s.syncing.Load() && !s.down.Load() {
-			waiting = true
-			break
+// moveSlices is the one state-copy path: each destination to[j], j in
+// dests, imports the slice the ring over len(to) shards assigns it from
+// every current shard in read rotation, skipping itself. Catch-up moves
+// onto the same ring, a reshard onto a new one. The shards out of
+// rotation are the exports' exclude list, so each tag arrives from one
+// live source, and writes are held across the copies, so each import's
+// fold-then-replace is an exact dedup. tr gets a span per destination.
+func (g *Gateway) moveSlices(ctx context.Context, tp *topology, to []string, dests []int, tr *obs.Trace) error {
+	exclude := tp.excludedShards(nil)
+	if !tp.ring.Covered(exclude) {
+		return fmt.Errorf("cluster: slice coverage lost (%d of %d shards out of rotation) — nothing to copy from, deferring", len(exclude), len(tp.targets))
+	}
+	g.writeGate.Lock()
+	defer g.writeGate.Unlock()
+	for _, j := range dests {
+		start := time.Now()
+		req := server.TransferExportRequest{
+			DestShards:   len(to),
+			DestReplicas: tp.ring.Replicas(),
+			DestIndex:    j,
+			Exclude:      exclude,
 		}
+		for s, src := range tp.targets {
+			if src == to[j] || slices.Contains(exclude, s) {
+				continue
+			}
+			ack, err := g.transfer(ctx, src, to[j], req)
+			if err != nil {
+				return fmt.Errorf("cluster: transfer shard %d → shard %d of %d: %w", s, j, len(to), err)
+			}
+			g.logger.Printf("cluster: transfer shard %d → shard %d of %d: %d tags, %d records", s, j, len(to), ack.Tags, ack.Records)
+		}
+		tr.Add("transfer", j, start, time.Since(start), "")
 	}
-	if !waiting {
-		return
-	}
+	return nil
+}
+
+// maybeCatchUp runs replica catch-up opportunistically from the health
+// loop, unless another topology operation is in flight (TryLock — the
+// health loop must never block behind a reshard).
+func (g *Gateway) maybeCatchUp(ctx context.Context) {
 	if !g.opMu.TryLock() {
 		return
 	}
@@ -161,56 +172,29 @@ func (g *Gateway) CatchUp(ctx context.Context) error {
 	return g.catchUpLocked(ctx)
 }
 
+// catchUpLocked rebuilds every syncing replica that is up in one
+// all-or-nothing move: after a failure all stay syncing, and repeating
+// the copy is harmless (an import folds, then replaces tags by name).
 func (g *Gateway) catchUpLocked(ctx context.Context) error {
 	tp := g.topo.Load()
-	for d := range tp.shards {
-		sd := tp.shards[d]
-		if !sd.syncing.Load() || sd.down.Load() {
-			continue
+	var dests []int
+	for d, s := range tp.shards {
+		if s.syncing.Load() && !s.down.Load() {
+			dests = append(dests, d)
 		}
-		if err := g.catchUpShard(ctx, tp, d); err != nil {
-			return fmt.Errorf("shard %d (%s): %w", d, tp.targets[d], err)
-		}
+	}
+	if len(dests) == 0 {
+		return nil
+	}
+	if err := g.moveSlices(ctx, tp, tp.targets, dests, nil); err != nil {
+		return err
+	}
+	for _, d := range dests {
 		// The import changed what the shard holds without a fold, so
 		// anything cached from it before now is stale under its epoch.
-		sd.invalidate(invalCatchup)
-		sd.syncing.Store(false)
+		tp.shards[d].invalidate(invalCatchup)
+		tp.shards[d].syncing.Store(false)
 		g.logger.Printf("cluster: shard %d (%s) caught up, back in read rotation", d, tp.targets[d])
-	}
-	return nil
-}
-
-// catchUpShard streams shard d's slice to it from the live replicas.
-// The exclusion list (d plus everything else out of rotation) makes the
-// source-side assignment filter partition d's slice across the sources:
-// each tag arrives exactly once. Writes are held across the whole
-// export+import sequence so the destination's fold-then-merge is an
-// exact dedup of anything it buffered while the copies were cut.
-func (g *Gateway) catchUpShard(ctx context.Context, tp *topology, d int) error {
-	exclude := tp.excludedShards(nil)
-	if !slices.Contains(exclude, d) {
-		exclude = append(exclude, d)
-	}
-	if !tp.ring.Covered(exclude) {
-		return fmt.Errorf("slice coverage lost (%d of %d shards out of rotation) — cannot rebuild, deferring", len(exclude), len(tp.targets))
-	}
-	g.writeGate.Lock()
-	defer g.writeGate.Unlock()
-	req := server.TransferExportRequest{
-		DestShards:   len(tp.targets),
-		DestReplicas: tp.ring.Replicas(),
-		DestIndex:    d,
-		Exclude:      exclude,
-	}
-	for s := range tp.targets {
-		if slices.Contains(exclude, s) {
-			continue
-		}
-		ack, err := g.transfer(ctx, tp.targets[s], tp.targets[d], req)
-		if err != nil {
-			return err
-		}
-		g.logger.Printf("cluster: catch-up shard %d ← shard %d: %d tags, %d records", d, s, ack.Tags, ack.Records)
 	}
 	return nil
 }
@@ -238,6 +222,9 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 	newTargets := make([]string, len(targets))
 	for i, t := range targets {
 		newTargets[i] = strings.TrimSuffix(strings.TrimSpace(t), "/")
+		if newTargets[i] == "" {
+			return fmt.Errorf("%w: target %d is blank", errReshardRequest, i)
+		}
 		// One daemon cannot hold two ring indexes: it would adopt each in
 		// turn, pruning to the first slice and then pruning that to the
 		// second, and a ring signature carries no index to catch it.
@@ -294,35 +281,23 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 	// the new topology.
 	g.gate.Lock()
 	defer g.gate.Unlock()
-	g.setHandoff(epoch, HandoffTransfer, len(tp.targets), len(newTargets))
+	from, to := len(tp.targets), len(newTargets)
+	g.setHandoff(epoch, HandoffTransfer, from, to)
+	// However the move ends, the handoff ends idle: a failure leaves the
+	// old topology serving.
+	defer g.setHandoff(epoch, HandoffIdle, from, to)
 	reshardStart := time.Now()
 	g.logger.Printf("cluster: reshard %d → %d shards (replicas=%d) starting, handoff epoch %d",
-		len(tp.targets), len(newTargets), replicas, epoch)
+		from, to, replicas, epoch)
 
-	// Transfer: each destination imports its new slice from every
-	// current shard. Exclude is empty, so on a replicated tier the
-	// source-side assignment filter elects each tag's primary owner as
-	// its sole exporter — exactly one copy per (tag, destination) pair.
-	// A destination that IS a current shard skips the transfer from
-	// itself: it already holds that data, and adopt prunes the rest.
-	for j, dst := range newTargets {
-		tStart := time.Now()
-		for s := range tp.targets {
-			if tp.targets[s] == dst {
-				continue
-			}
-			ack, err := g.transfer(ctx, tp.targets[s], dst, server.TransferExportRequest{
-				DestShards:   len(newTargets),
-				DestReplicas: replicas,
-				DestIndex:    j,
-			})
-			if err != nil {
-				g.setHandoff(epoch, HandoffIdle, len(tp.targets), len(newTargets))
-				return fmt.Errorf("cluster: reshard transfer shard %d → new shard %d: %w", s, j, err)
-			}
-			g.logger.Printf("cluster: reshard transfer shard %d → new shard %d: %d tags, %d records", s, j, ack.Tags, ack.Records)
-		}
-		tr.Add("transfer", j, tStart, time.Since(tStart), "")
+	// Transfer: on a healthy tier nothing is excluded, so each tag's
+	// primary owner is its sole exporter.
+	dests := make([]int, to)
+	for j := range dests {
+		dests[j] = j
+	}
+	if err := g.moveSlices(ctx, tp, newTargets, dests, tr); err != nil {
+		return err
 	}
 
 	// Adopt: cut every destination over to its new identity and verify
@@ -331,17 +306,15 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 	for j, dst := range newTargets {
 		aStart := time.Now()
 		var ack server.TransferAdoptResponse
-		err := g.postTransferJSON(ctx, dst+"/internal/transfer/adopt", server.TransferAdoptRequest{
+		err := g.postJSON(ctx, dst+"/internal/transfer/adopt", server.TransferAdoptRequest{
 			Index:    j,
-			Shards:   len(newTargets),
+			Shards:   to,
 			Replicas: replicas,
 		}, &ack)
 		if err != nil {
-			g.setHandoff(epoch, HandoffIdle, len(tp.targets), len(newTargets))
 			return fmt.Errorf("cluster: reshard adopt new shard %d (%s): %w", j, dst, err)
 		}
 		if ack.Signature != wantSig {
-			g.setHandoff(epoch, HandoffIdle, len(tp.targets), len(newTargets))
 			return fmt.Errorf("cluster: new shard %d (%s) adopted ring %q, gateway computes %q", j, dst, ack.Signature, wantSig)
 		}
 		tr.Add("adopt", j, aStart, time.Since(aStart), "")
@@ -353,12 +326,12 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 	// health refresh. Departed nodes' streams close once nothing can
 	// route to them.
 	cStart := time.Now()
-	g.setHandoff(epoch, HandoffCutover, len(tp.targets), len(newTargets))
+	g.setHandoff(epoch, HandoffCutover, from, to)
 	ntp := &topology{
 		ring:    newRing,
 		targets: newTargets,
-		shards:  make([]*shardState, len(newTargets)),
-		streams: make([]*shardStream, len(newTargets)),
+		shards:  make([]*shardState, to),
+		streams: make([]*shardStream, to),
 		rows:    newRowCache(),
 	}
 	for j, dst := range newTargets {
@@ -374,10 +347,9 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 			st.close()
 		}
 	}
-	g.setHandoff(epoch, HandoffIdle, len(tp.targets), len(newTargets))
 	tr.Add("cutover", obs.NoShard, cStart, time.Since(cStart), "")
 	g.logger.Printf("cluster: reshard complete in %s: %d shards, ring %s",
-		time.Since(reshardStart).Round(time.Millisecond), len(newTargets), wantSig)
+		time.Since(reshardStart).Round(time.Millisecond), to, wantSig)
 	g.RefreshHealth(ctx)
 	return nil
 }

@@ -24,8 +24,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		writePersistProm(tw, s.persistStats(), s.walHist, s.ckptHist)
 	}
 	obs.WriteGoRuntime(tw)
-	if s.cfg.RingSignature != "" {
-		obs.WriteBuildInfo(tw, obs.Label{Name: "ring_signature", Value: s.cfg.RingSignature})
+	if sig := s.ident.Load().ringSig; sig != "" {
+		obs.WriteBuildInfo(tw, obs.Label{Name: "ring_signature", Value: sig})
 	} else {
 		obs.WriteBuildInfo(tw)
 	}

@@ -26,11 +26,11 @@ const TransferContentType = "application/x-viewstags-snapshot-v1"
 
 // TransferExportRequest asks a source node for the slice of its
 // vocabulary a destination shard owns under a (possibly different)
-// topology. Exclude lists shards out of the source-side assignment —
-// for replica catch-up the destination itself plus any other dead
-// replicas, so of the R live holders of a tag exactly one source
-// exports it and the destination receives each tag exactly once across
-// the per-source exports.
+// topology. Exclude lists the source tier's shards out of read rotation
+// (down or syncing — a catch-up's destinations among them), so of the R
+// live holders of a tag exactly one source exports it and the
+// destination receives each tag exactly once across the per-source
+// exports.
 type TransferExportRequest struct {
 	DestShards   int   `json:"dest_shards"`
 	DestReplicas int   `json:"dest_replicas"`
@@ -91,27 +91,61 @@ func (s *Server) flushFolds(w http.ResponseWriter) bool {
 	return true
 }
 
-func (s *Server) handleTransferExport(w http.ResponseWriter, r *http.Request) {
-	if !s.requireTopology(w) {
-		return
+// decodeDestination is the step export and adopt open with: refuse
+// without topology wiring, decode req, range-check the shard its fields
+// index, shards and replicas name (replicas default to 1), build that
+// topology, and fold pending events. On failure the error reply has been
+// written.
+func (s *Server) decodeDestination(w http.ResponseWriter, r *http.Request, req any, index, shards, replicas *int) (ShardTopology, bool) {
+	if !s.requireTopology(w) || !DecodeBody(w, r, req) {
+		return nil, false
 	}
-	var req TransferExportRequest
-	if !DecodeBody(w, r, &req) {
-		return
+	if *shards < 1 || *index < 0 || *index >= *shards {
+		WriteError(w, http.StatusBadRequest, "destination shard %d of %d out of range", *index, *shards)
+		return nil, false
 	}
-	if req.DestShards < 1 || req.DestIndex < 0 || req.DestIndex >= req.DestShards {
-		WriteError(w, http.StatusBadRequest, "destination shard %d of %d out of range", req.DestIndex, req.DestShards)
-		return
+	if *replicas < 1 {
+		*replicas = 1
 	}
-	if req.DestReplicas < 1 {
-		req.DestReplicas = 1
-	}
-	destTopo, err := s.cfg.MakeTopology(req.DestShards, req.DestReplicas)
+	topo, err := s.cfg.MakeTopology(*shards, *replicas)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "destination topology: %v", err)
-		return
+		return nil, false
 	}
-	if !s.flushFolds(w) {
+	return topo, s.flushFolds(w)
+}
+
+// installTransferred is the step import and adopt close with: install
+// next(current) under s.mu, checkpoint it when the daemon is durable (a
+// crash before the next scheduled checkpoint must not silently undo the
+// transfer), and record the step's span. On failure the 500 has been
+// written.
+func (s *Server) installTransferred(w http.ResponseWriter, r *http.Request, step string, next func(*profilestore.Snapshot) (*profilestore.Snapshot, error)) bool {
+	start := time.Now()
+	s.mu.Lock()
+	snap, err := next(s.store.Load())
+	if err == nil {
+		err = s.installLocked(snap, tagviews.WeightIDF)
+	}
+	s.mu.Unlock()
+	if err != nil {
+		WriteError(w, http.StatusInternalServerError, "%s: %v", step, err)
+		return false
+	}
+	if s.checkpoint != nil {
+		if _, err := s.checkpoint(); err != nil {
+			WriteError(w, http.StatusInternalServerError, "post-%s checkpoint: %v", step, err)
+			return false
+		}
+	}
+	TraceFrom(r).Add("transfer_"+step, obs.NoShard, start, time.Since(start), "")
+	return true
+}
+
+func (s *Server) handleTransferExport(w http.ResponseWriter, r *http.Request) {
+	var req TransferExportRequest
+	destTopo, ok := s.decodeDestination(w, r, &req, &req.DestIndex, &req.DestShards, &req.DestReplicas)
+	if !ok {
 		return
 	}
 
@@ -162,27 +196,12 @@ func (s *Server) handleTransferImport(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "invalid snapshot body: %v", err)
 		return
 	}
-	importStart := time.Now()
-	s.mu.Lock()
-	next, err := profilestore.MergeData(s.store.Load(), data)
-	if err == nil {
-		err = s.installLocked(next, tagviews.WeightIDF)
+	merge := func(cur *profilestore.Snapshot) (*profilestore.Snapshot, error) {
+		return profilestore.MergeData(cur, data)
 	}
-	s.mu.Unlock()
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "merge: %v", err)
+	if !s.installTransferred(w, r, "import", merge) {
 		return
 	}
-	if s.checkpoint != nil {
-		// Make the transferred slice durable now: a crash before the
-		// next scheduled checkpoint must not silently shrink the shard
-		// back to its pre-transfer vocabulary.
-		if _, err := s.checkpoint(); err != nil {
-			WriteError(w, http.StatusInternalServerError, "post-import checkpoint: %v", err)
-			return
-		}
-	}
-	TraceFrom(r).Add("transfer_import", obs.NoShard, importStart, time.Since(importStart), "")
 	snap := s.store.Load()
 	WriteJSON(w, http.StatusOK, TransferImportResponse{
 		Tags:    snap.NumTags(),
@@ -192,62 +211,33 @@ func (s *Server) handleTransferImport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTransferAdopt(w http.ResponseWriter, r *http.Request) {
-	if !s.requireTopology(w) {
-		return
-	}
 	var req TransferAdoptRequest
-	if !DecodeBody(w, r, &req) {
+	topo, ok := s.decodeDestination(w, r, &req, &req.Index, &req.Shards, &req.Replicas)
+	if !ok {
 		return
 	}
-	if req.Replicas < 1 {
-		req.Replicas = 1
+	prune := func(cur *profilestore.Snapshot) (*profilestore.Snapshot, error) {
+		return cur.Filter(func(name string) bool { return topo.Owns(name, req.Index) })
 	}
-	if req.Shards < 1 || req.Index < 0 || req.Index >= req.Shards {
-		WriteError(w, http.StatusBadRequest, "shard %d of %d out of range", req.Index, req.Shards)
+	if !s.installTransferred(w, r, "adopt", prune) {
 		return
 	}
-	topo, err := s.cfg.MakeTopology(req.Shards, req.Replicas)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "topology: %v", err)
-		return
-	}
-	if !s.flushFolds(w) {
-		return
-	}
-	adoptStart := time.Now()
-	keep := func(name string) bool { return topo.Owns(name, req.Index) }
-	s.mu.Lock()
-	next, err := s.store.Load().Filter(keep)
-	if err == nil {
-		err = s.installLocked(next, tagviews.WeightIDF)
-	}
-	s.mu.Unlock()
-	if err != nil {
-		WriteError(w, http.StatusInternalServerError, "prune: %v", err)
-		return
-	}
+	sig := topo.Signature()
 	s.ident.Store(&shardIdent{
 		index:    req.Index,
 		shards:   req.Shards,
 		replicas: req.Replicas,
-		ringSig:  topo.Signature(),
+		ringSig:  sig,
 		topo:     topo,
 	})
-	if s.checkpoint != nil {
-		if _, err := s.checkpoint(); err != nil {
-			WriteError(w, http.StatusInternalServerError, "post-adopt checkpoint: %v", err)
-			return
-		}
-	}
-	TraceFrom(r).Add("transfer_adopt", obs.NoShard, adoptStart, time.Since(adoptStart), "")
 	s.logger.Printf("server: adopted topology shard %d/%d replicas=%d signature=%s",
-		req.Index, req.Shards, req.Replicas, topo.Signature())
+		req.Index, req.Shards, req.Replicas, sig)
 	snap := s.store.Load()
 	WriteJSON(w, http.StatusOK, TransferAdoptResponse{
 		Index:     req.Index,
 		Shards:    req.Shards,
 		Replicas:  req.Replicas,
-		Signature: topo.Signature(),
+		Signature: sig,
 		Tags:      snap.NumTags(),
 		Records:   snap.Records(),
 	})

@@ -299,3 +299,114 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 		}
 	}
 }
+
+// TestCatchUpTwoReplicasOnePass: at R=3 over 4 shards every slice keeps
+// a live copy with any two shards out, so two replicas can die, miss a
+// stream of writes, come back syncing together, and be rebuilt by one
+// CatchUp — one move onto the same ring with both as destinations. The
+// rebuild is proven exact by then cutting the two shards that never died,
+// so the caught-up pair serves every slice alone.
+func TestCatchUpTwoReplicasOnePass(t *testing.T) {
+	res := testFixture(t)
+	const shards, replicas = 4, 3
+	foldEvery := 15 * time.Millisecond
+
+	ringOne, err := cluster.NewRing(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := startClusterNode(t, ringOne, 0, 1, foldEvery)
+	defer single.stop()
+
+	nodes := make([]*clusterNode, shards)
+	proxies := make([]*scenario.FaultProxy, shards)
+	targets := make([]string, shards)
+	for i := range nodes {
+		nodes[i] = startReplicaNode(t, i, shards, replicas, foldEvery)
+		defer nodes[i].stop()
+		proxies[i] = newFlakyShard(t, nodes[i].ts.URL)
+		targets[i] = proxies[i].URL()
+	}
+	gcfg := cluster.DefaultGatewayConfig()
+	gcfg.Replicas = replicas
+	gcfg.FailThreshold = 2
+	g, err := cluster.NewGateway(gcfg, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	client := gw.Client()
+	ctx := context.Background()
+
+	type shardFlags struct {
+		Healthy bool `json:"healthy"`
+		Syncing bool `json:"syncing"`
+	}
+	shardStates := func() []shardFlags {
+		var stats struct {
+			Cluster struct {
+				Shards []shardFlags `json:"shards"`
+			} `json:"cluster"`
+		}
+		if code := getJSON(t, client, gw.URL+"/v1/stats", &stats); code != http.StatusOK {
+			t.Fatalf("GET /v1/stats: status %d", code)
+		}
+		return stats.Cluster.Shards
+	}
+
+	// Two replicas die together and are marked down; every slice still
+	// has a live copy, so writes land on the other two.
+	proxies[1].Kill()
+	proxies[2].Kill()
+	g.RefreshHealth(ctx)
+	g.RefreshHealth(ctx)
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		events := []server.IngestEvent{
+			{Video: fmt.Sprintf("c2-%d", i), Tags: []string{"zz-c2-a", "zz-c2-b", "zz-c2-c"},
+				Country: "MX", Views: 65, Upload: true},
+			{Video: fmt.Sprintf("c2-%d", i), Tags: []string{"zz-c2-a", "zz-c2-b", "zz-c2-c"},
+				Country: "GB", Views: 35},
+		}
+		for _, url := range []string{gw.URL, single.ts.URL} {
+			if code := postJSON(t, client, url+"/v1/ingest", server.IngestRequest{Events: events}, nil); code != http.StatusOK {
+				t.Fatalf("ingest round %d at %s with two replicas down: status %d", i, url, code)
+			}
+		}
+	}
+	for _, n := range []*clusterNode{single, nodes[0], nodes[3]} {
+		n.settle()
+	}
+
+	// Both come back stale and re-enter syncing; one CatchUp rebuilds both.
+	proxies[1].Revive()
+	proxies[2].Revive()
+	g.RefreshHealth(ctx)
+	for _, i := range []int{1, 2} {
+		if s := shardStates()[i]; !s.Syncing {
+			t.Fatalf("revived shard %d: %+v, want syncing", i, s)
+		}
+	}
+	if err := g.CatchUp(ctx); err != nil {
+		t.Fatalf("catch-up of two replicas: %v", err)
+	}
+	for i, s := range shardStates() {
+		if !s.Healthy || s.Syncing {
+			t.Fatalf("shard %d after one catch-up: %+v, want healthy and in rotation", i, s)
+		}
+	}
+
+	// Exactness: cut the two shards that never died. Every tag has three
+	// owners among four shards, so the caught-up pair holds all of them.
+	proxies[0].Kill()
+	proxies[3].Kill()
+	g.RefreshHealth(ctx)
+	g.RefreshHealth(ctx)
+	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-c2-a"})
+	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-c2-b", "favela", "zz-c2-c"})
+	assertSamePrediction(t, client, single.ts.URL, gw.URL, res.Analysis.TagNames()[:40])
+}

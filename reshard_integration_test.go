@@ -1,11 +1,12 @@
-// Live resharding integration test at repository scope: a 3-shard R=2
-// tier grows to 4 shards while concurrent reads hammer the gateway.
-// The handoff contract under test: zero failed requests during the
-// move (the request barrier stalls them, it never drops them),
-// post-handoff predictions float-tolerance-equal to a single full
-// node (slices moved exactly once, nothing double-counted), the new
-// ring visible in /v1/stats with the handoff record, and writes
-// landing correctly on the grown tier afterwards.
+// Live resharding integration tests at repository scope: a 3-shard R=2
+// tier grows to 4 shards, and a 3-shard R=1 tier shrinks to 2, while
+// concurrent reads hammer the gateway. The handoff contract under test:
+// zero failed requests during the move (the request barrier stalls
+// them, it never drops them), post-handoff predictions
+// float-tolerance-equal to a single full node (slices moved exactly
+// once, nothing double-counted), the new ring visible in /v1/stats with
+// the handoff record, and writes landing correctly on the reshaped tier
+// afterwards. A reshard that fails mid-way keeps the old tier serving.
 package viewstags_test
 
 import (
@@ -15,6 +16,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,88 +26,102 @@ import (
 	"viewstags/internal/server"
 )
 
-func TestLiveReshardGrowEndToEnd(t *testing.T) {
-	res := testFixture(t)
-	const before, after, replicas = 3, 4, 2
-	foldEvery := 15 * time.Millisecond
+const reshardFoldEvery = 15 * time.Millisecond
 
+// reshardTier is a live tier behind a gateway, beside a single-node
+// reference that gets the same writes: the state the reshard tests move.
+type reshardTier struct {
+	single *clusterNode
+	nodes  []*clusterNode
+	g      *cluster.Gateway
+	gw     *httptest.Server
+	client *http.Client
+}
+
+func startReshardTier(t *testing.T, shards, replicas int) *reshardTier {
+	t.Helper()
 	ringOne, err := cluster.NewRing(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := startClusterNode(t, ringOne, 0, 1, foldEvery)
-	defer single.stop()
-
-	nodes := make([]*clusterNode, before)
-	targets := make([]string, before)
-	for i := range nodes {
-		nodes[i] = startReplicaNode(t, i, before, replicas, foldEvery)
-		defer nodes[i].stop()
-		targets[i] = nodes[i].ts.URL
+	rt := &reshardTier{single: startClusterNode(t, ringOne, 0, 1, reshardFoldEvery)}
+	t.Cleanup(rt.single.stop)
+	targets := make([]string, shards)
+	for i := range targets {
+		rt.addNode(t, i, shards, replicas)
+		targets[i] = rt.nodes[i].ts.URL
 	}
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.Replicas = replicas
-	g, err := cluster.NewGateway(gcfg, targets)
-	if err != nil {
+	if rt.g, err = cluster.NewGateway(gcfg, targets); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Sync(context.Background()); err != nil {
+	if err := rt.g.Sync(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-	client := gw.Client()
+	rt.gw = httptest.NewServer(rt.g.Handler())
+	t.Cleanup(rt.gw.Close)
+	rt.client = rt.gw.Client()
+	return rt
+}
 
-	// Seed a live stream into both tiers so the reshard has folded
-	// post-boot state to move, not just the synthetic base.
-	const rounds = 20
+// addNode boots shard index of count over the same dataset, wired for
+// transfers; the tier folds it with the rest from then on.
+func (rt *reshardTier) addNode(t *testing.T, index, count, replicas int) *clusterNode {
+	t.Helper()
+	n := startReplicaNode(t, index, count, replicas, reshardFoldEvery)
+	t.Cleanup(n.stop)
+	rt.nodes = append(rt.nodes, n)
+	return n
+}
+
+// ingest sends rounds copies of events, each video id suffixed with the
+// round, to the gateway and to the single node.
+func (rt *reshardTier) ingest(t *testing.T, rounds int, events ...server.IngestEvent) {
+	t.Helper()
 	for i := 0; i < rounds; i++ {
-		events := []server.IngestEvent{
-			{Video: fmt.Sprintf("rs-%d", i), Tags: []string{"zz-rs-a", "zz-rs-b", "zz-rs-c"},
-				Country: "JP", Views: 60, Upload: true},
-			{Video: fmt.Sprintf("rs-%d", i), Tags: []string{"zz-rs-a", "zz-rs-b", "zz-rs-c"},
-				Country: "FR", Views: 40},
+		batch := make([]server.IngestEvent, len(events))
+		for k, ev := range events {
+			ev.Video = fmt.Sprintf("%s-%d", ev.Video, i)
+			batch[k] = ev
 		}
-		for _, url := range []string{gw.URL, single.ts.URL} {
-			if code := postJSON(t, client, url+"/v1/ingest", server.IngestRequest{Events: events}, nil); code != http.StatusOK {
-				t.Fatalf("seed ingest round %d at %s: status %d", i, url, code)
+		for _, url := range []string{rt.gw.URL, rt.single.ts.URL} {
+			if code := postJSON(t, rt.client, url+"/v1/ingest", server.IngestRequest{Events: batch}, nil); code != http.StatusOK {
+				t.Fatalf("ingest round %d at %s: status %d", i, url, code)
 			}
 		}
 	}
-	waitFolded := func(ns []*clusterNode) {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			pending := single.acc.Stats().Pending
-			for _, n := range ns {
-				pending += n.acc.Stats().Pending
-			}
-			if pending == 0 {
-				for _, n := range append(ns, single) {
-					n.settle()
-				}
-				return
-			}
-			time.Sleep(foldEvery)
+}
+
+// fold waits until every node has folded what it was sent, then has the
+// gateway observe the new epochs: the folds happened behind its back,
+// and it answers from the rows it holds until it sees them (what its
+// health loop does every HealthInterval).
+func (rt *reshardTier) fold() {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		pending := rt.single.acc.Stats().Pending
+		for _, n := range rt.nodes {
+			pending += n.acc.Stats().Pending
 		}
+		if pending == 0 {
+			for _, n := range append(rt.nodes, rt.single) {
+				n.settle()
+			}
+			break
+		}
+		time.Sleep(reshardFoldEvery)
 	}
-	waitFolded(nodes)
-	// The folds above happened behind the gateway's back: it answers
-	// from the rows it holds until it observes the new epochs, so observe
-	// them (what its health loop does every HealthInterval).
-	g.RefreshHealth(context.Background())
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-a", "pop"})
+	rt.g.RefreshHealth(context.Background())
+}
 
-	// Boot the incoming shard with its grown identity: shard 3 of 4
-	// over the same dataset. It builds its base slice itself; the
-	// reshard transfer brings it everything folded since boot.
-	n3 := startReplicaNode(t, 3, after, replicas, foldEvery)
-	defer n3.stop()
-
-	// Concurrent read load straddling the move. The request barrier
-	// makes the reshard invisible: requests stall briefly and then
-	// succeed — a failure here is a dropped request.
+// readDuring runs move while one client keeps predicting "pop" through
+// the gateway, and returns the reads it issued and how many failed. The
+// request barrier makes a reshard invisible: requests stall briefly and
+// then succeed — a failure is a dropped request.
+func (rt *reshardTier) readDuring(move func()) (reads, readErrs int64) {
 	stop := make(chan struct{})
-	var reads, readErrs atomic.Int64
+	var n, errs atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -122,32 +138,95 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 				} `json:"result"`
 			}
 			req, _ := json.Marshal(server.PredictRequest{Tags: []string{"pop"}, Top: 3})
-			resp, err := client.Post(gw.URL+"/v1/predict", "application/json", bytes.NewReader(req))
-			reads.Add(1)
+			resp, err := rt.client.Post(rt.gw.URL+"/v1/predict", "application/json", bytes.NewReader(req))
+			n.Add(1)
 			if err != nil {
-				readErrs.Add(1)
+				errs.Add(1)
 				continue
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&buf); err != nil ||
 				resp.StatusCode != http.StatusOK || buf.Result == nil || !buf.Result.Known {
-				readErrs.Add(1)
+				errs.Add(1)
 			}
 			_ = resp.Body.Close()
 		}
 	}()
-
-	grown := append(append([]string(nil), targets...), n3.ts.URL)
-	var rr cluster.ReshardResponse
-	code := postJSON(t, client, gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: grown}, &rr)
+	move()
 	close(stop)
 	wg.Wait()
+	return n.Load(), errs.Load()
+}
+
+// reshardStats is the /v1/stats cluster block the reshard tests read.
+type reshardStats struct {
+	Cluster struct {
+		Replicas int `json:"replicas"`
+		Healthy  int `json:"healthy"`
+		Shards   []struct {
+			Index int `json:"index"`
+		} `json:"shards"`
+		Handoff *struct {
+			Epoch uint64 `json:"epoch"`
+			Phase string `json:"phase"`
+			From  int    `json:"from_shards"`
+			To    int    `json:"to_shards"`
+		} `json:"handoff"`
+	} `json:"cluster"`
+}
+
+func (rt *reshardTier) stats(t *testing.T) reshardStats {
+	t.Helper()
+	var stats reshardStats
+	if code := getJSON(t, rt.client, rt.gw.URL+"/v1/stats", &stats); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: status %d", code)
+	}
+	return stats
+}
+
+// wantHandoff checks the handoff record /v1/stats carries.
+func (s reshardStats) wantHandoff(t *testing.T, epoch uint64, from, to int) {
+	t.Helper()
+	if h := s.Cluster.Handoff; h == nil || h.Epoch != epoch || h.Phase != "idle" || h.From != from || h.To != to {
+		t.Fatalf("handoff %+v, want epoch=%d phase=idle from=%d to=%d", s.Cluster.Handoff, epoch, from, to)
+	}
+}
+
+func TestLiveReshardGrowEndToEnd(t *testing.T) {
+	res := testFixture(t)
+	const before, after, replicas = 3, 4, 2
+	rt := startReshardTier(t, before, replicas)
+
+	// Seed a live stream into both tiers so the reshard has folded
+	// post-boot state to move, not just the synthetic base.
+	const rounds = 20
+	tags := []string{"zz-rs-a", "zz-rs-b", "zz-rs-c"}
+	rt.ingest(t, rounds,
+		server.IngestEvent{Video: "rs", Tags: tags, Country: "JP", Views: 60, Upload: true},
+		server.IngestEvent{Video: "rs", Tags: tags, Country: "FR", Views: 40})
+	rt.fold()
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-rs-a", "pop"})
+
+	// Boot the incoming shard with its grown identity: shard 3 of 4
+	// over the same dataset. It builds its base slice itself; the
+	// reshard transfer brings it everything folded since boot.
+	grown := make([]string, 0, after)
+	for _, n := range rt.nodes {
+		grown = append(grown, n.ts.URL)
+	}
+	grown = append(grown, rt.addNode(t, 3, after, replicas).ts.URL)
+
+	var rr cluster.ReshardResponse
+	var code int
+	reads, readErrs := rt.readDuring(func() {
+		code = postJSON(t, rt.client, rt.gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: grown}, &rr)
+	})
 	if code != http.StatusOK {
 		t.Fatalf("POST /v1/reshard: status %d (%+v)", code, rr)
 	}
-	if readErrs.Load() != 0 {
-		t.Fatalf("%d of %d concurrent reads failed during the reshard, want 0", readErrs.Load(), reads.Load())
+	if readErrs != 0 {
+		t.Fatalf("%d of %d concurrent reads failed during the reshard, want 0", readErrs, reads)
 	}
-	if reads.Load() == 0 {
+	if reads == 0 {
 		t.Fatal("read load goroutine never issued a request — the test proved nothing")
 	}
 	if rr.Shards != after || rr.Replicas != replicas || rr.HandoffEpoch != 1 {
@@ -156,61 +235,124 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 
 	// Post-handoff equality against the single-node reference: the
 	// tentpole's 1e-9 criterion, over base and streamed vocabulary.
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"favela", "samba"})
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-a"})
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-b", "pop", "zz-rs-c"})
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, res.Analysis.TagNames()[:40])
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"favela", "samba"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-rs-a"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-rs-b", "pop", "zz-rs-c"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, res.Analysis.TagNames()[:40])
 
 	// The handoff is observable after the fact: new shard count, the
 	// completed epoch, phase idle.
-	var stats struct {
-		Cluster struct {
-			Replicas int `json:"replicas"`
-			Healthy  int `json:"healthy"`
-			Shards   []struct {
-				Index int `json:"index"`
-			} `json:"shards"`
-			Handoff *struct {
-				Epoch uint64 `json:"epoch"`
-				Phase string `json:"phase"`
-				From  int    `json:"from_shards"`
-				To    int    `json:"to_shards"`
-			} `json:"handoff"`
-		} `json:"cluster"`
-	}
-	resp, err := client.Get(gw.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
+	stats := rt.stats(t)
 	if len(stats.Cluster.Shards) != after || stats.Cluster.Healthy != after {
 		t.Fatalf("post-reshard cluster %+v, want %d healthy shards", stats.Cluster, after)
 	}
-	if h := stats.Cluster.Handoff; h == nil || h.Epoch != 1 || h.Phase != "idle" || h.From != before || h.To != after {
-		t.Fatalf("post-reshard handoff %+v, want epoch=1 phase=idle from=%d to=%d", stats.Cluster.Handoff, before, after)
-	}
+	stats.wantHandoff(t, 1, before, after)
 
 	// Writes keep working on the grown tier and stay exact.
-	for i := 0; i < rounds; i++ {
-		events := []server.IngestEvent{
-			{Video: fmt.Sprintf("rs2-%d", i), Tags: []string{"zz-rs-d", "zz-rs-e"},
-				Country: "US", Views: 90, Upload: true},
-			{Video: fmt.Sprintf("rs2-%d", i), Tags: []string{"zz-rs-d", "zz-rs-e"},
-				Country: "KR", Views: 10},
-		}
-		for _, url := range []string{gw.URL, single.ts.URL} {
-			if code := postJSON(t, client, url+"/v1/ingest", server.IngestRequest{Events: events}, nil); code != http.StatusOK {
-				t.Fatalf("post-reshard ingest round %d at %s: status %d", i, url, code)
-			}
-		}
+	rt.ingest(t, rounds,
+		server.IngestEvent{Video: "rs2", Tags: []string{"zz-rs-d", "zz-rs-e"}, Country: "US", Views: 90, Upload: true},
+		server.IngestEvent{Video: "rs2", Tags: []string{"zz-rs-d", "zz-rs-e"}, Country: "KR", Views: 10})
+	rt.fold()
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-rs-d"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-rs-e", "zz-rs-a", "favela"})
+}
+
+// TestLiveReshardShrinkEndToEnd is the grow test run the other way:
+// 3 → 2 shards at R=1 under concurrent reads. Both survivors import the
+// departing shard's slice (and each other's share of the new ring) and
+// prune the rest at adopt; the departed daemon is simply no longer asked.
+func TestLiveReshardShrinkEndToEnd(t *testing.T) {
+	res := testFixture(t)
+	const before, after = 3, 2
+	rt := startReshardTier(t, before, 1)
+
+	const rounds = 20
+	tags := []string{"zz-sh-a", "zz-sh-b", "zz-sh-c"}
+	rt.ingest(t, rounds,
+		server.IngestEvent{Video: "sh", Tags: tags, Country: "BR", Views: 75, Upload: true},
+		server.IngestEvent{Video: "sh", Tags: tags, Country: "IN", Views: 25})
+	rt.fold()
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-a", "pop"})
+
+	shrunk := []string{rt.nodes[0].ts.URL, rt.nodes[1].ts.URL}
+	var rr cluster.ReshardResponse
+	var code int
+	reads, readErrs := rt.readDuring(func() {
+		code = postJSON(t, rt.client, rt.gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: shrunk}, &rr)
+	})
+	if code != http.StatusOK {
+		t.Fatalf("POST /v1/reshard: status %d (%+v)", code, rr)
 	}
-	waitFolded(append(append([]*clusterNode(nil), nodes...), n3))
-	g.RefreshHealth(context.Background())
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-d"})
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rs-e", "zz-rs-a", "favela"})
+	if readErrs != 0 {
+		t.Fatalf("%d of %d concurrent reads failed during the shrink, want 0", readErrs, reads)
+	}
+	if reads == 0 {
+		t.Fatal("read load goroutine never issued a request — the test proved nothing")
+	}
+	if rr.Shards != after || rr.HandoffEpoch != 1 {
+		t.Fatalf("reshard ack %+v, want shards=%d handoff_epoch=1", rr, after)
+	}
+
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"favela", "samba"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-a"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-b", "pop", "zz-sh-c"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, res.Analysis.TagNames()[:40])
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, res.Analysis.TagNames()[len(res.Analysis.TagNames())-40:])
+
+	stats := rt.stats(t)
+	if len(stats.Cluster.Shards) != after || stats.Cluster.Healthy != after {
+		t.Fatalf("post-shrink cluster %+v, want %d healthy shards", stats.Cluster, after)
+	}
+	stats.wantHandoff(t, 1, before, after)
+
+	rt.ingest(t, rounds,
+		server.IngestEvent{Video: "sh2", Tags: []string{"zz-sh-d", "zz-sh-a"}, Country: "DE", Views: 80, Upload: true},
+		server.IngestEvent{Video: "sh2", Tags: []string{"zz-sh-d", "zz-sh-a"}, Country: "JP", Views: 20})
+	rt.fold()
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-d"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-a", "zz-sh-c", "favela"})
+}
+
+// TestReshardFailureKeepsOldTier: an incoming daemon without topology
+// wiring passes the pre-flight (ready, same dataset) and then refuses the
+// import with 503. The reshard answers 503, the handoff record is back at
+// idle with the attempt counted, and the old tier keeps serving exactly.
+func TestReshardFailureKeepsOldTier(t *testing.T) {
+	res := testFixture(t)
+	const before = 3
+	rt := startReshardTier(t, before, 1)
+	rt.ingest(t, 10,
+		server.IngestEvent{Video: "rf", Tags: []string{"zz-fail-a", "zz-fail-b"}, Country: "KR", Views: 70, Upload: true},
+		server.IngestEvent{Video: "rf", Tags: []string{"zz-fail-a", "zz-fail-b"}, Country: "US", Views: 30})
+	rt.fold()
+
+	ringFour, err := cluster.NewRing(before+1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := startClusterNode(t, ringFour, before, before+1, reshardFoldEvery)
+	defer bare.stop()
+	targets := []string{rt.nodes[0].ts.URL, rt.nodes[1].ts.URL, rt.nodes[2].ts.URL, bare.ts.URL}
+	var envelope struct {
+		Error string `json:"error"`
+	}
+	if code := postJSON(t, rt.client, rt.gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: targets}, &envelope); code != http.StatusServiceUnavailable {
+		t.Fatalf("reshard onto a daemon that cannot import: status %d (%q), want 503", code, envelope.Error)
+	}
+
+	stats := rt.stats(t)
+	if len(stats.Cluster.Shards) != before {
+		t.Fatalf("after the failed reshard the gateway routes over %d shards, want %d", len(stats.Cluster.Shards), before)
+	}
+	stats.wantHandoff(t, 1, before, before+1)
+	if v := promCounter(t, rt.client, rt.gw.URL, "viewstags_handoff_epoch"); v != 1 {
+		t.Fatalf("viewstags_handoff_epoch %v after one failed reshard, want 1", v)
+	}
+
+	rt.g.RefreshHealth(context.Background())
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"favela", "samba"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-fail-a", "pop"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, res.Analysis.TagNames()[:40])
 }
 
 // TestReshardRejectsRepeatedTarget pins the request-shape half of
@@ -218,59 +360,73 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 // daemon adopt two ring indexes in turn — pruning to the first slice,
 // then pruning that to the second — and no signature check could notice.
 // It is refused 400 before the pre-flight touches a node: every shard
-// keeps its tags and the tier still answers like a single node.
+// keeps its tags and the tier still answers like a single node. So are a
+// blank target (no request to it could ever work) and an empty list.
 func TestReshardRejectsRepeatedTarget(t *testing.T) {
 	res := testFixture(t)
 	const shards = 3
-	foldEvery := 15 * time.Millisecond
-
-	ringOne, err := cluster.NewRing(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := startClusterNode(t, ringOne, 0, 1, foldEvery)
-	defer single.stop()
-
-	nodes := make([]*clusterNode, shards)
+	rt := startReshardTier(t, shards, 1)
 	targets := make([]string, shards)
 	numTags := make([]int, shards)
-	for i := range nodes {
-		nodes[i] = startReplicaNode(t, i, shards, 1, foldEvery)
-		defer nodes[i].stop()
-		targets[i] = nodes[i].ts.URL
-		numTags[i] = nodes[i].store.Load().NumTags()
+	for i, n := range rt.nodes {
+		targets[i] = n.ts.URL
+		numTags[i] = n.store.Load().NumTags()
 	}
-	g, err := cluster.NewGateway(cluster.DefaultGatewayConfig(), targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-	client := gw.Client()
 
 	for name, list := range map[string][]string{
 		"repeated":            {targets[0], targets[0], targets[2]},
 		"repeated after trim": {targets[0], " " + targets[0] + "/ ", targets[2]},
+		"blank":               {targets[0], "  ", targets[2]},
 		"empty":               {},
 	} {
 		var envelope struct {
 			Error string `json:"error"`
 		}
-		code := postJSON(t, client, gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: list}, &envelope)
+		code := postJSON(t, rt.client, rt.gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: list}, &envelope)
 		if code != http.StatusBadRequest || envelope.Error == "" {
 			t.Errorf("%s target list: status %d (%q), want 400 with an error", name, code, envelope.Error)
 		}
 	}
-	for i, n := range nodes {
+	for i, n := range rt.nodes {
 		if got := n.store.Load().NumTags(); got != numTags[i] {
 			t.Errorf("shard %d holds %d tags after the refused reshards, had %d", i, got, numTags[i])
 		}
 	}
-	g.RefreshHealth(context.Background())
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"favela", "samba"})
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, res.Analysis.TagNames()[:40])
-	assertSamePrediction(t, client, single.ts.URL, gw.URL, res.Analysis.TagNames()[len(res.Analysis.TagNames())-40:])
+	rt.g.RefreshHealth(context.Background())
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"favela", "samba"})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, res.Analysis.TagNames()[:40])
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, res.Analysis.TagNames()[len(res.Analysis.TagNames())-40:])
+}
+
+// TestAdoptedRingOnMetrics: after /internal/transfer/adopt a shard's
+// /metrics build info names the ring it adopted, as /internal/meta does,
+// not the one it booted with.
+func TestAdoptedRingOnMetrics(t *testing.T) {
+	n := startReplicaNode(t, 0, 3, 1, reshardFoldEvery)
+	defer n.stop()
+	client := n.ts.Client()
+	ringTwo, err := cluster.NewRing(2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ringTwo.Signature()
+
+	var ack server.TransferAdoptResponse
+	adopt := server.TransferAdoptRequest{Index: 0, Shards: 2, Replicas: 1}
+	if code := postJSON(t, client, n.ts.URL+"/internal/transfer/adopt", adopt, &ack); code != http.StatusOK || ack.Signature != want {
+		t.Fatalf("adopt 0 of 2: status %d, signature %q, want 200 and %q", code, ack.Signature, want)
+	}
+	var meta server.InternalMetaResponse
+	if code := getJSON(t, client, n.ts.URL+"/internal/meta", &meta); code != http.StatusOK || meta.RingSignature != want {
+		t.Fatalf("/internal/meta after adopt: status %d, ring %q, want %q", code, meta.RingSignature, want)
+	}
+	for _, line := range strings.Split(scrape(t, client, n.ts.URL), "\n") {
+		if strings.HasPrefix(line, "viewstags_build_info{") {
+			if !strings.Contains(line, `ring_signature="`+want+`"`) {
+				t.Fatalf("/metrics after adopt: %s, want ring_signature=%q", line, want)
+			}
+			return
+		}
+	}
+	t.Fatal("/metrics carries no viewstags_build_info")
 }
