@@ -93,8 +93,8 @@ var legRouteNames = [numLegRoutes]string{"predict", "ingest", "refresh"}
 var legRoutePaths = [numLegRoutes]string{server.InternalPredictPath, server.InternalIngestPath, server.InternalPredictPath}
 
 // Why a shard's cached rows stopped being usable, as indexes into
-// shardState.invalidations and as the cause label of
-// viewstags_row_cache_invalidations_total.
+// shardState.invalidations; RowInvalidations names each on both
+// telemetry surfaces.
 const (
 	invalEpoch   = iota // the tracked fold epoch advanced
 	invalDown           // marked down
@@ -102,8 +102,6 @@ const (
 	invalCatchup        // rebuilt from its peers
 	numInvalCauses
 )
-
-var invalCauseNames = [numInvalCauses]string{"epoch", "down", "revived", "catchup"}
 
 // shardState is the gateway's live view of one shard, updated by every
 // scatter call and by the background health poll. Every field the

@@ -382,67 +382,78 @@ func (g *Gateway) TopTags(r *http.Request, k int) ([]server.TagInfo, *server.Err
 }
 
 // ShardStatus is one shard's entry in the gateway's /v1/stats and
-// /healthz cluster blocks. Syncing marks a revived replica still
-// rebuilding from its peers: taking writes, out of read rotation.
-// RowInvalidations counts, by cause, the times every row cached from
-// the shard went stale at once.
+// /healthz cluster blocks, and its shard-labelled series on /metrics.
+// Syncing marks a revived replica still rebuilding from its peers:
+// taking writes, out of read rotation. EpochLag is measured against the
+// highest epoch any shard reports: the alert signal for one shard falling
+// behind on folds (the absolute epoch alone cannot say who is stale).
 type ShardStatus struct {
 	Index            int              `json:"index"`
 	Target           string           `json:"target"`
-	Epoch            uint64           `json:"epoch"`
-	Records          int64            `json:"records"`
-	Healthy          bool             `json:"healthy"`
-	Syncing          bool             `json:"syncing,omitempty"`
-	RowInvalidations RowInvalidations `json:"row_invalidations"`
+	Epoch            uint64           `json:"epoch" prom:"viewstags_shard_epoch,gauge" help:"Last fold epoch the shard reported."`
+	EpochLag         uint64           `json:"epoch_lag" prom:"viewstags_shard_epoch_lag,gauge" help:"Folds the shard trails the most advanced shard by."`
+	Records          int64            `json:"records" prom:"viewstags_shard_records,gauge" help:"Training records the shard reported at its last poll."`
+	Healthy          bool             `json:"healthy" prom:"viewstags_shard_up,gauge" help:"1 when the shard is in rotation, 0 when marked down."`
+	Syncing          bool             `json:"syncing" prom:"viewstags_shard_syncing,gauge" help:"1 while a revived replica rebuilds from its peers (writes yes, reads no)."`
+	StreamReconnects int64            `json:"stream_reconnects" prom:"viewstags_shard_stream_reconnects_total,counter" help:"Data-plane stream dials to the shard after the first."`
+	RefreshLegs      int64            `json:"refresh_legs" prom:"viewstags_row_cache_refresh_legs_total,counter" help:"Refresh frames sent to the shard."`
+	RowInvalidations RowInvalidations `json:"row_invalidations" prom:"viewstags_row_cache_invalidations_total,counter" help:"Times every row cached from the shard went stale at once, by cause: its epoch advanced, it was marked down, it came back, it was rebuilt from its peers."`
 }
 
-// RowInvalidations is one shard's viewstags_row_cache_invalidations_total
-// by cause: its tracked epoch advanced, it was marked down, it came back
-// up, it was rebuilt from its peers.
+// RowInvalidations counts, by cause, the times every row cached from one
+// shard went stale at once: its tracked epoch advanced, it was marked
+// down, it came back up, it was rebuilt from its peers.
 type RowInvalidations struct {
-	Epoch   int64 `json:"epoch"`
-	Down    int64 `json:"down"`
-	Revived int64 `json:"revived"`
-	Catchup int64 `json:"catchup"`
+	Epoch   int64 `json:"epoch" prom:"cause"`
+	Down    int64 `json:"down" prom:"cause"`
+	Revived int64 `json:"revived" prom:"cause"`
+	Catchup int64 `json:"catchup" prom:"cause"`
 }
 
 // RowCacheStats is the predict row cache's view in the /v1/stats
-// cluster block; /metrics renders the same counters as
-// viewstags_row_cache_*. Hits and Misses count tag positions resolved
-// from the cache at first look or fetched; Rows is what the current
-// topology's cache holds. Refresh*: rows re-read in bulk after observed
-// folds, the frames that took (never in PredictLegs), rows dropped idle.
+// cluster block. Hits and Misses count tag positions resolved from the
+// cache at first look or fetched; Rows is what the current topology's
+// cache holds. Refresh*: rows re-read in bulk after observed folds, the
+// frames that took (never in PredictLegs; the sum of the shards'
+// refresh_legs), rows dropped idle.
 type RowCacheStats struct {
-	Hits           int64 `json:"hits"`
-	Misses         int64 `json:"misses"`
-	Rows           int64 `json:"rows"`
-	RefreshRows    int64 `json:"refresh_rows"`
+	Hits           int64 `json:"hits" prom:"viewstags_row_cache_lookups_total,counter,result=hit" help:"Tag positions a predict resolved from cached rows at first look (hit) or had to fetch (miss)."`
+	Misses         int64 `json:"misses" prom:"viewstags_row_cache_lookups_total,counter,result=miss"`
+	Rows           int64 `json:"rows" prom:"viewstags_row_cache_rows,gauge" help:"Per-tag partial rows the current topology's cache holds."`
+	RefreshRows    int64 `json:"refresh_rows" prom:"viewstags_row_cache_refresh_rows_total,counter" help:"Rows re-read in bulk, off the request path, after the gateway observed their shard's epoch move."`
 	RefreshLegs    int64 `json:"refresh_legs"`
-	RefreshDropped int64 `json:"refresh_dropped"`
+	RefreshDropped int64 `json:"refresh_dropped" prom:"viewstags_row_cache_refresh_dropped_total,counter" help:"Rows dropped instead of re-read: nobody had asked for them through the last refreshes."`
 }
 
 // ClusterStats is the gateway's cluster-level view: per-shard status
 // plus the minimum epoch — the conservative fold horizon clients should
-// compare ingest acks against. Replicas reports the placement factor
-// when the tier is replicated, and Handoff the last reshard's record
-// (phase "idle" once over; its epoch counts started handoffs).
-// RowCache and PredictLegs are the predict path's own counters:
-// PredictLegs over the predict route's request count is legs per
-// request, the number the row cache moves.
+// compare ingest acks against. Replicas reports the placement factor,
+// Failovers the shards predicts dropped mid-request, and Handoff the last
+// reshard's record (phase "idle" once over; its epoch counts started
+// handoffs). RowCache and PredictLegs are the predict path's own
+// counters: PredictLegs over the predict route's request count is legs
+// per request, the number the row cache moves.
 type ClusterStats struct {
-	Shards      []ShardStatus  `json:"shards"`
-	Epoch       uint64         `json:"epoch"`
+	Shards      []ShardStatus  `json:"shards" prom:"shard"`
+	Epoch       uint64         `json:"epoch" prom:"viewstags_cluster_min_epoch,gauge" help:"Lowest epoch any shard reports — the conservative fold horizon."`
 	Healthy     int            `json:"healthy"`
-	Replicas    int            `json:"replicas,omitempty"`
+	Replicas    int            `json:"replicas" prom:"viewstags_cluster_replicas,gauge" help:"Copies of each tag's slice the ring places."`
+	Failovers   int64          `json:"failovers" prom:"viewstags_replica_failover_total,counter" help:"Reads re-scattered to surviving replicas after a shard failed mid-fan-out."`
 	Handoff     *HandoffStatus `json:"handoff,omitempty"`
 	RowCache    RowCacheStats  `json:"row_cache"`
-	PredictLegs int64          `json:"predict_legs"`
+	PredictLegs int64          `json:"predict_legs" prom:"viewstags_predict_legs_total,counter" help:"Shard frames predict requests paid for (over viewstags_requests_total{route=\"predict\"}: legs per request); refresh frames are not among them."`
 }
 
-// gatewayStats is the gateway /v1/stats wire shape.
+// gatewayStats is the gateway /v1/stats wire shape, and what /metrics
+// encodes.
 type gatewayStats struct {
 	server.Snapshot
 	Cluster ClusterStats `json:"cluster"`
+}
+
+// stats reads the payload both telemetry routes serve.
+func (g *Gateway) stats(tp *topology) gatewayStats {
+	return gatewayStats{Snapshot: g.metrics.Snapshot(), Cluster: g.clusterStats(tp)}
 }
 
 // clusterStats assembles the per-shard block.
@@ -450,43 +461,46 @@ func (g *Gateway) clusterStats(tp *topology) ClusterStats {
 	cs := ClusterStats{
 		Shards:      make([]ShardStatus, len(tp.targets)),
 		Epoch:       tp.minEpoch(),
+		Replicas:    tp.ring.Replicas(),
+		Failovers:   g.failovers.Load(),
 		Handoff:     g.handoff.Load(),
 		RowCache:    RowCacheStats{Hits: g.rowHits.Load(), Misses: g.rowMisses.Load(), Rows: tp.rows.n.Load()},
 		PredictLegs: g.predictLegs.Load(),
 	}
 	cs.RowCache.RefreshRows, cs.RowCache.RefreshDropped = g.refreshedRows.Load(), g.refreshDropped.Load()
-	if r := tp.ring.Replicas(); r > 1 {
-		cs.Replicas = r
-	}
+	var maxEpoch uint64
 	for i, s := range tp.shards {
 		healthy := !s.down.Load()
 		if healthy {
 			cs.Healthy++
 		}
-		cs.RowCache.RefreshLegs += s.refreshLegs.Load()
 		cs.Shards[i] = ShardStatus{
-			Index:   i,
-			Target:  tp.targets[i],
-			Epoch:   s.epoch.Load(),
-			Records: s.records.Load(),
-			Healthy: healthy,
-			Syncing: s.syncing.Load(),
+			Index:            i,
+			Target:           tp.targets[i],
+			Epoch:            s.epoch.Load(),
+			Records:          s.records.Load(),
+			Healthy:          healthy,
+			Syncing:          s.syncing.Load(),
+			StreamReconnects: tp.streams[i].reconnects(),
+			RefreshLegs:      s.refreshLegs.Load(),
+			RowInvalidations: RowInvalidations{
+				Epoch:   s.invalidations[invalEpoch].Load(),
+				Down:    s.invalidations[invalDown].Load(),
+				Revived: s.invalidations[invalRevived].Load(),
+				Catchup: s.invalidations[invalCatchup].Load(),
+			},
 		}
-		cs.Shards[i].RowInvalidations = RowInvalidations{
-			Epoch:   s.invalidations[invalEpoch].Load(),
-			Down:    s.invalidations[invalDown].Load(),
-			Revived: s.invalidations[invalRevived].Load(),
-			Catchup: s.invalidations[invalCatchup].Load(),
-		}
+		cs.RowCache.RefreshLegs += cs.Shards[i].RefreshLegs
+		maxEpoch = max(maxEpoch, cs.Shards[i].Epoch)
+	}
+	for i := range cs.Shards {
+		cs.Shards[i].EpochLag = maxEpoch - cs.Shards[i].Epoch
 	}
 	return cs
 }
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, gatewayStats{
-		Snapshot: g.metrics.Snapshot(),
-		Cluster:  g.clusterStats(g.topo.Load()),
-	})
+	server.WriteJSON(w, http.StatusOK, g.stats(g.topo.Load()))
 }
 
 func (g *Gateway) handleHealth(w http.ResponseWriter, r *http.Request) {

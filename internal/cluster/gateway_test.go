@@ -532,6 +532,38 @@ func TestGatewayEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestGatewayStatsCountsEvents: /v1/stats "events" counts the view events
+// a daemon accepted — the gateway at its edge, each shard over
+// /internal/ingest — and a refused batch counts nothing.
+func TestGatewayStatsCountsEvents(t *testing.T) {
+	nodes, g := startCluster(t, 3)
+	gw := gatewayServer(t, g)
+	const n = 7
+	for i := 0; i < n; i++ {
+		if code := post(t, gw.URL+"/v1/ingest", server.IngestRequest{Events: []server.IngestEvent{
+			{Video: fmt.Sprintf("ev-%d", i), Tags: []string{"pop", "music", "zz-ev"}, Country: "US", Views: 3, Upload: true},
+		}}, nil); code != http.StatusOK {
+			t.Fatalf("ingest %d: status %d", i, code)
+		}
+	}
+	if code := post(t, gw.URL+"/v1/ingest", server.IngestRequest{Events: []server.IngestEvent{
+		{Video: "ev-bad", Tags: []string{"pop"}, Country: "ZZ", Views: 1},
+	}}, nil); code != http.StatusBadRequest {
+		t.Fatalf("ingest with an unknown country: status %d, want 400", code)
+	}
+	var stats struct {
+		Events int64 `json:"events"`
+	}
+	if code := get(t, gw.URL+"/v1/stats", &stats); code != http.StatusOK || stats.Events != n {
+		t.Fatalf("gateway /v1/stats: status %d, events %d, want 200 and %d", code, stats.Events, n)
+	}
+	for i, node := range nodes {
+		if got, want := node.srv.Metrics().Snapshot().Events, node.acc.Stats().Events; got != want {
+			t.Errorf("shard %d: stats events %d, accumulator accepted %d", i, got, want)
+		}
+	}
+}
+
 // TestGatewayTagsMerge: the merged top-k equals a single full node's
 // (tags are partitioned, so the global ranking is a k-way merge).
 func TestGatewayTagsMerge(t *testing.T) {

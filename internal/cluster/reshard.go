@@ -36,13 +36,15 @@ const (
 )
 
 // HandoffStatus is the observable record of reshard handoffs: the
-// current phase and the monotonically increasing handoff epoch (counts
-// reshards started since gateway boot; an in-flight one carries the
-// epoch it will complete as). Surfaces in /v1/stats under
-// cluster.handoff and in /metrics as viewstags_handoff_epoch/_active.
+// current phase, whether it is still in flight, and the monotonically
+// increasing handoff epoch (counts reshards started since gateway boot;
+// an in-flight one carries the epoch it will complete as). Surfaces in
+// /v1/stats under cluster.handoff and in /metrics as
+// viewstags_handoff_epoch/_active.
 type HandoffStatus struct {
-	Epoch uint64 `json:"epoch"`
-	Phase string `json:"phase"`
+	Epoch  uint64 `json:"epoch" prom:"viewstags_handoff_epoch,gauge" help:"Reshard handoffs started since gateway start."`
+	Phase  string `json:"phase"`
+	Active bool   `json:"active" prom:"viewstags_handoff_active,gauge" help:"1 while a reshard handoff is in flight."`
 	// From and To are the shard counts on each side of the move.
 	From int `json:"from_shards"`
 	To   int `json:"to_shards"`
@@ -50,7 +52,7 @@ type HandoffStatus struct {
 
 // setHandoff publishes a new handoff phase.
 func (g *Gateway) setHandoff(epoch uint64, phase string, from, to int) {
-	g.handoff.Store(&HandoffStatus{Epoch: epoch, Phase: phase, From: from, To: to})
+	g.handoff.Store(&HandoffStatus{Epoch: epoch, Phase: phase, Active: phase != HandoffIdle, From: from, To: to})
 }
 
 // post POSTs to an absolute URL (which need not be a current shard

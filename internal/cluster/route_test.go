@@ -102,9 +102,12 @@ func TestRouteTablePolicy(t *testing.T) {
 		mw := server.NewMiddleware(4, metrics, logger, false)
 		h := server.Mount(mw, nil, stub(func(http.ResponseWriter, *http.Request) {}))
 		counts := func() map[string]int64 {
-			out := map[string]int64{}
-			metrics.EachRoute(func(name string, rm *server.RouteMetrics) { out[name] = rm.Requests.Load() })
-			return out
+			s := metrics.Snapshot()
+			return map[string]int64{
+				server.GroupPredict.String(): s.Predict.Requests, server.GroupIngest.String(): s.Ingest.Requests,
+				server.GroupPlace.String(): s.Place.Requests, server.GroupPreload.String(): s.Preload.Requests,
+				server.GroupInternal.String(): s.Internal.Requests, server.GroupOther.String(): s.Other.Requests,
+			}
 		}
 		check := func(method, path, route string, group server.Group, policy server.Policy) {
 			store := obs.NewTraceStore(4)

@@ -111,14 +111,14 @@ type shard struct {
 }
 
 // Stats is a point-in-time summary of the accumulator, surfaced by the
-// server's /v1/stats and /healthz.
+// server's /v1/stats and /healthz, and by /metrics as its prom tags.
 type Stats struct {
-	Epoch   uint64 `json:"epoch"`   // completed folds
-	Events  int64  `json:"events"`  // events accepted since start
-	Dropped int64  `json:"dropped"` // events rejected by backpressure
+	Epoch   uint64 `json:"epoch" prom:"viewstags_ingest_epoch,gauge" help:"Completed snapshot folds."`
+	Events  int64  `json:"events" prom:"viewstags_ingest_events_total,counter" help:"View events accepted since start."`
+	Dropped int64  `json:"dropped" prom:"viewstags_ingest_dropped_total,counter" help:"View events rejected by backpressure."`
 	// Pending counts buffered tag attributions (Σ len(Tags) over events
 	// awaiting the next fold) — the unit the buffer bound is in.
-	Pending    int64   `json:"pending"`
+	Pending    int64   `json:"pending" prom:"viewstags_ingest_pending,gauge" help:"Buffered tag attributions awaiting the next fold (the -ingest-buffer unit)."`
 	LastFoldMs float64 `json:"last_fold_ms"`
 	LastTags   int64   `json:"last_fold_tags"` // tags touched by the last fold
 	// Replayed counts events re-applied from the journal at recovery;

@@ -130,8 +130,7 @@ func TestHistogramObserveVsScrapeRace(t *testing.T) {
 			t.Fatalf("scrape %d: q99 %g out of range", i, q)
 		}
 		tw := NewTextWriter()
-		tw.HistogramFamily("race_test_seconds", "hammered")
-		tw.Histogram("race_test_seconds", nil, s)
+		tw.Histogram("race_test_seconds", "hammered", nil, s)
 		if err := Validate(tw.Bytes()); err != nil {
 			t.Fatalf("scrape %d: %v", i, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -20,75 +21,142 @@ type Label struct {
 }
 
 // TextWriter renders the Prometheus text exposition format (version
-// 0.0.4) without any external dependency. Usage: declare each family
-// once (Counter/Gauge/HistogramFamily), then emit its samples. The
-// writer panics on programmer errors — an undeclared or re-declared
-// family — because a malformed exposition is a bug, not a runtime
-// condition; wire-level conformance is checked by Validate in tests.
+// 0.0.4) without any external dependency. Scalar series come from
+// Encode, histograms from Histogram; a family is declared by
+// its first series, and each family's lines form one contiguous group
+// whatever order its series arrive in — samples are buffered per family,
+// and Bytes writes the families in the order of their first declaration.
+// The writer panics on programmer errors — a family redeclared with
+// another type, a tag it cannot encode — because a malformed exposition
+// is a bug, not a runtime condition; wire-level conformance is checked by
+// Validate in tests.
 type TextWriter struct {
-	buf      bytes.Buffer
-	families map[string]string // family name -> declared type
+	order    []*family
+	families map[string]*family
+}
+
+// family is one declared family and its buffered sample lines.
+type family struct {
+	name, help, typ string
+	lines           bytes.Buffer
 }
 
 // NewTextWriter returns an empty exposition.
 func NewTextWriter() *TextWriter {
-	return &TextWriter{families: make(map[string]string)}
+	return &TextWriter{families: make(map[string]*family)}
 }
 
-func (w *TextWriter) family(name, help, typ string) {
-	if _, dup := w.families[name]; dup {
-		panic("obs: duplicate metric family " + name)
+// family declares name on first use; declaring it again is a no-op (the
+// first HELP text stands) unless the type differs.
+func (w *TextWriter) family(name, help, typ string) *family {
+	f := w.families[name]
+	if f == nil {
+		f = &family{name: name, help: help, typ: typ}
+		w.families[name] = f
+		w.order = append(w.order, f)
+	} else if f.typ != typ {
+		panic("obs: family " + name + " redeclared as " + typ + ", declared " + f.typ)
 	}
-	w.families[name] = typ
-	w.buf.WriteString("# HELP ")
-	w.buf.WriteString(name)
-	w.buf.WriteByte(' ')
-	w.buf.WriteString(escapeHelp(help))
-	w.buf.WriteString("\n# TYPE ")
-	w.buf.WriteString(name)
-	w.buf.WriteByte(' ')
-	w.buf.WriteString(typ)
-	w.buf.WriteByte('\n')
+	return f
 }
 
-// Counter declares a counter family.
-func (w *TextWriter) Counter(name, help string) { w.family(name, help, "counter") }
+// Encode appends the scalar series a snapshot struct declares, the way
+// encoding/json encodes its json tags, so the struct a JSON endpoint
+// serves is the one declaration of every series it carries. v is a
+// struct or a pointer to one; fields are walked in order, through
+// embedded structs, pointers and slices, under two tags:
+//
+//   - prom:"name,counter|gauge" with help:"…" names a family. On a number
+//     or bool field (a bool reads 1 or 0) it is one sample of the family,
+//     and a third element such as result=hit adds a constant label; on a
+//     struct it is the family of the label-tagged fields beneath.
+//   - prom:"label" adds label=<the field's JSON name> to the field's
+//     series, or to those beneath it; on a slice the value is each
+//     element's index instead.
+//
+// A field the JSON omits — omitempty at its zero value, a nil pointer —
+// is omitted here too. labels go on every series.
+func (w *TextWriter) Encode(v any, labels ...Label) {
+	w.encode(reflect.ValueOf(v), "", labels)
+}
 
-// Gauge declares a gauge family.
-func (w *TextWriter) Gauge(name, help string) { w.family(name, help, "gauge") }
-
-// HistogramFamily declares a histogram family; emit its data with
-// Histogram.
-func (w *TextWriter) HistogramFamily(name, help string) { w.family(name, help, "histogram") }
-
-// Sample emits one counter or gauge sample. labels may be nil; they
-// are emitted sorted by name (the validator rejects unsorted labels,
-// and sorted output makes scrapes diffable).
-func (w *TextWriter) Sample(name string, labels []Label, v float64) {
-	typ, ok := w.families[name]
-	if !ok {
-		panic("obs: sample for undeclared family " + name)
+// encode walks one struct; fam is the tag of the nearest field above
+// that names a family.
+func (w *TextWriter) encode(v reflect.Value, fam reflect.StructTag, labels []Label) {
+	for v.Kind() == reflect.Pointer {
+		if v.IsNil() {
+			return
+		}
+		v = v.Elem()
 	}
-	if typ == "histogram" {
-		panic("obs: use Histogram for histogram family " + name)
+	for i := 0; i < v.NumField(); i++ {
+		sf, fv := v.Type().Field(i), v.Field(i)
+		name, opts, _ := strings.Cut(sf.Tag.Get("json"), ",")
+		if name == "-" || !sf.IsExported() && !sf.Anonymous ||
+			strings.Contains(opts, "omitempty") && fv.Kind() != reflect.Struct && fv.IsZero() {
+			continue
+		}
+		if name == "" {
+			name = sf.Name
+		}
+		tag := sf.Tag.Get("prom")
+		f, ls, label := fam, labels, tag
+		if strings.Contains(tag, ",") {
+			f, label = sf.Tag, ""
+		} else if label != "" {
+			ls = append(labels[:len(labels):len(labels)], Label{Name: label, Value: name})
+		}
+		switch fv.Kind() {
+		case reflect.Struct, reflect.Pointer:
+			w.encode(fv, f, ls)
+		case reflect.Slice:
+			for j := 0; j < fv.Len(); j++ {
+				if label != "" {
+					ls = append(labels[:len(labels):len(labels)], Label{Name: label, Value: strconv.Itoa(j)})
+				}
+				w.encode(fv.Index(j), f, ls)
+			}
+		default:
+			if tag == "" {
+				continue
+			}
+			famName, rest, ok := strings.Cut(f.Get("prom"), ",")
+			if !ok {
+				panic("obs: field " + sf.Name + " is labelled under no family")
+			}
+			typ, constant, _ := strings.Cut(rest, ",")
+			ln, lv, _ := strings.Cut(constant, "=")
+			w.family(famName, f.Get("help"), typ).line(famName, ls, Label{Name: ln, Value: lv}, number(fv), nil)
+		}
 	}
-	w.sampleLine(name, labels, Label{}, v)
+}
+
+// number is a tagged field's sample value.
+func number(v reflect.Value) float64 {
+	switch {
+	case v.Kind() == reflect.Bool:
+		if v.Bool() {
+			return 1
+		}
+		return 0
+	case v.CanInt():
+		return float64(v.Int())
+	case v.CanUint():
+		return float64(v.Uint())
+	case v.CanFloat():
+		return v.Float()
+	}
+	panic("obs: prom tag on a " + v.Type().String() + " field")
 }
 
 // Histogram emits one histogram series: cumulative _bucket lines for
-// every edge plus +Inf, then _sum (seconds) and _count.
-func (w *TextWriter) Histogram(name string, labels []Label, s HistSnapshot) {
-	w.HistogramEx(name, labels, s, nil)
-}
-
-// HistogramEx is Histogram with OpenMetrics-style exemplars attached
-// to their bucket lines: `... 42 # {request_id="abc"} 0.0093`. Only
-// buckets present in exemplars get the suffix; the base 0.0.4 format
-// is untouched elsewhere, and Validate checks the exemplar grammar.
-func (w *TextWriter) HistogramEx(name string, labels []Label, s HistSnapshot, exemplars []BucketExemplar) {
-	if typ, ok := w.families[name]; !ok || typ != "histogram" {
-		panic("obs: histogram emission for non-histogram family " + name)
-	}
+// every edge plus +Inf, then _sum (seconds) and _count. Exemplars are
+// attached OpenMetrics-style to their bucket lines: `... 42 #
+// {request_id="abc"} 0.0093`. Only buckets present in exemplars get the
+// suffix; the base 0.0.4 format is untouched elsewhere, and Validate
+// checks the exemplar grammar.
+func (w *TextWriter) Histogram(name, help string, labels []Label, s HistSnapshot, exemplars ...BucketExemplar) {
+	f := w.family(name, help, "histogram")
 	exFor := func(bucket int) *BucketExemplar {
 		for i := range exemplars {
 			if exemplars[i].Bucket == bucket {
@@ -100,60 +168,61 @@ func (w *TextWriter) HistogramEx(name string, labels []Label, s HistSnapshot, ex
 	var cum uint64
 	for i := 0; i < numBuckets; i++ {
 		cum += s.Counts[i]
-		w.sampleLineEx(name+"_bucket", labels, Label{Name: "le", Value: formatFloat(bucketEdges[i])}, float64(cum), exFor(i))
+		f.line(name+"_bucket", labels, Label{Name: "le", Value: formatFloat(bucketEdges[i])}, float64(cum), exFor(i))
 	}
 	cum += s.Counts[numBuckets]
-	w.sampleLineEx(name+"_bucket", labels, Label{Name: "le", Value: "+Inf"}, float64(cum), exFor(numBuckets))
-	w.sampleLine(name+"_sum", labels, Label{}, float64(s.SumNs)/1e9)
-	w.sampleLine(name+"_count", labels, Label{}, float64(cum))
+	f.line(name+"_bucket", labels, Label{Name: "le", Value: "+Inf"}, float64(cum), exFor(numBuckets))
+	f.line(name+"_sum", labels, Label{}, float64(s.SumNs)/1e9, nil)
+	f.line(name+"_count", labels, Label{}, float64(cum), nil)
 }
 
-// sampleLine writes one sample with labels sorted by name; extra (when
-// named) is merged into sort position — the histogram "le" label must
-// interleave correctly with caller labels like "route".
-func (w *TextWriter) sampleLine(name string, labels []Label, extra Label, v float64) {
-	w.sampleLineEx(name, labels, extra, v, nil)
-}
-
-// sampleLineEx is sampleLine with an optional exemplar suffix.
-func (w *TextWriter) sampleLineEx(name string, labels []Label, extra Label, v float64, ex *BucketExemplar) {
-	w.buf.WriteString(name)
-	n := len(labels)
+// line writes one sample with labels sorted by name (the validator
+// rejects unsorted labels, and sorted output makes scrapes diffable);
+// extra (when named) is merged into sort position — the histogram "le"
+// label must interleave correctly with caller labels like "route". ex,
+// when set, is appended as the line's exemplar.
+func (f *family) line(name string, labels []Label, extra Label, v float64, ex *BucketExemplar) {
+	b := &f.lines
+	b.WriteString(name)
+	all := append(make([]Label, 0, len(labels)+1), labels...)
 	if extra.Name != "" {
-		n++
+		all = append(all, extra)
 	}
-	if n > 0 {
-		w.buf.WriteByte('{')
-		all := make([]Label, 0, n)
-		all = append(all, labels...)
-		if extra.Name != "" {
-			all = append(all, extra)
-		}
+	if len(all) > 0 {
+		b.WriteByte('{')
 		sort.Slice(all, func(a, b int) bool { return all[a].Name < all[b].Name })
 		for i, l := range all {
 			if i > 0 {
-				w.buf.WriteByte(',')
+				b.WriteByte(',')
 			}
-			w.buf.WriteString(l.Name)
-			w.buf.WriteString(`="`)
-			w.buf.WriteString(escapeLabel(l.Value))
-			w.buf.WriteByte('"')
+			b.WriteString(l.Name)
+			b.WriteString(`="`)
+			b.WriteString(escapeLabel(l.Value))
+			b.WriteByte('"')
 		}
-		w.buf.WriteByte('}')
+		b.WriteByte('}')
 	}
-	w.buf.WriteByte(' ')
-	w.buf.WriteString(formatFloat(v))
+	b.WriteByte(' ')
+	b.WriteString(formatFloat(v))
 	if ex != nil && ex.RequestID != "" {
-		w.buf.WriteString(` # {request_id="`)
-		w.buf.WriteString(escapeLabel(ex.RequestID))
-		w.buf.WriteString(`"} `)
-		w.buf.WriteString(formatFloat(ex.Seconds))
+		b.WriteString(` # {request_id="`)
+		b.WriteString(escapeLabel(ex.RequestID))
+		b.WriteString(`"} `)
+		b.WriteString(formatFloat(ex.Seconds))
 	}
-	w.buf.WriteByte('\n')
+	b.WriteByte('\n')
 }
 
-// Bytes returns the rendered exposition.
-func (w *TextWriter) Bytes() []byte { return w.buf.Bytes() }
+// Bytes returns the rendered exposition: each family's HELP and TYPE
+// lines, then its samples.
+func (w *TextWriter) Bytes() []byte {
+	var out bytes.Buffer
+	for _, f := range w.order {
+		out.WriteString("# HELP " + f.name + " " + escapeHelp(f.help) + "\n# TYPE " + f.name + " " + f.typ + "\n")
+		out.Write(f.lines.Bytes())
+	}
+	return out.Bytes()
+}
 
 func formatFloat(v float64) string {
 	switch {
@@ -181,16 +250,18 @@ func escapeLabel(s string) string {
 // Validate is the text-format conformance checker the tests and the CI
 // scrape step share. It parses every line of a 0.0.4 exposition and
 // returns the first violation: unknown line shape, a sample before its
-// # TYPE, a duplicate family declaration, unsorted or duplicate
-// labels, a duplicate series, an unparsable value, a histogram whose
-// cumulative buckets decrease, or a histogram whose +Inf bucket
-// disagrees with its _count.
+// # TYPE, a duplicate family declaration, a family split into more than
+// one group (a sample outside the block its # TYPE opened, or a # HELP
+// reopening a closed family), unsorted or duplicate labels, a duplicate
+// series, an unparsable value, a histogram whose cumulative buckets
+// decrease, or a histogram whose +Inf bucket disagrees with its _count.
 func Validate(exposition []byte) error {
 	type family struct {
 		typ     string
 		sampled bool
 	}
 	families := make(map[string]*family)
+	var open *family                       // the block the last # TYPE opened
 	seen := make(map[string]bool)          // full series key -> emitted
 	histInf := make(map[string]float64)    // series key base -> +Inf cum
 	histPrev := make(map[string]float64)   // series key base -> last cum
@@ -208,6 +279,9 @@ func Validate(exposition []byte) error {
 			if len(fields) < 3 || (fields[1] != "HELP" && fields[1] != "TYPE") {
 				return fail("unknown comment shape")
 			}
+			if f := families[fields[2]]; fields[1] == "HELP" && f != nil && f != open {
+				return fail("second block for family %s", fields[2])
+			}
 			if fields[1] == "TYPE" {
 				name := fields[2]
 				if len(fields) != 4 {
@@ -221,7 +295,8 @@ func Validate(exposition []byte) error {
 				if _, dup := families[name]; dup {
 					return fail("duplicate TYPE for family %s", name)
 				}
-				families[name] = &family{typ: fields[3]}
+				open = &family{typ: fields[3]}
+				families[name] = open
 			}
 			continue
 		}
@@ -247,6 +322,9 @@ func Validate(exposition []byte) error {
 		}
 		if fam == nil {
 			return fail("sample for undeclared family %s", name)
+		}
+		if fam != open {
+			return fail("sample for family %s outside its block", base)
 		}
 		fam.sampled = true
 		var prevName string

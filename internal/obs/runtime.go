@@ -27,10 +27,12 @@ func WriteBuildInfo(w *TextWriter, extra ...Label) {
 		{Name: "go_version", Value: runtime.Version()},
 		{Name: "version", Value: version},
 	}, extra...)
-	w.Gauge("viewstags_build_info", "Build identity; value is always 1.")
-	w.Sample("viewstags_build_info", labels, 1)
-	w.Gauge("process_start_time_seconds", "Unix time the process started.")
-	w.Sample("process_start_time_seconds", nil, float64(processStart.UnixNano())/1e9)
+	w.Encode(struct {
+		Info int `prom:"viewstags_build_info,gauge" help:"Build identity; value is always 1."`
+	}{1}, labels...)
+	w.Encode(struct {
+		Start float64 `prom:"process_start_time_seconds,gauge" help:"Unix time the process started."`
+	}{float64(processStart.UnixNano()) / 1e9})
 }
 
 // ResidentMemory reads the process's resident set and its high-water
@@ -61,26 +63,18 @@ func ResidentMemory() (rss, peak int64, ok bool) {
 }
 
 // WriteGoRuntime appends the Go runtime families — goroutines, heap
-// and GC — and the process's resident memory to an exposition. Both
-// daemons' /metrics handlers call it last, so runtime gauges carry the
-// standard go_ prefix after the service's own viewstags_ families.
+// and GC — to an exposition. Both daemons' /metrics handlers call it
+// after their own families, so runtime gauges carry the standard go_
+// prefix after the service's viewstags_ ones. (The process's resident
+// memory is a field of each daemon's stats snapshot.)
 func WriteGoRuntime(w *TextWriter) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	w.Gauge("go_goroutines", "Number of live goroutines.")
-	w.Sample("go_goroutines", nil, float64(runtime.NumGoroutine()))
-	w.Gauge("go_heap_alloc_bytes", "Bytes of allocated heap objects.")
-	w.Sample("go_heap_alloc_bytes", nil, float64(ms.HeapAlloc))
-	if rss, peak, ok := ResidentMemory(); ok {
-		w.Gauge("process_resident_memory_bytes", "Resident set size (VmRSS).")
-		w.Sample("process_resident_memory_bytes", nil, float64(rss))
-		w.Gauge("viewstags_process_peak_rss_bytes", "Resident set high-water mark since exec (VmHWM): equal to the resident size until something is given back, so it says whether boot or traffic set the peak.")
-		w.Sample("viewstags_process_peak_rss_bytes", nil, float64(peak))
-	}
-	w.Gauge("go_heap_objects", "Number of allocated heap objects.")
-	w.Sample("go_heap_objects", nil, float64(ms.HeapObjects))
-	w.Counter("go_gc_runs_total", "Completed GC cycles.")
-	w.Sample("go_gc_runs_total", nil, float64(ms.NumGC))
-	w.Counter("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.")
-	w.Sample("go_gc_pause_seconds_total", nil, float64(ms.PauseTotalNs)/1e9)
+	w.Encode(struct {
+		Goroutines  int     `prom:"go_goroutines,gauge" help:"Number of live goroutines."`
+		HeapAlloc   uint64  `prom:"go_heap_alloc_bytes,gauge" help:"Bytes of allocated heap objects."`
+		HeapObjects uint64  `prom:"go_heap_objects,gauge" help:"Number of allocated heap objects."`
+		GCRuns      uint32  `prom:"go_gc_runs_total,counter" help:"Completed GC cycles."`
+		GCPause     float64 `prom:"go_gc_pause_seconds_total,counter" help:"Cumulative GC stop-the-world pause time."`
+	}{runtime.NumGoroutine(), ms.HeapAlloc, ms.HeapObjects, ms.NumGC, float64(ms.PauseTotalNs) / 1e9})
 }

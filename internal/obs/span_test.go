@@ -235,8 +235,7 @@ func TestExemplarExposition(t *testing.T) {
 	h.Observe(5 * time.Millisecond)
 	e.Observe(5*time.Millisecond, "req-x", now)
 	w := NewTextWriter()
-	w.HistogramFamily("ex_test_seconds", "exemplar carrier")
-	w.HistogramEx("ex_test_seconds", []Label{{Name: "route", Value: "predict"}}, h.Snapshot(), e.Top(4))
+	w.Histogram("ex_test_seconds", "exemplar carrier", []Label{{Name: "route", Value: "predict"}}, h.Snapshot(), e.Top(4)...)
 	out := w.Bytes()
 	if !strings.Contains(string(out), `# {request_id="req-x"} 0.005`) {
 		t.Fatalf("exemplar missing from exposition:\n%s", out)

@@ -77,17 +77,17 @@ type CheckpointMeta struct {
 }
 
 // Stats is a point-in-time summary of the durable state, surfaced by
-// the server's /v1/stats and /healthz.
+// the server's /v1/stats and /healthz, and by /metrics as its prom tags.
 type Stats struct {
 	Dir   string `json:"dir"`
 	Fsync bool   `json:"fsync"`
 	// CheckpointGen/Epoch describe the newest durable checkpoint.
-	CheckpointGen   uint64 `json:"checkpoint_gen"`
+	CheckpointGen   uint64 `json:"checkpoint_gen" prom:"viewstags_checkpoint_gen,gauge" help:"Generation of the newest durable checkpoint."`
 	CheckpointEpoch uint64 `json:"checkpoint_epoch"`
-	Checkpoints     int    `json:"checkpoints"` // checkpoint files on disk
-	WALSegments     int    `json:"wal_segments"`
-	WALBytes        int64  `json:"wal_bytes"`
-	WALAppends      int64  `json:"wal_appends"` // records appended since boot
+	Checkpoints     int    `json:"checkpoints" prom:"viewstags_checkpoints,gauge" help:"Checkpoint files on disk."`
+	WALSegments     int    `json:"wal_segments" prom:"viewstags_wal_segments,gauge" help:"WAL segment files on disk."`
+	WALBytes        int64  `json:"wal_bytes" prom:"viewstags_wal_bytes,gauge" help:"Total WAL bytes on disk."`
+	WALAppends      int64  `json:"wal_appends" prom:"viewstags_wal_appends_total,counter" help:"Journal records appended since boot."`
 	// Recovered reports whether boot loaded a checkpoint; the replay
 	// counters say how much journal it re-applied on top.
 	Recovered       bool  `json:"recovered"`

@@ -275,6 +275,7 @@ func (e *Edge) serveIngest(w http.ResponseWriter, r *http.Request) {
 		fe.Write(w)
 		return
 	}
+	e.metrics.Events.Add(int64(len(events)))
 	writeIngestResponse(w, &ack)
 }
 

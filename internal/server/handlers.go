@@ -363,27 +363,32 @@ func (s *Server) TopTags(_ *http.Request, k int) ([]TagInfo, *ErrorReply) {
 // its traces are whole.
 func (s *Server) StitchTrace(context.Context, string) []ShardTraceView { return nil }
 
-// statsPayload is the /v1/stats wire shape: the per-route counters,
-// plus the ingest stream's accumulator stats when the write path is
-// enabled and the durable-state block when persistence is.
+// statsPayload is the /v1/stats wire shape, and what /metrics encodes:
+// the per-route counters, plus the ingest stream's accumulator stats
+// when the write path is enabled and the durable-state block when
+// persistence is.
 type statsPayload struct {
 	Snapshot
 	Stream  *ingest.Stats  `json:"stream,omitempty"`
 	Persist *persist.Stats `json:"persist,omitempty"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+// stats reads the payload both telemetry routes serve.
+func (s *Server) stats() statsPayload {
 	p := statsPayload{Snapshot: s.metrics.Snapshot()}
 	if s.ing != nil {
 		st := s.ing.Stats()
 		p.Stream = &st
-		p.Events = st.Events // single source: the accumulator
 	}
 	if s.persistStats != nil {
 		ps := s.persistStats()
 		p.Persist = &ps
 	}
-	WriteJSON(w, http.StatusOK, p)
+	return p
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, s.stats())
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

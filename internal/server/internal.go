@@ -213,6 +213,7 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 			s.ingestRefusal(err).Write(w)
 			return
 		}
+		s.metrics.Events.Add(int64(len(events)))
 	}
 	if len(req.Uploads) > 0 {
 		// Cannot fail: ids were validated above, and announcements are

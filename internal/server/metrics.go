@@ -54,14 +54,15 @@ var groupNames = [numGroups]string{"predict", "ingest", "place", "preload", "int
 func (g Group) String() string { return groupNames[g] }
 
 // perGroup is one T per metric group — counters in Metrics, their
-// rendering in Snapshot, whose JSON keys are the tags here.
+// rendering in Snapshot, whose JSON keys are the tags here and the route
+// label of every series beneath them on /metrics.
 type perGroup[T any] struct {
-	Predict  T `json:"predict"`
-	Ingest   T `json:"ingest"`
-	Place    T `json:"place"`
-	Preload  T `json:"preload"`
-	Internal T `json:"internal"`
-	Other    T `json:"other"`
+	Predict  T `json:"predict" prom:"route"`
+	Ingest   T `json:"ingest" prom:"route"`
+	Place    T `json:"place" prom:"route"`
+	Preload  T `json:"preload" prom:"route"`
+	Internal T `json:"internal" prom:"route"`
+	Other    T `json:"other" prom:"route"`
 }
 
 // ptrs indexes the fields by Group.
@@ -80,32 +81,25 @@ type Metrics struct {
 	Rejected atomic.Int64
 	// Predictions counts individual predictions served — a batch of k
 	// adds k, so throughput comparisons across batch sizes stay honest.
-	// (The write-path analogue, accepted events, is owned by the ingest
-	// accumulator; the stats handler surfaces it from there.)
+	// Events is the write-path analogue: view events accepted, counted
+	// where they are accepted (the public and the shard-internal ingest),
+	// so a gateway counts its own; journal replay is not among them.
 	Predictions atomic.Int64
+	Events      atomic.Int64
 }
 
 // NewMetrics returns a zeroed counter set.
 func NewMetrics() *Metrics { return &Metrics{} }
 
-// EachRoute visits every group's counters with their exposition label,
-// in a fixed order — the iteration the /metrics renderers are built on.
-func (m *Metrics) EachRoute(f func(name string, rm *RouteMetrics)) {
-	for g, rm := range m.ptrs() {
-		f(groupNames[g], rm)
-	}
-}
-
 // RouteSnapshot is one route's counters at a point in time. MeanMs and
 // the quantiles are all derived from the same histogram snapshot, so
 // the two surfaces (/v1/stats and /metrics) can never disagree.
 type RouteSnapshot struct {
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors"`
-	// DecodeGeneral is the route's viewstags_edge_decode_general_total:
-	// requests whose body took the encoding/json decode. Always zero on
-	// routes without a fast decoder.
-	DecodeGeneral int64   `json:"edge_decode_general"`
+	Requests int64 `json:"requests" prom:"viewstags_requests_total,counter" help:"Requests served, by route group."`
+	Errors   int64 `json:"errors" prom:"viewstags_request_errors_total,counter" help:"Requests answered with status >= 400, by route group."`
+	// DecodeGeneral counts requests whose body took the encoding/json
+	// decode. Always zero on routes without a fast decoder.
+	DecodeGeneral int64   `json:"edge_decode_general" prom:"viewstags_edge_decode_general_total,counter" help:"Requests whose body the fast edge decoder declined to the encoding/json decode, by route group (zero on routes without a fast decoder)."`
 	MeanMs        float64 `json:"mean_ms"`
 	P50Ms         float64 `json:"p50_ms"`
 	P95Ms         float64 `json:"p95_ms"`
@@ -115,20 +109,18 @@ type RouteSnapshot struct {
 	Exemplars []obs.BucketExemplar `json:"exemplars,omitempty"`
 }
 
-// Snapshot is the JSON shape of /v1/stats (wrapped with the ingest
-// stream stats by the handler when the write path is enabled).
+// Snapshot is the request-level part of both daemons' /v1/stats, and
+// through its prom tags of their /metrics (obs.TextWriter.Encode).
 type Snapshot struct {
 	perGroup[RouteSnapshot]
-	InFlight    int64 `json:"in_flight"`
-	Rejected    int64 `json:"rejected"`
-	Predictions int64 `json:"predictions"`
-	// Events mirrors the ingest accumulator's accepted-event count;
-	// the handler fills it (the Metrics struct holds no copy).
-	Events int64 `json:"events"`
-	// The process's resident set and its high-water mark, as on
-	// /metrics; absent where /proc/self/status is.
-	RSSBytes     int64 `json:"rss_bytes,omitempty"`
-	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty"`
+	InFlight    int64 `json:"in_flight" prom:"viewstags_in_flight,gauge" help:"Requests currently being served."`
+	Rejected    int64 `json:"rejected" prom:"viewstags_rejected_total,counter" help:"Requests shed by the concurrency limiter."`
+	Predictions int64 `json:"predictions" prom:"viewstags_predictions_total,counter" help:"Individual predictions served (a batch of k adds k)."`
+	Events      int64 `json:"events"`
+	// The process's resident set and its high-water mark; absent where
+	// /proc/self/status is.
+	RSSBytes     int64 `json:"rss_bytes,omitempty" prom:"process_resident_memory_bytes,gauge" help:"Resident set size (VmRSS)."`
+	PeakRSSBytes int64 `json:"peak_rss_bytes,omitempty" prom:"viewstags_process_peak_rss_bytes,gauge" help:"Resident set high-water mark since exec (VmHWM): equal to the resident size until something is given back, so it says whether boot or traffic set the peak."`
 }
 
 func snapRoute(m *RouteMetrics) RouteSnapshot {
@@ -154,6 +146,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		InFlight:    m.InFlight.Load(),
 		Rejected:    m.Rejected.Load(),
 		Predictions: m.Predictions.Load(),
+		Events:      m.Events.Load(),
 	}
 	dst := s.ptrs()
 	for g, rm := range m.ptrs() {
@@ -163,26 +156,13 @@ func (m *Metrics) Snapshot() Snapshot {
 	return s
 }
 
-// WriteProm renders the request-level families onto an exposition —
-// shared verbatim by the serve daemon's and the gateway's /metrics, so
-// the route families line up across the tier.
+// WriteProm renders the route latency histograms, with their exemplars:
+// the part of the request-level families /v1/stats carries only as
+// quantiles, so Snapshot cannot declare it. Shared by both daemons'
+// /metrics.
 func (m *Metrics) WriteProm(w *obs.TextWriter) {
-	w.Counter("viewstags_requests_total", "Requests served, by route group.")
-	w.Counter("viewstags_request_errors_total", "Requests answered with status >= 400, by route group.")
-	w.Counter("viewstags_edge_decode_general_total", "Requests whose body the fast edge decoder declined to the encoding/json decode, by route group (zero on routes without a fast decoder).")
-	w.HistogramFamily("viewstags_request_duration_seconds", "Request wall time by route group, measured inside the middleware.")
-	m.EachRoute(func(name string, rm *RouteMetrics) {
-		labels := []obs.Label{{Name: "route", Value: name}}
-		w.Sample("viewstags_requests_total", labels, float64(rm.Requests.Load()))
-		w.Sample("viewstags_request_errors_total", labels, float64(rm.Errors.Load()))
-		w.Sample("viewstags_edge_decode_general_total", labels, float64(rm.DecodeGeneral.Load()))
-		w.HistogramEx("viewstags_request_duration_seconds", labels, rm.Latency.Snapshot(),
-			rm.Exemplars.Top(maxExemplarsPerRoute))
-	})
-	w.Gauge("viewstags_in_flight", "Requests currently being served.")
-	w.Sample("viewstags_in_flight", nil, float64(m.InFlight.Load()))
-	w.Counter("viewstags_rejected_total", "Requests shed by the concurrency limiter.")
-	w.Sample("viewstags_rejected_total", nil, float64(m.Rejected.Load()))
-	w.Counter("viewstags_predictions_total", "Individual predictions served (a batch of k adds k).")
-	w.Sample("viewstags_predictions_total", nil, float64(m.Predictions.Load()))
+	for g, rm := range m.ptrs() {
+		w.Histogram("viewstags_request_duration_seconds", "Request wall time by route group, measured inside the middleware.",
+			[]obs.Label{{Name: "route", Value: groupNames[g]}}, rm.Latency.Snapshot(), rm.Exemplars.Top(maxExemplarsPerRoute)...)
+	}
 }
