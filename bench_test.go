@@ -768,42 +768,50 @@ func BenchmarkIngestFold(b *testing.B) {
 
 // BenchmarkBoot times a daemon's whole boot over the benchmark's catalog,
 // as cmd/serve runs it — the streaming pass, then the build adopting its
-// sums — for shard 0 of 3 and for a standalone node, which also collects
-// the served catalog. Read it with -benchmem and -cpu 1,2: the generator
-// is most of the pass and runs as two stages, so two cores show what the
-// stages overlap and one core what the draws themselves cost — which must
-// be no more than before the split (EXPERIMENTS.md "Boot at the speed of
-// the cores"). cpu-ms/op is the process's CPU time per boot, both stages
-// included: at -cpu 2 ns/op is the slower stage's time, so work taken out
-// of the other shows in cpu-ms/op alone — and three shards booting on two
-// cores pay CPU, not wall time.
+// sums — for shard 0 of 3, for a standalone node, which also collects the
+// served catalog, and for a standalone node that recovered a checkpoint,
+// whose pass collects the served catalog and admits no tag. Read it with
+// -benchmem and -cpu 1,2: the generator is most of the pass and runs as
+// two stages, so two cores show what the stages overlap and one core what
+// the draws themselves cost — which must be no more than before the split
+// (EXPERIMENTS.md "Boot at the speed of the cores"). cpu-ms/op is the
+// process's CPU time per boot, both stages included: at -cpu 2 ns/op is
+// the slower stage's time, so work taken out of the other shows in
+// cpu-ms/op alone — and three shards booting on two cores pay CPU, not
+// wall time. fields/op is how many videos' view fields the pass drew: the
+// ones it reads (EXPERIMENTS.md "A boot draws the fields it reads").
 func BenchmarkBoot(b *testing.B) {
 	ring, err := cluster.NewRing(3, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, c := range []struct {
-		name string
-		owns func(string) bool
+		name   string
+		owns   func(string) bool
+		served bool
 	}{
-		{"shard", func(tag string) bool { return ring.Owns(tag, 0) }},
-		{"node", nil},
+		{"shard", func(tag string) bool { return ring.Owns(tag, 0) }, false},
+		{"node", nil, true},
+		{"recovered-node", func(string) bool { return false }, true},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
+			fields := 0
 			cpu0, cpuOK := processCPU()
 			for i := 0; i < b.N; i++ {
-				boot, err := pipeline.BootSynthetic(bootPeakVideos, bootPeakSeed, alexa.DefaultConfig(), c.owns, c.owns == nil)
+				boot, err := pipeline.BootSynthetic(bootPeakVideos, bootPeakSeed, alexa.DefaultConfig(), c.owns, c.served)
 				if err != nil {
 					b.Fatal(err)
 				}
 				if _, err := profilestore.BuildAggregate(boot.Aggregate, nil); err != nil {
 					b.Fatal(err)
 				}
+				fields += boot.Fields
 			}
 			if cpu1, ok := processCPU(); cpuOK && ok {
 				b.ReportMetric(float64(cpu1-cpu0)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
 			}
+			b.ReportMetric(float64(fields)/float64(b.N), "fields/op")
 		})
 	}
 }

@@ -71,6 +71,15 @@ func (fr *FilterReport) Admit(world *geo.World, r *Record, scratch []int) (pop [
 	return nil, false
 }
 
+// CountKept counts one record as Admit counts a record it keeps, for a
+// producer that knows the record passes — tagged, with a popularity vector
+// that densifies — and has no use for the record or its vector, so need
+// not build them.
+func (fr *FilterReport) CountKept() {
+	fr.Crawled++
+	fr.Kept++
+}
+
 // Filter applies Admit to every raw record and keeps the admitted ones
 // with their dense vectors.
 func Filter(world *geo.World, raw []Record) *Clean {

@@ -29,6 +29,19 @@ func TestTrafficSumsToOne(t *testing.T) {
 	}
 }
 
+// TestTrafficStrictlyPositive: no country of the default world has zero
+// traffic, so a video's views in any country give it a positive Map-Chart
+// intensity there — half of why every video with views quantises to a
+// maximum of 61 (internal/synth TestTaggedOKVideosAreAdmitted).
+func TestTrafficStrictlyPositive(t *testing.T) {
+	w := DefaultWorld()
+	for i, p := range w.Traffic() {
+		if !(p > 0) {
+			t.Fatalf("country %s has traffic share %v", w.Country(CountryID(i)).Code, p)
+		}
+	}
+}
+
 func TestTrafficOfMatchesVector(t *testing.T) {
 	w := DefaultWorld()
 	tr := w.Traffic()

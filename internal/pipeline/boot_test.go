@@ -84,10 +84,13 @@ func sameExport(t *testing.T, what string, want, got profilestore.SnapshotData) 
 }
 
 // slices enumerates the partitions the equivalence is pinned on: the
-// whole vocabulary, and each of three shards' Ring.Owns at R=1 and R=2.
+// whole vocabulary, no tag at all (a recovered standalone node's pass,
+// which draws no view field), and each of three shards' Ring.Owns at R=1
+// and R=2.
 func slices(t *testing.T) (names []string, owns []func(string) bool) {
 	t.Helper()
-	names, owns = []string{"whole"}, []func(string) bool{nil}
+	names = []string{"whole", "none"}
+	owns = []func(string) bool{nil, func(string) bool { return false }}
 	for _, r := range []int{1, 2} {
 		ring, err := cluster.NewRingReplicas(3, 0, r)
 		if err != nil {
@@ -130,6 +133,25 @@ func checkBoot(t *testing.T, what string, res *Result, b *Boot, owns func(string
 	}
 }
 
+// readRecords is how many of the retaining path's kept records carry a
+// tag of the slice: the videos whose view field a streaming boot of that
+// slice reads.
+func readRecords(res *Result, owns func(string) bool) int {
+	if owns == nil {
+		return len(res.Clean.Records)
+	}
+	n := 0
+	for i := range res.Clean.Records {
+		for _, tag := range res.Clean.Records[i].Tags {
+			if owns(tag) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
 // TestBootSyntheticMatchesRetainingPath: satellite tests (b) and (d) —
 // BootSynthetic against FromSynthetic on the benchmark catalog and a
 // small one, every slice — and with 1, 2 and 8 Ps under the generator's
@@ -169,6 +191,9 @@ func testBootSyntheticMatchesRetainingPath(t *testing.T) {
 			if b.Served != nil {
 				t.Fatalf("%d/%s: catalog kept unasked", videos, names[i])
 			}
+			if want := readRecords(res, owns[i]); b.Fields != want {
+				t.Fatalf("%d/%s: the pass drew %d view fields, want the %d its slice reads", videos, names[i], b.Fields, want)
+			}
 			checkBoot(t, names[i], res, b, owns[i])
 		}
 		// The standalone node's form: same pass, the served catalog
@@ -179,6 +204,9 @@ func testBootSyntheticMatchesRetainingPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkBoot(t, "whole+catalog", res, b, nil)
+		if b.Fields != len(res.Clean.Records) {
+			t.Fatalf("%d videos: a node drew %d view fields, want the %d it reads", videos, b.Fields, len(res.Clean.Records))
+		}
 		cat, got := res.Catalog, b.Served
 		if !reflect.DeepEqual(got, cat.Served()) {
 			t.Fatalf("%d videos: served catalog collected from the streaming pass differs from the research catalog's", videos)

@@ -82,6 +82,7 @@ type Boot struct {
 	Served    *synth.Served // nil unless BootSynthetic was asked to keep it
 	Report    dataset.FilterReport
 	Aggregate *tagviews.Aggregate
+	Fields    int // videos whose view field BootSynthetic drew (0 from a file)
 }
 
 // BootSynthetic is FromSynthetic in one streaming pass: each video is
@@ -94,6 +95,11 @@ type Boot struct {
 // collects, from this same pass, what /v1/preload reads of each video
 // (never its ground truth) into Boot.Served — which refers to neither the
 // generator nor its vocabulary, so both are garbage once this returns.
+//
+// The generator draws the view field of only the videos the pass reads:
+// tagged, with a valid popularity vector, and carrying a tag owns admits.
+// A tagged valid video with no such tag is counted as the filter would
+// count it and adds to no sum, so it is not built either (DESIGN.md §2).
 func BootSynthetic(videos int, seed uint64, alexaCfg alexa.Config, owns func(tag string) bool, keepServed bool) (*Boot, error) {
 	cfg := synth.DefaultConfig(videos)
 	cfg.Seed = seed
@@ -101,28 +107,57 @@ func BootSynthetic(videos int, seed uint64, alexaCfg alexa.Config, owns func(tag
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: generate: %w", err)
 	}
-	defer gen.Close() // a visit error leaves it half drained
+	defer gen.Close()
 	cat := gen.Catalog()
+	// owned[id] is owns of tag id's name, asked once per vocabulary entry
+	// rather than once per tag per video; nil, like owns, is every tag.
+	var owned []bool
+	if owns != nil {
+		owned = make([]bool, cat.Vocab.N())
+		for id := range owned {
+			owned[id] = owns(cat.Vocab.Name(id))
+		}
+	}
+	ownsAny := func(tagIDs []int) bool {
+		if owned == nil {
+			return true
+		}
+		for _, id := range tagIDs {
+			if owned[id] {
+				return true
+			}
+		}
+		return false
+	}
+	gen.DrawReadFields(ownsAny)
 	var served *synth.Served
 	if keepServed {
 		served = cat.NewServed(cfg.Videos)
 	}
-	b, err := boot(cat.World, alexaCfg, owns, func(visit func(*dataset.Record) error) error {
+	fields := 0
+	b, err := boot(cat.World, alexaCfg, owns, func(p *pass) error {
 		var v synth.Video
 		var rec dataset.Record
 		for gen.Next(&v) {
 			if served != nil {
 				served.Add(&v)
 			}
-			cat.RecordInto(&rec, &v)
-			if err := visit(&rec); err != nil {
-				return err
+			if len(v.TrueViews) > 0 {
+				fields++
 			}
+			if v.PopState == synth.PopStateOK && len(v.TagIDs) > 0 && !ownsAny(v.TagIDs) {
+				// A tagged video's valid vector always densifies, so the
+				// filter would keep it, and no tag of it is summed here.
+				p.keepUnowned()
+				continue
+			}
+			cat.RecordInto(&rec, &v)
+			p.admit(&rec)
 		}
 		return nil
 	})
 	if err == nil {
-		b.Served = served
+		b.Served, b.Fields = served, fields
 	}
 	return b, err
 }
@@ -131,15 +166,41 @@ func BootSynthetic(videos int, seed uint64, alexaCfg alexa.Config, owns func(tag
 // file is decoded a line at a time and never held. A malformed line
 // fails the boot.
 func BootFile(path string, alexaCfg alexa.Config, owns func(tag string) bool) (*Boot, error) {
-	return boot(geo.DefaultWorld(), alexaCfg, owns, func(visit func(*dataset.Record) error) error {
-		return dataset.ScanFile(path, visit) // its errors name the file and the line
+	return boot(geo.DefaultWorld(), alexaCfg, owns, func(p *pass) error {
+		return dataset.ScanFile(path, func(rec *dataset.Record) error { // its errors name the file and the line
+			p.admit(rec)
+			return nil
+		})
 	})
 }
 
-// boot runs the non-retaining pass: each record the source hands to visit
-// is admitted (or counted as dropped) and aggregated before the source
-// produces the next, and is not kept.
-func boot(world *geo.World, alexaCfg alexa.Config, owns func(string) bool, source func(visit func(*dataset.Record) error) error) (*Boot, error) {
+// pass is the accounting of one non-retaining boot: each record its source
+// hands over is admitted (or counted as dropped) and aggregated before the
+// source produces the next, and is not kept.
+type pass struct {
+	world   *geo.World
+	report  *dataset.FilterReport
+	agg     *tagviews.Aggregator
+	scratch []int // the admitted record's dense vector
+}
+
+// admit runs rec through the §2 filter and adds it to the aggregate if kept.
+func (p *pass) admit(rec *dataset.Record) {
+	if pop, ok := p.report.Admit(p.world, rec, p.scratch); ok {
+		p.agg.Add(rec, pop)
+	}
+}
+
+// keepUnowned counts, without the record, one that admit would keep and
+// add to no tag of the slice: the report and the record count read as if
+// admit had seen it.
+func (p *pass) keepUnowned() {
+	p.report.CountKept()
+	p.agg.AddUnowned()
+}
+
+// boot runs the non-retaining pass over what source hands its pass.
+func boot(world *geo.World, alexaCfg alexa.Config, owns func(string) bool, source func(*pass) error) (*Boot, error) {
 	pyt, err := alexa.Estimate(world, alexaCfg)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: alexa: %w", err)
@@ -149,14 +210,7 @@ func boot(world *geo.World, alexaCfg alexa.Config, owns func(string) bool, sourc
 		return nil, fmt.Errorf("pipeline: analysis: %w", err)
 	}
 	b := &Boot{World: world}
-	scratch := make([]int, world.N())
-	err = source(func(rec *dataset.Record) error {
-		if pop, ok := b.Report.Admit(world, rec, scratch); ok {
-			agg.Add(rec, pop)
-		}
-		return nil
-	})
-	if err != nil {
+	if err := source(&pass{world: world, report: &b.Report, agg: agg, scratch: make([]int, world.N())}); err != nil {
 		return nil, err
 	}
 	b.Aggregate = agg.Finish()

@@ -167,6 +167,58 @@ func testGeneratorDrainsToGenerate(t *testing.T) {
 	}
 }
 
+// TestDrawReadFieldsSkipsOnlyUnread: a generator told which fields are
+// read hands out Generate's videos, each read one whole and every other
+// one without its ground truth (and, in PopStateOK, its vector) — the
+// skipped draws moved no stream, or the videos after the first skip would
+// differ.
+func TestDrawReadFieldsSkipsOnlyUnread(t *testing.T) {
+	cfg := DefaultConfig(3000)
+	want, err := Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, reads := range map[string]func([]int) bool{
+		"every tag":   func([]int) bool { return true },
+		"no tag":      func([]int) bool { return false },
+		"even leader": func(ids []int) bool { return ids[0]%2 == 0 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			g, err := NewGenerator(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			g.DrawReadFields(reads)
+			var v Video
+			drawn := 0
+			for i := 0; g.Next(&v); i++ {
+				w := &want.Videos[i]
+				read := len(w.TagIDs) > 0 && w.PopState == PopStateOK && reads(w.TagIDs)
+				if v.Index != w.Index || v.ID != w.ID || v.Title != w.Title || v.Upload != w.Upload ||
+					v.Category != w.Category || v.TotalViews != w.TotalViews || v.PopState != w.PopState ||
+					!sameInts(v.TagIDs, w.TagIDs) {
+					t.Fatalf("video %d = %+v, want %+v", i, v, *w)
+				}
+				switch {
+				case read:
+					drawn++
+					if !sameInts(v.TrueViews, w.TrueViews) || !sameInts(v.PopVector, w.PopVector) {
+						t.Fatalf("read video %d: field or vector differs from Generate's", i)
+					}
+				case len(v.TrueViews) != 0:
+					t.Fatalf("unread video %d carries a field", i)
+				case v.PopState == PopStateOK && len(v.PopVector) != 0:
+					t.Fatalf("unread video %d carries a vector", i)
+				case v.PopState != PopStateOK && !sameInts(v.PopVector, w.PopVector):
+					t.Fatalf("unread video %d in %v: vector %v, want %v", i, v.PopState, v.PopVector, w.PopVector)
+				}
+			}
+			t.Logf("%d of %d fields drawn", drawn, cfg.Videos)
+		})
+	}
+}
+
 // TestGeneratorCloseLeavesNoGoroutine: a generator abandoned part-way —
 // what a visit error does to a boot — is stopped and joined by Close, at
 // whatever point of a batch or of the ring it was left; Close is

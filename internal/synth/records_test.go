@@ -1,9 +1,11 @@
 package synth
 
 import (
+	"slices"
 	"testing"
 
 	"viewstags/internal/dataset"
+	"viewstags/internal/mapchart"
 )
 
 func TestRecordsMatchCatalog(t *testing.T) {
@@ -43,6 +45,38 @@ func TestRecordsFilteringMatchesPopStates(t *testing.T) {
 	}
 	if clean.Report.Untagged != s.Untagged {
 		t.Fatalf("untagged %d, want %d", clean.Report.Untagged, s.Untagged)
+	}
+}
+
+// TestTaggedOKVideosAreAdmitted pins the premise a streaming boot counts
+// an unread video on without building its record: every tagged video in
+// PopStateOK passes the §2 filter. Its views are positive and the world's
+// traffic is (geo TestTrafficStrictlyPositive), so its vector reaches the
+// chart's maximum somewhere and densifies.
+func TestTaggedOKVideosAreAdmitted(t *testing.T) {
+	cat, err := Generate(DefaultConfig(20000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec dataset.Record
+	var report dataset.FilterReport
+	tagged := 0
+	for i := range cat.Videos {
+		v := &cat.Videos[i]
+		if len(v.TagIDs) == 0 || v.PopState != PopStateOK {
+			continue
+		}
+		tagged++
+		if top := slices.Max(v.PopVector); top != mapchart.MaxIntensity {
+			t.Fatalf("video %d: Map-Chart maximum %d, want %d", i, top, mapchart.MaxIntensity)
+		}
+		cat.RecordInto(&rec, v)
+		if _, ok := report.Admit(cat.World, &rec, nil); !ok {
+			t.Fatalf("video %d, tagged and in PopStateOK, was dropped: %v", i, report)
+		}
+	}
+	if report.Kept != tagged || tagged < 10000 {
+		t.Fatalf("kept %d of %d tagged videos in PopStateOK", report.Kept, tagged)
 	}
 }
 

@@ -62,11 +62,13 @@ type Video struct {
 
 	// TrueViews is the ground-truth per-country view field (sums to
 	// TotalViews). The analysis pipeline never reads it; it exists to
-	// score reconstruction quality.
+	// score reconstruction quality. Empty for a video whose field its
+	// Generator was told nothing reads (DrawReadFields).
 	TrueViews []int64
 
 	// PopVector is the quantized 0..61 Map-Chart vector derived from
-	// TrueViews, or nil when PopState != PopStateOK.
+	// TrueViews, all zeros when PopState is PopStateCorrupt, and empty
+	// otherwise: PopStateEmpty, or a field not drawn.
 	PopVector []int
 	PopState  PopVectorState
 }
@@ -189,8 +191,8 @@ var youTubeCategories2011 = []string{
 	"Travel", "Nonprofit",
 }
 
-// Generate builds a catalog from cfg by draining a Generator into it. It
-// is deterministic in cfg.Seed.
+// Generate builds a catalog from cfg by draining a Generator into it,
+// every video's field drawn. It is deterministic in cfg.Seed.
 func Generate(cfg Config) (*Catalog, error) {
 	g, err := NewGenerator(cfg)
 	if err != nil {
@@ -224,7 +226,9 @@ type Generator struct {
 	prior   []float64
 	gravity [][]float64 // language-gravity vector per upload country
 
-	// Producer stage: its streams, and world-sized scratch.
+	// Producer stage: which fields it draws (DrawReadFields; nil = every
+	// one), its streams, and world-sized scratch.
+	reads                                      func(tagIDs []int) bool
 	uploadCat                                  *xrand.Categorical
 	viewSrc, tagSrc, geoSrc, pathSrc, titleSrc *xrand.Source
 	alpha, field, affinity                     []float64
@@ -264,7 +268,8 @@ type draft struct {
 	// live in this ring slot's own array, redrawn into by the slot's next
 	// video: Next copies them out and never hands the array on.
 	video Video
-	popU  float64 // the video's second pathology draw: which PopState
+	state PopVectorState // from the video's second pathology draw
+	drawn bool           // whether its field row holds a draw (DrawReadFields)
 }
 
 // batch is one hand-over of the ring.
@@ -336,6 +341,21 @@ func (g *Generator) Catalog() *Catalog {
 	return &Catalog{World: g.world, Vocab: g.voc, Config: g.cfg}
 }
 
+// DrawReadFields tells the generator which view fields its caller reads:
+// those of the tagged videos in PopStateOK whose tag ids reads accepts.
+// Every other video then comes out of Next with no TrueViews and, in
+// PopStateOK, no PopVector: its Dirichlet draw is skipped
+// (xrand.Source.SkipDirichlet), so every stream advances as before and
+// every other video is what it would have been. Without a call, every
+// field is drawn (Generate). reads runs on the producer stage; call this
+// before the first Next.
+func (g *Generator) DrawReadFields(reads func(tagIDs []int) bool) {
+	if g.stop != nil {
+		panic("synth: DrawReadFields after the first Next")
+	}
+	g.reads = reads
+}
+
 // Close stops the producer stage and waits for it to exit. It is
 // idempotent; after it Next returns false.
 func (g *Generator) Close() {
@@ -383,9 +403,10 @@ func (g *Generator) produce() {
 	}
 }
 
-// draft draws video index's draft into d and its view field into field,
-// consuming the upload, title, views, tag-set, pathology and geo streams
-// in the order the videos have always consumed them.
+// draft draws video index's draft into d and, when something reads it, its
+// view field into field, consuming the upload, title, views, tag-set,
+// pathology and geo streams in the order the videos have always consumed
+// them: each stream's own sequence of draws, video after video.
 func (g *Generator) draft(d *draft, field []float64, index int) {
 	cfg, voc := &g.cfg, g.voc
 	v := &d.video
@@ -407,6 +428,11 @@ func (g *Generator) draft(d *draft, field []float64, index int) {
 		v.TagIDs = voc.SampleTagSetInto(tagIDs, g.tagSrc, topic, cfg.TagSet)
 	}
 	v.Title = g.synthTitle(v)
+	// The second pathology draw decides whether the geo draw is made.
+	// pathSrc and geoSrc are separate streams read only here, so which of
+	// the two is drawn first does not change what either yields.
+	d.state = g.popState(g.pathSrc.Float64())
+	d.drawn = g.reads == nil || len(v.TagIDs) > 0 && d.state == PopStateOK && g.reads(v.TagIDs)
 
 	// Mixture mean over countries.
 	mean := mixtureMean(*cfg, g.prior, g.gravity[v.Upload], voc, v.TagIDs, g.field, g.affinity)
@@ -418,8 +444,11 @@ func (g *Generator) draft(d *draft, field []float64, index int) {
 		}
 		g.alpha[c] = a
 	}
-	g.geoSrc.Dirichlet(g.alpha, field)
-	d.popU = g.pathSrc.Float64()
+	if d.drawn {
+		g.geoSrc.Dirichlet(g.alpha, field)
+	} else {
+		g.geoSrc.SkipDirichlet(g.alpha)
+	}
 }
 
 // Next overwrites v with the next video and reports whether there was
@@ -429,7 +458,8 @@ func (g *Generator) draft(d *draft, field []float64, index int) {
 // that passes the same Video every time allocates none of the three, a
 // caller that passes a zero Video (Generate) gets slices it owns, which
 // nothing the generator does later writes to. Either way the RNG calls,
-// and so the videos, are the same.
+// and so the videos, are the same. A video whose field was not drawn
+// costs Next neither the spread nor the Map-Chart vector.
 func (g *Generator) Next(v *Video) bool {
 	if g.closed {
 		return false
@@ -454,15 +484,31 @@ func (g *Generator) Next(v *Video) bool {
 	tagIDs, trueViews, pop := v.TagIDs, v.TrueViews, v.PopVector
 	*v = d.video
 	v.TagIDs = append(tagIDs[:0], d.video.TagIDs...) // nil for an untagged video unless the caller lent an array
-	// Distribute the total across countries by the drawn field, exactly
-	// (counts sum to TotalViews).
-	if cap(trueViews) < n {
-		trueViews = make([]int64, n)
+	if d.drawn {
+		// Distribute the total across countries by the drawn field, exactly
+		// (counts sum to TotalViews).
+		if cap(trueViews) < n {
+			trueViews = make([]int64, n)
+		}
+		v.TrueViews = g.spread.Into(trueViews[:n], field, v.TotalViews)
+	} else {
+		v.TrueViews = trueViews[:0]
 	}
-	v.TrueViews = g.spread.Into(trueViews[:n], field, v.TotalViews)
 
-	g.assignPopVector(v, pop, d.popU)
+	g.assignPopVector(v, pop, d.state, d.drawn)
 	return true
+}
+
+// popState is the popularity-vector state u, a video's draw from the
+// pathology stream, gives.
+func (g *Generator) popState(u float64) PopVectorState {
+	switch {
+	case u < g.cfg.PopEmptyRate:
+		return PopStateEmpty
+	case u < g.cfg.PopEmptyRate+g.cfg.PopCorruptRate:
+		return PopStateCorrupt
+	}
+	return PopStateOK
 }
 
 // mixtureMean fills field with the normalized mixture of prior, gravity
@@ -524,14 +570,14 @@ func gravityVector(world *geo.World, upload geo.CountryID) []float64 {
 	return out
 }
 
-// assignPopVector computes the Map-Chart popularity vector from the
-// ground-truth views, or injects one of the paper's two popularity-vector
-// pathologies (empty map / corrupt vector). pop is the backing array to
-// reuse when it holds a country table's worth, u the video's draw from
-// the pathology stream.
-func (g *Generator) assignPopVector(v *Video, pop []int, u float64) {
-	if u < g.cfg.PopEmptyRate {
-		v.PopState = PopStateEmpty
+// assignPopVector sets v's popularity-vector state and computes its
+// Map-Chart vector from the ground-truth views, or injects one of the
+// paper's two popularity-vector pathologies (empty map / corrupt vector),
+// or — in PopStateOK with no field drawn — leaves it empty. pop is the
+// backing array to reuse when it holds a country table's worth.
+func (g *Generator) assignPopVector(v *Video, pop []int, state PopVectorState, drawn bool) {
+	v.PopState = state
+	if state == PopStateEmpty || state == PopStateOK && !drawn {
 		v.PopVector = pop[:0] // no vector; nil unless the caller lent an array
 		return
 	}
@@ -541,8 +587,7 @@ func (g *Generator) assignPopVector(v *Video, pop []int, u float64) {
 		pop = pop[:n]
 	}
 	v.PopVector = pop
-	if u < g.cfg.PopEmptyRate+g.cfg.PopCorruptRate {
-		v.PopState = PopStateCorrupt
+	if state == PopStateCorrupt {
 		// A corrupt vector is present but useless: the map rendered but
 		// carried no data ("incorrect popularity vector" in §2's terms),
 		// which densifies to all zeros downstream.
@@ -557,5 +602,4 @@ func (g *Generator) assignPopVector(v *Video, pop []int, u float64) {
 		panic("synth: intensity: " + err.Error())
 	}
 	mapchart.QuantizeInto(pop, g.intensity, mapchart.MaxIntensity)
-	v.PopState = PopStateOK
 }

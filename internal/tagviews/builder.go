@@ -40,17 +40,27 @@ func NewAggregator(world *geo.World, pyt []float64, owns func(name string) bool)
 }
 
 // Add folds one filtered record (with its dense popularity vector). A
-// record that fails reconstruction is counted and adds to no tag.
-// Neither rec nor pop is retained.
+// record that fails reconstruction, or carries no tag summed here, is
+// counted and adds to no tag; only the first is reconstructed. Neither rec
+// nor pop is retained.
 func (g *Aggregator) Add(rec *dataset.Record, pop []int) {
 	a := &g.agg
 	a.n++
+	// A record with no summed tag adds nothing, so it is not reconstructed.
+	// The fold starts at the first summed tag: owns is asked once a tag.
+	first := 0
+	for g.owns != nil && first < len(rec.Tags) && !g.owns(rec.Tags[first]) {
+		first++
+	}
+	if first == len(rec.Tags) {
+		return
+	}
 	field, err := reconstruct.ViewsFloatInto(g.field, pop, a.Pyt, float64(rec.TotalViews))
 	if err != nil {
 		return
 	}
-	for _, t := range rec.Tags {
-		if g.owns != nil && !g.owns(t) {
+	for i, t := range rec.Tags[first:] {
+		if i > 0 && g.owns != nil && !g.owns(t) {
 			continue
 		}
 		s := a.tags[t]
@@ -65,6 +75,11 @@ func (g *Aggregator) Add(rec *dataset.Record, pop []int) {
 		s.TotalViews += float64(rec.TotalViews)
 	}
 }
+
+// AddUnowned counts one filtered record none of whose tags is summed here,
+// as Add would, without the record: its producer knows the tags and need
+// not build the rest (pipeline.BootSynthetic on a shard).
+func (g *Aggregator) AddUnowned() { g.agg.n++ }
 
 // Finish seals the aggregator into its Aggregate — a copy, so holding it
 // does not hold the owns filter or the scratch. The aggregator must not

@@ -3,6 +3,7 @@ package tagviews
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -23,7 +24,8 @@ func TestBuilderMatchesBatchBuild(t *testing.T) {
 
 // TestAggregatorOwnsFilter: an owns filter drops tags, never records — the
 // slice's sums are bit for bit the whole aggregate's, and N stays the
-// corpus's.
+// corpus's. AddUnowned in place of Add for the records with no owned tag
+// changes nothing.
 func TestAggregatorOwnsFilter(t *testing.T) {
 	f := testFixture(t)
 	owns := func(tag string) bool { return len(tag)%2 == 0 }
@@ -31,10 +33,26 @@ func TestAggregatorOwnsFilter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	unowned, err := NewAggregator(f.cat.World, f.pyt, owns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	skipped := 0
 	for i := range f.clean.Records {
-		g.Add(&f.clean.Records[i], f.clean.Pop[i])
+		rec := &f.clean.Records[i]
+		g.Add(rec, f.clean.Pop[i])
+		if slices.ContainsFunc(rec.Tags, owns) {
+			unowned.Add(rec, f.clean.Pop[i])
+		} else {
+			unowned.AddUnowned()
+			skipped++
+		}
 	}
 	got := g.Finish()
+	if skipped == 0 {
+		t.Fatal("every record carries an owned tag: AddUnowned went unexercised")
+	}
+	assertAggregatesEqual(t, got, unowned.Finish(), 0)
 	if got.N() != f.an.N() {
 		t.Fatalf("N = %d, want the corpus's %d", got.N(), f.an.N())
 	}

@@ -92,16 +92,30 @@ func (s *Source) NormFloat64() float64 {
 // Gamma returns a Gamma(shape, 1) deviate using the Marsaglia–Tsang
 // method (2000). shape must be > 0.
 func (s *Source) Gamma(shape float64) float64 {
+	g, boost := s.gammaDraws(shape)
+	if shape < 1 {
+		// Boost: Gamma(a) = Gamma(a+1) * U^{1/a}.
+		return g * math.Pow(boost, 1/shape)
+	}
+	return g
+}
+
+// gammaDraws consumes every uniform Gamma(shape) does, in its order: for a
+// sub-unit shape the boost uniform U (redrawn while 0), then the
+// Marsaglia–Tsang accept/reject loop at shape (or shape+1 when boosted).
+// It returns the loop's deviate and U (0 without a boost). Gamma and
+// SkipDirichlet both draw through it, so the two consume equal streams by
+// construction.
+func (s *Source) gammaDraws(shape float64) (g, boost float64) {
 	if shape <= 0 {
 		panic("xrand: Gamma called with non-positive shape")
 	}
 	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^{1/a}.
-		u := s.Float64()
-		for u == 0 {
-			u = s.Float64()
+		boost = s.Float64()
+		for boost == 0 {
+			boost = s.Float64()
 		}
-		return s.Gamma(shape+1) * math.Pow(u, 1/shape)
+		shape++
 	}
 	d := shape - 1.0/3.0
 	c := 1.0 / math.Sqrt(9*d)
@@ -117,11 +131,22 @@ func (s *Source) Gamma(shape float64) float64 {
 			continue
 		}
 		if u < 1-0.0331*x*x*x*x {
-			return d * v
+			return d * v, boost
 		}
 		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
+			return d * v, boost
 		}
+	}
+}
+
+// SkipDirichlet advances s past a Dirichlet(alpha, out) draw without
+// computing it: the same uniforms in the same order (each component's
+// boost uniform and accept/reject loop), but no boost power, product or
+// normalisation. For a caller whose draw nothing reads, so the stream's
+// later draws stay where they were.
+func (s *Source) SkipDirichlet(alpha []float64) {
+	for _, a := range alpha {
+		s.gammaDraws(a)
 	}
 }
 

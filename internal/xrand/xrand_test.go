@@ -1,6 +1,7 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -316,6 +317,91 @@ func TestBernoulliFrequency(t *testing.T) {
 	if s.Bernoulli(0) {
 		t.Fatal("Bernoulli(0) fired")
 	}
+}
+
+// skipAlpha maps bytes to a concentration vector over the shapes that
+// take different paths through Gamma: the generator's 1e-4 clamp, other
+// sub-unit shapes (boosted), exactly 1 (the smallest unboosted), shapes
+// in (1, 17), and large ones up to 1e4.
+func skipAlpha(b []byte) []float64 {
+	out := make([]float64, len(b))
+	for i, x := range b {
+		f := float64(x) / 256
+		switch x % 5 {
+		case 0:
+			out[i] = 1e-4
+		case 1:
+			out[i] = 1e-4 + f*(1-1e-4)
+		case 2:
+			out[i] = 1
+		case 3:
+			out[i] = 1 + 16*f
+		default:
+			out[i] = 120 + 1e4*f
+		}
+	}
+	return out
+}
+
+// checkSkipDirichlet draws rounds Dirichlet(alpha) from one Source and
+// skips them on an equal one: the two must stay in step after every
+// round, in state and so in every later draw.
+func checkSkipDirichlet(t *testing.T, seed uint64, alpha []float64, rounds int) {
+	t.Helper()
+	draw, skip := NewSource(seed), NewSource(seed)
+	out := make([]float64, len(alpha))
+	for r := 0; r < rounds; r++ {
+		draw.Dirichlet(alpha, out)
+		skip.SkipDirichlet(alpha)
+		if *draw != *skip {
+			t.Fatalf("seed %d, alpha %v, round %d: the skip and the draw consumed different numbers of uniforms", seed, alpha, r)
+		}
+	}
+	if draw.Uint64() != skip.Uint64() {
+		t.Fatalf("seed %d, alpha %v: equal states drew different uniforms", seed, alpha)
+	}
+}
+
+// TestSkipDirichletMatchesDraw: SkipDirichlet consumes exactly the
+// uniforms Dirichlet does, for each kind of shape alone and mixed — the
+// generator's 61-country vectors are mostly clamped and sub-unit shapes
+// with a few large ones.
+func TestSkipDirichletMatchesDraw(t *testing.T) {
+	generatorLike := make([]float64, 61)
+	for i := range generatorLike {
+		generatorLike[i] = 1e-4
+	}
+	generatorLike[3], generatorLike[17], generatorLike[40] = 0.37, 2.9, 84
+	for name, alpha := range map[string][]float64{
+		"clamp":          {1e-4, 1e-4, 1e-4},
+		"sub-unit":       {0.001, 0.2, 0.5, 0.999999},
+		"one":            {1, 1, 1, 1},
+		"large":          {1.0000001, 7.5, 120, 1e4},
+		"mixed":          {1e-4, 0.3, 1, 2.5, 120, 1e-4, 1},
+		"single":         {0.05},
+		"generator-like": generatorLike,
+	} {
+		for _, seed := range []uint64{0, 1, 20110301, 1 << 63} {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
+				checkSkipDirichlet(t, seed, alpha, 200)
+			})
+		}
+	}
+}
+
+func FuzzSkipDirichlet(f *testing.F) {
+	f.Add(uint64(1), []byte{0, 1, 2, 3, 4})
+	f.Add(uint64(2), []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint64(3), []byte{1, 6, 11, 16, 251})
+	f.Add(uint64(4), []byte{2, 7, 12})
+	f.Add(uint64(5), []byte{4, 9, 14, 255})
+	f.Add(uint64(20110301), []byte{0, 0, 0, 3, 0, 0, 1, 0, 4, 0, 0, 0, 2})
+	f.Fuzz(func(t *testing.T, seed uint64, b []byte) {
+		if len(b) > 256 {
+			b = b[:256]
+		}
+		checkSkipDirichlet(t, seed, skipAlpha(b), 4)
+	})
 }
 
 func TestDirichletPanicsOnMismatch(t *testing.T) {
