@@ -123,6 +123,107 @@ func testSnapshotData() profilestore.SnapshotData {
 	}
 }
 
+// TestCheckpointGoldenBytes pins the checkpoint layout byte for byte: a
+// durable shard restarted on a new binary reads the file an old one
+// wrote, so a layout change must fail here, not at recovery.
+func TestCheckpointGoldenBytes(t *testing.T) {
+	want := []byte{
+		'V', 'T', 'C', 'K', 'P', 'T', '0', '1', // magic
+		3, 0, 0, 0, 0, 0, 0, 0, // gen u64
+		2, 0, 0, 0, 0, 0, 0, 0, // epoch u64
+		7, 0, 0, 0, 0, 0, 0, 0, // records u64
+		3,           // nCodes uvarint
+		2, 'B', 'R', // codes
+		2, 'U', 'S',
+		2, 'J', 'P',
+		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xc9, 0x3f, // prior 0.2
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // prior 0.5
+		0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, // prior 0.3
+		2,                               // nTags uvarint
+		6, 'f', 'a', 'v', 'e', 'l', 'a', // profile 0: name
+		3,                                              // videos uvarint
+		0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x92, 0x40, // total views 1200
+		2,                                              // spread varint 1
+		0,                                              // top country varint 0
+		0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xec, 0x3f, // top share 0.9
+		3, 'p', 'o', 'p', // profile 1: name
+		5,                                              // videos
+		0x00, 0x00, 0x00, 0x00, 0x88, 0x2a, 0x61, 0x41, // total views 9e6
+		6,                                              // spread varint 3
+		2,                                              // top country varint 1
+		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f, // top share 0.4
+		0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xec, 0x3f, // vec 0: 0.9
+		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, //        0.05
+		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, //        0.05
+		0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, // vec 1: 0.3
+		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f, //        0.4
+		0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, //        0.3
+		0x34, 0x19, 0x66, 0x1d, // crc32 of everything after the magic
+	}
+	if sum := crc32.ChecksumIEEE(want[8 : len(want)-4]); binary.LittleEndian.Uint32(want[len(want)-4:]) != sum {
+		t.Fatalf("golden trailer is not the payload's CRC %08x", sum)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, CheckpointMeta{Gen: 3, Epoch: 2}, testSnapshotData()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("checkpoint bytes mismatch:\n got % x\nwant % x", buf.Bytes(), want)
+	}
+	meta, data, err := ReadSnapshot(bytes.NewReader(want))
+	if err != nil || meta != (CheckpointMeta{Gen: 3, Epoch: 2}) || data.Records != 7 || len(data.Profiles) != 2 || data.Vecs[1][1] != 0.4 {
+		t.Fatalf("golden checkpoint decoded as %+v %+v (%v)", meta, data, err)
+	}
+}
+
+// TestWALRecordGoldenBytes pins one journal frame byte for byte: two
+// events, one of them an upload, a two-byte country varint, and two
+// upload announcements.
+func TestWALRecordGoldenBytes(t *testing.T) {
+	events := []ingest.Event{
+		{Video: "v1", Tags: []string{"favela", "samba"}, Country: 3, Views: 12, Upload: true},
+		{Video: "v2", Tags: []string{"pop"}, Country: 200, Views: 0.5},
+	}
+	uploads := []string{"v1", "v3"}
+	want := []byte{
+		0x3e, 0, 0, 0, // payload length u32: 62
+		0x3a, 0x89, 0x59, 0x72, // crc32(payload) u32
+		9, 0, 0, 0, 0, 0, 0, 0, // gen u64
+		2,           // nEvents uvarint
+		2, 'v', '1', // event 0: video
+		2,                               // nTags
+		6, 'f', 'a', 'v', 'e', 'l', 'a', // tags
+		5, 's', 'a', 'm', 'b', 'a',
+		3,                                              // country uvarint
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28, 0x40, // views 12
+		1,           // upload
+		2, 'v', '2', // event 1: video
+		1,                // nTags
+		3, 'p', 'o', 'p', // tag
+		0xc8, 0x01, // country uvarint 200
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // views 0.5
+		0,           // no upload
+		2,           // nUploads uvarint
+		2, 'v', '1', // uploads
+		2, 'v', '3',
+	}
+	if sum := crc32.ChecksumIEEE(want[8:]); binary.LittleEndian.Uint32(want[4:8]) != sum || int(want[0]) != len(want)-8 {
+		t.Fatalf("golden header is not the payload's length and CRC %08x", sum)
+	}
+	var buf bytes.Buffer
+	if err := encodeRecord(&buf, 9, events, uploads); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("WAL frame bytes mismatch:\n got % x\nwant % x", buf.Bytes(), want)
+	}
+	rec, size, err := readRecord(bufio.NewReader(bytes.NewReader(want)))
+	if err != nil || size != int64(len(want)) || rec.gen != 9 || len(rec.events) != 2 || rec.events[1].Country != 200 ||
+		!rec.events[0].Upload || rec.events[0].Tags[1] != "samba" || len(rec.uploads) != 2 || rec.uploads[1] != "v3" {
+		t.Fatalf("golden frame decoded as %+v, size %d (%v)", rec, size, err)
+	}
+}
+
 func FuzzReadSnapshot(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, CheckpointMeta{Gen: 3, Epoch: 2}, testSnapshotData()); err != nil {
