@@ -31,7 +31,7 @@ import (
 	"viewstags/internal/tagviews"
 )
 
-var updateTelemetry = flag.Bool("update", false, "rewrite testdata/telemetry from the daemons' current surfaces")
+var update = flag.Bool("update", false, "rewrite the pinned files under testdata (telemetry/, lines.txt) from the current tree")
 
 // startDurableNode is a standalone node as cmd/serve wires one with
 // -data-dir: ingest journaled to a persist.Manager, a checkpoint after
@@ -228,7 +228,7 @@ func checkPinned(t *testing.T, file string, got map[string]bool) {
 	}
 	sort.Strings(lines)
 	path := filepath.Join("testdata", "telemetry", file)
-	if *updateTelemetry {
+	if *update {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
