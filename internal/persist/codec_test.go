@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"testing"
 
+	"viewstags/internal/bincodec"
 	"viewstags/internal/ingest"
 	"viewstags/internal/profilestore"
 )
@@ -31,29 +32,27 @@ func decodeAllocBound(n int) uint64 { return 256<<10 + 64*uint64(n) }
 // bytes one takes (20), and none of the nProfiles×nCodes vector entries
 // the counts promise.
 func truncatedCheckpoint(nCodes, nProfiles int) []byte {
-	var buf bytes.Buffer
-	buf.Write(ckptMagic)
-	e := &enc{w: &buf}
-	e.u64(1)  // gen
-	e.u64(1)  // epoch
-	e.u64(10) // records
-	e.uvarint(uint64(nCodes))
+	e := bincodec.Writer{B: bytes.Clone(ckptMagic)}
+	e.U64(1)  // gen
+	e.U64(1)  // epoch
+	e.U64(10) // records
+	e.Uvarint(uint64(nCodes))
 	for i := 0; i < nCodes; i++ {
-		e.str("")
+		e.Str("")
 	}
 	for i := 0; i < nCodes; i++ {
-		e.f64(0)
+		e.F64(0)
 	}
-	e.uvarint(uint64(nProfiles))
+	e.Uvarint(uint64(nProfiles))
 	for i := 0; i < nProfiles; i++ {
-		e.str("")
-		e.uvarint(0)
-		e.f64(0)
-		e.varint(0)
-		e.varint(0)
-		e.f64(0)
+		e.Str("")
+		e.Uvarint(0)
+		e.F64(0)
+		e.Varint(0)
+		e.Varint(0)
+		e.F64(0)
 	}
-	return buf.Bytes()
+	return e.B
 }
 
 // frame wraps payload in a WAL frame header with a valid CRC.
@@ -81,11 +80,10 @@ func TestDecodeAllocatesWhatArrives(t *testing.T) {
 		}
 	})
 	t.Run("wal-frame", func(t *testing.T) {
-		var payload bytes.Buffer
-		e := &enc{w: &payload}
-		e.u64(1)           // gen
-		e.uvarint(1 << 26) // events claimed: the frame ends here, 20 bytes
-		raw := frame(payload.Bytes())
+		var e bincodec.Writer
+		e.U64(1)           // gen
+		e.Uvarint(1 << 26) // events claimed: the frame ends here, 20 bytes
+		raw := frame(e.B)
 		var err error
 		n := allocated(func() { _, _, err = readRecord(bufio.NewReader(bytes.NewReader(raw))) })
 		if err == nil || err == errTorn {
@@ -222,6 +220,36 @@ func TestWALRecordGoldenBytes(t *testing.T) {
 		!rec.events[0].Upload || rec.events[0].Tags[1] != "samba" || len(rec.uploads) != 2 || rec.uploads[1] != "v3" {
 		t.Fatalf("golden frame decoded as %+v, size %d (%v)", rec, size, err)
 	}
+}
+
+// TestDiskDecodersRefuseNonCanonicalCounts: a count spelled with more
+// bytes than its value needs is no encoder's output, so the disk decoders
+// refuse it as the wire does, even inside a valid CRC.
+func TestDiskDecodersRefuseNonCanonicalCounts(t *testing.T) {
+	t.Run("wal-event-count", func(t *testing.T) {
+		// gen 1, events 0x80 0x00 (zero in two bytes), no uploads.
+		raw := frame([]byte{1, 0, 0, 0, 0, 0, 0, 0, 0x80, 0x00, 0})
+		if _, _, err := readRecord(bufio.NewReader(bytes.NewReader(raw))); err == nil || err == errTorn {
+			t.Fatalf("readRecord of a frame whose event count is 0x80 0x00: err %v, want a decode error", err)
+		}
+	})
+	t.Run("checkpoint-country-count", func(t *testing.T) {
+		// The three-country checkpoint with its country count spelled
+		// 0x83 0x00, and a CRC that covers the new spelling.
+		var good bytes.Buffer
+		if err := WriteSnapshot(&good, CheckpointMeta{Gen: 3, Epoch: 2}, testSnapshotData()); err != nil {
+			t.Fatal(err)
+		}
+		at := len(ckptMagic) + 3*8
+		if good.Bytes()[at] != 3 {
+			t.Fatalf("country count byte %#x, want 3", good.Bytes()[at])
+		}
+		raw := append(append(bytes.Clone(good.Bytes()[:at]), 0x83, 0x00), good.Bytes()[at+1:good.Len()-4]...)
+		raw = binary.LittleEndian.AppendUint32(raw, crc32.ChecksumIEEE(raw[len(ckptMagic):]))
+		if _, _, err := ReadSnapshot(bytes.NewReader(raw)); err == nil {
+			t.Fatal("ReadSnapshot accepted a country count spelled 0x83 0x00")
+		}
+	})
 }
 
 func FuzzReadSnapshot(f *testing.F) {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"viewstags/internal/alexa"
+	"viewstags/internal/bincodec"
 	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
 	"viewstags/internal/pipeline"
@@ -672,22 +673,17 @@ func BenchmarkWALAppend(b *testing.B) {
 // fall-back-to-older-checkpoint depends on corrupt files erroring, not
 // OOM-killing the daemon.
 func TestReadSnapshotCorruptCountsErrorNotOOM(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write(ckptMagic)
-	e := &enc{w: &buf}
-	e.u64(1)     // gen
-	e.u64(1)     // epoch
-	e.u64(10)    // records
-	e.uvarint(1) // one country
-	e.str("US")
-	e.f64(1.0)             // prior
-	e.uvarint(200_000_000) // claimed tag count, no data behind it
-	if e.err != nil {
-		t.Fatal(e.err)
-	}
+	e := bincodec.Writer{B: bytes.Clone(ckptMagic)}
+	e.U64(1)     // gen
+	e.U64(1)     // epoch
+	e.U64(10)    // records
+	e.Uvarint(1) // one country
+	e.Str("US")
+	e.F64(1.0)             // prior
+	e.Uvarint(200_000_000) // claimed tag count, no data behind it
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+		_, _, err := ReadSnapshot(bytes.NewReader(e.B))
 		done <- err
 	}()
 	select {

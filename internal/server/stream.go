@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +16,7 @@ import (
 	"sync"
 	"time"
 
+	"viewstags/internal/bincodec"
 	"viewstags/internal/obs"
 )
 
@@ -106,32 +106,16 @@ func AppendStreamRequest(dst []byte, r *StreamRequest) ([]byte, error) {
 	if n > MaxStreamFrame {
 		return dst, frameErrorf("%d bytes exceed the limit %d", n, MaxStreamFrame)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = binary.LittleEndian.AppendUint64(dst, r.ID)
-	dst = append(dst, byte(len(r.Path)))
-	dst = append(dst, r.Path...)
-	dst = append(dst, byte(len(r.ContentType)))
-	dst = append(dst, r.ContentType...)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(r.RequestID)))
-	dst = append(dst, r.RequestID...)
-	return append(dst, r.Body...), nil
-}
-
-// streamField cuts one field off the front of data: a little-endian
-// length of lenBytes bytes, then that many bytes.
-func streamField(data []byte, lenBytes int) (field, rest []byte, err error) {
-	if len(data) < lenBytes {
-		return nil, nil, frameErrorf("truncated envelope")
-	}
-	n := int(data[0])
-	if lenBytes == 2 {
-		n = int(binary.LittleEndian.Uint16(data))
-	}
-	data = data[lenBytes:]
-	if n > len(data) {
-		return nil, nil, frameErrorf("truncated envelope")
-	}
-	return data[:n], data[n:], nil
+	w := bincodec.Writer{B: dst}
+	w.U32(uint32(n))
+	w.U64(r.ID)
+	w.U8(byte(len(r.Path)))
+	w.B = append(w.B, r.Path...)
+	w.U8(byte(len(r.ContentType)))
+	w.B = append(w.B, r.ContentType...)
+	w.U16(uint16(len(r.RequestID)))
+	w.B = append(w.B, r.RequestID...)
+	return append(w.B, r.Body...), nil
 }
 
 // intern returns the shared copy of b when it is one of known — the
@@ -152,18 +136,13 @@ func DecodeStreamRequest(data []byte, r *StreamRequest) error {
 	if len(data) < streamReqFixed || len(data) > MaxStreamFrame {
 		return frameErrorf("%d bytes is no request envelope", len(data))
 	}
-	r.ID = binary.LittleEndian.Uint64(data)
-	path, data, err := streamField(data[8:], 1)
-	if err != nil {
-		return err
-	}
-	ct, data, err := streamField(data, 1)
-	if err != nil {
-		return err
-	}
-	rid, data, err := streamField(data, 2)
-	if err != nil {
-		return err
+	d := bincodec.NewReader(data)
+	r.ID = d.U64()
+	path := d.Bytes(int(d.U8()))
+	ct := d.Bytes(int(d.U8()))
+	rid := d.Bytes(int(d.U16()))
+	if err := d.Err(); err != nil {
+		return frameErrorf("%v", err)
 	}
 	i := slices.IndexFunc(streamable, func(rt streamRoute) bool { return rt.path == string(path) })
 	if i < 0 {
@@ -175,7 +154,7 @@ func DecodeStreamRequest(data []byte, r *StreamRequest) error {
 	r.Path, r.parent = streamable[i].path, streamable[i].parent
 	r.ContentType = intern(ct, WireContentType, jsonContentType)
 	r.RequestID = string(rid)
-	r.Body = data
+	r.Body = d.Rest()
 	return nil
 }
 
@@ -189,12 +168,13 @@ func AppendStreamReply(dst []byte, r *StreamReply) ([]byte, error) {
 	if n > MaxStreamFrame {
 		return dst, frameErrorf("%d bytes exceed the limit %d", n, MaxStreamFrame)
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
-	dst = binary.LittleEndian.AppendUint64(dst, r.ID)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Status))
-	dst = append(dst, byte(len(r.RetryAfter)))
-	dst = append(dst, r.RetryAfter...)
-	return append(dst, r.Body...), nil
+	w := bincodec.Writer{B: dst}
+	w.U32(uint32(n))
+	w.U64(r.ID)
+	w.U16(uint16(r.Status))
+	w.U8(byte(len(r.RetryAfter)))
+	w.B = append(w.B, r.RetryAfter...)
+	return append(w.B, r.Body...), nil
 }
 
 // DecodeStreamReply parses one reply frame (the bytes after the length
@@ -203,17 +183,18 @@ func DecodeStreamReply(data []byte, r *StreamReply) error {
 	if len(data) < streamReplyFixed || len(data) > MaxStreamFrame {
 		return frameErrorf("%d bytes is no reply envelope", len(data))
 	}
-	r.ID = binary.LittleEndian.Uint64(data)
-	r.Status = int(binary.LittleEndian.Uint16(data[8:]))
+	d := bincodec.NewReader(data)
+	r.ID = d.U64()
+	r.Status = int(d.U16())
 	if r.Status < 100 || r.Status > 999 {
 		return frameErrorf("status %d", r.Status)
 	}
-	ra, body, err := streamField(data[10:], 1)
-	if err != nil {
-		return err
+	ra := d.Bytes(int(d.U8()))
+	if err := d.Err(); err != nil {
+		return frameErrorf("%v", err)
 	}
 	r.RetryAfter = string(ra)
-	r.Body = body
+	r.Body = d.Rest()
 	return nil
 }
 
@@ -225,7 +206,8 @@ func ReadStreamFrameLen(r io.Reader) (int, error) {
 	if _, err := io.ReadFull(r, p[:]); err != nil {
 		return 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(p[:]))
+	d := bincodec.NewReader(p[:])
+	n := int(d.U32())
 	if n > MaxStreamFrame {
 		return 0, frameErrorf("length %d exceeds the limit %d", n, MaxStreamFrame)
 	}

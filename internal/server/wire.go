@@ -2,13 +2,11 @@ package server
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"math/bits"
 	"sync"
 
+	"viewstags/internal/bincodec"
 	"viewstags/internal/tagviews"
 )
 
@@ -17,11 +15,10 @@ import (
 // takes. JSON would render a world-sized float64 vector as hundreds of
 // bytes of number text per item per shard; at fan-out rates that
 // encode/decode dominated the whole scatter-gather (see EXPERIMENTS.md
-// "Fast internal wire"). The binary frame keeps the persist package's
-// conventions — an 8-byte magic whose trailing digits version the
-// layout, little-endian fixed-width primitives, uvarint counts, raw
-// float64 bit-pattern slabs, an optional CRC-32 (IEEE) trailer — so a
-// layout change is a new magic, not a silent misparse.
+// "Fast internal wire"). Its primitives and their bounds rules are
+// internal/bincodec's, the ones the checkpoint and the WAL are written
+// with; an 8-byte magic whose trailing digits version the layout makes a
+// layout change a new magic, not a silent misparse.
 //
 // A gateway POSTs /internal/predict with WireContentType and the shard
 // answers in kind; any other content type is refused with a 415.
@@ -73,148 +70,21 @@ var (
 // a shard's decoder mid-fan-out.
 const MaxTagLen = 1 << 16
 
-// wireMaxCountries is the decode-time sanity bound on the claimed
-// country-table width, mirroring internal/persist: a corrupt count
-// must error, not allocate the size of the corruption. Per-frame
-// totals are additionally bounded by remaining input bytes.
-const wireMaxCountries = 1 << 16
-
-// wireWriter appends primitives to a byte slice.
-type wireWriter struct {
-	b []byte
-}
-
-func (w *wireWriter) u8(v byte)        { w.b = append(w.b, v) }
-func (w *wireWriter) u32(v uint32)     { w.b = binary.LittleEndian.AppendUint32(w.b, v) }
-func (w *wireWriter) u64(v uint64)     { w.b = binary.LittleEndian.AppendUint64(w.b, v) }
-func (w *wireWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *wireWriter) f64(v float64)    { w.u64(math.Float64bits(v)) }
-func (w *wireWriter) str(s string)     { w.uvarint(uint64(len(s))); w.b = append(w.b, s...) }
-
-// finish appends the CRC trailer (over everything after the flags byte)
-// when the frame's flags request one.
-func (w *wireWriter) finish(magicLen int, crc bool) []byte {
-	if crc {
-		w.u32(crc32.ChecksumIEEE(w.b[magicLen+1 : len(w.b)]))
-	}
-	return w.b
-}
-
-// wireReader consumes primitives from a byte slice with sticky errors.
-type wireReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-var errWireTruncated = fmt.Errorf("server: truncated binary frame")
-
-func (r *wireReader) fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
-func (r *wireReader) remaining() int { return len(r.b) - r.off }
-
-func (r *wireReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 1 {
-		r.fail(errWireTruncated)
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *wireReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.remaining() < 8 {
-		r.fail(errWireTruncated)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *wireReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail(errWireTruncated)
-		return 0
-	}
-	// The encoder only ever emits minimal varints; insisting on them
-	// here keeps the codec bijective (one value, one encoding), so a
-	// frame that decodes always re-encodes byte-identically.
-	minLen := 1
-	if v > 0 {
-		minLen = (bits.Len64(v) + 6) / 7
-	}
-	if n != minLen {
-		r.fail(fmt.Errorf("server: binary frame varint is non-canonical (%d bytes for %d)", n, v))
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *wireReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *wireReader) str(maxLen int) string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(maxLen) || n > uint64(r.remaining()) {
-		r.fail(fmt.Errorf("server: binary frame string length %d exceeds bound", n))
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
 // checkHeader consumes magic + flags, verifying the CRC trailer (and
-// trimming it off) when the flags announce one. allowed is the mask of
+// cutting it off) when the flags announce one. allowed is the mask of
 // flag bits this frame kind may carry. Returns the flags byte.
-func (r *wireReader) checkHeader(magic []byte, allowed byte) byte {
-	if r.remaining() < len(magic)+1 {
-		r.fail(errWireTruncated)
-		return 0
+func checkHeader(r *bincodec.Reader, magic []byte, allowed byte) byte {
+	if got := r.Bytes(len(magic)); r.Err() == nil && !bytes.Equal(got, magic) {
+		r.Fail(fmt.Errorf("server: not a binary predict frame (magic %q)", got))
 	}
-	if !bytes.Equal(r.b[:len(magic)], magic) {
-		r.fail(fmt.Errorf("server: not a binary predict frame (magic %q)", r.b[:len(magic)]))
-		return 0
-	}
-	r.off = len(magic)
-	flags := r.u8()
+	flags := r.U8()
 	if flags&^allowed != 0 {
 		// Unknown flag bits mean a frame from a future layout this
 		// decoder cannot honor; refusing beats silently misparsing.
-		r.fail(fmt.Errorf("server: binary frame flags %#02x carry unknown bits", flags))
-		return 0
+		r.Fail(fmt.Errorf("server: binary frame flags %#02x carry unknown bits", flags))
 	}
 	if flags&wireFlagCRC != 0 {
-		if r.remaining() < 4 {
-			r.fail(errWireTruncated)
-			return 0
-		}
-		body := r.b[r.off : len(r.b)-4]
-		stored := binary.LittleEndian.Uint32(r.b[len(r.b)-4:])
-		if sum := crc32.ChecksumIEEE(body); sum != stored {
-			r.fail(fmt.Errorf("server: binary frame checksum mismatch (stored %08x, computed %08x)", stored, sum))
-			return 0
-		}
-		r.b = r.b[:len(r.b)-4]
+		r.CutCRC()
 	}
 	return flags
 }
@@ -233,7 +103,8 @@ func AppendPredictRequest(dst []byte, items [][]string, weighting tagviews.Weigh
 // shared ring alone — which of its replicated tags it serves on this
 // request. An empty list encodes the exact pre-replication frame.
 func AppendPredictRequestExclude(dst []byte, items [][]string, weighting tagviews.Weighting, exclude []int, crc bool) []byte {
-	w := wireWriter{b: append(dst, wireReqMagic...)}
+	start := len(dst)
+	w := bincodec.Writer{B: append(dst, wireReqMagic...)}
 	var flags byte
 	if crc {
 		flags |= wireFlagCRC
@@ -241,22 +112,25 @@ func AppendPredictRequestExclude(dst []byte, items [][]string, weighting tagview
 	if len(exclude) > 0 {
 		flags |= wireFlagExclude
 	}
-	w.u8(flags)
-	w.u8(byte(weighting))
+	w.U8(flags)
+	w.U8(byte(weighting))
 	if len(exclude) > 0 {
-		w.uvarint(uint64(len(exclude)))
+		w.Uvarint(uint64(len(exclude)))
 		for _, s := range exclude {
-			w.uvarint(uint64(s))
+			w.Uvarint(uint64(s))
 		}
 	}
-	w.uvarint(uint64(len(items)))
+	w.Uvarint(uint64(len(items)))
 	for _, tags := range items {
-		w.uvarint(uint64(len(tags)))
+		w.Uvarint(uint64(len(tags)))
 		for _, t := range tags {
-			w.str(t)
+			w.Str(t)
 		}
 	}
-	return w.finish(len(wireReqMagic), crc)
+	if crc {
+		w.CRC(start + len(wireReqMagic) + 1)
+	}
+	return w.B
 }
 
 // DecodePredictRequest parses a frame written by AppendPredictRequest.
@@ -272,57 +146,33 @@ func DecodePredictRequest(data []byte) (items [][]string, weighting tagviews.Wei
 // decodePredictRequestExclude is DecodePredictRequest plus the frame's
 // shard exclusion list (nil when the flag is absent).
 func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagviews.Weighting, exclude []int, crc bool, err error) {
-	r := wireReader{b: data}
-	flags := r.checkHeader(wireReqMagic, wireFlagCRC|wireFlagExclude)
-	weighting = tagviews.Weighting(r.u8())
-	if r.err == nil {
+	r := bincodec.NewReader(data)
+	flags := checkHeader(&r, wireReqMagic, wireFlagCRC|wireFlagExclude)
+	weighting = tagviews.Weighting(r.U8())
+	if r.Err() == nil {
 		switch weighting {
 		case tagviews.WeightUniform, tagviews.WeightByViews, tagviews.WeightIDF:
 		default:
-			r.fail(fmt.Errorf("server: binary frame weighting byte %d invalid", weighting))
+			r.Fail(fmt.Errorf("server: binary frame weighting byte %d invalid", weighting))
 		}
 	}
-	if flags&wireFlagExclude != 0 && r.err == nil {
-		nExcl := r.uvarint()
-		if r.err == nil && nExcl > uint64(r.remaining()) {
-			r.fail(fmt.Errorf("server: binary frame exclude count %d exceeds bound", nExcl))
-		}
-		if r.err == nil {
-			exclude = make([]int, nExcl)
-			for i := range exclude {
-				exclude[i] = int(r.uvarint())
-			}
+	if flags&wireFlagExclude != 0 {
+		exclude = make([]int, r.Count("exclude", math.MaxInt, 1))
+		for i := range exclude {
+			exclude[i] = int(r.Uvarint())
 		}
 	}
-	nItems := r.uvarint()
-	// Every item costs at least one byte on the wire, so the remaining
-	// length bounds the count before anything is allocated.
-	if r.err == nil && nItems > uint64(r.remaining()) {
-		r.fail(fmt.Errorf("server: binary frame item count %d exceeds bound", nItems))
-	}
-	if r.err == nil {
-		items = make([][]string, nItems)
-		for i := range items {
-			nTags := r.uvarint()
-			if r.err != nil {
-				break
-			}
-			if nTags > uint64(r.remaining()) {
-				r.fail(fmt.Errorf("server: binary frame tag count %d exceeds bound", nTags))
-				break
-			}
-			tags := make([]string, nTags)
-			for j := range tags {
-				tags[j] = r.str(MaxTagLen)
-			}
-			items[i] = tags
+	// Every item and every tag costs at least one byte on the wire.
+	items = make([][]string, r.Count("item", math.MaxInt, 1))
+	for i := range items {
+		tags := make([]string, r.Count("tag", math.MaxInt, 1))
+		for j := range tags {
+			tags[j] = r.Str(MaxTagLen)
 		}
+		items[i] = tags
 	}
-	if r.err == nil && r.remaining() > 0 {
-		r.fail(fmt.Errorf("server: %d trailing bytes after binary request frame", r.remaining()))
-	}
-	if r.err != nil {
-		return nil, 0, nil, false, r.err
+	if err := r.End(); err != nil {
+		return nil, 0, nil, false, fmt.Errorf("server: binary request frame: %w", err)
 	}
 	return items, weighting, exclude, flags&wireFlagCRC != 0, nil
 }
@@ -334,39 +184,33 @@ func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagvi
 // is retained across uses, so a pooled encoder reaches zero
 // allocations per response at steady state.
 type PredictWireEncoder struct {
-	w   wireWriter
+	w   bincodec.Writer
 	crc bool
 }
 
 // Begin resets the encoder and writes the response header.
 func (e *PredictWireEncoder) Begin(weighting tagviews.Weighting, records int, epoch uint64, nC int, nItems int, crc bool) {
-	e.w.b = append(e.w.b[:0], wireRespMagic...)
+	e.w.B = append(e.w.B[:0], wireRespMagic...)
 	e.crc = crc
 	var flags byte
 	if crc {
 		flags |= wireFlagCRC
 	}
-	e.w.u8(flags)
-	e.w.u8(byte(weighting))
-	e.w.uvarint(uint64(records))
-	e.w.u64(epoch)
-	e.w.uvarint(uint64(nC))
-	e.w.uvarint(uint64(nItems))
+	e.w.U8(flags)
+	e.w.U8(byte(weighting))
+	e.w.Uvarint(uint64(records))
+	e.w.U64(epoch)
+	e.w.Uvarint(uint64(nC))
+	e.w.Uvarint(uint64(nItems))
 }
 
 // Item appends one partial: the weight sum, then — iff the weight sum
 // is positive — the unnormalized vector as raw little-endian float64
 // bits. vec must have the nC length Begin declared.
 func (e *PredictWireEncoder) Item(wsum float64, vec []float64) {
-	e.w.f64(wsum)
+	e.w.F64(wsum)
 	if wsum > 0 {
-		need := len(vec) * 8
-		off := len(e.w.b)
-		e.w.b = append(e.w.b, make([]byte, need)...)
-		for _, x := range vec {
-			binary.LittleEndian.PutUint64(e.w.b[off:], math.Float64bits(x))
-			off += 8
-		}
+		e.w.F64s(vec)
 	}
 }
 
@@ -374,7 +218,10 @@ func (e *PredictWireEncoder) Item(wsum float64, vec []float64) {
 // for one) and returns it. The returned slice aliases the encoder's
 // buffer: it is valid until the next Begin.
 func (e *PredictWireEncoder) Finish() []byte {
-	return e.w.finish(len(wireRespMagic), e.crc)
+	if e.crc {
+		e.w.CRC(len(wireRespMagic) + 1)
+	}
+	return e.w.B
 }
 
 // wireEncPool recycles response encoders (and their grown buffers)
@@ -414,53 +261,31 @@ type PredictPartials struct {
 // items cost 8 bytes each on the wire but a full row in the slab), and
 // the decoder must never allocate the size of the corruption.
 func DecodePredictResponse(data []byte, out *PredictPartials, maxItems, maxC int) error {
-	r := wireReader{b: data}
-	r.checkHeader(wireRespMagic, wireFlagCRC)
-	out.Weighting = tagviews.Weighting(r.u8())
-	out.Records = int(r.uvarint())
-	out.Epoch = r.u64()
-	nC := r.uvarint()
-	if r.err == nil && (nC > wireMaxCountries || nC > uint64(maxC)) {
-		r.fail(fmt.Errorf("server: binary frame country count %d exceeds bound %d", nC, maxC))
-	}
-	nItems := r.uvarint()
-	// Each item costs at least 8 bytes (its weight sum), so the
-	// remaining length bounds the count as well.
-	if r.err == nil && (nItems > uint64(r.remaining()/8+1) || nItems > uint64(maxItems)) {
-		r.fail(fmt.Errorf("server: binary frame item count %d exceeds bound %d", nItems, maxItems))
-	}
-	if r.err != nil {
-		return r.err
-	}
-	out.NC = int(nC)
-	out.NItems = int(nItems)
-	out.WSums = growFloats(out.WSums, out.NItems)
-	out.Sums = growFloats(out.Sums, out.NItems*out.NC)
-	for i := 0; i < out.NItems; i++ {
-		ws := r.f64()
-		if r.err != nil {
-			return r.err
-		}
+	r := bincodec.NewReader(data)
+	checkHeader(&r, wireRespMagic, wireFlagCRC)
+	out.Weighting = tagviews.Weighting(r.U8())
+	out.Records = int(r.Uvarint())
+	out.Epoch = r.U64()
+	nC := r.Count("country", maxC, 0)
+	// Each item costs at least 8 bytes (its weight sum).
+	nItems := r.Count("item", maxItems, 8)
+	out.NC, out.NItems = nC, nItems
+	out.WSums = growFloats(out.WSums, nItems)
+	out.Sums = growFloats(out.Sums, nItems*nC)
+	for i := 0; i < nItems && r.Err() == nil; i++ {
+		ws := r.F64()
 		out.WSums[i] = ws
-		row := out.Sums[i*out.NC : (i+1)*out.NC]
-		if !(ws > 0) {
+		row := out.Sums[i*nC : (i+1)*nC]
+		if ws > 0 {
+			r.F64s(row)
+		} else {
 			// Absent row: zero it so a recycled slab never leaks a
 			// previous response's values.
-			for c := range row {
-				row[c] = 0
-			}
-			continue
-		}
-		if r.remaining() < out.NC*8 {
-			return errWireTruncated
-		}
-		for c := range row {
-			row[c] = math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-			r.off += 8
+			clear(row)
 		}
 	}
-	if r.remaining() > 0 {
-		return fmt.Errorf("server: %d trailing bytes after binary response frame", r.remaining())
+	if err := r.End(); err != nil {
+		return fmt.Errorf("server: binary response frame: %w", err)
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"viewstags/internal/bincodec"
 	"viewstags/internal/tagviews"
 )
 
@@ -248,23 +249,23 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 	})
 	t.Run("absurd counts", func(t *testing.T) {
 		// nItems claiming more items than there are bytes left.
-		w := wireWriter{b: append([]byte(nil), wireReqMagic...)}
-		w.u8(0)
-		w.u8(byte(tagviews.WeightIDF))
-		w.uvarint(1 << 40)
-		if _, _, _, err := DecodePredictRequest(w.b); err == nil {
+		w := bincodec.Writer{B: append([]byte(nil), wireReqMagic...)}
+		w.U8(0)
+		w.U8(byte(tagviews.WeightIDF))
+		w.Uvarint(1 << 40)
+		if _, _, _, err := DecodePredictRequest(w.B); err == nil {
 			t.Fatal("request with absurd item count decoded")
 		}
 		// Response claiming a country table beyond the sanity bound.
-		w = wireWriter{b: append([]byte(nil), wireRespMagic...)}
-		w.u8(0)
-		w.u8(byte(tagviews.WeightIDF))
-		w.uvarint(1)
-		w.u64(0)
-		w.uvarint(1 << 30) // nC
-		w.uvarint(1)
+		w = bincodec.Writer{B: append([]byte(nil), wireRespMagic...)}
+		w.U8(0)
+		w.U8(byte(tagviews.WeightIDF))
+		w.Uvarint(1)
+		w.U64(0)
+		w.Uvarint(1 << 30) // nC
+		w.Uvarint(1)
 		var pp PredictPartials
-		if err := DecodePredictResponse(w.b, &pp, 64, 1<<12); err == nil {
+		if err := DecodePredictResponse(w.B, &pp, 64, 1<<12); err == nil {
 			t.Fatal("response with absurd country count decoded")
 		}
 	})
