@@ -147,10 +147,10 @@ type Accumulator struct {
 	// LastFoldMs stat keeps the most recent one for /v1/stats.
 	foldHist obs.Histogram
 
-	// foldMu fences writes against drains: Add and AddUploads hold it
-	// shared around journal-then-apply, Drain holds it exclusively — so
-	// no batch ever straddles a drain boundary, and every journaled
-	// record's generation maps it to exactly one fold. gen is the drain
+	// foldMu fences writes against drains: Add holds it shared around
+	// journal-then-apply, Drain holds it exclusively — so no batch ever
+	// straddles a drain boundary, and every journaled record's
+	// generation maps it to exactly one fold. gen is the drain
 	// generation, guarded by foldMu.
 	foldMu  sync.RWMutex
 	gen     uint64
@@ -243,21 +243,28 @@ func Validate(events []Event, nCountries int) (int64, error) {
 	return charge, nil
 }
 
+// validate checks both halves of a batch: the event contract
+// (Validate) and a video id on every upload announcement. It returns the
+// buffered-attribution charge.
+func (a *Accumulator) validate(events []Event, uploads []string) (int64, error) {
+	charge, err := Validate(events, a.nC)
+	if err != nil {
+		return 0, err
+	}
+	for i, v := range uploads {
+		if v == "" {
+			return 0, fmt.Errorf("ingest: upload %d has no video id", i)
+		}
+	}
+	return charge, nil
+}
+
 // apply folds a validated batch into the shard delta maps.
-func (a *Accumulator) apply(events []Event) {
+func (a *Accumulator) apply(events []Event, uploads []string) {
 	snap := a.store.Load()
 	for i := range events {
 		e := &events[i]
-		newUpload := false
-		if e.Upload {
-			vs := a.shardOf(e.Video)
-			vs.mu.Lock()
-			if !vs.uploads[e.Video] {
-				vs.uploads[strings.Clone(e.Video)] = true
-				newUpload = true
-			}
-			vs.mu.Unlock()
-		}
+		newUpload := e.Upload && a.announce(e.Video)
 		for _, tag := range e.Tags {
 			sh := a.shardOf(tag)
 			sh.mu.Lock()
@@ -270,9 +277,9 @@ func (a *Accumulator) apply(events []Event) {
 					acc.id = id
 				}
 				// The key outlives the batch (Drain hands it to Rebuild,
-				// which keeps a novel tag's name for good), and the edge
-				// decoder's strings are substrings of the request body:
-				// clone, or one tag pins its whole body.
+				// which keeps a novel tag's name for good), and a decoded
+				// string may be a substring of its request body: clone,
+				// or one tag pins its whole body.
 				sh.tags[strings.Clone(tag)] = acc
 			}
 			acc.views[e.Country] += e.Views
@@ -283,16 +290,43 @@ func (a *Accumulator) apply(events []Event) {
 			sh.mu.Unlock()
 		}
 	}
+	for _, v := range uploads {
+		a.announce(v)
+	}
 	a.events.Add(int64(len(events)))
 }
 
+// announce counts video toward this epoch's training-corpus increment
+// (Drain's newRecords) and reports whether it is new this epoch.
+func (a *Accumulator) announce(video string) bool {
+	vs := a.shardOf(video)
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if vs.uploads[video] {
+		return false
+	}
+	vs.uploads[strings.Clone(video)] = true
+	return true
+}
+
 // Add validates, journals (when a journal is attached) and absorbs a
-// batch of events, all-or-nothing: a malformed event, a buffer overflow
-// or a failed journal append rejects the whole batch before any event
-// is applied. A nil-error return therefore means the batch is both
-// visible to the next fold and durable.
-func (a *Accumulator) Add(events []Event) error {
-	charge, err := Validate(events, a.nC)
+// batch, all-or-nothing: a malformed event or announcement, a buffer
+// overflow or a failed journal append rejects the whole batch before
+// any of it is applied, and an accepted batch is one journal record. A
+// nil-error return therefore means the batch is both visible to the
+// next fold and durable.
+//
+// uploads are bare upload announcements: video ids that count once per
+// fold epoch toward the training-corpus increment without touching any
+// tag's delta. They are the cluster tier's record-replication path —
+// the corpus size is global, so a shard that owns none of a fresh
+// upload's tags still has to learn the corpus grew, or its IDF weights
+// would drift from its peers'. A video already counted this epoch (as
+// an announcement or an Upload event) is a no-op, and an announcement
+// charges nothing against the buffer: it is one map entry, not a
+// per-country vector.
+func (a *Accumulator) Add(events []Event, uploads ...string) error {
+	charge, err := a.validate(events, uploads)
 	if err != nil {
 		return err
 	}
@@ -303,14 +337,14 @@ func (a *Accumulator) Add(events []Event) error {
 	}
 	a.foldMu.RLock()
 	if a.journal != nil {
-		if err := a.journal.Append(a.gen, events, nil); err != nil {
+		if err := a.journal.Append(a.gen, events, uploads); err != nil {
 			a.foldMu.RUnlock()
 			a.pending.Add(-charge)
 			a.dropped.Add(int64(len(events)))
 			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-	a.apply(events)
+	a.apply(events, uploads)
 	a.foldMu.RUnlock()
 	return nil
 }
@@ -322,58 +356,13 @@ func (a *Accumulator) Add(events []Event) error {
 // serving traffic; the replayed events sit in the buffer until the
 // recovery fold drains them.
 func (a *Accumulator) Replay(events []Event, uploads []string) error {
-	charge, err := Validate(events, a.nC)
+	charge, err := a.validate(events, uploads)
 	if err != nil {
 		return err
 	}
-	for i, v := range uploads {
-		if v == "" {
-			return fmt.Errorf("ingest: upload %d has no video id", i)
-		}
-	}
 	a.pending.Add(charge)
-	a.apply(events)
+	a.apply(events, uploads)
 	a.replayed.Add(int64(len(events)))
-	for _, v := range uploads {
-		vs := a.shardOf(v)
-		vs.mu.Lock()
-		vs.uploads[v] = true
-		vs.mu.Unlock()
-	}
-	return nil
-}
-
-// AddUploads registers bare upload announcements: each video id counts
-// once per fold epoch toward the training-corpus increment (Drain's
-// newRecords) without touching any tag's delta. This is the cluster
-// tier's record-replication path — the corpus size is global, so a
-// shard that owns none of a fresh upload's tags still has to learn the
-// corpus grew, or its IDF weights would drift from its peers'. A video
-// already announced this epoch (by either path) is a no-op, and the
-// buffered-attribution charge is zero: an announcement is one map entry,
-// not a per-country vector, so it rides outside the tag-attribution
-// bound.
-func (a *Accumulator) AddUploads(videos []string) error {
-	for i, v := range videos {
-		if v == "" {
-			return fmt.Errorf("ingest: upload %d has no video id", i)
-		}
-	}
-	a.foldMu.RLock()
-	defer a.foldMu.RUnlock()
-	if a.journal != nil {
-		if err := a.journal.Append(a.gen, nil, videos); err != nil {
-			return fmt.Errorf("%w: %v", ErrJournal, err)
-		}
-	}
-	for _, v := range videos {
-		vs := a.shardOf(v)
-		vs.mu.Lock()
-		if !vs.uploads[v] {
-			vs.uploads[strings.Clone(v)] = true
-		}
-		vs.mu.Unlock()
-	}
 	return nil
 }
 

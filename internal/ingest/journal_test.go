@@ -49,7 +49,7 @@ func TestJournalBeforeAck(t *testing.T) {
 	if len(j.gens) != 1 || j.gens[0] != 0 || j.events != 1 {
 		t.Fatalf("journal saw %+v, want one gen-0 event batch", j)
 	}
-	if err := a.AddUploads([]string{"bare"}); err != nil {
+	if err := a.Add(nil, "bare"); err != nil {
 		t.Fatal(err)
 	}
 	if len(j.gens) != 2 || j.gens[1] != 0 || j.uploads != 1 {
@@ -81,8 +81,8 @@ func TestJournalBeforeAck(t *testing.T) {
 			t.Fatal("rejected batch leaked into the drain")
 		}
 	}
-	if !errors.Is(a.AddUploads([]string{"also-lost"}), ErrJournal) {
-		t.Fatal("AddUploads with failing journal did not surface ErrJournal")
+	if !errors.Is(a.Add(nil, "also-lost"), ErrJournal) {
+		t.Fatal("an announcement with a failing journal did not surface ErrJournal")
 	}
 
 	// A malformed batch must never reach the journal.
@@ -195,5 +195,44 @@ func TestCheckpointRefusedAfterInstallFailure(t *testing.T) {
 	}
 	if len(checkpoints) != 0 {
 		t.Fatalf("checkpoint ran %v despite the lost generation", checkpoints)
+	}
+}
+
+// TestAddBatchIsOneRecord pins the merged write: a batch's events and
+// announcements are journaled as one record and applied together, and a
+// refusal of either half — a bad announcement, a failed append — leaves
+// nothing of the other behind.
+func TestAddBatchIsOneRecord(t *testing.T) {
+	st := fixtureStore(t)
+	a, err := NewAccumulator(st, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &recordingJournal{}
+	a.SetJournal(j)
+	us := st.Load().World().MustByCode("US")
+	ev := []Event{{Video: "m1", Tags: []string{"zz-m"}, Country: us, Views: 1, Upload: true}}
+
+	if err := a.Add(ev, "m2"); err != nil {
+		t.Fatal(err)
+	}
+	if len(j.gens) != 1 || j.events != 1 || j.uploads != 1 {
+		t.Fatalf("journal saw %+v, want one record with one event and one upload", j)
+	}
+	if err := a.Add(ev, ""); err == nil {
+		t.Fatal("batch with an empty announcement accepted")
+	}
+	j.fail = fmt.Errorf("disk full")
+	if err := a.Add(ev, "m3"); !errors.Is(err, ErrJournal) {
+		t.Fatalf("Add with failing journal returned %v, want ErrJournal", err)
+	}
+	if len(j.gens) != 1 {
+		t.Fatalf("refused batches reached the journal: %+v", j)
+	}
+	if got := a.Stats(); got.Pending != 1 || got.Events != 1 {
+		t.Fatalf("stats %+v after refusals, want only the first batch's 1 pending, 1 event", got)
+	}
+	if _, newRecords, _, _ := a.Drain(); newRecords != 2 {
+		t.Fatalf("newRecords = %d, want 2 (m1, m2; nothing of the refused batches)", newRecords)
 	}
 }

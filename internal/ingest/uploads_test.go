@@ -7,7 +7,7 @@ import (
 )
 
 // TestAddUploads pins the records-only announcement path the cluster
-// tier routes through: video ids count once per epoch toward Drain's
+// tier routes through (Add's uploads): video ids count once per epoch toward Drain's
 // newRecords, dedupe against upload-flagged events, touch no tag delta,
 // and charge nothing against the attribution buffer.
 func TestAddUploads(t *testing.T) {
@@ -18,7 +18,7 @@ func TestAddUploads(t *testing.T) {
 	}
 	br := st.Load().World().MustByCode("BR")
 
-	if err := a.AddUploads([]string{"u1", "u2", "u1"}); err != nil {
+	if err := a.Add(nil, "u1", "u2", "u1"); err != nil {
 		t.Fatal(err)
 	}
 	// Same video via the event path: still one record.
@@ -47,7 +47,7 @@ func TestAddUploads(t *testing.T) {
 	}
 
 	// Epoch reset: the same ids announce again after a drain.
-	if err := a.AddUploads([]string{"u1"}); err != nil {
+	if err := a.Add(nil, "u1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, newRecords, _, _ := a.Drain(); newRecords != 1 {
@@ -61,7 +61,7 @@ func TestAddUploadsRejectsEmptyID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.AddUploads([]string{"ok", ""}); err == nil {
+	if err := a.Add(nil, "ok", ""); err == nil {
 		t.Fatal("empty video id accepted")
 	}
 	// All-or-nothing: the valid id must not have been registered.
@@ -90,8 +90,8 @@ func TestAddUploadsConcurrent(t *testing.T) {
 			for v := 0; v < vids; v++ {
 				id := fmt.Sprintf("vid-%d", v)
 				if w%2 == 0 {
-					if err := a.AddUploads([]string{id}); err != nil {
-						t.Errorf("AddUploads: %v", err)
+					if err := a.Add(nil, id); err != nil {
+						t.Errorf("Add(nil, %q): %v", id, err)
 						return
 					}
 				} else if err := a.Add([]Event{{Video: id, Tags: []string{"pop"}, Country: br, Views: 1, Upload: true}}); err != nil {

@@ -195,34 +195,18 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "batch exceeds limit %d", s.cfg.MaxBatch)
 		return
 	}
-	// Validate the whole request before applying any of it, so the
-	// all-or-nothing batch contract holds across both halves.
-	for i, v := range req.Uploads {
-		if v == "" {
-			WriteError(w, http.StatusBadRequest, "upload %d has no video id", i)
-			return
-		}
-	}
 	events, fe := resolveEvents(s.countries, req.Events)
 	if fe != nil {
 		fe.Write(w)
 		return
 	}
-	if len(events) > 0 {
-		if err := s.ing.Add(events); err != nil {
-			s.ingestRefusal(err).Write(w)
-			return
-		}
-		s.metrics.Events.Add(int64(len(events)))
+	// One call validates both halves, journals them as one record and
+	// applies them together: a batch lands whole or not at all.
+	if err := s.ing.Add(events, req.Uploads...); err != nil {
+		s.ingestRefusal(err).Write(w)
+		return
 	}
-	if len(req.Uploads) > 0 {
-		// Cannot fail: ids were validated above, and announcements are
-		// exempt from the attribution-buffer bound (they carry no tags).
-		if err := s.ing.AddUploads(req.Uploads); err != nil {
-			WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
+	s.metrics.Events.Add(int64(len(events)))
 	st := s.ing.Stats()
 	writeIngestResponse(w, &IngestResponse{
 		Accepted: len(events) + len(req.Uploads),

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -10,9 +11,20 @@ import (
 	"testing"
 	"time"
 
+	"viewstags/internal/ingest"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/tagviews"
 )
+
+// postInternalIngest drives one POST /internal/ingest through the
+// handler stack.
+func postInternalIngest(srv *Server, events []IngestEvent, uploads []string) *httptest.ResponseRecorder {
+	body, _ := json.Marshal(InternalIngestRequest{Events: events, Uploads: uploads})
+	req := httptest.NewRequest(http.MethodPost, InternalIngestPath, bytes.NewReader(body))
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, req)
+	return rec
+}
 
 // postFrame drives one POST /internal/predict through the handler
 // stack with the given content type and raw body.
@@ -150,6 +162,38 @@ func TestInternalIngest(t *testing.T) {
 	var pr PredictResponse
 	if do(t, srv, http.MethodPost, "/v1/predict", PredictRequest{Tags: []string{"zz-ci-tag"}, Top: 1}, &pr); pr.Result == nil || !pr.Result.Known {
 		t.Fatalf("folded internal event not served: %+v", pr)
+	}
+}
+
+// uploadFailJournal accepts every journal append except one that
+// carries upload announcements, and counts what it accepted.
+type uploadFailJournal struct{ records int }
+
+func (j *uploadFailJournal) Append(_ uint64, _ []ingest.Event, uploads []string) error {
+	if len(uploads) > 0 {
+		return errors.New("injected upload append failure")
+	}
+	j.records++
+	return nil
+}
+
+// TestInternalIngestAllOrNothing: a batch of events plus announcements
+// is one journal record, so a journal that refuses it leaves nothing
+// applied and answers 503 + Retry-After — not a 400 after the events
+// half already landed, which a retrying gateway would count twice.
+func TestInternalIngestAllOrNothing(t *testing.T) {
+	srv, acc, _ := freshServer(t, false, 0, time.Hour)
+	j := &uploadFailJournal{}
+	acc.SetJournal(j)
+	rec := postInternalIngest(srv, []IngestEvent{{Video: "aon-1", Tags: []string{"zz-aon"}, Country: "JP", Views: 1}}, []string{"aon-2"})
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
+		t.Fatalf("status %d, Retry-After %q; want 503 with a Retry-After", rec.Code, rec.Header().Get("Retry-After"))
+	}
+	if st := acc.Stats(); st.Pending != 0 || st.Events != 0 {
+		t.Fatalf("stats %+v after a refused batch, want nothing pending or applied", st)
+	}
+	if j.records != 0 {
+		t.Fatalf("%d records journaled for a refused batch, want 0", j.records)
 	}
 }
 
