@@ -19,13 +19,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"viewstags/internal/alexa"
+	"viewstags/internal/bincodec"
 	"viewstags/internal/cluster"
 	"viewstags/internal/dist"
 	"viewstags/internal/geo"
@@ -918,9 +918,12 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 		uploads := 0
 		foldShard[i] = func() {
 			uploads++
-			body := fmt.Sprintf(`{"uploads":["bench-fold-%d"]}`, uploads)
+			var body bincodec.Writer
+			ingest.AppendBatch(&body, nil, []string{fmt.Sprintf("bench-fold-%d", uploads)})
+			req := httptest.NewRequest(http.MethodPost, server.InternalIngestPath, bytes.NewReader(body.B))
+			req.Header.Set("Content-Type", server.IngestContentType)
 			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/internal/ingest", strings.NewReader(body)))
+			srv.Handler().ServeHTTP(rec, req)
 			if rec.Code != http.StatusOK {
 				b.Fatalf("shard ingest: %d: %s", rec.Code, rec.Body)
 			}
@@ -1196,6 +1199,49 @@ func BenchmarkInternalCodec(b *testing.B) {
 		}
 		b.SetBytes(int64(len(frame)))
 	})
+
+	// The ingest leg: one shard's share of a batch, as the gateway
+	// writes it and the shard reads it.
+	for _, n := range []int{4, 32} {
+		events := ingestBenchEvents(b, n)
+		b.Run(fmt.Sprintf("ingest-encode/b%d", n), func(b *testing.B) {
+			w := bincodec.Writer{}
+			ingest.AppendBatch(&w, events, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.B = w.B[:0]
+				ingest.AppendBatch(&w, events, nil)
+			}
+			b.SetBytes(int64(len(w.B)))
+		})
+		b.Run(fmt.Sprintf("ingest-decode/b%d", n), func(b *testing.B) {
+			w := bincodec.Writer{}
+			ingest.AppendBatch(&w, events, nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r := bincodec.NewSharedReader(w.B)
+				if ingest.ReadBatch(&r, 1024); r.End() != nil {
+					b.Fatal(r.Err())
+				}
+			}
+			b.SetBytes(int64(len(w.B)))
+		})
+	}
+}
+
+// ingestBenchEvents returns n view events over catalog videos and their
+// tag lists, cycling the fixture, one in twenty an upload.
+func ingestBenchEvents(b *testing.B, n int) []ingest.Event {
+	res := benchFixture(b)
+	cat := res.Catalog
+	var events []ingest.Event
+	for i := 0; len(events) < n; i = (i + 1) % len(cat.Videos) {
+		if names := cat.Videos[i].TagNames(cat.Vocab); len(names) > 0 {
+			events = append(events, ingest.Event{Video: cat.Videos[i].ID, Tags: names,
+				Country: geo.CountryID(i % res.World.N()), Views: float64(1 + i%50), Upload: i%20 == 0})
+		}
+	}
+	return events
 }
 
 // edgeBenchItems returns n catalog tag lists, cycling the fixture.

@@ -1,7 +1,9 @@
 // Package bincodec is the one set of binary primitives under every
 // format a daemon writes or reads: the checkpoint and the WAL record
-// (internal/persist), the /internal/predict request and response frames
-// and the data-plane stream envelope (internal/server). Integers are
+// (internal/persist), the ingest batch a WAL record and an
+// /internal/ingest body share (internal/ingest), the /internal/predict
+// request and response frames, the ingest ack and the data-plane stream
+// envelope (internal/server). Integers are
 // little-endian, counts and lengths are uvarints, float64s travel as
 // their raw bit patterns.
 //
@@ -95,7 +97,10 @@ type Reader struct {
 	buf []byte
 	off int
 	src io.Reader
-	err error
+	// text, when set, is a string copy of a slice input: Str cuts its
+	// strings from it.
+	text string
+	err  error
 	// sum is the CRC-32 of every byte consumed before buf[mark].
 	sum  uint32
 	mark int
@@ -103,6 +108,12 @@ type Reader struct {
 
 // NewReader reads b. Bytes and Rest alias it.
 func NewReader(b []byte) Reader { return Reader{buf: b} }
+
+// NewSharedReader reads b like NewReader, but Str returns substrings of
+// one string copy of b: one allocation for every string the read makes,
+// and each string keeps that copy alive. It is for a decode whose
+// strings are short-lived or copied where kept.
+func NewSharedReader(b []byte) Reader { return Reader{buf: b, text: string(b)} }
 
 // NewSourceReader reads src through a window of sourceWindow bytes. It
 // may read ahead of what it has consumed.
@@ -277,7 +288,12 @@ func (r *Reader) Str(max int) string {
 		return ""
 	}
 	if len(r.buf)-r.off >= int(n) {
-		s := string(r.buf[r.off : r.off+int(n)])
+		var s string
+		if r.text != "" {
+			s = r.text[r.off : r.off+int(n)]
+		} else {
+			s = string(r.buf[r.off : r.off+int(n)])
+		}
 		r.off += int(n)
 		return s
 	}

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"viewstags/internal/bincodec"
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 	"viewstags/internal/server"
@@ -143,7 +144,7 @@ func (g *Gateway) gatherAck(tp *topology, rep shardReply, out *server.IngestResp
 	if fe := g.replyErr(tp, rep); fe != nil {
 		return fe
 	}
-	if err := server.DecodeIngestResponse(rep.body, out); err != nil {
+	if err := server.DecodeIngestAck(rep.body, out); err != nil {
 		g.markFail(tp, rep.shard)
 		return &server.ErrorReply{Status: http.StatusBadGateway, Msg: fmt.Sprintf("shard %d: undecodable response: %v", rep.shard, err)}
 	}
@@ -161,9 +162,20 @@ func errText(body []byte) string {
 	return string(bytes.TrimSpace(body))
 }
 
+// shardBatch is one shard's share of an ingest batch: its events, with
+// tag lists cut to the tags it owns, and the bare upload announcements
+// for uploads whose tags it owns none of.
+type shardBatch struct {
+	events  []ingest.Event
+	uploads []string
+}
+
 // Ingest is the Backend's ingest: each event's tags split by ring owner
-// and scattered as one /internal/ingest frame per shard involved. The
-// batch is already validated whole, with the shards' own validator.
+// and scattered as one /internal/ingest body per shard involved, in the
+// encoding a WAL record carries (ingest.AppendBatch). The batch is
+// already validated whole, with the shards' own validator; country ids
+// cross the leg as they are, because Sync and Reshard admit only shards
+// whose country table is the gateway's.
 func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestResponse, *server.ErrorReply) {
 	// Both barriers: the reshard cutover holds gate exclusively, and
 	// every slice copy (moveSlices) holds writeGate exclusively across
@@ -190,7 +202,7 @@ func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestR
 	// READ rotation.
 	tp := g.topo.Load()
 	replicas := tp.ring.Replicas()
-	perShard := make([]server.InternalIngestRequest, len(tp.targets))
+	perShard := make([]shardBatch, len(tp.targets))
 	tagsByShard := make([][]string, len(tp.targets))
 	var ownerBuf []int
 	for i := range events {
@@ -224,31 +236,29 @@ func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestR
 				continue
 			}
 			if len(tagsByShard[s]) > 0 {
-				perShard[s].Events = append(perShard[s].Events, server.IngestEvent{
+				perShard[s].events = append(perShard[s].events, ingest.Event{
 					Video:   e.Video,
 					Tags:    append([]string(nil), tagsByShard[s]...),
-					Country: g.codes[e.Country],
+					Country: e.Country,
 					Views:   e.Views,
 					Upload:  e.Upload,
 				})
 			} else if e.Upload {
-				perShard[s].Uploads = append(perShard[s].Uploads, e.Video)
+				perShard[s].uploads = append(perShard[s].uploads, e.Video)
 			}
 		}
 	}
 
 	needed := make([]bool, len(tp.targets))
 	bodies := make([][]byte, len(tp.targets))
-	for s := range perShard {
-		if len(perShard[s].Events) == 0 && len(perShard[s].Uploads) == 0 {
+	for s, b := range perShard {
+		if len(b.events) == 0 && len(b.uploads) == 0 {
 			continue
 		}
 		needed[s] = true
-		body, err := server.MarshalInternalIngestRequest(&perShard[s])
-		if err != nil {
-			return server.IngestResponse{}, &server.ErrorReply{Status: http.StatusInternalServerError, Msg: err.Error()}
-		}
-		bodies[s] = body
+		var body bincodec.Writer
+		ingest.AppendBatch(&body, b.events, b.uploads)
+		bodies[s] = body.B
 	}
 	if replicas <= 1 {
 		if fe := g.shedIfDown(tp, needed); fe != nil {
@@ -265,7 +275,7 @@ func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestR
 	// "Cluster topology" for the contract.
 	acks := make([]server.IngestResponse, len(tp.targets))
 	fanStart := time.Now()
-	replies := g.scatter(r.Context(), tp, legIngest, bodies, "application/json", server.RequestID(r))
+	replies := g.scatter(r.Context(), tp, legIngest, bodies, server.IngestContentType, server.RequestID(r))
 	server.TraceFrom(r).Add("fanout", obs.NoShard, fanStart, time.Since(fanStart), "")
 	var pending int64
 	for _, rep := range replies {

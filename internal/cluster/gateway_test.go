@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"viewstags/internal/alexa"
+	"viewstags/internal/bincodec"
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 	"viewstags/internal/pipeline"
@@ -136,6 +137,20 @@ func startCluster(t *testing.T, shards int) ([]*node, *Gateway) {
 type rawBody string
 
 // post round-trips one JSON request against a live URL.
+// announce POSTs bare upload announcements to a shard's /internal/ingest
+// and returns the status.
+func announce(t *testing.T, shardURL string, videos ...string) int {
+	t.Helper()
+	var body bincodec.Writer
+	ingest.AppendBatch(&body, nil, videos)
+	resp, err := http.Post(shardURL+server.InternalIngestPath, server.IngestContentType, bytes.NewReader(body.B))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	return resp.StatusCode
+}
+
 func post(t *testing.T, url string, req, out any) int {
 	t.Helper()
 	var buf bytes.Buffer
@@ -396,8 +411,7 @@ func TestGatewayEpochSkewKeepsServing(t *testing.T) {
 	gw := gatewayServer(t, g)
 
 	// Advance only shard 0: direct internal ingest + fold.
-	if code := post(t, nodes[0].ts.URL+"/internal/ingest",
-		server.InternalIngestRequest{Uploads: []string{"skew-1"}}, nil); code != http.StatusOK {
+	if code := announce(t, nodes[0].ts.URL, "skew-1"); code != http.StatusOK {
 		t.Fatalf("shard ingest: %d", code)
 	}
 	if folded, err := nodes[0].comp.FoldNow(); err != nil || !folded {

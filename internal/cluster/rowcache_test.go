@@ -237,7 +237,7 @@ func TestRowCacheEpochMoveInvalidatesThatShardOnly(t *testing.T) {
 	before := shardLegs(g)
 
 	// Shard 0 alone folds: a bare upload announcement moves its n.
-	if code := post(t, nodes[0].ts.URL+"/internal/ingest", server.InternalIngestRequest{Uploads: []string{"only-0"}}, nil); code != http.StatusOK {
+	if code := announce(t, nodes[0].ts.URL, "only-0"); code != http.StatusOK {
 		t.Fatalf("shard ingest: %d", code)
 	}
 	if folded, err := nodes[0].comp.FoldNow(); err != nil || !folded {

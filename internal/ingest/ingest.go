@@ -35,11 +35,13 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"viewstags/internal/bincodec"
 	"viewstags/internal/geo"
 	"viewstags/internal/obs"
 	"viewstags/internal/profilestore"
@@ -92,6 +94,81 @@ type Event struct {
 	Country geo.CountryID
 	Views   float64
 	Upload  bool
+}
+
+// A batch's binary encoding, written on internal/bincodec's primitives
+// (str is a uvarint length and the bytes):
+//
+//	nEvents uvarint
+//	  ( video str | nTags uvarint ( tag str )* | country uvarint
+//	    | views f64 | upload u8 )*
+//	| nUploads uvarint ( video str )*
+//
+// It is the body of a WAL record (internal/persist adds the frame, the
+// CRC and the generation) and of a shard's /internal/ingest request, so
+// both are written and read by the two functions below.
+
+// maxStrLen bounds one decoded video id or tag: a corrupt length is an
+// error, not an allocation the size of the corruption.
+const maxStrLen = 1 << 20
+
+// minEventLen is the fewest bytes an encoded event takes: an empty video
+// id, no tags, a one-byte country, the views and the upload flag.
+const minEventLen = 1 + 1 + 1 + 8 + 1
+
+// AppendBatch appends the encoding of a batch — its events, then its
+// bare upload announcements — to w.
+func AppendBatch(w *bincodec.Writer, events []Event, uploads []string) {
+	w.Uvarint(uint64(len(events)))
+	for i := range events {
+		e := &events[i]
+		w.Str(e.Video)
+		w.Uvarint(uint64(len(e.Tags)))
+		for _, t := range e.Tags {
+			w.Str(t)
+		}
+		w.Uvarint(uint64(e.Country))
+		w.F64(e.Views)
+		if e.Upload {
+			w.U8(1)
+		} else {
+			w.U8(0)
+		}
+	}
+	w.Uvarint(uint64(len(uploads)))
+	for _, v := range uploads {
+		w.Str(v)
+	}
+}
+
+// ReadBatch reads a batch AppendBatch wrote, refusing an event or upload
+// count above max before allocating it. It checks the encoding, not the
+// event contract (Validate's). Errors are r's: check r.Err or r.End.
+func ReadBatch(r *bincodec.Reader, max int) ([]Event, []string) {
+	events := make([]Event, r.Count("event", max, minEventLen))
+	for i := range events {
+		e := &events[i]
+		e.Video = r.Str(maxStrLen)
+		e.Tags = make([]string, r.Count("tag", math.MaxInt, 1))
+		for j := range e.Tags {
+			e.Tags[j] = r.Str(maxStrLen)
+		}
+		e.Country = geo.CountryID(r.Uvarint())
+		e.Views = r.F64()
+		// One spelling per value, as for a varint: whatever decodes
+		// re-encodes to the same bytes.
+		switch flag := r.U8(); flag {
+		case 0, 1:
+			e.Upload = flag == 1
+		default:
+			r.Fail(fmt.Errorf("ingest: event %d upload flag %d", i, flag))
+		}
+	}
+	uploads := make([]string, r.Count("upload", max, 1))
+	for i := range uploads {
+		uploads[i] = r.Str(maxStrLen)
+	}
+	return events, uploads
 }
 
 // tagAcc is one tag's unfolded delta.

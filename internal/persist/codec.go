@@ -33,8 +33,9 @@ import (
 //
 //	u32 len | u32 crc32(payload) | payload
 //
-// and payload is one journaled ingest batch (generation, events,
-// upload announcements). A crash mid-append leaves a torn final frame;
+// and payload is one journaled ingest batch: its generation (u64), then
+// the batch body ingest.AppendBatch writes (events, upload
+// announcements). A crash mid-append leaves a torn final frame;
 // readRecord reports it as errTorn and recovery truncates it away.
 var (
 	ckptMagic = []byte("VTCKPT01")
@@ -54,10 +55,6 @@ const (
 	// ckptChunk is how much of a checkpoint WriteSnapshot encodes before
 	// it hands the bytes to its writer.
 	ckptChunk = 4 << 10
-
-	// minEventLen is the fewest bytes an encoded event takes: an empty
-	// video id, no tags, a one-byte country, the views and the upload flag.
-	minEventLen = 1 + 1 + 1 + 8 + 1
 )
 
 // errTorn marks a partially written (or CRC-corrupt) frame at a WAL
@@ -184,26 +181,7 @@ func encodeRecord(buf *bytes.Buffer, gen uint64, events []ingest.Event, uploads 
 	// The frame header is filled in once the payload is written.
 	e := bincodec.Writer{B: append(buf.AvailableBuffer(), make([]byte, 8)...)}
 	e.U64(gen)
-	e.Uvarint(uint64(len(events)))
-	for i := range events {
-		ev := &events[i]
-		e.Str(ev.Video)
-		e.Uvarint(uint64(len(ev.Tags)))
-		for _, t := range ev.Tags {
-			e.Str(t)
-		}
-		e.Uvarint(uint64(int(ev.Country)))
-		e.F64(ev.Views)
-		if ev.Upload {
-			e.U8(1)
-		} else {
-			e.U8(0)
-		}
-	}
-	e.Uvarint(uint64(len(uploads)))
-	for _, v := range uploads {
-		e.Str(v)
-	}
+	ingest.AppendBatch(&e, events, uploads)
 	payload := e.B[8:]
 	if len(payload) > maxFrameLen {
 		return fmt.Errorf("persist: record of %d bytes exceeds frame bound", len(payload))
@@ -252,22 +230,7 @@ func readRecord(src io.Reader) (walRecord, int64, error) {
 	// wrote sense: the counts still answer to the reader's budgets.
 	r := bincodec.NewReader(payload)
 	rec.gen = r.U64()
-	rec.events = make([]ingest.Event, r.Count("event", math.MaxInt, minEventLen))
-	for i := range rec.events {
-		ev := &rec.events[i]
-		ev.Video = r.Str(maxStrLen)
-		ev.Tags = make([]string, r.Count("tag", math.MaxInt, 1))
-		for j := range ev.Tags {
-			ev.Tags[j] = r.Str(maxStrLen)
-		}
-		ev.Country = geo.CountryID(r.Uvarint())
-		ev.Views = r.F64()
-		ev.Upload = r.U8() != 0
-	}
-	rec.uploads = make([]string, r.Count("upload", math.MaxInt, 1))
-	for i := range rec.uploads {
-		rec.uploads[i] = r.Str(maxStrLen)
-	}
+	rec.events, rec.uploads = ingest.ReadBatch(&r, math.MaxInt)
 	if err := r.Err(); err != nil {
 		// The frame passed its CRC but does not parse: structural
 		// corruption, not a torn tail — surface it as such.

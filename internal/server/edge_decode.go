@@ -13,13 +13,12 @@ import (
 
 // This file and edge_encode.go are the edge codec: hand-written,
 // reflection-free JSON for the two hot public routes (/v1/predict,
-// /v1/ingest) and the shard's /internal/ingest, shared by the node and
-// the gateway. The decoder takes the canonical subset of JSON that
-// clients actually send and declines everything else — it never reports
-// an error of its own. A declined body goes, byte for byte, through the
-// strict encoding/json decode every other route uses (decodeStrict), so
-// encoding/json stays the one reference for odd input and for every
-// error message. Whenever the fast decoder accepts, its result is
+// /v1/ingest), shared by the node and the gateway. The decoder takes the
+// canonical subset of JSON that clients actually send and declines
+// everything else — it never reports an error of its own. A declined
+// body goes, byte for byte, through the strict encoding/json decode
+// every other route uses (decodeStrict), so encoding/json stays the one
+// reference for odd input and for every error message. Whenever the fast decoder accepts, its result is
 // reflect.DeepEqual to that strict decode (FuzzEdgeDecode holds it to
 // that).
 //
@@ -124,15 +123,6 @@ func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics,
 // that price the codec against encoding/json.
 func DecodePredictBody(w http.ResponseWriter, r *http.Request, rm *RouteMetrics, req *PredictRequest) bool {
 	return decodeEdge(w, r, rm, parsePredictRequest, req)
-}
-
-// DecodeIngestResponse decodes a shard's ingest ack for the gateway.
-func DecodeIngestResponse(body []byte, resp *IngestResponse) error {
-	if parseIngestResponse(string(body), resp) {
-		return nil
-	}
-	*resp = IngestResponse{}
-	return json.Unmarshal(body, resp)
 }
 
 // edgeScanner walks one body. Every method that can fail returns
@@ -379,12 +369,10 @@ func (p *edgeScanner) array(elem func() bool) bool {
 // The key tables below are the JSON names of the structs they decode;
 // TestEdgeKeyTablesMatchStructTags keeps them from drifting.
 var (
-	predictRequestKeys        = []string{"tags", "batch", "weighting", "top"}
-	predictItemKeys           = []string{"tags"}
-	ingestRequestKeys         = []string{"events"}
-	ingestEventKeys           = []string{"video", "tags", "country", "views", "upload"}
-	internalIngestRequestKeys = []string{"events", "uploads"}
-	ingestResponseKeys        = []string{"accepted", "epoch", "pending"}
+	predictRequestKeys = []string{"tags", "batch", "weighting", "top"}
+	predictItemKeys    = []string{"tags"}
+	ingestRequestKeys  = []string{"events"}
+	ingestEventKeys    = []string{"video", "tags", "country", "views", "upload"}
 )
 
 func parsePredictRequest(s string, req *PredictRequest) bool {
@@ -446,40 +434,6 @@ func parseIngestRequest(s string, req *IngestRequest) bool {
 	p := newEdgeScanner(s)
 	ok := p.object(ingestRequestKeys, func(int) (ok bool) {
 		req.Events, ok = p.events()
-		return ok
-	})
-	return ok && p.end()
-}
-
-func parseInternalIngestRequest(s string, req *InternalIngestRequest) bool {
-	p := newEdgeScanner(s)
-	ok := p.object(internalIngestRequestKeys, func(key int) (ok bool) {
-		if key == 0 {
-			req.Events, ok = p.events()
-		} else {
-			req.Uploads, ok = p.strList()
-		}
-		return ok
-	})
-	return ok && p.end()
-}
-
-func parseIngestResponse(s string, resp *IngestResponse) bool {
-	p := edgeScanner{s: s}
-	ok := p.object(ingestResponseKeys, func(key int) bool {
-		bits := 63 // Accepted and Pending are signed
-		if key == 1 {
-			bits = 64
-		}
-		v, ok := p.uint(bits)
-		switch key {
-		case 0:
-			resp.Accepted = int(v)
-		case 1:
-			resp.Epoch = v
-		case 2:
-			resp.Pending = int64(v)
-		}
 		return ok
 	})
 	return ok && p.end()

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"math"
 	"net/http"
 	"strconv"
@@ -36,25 +35,6 @@ func appendString(dst []byte, s string) ([]byte, bool) {
 	dst = append(dst, '"')
 	dst = append(dst, s...)
 	return append(dst, '"'), true
-}
-
-// appendStrings appends a []string the way encoding/json does: null for
-// a nil slice.
-func appendStrings(dst []byte, list []string) ([]byte, bool) {
-	if list == nil {
-		return append(dst, "null"...), true
-	}
-	dst = append(dst, '[')
-	for i, s := range list {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var ok bool
-		if dst, ok = appendString(dst, s); !ok {
-			return dst, false
-		}
-	}
-	return append(dst, ']'), true
 }
 
 // appendFloat appends f in encoding/json's float64 format: 'f' unless
@@ -140,76 +120,6 @@ func appendIngestResponse(dst []byte, resp *IngestResponse) []byte {
 	dst = append(dst, `,"pending":`...)
 	dst = strconv.AppendInt(dst, resp.Pending, 10)
 	return append(dst, '}')
-}
-
-// appendInternalIngestRequest appends req as json.Marshal renders it.
-func appendInternalIngestRequest(dst []byte, req *InternalIngestRequest) ([]byte, bool) {
-	var ok bool
-	dst = append(dst, '{')
-	if len(req.Events) > 0 {
-		dst = append(dst, `"events":[`...)
-		for i := range req.Events {
-			e := &req.Events[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, '{')
-			if e.Video != "" {
-				dst = append(dst, `"video":`...)
-				if dst, ok = appendString(dst, e.Video); !ok {
-					return dst, false
-				}
-				dst = append(dst, ',')
-			}
-			dst = append(dst, `"tags":`...)
-			if dst, ok = appendStrings(dst, e.Tags); !ok {
-				return dst, false
-			}
-			dst = append(dst, `,"country":`...)
-			if dst, ok = appendString(dst, e.Country); !ok {
-				return dst, false
-			}
-			dst = append(dst, `,"views":`...)
-			if dst, ok = appendFloat(dst, e.Views); !ok {
-				return dst, false
-			}
-			if e.Upload {
-				dst = append(dst, `,"upload":true`...)
-			}
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	if len(req.Uploads) > 0 {
-		if len(req.Events) > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `"uploads":`...)
-		if dst, ok = appendStrings(dst, req.Uploads); !ok {
-			return dst, false
-		}
-	}
-	return append(dst, '}'), true
-}
-
-// MarshalInternalIngestRequest renders the gateway's per-shard ingest
-// body; the bytes are json.Marshal's.
-func MarshalInternalIngestRequest(req *InternalIngestRequest) ([]byte, error) {
-	size := 32 // an over-estimate, so the body is one allocation
-	for i := range req.Events {
-		e := &req.Events[i]
-		size += 96 + len(e.Video) + len(e.Country)
-		for _, tag := range e.Tags {
-			size += len(tag) + 3
-		}
-	}
-	for _, v := range req.Uploads {
-		size += len(v) + 3
-	}
-	if body, ok := appendInternalIngestRequest(make([]byte, 0, size), req); ok {
-		return body, nil
-	}
-	return json.Marshal(req)
 }
 
 // WritePredictResponse answers 200 with resp, byte for byte what

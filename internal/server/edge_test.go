@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"viewstags/internal/ingest"
 	"viewstags/internal/synth"
 )
 
@@ -54,10 +55,6 @@ var edgeSeedAccepted = []string{
 	`{"events":[{"video":"gw-v","tags":["zz-gw"],"country":"KR","views":500,"upload":true}]}`,
 	`{"events":[{"tags":["t"],"country":"US","views":-0.5e-3,"upload":false}]}`,
 	`{"events":[]}`,
-	`{"events":[{"video":"d-ZC","tags":["samba"],"country":"BR","views":120,"upload":true}],"uploads":["other-shards-video"]}`,
-	`{"uploads":["a","b"]}`,
-	`{"accepted":2,"epoch":17,"pending":2412}`,
-	`{"accepted": 2, "epoch": 18446744073709551615, "pending": 0}` + "\n",
 }
 
 // edgeSeedDeclined are the classes the fast decoders must decline, one
@@ -101,18 +98,13 @@ var edgeSeedDeclined = []string{
 	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":"yes"}]}`,
 	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":truex}]}`,
 	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":tru}]}`,
-	`{"accepted":-1,"epoch":1,"pending":0}`,
-	`{"accepted":1,"epoch":18446744073709551616,"pending":0}`,
-	`{"accepted":1,"epoch":1,"pending":9223372036854775808}`,
 }
 
 func TestEdgeDecodeSeeds(t *testing.T) {
 	accepted := func(data string) bool {
 		b := []byte(data)
 		return checkFastAgainstStrict(t, "predict", b, parsePredictRequest) ||
-			checkFastAgainstStrict(t, "ingest", b, parseIngestRequest) ||
-			checkFastAgainstStrict(t, "internal ingest", b, parseInternalIngestRequest) ||
-			checkFastAgainstStrict(t, "ingest ack", b, parseIngestResponse)
+			checkFastAgainstStrict(t, "ingest", b, parseIngestRequest)
 	}
 	for _, s := range edgeSeedAccepted {
 		if !accepted(s) {
@@ -139,8 +131,6 @@ func FuzzEdgeDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkFastAgainstStrict(t, "predict", data, parsePredictRequest)
 		checkFastAgainstStrict(t, "ingest", data, parseIngestRequest)
-		checkFastAgainstStrict(t, "internal ingest", data, parseInternalIngestRequest)
-		checkFastAgainstStrict(t, "ingest ack", data, parseIngestResponse)
 	})
 }
 
@@ -156,8 +146,6 @@ func TestEdgeKeyTablesMatchStructTags(t *testing.T) {
 		{PredictItem{}, predictItemKeys},
 		{IngestRequest{}, ingestRequestKeys},
 		{IngestEvent{}, ingestEventKeys},
-		{InternalIngestRequest{}, internalIngestRequestKeys},
-		{IngestResponse{}, ingestResponseKeys},
 	} {
 		typ := reflect.TypeOf(c.v)
 		var names []string
@@ -254,7 +242,7 @@ func edgeRandomResult(rng *rand.Rand) PredictResult {
 
 // TestEdgeEncodeMatchesEncodingJSON: the encoders' bytes equal
 // json.Encoder's for random finite responses, single and batch, and for
-// random acks and per-shard ingest bodies.
+// random acks.
 func TestEdgeEncodeMatchesEncodingJSON(t *testing.T) {
 	rng := rand.New(rand.NewSource(20110301))
 	for i := 0; i < 3000; i++ {
@@ -278,26 +266,6 @@ func TestEdgeEncodeMatchesEncodingJSON(t *testing.T) {
 		if got, want := append(appendIngestResponse(nil, &ack), '\n'), jsonEncoderBytes(t, &ack); !bytes.Equal(got, want) {
 			t.Fatalf("ingest ack\n got %s\nwant %s", got, want)
 		}
-
-		var req InternalIngestRequest
-		for j := rng.Intn(4); j > 0; j-- {
-			e := IngestEvent{Tags: []string{"samba", "música"}[:rng.Intn(3)], Country: "BR", Views: edgeRandomShare(rng) * 1e6, Upload: rng.Intn(2) == 0}
-			if rng.Intn(2) == 0 {
-				e.Video = "d-ZCcD-xHU0"
-			}
-			if rng.Intn(8) == 0 {
-				e.Tags = nil
-			}
-			req.Events = append(req.Events, e)
-		}
-		for j := rng.Intn(3); j > 0; j-- {
-			req.Uploads = append(req.Uploads, "bench-1-2-3")
-		}
-		body, err := MarshalInternalIngestRequest(&req)
-		want, _ := json.Marshal(&req)
-		if _, fast := appendInternalIngestRequest(nil, &req); err != nil || !fast || !bytes.Equal(body, want) {
-			t.Fatalf("internal ingest request (fast=%v, err=%v)\n got %s\nwant %s", fast, err, body, want)
-		}
 	}
 }
 
@@ -307,11 +275,6 @@ func TestEdgeEncodeDeclines(t *testing.T) {
 	for _, s := range []string{"a\"b", `a\b`, "<b>", "a&b", "a\nb", "\x00", "a\xffb", "a\u2028b", "a\u2029b"} {
 		if _, ok := appendString(nil, s); ok {
 			t.Errorf("appendString took %q", s)
-		}
-		req := InternalIngestRequest{Uploads: []string{s}}
-		got, err := MarshalInternalIngestRequest(&req)
-		if want, _ := json.Marshal(&req); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("uploads %q: got %s (%v), want %s", s, got, err, want)
 		}
 	}
 	for _, s := range []string{"", "plain", "música", "東京", "a\x7fb", "it's"} {
@@ -391,18 +354,14 @@ func TestEdgeRepliesAreEncodingJSONBytes(t *testing.T) {
 		t.Fatalf("ingest ack\n got %s\nwant %s", rec.Body.Bytes(), want)
 	}
 	post("/v1/ingest", `{"events":[{"video":"v1","tags":["fav\u0065la"],"country":"BR","views":12}]}`)
-	post("/internal/ingest", `{"uploads":["v2"]}`)
-	post("/internal/ingest", `{"Uploads":["v3"]}`)
-	m := srv.Metrics()
-	if in, internal := m.Ingest.DecodeGeneral.Load(), m.Internal.DecodeGeneral.Load(); in != 1 || internal != 1 {
-		t.Fatalf("general decodes: ingest %d, internal %d; want 1 and 1", in, internal)
+	if n := srv.Metrics().Ingest.DecodeGeneral.Load(); n != 1 {
+		t.Fatalf("one escaped ingest body counted %d general decodes, want 1", n)
 	}
 	metrics := httptest.NewRecorder()
 	h.ServeHTTP(metrics, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, line := range []string{
 		`viewstags_edge_decode_general_total{route="predict"} 1`,
 		`viewstags_edge_decode_general_total{route="ingest"} 1`,
-		`viewstags_edge_decode_general_total{route="internal"} 1`,
 	} {
 		if !strings.Contains(metrics.Body.String(), line+"\n") {
 			t.Errorf("/metrics lacks %q", line)
@@ -451,19 +410,23 @@ func TestEdgeBodyBufferNotPinned(t *testing.T) {
 // substrings of the request body, and the ingest path keeps tags and
 // video ids (until the fold, and a novel tag's name for good). What it
 // keeps must be a copy, or each 1 MB body below would stay live for its
-// one tag — both while pending and after the fold.
+// one tag — both while pending and after the fold. The shard's binary
+// route rides along unpadded: its decoder copies every string.
 func TestIngestDoesNotPinRequestBody(t *testing.T) {
 	srv, _, comp := freshServer(t, false, 0, time.Hour)
 	h := srv.Handler()
 	ingestOne := func(i, pad int) {
 		t.Helper()
-		path, body := "/v1/ingest", fmt.Sprintf(`{"events":[%s{"video":"pin-video-%d","tags":["pin-tag-%d"],"country":"BR","views":3,"upload":true}]}`,
+		body := fmt.Sprintf(`{"events":[%s{"video":"pin-video-%d","tags":["pin-tag-%d"],"country":"BR","views":3,"upload":true}]}`,
 			strings.Repeat(" ", pad), i, i)
+		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body))
 		if i%2 == 1 { // the shard's route, with a bare upload announcement
-			path, body = "/internal/ingest", body[:len(body)-1]+fmt.Sprintf(`,"uploads":["pin-bare-%d"]}`, i)
+			br, _ := srv.countries.Lookup("BR")
+			events := []ingest.Event{{Video: fmt.Sprintf("pin-video-%d", i), Tags: []string{fmt.Sprintf("pin-tag-%d", i)}, Country: br, Views: 3, Upload: true}}
+			req = ingestRequest(IngestContentType, ingestBody(events, fmt.Sprintf("pin-bare-%d", i)))
 		}
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		h.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("ingest %d: status %d: %s", i, rec.Code, rec.Body)
 		}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"viewstags/internal/bincodec"
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 )
@@ -26,18 +27,6 @@ const (
 	InternalIngestPath  = "/internal/ingest"
 	InternalMetaPath    = "/internal/meta"
 )
-
-// InternalIngestRequest is the /internal/ingest wire request: the
-// events whose tags this shard owns (tag lists already filtered to the
-// owned subset by the gateway), plus bare upload announcements — video
-// ids freshly uploaded whose tags all live on other shards. The
-// announcements exist because the training-corpus size is global: every
-// shard must count every new upload exactly once per fold epoch or its
-// IDF weights drift from its peers'.
-type InternalIngestRequest struct {
-	Events  []IngestEvent `json:"events,omitempty"`
-	Uploads []string      `json:"uploads,omitempty"`
-}
 
 // InternalMetaResponse is the /internal/meta wire response: the shard's
 // cluster identity and the global (unpartitioned) state a gateway needs
@@ -178,41 +167,62 @@ func (s *Server) epoch() uint64 {
 	return s.ing.Epoch()
 }
 
+// handleInternalIngest applies the gateway's per-shard share of an
+// ingest batch: the events whose tags this shard owns (tag lists already
+// filtered to the owned subset by the gateway), plus bare upload
+// announcements — video ids freshly uploaded whose tags all live on
+// other shards. The announcements exist because the training-corpus
+// size is global: every shard must count every new upload exactly once
+// per fold epoch or its IDF weights drift from its peers'. The body and
+// the ack are binary (IngestContentType); the batch is applied and
+// journaled whole or not at all.
 func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 	if s.ing == nil {
 		WriteError(w, http.StatusServiceUnavailable, "ingest disabled: daemon started without an event stream (-ingest-interval 0)")
 		return
 	}
-	var req InternalIngestRequest
-	if !decodeEdge(w, r, &s.metrics.Internal, parseInternalIngestRequest, &req) {
+	if ct := r.Header.Get("Content-Type"); ct != IngestContentType {
+		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q: /internal/ingest takes %s", ct, IngestContentType)
 		return
 	}
-	if len(req.Events) == 0 && len(req.Uploads) == 0 {
+	body := getWireBuf()
+	defer releaseBodyBuf(body)
+	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
+	if _, err := body.ReadFrom(r.Body); err != nil {
+		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return
+	}
+	// The counts are capped at MaxBatch before anything is allocated.
+	// The strings share one copy of the body, which the accumulator
+	// clones from where it keeps one, and the pooled body is free for
+	// the ack.
+	br := bincodec.NewSharedReader(body.Bytes())
+	events, uploads := ingest.ReadBatch(&br, s.cfg.MaxBatch)
+	if err := br.End(); err != nil {
+		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
+		return
+	}
+	if len(events) == 0 && len(uploads) == 0 {
 		WriteError(w, http.StatusBadRequest, "empty request: provide events or uploads")
-		return
-	}
-	if len(req.Events) > s.cfg.MaxBatch || len(req.Uploads) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusBadRequest, "batch exceeds limit %d", s.cfg.MaxBatch)
-		return
-	}
-	events, fe := resolveEvents(s.countries, req.Events)
-	if fe != nil {
-		fe.Write(w)
 		return
 	}
 	// One call validates both halves, journals them as one record and
 	// applies them together: a batch lands whole or not at all.
-	if err := s.ing.Add(events, req.Uploads...); err != nil {
+	if err := s.ing.Add(events, uploads...); err != nil {
 		s.ingestRefusal(err).Write(w)
 		return
 	}
 	s.metrics.Events.Add(int64(len(events)))
 	st := s.ing.Stats()
-	writeIngestResponse(w, &IngestResponse{
-		Accepted: len(events) + len(req.Uploads),
+	ack := appendIngestAck(body.AvailableBuffer(), &IngestResponse{
+		Accepted: len(events) + len(uploads),
 		Epoch:    st.Epoch,
 		Pending:  st.Pending,
 	})
+	w.Header().Set("Content-Type", IngestContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(ack)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(ack)
 }
 
 func (s *Server) handleInternalMeta(w http.ResponseWriter, r *http.Request) {

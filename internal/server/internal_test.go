@@ -11,19 +11,44 @@ import (
 	"testing"
 	"time"
 
+	"viewstags/internal/bincodec"
+	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/tagviews"
 )
 
-// postInternalIngest drives one POST /internal/ingest through the
-// handler stack.
-func postInternalIngest(srv *Server, events []IngestEvent, uploads []string) *httptest.ResponseRecorder {
-	body, _ := json.Marshal(InternalIngestRequest{Events: events, Uploads: uploads})
+// ingestBody is a binary /internal/ingest body.
+func ingestBody(events []ingest.Event, uploads ...string) []byte {
+	var w bincodec.Writer
+	ingest.AppendBatch(&w, events, uploads)
+	return w.B
+}
+
+// ingestRequest is a POST /internal/ingest with the given content type
+// and raw body.
+func ingestRequest(contentType string, body []byte) *http.Request {
 	req := httptest.NewRequest(http.MethodPost, InternalIngestPath, bytes.NewReader(body))
+	req.Header.Set("Content-Type", contentType)
+	return req
+}
+
+// postInternalIngest drives one binary POST /internal/ingest through the
+// handler stack.
+func postInternalIngest(srv *Server, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, req)
+	srv.Handler().ServeHTTP(rec, ingestRequest(IngestContentType, body))
 	return rec
+}
+
+// country resolves an ISO code against srv's country table.
+func country(t *testing.T, srv *Server, code string) geo.CountryID {
+	t.Helper()
+	id, ok := srv.countries.Lookup(code)
+	if !ok {
+		t.Fatalf("no country %q", code)
+	}
+	return id
 }
 
 // postFrame drives one POST /internal/predict through the handler
@@ -136,21 +161,22 @@ func TestInternalMeta(t *testing.T) {
 }
 
 // TestInternalIngest: owned-tag events and bare upload announcements
-// both land, sharing one per-epoch record dedup.
+// both land, sharing one per-epoch record dedup, and the binary ack
+// reports them.
 func TestInternalIngest(t *testing.T) {
 	srv, _, comp := freshServer(t, false, 0, time.Hour)
-	var resp IngestResponse
-	code := do(t, srv, http.MethodPost, "/internal/ingest", InternalIngestRequest{
-		Events: []IngestEvent{
-			{Video: "ci-1", Tags: []string{"zz-ci-tag"}, Country: "JP", Views: 10, Upload: true},
-		},
-		Uploads: []string{"ci-2", "ci-3"},
-	}, &resp)
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
+	rec := postInternalIngest(srv, ingestBody([]ingest.Event{
+		{Video: "ci-1", Tags: []string{"zz-ci-tag"}, Country: country(t, srv, "JP"), Views: 10, Upload: true},
+	}, "ci-2", "ci-3"))
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != IngestContentType {
+		t.Fatalf("status %d, Content-Type %q: %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
 	}
-	if resp.Accepted != 3 {
-		t.Fatalf("accepted %d, want 3", resp.Accepted)
+	var resp IngestResponse
+	if err := DecodeIngestAck(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Accepted != 3 || resp.Pending != 1 {
+		t.Fatalf("ack %+v, want 3 accepted, 1 pending", resp)
 	}
 	before := srv.store.Load().Records()
 	if folded, err := comp.FoldNow(); err != nil || !folded {
@@ -185,7 +211,7 @@ func TestInternalIngestAllOrNothing(t *testing.T) {
 	srv, acc, _ := freshServer(t, false, 0, time.Hour)
 	j := &uploadFailJournal{}
 	acc.SetJournal(j)
-	rec := postInternalIngest(srv, []IngestEvent{{Video: "aon-1", Tags: []string{"zz-aon"}, Country: "JP", Views: 1}}, []string{"aon-2"})
+	rec := postInternalIngest(srv, ingestBody([]ingest.Event{{Video: "aon-1", Tags: []string{"zz-aon"}, Country: country(t, srv, "JP"), Views: 1}}, "aon-2"))
 	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" {
 		t.Fatalf("status %d, Retry-After %q; want 503 with a Retry-After", rec.Code, rec.Header().Get("Retry-After"))
 	}
@@ -198,20 +224,47 @@ func TestInternalIngestAllOrNothing(t *testing.T) {
 }
 
 func TestInternalIngestErrors(t *testing.T) {
-	srv, _, _ := freshServer(t, false, 0, time.Hour)
+	srv, acc, _ := freshServer(t, false, 0, time.Hour)
+	jp := country(t, srv, "JP")
+	good := ingestBody([]ingest.Event{{Video: "e-1", Tags: []string{"zz-e"}, Country: jp, Views: 1}})
+	// One event past MaxBatch, and nothing after the count: refused by the
+	// bound, before the events are allocated (ingest's
+	// TestReadBatchRefusesBeforeAllocating measures that).
+	var overCount bincodec.Writer
+	overCount.Uvarint(uint64(srv.cfg.MaxBatch) + 1)
+	nonCanonical := append([]byte{0x81, 0x00}, good[1:]...) // the event count 1, spelled in two bytes
 	cases := []struct {
-		name string
-		req  any
-		want int
+		name        string
+		contentType string
+		body        []byte
+		want        int
 	}{
-		{"empty", InternalIngestRequest{}, http.StatusBadRequest},
-		{"empty upload id", InternalIngestRequest{Uploads: []string{""}}, http.StatusBadRequest},
-		{"bad event", InternalIngestRequest{Events: []IngestEvent{{Country: "US", Views: 1}}}, http.StatusBadRequest},
+		{"empty", IngestContentType, ingestBody(nil), http.StatusBadRequest},
+		{"empty upload id", IngestContentType, ingestBody(nil, ""), http.StatusBadRequest},
+		{"bad event", IngestContentType, ingestBody([]ingest.Event{{Country: jp, Views: 1}}), http.StatusBadRequest},
+		{"JSON body", "application/json", []byte(`{"uploads":["x"]}`), http.StatusUnsupportedMediaType},
+		{"no content type", "", good, http.StatusUnsupportedMediaType},
+		{"event count over MaxBatch", IngestContentType, overCount.B, http.StatusBadRequest},
+		{"truncated", IngestContentType, good[:len(good)-1], http.StatusBadRequest},
+		{"trailing bytes", IngestContentType, append(append([]byte(nil), good...), 0), http.StatusBadRequest},
+		{"non-canonical count", IngestContentType, nonCanonical, http.StatusBadRequest},
+		{"country out of range", IngestContentType, ingestBody([]ingest.Event{{Tags: []string{"zz-e"}, Country: geo.CountryID(srv.countries.Len()), Views: 1}}), http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		if code := do(t, srv, http.MethodPost, "/internal/ingest", c.req, nil); code != c.want {
-			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, ingestRequest(c.contentType, c.body))
+		var e struct {
+			Error string `json:"error"`
 		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != c.want || err != nil || e.Error == "" {
+			t.Errorf("%s: status %d (want %d), envelope %q (%v)", c.name, rec.Code, c.want, rec.Body, err)
+		}
+	}
+	if st := acc.Stats(); st.Events != 0 || st.Pending != 0 {
+		t.Fatalf("refused bodies moved the accumulator: %+v", st)
+	}
+	if code := do(t, srv, http.MethodGet, "/internal/ingest", nil, nil); code != http.StatusMethodNotAllowed {
+		t.Errorf("GET: %d, want 405", code)
 	}
 	// Read-only daemon: internal ingest is disabled like the public one.
 	res, _ := fixture(t)
@@ -227,9 +280,8 @@ func TestInternalIngestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if code := do(t, bare, http.MethodPost, "/internal/ingest",
-		InternalIngestRequest{Uploads: []string{"x"}}, nil); code != http.StatusServiceUnavailable {
-		t.Fatalf("read-only internal ingest: %d, want 503", code)
+	if rec := postInternalIngest(bare, ingestBody(nil, "x")); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("read-only internal ingest: %d, want 503", rec.Code)
 	}
 }
 
@@ -284,9 +336,13 @@ func TestRetryAfterDerivation(t *testing.T) {
 		t.Fatalf("fill: %d", code)
 	}
 	for _, path := range []string{"/v1/ingest", "/internal/ingest"} {
+		req := httptest.NewRequest(http.MethodPost, path,
+			jsonBody(t, IngestRequest{Events: []IngestEvent{{Tags: []string{"c"}, Country: "US", Views: 1}}}))
+		if path == InternalIngestPath {
+			req = ingestRequest(IngestContentType, ingestBody([]ingest.Event{{Tags: []string{"c"}, Country: country(t, srv, "US"), Views: 1}}))
+		}
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path,
-			jsonBody(t, IngestRequest{Events: []IngestEvent{{Tags: []string{"c"}, Country: "US", Views: 1}}})))
+		srv.Handler().ServeHTTP(rec, req)
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("%s overflow: %d, want 503", path, rec.Code)
 		}

@@ -288,13 +288,10 @@ func TestStreamGracefulShutdownAnswersInFlightFrames(t *testing.T) {
 	go func() { served <- srv.Serve(ctx, ln, 5*time.Second) }()
 
 	conn, br := dialStream(t, "http://"+ln.Addr().String())
-	body, err := json.Marshal(InternalIngestRequest{Events: []IngestEvent{
-		{Video: "drain-1", Tags: []string{"zz-drain"}, Country: "JP", Views: 3, Upload: true},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(mustFrame(t, StreamRequest{ID: 41, Path: "/internal/ingest", ContentType: jsonContentType, Body: body})); err != nil {
+	body := ingestBody([]ingest.Event{
+		{Video: "drain-1", Tags: []string{"zz-drain"}, Country: country(t, srv, "JP"), Views: 3, Upload: true},
+	})
+	if _, err := conn.Write(mustFrame(t, StreamRequest{ID: 41, Path: "/internal/ingest", ContentType: IngestContentType, Body: body})); err != nil {
 		t.Fatal(err)
 	}
 	<-journal.entered // the frame is inside its handler
@@ -309,7 +306,7 @@ func TestStreamGracefulShutdownAnswersInFlightFrames(t *testing.T) {
 
 	rep := readReply(t, conn, br)
 	var ack IngestResponse
-	if rep.ID != 41 || rep.Status != http.StatusOK || json.Unmarshal(rep.Body, &ack) != nil || ack.Accepted != 1 {
+	if rep.ID != 41 || rep.Status != http.StatusOK || DecodeIngestAck(rep.Body, &ack) != nil || ack.Accepted != 1 {
 		t.Fatalf("in-flight frame across shutdown: id %d status %d body %q", rep.ID, rep.Status, rep.Body)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -359,8 +356,8 @@ func TestStreamShedFrameCarriesErrorEnvelope(t *testing.T) {
 	defer ts.Close()
 	conn, br := dialStream(t, ts.URL)
 
-	held := []byte(`{"uploads":["shed-frame-video"]}`)
-	if _, err := conn.Write(mustFrame(t, StreamRequest{ID: 1, Path: "/internal/ingest", ContentType: jsonContentType, Body: held})); err != nil {
+	held := ingestBody(nil, "shed-frame-video")
+	if _, err := conn.Write(mustFrame(t, StreamRequest{ID: 1, Path: "/internal/ingest", ContentType: IngestContentType, Body: held})); err != nil {
 		t.Fatal(err)
 	}
 	<-journal.entered // the one slot is taken

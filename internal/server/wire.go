@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -158,6 +159,11 @@ func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagvi
 	}
 	if flags&wireFlagExclude != 0 {
 		exclude = make([]int, r.Count("exclude", math.MaxInt, 1))
+		if len(exclude) == 0 && r.Err() == nil {
+			// The encoder sets the flag only over a list: one encoding
+			// per request.
+			r.Fail(errors.New("server: exclusion flag over an empty list"))
+		}
 		for i := range exclude {
 			exclude[i] = int(r.Uvarint())
 		}
@@ -297,6 +303,40 @@ func growFloats(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
+}
+
+// The ingest leg: a gateway POSTs /internal/ingest with
+// IngestContentType and the body ingest.AppendBatch writes — the shard's
+// share of a batch, as events over country ids, then bare upload
+// announcements — the bytes a WAL record carries after its generation.
+// The shard acks in kind:
+//
+//	accepted uvarint | epoch uvarint | pending varint
+//
+// Any other content type is refused with a 415, and errors go out as the
+// JSON error envelope, as on /internal/predict. The version lives in the
+// content type: a layout change is a new one.
+const IngestContentType = "application/x-viewstags-ingest-v1"
+
+// appendIngestAck appends the binary /internal/ingest ack.
+func appendIngestAck(dst []byte, ack *IngestResponse) []byte {
+	w := bincodec.Writer{B: dst}
+	w.Uvarint(uint64(ack.Accepted))
+	w.Uvarint(ack.Epoch)
+	w.Varint(ack.Pending)
+	return w.B
+}
+
+// DecodeIngestAck parses a shard's /internal/ingest ack.
+func DecodeIngestAck(data []byte, ack *IngestResponse) error {
+	r := bincodec.NewReader(data)
+	ack.Accepted = int(r.Uvarint())
+	ack.Epoch = r.Uvarint()
+	ack.Pending = r.Varint()
+	if err := r.End(); err != nil {
+		return fmt.Errorf("server: ingest ack: %w", err)
+	}
+	return nil
 }
 
 // wireBufPool recycles request/response byte buffers across the binary

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"reflect"
 	"testing"
 
 	"viewstags/internal/bincodec"
+	"viewstags/internal/ingest"
 	"viewstags/internal/tagviews"
 )
 
@@ -67,6 +69,51 @@ func TestWireResponseGoldenBytes(t *testing.T) {
 	_ = binary.Write(&want, binary.LittleEndian, float64(0.75))
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("response frame mismatch:\n got %v\nwant %v", got, want.Bytes())
+	}
+}
+
+// TestInternalIngestGoldenBytes pins the /internal/ingest body and ack
+// byte for byte. The body is the batch encoding a WAL record carries
+// after its generation (persist's TestWALRecordGoldenBytes pins that
+// side), so this also pins what gateway and shard exchange.
+func TestInternalIngestGoldenBytes(t *testing.T) {
+	events := []ingest.Event{{Video: "v1", Tags: []string{"a", "bc"}, Country: 3, Views: 1.5, Upload: true}}
+	uploads := []string{"u2"}
+	var body bincodec.Writer
+	ingest.AppendBatch(&body, events, uploads)
+	want := []byte{
+		1,           // nEvents
+		2, 'v', '1', // video
+		2,      // nTags
+		1, 'a', // tag "a"
+		2, 'b', 'c', // tag "bc"
+		3,                            // country id
+		0, 0, 0, 0, 0, 0, 0xf8, 0x3f, // views 1.5
+		1,           // upload flag
+		1,           // nUploads
+		2, 'u', '2', // bare upload announcement
+	}
+	if !bytes.Equal(body.B, want) {
+		t.Fatalf("ingest body mismatch:\n got %v\nwant %v", body.B, want)
+	}
+	r := bincodec.NewSharedReader(want)
+	gotEvents, gotUploads := ingest.ReadBatch(&r, 1)
+	if err := r.End(); err != nil || !reflect.DeepEqual(gotEvents, events) || !reflect.DeepEqual(gotUploads, uploads) {
+		t.Fatalf("ingest body decode: %v: %+v %q", err, gotEvents, gotUploads)
+	}
+
+	ack := IngestResponse{Accepted: 2, Epoch: 300, Pending: 5}
+	wantAck := []byte{
+		2,          // accepted uvarint
+		0xac, 0x02, // epoch uvarint (300)
+		10, // pending zig-zag varint (5)
+	}
+	if got := appendIngestAck(nil, &ack); !bytes.Equal(got, wantAck) {
+		t.Fatalf("ingest ack mismatch:\n got %v\nwant %v", got, wantAck)
+	}
+	var back IngestResponse
+	if err := DecodeIngestAck(wantAck, &back); err != nil || back != ack {
+		t.Fatalf("ingest ack decode: %v: %+v", err, back)
 	}
 }
 
@@ -314,10 +361,11 @@ func TestWireNaNWeightSum(t *testing.T) {
 	}
 }
 
-// FuzzInternalCodec: decoding arbitrary bytes as either frame kind must
-// never panic, and every frame the encoder produces must decode back
+// FuzzInternalCodec: decoding arbitrary bytes as any internal frame kind
+// — predict request and response, ingest body and ack — must never
+// panic, and every frame the encoder produces must decode back
 // losslessly (the round-trip property is checked whenever the fuzzer's
-// input parses as a seed-shaped request).
+// input parses).
 func FuzzInternalCodec(f *testing.F) {
 	f.Add(AppendPredictRequest(nil, [][]string{{"a", "bb"}, {"ccc"}}, tagviews.WeightIDF, false))
 	f.Add(AppendPredictRequest(nil, [][]string{{"pop", "rock"}}, tagviews.WeightUniform, true))
@@ -328,14 +376,18 @@ func FuzzInternalCodec(f *testing.F) {
 	f.Add(append([]byte(nil), enc.Finish()...))
 	f.Add([]byte("VTIPRQ01"))
 	f.Add([]byte("VTIPRS01\x00\x03"))
+	var body bincodec.Writer
+	ingest.AppendBatch(&body, []ingest.Event{{Video: "v", Tags: []string{"a", "bc"}, Country: 3, Views: 1.5, Upload: true}}, []string{"u"})
+	f.Add(body.B)
+	f.Add(appendIngestAck(nil, &IngestResponse{Accepted: 2, Epoch: 300, Pending: 5}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Neither decoder may panic or over-allocate on arbitrary input.
-		items, w, crc, err := DecodePredictRequest(data)
+		// No decoder may panic or over-allocate on arbitrary input.
+		items, w, exclude, crc, err := decodePredictRequestExclude(data)
 		if err == nil {
 			// Whatever decoded must re-encode to the identical frame:
 			// decode∘encode is the identity on the codec's image.
-			again := AppendPredictRequest(nil, items, w, crc)
+			again := AppendPredictRequestExclude(nil, items, w, exclude, crc)
 			if !bytes.Equal(again, data) {
 				t.Fatalf("request re-encode mismatch:\n in  %v\n out %v", data, again)
 			}
@@ -363,6 +415,22 @@ func FuzzInternalCodec(f *testing.F) {
 				if nanFree && !bytes.Equal(enc.Finish(), data) {
 					t.Fatalf("response re-encode mismatch:\n in  %v\n out %v", data, enc.Finish())
 				}
+			}
+		}
+		// The ingest body and ack: whatever decodes re-encodes to the
+		// bytes it consumed.
+		r := bincodec.NewSharedReader(data)
+		if events, uploads := ingest.ReadBatch(&r, 64); r.End() == nil {
+			var w bincodec.Writer
+			ingest.AppendBatch(&w, events, uploads)
+			if !bytes.Equal(w.B, data) {
+				t.Fatalf("ingest body re-encode mismatch:\n in  %v\n out %v", data, w.B)
+			}
+		}
+		var ack IngestResponse
+		if DecodeIngestAck(data, &ack) == nil {
+			if again := appendIngestAck(nil, &ack); !bytes.Equal(again, data) {
+				t.Fatalf("ingest ack re-encode mismatch:\n in  %v\n out %v", data, again)
 			}
 		}
 	})
