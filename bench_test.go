@@ -1205,11 +1205,9 @@ func BenchmarkInternalCodec(b *testing.B) {
 	for _, n := range []int{4, 32} {
 		events := ingestBenchEvents(b, n)
 		b.Run(fmt.Sprintf("ingest-encode/b%d", n), func(b *testing.B) {
-			w := bincodec.Writer{}
-			ingest.AppendBatch(&w, events, nil)
-			b.ResetTimer()
+			var w bincodec.Writer
 			for i := 0; i < b.N; i++ {
-				w.B = w.B[:0]
+				w = bincodec.Writer{} // a fresh body per leg, as the gateway writes it
 				ingest.AppendBatch(&w, events, nil)
 			}
 			b.SetBytes(int64(len(w.B)))

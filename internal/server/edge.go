@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -257,11 +256,18 @@ func (e *Edge) serveIngest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "batch of %d events exceeds limit %d", len(req.Events), e.maxBatch)
 		return
 	}
+	// Resolving country codes is the one event check that needs the
+	// country table; the rest is ingest.Validate's.
 	countries := e.backend.Countries()
-	events, fe := resolveEvents(countries, req.Events)
-	if fe != nil {
-		fe.Write(w)
-		return
+	events := make([]ingest.Event, len(req.Events))
+	for i := range req.Events {
+		ev := &req.Events[i]
+		country, ok := countries.Lookup(ev.Country)
+		if !ok {
+			WriteError(w, http.StatusBadRequest, "event %d: unknown country %q", i, ev.Country)
+			return
+		}
+		events[i] = ingest.Event{Video: ev.Video, Tags: ev.Tags, Country: country, Views: ev.Views, Upload: ev.Upload}
 	}
 	// The whole batch is validated before any of it is applied: on the
 	// gateway it is all-or-nothing across shards, so nothing may be
@@ -277,23 +283,6 @@ func (e *Edge) serveIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	e.metrics.Events.Add(int64(len(events)))
 	writeIngestResponse(w, &ack)
-}
-
-// resolveEvents maps wire events onto ingest events, resolving country
-// codes — the one event check that needs the country table; the rest is
-// ingest.Validate's. Shared by the public and the shard-internal ingest
-// routes.
-func resolveEvents(c *Countries, wire []IngestEvent) ([]ingest.Event, *ErrorReply) {
-	events := make([]ingest.Event, len(wire))
-	for i := range wire {
-		e := &wire[i]
-		country, ok := c.Lookup(e.Country)
-		if !ok {
-			return nil, &ErrorReply{Status: http.StatusBadRequest, Msg: fmt.Sprintf("event %d: unknown country %q", i, e.Country)}
-		}
-		events[i] = ingest.Event{Video: e.Video, Tags: e.Tags, Country: country, Views: e.Views, Upload: e.Upload}
-	}
-	return events, nil
 }
 
 // TagsResponse is the /v1/tags wire shape.

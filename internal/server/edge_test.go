@@ -98,6 +98,15 @@ var edgeSeedDeclined = []string{
 	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":"yes"}]}`,
 	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":truex}]}`,
 	`{"events":[{"tags":["t"],"country":"US","views":1,"upload":tru}]}`,
+	// The shard-internal ingest body and ack were JSON once; no public
+	// route takes their keys.
+	`{"events":[{"video":"d-ZC","tags":["samba"],"country":"BR","views":120,"upload":true}],"uploads":["other-shards-video"]}`,
+	`{"uploads":["a","b"]}`,
+	`{"accepted":2,"epoch":17,"pending":2412}`,
+	`{"accepted": 2, "epoch": 18446744073709551615, "pending": 0}` + "\n",
+	`{"accepted":-1,"epoch":1,"pending":0}`,
+	`{"accepted":1,"epoch":18446744073709551616,"pending":0}`,
+	`{"accepted":1,"epoch":1,"pending":9223372036854775808}`,
 }
 
 func TestEdgeDecodeSeeds(t *testing.T) {
