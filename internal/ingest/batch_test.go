@@ -3,35 +3,11 @@ package ingest
 import (
 	"bytes"
 	"fmt"
-	"reflect"
 	"runtime"
 	"testing"
 
 	"viewstags/internal/bincodec"
 )
-
-// TestBatchRoundTrip: ReadBatch reads back what AppendBatch wrote, over
-// a slice and a shared slice, and each half may be empty.
-func TestBatchRoundTrip(t *testing.T) {
-	events := []Event{
-		{Video: "v1", Tags: []string{"a", "bc"}, Country: 3, Views: 1.5, Upload: true},
-		{Tags: []string{"música"}, Country: 0, Views: 0},
-	}
-	for _, c := range []struct {
-		events  []Event
-		uploads []string
-	}{{events, []string{"u1", "u2"}}, {events, []string{}}, {[]Event{}, []string{"u1"}}} {
-		var w bincodec.Writer
-		AppendBatch(&w, c.events, c.uploads)
-		for _, open := range []func([]byte) bincodec.Reader{bincodec.NewReader, bincodec.NewSharedReader} {
-			r := open(w.B)
-			gotEvents, gotUploads := ReadBatch(&r, len(c.events)+len(c.uploads))
-			if err := r.End(); err != nil || !reflect.DeepEqual(gotEvents, c.events) || !reflect.DeepEqual(gotUploads, c.uploads) {
-				t.Fatalf("round trip: %v: %+v %q", err, gotEvents, gotUploads)
-			}
-		}
-	}
-}
 
 // TestReadBatchRefusals: counts past their bound or the bytes left, a
 // truncated body, a non-canonical count and an upload flag other than 0

@@ -174,8 +174,7 @@ func (s *Server) epoch() uint64 {
 // other shards. The announcements exist because the training-corpus
 // size is global: every shard must count every new upload exactly once
 // per fold epoch or its IDF weights drift from its peers'. The body and
-// the ack are binary (IngestContentType); the batch is applied and
-// journaled whole or not at all.
+// the ack are binary (IngestContentType, wire.go).
 func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 	if s.ing == nil {
 		WriteError(w, http.StatusServiceUnavailable, "ingest disabled: daemon started without an event stream (-ingest-interval 0)")
@@ -193,8 +192,8 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The counts are capped at MaxBatch before anything is allocated.
-	// The strings share one copy of the body, which the accumulator
-	// clones from where it keeps one, and the pooled body is free for
+	// The strings are substrings of one copy of the body (the
+	// accumulator clones what it keeps), so the pooled body is free for
 	// the ack.
 	br := bincodec.NewSharedReader(body.Bytes())
 	events, uploads := ingest.ReadBatch(&br, s.cfg.MaxBatch)

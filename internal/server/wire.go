@@ -22,7 +22,8 @@ import (
 // layout change a new magic, not a silent misparse.
 //
 // A gateway POSTs /internal/predict with WireContentType and the shard
-// answers in kind; any other content type is refused with a 415.
+// answers in kind; any other content type is refused with a 415. The
+// /internal/ingest leg's content type and ack are at the end of the file.
 //
 // Request frame:
 //
