@@ -1217,7 +1217,7 @@ func BenchmarkInternalCodec(b *testing.B) {
 			ingest.AppendBatch(&w, events, nil)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				r := bincodec.NewSharedReader(w.B)
+				r := bincodec.NewReader(w.B)
 				if ingest.ReadBatch(&r, 1024); r.End() != nil {
 					b.Fatal(r.Err())
 				}

@@ -97,10 +97,7 @@ type Reader struct {
 	buf []byte
 	off int
 	src io.Reader
-	// text, when set, is a string copy of a slice input: Str cuts its
-	// strings from it.
-	text string
-	err  error
+	err error
 	// sum is the CRC-32 of every byte consumed before buf[mark].
 	sum  uint32
 	mark int
@@ -108,12 +105,6 @@ type Reader struct {
 
 // NewReader reads b. Bytes and Rest alias it.
 func NewReader(b []byte) Reader { return Reader{buf: b} }
-
-// NewSharedReader reads b like NewReader, but Str returns substrings of
-// one string copy of b: one allocation for every string the read makes,
-// and each string keeps that copy alive. It is for a decode whose
-// strings are short-lived or copied where kept.
-func NewSharedReader(b []byte) Reader { return Reader{buf: b, text: string(b)} }
 
 // NewSourceReader reads src through a window of sourceWindow bytes. It
 // may read ahead of what it has consumed.
@@ -288,12 +279,7 @@ func (r *Reader) Str(max int) string {
 		return ""
 	}
 	if len(r.buf)-r.off >= int(n) {
-		var s string
-		if r.text != "" {
-			s = r.text[r.off : r.off+int(n)]
-		} else {
-			s = string(r.buf[r.off : r.off+int(n)])
-		}
+		s := string(r.buf[r.off : r.off+int(n)])
 		r.off += int(n)
 		return s
 	}

@@ -6,22 +6,20 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
 )
 
-// modes runs a read over both inputs: the slice itself (with its strings
-// copied, or cut from one shared copy), and a source that hands the
-// reader one byte per Read, so every primitive takes the refill branch.
+// modes runs a read over both inputs: the slice itself, and a source
+// that hands the reader one byte per Read, so every primitive takes the
+// refill branch.
 var modes = []struct {
 	name string
 	open func([]byte) Reader
 }{
 	{"slice", NewReader},
-	{"shared", NewSharedReader},
 	{"source", func(b []byte) Reader { return NewSourceReader(iotest.OneByteReader(bytes.NewReader(b))) }},
 }
 
@@ -145,7 +143,6 @@ func TestReaderRoundTrip(t *testing.T) {
 		open func([]byte) Reader
 	}{
 		{"slice", NewReader},
-		{"shared", NewSharedReader},
 		{"source", func(b []byte) Reader { return NewSourceReader(iotest.HalfReader(bytes.NewReader(b))) }},
 	} {
 		r := m.open(w.B)
@@ -219,8 +216,8 @@ func TestSourceErrorsPassThrough(t *testing.T) {
 	}
 }
 
-// FuzzReader: over the same bytes, a slice, a shared slice and a
-// one-byte-at-a-time source read the same values and meet the same first error, neither
+// FuzzReader: over the same bytes, a slice and a one-byte-at-a-time
+// source read the same values and meet the same first error, neither
 // allocates by a claim, and whatever both read re-encodes to exactly
 // the bytes consumed (each value has one encoding), whose CRC both sums
 // report.
@@ -301,11 +298,6 @@ func FuzzReader(f *testing.F) {
 		}
 		if n := allocated(func() { b = run(&src, &wsrc) }); n > sourceWindow+64<<10+64*uint64(len(data)+len(prog)) {
 			t.Fatalf("source read of %d bytes allocated %d", len(data), n)
-		}
-		var wsh Writer
-		sh := NewSharedReader(data)
-		if shared := run(&sh, &wsh); !reflect.DeepEqual(shared, a) || !bytes.Equal(wsh.B, ws.B) {
-			t.Fatalf("shared slice read %v, slice %v", shared, a)
 		}
 		if len(a) != len(b) {
 			t.Fatalf("slice took %d steps, source %d", len(a), len(b))

@@ -420,7 +420,9 @@ func TestEdgeBodyBufferNotPinned(t *testing.T) {
 // video ids (until the fold, and a novel tag's name for good). What it
 // keeps must be a copy, or each 1 MB body below would stay live for its
 // one tag — both while pending and after the fold. The shard's binary
-// route rides along unpadded: its decoder copies every string.
+// route pads its body with a view event whose video id is just under
+// 1 MB: a non-upload event's video id is never kept, so only the tag
+// and the upload ids are, and they must not pin the body either.
 func TestIngestDoesNotPinRequestBody(t *testing.T) {
 	srv, _, comp := freshServer(t, false, 0, time.Hour)
 	h := srv.Handler()
@@ -431,7 +433,11 @@ func TestIngestDoesNotPinRequestBody(t *testing.T) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/ingest", strings.NewReader(body))
 		if i%2 == 1 { // the shard's route, with a bare upload announcement
 			br, _ := srv.countries.Lookup("BR")
-			events := []ingest.Event{{Video: fmt.Sprintf("pin-video-%d", i), Tags: []string{fmt.Sprintf("pin-tag-%d", i)}, Country: br, Views: 3, Upload: true}}
+			tags := []string{fmt.Sprintf("pin-tag-%d", i)}
+			events := []ingest.Event{
+				{Video: strings.Repeat("p", max(pad-64, 0)), Tags: tags, Country: br, Views: 1},
+				{Video: fmt.Sprintf("pin-video-%d", i), Tags: tags, Country: br, Views: 3, Upload: true},
+			}
 			req = ingestRequest(IngestContentType, ingestBody(events, fmt.Sprintf("pin-bare-%d", i)))
 		}
 		rec := httptest.NewRecorder()

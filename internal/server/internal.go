@@ -192,10 +192,9 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The counts are capped at MaxBatch before anything is allocated.
-	// The strings are substrings of one copy of the body (the
-	// accumulator clones what it keeps), so the pooled body is free for
-	// the ack.
-	br := bincodec.NewSharedReader(body.Bytes())
+	// Every string is copied out of the body, so the pooled body is free
+	// for the ack and nothing the accumulator keeps pins it.
+	br := bincodec.NewReader(body.Bytes())
 	events, uploads := ingest.ReadBatch(&br, s.cfg.MaxBatch)
 	if err := br.End(); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -160,11 +159,6 @@ func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagvi
 	}
 	if flags&wireFlagExclude != 0 {
 		exclude = make([]int, r.Count("exclude", math.MaxInt, 1))
-		if len(exclude) == 0 && r.Err() == nil {
-			// The encoder sets the flag only over a list: one encoding
-			// per request.
-			r.Fail(errors.New("server: exclusion flag over an empty list"))
-		}
 		for i := range exclude {
 			exclude[i] = int(r.Uvarint())
 		}

@@ -96,7 +96,7 @@ func TestInternalIngestGoldenBytes(t *testing.T) {
 	if !bytes.Equal(body.B, want) {
 		t.Fatalf("ingest body mismatch:\n got %v\nwant %v", body.B, want)
 	}
-	r := bincodec.NewSharedReader(want)
+	r := bincodec.NewReader(want)
 	gotEvents, gotUploads := ingest.ReadBatch(&r, 1)
 	if err := r.End(); err != nil || !reflect.DeepEqual(gotEvents, events) || !reflect.DeepEqual(gotUploads, uploads) {
 		t.Fatalf("ingest body decode: %v: %+v %q", err, gotEvents, gotUploads)
@@ -383,11 +383,11 @@ func FuzzInternalCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// No decoder may panic or over-allocate on arbitrary input.
-		items, w, exclude, crc, err := decodePredictRequestExclude(data)
+		items, w, crc, err := DecodePredictRequest(data)
 		if err == nil {
 			// Whatever decoded must re-encode to the identical frame:
 			// decode∘encode is the identity on the codec's image.
-			again := AppendPredictRequestExclude(nil, items, w, exclude, crc)
+			again := AppendPredictRequest(nil, items, w, crc)
 			if !bytes.Equal(again, data) {
 				t.Fatalf("request re-encode mismatch:\n in  %v\n out %v", data, again)
 			}
@@ -419,7 +419,7 @@ func FuzzInternalCodec(f *testing.F) {
 		}
 		// The ingest body and ack: whatever decodes re-encodes to the
 		// bytes it consumed.
-		r := bincodec.NewSharedReader(data)
+		r := bincodec.NewReader(data)
 		if events, uploads := ingest.ReadBatch(&r, 64); r.End() == nil {
 			var w bincodec.Writer
 			ingest.AppendBatch(&w, events, uploads)
