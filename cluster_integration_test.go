@@ -21,13 +21,14 @@ import (
 
 	"viewstags/internal/cluster"
 	"viewstags/internal/ingest"
+	"viewstags/internal/node"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
-// clusterNode is one daemon of the tier: shard or standalone,
-// compactor folding in the background.
+// clusterNode is one daemon of the tier, shard or standalone: the node
+// cmd/serve runs (internal/node's assembly), over the shared fixture's
+// snapshot, behind httptest.
 type clusterNode struct {
 	srv   *server.Server
 	store *profilestore.Store // the store srv serves
@@ -40,53 +41,55 @@ type clusterNode struct {
 	settle func()
 }
 
-func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEvery time.Duration) *clusterNode {
+// nodeOptions are cmd/serve's defaults for shard index of count at R
+// replicas, folding every foldEvery, without the flight recorder.
+func nodeOptions(index, count, replicas int, foldEvery time.Duration) node.Options {
+	o := node.DefaultOptions()
+	o.Shard = fmt.Sprintf("%d/%d", index, count)
+	o.Server.Replicas = replicas
+	o.IngestInterval = foldEvery
+	o.TraceDumpDir = ""
+	return o
+}
+
+// fixtureBase is the shared fixture's snapshot of the slice the R-way
+// ring of count shards places on shard index.
+func fixtureBase(t *testing.T, index, count, replicas int) *node.Base {
 	t.Helper()
-	res := testFixture(t)
+	ring, err := cluster.NewRingReplicas(count, 0, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var owns func(string) bool
 	if count > 1 {
-		owns = func(name string) bool { return ring.Owner(name) == index }
+		owns = func(name string) bool { return ring.Owns(name, index) }
 	}
-	snap, err := profilestore.BuildOwned(res.Analysis, owns)
+	snap, err := profilestore.BuildOwned(testFixture(t).Analysis, owns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := profilestore.NewStore(snap)
+	return &node.Base{Snap: snap}
+}
+
+// startNode starts the assembly over b and serves it behind httptest.
+func startNode(t *testing.T, o node.Options, b *node.Base) *clusterNode {
+	t.Helper()
+	n, err := node.Start(context.Background(), o, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := server.DefaultConfig()
-	cfg.ShardIndex = index
-	cfg.ShardCount = count
-	cfg.RingSignature = ring.Signature()
-	srv, err := server.New(cfg, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ingest.NewAccumulator(store, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.EnableIngest(acc, foldEvery); err != nil {
-		t.Fatal(err)
-	}
-	srv.SetReady()
-	comp, err := ingest.NewCompactor(acc, foldEvery, func(d []profilestore.TagDelta, n int) error {
-		return srv.ApplyDeltas(d, n, tagviews.WeightIDF)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); comp.Run(ctx) }()
-	ts := httptest.NewServer(srv.Handler())
-	n := &clusterNode{srv: srv, store: store, acc: acc, ts: ts, stop: func() {
-		cancel()
-		<-done // shutdown fold flushes the tail
+	ts := httptest.NewServer(n.Server.Handler())
+	return &clusterNode{srv: n.Server, store: n.Store, acc: n.Acc, ts: ts, stop: func() {
 		ts.Close()
-	}, settle: func() { _, _ = comp.FoldNow() }}
-	return n
+		_ = n.Close() // the shutdown fold flushes the tail
+	}, settle: func() { _, _ = n.Comp.FoldNow() }}
+}
+
+// startClusterNode is startReplicaNode at the replica count of ring,
+// the tier's ring.
+func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEvery time.Duration) *clusterNode {
+	t.Helper()
+	return startReplicaNode(t, index, count, ring.Replicas(), foldEvery)
 }
 
 // TestClusterGatewayEndToEnd stands up the full 3-shard tier plus a

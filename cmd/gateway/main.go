@@ -41,19 +41,21 @@ func main() {
 }
 
 func run() error {
+	cfg := cluster.DefaultGatewayConfig()
+	cfg.Replicas = 1
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8090", "listen address")
-		shards      = flag.String("shards", "", "comma-separated shard base URLs, in shard order (target i must run -shard i/n)")
-		maxInflight = flag.Int("max-inflight", 256, "concurrent request bound")
-		maxBatch    = flag.Int("max-batch", 1024, "max items per batched predict or ingest")
-		logRequests = flag.Bool("log-requests", false, "log every request")
-		grace       = flag.Duration("grace", 10*time.Second, "shutdown drain timeout")
-		healthEvery = flag.Duration("health-interval", time.Second, "shard health poll cadence")
-		syncWait    = flag.Duration("sync-wait", 30*time.Second, "how long to retry the startup shard sync (jittered exponential backoff)")
-		replicas    = flag.Int("replicas", 1, "copies of each tag's slice the shard tier places (must match every shard's -replicas; 1 = unreplicated)")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = off)")
-		traceDump   = flag.String("trace-dump-dir", ".", "flight recorder: dump the retained trace ring to traces_<event>.json here on SIGQUIT or a recovered handler panic (empty = off)")
+		addr      = flag.String("addr", "127.0.0.1:8090", "listen address")
+		shards    = flag.String("shards", "", "comma-separated shard base URLs, in shard order (target i must run -shard i/n)")
+		grace     = flag.Duration("grace", 10*time.Second, "shutdown drain timeout")
+		syncWait  = flag.Duration("sync-wait", 30*time.Second, "how long to retry the startup shard sync (jittered exponential backoff)")
+		pprofAddr = flag.String("pprof-addr", "", "serve net/http/pprof on this separate operator-only address (empty = off)")
+		traceDump = flag.String("trace-dump-dir", ".", "flight recorder: dump the retained trace ring to traces_<event>.json here on SIGQUIT or a recovered handler panic (empty = off)")
 	)
+	flag.IntVar(&cfg.MaxInFlight, "max-inflight", cfg.MaxInFlight, "concurrent request bound")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", cfg.MaxBatch, "max items per batched predict or ingest")
+	flag.BoolVar(&cfg.LogRequests, "log-requests", cfg.LogRequests, "log every request")
+	flag.DurationVar(&cfg.HealthInterval, "health-interval", cfg.HealthInterval, "shard health poll cadence")
+	flag.IntVar(&cfg.Replicas, "replicas", cfg.Replicas, "copies of each tag's slice the shard tier places (must match every shard's -replicas; 1 = unreplicated)")
 	flag.Parse()
 	server.HeapSamplingFor(*pprofAddr)
 	if *shards == "" {
@@ -70,13 +72,7 @@ func run() error {
 	}
 
 	logger := log.New(os.Stderr, "", log.LstdFlags)
-	cfg := cluster.DefaultGatewayConfig()
-	cfg.MaxInFlight = *maxInflight
-	cfg.MaxBatch = *maxBatch
 	cfg.Logger = logger
-	cfg.LogRequests = *logRequests
-	cfg.HealthInterval = *healthEvery
-	cfg.Replicas = *replicas
 	g, err := cluster.NewGateway(cfg, targets)
 	if err != nil {
 		return err

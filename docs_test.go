@@ -8,6 +8,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -124,6 +125,89 @@ func TestEveryPackageHasDocComment(t *testing.T) {
 		}
 		if len(files) > 0 && !documented {
 			t.Errorf("package %s has no package doc comment on any of %v", dir, files)
+		}
+	}
+}
+
+// printedFlags runs a daemon's -h and returns each flag it prints with
+// the default it prints ("" when it prints none: a false bool, an empty
+// string).
+func printedFlags(t *testing.T, bin string) map[string]string {
+	t.Helper()
+	out, _ := exec.Command(bin, "-h").CombinedOutput() // -h exits 2
+	flags := map[string]string{}
+	var name string
+	for _, line := range strings.Split(string(out), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			name, _, _ = strings.Cut(rest, " ")
+			flags[name] = ""
+		} else if i := strings.LastIndex(line, " (default "); name != "" && i >= 0 && strings.HasSuffix(line, ")") {
+			flags[name] = strings.Trim(line[i+len(" (default "):len(line)-1], `"`)
+		}
+	}
+	if len(flags) == 0 {
+		t.Fatalf("%s -h printed no flags:\n%s", bin, out)
+	}
+	return flags
+}
+
+// flagTable returns the rows of the first "| flag | default | meaning |"
+// table after heading in doc: each row's flag (its first cell, one
+// backticked -name) and its default cell, backticks dropped, with "—"
+// and "off" read as no default.
+func flagTable(t *testing.T, doc, heading string) [][2]string {
+	t.Helper()
+	_, after, ok := strings.Cut(doc, "\n"+heading+"\n")
+	if !ok {
+		t.Fatalf("OPERATIONS.md has no heading %q", heading)
+	}
+	_, table, ok := strings.Cut(after, "\n| flag | default | meaning |\n|---|---|---|\n")
+	if !ok {
+		t.Fatalf("no flag table under %q", heading)
+	}
+	var rows [][2]string
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, " | ")
+		if !strings.HasPrefix(line, "| ") || len(cells) < 3 {
+			break
+		}
+		flag := strings.Trim(strings.TrimPrefix(cells[0], "| "), "`")
+		def := strings.ReplaceAll(cells[1], "`", "")
+		if def == "—" || def == "off" {
+			def = ""
+		}
+		rows = append(rows, [2]string{flag, def})
+	}
+	return rows
+}
+
+// TestFlagTablesMatchBinaries holds OPERATIONS.md's flag tables against
+// the daemons: exactly one row per flag each binary's -h prints, with
+// the default it prints, and no row for a flag it does not have.
+func TestFlagTablesMatchBinaries(t *testing.T) {
+	raw, err := os.ReadFile("OPERATIONS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []struct{ bin, heading string }{
+		{"serve", "## Starting the daemon"},
+		{"gateway", "### Gateway flags"},
+	} {
+		flags := printedFlags(t, daemonBinary(t, d.bin))
+		seen := map[string]int{}
+		for _, row := range flagTable(t, string(raw), d.heading) {
+			name := strings.TrimPrefix(row[0], "-")
+			seen[name]++
+			if def, ok := flags[name]; !ok {
+				t.Errorf("%s table: row for %s, which %s -h does not print", d.bin, row[0], d.bin)
+			} else if row[1] != def {
+				t.Errorf("%s table: %s default %q, %s -h prints %q", d.bin, row[0], row[1], d.bin, def)
+			}
+		}
+		for name := range flags {
+			if seen[name] != 1 {
+				t.Errorf("%s table: %d rows for -%s, want exactly one", d.bin, seen[name], name)
+			}
 		}
 	}
 }

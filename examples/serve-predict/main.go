@@ -1,8 +1,8 @@
 // Serve-predict: the online serving layer end to end in one process.
 //
-// It builds the paper pipeline over a small synthetic catalog, loads
-// the tag profiles into the sharded profile store, starts the HTTP
-// placement service on an ephemeral loopback port, and then plays the
+// It builds the paper pipeline over a small synthetic catalog, starts
+// the node cmd/serve runs (internal/node) over its tag profiles on an
+// ephemeral loopback port, read-only, and then plays the
 // client side: predict where a fresh Brazilian-tagged upload will be
 // watched, ask where its replicas should go, and fetch Brazil's
 // cache-preload advisory — the same session a curl user or
@@ -22,10 +22,10 @@ import (
 	"time"
 
 	"viewstags/internal/alexa"
+	"viewstags/internal/node"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 func main() {
@@ -45,27 +45,19 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	store, err := profilestore.NewStore(snap)
-	if err != nil {
-		return err
-	}
 	fmt.Printf("profile store: %d tags over %d countries\n\n", snap.NumTags(), snap.World().N())
 
-	srv, err := server.New(server.DefaultConfig(), store)
+	// Online: the daemon's node without its write path, with the served
+	// form of the catalog that /v1/preload ranks against the snapshot
+	// then serving. Serve it on an ephemeral port, drive it, shut down
+	// cleanly.
+	o := node.DefaultOptions()
+	o.IngestInterval = 0
+	o.TraceDumpDir = ""
+	n, err := node.Start(context.Background(), o, &node.Base{Snap: snap, Served: res.Catalog.Served()})
 	if err != nil {
 		return err
 	}
-	// Preload advisories need the served form of the catalog (ids, tags,
-	// view totals, ground truth); each request ranks it against the
-	// snapshot then serving, tag-push under this weighting.
-	if err := srv.SetCatalog(res.Catalog.Served(), tagviews.WeightIDF); err != nil {
-		return err
-	}
-	// No recovery phase here, so the server is ready as soon as it is
-	// wired: flip /readyz before serving.
-	srv.SetReady()
-
-	// Online: serve on an ephemeral port, drive it, shut down cleanly.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return err
@@ -73,7 +65,7 @@ func run() error {
 	addr := ln.Addr().String()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ctx, ln, 2*time.Second) }()
+	go func() { done <- n.Server.Serve(ctx, ln, 2*time.Second) }()
 	base := "http://" + addr
 	if err := waitReady(base); err != nil {
 		cancel()
@@ -99,7 +91,10 @@ func run() error {
 	}
 
 	cancel() // graceful drain
-	return <-done
+	if err := <-done; err != nil {
+		return err
+	}
+	return n.Close()
 }
 
 // waitReady polls /readyz until the server admits traffic.

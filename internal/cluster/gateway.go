@@ -70,9 +70,10 @@ type GatewayConfig struct {
 
 // DefaultGatewayConfig returns the standard gateway configuration.
 func DefaultGatewayConfig() GatewayConfig {
+	node := server.DefaultConfig() // the daemon's request bounds, spelled once
 	return GatewayConfig{
-		MaxInFlight:    256,
-		MaxBatch:       1024,
+		MaxInFlight:    node.MaxInFlight,
+		MaxBatch:       node.MaxBatch,
 		HealthInterval: time.Second,
 		FailThreshold:  3,
 		ShardTimeout:   5 * time.Second,

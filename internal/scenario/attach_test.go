@@ -16,11 +16,9 @@ import (
 	"time"
 
 	"viewstags/internal/alexa"
-	"viewstags/internal/ingest"
+	"viewstags/internal/node"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
-	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 const (
@@ -28,9 +26,9 @@ const (
 	attachSeed   = 20110301
 )
 
-// startAttachNode is a whole standalone node in-process — snapshot,
-// ingest with a live compactor, the real handler chain — behind
-// httptest: what `scenario run -target` is pointed at, minus the exec.
+// startAttachNode is the node cmd/serve runs standalone, over the
+// spec's catalog, behind httptest: what `scenario run -target` is
+// pointed at, minus the exec.
 func startAttachNode(t *testing.T) *httptest.Server {
 	t.Helper()
 	res, err := pipeline.FromSynthetic(attachVideos, attachSeed, alexa.DefaultConfig())
@@ -41,37 +39,17 @@ func startAttachNode(t *testing.T) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := profilestore.NewStore(snap)
+	o := node.DefaultOptions()
+	o.IngestInterval = 50 * time.Millisecond
+	o.TraceDumpDir = ""
+	n, err := node.Start(context.Background(), o, &node.Base{Snap: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.DefaultConfig(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ingest.NewAccumulator(store, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const foldEvery = 50 * time.Millisecond
-	if err := srv.EnableIngest(acc, foldEvery); err != nil {
-		t.Fatal(err)
-	}
-	srv.SetReady()
-	comp, err := ingest.NewCompactor(acc, foldEvery, func(d []profilestore.TagDelta, n int) error {
-		return srv.ApplyDeltas(d, n, tagviews.WeightIDF)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); comp.Run(ctx) }()
-	ts := httptest.NewServer(srv.Handler())
+	ts := httptest.NewServer(n.Server.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		cancel()
-		<-done
+		_ = n.Close()
 	})
 	return ts
 }

@@ -122,6 +122,8 @@ func TestInternalPredictErrors(t *testing.T) {
 		{"no items", WireContentType, AppendPredictRequest(nil, nil, tagviews.WeightIDF, false), http.StatusBadRequest},
 		{"empty item", WireContentType, AppendPredictRequest(nil, [][]string{{}}, tagviews.WeightIDF, false), http.StatusBadRequest},
 		{"bad weighting", WireContentType, badWeighting, http.StatusBadRequest},
+		{"exclusion flag over an empty list", WireContentType, []byte(emptyExcludeFrame), http.StatusBadRequest},
+		{"exclusion flag over an empty list, one item", WireContentType, []byte("VTIPRQ01\x02\x02\x00\x01\x01\x03pop"), http.StatusBadRequest},
 		{"JSON body", "application/json", []byte(`{"items":[["pop"]]}`), http.StatusUnsupportedMediaType},
 		{"no content type", "", AppendPredictRequest(nil, [][]string{{"pop"}}, tagviews.WeightIDF, false), http.StatusUnsupportedMediaType},
 	}

@@ -158,7 +158,11 @@ func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagvi
 		}
 	}
 	if flags&wireFlagExclude != 0 {
-		exclude = make([]int, r.Count("exclude", math.MaxInt, 1))
+		// The flag announces a non-empty list: an empty one is the
+		// flagless frame's second spelling.
+		if exclude = make([]int, r.Count("exclude", math.MaxInt, 1)); len(exclude) == 0 {
+			r.Fail(fmt.Errorf("server: binary frame exclusion flag over an empty list"))
+		}
 		for i := range exclude {
 			exclude[i] = int(r.Uvarint())
 		}

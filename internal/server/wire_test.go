@@ -212,6 +212,10 @@ func bytes9(n int) []float64 {
 	return s
 }
 
+// emptyExcludeFrame is a request with the exclusion flag set over an
+// exclusion list of length zero (and no items).
+const emptyExcludeFrame = "VTIPRQ01\x02\x02\x00\x00"
+
 // TestWireDecodeRejectsCorruption: truncations, bad magic, bad CRC,
 // trailing garbage and absurd counts must all error — never panic,
 // never allocate by the corrupt count.
@@ -284,6 +288,13 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 		bad[8] = 0x30
 		if _, _, _, err := DecodePredictRequest(bad); err == nil {
 			t.Fatal("request with unknown flag bits decoded")
+		}
+	})
+	t.Run("exclusion flag over an empty list", func(t *testing.T) {
+		// The frame re-encoded without the flag: two spellings of one
+		// request.
+		if _, _, _, _, err := decodePredictRequestExclude([]byte(emptyExcludeFrame)); err == nil {
+			t.Fatal("request with the exclusion flag over an empty list decoded")
 		}
 	})
 	t.Run("non-canonical varint", func(t *testing.T) {
@@ -375,6 +386,8 @@ func FuzzInternalCodec(f *testing.F) {
 	enc.Item(0.5, []float64{0.5, 0.5})
 	f.Add(append([]byte(nil), enc.Finish()...))
 	f.Add([]byte("VTIPRQ01"))
+	f.Add(AppendPredictRequestExclude(nil, [][]string{{"pop"}}, tagviews.WeightIDF, []int{2, 0}, true))
+	f.Add([]byte(emptyExcludeFrame))
 	f.Add([]byte("VTIPRS01\x00\x03"))
 	var body bincodec.Writer
 	ingest.AppendBatch(&body, []ingest.Event{{Video: "v", Tags: []string{"a", "bc"}, Country: 3, Views: 1.5, Upload: true}}, []string{"u"})
@@ -383,11 +396,11 @@ func FuzzInternalCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// No decoder may panic or over-allocate on arbitrary input.
-		items, w, crc, err := DecodePredictRequest(data)
+		items, w, exclude, crc, err := decodePredictRequestExclude(data)
 		if err == nil {
 			// Whatever decoded must re-encode to the identical frame:
 			// decode∘encode is the identity on the codec's image.
-			again := AppendPredictRequest(nil, items, w, crc)
+			again := AppendPredictRequestExclude(nil, items, w, exclude, crc)
 			if !bytes.Equal(again, data) {
 				t.Fatalf("request re-encode mismatch:\n in  %v\n out %v", data, again)
 			}

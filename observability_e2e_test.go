@@ -22,11 +22,8 @@ import (
 	"time"
 
 	"viewstags/internal/cluster"
-	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
-	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 // logBuf is a goroutine-safe log sink the trace assertions grep.
@@ -51,52 +48,10 @@ func (l *logBuf) String() string {
 // into a buffer, for the trace-propagation assertions.
 func startLoggedNode(t *testing.T, ring *cluster.Ring, index, count int, foldEvery time.Duration, buf *logBuf) *clusterNode {
 	t.Helper()
-	res := testFixture(t)
-	var owns func(string) bool
-	if count > 1 {
-		owns = func(name string) bool { return ring.Owner(name) == index }
-	}
-	snap, err := profilestore.BuildOwned(res.Analysis, owns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := profilestore.NewStore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := server.DefaultConfig()
-	cfg.ShardIndex = index
-	cfg.ShardCount = count
-	cfg.RingSignature = ring.Signature()
-	cfg.Logger = log.New(buf, "", 0)
-	cfg.LogRequests = true
-	srv, err := server.New(cfg, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ingest.NewAccumulator(store, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.EnableIngest(acc, foldEvery); err != nil {
-		t.Fatal(err)
-	}
-	srv.SetReady()
-	comp, err := ingest.NewCompactor(acc, foldEvery, func(d []profilestore.TagDelta, n int) error {
-		return srv.ApplyDeltas(d, n, tagviews.WeightIDF)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); comp.Run(ctx) }()
-	ts := httptest.NewServer(srv.Handler())
-	return &clusterNode{srv: srv, store: store, acc: acc, ts: ts, stop: func() {
-		cancel()
-		<-done
-		ts.Close()
-	}}
+	o := nodeOptions(index, count, ring.Replicas(), foldEvery)
+	o.Server.Logger = log.New(buf, "", 0)
+	o.Server.LogRequests = true
+	return startNode(t, o, fixtureBase(t, index, count, ring.Replicas()))
 }
 
 // scrape fetches a /metrics exposition, checks status and content

@@ -23,12 +23,11 @@ import (
 	"time"
 
 	"viewstags/internal/alexa"
-	"viewstags/internal/ingest"
+	"viewstags/internal/node"
 	"viewstags/internal/persist"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 // The daemon and the in-process reference node must build the identical
@@ -39,41 +38,39 @@ const (
 )
 
 var (
-	serveBinOnce sync.Once
-	serveBinPath string
-	serveBinDir  string
-	serveBinErr  error
+	binOnce sync.Once
+	binDir  string
+	binErr  error
 )
 
-// serveBinary builds cmd/serve once per test run, into a directory that
-// outlives any single test (a t.TempDir would vanish when the first
-// test using it finishes, breaking the second). TestMain removes it.
-func serveBinary(t *testing.T) string {
+// daemonBinary builds cmd/serve and cmd/gateway once per test run, into
+// a directory that outlives any single test (a t.TempDir would vanish
+// when the first test using it finishes, breaking the second), and
+// returns the path of the named one. TestMain removes the directory.
+func daemonBinary(t *testing.T, name string) string {
 	t.Helper()
-	serveBinOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "viewstags-serve-bin-")
-		if err != nil {
-			serveBinErr = err
+	binOnce.Do(func() {
+		if binDir, binErr = os.MkdirTemp("", "viewstags-bin-"); binErr != nil {
 			return
 		}
-		serveBinDir = dir
-		serveBinPath = filepath.Join(dir, "serve-under-test")
-		out, err := exec.Command("go", "build", "-o", serveBinPath, "./cmd/serve").CombinedOutput()
-		if err != nil {
-			serveBinErr = fmt.Errorf("building cmd/serve: %v\n%s", err, out)
+		for _, cmd := range []string{"serve", "gateway"} {
+			if out, err := exec.Command("go", "build", "-o", filepath.Join(binDir, cmd), "./cmd/"+cmd).CombinedOutput(); err != nil {
+				binErr = fmt.Errorf("building cmd/%s: %v\n%s", cmd, err, out)
+				return
+			}
 		}
 	})
-	if serveBinErr != nil {
-		t.Fatal(serveBinErr)
+	if binErr != nil {
+		t.Fatal(binErr)
 	}
-	return serveBinPath
+	return filepath.Join(binDir, name)
 }
 
-// TestMain cleans up the shared serve binary after the whole package.
+// TestMain cleans up the shared daemon binaries after the whole package.
 func TestMain(m *testing.M) {
 	code := m.Run()
-	if serveBinDir != "" {
-		_ = os.RemoveAll(serveBinDir)
+	if binDir != "" {
+		_ = os.RemoveAll(binDir)
 	}
 	os.Exit(code)
 }
@@ -89,7 +86,7 @@ type daemon struct {
 
 func startDaemon(t *testing.T, dataDir string, extra ...string) *daemon {
 	t.Helper()
-	bin := serveBinary(t)
+	bin := daemonBinary(t, "serve")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -201,38 +198,14 @@ func referenceNode(t *testing.T, batches []server.IngestRequest) (*httptest.Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := profilestore.NewStore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.DefaultConfig(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ingest.NewAccumulator(store, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.EnableIngest(acc, time.Second); err != nil {
-		t.Fatal(err)
-	}
-	comp, err := ingest.NewCompactor(acc, time.Hour, func(d []profilestore.TagDelta, n int) error {
-		return srv.ApplyDeltas(d, n, tagviews.WeightIDF)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetReady()
-	ts := httptest.NewServer(srv.Handler())
+	n := startNode(t, nodeOptions(0, 1, 1, time.Hour), &node.Base{Snap: snap})
 	for i, b := range batches {
-		if code := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", b, nil); code != http.StatusOK {
+		if code := postJSON(t, n.ts.Client(), n.ts.URL+"/v1/ingest", b, nil); code != http.StatusOK {
 			t.Fatalf("reference ingest %d: status %d", i, code)
 		}
-		if _, err := comp.FoldNow(); err != nil {
-			t.Fatal(err)
-		}
+		n.settle()
 	}
-	return ts, ts.Close
+	return n.ts, n.stop
 }
 
 // predictShares fetches one prediction's full share map.
@@ -464,7 +437,7 @@ func TestReadOnlyRestartRefusesUnreplayedJournal(t *testing.T) {
 	}
 	d.kill() // journal tail left behind (30s interval: nothing folded)
 
-	bin := serveBinary(t)
+	bin := daemonBinary(t, "serve")
 	out, err := exec.Command(bin,
 		"-addr", "127.0.0.1:0",
 		"-videos", fmt.Sprint(recVideos),

@@ -22,77 +22,16 @@ import (
 	"time"
 
 	"viewstags/internal/cluster"
-	"viewstags/internal/ingest"
-	"viewstags/internal/profilestore"
 	"viewstags/internal/scenario"
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
-// startReplicaNode is startClusterNode for a replicated tier: the node
-// holds every slice the R-way ring assigns it and has the
-// /internal/transfer surface wired (topology hooks + synchronous fold),
-// so gateway catch-up and resharding work against it.
+// startReplicaNode is shard index of count at R replicas: the node
+// holds every slice the R-way ring assigns it, and its transfer routes
+// work, so gateway catch-up and resharding work against it.
 func startReplicaNode(t *testing.T, index, count, replicas int, foldEvery time.Duration) *clusterNode {
 	t.Helper()
-	res := testFixture(t)
-	ring, err := cluster.NewRingReplicas(count, 0, replicas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var owns func(string) bool
-	if count > 1 {
-		owns = func(name string) bool { return ring.Owns(name, index) }
-	}
-	snap, err := profilestore.BuildOwned(res.Analysis, owns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := profilestore.NewStore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := server.DefaultConfig()
-	cfg.ShardIndex = index
-	cfg.ShardCount = count
-	cfg.Replicas = replicas
-	cfg.RingSignature = ring.Signature()
-	cfg.Topology = ring
-	cfg.MakeTopology = func(shards, replicas int) (server.ShardTopology, error) {
-		r, err := cluster.NewRingReplicas(shards, 0, replicas)
-		if err != nil {
-			return nil, err
-		}
-		return r, nil
-	}
-	srv, err := server.New(cfg, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ingest.NewAccumulator(store, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.EnableIngest(acc, foldEvery); err != nil {
-		t.Fatal(err)
-	}
-	srv.SetReady()
-	comp, err := ingest.NewCompactor(acc, foldEvery, func(d []profilestore.TagDelta, n int) error {
-		return srv.ApplyDeltas(d, n, tagviews.WeightIDF)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetFoldHook(comp.FoldNow)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); comp.Run(ctx) }()
-	ts := httptest.NewServer(srv.Handler())
-	return &clusterNode{srv: srv, store: store, acc: acc, ts: ts, stop: func() {
-		cancel()
-		<-done
-		ts.Close()
-	}, settle: func() { _, _ = comp.FoldNow() }}
+	return startNode(t, nodeOptions(index, count, replicas, foldEvery), fixtureBase(t, index, count, replicas))
 }
 
 // newFlakyShard fronts one node with a connection-level fault proxy

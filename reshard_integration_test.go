@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"viewstags/internal/cluster"
+	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
 )
 
@@ -31,20 +32,24 @@ const reshardFoldEvery = 15 * time.Millisecond
 // reshardTier is a live tier behind a gateway, beside a single-node
 // reference that gets the same writes: the state the reshard tests move.
 type reshardTier struct {
-	single *clusterNode
-	nodes  []*clusterNode
-	g      *cluster.Gateway
-	gw     *httptest.Server
-	client *http.Client
+	foldEvery time.Duration
+	single    *clusterNode
+	nodes     []*clusterNode
+	g         *cluster.Gateway
+	gw        *httptest.Server
+	client    *http.Client
 }
 
 func startReshardTier(t *testing.T, shards, replicas int) *reshardTier {
 	t.Helper()
-	ringOne, err := cluster.NewRing(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := &reshardTier{single: startClusterNode(t, ringOne, 0, 1, reshardFoldEvery)}
+	return startReshardTierFolding(t, shards, replicas, reshardFoldEvery)
+}
+
+// startReshardTierFolding is startReshardTier with every node folding
+// every foldEvery.
+func startReshardTierFolding(t *testing.T, shards, replicas int, foldEvery time.Duration) *reshardTier {
+	t.Helper()
+	rt := &reshardTier{foldEvery: foldEvery, single: startReplicaNode(t, 0, 1, 1, foldEvery)}
 	t.Cleanup(rt.single.stop)
 	targets := make([]string, shards)
 	for i := range targets {
@@ -53,6 +58,7 @@ func startReshardTier(t *testing.T, shards, replicas int) *reshardTier {
 	}
 	gcfg := cluster.DefaultGatewayConfig()
 	gcfg.Replicas = replicas
+	var err error
 	if rt.g, err = cluster.NewGateway(gcfg, targets); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +75,7 @@ func startReshardTier(t *testing.T, shards, replicas int) *reshardTier {
 // transfers; the tier folds it with the rest from then on.
 func (rt *reshardTier) addNode(t *testing.T, index, count, replicas int) *clusterNode {
 	t.Helper()
-	n := startReplicaNode(t, index, count, replicas, reshardFoldEvery)
+	n := startReplicaNode(t, index, count, replicas, rt.foldEvery)
 	t.Cleanup(n.stop)
 	rt.nodes = append(rt.nodes, n)
 	return n
@@ -313,6 +319,52 @@ func TestLiveReshardShrinkEndToEnd(t *testing.T) {
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-a", "zz-sh-c", "favela"})
 }
 
+// TestReshardKeepsUnfoldedEvents: a 3→4 grow at R=2 where nothing has
+// folded before POST /v1/reshard, over tags whose slices move to the
+// incoming shard. The transfer routes fold before they export or merge,
+// so the acked events move with their slices: after one fold the tier
+// answers like a single node fed the same batches.
+func TestReshardKeepsUnfoldedEvents(t *testing.T) {
+	const before, after, replicas = 3, 4, 2
+	rt := startReshardTierFolding(t, before, replicas, time.Hour)
+	grownRing, err := cluster.NewRingReplicas(after, 0, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tags []string
+	for i := 0; len(tags) < 3; i++ {
+		if tag := fmt.Sprintf("zz-uf-%d", i); grownRing.Owns(tag, before) {
+			tags = append(tags, tag)
+		}
+	}
+	rt.ingest(t, 20,
+		server.IngestEvent{Video: "uf", Tags: tags, Country: "BR", Views: 70, Upload: true},
+		server.IngestEvent{Video: "uf", Tags: tags, Country: "DE", Views: 30})
+	for _, n := range rt.nodes {
+		if st := n.acc.Stats(); st.Pending == 0 || n.acc.Epoch() != 0 {
+			t.Fatalf("a node folded before the reshard: %+v, epoch %d", st, n.acc.Epoch())
+		}
+	}
+
+	grown := make([]string, 0, after)
+	for _, n := range rt.nodes {
+		grown = append(grown, n.ts.URL)
+	}
+	grown = append(grown, rt.addNode(t, before, after, replicas).ts.URL)
+	var rr cluster.ReshardResponse
+	if code := postJSON(t, rt.client, rt.gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: grown}, &rr); code != http.StatusOK {
+		t.Fatalf("POST /v1/reshard: status %d (%+v)", code, rr)
+	}
+
+	for _, n := range append(rt.nodes, rt.single) {
+		n.settle()
+	}
+	rt.g.RefreshHealth(context.Background())
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, tags[:1])
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{tags[1], "pop", tags[2]})
+	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"favela", "samba"})
+}
+
 // TestReshardFailureKeepsOldTier: an incoming daemon without topology
 // wiring passes the pre-flight (ready, same dataset) and then refuses the
 // import with 503. The reshard answers 503, the handoff record is back at
@@ -326,13 +378,26 @@ func TestReshardFailureKeepsOldTier(t *testing.T) {
 		server.IngestEvent{Video: "rf", Tags: []string{"zz-fail-a", "zz-fail-b"}, Country: "US", Views: 30})
 	rt.fold()
 
+	// The daemon that cannot import: server.New alone over the slice it
+	// would own, with no topology to reason about a transfer under.
 	ringFour, err := cluster.NewRing(before+1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := startClusterNode(t, ringFour, before, before+1, reshardFoldEvery)
-	defer bare.stop()
-	targets := []string{rt.nodes[0].ts.URL, rt.nodes[1].ts.URL, rt.nodes[2].ts.URL, bare.ts.URL}
+	cfg := server.DefaultConfig()
+	cfg.ShardIndex, cfg.ShardCount, cfg.RingSignature = before, before+1, ringFour.Signature()
+	store, err := profilestore.NewStore(fixtureBase(t, before, before+1, 1).Snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetReady()
+	bare := httptest.NewServer(srv.Handler())
+	defer bare.Close()
+	targets := []string{rt.nodes[0].ts.URL, rt.nodes[1].ts.URL, rt.nodes[2].ts.URL, bare.URL}
 	var envelope struct {
 		Error string `json:"error"`
 	}

@@ -1,6 +1,6 @@
 // Streaming integration test at repository scope: a real HTTP daemon
-// (listener, middleware, compactor goroutine — everything cmd/serve
-// wires except flag parsing) under concurrent ingest + predict load,
+// (the node cmd/serve runs, minus flag parsing and the listener) under
+// concurrent ingest + predict load,
 // asserting that predictions after a fold reflect the ingested deltas.
 package viewstags_test
 
@@ -15,10 +15,9 @@ import (
 	"testing"
 	"time"
 
-	"viewstags/internal/ingest"
+	"viewstags/internal/node"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 func postJSON(t *testing.T, client *http.Client, url string, req, out any) int {
@@ -54,32 +53,12 @@ func TestStreamingIngestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := profilestore.NewStore(snap)
+	n, err := node.Start(context.Background(), nodeOptions(0, 1, 1, 10*time.Millisecond), &node.Base{Snap: snap})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.DefaultConfig(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ingest.NewAccumulator(store, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.EnableIngest(acc, 10*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	comp, err := ingest.NewCompactor(acc, 10*time.Millisecond, func(d []profilestore.TagDelta, n int) error {
-		return srv.ApplyDeltas(d, n, tagviews.WeightIDF)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	compDone := make(chan struct{})
-	go func() { defer close(compDone); comp.Run(ctx) }()
-
-	ts := httptest.NewServer(srv.Handler())
+	acc := n.Acc
+	ts := httptest.NewServer(n.Server.Handler())
 	defer ts.Close()
 	client := ts.Client()
 
@@ -122,8 +101,9 @@ func TestStreamingIngestEndToEnd(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	cancel()
-	<-compDone // Run's shutdown fold flushed the tail
+	if err := n.Close(); err != nil { // the compactor's shutdown fold flushed the tail
+		t.Fatal(err)
+	}
 
 	if acc.Epoch() < 2 {
 		t.Fatalf("only %d fold epochs under the stream", acc.Epoch())

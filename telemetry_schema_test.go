@@ -11,11 +11,9 @@
 package viewstags_test
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,82 +22,24 @@ import (
 	"time"
 
 	"viewstags/internal/cluster"
-	"viewstags/internal/ingest"
 	"viewstags/internal/persist"
-	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 var update = flag.Bool("update", false, "rewrite the pinned files under testdata (telemetry/, lines.txt) from the current tree")
 
-// startDurableNode is a standalone node as cmd/serve wires one with
-// -data-dir: ingest journaled to a persist.Manager, a checkpoint after
-// every fold, the WAL and checkpoint histograms attached.
+// startDurableNode is a standalone node as cmd/serve runs one with
+// -data-dir, folding only when asked.
 func startDurableNode(t *testing.T) *clusterNode {
 	t.Helper()
-	res := testFixture(t)
-	snap, err := profilestore.Build(res.Analysis)
-	if err != nil {
+	o := nodeOptions(0, 1, 1, time.Hour)
+	o.DataDir = t.TempDir()
+	b := fixtureBase(t, 0, 1, 1)
+	var err error
+	if b.Journal, err = persist.Open(persist.Options{Dir: o.DataDir}); err != nil {
 		t.Fatal(err)
 	}
-	store, err := profilestore.NewStore(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := server.New(server.DefaultConfig(), store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	acc, err := ingest.NewAccumulator(store, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const foldEvery = time.Hour // folds only when asked
-	if err := srv.EnableIngest(acc, foldEvery); err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := persist.Open(persist.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, err := ingest.NewCompactor(acc, foldEvery, func(d []profilestore.TagDelta, n int) error {
-		return srv.ApplyDeltas(d, n, tagviews.WeightIDF)
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp.SetCheckpoint(func(gen uint64) error {
-		return mgr.SaveCheckpoint(persist.CheckpointMeta{Gen: gen, Epoch: acc.Epoch()}, store.Load().Export())
-	}, 1)
-	if _, _, err := mgr.Replay(0, acc.Replay); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := comp.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-	acc.SetJournal(mgr)
-	if err := srv.EnablePersist(mgr.Stats, func() (server.CheckpointStatus, error) {
-		if _, err := comp.CheckpointNow(); err != nil {
-			return server.CheckpointStatus{}, err
-		}
-		st := mgr.Stats()
-		return server.CheckpointStatus{Gen: st.CheckpointGen, Epoch: st.CheckpointEpoch}, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	srv.SetPersistHists(mgr.WALAppendHist(), mgr.CheckpointHist())
-	srv.SetReady()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { defer close(done); comp.Run(ctx) }()
-	ts := httptest.NewServer(srv.Handler())
-	return &clusterNode{srv: srv, store: store, acc: acc, ts: ts, stop: func() {
-		cancel()
-		<-done
-		ts.Close()
-		_ = mgr.Close()
-	}, settle: func() { _, _ = comp.FoldNow() }}
+	return startNode(t, o, b)
 }
 
 // TestTelemetrySchemaPinned: every /v1/stats key path and every /metrics
