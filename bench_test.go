@@ -775,9 +775,11 @@ func BenchmarkIngestFold(b *testing.B) {
 // two stages, so two cores show what the stages overlap and one core what
 // the draws themselves cost — which must be no more than before the split
 // (EXPERIMENTS.md "Boot at the speed of the cores"). cpu-ms/op is the
-// process's CPU time per boot, both stages included: at -cpu 2 ns/op is
-// the slower stage's time, so work taken out of the other shows in
-// cpu-ms/op alone — and three shards booting on two cores pay CPU, not
+// process's CPU time per boot, both stages included, and cores/op that CPU
+// over the boot's wall time: how many cores the stages kept busy together.
+// At -cpu 2 ns/op is the slower stage's time plus what the stages do not
+// overlap, so moving work between the stages shows in ns/op and cores/op
+// at equal cpu-ms/op — and three shards booting on two cores pay CPU, not
 // wall time. fields/op is how many videos' view fields the pass drew: the
 // ones it reads (EXPERIMENTS.md "A boot draws the fields it reads").
 func BenchmarkBoot(b *testing.B) {
@@ -810,6 +812,7 @@ func BenchmarkBoot(b *testing.B) {
 			}
 			if cpu1, ok := processCPU(); cpuOK && ok {
 				b.ReportMetric(float64(cpu1-cpu0)/float64(time.Millisecond)/float64(b.N), "cpu-ms/op")
+				b.ReportMetric(float64(cpu1-cpu0)/float64(b.Elapsed()), "cores/op")
 			}
 			b.ReportMetric(float64(fields)/float64(b.N), "fields/op")
 		})

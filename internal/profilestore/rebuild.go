@@ -41,8 +41,10 @@ type TagDelta struct {
 //
 // The cost is O(touched·C) vector math plus O(tags) for the profile
 // table copy and the volume re-ranking, independent of how many views
-// the untouched vocabulary aggregates — which is what makes folding
-// every few seconds affordable at paper-scale vocabularies.
+// the untouched vocabulary aggregates. Measured on a standalone node, a
+// fold of ≈400 touched tags takes 3.6 ms at 20 000 videos and 121–185 ms
+// at 691 000, ≈75% of it the byViews sort over the whole vocabulary
+// (ROADMAP item 17).
 //
 // Base is not modified; readers of base remain valid forever. Like
 // Build, the result is safe for unsynchronized concurrent use.

@@ -213,9 +213,11 @@ func Generate(cfg Config) (*Catalog, error) {
 //
 // It is a two-stage pipeline. The first Next starts a producer goroutine
 // that draws, a batch of videos ahead, everything that precedes a video's
-// view field; Next itself spreads the views and derives the Map-Chart
-// vector. Each RNG stream is read by one stage only, in catalog order, so
-// the videos do not depend on how the two are scheduled (DESIGN.md §2).
+// view field and the stream half of the field's Dirichlet draw; Next
+// itself does the draw's arithmetic, spreads the views and derives the
+// Map-Chart vector. Each RNG stream is read by one stage only, in catalog
+// order, so the videos do not depend on how the two are scheduled
+// (DESIGN.md §2).
 // Close stops the producer; a Generator that is not drained must be
 // closed. Not safe for concurrent use.
 type Generator struct {
@@ -231,7 +233,7 @@ type Generator struct {
 	reads                                      func(tagIDs []int) bool
 	uploadCat                                  *xrand.Categorical
 	viewSrc, tagSrc, geoSrc, pathSrc, titleSrc *xrand.Source
-	alpha, field, affinity                     []float64
+	field, affinity                            []float64
 	title                                      []byte // the title being assembled
 
 	// The ring between the stages: ringDepth batches circulate, so neither
@@ -257,8 +259,8 @@ const (
 	batchVideos = 32
 	// ringDepth is the number of batches in circulation: one being read,
 	// one being filled, two of slack for uneven videos. The ring is
-	// ringDepth × batchVideos × (a country table of float64 + a Video + a
-	// tag set), ≈ 90 KB.
+	// ringDepth × batchVideos × (three country tables of float64 + a Video
+	// + a tag set), ≈ 210 KB.
 	ringDepth = 4
 )
 
@@ -275,7 +277,15 @@ type draft struct {
 // batch is one hand-over of the ring.
 type batch struct {
 	drafts []draft
-	fields []float64 // per draft, its Dirichlet-drawn view field: a world-sized row
+	// Per draft, world-sized rows of its view field's Dirichlet draw: the
+	// shapes, and the stream half's deviates and boost uniforms, which
+	// Next finishes into the field in place (rows).
+	shapes, fields, boosts []float64
+}
+
+// rows returns draft i's rows of b in a world of n countries.
+func (b *batch) rows(i, n int) (shapes, field, boosts []float64) {
+	return b.shapes[i*n : (i+1)*n], b.fields[i*n : (i+1)*n], b.boosts[i*n : (i+1)*n]
 }
 
 // NewGenerator validates cfg and builds the world and vocabulary the
@@ -311,7 +321,7 @@ func NewGenerator(cfg Config) (*Generator, error) {
 	}
 
 	n := world.N()
-	scratch := make([]float64, 5*n)
+	scratch := make([]float64, 4*n)
 	g := &Generator{
 		cfg: cfg, world: world, voc: voc,
 		prior:    world.Traffic(),
@@ -320,8 +330,8 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		geoSrc:   root.Fork("geo"),
 		pathSrc:  root.Fork("pathology"),
 		titleSrc: root.Fork("title"),
-		alpha:    scratch[0*n : 1*n], field: scratch[1*n : 2*n], affinity: scratch[2*n : 3*n],
-		views: scratch[3*n : 4*n], intensity: scratch[4*n : 5*n],
+		field:    scratch[0*n : 1*n], affinity: scratch[1*n : 2*n],
+		views: scratch[2*n : 3*n], intensity: scratch[3*n : 4*n],
 	}
 	g.uploadCat = xrand.NewCategorical(root.Fork("upload"), g.prior)
 	// Fork reads only its parent's seed, so this is one fixed stream:
@@ -375,7 +385,12 @@ func (g *Generator) start() {
 	g.full, g.free = make(chan *batch, ringDepth), make(chan *batch, ringDepth)
 	g.stop, g.done = make(chan struct{}), make(chan struct{})
 	for i := 0; i < ringDepth; i++ {
-		g.free <- &batch{drafts: make([]draft, 0, batchVideos), fields: make([]float64, batchVideos*n)}
+		g.free <- &batch{
+			drafts: make([]draft, 0, batchVideos),
+			shapes: make([]float64, batchVideos*n),
+			fields: make([]float64, batchVideos*n),
+			boosts: make([]float64, batchVideos*n),
+		}
 	}
 	go g.produce()
 }
@@ -385,7 +400,6 @@ func (g *Generator) start() {
 func (g *Generator) produce() {
 	defer close(g.done)
 	defer close(g.full)
-	n := g.world.N()
 	for next := 0; next < g.cfg.Videos; {
 		var b *batch
 		select {
@@ -397,18 +411,20 @@ func (g *Generator) produce() {
 		for ; next < g.cfg.Videos && len(b.drafts) < batchVideos; next++ {
 			i := len(b.drafts)
 			b.drafts = b.drafts[:i+1]
-			g.draft(&b.drafts[i], b.fields[i*n:(i+1)*n], next)
+			g.draft(b, i, next)
 		}
 		g.full <- b
 	}
 }
 
-// draft draws video index's draft into d and, when something reads it, its
-// view field into field, consuming the upload, title, views, tag-set,
+// draft draws video index into b's draft i and its rows: the draft, the
+// view field's Dirichlet shapes and, when something reads the field, the
+// stream half of its draw. It consumes the upload, title, views, tag-set,
 // pathology and geo streams in the order the videos have always consumed
 // them: each stream's own sequence of draws, video after video.
-func (g *Generator) draft(d *draft, field []float64, index int) {
+func (g *Generator) draft(b *batch, i, index int) {
 	cfg, voc := &g.cfg, g.voc
+	d := &b.drafts[i]
 	v := &d.video
 	tagIDs := v.TagIDs[:0]
 	*v = Video{Index: index, TagIDs: tagIDs}
@@ -437,17 +453,18 @@ func (g *Generator) draft(d *draft, field []float64, index int) {
 	// Mixture mean over countries.
 	mean := mixtureMean(*cfg, g.prior, g.gravity[v.Upload], voc, v.TagIDs, g.field, g.affinity)
 	// Dirichlet jitter around the mean keeps per-video variety.
-	for c := range g.alpha {
+	shapes, field, boosts := b.rows(i, g.world.N())
+	for c := range shapes {
 		a := cfg.JitterConcentration * mean[c]
 		if a < 1e-4 {
 			a = 1e-4 // keep Gamma well-defined for near-zero components
 		}
-		g.alpha[c] = a
+		shapes[c] = a
 	}
 	if d.drawn {
-		g.geoSrc.Dirichlet(g.alpha, field)
+		g.geoSrc.DirichletDraws(shapes, field, boosts)
 	} else {
-		g.geoSrc.SkipDirichlet(g.alpha)
+		g.geoSrc.SkipDirichlet(shapes)
 	}
 }
 
@@ -459,7 +476,8 @@ func (g *Generator) draft(d *draft, field []float64, index int) {
 // caller that passes a zero Video (Generate) gets slices it owns, which
 // nothing the generator does later writes to. Either way the RNG calls,
 // and so the videos, are the same. A video whose field was not drawn
-// costs Next neither the spread nor the Map-Chart vector.
+// costs Next neither the Dirichlet arithmetic nor the spread nor the
+// Map-Chart vector.
 func (g *Generator) Next(v *Video) bool {
 	if g.closed {
 		return false
@@ -478,13 +496,15 @@ func (g *Generator) Next(v *Video) bool {
 		g.cur, g.pos = b, 0
 	}
 	n := g.world.N()
-	d, field := &g.cur.drafts[g.pos], g.cur.fields[g.pos*n:(g.pos+1)*n]
+	d := &g.cur.drafts[g.pos]
+	shapes, field, boosts := g.cur.rows(g.pos, n)
 	g.pos++
 
 	tagIDs, trueViews, pop := v.TagIDs, v.TrueViews, v.PopVector
 	*v = d.video
 	v.TagIDs = append(tagIDs[:0], d.video.TagIDs...) // nil for an untagged video unless the caller lent an array
 	if d.drawn {
+		xrand.FinishDirichlet(shapes, field, boosts)
 		// Distribute the total across countries by the drawn field, exactly
 		// (counts sum to TotalViews).
 		if cap(trueViews) < n {

@@ -89,26 +89,16 @@ func (s *Source) NormFloat64() float64 {
 	}
 }
 
-// Gamma returns a Gamma(shape, 1) deviate using the Marsaglia–Tsang
-// method (2000). shape must be > 0.
-func (s *Source) Gamma(shape float64) float64 {
-	g, boost := s.gammaDraws(shape)
-	if shape < 1 {
-		// Boost: Gamma(a) = Gamma(a+1) * U^{1/a}.
-		return g * math.Pow(boost, 1/shape)
-	}
-	return g
-}
-
-// gammaDraws consumes every uniform Gamma(shape) does, in its order: for a
-// sub-unit shape the boost uniform U (redrawn while 0), then the
-// Marsaglia–Tsang accept/reject loop at shape (or shape+1 when boosted).
-// It returns the loop's deviate and U (0 without a boost). Gamma and
-// SkipDirichlet both draw through it, so the two consume equal streams by
-// construction.
+// gammaDraws consumes the uniforms of one Gamma(shape, 1) deviate
+// (Marsaglia & Tsang, 2000), in their order: for a sub-unit shape the
+// boost uniform U (redrawn while 0), then the accept/reject loop at shape
+// (or shape+1 when boosted). It returns the loop's deviate and U (0
+// without a boost); FinishDirichlet makes the deviate Gamma(shape)'s.
+// DirichletDraws and SkipDirichlet both draw through it, so the two
+// consume equal streams by construction.
 func (s *Source) gammaDraws(shape float64) (g, boost float64) {
 	if shape <= 0 {
-		panic("xrand: Gamma called with non-positive shape")
+		panic("xrand: non-positive Gamma shape")
 	}
 	if shape < 1 {
 		boost = s.Float64()
@@ -139,40 +129,56 @@ func (s *Source) gammaDraws(shape float64) (g, boost float64) {
 	}
 }
 
-// SkipDirichlet advances s past a Dirichlet(alpha, out) draw without
-// computing it: the same uniforms in the same order (each component's
-// boost uniform and accept/reject loop), but no boost power, product or
-// normalisation. For a caller whose draw nothing reads, so the stream's
-// later draws stay where they were.
+// DirichletDraws is the stream half of a Dirichlet(alpha) draw (all alpha
+// > 0): for each component in order it consumes the boost uniform and the
+// accept/reject loop, and leaves the loop's deviate in draws and the
+// boost uniform in boosts. FinishDirichlet, the arithmetic half, reads no
+// stream, so the two can run on different goroutines. draws and boosts
+// must be at least as long as alpha.
+func (s *Source) DirichletDraws(alpha, draws, boosts []float64) {
+	for i, a := range alpha {
+		draws[i], boosts[i] = s.gammaDraws(a)
+	}
+}
+
+// SkipDirichlet advances s past a Dirichlet(alpha) draw without keeping
+// it: DirichletDraws' uniforms in the same order, nothing stored and no
+// FinishDirichlet to run. For a caller whose draw nothing reads, so the
+// stream's later draws stay where they were.
 func (s *Source) SkipDirichlet(alpha []float64) {
 	for _, a := range alpha {
 		s.gammaDraws(a)
 	}
 }
 
-// Dirichlet fills out with a draw from a Dirichlet distribution with the
-// given concentration parameters alpha (all > 0). out and alpha must have
-// the same length. The result sums to 1.
-func (s *Source) Dirichlet(alpha []float64, out []float64) {
-	if len(alpha) != len(out) {
+// FinishDirichlet is the arithmetic half of a Dirichlet(alpha) draw: it
+// turns what DirichletDraws left in draws and boosts into the draw, in
+// draws, which then sums to 1. Each sub-unit shape's deviate is boosted,
+// Gamma(a) = Gamma(a+1) * U^{1/a}, and the Gamma deviates are normalised
+// by their sum. The three slices must have the same length.
+func FinishDirichlet(alpha, draws, boosts []float64) {
+	if len(alpha) != len(draws) || len(boosts) != len(draws) {
 		panic("xrand: Dirichlet length mismatch")
 	}
 	var sum float64
 	for i, a := range alpha {
-		g := s.Gamma(a)
-		out[i] = g
-		sum += g
+		if a < 1 {
+			// The conversion rounds the product before the sum reads it:
+			// no fused multiply-add, on any architecture.
+			draws[i] = float64(draws[i] * math.Pow(boosts[i], 1/a))
+		}
+		sum += draws[i]
 	}
 	if sum == 0 {
 		// Degenerate draw (possible for tiny alphas); fall back to uniform.
-		u := 1 / float64(len(out))
-		for i := range out {
-			out[i] = u
+		u := 1 / float64(len(draws))
+		for i := range draws {
+			draws[i] = u
 		}
 		return
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range draws {
+		draws[i] /= sum
 	}
 }
 

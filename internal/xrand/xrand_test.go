@@ -3,6 +3,7 @@ package xrand
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -10,6 +11,45 @@ import (
 // Multinomial is MultinomialInto with a fresh slice.
 func (c *Categorical) Multinomial(total int64) []int64 {
 	return c.MultinomialInto(make([]int64, len(c.cdf)), total)
+}
+
+// Gamma returns a Gamma(shape, 1) deviate using the Marsaglia–Tsang
+// method (2000). shape must be > 0. With Dirichlet it is the one-shot
+// draw the generator made before the draw was split into DirichletDraws
+// and FinishDirichlet: the reference those two must match bit for bit.
+func (s *Source) Gamma(shape float64) float64 {
+	g, boost := s.gammaDraws(shape)
+	if shape < 1 {
+		// Boost: Gamma(a) = Gamma(a+1) * U^{1/a}.
+		return g * math.Pow(boost, 1/shape)
+	}
+	return g
+}
+
+// Dirichlet fills out with a draw from a Dirichlet distribution with the
+// given concentration parameters alpha (all > 0). out and alpha must have
+// the same length. The result sums to 1.
+func (s *Source) Dirichlet(alpha []float64, out []float64) {
+	if len(alpha) != len(out) {
+		panic("xrand: Dirichlet length mismatch")
+	}
+	var sum float64
+	for i, a := range alpha {
+		g := s.Gamma(a)
+		out[i] = g
+		sum += g
+	}
+	if sum == 0 {
+		// Degenerate draw (possible for tiny alphas); fall back to uniform.
+		u := 1 / float64(len(out))
+		for i := range out {
+			out[i] = u
+		}
+		return
+	}
+	for i := range out {
+		out[i] /= sum
+	}
 }
 
 func TestSourceDeterminism(t *testing.T) {
@@ -157,14 +197,34 @@ func TestGammaMean(t *testing.T) {
 			t.Errorf("Gamma(%v) mean = %v, want ~%v", shape, mean, shape)
 		}
 	}
+	// The halves show the deviates only normalised: a component's mean is
+	// its Gamma mean's share, alpha[i] / sum(alpha), to the same tolerance.
+	alpha := []float64{0.5, 1, 2.5, 9}
+	const total, n = 13.0, 100000
+	s := NewSource(19)
+	draws, boosts := make([]float64, len(alpha)), make([]float64, len(alpha))
+	means := make([]float64, len(alpha))
+	for i := 0; i < n; i++ {
+		s.DirichletDraws(alpha, draws, boosts)
+		FinishDirichlet(alpha, draws, boosts)
+		for c, v := range draws {
+			means[c] += v / n
+		}
+	}
+	for c, a := range alpha {
+		if math.Abs(means[c]-a/total) > (0.05*a+0.02)/total {
+			t.Errorf("Dirichlet(%v) component %d mean = %v, want ~%v", alpha, c, means[c], a/total)
+		}
+	}
 }
 
 func TestDirichletSumsToOne(t *testing.T) {
 	s := NewSource(23)
 	alpha := []float64{0.2, 1, 3, 0.5, 2}
-	out := make([]float64, len(alpha))
+	out, boosts := make([]float64, len(alpha)), make([]float64, len(alpha))
 	for i := 0; i < 1000; i++ {
-		s.Dirichlet(alpha, out)
+		s.DirichletDraws(alpha, out, boosts)
+		FinishDirichlet(alpha, out, boosts)
 		var sum float64
 		for _, v := range out {
 			if v < 0 {
@@ -343,29 +403,49 @@ func skipAlpha(b []byte) []float64 {
 	return out
 }
 
-// checkSkipDirichlet draws rounds Dirichlet(alpha) from one Source and
-// skips them on an equal one: the two must stay in step after every
-// round, in state and so in every later draw.
-func checkSkipDirichlet(t *testing.T, seed uint64, alpha []float64, rounds int) {
+// checkSkipDirichlet makes rounds Dirichlet(alpha) draws on three equal
+// Sources: the reference one-shot Dirichlet, the two halves, and
+// SkipDirichlet. After every round the halves must have written the
+// reference's exact bits, and the three Sources must stay in step, in
+// state and so in every later draw. It returns how many rounds took the
+// zero-sum uniform fallback.
+func checkSkipDirichlet(t *testing.T, seed uint64, alpha []float64, rounds int) (fallbacks int) {
 	t.Helper()
-	draw, skip := NewSource(seed), NewSource(seed)
-	out := make([]float64, len(alpha))
+	ref, halves, skip := NewSource(seed), NewSource(seed), NewSource(seed)
+	want := make([]float64, len(alpha))
+	got, boosts := make([]float64, len(alpha)), make([]float64, len(alpha))
 	for r := 0; r < rounds; r++ {
-		draw.Dirichlet(alpha, out)
+		ref.Dirichlet(alpha, want)
+		halves.DirichletDraws(alpha, got, boosts)
+		if *halves != *ref {
+			t.Fatalf("seed %d, alpha %v, round %d: the stream half and the draw consumed different numbers of uniforms", seed, alpha, r)
+		}
+		FinishDirichlet(alpha, got, boosts)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed %d, alpha %v, round %d: component %d is %v through the halves, %v through the draw", seed, alpha, r, i, got[i], want[i])
+			}
+		}
+		if len(alpha) > 1 && !slices.ContainsFunc(want, func(x float64) bool { return x != 1/float64(len(alpha)) }) {
+			fallbacks++
+		}
 		skip.SkipDirichlet(alpha)
-		if *draw != *skip {
-			t.Fatalf("seed %d, alpha %v, round %d: the skip and the draw consumed different numbers of uniforms", seed, alpha, r)
+		if *skip != *halves {
+			t.Fatalf("seed %d, alpha %v, round %d: the skip and the stream half consumed different numbers of uniforms", seed, alpha, r)
 		}
 	}
-	if draw.Uint64() != skip.Uint64() {
+	if u := ref.Uint64(); halves.Uint64() != u || skip.Uint64() != u {
 		t.Fatalf("seed %d, alpha %v: equal states drew different uniforms", seed, alpha)
 	}
+	return fallbacks
 }
 
-// TestSkipDirichletMatchesDraw: SkipDirichlet consumes exactly the
-// uniforms Dirichlet does, for each kind of shape alone and mixed — the
+// TestSkipDirichletMatchesDraw: the two halves write the one-shot
+// Dirichlet's bits, and they and SkipDirichlet consume exactly the
+// uniforms it does, for each kind of shape alone and mixed — the
 // generator's 61-country vectors are mostly clamped and sub-unit shapes
-// with a few large ones.
+// with a few large ones. Clamped shapes underflow their boost, so the
+// vectors made of them take the uniform fallback.
 func TestSkipDirichletMatchesDraw(t *testing.T) {
 	generatorLike := make([]float64, 61)
 	for i := range generatorLike {
@@ -383,7 +463,9 @@ func TestSkipDirichletMatchesDraw(t *testing.T) {
 	} {
 		for _, seed := range []uint64{0, 1, 20110301, 1 << 63} {
 			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
-				checkSkipDirichlet(t, seed, alpha, 200)
+				if n := checkSkipDirichlet(t, seed, alpha, 200); name == "clamp" && n == 0 {
+					t.Error("no round took the uniform fallback")
+				}
 			})
 		}
 	}
@@ -405,12 +487,22 @@ func FuzzSkipDirichlet(f *testing.F) {
 }
 
 func TestDirichletPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dirichlet length mismatch did not panic")
-		}
-	}()
-	NewSource(1).Dirichlet([]float64{1, 1}, make([]float64, 3))
+	alpha := []float64{1, 1}
+	for name, c := range map[string]struct{ draws, boosts []float64 }{
+		"long draws":   {make([]float64, 3), make([]float64, 2)},
+		"short draws":  {make([]float64, 1), make([]float64, 2)},
+		"long boosts":  {make([]float64, 2), make([]float64, 3)},
+		"short boosts": {make([]float64, 2), make([]float64, 1)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Dirichlet length mismatch did not panic")
+				}
+			}()
+			FinishDirichlet(alpha, c.draws, c.boosts)
+		})
+	}
 }
 
 func TestZipfCDFShape(t *testing.T) {
