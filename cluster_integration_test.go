@@ -15,6 +15,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,58 +93,145 @@ func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEv
 	return startReplicaNode(t, index, count, ring.Replicas(), foldEvery)
 }
 
+// tier is shard nodes behind the gateway cmd/gateway runs
+// (node.StartGateway), beside a single-node reference that gets the same
+// writes. When the test ends the gateway stops, then every node in
+// nodes (the tier's own, or ones the test appended).
+type tier struct {
+	foldEvery time.Duration
+	single    *clusterNode
+	nodes     []*clusterNode
+	// opts are what RestartGateway starts, Shards aside: cmd/gateway's
+	// defaults at the tier's R, without the flight recorder.
+	opts   node.GatewayOptions
+	g      *cluster.Gateway
+	gw     *httptest.Server
+	client *http.Client
+}
+
+// newTier starts the single-node reference and shards nodes at
+// replicas, all folding every foldEvery. RestartGateway starts its
+// gateway.
+func newTier(t *testing.T, shards, replicas int, foldEvery time.Duration) *tier {
+	t.Helper()
+	tr := &tier{foldEvery: foldEvery, opts: node.DefaultGatewayOptions()}
+	tr.opts.TraceDumpDir, tr.opts.Gateway.Replicas = "", replicas
+	t.Cleanup(tr.stop)
+	tr.single = startReplicaNode(t, 0, 1, 1, foldEvery)
+	for i := 0; i < shards; i++ {
+		tr.addNode(t, i, shards, replicas)
+	}
+	return tr
+}
+
+// addNode boots shard index of count over the same dataset, wired for
+// transfers; the tier folds and stops it with the rest from then on.
+func (tr *tier) addNode(t *testing.T, index, count, replicas int) *clusterNode {
+	t.Helper()
+	n := startReplicaNode(t, index, count, replicas, tr.foldEvery)
+	tr.nodes = append(tr.nodes, n)
+	return n
+}
+
+// urls are the nodes' base URLs, in shard order.
+func (tr *tier) urls() []string {
+	urls := make([]string, len(tr.nodes))
+	for i, n := range tr.nodes {
+		urls[i] = n.ts.URL
+	}
+	return urls
+}
+
+// RestartGateway stops the tier's gateway, if it has one, and starts the
+// daemon's over targets, behind a fresh httptest server: what restarting
+// cmd/gateway with that -shards list does.
+func (tr *tier) RestartGateway(t *testing.T, targets []string) {
+	t.Helper()
+	tr.stopGateway()
+	o := tr.opts
+	o.Shards = strings.Join(targets, ",")
+	g, err := node.StartGateway(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.g, tr.gw = g, httptest.NewServer(g.Handler())
+	tr.client = tr.gw.Client()
+}
+
+func (tr *tier) stopGateway() {
+	if tr.g != nil {
+		tr.gw.Close()
+		tr.g.Close()
+		tr.g = nil
+	}
+}
+
+func (tr *tier) stop() {
+	tr.stopGateway()
+	for _, n := range tr.nodes {
+		n.stop()
+	}
+	if tr.single != nil {
+		tr.single.stop()
+	}
+}
+
+// ingest sends rounds copies of events, each video id suffixed with the
+// round, to the gateway and to the single node.
+func (tr *tier) ingest(t *testing.T, rounds int, events ...server.IngestEvent) {
+	t.Helper()
+	for i := 0; i < rounds; i++ {
+		batch := make([]server.IngestEvent, len(events))
+		for k, ev := range events {
+			ev.Video = fmt.Sprintf("%s-%d", ev.Video, i)
+			batch[k] = ev
+		}
+		for _, url := range []string{tr.gw.URL, tr.single.ts.URL} {
+			if code := postJSON(t, tr.client, url+"/v1/ingest", server.IngestRequest{Events: batch}, nil); code != http.StatusOK {
+				t.Fatalf("ingest round %d at %s: status %d", i, url, code)
+			}
+		}
+	}
+}
+
+// fold waits until every node has folded what it was sent, then settles.
+func (tr *tier) fold() {
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		pending := tr.single.acc.Stats().Pending
+		for _, n := range tr.nodes {
+			pending += n.acc.Stats().Pending
+		}
+		if pending == 0 {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	tr.settle()
+}
+
+// settle folds every node now and has the gateway observe the new
+// epochs: the folds happened behind its back, and it answers from the
+// rows it holds until it sees them (what its health loop does every
+// HealthInterval, at an instant of the test's choosing).
+func (tr *tier) settle() {
+	for _, n := range append(tr.nodes, tr.single) {
+		n.settle()
+	}
+	tr.g.RefreshHealth(context.Background())
+}
+
 // TestClusterGatewayEndToEnd stands up the full 3-shard tier plus a
 // single-node reference, streams the same writes into both through
 // their public APIs under concurrent read load, and asserts equality.
+// The gateway's own health loop follows the folds as they happen.
 func TestClusterGatewayEndToEnd(t *testing.T) {
 	res := testFixture(t)
 	const shards = 3
-	foldEvery := 15 * time.Millisecond
-
-	ringOne, err := cluster.NewRing(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := startClusterNode(t, ringOne, 0, 1, foldEvery)
-	defer single.stop()
-
-	ring, err := cluster.NewRing(shards, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*clusterNode, shards)
-	targets := make([]string, shards)
-	for i := range nodes {
-		nodes[i] = startClusterNode(t, ring, i, shards, foldEvery)
-		targets[i] = nodes[i].ts.URL
-		defer nodes[i].stop()
-	}
-	gcfg := cluster.DefaultGatewayConfig()
-	gcfg.HealthInterval = 20 * time.Millisecond
-	g, err := cluster.NewGateway(gcfg, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-	pollCtx, stopPoll := context.WithCancel(context.Background())
-	defer stopPoll()
-	go func() {
-		tick := time.NewTicker(gcfg.HealthInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-pollCtx.Done():
-				return
-			case <-tick.C:
-				g.RefreshHealth(pollCtx)
-			}
-		}
-	}()
-	client := gw.Client()
+	tr := newTier(t, shards, 1, 15*time.Millisecond)
+	tr.opts.Gateway.HealthInterval = 20 * time.Millisecond
+	tr.RestartGateway(t, tr.urls())
+	single, nodes, g, gw, client := tr.single, tr.nodes, tr.g, tr.gw, tr.client
 
 	// Phase 1: static equivalence on the training vocabulary.
 	sampleTags := [][]string{
@@ -193,29 +281,11 @@ func TestClusterGatewayEndToEnd(t *testing.T) {
 	}()
 	wg.Wait()
 
-	// Let every shard fold the tail, then verify convergence.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		allFolded := single.acc.Stats().Pending == 0
-		for _, n := range nodes {
-			if n.acc.Stats().Pending > 0 {
-				allFolded = false
-			}
-		}
-		if allFolded || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(foldEvery)
-	}
-
-	// Phase 3: post-stream equivalence, including the ingested tags.
-	// A fold whose install is still in flight has already zeroed its
-	// pending count, and the gateway answers from the rows it holds until
-	// it observes a shard's new epoch: settle every fold, then observe.
-	for _, n := range append(nodes, single) {
-		n.settle()
-	}
-	g.RefreshHealth(context.Background())
+	// Phase 3: post-stream equivalence, including the ingested tags, once
+	// every shard has folded the tail. A fold whose install is still in
+	// flight has already zeroed its pending count, so fold settles every
+	// fold and then observes.
+	tr.fold()
 	for _, tags := range [][]string{
 		{"zz-clu-a"},
 		{"zz-clu-b", "pop"},

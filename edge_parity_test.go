@@ -9,7 +9,6 @@ package viewstags_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"log"
@@ -19,7 +18,6 @@ import (
 	"testing"
 	"time"
 
-	"viewstags/internal/cluster"
 	"viewstags/internal/server"
 )
 
@@ -109,33 +107,9 @@ var edgeParityCases = []edgeParityCase{
 // TestEdgeErrorParity runs the table against a node and against a
 // gateway over three in-process shards.
 func TestEdgeErrorParity(t *testing.T) {
-	const shards = 3
-	ringOne, err := cluster.NewRing(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := startClusterNode(t, ringOne, 0, 1, time.Hour)
-	defer single.stop()
-	ring, err := cluster.NewRing(shards, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	targets := make([]string, shards)
-	for i := range targets {
-		n := startClusterNode(t, ring, i, shards, time.Hour)
-		defer n.stop()
-		targets[i] = n.ts.URL
-	}
-	cfg := cluster.DefaultGatewayConfig()
-	cfg.Logger = log.New(io.Discard, "", 0)
-	g, err := cluster.NewGateway(cfg, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Close()
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	tr := newTier(t, 3, 1, time.Hour)
+	tr.opts.Gateway.Logger = log.New(io.Discard, "", 0)
+	tr.RestartGateway(t, tr.urls())
 
 	send := func(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
 		if method == "" {
@@ -148,7 +122,7 @@ func TestEdgeErrorParity(t *testing.T) {
 	for _, d := range []struct {
 		name string
 		h    http.Handler
-	}{{"node", single.srv.Handler()}, {"gateway", g.Handler()}} {
+	}{{"node", tr.single.srv.Handler()}, {"gateway", tr.g.Handler()}} {
 		for _, c := range edgeParityCases {
 			rec := send(d.h, c.method, c.path, c.body)
 			if c.sameAs != "" {

@@ -177,7 +177,7 @@ func (tp *topology) excludedShards(dst []int) []int {
 // over a backend that owns the predict arithmetic — combining the per-tag
 // partial rows it fetches from the shard tier and keeps — and splits
 // writes by ring owner. Construct with NewGateway, then Sync before
-// serving.
+// serving; StartHealth keeps its view of the shards current.
 type Gateway struct {
 	cfg GatewayConfig
 	// client carries the control plane (meta probes, /v1/tags, transfers,
@@ -233,6 +233,9 @@ type Gateway struct {
 	// handoff is the last reshard's observable record; nil before the
 	// first one.
 	handoff atomic.Pointer[HandoffStatus]
+	// stopHealth cancels the health loop StartHealth began and waits for
+	// its last pass; nil until then.
+	stopHealth func()
 
 	// Global (unpartitioned) state learned from the shards at Sync:
 	// the country table (codes, and indexed in countries) and the
@@ -327,12 +330,16 @@ func (g *Gateway) newStream(target string) *shardStream {
 	return &shardStream{target: target, rt: g.client.Transport, timeout: g.cfg.ShardTimeout}
 }
 
-// Close ends every shard stream — calls in flight fail with a transport
-// error, which also ends the row refresh passes it then waits for — and
-// drops the control plane's idle connections. Serve calls it on shutdown;
-// a gateway used through Handler() alone should be closed by its owner.
+// Close stops the health loop and waits for its last pass, then ends
+// every shard stream — calls in flight fail with a transport error,
+// which also ends the row refresh passes it then waits for — and drops
+// the control plane's idle connections. Run calls it after the drain; a
+// gateway used through Handler() alone should be closed by its owner.
 func (g *Gateway) Close() {
 	g.closed.Store(true)
+	if g.stopHealth != nil {
+		g.stopHealth()
+	}
 	for _, s := range g.topo.Load().streams {
 		s.close()
 	}
@@ -400,11 +407,11 @@ func (g *Gateway) Sync(ctx context.Context) error {
 }
 
 // SyncRetry runs Sync with jittered exponential backoff until it
-// succeeds, wait elapses, or ctx ends — the startup loop cmd/gateway
-// runs so a gateway can be launched before (or while) its shards come
-// up. The jitter matters at fleet scale: after a cluster-wide restart,
-// fixed-interval retries from every gateway land on the shards in
-// synchronized waves.
+// succeeds, wait elapses, or ctx ends — the startup loop
+// node.StartGateway runs so a gateway can be launched before (or while)
+// its shards come up. The jitter matters at fleet scale: after a
+// cluster-wide restart, fixed-interval retries from every gateway land
+// on the shards in synchronized waves.
 func (g *Gateway) SyncRetry(ctx context.Context, wait time.Duration) error {
 	bo := newSyncBackoff()
 	deadline := time.Now().Add(wait)
@@ -432,43 +439,42 @@ func (g *Gateway) Handler() http.Handler { return g.handler }
 // Metrics returns the gateway's counters.
 func (g *Gateway) Metrics() *server.Metrics { return g.metrics }
 
-// Run serves on addr until ctx is canceled, polling shard health in the
-// background, then shuts down gracefully: in-flight requests drain for
-// up to grace, then the shard streams close.
+// Run serves on addr until ctx is canceled, then shuts down gracefully:
+// in-flight requests drain for up to grace, then Close. It polls nothing
+// itself: shard health is StartHealth's, for the gateway's whole life.
 func (g *Gateway) Run(ctx context.Context, addr string, grace time.Duration) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	return g.Serve(ctx, ln, grace)
-}
-
-// Serve is Run over a caller-supplied listener.
-func (g *Gateway) Serve(ctx context.Context, ln net.Listener, grace time.Duration) error {
-	pollCtx, stopPoll := context.WithCancel(ctx)
-	defer stopPoll()
-	go g.healthLoop(pollCtx)
 	return server.ServeHandler(ctx, ln, g.handler, grace, func(context.Context) { g.Close() })
 }
 
-// healthLoop refreshes shard state roughly every HealthInterval until
-// ctx ends. The interval is jittered ±20% so a fleet of gateways does
-// not probe the shard tier in lockstep; after each pass it opportunistically
-// runs replica catch-up if a revived replica is waiting on one.
-func (g *Gateway) healthLoop(ctx context.Context) {
-	jitter := newTickJitter(g.cfg.HealthInterval)
-	timer := time.NewTimer(jitter.Next())
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-			g.RefreshHealth(ctx)
-			g.maybeCatchUp(ctx)
-			timer.Reset(jitter.Next())
+// StartHealth starts the health loop: roughly every HealthInterval it
+// refreshes shard state and then, if a revived replica is waiting on one,
+// runs replica catch-up, until Close. The interval is jittered ±20% so a
+// fleet of gateways does not probe the shard tier in lockstep. Call it
+// once, after Sync and before serving.
+func (g *Gateway) StartHealth() {
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		jitter := newTickJitter(g.cfg.HealthInterval)
+		timer := time.NewTimer(jitter.Next())
+		defer timer.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-timer.C:
+				g.RefreshHealth(ctx)
+				g.maybeCatchUp(ctx)
+				timer.Reset(jitter.Next())
+			}
 		}
-	}
+	}()
+	g.stopHealth = func() { cancel(); <-done }
 }
 
 // RefreshHealth probes every shard's /internal/meta once, concurrently,
@@ -477,8 +483,9 @@ func (g *Gateway) healthLoop(ctx context.Context) {
 // FailThreshold like any other shard call. A shard that answers but
 // reports itself unready — still recovering its durable state — counts
 // as a failure too: routing to it would serve from a half-replayed
-// journal. Exposed so tests (and operators embedding the gateway) can
-// force a poll instead of waiting out the interval.
+// journal. The health loop (StartHealth) calls it every HealthInterval;
+// it is exported so tests and embedders can poll at an instant of their
+// choosing instead.
 func (g *Gateway) RefreshHealth(ctx context.Context) {
 	tp := g.topo.Load()
 	var wg sync.WaitGroup

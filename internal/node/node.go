@@ -1,9 +1,12 @@
-// Package node assembles one serve process: the Eq. 3 profiles served
-// by internal/server, kept live by internal/ingest and durable through
-// internal/persist. cmd/serve is its flags and two steps: Boot recovers
-// or builds a snapshot, and Run assembles a node over it and serves it.
-// Start is Run without the listener, for a node served another way,
-// over a Base from Boot or one holding the caller's own snapshot.
+// Package node assembles the two daemons. The serve role is the Eq. 3
+// profiles served by internal/server, kept live by internal/ingest and
+// durable through internal/persist: cmd/serve is its flags and two
+// steps, Boot (recover or build a snapshot) and Run (assemble a node
+// over it and serve it). Start is Run without the listener, for a node
+// served another way, over a Base from Boot or one holding the caller's
+// own snapshot. The gateway role (gateway.go) is internal/cluster's
+// gateway over the shards: cmd/gateway is its flags and RunGateway, and
+// StartGateway is RunGateway without the listener.
 package node
 
 import (

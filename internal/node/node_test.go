@@ -2,13 +2,19 @@ package node
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"viewstags/internal/cluster"
+	"viewstags/internal/server"
 )
 
 // TestParseShard pins the -shard spec grammar, in particular that
@@ -120,6 +126,144 @@ func TestBootRecoversWhatCloseCheckpointed(t *testing.T) {
 	for _, tag := range []string{"zz-node", "zz-node-late"} {
 		if _, ok := n.Store.Load().Lookup(tag); !ok {
 			t.Fatalf("acked tag %s is not served after the restart", tag)
+		}
+	}
+}
+
+// TestParseTargets pins the -shards list grammar: entries are trimmed
+// and lose one trailing slash, empty ones are skipped, and a list with
+// no target left is refused.
+func TestParseTargets(t *testing.T) {
+	cases := []struct {
+		shards  string
+		want    []string
+		wantErr string
+	}{
+		{shards: "http://a", want: []string{"http://a"}},
+		{shards: " http://a , http://b\t", want: []string{"http://a", "http://b"}},
+		{shards: "http://a/,http://b/ ", want: []string{"http://a", "http://b"}},
+		{shards: "http://a//", want: []string{"http://a/"}},
+		{shards: "a,,b", want: []string{"a", "b"}},
+		{shards: "a,b,", want: []string{"a", "b"}},
+		{shards: "", wantErr: "no -shards given"},
+		{shards: " , ", wantErr: `no usable targets in -shards " , "`},
+		{shards: "/,", wantErr: `no usable targets in -shards "/,"`},
+	}
+	for _, c := range cases {
+		got, err := parseTargets(c.shards)
+		if c.wantErr != "" {
+			if err == nil || err.Error() != c.wantErr {
+				t.Errorf("parseTargets(%q): err %v, want %q", c.shards, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil || !slices.Equal(got, c.want) {
+			t.Errorf("parseTargets(%q) = %q, %v; want %q", c.shards, got, err, c.want)
+		}
+	}
+}
+
+// startProbedNode is an in-memory smallOptions node behind a handler
+// that counts the /internal/meta probes it answers.
+func startProbedNode(t *testing.T) (*Node, *httptest.Server, *atomic.Int64) {
+	t.Helper()
+	o := smallOptions("")
+	b, err := Boot(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := Start(context.Background(), o, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probes := new(atomic.Int64)
+	h := n.Server.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == server.InternalMetaPath {
+			probes.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		_ = n.Close()
+	})
+	return n, ts, probes
+}
+
+// startGatewayOver starts the gateway role over one shard, polling its
+// health every interval, logging into the void.
+func startGatewayOver(t *testing.T, shard string, interval time.Duration) *cluster.Gateway {
+	t.Helper()
+	o := DefaultGatewayOptions()
+	o.Shards, o.TraceDumpDir = shard, ""
+	o.Gateway.HealthInterval = interval
+	o.Gateway.Logger = log.New(io.Discard, "", 0)
+	g, err := StartGateway(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestGatewayCloseStopsPolling: a started gateway probes its shard on
+// its own, and once Close returns it probes no more.
+func TestGatewayCloseStopsPolling(t *testing.T) {
+	const interval = 10 * time.Millisecond
+	_, ts, probes := startProbedNode(t)
+	g := startGatewayOver(t, ts.URL, interval)
+	synced := probes.Load() // the startup sync's
+	for deadline := time.Now().Add(5 * time.Second); probes.Load() <= synced; time.Sleep(interval) {
+		if time.Now().After(deadline) {
+			g.Close()
+			t.Fatalf("no health probe in 5s after the sync (%d probes), want the loop polling every %s", synced, interval)
+		}
+	}
+	g.Close()
+	// A probe Close cancelled may already have been written to the
+	// socket; give it two intervals to land before taking the count.
+	time.Sleep(2 * interval)
+	closed := probes.Load()
+	time.Sleep(10 * interval)
+	if got := probes.Load(); got != closed {
+		t.Fatalf("%d probes after Close returned, want 0", got-closed)
+	}
+}
+
+// TestStartedGatewayObservesFold: a started gateway holding the row of a
+// tag that had no fold yet notices the shard's fold on its own and
+// answers with the folded row, without a RefreshHealth from outside.
+func TestStartedGatewayObservesFold(t *testing.T) {
+	n, ts, _ := startProbedNode(t)
+	g := startGatewayOver(t, ts.URL, 10*time.Millisecond)
+	defer g.Close()
+	h := g.Handler()
+	if code := post(t, h, "/v1/ingest", `{"events":[{"video":"gw-1","tags":["zz-gw-fold"],"country":"KR","views":5,"upload":true}]}`); code != http.StatusOK {
+		t.Fatalf("ingest through the gateway: status %d", code)
+	}
+	predict := func() *server.PredictResult {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", strings.NewReader(`{"tags":["zz-gw-fold"],"top":1}`)))
+		var pr server.PredictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &pr); err != nil || rec.Code != http.StatusOK || pr.Result == nil {
+			t.Fatalf("predict through the gateway: status %d, %s", rec.Code, rec.Body.Bytes())
+		}
+		return pr.Result
+	}
+	if r := predict(); r.Known { // the gateway now holds the tag's row
+		t.Fatalf("the tag is known before any fold: %+v", r)
+	}
+	if folded, err := n.Comp.FoldNow(); err != nil || !folded {
+		t.Fatalf("FoldNow: folded=%v err=%v", folded, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		r := predict()
+		if r.Known && len(r.Top) == 1 && r.Top[0].Country == "KR" && r.Top[0].Share > 1-1e-9 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("5s after the fold the gateway still answers %+v, want zz-gw-fold known, KR share 1", r)
 		}
 	}
 }

@@ -9,13 +9,11 @@ package viewstags_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -83,31 +81,12 @@ func scrape(t *testing.T, client *http.Client, base string) string {
 // load, scrapes the gateway and one shard mid-run, validates both
 // expositions, and checks the stats quantiles cohere.
 func TestMetricsEndToEnd(t *testing.T) {
-	const shards = 3
 	foldEvery := 15 * time.Millisecond
-	ring, err := cluster.NewRing(shards, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nodes := make([]*clusterNode, shards)
-	targets := make([]string, shards)
-	for i := range nodes {
-		nodes[i] = startClusterNode(t, ring, i, shards, foldEvery)
-		targets[i] = nodes[i].ts.URL
-		defer nodes[i].stop()
-	}
-	gcfg := cluster.DefaultGatewayConfig()
-	gcfg.HealthInterval = 20 * time.Millisecond
-	g, err := cluster.NewGateway(gcfg, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-	client := gw.Client()
+	tr := newTier(t, 3, 1, foldEvery)
+	tr.opts.Gateway.HealthInterval = 20 * time.Millisecond
+	targets := tr.urls()
+	tr.RestartGateway(t, targets)
+	gw, client := tr.gw, tr.client
 
 	// Mixed traffic: predicts and ingest batches (so folds happen and
 	// the fold histogram fills), scraping both tiers mid-run.
@@ -224,29 +203,18 @@ func TestTraceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The tier's own nodes would log elsewhere: these log into buffers.
+	tr := newTier(t, 0, 1, foldEvery)
 	shardLogs := make([]*logBuf, shards)
-	nodes := make([]*clusterNode, shards)
-	targets := make([]string, shards)
-	for i := range nodes {
+	for i := range shardLogs {
 		shardLogs[i] = &logBuf{}
-		nodes[i] = startLoggedNode(t, ring, i, shards, foldEvery, shardLogs[i])
-		targets[i] = nodes[i].ts.URL
-		defer nodes[i].stop()
+		tr.nodes = append(tr.nodes, startLoggedNode(t, ring, i, shards, foldEvery, shardLogs[i]))
 	}
 	gwLog := &logBuf{}
-	gcfg := cluster.DefaultGatewayConfig()
-	gcfg.Logger = log.New(gwLog, "", 0)
-	gcfg.LogRequests = true
-	g, err := cluster.NewGateway(gcfg, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-	client := gw.Client()
+	tr.opts.Gateway.Logger = log.New(gwLog, "", 0)
+	tr.opts.Gateway.LogRequests = true
+	tr.RestartGateway(t, tr.urls())
+	gw, client := tr.gw, tr.client
 
 	post := func(id string) *http.Response {
 		t.Helper()

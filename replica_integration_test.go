@@ -15,13 +15,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"viewstags/internal/cluster"
 	"viewstags/internal/scenario"
 	"viewstags/internal/server"
 )
@@ -46,6 +44,25 @@ func newFlakyShard(t *testing.T, backend string) *scenario.FaultProxy {
 	}
 	t.Cleanup(p.Close)
 	return p
+}
+
+// startFlakyTier is a tier whose gateway reaches each shard through a
+// fault proxy (returned in shard order), marks a shard down after two
+// failures and polls only when the test calls RefreshHealth, so health
+// state moves at the steps the test asserts.
+func startFlakyTier(t *testing.T, shards, replicas int) (*tier, []*scenario.FaultProxy) {
+	t.Helper()
+	tr := newTier(t, shards, replicas, 15*time.Millisecond)
+	proxies := make([]*scenario.FaultProxy, shards)
+	targets := make([]string, shards)
+	for i, n := range tr.nodes {
+		proxies[i] = newFlakyShard(t, n.ts.URL)
+		targets[i] = proxies[i].URL()
+	}
+	tr.opts.Gateway.FailThreshold = 2
+	tr.opts.Gateway.HealthInterval = time.Hour
+	tr.RestartGateway(t, targets)
+	return tr, proxies
 }
 
 // promCounter scrapes one counter from the gateway's /metrics text.
@@ -79,37 +96,8 @@ func promCounter(t *testing.T, client *http.Client, base, name string) float64 {
 func TestReplicaFailoverEndToEnd(t *testing.T) {
 	res := testFixture(t)
 	const shards, replicas = 3, 2
-	foldEvery := 15 * time.Millisecond
-
-	ringOne, err := cluster.NewRing(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := startClusterNode(t, ringOne, 0, 1, foldEvery)
-	defer single.stop()
-
-	nodes := make([]*clusterNode, shards)
-	proxies := make([]*scenario.FaultProxy, shards)
-	targets := make([]string, shards)
-	for i := range nodes {
-		nodes[i] = startReplicaNode(t, i, shards, replicas, foldEvery)
-		defer nodes[i].stop()
-		proxies[i] = newFlakyShard(t, nodes[i].ts.URL)
-		targets[i] = proxies[i].URL()
-	}
-	gcfg := cluster.DefaultGatewayConfig()
-	gcfg.Replicas = replicas
-	gcfg.FailThreshold = 2
-	g, err := cluster.NewGateway(gcfg, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-	client := gw.Client()
+	tr, proxies := startFlakyTier(t, shards, replicas)
+	single, g, gw, client := tr.single, tr.g, tr.gw, tr.client
 	ctx := context.Background()
 
 	readyCode := func() int {
@@ -160,27 +148,7 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 			}
 		}
 	}
-	waitFolded := func(ns ...*clusterNode) {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			pending := single.acc.Stats().Pending
-			for _, n := range ns {
-				pending += n.acc.Stats().Pending
-			}
-			if pending == 0 {
-				for _, n := range append(ns, single) {
-					n.settle()
-				}
-				return
-			}
-			time.Sleep(foldEvery)
-		}
-	}
-	waitFolded(nodes[0], nodes[2])
-	// The folds above happened behind the gateway's back: it answers
-	// from the rows it holds until it observes the new epochs, so observe
-	// them (what its health loop does every HealthInterval).
-	g.RefreshHealth(ctx)
+	tr.fold()
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rf-a"})
 	assertSamePrediction(t, client, single.ts.URL, gw.URL, []string{"zz-rf-b", "pop"})
 
@@ -248,37 +216,8 @@ func TestReplicaFailoverEndToEnd(t *testing.T) {
 func TestCatchUpTwoReplicasOnePass(t *testing.T) {
 	res := testFixture(t)
 	const shards, replicas = 4, 3
-	foldEvery := 15 * time.Millisecond
-
-	ringOne, err := cluster.NewRing(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := startClusterNode(t, ringOne, 0, 1, foldEvery)
-	defer single.stop()
-
-	nodes := make([]*clusterNode, shards)
-	proxies := make([]*scenario.FaultProxy, shards)
-	targets := make([]string, shards)
-	for i := range nodes {
-		nodes[i] = startReplicaNode(t, i, shards, replicas, foldEvery)
-		defer nodes[i].stop()
-		proxies[i] = newFlakyShard(t, nodes[i].ts.URL)
-		targets[i] = proxies[i].URL()
-	}
-	gcfg := cluster.DefaultGatewayConfig()
-	gcfg.Replicas = replicas
-	gcfg.FailThreshold = 2
-	g, err := cluster.NewGateway(gcfg, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-	client := gw.Client()
+	tr, proxies := startFlakyTier(t, shards, replicas)
+	single, nodes, g, gw, client := tr.single, tr.nodes, tr.g, tr.gw, tr.client
 	ctx := context.Background()
 
 	type shardFlags struct {

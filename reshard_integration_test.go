@@ -29,103 +29,28 @@ import (
 
 const reshardFoldEvery = 15 * time.Millisecond
 
-// reshardTier is a live tier behind a gateway, beside a single-node
-// reference that gets the same writes: the state the reshard tests move.
-type reshardTier struct {
-	foldEvery time.Duration
-	single    *clusterNode
-	nodes     []*clusterNode
-	g         *cluster.Gateway
-	gw        *httptest.Server
-	client    *http.Client
-}
-
-func startReshardTier(t *testing.T, shards, replicas int) *reshardTier {
+// startReshardTier is a tier whose gateway polls only when fold asks it
+// to, so no health pass lands between a test's steps.
+func startReshardTier(t *testing.T, shards, replicas int) *tier {
 	t.Helper()
 	return startReshardTierFolding(t, shards, replicas, reshardFoldEvery)
 }
 
 // startReshardTierFolding is startReshardTier with every node folding
 // every foldEvery.
-func startReshardTierFolding(t *testing.T, shards, replicas int, foldEvery time.Duration) *reshardTier {
+func startReshardTierFolding(t *testing.T, shards, replicas int, foldEvery time.Duration) *tier {
 	t.Helper()
-	rt := &reshardTier{foldEvery: foldEvery, single: startReplicaNode(t, 0, 1, 1, foldEvery)}
-	t.Cleanup(rt.single.stop)
-	targets := make([]string, shards)
-	for i := range targets {
-		rt.addNode(t, i, shards, replicas)
-		targets[i] = rt.nodes[i].ts.URL
-	}
-	gcfg := cluster.DefaultGatewayConfig()
-	gcfg.Replicas = replicas
-	var err error
-	if rt.g, err = cluster.NewGateway(gcfg, targets); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	rt.gw = httptest.NewServer(rt.g.Handler())
-	t.Cleanup(rt.gw.Close)
-	rt.client = rt.gw.Client()
+	rt := newTier(t, shards, replicas, foldEvery)
+	rt.opts.Gateway.HealthInterval = time.Hour
+	rt.RestartGateway(t, rt.urls())
 	return rt
-}
-
-// addNode boots shard index of count over the same dataset, wired for
-// transfers; the tier folds it with the rest from then on.
-func (rt *reshardTier) addNode(t *testing.T, index, count, replicas int) *clusterNode {
-	t.Helper()
-	n := startReplicaNode(t, index, count, replicas, rt.foldEvery)
-	t.Cleanup(n.stop)
-	rt.nodes = append(rt.nodes, n)
-	return n
-}
-
-// ingest sends rounds copies of events, each video id suffixed with the
-// round, to the gateway and to the single node.
-func (rt *reshardTier) ingest(t *testing.T, rounds int, events ...server.IngestEvent) {
-	t.Helper()
-	for i := 0; i < rounds; i++ {
-		batch := make([]server.IngestEvent, len(events))
-		for k, ev := range events {
-			ev.Video = fmt.Sprintf("%s-%d", ev.Video, i)
-			batch[k] = ev
-		}
-		for _, url := range []string{rt.gw.URL, rt.single.ts.URL} {
-			if code := postJSON(t, rt.client, url+"/v1/ingest", server.IngestRequest{Events: batch}, nil); code != http.StatusOK {
-				t.Fatalf("ingest round %d at %s: status %d", i, url, code)
-			}
-		}
-	}
-}
-
-// fold waits until every node has folded what it was sent, then has the
-// gateway observe the new epochs: the folds happened behind its back,
-// and it answers from the rows it holds until it sees them (what its
-// health loop does every HealthInterval).
-func (rt *reshardTier) fold() {
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		pending := rt.single.acc.Stats().Pending
-		for _, n := range rt.nodes {
-			pending += n.acc.Stats().Pending
-		}
-		if pending == 0 {
-			for _, n := range append(rt.nodes, rt.single) {
-				n.settle()
-			}
-			break
-		}
-		time.Sleep(reshardFoldEvery)
-	}
-	rt.g.RefreshHealth(context.Background())
 }
 
 // readDuring runs move while one client keeps predicting "pop" through
 // the gateway, and returns the reads it issued and how many failed. The
 // request barrier makes a reshard invisible: requests stall briefly and
 // then succeed — a failure is a dropped request.
-func (rt *reshardTier) readDuring(move func()) (reads, readErrs int64) {
+func (rt *tier) readDuring(move func()) (reads, readErrs int64) {
 	stop := make(chan struct{})
 	var n, errs atomic.Int64
 	var wg sync.WaitGroup
@@ -180,7 +105,7 @@ type reshardStats struct {
 	} `json:"cluster"`
 }
 
-func (rt *reshardTier) stats(t *testing.T) reshardStats {
+func (rt *tier) stats(t *testing.T) reshardStats {
 	t.Helper()
 	var stats reshardStats
 	if code := getJSON(t, rt.client, rt.gw.URL+"/v1/stats", &stats); code != http.StatusOK {
@@ -215,11 +140,7 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 	// Boot the incoming shard with its grown identity: shard 3 of 4
 	// over the same dataset. It builds its base slice itself; the
 	// reshard transfer brings it everything folded since boot.
-	grown := make([]string, 0, after)
-	for _, n := range rt.nodes {
-		grown = append(grown, n.ts.URL)
-	}
-	grown = append(grown, rt.addNode(t, 3, after, replicas).ts.URL)
+	grown := append(rt.urls(), rt.addNode(t, 3, after, replicas).ts.URL)
 
 	var rr cluster.ReshardResponse
 	var code int
@@ -346,20 +267,13 @@ func TestReshardKeepsUnfoldedEvents(t *testing.T) {
 		}
 	}
 
-	grown := make([]string, 0, after)
-	for _, n := range rt.nodes {
-		grown = append(grown, n.ts.URL)
-	}
-	grown = append(grown, rt.addNode(t, before, after, replicas).ts.URL)
+	grown := append(rt.urls(), rt.addNode(t, before, after, replicas).ts.URL)
 	var rr cluster.ReshardResponse
 	if code := postJSON(t, rt.client, rt.gw.URL+"/v1/reshard", cluster.ReshardRequest{Targets: grown}, &rr); code != http.StatusOK {
 		t.Fatalf("POST /v1/reshard: status %d (%+v)", code, rr)
 	}
 
-	for _, n := range append(rt.nodes, rt.single) {
-		n.settle()
-	}
-	rt.g.RefreshHealth(context.Background())
+	rt.settle()
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, tags[:1])
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{tags[1], "pop", tags[2]})
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"favela", "samba"})
@@ -431,10 +345,9 @@ func TestReshardRejectsRepeatedTarget(t *testing.T) {
 	res := testFixture(t)
 	const shards = 3
 	rt := startReshardTier(t, shards, 1)
-	targets := make([]string, shards)
+	targets := rt.urls()
 	numTags := make([]int, shards)
 	for i, n := range rt.nodes {
-		targets[i] = n.ts.URL
 		numTags[i] = n.store.Load().NumTags()
 	}
 

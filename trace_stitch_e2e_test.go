@@ -8,11 +8,9 @@
 package viewstags_test
 
 import (
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -99,36 +97,21 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*clusterNode, shards)
-	targets := make([]string, shards)
-	for i := range nodes {
-		nodes[i] = startClusterNode(t, ring, i, shards, foldEvery)
-		targets[i] = nodes[i].ts.URL
-		defer nodes[i].stop()
-	}
+	tr := newTier(t, shards, 1, foldEvery)
 	// Front shard 1 with the chaos harness's delay proxy: the shard
 	// itself stays fast, so a correct stitch shows a slow gateway-side
 	// leg over a fast shard-side handler — the "network or proxy, not
 	// the shard" triage signature from OPERATIONS.md.
+	targets := tr.urls()
 	proxy, err := scenario.NewFaultProxy(targets[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer proxy.Close()
 	targets[1] = proxy.URL()
-
-	gcfg := cluster.DefaultGatewayConfig()
-	gcfg.HealthInterval = 20 * time.Millisecond
-	g, err := cluster.NewGateway(gcfg, targets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	gw := httptest.NewServer(g.Handler())
-	defer gw.Close()
-	client := gw.Client()
+	tr.opts.Gateway.HealthInterval = 20 * time.Millisecond
+	tr.RestartGateway(t, targets)
+	gw, client := tr.gw, tr.client
 	proxy.SetDelay(delay)
 
 	// label picks the cold tags: requests sharing a label share them.
