@@ -9,14 +9,15 @@ import (
 	"time"
 
 	"viewstags/internal/obs"
+	"viewstags/internal/profilestore"
 	"viewstags/internal/server"
 	"viewstags/internal/tagviews"
 )
 
 // This file is the predict core: one function that resolves every tag
-// of a batch of items to a per-tag partial row — from the topology's row
-// cache where a valid one is held, from the tag's owner shard otherwise
-// — combines the rows into per-item mixtures and normalizes.
+// of a batch of items to a per-tag row — from the topology's row cache
+// where a valid one is held, from the tag's owner shard otherwise — and
+// mixes each item's rows with the kernel a node's own predict runs.
 // Gateway.Predict is its one caller, so every fan-out runs on its
 // client's goroutine, under the request barrier and bounded by that
 // client's context.
@@ -106,8 +107,7 @@ type mergedPredict struct {
 	want     [][]int32        // per shard: the misses asked of it this round
 	bodies   [][]byte         // per shard: this round's request frame
 	bufs     []*[]byte        // per shard: the pooled buffer behind bodies
-	oneTag   []string         // frame-encode scratch: the tags of one frame,
-	oneItems [][]string       // and the one-tag items over them
+	oneTag   []string         // frame-encode scratch: the tags of one frame
 }
 
 // wantTags lists the tags asked of shard s this round (shared scratch).
@@ -117,14 +117,6 @@ func (m *mergedPredict) wantTags(s int) []string {
 		m.oneTag = append(m.oneTag, m.misses[i].tag)
 	}
 	return m.oneTag
-}
-
-// oneTagItems appends one one-tag item per tag, aliasing tags, to dst.
-func oneTagItems(dst [][]string, tags []string) [][]string {
-	for j := range tags {
-		dst = append(dst, tags[j:j+1:j+1])
-	}
-	return dst
 }
 
 // getMerged takes a pooled predict state for items carrying nTags tags
@@ -161,7 +153,6 @@ func (g *Gateway) putMerged(m *mergedPredict) {
 		clear(m.misses[:cap(m.misses)])
 		clear(m.missIdx)
 		clear(m.oneTag[:cap(m.oneTag)])
-		clear(m.oneItems[:cap(m.oneItems)])
 	}
 	g.mergedPool.Put(m)
 }
@@ -221,14 +212,12 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *server.ErrorReply {
 	return nil
 }
 
-// predictFanout answers a batch of items from per-tag partial rows:
-// resolve every tag to a row (the topology's cache first), fetch the
-// distinct tags still missing — each from the one shard the ring assigns
-// it, as one-tag items over the ordinary /internal/predict frame — then
-// combine per position (an item's partial mixture is Σ_j row(tag_j)/(j+1),
-// the harmonic rank discount applied here instead of on the shard) and
-// normalize, falling back to the shared prior when no tag carried
-// weight. The distributions go into out, the contract's lent rows. A
+// predictFanout answers a batch of items from per-tag rows: resolve
+// every tag to a row (the topology's cache first), fetch the distinct
+// tags still missing — each from the one shard the ring assigns it, in a
+// rows request — then mix each item's rows in tag order with
+// profilestore.Mix and Normalize, a node's PredictInto term for term, so
+// the reply is a node's bit for bit. The distributions go into out. A
 // request whose rows are all cached and usable makes no shard leg. trace
 // is the request id, propagated to every shard asked. On success the
 // caller owns the returned value and must putMerged it.
@@ -334,9 +323,8 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 			if len(want) == 0 {
 				continue
 			}
-			m.oneItems = oneTagItems(m.oneItems[:0], m.wantTags(s))
 			m.bufs[s] = reqBufPool.Get().(*[]byte)
-			m.bodies[s] = server.AppendPredictRequestExclude((*m.bufs[s])[:0], m.oneItems, weighting, exclude, false)
+			m.bodies[s] = server.AppendRowsRequest((*m.bufs[s])[:0], m.wantTags(s), weighting, exclude)
 		}
 		fanStart := time.Now()
 		replies := g.scatter(ctx, tp, legPredict, m.bodies, server.WireContentType, trace)
@@ -425,32 +413,15 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 	k := 0
 	for i, tags := range items {
 		dst := out.Row(i)
-		for c := range dst {
-			dst[c] = 0
-		}
+		clear(dst)
 		var ws float64
 		for j := range tags {
-			r := m.rows[k]
+			if r := m.rows[k]; r.vec != nil {
+				ws += profilestore.Mix(dst, r.ws, j, r.vec)
+			}
 			k++
-			if r.vec == nil {
-				continue
-			}
-			d := 1 / float64(j+1)
-			ws += r.ws * d
-			for c, x := range r.vec {
-				dst[c] += x * d
-			}
 		}
-		if ws == 0 {
-			copy(dst, g.prior)
-			out.Known[i] = false
-			continue
-		}
-		inv := 1 / ws
-		for c := range dst {
-			dst[c] *= inv
-		}
-		out.Known[i] = true
+		out.Known[i] = profilestore.Normalize(dst, ws, g.prior)
 	}
 	if m.nlegs == 0 {
 		m.fanStart = start
@@ -467,7 +438,7 @@ func (g *Gateway) coverageLost(tp *topology, exclude []int) *server.ErrorReply {
 
 // takeRows is the one row constructor, for a request's fetch and a
 // refresh pass (rowrefresh.go) alike: it decodes a shard's reply to a
-// frame of one-tag items (tags, in order; the cache keeps them as keys)
+// rows request (tags, in order; the cache keeps them as keys)
 // into rows labelled with the reply's own epoch and the slot generation
 // the fetch began under, records the epoch as observed, and publishes
 // the rows to the topology's cache — unless the generation moved while

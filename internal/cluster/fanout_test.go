@@ -12,8 +12,8 @@ import (
 )
 
 // takeOneRow hands takeRows a hand-built reply frame as shard 0's
-// answer to a one-tag fetch, the way predictFanout's gather step does,
-// and returns the request's row for that tag and what the topology's
+// answer to a one-tag rows request, the way predictFanout's gather step
+// does, and returns the request's row for that tag and what the topology's
 // cache holds for it afterwards. inFlight, when non-nil, runs between
 // the request reading its view of the shard and the reply arriving.
 func takeOneRow(t *testing.T, g *Gateway, tag string, frame []byte, inFlight func(*shardState)) (fe *server.ErrorReply, row, cached *tagRow) {
@@ -67,9 +67,9 @@ func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 	for _, width := range []int{nC + 7, nC - 1} {
 		enc := server.GetPredictWireEncoder()
 		enc.Begin(tagviews.WeightIDF, 1, 0, width, 1, false)
-		sum := make([]float64, width)
-		sum[0] = 1.5
-		enc.Item(1.5, sum)
+		vec := make([]float64, width)
+		vec[0] = 1
+		enc.Item(1.5, vec)
 		fe, row, cached := takeOneRow(t, g, "zz-width", enc.Finish(), nil)
 		server.PutPredictWireEncoder(enc)
 		if fe == nil || fe.Status != http.StatusBadGateway {
@@ -91,8 +91,8 @@ func TestTakeRowsAllocatesPerFrame(t *testing.T) {
 	const n = 512
 	enc := server.GetPredictWireEncoder()
 	defer server.PutPredictWireEncoder(enc)
-	vec := make([]float64, len(g.codes))
-	vec[0] = 2
+	vec := make([]float64, len(g.codes)) // each row: weight 2, stored vector
+	vec[0] = 1
 	tags := make([]string, n)
 	enc.Begin(tagviews.WeightIDF, 1, 0, len(g.codes), n, false)
 	for j := range tags {

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -213,7 +212,7 @@ func sharesOf(top []server.CountryShare) map[string]float64 {
 // TestGatewayPredictMatchesSingleNode is the tentpole acceptance test
 // at package scope: over real HTTP, a 3-shard gateway's /v1/predict
 // answers — single and batched, across all weightings, known and
-// fallback — match a single full node's within float tolerance.
+// fallback — match a single full node's share for share.
 func TestGatewayPredictMatchesSingleNode(t *testing.T) {
 	res := fixture(t)
 	ringOne, err := NewRing(1, 0)
@@ -250,7 +249,7 @@ func TestGatewayPredictMatchesSingleNode(t *testing.T) {
 				t.Fatalf("w=%s case %d: %d countries vs %d", weighting, ci, len(gotShares), len(wantShares))
 			}
 			for country, share := range wantShares {
-				if math.Abs(gotShares[country]-share) > 1e-9 {
+				if gotShares[country] != share {
 					t.Fatalf("w=%s case %d %s: gateway %v, single %v", weighting, ci, country, gotShares[country], share)
 				}
 			}
@@ -275,7 +274,7 @@ func TestGatewayPredictMatchesSingleNode(t *testing.T) {
 	for i := range want.Results {
 		ws, gs := sharesOf(want.Results[i].Top), sharesOf(got.Results[i].Top)
 		for country, share := range ws {
-			if math.Abs(gs[country]-share) > 1e-9 {
+			if gs[country] != share {
 				t.Fatalf("batch item %d %s: gateway %v, single %v", i, country, gs[country], share)
 			}
 		}
@@ -353,7 +352,7 @@ func TestGatewayIngestEquivalence(t *testing.T) {
 		}
 		ws, gs := sharesOf(want.Result.Top), sharesOf(got.Result.Top)
 		for country, share := range ws {
-			if math.Abs(gs[country]-share) > 1e-9 {
+			if gs[country] != share {
 				t.Fatalf("%v %s: gateway %v, single %v", tags, country, gs[country], share)
 			}
 		}
@@ -707,19 +706,27 @@ func predictVia(t *testing.T, g *Gateway, req server.PredictRequest) (int, serve
 // node's.
 func predictOn(t *testing.T, h http.Handler, req server.PredictRequest) (int, server.PredictResponse) {
 	t.Helper()
+	code, body := predictBody(t, h, req)
+	var resp server.PredictResponse
+	if code == http.StatusOK {
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatalf("decode %q: %v", body, err)
+		}
+	}
+	return code, resp
+}
+
+// predictBody posts one /v1/predict through a handler stack and returns
+// the reply's status and body.
+func predictBody(t *testing.T, h http.Handler, req server.PredictRequest) (int, []byte) {
+	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
-	var resp server.PredictResponse
-	if rec.Code == http.StatusOK {
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatalf("decode %q: %v", rec.Body.Bytes(), err)
-		}
-	}
-	return rec.Code, resp
+	return rec.Code, rec.Body.Bytes()
 }
 
 // TestGatewayRequestIDBound: the gateway honours an inbound X-Request-Id

@@ -8,10 +8,10 @@ import (
 	"viewstags/internal/tagviews"
 )
 
-// This file is the gateway's per-tag partial-row cache: what a shard
-// answered for the one-tag item [tag] under one weighting — the weight
-// and weight·vector at rank 0 — kept with the shard state it was read
-// from. predictFanout (fanout.go) combines an item's rows locally, so a
+// This file is the gateway's per-tag row cache: what a shard answered
+// for tag under one weighting — the tag's weight and stored vector, what
+// profilestore.Mix takes — kept with the shard state it was read from.
+// predictFanout (fanout.go) combines an item's rows locally, so a
 // request whose rows are all here and still valid makes no shard leg.
 // The cache only stores; whether a row may be used is decided per
 // request by shardView.usable, and one cache lives exactly as long as
@@ -40,16 +40,16 @@ const rowEvictProbe = 8
 // a row nobody asks for before one drops it (EXPERIMENTS.md "Row refresh").
 const rowIdleRefreshes = 32
 
-// tagRow is one cached partial row. Immutable once published apart
+// tagRow is one cached row. Immutable once published apart
 // from the second-chance bit. vec is nil for an absent row — the tag is
 // unknown to its owner, or carries no weight — which is cached like any
 // other answer: it stays true until the shard's epoch moves.
 type tagRow struct {
-	shard int    // the shard that answered
-	gen   uint64 // that shard slot's generation when the fetch began
-	epoch uint64 // the fold epoch the reply was labelled with
-	ws    float64
-	vec   []float64
+	shard int         // the shard that answered
+	gen   uint64      // that shard slot's generation when the fetch began
+	epoch uint64      // the fold epoch the reply was labelled with
+	ws    float64     // the tag's weight, before the rank discount
+	vec   []float64   // its stored vector
 	used  atomic.Bool // asked for since it was published or last aged
 	idle  uint8       // rows in a row replaced under this key unasked for
 }

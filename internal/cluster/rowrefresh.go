@@ -11,10 +11,10 @@ import (
 
 // This file is the row cache's fold follower. A forward move of a shard's
 // epoch retires every row held from it at once; a refresh pass re-reads
-// them in bulk off the request path — the same one-tag items, the same
-// frame — instead of one miss at a time. It is just another fetcher:
-// usable decides per request as before, a request that beats the pass
-// fetches for itself, and a pass makes rows appear earlier, never usable.
+// them in bulk off the request path — the same rows request — instead
+// of one miss at a time. It is just another fetcher: usable decides per
+// request as before, a request that beats the pass fetches for itself,
+// and a pass makes rows appear earlier, never usable.
 
 // startRefresh begins a pass for the shard: one per slot, none once closed.
 func (g *Gateway) startRefresh(tp *topology, shard int) {
@@ -87,8 +87,7 @@ func (g *Gateway) refreshFrame(tp *topology, shard int, gen uint64, w tagviews.W
 	if len(tags) == 0 {
 		return true
 	}
-	items := oneTagItems(make([][]string, 0, len(tags)), tags)
-	body := server.AppendPredictRequestExclude(make([]byte, 0, 16*len(tags)), items, w, exclude, false)
+	body := server.AppendRowsRequest(make([]byte, 0, 16*len(tags)), tags, w, exclude)
 	rep := g.postShard(context.Background(), tp, shard, legRefresh, body, server.WireContentType, "")
 	s.refreshLegs.Add(1)
 	if rep.err != nil || rep.status != http.StatusOK {

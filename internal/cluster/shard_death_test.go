@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -188,7 +187,7 @@ func TestPredictShardDeathMidFlight(t *testing.T) {
 		}
 		for c := range want.Result.Top {
 			if got.Result.Top[c].Country != want.Result.Top[c].Country ||
-				math.Abs(got.Result.Top[c].Share-want.Result.Top[c].Share) > 1e-9 {
+				got.Result.Top[c].Share != want.Result.Top[c].Share {
 				t.Fatalf("revived wave req %d country %d: %+v, was %+v",
 					i, c, got.Result.Top[c], want.Result.Top[c])
 			}

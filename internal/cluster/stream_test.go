@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"io"
 	"log"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -136,7 +135,7 @@ func TestStreamShardKilledWithWaitersInFlight(t *testing.T) {
 	}
 	for c := range want.Result.Top {
 		if got.Result.Top[c].Country != want.Result.Top[c].Country ||
-			math.Abs(got.Result.Top[c].Share-want.Result.Top[c].Share) > 1e-9 {
+			got.Result.Top[c].Share != want.Result.Top[c].Share {
 			t.Fatalf("country %d after revival: %+v, was %+v", c, got.Result.Top[c], want.Result.Top[c])
 		}
 	}

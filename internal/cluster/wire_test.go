@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"testing"
 
@@ -13,8 +12,8 @@ import (
 )
 
 // TestGatewayWireEquivalence is the wire acceptance test: shards behind
-// a gateway answer float-identically (1e-9) to a single full node — the
-// compact codec is a transport change, never an arithmetic one.
+// a gateway answer float-identically (share for share) to a single full
+// node — the compact codec is a transport change, never an arithmetic one.
 func TestGatewayWireEquivalence(t *testing.T) {
 	res := fixture(t)
 	ringOne, err := NewRing(1, 0)
@@ -60,7 +59,7 @@ func TestGatewayWireEquivalence(t *testing.T) {
 					t.Fatalf("%s wire w=%s case %d: %d countries vs %d", name, weighting, ci, len(gotShares), len(wantShares))
 				}
 				for country, share := range wantShares {
-					if math.Abs(gotShares[country]-share) > 1e-9 {
+					if gotShares[country] != share {
 						t.Fatalf("%s wire w=%s case %d %s: %v, single %v", name, weighting, ci, country, gotShares[country], share)
 					}
 				}
@@ -85,7 +84,7 @@ func TestGatewayWireEquivalence(t *testing.T) {
 		for i := range want.Results {
 			ws, gs := sharesOf(want.Results[i].Top), sharesOf(got.Results[i].Top)
 			for country, share := range ws {
-				if math.Abs(gs[country]-share) > 1e-9 {
+				if gs[country] != share {
 					t.Fatalf("%s wire batch item %d %s: %v, single %v", name, i, country, gs[country], share)
 				}
 			}

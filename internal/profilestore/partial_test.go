@@ -122,6 +122,47 @@ func TestPredictPartialMerge(t *testing.T) {
 	}
 }
 
+// TestRowsMixMatchPredictInto is the cluster gateway's combine at
+// package scope: each tag's Row from the shard that owns it, added with
+// Mix at the tag's position and finished with Normalize, is the full
+// snapshot's PredictInto bit for bit — repeated, unknown and all-unknown
+// tags included — because it is the same kernel over the same terms in
+// the same order.
+func TestRowsMixMatchPredictInto(t *testing.T) {
+	res := fixture(t)
+	full := buildSnap(t)
+	parts := buildPartials(t, 3)
+	nC := res.World.N()
+	names := res.Analysis.TagNames()
+	cases := [][]string{
+		{"favela", "samba", "favela"},
+		{"zz-unknown-1", "zz-unknown-2"},
+		{"zz-unknown", "pop", "music"},
+		names[:40],
+	}
+	for _, w := range []tagviews.Weighting{tagviews.WeightUniform, tagviews.WeightByViews, tagviews.WeightIDF} {
+		for ci, tags := range cases {
+			want := make([]float64, nC)
+			wantKnown := full.PredictInto(want, tags, w)
+			got := make([]float64, nC)
+			var wSum float64
+			for rank, tag := range tags {
+				if weight, vec := parts[ownerOf(tag, 3)].Row(tag, w); vec != nil {
+					wSum += Mix(got, weight, rank, vec)
+				}
+			}
+			if known := Normalize(got, wSum, full.Prior()); known != wantKnown {
+				t.Fatalf("w=%v case %d: known %v, PredictInto %v", w, ci, known, wantKnown)
+			}
+			for c := range got {
+				if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+					t.Fatalf("w=%v case %d country %d: rows %v, PredictInto %v", w, ci, c, got[c], want[c])
+				}
+			}
+		}
+	}
+}
+
 // TestPredictPartialIntoMatchesPredictInto: on a full snapshot the
 // partial export is PredictInto minus normalization — dividing by the
 // returned weight mass reproduces it bit-for-bit (same accumulation

@@ -18,9 +18,26 @@ import (
 // Unknown tags are skipped; when no tag is known dst receives the
 // normalized traffic prior and the return is false.
 func (s *Snapshot) PredictInto(dst []float64, tagNames []string, w tagviews.Weighting) bool {
-	wSum := s.PredictPartialInto(dst, tagNames, w)
+	return Normalize(dst, s.PredictPartialInto(dst, tagNames, w), s.prior)
+}
+
+// Mix adds one tag's term to a mixture in dst — its weight discounted by
+// its rank in the item (uploaders front-load topical tags), times its
+// stored vector — and returns the discounted weight. A node's mixture and
+// a gateway's are these terms in tag order, then Normalize: bit for bit.
+func Mix(dst []float64, weight float64, rank int, vec []float64) float64 {
+	weight /= float64(rank + 1)
+	for c, x := range vec {
+		dst[c] += weight * x
+	}
+	return weight
+}
+
+// Normalize finishes a mixture: dst scaled by 1/wSum, or — when no tag
+// carried weight — the traffic prior. It reports whether any tag did.
+func Normalize(dst []float64, wSum float64, prior []float64) bool {
 	if wSum == 0 {
-		copy(dst, s.prior)
+		copy(dst, prior)
 		return false
 	}
 	inv := 1 / wSum
@@ -30,23 +47,24 @@ func (s *Snapshot) PredictInto(dst []float64, tagNames []string, w tagviews.Weig
 	return true
 }
 
+// Row returns what tag contributes to a mixture under w before its rank
+// discount: its weight and its stored vector (read-only, aliasing the
+// snapshot), or 0, nil when the tag is unknown or carries no weight.
+func (s *Snapshot) Row(tag string, w tagviews.Weighting) (float64, []float64) {
+	if id, ok := s.Lookup(tag); ok {
+		if weight := s.tagWeight(id, w); weight > 0 {
+			return weight, s.Vec(id)
+		}
+	}
+	return 0, nil
+}
+
 // PredictPartialInto writes the unnormalized weighted tag mixture into
-// dst — Σ over known tags of weight·vector, with dst zeroed first — and
+// dst — Σ over known tags of Mix's terms, with dst zeroed first — and
 // returns the weight sum, applying neither the final normalization nor
-// the prior fallback. This is the mergeable export the cluster tier is
-// built on: tags are partitioned across shards, so each shard's
-// (partial sum, weight sum) pair covers a disjoint tag subset, and a
-// gateway reconstructs the exact single-node prediction by adding the
-// vectors, adding the weight sums, and dividing (falling back to the
-// shared prior when the total weight is zero) — the same arithmetic
-// PredictInto runs locally.
-//
-// Exactness rests on two globals every partial snapshot retains in
-// full: Records (the IDF numerator n) and the harmonic rank discount,
-// which uses each tag's position in the list it is given — so a partial
-// over a sub-list is only mergeable if the caller accounts for the
-// positions itself (the cluster gateway asks for one tag at a time and
-// divides each rank-0 row by the tag's position in its item).
+// the prior fallback. A shard answers a plain /internal/predict item
+// with it; the cluster gateway asks for rows instead (Row) and adds the
+// terms itself, in the item's order, with the same Mix.
 func (s *Snapshot) PredictPartialInto(dst []float64, tagNames []string, w tagviews.Weighting) float64 {
 	return s.PredictPartialFilterInto(dst, tagNames, w, nil)
 }
@@ -54,35 +72,16 @@ func (s *Snapshot) PredictPartialInto(dst []float64, tagNames []string, w tagvie
 // PredictPartialFilterInto is PredictPartialInto restricted to tags the
 // serve predicate admits (nil admits every tag). The replicated cluster
 // tier uses it so that, of the R shards holding a tag, exactly one —
-// chosen by the shared ring's failover assignment — contributes it to
-// the merge; the rank discount still keys off the caller's full list,
-// so filtering changes which shard supplies a tag's term, never the
-// term itself.
+// chosen by the shared ring's failover assignment — contributes it; the
+// rank discount still keys off the caller's full list, so filtering
+// changes which shard supplies a tag's term, never the term itself.
 func (s *Snapshot) PredictPartialFilterInto(dst []float64, tagNames []string, w tagviews.Weighting, serve func(string) bool) float64 {
-	for i := range dst {
-		dst[i] = 0
-	}
+	clear(dst)
 	var wSum float64
 	for rank, t := range tagNames {
-		id, ok := s.Lookup(t)
-		if !ok {
-			continue
+		if weight, vec := s.Row(t, w); vec != nil && (serve == nil || serve(t)) {
+			wSum += Mix(dst, weight, rank, vec)
 		}
-		if serve != nil && !serve(t) {
-			continue
-		}
-		weight := s.tagWeight(id, w)
-		if weight <= 0 {
-			continue
-		}
-		// Uploaders front-load topical tags; harmonic rank discounting
-		// mirrors the offline predictor.
-		weight /= float64(rank + 1)
-		vec := s.Vec(id)
-		for c, x := range vec {
-			dst[c] += weight * x
-		}
-		wSum += weight
 	}
 	return wSum
 }

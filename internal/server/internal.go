@@ -50,17 +50,14 @@ type InternalMetaResponse struct {
 	Ready bool `json:"ready"`
 }
 
-// handleInternalPredict serves the gateway's row fetches: one binary
-// frame in (items as tag lists — the shard skips tags it does not own
-// and discounts each tag's weight by its position in its item; a gateway
-// asks for one-tag items, so every row comes back at rank 0 and it
-// applies the discount itself — plus the shards the gateway has taken
-// out of read rotation), one binary frame of partial mixtures out,
-// encoded straight from the scratch vector into a pooled frame. Partials
-// over disjoint tags combine exactly: add the sums, add the weight sums,
-// divide (profilestore.PredictPartialInto). Errors go out as the JSON
-// error envelope: they are off the hot path and a uniform envelope keeps
-// the gateway's error plumbing single-sourced.
+// handleInternalPredict serves the gateway's row fetches: a rows request
+// in (one tag per item, plus the shards out of read rotation), each tag's
+// weight and stored vector out, straight from the snapshot into a pooled
+// frame, for the gateway to add with the kernel a node's own predict runs
+// (profilestore.Mix). A plain frame's items are tag lists, answered as
+// partial mixtures (profilestore.PredictPartialInto). Errors go out as the
+// JSON error envelope: off the hot path, and one envelope keeps the
+// gateway's error plumbing single-sourced.
 func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	if ct := r.Header.Get("Content-Type"); ct != WireContentType {
 		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q: /internal/predict takes %s", ct, WireContentType)
@@ -73,7 +70,7 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	items, weighting, exclude, crc, err := decodePredictRequestExclude(body.Bytes())
+	items, weighting, exclude, flags, err := decodePredictRequestExclude(body.Bytes())
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
@@ -108,11 +105,17 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	enc := GetPredictWireEncoder()
 	defer PutPredictWireEncoder(enc)
 	// The reply mirrors the request's CRC choice, so integrity stays an
-	// end-to-end gateway decision.
-	enc.Begin(weighting, snap.Records(), epoch, len(buf), len(items), crc)
+	// end-to-end gateway decision, and its rows bit.
+	enc.begin(weighting, snap.Records(), epoch, len(buf), len(items), flags&(wireFlagCRC|wireFlagRows))
 	predictStart := time.Now()
 	for _, tags := range items {
-		enc.Item(snap.PredictPartialFilterInto(buf, tags, weighting, serve), buf)
+		if flags&wireFlagRows == 0 {
+			enc.Item(snap.PredictPartialFilterInto(buf, tags, weighting, serve), buf)
+		} else if serve == nil || serve(tags[0]) {
+			enc.Item(snap.Row(tags[0], weighting))
+		} else {
+			enc.Item(0, nil)
+		}
 	}
 	// Span record is allocation-free, so the hot path keeps its
 	// zero-steady-state budget.

@@ -44,6 +44,11 @@ import (
 // hot path runs CRC-off — the transport is TCP on a trusted segment —
 // but a paranoid deployment can turn it on without a format change,
 // and the decoder always verifies a trailer it finds.
+//
+// flags bit 2 marks a rows request, the gateway's row fetch: one tag per
+// item, answered with the tag's row (profilestore.Snapshot.Row) as wsum
+// and sum — absent when the tag is unknown, weightless or another
+// replica's to serve. The reply carries the bit back, as it does CRC.
 const (
 	// WireContentType is the media type of /internal/predict frames.
 	WireContentType = "application/x-viewstags-predict-v1"
@@ -55,6 +60,7 @@ const (
 	// replicas are out of rotation. Absent on unreplicated requests, so
 	// the R=1 frame stays byte-identical to the pre-replication wire.
 	wireFlagExclude = 1 << 1
+	wireFlagRows    = 1 << 2 // a rows request or its reply (see above)
 )
 
 var (
@@ -95,15 +101,20 @@ func checkHeader(r *bincodec.Reader, magic []byte, allowed byte) byte {
 // Encoding into a recycled dst is allocation-free once the buffer has
 // grown to steady-state size.
 func AppendPredictRequest(dst []byte, items [][]string, weighting tagviews.Weighting, crc bool) []byte {
-	return AppendPredictRequestExclude(dst, items, weighting, nil, crc)
+	return appendPredictRequest(dst, items, nil, weighting, nil, crc)
 }
 
-// AppendPredictRequestExclude is AppendPredictRequest with a shard
-// exclusion list: the replicas the gateway has taken out of read
-// rotation (down or re-syncing), so each shard can compute — from the
-// shared ring alone — which of its replicated tags it serves on this
-// request. An empty list encodes the exact pre-replication frame.
-func AppendPredictRequestExclude(dst []byte, items [][]string, weighting tagviews.Weighting, exclude []int, crc bool) []byte {
+// AppendRowsRequest appends a rows request for each tag's row, with the
+// shards the gateway has taken out of read rotation as the exclusion
+// list: each shard computes from the shared ring alone which of its
+// replicated tags it serves on this request. An empty list encodes none.
+func AppendRowsRequest(dst []byte, tags []string, weighting tagviews.Weighting, exclude []int) []byte {
+	return appendPredictRequest(dst, nil, tags, weighting, exclude, false)
+}
+
+// appendPredictRequest writes a request frame over items, or — when rows
+// is not nil and items is — a rows request with one item per row tag.
+func appendPredictRequest(dst []byte, items [][]string, rows []string, weighting tagviews.Weighting, exclude []int, crc bool) []byte {
 	start := len(dst)
 	w := bincodec.Writer{B: append(dst, wireReqMagic...)}
 	var flags byte
@@ -113,6 +124,9 @@ func AppendPredictRequestExclude(dst []byte, items [][]string, weighting tagview
 	if len(exclude) > 0 {
 		flags |= wireFlagExclude
 	}
+	if rows != nil {
+		flags |= wireFlagRows
+	}
 	w.U8(flags)
 	w.U8(byte(weighting))
 	if len(exclude) > 0 {
@@ -121,12 +135,16 @@ func AppendPredictRequestExclude(dst []byte, items [][]string, weighting tagview
 			w.Uvarint(uint64(s))
 		}
 	}
-	w.Uvarint(uint64(len(items)))
+	w.Uvarint(uint64(len(items) + len(rows)))
 	for _, tags := range items {
 		w.Uvarint(uint64(len(tags)))
 		for _, t := range tags {
 			w.Str(t)
 		}
+	}
+	for _, t := range rows {
+		w.Uvarint(1)
+		w.Str(t)
 	}
 	if crc {
 		w.CRC(start + len(wireReqMagic) + 1)
@@ -140,15 +158,15 @@ func AppendPredictRequestExclude(dst []byte, items [][]string, weighting tagview
 // the snapshot's interner). Also reports whether the frame carried a
 // CRC trailer, so the reply can mirror the caller's integrity choice.
 func DecodePredictRequest(data []byte) (items [][]string, weighting tagviews.Weighting, crc bool, err error) {
-	items, weighting, _, crc, err = decodePredictRequestExclude(data)
-	return items, weighting, crc, err
+	items, weighting, _, flags, err := decodePredictRequestExclude(data)
+	return items, weighting, flags&wireFlagCRC != 0, err
 }
 
 // decodePredictRequestExclude is DecodePredictRequest plus the frame's
-// shard exclusion list (nil when the flag is absent).
-func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagviews.Weighting, exclude []int, crc bool, err error) {
+// shard exclusion list (nil when the flag is absent) and flags byte.
+func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagviews.Weighting, exclude []int, flags byte, err error) {
 	r := bincodec.NewReader(data)
-	flags := checkHeader(&r, wireReqMagic, wireFlagCRC|wireFlagExclude)
+	flags = checkHeader(&r, wireReqMagic, wireFlagCRC|wireFlagExclude|wireFlagRows)
 	weighting = tagviews.Weighting(r.U8())
 	if r.Err() == nil {
 		switch weighting {
@@ -171,15 +189,18 @@ func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagvi
 	items = make([][]string, r.Count("item", math.MaxInt, 1))
 	for i := range items {
 		tags := make([]string, r.Count("tag", math.MaxInt, 1))
+		if flags&wireFlagRows != 0 && len(tags) != 1 {
+			r.Fail(fmt.Errorf("server: rows frame item %d has %d tags, want 1", i, len(tags)))
+		}
 		for j := range tags {
 			tags[j] = r.Str(MaxTagLen)
 		}
 		items[i] = tags
 	}
 	if err := r.End(); err != nil {
-		return nil, 0, nil, false, fmt.Errorf("server: binary request frame: %w", err)
+		return nil, 0, nil, 0, fmt.Errorf("server: binary request frame: %w", err)
 	}
-	return items, weighting, exclude, flags&wireFlagCRC != 0, nil
+	return items, weighting, exclude, flags, nil
 }
 
 // PredictWireEncoder streams a binary /internal/predict response: Begin
@@ -195,12 +216,17 @@ type PredictWireEncoder struct {
 
 // Begin resets the encoder and writes the response header.
 func (e *PredictWireEncoder) Begin(weighting tagviews.Weighting, records int, epoch uint64, nC int, nItems int, crc bool) {
-	e.w.B = append(e.w.B[:0], wireRespMagic...)
-	e.crc = crc
 	var flags byte
 	if crc {
 		flags |= wireFlagCRC
 	}
+	e.begin(weighting, records, epoch, nC, nItems, flags)
+}
+
+// begin is Begin with the flags byte whole (a rows reply sets its bit).
+func (e *PredictWireEncoder) begin(weighting tagviews.Weighting, records int, epoch uint64, nC int, nItems int, flags byte) {
+	e.w.B = append(e.w.B[:0], wireRespMagic...)
+	e.crc = flags&wireFlagCRC != 0
 	e.w.U8(flags)
 	e.w.U8(byte(weighting))
 	e.w.Uvarint(uint64(records))
@@ -267,7 +293,7 @@ type PredictPartials struct {
 // the decoder must never allocate the size of the corruption.
 func DecodePredictResponse(data []byte, out *PredictPartials, maxItems, maxC int) error {
 	r := bincodec.NewReader(data)
-	checkHeader(&r, wireRespMagic, wireFlagCRC)
+	checkHeader(&r, wireRespMagic, wireFlagCRC|wireFlagRows)
 	out.Weighting = tagviews.Weighting(r.U8())
 	out.Records = int(r.Uvarint())
 	out.Epoch = r.U64()

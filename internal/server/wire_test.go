@@ -72,6 +72,54 @@ func TestWireResponseGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestWireRowsGoldenBytes pins the rows bit: a gateway's row fetch for
+// two tags with one shard excluded, and a reply with one known row and
+// one absent row. The layouts are the plain frames'; only the flags byte
+// differs.
+func TestWireRowsGoldenBytes(t *testing.T) {
+	got := AppendRowsRequest(nil, []string{"a", "bb"}, tagviews.WeightByViews, []int{1})
+	want := []byte{
+		'V', 'T', 'I', 'P', 'R', 'Q', '0', '1', // magic
+		6,    // flags: rows | exclude
+		2,    // weighting byte (WeightByViews)
+		1, 1, // nExclude, shard 1
+		2,         // nItems
+		1, 1, 'a', // item 0: one tag, "a"
+		1, 2, 'b', 'b', // item 1: one tag, "bb"
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("rows request mismatch:\n got %v\nwant %v", got, want)
+	}
+	items, _, exclude, flags, err := decodePredictRequestExclude(want)
+	if err != nil || flags != wireFlagRows|wireFlagExclude || !reflect.DeepEqual(items, [][]string{{"a"}, {"bb"}}) || !reflect.DeepEqual(exclude, []int{1}) {
+		t.Fatalf("rows request decode: %v: flags %#x items %q exclude %v", err, flags, items, exclude)
+	}
+
+	var enc PredictWireEncoder
+	enc.begin(tagviews.WeightByViews, 5, 9, 2, 2, wireFlagRows)
+	enc.Item(2.5, []float64{0.25, 0.75}) // known row: weight + stored vector
+	enc.Item(0, nil)                     // absent row: weight only
+	var wantResp bytes.Buffer
+	wantResp.WriteString("VTIPRS01")
+	wantResp.WriteByte(4)                                       // flags: rows
+	wantResp.WriteByte(2)                                       // weighting byte (WeightByViews)
+	wantResp.WriteByte(5)                                       // records uvarint
+	_ = binary.Write(&wantResp, binary.LittleEndian, uint64(9)) // epoch
+	wantResp.WriteByte(2)                                       // nC
+	wantResp.WriteByte(2)                                       // nItems
+	_ = binary.Write(&wantResp, binary.LittleEndian, float64(2.5))
+	_ = binary.Write(&wantResp, binary.LittleEndian, float64(0.25))
+	_ = binary.Write(&wantResp, binary.LittleEndian, float64(0.75))
+	_ = binary.Write(&wantResp, binary.LittleEndian, float64(0))
+	if got := enc.Finish(); !bytes.Equal(got, wantResp.Bytes()) {
+		t.Fatalf("rows response mismatch:\n got %v\nwant %v", got, wantResp.Bytes())
+	}
+	var pp PredictPartials
+	if err := DecodePredictResponse(wantResp.Bytes(), &pp, 2, 2); err != nil || pp.WSums[0] != 2.5 || pp.WSums[1] != 0 {
+		t.Fatalf("rows response decode: %v: %+v", err, pp)
+	}
+}
+
 // TestInternalIngestGoldenBytes pins the /internal/ingest body and ack
 // byte for byte. The body is the batch encoding a WAL record carries
 // after its generation (persist's TestWALRecordGoldenBytes pins that
@@ -290,6 +338,17 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 			t.Fatal("request with unknown flag bits decoded")
 		}
 	})
+	t.Run("rows item of other than one tag", func(t *testing.T) {
+		// A rows reply answers one row per item: a frame that asks for
+		// a mixture under the bit, or for nothing, is refused.
+		for name, tags := range map[string][]string{"two tags": {"a", "bb"}, "no tag": {}} {
+			bad := AppendPredictRequest(nil, [][]string{{"ccc"}, tags}, tagviews.WeightIDF, false)
+			bad[8] |= wireFlagRows
+			if _, _, _, _, err := decodePredictRequestExclude(bad); err == nil {
+				t.Fatalf("rows request with a %s item decoded", name)
+			}
+		}
+	})
 	t.Run("exclusion flag over an empty list", func(t *testing.T) {
 		// The frame re-encoded without the flag: two spellings of one
 		// request.
@@ -386,7 +445,12 @@ func FuzzInternalCodec(f *testing.F) {
 	enc.Item(0.5, []float64{0.5, 0.5})
 	f.Add(append([]byte(nil), enc.Finish()...))
 	f.Add([]byte("VTIPRQ01"))
-	f.Add(AppendPredictRequestExclude(nil, [][]string{{"pop"}}, tagviews.WeightIDF, []int{2, 0}, true))
+	f.Add(appendPredictRequest(nil, nil, []string{"pop"}, tagviews.WeightIDF, []int{2, 0}, true))
+	f.Add(AppendRowsRequest(nil, []string{"pop", "rock"}, tagviews.WeightUniform, nil))
+	enc.begin(tagviews.WeightIDF, 3, 1, 2, 2, wireFlagRows)
+	enc.Item(1.5, []float64{0.25, 0.75})
+	enc.Item(0, nil)
+	f.Add(append([]byte(nil), enc.Finish()...))
 	f.Add([]byte(emptyExcludeFrame))
 	f.Add([]byte("VTIPRS01\x00\x03"))
 	var body bincodec.Writer
@@ -396,11 +460,19 @@ func FuzzInternalCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// No decoder may panic or over-allocate on arbitrary input.
-		items, w, exclude, crc, err := decodePredictRequestExclude(data)
+		items, w, exclude, flags, err := decodePredictRequestExclude(data)
 		if err == nil {
 			// Whatever decoded must re-encode to the identical frame:
 			// decode∘encode is the identity on the codec's image.
-			again := AppendPredictRequestExclude(nil, items, w, exclude, crc)
+			var rows []string
+			if flags&wireFlagRows != 0 {
+				rows = make([]string, len(items))
+				for i, tags := range items {
+					rows[i] = tags[0]
+				}
+				items = nil
+			}
+			again := appendPredictRequest(nil, items, rows, w, exclude, flags&wireFlagCRC != 0)
 			if !bytes.Equal(again, data) {
 				t.Fatalf("request re-encode mismatch:\n in  %v\n out %v", data, again)
 			}
@@ -408,7 +480,7 @@ func FuzzInternalCodec(f *testing.F) {
 		var pp PredictPartials
 		if err := DecodePredictResponse(data, &pp, 64, 1<<12); err == nil {
 			var enc PredictWireEncoder
-			enc.Begin(pp.Weighting, pp.Records, pp.Epoch, pp.NC, pp.NItems, false)
+			enc.begin(pp.Weighting, pp.Records, pp.Epoch, pp.NC, pp.NItems, data[8]&wireFlagRows)
 			for i := 0; i < pp.NItems; i++ {
 				enc.Item(pp.WSums[i], pp.Sums[i*pp.NC:(i+1)*pp.NC])
 			}

@@ -9,7 +9,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -224,8 +223,8 @@ func predictShares(t *testing.T, client *http.Client, base string, tags []string
 }
 
 // assertSameGeography compares a node's predictions against the
-// reference within tol for several tag mixes and weightings.
-func assertSameGeography(t *testing.T, nodeURL, refURL string, tol float64) {
+// reference, share for share, for several tag mixes and weightings.
+func assertSameGeography(t *testing.T, nodeURL, refURL string) {
 	t.Helper()
 	client := &http.Client{Timeout: 30 * time.Second}
 	mixes := [][]string{
@@ -245,9 +244,8 @@ func assertSameGeography(t *testing.T, nodeURL, refURL string, tol float64) {
 				t.Fatalf("%v (%s): %d countries vs reference %d", tags, weighting, len(got), len(want))
 			}
 			for c, share := range want {
-				if diff := math.Abs(got[c] - share); diff > tol {
-					t.Fatalf("%v (%s): share[%s] = %v, reference %v (diff %g > %g)",
-						tags, weighting, c, got[c], share, diff, tol)
+				if got[c] != share {
+					t.Fatalf("%v (%s): share[%s] = %v, reference %v", tags, weighting, c, got[c], share)
 				}
 			}
 		}
@@ -257,8 +255,8 @@ func assertSameGeography(t *testing.T, nodeURL, refURL string, tol float64) {
 // TestRecoveryEndToEnd is the acceptance test: serve with -data-dir,
 // ingest over real HTTP, checkpoint mid-stream, ingest more, SIGKILL,
 // restart — the recovered node must load the checkpoint, replay the
-// journal tail, and predict the ingested geography identically (1e-9)
-// to a reference node that was never killed.
+// journal tail, and predict the ingested geography identically (share
+// for share) to a reference node that was never killed.
 func TestRecoveryEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills a real daemon")
@@ -317,7 +315,7 @@ func TestRecoveryEndToEnd(t *testing.T) {
 	// does — including IDF weights, so the record count survived too.
 	ref, closeRef := referenceNode(t, []server.IngestRequest{recoveryBatchA(), recoveryBatchB()})
 	defer closeRef()
-	assertSameGeography(t, d2.url, ref.URL, 1e-9)
+	assertSameGeography(t, d2.url, ref.URL)
 }
 
 // TestShardRestartSkipsTheBuild: a durable shard that finds a checkpoint
@@ -402,7 +400,7 @@ func TestGracefulShutdownFlush(t *testing.T) {
 
 	ref, closeRef := referenceNode(t, []server.IngestRequest{recoveryBatchA(), recoveryBatchB()})
 	defer closeRef()
-	assertSameGeography(t, d2.url, ref.URL, 1e-9)
+	assertSameGeography(t, d2.url, ref.URL)
 }
 
 // getJSON GETs and decodes a JSON body.

@@ -2,8 +2,8 @@
 // R=2 tier — every tag's slice held by two real HTTP daemons — behind
 // a real gateway, with one replica cut mid-run. The replication
 // contract under test: reads fail over to the surviving copy with no
-// client-visible error and stay float-tolerance-equal to a single
-// full node; writes keep landing on the live owners while a replica
+// client-visible error and stay byte-for-byte equal to a single full
+// node's; writes keep landing on the live owners while a replica
 // is down; and the revived replica is rebuilt from its peers exactly
 // (proven by cutting the OTHER copy afterwards and re-asserting
 // equality, so the caught-up replica is the one answering).

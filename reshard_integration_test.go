@@ -2,9 +2,9 @@
 // tier grows to 4 shards, and a 3-shard R=1 tier shrinks to 2, while
 // concurrent reads hammer the gateway. The handoff contract under test:
 // zero failed requests during the move (the request barrier stalls
-// them, it never drops them), post-handoff predictions
-// float-tolerance-equal to a single full node (slices moved exactly
-// once, nothing double-counted), the new ring visible in /v1/stats with
+// them, it never drops them), post-handoff predictions equal to a
+// single full node's byte for byte (slices moved exactly once, nothing
+// double-counted), the new ring visible in /v1/stats with
 // the handoff record, and writes landing correctly on the reshaped tier
 // afterwards. A reshard that fails mid-way keeps the old tier serving.
 package viewstags_test
@@ -160,8 +160,8 @@ func TestLiveReshardGrowEndToEnd(t *testing.T) {
 		t.Fatalf("reshard ack %+v, want shards=%d replicas=%d handoff_epoch=1", rr, after, replicas)
 	}
 
-	// Post-handoff equality against the single-node reference: the
-	// tentpole's 1e-9 criterion, over base and streamed vocabulary.
+	// Post-handoff equality against the single-node reference, byte for
+	// byte, over base and streamed vocabulary.
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"favela", "samba"})
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-rs-a"})
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-rs-b", "pop", "zz-rs-c"})
@@ -237,7 +237,9 @@ func TestLiveReshardShrinkEndToEnd(t *testing.T) {
 		server.IngestEvent{Video: "sh2", Tags: []string{"zz-sh-d", "zz-sh-a"}, Country: "JP", Views: 20})
 	rt.fold()
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-d"})
-	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-a", "zz-sh-c", "favela"})
+	// zz-sh-a's second geography lands on top of its first in whatever
+	// folds each side's timer cut: the one site that keeps regroupTol.
+	assertClosePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"zz-sh-a", "zz-sh-c", "favela"})
 }
 
 // TestReshardKeepsUnfoldedEvents: a 3→4 grow at R=2 where nothing has
