@@ -695,12 +695,14 @@ func BenchmarkIngestFold(b *testing.B) {
 		b.Fatal(err)
 	}
 	names := res.Analysis.TagNames()
-	nC := res.World.N()
+	fixture := func(testing.TB) (*profilestore.Snapshot, []string) { return base, names }
 	// run times add → drain → install, where install is what puts the
-	// drained deltas into the store it is handed.
+	// drained deltas into the store it is handed. It asks for its base
+	// only once -bench has selected it.
 	type installFunc func([]profilestore.TagDelta, int) error
-	run := func(name string, touch int, installer func(*profilestore.Store) (installFunc, error)) {
+	run := func(name string, fixture func(testing.TB) (*profilestore.Snapshot, []string), touch int, installer func(*profilestore.Store) (installFunc, error)) {
 		b.Run(benchName(name, touch), func(b *testing.B) {
+			base, names := fixture(b)
 			store, err := profilestore.NewStore(base)
 			if err != nil {
 				b.Fatal(err)
@@ -713,6 +715,7 @@ func BenchmarkIngestFold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			nC := base.World().N()
 			events := make([]ingest.Event, touch)
 			for i := range events {
 				events[i] = ingest.Event{
@@ -736,22 +739,23 @@ func BenchmarkIngestFold(b *testing.B) {
 			b.ReportMetric(float64(b.N)*float64(touch)/b.Elapsed().Seconds(), "events/sec")
 		})
 	}
-	for _, touch := range []int{100, len(names)} {
-		// Rebuild + Swap alone: the store's share of a fold.
-		run("touch", touch, func(store *profilestore.Store) (installFunc, error) {
-			return func(deltas []profilestore.TagDelta, n int) error {
-				next, err := profilestore.Rebuild(store.Load(), deltas, n)
-				if err != nil {
-					return err
-				}
-				_, err = store.Swap(next)
+	// Rebuild + Swap alone: the store's share of a fold.
+	rebuild := func(store *profilestore.Store) (installFunc, error) {
+		return func(deltas []profilestore.TagDelta, n int) error {
+			next, err := profilestore.Rebuild(store.Load(), deltas, n)
+			if err != nil {
 				return err
-			}, nil
-		})
+			}
+			_, err = store.Swap(next)
+			return err
+		}, nil
+	}
+	for _, touch := range []int{100, len(names)} {
+		run("touch", fixture, touch, rebuild)
 		// The fold a standalone node runs: Server.ApplyDeltas with the
 		// fixture's catalog set, so whatever an install does beyond the
 		// swap is on the clock.
-		run("node-touch", touch, func(store *profilestore.Store) (installFunc, error) {
+		run("node-touch", fixture, touch, func(store *profilestore.Store) (installFunc, error) {
 			srv, err := server.New(server.DefaultConfig(), store)
 			if err != nil {
 				return nil, err
@@ -762,6 +766,62 @@ func BenchmarkIngestFold(b *testing.B) {
 			return func(deltas []profilestore.TagDelta, n int) error {
 				return srv.ApplyDeltas(deltas, n, tagviews.WeightIDF)
 			}, nil
+		})
+	}
+	// The same hot-100 fold over the paper's vocabulary.
+	run("paper-touch", func(tb testing.TB) (*profilestore.Snapshot, []string) {
+		paper := paperFixture(tb)
+		hot := make([]string, 100)
+		for i, p := range paper.Export().Profiles[:len(hot)] { // a build's ids are in name order
+			hot[i] = p.Name
+		}
+		return paper, hot
+	}, 100, rebuild)
+}
+
+// paperVideos is the paper's corpus size, the vocabulary at which a
+// fold's fixed per-tag costs show (ROADMAP item 17).
+const paperVideos = 691000
+
+var (
+	paperOnce sync.Once
+	paperSnap *profilestore.Snapshot
+	paperErr  error
+)
+
+// paperFixture is a standalone node's snapshot at the paper's corpus
+// size, from the boot cmd/serve -videos 691000 runs (about 8 s and
+// 400 MB, built once per process; nothing is downloaded).
+func paperFixture(tb testing.TB) *profilestore.Snapshot {
+	tb.Helper()
+	paperOnce.Do(func() {
+		var boot *pipeline.Boot
+		if boot, paperErr = pipeline.BootSynthetic(paperVideos, 20110301, alexa.DefaultConfig(), nil, false); paperErr != nil {
+			return
+		}
+		paperSnap, paperErr = profilestore.BuildAggregate(boot.Aggregate, nil)
+	})
+	if paperErr != nil {
+		tb.Fatalf("paper fixture: %v", paperErr)
+	}
+	return paperSnap
+}
+
+// BenchmarkTopProfiles times the tag listing /v1/tags serves, at its
+// default k and at the whole vocabulary, on the benchmark's fixture.
+func BenchmarkTopProfiles(b *testing.B) {
+	snap, err := profilestore.Build(benchFixture(b).Analysis)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []int{20, snap.NumTags()} {
+		b.Run(benchName("k", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if len(snap.TopProfiles(k)) != k {
+					b.Fatal("short listing")
+				}
+			}
 		})
 	}
 }
