@@ -52,6 +52,9 @@ func run() error {
 	if (*synthN == 0) == (*in == "") {
 		return fmt.Errorf("exactly one of -synth or -in is required")
 	}
+	if *topK <= 0 {
+		return fmt.Errorf("-top must be positive, got %d", *topK)
+	}
 
 	acfg := alexa.DefaultConfig()
 	acfg.NoiseSigma = *sigma

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -15,6 +14,7 @@ import (
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 	"viewstags/internal/server"
+	"viewstags/internal/synth"
 	"viewstags/internal/tagviews"
 )
 
@@ -379,16 +379,14 @@ func (g *Gateway) TopTags(r *http.Request, k int) ([]server.TagInfo, *server.Err
 		}
 		merged = dedup
 	}
-	sort.Slice(merged, func(a, b int) bool {
-		if merged[a].TotalViews != merged[b].TotalViews {
-			return merged[a].TotalViews > merged[b].TotalViews
-		}
-		return merged[a].Name < merged[b].Name
-	})
-	if len(merged) > k {
-		merged = merged[:k]
+	top := synth.TopTags(len(merged), k,
+		func(i int) float64 { return merged[i].TotalViews },
+		func(i int) string { return merged[i].Name })
+	out := make([]server.TagInfo, len(top))
+	for j, i := range top {
+		out[j] = merged[i]
 	}
-	return merged, nil
+	return out, nil
 }
 
 // ShardStatus is one shard's entry in the gateway's /v1/stats and

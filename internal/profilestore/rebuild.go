@@ -156,20 +156,6 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 		}
 		next.shards[h].ids[d.Name] = id
 	}
-
-	// The volume ranking is a whole-snapshot property; re-rank in full
-	// (O(n log n) on ids, the re-fold's dominant fixed cost).
-	next.byViews = make([]int32, len(next.profiles))
-	for i := range next.byViews {
-		next.byViews[i] = int32(i)
-	}
-	sort.Slice(next.byViews, func(a, b int) bool {
-		pa, pb := &next.profiles[next.byViews[a]], &next.profiles[next.byViews[b]]
-		if pa.TotalViews != pb.TotalViews {
-			return pa.TotalViews > pb.TotalViews
-		}
-		return pa.Name < pb.Name
-	})
 	return next, nil
 }
 

@@ -27,12 +27,12 @@ package profilestore
 import (
 	"fmt"
 	"hash/maphash"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"viewstags/internal/dist"
 	"viewstags/internal/geo"
+	"viewstags/internal/synth"
 	"viewstags/internal/tagviews"
 )
 
@@ -68,10 +68,9 @@ type Snapshot struct {
 	// after Build, the aggregate's own slice after BuildAggregate; Rebuild
 	// replaces only the touched tags' entries and aliases the rest into
 	// its base snapshot.
-	vecTab  [][]float64
-	prior   []float64 // normalized traffic prior, the unknown-tag fallback
-	byViews []int32   // profile ids by TotalViews descending (name tiebreak)
-	seed    maphash.Seed
+	vecTab [][]float64
+	prior  []float64 // normalized traffic prior, the unknown-tag fallback
+	seed   maphash.Seed
 }
 
 // Build constructs a Snapshot from a tag analysis. Profile ids are
@@ -172,11 +171,11 @@ func newSnapshot(data SnapshotData, world *geo.World) *Snapshot {
 	return s
 }
 
-// buildIndexes derives the lookup structures a snapshot carries beyond
-// its raw profile table: the sharded name→id index and the by-volume
-// ranking. Every constructor reaches it through newSnapshot, so a
-// snapshot restored from disk indexes identically to the one that was
-// saved.
+// buildIndexes derives the one lookup structure a snapshot carries
+// beyond its raw profile table: the sharded name→id index. Every
+// constructor reaches it through newSnapshot, so a snapshot restored from
+// disk indexes identically to the one that was saved. The volume ranking
+// is not kept: TopProfiles selects it per call.
 func (s *Snapshot) buildIndexes() {
 	// Partition ids by shard, then build each shard's map in parallel —
 	// each goroutine writes only its own map.
@@ -197,20 +196,6 @@ func (s *Snapshot) buildIndexes() {
 			s.shards[h].ids = m
 		}(h)
 	}
-
-	// The volume ranking is computed once here — the snapshot is
-	// immutable, so the tag-listing endpoint just slices it.
-	s.byViews = make([]int32, len(s.profiles))
-	for i := range s.byViews {
-		s.byViews[i] = int32(i)
-	}
-	sort.Slice(s.byViews, func(a, b int) bool {
-		pa, pb := &s.profiles[s.byViews[a]], &s.profiles[s.byViews[b]]
-		if pa.TotalViews != pb.TotalViews {
-			return pa.TotalViews > pb.TotalViews
-		}
-		return pa.Name < pb.Name
-	})
 	sg.Wait()
 }
 
@@ -245,15 +230,16 @@ func (s *Snapshot) World() *geo.World { return s.world }
 
 // TopProfiles returns the k highest-volume profiles, descending by
 // TotalViews with name tiebreak — the serving-side analogue of
-// Analysis.TopTags, used by the tag-listing endpoint. The ranking is
-// precomputed at build time, so this is O(k) per call.
+// Analysis.TopTags, used by the tag-listing endpoint. It selects them per
+// call with synth.TopTags, O(n log k) over the snapshot's n tags, so a
+// fold never re-ranks the vocabulary; k is clamped to [0, n].
 func (s *Snapshot) TopProfiles(k int) []*Profile {
-	if k > len(s.byViews) {
-		k = len(s.byViews)
-	}
-	out := make([]*Profile, k)
-	for i := 0; i < k; i++ {
-		out[i] = &s.profiles[s.byViews[i]]
+	top := synth.TopTags(len(s.profiles), k,
+		func(i int) float64 { return s.profiles[i].TotalViews },
+		func(i int) string { return s.profiles[i].Name })
+	out := make([]*Profile, len(top))
+	for j, i := range top {
+		out[j] = &s.profiles[i]
 	}
 	return out
 }

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -383,6 +385,58 @@ func TestPreloadWithoutCatalog(t *testing.T) {
 	if code := do(t, bare, http.MethodPost, "/v1/preload",
 		PreloadRequest{Country: "US"}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("catalog-less preload: status %d, want 503", code)
+	}
+}
+
+// TestTagListingsClampK: the aggregate's TopTags, a snapshot's
+// TopProfiles and a node's /v1/tags clamp k to [0, n] before they size
+// anything, and agree on the ranking. A negative k used to panic in
+// TopTags (makeslice), and a listing sized by k = MaxInt could not
+// answer at all.
+func TestTagListingsClampK(t *testing.T) {
+	res, _ := fixture(t)
+	snap, err := profilestore.Build(res.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := snap.NumTags()
+	all := snap.TopProfiles(n)
+	for _, k := range []int{-1, 0, 1, n, n + 1, math.MaxInt} {
+		want := max(0, min(k, n))
+		agg, top := res.Analysis.TopTags(k), snap.TopProfiles(k)
+		if len(agg) != want || len(top) != want {
+			t.Fatalf("k=%d: TopTags %d, TopProfiles %d, want %d", k, len(agg), len(top), want)
+		}
+		for i := range top {
+			if top[i] != all[i] || agg[i].Name != top[i].Name || agg[i].TotalViews != top[i].TotalViews {
+				t.Fatalf("k=%d rank %d: TopTags %s, TopProfiles %s, full listing %s", k, i, agg[i].Name, top[i].Name, all[i].Name)
+			}
+		}
+	}
+
+	store, err := profilestore.NewStore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(DefaultConfig(), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get := func(k int) []byte {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tags?k="+strconv.Itoa(k), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/tags?k=%d: status %d", k, rec.Code)
+		}
+		return rec.Body.Bytes()
+	}
+	var huge TagsResponse
+	body := get(math.MaxInt)
+	if err := json.Unmarshal(body, &huge); err != nil || len(huge.Tags) != n {
+		t.Fatalf("k=MaxInt: %d tags (%v), want the whole vocabulary of %d", len(huge.Tags), err, n)
+	}
+	if !bytes.Equal(body, get(n)) {
+		t.Fatal("k=MaxInt answers other bytes than k=n")
 	}
 }
 

@@ -14,11 +14,28 @@ import (
 // can break a tie differently. score reports false for an index that is
 // not a candidate. It holds k entries, never n: O(n log k) time.
 func TopK[S int64 | float64](n, k int, score func(i int) (S, bool)) []int {
+	return topK(n, k, score, func(i, j int) bool { return i < j })
+}
+
+// TopTags returns the indices of the k highest-volume of n tags, views
+// descending and name ascending among equal views: the one tag ranking
+// behind tagviews.Aggregate.TopTags, a snapshot's /v1/tags listing and a
+// gateway's merge of its shards' lists, so a node and a gateway list ties
+// alike whatever order their tags are held in. Names must be distinct.
+// Like TopK it clamps k to [0, n] before it sizes anything.
+func TopTags(n, k int, views func(i int) float64, name func(i int) string) []int {
+	return topK(n, k, func(i int) (float64, bool) { return views(i), true },
+		func(i, j int) bool { return name(i) < name(j) })
+}
+
+// topK is the selector behind TopK and TopTags: score descending, and
+// before(i, j) reports whether i ranks first among equal scores.
+func topK[S int64 | float64](n, k int, score func(i int) (S, bool), before func(i, j int) bool) []int {
 	type entry struct {
 		s S
 		i int
 	}
-	below := func(a, b entry) bool { return a.s < b.s || (a.s == b.s && a.i > b.i) }
+	below := func(a, b entry) bool { return a.s < b.s || (a.s == b.s && before(b.i, a.i)) }
 	// h holds the best k so far; once full it is a heap with the
 	// lowest-ranked of them at h[0], the one a better candidate evicts.
 	h := make([]entry, 0, max(0, min(k, n)))

@@ -19,6 +19,7 @@ import (
 	"viewstags/internal/dataset"
 	"viewstags/internal/dist"
 	"viewstags/internal/geo"
+	"viewstags/internal/synth"
 )
 
 // Aggregate is the per-tag half of an analysis — the Eq. 3 sums, each
@@ -142,25 +143,19 @@ func (a *Aggregate) profileFor(name string, s *TagSums) *TagProfile {
 }
 
 // TopTags returns the k tags with the most aggregated views, descending.
-// Ties break by name for determinism.
+// Ties break by name for determinism (synth.TopTags); k is clamped to
+// [0, NumTags].
 func (a *Aggregate) TopTags(k int) []*TagProfile {
 	names := make([]string, 0, len(a.tags))
 	for n := range a.tags {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(i, j int) bool {
-		ti, tj := a.tags[names[i]].TotalViews, a.tags[names[j]].TotalViews
-		if ti != tj {
-			return ti > tj
-		}
-		return names[i] < names[j]
-	})
-	if k > len(names) {
-		k = len(names)
-	}
-	out := make([]*TagProfile, k)
-	for i := 0; i < k; i++ {
-		out[i] = a.profileFor(names[i], a.tags[names[i]])
+	top := synth.TopTags(len(names), k,
+		func(i int) float64 { return a.tags[names[i]].TotalViews },
+		func(i int) string { return names[i] })
+	out := make([]*TagProfile, len(top))
+	for j, i := range top {
+		out[j] = a.profileFor(names[i], a.tags[names[i]])
 	}
 	return out
 }
