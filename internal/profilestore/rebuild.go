@@ -39,12 +39,14 @@ type TagDelta struct {
 // newRecords is the training-corpus increment (freshly uploaded videos),
 // the IDF numerator delta.
 //
-// The cost is O(touched·C) vector math plus O(tags) for the profile
-// table copy and the volume re-ranking, independent of how many views
-// the untouched vocabulary aggregates. Measured on a standalone node, a
-// fold of ≈400 touched tags takes 3.6 ms at 20 000 videos and 121–185 ms
-// at 691 000, ≈75% of it the byViews sort over the whole vocabulary
-// (ROADMAP item 17).
+// The cost is O(touched·C) vector math plus O(tags) for copying the
+// profile and vector tables and cloning each name-index shard map a new
+// tag lands in, independent of how many views the untouched vocabulary
+// aggregates. No volume ranking is kept: TopProfiles selects one per
+// call. Measured on 2 shared cores, BenchmarkIngestFold's hot-100 fold
+// takes ≈0.67 ms at 12 000 videos and ≈33 ms at 691 000. A standalone
+// node at 691 000 folding ≈840 touched tags, a few hundred of them new,
+// reads 133–169 ms, most of it the shard-map clones (ROADMAP item 17).
 //
 // Base is not modified; readers of base remain valid forever. Like
 // Build, the result is safe for unsynchronized concurrent use.

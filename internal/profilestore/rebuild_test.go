@@ -120,7 +120,7 @@ func TestRebuildSharesUntouchedVectors(t *testing.T) {
 
 // TestRebuildInternsNewTags covers the fresh-upload path: a tag absent
 // from base must be interned with an id after base's, found by Lookup,
-// ranked by byViews, and predicted from.
+// ranked by TopProfiles, and predicted from.
 func TestRebuildInternsNewTags(t *testing.T) {
 	base := buildSnap(t)
 	if _, ok := base.Lookup("zz-brand-new"); ok {
