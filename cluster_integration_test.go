@@ -23,10 +23,10 @@ import (
 	"time"
 
 	"viewstags/internal/cluster"
+	"viewstags/internal/faultproxy"
 	"viewstags/internal/ingest"
 	"viewstags/internal/node"
 	"viewstags/internal/profilestore"
-	"viewstags/internal/scenario"
 	"viewstags/internal/server"
 	"viewstags/internal/xrand"
 )
@@ -366,7 +366,7 @@ func TestGatewayPredictBytesEqualNode(t *testing.T) {
 		t.Run(fmt.Sprintf("R%d", replicas), func(t *testing.T) {
 			src := xrand.NewSource(uint64(4300 + replicas))
 			tr := newTier(t, 3, replicas, time.Hour)
-			proxies := make([]*scenario.FaultProxy, len(tr.nodes))
+			proxies := make([]*faultproxy.Proxy, len(tr.nodes))
 			targets := make([]string, len(tr.nodes))
 			for i, n := range tr.nodes {
 				proxies[i] = newFlakyShard(t, n.ts.URL)

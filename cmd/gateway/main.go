@@ -5,8 +5,8 @@
 // /v1/ingest events to the shards that own their tags, merges /v1/tags,
 // and reports per-shard health and the cluster's minimum fold epoch on
 // /healthz and /v1/stats (see API.md "Gateway routes" and OPERATIONS.md
-// "Cluster topology"). Its flags bind into internal/node's gateway
-// options, and the node's gateway role runs it.
+// "Cluster topology"). Its flags are internal/node's gateway flag table,
+// bound over the defaults, and node.RunGateway runs it.
 //
 // Usage:
 //
@@ -20,39 +20,19 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"viewstags/internal/node"
 )
 
 func main() {
-	if err := run(); err != nil {
+	o := node.DefaultGatewayOptions()
+	o.Bind(flag.CommandLine)
+	flag.Parse()
+	if err := node.RunGateway(o); err != nil {
 		fmt.Fprintln(os.Stderr, "gateway:", err)
 		os.Exit(1)
 	}
-}
-
-func run() error {
-	o := node.DefaultGatewayOptions()
-	flag.StringVar(&o.Addr, "addr", o.Addr, "listen address")
-	flag.StringVar(&o.Shards, "shards", o.Shards, "comma-separated shard base URLs, in shard order (target i must run -shard i/n)")
-	flag.DurationVar(&o.Grace, "grace", o.Grace, "shutdown drain timeout")
-	flag.DurationVar(&o.SyncWait, "sync-wait", o.SyncWait, "how long to retry the startup shard sync (jittered exponential backoff)")
-	flag.StringVar(&o.PprofAddr, "pprof-addr", o.PprofAddr, "serve net/http/pprof on this separate operator-only address (empty = off)")
-	flag.StringVar(&o.TraceDumpDir, "trace-dump-dir", o.TraceDumpDir, "flight recorder: dump the retained trace ring to traces_<event>.json here on SIGQUIT or a recovered handler panic (empty = off)")
-	flag.IntVar(&o.Gateway.MaxInFlight, "max-inflight", o.Gateway.MaxInFlight, "concurrent request bound")
-	flag.IntVar(&o.Gateway.MaxBatch, "max-batch", o.Gateway.MaxBatch, "max items per batched predict or ingest")
-	flag.BoolVar(&o.Gateway.LogRequests, "log-requests", o.Gateway.LogRequests, "log every request")
-	flag.DurationVar(&o.Gateway.HealthInterval, "health-interval", o.Gateway.HealthInterval, "shard health poll cadence")
-	flag.IntVar(&o.Gateway.Replicas, "replicas", o.Gateway.Replicas, "copies of each tag's slice the shard tier places (must match every shard's -replicas; 1 = unreplicated)")
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	return node.RunGateway(ctx, o)
 }

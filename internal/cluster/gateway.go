@@ -38,13 +38,11 @@ func GatewayRoutes() []server.Route[*Gateway] {
 
 // GatewayConfig parameterizes the gateway.
 type GatewayConfig struct {
-	// MaxInFlight and MaxBatch mirror server.Config: the same limiter
-	// middleware bounds concurrent requests, and the same batch cap
-	// bounds predict items / ingest events per call.
-	MaxInFlight int
-	MaxBatch    int
-	Logger      *log.Logger
-	LogRequests bool
+	// Common holds what a node takes too. With Replicas >= 2 the gateway
+	// fails reads over to a surviving replica instead of shedding, routes
+	// writes to every replica of the owning slice, and re-syncs a revived
+	// replica from its peers before reading from it.
+	server.Common
 	// HealthInterval is the background shard-poll cadence (default 1s).
 	HealthInterval time.Duration
 	// FailThreshold is how many consecutive shard-call failures mark a
@@ -59,21 +57,12 @@ type GatewayConfig struct {
 	// calls round-trip through it, and each shard's data-plane stream
 	// is dialled through it as an HTTP Upgrade.
 	Transport http.RoundTripper
-	// Replicas is the copies-per-tag count the shard tier places
-	// (cmd/serve -replicas, identical on every shard). With R >= 2 the
-	// gateway fails reads over to a surviving replica instead of
-	// shedding, routes writes to every replica of the owning slice, and
-	// re-syncs a revived replica from its peers before reading from it.
-	// 0 and 1 both mean unreplicated.
-	Replicas int
 }
 
 // DefaultGatewayConfig returns the standard gateway configuration.
 func DefaultGatewayConfig() GatewayConfig {
-	node := server.DefaultConfig() // the daemon's request bounds, spelled once
 	return GatewayConfig{
-		MaxInFlight:    node.MaxInFlight,
-		MaxBatch:       node.MaxBatch,
+		Common:         server.DefaultConfig().Common,
 		HealthInterval: time.Second,
 		FailThreshold:  3,
 		ShardTimeout:   5 * time.Second,
@@ -259,12 +248,7 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 		return nil, fmt.Errorf("cluster: gateway needs at least one shard target")
 	}
 	def := DefaultGatewayConfig()
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = def.MaxInFlight
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = def.MaxBatch
-	}
+	cfg.Common = cfg.Common.WithDefaults()
 	if cfg.HealthInterval <= 0 {
 		cfg.HealthInterval = def.HealthInterval
 	}
@@ -273,12 +257,6 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 	}
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = def.ShardTimeout
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = log.Default()
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
 	}
 	ring, err := NewRingReplicas(len(targets), 0, cfg.Replicas)
 	if err != nil {
@@ -447,6 +425,7 @@ func (g *Gateway) Run(ctx context.Context, addr string, grace time.Duration) err
 	if err != nil {
 		return err
 	}
+	g.logger.Printf("gateway: serving on http://%s (^C to drain)", addr)
 	return server.ServeHandler(ctx, ln, g.handler, grace, func(context.Context) { g.Close() })
 }
 

@@ -15,9 +15,9 @@ import (
 	"testing"
 	"time"
 
+	"viewstags/internal/faultproxy"
 	"viewstags/internal/ingest"
 	"viewstags/internal/profilestore"
-	"viewstags/internal/scenario"
 	"viewstags/internal/server"
 	"viewstags/internal/tagviews"
 	"viewstags/internal/xrand"
@@ -592,7 +592,7 @@ type eqTier struct {
 	replicas int
 	single   *node
 	nodes    []*node
-	proxies  []*scenario.FaultProxy
+	proxies  []*faultproxy.Proxy
 	g        *Gateway
 	down     int // the shard cut off, -1 when none
 	// foldedBehind: since the last quiesce some shard folded a batch

@@ -10,7 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"viewstags/internal/scenario"
+	"viewstags/internal/faultproxy"
 	"viewstags/internal/server"
 )
 
@@ -19,9 +19,9 @@ import (
 // refuses new ones — a genuine transport failure, exactly what the
 // gateway sees when a shard is SIGKILLed mid-batch — and Revive brings
 // the same URL back.
-func newFlakyShard(t *testing.T, target string) *scenario.FaultProxy {
+func newFlakyShard(t *testing.T, target string) *faultproxy.Proxy {
 	t.Helper()
-	p, err := scenario.NewFaultProxy(target)
+	p, err := faultproxy.New(target)
 	if err != nil {
 		t.Fatal(err)
 	}

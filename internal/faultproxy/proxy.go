@@ -1,4 +1,7 @@
-package scenario
+// Package faultproxy is the chaos harness's wire-level fault injector:
+// a TCP proxy in front of one shard whose delay and death are set at
+// run time.
+package faultproxy
 
 import (
 	"net"
@@ -8,7 +11,7 @@ import (
 	"time"
 )
 
-// FaultProxy fronts one shard with a TCP proxy whose faults are
+// Proxy fronts one shard with a TCP proxy whose faults are
 // settable at runtime — the slow-shard and dead-shard injector. The
 // gateway is pointed at the proxy, so a fault needs no cooperation from
 // the shard binary: it happens on the wire, exactly where a congested
@@ -24,7 +27,7 @@ import (
 // brownout scenario exercises. A backend that cannot be dialled drops
 // the gateway's connection: a transport failure, never a polite 502,
 // because only transport failures count toward down-marking.
-type FaultProxy struct {
+type Proxy struct {
 	ln      net.Listener
 	backend string       // host:port
 	delay   atomic.Int64 // nanoseconds
@@ -35,9 +38,9 @@ type FaultProxy struct {
 	wg    sync.WaitGroup
 }
 
-// NewFaultProxy starts a proxy for the shard base URL on a fresh
+// New starts a proxy for the shard base URL on a fresh
 // loopback port.
-func NewFaultProxy(target string) (*FaultProxy, error) {
+func New(target string) (*Proxy, error) {
 	u, err := url.Parse(target)
 	if err != nil {
 		return nil, err
@@ -46,22 +49,22 @@ func NewFaultProxy(target string) (*FaultProxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &FaultProxy{ln: ln, backend: u.Host, conns: make(map[net.Conn]struct{})}
+	p := &Proxy{ln: ln, backend: u.Host, conns: make(map[net.Conn]struct{})}
 	p.wg.Add(1)
 	go p.accept()
 	return p, nil
 }
 
 // URL is the proxy's base URL — what the gateway's -shards list names.
-func (p *FaultProxy) URL() string { return "http://" + p.ln.Addr().String() }
+func (p *Proxy) URL() string { return "http://" + p.ln.Addr().String() }
 
 // SetDelay sets the delay injected before each chunk forwarded toward
 // the shard; 0 lifts the brownout.
-func (p *FaultProxy) SetDelay(d time.Duration) { p.delay.Store(int64(d)) }
+func (p *Proxy) SetDelay(d time.Duration) { p.delay.Store(int64(d)) }
 
 // Kill cuts every live connection and refuses new ones until Revive —
 // what a crashed daemon looks like from the gateway.
-func (p *FaultProxy) Kill() {
+func (p *Proxy) Kill() {
 	p.mu.Lock()
 	p.dead = true
 	for c := range p.conns {
@@ -71,7 +74,7 @@ func (p *FaultProxy) Kill() {
 }
 
 // Revive lets connections through again.
-func (p *FaultProxy) Revive() {
+func (p *Proxy) Revive() {
 	p.mu.Lock()
 	p.dead = false
 	p.mu.Unlock()
@@ -79,7 +82,7 @@ func (p *FaultProxy) Revive() {
 
 // Close stops the proxy: the listener, every live connection, and the
 // goroutines serving them.
-func (p *FaultProxy) Close() {
+func (p *Proxy) Close() {
 	_ = p.ln.Close()
 	p.Kill()
 	p.wg.Wait()
@@ -87,7 +90,7 @@ func (p *FaultProxy) Close() {
 
 // track registers a connection unless the proxy is dead, in which case
 // it is closed on the spot.
-func (p *FaultProxy) track(c net.Conn) bool {
+func (p *Proxy) track(c net.Conn) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dead {
@@ -98,14 +101,14 @@ func (p *FaultProxy) track(c net.Conn) bool {
 	return true
 }
 
-func (p *FaultProxy) untrack(c net.Conn) {
+func (p *Proxy) untrack(c net.Conn) {
 	p.mu.Lock()
 	delete(p.conns, c)
 	p.mu.Unlock()
 	_ = c.Close()
 }
 
-func (p *FaultProxy) accept() {
+func (p *Proxy) accept() {
 	defer p.wg.Done()
 	for {
 		client, err := p.ln.Accept()
@@ -122,7 +125,7 @@ func (p *FaultProxy) accept() {
 
 // serve pipes one client connection to a fresh backend connection until
 // either side ends, then closes both.
-func (p *FaultProxy) serve(client net.Conn) {
+func (p *Proxy) serve(client net.Conn) {
 	defer p.wg.Done()
 	defer p.untrack(client)
 	backend, err := net.DialTimeout("tcp", p.backend, 5*time.Second)
@@ -147,7 +150,7 @@ func (p *FaultProxy) serve(client net.Conn) {
 
 // pipe copies src to dst chunk by chunk; toward the shard (delayed) it
 // sleeps the current delay before forwarding each chunk.
-func (p *FaultProxy) pipe(dst, src net.Conn, delayed bool) {
+func (p *Proxy) pipe(dst, src net.Conn, delayed bool) {
 	buf := make([]byte, 32<<10)
 	for {
 		n, err := src.Read(buf)

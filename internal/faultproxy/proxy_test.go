@@ -1,4 +1,4 @@
-package scenario
+package faultproxy
 
 import (
 	"io"
@@ -14,7 +14,7 @@ func TestFaultProxyForwardsAndDelays(t *testing.T) {
 		_, _ = w.Write([]byte("pong"))
 	}))
 	defer backend.Close()
-	p, err := NewFaultProxy(backend.URL)
+	p, err := New(backend.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFaultProxyForwardsAndDelays(t *testing.T) {
 
 func TestFaultProxyDeadBackendDropsConnection(t *testing.T) {
 	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	p, err := NewFaultProxy(backend.URL)
+	p, err := New(backend.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFaultProxyKillCutsEstablishedConnections(t *testing.T) {
 			go func() { _, _ = io.Copy(c, c); _ = c.Close() }()
 		}
 	}()
-	p, err := NewFaultProxy("http://" + ln.Addr().String())
+	p, err := New("http://" + ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,43 +3,28 @@ package node
 import (
 	"context"
 	"fmt"
-	"log"
+	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	"viewstags/internal/cluster"
-	"viewstags/internal/server"
 )
 
 // GatewayOptions are a gateway process's settings, one field per
-// cmd/gateway flag. A nil Gateway.Logger is the standard logger.
+// cmd/gateway flag (Bind) in Process, in Gateway.Common and here. A nil
+// Gateway.Logger is the standard logger.
 type GatewayOptions struct {
-	Addr         string
-	Shards       string // comma-separated shard base URLs, in shard order
-	Grace        time.Duration
-	SyncWait     time.Duration
-	PprofAddr    string // empty: off
-	TraceDumpDir string // empty: no flight recorder
-	Gateway      cluster.GatewayConfig
+	Process
+	Shards   string // comma-separated shard base URLs, in shard order
+	SyncWait time.Duration
+	Gateway  cluster.GatewayConfig
 }
 
 // DefaultGatewayOptions are cmd/gateway's flag defaults.
 func DefaultGatewayOptions() GatewayOptions {
-	cfg := cluster.DefaultGatewayConfig()
-	cfg.Replicas = 1
-	return GatewayOptions{
-		Addr: "127.0.0.1:8090", Grace: 10 * time.Second, SyncWait: 30 * time.Second,
-		TraceDumpDir: ".", Gateway: cfg,
-	}
-}
-
-// shape is what both gateway steps derive from the options.
-func (o *GatewayOptions) shape() (targets []string, logger *log.Logger, err error) {
-	if logger = o.Gateway.Logger; logger == nil {
-		logger = log.Default()
-	}
-	targets, err = parseTargets(o.Shards)
-	return targets, logger, err
+	return GatewayOptions{Process: process("127.0.0.1:8090"), SyncWait: 30 * time.Second, Gateway: cluster.DefaultGatewayConfig()}
 }
 
 // parseTargets splits the -shards list: entries are trimmed and lose one
@@ -60,31 +45,34 @@ func parseTargets(shards string) ([]string, error) {
 	return targets, nil
 }
 
-// RunGateway is the gateway role: StartGateway, serve on o.Addr until ctx
-// ends, then drain for o.Grace and Close.
-func RunGateway(ctx context.Context, o GatewayOptions) error {
+// RunGateway is cmd/gateway after its flags: StartGateway, serve on
+// o.Addr until SIGINT or SIGTERM, then drain for o.Grace and Close.
+func RunGateway(o GatewayOptions) error {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	g, err := StartGateway(ctx, o)
 	if err != nil {
 		return err
 	}
-	targets, logger, _ := o.shape() // StartGateway has checked them
-	logger.Printf("gateway: synced %d shards, serving on http://%s (^C to drain)", len(targets), o.Addr)
 	return g.Run(ctx, o.Addr, o.Grace)
 }
 
 // StartGateway assembles a gateway over o.Shards and returns it synced,
-// its health loop running, for the caller to serve: the profiler and
-// flight recorder (for as long as ctx lives), then the startup sync,
-// retried with jittered backoff for up to o.SyncWait so a gateway can be
-// started before or while its shards come up. Close stops it.
+// its health loop running, for the caller to serve: heap sampling, the
+// profiler and flight recorder (for as long as ctx lives), then the
+// startup sync, retried with jittered backoff for up to o.SyncWait so a
+// gateway can be started before or while its shards come up. Close
+// stops it.
 func StartGateway(ctx context.Context, o GatewayOptions) (_ *cluster.Gateway, err error) {
-	server.HeapSamplingFor(o.PprofAddr)
-	targets, logger, err := o.shape()
+	if err := o.check(); err != nil {
+		return nil, err
+	}
+	targets, err := parseTargets(o.Shards)
 	if err != nil {
 		return nil, err
 	}
 	cfg := o.Gateway
-	cfg.Logger = logger
+	cfg.Common = cfg.WithDefaults()
 	g, err := cluster.NewGateway(cfg, targets)
 	if err != nil {
 		return nil, err
@@ -94,19 +82,13 @@ func StartGateway(ctx context.Context, o GatewayOptions) (_ *cluster.Gateway, er
 			g.Close()
 		}
 	}()
-	if o.PprofAddr != "" {
-		if err := server.StartPprof(ctx, o.PprofAddr, logger); err != nil {
-			return nil, err
-		}
-	}
-	// Flight recorder: SIGQUIT or a recovered panic dumps the trace ring.
-	if dir := o.TraceDumpDir; dir != "" {
-		server.StartFlightRecorder(ctx, g.Traces(), dir, logger)
-		g.SetPanicHook(func() { server.DumpOnce(g.Traces(), dir, "panic", logger) })
+	if err := o.startTools(ctx, g.Traces(), g.SetPanicHook, cfg.Logger); err != nil {
+		return nil, err
 	}
 	if err := g.SyncRetry(ctx, o.SyncWait); err != nil {
 		return nil, err
 	}
 	g.StartHealth()
+	cfg.Logger.Printf("gateway: synced %d shards", len(targets))
 	return g, nil
 }

@@ -1,27 +1,32 @@
 // Package node assembles the two daemons. The serve role is the Eq. 3
 // profiles served by internal/server, kept live by internal/ingest and
-// durable through internal/persist: cmd/serve is its flags and two
-// steps, Boot (recover or build a snapshot) and Run (assemble a node
-// over it and serve it). Start is Run without the listener, for a node
-// served another way, over a Base from Boot or one holding the caller's
-// own snapshot. The gateway role (gateway.go) is internal/cluster's
-// gateway over the shards: cmd/gateway is its flags and RunGateway, and
-// StartGateway is RunGateway without the listener.
+// durable through internal/persist: cmd/serve binds Options' flag table
+// (flags.go) and calls Run, which is two steps, Boot (recover or build a
+// snapshot) and Start (assemble a node over it), then serves. Start
+// alone is a node served another way, over a Base from Boot or one
+// holding the caller's own snapshot. The gateway role (gateway.go) is
+// internal/cluster's gateway over the shards: cmd/gateway binds
+// GatewayOptions' table and calls RunGateway, and StartGateway is
+// RunGateway without the listener.
 package node
 
 import (
 	"context"
 	"fmt"
 	"log"
+	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"viewstags/internal/alexa"
 	"viewstags/internal/cluster"
 	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
+	"viewstags/internal/obs"
 	"viewstags/internal/persist"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
@@ -30,35 +35,31 @@ import (
 	"viewstags/internal/tagviews"
 )
 
-// Options are a serve process's settings, one field per cmd/serve flag.
-// The node sets Server's shard identity and topology from Shard; a nil
-// Server.Logger is the standard logger.
+// Options are a serve process's settings, one field per cmd/serve flag
+// (Bind) in Process, in Server and here. The node derives the server's
+// shard identity and topology from Shard; a nil Server.Logger is the
+// standard logger.
 type Options struct {
-	Addr            string
+	Process
 	Videos          int
 	Seed            uint64
 	Dataset         string // crawled JSONL file; empty: synthesize Videos from Seed
 	Weighting       string
-	Server          server.Config
-	Grace           time.Duration
+	Server          server.Common
 	IngestInterval  time.Duration // 0 disables /v1/ingest
 	IngestBuffer    int
 	Shard           string // "i/n"; empty: the whole vocabulary
 	DataDir         string // empty: in-memory only
 	Fsync           string
-	CheckpointEvery int
-	PprofAddr       string // empty: off
-	TraceDumpDir    string // empty: no flight recorder
+	CheckpointEvery int // 0: only at shutdown or when asked
 }
 
 // DefaultOptions are cmd/serve's flag defaults.
 func DefaultOptions() Options {
-	cfg := server.DefaultConfig()
-	cfg.Replicas = 1
 	return Options{
-		Addr: "127.0.0.1:8091", Videos: 20000, Seed: 20110301, Weighting: "idf", Server: cfg,
-		Grace: 10 * time.Second, IngestInterval: 3 * time.Second, IngestBuffer: 1 << 20,
-		Fsync: "never", CheckpointEvery: 16, TraceDumpDir: ".",
+		Process: process("127.0.0.1:8091"), Videos: 20000, Seed: 20110301, Weighting: "idf",
+		Server: server.DefaultConfig().Common, IngestInterval: 3 * time.Second, IngestBuffer: 1 << 20,
+		Fsync: "never", CheckpointEvery: 16,
 	}
 }
 
@@ -71,9 +72,10 @@ type shape struct {
 }
 
 func (o *Options) shape() (sh shape, err error) {
-	if sh.logger = o.Server.Logger; sh.logger == nil {
-		sh.logger = log.Default()
+	if err = o.check(); err != nil {
+		return sh, err
 	}
+	sh.logger = o.Server.WithDefaults().Logger
 	if sh.index, sh.count, err = parseShard(o.Shard); err != nil {
 		return sh, err
 	}
@@ -121,7 +123,7 @@ type Base struct {
 // make; otherwise one streaming pass over the catalog or the dataset
 // aggregates the tags this shard owns, and the snapshot adopts the sums.
 func Boot(o Options) (_ *Base, err error) {
-	server.HeapSamplingFor(o.PprofAddr)
+	server.HeapSamplingFor(o.PprofAddr) // before the pass: its allocations are the ones worth a profile
 	sh, err := o.shape()
 	if err != nil {
 		return nil, err
@@ -208,9 +210,16 @@ type Node struct {
 	stopComp func() // cancels the compactor and waits for its last fold
 }
 
-// Run is the second step: Start a node over b, serve it on o.Addr until
-// ctx ends, drain it for o.Grace, and Close it.
-func Run(ctx context.Context, o Options, b *Base) error {
+// Run is cmd/serve after its flags: Boot, Start a node over the base,
+// serve it on o.Addr until SIGINT or SIGTERM, drain it for o.Grace, and
+// Close it.
+func Run(o Options) error {
+	b, err := Boot(o)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	n, err := Start(ctx, o, b)
 	if err != nil {
 		return err
@@ -224,8 +233,8 @@ func Run(ctx context.Context, o Options, b *Base) error {
 }
 
 // Start assembles a node over b and flips it ready: store and server,
-// the served catalog, the profiler and flight recorder (for as long as
-// ctx lives), then the write path.
+// the served catalog, heap sampling, the profiler and flight recorder
+// (for as long as ctx lives), then the write path.
 func Start(ctx context.Context, o Options, b *Base) (_ *Node, err error) {
 	defer b.closeOnError(&err)
 	sh, err := o.shape()
@@ -236,13 +245,13 @@ func Start(ctx context.Context, o Options, b *Base) (_ *Node, err error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := o.Server
-	cfg.Logger, cfg.ShardIndex, cfg.ShardCount = sh.logger, sh.index, sh.count
-	cfg.RingSignature, cfg.Topology = sh.ring.Signature(), sh.ring
-	cfg.MakeTopology = func(shards, replicas int) (server.ShardTopology, error) {
-		return cluster.NewRingReplicas(shards, 0, replicas)
-	}
-	srv, err := server.New(cfg, store)
+	srv, err := server.New(server.Config{
+		Common: o.Server, ShardIndex: sh.index, ShardCount: sh.count,
+		RingSignature: sh.ring.Signature(), Topology: sh.ring,
+		MakeTopology: func(shards, replicas int) (server.ShardTopology, error) {
+			return cluster.NewRingReplicas(shards, 0, replicas)
+		},
+	}, store)
 	if err != nil {
 		return nil, err
 	}
@@ -260,15 +269,8 @@ func Start(ctx context.Context, o Options, b *Base) (_ *Node, err error) {
 		sh.logger.Printf("no synthetic catalog: /v1/preload disabled")
 	}
 
-	if o.PprofAddr != "" {
-		if err := server.StartPprof(ctx, o.PprofAddr, sh.logger); err != nil {
-			return nil, err
-		}
-	}
-	// Flight recorder: SIGQUIT or a recovered panic dumps the trace ring.
-	if dir := o.TraceDumpDir; dir != "" {
-		server.StartFlightRecorder(ctx, srv.Traces(), dir, sh.logger)
-		srv.SetPanicHook(func() { server.DumpOnce(srv.Traces(), dir, "panic", sh.logger) })
+	if err := o.startTools(ctx, srv.Traces(), srv.SetPanicHook, sh.logger); err != nil {
+		return nil, err
 	}
 
 	if o.IngestInterval > 0 {
@@ -297,6 +299,24 @@ func Start(ctx context.Context, o Options, b *Base) (_ *Node, err error) {
 	// Recovery, if any, is complete: admit the node to rotation.
 	srv.SetReady()
 	return n, nil
+}
+
+// startTools starts what runs beside either role's handler for as long
+// as ctx lives: heap sampling and the profiler as PprofAddr says, and the
+// flight recorder over traces, which SIGQUIT or a recovered panic (the
+// hook setPanicHook installs) dumps.
+func (p Process) startTools(ctx context.Context, traces *obs.TraceStore, setPanicHook func(func()), logger *log.Logger) error {
+	server.HeapSamplingFor(p.PprofAddr)
+	if p.PprofAddr != "" {
+		if err := server.StartPprof(ctx, p.PprofAddr, logger); err != nil {
+			return err
+		}
+	}
+	if dir := p.TraceDumpDir; dir != "" {
+		server.StartFlightRecorder(ctx, traces, dir, logger)
+		setPanicHook(func() { server.DumpOnce(traces, dir, "panic", logger) })
+	}
+	return nil
 }
 
 // startIngest attaches the write path. Only Close cancels the

@@ -15,6 +15,9 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"viewstags/internal/faultproxy"
+	"viewstags/internal/node"
 )
 
 // Binaries locates (or builds) the serve and gateway executables the
@@ -147,7 +150,7 @@ func waitHTTP(client *http.Client, url string, deadline time.Duration) error {
 }
 
 // Cluster is the booted topology: N shard daemons, each fronted by a
-// FaultProxy (the brownout injector), behind one gateway whose targets
+// faultproxy.Proxy (the brownout injector), behind one gateway whose targets
 // are the proxies. Everything chaos needs — kill, restart, delay —
 // hangs off this struct.
 type Cluster struct {
@@ -158,7 +161,7 @@ type Cluster struct {
 	client  *http.Client
 
 	shards  []*proc
-	proxies []*FaultProxy
+	proxies []*faultproxy.Proxy
 	gateway *proc
 }
 
@@ -195,7 +198,7 @@ func startCluster(bins Binaries, sc *Spec, workdir string, logger *log.Logger) (
 		}
 		c.shards = append(c.shards, p)
 
-		proxy, err := NewFaultProxy(p.url)
+		proxy, err := faultproxy.New(p.url)
 		if err != nil {
 			return nil, err
 		}
@@ -212,20 +215,7 @@ func startCluster(bins Binaries, sc *Spec, workdir string, logger *log.Logger) (
 	if err != nil {
 		return nil, err
 	}
-	healthEvery := sc.HealthInterval.D()
-	if healthEvery <= 0 {
-		healthEvery = time.Second
-	}
-	gwArgs := []string{
-		"-addr", gwAddr,
-		"-shards", strings.Join(targets, ","),
-		"-health-interval", healthEvery.String(),
-		"-sync-wait", "60s",
-		"-grace", "2s",
-	}
-	if sc.Replicas > 1 {
-		gwArgs = append(gwArgs, "-replicas", fmt.Sprint(sc.Replicas))
-	}
+	gwArgs := gatewayOptions(sc, gwAddr, targets).Args()
 	c.gateway = &proc{name: "gateway", bin: bins.Gateway, args: gwArgs, addr: gwAddr, url: "http://" + gwAddr}
 	if err := c.gateway.start(); err != nil {
 		return nil, err
@@ -239,43 +229,56 @@ func startCluster(bins Binaries, sc *Spec, workdir string, logger *log.Logger) (
 	return c, nil
 }
 
+// gatewayOptions are the gateway of a tier over targets: the spec's
+// health cadence and replica factor, a minute to sync with shards that
+// are still booting, and a short drain.
+func gatewayOptions(sc *Spec, addr string, targets []string) node.GatewayOptions {
+	o := node.DefaultGatewayOptions()
+	o.Addr, o.Shards, o.SyncWait, o.Grace = addr, strings.Join(targets, ","), time.Minute, 2*time.Second
+	if d := sc.HealthInterval.D(); d > 0 {
+		o.Gateway.HealthInterval = d
+	}
+	o.Gateway.Replicas = max(sc.Replicas, 1)
+	return o
+}
+
+// shardOptions are shard i of an n-shard tier: the scenario's dataset
+// knobs, so every member agrees on videos, seed and replica factor, its
+// fold cadence (500 ms unless the spec says), a short drain and, on a
+// durable tier, the data directory under workdir.
+func shardOptions(sc *Spec, workdir, addr string, i, n int) node.Options {
+	o := node.DefaultOptions()
+	o.Addr, o.Videos, o.Seed, o.Grace = addr, sc.Videos, sc.Seed, 2*time.Second
+	if o.IngestInterval = sc.FoldInterval.D(); o.IngestInterval == 0 {
+		o.IngestInterval = 500 * time.Millisecond
+	}
+	if n > 1 {
+		o.Shard = fmt.Sprintf("%d/%d", i, n)
+	}
+	o.Server.Replicas = max(sc.Replicas, 1)
+	if sc.Durable {
+		// One shared root: the node namespaces per shard
+		// (shard-i-of-n) underneath it, so restarts find their state.
+		o.DataDir = filepath.Join(workdir, "data")
+	}
+	return o
+}
+
 // newShardProc builds (without starting) the supervised daemon for
-// shard i of an n-shard tier, sharing the scenario's dataset knobs so
-// every member agrees on videos, seed and replica factor.
+// shard i of an n-shard tier.
 func (c *Cluster) newShardProc(i, n int) (*proc, error) {
 	addr, err := freeAddr()
 	if err != nil {
 		return nil, err
 	}
-	foldEvery := c.sc.FoldInterval.D()
-	if foldEvery <= 0 {
-		foldEvery = 500 * time.Millisecond
-	}
-	args := []string{
-		"-addr", addr,
-		"-videos", fmt.Sprint(c.sc.Videos),
-		"-seed", fmt.Sprint(c.sc.Seed),
-		"-ingest-interval", foldEvery.String(),
-		"-grace", "2s",
-	}
-	if n > 1 {
-		args = append(args, "-shard", fmt.Sprintf("%d/%d", i, n))
-	}
-	if c.sc.Replicas > 1 {
-		args = append(args, "-replicas", fmt.Sprint(c.sc.Replicas))
-	}
-	if c.sc.Durable {
-		// One shared root: cmd/serve namespaces per shard
-		// (shard-i-of-n) underneath it, so restarts find their state.
-		args = append(args, "-data-dir", filepath.Join(c.workdir, "data"))
-	}
+	args := shardOptions(c.sc, c.workdir, addr, i, n).Args()
 	return &proc{name: fmt.Sprintf("shard-%d", i), bin: c.spec.Serve, args: args, addr: addr, url: "http://" + addr}, nil
 }
 
 // GrowCluster boots shard n of a tier growing n → n+1 (same dataset
 // knobs, identity already in the grown ring), waits for it to build,
 // and POSTs /v1/reshard so the gateway streams slices over and cuts
-// the topology live. The new daemon gets its own FaultProxy so later
+// the topology live. The new daemon gets its own faultproxy.Proxy so later
 // chaos can address it like any other member.
 func (c *Cluster) GrowCluster() error {
 	i := len(c.shards)
@@ -288,7 +291,7 @@ func (c *Cluster) GrowCluster() error {
 		return err
 	}
 	c.shards = append(c.shards, p)
-	proxy, err := NewFaultProxy(p.url)
+	proxy, err := faultproxy.New(p.url)
 	if err != nil {
 		return err
 	}

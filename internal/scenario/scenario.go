@@ -228,8 +228,15 @@ func (s *Spec) Validate() error {
 	if len(s.Phases) == 0 {
 		return fmt.Errorf("scenario %s: at least one phase is required", s.Name)
 	}
-	if s.Warmup < 0 {
-		return fmt.Errorf("scenario %s: warmup must be >= 0", s.Name)
+	for what, d := range map[string]Duration{
+		"warmup": s.Warmup, "fold_interval": s.FoldInterval, "health_interval": s.HealthInterval,
+	} {
+		if d < 0 {
+			return fmt.Errorf("scenario %s: %s must be >= 0", s.Name, what)
+		}
+	}
+	if s.MaxOutstanding < 0 {
+		return fmt.Errorf("scenario %s: max_outstanding must be >= 0", s.Name)
 	}
 	for i := range s.Phases {
 		p := &s.Phases[i]

@@ -107,6 +107,9 @@ func TestValidateRejections(t *testing.T) {
 		{"slow without delay", func(s *Spec) {
 			s.Chaos = []ChaosEvent{{Action: ActionSlowShard, Shard: 0}}
 		}, "needs delay"},
+		{"negative fold interval", func(s *Spec) { s.FoldInterval = -1 }, "fold_interval must be >= 0"},
+		{"negative health interval", func(s *Spec) { s.HealthInterval = -1 }, "health_interval must be >= 0"},
+		{"negative max outstanding", func(s *Spec) { s.MaxOutstanding = -1 }, "max_outstanding must be >= 0"},
 	}
 	for _, tc := range cases {
 		s := validSpec()

@@ -99,14 +99,16 @@ func init() {
 // Documentation tests hold it against API.md.
 func Routes() []Route[*Server] { return slices.Clone(serverRoutes) }
 
-// Config parameterizes the service.
-type Config struct {
+// Common is what both daemons take, the node in Config and the gateway
+// in cluster.GatewayConfig: the request bounds, the logger and the ring's
+// replica factor.
+type Common struct {
 	// MaxInFlight bounds concurrently served requests; excess requests
 	// are rejected with 503 rather than queued, so overload degrades
 	// crisply (default 256).
 	MaxInFlight int
-	// MaxBatch bounds the videos accepted in one batched predict call
-	// (default 1024).
+	// MaxBatch bounds the items accepted in one batched predict or
+	// ingest call (default 1024).
 	MaxBatch int
 	// Logger receives one line per request when LogRequests is set, and
 	// panic reports always. Nil uses the standard logger.
@@ -114,6 +116,35 @@ type Config struct {
 	// LogRequests enables per-request access logging (off by default:
 	// at load-test rates the log write dominates the handler).
 	LogRequests bool
+	// Replicas is the copies-per-tag count the cluster's ring places,
+	// the same on every shard and the gateway (0 and 1 both mean
+	// unreplicated).
+	Replicas int
+}
+
+// WithDefaults is c with each unset field given DefaultConfig's value: a
+// bound or replica count that is zero or negative, and a nil Logger,
+// which becomes the standard logger.
+func (c Common) WithDefaults() Common {
+	def := DefaultConfig().Common
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = def.MaxInFlight
+	}
+	if c.MaxBatch <= 0 {
+		c.MaxBatch = def.MaxBatch
+	}
+	if c.Replicas <= 0 {
+		c.Replicas = def.Replicas
+	}
+	if c.Logger == nil {
+		c.Logger = log.Default()
+	}
+	return c
+}
+
+// Config parameterizes the service.
+type Config struct {
+	Common
 	// ShardIndex/ShardCount identify this node's slice of a
 	// tag-partitioned cluster (cmd/serve -shard i/n), reported by
 	// /internal/meta so a gateway can verify its target list. The
@@ -126,9 +157,6 @@ type Config struct {
 	// signature differs from its own — that shard would own the wrong
 	// tags.
 	RingSignature string
-	// Replicas is the copies-per-tag count the node's ring places
-	// (cluster -replicas; 0 and 1 both mean unreplicated).
-	Replicas int
 	// Topology is the node's view of the shared placement ring
 	// (normally the same cluster.Ring the daemon partitioned with):
 	// which shards own a tag, and which replica serves it for a given
@@ -146,7 +174,7 @@ type Config struct {
 
 // DefaultConfig returns the standard serving configuration.
 func DefaultConfig() Config {
-	return Config{MaxInFlight: 256, MaxBatch: 1024}
+	return Config{Common: Common{MaxInFlight: 256, MaxBatch: 1024, Replicas: 1}}
 }
 
 // ShardTopology is the placement contract a node shares with its
@@ -260,17 +288,9 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 	if store == nil {
 		return nil, fmt.Errorf("server: nil store")
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = DefaultConfig().MaxInFlight
-	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = DefaultConfig().MaxBatch
-	}
+	cfg.Common = cfg.Common.WithDefaults()
 	if cfg.ShardCount <= 0 {
 		cfg.ShardCount = 1
-	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 1
 	}
 	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
 		return nil, fmt.Errorf("server: shard index %d out of range for %d shards", cfg.ShardIndex, cfg.ShardCount)
@@ -278,17 +298,13 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 	if cfg.Replicas > cfg.ShardCount {
 		return nil, fmt.Errorf("server: %d replicas over %d shards", cfg.Replicas, cfg.ShardCount)
 	}
-	logger := cfg.Logger
-	if logger == nil {
-		logger = log.Default()
-	}
 	world := store.Load().World()
 	s := &Server{
 		cfg:       cfg,
 		store:     store,
 		rec:       placement.NewRecommender(world),
 		metrics:   NewMetrics(),
-		logger:    logger,
+		logger:    cfg.Logger,
 		countries: NewCountries(world.Codes()),
 	}
 	s.ident.Store(&shardIdent{
@@ -298,7 +314,7 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 		ringSig:  cfg.RingSignature,
 		topo:     cfg.Topology,
 	})
-	s.mw = NewMiddleware(cfg.MaxInFlight, s.metrics, logger, cfg.LogRequests)
+	s.mw = NewMiddleware(cfg.MaxInFlight, s.metrics, cfg.Logger, cfg.LogRequests)
 	s.traces = obs.NewTraceStore(0)
 	s.mw.SetTraceStore(s.traces)
 	s.scratch = profilestore.NewVecPool(world.N())

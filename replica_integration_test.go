@@ -20,7 +20,7 @@ import (
 	"testing"
 	"time"
 
-	"viewstags/internal/scenario"
+	"viewstags/internal/faultproxy"
 	"viewstags/internal/server"
 )
 
@@ -36,9 +36,9 @@ func startReplicaNode(t *testing.T, index, count, replicas int, foldEvery time.D
 // whose failure mode is a cut connection — the transport error a crashed
 // daemon produces — while the URL the gateway routes to stays stable
 // across "crashes", so the same shard can die and come back.
-func newFlakyShard(t *testing.T, backend string) *scenario.FaultProxy {
+func newFlakyShard(t *testing.T, backend string) *faultproxy.Proxy {
 	t.Helper()
-	p, err := scenario.NewFaultProxy(backend)
+	p, err := faultproxy.New(backend)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +50,10 @@ func newFlakyShard(t *testing.T, backend string) *scenario.FaultProxy {
 // fault proxy (returned in shard order), marks a shard down after two
 // failures and polls only when the test calls RefreshHealth, so health
 // state moves at the steps the test asserts.
-func startFlakyTier(t *testing.T, shards, replicas int) (*tier, []*scenario.FaultProxy) {
+func startFlakyTier(t *testing.T, shards, replicas int) (*tier, []*faultproxy.Proxy) {
 	t.Helper()
 	tr := newTier(t, shards, replicas, 15*time.Millisecond)
-	proxies := make([]*scenario.FaultProxy, shards)
+	proxies := make([]*faultproxy.Proxy, shards)
 	targets := make([]string, shards)
 	for i, n := range tr.nodes {
 		proxies[i] = newFlakyShard(t, n.ts.URL)

@@ -18,8 +18,8 @@ import (
 	"time"
 
 	"viewstags/internal/cluster"
+	"viewstags/internal/faultproxy"
 	"viewstags/internal/obs"
-	"viewstags/internal/scenario"
 	"viewstags/internal/server"
 )
 
@@ -103,7 +103,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	// leg over a fast shard-side handler — the "network or proxy, not
 	// the shard" triage signature from OPERATIONS.md.
 	targets := tr.urls()
-	proxy, err := scenario.NewFaultProxy(targets[1])
+	proxy, err := faultproxy.New(targets[1])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ var keptUnused = map[string]string{
 	"viewstags/internal/profilestore.Snapshot.PredictCatalog": "reference for internal/server and root tests",
 	"viewstags/internal/obs.Validate":                         "exposition checker for root and internal/server tests",
 	"viewstags/internal/cluster.Gateway.CatchUp":              "drives catch-up in root integration tests",
-	"viewstags/internal/scenario.FaultProxy.Revive":           "heals a proxy in root integration tests",
+	"viewstags/internal/faultproxy.Proxy.Revive":              "heals a proxy in root integration tests",
 	"viewstags/internal/server.Server.Metrics":                "read by root tests",
 	"viewstags/internal/cluster.Gateway.Metrics":              "read by root tests",
 	"viewstags/internal/server.Routes":                        "docs_test holds the daemon's table against API.md",
