@@ -346,14 +346,17 @@ func TestClusterGatewayEndToEnd(t *testing.T) {
 
 // TestGatewayPredictBytesEqualNode is the one-kernel proof: a gateway
 // over three shards answers /v1/predict with a single node's reply body,
-// byte for byte, because it adds each tag's row — the weight and stored
-// vector its owner holds — with the kernel the node's own predict runs.
-// Seeded batch-32 requests drawn from the catalog's real tag lists, plus
-// an item with a repeated tag, one whose tags are all unknown (the prior)
-// and one mixing unknown and known tags, are asked under every weighting
-// against a cold cache and again warm; then after a gateway-ingested
-// batch every shard and the node folded once; and at R=2 with one shard
-// cut and marked down, so every frame carries it excluded.
+// byte for byte, because it weights each tag's row — the views, videos
+// and stored vector its owner holds — with the node's own weight rule and
+// adds it with the kernel the node's own predict runs. Seeded batch-32
+// requests drawn from the catalog's real tag lists, plus an item with a
+// repeated tag, one whose tags are all unknown (the prior) and one mixing
+// unknown and known tags, are asked under every weighting against a cold
+// cache and again warm, and warm from another weighting without a leg;
+// then after a gateway-ingested batch every shard and the node folded
+// once, which brings a tag no upload carries (weightless under IDF alone);
+// and at R=2 with one shard cut and marked down, so every frame carries
+// it excluded.
 func TestGatewayPredictBytesEqualNode(t *testing.T) {
 	cat := testFixture(t).Catalog
 	var lists [][]string
@@ -402,8 +405,30 @@ func TestGatewayPredictBytesEqualNode(t *testing.T) {
 				same(what+", cold", items)
 				same(what+", warm", items)
 			}
+			predictLegs := func() (n float64) {
+				for i := range tr.nodes {
+					n += promCounter(t, tr.client, tr.gw.URL, fmt.Sprintf(`viewstags_shard_leg_duration_seconds_count{route="predict",shard="%d"}`, i))
+				}
+				return n
+			}
+			// A batch made warm under one weighting is warm under the
+			// others: one row per tag serves every weighting.
+			warmAcross := func(what string, lead ...string) {
+				t.Helper()
+				items := batch(lead...)
+				req := server.PredictRequest{Batch: items, Weighting: "by-views", Top: 1 << 10}
+				if code, _ := postBody(t, tr.client, tr.gw.URL+"/v1/predict", req); code != http.StatusOK {
+					t.Fatalf("%s: by-views predict %d", what, code)
+				}
+				legs := predictLegs()
+				same(what+", warm from by-views", items)
+				if got := predictLegs() - legs; got != 0 {
+					t.Fatalf("%s: a batch warm under by-views made %v predict legs under the other weightings", what, got)
+				}
+			}
 
 			coldWarm("at boot")
+			warmAcross("at boot")
 
 			// One batch through the gateway (and into the node), folded
 			// once everywhere: touched vocabulary tags and a new one.
@@ -414,11 +439,23 @@ func TestGatewayPredictBytesEqualNode(t *testing.T) {
 				events = append(events, server.IngestEvent{Video: fmt.Sprintf("bytes-%d", i), Tags: tags,
 					Country: countries[src.Intn(len(countries))], Views: float64(1 + src.Intn(5000)), Upload: src.Bernoulli(0.5)})
 			}
+			// A new tag with views but no upload: no video carries it, so
+			// IDF gives it no weight while by-views does.
+			events = append(events, server.IngestEvent{Tags: []string{"zz-bytes-viewed"}, Country: "BR", Views: 700})
 			tr.ingest(t, 1, events...)
 			tr.settle()
 			tr.g.WaitRowRefresh()
 			same("after the fold, rows held before it", batch())
 			coldWarm("after the fold", "zz-bytes-new", events[0].Tags[1])
+			for w, known := range map[string]bool{"uniform": true, "by-views": true, "idf": false} {
+				var resp server.PredictResponse
+				req := server.PredictRequest{Tags: []string{"zz-bytes-viewed"}, Weighting: w}
+				if code := postJSON(t, tr.client, tr.single.ts.URL+"/v1/predict", req, &resp); code != http.StatusOK || resp.Result.Known != known {
+					t.Fatalf("the viewed, never-uploaded tag alone under %s: %d known=%v, want known=%v", w, code, resp.Result.Known, known)
+				}
+			}
+			coldWarm("a tag no upload carries", "zz-bytes-viewed")
+			warmAcross("after the fold", "zz-bytes-viewed", "zz-bytes-new")
 
 			if replicas == 2 {
 				proxies[1].Kill()
@@ -429,6 +466,7 @@ func TestGatewayPredictBytesEqualNode(t *testing.T) {
 					t.Fatalf("cut shard 1 reads up=%v after two failed probes", up)
 				}
 				coldWarm("shard 1 excluded", "zz-bytes-new")
+				warmAcross("shard 1 excluded", "zz-bytes-viewed")
 			}
 		})
 	}

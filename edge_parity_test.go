@@ -10,8 +10,10 @@ package viewstags_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -19,6 +21,7 @@ import (
 	"time"
 
 	"viewstags/internal/server"
+	"viewstags/internal/tagviews"
 )
 
 // edgeParityCase is one malformed or unusual body. Either it is refused
@@ -146,6 +149,89 @@ func TestEdgeErrorParity(t *testing.T) {
 			}
 			if rec.Code != c.wantStatus || e.Error != c.wantError {
 				t.Errorf("%s %s:\n got %d %q\nwant %d %q", d.name, c.name, rec.Code, e.Error, c.wantStatus, c.wantError)
+			}
+		}
+	}
+}
+
+// TestReplySizesFollowTheWorld is the size audit of the client-supplied
+// counts that reach a make besides /v1/tags' k: `top` on /v1/predict, on
+// a node and on a gateway, and `slots` on a node's /v1/preload. A reply
+// is as long as the country table or the catalog lets it be, never as
+// long as asked, so every value past that answers the bytes the largest
+// useful one does; zero asks for the default; and node and gateway
+// bodies are identical for every top.
+func TestReplySizesFollowTheWorld(t *testing.T) {
+	tr := newTier(t, 3, 1, time.Hour)
+	tr.RestartGateway(t, tr.urls())
+	cat := testFixture(t).Catalog
+	if err := tr.single.srv.SetCatalog(cat.Served(), tagviews.WeightIDF); err != nil {
+		t.Fatal(err)
+	}
+	nC, n := tr.single.store.Load().World().N(), cat.Served().N()
+	send := func(h http.Handler, path, body string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", path, body, rec.Code, rec.Body.Bytes())
+		}
+		return rec.Body.Bytes()
+	}
+	items := `[{"tags":["favela","samba","pop"]},{"tags":["zz-size-none"]},{"tags":["pop","zz-size-none","music"]}]`
+	predict := func(h http.Handler, top int) []byte {
+		return send(h, "/v1/predict", fmt.Sprintf(`{"batch":%s,"top":%d}`, items, top))
+	}
+	for _, c := range []struct {
+		name   string
+		top    int
+		sameAs int // the top whose bytes it answers
+	}{
+		{"0, the default", 0, 5},
+		{"1", 1, 1},
+		{"nC", nC, nC},
+		{"nC+1", nC + 1, nC},
+		{"the largest the edge decoder admits", math.MaxInt32, nC},
+		{"one past it, decoded by encoding/json", math.MaxInt32 + 1, nC},
+	} {
+		node, gw := predict(tr.single.srv.Handler(), c.top), predict(tr.g.Handler(), c.top)
+		if !bytes.Equal(node, gw) {
+			t.Fatalf("top %s: gateway answered\n%s\nnode\n%s", c.name, gw, node)
+		}
+		if want := predict(tr.single.srv.Handler(), c.sameAs); !bytes.Equal(node, want) {
+			t.Fatalf("top %s: %d bytes, top=%d's %d", c.name, len(node), c.sameAs, len(want))
+		}
+		var resp server.PredictResponse
+		if err := json.Unmarshal(node, &resp); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range resp.Results {
+			if len(r.Top) > min(c.sameAs, nC) {
+				t.Fatalf("top %s item %d: %d countries", c.name, i, len(r.Top))
+			}
+		}
+	}
+	for _, policy := range []string{"tag-push", "pop-push"} {
+		preload := func(slots int) []byte {
+			return send(tr.single.srv.Handler(), "/v1/preload", fmt.Sprintf(`{"country":"BR","policy":%q,"slots":%d}`, policy, slots))
+		}
+		for _, c := range []struct {
+			name          string
+			slots, sameAs int
+		}{
+			{"0, the default", 0, 64},
+			{"1", 1, 1},
+			{"n", n, n},
+			{"n+1", n + 1, n},
+			{"MaxInt", math.MaxInt, n},
+		} {
+			body, want := preload(c.slots), preload(c.sameAs)
+			var resp server.PreloadResponse
+			if err := json.Unmarshal(body, &resp); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(body, want) || len(resp.Videos) > min(c.sameAs, n) || len(resp.Videos) == 0 {
+				t.Fatalf("%s slots %s: %d videos in %d bytes, slots=%d answers %d bytes", policy, c.name, len(resp.Videos), len(body), c.sameAs, len(want))
 			}
 		}
 	}

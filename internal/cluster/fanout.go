@@ -58,7 +58,7 @@ const maxEpochMoves = 4
 // else) for the rest of the request, and is counted in moves.
 type shardView struct {
 	ok    bool
-	gen   uint64
+	gen   uint32
 	epoch uint64
 	moves int
 }
@@ -275,7 +275,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 			for _, tag := range tags {
 				r := m.rows[k]
 				if r == nil || !usable(m.view, r) {
-					if r = tp.rows.get(tag, weighting); r != nil && !usable(m.view, r) {
+					if r = tp.rows.get(tag); r != nil && !usable(m.view, r) {
 						r = nil
 					}
 					m.rows[k] = r
@@ -324,7 +324,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 				continue
 			}
 			m.bufs[s] = reqBufPool.Get().(*[]byte)
-			m.bodies[s] = server.AppendRowsRequest((*m.bufs[s])[:0], m.wantTags(s), weighting, exclude)
+			m.bodies[s] = server.AppendRowsRequest((*m.bufs[s])[:0], m.wantTags(s), exclude)
 		}
 		fanStart := time.Now()
 		replies := g.scatter(ctx, tp, legPredict, m.bodies, server.WireContentType, trace)
@@ -373,7 +373,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 					tags[j] = strings.Clone(tags[j])
 				}
 				var rows []tagRow
-				rows, fe = g.takeRows(tp, rep.shard, m.view[rep.shard].gen, tags, weighting, rep.body, pp)
+				rows, fe = g.takeRows(tp, rep.shard, m.view[rep.shard].gen, tags, rep.body, pp)
 				for j := range rows {
 					m.misses[m.want[rep.shard][j]].row = &rows[j]
 				}
@@ -409,15 +409,17 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 		}
 	}
 
-	// Combine per position, duplicates included, and normalize.
+	// Weight with a node's rule, combine per position, duplicates
+	// included, and normalize.
 	k := 0
 	for i, tags := range items {
 		dst := out.Row(i)
 		clear(dst)
 		var ws float64
 		for j := range tags {
-			if r := m.rows[k]; r.vec != nil {
-				ws += profilestore.Mix(dst, r.ws, j, r.vec)
+			r := m.rows[k] // absent: no views, so no weight
+			if weight := profilestore.TagWeight(weighting, r.views, int(r.videos), int(r.records)); weight > 0 {
+				ws += profilestore.Mix(dst, weight, j, r.vec)
 			}
 			k++
 		}
@@ -446,39 +448,39 @@ func (g *Gateway) coverageLost(tp *topology, exclude []int) *server.ErrorReply {
 // them, which holds the generation it started under, and no later one.
 // Read and retired together, a frame's rows share two allocations: the
 // structs, and one slab for the vectors (a copy, never the reply buffer).
-func (g *Gateway) takeRows(tp *topology, shard int, gen uint64, tags []string, w tagviews.Weighting, body []byte, pp *server.PredictPartials) ([]tagRow, *server.ErrorReply) {
+func (g *Gateway) takeRows(tp *topology, shard int, gen uint32, tags []string, body []byte, pp *server.PredictPartials) ([]tagRow, *server.ErrorReply) {
 	n, nC := len(tags), len(g.codes)
 	if err := server.DecodePredictResponse(body, pp, n, nC); err != nil {
 		g.markFail(tp, shard)
 		return nil, &server.ErrorReply{Status: http.StatusBadGateway,
 			Msg: fmt.Sprintf("shard %d: undecodable response: %v", shard, err)}
 	}
-	if pp.NItems != n || pp.NC != nC {
+	if !pp.Rows || pp.NItems != n || pp.NC != nC {
 		return nil, &server.ErrorReply{Status: http.StatusBadGateway,
-			Msg: fmt.Sprintf("shard %d returned %d partials of %d countries for %d items of %d",
-				shard, pp.NItems, pp.NC, n, nC)}
+			Msg: fmt.Sprintf("shard %d returned %d partials of %d countries (rows %v) for %d rows of %d",
+				shard, pp.NItems, pp.NC, pp.Rows, n, nC)}
 	}
 	g.markOK(tp, shard, pp.Epoch)
-	// !(ws > 0), not ws <= 0: the codec transits a NaN weight sum as an
-	// absent row (mirroring the encoder's predicate), and a NaN combined
-	// later would poison the whole item.
+	// !(views > 0), not views <= 0: the codec transits a NaN view total
+	// as an absent row (mirroring the encoder's predicate), and a NaN
+	// combined later would poison the whole item.
 	known := 0
-	for _, ws := range pp.WSums[:n] {
-		if ws > 0 {
+	for _, views := range pp.WSums[:n] {
+		if views > 0 {
 			known++
 		}
 	}
 	rows, vecs := make([]tagRow, n), make([]float64, known*nC)
 	for j := range rows {
 		r := &rows[j]
-		r.shard, r.gen, r.epoch = shard, gen, pp.Epoch
-		if ws := pp.WSums[j]; ws > 0 {
-			r.ws = ws
+		r.shard, r.gen, r.epoch, r.records = int32(shard), gen, pp.Epoch, uint32(pp.Records)
+		if views := pp.WSums[j]; views > 0 {
+			r.views, r.videos = views, uint32(pp.Videos[j])
 			r.vec, vecs = vecs[:nC:nC], vecs[nC:]
 			copy(r.vec, pp.Sums[j*nC:(j+1)*nC])
 		}
 		if tp.shards[shard].gen.Load() == gen {
-			tp.rows.put(tags[j], w, r)
+			tp.rows.put(tags[j], r)
 		}
 	}
 	return rows, nil

@@ -23,29 +23,30 @@ func takeOneRow(t *testing.T, g *Gateway, tag string, frame []byte, inFlight fun
 	if inFlight != nil {
 		inFlight(tp.shards[0])
 	}
-	rows, fe := g.takeRows(tp, 0, gen, []string{tag}, tagviews.WeightIDF, frame, new(server.PredictPartials))
+	rows, fe := g.takeRows(tp, 0, gen, []string{tag}, frame, new(server.PredictPartials))
 	if fe == nil {
 		row = &rows[0]
 	}
-	return fe, row, tp.rows.get(tag, tagviews.WeightIDF)
+	return fe, row, tp.rows.get(tag)
 }
 
-// TestMergeSkipsNaNWeightSum: the codec transits a NaN weight sum as an
-// absent row, so the gateway must take it as one, exactly like the
-// encoder's `> 0` predicate — a NaN combined into an item would poison
-// it (1/NaN normalization, NaN shares, a 200 with an unencodable body).
+// TestMergeSkipsNaNWeightSum (the name predates weighting-free rows): the
+// codec transits a NaN view total as an absent row, so the gateway must
+// take it as one, exactly like the encoder's `> 0` predicate — a NaN
+// combined into an item would poison it (1/NaN normalization, NaN shares,
+// a 200 with an unencodable body).
 func TestMergeSkipsNaNWeightSum(t *testing.T) {
 	_, g := startCluster(t, 3)
 	enc := server.GetPredictWireEncoder()
 	defer server.PutPredictWireEncoder(enc)
-	enc.Begin(tagviews.WeightIDF, 1, 0, len(g.codes), 1, false)
-	enc.Item(math.NaN(), nil)
+	enc.BeginRows(1, 0, len(g.codes), 1, false)
+	enc.Row(math.NaN(), 0, nil)
 	fe, row, cached := takeOneRow(t, g, "zz-nan", enc.Finish(), nil)
 	if fe != nil {
-		t.Fatalf("NaN-weight frame rejected: %+v", fe)
+		t.Fatalf("NaN-views frame rejected: %+v", fe)
 	}
-	if row == nil || row.vec != nil || row.ws != 0 {
-		t.Fatalf("NaN weight sum taken as a present row: %+v", row)
+	if row == nil || row.vec != nil || row.views != 0 {
+		t.Fatalf("NaN view total taken as a present row: %+v", row)
 	}
 	if cached != row {
 		t.Fatal("the absent row was not cached as a negative")
@@ -66,10 +67,10 @@ func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 	nC := len(g.codes)
 	for _, width := range []int{nC + 7, nC - 1} {
 		enc := server.GetPredictWireEncoder()
-		enc.Begin(tagviews.WeightIDF, 1, 0, width, 1, false)
+		enc.BeginRows(1, 0, width, 1, false)
 		vec := make([]float64, width)
 		vec[0] = 1
-		enc.Item(1.5, vec)
+		enc.Row(1.5, 1, vec)
 		fe, row, cached := takeOneRow(t, g, "zz-width", enc.Finish(), nil)
 		server.PutPredictWireEncoder(enc)
 		if fe == nil || fe.Status != http.StatusBadGateway {
@@ -78,6 +79,14 @@ func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 		if row != nil || cached != nil {
 			t.Fatalf("width %d: rejected frame still produced a row (request %+v, cache %+v)", width, row, cached)
 		}
+	}
+	// A plain partials reply of the right width is no rows reply either.
+	enc := server.GetPredictWireEncoder()
+	defer server.PutPredictWireEncoder(enc)
+	enc.Begin(tagviews.WeightIDF, 1, 0, nC, 1, false)
+	enc.Item(1.5, make([]float64, nC))
+	if fe, row, cached := takeOneRow(t, g, "zz-plain", enc.Finish(), nil); fe == nil || fe.Status != http.StatusBadGateway || row != nil || cached != nil {
+		t.Fatalf("plain reply to a rows request: %+v (request %+v, cache %+v), want a 502 and no row", fe, row, cached)
 	}
 }
 
@@ -91,18 +100,18 @@ func TestTakeRowsAllocatesPerFrame(t *testing.T) {
 	const n = 512
 	enc := server.GetPredictWireEncoder()
 	defer server.PutPredictWireEncoder(enc)
-	vec := make([]float64, len(g.codes)) // each row: weight 2, stored vector
+	vec := make([]float64, len(g.codes)) // each row: views 2, one video, stored vector
 	vec[0] = 1
 	tags := make([]string, n)
-	enc.Begin(tagviews.WeightIDF, 1, 0, len(g.codes), n, false)
+	enc.BeginRows(1, 0, len(g.codes), n, false)
 	for j := range tags {
 		tags[j] = fmt.Sprintf("zz-frame-%d", j)
-		enc.Item(2, vec)
+		enc.Row(2, 1, vec)
 	}
 	frame := append([]byte(nil), enc.Finish()...)
 	tp, pp := g.topo.Load(), new(server.PredictPartials)
 	take := func() {
-		if rows, fe := g.takeRows(tp, 0, 0, tags, tagviews.WeightIDF, frame, pp); fe != nil || len(rows) != n {
+		if rows, fe := g.takeRows(tp, 0, 0, tags, frame, pp); fe != nil || len(rows) != n {
 			t.Fatalf("takeRows: %+v, %d rows", fe, len(rows))
 		}
 	}

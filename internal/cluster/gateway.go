@@ -116,7 +116,7 @@ type shardState struct {
 	// backward) and when catch-up finishes (the import installs without a
 	// fold). A cached row is usable only under the generation its fetch
 	// began in; see usable in fanout.go.
-	gen atomic.Uint64
+	gen atomic.Uint32
 	// invalidations counts, by cause, the moments every row cached from
 	// this shard went stale at once.
 	invalidations [numInvalCauses]atomic.Int64

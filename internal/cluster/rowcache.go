@@ -4,23 +4,21 @@ import (
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
-
-	"viewstags/internal/tagviews"
 )
 
 // This file is the gateway's per-tag row cache: what a shard answered
-// for tag under one weighting — the tag's weight and stored vector, what
-// profilestore.Mix takes — kept with the shard state it was read from.
-// predictFanout (fanout.go) combines an item's rows locally, so a
-// request whose rows are all here and still valid makes no shard leg.
+// for tag — profilestore.Snapshot.Row, which serves every weighting —
+// kept with the shard state it was read from. predictFanout (fanout.go)
+// combines an item's rows locally, so a request whose rows are all here
+// and still valid makes no shard leg.
 // The cache only stores; whether a row may be used is decided per
 // request by shardView.usable, and one cache lives exactly as long as
 // the topology it was filled under.
 
-// rowCacheBytes bounds the cache's accounted size. A row costs
-// rowOverhead + len(tag) + 8·countries bytes, so at the synthetic
-// world's 60 countries the bound holds ≈100k rows — eight times the
-// benchmark catalog's 12 304-tag vocabulary (≈6 MB resident) — and a
+// rowCacheBytes bounds the cache's accounted size. A tag has one row,
+// costing rowOverhead + len(tag) + 8·countries bytes, so at the synthetic
+// world's 60 countries the bound holds ≈100k tags — eight times the
+// benchmark catalog's 12 304-tag vocabulary (≈8 MB accounted) — and a
 // 250-country table still keeps ≈30k, far more than the Zipf head that
 // carries the hit ratio. DESIGN.md "Gateway row cache" has the sums.
 const rowCacheBytes = 64 << 20
@@ -42,26 +40,25 @@ const rowIdleRefreshes = 32
 
 // tagRow is one cached row. Immutable once published apart
 // from the second-chance bit. vec is nil for an absent row — the tag is
-// unknown to its owner, or carries no weight — which is cached like any
-// other answer: it stays true until the shard's epoch moves.
+// unknown to its owner, or has no views — which is cached like any other
+// answer: it stays true until the shard's epoch moves. Its counts, shard
+// and generation are 32-bit so that it fills one cache line
+// (TestTagRowFitsACacheLine); the wire refuses counts that do not fit.
 type tagRow struct {
-	shard int         // the shard that answered
-	gen   uint64      // that shard slot's generation when the fetch began
-	epoch uint64      // the fold epoch the reply was labelled with
-	ws    float64     // the tag's weight, before the rank discount
-	vec   []float64   // its stored vector
-	used  atomic.Bool // asked for since it was published or last aged
-	idle  uint8       // rows in a row replaced under this key unasked for
-}
-
-type rowKey struct {
-	tag string
-	w   tagviews.Weighting
+	vec     []float64   // its stored vector
+	epoch   uint64      // the fold epoch the reply was labelled with
+	views   float64     // the tag's view total
+	gen     uint32      // that shard slot's generation when the fetch began
+	shard   int32       // the shard that answered
+	records uint32      // the answering snapshot's corpus size
+	videos  uint32      // the videos carrying the tag
+	used    atomic.Bool // asked for since it was published or last aged
+	idle    uint8       // rows in a row replaced under this key unasked for
 }
 
 type rowStripe struct {
 	mu    sync.RWMutex
-	m     map[rowKey]*tagRow
+	m     map[string]*tagRow
 	bytes int
 }
 
@@ -77,7 +74,7 @@ type rowCache struct {
 func newRowCache() *rowCache {
 	c := &rowCache{seed: maphash.MakeSeed(), budget: rowCacheBytes / rowCacheStripes}
 	for i := range c.stripes {
-		c.stripes[i].m = make(map[rowKey]*tagRow)
+		c.stripes[i].m = make(map[string]*tagRow)
 	}
 	return c
 }
@@ -86,12 +83,12 @@ func (c *rowCache) stripe(tag string) *rowStripe {
 	return &c.stripes[maphash.String(c.seed, tag)%rowCacheStripes]
 }
 
-// get returns the row held for (tag, w), or nil. The caller checks it
-// against its view of the shard before using it.
-func (c *rowCache) get(tag string, w tagviews.Weighting) *tagRow {
+// get returns the row held for tag, or nil. The caller checks it against
+// its view of the shard before using it.
+func (c *rowCache) get(tag string) *tagRow {
 	s := c.stripe(tag)
 	s.mu.RLock()
-	r := s.m[rowKey{tag, w}]
+	r := s.m[tag]
 	s.mu.RUnlock()
 	if r != nil && !r.used.Load() {
 		r.used.Store(true)
@@ -101,7 +98,7 @@ func (c *rowCache) get(tag string, w tagviews.Weighting) *tagRow {
 
 func rowCost(tag string, r *tagRow) int { return rowOverhead + len(tag) + 8*len(r.vec) }
 
-// put publishes a row, replacing whatever was held for the key — unless
+// put publishes a row, replacing whatever was held for the tag — unless
 // that is a later read of the same shard (higher generation, or higher
 // epoch under it): fetches race, and the older reply must not undo the
 // newer. A row replacing one nobody asked for carries its idle count on,
@@ -114,11 +111,11 @@ func rowCost(tag string, r *tagRow) int { return rowOverhead + len(tag) + 8*len(
 // when every entry it sampled is in use does it age them (clear the
 // bit) and drop the last — so a scan of rows nobody asks for twice
 // evicts itself, and the Zipf head, re-marked by every hit, stays.
-func (c *rowCache) put(tag string, w tagviews.Weighting, r *tagRow) {
-	key, s := rowKey{tag, w}, c.stripe(tag)
+func (c *rowCache) put(tag string, r *tagRow) {
+	s := c.stripe(tag)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old := s.m[key]; old != nil {
+	if old := s.m[tag]; old != nil {
 		if old.shard == r.shard && (old.gen > r.gen || old.gen == r.gen && old.epoch > r.epoch) {
 			return
 		}
@@ -128,15 +125,15 @@ func (c *rowCache) put(tag string, w tagviews.Weighting, r *tagRow) {
 		s.bytes -= rowCost(tag, old)
 		c.n.Add(-1)
 	}
-	s.m[key] = r
+	s.m[tag] = r
 	s.bytes += rowCost(tag, r)
 	c.n.Add(1)
 	for s.bytes > c.budget && len(s.m) > 1 {
-		var victim rowKey
+		var victim string
 		var inUse [rowEvictProbe]*tagRow
 		n := 0
 		for k, v := range s.m {
-			if k == key {
+			if k == tag {
 				continue
 			}
 			victim = k
@@ -152,30 +149,29 @@ func (c *rowCache) put(tag string, w tagviews.Weighting, r *tagRow) {
 		for _, v := range inUse[:n] {
 			v.used.Store(false)
 		}
-		s.bytes -= rowCost(victim.tag, s.m[victim])
+		s.bytes -= rowCost(victim, s.m[victim])
 		delete(s.m, victim)
 		c.n.Add(-1)
 	}
 }
 
-// stale lists, by weighting, the tags of the rows held from shard under
-// gen from before epoch — what an observed fold just retired — for a
-// refresh pass to re-read, and counts the rows it dropped instead: idle
-// through rowIdleRefreshes refreshes, so a scan leaves the cache rather
-// than being re-read at every fold for as long as the budget lasts.
-func (c *rowCache) stale(shard int, gen, epoch uint64) (tags map[tagviews.Weighting][]string, dropped int) {
-	tags = make(map[tagviews.Weighting][]string)
+// stale lists the tags of the rows held from shard under gen from before
+// epoch — what an observed fold just retired — for a refresh pass to
+// re-read, and counts the rows it dropped instead: idle through
+// rowIdleRefreshes refreshes, so a scan leaves the cache rather than
+// being re-read at every fold for as long as the budget lasts.
+func (c *rowCache) stale(shard int, gen uint32, epoch uint64) (tags []string, dropped int) {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
-		for k, r := range s.m {
+		for tag, r := range s.m {
 			switch {
-			case r.shard != shard || r.gen != gen || r.epoch >= epoch:
+			case int(r.shard) != shard || r.gen != gen || r.epoch >= epoch:
 			case r.used.Load() || r.idle < rowIdleRefreshes:
-				tags[k.w] = append(tags[k.w], k.tag)
+				tags = append(tags, tag)
 			default:
-				s.bytes -= rowCost(k.tag, r)
-				delete(s.m, k)
+				s.bytes -= rowCost(tag, r)
+				delete(s.m, tag)
 				c.n.Add(-1)
 				dropped++
 			}

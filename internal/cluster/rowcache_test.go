@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"viewstags/internal/faultproxy"
 	"viewstags/internal/ingest"
@@ -191,17 +192,17 @@ func TestRowCacheGenerationStraddleNotPublished(t *testing.T) {
 	enc := server.GetPredictWireEncoder()
 	defer server.PutPredictWireEncoder(enc)
 	frame := func() []byte {
-		enc.Begin(tagviews.WeightIDF, 1, 0, len(g.codes), 1, false)
-		vec := make([]float64, len(g.codes)) // a row: weight 2, stored vector
+		enc.BeginRows(1, 0, len(g.codes), 1, false)
+		vec := make([]float64, len(g.codes)) // a row: views 2, one video, stored vector
 		vec[0] = 1
-		enc.Item(2, vec)
+		enc.Row(2, 1, vec)
 		return enc.Finish()
 	}
 	if fe, row, cached := takeOneRow(t, g, "zz-steady", frame(), nil); fe != nil || row == nil || cached != row {
 		t.Fatalf("undisturbed fetch: fe=%+v row=%p cached=%p, want it published", fe, row, cached)
 	}
 	fe, row, cached := takeOneRow(t, g, "zz-straddle", frame(), func(s *shardState) { s.invalidate(invalDown) })
-	if fe != nil || row == nil || row.ws != 2 {
+	if fe != nil || row == nil || row.views != 2 {
 		t.Fatalf("straddling fetch did not answer its own request: fe=%+v row=%+v", fe, row)
 	}
 	if cached != nil {
@@ -210,8 +211,19 @@ func TestRowCacheGenerationStraddleNotPublished(t *testing.T) {
 	// And what was published under the old generation is dead.
 	tp := g.topo.Load()
 	view := []shardView{{ok: true, gen: tp.shards[0].gen.Load()}}
-	if r := tp.rows.get("zz-steady", tagviews.WeightIDF); r == nil || usable(view, r) {
+	if r := tp.rows.get("zz-steady"); r == nil || usable(view, r) {
 		t.Fatalf("row %+v still usable after its shard's generation moved", r)
+	}
+}
+
+// TestTagRowFitsACacheLine pins the row to one 64-byte cache line. A
+// row carries its tag's views, videos and record count besides its shard
+// state, and EXPERIMENTS.md "Row refresh" measured what one more line
+// costs: an 80-byte row lost 0 of 4 gateway-read-b32 pairs, 6–7% slower,
+// for batch 32 combines ≈340 rows a request.
+func TestTagRowFitsACacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(tagRow{}); size > 64 {
+		t.Fatalf("tagRow is %d bytes, want at most 64", size)
 	}
 }
 
@@ -380,9 +392,10 @@ func TestPredictSplitsMissesAcrossFrames(t *testing.T) {
 	g := newSyncedGateway(t, []string{nodes[0].ts.URL, nodes[1].ts.URL, nodes[2].ts.URL}, func(c *GatewayConfig) { c.MaxBatch = 4 })
 	tags, shard := sameShardTags(t, g.topo.Load().ring, 10)
 	sameAnswers(t, "ten cold tags of one shard, four to a frame", single.srv.Handler(), g.Handler(), [][]string{tags[:5], tags[5:]})
-	// sameAnswers asks under three weightings, each cold: 3 × ⌈10/4⌉.
-	if got := shardLegs(g)[shard]; got != 9 {
-		t.Fatalf("shard %d answered %d frames, want 9", shard, got)
+	// sameAnswers asks under three weightings, and only the first is cold:
+	// the rows it fetched serve the other two. ⌈10/4⌉ frames.
+	if got := shardLegs(g)[shard]; got != 3 {
+		t.Fatalf("shard %d answered %d frames, want 3", shard, got)
 	}
 }
 
@@ -419,14 +432,14 @@ func labelShard(t *testing.T, sig string, label func(f *fakeShard, items int) ui
 			if _, err := io.ReadFull(brw.Reader, frame); err != nil || server.DecodeStreamRequest(frame, &env) != nil {
 				return
 			}
-			items, weighting, _, err := server.DecodePredictRequest(env.Body)
+			items, _, _, err := server.DecodePredictRequest(env.Body)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			enc.Begin(weighting, 10, label(f, len(items)), 2, len(items), false)
+			enc.BeginRows(10, label(f, len(items)), 2, len(items), false)
 			for range items {
-				enc.Item(1, []float64{0.5, 0.5})
+				enc.Row(1, 1, []float64{0.5, 0.5})
 			}
 			out, err := server.AppendStreamReply(nil, &server.StreamReply{ID: env.ID, Status: http.StatusOK, Body: enc.Finish()})
 			if err != nil {
@@ -476,19 +489,19 @@ func TestRowCacheBoundUnderScan(t *testing.T) {
 	const nC, stripeBudget = 60, 16 << 10
 	c := newRowCache()
 	c.budget = stripeBudget
-	row := func() *tagRow { return &tagRow{ws: 1, vec: make([]float64, nC)} }
+	row := func() *tagRow { return &tagRow{views: 1, vec: make([]float64, nC)} }
 	hot := make([]string, 200)
 	for i := range hot {
 		hot[i] = fmt.Sprintf("hot-%d", i)
-		c.put(hot[i], tagviews.WeightIDF, row())
+		c.put(hot[i], row())
 	}
 	perRow := rowOverhead + len("scan-000000") + 8*nC
 	scan := 4 * rowCacheStripes * stripeBudget / perRow // four times what fits
 	for i := 0; i < scan; i++ {
-		c.put(fmt.Sprintf("scan-%06d", i), tagviews.WeightIDF, row())
+		c.put(fmt.Sprintf("scan-%06d", i), row())
 		if i%50 == 0 {
 			for _, tag := range hot {
-				c.get(tag, tagviews.WeightIDF)
+				c.get(tag)
 			}
 		}
 	}
@@ -497,7 +510,7 @@ func TestRowCacheBoundUnderScan(t *testing.T) {
 		s := &c.stripes[i]
 		sum := 0
 		for k, r := range s.m {
-			sum += rowCost(k.tag, r)
+			sum += rowCost(k, r)
 		}
 		if sum != s.bytes {
 			t.Fatalf("stripe %d accounts %d bytes, holds %d", i, s.bytes, sum)
@@ -516,7 +529,7 @@ func TestRowCacheBoundUnderScan(t *testing.T) {
 	}
 	kept := 0
 	for _, tag := range hot {
-		if c.get(tag, tagviews.WeightIDF) != nil {
+		if c.get(tag) != nil {
 			kept++
 		}
 	}

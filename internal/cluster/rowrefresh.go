@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 // This file is the row cache's fold follower. A forward move of a shard's
@@ -28,8 +27,8 @@ func (g *Gateway) startRefresh(tp *topology, shard int) {
 }
 
 // refreshPass is rounds: each re-reads what is held from the shard, under
-// its current generation, from before the epoch tracked now — a frame per
-// weighting and MaxBatch tags, one in flight. It ends when a round ends at
+// its current generation, from before the epoch tracked now — MaxBatch
+// tags a frame, one in flight. It ends when a round ends at
 // the epoch it began from or had to stop, or after maxEpochMoves follow-ups
 // (a request's rule: a shard whose every reply moves the epoch cannot spin
 // it) — decided under refreshMu, as markOK's next call is: no move is lost.
@@ -40,11 +39,9 @@ func (g *Gateway) refreshPass(tp *topology, shard int) {
 		stale, dropped := tp.rows.stale(shard, gen, epoch)
 		g.refreshDropped.Add(int64(dropped))
 		ok := true
-		for w, tags := range stale {
-			for n := 0; ok && len(tags) > 0; tags = tags[n:] {
-				n = min(len(tags), g.cfg.MaxBatch)
-				ok = g.refreshFrame(tp, shard, gen, w, tags[:n])
-			}
+		for n := 0; ok && len(stale) > 0; stale = stale[n:] {
+			n = min(len(stale), g.cfg.MaxBatch)
+			ok = g.refreshFrame(tp, shard, gen, stale[:n])
 		}
 		g.refreshMu.Lock()
 		if more = ok && moves < maxEpochMoves && s.epoch.Load() != epoch; !more {
@@ -75,7 +72,7 @@ func (g *Gateway) WaitRowRefresh() {
 // asked only if the ring, under the exclusion list the frame carries, gives
 // it to this shard: a row taken while the first owner was out is skipped
 // once that owner is back, not asked of a shard that now answers "absent".
-func (g *Gateway) refreshFrame(tp *topology, shard int, gen uint64, w tagviews.Weighting, ask []string) bool {
+func (g *Gateway) refreshFrame(tp *topology, shard int, gen uint32, ask []string) bool {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
 	s := tp.shards[shard]
@@ -87,7 +84,7 @@ func (g *Gateway) refreshFrame(tp *topology, shard int, gen uint64, w tagviews.W
 	if len(tags) == 0 {
 		return true
 	}
-	body := server.AppendRowsRequest(make([]byte, 0, 16*len(tags)), tags, w, exclude)
+	body := server.AppendRowsRequest(make([]byte, 0, 16*len(tags)), tags, exclude)
 	rep := g.postShard(context.Background(), tp, shard, legRefresh, body, server.WireContentType, "")
 	s.refreshLegs.Add(1)
 	if rep.err != nil || rep.status != http.StatusOK {
@@ -95,7 +92,7 @@ func (g *Gateway) refreshFrame(tp *topology, shard int, gen uint64, w tagviews.W
 	}
 	pp := g.partialsPool.Get().(*server.PredictPartials)
 	defer g.partialsPool.Put(pp)
-	if _, fe := g.takeRows(tp, shard, gen, tags, w, rep.body, pp); fe != nil || s.gen.Load() != gen {
+	if _, fe := g.takeRows(tp, shard, gen, tags, rep.body, pp); fe != nil || s.gen.Load() != gen {
 		return false
 	}
 	g.refreshedRows.Add(int64(len(tags)))

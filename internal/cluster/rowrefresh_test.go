@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 // These tests pin the fold-following row refresh (rowrefresh.go): that a
@@ -22,11 +21,11 @@ import (
 // idle drop, the restless-shard give-up, and every way a pass stops.
 
 // heldRow looks a row up without marking it asked for, as get would.
-func heldRow(c *rowCache, tag string, w tagviews.Weighting) *tagRow {
+func heldRow(c *rowCache, tag string) *tagRow {
 	s := c.stripe(tag)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.m[rowKey{tag, w}]
+	return s.m[tag]
 }
 
 // refreshGateway is a one-shard gateway over a labelShard.
@@ -100,18 +99,19 @@ func TestRowRefreshAfterFoldMakesNoLeg(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	// One frame per shard and weighting: sameAnswers asks under all three.
+	// One frame per shard, though sameAnswers asks under all three
+	// weightings: a row serves every one.
 	rc := stats.Cluster.RowCache
-	if rc.RefreshRows != held || rc.RefreshLegs != 9 || rc.RefreshDropped != 0 || rc.Rows != held {
+	if rc.RefreshRows != held || rc.RefreshLegs != 3 || rc.RefreshDropped != 0 || rc.Rows != held {
 		t.Fatalf("row_cache after one fold of three shards holding %d rows: %+v", held, rc)
 	}
 	rec = httptest.NewRecorder()
 	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	for _, want := range []string{
 		fmt.Sprintf("viewstags_row_cache_refresh_rows_total %d", held),
-		`viewstags_row_cache_refresh_legs_total{shard="1"} 3`,
+		`viewstags_row_cache_refresh_legs_total{shard="1"} 1`,
 		"viewstags_row_cache_refresh_dropped_total 0",
-		`viewstags_shard_leg_duration_seconds_count{route="refresh",shard="2"} 3`,
+		`viewstags_shard_leg_duration_seconds_count{route="refresh",shard="2"} 1`,
 	} {
 		if !strings.Contains(rec.Body.String(), want+"\n") {
 			t.Errorf("/metrics lacks %q", want)
@@ -132,7 +132,7 @@ func TestRowRefreshGenerationStraddlePublishesNothing(t *testing.T) {
 	})
 	holdRows(t, g, "a", "b")
 	rows, s := g.topo.Load().rows, g.topo.Load().shards[0]
-	a, b := heldRow(rows, "a", tagviews.WeightIDF), heldRow(rows, "b", tagviews.WeightIDF)
+	a, b := heldRow(rows, "a"), heldRow(rows, "b")
 	bump.Store(s)
 	observeFold(shard, g)
 	if legs := s.refreshLegs.Load(); legs != 1 {
@@ -141,7 +141,7 @@ func TestRowRefreshGenerationStraddlePublishesNothing(t *testing.T) {
 	if n := g.refreshedRows.Load(); n != 0 {
 		t.Fatalf("%d rows published across a generation bump", n)
 	}
-	if heldRow(rows, "a", tagviews.WeightIDF) != a || heldRow(rows, "b", tagviews.WeightIDF) != b {
+	if heldRow(rows, "a") != a || heldRow(rows, "b") != b {
 		t.Fatal("a row read across a generation bump replaced the one held")
 	}
 }
@@ -179,12 +179,12 @@ func TestRowRefreshDropsIdleRows(t *testing.T) {
 	legs := g.predictLegs.Load()
 	for fold := 1; fold <= rowIdleRefreshes+1; fold++ {
 		observeFold(shard, g)
-		idle := heldRow(rows, "idle", tagviews.WeightIDF)
+		idle := heldRow(rows, "idle")
 		if kept := fold <= rowIdleRefreshes; kept != (idle != nil) || kept && (idle.epoch != uint64(fold) || int(idle.idle) != fold) {
 			t.Fatalf("after refresh %d the idle row is %+v", fold, idle)
 		}
 		holdRows(t, g, "hot")
-		if hot := heldRow(rows, "hot", tagviews.WeightIDF); hot == nil || hot.epoch != uint64(fold) || hot.idle != 0 {
+		if hot := heldRow(rows, "hot"); hot == nil || hot.epoch != uint64(fold) || hot.idle != 0 {
 			t.Fatalf("after refresh %d the row in use is %+v", fold, hot)
 		}
 	}
@@ -225,7 +225,7 @@ func TestRowRefreshReassignmentNeverCachesAbsent(t *testing.T) {
 	pool := [][]string{tags, {tags[1]}}
 	e.kill(first, pool) // reads the pool through the death: rows from the second owner
 	for _, tag := range tags {
-		if r := heldRow(tp.rows, tag, tagviews.WeightIDF); r == nil || r.shard != second || r.vec == nil {
+		if r := heldRow(tp.rows, tag); r == nil || int(r.shard) != second || r.vec == nil {
 			t.Fatalf("with shard %d down, %q is held as %+v, want shard %d's known row", first, tag, r, second)
 		}
 	}
@@ -250,10 +250,10 @@ func TestRowRefreshReassignmentNeverCachesAbsent(t *testing.T) {
 		t.Fatalf("fold: %v %v", folded, err)
 	}
 	gen, epoch := s.gen.Load(), s.epoch.Load()+1
-	if !e.g.refreshFrame(tp, second, gen, tagviews.WeightIDF, []string{tags[0]}) {
+	if !e.g.refreshFrame(tp, second, gen, []string{tags[0]}) {
 		t.Fatal("first frame refused")
 	}
-	if r := heldRow(tp.rows, tags[0], tagviews.WeightIDF); r.shard != second || r.epoch != epoch || r.vec == nil {
+	if r := heldRow(tp.rows, tags[0]); int(r.shard) != second || r.epoch != epoch || r.vec == nil {
 		t.Fatalf("first frame published %+v", r)
 	}
 	// ...the first owner comes back and is caught up...
@@ -262,11 +262,11 @@ func TestRowRefreshReassignmentNeverCachesAbsent(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ...and the second frame finds tags[1] given back to it.
-	old := heldRow(tp.rows, tags[1], tagviews.WeightIDF)
-	if !e.g.refreshFrame(tp, second, gen, tagviews.WeightIDF, []string{tags[1]}) {
+	old := heldRow(tp.rows, tags[1])
+	if !e.g.refreshFrame(tp, second, gen, []string{tags[1]}) {
 		t.Fatal("second frame refused")
 	}
-	if r := heldRow(tp.rows, tags[1], tagviews.WeightIDF); r != old {
+	if r := heldRow(tp.rows, tags[1]); r != old {
 		t.Fatalf("a tag the ring gave back to shard %d was re-read from shard %d as %+v", first, second, r)
 	}
 	claim(false)
@@ -372,9 +372,9 @@ func TestRowCachePutKeepsNewerRow(t *testing.T) {
 	} {
 		for _, order := range [][2]*tagRow{{tc.older, tc.new}, {tc.new, tc.older}} {
 			c := newRowCache()
-			c.put("t", tagviews.WeightIDF, order[0])
-			c.put("t", tagviews.WeightIDF, order[1])
-			if got := heldRow(c, "t", tagviews.WeightIDF); got != tc.new {
+			c.put("t", order[0])
+			c.put("t", order[1])
+			if got := heldRow(c, "t"); got != tc.new {
 				t.Errorf("%s, older put first=%v: holds %+v, want the later read", tc.name, order[0] == tc.older, got)
 			}
 			if n, bytes := c.n.Load(), c.stripe("t").bytes; n != 1 || bytes != rowCost("t", tc.new) {
@@ -384,9 +384,9 @@ func TestRowCachePutKeepsNewerRow(t *testing.T) {
 	}
 	c := newRowCache()
 	other := &tagRow{shard: 2, gen: 0, epoch: 1}
-	c.put("t", tagviews.WeightIDF, &tagRow{shard: 1, gen: 3, epoch: 7})
-	c.put("t", tagviews.WeightIDF, other)
-	if got := heldRow(c, "t", tagviews.WeightIDF); got != other {
+	c.put("t", &tagRow{shard: 1, gen: 3, epoch: 7})
+	c.put("t", other)
+	if got := heldRow(c, "t"); got != other {
 		t.Errorf("a row from another shard did not replace: holds %+v", got)
 	}
 }

@@ -44,8 +44,8 @@ func (s *Snapshot) PredictColumn(buf []float64, cat *synth.Served, c geo.Country
 	// memo[2t], memo[2t+1]: name t's weight (0 = skipped) and its field in c.
 	for t, name := range cat.TagNames {
 		var weight, x float64
-		if id, ok := s.Lookup(name); ok {
-			weight, x = s.tagWeight(id, w), s.vecTab[id][c]
+		if views, videos, vec := s.Row(name); vec != nil {
+			weight, x = TagWeight(w, views, videos, s.records), vec[c]
 		}
 		memo[2*t], memo[2*t+1] = weight, x
 	}

@@ -47,16 +47,16 @@ func Normalize(dst []float64, wSum float64, prior []float64) bool {
 	return true
 }
 
-// Row returns what tag contributes to a mixture under w before its rank
-// discount: its weight and its stored vector (read-only, aliasing the
-// snapshot), or 0, nil when the tag is unknown or carries no weight.
-func (s *Snapshot) Row(tag string, w tagviews.Weighting) (float64, []float64) {
+// Row returns what tag is, for TagWeight and Mix under any weighting: its
+// view total, video count and stored vector (read-only, aliasing the
+// snapshot), or 0, 0, nil when the tag is unknown or has no views.
+func (s *Snapshot) Row(tag string) (float64, int, []float64) {
 	if id, ok := s.Lookup(tag); ok {
-		if weight := s.tagWeight(id, w); weight > 0 {
-			return weight, s.Vec(id)
+		if p := &s.profiles[id]; p.TotalViews > 0 {
+			return p.TotalViews, p.Videos, s.Vec(id)
 		}
 	}
-	return 0, nil
+	return 0, 0, nil
 }
 
 // PredictPartialInto writes the unnormalized weighted tag mixture into
@@ -79,31 +79,33 @@ func (s *Snapshot) PredictPartialFilterInto(dst []float64, tagNames []string, w 
 	clear(dst)
 	var wSum float64
 	for rank, t := range tagNames {
-		if weight, vec := s.Row(t, w); vec != nil && (serve == nil || serve(t)) {
-			wSum += Mix(dst, weight, rank, vec)
+		if views, videos, vec := s.Row(t); vec != nil && (serve == nil || serve(t)) {
+			if weight := TagWeight(w, views, videos, s.records); weight > 0 {
+				wSum += Mix(dst, weight, rank, vec)
+			}
 		}
 	}
 	return wSum
 }
 
-// tagWeight is the one weight rule: what tag id counts for in a mixture
-// under w, before the rank discount. Not positive means the tag is
-// skipped — a zero-mass tag carries no signal (mirrors the offline
-// predictor's guard; its stored vector is all-zero), and neither does one
-// no video carries.
-func (s *Snapshot) tagWeight(id int32, w tagviews.Weighting) float64 {
-	p := &s.profiles[id]
-	if p.TotalViews <= 0 {
+// TagWeight is the one weight rule, a node's and a gateway's: what a tag
+// of views view mass, carried by videos of records videos, counts for in
+// a mixture under w, before the rank discount. Not positive means the tag
+// is skipped — a zero-mass (or NaN) tag carries no signal (mirrors the
+// offline predictor's guard), and under IDF neither does one no video
+// carries.
+func TagWeight(w tagviews.Weighting, views float64, videos, records int) float64 {
+	if !(views > 0) {
 		return 0
 	}
 	switch w {
 	case tagviews.WeightUniform:
 		return 1
 	case tagviews.WeightByViews:
-		return p.TotalViews
+		return views
 	case tagviews.WeightIDF:
-		if df := float64(p.Videos); df > 0 {
-			return math.Log(1 + float64(s.records)/df)
+		if df := float64(videos); df > 0 {
+			return math.Log(1 + float64(records)/df)
 		}
 	}
 	return 0

@@ -52,9 +52,9 @@ type InternalMetaResponse struct {
 
 // handleInternalPredict serves the gateway's row fetches: a rows request
 // in (one tag per item, plus the shards out of read rotation), each tag's
-// weight and stored vector out, straight from the snapshot into a pooled
-// frame, for the gateway to add with the kernel a node's own predict runs
-// (profilestore.Mix). A plain frame's items are tag lists, answered as
+// row out (profilestore.Snapshot.Row), straight from the snapshot into a
+// pooled frame, for the gateway to weight and add with the rule and kernel
+// a node's own predict runs. A plain frame's items are tag lists, answered as
 // partial mixtures (profilestore.PredictPartialInto). Errors go out as the
 // JSON error envelope: off the hot path, and one envelope keeps the
 // gateway's error plumbing single-sourced.
@@ -106,15 +106,19 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	defer PutPredictWireEncoder(enc)
 	// The reply mirrors the request's CRC choice, so integrity stays an
 	// end-to-end gateway decision, and its rows bit.
-	enc.begin(weighting, snap.Records(), epoch, len(buf), len(items), flags&(wireFlagCRC|wireFlagRows))
+	if crc := flags&wireFlagCRC != 0; flags&wireFlagRows == 0 {
+		enc.Begin(weighting, snap.Records(), epoch, len(buf), len(items), crc)
+	} else {
+		enc.BeginRows(snap.Records(), epoch, len(buf), len(items), crc)
+	}
 	predictStart := time.Now()
 	for _, tags := range items {
 		if flags&wireFlagRows == 0 {
 			enc.Item(snap.PredictPartialFilterInto(buf, tags, weighting, serve), buf)
 		} else if serve == nil || serve(tags[0]) {
-			enc.Item(snap.Row(tags[0], weighting))
+			enc.Row(snap.Row(tags[0]))
 		} else {
-			enc.Item(0, nil)
+			enc.Row(0, 0, nil)
 		}
 	}
 	// Span record is allocation-free, so the hot path keeps its

@@ -39,14 +39,15 @@ import (
 // Field lengths are fixed-width and the body is whatever remains, so an
 // envelope has exactly one encoding. A frame carries no span context: the
 // trace it opens is a child of the gateway leg to its path, and the path
-// is in the frame already (v1 spelled it out a second time; the token
-// moved to v2 so a v1 peer refuses the upgrade instead of misreading).
+// is in the frame already (v1 spelled it out a second time, and v2's rows
+// frames carried a weight; the token moves with the layout, so an older
+// peer is refused the upgrade instead of misreading).
 
 const (
 	// StreamPath is the upgrade route.
 	StreamPath = "/internal/stream"
 	// StreamProtocol is the Upgrade token both ends must name.
-	StreamProtocol = "viewstags-stream-v2"
+	StreamProtocol = "viewstags-stream-v3"
 
 	streamReqFixed   = 8 + 1 + 1 + 2
 	streamReplyFixed = 8 + 2 + 1

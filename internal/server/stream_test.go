@@ -166,17 +166,20 @@ func TestStreamUpgradeRefusals(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST: %d, want 405", resp.StatusCode)
 	}
-	// A peer of the v1 layout, whose frames carried a span-context field,
-	// is refused the upgrade rather than read as v2.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+StreamPath, nil)
-	req.Header.Set("Connection", "Upgrade")
-	req.Header.Set("Upgrade", "viewstags-stream-v1")
-	if resp, err = http.DefaultClient.Do(req); err != nil {
-		t.Fatal(err)
-	}
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != StreamProtocol {
-		t.Fatalf("v1 upgrade: %d (Upgrade: %q), want 426 naming %s", resp.StatusCode, resp.Header.Get("Upgrade"), StreamProtocol)
+	// A peer of an earlier layout is refused the upgrade rather than
+	// misread: v1's frames carried a span-context field, v2's rows a
+	// weight under a weighting byte.
+	for _, old := range []string{"viewstags-stream-v1", "viewstags-stream-v2"} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+StreamPath, nil)
+		req.Header.Set("Connection", "Upgrade")
+		req.Header.Set("Upgrade", old)
+		if resp, err = http.DefaultClient.Do(req); err != nil {
+			t.Fatal(err)
+		}
+		_ = resp.Body.Close()
+		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != StreamProtocol {
+			t.Fatalf("%s upgrade: %d (Upgrade: %q), want 426 naming %s", old, resp.StatusCode, resp.Header.Get("Upgrade"), StreamProtocol)
+		}
 	}
 
 	inflight := srv.Metrics().InFlight.Load()

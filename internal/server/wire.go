@@ -24,7 +24,7 @@ import (
 // answers in kind; any other content type is refused with a 415. The
 // /internal/ingest leg's content type and ack are at the end of the file.
 //
-// Request frame:
+// Request frame (a rows frame, flags bit 2, has no weighting byte):
 //
 //	"VTIPRQ01" | flags u8 | weighting u8
 //	| [nExclude uvarint ( shard uvarint )*  — present iff flags bit 1]
@@ -32,11 +32,12 @@ import (
 //	  ( nTags uvarint ( len uvarint | bytes )* )*
 //	| [crc32 u32]
 //
-// Response frame:
+// Response frame (a rows frame has no weighting byte, and rows for items):
 //
 //	"VTIPRS01" | flags u8 | weighting u8 | records uvarint | epoch u64
 //	| nC uvarint | nItems uvarint
 //	  ( wsum f64 [ sum f64 × nC  — present iff wsum > 0 ] )*
+//	  ( views f64 [ videos uvarint | vec f64 × nC  — iff views > 0 ] )*
 //	| [crc32 u32]
 //
 // flags bit 0 set means the frame carries a CRC-32 trailer computed
@@ -46,9 +47,10 @@ import (
 // and the decoder always verifies a trailer it finds.
 //
 // flags bit 2 marks a rows request, the gateway's row fetch: one tag per
-// item, answered with the tag's row (profilestore.Snapshot.Row) as wsum
-// and sum — absent when the tag is unknown, weightless or another
-// replica's to serve. The reply carries the bit back, as it does CRC.
+// item, answered — the bit carried back, as CRC is — with the tag's row
+// (profilestore.Snapshot.Row), which serves every weighting; it is absent
+// when the tag is unknown, viewless or another replica's to serve, and
+// its counts fit 32 bits. StreamProtocol v3 versions this layout.
 const (
 	// WireContentType is the media type of /internal/predict frames.
 	WireContentType = "application/x-viewstags-predict-v1"
@@ -108,8 +110,8 @@ func AppendPredictRequest(dst []byte, items [][]string, weighting tagviews.Weigh
 // shards the gateway has taken out of read rotation as the exclusion
 // list: each shard computes from the shared ring alone which of its
 // replicated tags it serves on this request. An empty list encodes none.
-func AppendRowsRequest(dst []byte, tags []string, weighting tagviews.Weighting, exclude []int) []byte {
-	return appendPredictRequest(dst, nil, tags, weighting, exclude, false)
+func AppendRowsRequest(dst []byte, tags []string, exclude []int) []byte {
+	return appendPredictRequest(dst, nil, tags, 0, exclude, false)
 }
 
 // appendPredictRequest writes a request frame over items, or — when rows
@@ -128,7 +130,9 @@ func appendPredictRequest(dst []byte, items [][]string, rows []string, weighting
 		flags |= wireFlagRows
 	}
 	w.U8(flags)
-	w.U8(byte(weighting))
+	if rows == nil {
+		w.U8(byte(weighting))
+	}
 	if len(exclude) > 0 {
 		w.Uvarint(uint64(len(exclude)))
 		for _, s := range exclude {
@@ -167,9 +171,8 @@ func DecodePredictRequest(data []byte) (items [][]string, weighting tagviews.Wei
 func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagviews.Weighting, exclude []int, flags byte, err error) {
 	r := bincodec.NewReader(data)
 	flags = checkHeader(&r, wireReqMagic, wireFlagCRC|wireFlagExclude|wireFlagRows)
-	weighting = tagviews.Weighting(r.U8())
-	if r.Err() == nil {
-		switch weighting {
+	if flags&wireFlagRows == 0 {
+		switch weighting = tagviews.Weighting(r.U8()); weighting {
 		case tagviews.WeightUniform, tagviews.WeightByViews, tagviews.WeightIDF:
 		default:
 			r.Fail(fmt.Errorf("server: binary frame weighting byte %d invalid", weighting))
@@ -216,19 +219,25 @@ type PredictWireEncoder struct {
 
 // Begin resets the encoder and writes the response header.
 func (e *PredictWireEncoder) Begin(weighting tagviews.Weighting, records int, epoch uint64, nC int, nItems int, crc bool) {
-	var flags byte
-	if crc {
-		flags |= wireFlagCRC
-	}
-	e.begin(weighting, records, epoch, nC, nItems, flags)
+	e.begin(weighting, records, epoch, nC, nItems, crc, 0)
 }
 
-// begin is Begin with the flags byte whole (a rows reply sets its bit).
-func (e *PredictWireEncoder) begin(weighting tagviews.Weighting, records int, epoch uint64, nC int, nItems int, flags byte) {
+// BeginRows is Begin for a rows reply, whose items are written with Row.
+func (e *PredictWireEncoder) BeginRows(records int, epoch uint64, nC int, nItems int, crc bool) {
+	e.begin(0, records, epoch, nC, nItems, crc, wireFlagRows)
+}
+
+// begin is Begin with the flag bits besides CRC: a rows reply has no
+// weighting byte.
+func (e *PredictWireEncoder) begin(weighting tagviews.Weighting, records int, epoch uint64, nC int, nItems int, crc bool, flags byte) {
 	e.w.B = append(e.w.B[:0], wireRespMagic...)
-	e.crc = flags&wireFlagCRC != 0
+	if e.crc = crc; crc {
+		flags |= wireFlagCRC
+	}
 	e.w.U8(flags)
-	e.w.U8(byte(weighting))
+	if flags&wireFlagRows == 0 {
+		e.w.U8(byte(weighting))
+	}
 	e.w.Uvarint(uint64(records))
 	e.w.U64(epoch)
 	e.w.Uvarint(uint64(nC))
@@ -241,6 +250,15 @@ func (e *PredictWireEncoder) begin(weighting tagviews.Weighting, records int, ep
 func (e *PredictWireEncoder) Item(wsum float64, vec []float64) {
 	e.w.F64(wsum)
 	if wsum > 0 {
+		e.w.F64s(vec)
+	}
+}
+
+// Row appends a rows reply's item: views, then iff positive videos and vec.
+func (e *PredictWireEncoder) Row(views float64, videos int, vec []float64) {
+	e.w.F64(views)
+	if views > 0 {
+		e.w.Uvarint(uint64(videos))
 		e.w.F64s(vec)
 	}
 }
@@ -271,8 +289,11 @@ func PutPredictWireEncoder(e *PredictWireEncoder) { wireEncPool.Put(e) }
 // Sums[i*NC:(i+1)*NC] its unnormalized vector (zeroed when the weight
 // sum is zero). The flat row-major slab lets a gateway accumulate
 // shard replies with one tight loop per row and no per-item slices.
-// Decode into a recycled value to amortize the slabs.
+// Decode into a recycled value to amortize the slabs. In a rows reply
+// (Rows; Weighting invalid) they are each row's views and vec, and
+// Videos[i] is a present row's videos.
 type PredictPartials struct {
+	Rows      bool
 	Weighting tagviews.Weighting
 	Records   int
 	Epoch     uint64
@@ -280,6 +301,7 @@ type PredictPartials struct {
 	NItems    int
 	WSums     []float64
 	Sums      []float64
+	Videos    []int
 }
 
 // DecodePredictResponse parses a frame produced by PredictWireEncoder
@@ -293,21 +315,30 @@ type PredictPartials struct {
 // the decoder must never allocate the size of the corruption.
 func DecodePredictResponse(data []byte, out *PredictPartials, maxItems, maxC int) error {
 	r := bincodec.NewReader(data)
-	checkHeader(&r, wireRespMagic, wireFlagCRC|wireFlagRows)
-	out.Weighting = tagviews.Weighting(r.U8())
-	out.Records = int(r.Uvarint())
+	out.Rows = checkHeader(&r, wireRespMagic, wireFlagCRC|wireFlagRows)&wireFlagRows != 0
+	maxCount := min(math.MaxUint32, math.MaxInt) // what a gateway's row keeps
+	if out.Weighting = tagviews.WeightingInvalid; !out.Rows {
+		out.Weighting, maxCount = tagviews.Weighting(r.U8()), math.MaxInt
+	}
+	out.Records = r.Count("record", maxCount, 0)
 	out.Epoch = r.U64()
 	nC := r.Count("country", maxC, 0)
 	// Each item costs at least 8 bytes (its weight sum).
 	nItems := r.Count("item", maxItems, 8)
 	out.NC, out.NItems = nC, nItems
-	out.WSums = growFloats(out.WSums, nItems)
-	out.Sums = growFloats(out.Sums, nItems*nC)
+	out.WSums = grow(out.WSums, nItems)
+	out.Sums = grow(out.Sums, nItems*nC)
+	if out.Rows {
+		out.Videos = grow(out.Videos, nItems)
+	}
 	for i := 0; i < nItems && r.Err() == nil; i++ {
 		ws := r.F64()
 		out.WSums[i] = ws
 		row := out.Sums[i*nC : (i+1)*nC]
 		if ws > 0 {
+			if out.Rows {
+				out.Videos[i] = r.Count("video", maxCount, 0)
+			}
 			r.F64s(row)
 		} else {
 			// Absent row: zero it so a recycled slab never leaks a
@@ -321,11 +352,11 @@ func DecodePredictResponse(data []byte, out *PredictPartials, maxItems, maxC int
 	return nil
 }
 
-// growFloats returns s resized to n, reallocating only when capacity
-// falls short.
-func growFloats(s []float64, n int) []float64 {
+// grow returns s resized to n, reallocating only when capacity falls
+// short.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -72,16 +72,16 @@ func TestWireResponseGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestWireRowsGoldenBytes pins the rows bit: a gateway's row fetch for
-// two tags with one shard excluded, and a reply with one known row and
-// one absent row. The layouts are the plain frames'; only the flags byte
-// differs.
+// TestWireRowsGoldenBytes pins the rows layout byte for byte: a
+// gateway's row fetch for two tags with one shard excluded, and a reply
+// with a known row, an absent row and a row no video carries. Neither
+// frame has a weighting byte; a row is the tag's view total, video count
+// and stored vector, and an absent row its view total alone.
 func TestWireRowsGoldenBytes(t *testing.T) {
-	got := AppendRowsRequest(nil, []string{"a", "bb"}, tagviews.WeightByViews, []int{1})
+	got := AppendRowsRequest(nil, []string{"a", "bb"}, []int{1})
 	want := []byte{
 		'V', 'T', 'I', 'P', 'R', 'Q', '0', '1', // magic
 		6,    // flags: rows | exclude
-		2,    // weighting byte (WeightByViews)
 		1, 1, // nExclude, shard 1
 		2,         // nItems
 		1, 1, 'a', // item 0: one tag, "a"
@@ -90,33 +90,54 @@ func TestWireRowsGoldenBytes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("rows request mismatch:\n got %v\nwant %v", got, want)
 	}
-	items, _, exclude, flags, err := decodePredictRequestExclude(want)
-	if err != nil || flags != wireFlagRows|wireFlagExclude || !reflect.DeepEqual(items, [][]string{{"a"}, {"bb"}}) || !reflect.DeepEqual(exclude, []int{1}) {
-		t.Fatalf("rows request decode: %v: flags %#x items %q exclude %v", err, flags, items, exclude)
+	items, w, exclude, flags, err := decodePredictRequestExclude(want)
+	if err != nil || w != tagviews.WeightingInvalid || flags != wireFlagRows|wireFlagExclude ||
+		!reflect.DeepEqual(items, [][]string{{"a"}, {"bb"}}) || !reflect.DeepEqual(exclude, []int{1}) {
+		t.Fatalf("rows request decode: %v: weighting %v flags %#x items %q exclude %v", err, w, flags, items, exclude)
 	}
 
 	var enc PredictWireEncoder
-	enc.begin(tagviews.WeightByViews, 5, 9, 2, 2, wireFlagRows)
-	enc.Item(2.5, []float64{0.25, 0.75}) // known row: weight + stored vector
-	enc.Item(0, nil)                     // absent row: weight only
-	var wantResp bytes.Buffer
-	wantResp.WriteString("VTIPRS01")
-	wantResp.WriteByte(4)                                       // flags: rows
-	wantResp.WriteByte(2)                                       // weighting byte (WeightByViews)
-	wantResp.WriteByte(5)                                       // records uvarint
-	_ = binary.Write(&wantResp, binary.LittleEndian, uint64(9)) // epoch
-	wantResp.WriteByte(2)                                       // nC
-	wantResp.WriteByte(2)                                       // nItems
-	_ = binary.Write(&wantResp, binary.LittleEndian, float64(2.5))
-	_ = binary.Write(&wantResp, binary.LittleEndian, float64(0.25))
-	_ = binary.Write(&wantResp, binary.LittleEndian, float64(0.75))
-	_ = binary.Write(&wantResp, binary.LittleEndian, float64(0))
-	if got := enc.Finish(); !bytes.Equal(got, wantResp.Bytes()) {
-		t.Fatalf("rows response mismatch:\n got %v\nwant %v", got, wantResp.Bytes())
+	enc.BeginRows(5, 9, 2, 3, false)
+	enc.Row(2.5, 3, []float64{0.25, 0.75}) // known row
+	enc.Row(0, 0, nil)                     // absent row: views only
+	enc.Row(4, 0, []float64{1, 0})         // views, but no video carries it
+	wantResp := []byte{
+		'V', 'T', 'I', 'P', 'R', 'S', '0', '1', // magic
+		4,                      // flags: rows
+		5,                      // records uvarint
+		9, 0, 0, 0, 0, 0, 0, 0, // epoch u64
+		2,                            // nC
+		3,                            // nItems
+		0, 0, 0, 0, 0, 0, 0x04, 0x40, // row 0: views 2.5
+		3,                            // videos
+		0, 0, 0, 0, 0, 0, 0xd0, 0x3f, // 0.25
+		0, 0, 0, 0, 0, 0, 0xe8, 0x3f, // 0.75
+		0, 0, 0, 0, 0, 0, 0, 0, // row 1: views 0, absent
+		0, 0, 0, 0, 0, 0, 0x10, 0x40, // row 2: views 4
+		0,                            // videos
+		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // 1
+		0, 0, 0, 0, 0, 0, 0, 0, // 0
 	}
-	var pp PredictPartials
-	if err := DecodePredictResponse(wantResp.Bytes(), &pp, 2, 2); err != nil || pp.WSums[0] != 2.5 || pp.WSums[1] != 0 {
+	if got := enc.Finish(); !bytes.Equal(got, wantResp) {
+		t.Fatalf("rows response mismatch:\n got %v\nwant %v", got, wantResp)
+	}
+	pp := PredictPartials{Videos: []int{7, 7, 7}}
+	if err := DecodePredictResponse(wantResp, &pp, 3, 2); err != nil || !pp.Rows || pp.Weighting != tagviews.WeightingInvalid ||
+		pp.Records != 5 || pp.Epoch != 9 || !reflect.DeepEqual(pp.WSums, []float64{2.5, 0, 4}) ||
+		pp.Videos[0] != 3 || pp.Videos[2] != 0 || !reflect.DeepEqual(pp.Sums, []float64{0.25, 0.75, 0, 0, 1, 0}) {
 		t.Fatalf("rows response decode: %v: %+v", err, pp)
+	}
+
+	// A count past the 32 bits a cached row keeps is refused, in the
+	// header and in a row.
+	for name, frame := range map[string]func(*PredictWireEncoder){
+		"records": func(e *PredictWireEncoder) { e.BeginRows(1<<32, 9, 2, 1, false); e.Row(1, 1, []float64{1, 0}) },
+		"videos":  func(e *PredictWireEncoder) { e.BeginRows(5, 9, 2, 1, false); e.Row(1, 1<<32, []float64{1, 0}) },
+	} {
+		frame(&enc)
+		if err := DecodePredictResponse(enc.Finish(), &pp, 1, 2); err == nil {
+			t.Fatalf("rows reply with %s 2^32 decoded", name)
+		}
 	}
 }
 
@@ -342,8 +363,9 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 		// A rows reply answers one row per item: a frame that asks for
 		// a mixture under the bit, or for nothing, is refused.
 		for name, tags := range map[string][]string{"two tags": {"a", "bb"}, "no tag": {}} {
-			bad := AppendPredictRequest(nil, [][]string{{"ccc"}, tags}, tagviews.WeightIDF, false)
-			bad[8] |= wireFlagRows
+			// The plain frame under the rows bit, less its weighting byte.
+			plain := AppendPredictRequest(nil, [][]string{{"ccc"}, tags}, tagviews.WeightIDF, false)
+			bad := append(append(plain[:8:8], plain[8]|wireFlagRows), plain[10:]...)
 			if _, _, _, _, err := decodePredictRequestExclude(bad); err == nil {
 				t.Fatalf("rows request with a %s item decoded", name)
 			}
@@ -445,11 +467,12 @@ func FuzzInternalCodec(f *testing.F) {
 	enc.Item(0.5, []float64{0.5, 0.5})
 	f.Add(append([]byte(nil), enc.Finish()...))
 	f.Add([]byte("VTIPRQ01"))
-	f.Add(appendPredictRequest(nil, nil, []string{"pop"}, tagviews.WeightIDF, []int{2, 0}, true))
-	f.Add(AppendRowsRequest(nil, []string{"pop", "rock"}, tagviews.WeightUniform, nil))
-	enc.begin(tagviews.WeightIDF, 3, 1, 2, 2, wireFlagRows)
-	enc.Item(1.5, []float64{0.25, 0.75})
-	enc.Item(0, nil)
+	f.Add(appendPredictRequest(nil, nil, []string{"pop"}, 0, []int{2, 0}, true))
+	f.Add(AppendRowsRequest(nil, []string{"pop", "rock"}, nil))
+	enc.BeginRows(3, 1, 2, 3, false) // a known, an absent and a zero-video row
+	enc.Row(1.5, 2, []float64{0.25, 0.75})
+	enc.Row(0, 0, nil)
+	enc.Row(4, 0, []float64{1, 0})
 	f.Add(append([]byte(nil), enc.Finish()...))
 	f.Add([]byte(emptyExcludeFrame))
 	f.Add([]byte("VTIPRS01\x00\x03"))
@@ -480,9 +503,13 @@ func FuzzInternalCodec(f *testing.F) {
 		var pp PredictPartials
 		if err := DecodePredictResponse(data, &pp, 64, 1<<12); err == nil {
 			var enc PredictWireEncoder
-			enc.begin(pp.Weighting, pp.Records, pp.Epoch, pp.NC, pp.NItems, data[8]&wireFlagRows)
+			enc.begin(pp.Weighting, pp.Records, pp.Epoch, pp.NC, pp.NItems, false, data[8]&wireFlagRows)
 			for i := 0; i < pp.NItems; i++ {
-				enc.Item(pp.WSums[i], pp.Sums[i*pp.NC:(i+1)*pp.NC])
+				if vec := pp.Sums[i*pp.NC : (i+1)*pp.NC]; pp.Rows {
+					enc.Row(pp.WSums[i], pp.Videos[i], vec)
+				} else {
+					enc.Item(pp.WSums[i], vec)
+				}
 			}
 			// Round-trip equality is only exact for CRC-less frames
 			// (the decoder strips the trailer) and non-NaN weight sums
