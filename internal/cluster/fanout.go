@@ -229,26 +229,23 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *server.ErrorReply {
 // fetches them again. A shard gets at most one frame per round, of at
 // most MaxBatch tags; what does not fit waits for the next round.
 //
-// With replicas (R >= 2) a shard failing mid-request is not fatal: it
-// joins the request's exclusion list, which both drops its rows from
-// this request's view and re-assigns its missing tags to their next
-// live owner (the shards run the same Ring.Assign over the exclusion
-// list the frame carries). Only the failed shard's tags are fetched
-// again, and read availability holds as long as every slice keeps a
-// live replica.
+// The request's exclusion list starts as the shards out of read rotation,
+// and each missing tag is asked of the replica Ring.Assign gives it over
+// that list — the one place a read's replica is chosen; the shard answers
+// what it is asked. At R=1 any exclusion loses some slice, so a down
+// shard is a 503 before anything is fetched. With replicas (R >= 2) a
+// shard failing mid-request is not fatal: it joins the exclusion list,
+// which both drops its rows from this request's view and re-assigns its
+// missing tags to their next live owner. Only the failed shard's tags are
+// fetched again, and read availability holds as long as every slice keeps
+// a live replica.
 func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting tagviews.Weighting, trace string, out *server.Predictions) (*mergedPredict, *server.ErrorReply) {
 	start := time.Now()
 	tp := g.topo.Load()
 	replicas := tp.ring.Replicas()
 	exclude := tp.excludedShards(nil)
-	if len(exclude) > 0 {
-		if replicas <= 1 {
-			i := exclude[0]
-			return nil, g.unavailable("shard %d (%s) is down", i, tp.targets[i])
-		}
-		if !tp.ring.Covered(exclude) {
-			return nil, g.coverageLost(tp, exclude)
-		}
+	if !tp.ring.Covered(exclude) {
+		return nil, g.coverageLost(tp, exclude)
 	}
 
 	nTags := 0
@@ -307,12 +304,10 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 			m.want[s] = m.want[s][:0]
 		}
 		for i := range m.misses {
-			s := tp.ring.Owner(m.misses[i].tag)
-			if replicas > 1 {
-				if s = tp.ring.Assign(m.misses[i].tag, exclude); s < 0 {
-					g.putMerged(m)
-					return nil, g.coverageLost(tp, exclude)
-				}
+			s := tp.ring.Assign(m.misses[i].tag, exclude)
+			if s < 0 {
+				g.putMerged(m)
+				return nil, g.coverageLost(tp, exclude)
 			}
 			if len(m.want[s]) < g.cfg.MaxBatch {
 				m.want[s] = append(m.want[s], int32(i))
@@ -324,7 +319,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 				continue
 			}
 			m.bufs[s] = reqBufPool.Get().(*[]byte)
-			m.bodies[s] = server.AppendRowsRequest((*m.bufs[s])[:0], m.wantTags(s), exclude)
+			m.bodies[s] = server.AppendRowsRequest((*m.bufs[s])[:0], m.wantTags(s))
 		}
 		fanStart := time.Now()
 		replies := g.scatter(ctx, tp, legPredict, m.bodies, server.WireContentType, trace)
@@ -418,7 +413,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 		var ws float64
 		for j := range tags {
 			r := m.rows[k] // absent: no views, so no weight
-			if weight := profilestore.TagWeight(weighting, r.views, int(r.videos), int(r.records)); weight > 0 {
+			if weight := weighting.Weight(r.views, int(r.videos), int(r.records)); weight > 0 {
 				ws += profilestore.Mix(dst, weight, j, r.vec)
 			}
 			k++
@@ -433,9 +428,13 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 }
 
 // coverageLost is the 503 for an exclusion list that leaves some slice
-// without a live replica.
+// without a live replica; it names the shards out of rotation.
 func (g *Gateway) coverageLost(tp *topology, exclude []int) *server.ErrorReply {
-	return g.unavailable("%d of %d shards unavailable — slice coverage lost", len(exclude), len(tp.targets))
+	out := make([]string, len(exclude))
+	for i, s := range exclude {
+		out[i] = fmt.Sprintf("shard %d (%s)", s, tp.targets[s])
+	}
+	return g.unavailable("%s out of rotation — slice coverage lost", strings.Join(out, ", "))
 }
 
 // takeRows is the one row constructor, for a request's fetch and a

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -294,29 +295,17 @@ func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestR
 // TopTags is the Backend's top-k: tags are partitioned, so each shard's
 // top-k is globally correct for the tags it owns and the global top-k is
 // a k-way merge of the per-shard lists (replicas contribute duplicates,
-// dropped below).
+// dropped below). Only shards in read rotation are asked, as long as
+// every slice keeps a live replica — replicas hold the same tags, so the
+// survivors still cover the full vocabulary; at R=1 that means none is
+// out.
 func (g *Gateway) TopTags(r *http.Request, k int) ([]server.TagInfo, *server.ErrorReply) {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
 	tp := g.topo.Load()
-	replicas := tp.ring.Replicas()
-	var skip []bool
-	if replicas > 1 {
-		// Replicated: query only shards in read rotation, as long as
-		// every slice keeps a live replica — a replica pair holds the
-		// same tags, so the survivors still cover the full vocabulary.
-		excl := tp.excludedShards(nil)
-		if len(excl) > 0 {
-			if !tp.ring.Covered(excl) {
-				return nil, g.coverageLost(tp, excl)
-			}
-			skip = make([]bool, len(tp.targets))
-			for _, s := range excl {
-				skip[s] = true
-			}
-		}
-	} else if fe := g.shedIfDown(tp, nil); fe != nil {
-		return nil, fe
+	excl := tp.excludedShards(nil)
+	if !tp.ring.Covered(excl) {
+		return nil, g.coverageLost(tp, excl)
 	}
 	// Sized by what the shards return, never by the client's k (a shard
 	// clamps k to its vocabulary; the gateway has none to clamp to).
@@ -325,7 +314,7 @@ func (g *Gateway) TopTags(r *http.Request, k int) ([]server.TagInfo, *server.Err
 	var wg sync.WaitGroup
 	errc := make(chan error, len(tp.targets))
 	for i := range tp.targets {
-		if skip != nil && skip[i] {
+		if slices.Contains(excl, i) {
 			continue
 		}
 		wg.Add(1)
@@ -360,25 +349,23 @@ func (g *Gateway) TopTags(r *http.Request, k int) ([]server.TagInfo, *server.Err
 		return nil, &server.ErrorReply{Status: http.StatusBadGateway, Msg: err.Error()}
 	default:
 	}
-	if replicas > 1 {
-		// Every tag appears on R shards; keep one entry per name. The
-		// copies can momentarily disagree (a replica that missed a
-		// mid-flight write, or lagging folds), so keep the
-		// highest-views copy — the one that has seen the most.
-		byName := make(map[string]int, len(merged))
-		dedup := merged[:0]
-		for _, t := range merged {
-			if j, ok := byName[t.Name]; ok {
-				if t.TotalViews > dedup[j].TotalViews {
-					dedup[j] = t
-				}
-				continue
+	// Every tag appears on R shards; keep one entry per name. The copies
+	// can momentarily disagree (a replica that missed a mid-flight write,
+	// or lagging folds), so keep the highest-views copy — the one that
+	// has seen the most.
+	byName := make(map[string]int, len(merged))
+	dedup := merged[:0]
+	for _, t := range merged {
+		if j, ok := byName[t.Name]; ok {
+			if t.TotalViews > dedup[j].TotalViews {
+				dedup[j] = t
 			}
-			byName[t.Name] = len(dedup)
-			dedup = append(dedup, t)
+			continue
 		}
-		merged = dedup
+		byName[t.Name] = len(dedup)
+		dedup = append(dedup, t)
 	}
+	merged = dedup
 	top := synth.TopTags(len(merged), k,
 		func(i int) float64 { return merged[i].TotalViews },
 		func(i int) string { return merged[i].Name })

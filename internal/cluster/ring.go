@@ -145,11 +145,11 @@ func (r *Ring) ownersFrom(i int, dst []int) []int {
 	return dst
 }
 
-// Assign resolves which replica serves the tag for a read when the
-// shards in exclude are out of rotation: the first owner not excluded,
-// or -1 when every replica is excluded. Gateway and shards compute this
-// independently from the same ring and exclude list, so exactly one
-// live replica serves each tag and merged partials never double-count.
+// Assign resolves which replica serves the tag when the shards in
+// exclude are out of rotation: the first owner not excluded, or -1 when
+// every replica is excluded. The gateway picks each read's replica with
+// it, and a transfer source whether it exports a tag, so exactly one live
+// replica supplies each tag.
 func (r *Ring) Assign(tag string, exclude []int) int {
 	h := hash64(tag)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })

@@ -69,9 +69,9 @@ func (g *Gateway) WaitRowRefresh() {
 // takeRows published nothing) or the frame failed — a transport error
 // counts toward the shard's health like any leg's, a shed or other non-200
 // does not; nothing is retried, requests fetch what stays stale. A tag is
-// asked only if the ring, under the exclusion list the frame carries, gives
-// it to this shard: a row taken while the first owner was out is skipped
-// once that owner is back, not asked of a shard that now answers "absent".
+// asked only if the ring, under the shards out of rotation now, gives it
+// to this shard — the replica a request would ask: a row taken while the
+// first owner was out is skipped once that owner is back.
 func (g *Gateway) refreshFrame(tp *topology, shard int, gen uint32, ask []string) bool {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
@@ -84,7 +84,7 @@ func (g *Gateway) refreshFrame(tp *topology, shard int, gen uint32, ask []string
 	if len(tags) == 0 {
 		return true
 	}
-	body := server.AppendRowsRequest(make([]byte, 0, 16*len(tags)), tags, exclude)
+	body := server.AppendRowsRequest(make([]byte, 0, 16*len(tags)), tags)
 	rep := g.postShard(context.Background(), tp, shard, legRefresh, body, server.WireContentType, "")
 	s.refreshLegs.Add(1)
 	if rep.err != nil || rep.status != http.StatusOK {

@@ -199,9 +199,9 @@ func TestRowRefreshDropsIdleRows(t *testing.T) {
 // TestRowRefreshReassignmentNeverCachesAbsent: at R = 2 a shard holds
 // rows it answered while the tags' first owner was out. When that owner
 // returns between two frames of a pass, the ring gives the tags back to
-// it, and the pass must skip them — the shard, asked without the
-// exclusion, would answer "absent" for a tag it no longer serves, and an
-// absent row labelled with its current epoch would be usable.
+// it, and the pass must skip them: the gateway reads a tag only from the
+// replica Ring.Assign names, the one a request would ask, and no shard
+// second-guesses that choice.
 func TestRowRefreshReassignmentNeverCachesAbsent(t *testing.T) {
 	e := startEqTier(t, 2)
 	tp := e.g.topo.Load()

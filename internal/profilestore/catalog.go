@@ -45,7 +45,7 @@ func (s *Snapshot) PredictColumn(buf []float64, cat *synth.Served, c geo.Country
 	for t, name := range cat.TagNames {
 		var weight, x float64
 		if views, videos, vec := s.Row(name); vec != nil {
-			weight, x = TagWeight(w, views, videos, s.records), vec[c]
+			weight, x = w.Weight(views, videos, s.records), vec[c]
 		}
 		memo[2*t], memo[2*t+1] = weight, x
 	}

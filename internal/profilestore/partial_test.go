@@ -124,8 +124,8 @@ func TestPredictPartialMerge(t *testing.T) {
 
 // TestRowsMixMatchPredictInto is the cluster gateway's combine at
 // package scope: each tag's Row from the shard that owns it, weighted by
-// TagWeight under that shard's record count, added with Mix at the tag's
-// position and finished with Normalize, is the full
+// Weighting.Weight under that shard's record count, added with Mix at the
+// tag's position and finished with Normalize, is the full
 // snapshot's PredictInto bit for bit — repeated, unknown and all-unknown
 // tags included — because it is the same kernel over the same terms in
 // the same order.
@@ -150,7 +150,7 @@ func TestRowsMixMatchPredictInto(t *testing.T) {
 			for rank, tag := range tags {
 				part := parts[ownerOf(tag, 3)]
 				views, videos, vec := part.Row(tag)
-				if weight := TagWeight(w, views, videos, part.Records()); vec != nil && weight > 0 {
+				if weight := w.Weight(views, videos, part.Records()); vec != nil && weight > 0 {
 					wSum += Mix(got, weight, rank, vec)
 				}
 			}

@@ -1,10 +1,6 @@
 package profilestore
 
-import (
-	"math"
-
-	"viewstags/internal/tagviews"
-)
+import "viewstags/internal/tagviews"
 
 // PredictInto writes the predicted view distribution for a video
 // carrying the given tag names into dst (length = world size) and
@@ -47,9 +43,10 @@ func Normalize(dst []float64, wSum float64, prior []float64) bool {
 	return true
 }
 
-// Row returns what tag is, for TagWeight and Mix under any weighting: its
-// view total, video count and stored vector (read-only, aliasing the
-// snapshot), or 0, 0, nil when the tag is unknown or has no views.
+// Row returns what tag is, for Weighting.Weight and Mix under any
+// weighting: its view total, video count and stored vector (read-only,
+// aliasing the snapshot), or 0, 0, nil when the tag is unknown or has no
+// views.
 func (s *Snapshot) Row(tag string) (float64, int, []float64) {
 	if id, ok := s.Lookup(tag); ok {
 		if p := &s.profiles[id]; p.TotalViews > 0 {
@@ -66,47 +63,14 @@ func (s *Snapshot) Row(tag string) (float64, int, []float64) {
 // with it; the cluster gateway asks for rows instead (Row) and adds the
 // terms itself, in the item's order, with the same Mix.
 func (s *Snapshot) PredictPartialInto(dst []float64, tagNames []string, w tagviews.Weighting) float64 {
-	return s.PredictPartialFilterInto(dst, tagNames, w, nil)
-}
-
-// PredictPartialFilterInto is PredictPartialInto restricted to tags the
-// serve predicate admits (nil admits every tag). The replicated cluster
-// tier uses it so that, of the R shards holding a tag, exactly one —
-// chosen by the shared ring's failover assignment — contributes it; the
-// rank discount still keys off the caller's full list, so filtering
-// changes which shard supplies a tag's term, never the term itself.
-func (s *Snapshot) PredictPartialFilterInto(dst []float64, tagNames []string, w tagviews.Weighting, serve func(string) bool) float64 {
 	clear(dst)
 	var wSum float64
 	for rank, t := range tagNames {
-		if views, videos, vec := s.Row(t); vec != nil && (serve == nil || serve(t)) {
-			if weight := TagWeight(w, views, videos, s.records); weight > 0 {
+		if views, videos, vec := s.Row(t); vec != nil {
+			if weight := w.Weight(views, videos, s.records); weight > 0 {
 				wSum += Mix(dst, weight, rank, vec)
 			}
 		}
 	}
 	return wSum
-}
-
-// TagWeight is the one weight rule, a node's and a gateway's: what a tag
-// of views view mass, carried by videos of records videos, counts for in
-// a mixture under w, before the rank discount. Not positive means the tag
-// is skipped — a zero-mass (or NaN) tag carries no signal (mirrors the
-// offline predictor's guard), and under IDF neither does one no video
-// carries.
-func TagWeight(w tagviews.Weighting, views float64, videos, records int) float64 {
-	if !(views > 0) {
-		return 0
-	}
-	switch w {
-	case tagviews.WeightUniform:
-		return 1
-	case tagviews.WeightByViews:
-		return views
-	case tagviews.WeightIDF:
-		if df := float64(videos); df > 0 {
-			return math.Log(1 + float64(records)/df)
-		}
-	}
-	return 0
 }

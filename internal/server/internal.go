@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"net/http"
 	"strconv"
@@ -51,12 +52,14 @@ type InternalMetaResponse struct {
 }
 
 // handleInternalPredict serves the gateway's row fetches: a rows request
-// in (one tag per item, plus the shards out of read rotation), each tag's
-// row out (profilestore.Snapshot.Row), straight from the snapshot into a
-// pooled frame, for the gateway to weight and add with the rule and kernel
-// a node's own predict runs. A plain frame's items are tag lists, answered as
-// partial mixtures (profilestore.PredictPartialInto). Errors go out as the
-// JSON error envelope: off the hot path, and one envelope keeps the
+// in (one tag per item), each tag's row out (profilestore.Snapshot.Row),
+// straight from the snapshot into a pooled frame, for the gateway to
+// weight and add with the rule and kernel a node's own predict runs. The
+// gateway chose this shard for those tags; the shard answers what it is
+// asked. A plain frame's items are tag lists, answered as partial
+// mixtures (profilestore.PredictPartialInto). The item count is refused
+// above MaxBatch before anything is allocated for it. Errors go out as
+// the JSON error envelope: off the hot path, and one envelope keeps the
 // gateway's error plumbing single-sourced.
 func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	if ct := r.Header.Get("Content-Type"); ct != WireContentType {
@@ -64,13 +67,16 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	body := getWireBuf()
-	defer putWireBuf(body)
+	defer releaseBodyBuf(body)
+	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
+		body.Grow(int(n) + bytes.MinRead)
+	}
 	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	if _, err := body.ReadFrom(r.Body); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	items, weighting, exclude, flags, err := decodePredictRequestExclude(body.Bytes())
+	items, weighting, flags, err := decodePredictRequest(body.Bytes(), s.cfg.MaxBatch)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
@@ -79,16 +85,11 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "empty request: provide items")
 		return
 	}
-	if len(items) > s.cfg.MaxBatch {
-		WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(items), s.cfg.MaxBatch)
-		return
-	}
 	for i, tags := range items {
 		if !validTags(w, i, tags) {
 			return
 		}
 	}
-	serve := s.serveFilter(exclude)
 
 	// The epoch label is read BEFORE the snapshot: a fold installs its
 	// snapshot and then advances the epoch, so in this order the label may
@@ -114,11 +115,9 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	predictStart := time.Now()
 	for _, tags := range items {
 		if flags&wireFlagRows == 0 {
-			enc.Item(snap.PredictPartialFilterInto(buf, tags, weighting, serve), buf)
-		} else if serve == nil || serve(tags[0]) {
-			enc.Row(snap.Row(tags[0]))
+			enc.Item(snap.PredictPartialInto(buf, tags, weighting), buf)
 		} else {
-			enc.Row(0, 0, nil)
+			enc.Row(snap.Row(tags[0]))
 		}
 	}
 	// Span record is allocation-free, so the hot path keeps its
@@ -149,21 +148,6 @@ func validTags(w http.ResponseWriter, item int, tags []string) bool {
 		}
 	}
 	return true
-}
-
-// serveFilter resolves the replica-serving predicate for one predict
-// request: of the replicas holding a tag, this shard contributes it iff
-// the shared ring assigns the tag here once the gateway's excluded
-// shards are out of rotation. Nil — serve everything owned — on
-// unreplicated nodes, so the R=1 hot path is untouched.
-func (s *Server) serveFilter(exclude []int) func(string) bool {
-	id := s.ident.Load()
-	if id.replicas <= 1 || id.topo == nil {
-		return nil
-	}
-	return func(tag string) bool {
-		return id.topo.Assign(tag, exclude) == id.index
-	}
 }
 
 // epoch returns the served fold epoch, zero when ingestion is off.

@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -113,31 +116,96 @@ func TestInternalPredictErrors(t *testing.T) {
 	_, srv := fixture(t)
 	badWeighting := AppendPredictRequest(nil, [][]string{{"pop"}}, tagviews.WeightIDF, false)
 	badWeighting[9] = 0xEE // the weighting byte follows the 8-byte magic and the flags
+	// Flags bit 1 once announced a shard exclusion list; it is an
+	// unknown bit now, and the refusal says so.
+	const unknownBits = "unknown bits"
 	cases := []struct {
 		name        string
 		contentType string
 		body        []byte
 		want        int
+		msg         string // in the error, when set
 	}{
-		{"no items", WireContentType, AppendPredictRequest(nil, nil, tagviews.WeightIDF, false), http.StatusBadRequest},
-		{"empty item", WireContentType, AppendPredictRequest(nil, [][]string{{}}, tagviews.WeightIDF, false), http.StatusBadRequest},
-		{"bad weighting", WireContentType, badWeighting, http.StatusBadRequest},
-		{"exclusion flag over an empty list", WireContentType, []byte(emptyExcludeFrame), http.StatusBadRequest},
-		{"exclusion flag over an empty list, one item", WireContentType, []byte("VTIPRQ01\x02\x02\x00\x01\x01\x03pop"), http.StatusBadRequest},
-		{"JSON body", "application/json", []byte(`{"items":[["pop"]]}`), http.StatusUnsupportedMediaType},
-		{"no content type", "", AppendPredictRequest(nil, [][]string{{"pop"}}, tagviews.WeightIDF, false), http.StatusUnsupportedMediaType},
+		{"no items", WireContentType, AppendPredictRequest(nil, nil, tagviews.WeightIDF, false), http.StatusBadRequest, ""},
+		{"empty item", WireContentType, AppendPredictRequest(nil, [][]string{{}}, tagviews.WeightIDF, false), http.StatusBadRequest, ""},
+		{"bad weighting", WireContentType, badWeighting, http.StatusBadRequest, ""},
+		{"exclusion flag over an empty list", WireContentType, []byte(emptyExcludeFrame), http.StatusBadRequest, unknownBits},
+		{"exclusion flag over an empty list, one item", WireContentType, []byte("VTIPRQ01\x02\x02\x00\x01\x01\x03pop"), http.StatusBadRequest, unknownBits},
+		{"rows frame with an exclusion list", WireContentType, []byte(rowsExcludeFrame), http.StatusBadRequest, unknownBits},
+		{"JSON body", "application/json", []byte(`{"items":[["pop"]]}`), http.StatusUnsupportedMediaType, ""},
+		{"no content type", "", AppendPredictRequest(nil, [][]string{{"pop"}}, tagviews.WeightIDF, false), http.StatusUnsupportedMediaType, ""},
 	}
 	for _, c := range cases {
 		rec := postFrame(srv, c.contentType, c.body)
 		var e struct {
 			Error string `json:"error"`
 		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != c.want || err != nil || e.Error == "" {
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != c.want || err != nil || e.Error == "" || !strings.Contains(e.Error, c.msg) {
 			t.Errorf("%s: status %d (want %d), envelope %q (%v)", c.name, rec.Code, c.want, rec.Body, err)
 		}
 	}
 	if code := do(t, srv, http.MethodGet, "/internal/predict", nil, nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("GET: %d, want 405", code)
+	}
+}
+
+// TestInternalPredictBoundsItemCount: /internal/predict refuses an item
+// count above MaxBatch before allocating for it, so what one frame makes
+// the shard allocate stays a small multiple of the frame itself, plus
+// the reply's own cost (nC floats an item, written into the encoder and
+// the recorder). The last frame is as many zero-tag items as fill the
+// body cap: decoded first and checked after, it cost 24 bytes an item.
+func TestInternalPredictBoundsItemCount(t *testing.T) {
+	_, srv := fixture(t)
+	maxBatch := srv.cfg.MaxBatch
+	pops := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = "pop"
+		}
+		return out
+	}
+	items := func(n int) [][]string {
+		out := make([][]string, n)
+		for i, tag := range pops(n) {
+			out[i] = []string{tag}
+		}
+		return out
+	}
+	// nItems uvarint, then that many zero-tag items of one byte each,
+	// up to the body cap.
+	header := AppendPredictRequest(nil, nil, tagviews.WeightIDF, false)[:10]
+	fill := MaxBodyBytes - len(header) - binary.MaxVarintLen64
+	fills := binary.AppendUvarint(header, uint64(fill))
+	fills = append(fills, make([]byte, fill)...)
+	cases := []struct {
+		name  string
+		frame []byte
+		want  int
+	}{
+		{"0 items", AppendPredictRequest(nil, nil, tagviews.WeightIDF, false), http.StatusBadRequest},
+		{"1 item", AppendPredictRequest(nil, items(1), tagviews.WeightIDF, false), http.StatusOK},
+		{"MaxBatch items", AppendPredictRequest(nil, items(maxBatch), tagviews.WeightIDF, false), http.StatusOK},
+		{"MaxBatch rows", AppendRowsRequest(nil, pops(maxBatch)), http.StatusOK},
+		{"MaxBatch+1 items", AppendPredictRequest(nil, items(maxBatch+1), tagviews.WeightIDF, false), http.StatusBadRequest},
+		{"MaxBatch+1 rows", AppendRowsRequest(nil, pops(maxBatch+1)), http.StatusBadRequest},
+		{"items filling the body", fills, http.StatusBadRequest},
+	}
+	for _, c := range cases {
+		postFrame(srv, WireContentType, c.frame) // warm the pools
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := postFrame(srv, WireContentType, c.frame)
+		runtime.ReadMemStats(&after)
+		if rec.Code != c.want {
+			t.Errorf("%s: status %d, want %d: %s", c.name, rec.Code, c.want, rec.Body)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d-byte frame, %d bytes allocated", c.name, len(c.frame), alloc)
+		if limit := uint64(2*len(c.frame)+8*rec.Body.Len()) + 256<<10; alloc > limit {
+			t.Errorf("%s: a %d-byte frame allocated %d bytes, over %d", c.name, len(c.frame), alloc, limit)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -15,6 +17,7 @@ import (
 	"viewstags/internal/geo"
 	"viewstags/internal/geocache"
 	"viewstags/internal/ingest"
+	"viewstags/internal/persist"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
 	"viewstags/internal/synth"
@@ -258,5 +261,74 @@ func TestPreloadFollowsBareSwap(t *testing.T) {
 	}
 	if stale := wantTagPush(res, base, tagviews.WeightIDF, "JP", 32); reflect.DeepEqual(got, stale) {
 		t.Fatal("the swapped-in snapshot ranks JP as the old one did: a stale ranking would pass")
+	}
+}
+
+// oneShard is the topology of a cluster of one shard: it owns every tag.
+type oneShard struct{}
+
+func (oneShard) Replicas() int                     { return 1 }
+func (oneShard) Owns(string, int) bool             { return true }
+func (oneShard) Assign(string, []int) int          { return 0 }
+func (oneShard) Signature() string                 { return "one-shard" }
+func makeOneShard(int, int) (ShardTopology, error) { return oneShard{}, nil }
+
+// TestPreloadWeightingSurvivesTransfer: a slice transfer installs its
+// snapshot under the preload weighting already in force. A node whose
+// catalog ranks by views answers /v1/preload byte for byte the same
+// before and after an import of an empty slice and an adopt of its own
+// identity, neither of which changes a profile.
+func TestPreloadWeightingSurvivesTransfer(t *testing.T) {
+	res, _ := fixture(t)
+	snap, err := profilestore.Build(res.Analysis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := profilestore.NewStore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Topology, cfg.MakeTopology = oneShard{}, makeOneShard
+	srv, err := New(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.SetCatalog(res.Catalog.Served(), tagviews.WeightByViews); err != nil {
+		t.Fatal(err)
+	}
+	const country, slots = "BR", 64
+	if reflect.DeepEqual(wantTagPush(res, snap, tagviews.WeightByViews, country, slots), wantTagPush(res, snap, tagviews.WeightIDF, country, slots)) {
+		t.Fatal("by-views and IDF rank the same videos: a reset weighting would pass")
+	}
+	preload := func() string {
+		t.Helper()
+		body, _ := json.Marshal(PreloadRequest{Country: country, Policy: "tag-push", Slots: slots})
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/preload", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("preload: status %d: %s", rec.Code, rec.Body)
+		}
+		return rec.Body.String()
+	}
+	want := preload()
+
+	var empty bytes.Buffer
+	if err := persist.WriteSnapshot(&empty, persist.CheckpointMeta{}, snap.ExportFiltered(func(string) bool { return false })); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/internal/transfer/import", &empty))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("import: status %d: %s", rec.Code, rec.Body)
+	}
+	if got := preload(); got != want {
+		t.Fatalf("after an empty import /v1/preload answers\n%s\nwant\n%s", got, want)
+	}
+	if code := do(t, srv, http.MethodPost, "/internal/transfer/adopt", TransferAdoptRequest{Index: 0, Shards: 1, Replicas: 1}, nil); code != http.StatusOK {
+		t.Fatalf("adopt: status %d", code)
+	}
+	if got := preload(); got != want {
+		t.Fatalf("after an adopt /v1/preload answers\n%s\nwant\n%s", got, want)
 	}
 }

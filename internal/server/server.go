@@ -159,10 +159,9 @@ type Config struct {
 	RingSignature string
 	// Topology is the node's view of the shared placement ring
 	// (normally the same cluster.Ring the daemon partitioned with):
-	// which shards own a tag, and which replica serves it for a given
-	// exclusion list. Nil on standalone nodes — replica filtering and
-	// transfer exports then treat the node as the sole owner of its
-	// whole vocabulary.
+	// which shards own a tag, and which live replica exports it for a
+	// given exclusion list. Nil on standalone nodes — transfer exports
+	// then treat the node as the sole owner of its whole vocabulary.
 	Topology ShardTopology
 	// MakeTopology builds the topology for an arbitrary (shards,
 	// replicas) pair — the hook /internal/transfer needs to reason
@@ -186,8 +185,8 @@ type ShardTopology interface {
 	Replicas() int
 	// Owns reports whether shard is one of the tag's replica owners.
 	Owns(tag string, shard int) bool
-	// Assign resolves which replica serves the tag for a read when the
-	// shards in exclude are out of rotation (-1 when all are).
+	// Assign resolves which replica exports the tag in a transfer when
+	// the shards in exclude are out of rotation (-1 when all are).
 	Assign(tag string, exclude []int) int
 	// Signature fingerprints the topology for sync-time agreement.
 	Signature() string

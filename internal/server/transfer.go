@@ -116,16 +116,16 @@ func (s *Server) decodeDestination(w http.ResponseWriter, r *http.Request, req a
 }
 
 // installTransferred is the step import and adopt close with: install
-// next(current) under s.mu, checkpoint it when the daemon is durable (a
-// crash before the next scheduled checkpoint must not silently undo the
-// transfer), and record the step's span. On failure the 500 has been
-// written.
+// next(current) under s.mu, with the preload weighting already in force,
+// checkpoint it when the daemon is durable (a crash before the next
+// scheduled checkpoint must not silently undo the transfer), and record
+// the step's span. On failure the 500 has been written.
 func (s *Server) installTransferred(w http.ResponseWriter, r *http.Request, step string, next func(*profilestore.Snapshot) (*profilestore.Snapshot, error)) bool {
 	start := time.Now()
 	s.mu.Lock()
 	snap, err := next(s.store.Load())
 	if err == nil {
-		err = s.installLocked(snap, tagviews.WeightIDF)
+		err = s.installLocked(snap, tagviews.Weighting(s.preloadW.Load()))
 	}
 	s.mu.Unlock()
 	if err != nil {

@@ -27,7 +27,6 @@ import (
 // Request frame (a rows frame, flags bit 2, has no weighting byte):
 //
 //	"VTIPRQ01" | flags u8 | weighting u8
-//	| [nExclude uvarint ( shard uvarint )*  — present iff flags bit 1]
 //	| nItems uvarint
 //	  ( nTags uvarint ( len uvarint | bytes )* )*
 //	| [crc32 u32]
@@ -49,20 +48,16 @@ import (
 // flags bit 2 marks a rows request, the gateway's row fetch: one tag per
 // item, answered — the bit carried back, as CRC is — with the tag's row
 // (profilestore.Snapshot.Row), which serves every weighting; it is absent
-// when the tag is unknown, viewless or another replica's to serve, and
-// its counts fit 32 bits. StreamProtocol v3 versions this layout.
+// when the tag is unknown or viewless, and its counts fit 32 bits. The
+// gateway alone chooses which replica it asks for a tag; the shard
+// answers every row it is asked. Bit 1 is unassigned and refused, like
+// every other unknown bit. StreamProtocol v3 versions this layout.
 const (
 	// WireContentType is the media type of /internal/predict frames.
 	WireContentType = "application/x-viewstags-predict-v1"
 
-	wireFlagCRC = 1 << 0
-	// wireFlagExclude marks a request frame that carries a shard
-	// exclusion list — the replicated tier's failover signal: the shard
-	// serves only tags the shared ring assigns to it once the excluded
-	// replicas are out of rotation. Absent on unreplicated requests, so
-	// the R=1 frame stays byte-identical to the pre-replication wire.
-	wireFlagExclude = 1 << 1
-	wireFlagRows    = 1 << 2 // a rows request or its reply (see above)
+	wireFlagCRC  = 1 << 0
+	wireFlagRows = 1 << 2 // a rows request or its reply (see above)
 )
 
 var (
@@ -103,28 +98,23 @@ func checkHeader(r *bincodec.Reader, magic []byte, allowed byte) byte {
 // Encoding into a recycled dst is allocation-free once the buffer has
 // grown to steady-state size.
 func AppendPredictRequest(dst []byte, items [][]string, weighting tagviews.Weighting, crc bool) []byte {
-	return appendPredictRequest(dst, items, nil, weighting, nil, crc)
+	return appendPredictRequest(dst, items, nil, weighting, crc)
 }
 
-// AppendRowsRequest appends a rows request for each tag's row, with the
-// shards the gateway has taken out of read rotation as the exclusion
-// list: each shard computes from the shared ring alone which of its
-// replicated tags it serves on this request. An empty list encodes none.
-func AppendRowsRequest(dst []byte, tags []string, exclude []int) []byte {
-	return appendPredictRequest(dst, nil, tags, 0, exclude, false)
+// AppendRowsRequest appends a rows request for each tag's row. Which
+// replica it goes to is the caller's choice; the shard answers each row.
+func AppendRowsRequest(dst []byte, tags []string) []byte {
+	return appendPredictRequest(dst, nil, tags, 0, false)
 }
 
 // appendPredictRequest writes a request frame over items, or — when rows
 // is not nil and items is — a rows request with one item per row tag.
-func appendPredictRequest(dst []byte, items [][]string, rows []string, weighting tagviews.Weighting, exclude []int, crc bool) []byte {
+func appendPredictRequest(dst []byte, items [][]string, rows []string, weighting tagviews.Weighting, crc bool) []byte {
 	start := len(dst)
 	w := bincodec.Writer{B: append(dst, wireReqMagic...)}
 	var flags byte
 	if crc {
 		flags |= wireFlagCRC
-	}
-	if len(exclude) > 0 {
-		flags |= wireFlagExclude
 	}
 	if rows != nil {
 		flags |= wireFlagRows
@@ -132,12 +122,6 @@ func appendPredictRequest(dst []byte, items [][]string, rows []string, weighting
 	w.U8(flags)
 	if rows == nil {
 		w.U8(byte(weighting))
-	}
-	if len(exclude) > 0 {
-		w.Uvarint(uint64(len(exclude)))
-		for _, s := range exclude {
-			w.Uvarint(uint64(s))
-		}
 	}
 	w.Uvarint(uint64(len(items) + len(rows)))
 	for _, tags := range items {
@@ -162,15 +146,15 @@ func appendPredictRequest(dst []byte, items [][]string, rows []string, weighting
 // the snapshot's interner). Also reports whether the frame carried a
 // CRC trailer, so the reply can mirror the caller's integrity choice.
 func DecodePredictRequest(data []byte) (items [][]string, weighting tagviews.Weighting, crc bool, err error) {
-	items, weighting, _, flags, err := decodePredictRequestExclude(data)
+	items, weighting, flags, err := decodePredictRequest(data, math.MaxInt)
 	return items, weighting, flags&wireFlagCRC != 0, err
 }
 
-// decodePredictRequestExclude is DecodePredictRequest plus the frame's
-// shard exclusion list (nil when the flag is absent) and flags byte.
-func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagviews.Weighting, exclude []int, flags byte, err error) {
+// decodePredictRequest is DecodePredictRequest with the frame's flags
+// byte, refusing an item count above maxItems before allocating it.
+func decodePredictRequest(data []byte, maxItems int) (items [][]string, weighting tagviews.Weighting, flags byte, err error) {
 	r := bincodec.NewReader(data)
-	flags = checkHeader(&r, wireReqMagic, wireFlagCRC|wireFlagExclude|wireFlagRows)
+	flags = checkHeader(&r, wireReqMagic, wireFlagCRC|wireFlagRows)
 	if flags&wireFlagRows == 0 {
 		switch weighting = tagviews.Weighting(r.U8()); weighting {
 		case tagviews.WeightUniform, tagviews.WeightByViews, tagviews.WeightIDF:
@@ -178,18 +162,8 @@ func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagvi
 			r.Fail(fmt.Errorf("server: binary frame weighting byte %d invalid", weighting))
 		}
 	}
-	if flags&wireFlagExclude != 0 {
-		// The flag announces a non-empty list: an empty one is the
-		// flagless frame's second spelling.
-		if exclude = make([]int, r.Count("exclude", math.MaxInt, 1)); len(exclude) == 0 {
-			r.Fail(fmt.Errorf("server: binary frame exclusion flag over an empty list"))
-		}
-		for i := range exclude {
-			exclude[i] = int(r.Uvarint())
-		}
-	}
 	// Every item and every tag costs at least one byte on the wire.
-	items = make([][]string, r.Count("item", math.MaxInt, 1))
+	items = make([][]string, r.Count("item", maxItems, 1))
 	for i := range items {
 		tags := make([]string, r.Count("tag", math.MaxInt, 1))
 		if flags&wireFlagRows != 0 && len(tags) != 1 {
@@ -201,9 +175,9 @@ func decodePredictRequestExclude(data []byte) (items [][]string, weighting tagvi
 		items[i] = tags
 	}
 	if err := r.End(); err != nil {
-		return nil, 0, nil, 0, fmt.Errorf("server: binary request frame: %w", err)
+		return nil, 0, 0, fmt.Errorf("server: binary request frame: %w", err)
 	}
-	return items, weighting, exclude, flags, nil
+	return items, weighting, flags, nil
 }
 
 // PredictWireEncoder streams a binary /internal/predict response: Begin

@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"viewstags/internal/bincodec"
@@ -73,16 +74,15 @@ func TestWireResponseGoldenBytes(t *testing.T) {
 }
 
 // TestWireRowsGoldenBytes pins the rows layout byte for byte: a
-// gateway's row fetch for two tags with one shard excluded, and a reply
-// with a known row, an absent row and a row no video carries. Neither
-// frame has a weighting byte; a row is the tag's view total, video count
-// and stored vector, and an absent row its view total alone.
+// gateway's row fetch for two tags, and a reply with a known row, an
+// absent row and a row no video carries. Neither frame has a weighting
+// byte; a row is the tag's view total, video count and stored vector, and
+// an absent row its view total alone.
 func TestWireRowsGoldenBytes(t *testing.T) {
-	got := AppendRowsRequest(nil, []string{"a", "bb"}, []int{1})
+	got := AppendRowsRequest(nil, []string{"a", "bb"})
 	want := []byte{
 		'V', 'T', 'I', 'P', 'R', 'Q', '0', '1', // magic
-		6,    // flags: rows | exclude
-		1, 1, // nExclude, shard 1
+		4,         // flags: rows
 		2,         // nItems
 		1, 1, 'a', // item 0: one tag, "a"
 		1, 2, 'b', 'b', // item 1: one tag, "bb"
@@ -90,10 +90,10 @@ func TestWireRowsGoldenBytes(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("rows request mismatch:\n got %v\nwant %v", got, want)
 	}
-	items, w, exclude, flags, err := decodePredictRequestExclude(want)
-	if err != nil || w != tagviews.WeightingInvalid || flags != wireFlagRows|wireFlagExclude ||
-		!reflect.DeepEqual(items, [][]string{{"a"}, {"bb"}}) || !reflect.DeepEqual(exclude, []int{1}) {
-		t.Fatalf("rows request decode: %v: weighting %v flags %#x items %q exclude %v", err, w, flags, items, exclude)
+	items, w, flags, err := decodePredictRequest(want, 2)
+	if err != nil || w != tagviews.WeightingInvalid || flags != wireFlagRows ||
+		!reflect.DeepEqual(items, [][]string{{"a"}, {"bb"}}) {
+		t.Fatalf("rows request decode: %v: weighting %v flags %#x items %q", err, w, flags, items)
 	}
 
 	var enc PredictWireEncoder
@@ -281,9 +281,14 @@ func bytes9(n int) []float64 {
 	return s
 }
 
-// emptyExcludeFrame is a request with the exclusion flag set over an
-// exclusion list of length zero (and no items).
-const emptyExcludeFrame = "VTIPRQ01\x02\x02\x00\x00"
+// Frames with flags bit 1, which once announced a shard exclusion list
+// and is now unassigned: a plain request over an empty list (and no
+// items), and the gateway's rows request for "a" and "bb" with shard 1
+// excluded. Both are refused as carrying unknown flag bits.
+const (
+	emptyExcludeFrame = "VTIPRQ01\x02\x02\x00\x00"
+	rowsExcludeFrame  = "VTIPRQ01\x06\x01\x01\x02\x01\x01a\x01\x02bb"
+)
 
 // TestWireDecodeRejectsCorruption: truncations, bad magic, bad CRC,
 // trailing garbage and absurd counts must all error — never panic,
@@ -366,16 +371,19 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 			// The plain frame under the rows bit, less its weighting byte.
 			plain := AppendPredictRequest(nil, [][]string{{"ccc"}, tags}, tagviews.WeightIDF, false)
 			bad := append(append(plain[:8:8], plain[8]|wireFlagRows), plain[10:]...)
-			if _, _, _, _, err := decodePredictRequestExclude(bad); err == nil {
+			if _, _, _, err := decodePredictRequest(bad, math.MaxInt); err == nil {
 				t.Fatalf("rows request with a %s item decoded", name)
 			}
 		}
 	})
 	t.Run("exclusion flag over an empty list", func(t *testing.T) {
-		// The frame re-encoded without the flag: two spellings of one
-		// request.
-		if _, _, _, _, err := decodePredictRequestExclude([]byte(emptyExcludeFrame)); err == nil {
-			t.Fatal("request with the exclusion flag over an empty list decoded")
+		// Flags bit 1, the retired exclusion flag, is an unknown bit: an
+		// old frame, over an empty list or a real one, is refused, never
+		// read as a request without its list.
+		for _, frame := range []string{emptyExcludeFrame, rowsExcludeFrame} {
+			if _, _, _, err := decodePredictRequest([]byte(frame), math.MaxInt); err == nil || !strings.Contains(err.Error(), "unknown bits") {
+				t.Fatalf("request with flags bit 1 %q: %v, want an unknown-bits refusal", frame, err)
+			}
 		}
 	})
 	t.Run("non-canonical varint", func(t *testing.T) {
@@ -467,14 +475,15 @@ func FuzzInternalCodec(f *testing.F) {
 	enc.Item(0.5, []float64{0.5, 0.5})
 	f.Add(append([]byte(nil), enc.Finish()...))
 	f.Add([]byte("VTIPRQ01"))
-	f.Add(appendPredictRequest(nil, nil, []string{"pop"}, 0, []int{2, 0}, true))
-	f.Add(AppendRowsRequest(nil, []string{"pop", "rock"}, nil))
+	f.Add(appendPredictRequest(nil, nil, []string{"pop"}, 0, true))
+	f.Add(AppendRowsRequest(nil, []string{"pop", "rock"}))
 	enc.BeginRows(3, 1, 2, 3, false) // a known, an absent and a zero-video row
 	enc.Row(1.5, 2, []float64{0.25, 0.75})
 	enc.Row(0, 0, nil)
 	enc.Row(4, 0, []float64{1, 0})
 	f.Add(append([]byte(nil), enc.Finish()...))
 	f.Add([]byte(emptyExcludeFrame))
+	f.Add([]byte(rowsExcludeFrame))
 	f.Add([]byte("VTIPRS01\x00\x03"))
 	var body bincodec.Writer
 	ingest.AppendBatch(&body, []ingest.Event{{Video: "v", Tags: []string{"a", "bc"}, Country: 3, Views: 1.5, Upload: true}}, []string{"u"})
@@ -483,7 +492,7 @@ func FuzzInternalCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// No decoder may panic or over-allocate on arbitrary input.
-		items, w, exclude, flags, err := decodePredictRequestExclude(data)
+		items, w, flags, err := decodePredictRequest(data, math.MaxInt)
 		if err == nil {
 			// Whatever decoded must re-encode to the identical frame:
 			// decode∘encode is the identity on the codec's image.
@@ -495,7 +504,7 @@ func FuzzInternalCodec(f *testing.F) {
 				}
 				items = nil
 			}
-			again := appendPredictRequest(nil, items, rows, w, exclude, flags&wireFlagCRC != 0)
+			again := appendPredictRequest(nil, items, rows, w, flags&wireFlagCRC != 0)
 			if !bytes.Equal(again, data) {
 				t.Fatalf("request re-encode mismatch:\n in  %v\n out %v", data, again)
 			}

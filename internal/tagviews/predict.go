@@ -37,6 +37,29 @@ func (w Weighting) String() string {
 	}
 }
 
+// Weight is the one weight rule, the offline predictor's, a node's and a
+// gateway's: what a tag of views view mass, carried by videos of records
+// training videos, counts for in a mixture under w, before the rank
+// discount. Not positive means the tag is skipped — a zero-mass (or NaN)
+// tag has no geographic signal and would poison the mixture, and under
+// IDF neither does one no video carries.
+func (w Weighting) Weight(views float64, videos, records int) float64 {
+	if !(views > 0) {
+		return 0
+	}
+	switch w {
+	case WeightUniform:
+		return 1
+	case WeightByViews:
+		return views
+	case WeightIDF:
+		if df := float64(videos); df > 0 {
+			return math.Log(1 + float64(records)/df)
+		}
+	}
+	return 0
+}
+
 // ParseWeighting resolves a weighting-scheme name as used on the wire
 // ("uniform", "by-views", "idf"); the empty string selects WeightIDF,
 // the scheme the E5 ablation found strongest.
@@ -78,30 +101,12 @@ func NewPredictor(a *Analysis, w Weighting) (*Predictor, error) {
 func (p *Predictor) Predict(tagNames []string) ([]float64, bool) {
 	var comps [][]float64
 	var weights []float64
-	n := float64(p.a.N())
 	for rank, t := range tagNames {
 		s, ok := p.a.tags[t]
 		if !ok {
 			continue
 		}
-		// Zero-mass tags (all carrying records had zero views) have no
-		// geographic signal to contribute and would poison the mixture.
-		if s.TotalViews <= 0 {
-			continue
-		}
-		var w float64
-		switch p.w {
-		case WeightUniform:
-			w = 1
-		case WeightByViews:
-			w = s.TotalViews
-		case WeightIDF:
-			df := float64(s.Videos)
-			if df <= 0 {
-				continue
-			}
-			w = math.Log(1 + n/df)
-		}
+		w := p.w.Weight(s.TotalViews, s.Videos, p.a.N())
 		if w <= 0 {
 			continue
 		}

@@ -331,6 +331,36 @@ func TestPredictorRejectsBadWeighting(t *testing.T) {
 	}
 }
 
+// TestWeightRule pins the one weight rule every predictor calls: the
+// three schemes' weights, and no weight for a tag with no view mass (a
+// NaN mass included), for an IDF tag no video carries, or under an
+// invalid scheme.
+func TestWeightRule(t *testing.T) {
+	type weightCase struct {
+		w               Weighting
+		views           float64
+		videos, records int
+		want            float64
+	}
+	cases := []weightCase{
+		{WeightUniform, 5, 2, 10, 1},
+		{WeightByViews, 5, 2, 10, 5},
+		{WeightIDF, 5, 2, 10, math.Log(1 + 10.0/2)},
+		{WeightIDF, 5, 0, 10, 0},
+		{WeightingInvalid, 5, 2, 10, 0},
+	}
+	for _, w := range []Weighting{WeightUniform, WeightByViews, WeightIDF} {
+		for _, views := range []float64{0, -1, math.NaN()} {
+			cases = append(cases, weightCase{w, views, 2, 10, 0})
+		}
+	}
+	for _, c := range cases {
+		if got := c.w.Weight(c.views, c.videos, c.records); got != c.want {
+			t.Errorf("%v.Weight(%v, %d, %d) = %v, want %v", c.w, c.views, c.videos, c.records, got, c.want)
+		}
+	}
+}
+
 func TestE5TagPredictorBeatsBaselines(t *testing.T) {
 	// The paper's conjecture, quantified: predicting a held-out video's
 	// view field from its tags must beat both the geography-blind prior
