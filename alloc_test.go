@@ -27,6 +27,7 @@ import (
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 	"viewstags/internal/tagviews"
 )
@@ -262,14 +263,14 @@ func TestAllocBudgets(t *testing.T) {
 	// price of the warm count, and this row keeps it in view.
 	t.Run("GatewayPredictFanout", func(t *testing.T) {
 		const shards = 3
-		ring, err := cluster.NewRing(shards, 0)
+		rg, err := ring.New(shards, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		targets := make([]string, shards)
 		nodes := make([]*clusterNode, shards)
 		for i := range targets {
-			nodes[i] = startClusterNode(t, ring, i, shards, time.Hour)
+			nodes[i] = startClusterNode(t, rg, i, shards, time.Hour)
 			defer nodes[i].stop()
 			targets[i] = nodes[i].ts.URL
 		}

@@ -37,6 +37,7 @@ import (
 	"viewstags/internal/profilestore"
 	"viewstags/internal/reconstruct"
 	"viewstags/internal/report"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 	"viewstags/internal/stats"
 	"viewstags/internal/synth"
@@ -843,7 +844,7 @@ func BenchmarkTopProfiles(b *testing.B) {
 // wall time. fields/op is how many videos' view fields the pass drew: the
 // ones it reads (EXPERIMENTS.md "A boot draws the fields it reads").
 func BenchmarkBoot(b *testing.B) {
-	ring, err := cluster.NewRing(3, 0)
+	rg, err := ring.New(3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -852,7 +853,7 @@ func BenchmarkBoot(b *testing.B) {
 		owns   func(string) bool
 		served bool
 	}{
-		{"shard", func(tag string) bool { return ring.Owns(tag, 0) }, false},
+		{"shard", func(tag string) bool { return rg.Owns(tag, 0) }, false},
 		{"node", nil, true},
 		{"recovered-node", func(string) bool { return false }, true},
 	} {
@@ -935,7 +936,7 @@ func BenchmarkPreload(b *testing.B) {
 func BenchmarkClusterGatewayPredict(b *testing.B) {
 	res := benchFixture(b)
 	const shards = 3
-	ring, err := cluster.NewRing(shards, 0)
+	rg, err := ring.New(shards, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -943,7 +944,7 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 	foldShard := make([]func(), shards)
 	for i := 0; i < shards; i++ {
 		i := i
-		snap, err := profilestore.BuildOwned(res.Analysis, func(name string) bool { return ring.Owner(name) == i })
+		snap, err := profilestore.BuildOwned(res.Analysis, func(name string) bool { return rg.Owner(name) == i })
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -954,7 +955,6 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 		cfg := server.DefaultConfig()
 		cfg.ShardIndex = i
 		cfg.ShardCount = shards
-		cfg.RingSignature = ring.Signature()
 		srv, err := server.New(cfg, store)
 		if err != nil {
 			b.Fatal(err)
@@ -1089,7 +1089,7 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 	// up afterwards and none of the bodies' rows is held.
 	var dialTags []string
 	for s, i := 0, 0; s < shards; i++ {
-		if tag := fmt.Sprintf("zz-dial-%d", i); ring.Owner(tag) == s {
+		if tag := fmt.Sprintf("zz-dial-%d", i); rg.Owner(tag) == s {
 			dialTags = append(dialTags, tag)
 			s++
 		}

@@ -18,11 +18,11 @@ import (
 	"testing"
 
 	"viewstags/internal/alexa"
-	"viewstags/internal/cluster"
 	"viewstags/internal/dataset"
 	"viewstags/internal/obs"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/synth"
 	"viewstags/internal/tagviews"
 )
@@ -39,11 +39,11 @@ const (
 // bootPeakChild builds one snapshot the way mode says and prints the
 // process's resident high-water mark.
 func bootPeakChild(mode string) error {
-	ring, err := cluster.NewRingReplicas(3, 0, 1)
+	rg, err := ring.New(3, 1)
 	if err != nil {
 		return err
 	}
-	shard0 := func(tag string) bool { return ring.Owns(tag, 0) }
+	shard0 := func(tag string) bool { return rg.Owns(tag, 0) }
 	var snap *profilestore.Snapshot
 	var resident []any // what the mode's daemon would hold beside the snapshot
 	switch mode {
@@ -233,11 +233,11 @@ func TestBootAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation perturbs allocation counts; the budgets are pinned without it")
 	}
-	ring, err := cluster.NewRing(3, 0)
+	rg, err := ring.New(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard0 := func(tag string) bool { return ring.Owns(tag, 0) }
+	shard0 := func(tag string) bool { return rg.Owns(tag, 0) }
 	measure := func(boot func() error) (mb float64, objects uint64) {
 		t.Helper()
 		var before, after runtime.MemStats

@@ -27,6 +27,7 @@ import (
 	"viewstags/internal/ingest"
 	"viewstags/internal/node"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 	"viewstags/internal/xrand"
 )
@@ -61,13 +62,13 @@ func nodeOptions(index, count, replicas int, foldEvery time.Duration) node.Optio
 // ring of count shards places on shard index.
 func fixtureBase(t *testing.T, index, count, replicas int) *node.Base {
 	t.Helper()
-	ring, err := cluster.NewRingReplicas(count, 0, replicas)
+	rg, err := ring.New(count, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var owns func(string) bool
 	if count > 1 {
-		owns = func(name string) bool { return ring.Owns(name, index) }
+		owns = func(name string) bool { return rg.Owns(name, index) }
 	}
 	snap, err := profilestore.BuildOwned(testFixture(t).Analysis, owns)
 	if err != nil {
@@ -92,9 +93,9 @@ func startNode(t *testing.T, o node.Options, b *node.Base) *clusterNode {
 
 // startClusterNode is startReplicaNode at the replica count of ring,
 // the tier's ring.
-func startClusterNode(t *testing.T, ring *cluster.Ring, index, count int, foldEvery time.Duration) *clusterNode {
+func startClusterNode(t *testing.T, rg *ring.Ring, index, count int, foldEvery time.Duration) *clusterNode {
 	t.Helper()
-	return startReplicaNode(t, index, count, ring.Replicas(), foldEvery)
+	return startReplicaNode(t, index, count, rg.Replicas(), foldEvery)
 }
 
 // tier is shard nodes behind the gateway cmd/gateway runs

@@ -1,3 +1,20 @@
+// Package cluster is the tag-partitioned multi-node serving tier: N
+// shard daemons (cmd/serve -shard i/n) each hold the slice of the tag
+// vocabulary a shared consistent-hash ring (internal/ring) assigns them,
+// and a gateway (cmd/gateway) scatter-gathers partial per-tag mixtures
+// into the final per-country predictions, routes ingest events to the
+// shards that own their tags, and sheds load for shards it observes
+// down.
+//
+// The split keeps placement policy at the edge — the gateway owns
+// request semantics, merging and backpressure — while each shard runs
+// the unmodified single-node substrate (profilestore snapshot, ingest
+// accumulator, compactor) over a smaller vocabulary. Partitioning is by
+// tag identity (the same key the profile stores intern), so a tag's
+// whole profile — vector, view totals, document frequency — lives on
+// exactly one shard and partial predictions merge exactly: the weighted
+// sums the shards return add up to the single-node sum (see
+// profilestore.PredictPartialInto).
 package cluster
 
 import (
@@ -14,6 +31,7 @@ import (
 	"time"
 
 	"viewstags/internal/obs"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -144,7 +162,7 @@ func (s *shardState) invalidate(cause int) {
 // pointer; a live reshard installs a fresh topology at cutover, so a
 // request never observes half a swap.
 type topology struct {
-	ring    *Ring
+	ring    *ring.Ring
 	targets []string
 	shards  []*shardState
 	streams []*shardStream
@@ -258,7 +276,7 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 	if cfg.ShardTimeout <= 0 {
 		cfg.ShardTimeout = def.ShardTimeout
 	}
-	ring, err := NewRingReplicas(len(targets), 0, cfg.Replicas)
+	rg, err := ring.New(len(targets), cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +297,7 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 		},
 	}
 	tp := &topology{
-		ring:    ring,
+		ring:    rg,
 		targets: append([]string(nil), targets...),
 		shards:  make([]*shardState, len(targets)),
 		streams: make([]*shardStream, len(targets)),
@@ -391,7 +409,7 @@ func (g *Gateway) Sync(ctx context.Context) error {
 // cluster-wide restart, fixed-interval retries from every gateway land
 // on the shards in synchronized waves.
 func (g *Gateway) SyncRetry(ctx context.Context, wait time.Duration) error {
-	bo := newSyncBackoff()
+	bo := &syncBackoff{}
 	deadline := time.Now().Add(wait)
 	for {
 		err := g.Sync(ctx)
@@ -439,8 +457,8 @@ func (g *Gateway) StartHealth() {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		jitter := newTickJitter(g.cfg.HealthInterval)
-		timer := time.NewTimer(jitter.Next())
+		tick := &tickJitter{interval: g.cfg.HealthInterval}
+		timer := time.NewTimer(tick.Next())
 		defer timer.Stop()
 		for {
 			select {
@@ -449,7 +467,7 @@ func (g *Gateway) StartHealth() {
 			case <-timer.C:
 				g.RefreshHealth(ctx)
 				g.maybeCatchUp(ctx)
-				timer.Reset(jitter.Next())
+				timer.Reset(tick.Next())
 			}
 		}
 	}()

@@ -19,6 +19,7 @@ import (
 	"viewstags/internal/obs"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 	"viewstags/internal/tagviews"
 )
@@ -54,18 +55,18 @@ type node struct {
 // startNode builds one shard daemon (index/count identify it; count 1 =
 // standalone full node) over the fixture, serving on a real loopback
 // listener.
-func startNode(t *testing.T, ring *Ring, index, count int) *node {
+func startNode(t *testing.T, rg *ring.Ring, index, count int) *node {
 	t.Helper()
-	return startNodeWith(t, ring, index, count, nil)
+	return startNodeWith(t, rg, index, count, nil)
 }
 
 // startNodeWith is startNode with a hook to adjust the server config.
-func startNodeWith(t *testing.T, ring *Ring, index, count int, mutate func(*server.Config)) *node {
+func startNodeWith(t *testing.T, rg *ring.Ring, index, count int, mutate func(*server.Config)) *node {
 	t.Helper()
 	res := fixture(t)
 	var owns func(string) bool
 	if count > 1 {
-		owns = func(name string) bool { return ring.Owner(name) == index }
+		owns = func(name string) bool { return rg.Owner(name) == index }
 	}
 	snap, err := profilestore.BuildOwned(res.Analysis, owns)
 	if err != nil {
@@ -78,7 +79,6 @@ func startNodeWith(t *testing.T, ring *Ring, index, count int, mutate func(*serv
 	cfg := server.DefaultConfig()
 	cfg.ShardIndex = index
 	cfg.ShardCount = count
-	cfg.RingSignature = ring.Signature()
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -108,14 +108,14 @@ func startNodeWith(t *testing.T, ring *Ring, index, count int, mutate func(*serv
 // startCluster stands up `shards` shard nodes plus a synced gateway.
 func startCluster(t *testing.T, shards int) ([]*node, *Gateway) {
 	t.Helper()
-	ring, err := NewRing(shards, 0)
+	rg, err := ring.New(shards, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	nodes := make([]*node, shards)
 	targets := make([]string, shards)
 	for i := range nodes {
-		nodes[i] = startNode(t, ring, i, shards)
+		nodes[i] = startNode(t, rg, i, shards)
 		targets[i] = nodes[i].ts.URL
 	}
 	cfg := DefaultGatewayConfig()
@@ -215,7 +215,7 @@ func sharesOf(top []server.CountryShare) map[string]float64 {
 // fallback — match a single full node's share for share.
 func TestGatewayPredictMatchesSingleNode(t *testing.T) {
 	res := fixture(t)
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestGatewayPredictMatchesSingleNode(t *testing.T) {
 // both sides, yields matching predictions and the same corpus growth on
 // every shard.
 func TestGatewayIngestEquivalence(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestGatewayIngestEquivalence(t *testing.T) {
 // bad event sits second in its batch, so the reported index is checked
 // too.
 func TestGatewayIngestValidationMatchesNode(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func TestGatewayStatsCountsEvents(t *testing.T) {
 // TestGatewayTagsMerge: the merged top-k equals a single full node's
 // (tags are partitioned, so the global ranking is a k-way merge).
 func TestGatewayTagsMerge(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,12 +611,12 @@ func TestGatewayTagsMerge(t *testing.T) {
 // TestGatewaySyncRejectsMismatch: a target list whose shards identify
 // differently (wrong order ⇒ wrong indices) must fail sync.
 func TestGatewaySyncRejectsMismatch(t *testing.T) {
-	ring, err := NewRing(2, 0)
+	rg, err := ring.New(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := startNode(t, ring, 0, 2)
-	b := startNode(t, ring, 1, 2)
+	a := startNode(t, rg, 0, 2)
+	b := startNode(t, rg, 1, 2)
 	g, err := NewGateway(DefaultGatewayConfig(), []string{b.ts.URL, a.ts.URL}) // swapped
 	if err != nil {
 		t.Fatal(err)
@@ -736,7 +736,7 @@ func predictBody(t *testing.T, h http.Handler, req server.PredictRequest) (int, 
 // the one id every shard leg of that request carries.
 func TestGatewayRequestIDBound(t *testing.T) {
 	nodes, g := startCluster(t, 3)
-	ring := g.topo.Load().ring
+	rg := g.topo.Load().ring
 	for i, tc := range []struct {
 		name, id string
 		honoured bool
@@ -746,7 +746,7 @@ func TestGatewayRequestIDBound(t *testing.T) {
 		{"comma", "aaa,bbb", false},
 	} {
 		// Cold tags of every shard's, so the request makes a leg to each.
-		body, err := json.Marshal(server.PredictRequest{Tags: ownedTags(ring, fmt.Sprintf("rid-%d", i))})
+		body, err := json.Marshal(server.PredictRequest{Tags: ownedTags(rg, fmt.Sprintf("rid-%d", i))})
 		if err != nil {
 			t.Fatal(err)
 		}

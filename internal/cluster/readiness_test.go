@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -85,11 +86,11 @@ func readinessGateway(t *testing.T, target string) *Gateway {
 // tracked epoch follow it down — the min-epoch fold horizon must not
 // overstate what the recovered shard has folded.
 func TestGatewayRejoinAtRecoveredEpoch(t *testing.T) {
-	ring, err := NewRing(1, 0)
+	rg, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := newFakeShard(t, ring.Signature())
+	shard := newFakeShard(t, rg.Signature())
 	shard.epoch.Store(10)
 	g := readinessGateway(t, shard.ts.URL)
 	if err := g.Sync(context.Background()); err != nil {
@@ -132,11 +133,11 @@ func TestGatewayRejoinAtRecoveredEpoch(t *testing.T) {
 // failing, the gateway's /readyz goes 503 while any shard is out, and
 // both recover once the shard is ready again.
 func TestGatewayTreatsUnreadyShardAsDown(t *testing.T) {
-	ring, err := NewRing(1, 0)
+	rg, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := newFakeShard(t, ring.Signature())
+	shard := newFakeShard(t, rg.Signature())
 	g := readinessGateway(t, shard.ts.URL)
 	if err := g.Sync(context.Background()); err != nil {
 		t.Fatal(err)
@@ -184,14 +185,14 @@ func TestGatewayTreatsUnreadyShardAsDown(t *testing.T) {
 // long as the slice stays covered.
 func TestGatewayReplicatedReadiness(t *testing.T) {
 	const n, r = 3, 2
-	ring, err := NewRingReplicas(n, 0, r)
+	rg, err := ring.New(n, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shards := make([]*fakeShard, n)
 	targets := make([]string, n)
 	for i := range shards {
-		shards[i] = newFakeShardAt(t, ring.Signature(), i, n, r)
+		shards[i] = newFakeShardAt(t, rg.Signature(), i, n, r)
 		targets[i] = shards[i].ts.URL
 	}
 	cfg := DefaultGatewayConfig()
@@ -270,7 +271,7 @@ func TestGatewayReplicatedReadiness(t *testing.T) {
 // factor even when everything else matches — a silent mismatch would
 // double-count or drop slices.
 func TestSyncRefusesReplicaMismatch(t *testing.T) {
-	ring, err := NewRingReplicas(2, 0, 2)
+	rg, err := ring.New(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestSyncRefusesReplicaMismatch(t *testing.T) {
 	targets := make([]string, 2)
 	for i := range shards {
 		// Shards report replicas=1 against a gateway placing 2.
-		shards[i] = newFakeShardAt(t, ring.Signature(), i, 2, 1)
+		shards[i] = newFakeShardAt(t, rg.Signature(), i, 2, 1)
 		targets[i] = shards[i].ts.URL
 	}
 	cfg := DefaultGatewayConfig()
@@ -297,11 +298,11 @@ func TestSyncRefusesReplicaMismatch(t *testing.T) {
 // sync-with-retry loop must not come up over a shard that is still
 // replaying its journal.
 func TestSyncRefusesUnreadyShard(t *testing.T) {
-	ring, err := NewRing(1, 0)
+	rg, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := newFakeShard(t, ring.Signature())
+	shard := newFakeShard(t, rg.Signature())
 	shard.ready.Store(false)
 	g := readinessGateway(t, shard.ts.URL)
 	if err := g.Sync(context.Background()); err == nil {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"viewstags/internal/obs"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -252,7 +253,7 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 			return fmt.Errorf("cluster: shard %d (%s) is still syncing — wait for catch-up before resharding", i, tp.targets[i])
 		}
 	}
-	newRing, err := NewRingReplicas(len(newTargets), 0, replicas)
+	newRing, err := ring.New(len(newTargets), replicas)
 	if err != nil {
 		return err
 	}

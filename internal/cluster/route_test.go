@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"viewstags/internal/obs"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -168,7 +169,7 @@ func TestRouteTablePolicy(t *testing.T) {
 // every tag — where sizing the merge buffer by k × shards ended the
 // process (out of memory at 2e9, an overflowed multiply above that).
 func TestGatewayTagsHugeK(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"viewstags/internal/faultproxy"
 	"viewstags/internal/ingest"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 	"viewstags/internal/tagviews"
 	"viewstags/internal/xrand"
@@ -114,11 +115,11 @@ func shardLegs(g *Gateway) []uint64 {
 }
 
 // sameShardTags returns n vocabulary tags the ring gives to one shard.
-func sameShardTags(t *testing.T, ring *Ring, n int) (tags []string, shard int) {
+func sameShardTags(t *testing.T, rg *ring.Ring, n int) (tags []string, shard int) {
 	t.Helper()
 	byShard := map[int][]string{}
 	for _, name := range fixture(t).Analysis.TagNames() {
-		s := ring.Owner(name)
+		s := rg.Owner(name)
 		if byShard[s] = append(byShard[s], name); len(byShard[s]) == n {
 			return byShard[s], s
 		}
@@ -271,8 +272,8 @@ func foldBehind(t *testing.T, g *Gateway, single *node, nodes []*node, video str
 // again and no other shard's are.
 func TestRowCacheEpochMoveInvalidatesThatShardOnly(t *testing.T) {
 	nodes, g := startCluster(t, 3)
-	ring := g.topo.Load().ring
-	req := server.PredictRequest{Tags: append(ownedTags(ring, "epoch"), fixture(t).Analysis.TagNames()[:20]...)}
+	rg := g.topo.Load().ring
+	req := server.PredictRequest{Tags: append(ownedTags(rg, "epoch"), fixture(t).Analysis.TagNames()[:20]...)}
 	if code, _ := predictVia(t, g, req); code != http.StatusOK {
 		t.Fatalf("predict: %d", code)
 	}
@@ -321,7 +322,7 @@ func TestRowCacheEpochMoveInvalidatesThatShardOnly(t *testing.T) {
 // IDF weight — so it fetches the first again. The fold sits exactly
 // between the request's hit and its fetch.
 func TestPredictNeverMixesEpochsOfOneShard(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,14 +352,14 @@ func TestPredictNeverMixesEpochsOfOneShard(t *testing.T) {
 // to E — for the tags the gateway holds rows for as much as for the
 // ones it does not.
 func TestPredictReflectsObservedEpoch(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	single := startNode(t, ringOne, 0, 1)
 	nodes, g := startCluster(t, 3)
-	ring := g.topo.Load().ring
-	held := append(ownedTags(ring, "held"), fixture(t).Analysis.TagNames()[:12]...)
+	rg := g.topo.Load().ring
+	held := append(ownedTags(rg, "held"), fixture(t).Analysis.TagNames()[:12]...)
 	fresh := fixture(t).Analysis.TagNames()[12:24]
 	sameAnswers(t, "before any fold", single.srv.Handler(), g.Handler(), [][]string{held})
 
@@ -383,7 +384,7 @@ func TestPredictReflectsObservedEpoch(t *testing.T) {
 // one shard than a frame may carry are fetched over several frames, not
 // refused — the cold batch of long tag lists.
 func TestPredictSplitsMissesAcrossFrames(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,14 +617,14 @@ type eqTier struct {
 }
 
 // startTierNode is startNode for a tier that gets caught up and
-// resharded: R-way ownership, topology hooks, a synchronous fold hook.
+// resharded: R-way ownership and a synchronous fold hook.
 func startTierNode(t *testing.T, index, count, replicas int) *node {
 	t.Helper()
-	ring, err := NewRingReplicas(count, 0, replicas)
+	rg, err := ring.New(count, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := profilestore.BuildOwned(fixture(t).Analysis, func(name string) bool { return ring.Owns(name, index) })
+	snap, err := profilestore.BuildOwned(fixture(t).Analysis, func(name string) bool { return rg.Owns(name, index) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -633,11 +634,6 @@ func startTierNode(t *testing.T, index, count, replicas int) *node {
 	}
 	cfg := server.DefaultConfig()
 	cfg.ShardIndex, cfg.ShardCount, cfg.Replicas = index, count, replicas
-	cfg.RingSignature = ring.Signature()
-	cfg.Topology = ring
-	cfg.MakeTopology = func(shards, replicas int) (server.ShardTopology, error) {
-		return NewRingReplicas(shards, 0, replicas)
-	}
 	cfg.Logger = log.New(io.Discard, "", 0)
 	srv, err := server.New(cfg, store)
 	if err != nil {
@@ -672,7 +668,7 @@ func (e *eqTier) addNode(index, count int) string {
 
 func startEqTier(t *testing.T, replicas int) *eqTier {
 	t.Helper()
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

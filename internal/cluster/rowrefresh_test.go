@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -31,11 +32,11 @@ func heldRow(c *rowCache, tag string) *tagRow {
 // refreshGateway is a one-shard gateway over a labelShard.
 func refreshGateway(t *testing.T, maxBatch int, label func(f *fakeShard, items int) uint64) (*fakeShard, *Gateway) {
 	t.Helper()
-	ring, err := NewRing(1, 0)
+	rg, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := labelShard(t, ring.Signature(), label)
+	shard := labelShard(t, rg.Signature(), label)
 	g := newSyncedGateway(t, []string{shard.ts.URL}, func(c *GatewayConfig) {
 		c.MaxBatch = maxBatch
 		c.Logger = log.New(io.Discard, "", 0)
@@ -69,7 +70,7 @@ func observeFold(f *fakeShard, g *Gateway) {
 // predicts that were warm before the fold are warm again — no leg — and
 // equal a single node byte for byte; the counters say what it cost.
 func TestRowRefreshAfterFoldMakesNoLeg(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

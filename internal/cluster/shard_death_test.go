@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"viewstags/internal/faultproxy"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -69,11 +70,11 @@ func wave(t *testing.T, g *Gateway, reqs []server.PredictRequest) []*httptest.Re
 // distinct labels: a predict carrying them needs a leg to every shard,
 // whatever the gateway has cached for other tags, and since an unknown
 // tag carries no weight they change no answer.
-func ownedTags(ring *Ring, label string) []string {
-	tags := make([]string, ring.shards)
+func ownedTags(rg *ring.Ring, label string) []string {
+	tags := make([]string, rg.Shards())
 	for found, i := 0, 0; found < len(tags); i++ {
 		tag := fmt.Sprintf("zz-%s-%d", label, i)
-		if s := ring.Owner(tag); tags[s] == "" {
+		if s := rg.Owner(tag); tags[s] == "" {
 			tags[s] = tag
 			found++
 		}
@@ -106,11 +107,11 @@ func TestPredictShardDeathMidFlight(t *testing.T) {
 	// Distinct singles in flight together; the last one is
 	// prior-fallback, so known=false survives the round trip too.
 	tagSets := [][]string{{"pop"}, {"favela", "samba"}, {"music", "pop"}, {"favela"}, {"zz-unknown"}}
-	ring := g.topo.Load().ring
+	rg := g.topo.Load().ring
 	waveReqs := func(waveNo int) []server.PredictRequest {
 		reqs := make([]server.PredictRequest, len(tagSets))
 		for i, tags := range tagSets {
-			cold := ownedTags(ring, fmt.Sprintf("death-%d-%d", waveNo, i))[2]
+			cold := ownedTags(rg, fmt.Sprintf("death-%d-%d", waveNo, i))[2]
 			reqs[i] = server.PredictRequest{Tags: append(append([]string(nil), tags...), cold), Weighting: "idf", Top: 5}
 		}
 		return reqs

@@ -17,6 +17,7 @@ import (
 
 	"viewstags/internal/ingest"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -241,11 +242,11 @@ func TestStreamClientCancelIsNotAShardFailure(t *testing.T) {
 // the one in the handler chain, not a copy — and the gateway hands the
 // shard's Retry-After to the client verbatim.
 func TestStreamShedPropagatesRetryAfter(t *testing.T) {
-	ring, err := NewRing(1, 0)
+	rg, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := startNodeWith(t, ring, 0, 1, func(c *server.Config) { c.MaxInFlight = 1 })
+	n := startNodeWith(t, rg, 0, 1, func(c *server.Config) { c.MaxInFlight = 1 })
 	g := newSyncedGateway(t, []string{n.ts.URL}, func(c *GatewayConfig) {
 		// The gateway's own hint would be 7 s; the shard's limiter says 1.
 		c.HealthInterval = 7 * time.Second
@@ -299,11 +300,11 @@ func wantEnvelope(t *testing.T, rec *httptest.ResponseRecorder, msg string) {
 // TestGatewayLimiterShedCarriesErrorEnvelope: the gateway's own limiter
 // answers the documented envelope too, not text/plain.
 func TestGatewayLimiterShedCarriesErrorEnvelope(t *testing.T) {
-	ring, err := NewRing(1, 0)
+	rg, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := startNode(t, ring, 0, 1)
+	n := startNode(t, rg, 0, 1)
 	g := newSyncedGateway(t, []string{n.ts.URL}, func(c *GatewayConfig) { c.MaxInFlight = 1 })
 	hold := holdIngest(t, n)
 	done := make(chan *httptest.ResponseRecorder, 1)
@@ -324,11 +325,11 @@ func TestGatewayLimiterShedCarriesErrorEnvelope(t *testing.T) {
 // fallback. A target that answers /internal/meta but cannot upgrade
 // fails its legs like any unreachable shard.
 func TestStreamUpgradeRefusedIsAFailedShard(t *testing.T) {
-	ring, err := NewRing(1, 0)
+	rg, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard := newFakeShard(t, ring.Signature()) // serves /internal/meta only
+	shard := newFakeShard(t, rg.Signature()) // serves /internal/meta only
 	g := readinessGateway(t, shard.ts.URL)
 	t.Cleanup(g.Close)
 	if err := g.Sync(context.Background()); err != nil {
@@ -371,12 +372,12 @@ func TestStreamOversizedBodyIsRefusedLocally(t *testing.T) {
 // does not hold is the 503 with a hint, not a redial.
 func TestStreamCloseFailsLaterCalls(t *testing.T) {
 	_, g := startCluster(t, 3)
-	ring := g.topo.Load().ring
-	if rec := predictRec(t, g, server.PredictRequest{Tags: ownedTags(ring, "open")}); rec.Code != http.StatusOK {
+	rg := g.topo.Load().ring
+	if rec := predictRec(t, g, server.PredictRequest{Tags: ownedTags(rg, "open")}); rec.Code != http.StatusOK {
 		t.Fatalf("predict: %d", rec.Code)
 	}
 	g.Close()
-	wantShed(t, "predict for cold tags on a closed gateway", predictRec(t, g, server.PredictRequest{Tags: ownedTags(ring, "closed")}))
+	wantShed(t, "predict for cold tags on a closed gateway", predictRec(t, g, server.PredictRequest{Tags: ownedTags(rg, "closed")}))
 	for i, st := range g.topo.Load().streams {
 		if n := st.dials.Load(); n != 1 {
 			t.Fatalf("stream %d dialled %d times across a close", i, n)
@@ -420,10 +421,6 @@ func TestGatewayLargeReplyCarriesContentLength(t *testing.T) {
 // shard counts accepted connections.
 func TestGatewayKeepAliveReusesConnections(t *testing.T) {
 	res := fixture(t)
-	ringOne, err := NewRing(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	snap, err := profilestore.BuildOwned(res.Analysis, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -433,7 +430,7 @@ func TestGatewayKeepAliveReusesConnections(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := server.DefaultConfig()
-	cfg.ShardIndex, cfg.ShardCount, cfg.RingSignature = 0, 1, ringOne.Signature()
+	cfg.ShardIndex, cfg.ShardCount = 0, 1
 	srv, err := server.New(cfg, store)
 	if err != nil {
 		t.Fatal(err)

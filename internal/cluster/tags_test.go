@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/xrand"
 )
 
@@ -21,14 +22,14 @@ import (
 // after them, take an existing tag's exact total; zero-mass deltas touch
 // tags without moving them; and new zero-view tags tie at the bottom.
 func TestTagRankingMatchesFullSort(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	full := startNode(t, ringOne, 0, 1)
 	shards, g := startCluster(t, 3)
 	gw := gatewayServer(t, g)
-	ring := g.topo.Load().ring
+	rg := g.topo.Load().ring
 	src := xrand.NewSource(44)
 	nC := full.store.Load().World().N()
 
@@ -74,7 +75,7 @@ func TestTagRankingMatchesFullSort(t *testing.T) {
 		for i, sh := range shards {
 			var own []profilestore.TagDelta
 			for _, d := range deltas {
-				if ring.Owner(d.Name) == i {
+				if rg.Owner(d.Name) == i {
 					own = append(own, d)
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 	"viewstags/internal/tagviews"
 )
@@ -16,7 +17,7 @@ import (
 // node — the compact codec is a transport change, never an arithmetic one.
 func TestGatewayWireEquivalence(t *testing.T) {
 	res := fixture(t)
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestGatewayWireEquivalence(t *testing.T) {
 // corrupt binary body is a 400 — both with the JSON error envelope, not
 // a panic, not a hung connection.
 func TestInternalPredictContentNegotiation(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +174,7 @@ func TestInternalPredictContentNegotiation(t *testing.T) {
 // — gateway, single-node public, shard-internal frame — so no request
 // one edge accepts can bounce off another's decoder mid-fan-out.
 func TestPredictRejectsOversizedTag(t *testing.T) {
-	ringOne, err := NewRing(1, 0)
+	ringOne, err := ring.New(1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
-	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -142,14 +141,15 @@ func AppendBatch(w *bincodec.Writer, events []Event, uploads []string) {
 }
 
 // ReadBatch reads a batch AppendBatch wrote, refusing an event or upload
-// count above max before allocating it. It checks the encoding, not the
-// event contract (Validate's). Errors are r's: check r.Err or r.End.
+// count above max, or an event's tag count above MaxEventTags, before
+// allocating it. Otherwise it checks the encoding, not the event
+// contract (Validate's). Errors are r's: check r.Err or r.End.
 func ReadBatch(r *bincodec.Reader, max int) ([]Event, []string) {
 	events := make([]Event, r.Count("event", max, minEventLen))
 	for i := range events {
 		e := &events[i]
 		e.Video = r.Str(maxStrLen)
-		e.Tags = make([]string, r.Count("tag", math.MaxInt, 1))
+		e.Tags = make([]string, r.Count("tag", MaxEventTags, 1))
 		for j := range e.Tags {
 			e.Tags[j] = r.Str(maxStrLen)
 		}

@@ -23,13 +23,13 @@ import (
 	"time"
 
 	"viewstags/internal/alexa"
-	"viewstags/internal/cluster"
 	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
 	"viewstags/internal/persist"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 	"viewstags/internal/synth"
 	"viewstags/internal/tagviews"
@@ -66,7 +66,7 @@ func DefaultOptions() Options {
 // shape is what both steps derive from the options.
 type shape struct {
 	index, count int
-	ring         *cluster.Ring
+	ring         *ring.Ring
 	w            tagviews.Weighting
 	logger       *log.Logger
 }
@@ -79,9 +79,8 @@ func (o *Options) shape() (sh shape, err error) {
 	if sh.index, sh.count, err = parseShard(o.Shard); err != nil {
 		return sh, err
 	}
-	// Built even standalone: /internal/meta always reports a signature,
-	// and it covers R, so a gateway catches a replica mismatch at sync.
-	if sh.ring, err = cluster.NewRingReplicas(sh.count, 0, o.Server.Replicas); err != nil {
+	// The boot's ownership filter; the server derives the same ring.
+	if sh.ring, err = ring.New(sh.count, o.Server.Replicas); err != nil {
 		return sh, err
 	}
 	sh.w, err = tagviews.ParseWeighting(o.Weighting)
@@ -247,10 +246,6 @@ func Start(ctx context.Context, o Options, b *Base) (_ *Node, err error) {
 	}
 	srv, err := server.New(server.Config{
 		Common: o.Server, ShardIndex: sh.index, ShardCount: sh.count,
-		RingSignature: sh.ring.Signature(), Topology: sh.ring,
-		MakeTopology: func(shards, replicas int) (server.ShardTopology, error) {
-			return cluster.NewRingReplicas(shards, 0, replicas)
-		},
 	}, store)
 	if err != nil {
 		return nil, err

@@ -12,9 +12,9 @@ import (
 	"testing"
 
 	"viewstags/internal/alexa"
-	"viewstags/internal/cluster"
 	"viewstags/internal/dataset"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 )
 
 const bootSeed = 20110301 // the daemons' and the benchmark's default
@@ -92,14 +92,14 @@ func slices(t *testing.T) (names []string, owns []func(string) bool) {
 	names = []string{"whole", "none"}
 	owns = []func(string) bool{nil, func(string) bool { return false }}
 	for _, r := range []int{1, 2} {
-		ring, err := cluster.NewRingReplicas(3, 0, r)
+		rg, err := ring.New(3, r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 3; i++ {
 			i := i
 			names = append(names, fmt.Sprintf("R%d/shard%d", r, i))
-			owns = append(owns, func(tag string) bool { return ring.Owns(tag, i) })
+			owns = append(owns, func(tag string) bool { return rg.Owns(tag, i) })
 		}
 	}
 	return names, owns

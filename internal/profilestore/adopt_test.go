@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"viewstags/internal/alexa"
-	"viewstags/internal/cluster"
 	"viewstags/internal/persist"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 )
 
 // checkpointBytes is a snapshot as the persist codec writes it.
@@ -69,11 +69,11 @@ func TestBuildAggregateAdoptsBitForBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring, err := cluster.NewRingReplicas(3, 0, 1)
+	rg, err := ring.New(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shard0 := func(tag string) bool { return ring.Owns(tag, 0) }
+	shard0 := func(tag string) bool { return rg.Owns(tag, 0) }
 	cases := []struct {
 		name               string
 		owns, bootBy, cuts func(string) bool

@@ -1,4 +1,4 @@
-package cluster
+package ring
 
 import (
 	"fmt"
@@ -10,11 +10,11 @@ import (
 // and report the same signature — that is what lets a gateway and N
 // shard processes partition the vocabulary without coordination.
 func TestRingDeterministic(t *testing.T) {
-	a, err := NewRing(3, 0)
+	a, err := New(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(3, DefaultVnodes)
+	b, err := New(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,14 +33,10 @@ func TestRingDeterministic(t *testing.T) {
 // signature, so the gateway's sync-time check actually catches a
 // misconfigured shard.
 func TestRingMismatchDetectable(t *testing.T) {
-	r3, _ := NewRing(3, 0)
-	r4, _ := NewRing(4, 0)
+	r3, _ := New(3, 1)
+	r4, _ := New(4, 1)
 	if r3.Signature() == r4.Signature() {
 		t.Fatal("3-shard and 4-shard rings share a signature")
-	}
-	r3b, _ := NewRing(3, 32)
-	if r3.Signature() == r3b.Signature() {
-		t.Fatal("different vnode counts share a signature")
 	}
 }
 
@@ -49,7 +45,7 @@ func TestRingMismatchDetectable(t *testing.T) {
 // "3-shard" deployment into a 2-shard one) and none hogs the ring.
 func TestRingCoverageAndBalance(t *testing.T) {
 	for _, shards := range []int{2, 3, 5, 8} {
-		r, err := NewRing(shards, 0)
+		r, err := New(shards, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,28 +68,36 @@ func TestRingCoverageAndBalance(t *testing.T) {
 // TestRingOwnerInRange: owners always land in [0, shards), including
 // for tags that hash past the highest virtual node (the wraparound).
 func TestRingOwnerInRange(t *testing.T) {
-	r, err := NewRing(3, 4)
+	r, err := New(3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	top, wrapped := r.points[len(r.points)-1].hash, 0
 	for i := 0; i < 100000; i++ {
-		if o := r.Owner(fmt.Sprintf("wrap-%d", i)); o < 0 || o >= 3 {
+		tag := fmt.Sprintf("wrap-%d", i)
+		if hash64(tag) > top {
+			wrapped++
+		}
+		if o := r.Owner(tag); o < 0 || o >= 3 {
 			t.Fatalf("owner %d out of range", o)
 		}
+	}
+	if wrapped == 0 {
+		t.Fatal("no tag hashed past the highest point: the wraparound went untested")
 	}
 }
 
 func TestRingRejectsZeroShards(t *testing.T) {
-	if _, err := NewRing(0, 0); err == nil {
+	if _, err := New(0, 1); err == nil {
 		t.Fatal("0-shard ring accepted")
 	}
 }
 
 func TestRingRejectsBadReplicas(t *testing.T) {
-	if _, err := NewRingReplicas(3, 0, 0); err == nil {
+	if _, err := New(3, 0); err == nil {
 		t.Fatal("0-replica ring accepted")
 	}
-	if _, err := NewRingReplicas(3, 0, 4); err == nil {
+	if _, err := New(3, 4); err == nil {
 		t.Fatal("4 replicas over 3 shards accepted")
 	}
 }
@@ -106,11 +110,11 @@ func TestRingRejectsBadReplicas(t *testing.T) {
 // position 0 to position 1 does not dogpile one unlucky shard.
 func TestRingReplicaDistribution(t *testing.T) {
 	for _, tc := range []struct{ shards, replicas int }{{3, 2}, {4, 2}, {5, 3}} {
-		a, err := NewRingReplicas(tc.shards, 0, tc.replicas)
+		a, err := New(tc.shards, tc.replicas)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewRingReplicas(tc.shards, DefaultVnodes, tc.replicas)
+		b, err := New(tc.shards, tc.replicas)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +171,7 @@ func TestRingReplicaDistribution(t *testing.T) {
 // order skipping excluded shards, and Covered answers exactly whether
 // some slice lost its last replica.
 func TestRingAssignAndCovered(t *testing.T) {
-	r, err := NewRingReplicas(3, 0, 2)
+	r, err := New(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +200,53 @@ func TestRingAssignAndCovered(t *testing.T) {
 	if r.Covered([]int{0, 1}) {
 		t.Fatal("R=2 ring claims coverage with 2 of 3 shards excluded")
 	}
-	r1, _ := NewRing(3, 0)
+	r1, _ := New(3, 1)
 	if r1.Covered([]int{2}) {
 		t.Fatal("R=1 ring claims coverage with a shard excluded")
+	}
+}
+
+// TestRingSignatureGolden pins Signature byte for byte for shards 1..8
+// at every R up to min(shards, 3). Gateways compare signatures across
+// processes and versions, and R=1 ones are logged and baselined, so any
+// change to the hash, the vnode labels, the vnode count or the point
+// order must fail here.
+func TestRingSignatureGolden(t *testing.T) {
+	for _, g := range []struct {
+		shards, replicas int
+		sig              string
+	}{
+		{1, 1, "f2327a516af73242"},
+		{2, 1, "aebf4720a6bd3691"},
+		{2, 2, "ac3c6f7b5383bbc9"},
+		{3, 1, "f4a79a962313f4ca"},
+		{3, 2, "ccc0751d9ae8efd8"},
+		{3, 3, "ccc0761d9ae8f18b"},
+		{4, 1, "970d7605defdb779"},
+		{4, 2, "a99706f9e91ec601"},
+		{4, 3, "a99705f9e91ec44e"},
+		{5, 1, "3ede2affcf6a187d"},
+		{5, 2, "3d9b8fad71479fcd"},
+		{5, 3, "3d9b8ead71479e1a"},
+		{6, 1, "21b818afc7c1040c"},
+		{6, 2, "0cd600b06cf9e3ca"},
+		{6, 3, "0cd601b06cf9e57d"},
+		{7, 1, "8f82f44906370a80"},
+		{7, 2, "128f9a158f86dae6"},
+		{7, 3, "128f9b158f86dc99"},
+		{8, 1, "20fbf9699d8e0aa2"},
+		{8, 2, "9a336e76b85c0de0"},
+		{8, 3, "9a336f76b85c0f93"},
+	} {
+		r, err := New(g.shards, g.replicas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Signature(); got != g.sig {
+			t.Errorf("%d shards R=%d: signature %s, want %s", g.shards, g.replicas, got, g.sig)
+		}
+		if r.Shards() != g.shards || r.Replicas() != g.replicas {
+			t.Errorf("%d shards R=%d: ring reports %d shards R=%d", g.shards, g.replicas, r.Shards(), r.Replicas())
+		}
 	}
 }

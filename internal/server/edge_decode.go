@@ -68,6 +68,19 @@ func decodeStrict(src io.Reader, v any) error {
 	return nil
 }
 
+// readBody reads r's whole body through the MaxBodyBytes cap into a
+// pooled buffer sized from Content-Length, so a body costs about its own
+// size once. The buffer comes back on error too, holding what arrived;
+// hand it to releaseBodyBuf.
+func readBody(w http.ResponseWriter, r *http.Request) (*bytes.Buffer, error) {
+	buf := getWireBuf()
+	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	return buf, err
+}
+
 // releaseBodyBuf returns a body buffer to the pool unless it grew past
 // maxPooledBody, and reports which.
 func releaseBodyBuf(buf *bytes.Buffer) (pooled bool) {
@@ -92,12 +105,8 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 // truncated body answers what it always has. On failure the 400 has been
 // written.
 func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics, fast func(string, *T) bool, v *T) bool {
-	buf := getWireBuf()
+	buf, readErr := readBody(w, r)
 	defer releaseBodyBuf(buf)
-	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	_, readErr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	// A backslash anywhere declines (in a string it is an escape, outside
 	// one it is no JSON), and escaping clients are the common declined
 	// case: find it before paying the string copy and the scan.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"net/http"
 	"strconv"
@@ -66,13 +65,9 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q: /internal/predict takes %s", ct, WireContentType)
 		return
 	}
-	body := getWireBuf()
+	body, err := readBody(w, r)
 	defer releaseBodyBuf(body)
-	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
-		body.Grow(int(n) + bytes.MinRead)
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if _, err := body.ReadFrom(r.Body); err != nil {
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
@@ -175,14 +170,14 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusUnsupportedMediaType, "unsupported Content-Type %q: /internal/ingest takes %s", ct, IngestContentType)
 		return
 	}
-	body := getWireBuf()
+	body, err := readBody(w, r)
 	defer releaseBodyBuf(body)
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if _, err := body.ReadFrom(r.Body); err != nil {
+	if err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
 		return
 	}
-	// The counts are capped at MaxBatch before anything is allocated.
+	// The counts are capped before anything is allocated: events and
+	// uploads at MaxBatch, an event's tags at ingest.MaxEventTags.
 	// Every string is copied out of the body, so the pooled body is free
 	// for the ack and nothing the accumulator keeps pins it.
 	br := bincodec.NewReader(body.Bytes())
@@ -219,8 +214,8 @@ func (s *Server) handleInternalMeta(w http.ResponseWriter, r *http.Request) {
 	id := s.ident.Load()
 	resp := InternalMetaResponse{
 		Index:         id.index,
-		Shards:        id.shards,
-		RingSignature: id.ringSig,
+		Shards:        id.ring.Shards(),
+		RingSignature: id.ring.Signature(),
 		Countries:     snap.World().Codes(),
 		Prior:         snap.Prior(),
 		Records:       snap.Records(),
@@ -228,8 +223,8 @@ func (s *Server) handleInternalMeta(w http.ResponseWriter, r *http.Request) {
 		IngestEnabled: s.ing != nil,
 		Ready:         s.ready.Load(),
 	}
-	if id.replicas > 1 {
-		resp.Replicas = id.replicas
+	if n := id.ring.Replicas(); n > 1 {
+		resp.Replicas = n
 	}
 	if s.ing != nil {
 		resp.Epoch = s.ing.Epoch()

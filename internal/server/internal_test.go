@@ -17,7 +17,9 @@ import (
 	"viewstags/internal/bincodec"
 	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
+	"viewstags/internal/persist"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/tagviews"
 )
 
@@ -230,6 +232,112 @@ func TestInternalMeta(t *testing.T) {
 	}
 }
 
+// TestServerDerivesItsRing: a node built from its shard index, shard
+// count and replica count alone derives the ring a gateway builds from the
+// same numbers. /internal/meta and /metrics report that ring's signature,
+// and the transfer routes answer over it: an export holds exactly the
+// tags the destination owns and this replica is assigned to send.
+func TestServerDerivesItsRing(t *testing.T) {
+	res, _ := fixture(t)
+	want, err := ring.New(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := profilestore.BuildOwned(res.Analysis, func(name string) bool { return want.Owns(name, 1) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := profilestore.NewStore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.ShardIndex, cfg.ShardCount, cfg.Replicas = 1, 3, 2
+	srv, err := New(cfg, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var meta InternalMetaResponse
+	if code := do(t, srv, http.MethodGet, "/internal/meta", nil, &meta); code != http.StatusOK {
+		t.Fatalf("/internal/meta: status %d", code)
+	}
+	if meta.Index != 1 || meta.Shards != 3 || meta.Replicas != 2 || meta.RingSignature != want.Signature() {
+		t.Fatalf("/internal/meta reports shard %d of %d, R=%d, ring %q; want 1 of 3, R=2, ring %q",
+			meta.Index, meta.Shards, meta.Replicas, meta.RingSignature, want.Signature())
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if label := `ring_signature="` + want.Signature() + `"`; !strings.Contains(rec.Body.String(), label) {
+		t.Fatalf("/metrics carries no %s", label)
+	}
+
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(TransferExportRequest{DestShards: 3, DestReplicas: 2, DestIndex: 0}); err != nil {
+		t.Fatal(err)
+	}
+	rec = httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/internal/transfer/export", &body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/internal/transfer/export: status %d: %s", rec.Code, rec.Body)
+	}
+	_, data, err := persist.ReadSnapshot(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, p := range data.Profiles {
+		got[p.Name] = true
+	}
+	sent := 0
+	for _, p := range snap.ExportFiltered(func(string) bool { return true }).Profiles {
+		name := p.Name
+		keep := want.Owns(name, 0) && want.Assign(name, nil) == 1
+		if got[name] != keep {
+			t.Fatalf("tag %q exported %v, want %v", name, got[name], keep)
+		}
+		if keep {
+			sent++
+		}
+	}
+	if sent == 0 || sent != len(got) {
+		t.Fatalf("export holds %d tags, %d of them expected", len(got), sent)
+	}
+}
+
+// TestServerRefusesADisagreeingRing: Config.RingSignature and
+// Config.Topology are not independent settings. A value that agrees with
+// the ring New derives is accepted; one that does not is refused.
+func TestServerRefusesADisagreeingRing(t *testing.T) {
+	_, base := fixture(t)
+	derived, err := ring.New(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := ring.New(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		sig    string
+		topo   *ring.Ring
+		refuse bool
+	}{
+		{"agreeing signature and topology", derived.Signature(), derived, false},
+		{"disagreeing signature", other.Signature(), nil, true},
+		{"disagreeing topology", "", other, true},
+		{"agreeing signature, disagreeing topology", derived.Signature(), other, true},
+	} {
+		cfg := DefaultConfig()
+		cfg.ShardIndex, cfg.ShardCount, cfg.Replicas = 1, 3, 2
+		cfg.RingSignature, cfg.Topology = c.sig, c.topo
+		if _, err := New(cfg, base.store); (err != nil) != c.refuse {
+			t.Errorf("%s: New error %v, want refused %v", c.name, err, c.refuse)
+		}
+	}
+}
+
 // TestInternalIngest: owned-tag events and bare upload announcements
 // both land, sharing one per-epoch record dedup, and the binary ack
 // reports them.
@@ -290,6 +398,49 @@ func TestInternalIngestAllOrNothing(t *testing.T) {
 	}
 	if j.records != 0 {
 		t.Fatalf("%d records journaled for a refused batch, want 0", j.records)
+	}
+}
+
+// TestInternalTagCountsBoundedBeforeAllocation: a per-item tag count is
+// checked against its bound before the item's tags are allocated. An
+// /internal/ingest event may carry MaxEventTags, and a rows item exactly
+// one tag; a body claiming more is a 400 that allocates a small multiple
+// of itself. Decoding 2^20 empty tags first used to cost 16 bytes of
+// string header per body byte.
+func TestInternalTagCountsBoundedBeforeAllocation(t *testing.T) {
+	srv, _, _ := freshServer(t, false, 0, time.Hour)
+	event := func(tags int) []byte {
+		return ingestBody([]ingest.Event{{Video: "tc", Tags: make([]string, tags), Country: country(t, srv, "JP"), Views: 1}})
+	}
+	// A rows frame's header and one item, whose tag count is 2^20 and
+	// whose tags are all empty.
+	rows := binary.AppendUvarint(AppendRowsRequest(nil, []string{"x"})[:len(wireReqMagic)+2], 1<<20)
+	rows = append(rows, make([]byte, 1<<20)...)
+	ingestPost := func(body []byte) *httptest.ResponseRecorder { return postInternalIngest(srv, body) }
+	predictPost := func(body []byte) *httptest.ResponseRecorder { return postFrame(srv, WireContentType, body) }
+	for _, c := range []struct {
+		name string
+		post func([]byte) *httptest.ResponseRecorder
+		body []byte
+	}{
+		{"ingest event claiming MaxEventTags+1 tags", ingestPost, event(ingest.MaxEventTags + 1)},
+		{"ingest event claiming 2^20 tags", ingestPost, event(1 << 20)},
+		{"rows item claiming 2^20 tags", predictPost, rows},
+	} {
+		c.post(c.body) // warm the pools
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := c.post(c.body)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400: %s", c.name, rec.Code, rec.Body)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d-byte body, %d bytes allocated: %s", c.name, len(c.body), alloc, strings.TrimSpace(rec.Body.String()))
+		if limit := uint64(2*len(c.body)) + 256<<10; alloc > limit {
+			t.Errorf("%s: a %d-byte body allocated %d bytes, over %d", c.name, len(c.body), alloc, limit)
+		}
 	}
 }
 

@@ -28,11 +28,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		tw.Histogram("viewstags_checkpoint_duration_seconds", "Checkpoint save duration (write + fsync + rename + prune).", nil, s.ckptHist.Snapshot())
 	}
 	obs.WriteGoRuntime(tw)
-	if sig := s.ident.Load().ringSig; sig != "" {
-		obs.WriteBuildInfo(tw, obs.Label{Name: "ring_signature", Value: sig})
-	} else {
-		obs.WriteBuildInfo(tw)
-	}
+	obs.WriteBuildInfo(tw, obs.Label{Name: "ring_signature", Value: s.ident.Load().ring.Signature()})
 	w.Header().Set("Content-Type", obs.TextContentType)
 	_, _ = w.Write(tw.Bytes())
 }

@@ -264,15 +264,6 @@ func TestPreloadFollowsBareSwap(t *testing.T) {
 	}
 }
 
-// oneShard is the topology of a cluster of one shard: it owns every tag.
-type oneShard struct{}
-
-func (oneShard) Replicas() int                     { return 1 }
-func (oneShard) Owns(string, int) bool             { return true }
-func (oneShard) Assign(string, []int) int          { return 0 }
-func (oneShard) Signature() string                 { return "one-shard" }
-func makeOneShard(int, int) (ShardTopology, error) { return oneShard{}, nil }
-
 // TestPreloadWeightingSurvivesTransfer: a slice transfer installs its
 // snapshot under the preload weighting already in force. A node whose
 // catalog ranks by views answers /v1/preload byte for byte the same
@@ -288,9 +279,7 @@ func TestPreloadWeightingSurvivesTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Topology, cfg.MakeTopology = oneShard{}, makeOneShard
-	srv, err := New(cfg, store)
+	srv, err := New(DefaultConfig(), store)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,6 +57,7 @@ import (
 	"viewstags/internal/persist"
 	"viewstags/internal/placement"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/synth"
 	"viewstags/internal/tagviews"
 )
@@ -151,24 +152,13 @@ type Config struct {
 	// standalone default is shard 0 of 1.
 	ShardIndex int
 	ShardCount int
-	// RingSignature fingerprints the consistent-hash ring the node's
-	// vocabulary was partitioned with (cluster.Ring.Signature, rendered
-	// by the caller). A gateway refuses to merge with a shard whose
-	// signature differs from its own — that shard would own the wrong
-	// tags.
+	// RingSignature and Topology are derived, not set: New builds the
+	// node's ring from ShardCount and Replicas, as the gateway builds its
+	// own from its target count and replicas, and /internal/meta reports
+	// that ring's signature. A non-zero value that disagrees with the
+	// derived ring is refused.
 	RingSignature string
-	// Topology is the node's view of the shared placement ring
-	// (normally the same cluster.Ring the daemon partitioned with):
-	// which shards own a tag, and which live replica exports it for a
-	// given exclusion list. Nil on standalone nodes — transfer exports
-	// then treat the node as the sole owner of its whole vocabulary.
-	Topology ShardTopology
-	// MakeTopology builds the topology for an arbitrary (shards,
-	// replicas) pair — the hook /internal/transfer needs to reason
-	// about a destination topology that is not this node's own
-	// (normally a closure over cluster.NewRingReplicas). Nil disables
-	// the transfer routes (503).
-	MakeTopology func(shards, replicas int) (ShardTopology, error)
+	Topology      *ring.Ring
 }
 
 // DefaultConfig returns the standard serving configuration.
@@ -176,32 +166,13 @@ func DefaultConfig() Config {
 	return Config{Common: Common{MaxInFlight: 256, MaxBatch: 1024, Replicas: 1}}
 }
 
-// ShardTopology is the placement contract a node shares with its
-// gateway: the replica set arithmetic of the consistent-hash ring,
-// abstracted so this package does not import internal/cluster. The
-// concrete implementation is cluster.Ring.
-type ShardTopology interface {
-	// Replicas is the copies-per-tag count the topology places.
-	Replicas() int
-	// Owns reports whether shard is one of the tag's replica owners.
-	Owns(tag string, shard int) bool
-	// Assign resolves which replica exports the tag in a transfer when
-	// the shards in exclude are out of rotation (-1 when all are).
-	Assign(tag string, exclude []int) int
-	// Signature fingerprints the topology for sync-time agreement.
-	Signature() string
-}
-
-// shardIdent is the node's mutable cluster identity: /internal/transfer
-// adopt swaps it atomically when a live reshard re-homes the node, so
-// the hot paths read it lock-free while the rest of Config stays
-// immutable.
+// shardIdent is the node's mutable cluster identity: its index on the
+// placement ring. /internal/transfer adopt swaps it atomically when a
+// live reshard re-homes the node, so the hot paths read it lock-free
+// while the rest of Config stays immutable.
 type shardIdent struct {
-	index    int
-	shards   int
-	replicas int
-	ringSig  string
-	topo     ShardTopology
+	index int
+	ring  *ring.Ring
 }
 
 // Server wires the store, the placement recommender and the optional
@@ -231,9 +202,8 @@ type Server struct {
 	// only clears when the next fold drains it).
 	foldInterval time.Duration
 
-	// ident is the mutable cluster identity (shard index/count,
-	// replicas, ring signature, topology). Reads are lock-free; only
-	// /internal/transfer/adopt swaps it.
+	// ident is the mutable cluster identity (shard index and ring).
+	// Reads are lock-free; only /internal/transfer/adopt swaps it.
 	ident atomic.Pointer[shardIdent]
 
 	// foldNow, when set (SetFoldHook), synchronously folds any pending
@@ -294,8 +264,14 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 	if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
 		return nil, fmt.Errorf("server: shard index %d out of range for %d shards", cfg.ShardIndex, cfg.ShardCount)
 	}
-	if cfg.Replicas > cfg.ShardCount {
-		return nil, fmt.Errorf("server: %d replicas over %d shards", cfg.Replicas, cfg.ShardCount)
+	rg, err := ring.New(cfg.ShardCount, cfg.Replicas)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	if sig := rg.Signature(); cfg.RingSignature != "" && cfg.RingSignature != sig ||
+		cfg.Topology != nil && cfg.Topology.Signature() != sig {
+		return nil, fmt.Errorf("server: configured ring disagrees with shard %d of %d at %d replicas (signature %s)",
+			cfg.ShardIndex, cfg.ShardCount, cfg.Replicas, sig)
 	}
 	world := store.Load().World()
 	s := &Server{
@@ -306,13 +282,7 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 		logger:    cfg.Logger,
 		countries: NewCountries(world.Codes()),
 	}
-	s.ident.Store(&shardIdent{
-		index:    cfg.ShardIndex,
-		shards:   cfg.ShardCount,
-		replicas: cfg.Replicas,
-		ringSig:  cfg.RingSignature,
-		topo:     cfg.Topology,
-	})
+	s.ident.Store(&shardIdent{index: cfg.ShardIndex, ring: rg})
 	s.mw = NewMiddleware(cfg.MaxInFlight, s.metrics, cfg.Logger, cfg.LogRequests)
 	s.traces = obs.NewTraceStore(0)
 	s.mw.SetTraceStore(s.traces)

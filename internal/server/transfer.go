@@ -7,6 +7,7 @@ import (
 	"viewstags/internal/obs"
 	"viewstags/internal/persist"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/tagviews"
 )
 
@@ -15,10 +16,9 @@ import (
 // to stream a slice of the vocabulary from one node to another using
 // the persist snapshot codec (Export → WriteSnapshot → ReadSnapshot →
 // FromData is bit-identical), then cut the receiving node over to its
-// new topology. The routes need Config.MakeTopology to reason about a
-// destination topology that is not the node's own; without it they
-// answer 503, which is what a standalone daemon without cluster wiring
-// reports.
+// new topology. Every node has a ring (a standalone one is shard 0 of 1),
+// so a destination topology is one ring.New away: the routes answer on
+// every node.
 
 // TransferContentType is the /internal/transfer/export response (and
 // import request) body type: a persist-codec snapshot frame.
@@ -67,16 +67,6 @@ type TransferAdoptResponse struct {
 	Records   int    `json:"records"`
 }
 
-// requireTopology gates the transfer routes on cluster wiring; on
-// failure the 503 has been written.
-func (s *Server) requireTopology(w http.ResponseWriter) bool {
-	if s.cfg.MakeTopology == nil {
-		WriteError(w, http.StatusServiceUnavailable, "transfer disabled: daemon started without cluster topology wiring")
-		return false
-	}
-	return true
-}
-
 // flushFolds drains pending ingest deltas into the serving snapshot so
 // transfer operates on fully folded state; on failure the 500 has been
 // written.
@@ -91,13 +81,12 @@ func (s *Server) flushFolds(w http.ResponseWriter) bool {
 	return true
 }
 
-// decodeDestination is the step export and adopt open with: refuse
-// without topology wiring, decode req, range-check the shard its fields
-// index, shards and replicas name (replicas default to 1), build that
-// topology, and fold pending events. On failure the error reply has been
-// written.
-func (s *Server) decodeDestination(w http.ResponseWriter, r *http.Request, req any, index, shards, replicas *int) (ShardTopology, bool) {
-	if !s.requireTopology(w) || !DecodeBody(w, r, req) {
+// decodeDestination is the step export and adopt open with: decode req,
+// range-check the shard its fields index, shards and replicas name
+// (replicas default to 1), build that ring, and fold pending events. On
+// failure the error reply has been written.
+func (s *Server) decodeDestination(w http.ResponseWriter, r *http.Request, req any, index, shards, replicas *int) (*ring.Ring, bool) {
+	if !DecodeBody(w, r, req) {
 		return nil, false
 	}
 	if *shards < 1 || *index < 0 || *index >= *shards {
@@ -107,7 +96,7 @@ func (s *Server) decodeDestination(w http.ResponseWriter, r *http.Request, req a
 	if *replicas < 1 {
 		*replicas = 1
 	}
-	topo, err := s.cfg.MakeTopology(*shards, *replicas)
+	topo, err := ring.New(*shards, *replicas)
 	if err != nil {
 		WriteError(w, http.StatusBadRequest, "destination topology: %v", err)
 		return nil, false
@@ -150,18 +139,15 @@ func (s *Server) handleTransferExport(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Keep a tag iff the destination will own it AND this node is the
-	// replica assigned to export it (sole owner on unreplicated nodes),
-	// so concurrent per-source exports partition the destination's
-	// slice instead of overlapping.
+	// replica assigned to export it (at R=1, the sole owner of every tag
+	// it holds), so concurrent per-source exports partition the
+	// destination's slice instead of overlapping.
 	id := s.ident.Load()
 	keep := func(name string) bool {
 		if !destTopo.Owns(name, req.DestIndex) {
 			return false
 		}
-		if id.topo == nil || id.replicas <= 1 {
-			return true
-		}
-		return id.topo.Assign(name, req.Exclude) == id.index
+		return id.ring.Replicas() == 1 || id.ring.Assign(name, req.Exclude) == id.index
 	}
 	snap := s.store.Load()
 	exportStart := time.Now()
@@ -179,9 +165,6 @@ func (s *Server) handleTransferExport(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTransferImport(w http.ResponseWriter, r *http.Request) {
-	if !s.requireTopology(w) {
-		return
-	}
 	// Fold BEFORE merging: any events this node buffered were also
 	// delivered to (and folded by) the exporting replica, so folding
 	// them first and then replacing by name is an exact dedup — folding
@@ -223,13 +206,7 @@ func (s *Server) handleTransferAdopt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sig := topo.Signature()
-	s.ident.Store(&shardIdent{
-		index:    req.Index,
-		shards:   req.Shards,
-		replicas: req.Replicas,
-		ringSig:  sig,
-		topo:     topo,
-	})
+	s.ident.Store(&shardIdent{index: req.Index, ring: topo})
 	s.logger.Printf("server: adopted topology shard %d/%d replicas=%d signature=%s",
 		req.Index, req.Shards, req.Replicas, sig)
 	snap := s.store.Load()

@@ -165,10 +165,12 @@ func decodePredictRequest(data []byte, maxItems int) (items [][]string, weightin
 	// Every item and every tag costs at least one byte on the wire.
 	items = make([][]string, r.Count("item", maxItems, 1))
 	for i := range items {
-		tags := make([]string, r.Count("tag", math.MaxInt, 1))
-		if flags&wireFlagRows != 0 && len(tags) != 1 {
-			r.Fail(fmt.Errorf("server: rows frame item %d has %d tags, want 1", i, len(tags)))
+		n := r.Count("tag", math.MaxInt, 1)
+		if flags&wireFlagRows != 0 && n != 1 {
+			r.Fail(fmt.Errorf("server: rows frame item %d has %d tags, want 1", i, n))
+			break
 		}
+		tags := make([]string, n)
 		for j := range tags {
 			tags[j] = r.Str(MaxTagLen)
 		}

@@ -19,8 +19,8 @@ import (
 	"testing"
 	"time"
 
-	"viewstags/internal/cluster"
 	"viewstags/internal/obs"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -44,12 +44,12 @@ func (l *logBuf) String() string {
 
 // startLoggedNode is startClusterNode with access logging captured
 // into a buffer, for the trace-propagation assertions.
-func startLoggedNode(t *testing.T, ring *cluster.Ring, index, count int, foldEvery time.Duration, buf *logBuf) *clusterNode {
+func startLoggedNode(t *testing.T, rg *ring.Ring, index, count int, foldEvery time.Duration, buf *logBuf) *clusterNode {
 	t.Helper()
-	o := nodeOptions(index, count, ring.Replicas(), foldEvery)
+	o := nodeOptions(index, count, rg.Replicas(), foldEvery)
 	o.Server.Logger = log.New(buf, "", 0)
 	o.Server.LogRequests = true
-	return startNode(t, o, fixtureBase(t, index, count, ring.Replicas()))
+	return startNode(t, o, fixtureBase(t, index, count, rg.Replicas()))
 }
 
 // scrape fetches a /metrics exposition, checks status and content
@@ -199,7 +199,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 func TestTraceEndToEnd(t *testing.T) {
 	const shards = 2
 	foldEvery := 50 * time.Millisecond
-	ring, err := cluster.NewRing(shards, 0)
+	rg, err := ring.New(shards, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	shardLogs := make([]*logBuf, shards)
 	for i := range shardLogs {
 		shardLogs[i] = &logBuf{}
-		tr.nodes = append(tr.nodes, startLoggedNode(t, ring, i, shards, foldEvery, shardLogs[i]))
+		tr.nodes = append(tr.nodes, startLoggedNode(t, rg, i, shards, foldEvery, shardLogs[i]))
 	}
 	gwLog := &logBuf{}
 	tr.opts.Gateway.Logger = log.New(gwLog, "", 0)
@@ -221,7 +221,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		// Cold tags of every shard's (legTags), distinct per id: a
 		// gateway that already held the rows would not call a shard, and
 		// this test is about what the shard-bound leg carries.
-		body := strings.NewReader(`{"tags":[` + legTags(ring, shards, "e2e"+id) + `],"top":3}`)
+		body := strings.NewReader(`{"tags":[` + legTags(rg, shards, "e2e"+id) + `],"top":3}`)
 		req, err := http.NewRequest(http.MethodPost, gw.URL+"/v1/predict", body)
 		if err != nil {
 			t.Fatal(err)

@@ -24,6 +24,7 @@ import (
 
 	"viewstags/internal/cluster"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -250,7 +251,7 @@ func TestLiveReshardShrinkEndToEnd(t *testing.T) {
 func TestReshardKeepsUnfoldedEvents(t *testing.T) {
 	const before, after, replicas = 3, 4, 2
 	rt := startReshardTierFolding(t, before, replicas, time.Hour)
-	grownRing, err := cluster.NewRingReplicas(after, 0, replicas)
+	grownRing, err := ring.New(after, replicas)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,9 +282,8 @@ func TestReshardKeepsUnfoldedEvents(t *testing.T) {
 	assertSamePrediction(t, rt.client, rt.single.ts.URL, rt.gw.URL, []string{"favela", "samba"})
 }
 
-// TestReshardFailureKeepsOldTier: an incoming daemon without topology
-// wiring passes the pre-flight (ready, same dataset) and then refuses the
-// import with 503. The reshard answers 503, the handoff record is back at
+// TestReshardFailureKeepsOldTier: an incoming daemon passes the
+// pre-flight (ready, same dataset) and then refuses the import with 503. The reshard answers 503, the handoff record is back at
 // idle with the attempt counted, and the old tier keeps serving exactly.
 func TestReshardFailureKeepsOldTier(t *testing.T) {
 	res := testFixture(t)
@@ -294,14 +294,11 @@ func TestReshardFailureKeepsOldTier(t *testing.T) {
 		server.IngestEvent{Video: "rf", Tags: []string{"zz-fail-a", "zz-fail-b"}, Country: "US", Views: 30})
 	rt.fold()
 
-	// The daemon that cannot import: server.New alone over the slice it
-	// would own, with no topology to reason about a transfer under.
-	ringFour, err := cluster.NewRing(before+1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The daemon that cannot import: a server over the slice it would
+	// own whose import route answers 503, as a daemon out of disk or
+	// shutting down would.
 	cfg := server.DefaultConfig()
-	cfg.ShardIndex, cfg.ShardCount, cfg.RingSignature = before, before+1, ringFour.Signature()
+	cfg.ShardIndex, cfg.ShardCount = before, before+1
 	store, err := profilestore.NewStore(fixtureBase(t, before, before+1, 1).Snap)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +308,13 @@ func TestReshardFailureKeepsOldTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetReady()
-	bare := httptest.NewServer(srv.Handler())
+	bare := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/internal/transfer/import" {
+			server.WriteError(w, http.StatusServiceUnavailable, "import refused")
+			return
+		}
+		srv.Handler().ServeHTTP(w, r)
+	}))
 	defer bare.Close()
 	targets := []string{rt.nodes[0].ts.URL, rt.nodes[1].ts.URL, rt.nodes[2].ts.URL, bare.URL}
 	var envelope struct {
@@ -385,7 +388,7 @@ func TestAdoptedRingOnMetrics(t *testing.T) {
 	n := startReplicaNode(t, 0, 3, 1, reshardFoldEvery)
 	defer n.stop()
 	client := n.ts.Client()
-	ringTwo, err := cluster.NewRing(2, 0)
+	ringTwo, err := ring.New(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,9 +17,9 @@ import (
 	"testing"
 	"time"
 
-	"viewstags/internal/cluster"
 	"viewstags/internal/faultproxy"
 	"viewstags/internal/obs"
+	"viewstags/internal/ring"
 	"viewstags/internal/server"
 )
 
@@ -74,11 +74,11 @@ func promSum(t *testing.T, text, prefix string) float64 {
 // shard that no request with another label has asked for — the gateway
 // answers from the rows it holds, so only a tag it has not resolved yet
 // makes the leg these tests are about.
-func legTags(ring *cluster.Ring, shards int, label string) string {
+func legTags(rg *ring.Ring, shards int, label string) string {
 	owned := make([]string, shards)
 	for found, i := 0, 0; found < len(owned); i++ {
 		tag := "zz-" + label + "-" + strconv.Itoa(i)
-		if s := ring.Owner(tag); owned[s] == "" {
+		if s := rg.Owner(tag); owned[s] == "" {
 			owned[s] = tag
 			found++
 		}
@@ -93,7 +93,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	const shards = 3
 	const delay = 50 * time.Millisecond
 	foldEvery := 50 * time.Millisecond
-	ring, err := cluster.NewRing(shards, 0)
+	rg, err := ring.New(shards, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 	// label picks the cold tags: requests sharing a label share them.
 	post := func(id, label string) {
 		t.Helper()
-		body := strings.NewReader(`{"tags":[` + legTags(ring, shards, label) + `],"top":3}`)
+		body := strings.NewReader(`{"tags":[` + legTags(rg, shards, label) + `],"top":3}`)
 		req, err := http.NewRequest(http.MethodPost, gw.URL+"/v1/predict", body)
 		if err != nil {
 			t.Fatal(err)
