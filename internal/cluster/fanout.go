@@ -322,7 +322,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 			m.bodies[s] = server.AppendRowsRequest((*m.bufs[s])[:0], m.wantTags(s))
 		}
 		fanStart := time.Now()
-		replies := g.scatter(ctx, tp, legPredict, m.bodies, server.WireContentType, trace)
+		replies := fanOut(g, ctx, tp, posts{legPredict, m.bodies, server.WireContentType, trace})
 		m.fanout += time.Since(fanStart)
 		if m.nlegs == 0 {
 			m.fanStart = fanStart
@@ -450,7 +450,7 @@ func (g *Gateway) coverageLost(tp *topology, exclude []int) *server.ErrorReply {
 func (g *Gateway) takeRows(tp *topology, shard int, gen uint32, tags []string, body []byte, pp *server.PredictPartials) ([]tagRow, *server.ErrorReply) {
 	n, nC := len(tags), len(g.codes)
 	if err := server.DecodePredictResponse(body, pp, n, nC); err != nil {
-		g.markFail(tp, shard)
+		g.markFail(tp, shard, err)
 		return nil, &server.ErrorReply{Status: http.StatusBadGateway,
 			Msg: fmt.Sprintf("shard %d: undecodable response: %v", shard, err)}
 	}

@@ -19,9 +19,8 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -351,53 +350,63 @@ func (g *Gateway) Traces() *obs.TraceStore { return g.traces }
 // fires after a handler panic. Call before serving traffic.
 func (g *Gateway) SetPanicHook(f func()) { g.mw.SetPanicHook(f) }
 
-// Sync interrogates every shard's /internal/meta and pins the cluster
-// contract: each target must identify as the expected shard of the
-// expected count, carry the gateway's ring signature, and agree on the
-// country table and traffic prior (the globals partial predictions are
-// merged with). Returns the first violation — a gateway must not serve
-// over a topology it cannot prove consistent.
+// Sync reads every shard's /internal/meta and pins the cluster contract
+// by admit, the rule every health poll applies too. A gateway's first
+// Sync learns the country table and traffic prior (the globals partial
+// predictions are merged with) from its first shard. Returns the first
+// violation — a gateway must not serve over a topology it cannot prove
+// consistent.
 func (g *Gateway) Sync(ctx context.Context) error {
 	tp := g.topo.Load()
-	sig := tp.ring.Signature()
+	codes, prior := g.codes, g.prior
 	for i, target := range tp.targets {
 		var meta server.InternalMetaResponse
-		if err := g.getJSON(ctx, target+server.InternalMetaPath, &meta); err != nil {
+		err := g.get(ctx, target+server.InternalMetaPath).decode(&meta)
+		if err == nil {
+			if codes == nil {
+				codes, prior = meta.Countries, meta.Prior
+			}
+			err = admit(tp, i, &meta, codes, prior)
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: shard %d (%s): %w", i, target, err)
-		}
-		if meta.Shards != len(tp.targets) || meta.Index != i {
-			return fmt.Errorf("cluster: shard %d (%s) identifies as shard %d of %d, want %d of %d",
-				i, target, meta.Index, meta.Shards, i, len(tp.targets))
-		}
-		metaReplicas := meta.Replicas
-		if metaReplicas == 0 {
-			metaReplicas = 1
-		}
-		if metaReplicas != tp.ring.Replicas() {
-			return fmt.Errorf("cluster: shard %d (%s) places %d replicas, gateway places %d",
-				i, target, metaReplicas, tp.ring.Replicas())
-		}
-		if meta.RingSignature != sig {
-			return fmt.Errorf("cluster: shard %d (%s) ring signature %q, gateway has %q — partitioned with a different ring",
-				i, target, meta.RingSignature, sig)
-		}
-		if !meta.Ready {
-			// Still recovering durable state; the daemon's sync-with-retry
-			// loop will come back once /readyz flips.
-			return fmt.Errorf("cluster: shard %d (%s) is not ready yet (recovery in progress)", i, target)
-		}
-		if g.codes == nil {
-			g.codes = meta.Countries
-			g.countries = server.NewCountries(g.codes)
-			g.prior = meta.Prior
-		} else if !slices.Equal(g.codes, meta.Countries) || !slices.Equal(g.prior, meta.Prior) {
-			return fmt.Errorf("cluster: shard %d (%s) disagrees with shard 0 on the country table or prior — different datasets?", i, target)
 		}
 		tp.shards[i].epoch.Store(meta.Epoch)
 		tp.shards[i].records.Store(int64(meta.Records))
 	}
-	if len(g.codes) == 0 {
+	if len(codes) == 0 {
 		return fmt.Errorf("cluster: shards report an empty country table")
+	}
+	if g.codes == nil {
+		g.codes, g.countries, g.prior = codes, server.NewCountries(codes), prior
+	}
+	return nil
+}
+
+// admit is the one rule a shard's /internal/meta must pass to serve as
+// shard i of tp: its identity — index, shard count, replica factor and
+// ring signature — then admitData.
+func admit(tp *topology, i int, meta *server.InternalMetaResponse, codes []string, prior []float64) error {
+	replicas := max(meta.Replicas, 1)
+	switch {
+	case meta.Index != i || meta.Shards != len(tp.targets):
+		return fmt.Errorf("identifies as shard %d of %d, want %d of %d", meta.Index, meta.Shards, i, len(tp.targets))
+	case replicas != tp.ring.Replicas():
+		return fmt.Errorf("places %d replicas, gateway places %d", replicas, tp.ring.Replicas())
+	case meta.RingSignature != tp.ring.Signature():
+		return fmt.Errorf("ring signature %q, gateway has %q — partitioned with a different ring", meta.RingSignature, tp.ring.Signature())
+	}
+	return admitData(meta, codes, prior)
+}
+
+// admitData is admit's readiness-and-dataset half, all Reshard's
+// pre-flight applies: a target keeps its old identity until it adopts.
+func admitData(meta *server.InternalMetaResponse, codes []string, prior []float64) error {
+	if !meta.Ready {
+		return errors.New("not ready yet (recovery in progress)")
+	}
+	if !slices.Equal(codes, meta.Countries) || !slices.Equal(prior, meta.Prior) {
+		return errors.New("disagrees on the country table or prior — different dataset?")
 	}
 	return nil
 }
@@ -449,9 +458,9 @@ func (g *Gateway) Run(ctx context.Context, addr string, grace time.Duration) err
 
 // StartHealth starts the health loop: roughly every HealthInterval it
 // refreshes shard state and then, if a revived replica is waiting on one,
-// runs replica catch-up, until Close. The interval is jittered ±20% so a
-// fleet of gateways does not probe the shard tier in lockstep. Call it
-// once, after Sync and before serving.
+// runs replica catch-up, until Close, skipping reshard handoffs. The
+// interval is jittered ±20% so a fleet of gateways does not probe the
+// shard tier in lockstep. Call it once, after Sync and before serving.
 func (g *Gateway) StartHealth() {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -465,8 +474,12 @@ func (g *Gateway) StartHealth() {
 			case <-ctx.Done():
 				return
 			case <-timer.C:
-				g.RefreshHealth(ctx)
-				g.maybeCatchUp(ctx)
+				// Not mid-reshard: adopt gives carried-over shards the identity
+				// only the cutover's topology admits; Reshard polls after it.
+				if h := g.handoff.Load(); h == nil || !h.Active {
+					g.RefreshHealth(ctx)
+					g.maybeCatchUp(ctx)
+				}
 				timer.Reset(tick.Next())
 			}
 		}
@@ -474,36 +487,34 @@ func (g *Gateway) StartHealth() {
 	g.stopHealth = func() { cancel(); <-done }
 }
 
-// RefreshHealth probes every shard's /internal/meta once, concurrently,
-// updating epochs, record counts and up/down state. A probe success
-// immediately revives a down shard; failures accumulate toward
-// FailThreshold like any other shard call. A shard that answers but
-// reports itself unready — still recovering its durable state — counts
-// as a failure too: routing to it would serve from a half-replayed
-// journal. The health loop (StartHealth) calls it every HealthInterval;
-// it is exported so tests and embedders can poll at an instant of their
-// choosing instead.
+// RefreshHealth polls every shard's /internal/meta once, concurrently,
+// and judges each answer by Sync's rule, admit. An admitted shard's epoch
+// and record count are recorded, and a down one revives. Any other poll
+// counts toward FailThreshold like a failed shard call, and one the shard
+// answered is logged with its reason: a shard still recovering would
+// serve from a half-replayed journal, and one that identifies as another
+// shard or over another dataset, from a slice it does not hold. The
+// health loop (StartHealth) calls it every HealthInterval; it is exported
+// so tests and embedders can poll at an instant of their choosing.
 func (g *Gateway) RefreshHealth(ctx context.Context) {
 	tp := g.topo.Load()
-	var wg sync.WaitGroup
-	for i := range tp.targets {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var meta server.InternalMetaResponse
-			if err := g.getJSON(ctx, tp.targets[i]+server.InternalMetaPath, &meta); err != nil {
-				g.markFail(tp, i)
-				return
-			}
-			if !meta.Ready {
-				g.markFail(tp, i)
-				return
-			}
-			tp.shards[i].records.Store(int64(meta.Records))
-			g.markOK(tp, i, meta.Epoch)
-		}(i)
+	for i, rep := range fanOut(g, ctx, tp, gets{path: server.InternalMetaPath}) {
+		if rep.err != nil {
+			continue // getShard counted it
+		}
+		var meta server.InternalMetaResponse
+		err := rep.decode(&meta)
+		if err == nil {
+			err = admit(tp, i, &meta, g.codes, g.prior)
+		}
+		if err != nil {
+			g.logger.Printf("cluster: shard %d (%s) refused: %v", i, tp.targets[i], err)
+			g.markFail(tp, i, err)
+			continue
+		}
+		tp.shards[i].records.Store(int64(meta.Records))
+		g.markOK(tp, i, meta.Epoch)
 	}
-	wg.Wait()
 }
 
 // markOK records a successful shard interaction and its observed epoch.
@@ -550,16 +561,16 @@ func (g *Gateway) markOK(tp *topology, i int, epoch uint64) {
 	}
 }
 
-// markFail counts a failed shard interaction; FailThreshold consecutive
-// failures take the shard out of rotation until a call or probe
-// succeeds.
-func (g *Gateway) markFail(tp *topology, i int) {
+// markFail counts a failed shard interaction and its reason;
+// FailThreshold consecutive failures take the shard out of rotation until
+// a call or probe succeeds, logged with the last one's reason.
+func (g *Gateway) markFail(tp *topology, i int, reason error) {
 	s := tp.shards[i]
 	if s.fails.Add(1) >= int64(g.cfg.FailThreshold) {
 		if s.down.CompareAndSwap(false, true) {
 			s.invalidate(invalDown)
-			g.logger.Printf("cluster: shard %d (%s) marked down after %d consecutive failures",
-				i, tp.targets[i], g.cfg.FailThreshold)
+			g.logger.Printf("cluster: shard %d (%s) marked down after %d consecutive failures (last: %v)",
+				i, tp.targets[i], g.cfg.FailThreshold, reason)
 			// Whatever is left of its stream may be half-open; a revived
 			// shard is reached over a fresh connection.
 			tp.streams[i].reset()
@@ -578,34 +589,4 @@ func (tp *topology) minEpoch() uint64 {
 		}
 	}
 	return min
-}
-
-// statusError is a non-200 shard reply to a GET: a protocol answer
-// (the shard is up and talking), not a transport failure — callers use
-// the distinction to keep shed responses from counting toward
-// down-marking.
-type statusError struct {
-	url  string
-	code int
-}
-
-func (e *statusError) Error() string { return fmt.Sprintf("GET %s: status %d", e.url, e.code) }
-
-// getJSON is a GET + decode round-trip against a shard URL. Non-200
-// statuses come back as *statusError.
-func (g *Gateway) getJSON(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return &statusError{url: url, code: resp.StatusCode}
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

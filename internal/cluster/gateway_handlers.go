@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"sync"
@@ -19,10 +19,11 @@ import (
 	"viewstags/internal/tagviews"
 )
 
-// shardReply is one shard's answer to a scatter call: the decoded-later
-// body plus the transport-level facts the gather step branches on.
-// start and dur time the whole leg (envelope write + shard handler +
-// reply read) for the per-shard trace spans.
+// shardReply is one shard's answer to a data-plane (postShard) or
+// control-plane (getShard) call: the decoded-later body plus the
+// transport-level facts the caller branches on; status -1 marks a shard
+// not asked. start and dur time a data-plane leg (envelope write + shard
+// handler + reply read) for the per-shard trace spans.
 type shardReply struct {
 	shard      int
 	status     int
@@ -48,57 +49,113 @@ func (g *Gateway) postShard(ctx context.Context, tp *topology, shard, route int,
 	start := time.Now()
 	status, retryAfter, raw, err := tp.streams[shard].call(ctx, legRoutePaths[route], contentType, trace, body)
 	dur := time.Since(start)
-	if err != nil {
+	if err == nil {
+		tp.shards[shard].legs[route].Observe(dur)
+	} else if ctx.Err() == nil {
 		// A canceled client context aborts every in-flight shard call;
 		// that says nothing about shard health, so it must not count
 		// toward down-marking (a handful of impatient clients would
 		// otherwise shed the whole cluster).
-		if ctx.Err() == nil {
-			g.markFail(tp, shard)
-		}
-		return shardReply{shard: shard, err: err, start: start, dur: dur}
+		g.markFail(tp, shard, err)
 	}
-	tp.shards[shard].legs[route].Observe(dur)
-	return shardReply{
-		shard:      shard,
-		status:     status,
-		retryAfter: retryAfter,
-		body:       raw,
-		start:      start,
-		dur:        dur,
-	}
+	return shardReply{shard: shard, status: status, retryAfter: retryAfter, body: raw, err: err, start: start, dur: dur}
 }
 
-// scatter posts one body per involved shard concurrently and gathers
-// the replies. bodies[i] == nil skips shard i. trace is propagated to
-// every involved shard. The last involved shard's call runs on the
-// caller's goroutine, so the common one-shard scatter — a predict
-// missing a row or two, an ingest without an upload — spawns nothing.
-func (g *Gateway) scatter(ctx context.Context, tp *topology, route int, bodies [][]byte, contentType, trace string) []shardReply {
-	replies := make([]shardReply, len(bodies))
-	last := -1
-	for i, body := range bodies {
-		if body != nil {
-			last = i
+// getShard is the control plane's shard call, a plain HTTP GET of path
+// from the shard's target, under postShard's health rule.
+func (g *Gateway) getShard(ctx context.Context, tp *topology, shard int, path string) shardReply {
+	rep := g.get(ctx, tp.targets[shard]+path)
+	rep.shard = shard
+	if rep.err != nil && ctx.Err() == nil {
+		g.markFail(tp, shard, rep.err)
+	}
+	return rep
+}
+
+// get is getShard without the health signal, for a daemon not admitted
+// yet: Sync and Reshard's pre-flight read /internal/meta through it.
+func (g *Gateway) get(ctx context.Context, url string) (rep shardReply) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err == nil {
+		var resp *http.Response
+		if resp, err = g.client.Do(req); err == nil {
+			rep.status, rep.retryAfter = resp.StatusCode, resp.Header.Get("Retry-After")
+			rep.body, err = io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
 		}
 	}
+	rep.err = err
+	return rep
+}
+
+// decode is a control-plane reply's JSON body decoded into out; a
+// transport failure or a non-200 status is the error instead.
+func (r shardReply) decode(out any) error {
+	switch {
+	case r.err != nil:
+		return r.err
+	case r.status != http.StatusOK:
+		return fmt.Errorf("status %d: %s", r.status, errText(r.body))
+	}
+	return json.Unmarshal(r.body, out)
+}
+
+// shardCalls is what one fan-out asks: which shards, and the call.
+type shardCalls interface {
+	asks(shard int) bool
+	call(g *Gateway, ctx context.Context, tp *topology, shard int) shardReply
+}
+
+// fanOut makes c's call to every shard of tp it asks, concurrently, and
+// gathers the replies in shard order. The last asked shard's call runs
+// on the caller's goroutine, so the common one-shard fan-out — a predict
+// missing a row or two, an ingest without an upload — spawns nothing. (A
+// type parameter, not a func: a closure the goroutines share would cost
+// every predict fan-out a heap allocation.)
+func fanOut[C shardCalls](g *Gateway, ctx context.Context, tp *topology, c C) []shardReply {
+	replies := make([]shardReply, len(tp.targets))
 	var wg sync.WaitGroup
-	for i, body := range bodies {
-		switch {
-		case body == nil:
+	last := -1 // the asked shard left for the caller's goroutine
+	for i := range replies {
+		if !c.asks(i) {
 			replies[i] = shardReply{shard: i, status: -1}
-		case i == last:
-			replies[i] = g.postShard(ctx, tp, i, route, body, contentType, trace)
-		default:
-			wg.Add(1)
-			go func(i int, body []byte) {
-				defer wg.Done()
-				replies[i] = g.postShard(ctx, tp, i, route, body, contentType, trace)
-			}(i, body)
+			continue
 		}
+		if last >= 0 {
+			wg.Add(1)
+			go func(i int) { defer wg.Done(); replies[i] = c.call(g, ctx, tp, i) }(last)
+		}
+		last = i
+	}
+	if last >= 0 {
+		replies[last] = c.call(g, ctx, tp, last)
 	}
 	wg.Wait()
 	return replies
+}
+
+// posts is the data plane's fan-out: bodies[i] over route to shard i
+// (nil: not asked), carrying trace.
+type posts struct {
+	route              int
+	bodies             [][]byte
+	contentType, trace string
+}
+
+func (p posts) asks(i int) bool { return p.bodies[i] != nil }
+func (p posts) call(g *Gateway, ctx context.Context, tp *topology, i int) shardReply {
+	return g.postShard(ctx, tp, i, p.route, p.bodies[i], p.contentType, p.trace)
+}
+
+// gets is the control plane's fan-out: path from every shard not in skip.
+type gets struct {
+	path string
+	skip []int
+}
+
+func (c gets) asks(i int) bool { return !slices.Contains(c.skip, i) }
+func (c gets) call(g *Gateway, ctx context.Context, tp *topology, i int) shardReply {
+	return g.getShard(ctx, tp, i, c.path)
 }
 
 // shedIfDown is the 503 for a request that needs a shard marked down —
@@ -135,18 +192,18 @@ func (g *Gateway) Predict(r *http.Request, items [][]string, w tagviews.Weightin
 	return nil
 }
 
-// gatherAck maps one shard reply onto the client response through the
-// same replyErr mapping the predict fan-out uses, so a shard dying
-// mid-ingest sheds exactly like one dying mid-predict (503 +
+// decodeReply maps one shard reply onto the client response through the
+// replyErr mapping the predict fan-out uses, so a shard dying mid-ingest
+// or mid-/v1/tags sheds exactly like one dying mid-predict (503 +
 // Retry-After); shard 400s surface as 502 (the contract validates with
-// the shard's own validator, so these indicate a version skew worth
-// surfacing, not hiding). On nil, out holds the decoded ack.
-func (g *Gateway) gatherAck(tp *topology, rep shardReply, out *server.IngestResponse) *server.ErrorReply {
+// the shard's own validator: a version skew worth surfacing), and so does
+// a body decode cannot take, which also counts against the shard.
+func (g *Gateway) decodeReply(tp *topology, rep shardReply, decode func([]byte) error) *server.ErrorReply {
 	if fe := g.replyErr(tp, rep); fe != nil {
 		return fe
 	}
-	if err := server.DecodeIngestAck(rep.body, out); err != nil {
-		g.markFail(tp, rep.shard)
+	if err := decode(rep.body); err != nil {
+		g.markFail(tp, rep.shard, err)
 		return &server.ErrorReply{Status: http.StatusBadGateway, Msg: fmt.Sprintf("shard %d: undecodable response: %v", rep.shard, err)}
 	}
 	return nil
@@ -276,14 +333,14 @@ func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestR
 	// "Cluster topology" for the contract.
 	acks := make([]server.IngestResponse, len(tp.targets))
 	fanStart := time.Now()
-	replies := g.scatter(r.Context(), tp, legIngest, bodies, server.IngestContentType, server.RequestID(r))
+	replies := fanOut(g, r.Context(), tp, posts{legIngest, bodies, server.IngestContentType, server.RequestID(r)})
 	server.TraceFrom(r).Add("fanout", obs.NoShard, fanStart, time.Since(fanStart), "")
 	var pending int64
 	for _, rep := range replies {
 		if rep.status == -1 {
 			continue // shard not involved: no reply, no health signal
 		}
-		if fe := g.gatherAck(tp, rep, &acks[rep.shard]); fe != nil {
+		if fe := g.decodeReply(tp, rep, func(b []byte) error { return server.DecodeIngestAck(b, &acks[rep.shard]) }); fe != nil {
 			return server.IngestResponse{}, fe
 		}
 		g.markOK(tp, rep.shard, acks[rep.shard].Epoch)
@@ -298,7 +355,7 @@ func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestR
 // dropped below). Only shards in read rotation are asked, as long as
 // every slice keeps a live replica — replicas hold the same tags, so the
 // survivors still cover the full vocabulary; at R=1 that means none is
-// out.
+// out. Replies map through decodeReply, as an ingest ack's do.
 func (g *Gateway) TopTags(r *http.Request, k int) ([]server.TagInfo, *server.ErrorReply) {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
@@ -310,44 +367,15 @@ func (g *Gateway) TopTags(r *http.Request, k int) ([]server.TagInfo, *server.Err
 	// Sized by what the shards return, never by the client's k (a shard
 	// clamps k to its vocabulary; the gateway has none to clamp to).
 	merged := []server.TagInfo{}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	errc := make(chan error, len(tp.targets))
-	for i := range tp.targets {
-		if slices.Contains(excl, i) {
+	for _, rep := range fanOut(g, r.Context(), tp, gets{path: fmt.Sprintf("/v1/tags?k=%d", k), skip: excl}) {
+		if rep.status == -1 {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			var reply server.TagsResponse
-			url := fmt.Sprintf("%s/v1/tags?k=%d", tp.targets[i], k)
-			if err := g.getJSON(r.Context(), url, &reply); err != nil {
-				// Only transport failures are health signals; a non-200
-				// (e.g. the shard's limiter shedding /v1/tags) proves
-				// the shard is up, and a canceled client context proves
-				// nothing at all.
-				var se *statusError
-				if !errors.As(err, &se) && r.Context().Err() == nil {
-					g.markFail(tp, i)
-				}
-				errc <- fmt.Errorf("shard %d: %w", i, err)
-				return
-			}
-			mu.Lock()
-			merged = append(merged, reply.Tags...)
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		var se *statusError
-		if errors.As(err, &se) && se.code == http.StatusServiceUnavailable {
-			return nil, &server.ErrorReply{Status: http.StatusServiceUnavailable, Msg: err.Error(), RetryAfter: server.RetryAfterSecs(0)}
+		var reply server.TagsResponse
+		if fe := g.decodeReply(tp, rep, func(b []byte) error { return json.Unmarshal(b, &reply) }); fe != nil {
+			return nil, fe
 		}
-		return nil, &server.ErrorReply{Status: http.StatusBadGateway, Msg: err.Error()}
-	default:
+		merged = append(merged, reply.Tags...)
 	}
 	// Every tag appears on R shards; keep one entry per name. The copies
 	// can momentarily disagree (a replica that missed a mid-flight write,

@@ -1,12 +1,14 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -16,13 +18,16 @@ import (
 
 // fakeShard is a scriptable /internal/meta endpoint: enough surface for
 // the gateway's Sync and health loop, with mutable epoch / readiness /
-// reachability.
+// reachability, and a /v1/tags that sheds.
 type fakeShard struct {
 	sig   string
 	epoch atomic.Uint64
 	ready atomic.Bool
 	fail  atomic.Bool
-	ts    *httptest.Server
+	// as, when set, is the meta answered instead: another daemon serving
+	// at this URL.
+	as atomic.Pointer[server.InternalMetaResponse]
+	ts *httptest.Server
 }
 
 func newFakeShard(t *testing.T, sig string) *fakeShard {
@@ -49,6 +54,10 @@ func newFakeShardAt(t *testing.T, sig string, index, shards, replicas int) *fake
 			_ = conn.Close()
 			return
 		}
+		if as := f.as.Load(); as != nil {
+			_ = json.NewEncoder(w).Encode(as)
+			return
+		}
 		_ = json.NewEncoder(w).Encode(server.InternalMetaResponse{
 			Index:         index,
 			Shards:        shards,
@@ -62,6 +71,10 @@ func newFakeShardAt(t *testing.T, sig string, index, shards, replicas int) *fake
 			IngestEnabled: true,
 			Ready:         f.ready.Load(),
 		})
+	})
+	mux.HandleFunc("/v1/tags", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "7")
+		server.WriteError(w, http.StatusServiceUnavailable, "shedding")
 	})
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
@@ -125,6 +138,79 @@ func TestGatewayRejoinAtRecoveredEpoch(t *testing.T) {
 	g.markOK(g.topo.Load(), 0, 5)
 	if e := g.topo.Load().minEpoch(); e != 7 {
 		t.Fatalf("steady-state epoch regressed to %d, want 7", e)
+	}
+}
+
+// TestHealthAdmitsOnlyWhatSyncAdmits pins the one admission rule: a down
+// target whose URL then answers as another shard, or as the right shard
+// over another prior, stays down however often it is polled, every poll
+// logs why, and Sync over the same tier refuses it for the same reason.
+// The daemon coming back as itself is revived.
+func TestHealthAdmitsOnlyWhatSyncAdmits(t *testing.T) {
+	rg, err := ring.New(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg4, err := ring.New(4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shards := make([]*fakeShard, 3)
+	targets := make([]string, 3)
+	for i := range shards {
+		shards[i] = newFakeShardAt(t, rg.Signature(), i, 3, 0)
+		targets[i] = shards[i].ts.URL
+	}
+	var logs bytes.Buffer
+	cfg := DefaultGatewayConfig()
+	cfg.FailThreshold = 2
+	cfg.Logger = log.New(&logs, "", 0)
+	g, err := NewGateway(cfg, targets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ctx := context.Background()
+	if err := g.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	countries := []string{"US", "JP"}
+	for _, c := range []struct {
+		name   string
+		meta   server.InternalMetaResponse
+		reason string
+	}{
+		{"another shard", server.InternalMetaResponse{Index: 2, Shards: 4, RingSignature: rg4.Signature(),
+			Countries: countries, Prior: []float64{0.6, 0.4}, Ready: true}, "identifies as shard 2 of 4, want 1 of 3"},
+		{"another prior", server.InternalMetaResponse{Index: 1, Shards: 3, RingSignature: rg.Signature(),
+			Countries: countries, Prior: []float64{0.5, 0.5}, Ready: true}, "disagrees on the country table or prior"},
+	} {
+		shards[1].fail.Store(true)
+		g.RefreshHealth(ctx)
+		g.RefreshHealth(ctx)
+		if !g.topo.Load().shards[1].down.Load() {
+			t.Fatalf("%s: shard 1 not marked down after its threshold of failed polls", c.name)
+		}
+		shards[1].fail.Store(false)
+		shards[1].as.Store(&c.meta)
+		for poll := 1; poll <= 5; poll++ {
+			logs.Reset()
+			g.RefreshHealth(ctx)
+			if !g.topo.Load().shards[1].down.Load() {
+				t.Fatalf("%s: poll %d revived a shard Sync refuses", c.name, poll)
+			}
+			if !strings.Contains(logs.String(), c.reason) {
+				t.Fatalf("%s: poll %d logged %q, want the reason %q", c.name, poll, logs.String(), c.reason)
+			}
+		}
+		if err := g.Sync(ctx); err == nil || !strings.Contains(err.Error(), c.reason) {
+			t.Fatalf("%s: Sync over the same tier: %v, want a refusal naming %q", c.name, err, c.reason)
+		}
+		shards[1].as.Store(nil)
+		g.RefreshHealth(ctx)
+		if g.topo.Load().shards[1].down.Load() {
+			t.Fatalf("%s: the right daemon back at the URL was not revived", c.name)
+		}
 	}
 }
 

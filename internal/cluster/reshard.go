@@ -259,18 +259,15 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 	}
 
 	// Pre-flight every incoming target before touching anything: ready,
-	// same dataset. (Targets carried over from the current tier pass by
-	// construction — they were synced against the same globals.)
+	// same dataset (admitData).
 	for j, t := range newTargets {
 		var meta server.InternalMetaResponse
-		if err := g.getJSON(ctx, t+"/internal/meta", &meta); err != nil {
+		err := g.get(ctx, t+server.InternalMetaPath).decode(&meta)
+		if err == nil {
+			err = admitData(&meta, g.codes, g.prior)
+		}
+		if err != nil {
 			return fmt.Errorf("cluster: new shard %d (%s): %w", j, t, err)
-		}
-		if !meta.Ready {
-			return fmt.Errorf("cluster: new shard %d (%s) is not ready", j, t)
-		}
-		if !slices.Equal(g.codes, meta.Countries) || !slices.Equal(g.prior, meta.Prior) {
-			return fmt.Errorf("cluster: new shard %d (%s) disagrees on the country table or prior — different dataset?", j, t)
 		}
 	}
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"viewstags/internal/faultproxy"
 	"viewstags/internal/ring"
@@ -233,5 +234,47 @@ func TestIngestShardDeathSheds(t *testing.T) {
 	}
 	if fails := g.topo.Load().shards[2].fails.Load(); fails != 1 {
 		t.Fatalf("shard 2 failure counted %d times, want 1", fails)
+	}
+}
+
+// TestTagsShardDeathSheds pins /v1/tags to the shard-reply mapping the
+// other routes share: a shard that died and is not yet marked down fails
+// the request with a retryable 503 whose Retry-After is one health
+// interval and whose error names the shard, not a 502; a shard's own shed
+// keeps the shard's Retry-After.
+func TestTagsShardDeathSheds(t *testing.T) {
+	nodes, _ := startCluster(t, 3)
+	flaky := newFlakyShard(t, nodes[2].ts.URL)
+	targets := []string{nodes[0].ts.URL, nodes[1].ts.URL, flaky.URL()}
+	g := newSyncedGateway(t, targets, func(c *GatewayConfig) { c.HealthInterval = 3 * time.Second })
+	flaky.Kill()
+	rec := httptest.NewRecorder()
+	g.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tags?k=5", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("tags through a dead shard: status %d, want 503: %s", rec.Code, rec.Body.Bytes())
+	}
+	if got := rec.Header().Get("Retry-After"); got != "3" {
+		t.Fatalf("Retry-After %q, want one health interval, \"3\"", got)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "shard 2") {
+		t.Fatalf("error envelope does not name shard 2: %q", rec.Body.Bytes())
+	}
+	if fails := g.topo.Load().shards[2].fails.Load(); fails != 1 {
+		t.Fatalf("shard 2 failure counted %d times, want 1", fails)
+	}
+
+	rg, err := ring.New(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shedding := newSyncedGateway(t, []string{newFakeShard(t, rg.Signature()).ts.URL}, nil)
+	rec = httptest.NewRecorder()
+	shedding.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/tags?k=5", nil))
+	if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") != "7" {
+		t.Fatalf("tags over a shedding shard: status %d, Retry-After %q, want 503 and the shard's \"7\"",
+			rec.Code, rec.Header().Get("Retry-After"))
 	}
 }

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"net/http"
-	"sync"
 
 	"viewstags/internal/obs"
 	"viewstags/internal/server"
@@ -22,28 +20,21 @@ func (g *Gateway) StitchTrace(ctx context.Context, id string) []server.ShardTrac
 	ctx, cancel := context.WithTimeout(ctx, g.cfg.ShardTimeout)
 	defer cancel()
 	tp := g.topo.Load()
-	out := make([]server.ShardTraceView, len(tp.targets))
-	var wg sync.WaitGroup
-	for i := range tp.targets {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = server.ShardTraceView{Shard: i, Target: tp.targets[i]}
-			var v obs.TraceView
-			// The id charset ([0-9A-Za-z-_.:], checked by the contract)
-			// is path-safe, so no escaping is needed.
-			if err := g.getJSON(ctx, tp.targets[i]+"/debug/traces/"+id, &v); err != nil {
-				var se *statusError
-				if errors.As(err, &se) && se.code == http.StatusNotFound {
-					out[i].Error = "not retained"
-				} else {
-					out[i].Error = err.Error()
-				}
-				return
-			}
+	// The id charset ([0-9A-Za-z-_.:], checked by the contract) is
+	// path-safe, so no escaping is needed.
+	replies := fanOut(g, ctx, tp, gets{path: "/debug/traces/" + id})
+	out := make([]server.ShardTraceView, len(replies))
+	for i, rep := range replies {
+		out[i] = server.ShardTraceView{Shard: i, Target: tp.targets[i]}
+		var v obs.TraceView
+		switch err := rep.decode(&v); {
+		case rep.status == http.StatusNotFound:
+			out[i].Error = "not retained"
+		case err != nil:
+			out[i].Error = err.Error()
+		default:
 			out[i].Trace = &v
-		}(i)
+		}
 	}
-	wg.Wait()
 	return out
 }
