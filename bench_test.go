@@ -920,7 +920,8 @@ func BenchmarkPreload(b *testing.B) {
 // Those variants (single, batch 4, batch 32) cycle 256 bodies, so after
 // the first pass every row they need is cached. The rows/ variants
 // (batch 4, one driver; read them with -benchmem) put a number on each
-// state of the row cache instead: warm (every row held), cold (a gateway
+// state of the row cache instead: warm (every row held; warm-b32 is the
+// same at batch 32, where the per-item work dominates), cold (a gateway
 // that holds none of the request's rows, so the request fetches every one
 // itself: the all-miss cost, three legs — a fresh gateway per request,
 // built and dialled with the timer stopped, because rows a fold retired
@@ -1187,6 +1188,22 @@ func BenchmarkClusterGatewayPredict(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(rows), "ns/row")
 		b.ReportMetric(float64(rows)/float64(legs), "rows/frame")
 		b.ReportMetric(float64(mallocs)/float64(legs), "allocs/frame")
+	})
+	// warm-b32 runs last, so the rows it adds to the cache change no row
+	// above.
+	b.Run("rows/warm-b32", func(b *testing.B) {
+		bodies := make([][]byte, 32)
+		for i := range bodies {
+			bodies[i] = makeBody(32, i)
+		}
+		for _, body := range bodies {
+			post(body)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(bodies[i%len(bodies)])
+		}
+		b.ReportMetric(float64(b.N*32)/b.Elapsed().Seconds(), "preds/sec")
 	})
 }
 
