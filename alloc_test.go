@@ -42,6 +42,31 @@ func (w *nullResponseWriter) Header() http.Header         { return w.h }
 func (w *nullResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
 func (w *nullResponseWriter) WriteHeader(int)             {}
 
+// batchBody is a /v1/predict body of n items that take tags[:12] three
+// at a time, in turn.
+func batchBody(t *testing.T, tags []string, n int) []byte {
+	t.Helper()
+	req := server.PredictRequest{Weighting: "idf", Top: 3, Batch: make([]server.PredictItem, n)}
+	for i := range req.Batch {
+		j := 3 * (i % 4)
+		req.Batch[i].Tags = tags[j : j+3]
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// predictAllocs is what one warm /v1/predict of body through h allocates.
+func predictAllocs(w http.ResponseWriter, h http.Handler, body []byte) float64 {
+	do := func() {
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body)))
+	}
+	do()
+	return testing.AllocsPerRun(100, do)
+}
+
 func TestAllocBudgets(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation budgets are pinned without the race detector's instrumentation")
@@ -165,10 +190,10 @@ func TestAllocBudgets(t *testing.T) {
 	})
 	t.Run("PredictSingleJSON", func(t *testing.T) {
 		body := []byte(`{"tags":["` + tags[0] + `","` + tags[1] + `","` + tags[2] + `"],"weighting":"idf","top":3}`)
-		// Measured 31 (44 before the edge codec took encoding/json off
+		// Measured 28 (44 before the edge codec took encoding/json off
 		// this route): request plumbing, the body string, one tag backing
-		// array, the result, header values.
-		runHandler(t, "/v1/predict", "application/json", body, 37)
+		// array, header values; the result is pooled.
+		runHandler(t, "/v1/predict", "application/json", body, 34)
 	})
 	t.Run("PredictBatch4JSON", func(t *testing.T) {
 		body, err := json.Marshal(server.PredictRequest{Weighting: "idf", Top: 3, Batch: []server.PredictItem{
@@ -176,9 +201,19 @@ func TestAllocBudgets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Measured 38: the single call's count plus the batch slice, the
-		// results slice and one top list per extra item.
-		runHandler(t, "/v1/predict", "application/json", body, 44)
+		// Measured 29: the single call's count plus the batch slice.
+		runHandler(t, "/v1/predict", "application/json", body, 35)
+	})
+	// A warm reply costs the same allocations at batch 4 and at batch 32:
+	// what the decode allocates is per body, and the results, their top
+	// lists and the top-k scratch are pooled with the predictions.
+	t.Run("PredictFlatInBatchJSON", func(t *testing.T) {
+		w := &nullResponseWriter{h: make(http.Header)}
+		b4, b32 := predictAllocs(w, h, batchBody(t, tags, 4)), predictAllocs(w, h, batchBody(t, tags, 32))
+		if b4 != b32 {
+			t.Fatalf("node predict allocates %.1f/op at batch 4, %.1f/op at batch 32", b4, b32)
+		}
+		t.Logf("node predict: %.1f allocs/op at batch 4 and at batch 32", b4)
 	})
 	t.Run("Ingest4EventsJSON", func(t *testing.T) {
 		events := make([]server.IngestEvent, 4)
@@ -300,11 +335,14 @@ func TestAllocBudgets(t *testing.T) {
 		}
 		do()
 		allocs := testing.AllocsPerRun(200, do)
-		// Measured 38 (140 when every predict made three legs).
-		if allocs > 46 {
-			t.Fatalf("warm gateway batch-4 predict allocates %.1f/op, budget 46", allocs)
+		// Measured 28 (140 when every predict made three legs).
+		if allocs > 34 {
+			t.Fatalf("warm gateway batch-4 predict allocates %.1f/op, budget 34", allocs)
 		}
-		t.Logf("warm gateway batch-4 predict over 3 shards: %.1f allocs/op (budget 46)", allocs)
+		t.Logf("warm gateway batch-4 predict over 3 shards: %.1f allocs/op (budget 34)", allocs)
+		if b32 := predictAllocs(w, gh, batchBody(t, tags, 32)); b32 != allocs {
+			t.Fatalf("warm gateway predict allocates %.1f/op at batch 4, %.1f/op at batch 32", allocs, b32)
+		}
 
 		// Cold: every run asks for twelve vocabulary tags no run before it
 		// asked for.
@@ -323,8 +361,8 @@ func TestAllocBudgets(t *testing.T) {
 			next++
 		}
 		allocs = testing.AllocsPerRun(coldRuns, cold)
-		// Measured 136 (155 when every row kept cost three allocations): the
-		// warm 38, three legs' worth of carrier and shard handler, a key per
+		// Measured 127 (155 when every row kept cost three allocations): the
+		// warm 28, three legs' worth of carrier and shard handler, a key per
 		// row kept, and per frame one allocation for its rows and one for
 		// their vectors.
 		if allocs > 171 {
@@ -359,10 +397,10 @@ func TestAllocBudgets(t *testing.T) {
 			runtime.GOMAXPROCS(procs)
 			allocs += float64(after.Mallocs-before.Mallocs) / folds
 		}
-		if allocs > 46 {
-			t.Fatalf("first gateway batch-4 predict after an observed fold allocates %.1f/op, warm budget 46", allocs)
+		if allocs > 34 {
+			t.Fatalf("first gateway batch-4 predict after an observed fold allocates %.1f/op, warm budget 34", allocs)
 		}
-		t.Logf("first gateway batch-4 predict after an observed fold, pass landed: %.1f allocs/op (budget 46)", allocs)
+		t.Logf("first gateway batch-4 predict after an observed fold, pass landed: %.1f allocs/op (budget 34)", allocs)
 	})
 
 	// A standalone node over the benchmark's 20 000-video catalog. Its fold

@@ -1376,7 +1376,7 @@ func BenchmarkEdgeDecode(b *testing.B) {
 			}
 			run("codec", func(req *server.PredictRequest) bool {
 				decoded++
-				return server.DecodePredictBody(w, r, &metrics.Predict, req)
+				return server.DecodePredictBody(w, r, &metrics.Predict, server.DefaultConfig().MaxBatch, req)
 			})
 			run("encoding-json", func(req *server.PredictRequest) bool { return server.DecodeBody(w, r, req) })
 			if got := metrics.Predict.DecodeGeneral.Load(); (got != 0) != v.declines || (v.declines && got != decoded) {

@@ -160,7 +160,9 @@ func TestEdgeErrorParity(t *testing.T) {
 // is as long as the country table or the catalog lets it be, never as
 // long as asked, so every value past that answers the bytes the largest
 // useful one does; zero asks for the default; and node and gateway
-// bodies are identical for every top.
+// bodies are identical for every top. It asks at batch 3 and batch 32:
+// a reply's top lists share one slab, which a size of items × top would
+// not fit in memory.
 func TestReplySizesFollowTheWorld(t *testing.T) {
 	tr := newTier(t, 3, 1, time.Hour)
 	tr.RestartGateway(t, tr.urls())
@@ -178,36 +180,43 @@ func TestReplySizesFollowTheWorld(t *testing.T) {
 		}
 		return rec.Body.Bytes()
 	}
-	items := `[{"tags":["favela","samba","pop"]},{"tags":["zz-size-none"]},{"tags":["pop","zz-size-none","music"]}]`
-	predict := func(h http.Handler, top int) []byte {
-		return send(h, "/v1/predict", fmt.Sprintf(`{"batch":%s,"top":%d}`, items, top))
+	three := []string{`{"tags":["favela","samba","pop"]}`, `{"tags":["zz-size-none"]}`, `{"tags":["pop","zz-size-none","music"]}`}
+	var thirtyTwo []string
+	for i := 0; i < 32; i++ {
+		thirtyTwo = append(thirtyTwo, three[i%len(three)])
 	}
-	for _, c := range []struct {
-		name   string
-		top    int
-		sameAs int // the top whose bytes it answers
-	}{
-		{"0, the default", 0, 5},
-		{"1", 1, 1},
-		{"nC", nC, nC},
-		{"nC+1", nC + 1, nC},
-		{"the largest the edge decoder admits", math.MaxInt32, nC},
-		{"one past it, decoded by encoding/json", math.MaxInt32 + 1, nC},
-	} {
-		node, gw := predict(tr.single.srv.Handler(), c.top), predict(tr.g.Handler(), c.top)
-		if !bytes.Equal(node, gw) {
-			t.Fatalf("top %s: gateway answered\n%s\nnode\n%s", c.name, gw, node)
+	for _, batch := range [][]string{three, thirtyTwo} {
+		items := "[" + strings.Join(batch, ",") + "]"
+		predict := func(h http.Handler, top int) []byte {
+			return send(h, "/v1/predict", fmt.Sprintf(`{"batch":%s,"top":%d}`, items, top))
 		}
-		if want := predict(tr.single.srv.Handler(), c.sameAs); !bytes.Equal(node, want) {
-			t.Fatalf("top %s: %d bytes, top=%d's %d", c.name, len(node), c.sameAs, len(want))
-		}
-		var resp server.PredictResponse
-		if err := json.Unmarshal(node, &resp); err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range resp.Results {
-			if len(r.Top) > min(c.sameAs, nC) {
-				t.Fatalf("top %s item %d: %d countries", c.name, i, len(r.Top))
+		for _, c := range []struct {
+			name   string
+			top    int
+			sameAs int // the top whose bytes it answers
+		}{
+			{"0, the default", 0, 5},
+			{"1", 1, 1},
+			{"nC", nC, nC},
+			{"nC+1", nC + 1, nC},
+			{"the largest the edge decoder admits", math.MaxInt32, nC},
+			{"one past it, decoded by encoding/json", math.MaxInt32 + 1, nC},
+		} {
+			node, gw := predict(tr.single.srv.Handler(), c.top), predict(tr.g.Handler(), c.top)
+			if !bytes.Equal(node, gw) {
+				t.Fatalf("batch %d top %s: gateway answered\n%s\nnode\n%s", len(batch), c.name, gw, node)
+			}
+			if want := predict(tr.single.srv.Handler(), c.sameAs); !bytes.Equal(node, want) {
+				t.Fatalf("batch %d top %s: %d bytes, top=%d's %d", len(batch), c.name, len(node), c.sameAs, len(want))
+			}
+			var resp server.PredictResponse
+			if err := json.Unmarshal(node, &resp); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range resp.Results {
+				if len(r.Top) > min(c.sameAs, nC) {
+					t.Fatalf("batch %d top %s item %d: %d countries", len(batch), c.name, i, len(r.Top))
+				}
 			}
 		}
 	}

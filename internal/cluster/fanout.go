@@ -413,7 +413,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 		var ws float64
 		for j := range tags {
 			r := m.rows[k] // absent: no views, so no weight
-			if weight := weighting.Weight(r.views, int(r.videos), int(r.records)); weight > 0 {
+			if weight := r.weight(weighting); weight > 0 {
 				ws += profilestore.Mix(dst, weight, j, r.vec)
 			}
 			k++
@@ -472,9 +472,9 @@ func (g *Gateway) takeRows(tp *topology, shard int, gen uint32, tags []string, b
 	rows, vecs := make([]tagRow, n), make([]float64, known*nC)
 	for j := range rows {
 		r := &rows[j]
-		r.shard, r.gen, r.epoch, r.records = int32(shard), gen, pp.Epoch, uint32(pp.Records)
+		r.shard, r.gen, r.epoch = int32(shard), gen, pp.Epoch
 		if views := pp.WSums[j]; views > 0 {
-			r.views, r.videos = views, uint32(pp.Videos[j])
+			r.views, r.idf = views, tagviews.WeightIDF.Weight(views, pp.Videos[j], pp.Records)
 			r.vec, vecs = vecs[:nC:nC], vecs[nC:]
 			copy(r.vec, pp.Sums[j*nC:(j+1)*nC])
 		}

@@ -130,3 +130,46 @@ func TestTakeRowsAllocatesPerFrame(t *testing.T) {
 		t.Fatalf("cache holds %d rows, want %d", held, n)
 	}
 }
+
+// TestTakeRowsStoresTheIDFWeight: a row keeps WeightIDF.Weight of the
+// reply's counts in place of the counts, so every row takeRows makes must
+// weigh what Weight weighs over those counts, bit for bit, under all
+// three weightings — zero videos, a corpus of none and the largest counts
+// the wire carries included, and a view total that is not positive (zero,
+// negative, NaN), which the codec transits as an absent row.
+func TestTakeRowsStoresTheIDFWeight(t *testing.T) {
+	_, g := startCluster(t, 3)
+	vec := make([]float64, len(g.codes))
+	vec[0] = 1
+	rows := []struct {
+		views  float64
+		videos int
+	}{
+		{2, 1}, {7.5, 0}, {1e300, math.MaxUint32}, {5e-324, 3}, {math.Inf(1), 5},
+		{0, 0}, {-1, 0}, {math.NaN(), 0},
+	}
+	tags := make([]string, len(rows))
+	for j := range tags {
+		tags[j] = fmt.Sprintf("zz-idf-%d", j)
+	}
+	enc := server.GetPredictWireEncoder()
+	defer server.PutPredictWireEncoder(enc)
+	for _, records := range []int{0, 1, 12345, math.MaxUint32} {
+		enc.BeginRows(records, 0, len(g.codes), len(rows), false)
+		for _, r := range rows {
+			enc.Row(r.views, r.videos, vec)
+		}
+		got, fe := g.takeRows(g.topo.Load(), 0, 0, tags, enc.Finish(), new(server.PredictPartials))
+		if fe != nil {
+			t.Fatalf("records %d: %+v", records, fe)
+		}
+		for j, r := range rows {
+			for _, w := range []tagviews.Weighting{tagviews.WeightUniform, tagviews.WeightByViews, tagviews.WeightIDF} {
+				want := w.Weight(r.views, r.videos, records)
+				if have := got[j].weight(w); math.Float64bits(have) != math.Float64bits(want) {
+					t.Errorf("records %d, views %v, videos %d, %v: row weighs %v, Weight %v", records, r.views, r.videos, w, have, want)
+				}
+			}
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"hash/maphash"
 	"sync"
 	"sync/atomic"
+
+	"viewstags/internal/tagviews"
 )
 
 // This file is the gateway's per-tag row cache: what a shard answered
@@ -41,19 +43,29 @@ const rowIdleRefreshes = 32
 // tagRow is one cached row. Immutable once published apart
 // from the second-chance bit. vec is nil for an absent row — the tag is
 // unknown to its owner, or has no views — which is cached like any other
-// answer: it stays true until the shard's epoch moves. Its counts, shard
-// and generation are 32-bit so that it fills one cache line
-// (TestTagRowFitsACacheLine); the wire refuses counts that do not fit.
+// answer: it stays true until the shard's epoch moves. Its shard and
+// generation are 32-bit so that it fills one cache line
+// (TestTagRowFitsACacheLine).
 type tagRow struct {
-	vec     []float64   // its stored vector
-	epoch   uint64      // the fold epoch the reply was labelled with
-	views   float64     // the tag's view total
-	gen     uint32      // that shard slot's generation when the fetch began
-	shard   int32       // the shard that answered
-	records uint32      // the answering snapshot's corpus size
-	videos  uint32      // the videos carrying the tag
-	used    atomic.Bool // asked for since it was published or last aged
-	idle    uint8       // rows in a row replaced under this key unasked for
+	vec   []float64   // its stored vector
+	epoch uint64      // the fold epoch the reply was labelled with
+	views float64     // the tag's view total
+	idf   float64     // WeightIDF.Weight of the reply's counts, 0 when absent
+	gen   uint32      // that shard slot's generation when the fetch began
+	shard int32       // the shard that answered
+	used  atomic.Bool // asked for since it was published or last aged
+	idle  uint8       // rows in a row replaced under this key unasked for
+}
+
+// weight is the row's term weight under w: the IDF weight stored when the
+// row was made — the only rule that reads the tag's video count and the
+// corpus size, so the row keeps the weight in their place — or Weight
+// itself, which reads neither under uniform and by-views.
+func (r *tagRow) weight(w tagviews.Weighting) float64 {
+	if w == tagviews.WeightIDF {
+		return r.idf
+	}
+	return w.Weight(r.views, 0, 0)
 }
 
 type rowStripe struct {

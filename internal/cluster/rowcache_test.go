@@ -218,8 +218,8 @@ func TestRowCacheGenerationStraddleNotPublished(t *testing.T) {
 }
 
 // TestTagRowFitsACacheLine pins the row to one 64-byte cache line. A
-// row carries its tag's views, videos and record count besides its shard
-// state, and EXPERIMENTS.md "Row refresh" measured what one more line
+// row carries its tag's views and IDF weight besides its shard state,
+// and EXPERIMENTS.md "Row refresh" measured what one more line
 // costs: an 80-byte row lost 0 of 4 gateway-read-b32 pairs, 6–7% slower,
 // for batch 32 combines ≈340 rows a request.
 func TestTagRowFitsACacheLine(t *testing.T) {

@@ -11,7 +11,7 @@ package dist
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Sum returns the total mass of a weight vector.
@@ -146,26 +146,39 @@ func Mix(comps [][]float64, weights []float64) ([]float64, error) {
 // total mass they carry. Fewer than k indices come back when fewer
 // entries have signal; a zero-mass vector yields (0, nil).
 func TopShare(xs []float64, k int) (float64, []int) {
+	return TopShareInto(nil, xs, k)
+}
+
+// TopShareInto is TopShare with the indices written into dst's backing
+// array, which it allocates only when dst has less room than the answer
+// may need: k+1 indices when k < len(xs)/2, else len(xs).
+func TopShareInto(dst []int, xs []float64, k int) (float64, []int) {
 	total := Sum(xs)
 	if total <= 0 || k <= 0 {
 		return 0, nil
 	}
 	var idx []int
 	if k < len(xs)/2 {
-		idx = topSelect(xs, k)
+		idx = topSelect(dst, xs, k)
 	} else {
-		idx = make([]int, 0, len(xs))
+		if idx = dst[:0]; cap(idx) < len(xs) {
+			idx = make([]int, 0, len(xs))
+		}
 		for i, x := range xs {
 			if x > 0 {
 				idx = append(idx, i)
 			}
 		}
-		sort.Slice(idx, func(a, b int) bool {
-			xa, xb := xs[idx[a]], xs[idx[b]]
-			if xa != xb {
-				return xa > xb
+		// A strict total order (mass, then index), so the order is the
+		// one answer whatever the sort's algorithm.
+		slices.SortFunc(idx, func(a, b int) int {
+			if xa, xb := xs[a], xs[b]; xa != xb {
+				if xa > xb {
+					return -1
+				}
+				return 1
 			}
-			return idx[a] < idx[b]
+			return a - b
 		})
 		if k > len(idx) {
 			k = len(idx)
@@ -180,12 +193,16 @@ func TopShare(xs []float64, k int) (float64, []int) {
 }
 
 // topSelect is the small-k path of TopShare: one pass with an insertion
-// top-k, O(n·k) with no comparator indirection — the prediction serving
-// hot path asks for a handful of countries out of the whole world, so
-// this beats a full sort there. Iterating indices ascending with strict
-// comparisons preserves the tie rule (equal mass → lower index first).
-func topSelect(xs []float64, k int) []int {
-	top := make([]int, 0, k+1)
+// top-k into dst's backing array, O(n·k) with no comparator indirection
+// — the prediction serving hot path asks for a handful of countries out
+// of the whole world, so this beats a full sort there. Iterating indices
+// ascending with strict comparisons preserves the tie rule (equal mass →
+// lower index first).
+func topSelect(dst []int, xs []float64, k int) []int {
+	top := dst[:0]
+	if cap(top) < k+1 {
+		top = make([]int, 0, k+1)
+	}
 	for i, x := range xs {
 		if x <= 0 {
 			continue

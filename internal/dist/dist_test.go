@@ -185,7 +185,7 @@ func TestTopShareSelectMatchesSort(t *testing.T) {
 	for _, xs := range vecs {
 		for k := 1; k <= len(xs); k++ {
 			wantShare, want := TopShare(append([]float64(nil), xs...), k)
-			got := topSelect(xs, k)
+			got := topSelect(nil, xs, k)
 			if len(want) < k || k >= len(xs)/2 {
 				// Selection path only runs for small k; compare anyway.
 				if len(got) > k {
@@ -206,6 +206,40 @@ func TestTopShareSelectMatchesSort(t *testing.T) {
 				if gotShare := mass / Sum(xs); gotShare != wantShare {
 					t.Fatalf("k=%d xs=%v: share %v != %v", k, xs, gotShare, wantShare)
 				}
+			}
+		}
+	}
+}
+
+// TestTopShareIntoMatchesTopShare: the Into form answers TopShare's
+// indices and share for every k on both paths, into scratch that already
+// held another answer, and allocates nothing when the scratch has the
+// room its doc asks for.
+func TestTopShareIntoMatchesTopShare(t *testing.T) {
+	vecs := [][]float64{
+		{5, 5, 5, 5, 1, 1, 1, 1, 0, 0, 9, 9},
+		{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0},
+		{0, 0, 0, 0},
+		{3, math.NaN(), 2, math.Inf(1), -1, 7},
+	}
+	scratch := make([]int, 0, 13)
+	for _, xs := range vecs {
+		for k := 0; k <= len(xs)+1; k++ {
+			wantShare, want := TopShare(xs, k)
+			for i := range scratch[:cap(scratch)] {
+				scratch[:cap(scratch)][i] = -1
+			}
+			gotShare, got := TopShareInto(scratch, xs, k)
+			if math.Float64bits(gotShare) != math.Float64bits(wantShare) || len(got) != len(want) || (got == nil) != (want == nil) {
+				t.Fatalf("k=%d xs=%v: Into (%v, %v), TopShare (%v, %v)", k, xs, gotShare, got, wantShare, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d xs=%v: Into %v, TopShare %v", k, xs, got, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { TopShareInto(scratch, xs, k) }); allocs != 0 {
+				t.Fatalf("k=%d xs=%v: %v allocations into scratch of %d", k, xs, allocs, cap(scratch))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package profilestore
 import (
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"viewstags/internal/tagviews"
@@ -217,5 +218,53 @@ func TestRebuildOnPartialSnapshot(t *testing.T) {
 	}
 	if vec := next.Vec(id); vec[3] != 1 {
 		t.Fatalf("fresh tag vector %v, want all mass on country 3", vec[3])
+	}
+}
+
+// TestMixMatchesScalarLoop: the unrolled Mix writes, element by element,
+// the bits of the plain loop dst[c] += weight*x, for every length from 0
+// to 67 (every tail of a four-wide step) and inputs with zeros, signed
+// zeros, subnormals, ±Inf and NaN, and returns the same weight. A NaN
+// matches any NaN: when both operands of the add are NaN, which payload
+// survives follows the compiler's operand order (a -race build orders the
+// plain loop's add the other way), and no NaN reaches a reply.
+func TestMixMatchesScalarLoop(t *testing.T) {
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+	}
+	scalar := func(dst []float64, weight float64, rank int, vec []float64) float64 {
+		weight /= float64(rank + 1)
+		for c, x := range vec {
+			dst[c] += weight * x
+		}
+		return weight
+	}
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2250738585072014e-308,
+		math.Inf(1), math.Inf(-1), math.NaN(), 1, 0.1, 1e308, -3.5}
+	rng := rand.New(rand.NewSource(53))
+	pick := func() float64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.Float64() * math.Pow(10, float64(rng.Intn(40)-20))
+	}
+	for n := 0; n <= 67; n++ {
+		for trial := 0; trial < 20; trial++ {
+			vec, dst := make([]float64, n), make([]float64, n)
+			for c := range vec {
+				vec[c], dst[c] = pick(), pick()
+			}
+			want := append([]float64(nil), dst...)
+			weight, rank := pick(), rng.Intn(4)
+			ww, gw := scalar(want, weight, rank, vec), Mix(dst, weight, rank, vec)
+			if !same(ww, gw) {
+				t.Fatalf("n=%d: weight %v, want %v", n, gw, ww)
+			}
+			for c := range dst {
+				if !same(dst[c], want[c]) {
+					t.Fatalf("n=%d c=%d: %v (%#x), want %v (%#x)", n, c, dst[c], math.Float64bits(dst[c]), want[c], math.Float64bits(want[c]))
+				}
+			}
+		}
 	}
 }

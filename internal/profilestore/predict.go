@@ -21,10 +21,23 @@ func (s *Snapshot) PredictInto(dst []float64, tagNames []string, w tagviews.Weig
 // its rank in the item (uploaders front-load topical tags), times its
 // stored vector — and returns the discounted weight. A node's mixture and
 // a gateway's are these terms in tag order, then Normalize: bit for bit.
+//
+// The loop takes four elements a step behind one bounds check, each still
+// dst[c] += weight*x in country order, so it writes what the plain loop
+// writes (TestMixMatchesScalarLoop); dst must be at least as long as vec.
 func Mix(dst []float64, weight float64, rank int, vec []float64) float64 {
 	weight /= float64(rank + 1)
-	for c, x := range vec {
-		dst[c] += weight * x
+	dst = dst[:len(vec)]
+	c := 0
+	for ; c+4 <= len(vec); c += 4 {
+		d, x := dst[c:c+4:c+4], vec[c:c+4:c+4]
+		d[0] += weight * x[0]
+		d[1] += weight * x[1]
+		d[2] += weight * x[2]
+		d[3] += weight * x[3]
+	}
+	for ; c < len(vec); c++ {
+		dst[c] += weight * vec[c]
 	}
 	return weight
 }

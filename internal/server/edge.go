@@ -130,12 +130,18 @@ func (c *Countries) Lookup(code string) (geo.CountryID, bool) {
 
 // Predictions is the storage a Backend's Predict fills, lent by the
 // contract and pooled: per item, a row over the country table and
-// whether any of the item's tags was known.
+// whether any of the item's tags was known. The reply is rendered from
+// it into pooled scratch too (topShares), so a reply costs the same
+// allocations at any batch size.
 type Predictions struct {
 	Known []bool
 	vecs  []float64
 	nC    int
 	items [][]string // the request's items; substrings of its body
+
+	results []PredictResult // the reply's, one per item
+	shares  []CountryShare  // every result's top list, one slab
+	top     []int           // one item's top-k indices
 }
 
 // Row is item i's distribution, aliasing the slab.
@@ -146,14 +152,8 @@ var predictionsPool = sync.Pool{New: func() any { return new(Predictions) }}
 func getPredictions(nItems, nC int) *Predictions {
 	p := predictionsPool.Get().(*Predictions)
 	p.nC = nC
-	if cap(p.Known) < nItems {
-		p.Known = make([]bool, nItems)
-	}
-	p.Known = p.Known[:nItems]
-	if cap(p.vecs) < nItems*nC {
-		p.vecs = make([]float64, nItems*nC)
-	}
-	p.vecs = p.vecs[:nItems*nC]
+	p.Known = grow(p.Known, nItems)
+	p.vecs = grow(p.vecs, nItems*nC)
 	return p
 }
 
@@ -165,23 +165,38 @@ func putPredictions(p *Predictions) {
 	predictionsPool.Put(p)
 }
 
-// topShares renders the k highest-share countries of a distribution.
-func topShares(c *Countries, p []float64, k int) []CountryShare {
+// topShares renders each item's k highest-share countries (5 when k <= 0)
+// into p's scratch. Every list goes into one slab of n·min(k, countries)
+// entries: k is the client's, and no list is longer than the table.
+func (p *Predictions) topShares(c *Countries, k int) []PredictResult {
 	if k <= 0 {
 		k = 5
 	}
-	_, top := dist.TopShare(p, k)
-	out := make([]CountryShare, len(top))
-	for i, id := range top {
-		out[i] = CountryShare{Country: c.codes[id], Share: p[id]}
+	k = min(k, c.Len())
+	n := len(p.Known)
+	p.results = grow(p.results, n)
+	shares := grow(p.shares, n*k)
+	p.shares = shares
+	if cap(p.top) < c.Len()+1 { // room for any k, so TopShareInto never allocates
+		p.top = make([]int, 0, c.Len()+1)
 	}
-	return out
+	for i := range p.results {
+		row := p.Row(i)
+		_, top := dist.TopShareInto(p.top, row, k)
+		list := shares[:len(top):len(top)]
+		for j, id := range top {
+			list[j] = CountryShare{Country: c.codes[id], Share: row[id]}
+		}
+		p.results[i] = PredictResult{Known: p.Known[i], Top: list}
+		shares = shares[len(top):]
+	}
+	return p.results
 }
 
 func (e *Edge) servePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req PredictRequest
-	if !DecodePredictBody(w, r, &e.metrics.Predict, &req) {
+	if !DecodePredictBody(w, r, &e.metrics.Predict, e.maxBatch, &req) {
 		return
 	}
 	decodeDur := time.Since(start)
@@ -197,10 +212,6 @@ func (e *Edge) servePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	if !single && len(req.Batch) == 0 {
 		WriteError(w, http.StatusBadRequest, "empty request: provide tags or batch")
-		return
-	}
-	if len(req.Batch) > e.maxBatch {
-		WriteError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Batch), e.maxBatch)
 		return
 	}
 	countries := e.backend.Countries()
@@ -228,10 +239,7 @@ func (e *Edge) servePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	e.metrics.Predictions.Add(int64(n))
-	results := make([]PredictResult, n)
-	for i := range results {
-		results[i] = PredictResult{Known: out.Known[i], Top: topShares(countries, out.Row(i), req.Top)}
-	}
+	results := out.topShares(countries, req.Top)
 	resp := PredictResponse{Weighting: weighting.String()}
 	if single {
 		resp.Result = &results[0]
@@ -245,15 +253,11 @@ func (e *Edge) servePredict(w http.ResponseWriter, r *http.Request) {
 
 func (e *Edge) serveIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if !decodeEdge(w, r, &e.metrics.Ingest, parseIngestRequest, &req) {
+	if !decodeEdge(w, r, &e.metrics.Ingest, ingestCodec, e.maxBatch, &req) {
 		return
 	}
 	if len(req.Events) == 0 {
 		WriteError(w, http.StatusBadRequest, "empty request: provide events")
-		return
-	}
-	if len(req.Events) > e.maxBatch {
-		WriteError(w, http.StatusBadRequest, "batch of %d events exceeds limit %d", len(req.Events), e.maxBatch)
 		return
 	}
 	// Resolving country codes is the one event check that needs the

@@ -97,25 +97,54 @@ type failingReader struct{ err error }
 
 func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 
+// edgeCodec is one route's half of the edge codec. Its body has one array
+// that -max-batch bounds (predict's batch, ingest's events): fast keeps at
+// most limit of its elements, reads past them without keeping what they
+// hold, and returns how many there were; count is that number for the
+// strict path; tooMany is the 400 for more than limit, with verbs for the
+// count and the limit.
+type edgeCodec[T any] struct {
+	fast    func(s string, v *T, limit int) (n int, ok bool)
+	count   func(body []byte) int
+	tooMany string
+}
+
+var (
+	predictCodec = edgeCodec[PredictRequest]{parsePredictRequest, countBatch, "batch of %d exceeds limit %d"}
+	ingestCodec  = edgeCodec[IngestRequest]{parseIngestRequest, countEvents, "batch of %d events exceeds limit %d"}
+)
+
 // decodeEdge reads the whole body through the MaxBodyBytes cap, offers it
 // to the fast decoder and, when that declines, to decodeStrict over the
 // same bytes (counted in rm, the caller's metric group, so /metrics says
 // what share of traffic pays the reflection decoder). A failed read is replayed into
 // decodeStrict after the bytes that did arrive, so an over-long or
-// truncated body answers what it always has. On failure the 400 has been
-// written.
-func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics, fast func(string, *T) bool, v *T) bool {
+// truncated body answers what it always has. A batch of more than limit
+// elements is refused before either decoder holds more than limit of
+// them, ahead of any other check on the request. On failure the 400 has
+// been written.
+func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics, c edgeCodec[T], limit int, v *T) bool {
 	buf, readErr := readBody(w, r)
 	defer releaseBodyBuf(buf)
+	body := buf.Bytes()
 	// A backslash anywhere declines (in a string it is an escape, outside
 	// one it is no JSON), and escaping clients are the common declined
 	// case: find it before paying the string copy and the scan.
-	if readErr == nil && bytes.IndexByte(buf.Bytes(), '\\') < 0 && fast(buf.String(), v) {
-		return true
+	if readErr == nil && bytes.IndexByte(body, '\\') < 0 {
+		if n, ok := c.fast(buf.String(), v, limit); ok {
+			return underLimit(w, c, n, limit)
+		}
 	}
 	rm.DecodeGeneral.Add(1)
 	*v = *new(T) // a declined fast decode may have filled some fields
-	var src io.Reader = bytes.NewReader(buf.Bytes())
+	// A body with no array of more than limit elements one level down
+	// cannot hold a batch over it, and that scan is cheap beside count's
+	// reflection. Only the first value is counted, as decodeStrict decodes
+	// it before it looks past it; a truncated body fails decodeStrict.
+	if widest, end := widestArray(body, 1); readErr == nil && widest > limit && !underLimit(w, c, c.count(body[:end]), limit) {
+		return false
+	}
+	var src io.Reader = bytes.NewReader(body)
 	if readErr != nil {
 		src = io.MultiReader(src, failingReader{readErr})
 	}
@@ -126,12 +155,97 @@ func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics,
 	return true
 }
 
+// underLimit reports whether a batch of n elements is within limit, and
+// answers c's 400 when it is not.
+func underLimit[T any](w http.ResponseWriter, c edgeCodec[T], n, limit int) bool {
+	if n > limit {
+		WriteError(w, http.StatusBadRequest, c.tooMany, n, limit)
+		return false
+	}
+	return true
+}
+
 // DecodePredictBody decodes a /v1/predict request body into req; rm is
-// the daemon's predict group. On failure the 400 has been written. The
-// contract decodes through it; it is exported for the root benchmarks
-// that price the codec against encoding/json.
-func DecodePredictBody(w http.ResponseWriter, r *http.Request, rm *RouteMetrics, req *PredictRequest) bool {
-	return decodeEdge(w, r, rm, parsePredictRequest, req)
+// the daemon's predict group and maxBatch its batch bound. On failure the
+// 400 has been written. The contract decodes through it; it is exported
+// for the root benchmarks that price the codec against encoding/json.
+func DecodePredictBody(w http.ResponseWriter, r *http.Request, rm *RouteMetrics, maxBatch int, req *PredictRequest) bool {
+	return decodeEdge(w, r, rm, predictCodec, maxBatch, req)
+}
+
+// elemCount is the length of a JSON array, read by json.Unmarshal without
+// decoding an element. A key that appears twice counts its longest array,
+// which the strict decoder would hold before the later one replaced it.
+type elemCount int
+
+func (c *elemCount) UnmarshalJSON(data []byte) error {
+	// data is one valid JSON value; anything but an array (null, a wrong
+	// type) counts 0 and is left for the strict decode to accept or refuse.
+	n, _ := widestArray(data, 0)
+	*c = max(*c, elemCount(n))
+	return nil
+}
+
+// widestArray scans JSON text up to the end of its first value and
+// returns the most elements of any array opened at nesting depth at (0:
+// the value itself; 1: the value of a top-level key), and where it
+// stopped. On invalid JSON it returns numbers, not answers.
+func widestArray(data []byte, at int) (widest, end int) {
+	n, depth, inString, inArray := 0, 0, false, false
+	for i := 0; i < len(data); i++ {
+		ch := data[i]
+		if inString {
+			if ch == '\\' {
+				i++
+			} else if ch == '"' {
+				inString = false
+			}
+			continue
+		}
+		if inArray && depth == at+1 && n == 0 && ch > ' ' && ch != ']' {
+			n = 1 // the first element begins
+		}
+		switch ch {
+		case '"':
+			inString = true
+		case '[', '{':
+			if ch == '[' && depth == at {
+				inArray, n = true, 0
+			}
+			depth++
+		case ']', '}':
+			if depth--; inArray && depth == at {
+				widest, inArray = max(widest, n), false
+			}
+			if depth == 0 {
+				return widest, i + 1
+			}
+		case ',':
+			if inArray && depth == at+1 {
+				n++
+			}
+		}
+	}
+	return widest, len(data)
+}
+
+// countBatch and countEvents are the strict path's counts: the elements
+// of the array encoding/json would decode into the bounded field, or 0
+// when the body is no valid JSON (decodeStrict says why).
+func countBatch(body []byte) int {
+	var v struct {
+		Batch elemCount `json:"batch"`
+	}
+	_ = json.Unmarshal(body, &v)
+	return int(v.Batch)
+}
+
+func countEvents(body []byte) int {
+	var v struct {
+		Events elemCount `json:"events"`
+	}
+	_ = json.Unmarshal(body, &v)
+	return int(v.Events)
 }
 
 // edgeScanner walks one body. Every method that can fail returns
@@ -143,6 +257,9 @@ type edgeScanner struct {
 	// allocation. A list is cut off its end once complete; if append has
 	// to move the array, the lists already handed out keep the old one.
 	strs []string
+	// drop is set while bounded reads the elements past its limit, whose
+	// strings are checked and not kept.
+	drop bool
 }
 
 func newEdgeScanner(s string) edgeScanner {
@@ -153,6 +270,20 @@ func newEdgeScanner(s string) edgeScanner {
 // pre-sizing the batch or event slice.
 func (p *edgeScanner) objects() int {
 	return min(strings.Count(p.s, "{")-1, edgeHintMax)
+}
+
+// bounded consumes an array, calling elem to consume each element; past
+// the first limit elements drop is set, and elem checks them without
+// keeping them. It returns the count.
+func (p *edgeScanner) bounded(limit int, elem func() bool) (int, bool) {
+	n := 0
+	ok := p.array(func() bool {
+		p.drop = n >= limit
+		n++
+		return elem()
+	})
+	p.drop = false
+	return n, ok
 }
 
 func (p *edgeScanner) ws() {
@@ -232,7 +363,9 @@ func (p *edgeScanner) strList() ([]string, bool) {
 	start := len(p.strs)
 	ok := p.array(func() bool {
 		v, ok := p.str()
-		p.strs = append(p.strs, v)
+		if !p.drop {
+			p.strs = append(p.strs, v)
+		}
 		return ok
 	})
 	return p.strs[start:len(p.strs):len(p.strs)], ok
@@ -384,21 +517,23 @@ var (
 	ingestEventKeys    = []string{"video", "tags", "country", "views", "upload"}
 )
 
-func parsePredictRequest(s string, req *PredictRequest) bool {
+func parsePredictRequest(s string, req *PredictRequest, limit int) (n int, ok bool) {
 	p := newEdgeScanner(s)
-	ok := p.object(predictRequestKeys, func(key int) (ok bool) {
+	ok = p.object(predictRequestKeys, func(key int) (ok bool) {
 		switch key {
 		case 0:
 			req.Tags, ok = p.strList()
 		case 1:
-			req.Batch = make([]PredictItem, 0, p.objects())
-			ok = p.array(func() bool {
+			req.Batch = make([]PredictItem, 0, min(p.objects(), limit))
+			n, ok = p.bounded(limit, func() bool {
 				var item PredictItem
 				ok := p.object(predictItemKeys, func(int) (ok bool) {
 					item.Tags, ok = p.strList()
 					return ok
 				})
-				req.Batch = append(req.Batch, item)
+				if !p.drop {
+					req.Batch = append(req.Batch, item)
+				}
 				return ok
 			})
 		case 2:
@@ -410,13 +545,14 @@ func parsePredictRequest(s string, req *PredictRequest) bool {
 		}
 		return ok
 	})
-	return ok && p.end()
+	return n, ok && p.end()
 }
 
-// events consumes an array of ingest events.
-func (p *edgeScanner) events() ([]IngestEvent, bool) {
-	events := make([]IngestEvent, 0, p.objects())
-	ok := p.array(func() bool {
+// events consumes an array of ingest events, keeping at most limit of
+// them, and returns how many there were.
+func (p *edgeScanner) events(limit int) ([]IngestEvent, int, bool) {
+	events := make([]IngestEvent, 0, min(p.objects(), limit))
+	n, ok := p.bounded(limit, func() bool {
 		var e IngestEvent
 		ok := p.object(ingestEventKeys, func(key int) (ok bool) {
 			switch key {
@@ -433,17 +569,19 @@ func (p *edgeScanner) events() ([]IngestEvent, bool) {
 			}
 			return ok
 		})
-		events = append(events, e)
+		if !p.drop {
+			events = append(events, e)
+		}
 		return ok
 	})
-	return events, ok
+	return events, n, ok
 }
 
-func parseIngestRequest(s string, req *IngestRequest) bool {
+func parseIngestRequest(s string, req *IngestRequest, limit int) (n int, ok bool) {
 	p := newEdgeScanner(s)
-	ok := p.object(ingestRequestKeys, func(int) (ok bool) {
-		req.Events, ok = p.events()
+	ok = p.object(ingestRequestKeys, func(int) (ok bool) {
+		req.Events, n, ok = p.events(limit)
 		return ok
 	})
-	return ok && p.end()
+	return n, ok && p.end()
 }

@@ -19,19 +19,39 @@ import (
 	"viewstags/internal/synth"
 )
 
+// widestOne is widestArray's bound one level down.
+func widestOne(data []byte) int {
+	n, _ := widestArray(data, 1)
+	return n
+}
+
+// defaultMaxBatch is a daemon's batch bound unless -max-batch says
+// otherwise.
+var defaultMaxBatch = DefaultConfig().MaxBatch
+
 // strictDecode is the reference the fast decoders are held to: what a
 // declined body goes through.
 func strictDecode(data []byte, v any) error {
 	return decodeStrict(bytes.NewReader(data), v)
 }
 
-// checkFastAgainstStrict runs one fast decoder over data and, when it
-// accepts, requires the strict decode to succeed with a DeepEqual value.
-func checkFastAgainstStrict[T any](t *testing.T, shape string, data []byte, fast func(string, *T) bool) (accepted bool) {
+// checkFastAgainstStrict runs one route's fast decoder over data under the
+// batch bound limit. When it accepts a batch within the bound, the strict
+// decode must succeed with a DeepEqual value; when it counts more, the
+// strict path's count must be the same and its bound no less, so both
+// answer the same 400.
+func checkFastAgainstStrict[T any](t *testing.T, shape string, data []byte, c edgeCodec[T], limit int) (accepted bool) {
 	t.Helper()
 	var got, want T
-	if !fast(string(data), &got) {
+	n, ok := c.fast(string(data), &got, limit)
+	if !ok {
 		return false
+	}
+	if n > limit {
+		if strict, bound := c.count(data), widestOne(data); strict != n || bound < n {
+			t.Fatalf("%s: %q: the fast decoder counts %d elements, the strict path %d (its bound %d)", shape, data, n, strict, bound)
+		}
+		return true
 	}
 	if err := strictDecode(data, &want); err != nil {
 		t.Fatalf("%s: fast decoder accepted %q, strict decode refuses it: %v", shape, data, err)
@@ -112,8 +132,8 @@ var edgeSeedDeclined = []string{
 func TestEdgeDecodeSeeds(t *testing.T) {
 	accepted := func(data string) bool {
 		b := []byte(data)
-		return checkFastAgainstStrict(t, "predict", b, parsePredictRequest) ||
-			checkFastAgainstStrict(t, "ingest", b, parseIngestRequest)
+		return checkFastAgainstStrict(t, "predict", b, predictCodec, defaultMaxBatch) ||
+			checkFastAgainstStrict(t, "ingest", b, ingestCodec, defaultMaxBatch)
 	}
 	for _, s := range edgeSeedAccepted {
 		if !accepted(s) {
@@ -129,7 +149,8 @@ func TestEdgeDecodeSeeds(t *testing.T) {
 
 // FuzzEdgeDecode: for arbitrary bytes no fast decoder panics, and
 // whichever accepts agrees with the strict encoding/json decode of the
-// same bytes.
+// same bytes: on the value under the bound, on the count over it. A bound
+// of 2 puts small inputs on both sides of it.
 func FuzzEdgeDecode(f *testing.F) {
 	for _, s := range edgeSeedAccepted {
 		f.Add([]byte(s))
@@ -138,8 +159,10 @@ func FuzzEdgeDecode(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkFastAgainstStrict(t, "predict", data, parsePredictRequest)
-		checkFastAgainstStrict(t, "ingest", data, parseIngestRequest)
+		for _, limit := range []int{2, defaultMaxBatch} {
+			checkFastAgainstStrict(t, "predict", data, predictCodec, limit)
+			checkFastAgainstStrict(t, "ingest", data, ingestCodec, limit)
+		}
 	})
 }
 
@@ -198,8 +221,8 @@ func TestEdgeFastPathCoversBenchCatalog(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !checkFastAgainstStrict(t, "predict", predict, parsePredictRequest) ||
-			!checkFastAgainstStrict(t, "ingest", ingest, parseIngestRequest) {
+		if !checkFastAgainstStrict(t, "predict", predict, predictCodec, defaultMaxBatch) ||
+			!checkFastAgainstStrict(t, "ingest", ingest, ingestCodec, defaultMaxBatch) {
 			declined++
 		}
 	}
@@ -402,7 +425,7 @@ func TestEdgeBodyBufferNotPinned(t *testing.T) {
 	var req PredictRequest
 	body := []byte(`{"tags":["favela","samba"]}`)
 	r := httptest.NewRequest(http.MethodPost, "/v1/predict", bytes.NewReader(body))
-	if !DecodePredictBody(httptest.NewRecorder(), r, &NewMetrics().Predict, &req) {
+	if !DecodePredictBody(httptest.NewRecorder(), r, &NewMetrics().Predict, defaultMaxBatch, &req) {
 		t.Fatal("decode failed")
 	}
 	for i := 0; i < 8; i++ { // scribble over whatever the pool holds
@@ -476,5 +499,74 @@ func TestIngestDoesNotPinRequestBody(t *testing.T) {
 	}
 	if m := srv.Metrics(); m.Ingest.DecodeGeneral.Load() != 0 || m.Internal.DecodeGeneral.Load() != 0 {
 		t.Fatal("a body took the general decode; this test is about the fast one")
+	}
+}
+
+// TestEdgeBatchBoundedBeforeAllocating: /v1/predict and /v1/ingest refuse
+// a batch over -max-batch with the 400 that names its length, and neither
+// decoder holds more of it than the bound first — the fast scanner, and
+// encoding/json for a body with an escape (here in the key). A body that
+// fills MaxBodyBytes with empty elements allocates a small multiple of
+// its size, not of its element count.
+func TestEdgeBatchBoundedBeforeAllocating(t *testing.T) {
+	srv, _, _ := freshServer(t, false, 0, time.Hour)
+	maxBatch := srv.cfg.MaxBatch
+	routes := []struct {
+		path, key, elem, tooMany string
+	}{
+		{"/v1/predict", "batch", `{"tags":["pop"]}`, "batch of %d exceeds limit %d"},
+		{"/v1/ingest", "events", `{"video":"v","tags":["pop"],"country":"BR","views":1}`, "batch of %d events exceeds limit %d"},
+	}
+	fill := (MaxBodyBytes - 32) / len(`{},`)
+	for _, rt := range routes {
+		for _, decoder := range []string{"fast", "strict"} {
+			key := `"` + rt.key + `"`
+			if decoder == "strict" {
+				key = `"\u` + fmt.Sprintf("%04x", rt.key[0]) + rt.key[1:] + `"`
+			}
+			body := func(elem string, n int) []byte {
+				return []byte("{" + key + ":[" + strings.TrimSuffix(strings.Repeat(elem+",", n), ",") + "]}")
+			}
+			for _, c := range []struct {
+				name string
+				body []byte
+				want int
+				msg  string
+			}{
+				{"MaxBatch elements", body(rt.elem, maxBatch), http.StatusOK, ""},
+				{"MaxBatch+1 elements", body(rt.elem, maxBatch+1), http.StatusBadRequest, fmt.Sprintf(rt.tooMany, maxBatch+1, maxBatch)},
+				{"empty elements filling the body", body("{}", fill), http.StatusBadRequest, fmt.Sprintf(rt.tooMany, fill, maxBatch)},
+				// encoding/json decodes the first value before it sees
+				// what follows it, so the batch is counted first here too.
+				{"empty elements, then a trailing byte", append(body("{}", fill-1), 'x'), http.StatusBadRequest, fmt.Sprintf(rt.tooMany, fill-1, maxBatch)},
+			} {
+				name := fmt.Sprintf("%s %s, %s", rt.path, decoder, c.name)
+				post := func() *httptest.ResponseRecorder {
+					rec := httptest.NewRecorder()
+					srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, rt.path, bytes.NewReader(c.body)))
+					return rec
+				}
+				post() // warm the pools
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				rec := post()
+				runtime.ReadMemStats(&after)
+				var e struct {
+					Error string `json:"error"`
+				}
+				_ = json.Unmarshal(rec.Body.Bytes(), &e)
+				if rec.Code != c.want || e.Error != c.msg {
+					t.Errorf("%s: %d %q, want %d %q", name, rec.Code, e.Error, c.want, c.msg)
+				}
+				alloc := after.TotalAlloc - before.TotalAlloc
+				t.Logf("%s: %d-byte body, %d bytes allocated", name, len(c.body), alloc)
+				// A batch within the bound allocates its answer; a refusal
+				// may cost the body's buffer and string, and little more.
+				if limit := uint64(3*len(c.body)) + 256<<10; c.want != http.StatusOK && alloc > limit {
+					t.Errorf("%s: a %d-byte body allocated %d bytes, over %d", name, len(c.body), alloc, limit)
+				}
+			}
+		}
 	}
 }

@@ -292,7 +292,7 @@ type PredictPartials struct {
 func DecodePredictResponse(data []byte, out *PredictPartials, maxItems, maxC int) error {
 	r := bincodec.NewReader(data)
 	out.Rows = checkHeader(&r, wireRespMagic, wireFlagCRC|wireFlagRows)&wireFlagRows != 0
-	maxCount := min(math.MaxUint32, math.MaxInt) // what a gateway's row keeps
+	maxCount := min(math.MaxUint32, math.MaxInt) // a rows reply's counts fit 32 bits
 	if out.Weighting = tagviews.WeightingInvalid; !out.Rows {
 		out.Weighting, maxCount = tagviews.Weighting(r.U8()), math.MaxInt
 	}
