@@ -152,8 +152,14 @@ var predictionsPool = sync.Pool{New: func() any { return new(Predictions) }}
 func getPredictions(nItems, nC int) *Predictions {
 	p := predictionsPool.Get().(*Predictions)
 	p.nC = nC
-	p.Known = grow(p.Known, nItems)
-	p.vecs = grow(p.vecs, nItems*nC)
+	if cap(p.Known) < nItems {
+		p.Known = make([]bool, nItems)
+	}
+	p.Known = p.Known[:nItems]
+	if cap(p.vecs) < nItems*nC {
+		p.vecs = make([]float64, nItems*nC)
+	}
+	p.vecs = p.vecs[:nItems*nC]
 	return p
 }
 
