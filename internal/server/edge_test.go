@@ -19,12 +19,6 @@ import (
 	"viewstags/internal/synth"
 )
 
-// widestOne is widestArray's bound one level down.
-func widestOne(data []byte) int {
-	n, _ := widestArray(data, 1)
-	return n
-}
-
 // defaultMaxBatch is a daemon's batch bound unless -max-batch says
 // otherwise.
 var defaultMaxBatch = DefaultConfig().MaxBatch
@@ -48,7 +42,8 @@ func checkFastAgainstStrict[T any](t *testing.T, shape string, data []byte, c ed
 		return false
 	}
 	if n > limit {
-		if strict, bound := c.count(data), widestOne(data); strict != n || bound < n {
+		strict := c.count(data)
+		if bound, _ := widestArray(data, 1); strict != n || bound < n {
 			t.Fatalf("%s: %q: the fast decoder counts %d elements, the strict path %d (its bound %d)", shape, data, n, strict, bound)
 		}
 		return true
