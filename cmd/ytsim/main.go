@@ -1,5 +1,6 @@
 // Command ytsim serves the simulated 2011 YouTube Data API over a
-// synthetic catalog — the crawl target for cmd/crawl.
+// synthetic catalog — the crawl target for cmd/crawl. Every reply is the
+// API's alt=json form; a request asking for another alt gets a 400.
 //
 // Usage:
 //

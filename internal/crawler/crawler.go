@@ -171,7 +171,6 @@ func (c *Crawler) Run(ctx context.Context) (*Result, error) {
 	}
 
 	limiter := newLimiter(c.cfg.RequestsPerSec)
-	defer limiter.stop()
 
 	// Seed phase (skipped when resuming with a non-empty state).
 	if len(seen) == 0 {
@@ -179,8 +178,10 @@ func (c *Crawler) Run(ctx context.Context) (*Result, error) {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			limiter.wait(ctx)
-			entries, err := c.retryMostPopular(ctx, limiter, region)
+			jitter := xrand.NewSource(c.cfg.Seed).Fork("seed/" + region)
+			entries, err := retry(ctx, c, limiter, jitter, func() ([]ytapi.Entry, error) {
+				return c.client.MostPopular(ctx, region)
+			})
 			if err != nil {
 				// A dead seed region shrinks the seed set but should not
 				// kill the crawl; the paper's own crawl tolerated gaps.
@@ -300,7 +301,7 @@ loop:
 // retries on retryable failures.
 func (c *Crawler) fetchOne(ctx context.Context, lim *limiter, jitter *xrand.Source, j job) fetchOut {
 	id := j.id
-	entry, err := c.withRetry(ctx, lim, jitter, func() (*ytapi.Entry, error) {
+	entry, err := retry(ctx, c, lim, jitter, func() (*ytapi.Entry, error) {
 		return c.client.Video(ctx, id)
 	})
 	if err != nil {
@@ -311,7 +312,12 @@ func (c *Crawler) fetchOne(ctx context.Context, lim *limiter, jitter *xrand.Sour
 	var related []string
 	start := 1
 	for {
-		entries, total, err := withRetryPage(c, ctx, lim, jitter, id, start)
+		var total int
+		entries, err := retry(ctx, c, lim, jitter, func() ([]ytapi.Entry, error) {
+			page, n, err := c.client.Related(ctx, id, start, c.cfg.RelatedPageSize)
+			total = n
+			return page, err
+		})
 		if err != nil {
 			// Partial related lists are acceptable: the frontier loses
 			// some fan-out but the record itself is sound.
@@ -330,83 +336,33 @@ func (c *Crawler) fetchOne(ctx context.Context, lim *limiter, jitter *xrand.Sour
 	return fetchOut{record: rec, related: related, depth: j.depth}
 }
 
-// withRetry runs fn with exponential backoff on retryable errors.
-func (c *Crawler) withRetry(ctx context.Context, lim *limiter, jitter *xrand.Source, fn func() (*ytapi.Entry, error)) (*ytapi.Entry, error) {
+// retry runs fn until it succeeds, fails with a non-retryable error, or
+// spends MaxRetries retries. Every attempt first waits once on lim; every
+// retry is counted in c.retries and backs off with c.backoff before it.
+func retry[T any](ctx context.Context, c *Crawler, lim *limiter, jitter *xrand.Source, fn func() (T, error)) (T, error) {
+	var zero T
 	var lastErr error
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return zero, err
 		}
 		if attempt > 0 {
 			c.retries.Add(1)
 			if err := sleepCtx(ctx, c.backoff(jitter, attempt)); err != nil {
-				return nil, err
+				return zero, err
 			}
 		}
 		lim.wait(ctx)
-		entry, err := fn()
+		v, err := fn()
 		if err == nil {
-			return entry, nil
+			return v, nil
 		}
 		lastErr = err
 		if !retryable(err) {
-			return nil, err
+			return zero, err
 		}
 	}
-	return nil, fmt.Errorf("crawler: retries exhausted: %w", lastErr)
-}
-
-// withRetryPage is withRetry for a related-feed page (different result
-// shape; kept separate rather than forcing generics into the hot path).
-func withRetryPage(c *Crawler, ctx context.Context, lim *limiter, jitter *xrand.Source, id string, start int) ([]ytapi.Entry, int, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		if attempt > 0 {
-			c.retries.Add(1)
-			if err := sleepCtx(ctx, c.backoff(jitter, attempt)); err != nil {
-				return nil, 0, err
-			}
-		}
-		lim.wait(ctx)
-		entries, total, err := c.client.Related(ctx, id, start, c.cfg.RelatedPageSize)
-		if err == nil {
-			return entries, total, nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			return nil, 0, err
-		}
-	}
-	return nil, 0, fmt.Errorf("crawler: retries exhausted: %w", lastErr)
-}
-
-func (c *Crawler) retryMostPopular(ctx context.Context, lim *limiter, region string) ([]ytapi.Entry, error) {
-	jitter := xrand.NewSource(c.cfg.Seed).Fork("seed/" + region)
-	var lastErr error
-	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if attempt > 0 {
-			c.retries.Add(1)
-			if err := sleepCtx(ctx, c.backoff(jitter, attempt)); err != nil {
-				return nil, err
-			}
-		}
-		lim.wait(ctx)
-		entries, err := c.client.MostPopular(ctx, region)
-		if err == nil {
-			return entries, nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			return nil, err
-		}
-	}
-	return nil, fmt.Errorf("crawler: seed %s: retries exhausted: %w", region, lastErr)
+	return zero, fmt.Errorf("crawler: retries exhausted: %w", lastErr)
 }
 
 // backoff returns the delay before the given (1-based) retry attempt:

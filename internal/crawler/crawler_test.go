@@ -2,6 +2,8 @@ package crawler
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -325,7 +327,6 @@ func TestDepthTracking(t *testing.T) {
 
 func TestLimiterEnforcesRate(t *testing.T) {
 	lim := newLimiter(100) // 100 rps -> 10ms gaps after the initial token
-	defer lim.stop()
 	ctx := context.Background()
 	start := time.Now()
 	for i := 0; i < 5; i++ {
@@ -340,7 +341,6 @@ func TestLimiterEnforcesRate(t *testing.T) {
 
 func TestLimiterDisabled(t *testing.T) {
 	lim := newLimiter(0)
-	defer lim.stop()
 	start := time.Now()
 	for i := 0; i < 1000; i++ {
 		lim.wait(context.Background())
@@ -352,7 +352,6 @@ func TestLimiterDisabled(t *testing.T) {
 
 func TestLimiterRespectsCancelledContext(t *testing.T) {
 	lim := newLimiter(0.1) // one token per 10s
-	defer lim.stop()
 	lim.wait(context.Background()) // consume the burst token
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -360,5 +359,72 @@ func TestLimiterRespectsCancelledContext(t *testing.T) {
 	lim.wait(ctx) // must return promptly on ctx expiry, not wait 10s
 	if time.Since(start) > time.Second {
 		t.Fatal("limiter ignored context cancellation")
+	}
+}
+
+// TestRetry pins the one retry loop every crawl request goes through.
+func TestRetry(t *testing.T) {
+	transient := &ytapi.ErrStatus{Code: http.StatusServiceUnavailable, Message: "transient backend error"}
+	quota := &ytapi.ErrStatus{Code: http.StatusForbidden, Message: "too_many_recent_calls"}
+	notFound := &ytapi.ErrStatus{Code: http.StatusNotFound, Message: "video not found"}
+	const rate = 5.0 // limiter tokens/s: a 200ms gap between attempts
+	gap := time.Duration(float64(time.Second) / rate)
+	cases := []struct {
+		name        string
+		errs        []error // the successive calls' errors; later calls succeed
+		rate        float64
+		cancelled   bool
+		wantCalls   int
+		wantRetries int64
+		wantErr     error // errors.Is target; nil wants success
+	}{
+		{name: "success after k retryable failures", errs: []error{transient, quota}, wantCalls: 3, wantRetries: 2},
+		{name: "non-retryable error", errs: []error{notFound}, wantCalls: 1, wantErr: notFound},
+		{name: "exhaustion wraps the last error", errs: []error{transient, transient, quota, transient}, wantCalls: 3, wantRetries: 2, wantErr: quota},
+		{name: "cancelled context", cancelled: true, wantErr: context.Canceled},
+		{name: "one limiter wait per attempt", errs: []error{transient, transient}, rate: rate, wantCalls: 3, wantRetries: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Crawler{cfg: Config{MaxRetries: 2, BaseBackoff: time.Nanosecond}}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.cancelled {
+				cancel()
+			}
+			var calls []time.Time
+			start := time.Now()
+			got, err := retry(ctx, c, newLimiter(tc.rate), xrand.NewSource(1), func() (int, error) {
+				calls = append(calls, time.Now())
+				if n := len(calls); n <= len(tc.errs) {
+					return 0, tc.errs[n-1]
+				}
+				return 7, nil
+			})
+			if len(calls) != tc.wantCalls || c.retries.Load() != tc.wantRetries {
+				t.Fatalf("%d calls, %d retries; want %d, %d", len(calls), c.retries.Load(), tc.wantCalls, tc.wantRetries)
+			}
+			if tc.wantErr == nil {
+				if err != nil || got != 7 {
+					t.Fatalf("got %d, %v; want 7, nil", got, err)
+				}
+			} else if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if tc.rate > 0 {
+				// A second wait before any attempt would add a whole gap.
+				prev := start
+				for i, at := range calls {
+					lo := gap * 9 / 10
+					if i == 0 {
+						lo = 0
+					}
+					if d := at.Sub(prev); d < lo || d >= lo+gap {
+						t.Fatalf("attempt %d began %v after the last; want [%v, %v)", i+1, d, lo, lo+gap)
+					}
+					prev = at
+				}
+			}
+		})
 	}
 }

@@ -51,7 +51,3 @@ func (l *limiter) wait(ctx context.Context) {
 		t.Stop()
 	}
 }
-
-// stop releases limiter resources (none today; kept so Run's defer reads
-// naturally and future implementations can hold a ticker).
-func (l *limiter) stop() {}

@@ -9,6 +9,7 @@ import (
 
 	"viewstags/internal/dataset"
 	"viewstags/internal/geo"
+	"viewstags/internal/xrand"
 	"viewstags/internal/ytapi"
 )
 
@@ -141,6 +142,9 @@ func SearchCrawl(ctx context.Context, client *ytapi.Client, cfg SearchConfig) (*
 // searchTermAllPages pulls up to cfg.PerTerm results for one term, with
 // bounded retries on transient failures.
 func searchTermAllPages(ctx context.Context, client *ytapi.Client, term string, cfg SearchConfig) ([]ytapi.Entry, error) {
+	// Retries go out at once: a zero BaseBackoff and no politeness limit.
+	r := &Crawler{cfg: Config{MaxRetries: cfg.MaxRetriesPerTerm}}
+	lim, jitter := newLimiter(0), xrand.NewSource(0)
 	var out []ytapi.Entry
 	start := 1
 	for len(out) < cfg.PerTerm {
@@ -148,7 +152,12 @@ func searchTermAllPages(ctx context.Context, client *ytapi.Client, term string, 
 		if rest := cfg.PerTerm - len(out); rest < want {
 			want = rest
 		}
-		entries, total, err := searchWithRetry(ctx, client, term, start, want, cfg.MaxRetriesPerTerm)
+		var total int
+		entries, err := retry(ctx, r, lim, jitter, func() ([]ytapi.Entry, error) {
+			page, n, err := client.Search(ctx, term, start, want)
+			total = n
+			return page, err
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -159,24 +168,6 @@ func searchTermAllPages(ctx context.Context, client *ytapi.Client, term string, 
 		}
 	}
 	return out, nil
-}
-
-func searchWithRetry(ctx context.Context, client *ytapi.Client, term string, start, max, retries int) ([]ytapi.Entry, int, error) {
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		entries, total, err := client.Search(ctx, term, start, max)
-		if err == nil {
-			return entries, total, nil
-		}
-		lastErr = err
-		if !retryable(err) {
-			return nil, 0, err
-		}
-	}
-	return nil, 0, fmt.Errorf("crawler: search %q: retries exhausted: %w", term, lastErr)
 }
 
 func TestSearchCrawlBasics(t *testing.T) {

@@ -14,11 +14,12 @@
 //     demand (the paper's proposal applied to storage).
 //   - Oracle: replicas placed with ground-truth demand (lower bound).
 //
-// Evaluator scores the strategies offline against a catalog's ground
-// truth; Recommender is the online adapter behind the serving layer's
-// /v1/place endpoint, answering one upload at a time from a demand
-// vector the profile store predicts (oracle is rejected there — it
-// needs ground truth a live service doesn't have).
+// Recommender writes each strategy once and is the online adapter behind
+// the serving layer's /v1/place endpoint, answering one upload at a time
+// from a demand vector the profile store predicts (oracle is rejected
+// there — it needs ground truth a live service doesn't have). Evaluator
+// scores the strategies offline against a catalog's ground truth through
+// the same Recommend, asking for oracle as predicted with true demand.
 package placement
 
 import (
@@ -85,18 +86,15 @@ func (r Result) String() string {
 	return fmt.Sprintf("%-9s R=%d meanKm=%.0f local=%.3f", r.Strategy, r.Replicas, r.MeanKm, r.LocalFraction)
 }
 
-// Evaluator scores placement strategies over a catalog with a shared
-// distance matrix.
+// Evaluator scores placement strategies over a catalog; the strategies
+// themselves are the Recommender's.
 type Evaluator struct {
 	cat *synth.Catalog
-	dm  [][]float64
+	rec *Recommender
 	cfg Config
 	// predicted[v] is the tag-predicted demand distribution (nil = no
 	// prediction; Predicted falls back to Home for those videos).
 	predicted [][]float64
-	// popularOrder caches the traffic-descending country ranking used by
-	// StrategyPopular.
-	popularOrder []geo.CountryID
 }
 
 // NewEvaluator builds an evaluator. It returns an error for an invalid
@@ -105,9 +103,7 @@ func NewEvaluator(cat *synth.Catalog, cfg Config) (*Evaluator, error) {
 	if cfg.Replicas < 1 || cfg.Replicas > cat.World.N() {
 		return nil, fmt.Errorf("placement: replicas %d outside [1, %d]", cfg.Replicas, cat.World.N())
 	}
-	e := &Evaluator{cat: cat, dm: cat.World.DistanceMatrix(), cfg: cfg}
-	e.popularOrder = trafficOrder(cat.World)
-	return e, nil
+	return &Evaluator{cat: cat, rec: NewRecommender(cat.World), cfg: cfg}, nil
 }
 
 // SetPredictions installs tag-predicted demand fields (indexed by
@@ -122,50 +118,25 @@ func (e *Evaluator) SetPredictions(pred [][]float64) error {
 
 // Placements returns the replica countries strategy s chooses for video
 // v (deterministic, length = Config.Replicas unless fewer countries have
-// signal).
+// signal). Oracle is Predicted with the video's true views as the
+// prediction.
 func (e *Evaluator) Placements(s Strategy, v int) ([]geo.CountryID, error) {
 	video := &e.cat.Videos[v]
-	r := e.cfg.Replicas
+	var demand []float64
 	switch s {
-	case StrategyHome:
-		// All replicas at home degenerate to one distinct site; fill the
-		// remainder with the nearest countries to home (a realistic
-		// "regional replicas" default).
-		return e.nearestTo(video.Upload, r), nil
-	case StrategyPopular:
-		out := make([]geo.CountryID, r)
-		copy(out, e.popularOrder[:r])
-		return out, nil
 	case StrategyPredicted:
 		if e.predicted == nil {
 			return nil, fmt.Errorf("placement: StrategyPredicted requires SetPredictions")
 		}
-		p := e.predicted[v]
-		if p == nil {
-			return e.nearestTo(video.Upload, r), nil
-		}
-		return topCountries(p, r), nil
+		demand = e.predicted[v]
 	case StrategyOracle:
-		f := make([]float64, len(video.TrueViews))
-		any := false
+		s = StrategyPredicted
+		demand = make([]float64, len(video.TrueViews))
 		for c, n := range video.TrueViews {
-			f[c] = float64(n)
-			if n > 0 {
-				any = true
-			}
+			demand[c] = float64(n)
 		}
-		if !any {
-			return e.nearestTo(video.Upload, r), nil
-		}
-		return topCountries(f, r), nil
-	default:
-		return nil, fmt.Errorf("placement: unknown strategy %d", int(s))
 	}
-}
-
-// nearestTo returns home plus the r−1 geographically nearest countries.
-func (e *Evaluator) nearestTo(home geo.CountryID, r int) []geo.CountryID {
-	return nearestCountries(e.dm, home, r)
+	return e.rec.Recommend(s, video.Upload, demand, e.cfg.Replicas)
 }
 
 // topCountries returns the r highest-mass countries of a demand field.
@@ -215,7 +186,7 @@ func (e *Evaluator) Evaluate(s Strategy) (Result, error) {
 func (e *Evaluator) nearestKm(from geo.CountryID, sites []geo.CountryID) float64 {
 	best := -1.0
 	for _, s := range sites {
-		d := e.dm[from][s]
+		d := e.rec.dm[from][s]
 		if best < 0 || d < best {
 			best = d
 		}

@@ -11,9 +11,10 @@ import (
 // Recommender answers the online form of the placement question: a
 // fresh upload arrives with an uploader country and (optionally) a
 // tag-predicted demand field — where should its replicas go, right now?
-// It reuses the exact strategy semantics the offline Evaluator scores,
-// minus StrategyOracle, which needs ground-truth demand no serving
-// system has at upload time.
+// It is the one place each strategy is written: the offline Evaluator
+// scores its placements through Recommend. StrategyOracle is refused
+// here, as it needs ground-truth demand no serving system has at upload
+// time; the Evaluator asks for it as StrategyPredicted with true demand.
 type Recommender struct {
 	world        *geo.World
 	dm           [][]float64
@@ -31,9 +32,8 @@ func NewRecommender(world *geo.World) *Recommender {
 
 // Recommend returns the replica countries for one upload. demand is the
 // predicted view distribution (used by StrategyPredicted; nil or
-// zero-mass falls back to the home heuristic, mirroring the Evaluator's
-// unpredicted-video path). It returns an error for an invalid strategy,
-// replica count, or upload country.
+// zero-mass falls back to the home heuristic). It returns an error for an
+// invalid strategy, replica count, or upload country.
 func (r *Recommender) Recommend(s Strategy, upload geo.CountryID, demand []float64, replicas int) ([]geo.CountryID, error) {
 	if replicas < 1 || replicas > r.world.N() {
 		return nil, fmt.Errorf("placement: replicas %d outside [1, %d]", replicas, r.world.N())
@@ -43,6 +43,9 @@ func (r *Recommender) Recommend(s Strategy, upload geo.CountryID, demand []float
 	}
 	switch s {
 	case StrategyHome:
+		// All replicas at home degenerate to one distinct site; fill the
+		// remainder with the nearest countries to home (a realistic
+		// "regional replicas" default).
 		return nearestCountries(r.dm, upload, replicas), nil
 	case StrategyPopular:
 		out := make([]geo.CountryID, replicas)

@@ -97,14 +97,13 @@ type failingReader struct{ err error }
 
 func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 
-// edgeCodec is one route's half of the edge codec. Its body has one array
-// that -max-batch bounds (predict's batch, ingest's events): fast keeps at
-// most limit of its elements, reads past them without keeping what they
-// hold, and returns how many there were; count is that number for the
-// strict path; tooMany is the 400 for more than limit, with verbs for the
-// count and the limit.
+// edgeCodec is one route's half of the edge codec: fast is its fast
+// decoder. Its body has one array that -max-batch bounds (predict's batch,
+// ingest's events); count is that array's length as encoding/json would
+// decode it, and tooMany is the 400 for more than limit, with verbs for
+// the count and the limit.
 type edgeCodec[T any] struct {
-	fast    func(s string, v *T, limit int) (n int, ok bool)
+	fast    func(s string, v *T) bool
 	count   func(body []byte) int
 	tooMany string
 }
@@ -120,46 +119,39 @@ var (
 // what share of traffic pays the reflection decoder). A failed read is replayed into
 // decodeStrict after the bytes that did arrive, so an over-long or
 // truncated body answers what it always has. A batch of more than limit
-// elements is refused before either decoder holds more than limit of
-// them, ahead of any other check on the request. On failure the 400 has
-// been written.
+// elements is refused before either decoder sees the body, ahead of any
+// other check on the request. On failure the 400 has been written.
 func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics, c edgeCodec[T], limit int, v *T) bool {
 	buf, readErr := readBody(w, r)
 	defer releaseBodyBuf(buf)
 	body := buf.Bytes()
+	// An array of more than limit elements needs at least limit commas,
+	// and a body with no such array one level down cannot hold a batch
+	// over limit: both scans are cheap beside count's reflection. Only the
+	// first value is counted, as decodeStrict decodes it before it looks
+	// past it; a truncated body fails decodeStrict.
+	if readErr == nil && bytes.Count(body, []byte{','}) >= limit {
+		if widest, end := widestArray(body, 1); widest > limit {
+			if n := c.count(body[:end]); n > limit {
+				WriteError(w, http.StatusBadRequest, c.tooMany, n, limit)
+				return false
+			}
+		}
+	}
 	// A backslash anywhere declines (in a string it is an escape, outside
 	// one it is no JSON), and escaping clients are the common declined
 	// case: find it before paying the string copy and the scan.
-	if readErr == nil && bytes.IndexByte(body, '\\') < 0 {
-		if n, ok := c.fast(buf.String(), v, limit); ok {
-			return underLimit(w, c, n, limit)
-		}
+	if readErr == nil && bytes.IndexByte(body, '\\') < 0 && c.fast(buf.String(), v) {
+		return true
 	}
 	rm.DecodeGeneral.Add(1)
 	*v = *new(T) // a declined fast decode may have filled some fields
-	// A body with no array of more than limit elements one level down
-	// cannot hold a batch over it, and that scan is cheap beside count's
-	// reflection. Only the first value is counted, as decodeStrict decodes
-	// it before it looks past it; a truncated body fails decodeStrict.
-	if widest, end := widestArray(body, 1); readErr == nil && widest > limit && !underLimit(w, c, c.count(body[:end]), limit) {
-		return false
-	}
 	var src io.Reader = bytes.NewReader(body)
 	if readErr != nil {
 		src = io.MultiReader(src, failingReader{readErr})
 	}
 	if err := decodeStrict(src, v); err != nil {
 		WriteError(w, http.StatusBadRequest, "invalid request body: %v", err)
-		return false
-	}
-	return true
-}
-
-// underLimit reports whether a batch of n elements is within limit, and
-// answers c's 400 when it is not.
-func underLimit[T any](w http.ResponseWriter, c edgeCodec[T], n, limit int) bool {
-	if n > limit {
-		WriteError(w, http.StatusBadRequest, c.tooMany, n, limit)
 		return false
 	}
 	return true
@@ -229,9 +221,9 @@ func widestArray(data []byte, at int) (widest, end int) {
 	return widest, len(data)
 }
 
-// countBatch and countEvents are the strict path's counts: the elements
-// of the array encoding/json would decode into the bounded field, or 0
-// when the body is no valid JSON (decodeStrict says why).
+// countBatch and countEvents are the codecs' counts: the elements of the
+// array encoding/json would decode into the bounded field, or 0 when the
+// body is no valid JSON (decodeStrict says why).
 func countBatch(body []byte) int {
 	var v struct {
 		Batch elemCount `json:"batch"`
@@ -257,9 +249,6 @@ type edgeScanner struct {
 	// allocation. A list is cut off its end once complete; if append has
 	// to move the array, the lists already handed out keep the old one.
 	strs []string
-	// drop is set while bounded reads the elements past its limit, whose
-	// strings are checked and not kept.
-	drop bool
 }
 
 func newEdgeScanner(s string) edgeScanner {
@@ -270,20 +259,6 @@ func newEdgeScanner(s string) edgeScanner {
 // pre-sizing the batch or event slice.
 func (p *edgeScanner) objects() int {
 	return min(strings.Count(p.s, "{")-1, edgeHintMax)
-}
-
-// bounded consumes an array, calling elem to consume each element; past
-// the first limit elements drop is set, and elem checks them without
-// keeping them. It returns the count.
-func (p *edgeScanner) bounded(limit int, elem func() bool) (int, bool) {
-	n := 0
-	ok := p.array(func() bool {
-		p.drop = n >= limit
-		n++
-		return elem()
-	})
-	p.drop = false
-	return n, ok
 }
 
 func (p *edgeScanner) ws() {
@@ -363,9 +338,7 @@ func (p *edgeScanner) strList() ([]string, bool) {
 	start := len(p.strs)
 	ok := p.array(func() bool {
 		v, ok := p.str()
-		if !p.drop {
-			p.strs = append(p.strs, v)
-		}
+		p.strs = append(p.strs, v)
 		return ok
 	})
 	return p.strs[start:len(p.strs):len(p.strs)], ok
@@ -517,23 +490,21 @@ var (
 	ingestEventKeys    = []string{"video", "tags", "country", "views", "upload"}
 )
 
-func parsePredictRequest(s string, req *PredictRequest, limit int) (n int, ok bool) {
+func parsePredictRequest(s string, req *PredictRequest) bool {
 	p := newEdgeScanner(s)
-	ok = p.object(predictRequestKeys, func(key int) (ok bool) {
+	ok := p.object(predictRequestKeys, func(key int) (ok bool) {
 		switch key {
 		case 0:
 			req.Tags, ok = p.strList()
 		case 1:
-			req.Batch = make([]PredictItem, 0, min(p.objects(), limit))
-			n, ok = p.bounded(limit, func() bool {
+			req.Batch = make([]PredictItem, 0, p.objects())
+			ok = p.array(func() bool {
 				var item PredictItem
 				ok := p.object(predictItemKeys, func(int) (ok bool) {
 					item.Tags, ok = p.strList()
 					return ok
 				})
-				if !p.drop {
-					req.Batch = append(req.Batch, item)
-				}
+				req.Batch = append(req.Batch, item)
 				return ok
 			})
 		case 2:
@@ -545,14 +516,13 @@ func parsePredictRequest(s string, req *PredictRequest, limit int) (n int, ok bo
 		}
 		return ok
 	})
-	return n, ok && p.end()
+	return ok && p.end()
 }
 
-// events consumes an array of ingest events, keeping at most limit of
-// them, and returns how many there were.
-func (p *edgeScanner) events(limit int) ([]IngestEvent, int, bool) {
-	events := make([]IngestEvent, 0, min(p.objects(), limit))
-	n, ok := p.bounded(limit, func() bool {
+// events consumes an array of ingest events.
+func (p *edgeScanner) events() ([]IngestEvent, bool) {
+	events := make([]IngestEvent, 0, p.objects())
+	ok := p.array(func() bool {
 		var e IngestEvent
 		ok := p.object(ingestEventKeys, func(key int) (ok bool) {
 			switch key {
@@ -569,19 +539,17 @@ func (p *edgeScanner) events(limit int) ([]IngestEvent, int, bool) {
 			}
 			return ok
 		})
-		if !p.drop {
-			events = append(events, e)
-		}
+		events = append(events, e)
 		return ok
 	})
-	return events, n, ok
+	return events, ok
 }
 
-func parseIngestRequest(s string, req *IngestRequest, limit int) (n int, ok bool) {
+func parseIngestRequest(s string, req *IngestRequest) bool {
 	p := newEdgeScanner(s)
-	ok = p.object(ingestRequestKeys, func(int) (ok bool) {
-		req.Events, n, ok = p.events(limit)
+	ok := p.object(ingestRequestKeys, func(int) (ok bool) {
+		req.Events, ok = p.events()
 		return ok
 	})
-	return n, ok && p.end()
+	return ok && p.end()
 }

@@ -29,24 +29,31 @@ func strictDecode(data []byte, v any) error {
 	return decodeStrict(bytes.NewReader(data), v)
 }
 
-// checkFastAgainstStrict runs one route's fast decoder over data under the
-// batch bound limit. When it accepts a batch within the bound, the strict
-// decode must succeed with a DeepEqual value; when it counts more, the
-// strict path's count must be the same and its bound no less, so both
-// answer the same 400.
+// checkFastAgainstStrict runs one route's decoders over data under the
+// batch bound limit. decodeEdge answers the too-many 400 exactly when the
+// first JSON value, the one the strict decode reads, holds more than limit
+// elements by the route's count. When the fast decoder accepts, the
+// strict decode must succeed with a DeepEqual value.
 func checkFastAgainstStrict[T any](t *testing.T, shape string, data []byte, c edgeCodec[T], limit int) (accepted bool) {
 	t.Helper()
-	var got, want T
-	n, ok := c.fast(string(data), &got, limit)
-	if !ok {
-		return false
+	strict := 0
+	var first json.RawMessage
+	if json.NewDecoder(bytes.NewReader(data)).Decode(&first) == nil {
+		strict = c.count(first)
 	}
-	if n > limit {
-		strict := c.count(data)
-		if bound, _ := widestArray(data, 1); strict != n || bound < n {
-			t.Fatalf("%s: %q: the fast decoder counts %d elements, the strict path %d (its bound %d)", shape, data, n, strict, bound)
-		}
-		return true
+	rec := httptest.NewRecorder()
+	var v T
+	decodeEdge(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data)), new(RouteMetrics), c, limit, &v)
+	var e struct {
+		Error string `json:"error"`
+	}
+	_ = json.Unmarshal(rec.Body.Bytes(), &e)
+	if tooMany := rec.Code == http.StatusBadRequest && e.Error == fmt.Sprintf(c.tooMany, strict, limit); tooMany != (strict > limit) {
+		t.Fatalf("%s: %q: the strict count is %d under limit %d, decodeEdge answers %d %s", shape, data, strict, limit, rec.Code, rec.Body.Bytes())
+	}
+	var got, want T
+	if !c.fast(string(data), &got) {
+		return false
 	}
 	if err := strictDecode(data, &want); err != nil {
 		t.Fatalf("%s: fast decoder accepted %q, strict decode refuses it: %v", shape, data, err)
@@ -142,10 +149,10 @@ func TestEdgeDecodeSeeds(t *testing.T) {
 	}
 }
 
-// FuzzEdgeDecode: for arbitrary bytes no fast decoder panics, and
-// whichever accepts agrees with the strict encoding/json decode of the
-// same bytes: on the value under the bound, on the count over it. A bound
-// of 2 puts small inputs on both sides of it.
+// FuzzEdgeDecode: for arbitrary bytes no fast decoder panics, whichever
+// accepts agrees with the strict encoding/json decode of the same bytes,
+// and decodeEdge refuses a batch exactly when the strict count is over
+// the bound. A bound of 2 puts small inputs on both sides of it.
 func FuzzEdgeDecode(f *testing.F) {
 	for _, s := range edgeSeedAccepted {
 		f.Add([]byte(s))

@@ -209,6 +209,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusServiceUnavailable, "transient backend error")
 		return
 	}
+	// JSON is the only representation served; GData's Atom default is not.
+	if alt := r.URL.Query().Get("alt"); alt != "" && alt != "json" {
+		s.writeError(w, http.StatusBadRequest, "unsupported alt "+strconv.Quote(alt))
+		return
+	}
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -276,19 +281,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	vids := s.searchIndex[q]
-	lo := start - 1
-	if lo > len(vids) {
-		lo = len(vids)
-	}
-	hi := lo + maxRes
-	if hi > len(vids) {
-		hi = len(vids)
-	}
-	entries := make([]Entry, hi-lo)
-	for i, vi := range vids[lo:hi] {
-		entries[i] = s.entries[vi]
-	}
-	s.writeFeedTotal(w, r, entries, start, maxRes, len(vids))
+	s.writeFeed(w, page(s, vids, start, maxRes), start, maxRes, len(vids))
 }
 
 // handleStandardFeed serves
@@ -307,11 +300,7 @@ func (s *Server) handleStandardFeed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	top := s.topByCountry[id]
-	entries := make([]Entry, len(top))
-	for i, vi := range top {
-		entries[i] = s.entries[vi]
-	}
-	s.writeFeed(w, r, entries, 1, len(entries))
+	s.writeFeed(w, page(s, top, 1, len(top)), 1, len(top), len(top))
 }
 
 // handleVideos serves /feeds/api/videos/{id} and
@@ -326,7 +315,7 @@ func (s *Server) handleVideos(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case len(parts) == 1:
-		s.writeEntry(w, r, s.entries[v.Index])
+		s.writeJSON(w, http.StatusOK, EntryDoc{Entry: s.entries[v.Index]})
 	case len(parts) == 2 && parts[1] == "related":
 		s.serveRelated(w, r, v.Index)
 	default:
@@ -345,20 +334,19 @@ func (s *Server) serveRelated(w http.ResponseWriter, r *http.Request, index int)
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	// start is 1-based per GData.
-	lo := start - 1
-	if lo > len(rel) {
-		lo = len(rel)
-	}
-	hi := lo + maxRes
-	if hi > len(rel) {
-		hi = len(rel)
-	}
+	s.writeFeed(w, page(s, rel, start, maxRes), start, maxRes, len(rel))
+}
+
+// page returns the entries of videos[start-1 : start-1+maxRes], clipped to
+// the list (start is 1-based per GData).
+func page[V int | int32](s *Server, videos []V, start, maxRes int) []Entry {
+	lo := min(start-1, len(videos))
+	hi := min(lo+maxRes, len(videos))
 	entries := make([]Entry, hi-lo)
-	for i, vi := range rel[lo:hi] {
+	for i, vi := range videos[lo:hi] {
 		entries[i] = s.entries[vi]
 	}
-	s.writeFeedTotal(w, r, entries, start, maxRes, len(rel))
+	return entries
 }
 
 func pagination(r *http.Request, cap int) (start, maxResults int, err error) {
@@ -383,55 +371,14 @@ func pagination(r *http.Request, cap int) (start, maxResults int, err error) {
 	return start, maxResults, nil
 }
 
-func (s *Server) writeFeed(w http.ResponseWriter, r *http.Request, entries []Entry, start, perPage int) {
-	s.writeFeedTotal(w, r, entries, start, perPage, len(entries))
-}
-
-func (s *Server) writeFeedTotal(w http.ResponseWriter, r *http.Request, entries []Entry, start, perPage, total int) {
+func (s *Server) writeFeed(w http.ResponseWriter, entries []Entry, start, perPage, total int) {
 	feed := Feed{
 		Entries:      entries,
 		TotalResults: IntText{T: strconv.Itoa(total)},
 		StartIndex:   IntText{T: strconv.Itoa(start)},
 		ItemsPerPage: IntText{T: strconv.Itoa(perPage)},
 	}
-	if wantsAtom(r) {
-		data, err := marshalAtomFeed(&feed)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		s.writeAtom(w, data)
-		return
-	}
 	s.writeJSON(w, http.StatusOK, FeedDoc{Feed: feed})
-}
-
-// writeEntry renders a single entry in the representation the request
-// asked for (GData's default was Atom; alt=json selects JSON).
-func (s *Server) writeEntry(w http.ResponseWriter, r *http.Request, e Entry) {
-	if wantsAtom(r) {
-		data, err := marshalAtomEntry(&e)
-		if err != nil {
-			s.writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		s.writeAtom(w, data)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, EntryDoc{Entry: e})
-}
-
-// wantsAtom reports whether the request selects the Atom representation
-// (alt=atom, or GData's historical default when alt is absent).
-func wantsAtom(r *http.Request) bool {
-	alt := r.URL.Query().Get("alt")
-	return alt == "atom" || alt == ""
-}
-
-func (s *Server) writeAtom(w http.ResponseWriter, data []byte) {
-	w.Header().Set("Content-Type", "application/atom+xml")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
@@ -443,9 +390,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(struct {
+	s.writeJSON(w, status, struct {
 		Error APIError `json:"error"`
 	}{Error: APIError{Code: status, Message: msg}})
 }

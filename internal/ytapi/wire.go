@@ -2,6 +2,9 @@
 // 2015) that the paper's March-2011 crawler consumed: localized
 // most_popular standard feeds, video entries, and related-videos feeds,
 // all as GData-flavored JSON ("alt=json" naming: media$group, yt$..., $t).
+// JSON is the only representation: a request with no alt or alt=json gets
+// it, and any other alt (GData's historical Atom default included) is a
+// 400 in the API's error envelope.
 //
 // The popularity world map the paper scraped from watch pages is exposed
 // as a chart URL in each entry (field yt$popmap), built with the exact

@@ -1,10 +1,15 @@
 package ytapi
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,6 +123,59 @@ func TestVideoEntryRoundTrip(t *testing.T) {
 	for c, wantI := range want.PopVector {
 		if pop[c] != wantI {
 			t.Fatalf("country %d intensity %d, want %d", c, pop[c], wantI)
+		}
+	}
+}
+
+// TestAltServesJSONOnly pins the one representation the server renders:
+// no alt and alt=json get the same JSON bytes; any other alt (GData's
+// retired Atom default included) is a 400 in the API's error envelope.
+func TestAltServesJSONOnly(t *testing.T) {
+	cat, g := testWorldParts(t)
+	srv, err := NewServer(cat, g, DefaultServerConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	get := func(path string) (int, string, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = resp.Body.Close() }()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), body
+	}
+	for _, path := range []string{
+		"/feeds/api/videos/" + cat.Videos[0].ID,
+		"/feeds/api/standardfeeds/BR/most_popular",
+		"/feeds/api/videos/" + cat.Videos[0].ID + "/related?max-results=5",
+	} {
+		sep := "?"
+		if strings.Contains(path, "?") {
+			sep = "&"
+		}
+		code, ct, bare := get(path)
+		if code != http.StatusOK || ct != "application/json" {
+			t.Fatalf("%s: status %d, content type %q", path, code, ct)
+		}
+		if _, _, asJSON := get(path + sep + "alt=json"); !bytes.Equal(bare, asJSON) {
+			t.Fatalf("%s: alt=json body differs from the default body", path)
+		}
+		code, ct, body := get(path + sep + "alt=atom")
+		var env struct {
+			Error APIError `json:"error"`
+		}
+		if code != http.StatusBadRequest || ct != "application/json" {
+			t.Fatalf("%s alt=atom: status %d, content type %q", path, code, ct)
+		}
+		if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != http.StatusBadRequest || env.Error.Message == "" {
+			t.Fatalf("%s alt=atom: body %q is not the error envelope (%v)", path, body, err)
 		}
 	}
 }
