@@ -105,7 +105,7 @@ func nodeServer(tb testing.TB, withCatalog bool) *server.Server {
 		tb.Fatal(err)
 	}
 	if withCatalog {
-		if err := srv.SetCatalog(served, tagviews.WeightIDF); err != nil {
+		if err := srv.SetCatalog(served); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -761,7 +761,7 @@ func BenchmarkIngestFold(b *testing.B) {
 			if err != nil {
 				return nil, err
 			}
-			if err := srv.SetCatalog(res.Catalog.Served(), tagviews.WeightIDF); err != nil {
+			if err := srv.SetCatalog(res.Catalog.Served()); err != nil {
 				return nil, err
 			}
 			return func(deltas []profilestore.TagDelta, n int) error {

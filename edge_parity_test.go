@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"viewstags/internal/server"
-	"viewstags/internal/tagviews"
 )
 
 // edgeParityCase is one malformed or unusual body. Either it is refused
@@ -58,6 +57,10 @@ var edgeParityCases = []edgeParityCase{
 		wantStatus: 400, wantError: `empty request: provide tags or batch`},
 	{name: "batch item without tags", path: "/v1/predict", body: `{"batch":[{"tags":["pop"]},{}]}`,
 		wantStatus: 400, wantError: `item 1 has no tags`},
+	{name: "empty tag", path: "/v1/predict", body: `{"batch":[{"tags":["pop"]},{"tags":["pop",""]}]}`,
+		wantStatus: 400, wantError: `item 1 tag 1 is empty`},
+	{name: "65 tags", path: "/v1/predict", body: `{"tags":["pop"` + strings.Repeat(`,"pop"`, 64) + `]}`,
+		wantStatus: 400, wantError: `item 0 has 65 tags (limit 64)`},
 	{name: "bad weighting", path: "/v1/predict", body: `{"tags":["pop"],"weighting":"bogus"}`,
 		wantStatus: 400, wantError: `tagviews: unknown weighting "bogus"`},
 	{name: "top 1e2", path: "/v1/predict", body: `{"tags":["pop"],"top":1e2}`,
@@ -167,7 +170,7 @@ func TestReplySizesFollowTheWorld(t *testing.T) {
 	tr := newTier(t, 3, 1, time.Hour)
 	tr.RestartGateway(t, tr.urls())
 	cat := testFixture(t).Catalog
-	if err := tr.single.srv.SetCatalog(cat.Served(), tagviews.WeightIDF); err != nil {
+	if err := tr.single.srv.SetCatalog(cat.Served()); err != nil {
 		t.Fatal(err)
 	}
 	nC, n := tr.single.store.Load().World().N(), cat.Served().N()

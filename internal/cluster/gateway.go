@@ -1,10 +1,10 @@
 // Package cluster is the tag-partitioned multi-node serving tier: N
 // shard daemons (cmd/serve -shard i/n) each hold the slice of the tag
 // vocabulary a shared consistent-hash ring (internal/ring) assigns them,
-// and a gateway (cmd/gateway) scatter-gathers partial per-tag mixtures
-// into the final per-country predictions, routes ingest events to the
-// shards that own their tags, and sheds load for shards it observes
-// down.
+// and a gateway (cmd/gateway) fetches each asked tag's row from the
+// shard that holds it and combines the rows into the final per-country
+// predictions, routes ingest events to the shards that own their tags,
+// and sheds load for shards it observes down.
 //
 // The split keeps placement policy at the edge — the gateway owns
 // request semantics, merging and backpressure — while each shard runs
@@ -12,9 +12,9 @@
 // accumulator, compactor) over a smaller vocabulary. Partitioning is by
 // tag identity (the same key the profile stores intern), so a tag's
 // whole profile — vector, view totals, document frequency — lives on
-// exactly one shard and partial predictions merge exactly: the weighted
-// sums the shards return add up to the single-node sum (see
-// profilestore.PredictPartialInto).
+// exactly one shard, and the gateway weights the rows by the node's rule
+// and adds them with the node's kernel, profilestore.Mix: its answer is
+// a single node's, byte for byte.
 package cluster
 
 import (

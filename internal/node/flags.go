@@ -42,7 +42,6 @@ func (o *Options) Bind(fs *flag.FlagSet) {
 	fs.IntVar(&o.Videos, "videos", o.Videos, "synthetic catalog size (ignored with -dataset)")
 	fs.Uint64Var(&o.Seed, "seed", o.Seed, "synthetic generation seed")
 	fs.StringVar(&o.Dataset, "dataset", o.Dataset, "crawled JSONL dataset (empty = synthesize)")
-	fs.StringVar(&o.Weighting, "weighting", o.Weighting, "weighting for catalog preload predictions")
 	fs.DurationVar(&o.IngestInterval, "ingest-interval", o.IngestInterval, "fold interval for live view events (0 disables /v1/ingest)")
 	fs.IntVar(&o.IngestBuffer, "ingest-buffer", o.IngestBuffer, "max tag attributions (events x tags) buffered between folds")
 	fs.StringVar(&o.Shard, "shard", o.Shard, "serve one tag partition as shard i/n (0-based, e.g. 0/3); empty = the whole vocabulary")

@@ -46,7 +46,7 @@ func TestFlagsRoundTrip(t *testing.T) {
 	o := DefaultOptions()
 	o.Process = Process{Addr: "127.0.0.1:1", Grace: 3 * time.Second, PprofAddr: "127.0.0.1:2", TraceDumpDir: ""}
 	o.Server.MaxInFlight, o.Server.MaxBatch, o.Server.LogRequests, o.Server.Replicas = 7, 9, true, 2
-	o.Videos, o.Seed, o.Dataset, o.Weighting = 11, 13, "crawl.jsonl", "uniform"
+	o.Videos, o.Seed, o.Dataset = 11, 13, "crawl.jsonl"
 	o.IngestInterval, o.IngestBuffer, o.Shard = 0, 17, "1/3"
 	o.DataDir, o.Fsync, o.CheckpointEvery = "a dir", "always", 0
 	argv := o.Args()

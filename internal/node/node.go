@@ -32,7 +32,6 @@ import (
 	"viewstags/internal/ring"
 	"viewstags/internal/server"
 	"viewstags/internal/synth"
-	"viewstags/internal/tagviews"
 )
 
 // Options are a serve process's settings, one field per cmd/serve flag
@@ -44,7 +43,6 @@ type Options struct {
 	Videos          int
 	Seed            uint64
 	Dataset         string // crawled JSONL file; empty: synthesize Videos from Seed
-	Weighting       string
 	Server          server.Common
 	IngestInterval  time.Duration // 0 disables /v1/ingest
 	IngestBuffer    int
@@ -57,7 +55,7 @@ type Options struct {
 // DefaultOptions are cmd/serve's flag defaults.
 func DefaultOptions() Options {
 	return Options{
-		Process: process("127.0.0.1:8091"), Videos: 20000, Seed: 20110301, Weighting: "idf",
+		Process: process("127.0.0.1:8091"), Videos: 20000, Seed: 20110301,
 		Server: server.DefaultConfig().Common, IngestInterval: 3 * time.Second, IngestBuffer: 1 << 20,
 		Fsync: "never", CheckpointEvery: 16,
 	}
@@ -67,7 +65,6 @@ func DefaultOptions() Options {
 type shape struct {
 	index, count int
 	ring         *ring.Ring
-	w            tagviews.Weighting
 	logger       *log.Logger
 }
 
@@ -80,10 +77,7 @@ func (o *Options) shape() (sh shape, err error) {
 		return sh, err
 	}
 	// The boot's ownership filter; the server derives the same ring.
-	if sh.ring, err = ring.New(sh.count, o.Server.Replicas); err != nil {
-		return sh, err
-	}
-	sh.w, err = tagviews.ParseWeighting(o.Weighting)
+	sh.ring, err = ring.New(sh.count, o.Server.Replicas)
 	return sh, err
 }
 
@@ -256,7 +250,7 @@ func Start(ctx context.Context, o Options, b *Base) (_ *Node, err error) {
 	if sh.count > 1 {
 		sh.logger.Printf("shard mode: /v1/preload disabled (advisories need the whole vocabulary)")
 	} else if b.Served != nil {
-		if err := srv.SetCatalog(b.Served, sh.w); err != nil {
+		if err := srv.SetCatalog(b.Served); err != nil {
 			return nil, err
 		}
 		sh.logger.Printf("preload advisories enabled over %d catalog videos", b.Served.N())
@@ -269,7 +263,7 @@ func Start(ctx context.Context, o Options, b *Base) (_ *Node, err error) {
 	}
 
 	if o.IngestInterval > 0 {
-		if err := n.startIngest(o, b, sh.w); err != nil {
+		if err := n.startIngest(o, b); err != nil {
 			return nil, err
 		}
 	} else {
@@ -316,7 +310,7 @@ func (p Process) startTools(ctx context.Context, traces *obs.TraceStore, setPani
 
 // startIngest attaches the write path. Only Close cancels the
 // compactor, so events accepted while the server drains still fold.
-func (n *Node) startIngest(o Options, b *Base, w tagviews.Weighting) error {
+func (n *Node) startIngest(o Options, b *Base) error {
 	srv, mgr := n.Server, b.Journal
 	acc, err := ingest.NewAccumulator(n.Store, o.IngestBuffer)
 	if err != nil {
@@ -326,7 +320,7 @@ func (n *Node) startIngest(o Options, b *Base, w tagviews.Weighting) error {
 		return err
 	}
 	comp, err := ingest.NewCompactor(acc, o.IngestInterval, func(d []profilestore.TagDelta, k int) error {
-		return srv.ApplyDeltas(d, k, w)
+		return srv.ApplyDeltas(d, k, 0) // the weighting is ignored
 	}, n.logger)
 	if err != nil {
 		return err

@@ -87,11 +87,11 @@ func Build(an *tagviews.Analysis) (*Snapshot, error) {
 //
 // Only the tag table is partitioned: Records (the IDF numerator) and
 // the traffic prior stay global, so per-shard IDF weights and the
-// unknown-tag fallback are identical on every shard and partial
-// predictions merge exactly into the single-node answer (see
-// PredictPartialInto). Ids are interned per shard (dense over the owned
-// names, in sorted order), so a given (analysis, filter) pair builds
-// deterministically. The analysis is only read — evaluators go on using
+// unknown-tag fallback are identical on every shard, and a gateway that
+// fetches each tag's Row and combines the rows with Mix gets the
+// single-node answer exactly. Ids are interned per shard (dense over the
+// owned names, in sorted order), so a given (analysis, filter) pair
+// builds deterministically. The analysis is only read — evaluators go on using
 // it — so the vectors are normalised into one fresh contiguous slab.
 func BuildOwned(an *tagviews.Analysis, owns func(name string) bool) (*Snapshot, error) {
 	if an == nil {

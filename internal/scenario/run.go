@@ -9,10 +9,11 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"viewstags/internal/cluster"
 )
 
 // RunOptions parameterizes one engine run.
@@ -50,10 +51,8 @@ type RunOptions struct {
 	DumpDir string
 }
 
-// scrapeSample is one mid-run observation of the gateway: the
-// /v1/stats cluster block plus the /metrics exposition's min-epoch
-// gauge (scraped like a real Prometheus would, so the text surface
-// stays exercised under chaos).
+// scrapeSample is one mid-run observation of the gateway: its /v1/stats
+// cluster block.
 type scrapeSample struct {
 	at           time.Duration // since traffic start
 	ok           bool
@@ -61,26 +60,12 @@ type scrapeSample struct {
 	shardHealthy []bool
 	epochs       []uint64
 	minEpoch     uint64
-	promMin      float64
-	promOK       bool
 	handoffEpoch uint64
 }
 
-// statsView mirrors the slice of gateway /v1/stats the engine reads.
+// statsView is the slice of gateway /v1/stats the engine reads.
 type statsView struct {
-	Cluster struct {
-		Shards []struct {
-			Index   int    `json:"index"`
-			Epoch   uint64 `json:"epoch"`
-			Healthy bool   `json:"healthy"`
-		} `json:"shards"`
-		Epoch   uint64 `json:"epoch"`
-		Healthy int    `json:"healthy"`
-		Handoff *struct {
-			Epoch uint64 `json:"epoch"`
-			Phase string `json:"phase"`
-		} `json:"handoff"`
-	} `json:"cluster"`
+	Cluster cluster.ClusterStats `json:"cluster"`
 }
 
 // scraper polls the gateway on a fixed cadence, accumulating the
@@ -128,10 +113,6 @@ func (s *scraper) scrapeOnce(ctx context.Context) {
 			}
 		}
 	}
-	if v, err := s.promGauge(ctx, "viewstags_cluster_min_epoch"); err == nil {
-		sample.promMin = v
-		sample.promOK = true
-	}
 	s.mu.Lock()
 	s.samples = append(s.samples, sample)
 	s.mu.Unlock()
@@ -160,34 +141,6 @@ func getJSONInto(ctx context.Context, client *http.Client, url string, out any) 
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// promGauge fetches /metrics and extracts one gauge's value from the
-// exposition text.
-func (s *scraper) promGauge(ctx context.Context, name string) (float64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, s.base+"/metrics", nil)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return 0, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return 0, err
-	}
-	for _, line := range strings.Split(string(raw), "\n") {
-		if rest, ok := strings.CutPrefix(line, name+" "); ok {
-			return strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		}
-	}
-	return 0, fmt.Errorf("gauge %s not in exposition", name)
-}
-
 func (s *scraper) snapshot() []scrapeSample {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -208,10 +161,10 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 	if logger == nil {
 		logger = log.New(os.Stderr, "scenario: ", log.LstdFlags)
 	}
-	// base is where traffic, scrapes and trace fetches go; cluster stays
-	// nil when the daemon there is not the engine's (no chaos to apply).
+	// base is where traffic, scrapes and trace fetches go; tier stays nil
+	// when the daemon there is not the engine's (no chaos to apply).
 	base := strings.TrimSuffix(opts.Target, "/")
-	var cluster *Cluster
+	var tier *Cluster
 	if base != "" {
 		if len(sc.Chaos) > 0 {
 			return nil, fmt.Errorf("scenario %s declares %d chaos event(s), and the engine can only fault processes it started — drop the chaos block to drive the target %s, or run without a target",
@@ -244,11 +197,11 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 
 		logger.Printf("booting %d shard(s) + gateway (videos=%d durable=%v)", sc.Shards, sc.Videos, sc.Durable)
 		var err error
-		if cluster, err = startCluster(bins, sc, workdir, logger); err != nil {
+		if tier, err = startCluster(bins, sc, workdir, logger); err != nil {
 			return nil, err
 		}
-		defer cluster.Stop()
-		base = cluster.GatewayURL()
+		defer tier.Stop()
+		base = tier.GatewayURL()
 	}
 
 	w, err := newWorkload(sc, base)
@@ -301,22 +254,7 @@ func Run(sc *Spec, opts RunOptions) (*Report, error) {
 			}
 			logger.Printf("chaos: t=%s %s shard=%d", time.Since(trafficStart).Round(time.Millisecond), ev.Action, ev.Shard)
 			res := ChaosResult{At: time.Since(trafficStart).Seconds(), Action: ev.Action, Shard: ev.Shard}
-			var err error
-			switch ev.Action {
-			case ActionKillShard:
-				err = cluster.KillShard(ev.Shard)
-			case ActionRestartShard:
-				err = cluster.RestartShard(ev.Shard)
-			case ActionRestartGateway:
-				err = cluster.RestartGateway()
-			case ActionSlowShard:
-				cluster.SetShardDelay(ev.Shard, ev.Delay.D())
-			case ActionUnslowShard:
-				cluster.SetShardDelay(ev.Shard, 0)
-			case ActionGrowCluster:
-				err = cluster.GrowCluster()
-			}
-			if err != nil {
+			if err := chaosActions[ev.Action](tier, ev); err != nil {
 				select {
 				case chaosErr <- fmt.Errorf("scenario: chaos %s: %w", ev.Action, err):
 				default:

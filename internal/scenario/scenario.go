@@ -20,6 +20,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 )
@@ -184,14 +185,15 @@ func (s *Spec) Duration() time.Duration {
 	return total
 }
 
-// validActions mirrors the chaos switch in run.go.
-var validActions = map[string]bool{
-	ActionKillShard:      true,
-	ActionRestartShard:   true,
-	ActionRestartGateway: true,
-	ActionSlowShard:      true,
-	ActionUnslowShard:    true,
-	ActionGrowCluster:    true,
+// chaosActions is what each chaos action does to the engine's cluster:
+// Validate admits the actions it names, and Run fires them through it.
+var chaosActions = map[string]func(c *Cluster, ev ChaosEvent) error{
+	ActionKillShard:      func(c *Cluster, ev ChaosEvent) error { return c.KillShard(ev.Shard) },
+	ActionRestartShard:   func(c *Cluster, ev ChaosEvent) error { return c.RestartShard(ev.Shard) },
+	ActionRestartGateway: func(c *Cluster, _ ChaosEvent) error { return c.RestartGateway() },
+	ActionSlowShard:      func(c *Cluster, ev ChaosEvent) error { c.SetShardDelay(ev.Shard, ev.Delay.D()); return nil },
+	ActionUnslowShard:    func(c *Cluster, ev ChaosEvent) error { c.SetShardDelay(ev.Shard, 0); return nil },
+	ActionGrowCluster:    func(c *Cluster, _ ChaosEvent) error { return c.GrowCluster() },
 }
 
 // validMetrics maps each metric to whether it is stream-scoped (true)
@@ -266,9 +268,14 @@ func (s *Spec) Validate() error {
 	traffic := s.Duration()
 	for i := range s.Chaos {
 		c := &s.Chaos[i]
-		if !validActions[c.Action] {
+		if chaosActions[c.Action] == nil {
+			names := make([]string, 0, len(chaosActions))
+			for name := range chaosActions {
+				names = append(names, name)
+			}
+			sort.Strings(names)
 			return fmt.Errorf("scenario %s: chaos %d: unknown action %q (want %s)",
-				s.Name, i, c.Action, strings.Join(actionNames(), ", "))
+				s.Name, i, c.Action, strings.Join(names, ", "))
 		}
 		if c.At < 0 || c.At.D() > traffic {
 			return fmt.Errorf("scenario %s: chaos %d (%s) fires at %s, outside the %s run",
@@ -318,10 +325,6 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
-}
-
-func actionNames() []string {
-	return []string{ActionKillShard, ActionRestartShard, ActionRestartGateway, ActionSlowShard, ActionUnslowShard, ActionGrowCluster}
 }
 
 // Load parses and validates a JSON spec.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"viewstags/internal/obs"
+	"viewstags/internal/server"
 )
 
 // Flight-recorder integration: the engine treats the cluster as a
@@ -32,12 +33,6 @@ type TraceRefs struct {
 	Dumps        []string `json:"dumps,omitempty"`
 }
 
-// traceListView mirrors the /debug/traces list reply.
-type traceListView struct {
-	Count  int             `json:"count"`
-	Traces []obs.TraceView `json:"traces"`
-}
-
 // tracer fetches trace evidence from the gateway.
 type tracer struct {
 	base   string
@@ -49,7 +44,7 @@ type tracer struct {
 // "?"). Failures degrade to an empty list: trace evidence is garnish
 // on a report, never a reason to abort a run.
 func (t *tracer) fetch(ctx context.Context, query string) []obs.TraceView {
-	var lst traceListView
+	var lst server.TracesListResponse
 	url := t.base + "/debug/traces"
 	if query != "" {
 		url += "?" + query

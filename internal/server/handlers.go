@@ -76,9 +76,10 @@ type PlaceResponse struct {
 
 // PreloadRequest is the /v1/preload wire request.
 type PreloadRequest struct {
-	Country string `json:"country"`          // ISO alpha-2
-	Policy  string `json:"policy,omitempty"` // pop-push | tag-push (default)
-	Slots   int    `json:"slots,omitempty"`  // default 64
+	Country   string `json:"country"`             // ISO alpha-2
+	Policy    string `json:"policy,omitempty"`    // pop-push | tag-push (default)
+	Slots     int    `json:"slots,omitempty"`     // default 64
+	Weighting string `json:"weighting,omitempty"` // uniform | by-views | idf (default); tag-push ranks by it
 }
 
 // PreloadResponse is the /v1/preload wire response: the video ids to
@@ -246,6 +247,9 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var demand []float64
 	known := false
 	if len(req.Tags) > 0 {
+		if !validTags(w, 0, req.Tags) {
+			return
+		}
 		bufp := s.scratch.Get()
 		defer s.scratch.Put(bufp)
 		known = snap.PredictInto(*bufp, req.Tags, weighting)
@@ -291,6 +295,11 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	weighting, err := tagviews.ParseWeighting(req.Weighting)
+	if err != nil {
+		WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	slots := req.Slots
 	if slots == 0 {
 		slots = 64
@@ -301,7 +310,7 @@ func (s *Server) handlePreload(w http.ResponseWriter, r *http.Request) {
 	if policy == geocache.PolicyTagPush {
 		buf := s.colScratch.Get()
 		defer s.colScratch.Put(buf)
-		share = s.store.Load().PredictColumn(*buf, cat, country, tagviews.Weighting(s.preloadW.Load()))
+		share = s.store.Load().PredictColumn(*buf, cat, country, weighting)
 	}
 	vids, err := geocache.PreloadAdvisory(cat, share, policy, country, slots)
 	if err != nil {

@@ -49,7 +49,7 @@ func freshServer(t *testing.T, withCatalog bool, buffer int, interval time.Durat
 		t.Fatal(err)
 	}
 	if withCatalog {
-		if err := srv.SetCatalog(res.Catalog.Served(), tagviews.WeightIDF); err != nil {
+		if err := srv.SetCatalog(res.Catalog.Served()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +249,7 @@ func TestFoldRefreshesPreloadAdvisories(t *testing.T) {
 	if folded, err := comp.FoldNow(); err != nil || !folded {
 		t.Fatalf("fold: %v", err)
 	}
-	got := preloadIDs(t, srv, "BR", "tag-push", 32)
+	got := preloadIDs(t, srv, "BR", "tag-push", "", 32)
 	if want := wantTagPush(res, srv.store.Load(), tagviews.WeightIDF, "BR", 32); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-fold advisory = %v, want the folded snapshot's ranking %v", got, want)
 	}

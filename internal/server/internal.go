@@ -13,10 +13,12 @@ import (
 
 // This file is the shard-internal API: the three /internal/* routes a
 // cluster gateway (internal/cluster) drives. They speak in partial
-// quantities — unnormalized weighted tag mixtures, per-shard upload
-// announcements, topology metadata — that only make sense to a merging
-// edge, which is why they live beside the public routes but are
-// documented separately (API.md, "Shard-internal routes"). Every node
+// quantities — per-tag rows the gateway weights and combines with
+// profilestore.Mix, per-shard upload announcements, topology metadata —
+// that only make sense to a merging edge, which is why they live beside
+// the public routes but are documented separately (API.md,
+// "Shard-internal routes"). The plain predict frame (partial mixtures)
+// remains only for the benchmark's ledger (ROADMAP item 1). Every node
 // serves them: a standalone daemon is simply a 1-shard cluster, so a
 // gateway pointed at it works unchanged.
 
@@ -57,7 +59,8 @@ type InternalMetaResponse struct {
 // gateway chose this shard for those tags; the shard answers what it is
 // asked. A plain frame's items are tag lists, answered as partial
 // mixtures (profilestore.PredictPartialInto). The item count is refused
-// above MaxBatch before anything is allocated for it. Errors go out as
+// above MaxBatch, and an item's tag count above ingest.MaxEventTags,
+// before anything is allocated for it. Errors go out as
 // the JSON error envelope: off the hot path, and one envelope keeps the
 // gateway's error plumbing single-sourced.
 func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
@@ -127,16 +130,25 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 }
 
 // validTags applies the per-item tag checks both predict entry points
-// share — the public contract and the binary wire: the item must have
-// tags, and no tag may exceed MaxTagLen, or a request the gateway accepts
-// would bounce off a shard's decoder. On failure the 400 has been
-// written.
+// and /v1/place share — the public contract and the binary wire: the
+// item must have tags, at most ingest.MaxEventTags of them as an event
+// may, and no tag may be empty or exceed MaxTagLen, or a request the
+// gateway accepts would bounce off a shard's decoder. On failure the
+// 400 has been written.
 func validTags(w http.ResponseWriter, item int, tags []string) bool {
 	if len(tags) == 0 {
 		WriteError(w, http.StatusBadRequest, "item %d has no tags", item)
 		return false
 	}
+	if len(tags) > ingest.MaxEventTags {
+		WriteError(w, http.StatusBadRequest, "item %d has %d tags (limit %d)", item, len(tags), ingest.MaxEventTags)
+		return false
+	}
 	for j, tag := range tags {
+		if tag == "" {
+			WriteError(w, http.StatusBadRequest, "item %d tag %d is empty", item, j)
+			return false
+		}
 		if len(tag) > MaxTagLen {
 			WriteError(w, http.StatusBadRequest, "item %d tag %d is %d bytes (limit %d)", item, j, len(tag), MaxTagLen)
 			return false

@@ -403,9 +403,9 @@ func TestInternalIngestAllOrNothing(t *testing.T) {
 
 // TestInternalTagCountsBoundedBeforeAllocation: a per-item tag count is
 // checked against its bound before the item's tags are allocated. An
-// /internal/ingest event may carry MaxEventTags, and a rows item exactly
-// one tag; a body claiming more is a 400 that allocates a small multiple
-// of itself. Decoding 2^20 empty tags first used to cost 16 bytes of
+// /internal/ingest event and a plain predict item may carry MaxEventTags,
+// and a rows item exactly one tag; a body claiming more is a 400 that
+// allocates a small multiple of itself. Decoding 2^20 empty tags first used to cost 16 bytes of
 // string header per body byte.
 func TestInternalTagCountsBoundedBeforeAllocation(t *testing.T) {
 	srv, _, _ := freshServer(t, false, 0, time.Hour)
@@ -416,6 +416,12 @@ func TestInternalTagCountsBoundedBeforeAllocation(t *testing.T) {
 	// whose tags are all empty.
 	rows := binary.AppendUvarint(AppendRowsRequest(nil, []string{"x"})[:len(wireReqMagic)+2], 1<<20)
 	rows = append(rows, make([]byte, 1<<20)...)
+	// A plain frame's header (its weighting byte included) and one item of
+	// tags empty tags.
+	plain := func(tags int) []byte {
+		b := binary.AppendUvarint(AppendPredictRequest(nil, [][]string{{"x"}}, tagviews.WeightIDF, false)[:len(wireReqMagic)+3], uint64(tags))
+		return append(b, make([]byte, tags)...)
+	}
 	ingestPost := func(body []byte) *httptest.ResponseRecorder { return postInternalIngest(srv, body) }
 	predictPost := func(body []byte) *httptest.ResponseRecorder { return postFrame(srv, WireContentType, body) }
 	for _, c := range []struct {
@@ -426,6 +432,8 @@ func TestInternalTagCountsBoundedBeforeAllocation(t *testing.T) {
 		{"ingest event claiming MaxEventTags+1 tags", ingestPost, event(ingest.MaxEventTags + 1)},
 		{"ingest event claiming 2^20 tags", ingestPost, event(1 << 20)},
 		{"rows item claiming 2^20 tags", predictPost, rows},
+		{"plain item claiming MaxEventTags+1 tags", predictPost, plain(ingest.MaxEventTags + 1)},
+		{"plain item claiming 2^20 tags", predictPost, plain(1 << 20)},
 	} {
 		c.post(c.body) // warm the pools
 		var before, after runtime.MemStats
@@ -666,5 +674,47 @@ func TestInternalPredictLabelNeverLeadsContent(t *testing.T) {
 	}
 	if acc.Epoch() != folds {
 		t.Fatalf("epoch %d after %d folds", acc.Epoch(), folds)
+	}
+}
+
+// TestPredictTagListsBounded: a predict item's tag list is bounded as an
+// event's is — no empty tag, at most ingest.MaxEventTags tags — on
+// /v1/predict, single and batched, on a plain /internal/predict frame,
+// and on /v1/place's tags, whose empty list still takes the home
+// fallback.
+func TestPredictTagListsBounded(t *testing.T) {
+	_, srv := fixture(t)
+	tags := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("bound-%d", i)
+		}
+		return out
+	}
+	withEmpty := []string{"pop", ""}
+	over := tags(ingest.MaxEventTags + 1)
+	for _, c := range []struct {
+		name string
+		path string
+		req  any
+		want int
+	}{
+		{"predict empty tag", "/v1/predict", PredictRequest{Tags: withEmpty}, http.StatusBadRequest},
+		{"predict MaxEventTags+1 tags", "/v1/predict", PredictRequest{Tags: over}, http.StatusBadRequest},
+		{"predict MaxEventTags tags", "/v1/predict", PredictRequest{Tags: tags(ingest.MaxEventTags)}, http.StatusOK},
+		{"batch item with an empty tag", "/v1/predict", PredictRequest{Batch: []PredictItem{{Tags: []string{"pop"}}, {Tags: withEmpty}}}, http.StatusBadRequest},
+		{"batch item with MaxEventTags+1 tags", "/v1/predict", PredictRequest{Batch: []PredictItem{{Tags: []string{"pop"}}, {Tags: over}}}, http.StatusBadRequest},
+		{"place empty tag", "/v1/place", PlaceRequest{Upload: "US", Tags: withEmpty}, http.StatusBadRequest},
+		{"place MaxEventTags+1 tags", "/v1/place", PlaceRequest{Upload: "US", Tags: over}, http.StatusBadRequest},
+		{"place without tags", "/v1/place", PlaceRequest{Upload: "US"}, http.StatusOK},
+	} {
+		if code := do(t, srv, http.MethodPost, c.path, c.req, nil); code != c.want {
+			t.Errorf("%s: status %d, want %d", c.name, code, c.want)
+		}
+	}
+	for _, items := range [][][]string{{{"pop"}, withEmpty}, {over}} {
+		if rec := postFrame(srv, WireContentType, AppendPredictRequest(nil, items, tagviews.WeightIDF, false)); rec.Code != http.StatusBadRequest {
+			t.Errorf("plain frame of %d items, the last of %d tags: status %d, want 400", len(items), len(items[len(items)-1]), rec.Code)
+		}
 	}
 }

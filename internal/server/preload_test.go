@@ -69,12 +69,12 @@ func wantTagPush(res *pipeline.Result, snap *profilestore.Snapshot, w tagviews.W
 }
 
 // preloadIDs asks /v1/preload and returns the advised ids.
-func preloadIDs(t *testing.T, srv *Server, country, policy string, slots int) []string {
+func preloadIDs(t *testing.T, srv *Server, country, policy, weighting string, slots int) []string {
 	t.Helper()
 	var resp PreloadResponse
 	if code := do(t, srv, http.MethodPost, "/v1/preload",
-		PreloadRequest{Country: country, Policy: policy, Slots: slots}, &resp); code != http.StatusOK {
-		t.Fatalf("preload %s/%s/%d: status %d", country, policy, slots, code)
+		PreloadRequest{Country: country, Policy: policy, Slots: slots, Weighting: weighting}, &resp); code != http.StatusOK {
+		t.Fatalf("preload %s/%s/%s/%d: status %d", country, policy, weighting, slots, code)
 	}
 	return resp.Videos
 }
@@ -99,8 +99,9 @@ func shifted(t *testing.T, base *profilestore.Snapshot, c geo.CountryID) *profil
 
 // TestPreloadOnDemandMatchesTablePath holds the on-demand advisory to the
 // table path it replaced, on a catalog large enough for a 5 000-slot
-// request to be a selection and not the whole ranking: same ids for every
-// policy × country × slot count, and a column bit-equal to
+// request to be a selection and not the whole ranking: one server gives
+// the same ids as PredictCatalog under the request's weighting for every
+// weighting × policy × country × slot count, and a column bit-equal to
 // PredictCatalog's for every video under every weighting — at boot and
 // after each of two ingest folds, the first of which makes a tag the
 // catalog carries but the corpus never admitted known.
@@ -124,7 +125,7 @@ func TestPreloadOnDemandMatchesTablePath(t *testing.T) {
 	}
 	cat := res.Catalog
 	served := cat.Served()
-	if err := srv.SetCatalog(served, tagviews.WeightIDF); err != nil {
+	if err := srv.SetCatalog(served); err != nil {
 		t.Fatal(err)
 	}
 	acc, err := ingest.NewAccumulator(store, 0)
@@ -141,13 +142,14 @@ func TestPreloadOnDemandMatchesTablePath(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	weightings := []tagviews.Weighting{tagviews.WeightUniform, tagviews.WeightByViews, tagviews.WeightIDF}
 	countries := []string{"BR", "US", "JP", "FR", "IN", "KR"}
 	policies := []geocache.PolicyKind{geocache.PolicyPopPush, geocache.PolicyTagPush}
 	buf := make([]float64, profilestore.ColumnLen(served))
 	check := func(stage string) {
 		t.Helper()
 		snap := srv.store.Load()
-		for _, w := range []tagviews.Weighting{tagviews.WeightUniform, tagviews.WeightByViews, tagviews.WeightIDF} {
+		for _, w := range weightings {
 			table := snap.PredictCatalog(cat, w)
 			none := 0
 			for _, code := range countries {
@@ -169,14 +171,16 @@ func TestPreloadOnDemandMatchesTablePath(t *testing.T) {
 				t.Fatalf("%s: every video has a prediction: the no-prediction case is not exercised", stage)
 			}
 		}
-		table := snap.PredictCatalog(cat, tagviews.WeightIDF)
-		for _, policy := range policies {
-			for _, code := range countries {
-				for _, slots := range []int{1, 64, 5000, videos + 1} {
-					got := preloadIDs(t, srv, code, policy.String(), slots)
-					want := tableAdvisory(cat, table, policy, res.World.MustByCode(code), slots)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: %v/%s/%d: on-demand advisory differs from the table path's (%d vs %d ids)", stage, policy, code, slots, len(got), len(want))
+		for _, w := range weightings {
+			table := snap.PredictCatalog(cat, w)
+			for _, policy := range policies {
+				for _, code := range countries {
+					for _, slots := range []int{1, 64, 5000, videos + 1} {
+						got := preloadIDs(t, srv, code, policy.String(), w.String(), slots)
+						want := tableAdvisory(cat, table, policy, res.World.MustByCode(code), slots)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s: %v/%v/%s/%d: on-demand advisory differs from the table path's (%d vs %d ids)", stage, w, policy, code, slots, len(got), len(want))
+						}
 					}
 				}
 			}
@@ -255,7 +259,7 @@ func TestPreloadFollowsBareSwap(t *testing.T) {
 	if _, err := srv.store.Swap(next); err != nil {
 		t.Fatal(err)
 	}
-	got := preloadIDs(t, srv, "JP", "tag-push", 32)
+	got := preloadIDs(t, srv, "JP", "tag-push", "", 32)
 	if want := wantTagPush(res, next, tagviews.WeightIDF, "JP", 32); !reflect.DeepEqual(got, want) {
 		t.Fatalf("advisory after a bare swap = %v, want the swapped-in snapshot's ranking %v", got, want)
 	}
@@ -264,9 +268,9 @@ func TestPreloadFollowsBareSwap(t *testing.T) {
 	}
 }
 
-// TestPreloadWeightingSurvivesTransfer: a slice transfer installs its
-// snapshot under the preload weighting already in force. A node whose
-// catalog ranks by views answers /v1/preload byte for byte the same
+// TestPreloadWeightingSurvivesTransfer: a slice transfer installs only a
+// snapshot, so a request's weighting ranks as it did before it. A node
+// asked to rank by views answers /v1/preload byte for byte the same
 // before and after an import of an empty slice and an adopt of its own
 // identity, neither of which changes a profile.
 func TestPreloadWeightingSurvivesTransfer(t *testing.T) {
@@ -283,16 +287,16 @@ func TestPreloadWeightingSurvivesTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.SetCatalog(res.Catalog.Served(), tagviews.WeightByViews); err != nil {
+	if err := srv.SetCatalog(res.Catalog.Served()); err != nil {
 		t.Fatal(err)
 	}
 	const country, slots = "BR", 64
 	if reflect.DeepEqual(wantTagPush(res, snap, tagviews.WeightByViews, country, slots), wantTagPush(res, snap, tagviews.WeightIDF, country, slots)) {
-		t.Fatal("by-views and IDF rank the same videos: a reset weighting would pass")
+		t.Fatal("by-views and IDF rank the same videos: an ignored weighting would pass")
 	}
 	preload := func() string {
 		t.Helper()
-		body, _ := json.Marshal(PreloadRequest{Country: country, Policy: "tag-push", Slots: slots})
+		body, _ := json.Marshal(PreloadRequest{Country: country, Policy: "tag-push", Slots: slots, Weighting: "by-views"})
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/preload", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {

@@ -244,11 +244,9 @@ type Server struct {
 	// cat is the served catalog /v1/preload ranks and colScratch the pool
 	// of column scratch sized for it (profilestore.ColumnLen); nil until
 	// SetCatalog — never, on a shard or over a crawled dataset, which has no
-	// synthetic catalog. preloadW is the weighting tag-push ranks by:
-	// set with the catalog, then by every install.
+	// synthetic catalog.
 	cat        *synth.Served
 	colScratch *profilestore.VecPool
-	preloadW   atomic.Int32
 }
 
 // New builds a server over a profile store. The world is taken from the
@@ -294,9 +292,9 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 
 // SetCatalog installs the served form of the synthetic catalog, enabling
 // /v1/preload: each request ranks it against the snapshot being served at
-// that moment, tag-push under weighting w until an install names
-// another. Call before serving traffic.
-func (s *Server) SetCatalog(cat *synth.Served, w tagviews.Weighting) error {
+// that moment, tag-push under the request's weighting. Call before
+// serving traffic.
+func (s *Server) SetCatalog(cat *synth.Served) error {
 	if cat == nil {
 		return fmt.Errorf("server: nil catalog")
 	}
@@ -304,7 +302,6 @@ func (s *Server) SetCatalog(cat *synth.Served, w tagviews.Weighting) error {
 		return fmt.Errorf("server: catalog over %d countries, snapshot over %d", got, want)
 	}
 	s.cat, s.colScratch = cat, profilestore.NewVecPool(profilestore.ColumnLen(cat))
-	s.preloadW.Store(int32(w))
 	return nil
 }
 
@@ -371,28 +368,30 @@ func (s *Server) SetReady() { s.ready.Store(true) }
 
 // ApplyDeltas folds accumulated ingest deltas into the currently served
 // snapshot (profilestore.Rebuild, copy-on-write) and installs the
-// result. It is the ingest.InstallFunc the compactor drives, holding
-// the install lock across load+rebuild+swap so a concurrent slice
-// transfer cannot interleave and lose either update.
-func (s *Server) ApplyDeltas(deltas []profilestore.TagDelta, newRecords int, w tagviews.Weighting) error {
+// result. It is the ingest.InstallFunc the compactor drives. The
+// weighting is ignored: every weighting is a request's, and a snapshot
+// serves them all. It stays in the signature only for the benchmark's
+// callers (ROADMAP item 1).
+func (s *Server) ApplyDeltas(deltas []profilestore.TagDelta, newRecords int, _ tagviews.Weighting) error {
+	return s.install(func(cur *profilestore.Snapshot) (*profilestore.Snapshot, error) {
+		return profilestore.Rebuild(cur, deltas, newRecords)
+	})
+}
+
+// install is the one snapshot-install path, an ingest fold's and a slice
+// transfer's: under s.mu it derives the next snapshot from the serving
+// one and swaps it in, so two installs cannot interleave and lose either
+// update. Every reader, /v1/preload included, loads the serving snapshot
+// lock-free per request.
+func (s *Server) install(next func(*profilestore.Snapshot) (*profilestore.Snapshot, error)) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	next, err := profilestore.Rebuild(s.store.Load(), deltas, newRecords)
+	snap, err := next(s.store.Load())
 	if err != nil {
 		return err
 	}
-	return s.installLocked(next, w)
-}
-
-// installLocked is the one snapshot-install path: an atomic swap of the
-// serving snapshot, which every reader — /v1/preload included — loads
-// lock-free per request. Callers hold s.mu, which serializes installs.
-func (s *Server) installLocked(snap *profilestore.Snapshot, w tagviews.Weighting) error {
-	if _, err := s.store.Swap(snap); err != nil {
-		return err
-	}
-	s.preloadW.Store(int32(w))
-	return nil
+	_, err = s.store.Swap(snap)
+	return err
 }
 
 // Metrics returns the server's counters.

@@ -53,7 +53,7 @@ func fixture(t *testing.T) (*pipeline.Result, *Server) {
 		if fixErr != nil {
 			return
 		}
-		fixErr = fixSrv.SetCatalog(fixRes.Catalog.Served(), tagviews.WeightIDF)
+		fixErr = fixSrv.SetCatalog(fixRes.Catalog.Served())
 	})
 	if fixErr != nil {
 		t.Fatalf("fixture: %v", fixErr)
@@ -352,6 +352,7 @@ func TestPreloadErrors(t *testing.T) {
 		{"reactive policy", PreloadRequest{Country: "US", Policy: "lru"}, http.StatusBadRequest},
 		{"oracle online", PreloadRequest{Country: "US", Policy: "oracle-push"}, http.StatusBadRequest},
 		{"negative slots", PreloadRequest{Country: "US", Slots: -1}, http.StatusBadRequest},
+		{"invalid weighting", PreloadRequest{Country: "US", Weighting: "bogus"}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if code := do(t, srv, http.MethodPost, "/v1/preload", c.req, nil); code != c.want {
@@ -365,6 +366,15 @@ func TestPreloadErrors(t *testing.T) {
 	do(t, srv, http.MethodPost, "/v1/preload", PreloadRequest{Country: "US", Policy: "oracle-push"}, &e)
 	if !strings.Contains(e.Error, "ground-truth") || !strings.Contains(e.Error, "cmd/cachesim") {
 		t.Errorf("oracle-push refused with %q, want the reason and the offline tool", e.Error)
+	}
+	// An unknown weighting is refused as /v1/predict refuses it.
+	var p struct {
+		Error string `json:"error"`
+	}
+	do(t, srv, http.MethodPost, "/v1/preload", PreloadRequest{Country: "US", Weighting: "bogus"}, &e)
+	do(t, srv, http.MethodPost, "/v1/predict", PredictRequest{Tags: []string{"pop"}, Weighting: "bogus"}, &p)
+	if e.Error != p.Error || p.Error == "" {
+		t.Errorf("bogus weighting: /v1/preload says %q, /v1/predict %q", e.Error, p.Error)
 	}
 }
 
@@ -611,26 +621,23 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// reload installs a freshly built snapshot under the install lock; w is
-// the weighting /v1/preload ranks tag-push by from here on.
-func (s *Server) reload(snap *profilestore.Snapshot, w tagviews.Weighting) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.installLocked(snap, w)
+// reload installs a freshly built snapshot through the install path.
+func (s *Server) reload(snap *profilestore.Snapshot) error {
+	return s.install(func(*profilestore.Snapshot) (*profilestore.Snapshot, error) { return snap, nil })
 }
 
 // TestReloadRefreshesPredictions pins the hot-reload contract: once
-// reload returns, /v1/preload ranks by the snapshot it installed and the
-// weighting it named, not by the one before.
+// reload returns, /v1/preload ranks by the snapshot it installed, under
+// the request's weighting, not by the one before.
 func TestReloadRefreshesPredictions(t *testing.T) {
 	srv, _, _ := freshServer(t, true, 0, time.Hour)
 	res, _ := fixture(t)
 	base := srv.store.Load()
 	next := shifted(t, base, res.World.MustByCode("BR"))
-	if err := srv.reload(next, tagviews.WeightByViews); err != nil {
+	if err := srv.reload(next); err != nil {
 		t.Fatal(err)
 	}
-	got := preloadIDs(t, srv, "BR", "tag-push", 32)
+	got := preloadIDs(t, srv, "BR", "tag-push", "by-views", 32)
 	if want := wantTagPush(res, next, tagviews.WeightByViews, "BR", 32); !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-reload advisory = %v, want the new snapshot's by-views ranking %v", got, want)
 	}

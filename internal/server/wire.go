@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"viewstags/internal/bincodec"
+	"viewstags/internal/ingest"
 	"viewstags/internal/tagviews"
 )
 
@@ -151,7 +152,8 @@ func DecodePredictRequest(data []byte) (items [][]string, weighting tagviews.Wei
 }
 
 // decodePredictRequest is DecodePredictRequest with the frame's flags
-// byte, refusing an item count above maxItems before allocating it.
+// byte, refusing an item count above maxItems, and an item's tag count
+// above ingest.MaxEventTags, before allocating it.
 func decodePredictRequest(data []byte, maxItems int) (items [][]string, weighting tagviews.Weighting, flags byte, err error) {
 	r := bincodec.NewReader(data)
 	flags = checkHeader(&r, wireReqMagic, wireFlagCRC|wireFlagRows)
@@ -165,7 +167,7 @@ func decodePredictRequest(data []byte, maxItems int) (items [][]string, weightin
 	// Every item and every tag costs at least one byte on the wire.
 	items = make([][]string, r.Count("item", maxItems, 1))
 	for i := range items {
-		n := r.Count("tag", math.MaxInt, 1)
+		n := r.Count("tag", ingest.MaxEventTags, 1)
 		if flags&wireFlagRows != 0 && n != 1 {
 			r.Fail(fmt.Errorf("server: rows frame item %d has %d tags, want 1", i, n))
 			break
