@@ -16,7 +16,8 @@ import (
 
 // This file is the predict core: one function that resolves every tag
 // of a batch of items to a per-tag row — from the topology's row cache
-// where a valid one is held, from the tag's owner shard otherwise — and
+// where one held under the shard's observed version is, from the tag's
+// owner shard otherwise, whose reply states its version — and
 // mixes each item's rows with the kernel a node's own predict runs.
 // Gateway.Predict is its one caller, so every fan-out runs on its
 // client's goroutine, under the request barrier and bounded by that
@@ -45,35 +46,34 @@ type shardLeg struct {
 }
 
 // maxEpochMoves bounds how often one request lets one shard's replies
-// move its view of that shard's epoch before it gives up with a
+// move its view of that shard's version before it gives up with a
 // retryable 503. One move is a fold this request was the first to
 // observe; two, a reply whose label trailed its fold; more means the
 // shard is folding faster than a request can re-read it.
 const maxEpochMoves = 4
 
 // shardView is one request's view of one shard, read once when the
-// request starts: whether the shard is in read rotation, its slot
-// generation, and the fold epoch the gateway has observed for it. A
-// fetch reply labelled with another epoch moves epoch (and nothing
-// else) for the rest of the request, and is counted in moves.
+// request starts: whether the shard is in read rotation, and the version
+// the gateway has observed for it. A fetch reply that states another
+// version moves ver (and nothing else) for the rest of the request, and
+// is counted in moves.
 type shardView struct {
 	ok    bool
-	gen   uint32
-	epoch uint64
+	ver   server.ShardVersion
 	moves int
 }
 
 // usable is the validity rule — the whole correctness argument of the
 // row cache: a row may serve this request iff its shard is in read
-// rotation for the request, it was fetched under the shard slot's
-// current generation, and it is labelled with the epoch this request
-// holds for that shard. Every row a request combines passed this
-// against the request's final view, so all rows taken from one shard
-// come from one epoch of it — what a single leg used to guarantee, and
-// what IDF needs (the shard's record count n enters every weight).
+// rotation for the request and the row was read under the version the
+// request holds for that shard — the same incarnation and fold epoch.
+// Every row a request combines passed this against the request's final
+// view, so all rows taken from one shard come from one version of it —
+// what a single leg used to guarantee, and what IDF needs (the shard's
+// record count n enters every weight).
 func usable(view []shardView, r *tagRow) bool {
 	v := &view[r.shard]
-	return v.ok && r.gen == v.gen && r.epoch == v.epoch
+	return v.ok && r.version().Compare(v.ver) == 0
 }
 
 // missTag is one distinct tag a request could not resolve from the
@@ -224,8 +224,8 @@ func (g *Gateway) replyErr(tp *topology, rep shardReply) *server.ErrorReply {
 //
 // Rows are re-checked against the request's view (see usable) at the
 // top of every round, so whatever moved the view during the last round
-// — a reply labelled with a newer epoch, a replica that failed —
-// un-resolves exactly the rows it invalidated and the next round
+// — a reply that states another version, a replica that failed —
+// un-resolves exactly the rows it retired and the next round
 // fetches them again. A shard gets at most one frame per round, of at
 // most MaxBatch tags; what does not fit waits for the next round.
 //
@@ -254,7 +254,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 	}
 	m := g.getMerged(nTags, len(tp.shards))
 	for s, st := range tp.shards {
-		m.view[s] = shardView{ok: true, gen: st.gen.Load(), epoch: st.epoch.Load()}
+		m.view[s] = shardView{ok: true, ver: st.version()}
 	}
 	for _, s := range exclude {
 		m.view[s].ok = false
@@ -335,7 +335,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 		}
 
 		// Gather: turn each reply into rows, publish them, and let the
-		// reply's epoch label and the shard's fate move the view.
+		// reply's version and the shard's fate move the view.
 		var failed []int
 		for _, rep := range replies {
 			if rep.status == -1 {
@@ -368,15 +368,15 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 					tags[j] = strings.Clone(tags[j])
 				}
 				var rows []tagRow
-				rows, fe = g.takeRows(tp, rep.shard, m.view[rep.shard].gen, tags, rep.body, pp)
+				rows, fe = g.takeRows(tp, rep.shard, tags, rep.body, pp)
 				for j := range rows {
 					m.misses[m.want[rep.shard][j]].row = &rows[j]
 				}
 			}
-			if v := &m.view[rep.shard]; fe == nil && v.epoch != pp.Epoch {
-				v.epoch = pp.Epoch
+			if v := &m.view[rep.shard]; fe == nil && v.ver.Compare(pp.Version) != 0 {
+				v.ver = pp.Version
 				if v.moves++; v.moves > maxEpochMoves {
-					fe = g.unavailable("shard %d (%s) changed epoch %d times under one predict", rep.shard, tp.targets[rep.shard], v.moves)
+					fe = g.unavailable("shard %d (%s) changed version %d times under one predict", rep.shard, tp.targets[rep.shard], v.moves)
 				}
 			}
 			if fe != nil {
@@ -439,15 +439,14 @@ func (g *Gateway) coverageLost(tp *topology, exclude []int) *server.ErrorReply {
 
 // takeRows is the one row constructor, for a request's fetch and a
 // refresh pass (rowrefresh.go) alike: it decodes a shard's reply to a
-// rows request (tags, in order; the cache keeps them as keys)
-// into rows labelled with the reply's own epoch and the slot generation
-// the fetch began under, records the epoch as observed, and publishes
-// the rows to the topology's cache — unless the generation moved while
-// the fetch was in flight: such rows answer the request that fetched
-// them, which holds the generation it started under, and no later one.
+// rows request (tags, in order; the cache keeps them as keys) into rows
+// labelled with the version the reply states, observes that version, and
+// publishes the rows to the topology's cache — unless the slot already
+// holds a newer version: such rows answer the request that fetched them,
+// which holds the reply's version for the shard, and no later one.
 // Read and retired together, a frame's rows share two allocations: the
 // structs, and one slab for the vectors (a copy, never the reply buffer).
-func (g *Gateway) takeRows(tp *topology, shard int, gen uint32, tags []string, body []byte, pp *server.PredictPartials) ([]tagRow, *server.ErrorReply) {
+func (g *Gateway) takeRows(tp *topology, shard int, tags []string, body []byte, pp *server.PredictPartials) ([]tagRow, *server.ErrorReply) {
 	n, nC := len(tags), len(g.codes)
 	if err := server.DecodePredictResponse(body, pp, n, nC); err != nil {
 		g.markFail(tp, shard, err)
@@ -459,7 +458,8 @@ func (g *Gateway) takeRows(tp *topology, shard int, gen uint32, tags []string, b
 			Msg: fmt.Sprintf("shard %d returned %d partials of %d countries (rows %v) for %d rows of %d",
 				shard, pp.NItems, pp.NC, pp.Rows, n, nC)}
 	}
-	g.markOK(tp, shard, pp.Epoch)
+	g.markOK(tp, shard, pp.Version)
+	publish := pp.Version.Compare(tp.shards[shard].version()) >= 0
 	// !(views > 0), not views <= 0: the codec transits a NaN view total
 	// as an absent row (mirroring the encoder's predicate), and a NaN
 	// combined later would poison the whole item.
@@ -472,13 +472,13 @@ func (g *Gateway) takeRows(tp *topology, shard int, gen uint32, tags []string, b
 	rows, vecs := make([]tagRow, n), make([]float64, known*nC)
 	for j := range rows {
 		r := &rows[j]
-		r.shard, r.gen, r.epoch = int32(shard), gen, pp.Epoch
+		r.shard, r.inc, r.epoch = uint16(shard), pp.Version.Incarnation, pp.Version.Epoch
 		if views := pp.WSums[j]; views > 0 {
-			r.views, r.idf = views, tagviews.WeightIDF.Weight(views, pp.Videos[j], pp.Records)
+			r.views, r.idf = views, tagviews.WeightIDF.Weight(views, pp.Videos[j], pp.Version.Records)
 			r.vec, vecs = vecs[:nC:nC], vecs[nC:]
 			copy(r.vec, pp.Sums[j*nC:(j+1)*nC])
 		}
-		if tp.shards[shard].gen.Load() == gen {
+		if publish {
 			tp.rows.put(tags[j], r)
 		}
 	}

@@ -19,15 +19,22 @@ import (
 func takeOneRow(t *testing.T, g *Gateway, tag string, frame []byte, inFlight func(*shardState)) (fe *server.ErrorReply, row, cached *tagRow) {
 	t.Helper()
 	tp := g.topo.Load()
-	gen := tp.shards[0].gen.Load()
 	if inFlight != nil {
 		inFlight(tp.shards[0])
 	}
-	rows, fe := g.takeRows(tp, 0, gen, []string{tag}, frame, new(server.PredictPartials))
+	rows, fe := g.takeRows(tp, 0, []string{tag}, frame, new(server.PredictPartials))
 	if fe == nil {
 		row = &rows[0]
 	}
 	return fe, row, tp.rows.get(tag)
+}
+
+// shardZero is shard 0's version as the gateway holds it, stating
+// records: a hand-built reply under it is as current as the slot.
+func shardZero(g *Gateway, records int) server.ShardVersion {
+	v := g.topo.Load().shards[0].version()
+	v.Records = records
+	return v
 }
 
 // TestMergeSkipsNaNWeightSum (the name predates weighting-free rows): the
@@ -39,7 +46,7 @@ func TestMergeSkipsNaNWeightSum(t *testing.T) {
 	_, g := startCluster(t, 3)
 	enc := server.GetPredictWireEncoder()
 	defer server.PutPredictWireEncoder(enc)
-	enc.BeginRows(1, 0, len(g.codes), 1, false)
+	enc.BeginRows(shardZero(g, 1), len(g.codes), 1, false)
 	enc.Row(math.NaN(), 0, nil)
 	fe, row, cached := takeOneRow(t, g, "zz-nan", enc.Finish(), nil)
 	if fe != nil {
@@ -67,7 +74,7 @@ func TestMergeJSONRejectsWrongWidth(t *testing.T) {
 	nC := len(g.codes)
 	for _, width := range []int{nC + 7, nC - 1} {
 		enc := server.GetPredictWireEncoder()
-		enc.BeginRows(1, 0, width, 1, false)
+		enc.BeginRows(shardZero(g, 1), width, 1, false)
 		vec := make([]float64, width)
 		vec[0] = 1
 		enc.Row(1.5, 1, vec)
@@ -103,7 +110,7 @@ func TestTakeRowsAllocatesPerFrame(t *testing.T) {
 	vec := make([]float64, len(g.codes)) // each row: views 2, one video, stored vector
 	vec[0] = 1
 	tags := make([]string, n)
-	enc.BeginRows(1, 0, len(g.codes), n, false)
+	enc.BeginRows(shardZero(g, 1), len(g.codes), n, false)
 	for j := range tags {
 		tags[j] = fmt.Sprintf("zz-frame-%d", j)
 		enc.Row(2, 1, vec)
@@ -111,7 +118,7 @@ func TestTakeRowsAllocatesPerFrame(t *testing.T) {
 	frame := append([]byte(nil), enc.Finish()...)
 	tp, pp := g.topo.Load(), new(server.PredictPartials)
 	take := func() {
-		if rows, fe := g.takeRows(tp, 0, 0, tags, frame, pp); fe != nil || len(rows) != n {
+		if rows, fe := g.takeRows(tp, 0, tags, frame, pp); fe != nil || len(rows) != n {
 			t.Fatalf("takeRows: %+v, %d rows", fe, len(rows))
 		}
 	}
@@ -155,11 +162,11 @@ func TestTakeRowsStoresTheIDFWeight(t *testing.T) {
 	enc := server.GetPredictWireEncoder()
 	defer server.PutPredictWireEncoder(enc)
 	for _, records := range []int{0, 1, 12345, math.MaxUint32} {
-		enc.BeginRows(records, 0, len(g.codes), len(rows), false)
+		enc.BeginRows(shardZero(g, records), len(g.codes), len(rows), false)
 		for _, r := range rows {
 			enc.Row(r.views, r.videos, vec)
 		}
-		got, fe := g.takeRows(g.topo.Load(), 0, 0, tags, enc.Finish(), new(server.PredictPartials))
+		got, fe := g.takeRows(g.topo.Load(), 0, tags, enc.Finish(), new(server.PredictPartials))
 		if fe != nil {
 			t.Fatalf("records %d: %+v", records, fe)
 		}

@@ -99,25 +99,15 @@ const (
 var legRouteNames = [numLegRoutes]string{"predict", "ingest", "refresh"}
 var legRoutePaths = [numLegRoutes]string{server.InternalPredictPath, server.InternalIngestPath, server.InternalPredictPath}
 
-// Why a shard's cached rows stopped being usable, as indexes into
-// shardState.invalidations; RowInvalidations names each on both
-// telemetry surfaces.
-const (
-	invalEpoch   = iota // the tracked fold epoch advanced
-	invalDown           // marked down
-	invalRevived        // back up, possibly at an earlier epoch
-	invalCatchup        // rebuilt from its peers
-	numInvalCauses
-)
-
 // shardState is the gateway's live view of one shard, updated by every
 // scatter call and by the background health poll. Every field the
 // serving path reads is an atomic, so it reads them lock-free.
 type shardState struct {
-	epoch   atomic.Uint64
-	records atomic.Int64
-	fails   atomic.Int64 // consecutive failures
-	down    atomic.Bool
+	// ver is the newest version the shard has stated (observe): the one
+	// value a cached row is checked against (usable in fanout.go).
+	ver   atomic.Pointer[server.ShardVersion]
+	fails atomic.Int64 // consecutive failures
+	down  atomic.Bool
 	// syncing marks a revived replica that has not yet been rebuilt
 	// from its peers: it missed every write delivered while it was
 	// down, so it stays out of READ rotation (serving from it would
@@ -126,17 +116,9 @@ type shardState struct {
 	// the tier is replicated — at R=1 there is no peer to rebuild
 	// from, and revival keeps its historical semantics.
 	syncing atomic.Bool
-	// gen is the slot's generation: it advances whenever the shard's
-	// content can change without its epoch saying so — at mark-down, at
-	// revival (a restarted shard may reuse epoch numbers for different
-	// content, and revival is the one place the tracked epoch moves
-	// backward) and when catch-up finishes (the import installs without a
-	// fold). A cached row is usable only under the generation its fetch
-	// began in; see usable in fanout.go.
-	gen atomic.Uint32
-	// invalidations counts, by cause, the moments every row cached from
-	// this shard went stale at once.
-	invalidations [numInvalCauses]atomic.Int64
+	// epochMoves and incarnationMoves count observe's moves by what moved
+	// (RowInvalidations).
+	epochMoves, incarnationMoves atomic.Int64
 	// legs are the per-route leg latencies postShard observes: the
 	// in-program per-shard number behind a slow fan-out.
 	legs [numLegRoutes]obs.Histogram
@@ -146,11 +128,34 @@ type shardState struct {
 	refreshLegs atomic.Int64
 }
 
-// invalidate advances the slot generation, which strands every row
-// cached from the shard, and counts why.
-func (s *shardState) invalidate(cause int) {
-	s.gen.Add(1)
-	s.invalidations[cause].Add(1)
+// newShardState is a slot that has observed v.
+func newShardState(v server.ShardVersion) *shardState {
+	s := new(shardState)
+	s.ver.Store(&v)
+	return s
+}
+
+// version is the newest version observed for the shard.
+func (s *shardState) version() server.ShardVersion { return *s.ver.Load() }
+
+// observe moves the slot to v if v is newer by ShardVersion.Compare — the
+// order put, stale and usable read too — and reports whether it moved,
+// stranding every row cached under the older version.
+func (s *shardState) observe(v server.ShardVersion) bool {
+	for {
+		cur := s.ver.Load()
+		if v.Compare(*cur) <= 0 {
+			return false
+		}
+		if next := v; s.ver.CompareAndSwap(cur, &next) {
+			moves := &s.epochMoves
+			if v.Incarnation != cur.Incarnation {
+				moves = &s.incarnationMoves
+			}
+			moves.Add(1)
+			return true
+		}
+	}
 }
 
 // topology is the gateway's immutable view of the shard tier at one
@@ -303,7 +308,7 @@ func NewGateway(cfg GatewayConfig, targets []string) (*Gateway, error) {
 		rows:    newRowCache(),
 	}
 	for i := range tp.shards {
-		tp.shards[i] = &shardState{}
+		tp.shards[i] = newShardState(server.ShardVersion{})
 		tp.streams[i] = g.newStream(targets[i])
 	}
 	g.topo.Store(tp)
@@ -371,8 +376,7 @@ func (g *Gateway) Sync(ctx context.Context) error {
 		if err != nil {
 			return fmt.Errorf("cluster: shard %d (%s): %w", i, target, err)
 		}
-		tp.shards[i].epoch.Store(meta.Epoch)
-		tp.shards[i].records.Store(int64(meta.Records))
+		tp.shards[i].ver.Store(&meta.Version)
 	}
 	if len(codes) == 0 {
 		return fmt.Errorf("cluster: shards report an empty country table")
@@ -488,8 +492,8 @@ func (g *Gateway) StartHealth() {
 }
 
 // RefreshHealth polls every shard's /internal/meta once, concurrently,
-// and judges each answer by Sync's rule, admit. An admitted shard's epoch
-// and record count are recorded, and a down one revives. Any other poll
+// and judges each answer by Sync's rule, admit. An admitted shard's
+// version is observed, and a down one revives. Any other poll
 // counts toward FailThreshold like a failed shard call, and one the shard
 // answered is logged with its reason: a shard still recovering would
 // serve from a half-replayed journal, and one that identifies as another
@@ -512,52 +516,35 @@ func (g *Gateway) RefreshHealth(ctx context.Context) {
 			g.markFail(tp, i, err)
 			continue
 		}
-		tp.shards[i].records.Store(int64(meta.Records))
-		g.markOK(tp, i, meta.Epoch)
+		g.markOK(tp, i, meta.Version)
 	}
 }
 
-// markOK records a successful shard interaction and its observed epoch.
-func (g *Gateway) markOK(tp *topology, i int, epoch uint64) {
+// markOK records a successful shard interaction and the version the shard
+// stated in it. A newer one — a fold, or a new incarnation, which may carry
+// a LOWER epoch the fold horizon follows down — retires the shard's cached
+// rows and starts their refresh, before a down shard revives.
+func (g *Gateway) markOK(tp *topology, i int, v server.ShardVersion) {
 	s := tp.shards[i]
 	s.fails.Store(0)
-	if s.down.CompareAndSwap(true, false) {
-		s.invalidate(invalRevived)
-		// Revival is the one moment the tracked epoch may move BACKWARD:
-		// a shard that crashed and recovered from its last checkpoint
-		// legitimately rejoins at the epoch it restored, which can trail
-		// what it reported before the crash. Pinning the old value would
-		// overstate the cluster's min-epoch fold horizon — telling
-		// clients their ingested events were folded everywhere when the
-		// recovered shard hasn't folded them yet.
-		s.epoch.Store(epoch)
-		if tp.ring.Replicas() > 1 {
-			// With replicas the revived shard additionally missed every
-			// write its peers took while it was down; hold it out of read
-			// rotation until catch-up has replayed its slice from a
-			// surviving replica. At R=1 there is no peer to replay from —
-			// the checkpoint it restored IS the best available state.
-			s.syncing.Store(true)
-			g.logger.Printf("cluster: shard %d (%s) back up at epoch %d, syncing from peers", i, tp.targets[i], epoch)
-			return
-		}
-		g.logger.Printf("cluster: shard %d (%s) back up at epoch %d", i, tp.targets[i], epoch)
+	if s.observe(v) {
+		g.startRefresh(tp, i)
+	}
+	if !s.down.Load() {
 		return
 	}
-	// Steady state: epochs only move forward; a stale concurrent read
-	// must not regress the tracked value. A forward move is what retires
-	// the shard's cached rows: requests that start from here on hold the
-	// new epoch, and rows labelled with the old one no longer match it.
-	for {
-		cur := s.epoch.Load()
-		if epoch <= cur {
-			return
-		}
-		if s.epoch.CompareAndSwap(cur, epoch) {
-			s.invalidations[invalEpoch].Add(1)
-			g.startRefresh(tp, i)
-			return
-		}
+	syncing := ""
+	if tp.ring.Replicas() > 1 {
+		// With replicas the revived shard missed every write its peers
+		// took while it was down; hold it out of read rotation until
+		// catch-up has replayed its slice from a surviving replica. At R=1
+		// there is no peer to replay from — what it holds IS the best
+		// available state.
+		s.syncing.Store(true)
+		syncing = ", syncing from peers"
+	}
+	if v := s.version(); s.down.CompareAndSwap(true, false) {
+		g.logger.Printf("cluster: shard %d (%s) back up at epoch %d (incarnation %d)%s", i, tp.targets[i], v.Epoch, v.Incarnation, syncing)
 	}
 }
 
@@ -568,7 +555,6 @@ func (g *Gateway) markFail(tp *topology, i int, reason error) {
 	s := tp.shards[i]
 	if s.fails.Add(1) >= int64(g.cfg.FailThreshold) {
 		if s.down.CompareAndSwap(false, true) {
-			s.invalidate(invalDown)
 			g.logger.Printf("cluster: shard %d (%s) marked down after %d consecutive failures (last: %v)",
 				i, tp.targets[i], g.cfg.FailThreshold, reason)
 			// Whatever is left of its stream may be half-open; a revived
@@ -582,11 +568,9 @@ func (g *Gateway) markFail(tp *topology, i int, reason error) {
 // cluster's conservative fold horizon: an ingested batch is predictable
 // everywhere once minEpoch passes the epoch in its ack.
 func (tp *topology) minEpoch() uint64 {
-	min := tp.shards[0].epoch.Load()
+	low := tp.shards[0].version().Epoch
 	for _, s := range tp.shards[1:] {
-		if e := s.epoch.Load(); e < min {
-			min = e
-		}
+		low = min(low, s.version().Epoch)
 	}
-	return min
+	return low
 }

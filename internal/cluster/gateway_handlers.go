@@ -331,7 +331,7 @@ func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestR
 	// (under replication the same wart surfaces as replica divergence,
 	// repaired by the next down→catch-up cycle); see OPERATIONS.md
 	// "Cluster topology" for the contract.
-	acks := make([]server.IngestResponse, len(tp.targets))
+	acks := make([]server.IngestAck, len(tp.targets))
 	fanStart := time.Now()
 	replies := fanOut(g, r.Context(), tp, posts{legIngest, bodies, server.IngestContentType, server.RequestID(r)})
 	server.TraceFrom(r).Add("fanout", obs.NoShard, fanStart, time.Since(fanStart), "")
@@ -343,7 +343,7 @@ func (g *Gateway) Ingest(r *http.Request, events []ingest.Event) (server.IngestR
 		if fe := g.decodeReply(tp, rep, func(b []byte) error { return server.DecodeIngestAck(b, &acks[rep.shard]) }); fe != nil {
 			return server.IngestResponse{}, fe
 		}
-		g.markOK(tp, rep.shard, acks[rep.shard].Epoch)
+		g.markOK(tp, rep.shard, acks[rep.shard].Version)
 		pending += acks[rep.shard].Pending
 	}
 	return server.IngestResponse{Accepted: len(events), Epoch: tp.minEpoch(), Pending: pending}, nil
@@ -415,22 +415,21 @@ type ShardStatus struct {
 	Target           string           `json:"target"`
 	Epoch            uint64           `json:"epoch" prom:"viewstags_shard_epoch,gauge" help:"Last fold epoch the shard reported."`
 	EpochLag         uint64           `json:"epoch_lag" prom:"viewstags_shard_epoch_lag,gauge" help:"Folds the shard trails the most advanced shard by."`
-	Records          int64            `json:"records" prom:"viewstags_shard_records,gauge" help:"Training records the shard reported at its last poll."`
+	Records          int64            `json:"records" prom:"viewstags_shard_records,gauge" help:"Training records in the newest version the shard stated."`
 	Healthy          bool             `json:"healthy" prom:"viewstags_shard_up,gauge" help:"1 when the shard is in rotation, 0 when marked down."`
 	Syncing          bool             `json:"syncing" prom:"viewstags_shard_syncing,gauge" help:"1 while a revived replica rebuilds from its peers (writes yes, reads no)."`
 	StreamReconnects int64            `json:"stream_reconnects" prom:"viewstags_shard_stream_reconnects_total,counter" help:"Data-plane stream dials to the shard after the first."`
 	RefreshLegs      int64            `json:"refresh_legs" prom:"viewstags_row_cache_refresh_legs_total,counter" help:"Refresh frames sent to the shard."`
-	RowInvalidations RowInvalidations `json:"row_invalidations" prom:"viewstags_row_cache_invalidations_total,counter" help:"Times every row cached from the shard went stale at once, by cause: its epoch advanced, it was marked down, it came back, it was rebuilt from its peers."`
+	RowInvalidations RowInvalidations `json:"row_invalidations" prom:"viewstags_row_cache_invalidations_total,counter" help:"Times every row cached from the shard went stale at once, by what moved in the version it states: its fold epoch, or its incarnation (a restart or a transfer install)."`
 }
 
 // RowInvalidations counts, by cause, the times every row cached from one
-// shard went stale at once: its tracked epoch advanced, it was marked
-// down, it came back up, it was rebuilt from its peers.
+// shard went stale at once: the shard stated a newer fold epoch under the
+// same incarnation, or a newer incarnation — it restarted, or a transfer
+// installed content no fold made.
 type RowInvalidations struct {
-	Epoch   int64 `json:"epoch" prom:"cause"`
-	Down    int64 `json:"down" prom:"cause"`
-	Revived int64 `json:"revived" prom:"cause"`
-	Catchup int64 `json:"catchup" prom:"cause"`
+	Epoch       int64 `json:"epoch" prom:"cause"`
+	Incarnation int64 `json:"incarnation" prom:"cause"`
 }
 
 // RowCacheStats is the predict row cache's view in the /v1/stats
@@ -497,21 +496,17 @@ func (g *Gateway) clusterStats(tp *topology) ClusterStats {
 		if healthy {
 			cs.Healthy++
 		}
+		v := s.version()
 		cs.Shards[i] = ShardStatus{
 			Index:            i,
 			Target:           tp.targets[i],
-			Epoch:            s.epoch.Load(),
-			Records:          s.records.Load(),
+			Epoch:            v.Epoch,
+			Records:          int64(v.Records),
 			Healthy:          healthy,
 			Syncing:          s.syncing.Load(),
 			StreamReconnects: tp.streams[i].reconnects(),
 			RefreshLegs:      s.refreshLegs.Load(),
-			RowInvalidations: RowInvalidations{
-				Epoch:   s.invalidations[invalEpoch].Load(),
-				Down:    s.invalidations[invalDown].Load(),
-				Revived: s.invalidations[invalRevived].Load(),
-				Catchup: s.invalidations[invalCatchup].Load(),
-			},
+			RowInvalidations: RowInvalidations{Epoch: s.epochMoves.Load(), Incarnation: s.incarnationMoves.Load()},
 		}
 		cs.RowCache.RefreshLegs += cs.Shards[i].RefreshLegs
 		maxEpoch = max(maxEpoch, cs.Shards[i].Epoch)

@@ -820,3 +820,25 @@ func TestBarrierDoesNotWaitOnBodies(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayIngestRefusesOverflowingViews is ROADMAP item 3(xi) through a
+// gateway: the two events whose views overflow a tag's sum are the node's
+// 400, and once every shard has folded the tag answers as it did.
+func TestGatewayIngestRefusesOverflowingViews(t *testing.T) {
+	nodes, g := startCluster(t, 2)
+	req := server.PredictRequest{Tags: []string{fixture(t).Analysis.TagNames()[0]}, Top: 3}
+	_, before := predictBody(t, g.Handler(), req)
+	huge := server.IngestEvent{Tags: req.Tags, Country: "US", Views: 1e308}
+	if code := ingestOn(t, g.Handler(), []server.IngestEvent{huge, huge}); code != http.StatusBadRequest {
+		t.Fatalf("two 1e308 events: %d, want 400", code)
+	}
+	for _, n := range nodes {
+		if _, err := n.comp.FoldNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.RefreshHealth(context.Background())
+	if code, after := predictBody(t, g.Handler(), req); code != http.StatusOK || !bytes.Equal(after, before) {
+		t.Fatalf("predict after the refused events: %d %s, was %s", code, after, before)
+	}
+}

@@ -17,10 +17,11 @@ import (
 )
 
 // fakeShard is a scriptable /internal/meta endpoint: enough surface for
-// the gateway's Sync and health loop, with mutable epoch / readiness /
-// reachability, and a /v1/tags that sheds.
+// the gateway's Sync and health loop, with a mutable version (incarnation
+// and epoch) / readiness / reachability, and a /v1/tags that sheds.
 type fakeShard struct {
 	sig   string
+	inc   atomic.Uint64
 	epoch atomic.Uint64
 	ready atomic.Bool
 	fail  atomic.Bool
@@ -38,7 +39,7 @@ func newFakeShard(t *testing.T, sig string) *fakeShard {
 // it identifies as shard index of shards placing replicas copies.
 func newFakeShardAt(t *testing.T, sig string, index, shards, replicas int) *fakeShard {
 	t.Helper()
-	f := &fakeShard{sig: sig}
+	f := newFake(sig)
 	f.ready.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/internal/meta", func(w http.ResponseWriter, r *http.Request) {
@@ -65,9 +66,8 @@ func newFakeShardAt(t *testing.T, sig string, index, shards, replicas int) *fake
 			RingSignature: f.sig,
 			Countries:     []string{"US", "JP"},
 			Prior:         []float64{0.6, 0.4},
-			Records:       10,
 			Tags:          5,
-			Epoch:         f.epoch.Load(),
+			Version:       f.version(f.epoch.Load()),
 			IngestEnabled: true,
 			Ready:         f.ready.Load(),
 		})
@@ -79,6 +79,18 @@ func newFakeShardAt(t *testing.T, sig string, index, shards, replicas int) *fake
 	f.ts = httptest.NewServer(mux)
 	t.Cleanup(f.ts.Close)
 	return f
+}
+
+// newFake is a fake shard's state, in its first incarnation.
+func newFake(sig string) *fakeShard {
+	f := &fakeShard{sig: sig}
+	f.inc.Store(1)
+	return f
+}
+
+// version is what the fake states in its current incarnation at epoch.
+func (f *fakeShard) version(epoch uint64) server.ShardVersion {
+	return server.ShardVersion{Incarnation: f.inc.Load(), Epoch: epoch, Records: 10}
 }
 
 func readinessGateway(t *testing.T, target string) *Gateway {
@@ -94,10 +106,11 @@ func readinessGateway(t *testing.T, target string) *Gateway {
 }
 
 // TestGatewayRejoinAtRecoveredEpoch pins the crash-recovery rejoin
-// contract: a shard that goes down and comes back reporting a LOWER
-// epoch (it recovered from its last checkpoint) must have the gateway's
-// tracked epoch follow it down — the min-epoch fold horizon must not
-// overstate what the recovered shard has folded.
+// contract: a shard that goes down and comes back under a new
+// incarnation, reporting a LOWER epoch (it recovered from its last
+// checkpoint), must have the gateway's tracked epoch follow it down — the
+// min-epoch fold horizon must not overstate what the recovered shard has
+// folded — while under one incarnation the epoch never moves back.
 func TestGatewayRejoinAtRecoveredEpoch(t *testing.T) {
 	rg, err := ring.New(1, 1)
 	if err != nil {
@@ -121,8 +134,10 @@ func TestGatewayRejoinAtRecoveredEpoch(t *testing.T) {
 		t.Fatalf("shard still healthy after %d failed probes", 2)
 	}
 
-	// Recovery: the shard rejoins at epoch 3 (checkpoint + replay).
+	// Recovery: a new process rejoins at epoch 3 (checkpoint + replay).
+	dead := shard.inc.Load()
 	shard.fail.Store(false)
+	shard.inc.Add(1)
 	shard.epoch.Store(3)
 	g.RefreshHealth(context.Background())
 	cs := g.clusterStats(g.topo.Load())
@@ -133,11 +148,17 @@ func TestGatewayRejoinAtRecoveredEpoch(t *testing.T) {
 		t.Fatalf("epoch after rejoin = %d, want the recovered 3, not the stale 10", e)
 	}
 
-	// Steady state still refuses regressions (stale concurrent reads).
-	g.markOK(g.topo.Load(), 0, 7)
-	g.markOK(g.topo.Load(), 0, 5)
+	// Steady state still refuses regressions (stale concurrent reads)
+	// under one incarnation, and a late reply from the dead one moves
+	// nothing, whatever epoch it states.
+	g.markOK(g.topo.Load(), 0, shard.version(7))
+	g.markOK(g.topo.Load(), 0, shard.version(5))
+	g.markOK(g.topo.Load(), 0, server.ShardVersion{Incarnation: dead, Epoch: 12})
 	if e := g.topo.Load().minEpoch(); e != 7 {
-		t.Fatalf("steady-state epoch regressed to %d, want 7", e)
+		t.Fatalf("steady-state epoch moved to %d, want 7", e)
+	}
+	if n := g.topo.Load().shards[0].incarnationMoves.Load(); n != 1 {
+		t.Fatalf("%d incarnation moves counted, want the restart's one", n)
 	}
 }
 

@@ -120,15 +120,18 @@ func (g *Gateway) transfer(ctx context.Context, src, dst string, req server.Tran
 // onto the same ring, a reshard onto a new one. The shards out of
 // rotation are the exports' exclude list, so each tag arrives from one
 // live source, and writes are held across the copies, so each import's
-// fold-then-replace is an exact dedup. tr gets a span per destination.
-func (g *Gateway) moveSlices(ctx context.Context, tp *topology, to []string, dests []int, tr *obs.Trace) error {
+// fold-then-replace is an exact dedup. It returns each destination's
+// version after its last import, in dests order. tr gets a span per
+// destination.
+func (g *Gateway) moveSlices(ctx context.Context, tp *topology, to []string, dests []int, tr *obs.Trace) ([]server.ShardVersion, error) {
 	exclude := tp.excludedShards(nil)
 	if !tp.ring.Covered(exclude) {
-		return fmt.Errorf("cluster: slice coverage lost (%d of %d shards out of rotation) — nothing to copy from, deferring", len(exclude), len(tp.targets))
+		return nil, fmt.Errorf("cluster: slice coverage lost (%d of %d shards out of rotation) — nothing to copy from, deferring", len(exclude), len(tp.targets))
 	}
 	g.writeGate.Lock()
 	defer g.writeGate.Unlock()
-	for _, j := range dests {
+	versions := make([]server.ShardVersion, len(dests))
+	for k, j := range dests {
 		start := time.Now()
 		req := server.TransferExportRequest{
 			DestShards:   len(to),
@@ -142,13 +145,14 @@ func (g *Gateway) moveSlices(ctx context.Context, tp *topology, to []string, des
 			}
 			ack, err := g.transfer(ctx, src, to[j], req)
 			if err != nil {
-				return fmt.Errorf("cluster: transfer shard %d → shard %d of %d: %w", s, j, len(to), err)
+				return nil, fmt.Errorf("cluster: transfer shard %d → shard %d of %d: %w", s, j, len(to), err)
 			}
-			g.logger.Printf("cluster: transfer shard %d → shard %d of %d: %d tags, %d records", s, j, len(to), ack.Tags, ack.Records)
+			versions[k] = ack.Version
+			g.logger.Printf("cluster: transfer shard %d → shard %d of %d: %d tags, %d records", s, j, len(to), ack.Tags, ack.Version.Records)
 		}
 		tr.Add("transfer", j, start, time.Since(start), "")
 	}
-	return nil
+	return versions, nil
 }
 
 // maybeCatchUp runs replica catch-up opportunistically from the health
@@ -189,13 +193,15 @@ func (g *Gateway) catchUpLocked(ctx context.Context) error {
 	if len(dests) == 0 {
 		return nil
 	}
-	if err := g.moveSlices(ctx, tp, tp.targets, dests, nil); err != nil {
+	versions, err := g.moveSlices(ctx, tp, tp.targets, dests, nil)
+	if err != nil {
 		return err
 	}
-	for _, d := range dests {
-		// The import changed what the shard holds without a fold, so
-		// anything cached from it before now is stale under its epoch.
-		tp.shards[d].invalidate(invalCatchup)
+	for k, d := range dests {
+		// The import changed what the shard holds without a fold, and its
+		// reply says so with a new incarnation: observed before the shard
+		// rejoins read rotation, it strands whatever was cached from it.
+		tp.shards[d].observe(versions[k])
 		tp.shards[d].syncing.Store(false)
 		g.logger.Printf("cluster: shard %d (%s) caught up, back in read rotation", d, tp.targets[d])
 	}
@@ -296,13 +302,14 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 	for j := range dests {
 		dests[j] = j
 	}
-	if err := g.moveSlices(ctx, tp, newTargets, dests, tr); err != nil {
+	if _, err := g.moveSlices(ctx, tp, newTargets, dests, tr); err != nil {
 		return err
 	}
 
 	// Adopt: cut every destination over to its new identity and verify
 	// it lands on exactly the ring the gateway will route by.
 	wantSig := newRing.Signature()
+	adopted := make([]server.ShardVersion, to)
 	for j, dst := range newTargets {
 		aStart := time.Now()
 		var ack server.TransferAdoptResponse
@@ -317,14 +324,14 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 		if ack.Signature != wantSig {
 			return fmt.Errorf("cluster: new shard %d (%s) adopted ring %q, gateway computes %q", j, dst, ack.Signature, wantSig)
 		}
+		adopted[j] = ack.Version
 		tr.Add("adopt", j, aStart, time.Since(aStart), "")
 	}
 
 	// Cutover: install the new topology. Nodes carried over keep their
-	// shardState (health history, epoch) and their stream; genuinely
-	// new nodes start fresh and get their state from the post-cutover
-	// health refresh. Departed nodes' streams close once nothing can
-	// route to them.
+	// shardState (health history) and their stream; genuinely new nodes
+	// start fresh. Either holds the version its adopt reply stated.
+	// Departed nodes' streams close once nothing can route to them.
 	cStart := time.Now()
 	g.setHandoff(epoch, HandoffCutover, from, to)
 	ntp := &topology{
@@ -337,8 +344,9 @@ func (g *Gateway) Reshard(ctx context.Context, targets []string, tr *obs.Trace) 
 	for j, dst := range newTargets {
 		if s := slices.Index(tp.targets, dst); s >= 0 {
 			ntp.shards[j], ntp.streams[j] = tp.shards[s], tp.streams[s]
+			ntp.shards[j].observe(adopted[j])
 		} else {
-			ntp.shards[j], ntp.streams[j] = &shardState{}, g.newStream(dst)
+			ntp.shards[j], ntp.streams[j] = newShardState(adopted[j]), g.newStream(dst)
 		}
 	}
 	g.topo.Store(ntp)

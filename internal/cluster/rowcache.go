@@ -5,16 +5,18 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"viewstags/internal/server"
 	"viewstags/internal/tagviews"
 )
 
 // This file is the gateway's per-tag row cache: what a shard answered
 // for tag — profilestore.Snapshot.Row, which serves every weighting —
-// kept with the shard state it was read from. predictFanout (fanout.go)
-// combines an item's rows locally, so a request whose rows are all here
-// and still valid makes no shard leg.
-// The cache only stores; whether a row may be used is decided per
-// request by shardView.usable, and one cache lives exactly as long as
+// kept with the version the shard stated in that reply
+// (server.ShardVersion). predictFanout (fanout.go) combines an item's
+// rows locally, so a request whose rows are all here and still valid
+// makes no shard leg. The cache only stores; whether a row may be used
+// is decided per request by usable — the row's version is the one the
+// request holds for its shard — and one cache lives exactly as long as
 // the topology it was filled under.
 
 // rowCacheBytes bounds the cache's accounted size. A tag has one row,
@@ -43,18 +45,24 @@ const rowIdleRefreshes = 32
 // tagRow is one cached row. Immutable once published apart
 // from the second-chance bit. vec is nil for an absent row — the tag is
 // unknown to its owner, or has no views — which is cached like any other
-// answer: it stays true until the shard's epoch moves. Its shard and
-// generation are 32-bit so that it fills one cache line
+// answer: it stays true until the shard's version moves. Its shard is 16
+// bits (ring.MaxShards) so that it fills one cache line
 // (TestTagRowFitsACacheLine).
 type tagRow struct {
 	vec   []float64   // its stored vector
-	epoch uint64      // the fold epoch the reply was labelled with
+	inc   uint64      // the reply's version: the shard's incarnation
+	epoch uint64      // and fold epoch (version)
 	views float64     // the tag's view total
 	idf   float64     // WeightIDF.Weight of the reply's counts, 0 when absent
-	gen   uint32      // that shard slot's generation when the fetch began
-	shard int32       // the shard that answered
 	used  atomic.Bool // asked for since it was published or last aged
+	shard uint16      // the shard that answered
 	idle  uint8       // rows in a row replaced under this key unasked for
+}
+
+// version is the reply's version the row was read under, without the
+// record count, which its idf already holds.
+func (r *tagRow) version() server.ShardVersion {
+	return server.ShardVersion{Incarnation: r.inc, Epoch: r.epoch}
 }
 
 // weight is the row's term weight under w: the IDF weight stored when the
@@ -111,11 +119,11 @@ func (c *rowCache) get(tag string) *tagRow {
 func rowCost(tag string, r *tagRow) int { return rowOverhead + len(tag) + 8*len(r.vec) }
 
 // put publishes a row, replacing whatever was held for the tag — unless
-// that is a later read of the same shard (higher generation, or higher
-// epoch under it): fetches race, and the older reply must not undo the
-// newer. A row replacing one nobody asked for carries its idle count on,
-// one higher. tag must not be a substring of a request body: a map
-// assignment stores the new key's pointer even when an equal key is held.
+// that is a later read of the same shard (a newer version): fetches race,
+// and the older reply must not undo the newer. A row replacing one nobody
+// asked for carries its idle count on, one higher. tag must not be a
+// substring of a request body: a map assignment stores the new key's
+// pointer even when an equal key is held.
 //
 // Over budget, the stripe evicts by sampled second chance: it walks up
 // to rowEvictProbe entries from wherever Go's randomised map iteration
@@ -128,7 +136,7 @@ func (c *rowCache) put(tag string, r *tagRow) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if old := s.m[tag]; old != nil {
-		if old.shard == r.shard && (old.gen > r.gen || old.gen == r.gen && old.epoch > r.epoch) {
+		if old.shard == r.shard && old.version().Compare(r.version()) > 0 {
 			return
 		}
 		if !old.used.Load() {
@@ -167,18 +175,18 @@ func (c *rowCache) put(tag string, r *tagRow) {
 	}
 }
 
-// stale lists the tags of the rows held from shard under gen from before
-// epoch — what an observed fold just retired — for a refresh pass to
+// stale lists the tags of the rows held from shard under a version older
+// than cur — what an observed move just retired — for a refresh pass to
 // re-read, and counts the rows it dropped instead: idle through
 // rowIdleRefreshes refreshes, so a scan leaves the cache rather than
 // being re-read at every fold for as long as the budget lasts.
-func (c *rowCache) stale(shard int, gen uint32, epoch uint64) (tags []string, dropped int) {
+func (c *rowCache) stale(shard int, cur server.ShardVersion) (tags []string, dropped int) {
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
 		for tag, r := range s.m {
 			switch {
-			case int(r.shard) != shard || r.gen != gen || r.epoch >= epoch:
+			case int(r.shard) != shard || r.version().Compare(cur) >= 0:
 			case r.used.Load() || r.idle < rowIdleRefreshes:
 				tags = append(tags, tag)
 			default:

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -26,7 +27,7 @@ import (
 )
 
 // These tests pin the row cache's validity rules — the clauses of
-// usable (fanout.go) and the places the shard-slot generation advances —
+// usable (fanout.go) and the version order a slot, put and stale share —
 // one by one, and then all together under a seeded schedule of
 // everything that can change what a shard holds.
 
@@ -166,7 +167,7 @@ func TestRowCacheWarmRequestMakesNoLeg(t *testing.T) {
 		`viewstags_row_cache_lookups_total{result="miss"} 3`,
 		"viewstags_row_cache_rows 3",
 		`viewstags_row_cache_invalidations_total{cause="epoch",shard="0"} 0`,
-		`viewstags_row_cache_invalidations_total{cause="catchup",shard="2"} 0`,
+		`viewstags_row_cache_invalidations_total{cause="incarnation",shard="2"} 0`,
 	} {
 		if !strings.Contains(rec.Body.String(), want+"\n") {
 			t.Errorf("/metrics lacks %q", want)
@@ -185,15 +186,16 @@ func TestRowCacheWarmRequestMakesNoLeg(t *testing.T) {
 	}
 }
 
-// TestRowCacheGenerationStraddleNotPublished: rows whose shard slot's
-// generation moved while their fetch was in flight answer the request
-// that fetched them and are not kept.
-func TestRowCacheGenerationStraddleNotPublished(t *testing.T) {
+// TestRowCacheIncarnationStraddleNotPublished: rows whose reply states a
+// version older than the slot's — a newer incarnation was observed while
+// their fetch was in flight — answer the request that fetched them and
+// are not kept.
+func TestRowCacheIncarnationStraddleNotPublished(t *testing.T) {
 	_, g := startCluster(t, 3)
 	enc := server.GetPredictWireEncoder()
 	defer server.PutPredictWireEncoder(enc)
 	frame := func() []byte {
-		enc.BeginRows(1, 0, len(g.codes), 1, false)
+		enc.BeginRows(shardZero(g, 1), len(g.codes), 1, false)
 		vec := make([]float64, len(g.codes)) // a row: views 2, one video, stored vector
 		vec[0] = 1
 		enc.Row(2, 1, vec)
@@ -202,18 +204,56 @@ func TestRowCacheGenerationStraddleNotPublished(t *testing.T) {
 	if fe, row, cached := takeOneRow(t, g, "zz-steady", frame(), nil); fe != nil || row == nil || cached != row {
 		t.Fatalf("undisturbed fetch: fe=%+v row=%p cached=%p, want it published", fe, row, cached)
 	}
-	fe, row, cached := takeOneRow(t, g, "zz-straddle", frame(), func(s *shardState) { s.invalidate(invalDown) })
+	restart := func(s *shardState) {
+		v := s.version()
+		s.observe(server.ShardVersion{Incarnation: v.Incarnation + 1})
+	}
+	fe, row, cached := takeOneRow(t, g, "zz-straddle", frame(), restart)
 	if fe != nil || row == nil || row.views != 2 {
 		t.Fatalf("straddling fetch did not answer its own request: fe=%+v row=%+v", fe, row)
 	}
 	if cached != nil {
-		t.Fatal("a fetch that straddled a generation bump was published")
+		t.Fatal("a fetch that straddled an incarnation move was published")
 	}
-	// And what was published under the old generation is dead.
+	// And what was published under the old incarnation is dead.
 	tp := g.topo.Load()
-	view := []shardView{{ok: true, gen: tp.shards[0].gen.Load()}}
+	view := []shardView{{ok: true, ver: tp.shards[0].version()}}
 	if r := tp.rows.get("zz-steady"); r == nil || usable(view, r) {
-		t.Fatalf("row %+v still usable after its shard's generation moved", r)
+		t.Fatalf("row %+v still usable after its shard's incarnation moved", r)
+	}
+}
+
+// TestRowCacheLateReplyFromOlderIncarnation: once the gateway has
+// observed a shard's new incarnation, a reply the dead one sent late —
+// whatever epoch it states — neither moves the slot back nor yields a row
+// a request holding the slot's version may use, and it is not kept.
+func TestRowCacheLateReplyFromOlderIncarnation(t *testing.T) {
+	_, g := startCluster(t, 3)
+	tp := g.topo.Load()
+	s := tp.shards[0]
+	old := s.version()
+	newer := server.ShardVersion{Incarnation: old.Incarnation + 1, Epoch: 0, Records: 3}
+	g.markOK(tp, 0, newer)
+	enc := server.GetPredictWireEncoder()
+	defer server.PutPredictWireEncoder(enc)
+	late := old
+	late.Epoch += 5 // the dead process had folded further
+	enc.BeginRows(late, len(g.codes), 1, false)
+	vec := make([]float64, len(g.codes))
+	vec[0] = 1
+	enc.Row(2, 1, vec)
+	rows, fe := g.takeRows(tp, 0, []string{"zz-late"}, enc.Finish(), new(server.PredictPartials))
+	if fe != nil {
+		t.Fatalf("late reply: %+v", fe)
+	}
+	if got := s.version(); got != newer {
+		t.Fatalf("the late reply moved the slot to %+v, want %+v", got, newer)
+	}
+	if view := []shardView{{ok: true, ver: s.version()}}; usable(view, &rows[0]) {
+		t.Fatalf("a row of the older incarnation is usable under the newer: %+v", rows[0].version())
+	}
+	if r := tp.rows.get("zz-late"); r != nil {
+		t.Fatalf("a row of the older incarnation was kept: %+v", r)
 	}
 }
 
@@ -228,21 +268,99 @@ func TestTagRowFitsACacheLine(t *testing.T) {
 	}
 }
 
-// TestRowCacheValidityClauses walks usable's three clauses.
+// TestRowCacheFastRestart is ROADMAP item 3(v): a shard restarted behind
+// its URL inside the detector window — no failed poll in between —
+// rejoins below the epoch the gateway tracks. Once one poll has seen it,
+// predicts answer from the restarted shard, not from the rows the dead
+// process served, and the fold horizon follows it down.
+func TestRowCacheFastRestart(t *testing.T) {
+	ringOne, err := ring.New(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rg, err := ring.New(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := startNode(t, ringOne, 0, 1) // what the tier holds after the restart
+	first := startNode(t, rg, 0, 2)
+	var live atomic.Pointer[node]
+	live.Store(startNode(t, rg, 1, 2))
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		live.Load().srv.Handler().ServeHTTP(w, r)
+	}))
+	t.Cleanup(backend.Close)
+	proxy := newFlakyShard(t, backend.URL)
+	g := newSyncedGateway(t, []string{first.ts.URL, proxy.URL()}, nil)
+	owned := [2][]string{}
+	for _, name := range fixture(t).Analysis.TagNames() {
+		if s := rg.Owner(name); len(owned[s]) < 3 {
+			owned[s] = append(owned[s], name)
+		}
+	}
+	sets := [][]string{owned[1], {owned[0][0], owned[1][0]}, owned[0]}
+	sameAnswers(t, "cold", single.srv.Handler(), g.Handler(), sets)
+
+	// Both shards fold a write to their tags — shard 0's the single node
+	// folds too, shard 1's the restart will lose — and the gateway sees it.
+	ctx := context.Background()
+	for s := range owned {
+		events := []server.IngestEvent{{Video: fmt.Sprintf("restart-%d", s), Tags: owned[s][:2], Country: "KR", Views: 5000}}
+		if code := ingestOn(t, g.Handler(), events); code != http.StatusOK {
+			t.Fatalf("ingest to shard %d: %d", s, code)
+		}
+		if s == 0 {
+			if code := ingestOn(t, single.srv.Handler(), events); code != http.StatusOK {
+				t.Fatalf("single-node ingest: %d", code)
+			}
+		}
+	}
+	for _, n := range []*node{single, first, live.Load()} {
+		if folded, err := n.comp.FoldNow(); err != nil || !folded {
+			t.Fatalf("fold: %v %v", folded, err)
+		}
+	}
+	g.RefreshHealth(ctx)
+	g.WaitRowRefresh()
+	if code, _ := predictOn(t, g.Handler(), server.PredictRequest{Batch: []server.PredictItem{{Tags: owned[1]}, {Tags: owned[0]}}}); code != http.StatusOK {
+		t.Fatalf("warm predict: %d", code)
+	}
+	if e := g.topo.Load().minEpoch(); e != 1 {
+		t.Fatalf("fold horizon %d before the restart, want 1", e)
+	}
+
+	// Shard 1 restarts in memory behind the same URL: its connections
+	// die, and the new process holds its boot state at epoch 0.
+	proxy.Kill()
+	live.Store(startNode(t, rg, 1, 2))
+	proxy.Revive()
+	g.RefreshHealth(ctx)
+	if e := g.topo.Load().minEpoch(); e != 0 {
+		t.Fatalf("fold horizon %d after the restart, want the restarted shard's 0", e)
+	}
+	sameAnswers(t, "after the restart", single.srv.Handler(), g.Handler(), sets)
+}
+
+// TestRowCacheValidityClauses walks usable's clauses.
 func TestRowCacheValidityClauses(t *testing.T) {
-	r := &tagRow{shard: 1, gen: 4, epoch: 9}
+	r := &tagRow{shard: 1, inc: 4, epoch: 9}
+	at := func(inc, epoch uint64) server.ShardVersion {
+		return server.ShardVersion{Incarnation: inc, Epoch: epoch, Records: 7}
+	}
 	for _, tc := range []struct {
 		name string
 		view shardView
 		want bool
 	}{
-		{"in rotation, same generation, same epoch", shardView{ok: true, gen: 4, epoch: 9}, true},
-		{"out of read rotation", shardView{ok: false, gen: 4, epoch: 9}, false},
-		{"generation moved", shardView{ok: true, gen: 5, epoch: 9}, false},
-		{"epoch ahead of the row", shardView{ok: true, gen: 4, epoch: 10}, false},
-		{"epoch behind the row", shardView{ok: true, gen: 4, epoch: 8}, false},
+		{"in rotation, same incarnation, same epoch", shardView{ok: true, ver: at(4, 9)}, true},
+		{"out of read rotation", shardView{ok: false, ver: at(4, 9)}, false},
+		{"incarnation moved", shardView{ok: true, ver: at(5, 9)}, false},
+		{"incarnation moved, lower epoch", shardView{ok: true, ver: at(5, 0)}, false},
+		{"incarnation behind the row", shardView{ok: true, ver: at(3, 9)}, false},
+		{"epoch ahead of the row", shardView{ok: true, ver: at(4, 10)}, false},
+		{"epoch behind the row", shardView{ok: true, ver: at(4, 8)}, false},
 	} {
-		view := []shardView{{ok: true, gen: 4, epoch: 9}, tc.view}
+		view := []shardView{{ok: true, ver: at(4, 9)}, tc.view}
 		if got := usable(view, r); got != tc.want {
 			t.Errorf("%s: usable = %v, want %v", tc.name, got, tc.want)
 		}
@@ -310,7 +428,7 @@ func TestRowCacheEpochMoveInvalidatesThatShardOnly(t *testing.T) {
 		if i == 0 {
 			want = 1
 		}
-		if n := s.invalidations[invalEpoch].Load(); n != want {
+		if n := s.epochMoves.Load(); n != want {
 			t.Errorf("shard %d counted %d epoch invalidations, want %d", i, n, want)
 		}
 	}
@@ -342,7 +460,7 @@ func TestPredictNeverMixesEpochsOfOneShard(t *testing.T) {
 	if got := shardLegs(g)[shard] - legs; got < 2 {
 		t.Fatalf("the request cost shard %d %d legs: it must fetch b, see the epoch move, and fetch a again", shard, got)
 	}
-	if n := g.topo.Load().shards[shard].epoch.Load(); n != 1 {
+	if n := g.topo.Load().shards[shard].version().Epoch; n != 1 {
 		t.Fatalf("the reply's epoch was not recorded: shard %d tracked at %d", shard, n)
 	}
 }
@@ -401,18 +519,18 @@ func TestPredictSplitsMissesAcrossFrames(t *testing.T) {
 }
 
 // labelShard is a fake shard that serves the data-plane stream by hand:
-// it answers /internal/meta like newFakeShard (reporting f.epoch) and
-// every /internal/predict frame with one known row per item, labelled
-// with the epoch label returns for that frame. label runs on the
+// it answers /internal/meta like newFakeShard (stating f.epoch) and
+// every /internal/predict frame with one known row per item, stating
+// the epoch label returns for that frame under f's incarnation. label runs on the
 // stream's goroutine before the reply is written, so it can also hold a
 // frame in flight or change gateway state under it.
 func labelShard(t *testing.T, sig string, label func(f *fakeShard, items int) uint64) *fakeShard {
 	t.Helper()
-	f := &fakeShard{sig: sig}
+	f := newFake(sig)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/internal/meta", func(w http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(w).Encode(server.InternalMetaResponse{Shards: 1, RingSignature: sig,
-			Countries: []string{"US", "JP"}, Prior: []float64{0.6, 0.4}, Epoch: f.epoch.Load(), Ready: true})
+			Countries: []string{"US", "JP"}, Prior: []float64{0.6, 0.4}, Version: f.version(f.epoch.Load()), Ready: true})
 	})
 	mux.HandleFunc(server.StreamPath, func(w http.ResponseWriter, r *http.Request) {
 		conn, brw, err := http.NewResponseController(w).Hijack()
@@ -438,7 +556,7 @@ func labelShard(t *testing.T, sig string, label func(f *fakeShard, items int) ui
 				t.Error(err)
 				return
 			}
-			enc.BeginRows(10, label(f, len(items)), 2, len(items), false)
+			enc.BeginRows(f.version(label(f, len(items))), 2, len(items), false)
 			for range items {
 				enc.Row(1, 1, []float64{0.5, 0.5})
 			}

@@ -120,14 +120,14 @@ func TestRowRefreshAfterFoldMakesNoLeg(t *testing.T) {
 	}
 }
 
-// TestRowRefreshGenerationStraddlePublishesNothing: a pass whose shard
-// slot's generation moves under its frame keeps nothing of the reply and
-// stops.
-func TestRowRefreshGenerationStraddlePublishesNothing(t *testing.T) {
+// TestRowRefreshIncarnationStraddlePublishesNothing: a pass whose shard
+// slot moves to a newer incarnation under its frame keeps nothing of the
+// reply, which states the older one, and stops.
+func TestRowRefreshIncarnationStraddlePublishesNothing(t *testing.T) {
 	var bump atomic.Pointer[shardState]
 	shard, g := refreshGateway(t, 1, func(f *fakeShard, _ int) uint64 {
 		if s := bump.Load(); s != nil {
-			s.invalidate(invalDown)
+			s.observe(server.ShardVersion{Incarnation: f.inc.Load() + 1})
 		}
 		return f.epoch.Load()
 	})
@@ -140,10 +140,10 @@ func TestRowRefreshGenerationStraddlePublishesNothing(t *testing.T) {
 		t.Fatalf("the pass sent %d frames, want it to stop at the first", legs)
 	}
 	if n := g.refreshedRows.Load(); n != 0 {
-		t.Fatalf("%d rows published across a generation bump", n)
+		t.Fatalf("%d rows published across an incarnation move", n)
 	}
 	if heldRow(rows, "a") != a || heldRow(rows, "b") != b {
-		t.Fatal("a row read across a generation bump replaced the one held")
+		t.Fatal("a row read across an incarnation move replaced the one held")
 	}
 }
 
@@ -250,8 +250,8 @@ func TestRowRefreshReassignmentNeverCachesAbsent(t *testing.T) {
 	if folded, err := e.nodes[second].comp.FoldNow(); err != nil || !folded {
 		t.Fatalf("fold: %v %v", folded, err)
 	}
-	gen, epoch := s.gen.Load(), s.epoch.Load()+1
-	if !e.g.refreshFrame(tp, second, gen, []string{tags[0]}) {
+	epoch := s.version().Epoch + 1
+	if !e.g.refreshFrame(tp, second, []string{tags[0]}) {
 		t.Fatal("first frame refused")
 	}
 	if r := heldRow(tp.rows, tags[0]); int(r.shard) != second || r.epoch != epoch || r.vec == nil {
@@ -264,7 +264,7 @@ func TestRowRefreshReassignmentNeverCachesAbsent(t *testing.T) {
 	}
 	// ...and the second frame finds tags[1] given back to it.
 	old := heldRow(tp.rows, tags[1])
-	if !e.g.refreshFrame(tp, second, gen, []string{tags[1]}) {
+	if !e.g.refreshFrame(tp, second, []string{tags[1]}) {
 		t.Fatal("second frame refused")
 	}
 	if r := heldRow(tp.rows, tags[1]); r != old {
@@ -305,7 +305,9 @@ func TestRowRefreshStopsAtClose(t *testing.T) {
 		t.Fatalf("%d refresh passes running after Close", n)
 	}
 	tp := g.topo.Load()
-	g.markOK(tp, 0, tp.shards[0].epoch.Load()+1)
+	v := tp.shards[0].version()
+	v.Epoch++
+	g.markOK(tp, 0, v)
 	if n := running(); n != 0 {
 		t.Fatalf("an epoch move after Close started %d passes", n)
 	}
@@ -359,17 +361,16 @@ func TestRowRefreshCutoverWaitsOneFrame(t *testing.T) {
 }
 
 // TestRowCachePutKeepsNewerRow: two reads of one tag from one shard may
-// publish in either order; the later read (higher generation, or higher
-// epoch under the same one) is the one held. A row from another shard
-// always replaces: generations and epochs of different shards do not
-// compare.
+// publish in either order; the later read (a newer incarnation, or a
+// higher epoch under the same one) is the one held. A row from another
+// shard always replaces: versions of different shards do not compare.
 func TestRowCachePutKeepsNewerRow(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		older, new *tagRow
 	}{
-		{"epoch", &tagRow{shard: 1, gen: 3, epoch: 7}, &tagRow{shard: 1, gen: 3, epoch: 8}},
-		{"generation", &tagRow{shard: 1, gen: 3, epoch: 9}, &tagRow{shard: 1, gen: 4, epoch: 2}},
+		{"epoch", &tagRow{shard: 1, inc: 3, epoch: 7}, &tagRow{shard: 1, inc: 3, epoch: 8}},
+		{"incarnation", &tagRow{shard: 1, inc: 3, epoch: 9}, &tagRow{shard: 1, inc: 4, epoch: 2}},
 	} {
 		for _, order := range [][2]*tagRow{{tc.older, tc.new}, {tc.new, tc.older}} {
 			c := newRowCache()
@@ -384,8 +385,8 @@ func TestRowCachePutKeepsNewerRow(t *testing.T) {
 		}
 	}
 	c := newRowCache()
-	other := &tagRow{shard: 2, gen: 0, epoch: 1}
-	c.put("t", &tagRow{shard: 1, gen: 3, epoch: 7})
+	other := &tagRow{shard: 2, inc: 0, epoch: 1}
+	c.put("t", &tagRow{shard: 1, inc: 3, epoch: 7})
 	c.put("t", other)
 	if got := heldRow(c, "t"); got != other {
 		t.Errorf("a row from another shard did not replace: holds %+v", got)

@@ -140,6 +140,12 @@ func TestStreamShardKilledWithWaitersInFlight(t *testing.T) {
 			t.Fatalf("country %d after revival: %+v, was %+v", c, got.Result.Top[c], want.Result.Top[c])
 		}
 	}
+	// The shard did not change while it was out, so that predict was
+	// answered from the rows cached before; an upload is announced to
+	// every shard, so it needs the stream back.
+	if rec := serve(g, context.Background(), "/v1/ingest", uploadBody(t, "kill-2")); rec.Code != http.StatusOK {
+		t.Fatalf("ingest after revival: %d: %s", rec.Code, rec.Body.Bytes())
+	}
 	if n := tp.streams[2].reconnects(); n < 1 {
 		t.Fatalf("stream to the revived shard reports %d reconnects", n)
 	}

@@ -351,7 +351,7 @@ func TestLimiterDisabled(t *testing.T) {
 }
 
 func TestLimiterRespectsCancelledContext(t *testing.T) {
-	lim := newLimiter(0.1) // one token per 10s
+	lim := newLimiter(0.1)         // one token per 10s
 	lim.wait(context.Background()) // consume the burst token
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

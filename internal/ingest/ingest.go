@@ -56,6 +56,11 @@ const numShards = 16
 // smuggle an unbounded vocabulary past the batch limits.
 const MaxEventTags = 64
 
+// MaxEventViews bounds one event's views, far above any real video's
+// total, so no feasible number of events sums a tag past float64 to +Inf,
+// which a fold would normalize to NaN.
+const MaxEventViews = 1e12
+
 // ErrBufferFull is returned by Add when the accumulator already holds
 // the configured maximum of unfolded tag attributions (Σ len(Tags)
 // over buffered events — the quantity that actually bounds memory).
@@ -311,6 +316,9 @@ func Validate(events []Event, nCountries int) (int64, error) {
 		}
 		if e.Views < 0 {
 			return 0, fmt.Errorf("ingest: event %d has negative views", i)
+		}
+		if !(e.Views <= MaxEventViews) { // NaN fails too
+			return 0, fmt.Errorf("ingest: event %d has views %v, want at most %g", i, e.Views, float64(MaxEventViews))
 		}
 		if e.Upload && e.Video == "" {
 			return 0, fmt.Errorf("ingest: event %d is an upload without a video id", i)

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -121,6 +122,9 @@ func TestAddValidation(t *testing.T) {
 		{"bad country", Event{Video: "v", Tags: []string{"t"}, Country: -1, Views: 1}},
 		{"country past world", Event{Video: "v", Tags: []string{"t"}, Country: 999, Views: 1}},
 		{"negative views", Event{Video: "v", Tags: []string{"t"}, Country: 0, Views: -1}},
+		{"NaN views", Event{Video: "v", Tags: []string{"t"}, Country: 0, Views: math.NaN()}},
+		{"infinite views", Event{Video: "v", Tags: []string{"t"}, Country: 0, Views: math.Inf(1)}},
+		{"views above the bound", Event{Video: "v", Tags: []string{"t"}, Country: 0, Views: MaxEventViews * 2}},
 		{"upload without video", Event{Tags: []string{"t"}, Country: 0, Views: 1, Upload: true}},
 		{"empty tag string", Event{Video: "v", Tags: []string{"t", ""}, Country: 0, Views: 1}},
 		{"too many tags", Event{Video: "v", Tags: make([]string, MaxEventTags+1), Country: 0, Views: 1}},
@@ -130,9 +134,15 @@ func TestAddValidation(t *testing.T) {
 		if err := a.Add([]Event{c.e}); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+		if err := a.Replay([]Event{c.e}, nil); err == nil {
+			t.Errorf("%s: replayed", c.name)
+		}
 	}
 	if got := a.Stats().Events; got != 0 {
 		t.Fatalf("invalid events counted: %d", got)
+	}
+	if err := a.Add([]Event{{Video: "v", Tags: []string{"t"}, Country: 0, Views: MaxEventViews}}); err != nil {
+		t.Errorf("views at the bound: %v", err)
 	}
 }
 

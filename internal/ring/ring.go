@@ -38,13 +38,17 @@ type point struct {
 	shard int
 }
 
+// MaxShards bounds a tier: a gateway's cached row names its shard in 16
+// bits, which keeps the row in one cache line.
+const MaxShards = 1 << 16
+
 // New builds the ring for n shards with R-way replica placement: every
 // tag is owned by the R distinct shards whose virtual nodes follow its
 // hash clockwise. replicas must be in [1, shards] — more copies than
 // shards would force two copies onto one node, which buys nothing.
 func New(shards, replicas int) (*Ring, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("ring: needs at least one shard, got %d", shards)
+	if shards < 1 || shards > MaxShards {
+		return nil, fmt.Errorf("ring: needs 1 to %d shards, got %d", MaxShards, shards)
 	}
 	if replicas < 1 || replicas > shards {
 		return nil, fmt.Errorf("ring: replicas must be in [1, %d shards], got %d", shards, replicas)

@@ -337,3 +337,39 @@ func TestIngestWhilePredictSoak(t *testing.T) {
 		t.Fatalf("post-soak prediction %+v, want BR", resp.Result)
 	}
 }
+
+// TestIngestRefusesOverflowingViews is ROADMAP item 3(xi): two finite
+// events of 1e308 views for one tag overflowed its per-country sum to
+// +Inf, the fold normalized it to NaN, and every predict naming the tag
+// answered 500. Validate refuses views that are not finite or are above
+// MaxEventViews with a 400 naming the event — on /v1/ingest and on the
+// binary leg, where a NaN can arrive too — and the tag's answer does not
+// move.
+func TestIngestRefusesOverflowingViews(t *testing.T) {
+	srv, _, comp := freshServer(t, false, 0, time.Hour)
+	predict := PredictRequest{Tags: []string{"favela"}, Top: 3}
+	var before, after PredictResponse
+	if code := do(t, srv, http.MethodPost, "/v1/predict", predict, &before); code != http.StatusOK {
+		t.Fatalf("predict: %d", code)
+	}
+	var refusal struct {
+		Error string `json:"error"`
+	}
+	huge := IngestEvent{Tags: []string{"favela"}, Country: "US", Views: 1e308}
+	if code := do(t, srv, http.MethodPost, "/v1/ingest", IngestRequest{Events: []IngestEvent{huge, huge}}, &refusal); code != http.StatusBadRequest ||
+		refusal.Error != "ingest: event 0 has views 1e+308, want at most 1e+12" {
+		t.Fatalf("two 1e308 events: %d %q, want a 400 naming event 0", code, refusal.Error)
+	}
+	for _, views := range []float64{math.NaN(), math.Inf(1), 2 * ingest.MaxEventViews} {
+		e := ingest.Event{Tags: []string{"favela"}, Country: country(t, srv, "US"), Views: views}
+		if rec := postInternalIngest(srv, ingestBody([]ingest.Event{e})); rec.Code != http.StatusBadRequest {
+			t.Fatalf("binary event of %v views: %d, want 400", views, rec.Code)
+		}
+	}
+	if _, err := comp.FoldNow(); err != nil {
+		t.Fatal(err)
+	}
+	if code := do(t, srv, http.MethodPost, "/v1/predict", predict, &after); code != http.StatusOK || !reflect.DeepEqual(after, before) {
+		t.Fatalf("predict after the refused events: %d %+v, was %+v", code, after.Result, before.Result)
+	}
+}

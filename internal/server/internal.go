@@ -9,6 +9,7 @@ import (
 	"viewstags/internal/bincodec"
 	"viewstags/internal/ingest"
 	"viewstags/internal/obs"
+	"viewstags/internal/profilestore"
 )
 
 // This file is the shard-internal API: the three /internal/* routes a
@@ -35,16 +36,15 @@ const (
 // to merge partial predictions — the country table and the traffic
 // prior. A gateway refuses targets whose identity or globals disagree.
 type InternalMetaResponse struct {
-	Index         int       `json:"index"`
-	Shards        int       `json:"shards"`
-	Replicas      int       `json:"replicas,omitempty"`
-	RingSignature string    `json:"ring_signature,omitempty"`
-	Countries     []string  `json:"countries"`
-	Prior         []float64 `json:"prior"`
-	Records       int       `json:"records"`
-	Tags          int       `json:"tags"`
-	Epoch         uint64    `json:"epoch"`
-	IngestEnabled bool      `json:"ingest_enabled"`
+	Index         int          `json:"index"`
+	Shards        int          `json:"shards"`
+	Replicas      int          `json:"replicas,omitempty"`
+	RingSignature string       `json:"ring_signature,omitempty"`
+	Countries     []string     `json:"countries"`
+	Prior         []float64    `json:"prior"`
+	Tags          int          `json:"tags"`
+	Version       ShardVersion `json:"version"`
+	IngestEnabled bool         `json:"ingest_enabled"`
 	// Ready mirrors /readyz: false while the shard is still recovering
 	// (checkpoint load + journal replay). The gateway's health loop
 	// treats an unready shard like an unreachable one, so traffic stays
@@ -89,14 +89,9 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// The epoch label is read BEFORE the snapshot: a fold installs its
-	// snapshot and then advances the epoch, so in this order the label may
-	// trail the rows by one fold but can never lead them. A gateway keeps
-	// rows under their label; rows labelled E+1 but computed before fold
-	// E+1 would look current to it for a whole epoch, while rows labelled
-	// E that already hold E+1 are merely re-fetched once it observes E+1.
-	epoch := s.epoch()
-	snap := s.store.Load()
+	// A gateway keeps rows under the reply's version, which may trail the
+	// snapshot they come from but never lead it (version).
+	v, snap := s.version()
 	bufp := s.scratch.Get()
 	defer s.scratch.Put(bufp)
 	buf := *bufp
@@ -106,9 +101,9 @@ func (s *Server) handleInternalPredict(w http.ResponseWriter, r *http.Request) {
 	// The reply mirrors the request's CRC choice, so integrity stays an
 	// end-to-end gateway decision, and its rows bit.
 	if crc := flags&wireFlagCRC != 0; flags&wireFlagRows == 0 {
-		enc.Begin(weighting, snap.Records(), epoch, len(buf), len(items), crc)
+		enc.begin(weighting, v, len(buf), len(items), crc, 0)
 	} else {
-		enc.BeginRows(snap.Records(), epoch, len(buf), len(items), crc)
+		enc.BeginRows(v, len(buf), len(items), crc)
 	}
 	predictStart := time.Now()
 	for _, tags := range items {
@@ -157,12 +152,20 @@ func validTags(w http.ResponseWriter, item int, tags []string) bool {
 	return true
 }
 
-// epoch returns the served fold epoch, zero when ingestion is off.
-func (s *Server) epoch() uint64 {
-	if s.ing == nil {
-		return 0
+// version reads the shard's version and the snapshot it describes. The
+// incarnation and epoch (0 without ingest) are read BEFORE the snapshot: a
+// fold installs and then advances the epoch, a transfer installs and then
+// moves the incarnation, so the label may trail the snapshot by one
+// install, and rows labelled E+1 but read before fold E+1 — current to a
+// gateway for a whole epoch — cannot happen.
+func (s *Server) version() (ShardVersion, *profilestore.Snapshot) {
+	v := ShardVersion{Incarnation: s.incarnation.Load()}
+	if s.ing != nil {
+		v.Epoch = s.ing.Epoch()
 	}
-	return s.ing.Epoch()
+	snap := s.store.Load()
+	v.Records = snap.Records()
+	return v, snap
 }
 
 // handleInternalIngest applies the gateway's per-shard share of an
@@ -209,11 +212,11 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.Events.Add(int64(len(events)))
-	st := s.ing.Stats()
-	ack := appendIngestAck(body.AvailableBuffer(), &IngestResponse{
+	v, _ := s.version()
+	ack := appendIngestAck(body.AvailableBuffer(), &IngestAck{
 		Accepted: len(events) + len(uploads),
-		Epoch:    st.Epoch,
-		Pending:  st.Pending,
+		Version:  v,
+		Pending:  s.ing.Stats().Pending,
 	})
 	w.Header().Set("Content-Type", IngestContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(ack)))
@@ -222,7 +225,7 @@ func (s *Server) handleInternalIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleInternalMeta(w http.ResponseWriter, r *http.Request) {
-	snap := s.store.Load()
+	v, snap := s.version()
 	id := s.ident.Load()
 	resp := InternalMetaResponse{
 		Index:         id.index,
@@ -230,16 +233,13 @@ func (s *Server) handleInternalMeta(w http.ResponseWriter, r *http.Request) {
 		RingSignature: id.ring.Signature(),
 		Countries:     snap.World().Codes(),
 		Prior:         snap.Prior(),
-		Records:       snap.Records(),
 		Tags:          snap.NumTags(),
+		Version:       v,
 		IngestEnabled: s.ing != nil,
 		Ready:         s.ready.Load(),
 	}
 	if n := id.ring.Replicas(); n > 1 {
 		resp.Replicas = n
-	}
-	if s.ing != nil {
-		resp.Epoch = s.ing.Epoch()
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -86,8 +86,8 @@ func TestInternalPredictPartials(t *testing.T) {
 	if resp.Weighting != tagviews.WeightIDF || resp.NItems != 3 || resp.NC != nC {
 		t.Fatalf("response shape: weighting %v, %d items of %d countries", resp.Weighting, resp.NItems, resp.NC)
 	}
-	if resp.Records != snap.Records() {
-		t.Fatalf("records %d, want %d", resp.Records, snap.Records())
+	if resp.Version.Records != snap.Records() || resp.Version.Incarnation != srv.incarnation.Load() {
+		t.Fatalf("version %+v, want records %d under incarnation %d", resp.Version, snap.Records(), srv.incarnation.Load())
 	}
 
 	buf := make([]float64, nC)
@@ -349,7 +349,7 @@ func TestInternalIngest(t *testing.T) {
 	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != IngestContentType {
 		t.Fatalf("status %d, Content-Type %q: %s", rec.Code, rec.Header().Get("Content-Type"), rec.Body)
 	}
-	var resp IngestResponse
+	var resp IngestAck
 	if err := DecodeIngestAck(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -649,8 +649,8 @@ func TestInternalPredictLabelNeverLeadsContent(t *testing.T) {
 					errs <- err
 					return
 				}
-				if seen := resp.WSums[0] / 100; seen < float64(resp.Epoch) {
-					errs <- fmt.Errorf("reply labelled epoch %d carries a row that has seen %v folds", resp.Epoch, seen)
+				if seen := resp.WSums[0] / 100; seen < float64(resp.Version.Epoch) {
+					errs <- fmt.Errorf("reply labelled epoch %d carries a row that has seen %v folds", resp.Version.Epoch, seen)
 					return
 				}
 			}

@@ -205,6 +205,9 @@ type Server struct {
 	// ident is the mutable cluster identity (shard index and ring).
 	// Reads are lock-free; only /internal/transfer/adopt swaps it.
 	ident atomic.Pointer[shardIdent]
+	// incarnation is ShardVersion.Incarnation: the wall clock at New,
+	// moved forward by every transfer install (installTransferred).
+	incarnation atomic.Uint64
 
 	// foldNow, when set (SetFoldHook), synchronously folds any pending
 	// ingest deltas into the serving snapshot — the transfer routes
@@ -281,6 +284,7 @@ func New(cfg Config, store *profilestore.Store) (*Server, error) {
 		countries: NewCountries(world.Codes()),
 	}
 	s.ident.Store(&shardIdent{index: cfg.ShardIndex, ring: rg})
+	s.incarnation.Store(uint64(time.Now().UnixNano()))
 	s.mw = NewMiddleware(cfg.MaxInFlight, s.metrics, cfg.Logger, cfg.LogRequests)
 	s.traces = obs.NewTraceStore(0)
 	s.mw.SetTraceStore(s.traces)

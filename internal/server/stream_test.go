@@ -168,8 +168,8 @@ func TestStreamUpgradeRefusals(t *testing.T) {
 	}
 	// A peer of an earlier layout is refused the upgrade rather than
 	// misread: v1's frames carried a span-context field, v2's rows a
-	// weight under a weighting byte.
-	for _, old := range []string{"viewstags-stream-v1", "viewstags-stream-v2"} {
+	// weight under a weighting byte, v3's replies no incarnation.
+	for _, old := range []string{"viewstags-stream-v1", "viewstags-stream-v2", "viewstags-stream-v3"} {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+StreamPath, nil)
 		req.Header.Set("Connection", "Upgrade")
 		req.Header.Set("Upgrade", old)
@@ -308,7 +308,7 @@ func TestStreamGracefulShutdownAnswersInFlightFrames(t *testing.T) {
 	close(journal.release)
 
 	rep := readReply(t, conn, br)
-	var ack IngestResponse
+	var ack IngestAck
 	if rep.ID != 41 || rep.Status != http.StatusOK || DecodeIngestAck(rep.Body, &ack) != nil || ack.Accepted != 1 {
 		t.Fatalf("in-flight frame across shutdown: id %d status %d body %q", rep.ID, rep.Status, rep.Body)
 	}

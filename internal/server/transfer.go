@@ -38,11 +38,10 @@ type TransferExportRequest struct {
 }
 
 // TransferImportResponse acknowledges a merged import: the node's tag
-// count, record count and fold epoch after the merge.
+// count and version after the merge.
 type TransferImportResponse struct {
-	Tags    int    `json:"tags"`
-	Records int    `json:"records"`
-	Epoch   uint64 `json:"epoch"`
+	Tags    int          `json:"tags"`
+	Version ShardVersion `json:"version"`
 }
 
 // TransferAdoptRequest re-homes the node inside a new topology: shard
@@ -58,12 +57,12 @@ type TransferAdoptRequest struct {
 // TransferAdoptResponse reports the adopted identity; the gateway
 // verifies Signature against its own new ring before serving over it.
 type TransferAdoptResponse struct {
-	Index     int    `json:"index"`
-	Shards    int    `json:"shards"`
-	Replicas  int    `json:"replicas"`
-	Signature string `json:"signature"`
-	Tags      int    `json:"tags"`
-	Records   int    `json:"records"`
+	Index     int          `json:"index"`
+	Shards    int          `json:"shards"`
+	Replicas  int          `json:"replicas"`
+	Signature string       `json:"signature"`
+	Tags      int          `json:"tags"`
+	Version   ShardVersion `json:"version"`
 }
 
 // flushFolds drains pending ingest deltas into the serving snapshot so
@@ -104,14 +103,18 @@ func (s *Server) decodeDestination(w http.ResponseWriter, r *http.Request, req a
 }
 
 // installTransferred is the step import and adopt close with: install
-// next(current), checkpoint it when the daemon is durable (a crash before
-// the next scheduled checkpoint must not silently undo the transfer), and
-// record the step's span. On failure the 500 has been written.
+// next(current), move the incarnation (content changed without a fold),
+// checkpoint it when the daemon is durable (a crash before the next
+// scheduled checkpoint must not silently undo the transfer), and record
+// the step's span. On failure the 500 has been written.
 func (s *Server) installTransferred(w http.ResponseWriter, r *http.Request, step string, next func(*profilestore.Snapshot) (*profilestore.Snapshot, error)) bool {
 	start := time.Now()
 	if err := s.install(next); err != nil {
 		WriteError(w, http.StatusInternalServerError, "%s: %v", step, err)
 		return false
+	}
+	for cur := s.incarnation.Load(); !s.incarnation.CompareAndSwap(cur, max(uint64(time.Now().UnixNano()), cur+1)); {
+		cur = s.incarnation.Load()
 	}
 	if s.checkpoint != nil {
 		if _, err := s.checkpoint(); err != nil {
@@ -141,10 +144,10 @@ func (s *Server) handleTransferExport(w http.ResponseWriter, r *http.Request) {
 		}
 		return id.ring.Replicas() == 1 || id.ring.Assign(name, req.Exclude) == id.index
 	}
-	snap := s.store.Load()
+	v, snap := s.version()
 	exportStart := time.Now()
 	data := snap.ExportFiltered(keep)
-	meta := persist.CheckpointMeta{Epoch: s.epoch()}
+	meta := persist.CheckpointMeta{Epoch: v.Epoch}
 	w.Header().Set("Content-Type", TransferContentType)
 	w.WriteHeader(http.StatusOK)
 	if err := persist.WriteSnapshot(w, meta, data); err != nil {
@@ -177,12 +180,8 @@ func (s *Server) handleTransferImport(w http.ResponseWriter, r *http.Request) {
 	if !s.installTransferred(w, r, "import", merge) {
 		return
 	}
-	snap := s.store.Load()
-	WriteJSON(w, http.StatusOK, TransferImportResponse{
-		Tags:    snap.NumTags(),
-		Records: snap.Records(),
-		Epoch:   s.epoch(),
-	})
+	v, snap := s.version()
+	WriteJSON(w, http.StatusOK, TransferImportResponse{Tags: snap.NumTags(), Version: v})
 }
 
 func (s *Server) handleTransferAdopt(w http.ResponseWriter, r *http.Request) {
@@ -201,13 +200,13 @@ func (s *Server) handleTransferAdopt(w http.ResponseWriter, r *http.Request) {
 	s.ident.Store(&shardIdent{index: req.Index, ring: topo})
 	s.logger.Printf("server: adopted topology shard %d/%d replicas=%d signature=%s",
 		req.Index, req.Shards, req.Replicas, sig)
-	snap := s.store.Load()
+	v, snap := s.version()
 	WriteJSON(w, http.StatusOK, TransferAdoptResponse{
 		Index:     req.Index,
 		Shards:    req.Shards,
 		Replicas:  req.Replicas,
 		Signature: sig,
 		Tags:      snap.NumTags(),
-		Records:   snap.Records(),
+		Version:   v,
 	})
 }

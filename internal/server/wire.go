@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"sync"
@@ -34,11 +35,11 @@ import (
 //
 // Response frame (a rows frame has no weighting byte, and rows for items):
 //
-//	"VTIPRS01" | flags u8 | weighting u8 | records uvarint | epoch u64
-//	| nC uvarint | nItems uvarint
+//	"VTIPRS02" | flags u8 | weighting u8 | version | nC uvarint | nItems uvarint
 //	  ( wsum f64 [ sum f64 × nC  — present iff wsum > 0 ] )*
 //	  ( views f64 [ videos uvarint | vec f64 × nC  — iff views > 0 ] )*
 //	| [crc32 u32]
+//	version = incarnation u64 | epoch u64 | records uvarint (ShardVersion)
 //
 // flags bit 0 set means the frame carries a CRC-32 trailer computed
 // over everything after the flags byte (and before the trailer). The
@@ -52,7 +53,7 @@ import (
 // when the tag is unknown or viewless, and its counts fit 32 bits. The
 // gateway alone chooses which replica it asks for a tag; the shard
 // answers every row it is asked. Bit 1 is unassigned and refused, like
-// every other unknown bit. StreamProtocol v3 versions this layout.
+// every other unknown bit. StreamProtocol v4 versions this layout.
 const (
 	// WireContentType is the media type of /internal/predict frames.
 	WireContentType = "application/x-viewstags-predict-v1"
@@ -63,8 +64,45 @@ const (
 
 var (
 	wireReqMagic  = []byte("VTIPRQ01")
-	wireRespMagic = []byte("VTIPRS01")
+	wireRespMagic = []byte("VTIPRS02")
 )
+
+// ShardVersion is a shard's state as the shard states it on every message
+// that reports it: replies, ingest acks, /internal/meta, transfer replies.
+// Incarnation is the wall clock in nanoseconds at New, moved to max(now,
+// current+1) by each transfer install (content no fold made) and never
+// persisted, so a restart shows in the first message. Epoch is the fold
+// epoch, Records the snapshot's record count.
+type ShardVersion struct {
+	Incarnation uint64 `json:"incarnation"`
+	Epoch       uint64 `json:"epoch"`
+	Records     int    `json:"records"`
+}
+
+// Compare orders two versions of one shard: by incarnation, then epoch (a
+// restart may recover an older one). Records moves only with one of them.
+func (v ShardVersion) Compare(w ShardVersion) int {
+	if c := cmp.Compare(v.Incarnation, w.Incarnation); c != 0 {
+		return c
+	}
+	return cmp.Compare(v.Epoch, w.Epoch)
+}
+
+// appendVersion writes v as the binary messages carry it.
+func appendVersion(w *bincodec.Writer, v ShardVersion) {
+	w.U64(v.Incarnation)
+	w.U64(v.Epoch)
+	w.Uvarint(uint64(v.Records))
+}
+
+// readVersion reads what appendVersion wrote, refusing a record count
+// above maxRecords.
+func readVersion(r *bincodec.Reader, maxRecords int) (v ShardVersion) {
+	v.Incarnation = r.U64()
+	v.Epoch = r.U64()
+	v.Records = r.Count("record", maxRecords, 0)
+	return v
+}
 
 // MaxTagLen bounds a single tag name at every predict entry point —
 // public JSON, internal JSON, and the binary wire. Real vocabulary
@@ -195,19 +233,20 @@ type PredictWireEncoder struct {
 	crc bool
 }
 
-// Begin resets the encoder and writes the response header.
+// Begin resets the encoder and writes a plain reply's header, versioned by
+// epoch and records alone: bench/ledger.go's signature (ROADMAP item 1).
 func (e *PredictWireEncoder) Begin(weighting tagviews.Weighting, records int, epoch uint64, nC int, nItems int, crc bool) {
-	e.begin(weighting, records, epoch, nC, nItems, crc, 0)
+	e.begin(weighting, ShardVersion{Epoch: epoch, Records: records}, nC, nItems, crc, 0)
 }
 
 // BeginRows is Begin for a rows reply, whose items are written with Row.
-func (e *PredictWireEncoder) BeginRows(records int, epoch uint64, nC int, nItems int, crc bool) {
-	e.begin(0, records, epoch, nC, nItems, crc, wireFlagRows)
+func (e *PredictWireEncoder) BeginRows(v ShardVersion, nC int, nItems int, crc bool) {
+	e.begin(0, v, nC, nItems, crc, wireFlagRows)
 }
 
-// begin is Begin with the flag bits besides CRC: a rows reply has no
-// weighting byte.
-func (e *PredictWireEncoder) begin(weighting tagviews.Weighting, records int, epoch uint64, nC int, nItems int, crc bool, flags byte) {
+// begin is Begin with a whole version and the flag bits besides CRC: a
+// rows reply has no weighting byte.
+func (e *PredictWireEncoder) begin(weighting tagviews.Weighting, v ShardVersion, nC int, nItems int, crc bool, flags byte) {
 	e.w.B = append(e.w.B[:0], wireRespMagic...)
 	if e.crc = crc; crc {
 		flags |= wireFlagCRC
@@ -216,8 +255,7 @@ func (e *PredictWireEncoder) begin(weighting tagviews.Weighting, records int, ep
 	if flags&wireFlagRows == 0 {
 		e.w.U8(byte(weighting))
 	}
-	e.w.Uvarint(uint64(records))
-	e.w.U64(epoch)
+	appendVersion(&e.w, v)
 	e.w.Uvarint(uint64(nC))
 	e.w.Uvarint(uint64(nItems))
 }
@@ -269,12 +307,11 @@ func PutPredictWireEncoder(e *PredictWireEncoder) { wireEncPool.Put(e) }
 // shard replies with one tight loop per row and no per-item slices.
 // Decode into a recycled value to amortize the slabs. In a rows reply
 // (Rows; Weighting invalid) they are each row's views and vec, and
-// Videos[i] is a present row's videos.
+// Videos[i] is a present row's videos. Version is the answering shard's.
 type PredictPartials struct {
 	Rows      bool
 	Weighting tagviews.Weighting
-	Records   int
-	Epoch     uint64
+	Version   ShardVersion
 	NC        int
 	NItems    int
 	WSums     []float64
@@ -298,8 +335,7 @@ func DecodePredictResponse(data []byte, out *PredictPartials, maxItems, maxC int
 	if out.Weighting = tagviews.WeightingInvalid; !out.Rows {
 		out.Weighting, maxCount = tagviews.Weighting(r.U8()), math.MaxInt
 	}
-	out.Records = r.Count("record", maxCount, 0)
-	out.Epoch = r.U64()
+	out.Version = readVersion(&r, maxCount)
 	nC := r.Count("country", maxC, 0)
 	// Each item costs at least 8 bytes (its weight sum).
 	nItems := r.Count("item", maxItems, 8)
@@ -343,29 +379,37 @@ func grow[T any](s []T, n int) []T {
 // IngestContentType and the body ingest.AppendBatch writes — the shard's
 // share of a batch, as events over country ids, then bare upload
 // announcements — the bytes a WAL record carries after its generation.
-// The shard acks in kind:
+// The shard acks in kind, with its version after accepting:
 //
-//	accepted uvarint | epoch uvarint | pending varint
+//	accepted uvarint | version | pending varint
 //
 // Any other content type is refused with a 415, and errors go out as the
 // JSON error envelope, as on /internal/predict. The version lives in the
 // content type: a layout change is a new one.
-const IngestContentType = "application/x-viewstags-ingest-v1"
+const IngestContentType = "application/x-viewstags-ingest-v2"
+
+// IngestAck is a shard's /internal/ingest ack: what it accepted, its
+// version then, and what it holds unfolded.
+type IngestAck struct {
+	Accepted int
+	Version  ShardVersion
+	Pending  int64
+}
 
 // appendIngestAck appends the binary /internal/ingest ack.
-func appendIngestAck(dst []byte, ack *IngestResponse) []byte {
+func appendIngestAck(dst []byte, ack *IngestAck) []byte {
 	w := bincodec.Writer{B: dst}
 	w.Uvarint(uint64(ack.Accepted))
-	w.Uvarint(ack.Epoch)
+	appendVersion(&w, ack.Version)
 	w.Varint(ack.Pending)
 	return w.B
 }
 
 // DecodeIngestAck parses a shard's /internal/ingest ack.
-func DecodeIngestAck(data []byte, ack *IngestResponse) error {
+func DecodeIngestAck(data []byte, ack *IngestAck) error {
 	r := bincodec.NewReader(data)
 	ack.Accepted = int(r.Uvarint())
-	ack.Epoch = r.Uvarint()
+	ack.Version = readVersion(&r, math.MaxInt)
 	ack.Pending = r.Varint()
 	if err := r.End(); err != nil {
 		return fmt.Errorf("server: ingest ack: %w", err)

@@ -51,19 +51,20 @@ func TestWireRequestGoldenBytes(t *testing.T) {
 // TestWireResponseGoldenBytes pins the response frame layout.
 func TestWireResponseGoldenBytes(t *testing.T) {
 	var enc PredictWireEncoder
-	enc.Begin(tagviews.WeightUniform, 5, 9, 2, 2, false)
+	enc.begin(tagviews.WeightUniform, ShardVersion{Incarnation: 0x0102030405060708, Epoch: 9, Records: 5}, 2, 2, false, 0)
 	enc.Item(0, nil)                     // unknown item: weight sum only
 	enc.Item(1.5, []float64{0.25, 0.75}) // known item: wsum + raw slab
 	got := enc.Finish()
 
 	var want bytes.Buffer
-	want.WriteString("VTIPRS01")
-	want.WriteByte(0)                                       // flags
-	want.WriteByte(1)                                       // weighting byte (WeightUniform)
-	want.WriteByte(5)                                       // records uvarint
-	_ = binary.Write(&want, binary.LittleEndian, uint64(9)) // epoch
-	want.WriteByte(2)                                       // nC
-	want.WriteByte(2)                                       // nItems
+	want.WriteString("VTIPRS02")
+	want.WriteByte(0)                                                        // flags
+	want.WriteByte(1)                                                        // weighting byte (WeightUniform)
+	_ = binary.Write(&want, binary.LittleEndian, uint64(0x0102030405060708)) // incarnation
+	_ = binary.Write(&want, binary.LittleEndian, uint64(9))                  // epoch
+	want.WriteByte(5)                                                        // records uvarint
+	want.WriteByte(2)                                                        // nC
+	want.WriteByte(2)                                                        // nItems
 	_ = binary.Write(&want, binary.LittleEndian, float64(0))
 	_ = binary.Write(&want, binary.LittleEndian, float64(1.5))
 	_ = binary.Write(&want, binary.LittleEndian, float64(0.25))
@@ -97,15 +98,16 @@ func TestWireRowsGoldenBytes(t *testing.T) {
 	}
 
 	var enc PredictWireEncoder
-	enc.BeginRows(5, 9, 2, 3, false)
+	enc.BeginRows(ShardVersion{Incarnation: 0x0102030405060708, Epoch: 9, Records: 5}, 2, 3, false)
 	enc.Row(2.5, 3, []float64{0.25, 0.75}) // known row
 	enc.Row(0, 0, nil)                     // absent row: views only
 	enc.Row(4, 0, []float64{1, 0})         // views, but no video carries it
 	wantResp := []byte{
-		'V', 'T', 'I', 'P', 'R', 'S', '0', '1', // magic
+		'V', 'T', 'I', 'P', 'R', 'S', '0', '2', // magic
 		4,                      // flags: rows
-		5,                      // records uvarint
+		8, 7, 6, 5, 4, 3, 2, 1, // incarnation u64
 		9, 0, 0, 0, 0, 0, 0, 0, // epoch u64
+		5,                            // records uvarint
 		2,                            // nC
 		3,                            // nItems
 		0, 0, 0, 0, 0, 0, 0x04, 0x40, // row 0: views 2.5
@@ -123,7 +125,7 @@ func TestWireRowsGoldenBytes(t *testing.T) {
 	}
 	pp := PredictPartials{Videos: []int{7, 7, 7}}
 	if err := DecodePredictResponse(wantResp, &pp, 3, 2); err != nil || !pp.Rows || pp.Weighting != tagviews.WeightingInvalid ||
-		pp.Records != 5 || pp.Epoch != 9 || !reflect.DeepEqual(pp.WSums, []float64{2.5, 0, 4}) ||
+		pp.Version != (ShardVersion{Incarnation: 0x0102030405060708, Epoch: 9, Records: 5}) || !reflect.DeepEqual(pp.WSums, []float64{2.5, 0, 4}) ||
 		pp.Videos[0] != 3 || pp.Videos[2] != 0 || !reflect.DeepEqual(pp.Sums, []float64{0.25, 0.75, 0, 0, 1, 0}) {
 		t.Fatalf("rows response decode: %v: %+v", err, pp)
 	}
@@ -131,8 +133,14 @@ func TestWireRowsGoldenBytes(t *testing.T) {
 	// A count past the 32 bits a cached row keeps is refused, in the
 	// header and in a row.
 	for name, frame := range map[string]func(*PredictWireEncoder){
-		"records": func(e *PredictWireEncoder) { e.BeginRows(1<<32, 9, 2, 1, false); e.Row(1, 1, []float64{1, 0}) },
-		"videos":  func(e *PredictWireEncoder) { e.BeginRows(5, 9, 2, 1, false); e.Row(1, 1<<32, []float64{1, 0}) },
+		"records": func(e *PredictWireEncoder) {
+			e.BeginRows(ShardVersion{Epoch: 9, Records: 1 << 32}, 2, 1, false)
+			e.Row(1, 1, []float64{1, 0})
+		},
+		"videos": func(e *PredictWireEncoder) {
+			e.BeginRows(ShardVersion{Epoch: 9, Records: 5}, 2, 1, false)
+			e.Row(1, 1<<32, []float64{1, 0})
+		},
 	} {
 		frame(&enc)
 		if err := DecodePredictResponse(enc.Finish(), &pp, 1, 2); err == nil {
@@ -171,16 +179,18 @@ func TestInternalIngestGoldenBytes(t *testing.T) {
 		t.Fatalf("ingest body decode: %v: %+v %q", err, gotEvents, gotUploads)
 	}
 
-	ack := IngestResponse{Accepted: 2, Epoch: 300, Pending: 5}
+	ack := IngestAck{Accepted: 2, Version: ShardVersion{Incarnation: 0x0102030405060708, Epoch: 300, Records: 40}, Pending: 5}
 	wantAck := []byte{
-		2,          // accepted uvarint
-		0xac, 0x02, // epoch uvarint (300)
+		2,                      // accepted uvarint
+		8, 7, 6, 5, 4, 3, 2, 1, // incarnation u64
+		0x2c, 1, 0, 0, 0, 0, 0, 0, // epoch u64 (300)
+		40, // records uvarint
 		10, // pending zig-zag varint (5)
 	}
 	if got := appendIngestAck(nil, &ack); !bytes.Equal(got, wantAck) {
 		t.Fatalf("ingest ack mismatch:\n got %v\nwant %v", got, wantAck)
 	}
-	var back IngestResponse
+	var back IngestAck
 	if err := DecodeIngestAck(wantAck, &back); err != nil || back != ack {
 		t.Fatalf("ingest ack decode: %v: %+v", err, back)
 	}
@@ -251,7 +261,7 @@ func TestWireResponseRoundTrip(t *testing.T) {
 		if err := DecodePredictResponse(frame, &pp, 64, 1<<12); err != nil {
 			t.Fatalf("crc=%v: %v", crc, err)
 		}
-		if pp.Records != 12345 || pp.Epoch != 42 || pp.NC != nC || pp.NItems != len(wsums) || pp.Weighting != tagviews.WeightIDF {
+		if pp.Version != (ShardVersion{Epoch: 42, Records: 12345}) || pp.NC != nC || pp.NItems != len(wsums) || pp.Weighting != tagviews.WeightIDF {
 			t.Fatalf("header round-trip: %+v", pp)
 		}
 		for i, ws := range wsums {
@@ -477,7 +487,9 @@ func FuzzInternalCodec(f *testing.F) {
 	f.Add([]byte("VTIPRQ01"))
 	f.Add(appendPredictRequest(nil, nil, []string{"pop"}, 0, true))
 	f.Add(AppendRowsRequest(nil, []string{"pop", "rock"}))
-	enc.BeginRows(3, 1, 2, 3, false) // a known, an absent and a zero-video row
+	// A known, an absent and a zero-video row, under a version whose
+	// incarnation is a wall-clock reading as a shard draws it.
+	enc.BeginRows(ShardVersion{Incarnation: 1_760_000_000_123_456_789, Epoch: 1, Records: 3}, 2, 3, false)
 	enc.Row(1.5, 2, []float64{0.25, 0.75})
 	enc.Row(0, 0, nil)
 	enc.Row(4, 0, []float64{1, 0})
@@ -485,10 +497,11 @@ func FuzzInternalCodec(f *testing.F) {
 	f.Add([]byte(emptyExcludeFrame))
 	f.Add([]byte(rowsExcludeFrame))
 	f.Add([]byte("VTIPRS01\x00\x03"))
+	f.Add([]byte("VTIPRS02\x04\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x03\x02\x00"))
 	var body bincodec.Writer
 	ingest.AppendBatch(&body, []ingest.Event{{Video: "v", Tags: []string{"a", "bc"}, Country: 3, Views: 1.5, Upload: true}}, []string{"u"})
 	f.Add(body.B)
-	f.Add(appendIngestAck(nil, &IngestResponse{Accepted: 2, Epoch: 300, Pending: 5}))
+	f.Add(appendIngestAck(nil, &IngestAck{Accepted: 2, Version: ShardVersion{Incarnation: 7, Epoch: 300, Records: 40}, Pending: 5}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// No decoder may panic or over-allocate on arbitrary input.
@@ -512,7 +525,7 @@ func FuzzInternalCodec(f *testing.F) {
 		var pp PredictPartials
 		if err := DecodePredictResponse(data, &pp, 64, 1<<12); err == nil {
 			var enc PredictWireEncoder
-			enc.begin(pp.Weighting, pp.Records, pp.Epoch, pp.NC, pp.NItems, false, data[8]&wireFlagRows)
+			enc.begin(pp.Weighting, pp.Version, pp.NC, pp.NItems, false, data[8]&wireFlagRows)
 			for i := 0; i < pp.NItems; i++ {
 				if vec := pp.Sums[i*pp.NC : (i+1)*pp.NC]; pp.Rows {
 					enc.Row(pp.WSums[i], pp.Videos[i], vec)
@@ -548,7 +561,7 @@ func FuzzInternalCodec(f *testing.F) {
 				t.Fatalf("ingest body re-encode mismatch:\n in  %v\n out %v", data, w.B)
 			}
 		}
-		var ack IngestResponse
+		var ack IngestAck
 		if DecodeIngestAck(data, &ack) == nil {
 			if again := appendIngestAck(nil, &ack); !bytes.Equal(again, data) {
 				t.Fatalf("ingest ack re-encode mismatch:\n in  %v\n out %v", data, again)

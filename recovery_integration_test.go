@@ -339,8 +339,8 @@ func TestShardRestartSkipsTheBuild(t *testing.T) {
 	if code := getJSON(t, client, d.url+server.InternalMetaPath, &before); code != http.StatusOK {
 		t.Fatalf("meta: status %d", code)
 	}
-	if before.Epoch < 1 {
-		t.Fatalf("epoch %d after a fold, want >= 1", before.Epoch)
+	if before.Version.Epoch < 1 {
+		t.Fatalf("epoch %d after a fold, want >= 1", before.Version.Epoch)
 	}
 	d.kill() // a log is read only once its daemon has exited
 	if log := d.stderr.String(); !strings.Contains(log, "generating") {
@@ -351,9 +351,12 @@ func TestShardRestartSkipsTheBuild(t *testing.T) {
 	if code := getJSON(t, client, d2.url+server.InternalMetaPath, &after); code != http.StatusOK {
 		t.Fatalf("meta after restart: status %d", code)
 	}
-	if after.Tags != before.Tags || after.Records != before.Records || after.Epoch != before.Epoch {
+	if a, b := after.Version, before.Version; after.Tags != before.Tags || a.Records != b.Records || a.Epoch != b.Epoch {
 		t.Fatalf("restarted shard reports %d tags, %d records, epoch %d; it stopped with %d, %d, %d",
-			after.Tags, after.Records, after.Epoch, before.Tags, before.Records, before.Epoch)
+			after.Tags, a.Records, a.Epoch, before.Tags, b.Records, b.Epoch)
+	}
+	if a, b := after.Version.Incarnation, before.Version.Incarnation; a <= b {
+		t.Fatalf("restarted shard states incarnation %d, the stopped one %d: a restart must say so", a, b)
 	}
 	d2.term()
 	if log := d2.stderr.String(); !strings.Contains(log, "recovered checkpoint") || strings.Contains(log, "generating") {
