@@ -677,6 +677,87 @@ func TestInternalPredictLabelNeverLeadsContent(t *testing.T) {
 	}
 }
 
+// TestInternalPredictIncarnationNeverLeadsContent is the same rule for
+// the incarnation: a transfer install swaps the snapshot and then moves
+// the incarnation, and a reply reads the incarnation before the snapshot,
+// so a reply stating at least the incarnation an import's reply stated
+// carries that import's rows. Import k sets the tag's views to
+// 100·(k+1), and rows requests race the imports.
+func TestInternalPredictIncarnationNeverLeadsContent(t *testing.T) {
+	const tag, imports, readers = "zz-inc-race", 200, 2
+	dst, _, _ := freshServer(t, false, 0, time.Hour)
+	src, _, srcComp := freshServer(t, false, 0, time.Hour)
+	nC := dst.store.Load().World().N()
+	frame := AppendRowsRequest(nil, []string{tag})
+	type reply struct {
+		inc   uint64
+		views float64
+	}
+	done := make(chan struct{})
+	replies := make(chan []reply, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			var got []reply
+			var pp PredictPartials
+			for {
+				select {
+				case <-done:
+					replies <- got
+					return
+				default:
+				}
+				rec := postFrame(dst, WireContentType, frame)
+				if rec.Code == http.StatusOK && DecodePredictResponse(rec.Body.Bytes(), &pp, 1, nC) == nil {
+					got = append(got, reply{pp.Version.Incarnation, pp.WSums[0]})
+				}
+			}
+		}()
+	}
+	incs := make([]uint64, imports)
+	for k := range incs {
+		if code := do(t, src, http.MethodPost, "/v1/ingest", IngestRequest{Events: []IngestEvent{
+			{Tags: []string{tag}, Country: "JP", Views: 100},
+		}}, nil); code != http.StatusOK {
+			t.Fatalf("ingest %d: %d", k, code)
+		}
+		if _, err := srcComp.FoldNow(); err != nil {
+			t.Fatal(err)
+		}
+		var body bytes.Buffer
+		slice := src.store.Load().ExportFiltered(func(name string) bool { return name == tag })
+		if err := persist.WriteSnapshot(&body, persist.CheckpointMeta{}, slice); err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/internal/transfer/import", &body)
+		req.Header.Set("Content-Type", TransferContentType)
+		rec := httptest.NewRecorder()
+		dst.Handler().ServeHTTP(rec, req)
+		var ack TransferImportResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &ack); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("import %d: %d %s", k, rec.Code, rec.Body)
+		}
+		incs[k] = ack.Version.Incarnation
+	}
+	close(done)
+	n := 0
+	for r := 0; r < readers; r++ {
+		for _, got := range <-replies {
+			n++
+			for k := imports - 1; k >= 0; k-- { // the newest import the label covers
+				if incs[k] <= got.inc {
+					if want := float64(100 * (k + 1)); got.views < want {
+						t.Fatalf("reply under import %d's incarnation carries %v views, want at least %v", k, got.views, want)
+					}
+					break
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no reply raced the imports")
+	}
+}
+
 // TestPredictTagListsBounded: a predict item's tag list is bounded as an
 // event's is — no empty tag, at most ingest.MaxEventTags tags — on
 // /v1/predict, single and batched, on a plain /internal/predict frame,
