@@ -415,7 +415,7 @@ func TestAllocBudgets(t *testing.T) {
 		views[0] = 1
 		var deltas []profilestore.TagDelta
 		for _, p := range snap.TopProfiles(100) {
-			deltas = append(deltas, profilestore.TagDelta{Name: p.Name, Views: views, Total: 1, ID: p.ID})
+			deltas = append(deltas, profilestore.TagDelta{Name: p.Name, Views: views, ID: p.ID})
 		}
 		fold := func(withCatalog bool) float64 {
 			srv := nodeServer(t, withCatalog)

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -493,45 +492,6 @@ func assertSameReplies(t *testing.T, client *http.Client, singleURL, gatewayURL,
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s w=%s: gateway answered\n%s\nsingle node\n%s", what, weighting, got, want)
-		}
-	}
-}
-
-// regroupTol is the one float tolerance left in the root tests. It
-// covers folds that grouped the same batches differently on the two
-// sides: a fold denormalizes a touched tag's stored vector by its total,
-// adds the batch and divides again, so a daemon whose fold timer split
-// batches b1, b2 across two folds rounds differently from one that folded
-// them together — visible once a tag is fed batches of different
-// geography. Both sides folding the same groups are compared byte for
-// byte (assertSamePrediction).
-const regroupTol = 1e-9
-
-// assertClosePrediction is assertSamePrediction for tiers whose fold
-// timers grouped a re-touched tag's batches independently: same known
-// flag and countries, every share within regroupTol.
-func assertClosePrediction(t *testing.T, client *http.Client, singleURL, gatewayURL string, tags []string) {
-	t.Helper()
-	for _, weighting := range []string{"uniform", "by-views", "idf"} {
-		var want, got server.PredictResponse
-		req := server.PredictRequest{Tags: tags, Weighting: weighting, Top: 1 << 10}
-		if code := postJSON(t, client, singleURL+"/v1/predict", req, &want); code != http.StatusOK {
-			t.Fatalf("single-node predict: %d", code)
-		}
-		if code := postJSON(t, client, gatewayURL+"/v1/predict", req, &got); code != http.StatusOK {
-			t.Fatalf("gateway predict: %d", code)
-		}
-		if want.Result == nil || got.Result == nil || got.Result.Known != want.Result.Known || len(got.Result.Top) != len(want.Result.Top) {
-			t.Fatalf("w=%s %v: result mismatch: %+v vs %+v", weighting, tags, got.Result, want.Result)
-		}
-		wantS := map[string]float64{}
-		for _, cs := range want.Result.Top {
-			wantS[cs.Country] = cs.Share
-		}
-		for _, cs := range got.Result.Top {
-			if math.Abs(cs.Share-wantS[cs.Country]) > regroupTol {
-				t.Fatalf("w=%s %v %s: gateway %v, single-node %v", weighting, tags, cs.Country, cs.Share, wantS[cs.Country])
-			}
 		}
 	}
 }

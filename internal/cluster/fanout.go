@@ -414,7 +414,7 @@ func (g *Gateway) predictFanout(ctx context.Context, items [][]string, weighting
 		for j := range tags {
 			r := m.rows[k] // absent: no views, so no weight
 			if weight := r.weight(weighting); weight > 0 {
-				ws += profilestore.Mix(dst, weight, j, r.vec)
+				ws += profilestore.Mix(dst, weight, r.views, j, r.vec)
 			}
 			k++
 		}

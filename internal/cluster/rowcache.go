@@ -49,10 +49,10 @@ const rowIdleRefreshes = 32
 // bits (ring.MaxShards) so that it fills one cache line
 // (TestTagRowFitsACacheLine).
 type tagRow struct {
-	vec   []float64   // its stored vector
+	vec   []float64   // its per-country view sums
 	inc   uint64      // the reply's version: the shard's incarnation
 	epoch uint64      // and fold epoch (version)
-	views float64     // the tag's view total
+	views float64     // the tag's view total, their sum: Mix's normalizer
 	idf   float64     // WeightIDF.Weight of the reply's counts, 0 when absent
 	used  atomic.Bool // asked for since it was published or last aged
 	shard uint16      // the shard that answered

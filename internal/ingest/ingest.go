@@ -44,6 +44,7 @@ import (
 	"viewstags/internal/geo"
 	"viewstags/internal/obs"
 	"viewstags/internal/profilestore"
+	"viewstags/internal/tagviews"
 )
 
 // numShards must stay a power of two so the hash→shard map is a mask.
@@ -57,8 +58,9 @@ const numShards = 16
 const MaxEventTags = 64
 
 // MaxEventViews bounds one event's views, far above any real video's
-// total, so no feasible number of events sums a tag past float64 to +Inf,
-// which a fold would normalize to NaN.
+// total, so no feasible number of events sums a tag past float64 to +Inf.
+// It guards overflow, not exactness: nine events at the bound pass the
+// 2⁵³ units below which a sum is exact (tagviews.ViewUnit).
 const MaxEventViews = 1e12
 
 // ErrBufferFull is returned by Add when the accumulator already holds
@@ -178,9 +180,8 @@ func ReadBatch(r *bincodec.Reader, max int) ([]Event, []string) {
 
 // tagAcc is one tag's unfolded delta.
 type tagAcc struct {
-	id     int32 // interning hint into the snapshot current at first touch
-	views  []float64
-	total  float64
+	id     int32     // interning hint into the snapshot current at first touch
+	views  []float64 // Σ of the events' views, each rounded (tagviews.RoundViews)
 	videos int
 }
 
@@ -344,12 +345,14 @@ func (a *Accumulator) validate(events []Event, uploads []string) (int64, error) 
 	return charge, nil
 }
 
-// apply folds a validated batch into the shard delta maps.
+// apply folds a validated batch into the shard delta maps, each event's
+// views rounded first (tagviews.RoundViews).
 func (a *Accumulator) apply(events []Event, uploads []string) {
 	snap := a.store.Load()
 	for i := range events {
 		e := &events[i]
 		newUpload := e.Upload && a.announce(e.Video)
+		views := tagviews.RoundViews(e.Views)
 		for _, tag := range e.Tags {
 			sh := a.shardOf(tag)
 			sh.mu.Lock()
@@ -367,8 +370,7 @@ func (a *Accumulator) apply(events []Event, uploads []string) {
 				// or one tag pins its whole body.
 				sh.tags[strings.Clone(tag)] = acc
 			}
-			acc.views[e.Country] += e.Views
-			acc.total += e.Views
+			acc.views[e.Country] += views
 			if newUpload {
 				acc.videos++
 			}
@@ -472,7 +474,6 @@ func (a *Accumulator) Drain() (deltas []profilestore.TagDelta, newRecords int, r
 				Name:   name,
 				ID:     acc.id,
 				Views:  acc.views,
-				Total:  acc.total,
 				Videos: acc.videos,
 			})
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"viewstags/internal/alexa"
+	"viewstags/internal/dist"
 	"viewstags/internal/pipeline"
 	"viewstags/internal/profilestore"
 )
@@ -74,8 +75,8 @@ func TestAccumulateAndDrain(t *testing.T) {
 	if !ok {
 		t.Fatal("no delta for pop")
 	}
-	if pop.Total != 155 || pop.Views[br] != 115 || pop.Views[us] != 40 {
-		t.Fatalf("pop delta wrong: total=%v BR=%v US=%v", pop.Total, pop.Views[br], pop.Views[us])
+	if dist.Sum(pop.Views) != 155 || pop.Views[br] != 115 || pop.Views[us] != 40 {
+		t.Fatalf("pop delta wrong: total=%v BR=%v US=%v", dist.Sum(pop.Views), pop.Views[br], pop.Views[us])
 	}
 	if pop.Videos != 2 {
 		t.Fatalf("pop gained %d videos, want 2", pop.Videos)
@@ -90,7 +91,7 @@ func TestAccumulateAndDrain(t *testing.T) {
 	if zz.ID != -1 {
 		t.Fatalf("unknown tag got id hint %d", zz.ID)
 	}
-	if zz.Total != 140 || zz.Videos != 1 {
+	if dist.Sum(zz.Views) != 140 || zz.Videos != 1 {
 		t.Fatalf("zz-new delta wrong: %+v", zz)
 	}
 
@@ -307,7 +308,7 @@ func TestConcurrentAddDrain(t *testing.T) {
 	sum := func(deltas []profilestore.TagDelta) (total float64) {
 		for _, d := range deltas {
 			if d.Name == "zz-conc" {
-				total += d.Total
+				total += dist.Sum(d.Views)
 			}
 		}
 		return total

@@ -20,10 +20,12 @@ import (
 //
 // Checkpoint file:
 //
-//	"VTCKPT01" | payload | crc32(payload)
+//	"VTCKPT02" | payload | crc32(payload)
 //
 // where payload is the snapshot codec below (generation, epoch, record
-// count, country table, prior, profiles, dense vector table).
+// count, country table, prior, profiles, dense vector table), each
+// vector a tag's per-country view sums. A VTCKPT01 file, the same layout
+// with normalized vectors, is read once (profilestore.SharesToSums).
 //
 // WAL segment file:
 //
@@ -38,8 +40,9 @@ import (
 // announcements). A crash mid-append leaves a torn final frame;
 // readRecord reports it as errTorn and recovery truncates it away.
 var (
-	ckptMagic = []byte("VTCKPT01")
-	walMagic  = []byte("VTWAL001")
+	ckptMagic       = []byte("VTCKPT02")
+	ckptSharesMagic = []byte("VTCKPT01")
+	walMagic        = []byte("VTWAL001")
 )
 
 // Decode-time sanity bounds: a corrupt length must produce an error,
@@ -121,9 +124,10 @@ func WriteSnapshot(w io.Writer, meta CheckpointMeta, data profilestore.SnapshotD
 	return err
 }
 
-// ReadSnapshot decodes a checkpoint written by WriteSnapshot, verifying
-// magic and checksum. The returned data is freshly allocated (vectors
-// share a few slab chunks), ready for profilestore.FromData.
+// ReadSnapshot decodes a checkpoint written by WriteSnapshot (or a
+// VTCKPT01 one, to sums), verifying magic and checksum. The returned data
+// is freshly allocated (vectors share a few slab chunks), ready for
+// profilestore.FromData.
 func ReadSnapshot(src io.Reader) (CheckpointMeta, profilestore.SnapshotData, error) {
 	var meta CheckpointMeta
 	var data profilestore.SnapshotData
@@ -131,7 +135,8 @@ func ReadSnapshot(src io.Reader) (CheckpointMeta, profilestore.SnapshotData, err
 	if _, err := io.ReadFull(src, magic[:]); err != nil {
 		return meta, data, fmt.Errorf("persist: checkpoint header: %w", err)
 	}
-	if !bytes.Equal(magic[:], ckptMagic) {
+	shares := bytes.Equal(magic[:], ckptSharesMagic)
+	if !shares && !bytes.Equal(magic[:], ckptMagic) {
 		return meta, data, fmt.Errorf("persist: not a checkpoint file (magic %q)", magic)
 	}
 	r := bincodec.NewSourceReader(src)
@@ -170,6 +175,9 @@ func ReadSnapshot(src io.Reader) (CheckpointMeta, profilestore.SnapshotData, err
 		return meta, data, fmt.Errorf("persist: checkpoint checksum missing: %w", r.Err())
 	} else if stored != sum {
 		return meta, data, fmt.Errorf("persist: checkpoint checksum mismatch (stored %08x, computed %08x)", stored, sum)
+	}
+	if shares {
+		profilestore.SharesToSums(data)
 	}
 	return meta, data, nil
 }

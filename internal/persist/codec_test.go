@@ -4,11 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
 	"viewstags/internal/bincodec"
+	"viewstags/internal/geo"
 	"viewstags/internal/ingest"
 	"viewstags/internal/profilestore"
 )
@@ -107,7 +112,8 @@ func TestDecodeAllocatesWhatArrives(t *testing.T) {
 	})
 }
 
-// testSnapshotData is a small snapshot: three countries, two profiles.
+// testSnapshotData is a small snapshot: three countries, two profiles,
+// each vector its tag's per-country view sums.
 func testSnapshotData() profilestore.SnapshotData {
 	return profilestore.SnapshotData{
 		Records: 7,
@@ -115,9 +121,9 @@ func testSnapshotData() profilestore.SnapshotData {
 		Prior:   []float64{0.2, 0.5, 0.3},
 		Profiles: []profilestore.Profile{
 			{ID: 0, Name: "favela", Videos: 3, TotalViews: 1200, Spread: 1, TopCountry: 0, TopShare: 0.9},
-			{ID: 1, Name: "pop", Videos: 5, TotalViews: 9e6, Spread: 3, TopCountry: 1, TopShare: 0.4},
+			{ID: 1, Name: "pop", Videos: 5, TotalViews: 9e6, Spread: 2, TopCountry: 1, TopShare: 0.4},
 		},
-		Vecs: [][]float64{{0.9, 0.05, 0.05}, {0.3, 0.4, 0.3}},
+		Vecs: [][]float64{{1080, 60, 60}, {2.7e6, 3.6e6, 2.7e6}},
 	}
 }
 
@@ -126,7 +132,7 @@ func testSnapshotData() profilestore.SnapshotData {
 // wrote, so a layout change must fail here, not at recovery.
 func TestCheckpointGoldenBytes(t *testing.T) {
 	want := []byte{
-		'V', 'T', 'C', 'K', 'P', 'T', '0', '1', // magic
+		'V', 'T', 'C', 'K', 'P', 'T', '0', '2', // magic
 		3, 0, 0, 0, 0, 0, 0, 0, // gen u64
 		2, 0, 0, 0, 0, 0, 0, 0, // epoch u64
 		7, 0, 0, 0, 0, 0, 0, 0, // records u64
@@ -147,16 +153,16 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		3, 'p', 'o', 'p', // profile 1: name
 		5,                                              // videos
 		0x00, 0x00, 0x00, 0x00, 0x88, 0x2a, 0x61, 0x41, // total views 9e6
-		6,                                              // spread varint 3
+		4,                                              // spread varint 2
 		2,                                              // top country varint 1
 		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f, // top share 0.4
-		0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xec, 0x3f, // vec 0: 0.9
-		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, //        0.05
-		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, //        0.05
-		0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, // vec 1: 0.3
-		0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f, //        0.4
-		0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, //        0.3
-		0x34, 0x19, 0x66, 0x1d, // crc32 of everything after the magic
+		0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x90, 0x40, // vec 0: 1080
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4e, 0x40, //        60
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x4e, 0x40, //        60
+		0x00, 0x00, 0x00, 0x00, 0x70, 0x99, 0x44, 0x41, // vec 1: 2.7e6
+		0x00, 0x00, 0x00, 0x00, 0x40, 0x77, 0x4b, 0x41, //        3.6e6
+		0x00, 0x00, 0x00, 0x00, 0x70, 0x99, 0x44, 0x41, //        2.7e6
+		0x95, 0xc9, 0xb3, 0x49, // crc32 of everything after the magic
 	}
 	if sum := crc32.ChecksumIEEE(want[8 : len(want)-4]); binary.LittleEndian.Uint32(want[len(want)-4:]) != sum {
 		t.Fatalf("golden trailer is not the payload's CRC %08x", sum)
@@ -169,8 +175,93 @@ func TestCheckpointGoldenBytes(t *testing.T) {
 		t.Fatalf("checkpoint bytes mismatch:\n got % x\nwant % x", buf.Bytes(), want)
 	}
 	meta, data, err := ReadSnapshot(bytes.NewReader(want))
-	if err != nil || meta != (CheckpointMeta{Gen: 3, Epoch: 2}) || data.Records != 7 || len(data.Profiles) != 2 || data.Vecs[1][1] != 0.4 {
+	if err != nil || meta != (CheckpointMeta{Gen: 3, Epoch: 2}) || !reflect.DeepEqual(data, testSnapshotData()) {
 		t.Fatalf("golden checkpoint decoded as %+v %+v (%v)", meta, data, err)
+	}
+}
+
+// v1Checkpoint is testSnapshotData as a VTCKPT01 checkpoint held it, each
+// vector normalized by its TotalViews: the bytes TestCheckpointGoldenBytes
+// pinned before checkpoints carried sums.
+var v1Checkpoint = []byte{
+	'V', 'T', 'C', 'K', 'P', 'T', '0', '1', // magic
+	3, 0, 0, 0, 0, 0, 0, 0, // gen u64
+	2, 0, 0, 0, 0, 0, 0, 0, // epoch u64
+	7, 0, 0, 0, 0, 0, 0, 0, // records u64
+	3,           // nCodes uvarint
+	2, 'B', 'R', // codes
+	2, 'U', 'S',
+	2, 'J', 'P',
+	0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xc9, 0x3f, // prior 0.2
+	0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f, // prior 0.5
+	0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, // prior 0.3
+	2,                               // nTags uvarint
+	6, 'f', 'a', 'v', 'e', 'l', 'a', // profile 0: name
+	3,                                              // videos uvarint
+	0x00, 0x00, 0x00, 0x00, 0x00, 0xc0, 0x92, 0x40, // total views 1200
+	2,                                              // spread varint 1
+	0,                                              // top country varint 0
+	0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xec, 0x3f, // top share 0.9
+	3, 'p', 'o', 'p', // profile 1: name
+	5,                                              // videos
+	0x00, 0x00, 0x00, 0x00, 0x88, 0x2a, 0x61, 0x41, // total views 9e6
+	6,                                              // spread varint 3
+	2,                                              // top country varint 1
+	0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f, // top share 0.4
+	0xcd, 0xcc, 0xcc, 0xcc, 0xcc, 0xcc, 0xec, 0x3f, // vec 0: 0.9
+	0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, //        0.05
+	0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xa9, 0x3f, //        0.05
+	0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, // vec 1: 0.3
+	0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xd9, 0x3f, //        0.4
+	0x33, 0x33, 0x33, 0x33, 0x33, 0x33, 0xd3, 0x3f, //        0.3
+	0x34, 0x19, 0x66, 0x1d, // crc32 of everything after the magic
+}
+
+// TestCheckpointV1ReadAsSums: a VTCKPT01 checkpoint decodes to sums —
+// each share times its tag's TotalViews, rounded to the view unit, the
+// profile derived again — and a durable node recovers from it, serves
+// the sums, and writes its next checkpoint as VTCKPT02.
+func TestCheckpointV1ReadAsSums(t *testing.T) {
+	meta, data, err := ReadSnapshot(bytes.NewReader(v1Checkpoint))
+	if err != nil || meta != (CheckpointMeta{Gen: 3, Epoch: 2}) || !reflect.DeepEqual(data, testSnapshotData()) {
+		t.Fatalf("VTCKPT01 checkpoint decoded as %+v %+v (%v), want the sums %+v", meta, data, err, testSnapshotData())
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", 3)), v1Checkpoint, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var countries []geo.Country
+	for _, code := range []string{"BR", "US", "JP"} {
+		countries = append(countries, geo.Country{Code: code, Name: code, PopulationM: 1, NetUsersM: 1})
+	}
+	world, err := geo.NewWorld(countries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := mustOpen(t, quietOpts(dir), 0)
+	snap, meta, found, err := m.LoadCheckpoint(world)
+	if err != nil || !found || meta.Gen != 3 {
+		t.Fatalf("LoadCheckpoint of a VTCKPT01 file: found=%v meta=%+v err=%v", found, meta, err)
+	}
+	want := testSnapshotData()
+	if got := snap.Export(); !reflect.DeepEqual(got.Profiles, want.Profiles) || !reflect.DeepEqual(got.Vecs, want.Vecs) {
+		t.Fatalf("recovered %+v %v, want %+v %v", got.Profiles, got.Vecs, want.Profiles, want.Vecs)
+	}
+	if err := m.SaveCheckpoint(CheckpointMeta{Gen: 4, Epoch: 3}, snap.Export()); err != nil {
+		t.Fatal(err)
+	}
+	_ = m.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("checkpoint-%016x.ckpt", 4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wantRaw bytes.Buffer
+	if err := WriteSnapshot(&wantRaw, CheckpointMeta{Gen: 4, Epoch: 3}, want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw, []byte("VTCKPT02")) || !bytes.Equal(raw, wantRaw.Bytes()) {
+		t.Fatalf("the next checkpoint is not the sums as VTCKPT02:\n got % x\nwant % x", raw, wantRaw.Bytes())
 	}
 }
 
@@ -259,6 +350,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(bytes.Clone(buf.Bytes()))
 	f.Add(bytes.Clone(buf.Bytes()[:buf.Len()/2]))
+	f.Add(bytes.Clone(v1Checkpoint))
 	buf.Reset()
 	if err := WriteSnapshot(&buf, CheckpointMeta{}, profilestore.SnapshotData{}); err != nil {
 		f.Fatal(err)

@@ -20,10 +20,10 @@ import (
 const bootSeed = 20110301 // the daemons' and the benchmark's default
 
 // exportHashes is hashExport of profilestore.Build(FromSynthetic(videos,
-// bootSeed).Analysis), by catalog size, at the commit before the
-// pipeline's loops became per-record steps: neither path may have moved
-// a bit since.
-var exportHashes = map[int]uint64{2000: 0x134ca403b1312af9, 20000: 0x4fdc67f6306ea307}
+// bootSeed).Analysis), by catalog size, since snapshots store each tag's
+// exact view sums (every reconstructed field rounded to
+// tagviews.ViewUnit): neither path may move a bit.
+var exportHashes = map[int]uint64{2000: 0xf690fcee9ccd94e, 20000: 0x6e62cff0f4d49072}
 
 func hashExport(d profilestore.SnapshotData) uint64 {
 	h := fnv.New64a()
@@ -181,7 +181,7 @@ func testBootSyntheticMatchesRetainingPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := hashExport(snap.Export()); got != exportHashes[videos] {
-			t.Fatalf("%d videos: retaining path's export hashes to %#x, want the pre-streaming %#x", videos, got, exportHashes[videos])
+			t.Fatalf("%d videos: retaining path's export hashes to %#x, want the pinned %#x", videos, got, exportHashes[videos])
 		}
 		for i := range names {
 			b, err := BootSynthetic(videos, bootSeed, alexa.DefaultConfig(), owns[i], false)

@@ -28,8 +28,9 @@ func (s *Snapshot) PredictCatalog(cat *synth.Catalog, w tagviews.Weighting) [][]
 }
 
 // ColumnLen is the length of the scratch PredictColumn needs over cat:
-// the column, plus a weight and a country entry per name of its tag table.
-func ColumnLen(cat *synth.Served) int { return cat.N() + 2*len(cat.TagNames) }
+// the column, plus a weight, a total and a country entry per name of its
+// tag table.
+func ColumnLen(cat *synth.Served) int { return cat.N() + 3*len(cat.TagNames) }
 
 // PredictColumn computes one country's column of PredictCatalog — every
 // video's predicted share of views in c, bit for bit the [c] entry
@@ -41,23 +42,23 @@ func ColumnLen(cat *synth.Served) int { return cat.N() + 2*len(cat.TagNames) }
 func (s *Snapshot) PredictColumn(buf []float64, cat *synth.Served, c geo.CountryID, w tagviews.Weighting) []float64 {
 	n := cat.N()
 	col, memo := buf[:n], buf[n:ColumnLen(cat)]
-	// memo[2t], memo[2t+1]: name t's weight (0 = skipped) and its field in c.
+	// memo[3t:3t+3]: name t's weight (0 = skipped), total and sum in c.
 	for t, name := range cat.TagNames {
-		var weight, x float64
+		var weight, total, x float64
 		if views, videos, vec := s.Row(name); vec != nil {
-			weight, x = w.Weight(views, videos, s.records), vec[c]
+			weight, total, x = w.Weight(views, videos, s.records), views, vec[c]
 		}
-		memo[2*t], memo[2*t+1] = weight, x
+		memo[3*t], memo[3*t+1], memo[3*t+2] = weight, total, x
 	}
 	for v := range col {
 		var acc, wSum float64
 		for rank, t := range cat.TagIDs[cat.TagOff[v]:cat.TagOff[v+1]] {
-			weight := memo[2*t]
+			weight := memo[3*t]
 			if weight <= 0 {
 				continue
 			}
 			weight /= float64(rank + 1)
-			acc += weight * memo[2*t+1]
+			acc += weight / memo[3*t+1] * memo[3*t+2]
 			wSum += weight
 		}
 		if wSum != 0 {

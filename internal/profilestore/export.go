@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"viewstags/internal/geo"
+	"viewstags/internal/tagviews"
 )
 
 // SnapshotData is the portable content of a Snapshot: everything a
@@ -25,8 +26,8 @@ type SnapshotData struct {
 	Prior   []float64
 	// Profiles is the tag table in id order; Profiles[i].ID == i.
 	Profiles []Profile
-	// Vecs[i] is Profiles[i]'s normalized geographic field, length
-	// len(Codes) each.
+	// Vecs[i] is Profiles[i]'s per-country view sums, length len(Codes)
+	// each; Profiles[i].TotalViews is their exact total.
 	Vecs [][]float64
 }
 
@@ -162,4 +163,17 @@ func FromData(data SnapshotData, world *geo.World) (*Snapshot, error) {
 		p.ID = int32(i)
 	}
 	return newSnapshot(data, world), nil
+}
+
+// SharesToSums converts in place data whose vectors are normalized shares,
+// as VTCKPT01 checkpoints held them, into sums: each share times its
+// TotalViews, rounded (tagviews.RoundViews), and the profile derived again.
+func SharesToSums(data SnapshotData) {
+	for i := range data.Profiles {
+		p, vec := &data.Profiles[i], data.Vecs[i]
+		for c, x := range vec {
+			vec[c] = tagviews.RoundViews(x * p.TotalViews)
+		}
+		deriveProfile(p, vec)
+	}
 }

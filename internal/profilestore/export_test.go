@@ -18,8 +18,8 @@ func TestExportFromDataRoundTrip(t *testing.T) {
 	// Exercise the fold path too, so the exported snapshot carries both
 	// built and rebuilt vectors (they allocate differently).
 	snap, err := Rebuild(base, []TagDelta{
-		{Name: "zz-export-new", ID: -1, Views: mkvec(base.nC, 0, 50, 3, 25), Total: 75, Videos: 2},
-		{Name: base.profiles[0].Name, ID: 0, Views: mkvec(base.nC, 1, 10), Total: 10},
+		{Name: "zz-export-new", ID: -1, Views: mkvec(base.nC, 0, 50, 3, 25), Videos: 2},
+		{Name: base.profiles[0].Name, ID: 0, Views: mkvec(base.nC, 1, 10)},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -152,7 +152,7 @@ func TestRowsMixMatchPredictInto(t *testing.T) {
 				part := parts[ownerOf(tag, 3)]
 				views, videos, vec := part.Row(tag)
 				if weight := w.Weight(views, videos, part.Records()); vec != nil && weight > 0 {
-					wSum += Mix(got, weight, rank, vec)
+					wSum += Mix(got, weight, views, rank, vec)
 				}
 			}
 			if known := Normalize(got, wSum, full.Prior()); known != wantKnown {
@@ -202,7 +202,7 @@ func TestRebuildOnPartialSnapshot(t *testing.T) {
 	nC := len(p.Prior())
 	views := make([]float64, nC)
 	views[3] = 100
-	next, err := Rebuild(p, []TagDelta{{Name: "zz-fresh-partial", ID: -1, Views: views, Total: 100, Videos: 1}}, 1)
+	next, err := Rebuild(p, []TagDelta{{Name: "zz-fresh-partial", ID: -1, Views: views, Videos: 1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +216,13 @@ func TestRebuildOnPartialSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatal("fresh tag not interned")
 	}
-	if vec := next.Vec(id); vec[3] != 1 {
-		t.Fatalf("fresh tag vector %v, want all mass on country 3", vec[3])
+	if vec, p := next.Vec(id), next.profiles[id]; vec[3] != 100 || p.TotalViews != 100 || p.TopShare != 1 {
+		t.Fatalf("fresh tag sums %v of %v (top share %v), want all 100 views on country 3", vec[3], p.TotalViews, p.TopShare)
 	}
 }
 
 // TestMixMatchesScalarLoop: the unrolled Mix writes, element by element,
-// the bits of the plain loop dst[c] += weight*x, for every length from 0
+// the bits of the plain loop dst[c] += weight/total*x, for every length from 0
 // to 67 (every tail of a four-wide step) and inputs with zeros, signed
 // zeros, subnormals, ±Inf and NaN, and returns the same weight. A NaN
 // matches any NaN: when both operands of the add are NaN, which payload
@@ -232,10 +232,10 @@ func TestMixMatchesScalarLoop(t *testing.T) {
 	same := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
 	}
-	scalar := func(dst []float64, weight float64, rank int, vec []float64) float64 {
+	scalar := func(dst []float64, weight, total float64, rank int, vec []float64) float64 {
 		weight /= float64(rank + 1)
 		for c, x := range vec {
-			dst[c] += weight * x
+			dst[c] += weight / total * x
 		}
 		return weight
 	}
@@ -255,8 +255,8 @@ func TestMixMatchesScalarLoop(t *testing.T) {
 				vec[c], dst[c] = pick(), pick()
 			}
 			want := append([]float64(nil), dst...)
-			weight, rank := pick(), rng.Intn(4)
-			ww, gw := scalar(want, weight, rank, vec), Mix(dst, weight, rank, vec)
+			weight, total, rank := pick(), pick(), rng.Intn(4)
+			ww, gw := scalar(want, weight, total, rank, vec), Mix(dst, weight, total, rank, vec)
 			if !same(ww, gw) {
 				t.Fatalf("n=%d: weight %v, want %v", n, gw, ww)
 			}

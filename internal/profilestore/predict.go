@@ -19,25 +19,27 @@ func (s *Snapshot) PredictInto(dst []float64, tagNames []string, w tagviews.Weig
 
 // Mix adds one tag's term to a mixture in dst — its weight discounted by
 // its rank in the item (uploaders front-load topical tags), times its
-// stored vector — and returns the discounted weight. A node's mixture and
-// a gateway's are these terms in tag order, then Normalize: bit for bit.
+// sums over their total — and returns the discounted weight. A node's
+// mixture and a gateway's are these terms in tag order, then Normalize:
+// bit for bit.
 //
 // The loop takes four elements a step behind one bounds check, each still
-// dst[c] += weight*x in country order, so it writes what the plain loop
+// dst[c] += scale*x in country order, so it writes what the plain loop
 // writes (TestMixMatchesScalarLoop); dst must be at least as long as vec.
-func Mix(dst []float64, weight float64, rank int, vec []float64) float64 {
+func Mix(dst []float64, weight, total float64, rank int, vec []float64) float64 {
 	weight /= float64(rank + 1)
+	scale := weight / total
 	dst = dst[:len(vec)]
 	c := 0
 	for ; c+4 <= len(vec); c += 4 {
 		d, x := dst[c:c+4:c+4], vec[c:c+4:c+4]
-		d[0] += weight * x[0]
-		d[1] += weight * x[1]
-		d[2] += weight * x[2]
-		d[3] += weight * x[3]
+		d[0] += scale * x[0]
+		d[1] += scale * x[1]
+		d[2] += scale * x[2]
+		d[3] += scale * x[3]
 	}
 	for ; c < len(vec); c++ {
-		dst[c] += weight * vec[c]
+		dst[c] += scale * vec[c]
 	}
 	return weight
 }
@@ -57,7 +59,7 @@ func Normalize(dst []float64, wSum float64, prior []float64) bool {
 }
 
 // Row returns what tag is, for Weighting.Weight and Mix under any
-// weighting: its view total, video count and stored vector (read-only,
+// weighting: its view total, video count and per-country sums (read-only,
 // aliasing the snapshot), or 0, 0, nil when the tag is unknown or has no
 // views.
 func (s *Snapshot) Row(tag string) (float64, int, []float64) {
@@ -81,7 +83,7 @@ func (s *Snapshot) PredictPartialInto(dst []float64, tagNames []string, w tagvie
 	for rank, t := range tagNames {
 		if views, videos, vec := s.Row(t); vec != nil {
 			if weight := w.Weight(views, videos, s.records); weight > 0 {
-				wSum += Mix(dst, weight, rank, vec)
+				wSum += Mix(dst, weight, views, rank, vec)
 			}
 		}
 	}

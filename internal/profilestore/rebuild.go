@@ -9,16 +9,13 @@ import (
 )
 
 // TagDelta is one tag's accumulated view-event mass — the unit the
-// ingest accumulator drains and Rebuild folds. Views is the raw
-// per-country view mass to add (length = world size); Total is the view
-// total to add (normally Σ Views, carried separately so rounding in the
-// accumulator cannot drift the IDF weights); Videos counts newly
-// uploaded videos carrying the tag, the per-tag document-frequency
-// increment.
+// ingest accumulator drains and Rebuild folds. Views is the per-country
+// view mass to add (length = world size), in multiples of
+// tagviews.ViewUnit; Videos counts newly uploaded videos carrying the
+// tag, the per-tag document-frequency increment.
 type TagDelta struct {
 	Name   string
 	Views  []float64
-	Total  float64
 	Videos int
 
 	// ID is an interning hint: the tag's profile id in the snapshot the
@@ -31,8 +28,9 @@ type TagDelta struct {
 }
 
 // Rebuild folds view-event deltas into base copy-on-write and returns a
-// fresh immutable Snapshot: touched tags get freshly normalized vectors
-// and recomputed concentration measures, brand-new tags are interned
+// fresh immutable Snapshot: touched tags get base's sums plus the deltas —
+// exact, so the bits do not depend on where folds were cut — and
+// recomputed derived fields, brand-new tags are interned
 // with ids appended after base's (sorted by name, so a given
 // base+deltas pair rebuilds deterministically), and every untouched
 // tag's vector is shared with base — no re-aggregation, no slab copy.
@@ -68,8 +66,8 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 		seed:     base.seed,
 	}
 
-	// Apply deltas: known tags accumulate into raw (denormalized)
-	// working vectors keyed by id; unknown tags collect for interning.
+	// Apply deltas: known tags accumulate into copies of their sums keyed
+	// by id; unknown tags collect for interning.
 	raw := make(map[int32][]float64)
 	var pending []TagDelta
 	pendingIdx := make(map[string]int)
@@ -81,8 +79,8 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 		if len(d.Views) != base.nC {
 			return nil, fmt.Errorf("profilestore: delta %q has %d countries, snapshot has %d", d.Name, len(d.Views), base.nC)
 		}
-		if d.Total < 0 || d.Videos < 0 {
-			return nil, fmt.Errorf("profilestore: delta %q has negative mass", d.Name)
+		if d.Videos < 0 {
+			return nil, fmt.Errorf("profilestore: delta %q has negative videos", d.Name)
 		}
 		id := d.ID
 		if id < 0 || int(id) >= len(base.profiles) || base.profiles[id].Name != d.Name {
@@ -94,7 +92,6 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 					for c, x := range d.Views {
 						p.Views[c] += x
 					}
-					p.Total += d.Total
 					p.Videos += d.Videos
 				} else {
 					pendingIdx[d.Name] = len(pending)
@@ -107,28 +104,19 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 		}
 		r := raw[id]
 		if r == nil {
-			// First touch: denormalize the base vector by the mass it
-			// was normalized from (TotalViews, before this fold's
-			// increments) so deltas add in view units.
-			r = make([]float64, base.nC)
-			if t := next.profiles[id].TotalViews; t > 0 {
-				for c, x := range base.vecTab[id] {
-					r[c] = x * t
-				}
-			}
+			r = append([]float64(nil), base.vecTab[id]...)
 			raw[id] = r
 		}
 		for c, x := range d.Views {
 			r[c] += x
 		}
-		next.profiles[id].TotalViews += d.Total
 		next.profiles[id].Videos += d.Videos
 	}
 
-	// Finalize touched tags: renormalize and recompute the derived
-	// concentration measures, exactly the fields Build derives.
+	// Finalize touched tags: the fields Build derives.
 	for id, r := range raw {
-		next.vecTab[id] = normalizeProfile(&next.profiles[id], make([]float64, len(r)), r)
+		deriveProfile(&next.profiles[id], r)
+		next.vecTab[id] = r
 	}
 
 	// Intern new tags with ids after base's, in name order so the id
@@ -138,13 +126,9 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 	for i := range pending {
 		d := &pending[i]
 		id := int32(len(next.profiles))
-		next.profiles = append(next.profiles, Profile{
-			ID:         id,
-			Name:       d.Name,
-			Videos:     d.Videos,
-			TotalViews: d.Total,
-		})
-		next.vecTab = append(next.vecTab, normalizeProfile(&next.profiles[id], make([]float64, len(d.Views)), d.Views))
+		next.profiles = append(next.profiles, Profile{ID: id, Name: d.Name, Videos: d.Videos})
+		deriveProfile(&next.profiles[id], d.Views) // a copy: pending owns it
+		next.vecTab = append(next.vecTab, d.Views)
 		h := next.shardOf(d.Name)
 		if !cloned[h] {
 			// Copy-on-write of the one shard map gaining entries; the
@@ -161,23 +145,15 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 	return next, nil
 }
 
-// normalizeProfile fills p's derived concentration fields from a raw
-// view vector, writes the normalized field into vec — all zeros on entry,
-// or rawViews itself to normalize in place — and returns vec. It is the
-// one place a profile is derived from sums: the builds and Rebuild share
-// it. A zero-mass vector degrades to the all-zero field with TopCountry
-// -1.
-func normalizeProfile(p *Profile, vec, rawViews []float64) []float64 {
-	p.Spread = dist.Classify(rawViews)
-	top := dist.ArgMax(rawViews)
-	if t := dist.Sum(rawViews); t > 0 {
-		for c, x := range rawViews {
-			vec[c] = x / t
-		}
-	}
+// deriveProfile fills p's derived fields from the tag's sums: their exact
+// total and the concentration measures. It is the one place a profile is
+// derived from sums. A zero-mass vector has TopCountry -1.
+func deriveProfile(p *Profile, sums []float64) {
+	p.TotalViews = dist.Sum(sums)
+	p.Spread = dist.Classify(sums)
+	top := dist.ArgMax(sums)
 	p.TopCountry, p.TopShare = geo.CountryID(top), 0
 	if top >= 0 {
-		p.TopShare = vec[top]
+		p.TopShare = sums[top] / p.TotalViews
 	}
-	return vec
 }

@@ -1,7 +1,6 @@
 package profilestore
 
 import (
-	"math"
 	"testing"
 
 	"viewstags/internal/dist"
@@ -17,12 +16,13 @@ func deltaFor(t *testing.T, s *Snapshot, name string, country string, views floa
 	}
 	vec := make([]float64, s.World().N())
 	vec[c] = views
-	return TagDelta{Name: name, Views: vec, Total: views, Videos: videos, ID: id}
+	return TagDelta{Name: name, Views: vec, Videos: videos, ID: id}
 }
 
 // TestRebuildFoldsDeltaMath pins the incremental fold to first
-// principles: the rebuilt vector must equal the base vector
-// denormalized by its old total, plus the delta, renormalized.
+// principles: the rebuilt vector is the base's sums plus the delta, and
+// the total is the old total plus the delta's — exactly, as sums of
+// multiples of the view unit are.
 func TestRebuildFoldsDeltaMath(t *testing.T) {
 	base := buildSnap(t)
 	id, ok := base.Lookup("pop")
@@ -53,26 +53,23 @@ func TestRebuildFoldsDeltaMath(t *testing.T) {
 		t.Fatalf("records %d, want %d", next.Records(), base.Records()+3)
 	}
 
-	// Vector math: normalize(oldVec*oldTotal + delta).
-	want := make([]float64, len(oldVec))
-	var sum float64
-	for c := range oldVec {
-		want[c] = oldVec[c] * oldP.TotalViews
-		if c == int(jp) {
-			want[c] += added
-		}
-		sum += want[c]
-	}
+	// Vector math: oldVec + delta, bit for bit, and its total is the
+	// profile's.
 	got := next.Vec(id)
-	var gotSum float64
-	for c := range got {
-		if math.Abs(got[c]-want[c]/sum) > 1e-9 {
-			t.Fatalf("vec[%d] = %v, want %v", c, got[c], want[c]/sum)
+	for c := range oldVec {
+		want := oldVec[c]
+		if c == int(jp) {
+			want += added
 		}
-		gotSum += got[c]
+		if got[c] != want {
+			t.Fatalf("vec[%d] = %v, want %v", c, got[c], want)
+		}
 	}
-	if math.Abs(gotSum-1) > 1e-9 {
-		t.Fatalf("rebuilt vector sums to %v", gotSum)
+	if s := dist.Sum(got); s != p.TotalViews {
+		t.Fatalf("rebuilt vector sums to %v, TotalViews %v", s, p.TotalViews)
+	}
+	if want := got[p.TopCountry] / p.TotalViews; p.TopShare != want {
+		t.Fatalf("top share %v, want %v", p.TopShare, want)
 	}
 
 	// Base is untouched (copy-on-write, not in-place).
@@ -157,7 +154,7 @@ func TestRebuildInternsNewTags(t *testing.T) {
 		t.Fatalf("merged new-tag profile wrong: %+v", z)
 	}
 	br := next.World().MustByCode("BR")
-	if z.TopCountry != br || math.Abs(next.Vec(zID)[br]-1) > 1e-12 {
+	if z.TopCountry != br || next.Vec(zID)[br] != 1000 || z.TopShare != 1 {
 		t.Fatalf("new tag's mass not on BR: %+v vec[BR]=%v", z, next.Vec(zID)[br])
 	}
 	if z.Spread != dist.SpreadLocal {
@@ -282,8 +279,8 @@ func TestRebuildErrors(t *testing.T) {
 	if _, err := Rebuild(base, []TagDelta{{Name: "", Views: make([]float64, base.World().N())}}, 0); err == nil {
 		t.Fatal("nameless delta accepted")
 	}
-	if _, err := Rebuild(base, []TagDelta{{Name: "x", Views: make([]float64, base.World().N()), Total: -1}}, 0); err == nil {
-		t.Fatal("negative total accepted")
+	if _, err := Rebuild(base, []TagDelta{{Name: "x", Views: make([]float64, base.World().N()), Videos: -1}}, 0); err == nil {
+		t.Fatal("negative video count accepted")
 	}
 	// Empty fold is legal and cheap: everything shared.
 	next, err := Rebuild(base, nil, 0)

@@ -4,8 +4,9 @@
 // service queries on its hot path.
 //
 // Layout: tag names are interned to dense int32 ids at build time; each
-// tag's normalized per-country vector is one entry of a per-snapshot
-// vector table, so a predict touches the shard's name index and one
+// tag's exact per-country view sums (Eq. 3; tagviews.ViewUnit) are one
+// entry of a per-snapshot vector table, normalized only in a predict's
+// weight (Mix), so a predict touches the shard's name index and one
 // vector per tag and allocates nothing. Build backs the whole table with
 // one contiguous slab (id*C .. id*C+C); a daemon's boot (BuildAggregate)
 // adopts the per-tag sums it aggregated instead, as every fold does for
@@ -45,7 +46,7 @@ type Profile struct {
 	ID         int32
 	Name       string
 	Videos     int     // videos carrying the tag in the training corpus
-	TotalViews float64 // aggregated view mass (the by-views weight)
+	TotalViews float64 // Σ of the tag's vector, exact: the normalizer and the by-views weight
 	Spread     dist.Spread
 	TopCountry geo.CountryID
 	TopShare   float64
@@ -64,10 +65,10 @@ type Snapshot struct {
 	records  int // training-corpus size, the IDF numerator
 	shards   [numShards]shard
 	profiles []Profile
-	// vecTab[i] is profiles[i]'s normalized field: a piece of one slab
-	// after Build, the aggregate's own slice after BuildAggregate; Rebuild
-	// replaces only the touched tags' entries and aliases the rest into
-	// its base snapshot.
+	// vecTab[i] is profiles[i]'s per-country view sums: a piece of one
+	// slab after Build, the aggregate's own slice after BuildAggregate;
+	// Rebuild replaces only the touched tags' entries and aliases the rest
+	// into its base snapshot.
 	vecTab [][]float64
 	prior  []float64 // normalized traffic prior, the unknown-tag fallback
 	seed   maphash.Seed
@@ -92,7 +93,7 @@ func Build(an *tagviews.Analysis) (*Snapshot, error) {
 // single-node answer exactly. Ids are interned per shard (dense over the
 // owned names, in sorted order), so a given (analysis, filter) pair
 // builds deterministically. The analysis is only read — evaluators go on using
-// it — so the vectors are normalised into one fresh contiguous slab.
+// it — so the sums are copied into one fresh contiguous slab.
 func BuildOwned(an *tagviews.Analysis, owns func(name string) bool) (*Snapshot, error) {
 	if an == nil {
 		return nil, fmt.Errorf("profilestore: nil analysis")
@@ -102,11 +103,10 @@ func BuildOwned(an *tagviews.Analysis, owns func(name string) bool) (*Snapshot, 
 
 // BuildAggregate is BuildOwned for a daemon whose boot aggregated its
 // slice without keeping the corpus (tagviews.Aggregator), and it takes
-// ownership of the aggregate: each admitted tag's sums are normalised in
-// place and become the snapshot's vector — the same division, so bit for
-// bit what BuildOwned writes into its slab — and the aggregate is
-// released, left with no tags. The boot ends holding one copy of what it
-// serves.
+// ownership of the aggregate: each admitted tag's sums become the
+// snapshot's vector — bit for bit what BuildOwned copies into its slab —
+// and the aggregate is released, left with no tags. The boot ends holding
+// one copy of what it serves.
 func BuildAggregate(an *tagviews.Aggregate, owns func(name string) bool) (*Snapshot, error) {
 	if an == nil {
 		return nil, fmt.Errorf("profilestore: nil aggregate")
@@ -141,13 +141,14 @@ func build(an *tagviews.Aggregate, owns func(name string) bool, adopt bool) *Sna
 	}
 	for i, name := range names {
 		sums, _ := an.Sums(name) // names come from the aggregate
-		dst := sums.Views
+		vec := sums.Views
 		if !adopt {
-			dst = slab[i*nC : (i+1)*nC : (i+1)*nC]
+			vec = slab[i*nC : (i+1)*nC : (i+1)*nC]
+			copy(vec, sums.Views)
 		}
-		p := &data.Profiles[i]
-		*p = Profile{ID: int32(i), Name: name, Videos: sums.Videos, TotalViews: sums.TotalViews}
-		data.Vecs[i] = normalizeProfile(p, dst, sums.Views)
+		data.Profiles[i] = Profile{ID: int32(i), Name: name, Videos: sums.Videos}
+		deriveProfile(&data.Profiles[i], vec)
+		data.Vecs[i] = vec
 	}
 	if adopt {
 		an.Release()
@@ -210,9 +211,10 @@ func (s *Snapshot) Lookup(name string) (int32, bool) {
 	return id, ok
 }
 
-// Vec returns tag id's normalized geographic field. The slice aliases
-// the snapshot's backing storage (possibly shared with the snapshot it
-// was incrementally rebuilt from); callers must not modify it.
+// Vec returns tag id's per-country view sums, which total its TotalViews.
+// The slice aliases the snapshot's backing storage (possibly shared with
+// the snapshot it was incrementally rebuilt from); callers must not
+// modify it.
 func (s *Snapshot) Vec(id int32) []float64 { return s.vecTab[id] }
 
 // Prior returns the snapshot's normalized traffic prior (the fallback

@@ -64,22 +64,6 @@ func TestBuildInternsEveryTag(t *testing.T) {
 	}
 }
 
-func TestVecsNormalized(t *testing.T) {
-	s := buildSnap(t)
-	for id := int32(0); id < int32(s.NumTags()); id++ {
-		var sum float64
-		for _, x := range s.Vec(id) {
-			if x < 0 {
-				t.Fatalf("tag %d has negative mass", id)
-			}
-			sum += x
-		}
-		if math.Abs(sum-1) > 1e-9 {
-			t.Fatalf("tag %q vector sums to %v", s.profiles[id].Name, sum)
-		}
-	}
-}
-
 // TestPredictMatchesTagviews pins the serving predictor to the offline
 // one: same tags, same weighting → same distribution.
 func TestPredictMatchesTagviews(t *testing.T) {

@@ -88,7 +88,7 @@ func shifted(t *testing.T, base *profilestore.Snapshot, c geo.CountryID) *profil
 	for _, p := range base.TopProfiles(20) {
 		views := make([]float64, base.World().N())
 		views[c] = 50 * p.TotalViews
-		deltas = append(deltas, profilestore.TagDelta{Name: p.Name, Views: views, Total: views[c], ID: -1})
+		deltas = append(deltas, profilestore.TagDelta{Name: p.Name, Views: views, ID: -1})
 	}
 	next, err := profilestore.Rebuild(base, deltas, 0)
 	if err != nil {

@@ -40,15 +40,16 @@ import (
 // envelope has exactly one encoding. A frame carries no span context: the
 // trace it opens is a child of the gateway leg to its path, and the path
 // is in the frame already (v1 spelled it out a second time, v2's rows
-// frames carried a weight, and v3's replies and acks spelled a shard's
-// state without its incarnation; the token moves with the layouts it
-// carries, so an older peer is refused the upgrade instead of misreading).
+// frames carried a weight, v3's replies and acks spelled a shard's state
+// without its incarnation, and v4's rows carried normalized fields where
+// v5's carry sums; the token moves with the layouts it carries, so an
+// older peer is refused the upgrade instead of misreading).
 
 const (
 	// StreamPath is the upgrade route.
 	StreamPath = "/internal/stream"
 	// StreamProtocol is the Upgrade token both ends must name.
-	StreamProtocol = "viewstags-stream-v4"
+	StreamProtocol = "viewstags-stream-v5"
 
 	streamReqFixed   = 8 + 1 + 1 + 2
 	streamReplyFixed = 8 + 2 + 1

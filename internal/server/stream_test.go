@@ -168,8 +168,9 @@ func TestStreamUpgradeRefusals(t *testing.T) {
 	}
 	// A peer of an earlier layout is refused the upgrade rather than
 	// misread: v1's frames carried a span-context field, v2's rows a
-	// weight under a weighting byte, v3's replies no incarnation.
-	for _, old := range []string{"viewstags-stream-v1", "viewstags-stream-v2", "viewstags-stream-v3"} {
+	// weight under a weighting byte, v3's replies no incarnation, v4's
+	// rows normalized fields.
+	for _, old := range []string{"viewstags-stream-v1", "viewstags-stream-v2", "viewstags-stream-v3", "viewstags-stream-v4"} {
 		req, _ := http.NewRequest(http.MethodGet, ts.URL+StreamPath, nil)
 		req.Header.Set("Connection", "Upgrade")
 		req.Header.Set("Upgrade", old)

@@ -35,7 +35,7 @@ import (
 //
 // Response frame (a rows frame has no weighting byte, and rows for items):
 //
-//	"VTIPRS02" | flags u8 | weighting u8 | version | nC uvarint | nItems uvarint
+//	"VTIPRS03" | flags u8 | weighting u8 | version | nC uvarint | nItems uvarint
 //	  ( wsum f64 [ sum f64 × nC  — present iff wsum > 0 ] )*
 //	  ( views f64 [ videos uvarint | vec f64 × nC  — iff views > 0 ] )*
 //	| [crc32 u32]
@@ -53,7 +53,9 @@ import (
 // when the tag is unknown or viewless, and its counts fit 32 bits. The
 // gateway alone chooses which replica it asks for a tag; the shard
 // answers every row it is asked. Bit 1 is unassigned and refused, like
-// every other unknown bit. StreamProtocol v4 versions this layout.
+// every other unknown bit. A row's vec is the tag's view sums and views
+// their total, Mix's normalizer (VTIPRS02 rows carried normalized fields).
+// StreamProtocol v5 versions this layout.
 const (
 	// WireContentType is the media type of /internal/predict frames.
 	WireContentType = "application/x-viewstags-predict-v1"
@@ -64,7 +66,7 @@ const (
 
 var (
 	wireReqMagic  = []byte("VTIPRQ01")
-	wireRespMagic = []byte("VTIPRS02")
+	wireRespMagic = []byte("VTIPRS03")
 )
 
 // ShardVersion is a shard's state as the shard states it on every message

@@ -57,7 +57,7 @@ func TestWireResponseGoldenBytes(t *testing.T) {
 	got := enc.Finish()
 
 	var want bytes.Buffer
-	want.WriteString("VTIPRS02")
+	want.WriteString("VTIPRS03")
 	want.WriteByte(0)                                                        // flags
 	want.WriteByte(1)                                                        // weighting byte (WeightUniform)
 	_ = binary.Write(&want, binary.LittleEndian, uint64(0x0102030405060708)) // incarnation
@@ -77,8 +77,8 @@ func TestWireResponseGoldenBytes(t *testing.T) {
 // TestWireRowsGoldenBytes pins the rows layout byte for byte: a
 // gateway's row fetch for two tags, and a reply with a known row, an
 // absent row and a row no video carries. Neither frame has a weighting
-// byte; a row is the tag's view total, video count and stored vector, and
-// an absent row its view total alone.
+// byte; a row is the tag's view total, video count and per-country sums,
+// which total it exactly, and an absent row its view total alone.
 func TestWireRowsGoldenBytes(t *testing.T) {
 	got := AppendRowsRequest(nil, []string{"a", "bb"})
 	want := []byte{
@@ -99,11 +99,11 @@ func TestWireRowsGoldenBytes(t *testing.T) {
 
 	var enc PredictWireEncoder
 	enc.BeginRows(ShardVersion{Incarnation: 0x0102030405060708, Epoch: 9, Records: 5}, 2, 3, false)
-	enc.Row(2.5, 3, []float64{0.25, 0.75}) // known row
-	enc.Row(0, 0, nil)                     // absent row: views only
-	enc.Row(4, 0, []float64{1, 0})         // views, but no video carries it
+	enc.Row(2.5, 3, []float64{0.625, 1.875}) // known row
+	enc.Row(0, 0, nil)                       // absent row: views only
+	enc.Row(4, 0, []float64{4, 0})           // views, but no video carries it
 	wantResp := []byte{
-		'V', 'T', 'I', 'P', 'R', 'S', '0', '2', // magic
+		'V', 'T', 'I', 'P', 'R', 'S', '0', '3', // magic
 		4,                      // flags: rows
 		8, 7, 6, 5, 4, 3, 2, 1, // incarnation u64
 		9, 0, 0, 0, 0, 0, 0, 0, // epoch u64
@@ -112,12 +112,12 @@ func TestWireRowsGoldenBytes(t *testing.T) {
 		3,                            // nItems
 		0, 0, 0, 0, 0, 0, 0x04, 0x40, // row 0: views 2.5
 		3,                            // videos
-		0, 0, 0, 0, 0, 0, 0xd0, 0x3f, // 0.25
-		0, 0, 0, 0, 0, 0, 0xe8, 0x3f, // 0.75
+		0, 0, 0, 0, 0, 0, 0xe4, 0x3f, // 0.625
+		0, 0, 0, 0, 0, 0, 0xfe, 0x3f, // 1.875
 		0, 0, 0, 0, 0, 0, 0, 0, // row 1: views 0, absent
 		0, 0, 0, 0, 0, 0, 0x10, 0x40, // row 2: views 4
 		0,                            // videos
-		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, // 1
+		0, 0, 0, 0, 0, 0, 0x10, 0x40, // 4
 		0, 0, 0, 0, 0, 0, 0, 0, // 0
 	}
 	if got := enc.Finish(); !bytes.Equal(got, wantResp) {
@@ -126,7 +126,7 @@ func TestWireRowsGoldenBytes(t *testing.T) {
 	pp := PredictPartials{Videos: []int{7, 7, 7}}
 	if err := DecodePredictResponse(wantResp, &pp, 3, 2); err != nil || !pp.Rows || pp.Weighting != tagviews.WeightingInvalid ||
 		pp.Version != (ShardVersion{Incarnation: 0x0102030405060708, Epoch: 9, Records: 5}) || !reflect.DeepEqual(pp.WSums, []float64{2.5, 0, 4}) ||
-		pp.Videos[0] != 3 || pp.Videos[2] != 0 || !reflect.DeepEqual(pp.Sums, []float64{0.25, 0.75, 0, 0, 1, 0}) {
+		pp.Videos[0] != 3 || pp.Videos[2] != 0 || !reflect.DeepEqual(pp.Sums, []float64{0.625, 1.875, 0, 0, 4, 0}) {
 		t.Fatalf("rows response decode: %v: %+v", err, pp)
 	}
 
@@ -497,7 +497,7 @@ func FuzzInternalCodec(f *testing.F) {
 	f.Add([]byte(emptyExcludeFrame))
 	f.Add([]byte(rowsExcludeFrame))
 	f.Add([]byte("VTIPRS01\x00\x03"))
-	f.Add([]byte("VTIPRS02\x04\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x03\x02\x00"))
+	f.Add([]byte("VTIPRS03\x04\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x03\x02\x00"))
 	var body bincodec.Writer
 	ingest.AppendBatch(&body, []ingest.Event{{Video: "v", Tags: []string{"a", "bc"}, Country: 3, Views: 1.5, Upload: true}}, []string{"u"})
 	f.Add(body.B)

@@ -10,9 +10,10 @@ import (
 
 // Aggregator folds filtered records into an Aggregate one at a time and
 // keeps none of them: each record's view field is reconstructed into one
-// scratch vector, added to its tags' sums (Eq. 3) and overwritten by the
-// next. With an owns filter only the admitted tags are summed — a cluster
-// shard's slice — while the record count stays the whole corpus's, which
+// scratch vector, rounded (RoundViews), added to its tags' sums (Eq. 3)
+// and overwritten by the next. With an owns filter only the admitted tags
+// are summed — a cluster shard's slice — while the record count stays the
+// whole corpus's, which
 // is what keeps IDF identical across shards. Its Add is the one
 // aggregation loop in this package; Build is the caller that also keeps
 // the records.
@@ -59,6 +60,9 @@ func (g *Aggregator) Add(rec *dataset.Record, pop []int) {
 	if err != nil {
 		return
 	}
+	for c, x := range field {
+		field[c] = RoundViews(x)
+	}
 	for i, t := range rec.Tags[first:] {
 		if i > 0 && g.owns != nil && !g.owns(t) {
 			continue
@@ -72,7 +76,6 @@ func (g *Aggregator) Add(rec *dataset.Record, pop []int) {
 			s.Views[c] += x
 		}
 		s.Videos++
-		s.TotalViews += float64(rec.TotalViews)
 	}
 }
 

@@ -131,7 +131,7 @@ func TestAggregateSumsAndRelease(t *testing.T) {
 	for _, name := range names {
 		p, _ := agg.TagProfile(name)
 		s, ok := agg.Sums(name)
-		if !ok || s.Videos != p.Videos || s.TotalViews != p.TotalViews || &s.Views[0] != &p.Views[0] {
+		if !ok || s.Videos != p.Videos || s.Total() != p.TotalViews || &s.Views[0] != &p.Views[0] {
 			t.Fatalf("tag %q: sums %+v (found %v) are not the profile's %d videos / %v views", name, s, ok, p.Videos, p.TotalViews)
 		}
 	}

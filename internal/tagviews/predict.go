@@ -106,7 +106,7 @@ func (p *Predictor) Predict(tagNames []string) ([]float64, bool) {
 		if !ok {
 			continue
 		}
-		w := p.w.Weight(s.TotalViews, s.Videos, p.a.N())
+		w := p.w.Weight(s.Total(), s.Videos, p.a.N())
 		if w <= 0 {
 			continue
 		}

@@ -37,10 +37,22 @@ type Aggregate struct {
 
 // TagSums is one tag's raw aggregate: what its profile is derived from.
 type TagSums struct {
-	Views      []float64 // Eq. 3: Σ of the carrying videos' view fields
-	Videos     int       // videos carrying the tag
-	TotalViews float64   // Σ views of those videos
+	Views  []float64 // Eq. 3: Σ of the carrying videos' view fields, exact (RoundViews)
+	Videos int       // videos carrying the tag
 }
+
+// ViewUnit is the grain of every Eq. 3 sum. Each added term is a multiple
+// of it, so a sum below 2⁵³ units (≈8.8·10¹² views), a tag's total
+// included, is exact: its bits do not depend on how its terms were
+// grouped. Past that the sums stay finite but round again.
+const ViewUnit = 1.0 / 1024
+
+// RoundViews is the one rounding rule: x to the nearest multiple of
+// ViewUnit, for a record's reconstructed field and an ingest event's views.
+func RoundViews(x float64) float64 { return math.Round(x/ViewUnit) * ViewUnit }
+
+// Total is the tag's exact view total, Σ Views.
+func (s *TagSums) Total() float64 { return dist.Sum(s.Views) }
 
 // Analysis is an Aggregate together with the records it was taken over —
 // what the per-video accessors need on top of the tag profiles.
@@ -67,9 +79,9 @@ func (a *Aggregate) Sums(name string) (TagSums, bool) {
 }
 
 // Release empties the aggregate, handing every Views slice Sums returned
-// to whoever holds it — profilestore.BuildAggregate normalises them in
-// place into a snapshot's vectors. Afterwards the aggregate has no tags,
-// so nothing can read a normalised vector as sums.
+// to whoever holds it — profilestore.BuildAggregate adopts them as a
+// snapshot's vectors. Afterwards the aggregate has no tags, so nothing
+// reads a vector the snapshot now owns.
 func (a *Aggregate) Release() { a.tags = nil }
 
 // Record returns record i.
@@ -80,7 +92,7 @@ func (a *Analysis) Record(i int) *dataset.Record { return &a.records[i] }
 type TagProfile struct {
 	Name       string
 	Videos     int     // videos carrying the tag
-	TotalViews float64 // Σ views of those videos
+	TotalViews float64 // Σ Views, exact
 	Views      []float64
 	// Derived concentration measures:
 	Entropy            float64 // Shannon entropy (bits) of the normalized field
@@ -125,7 +137,7 @@ func (a *Aggregate) profileFor(name string, s *TagSums) *TagProfile {
 	prof := &TagProfile{
 		Name:               name,
 		Videos:             s.Videos,
-		TotalViews:         s.TotalViews,
+		TotalViews:         s.Total(),
 		Views:              views,
 		EffectiveCountries: eff,
 		TopCountry:         geo.CountryID(top),
@@ -151,7 +163,7 @@ func (a *Aggregate) TopTags(k int) []*TagProfile {
 		names = append(names, n)
 	}
 	top := synth.TopTags(len(names), k,
-		func(i int) float64 { return a.tags[names[i]].TotalViews },
+		func(i int) float64 { return a.tags[names[i]].Total() },
 		func(i int) string { return names[i] })
 	out := make([]*TagProfile, len(top))
 	for j, i := range top {

@@ -109,8 +109,9 @@ func TestBuildBasics(t *testing.T) {
 }
 
 func TestEquation3Additivity(t *testing.T) {
-	// views(t)[c] must equal the sum of the member videos' fields — the
-	// definition of Eq. 3, verified independently of Build's loop.
+	// views(t)[c] must equal the sum of the member videos' fields, each
+	// rounded to the view unit — the definition of Eq. 3, verified
+	// independently of Build's loop — bit for bit: the sums are exact.
 	f := testFixture(t)
 	name := f.an.TopTags(1)[0].Name
 	want := make([]float64, f.an.World.N())
@@ -127,7 +128,7 @@ func TestEquation3Additivity(t *testing.T) {
 			continue
 		}
 		for c, x := range videoField(f, i) {
-			want[c] += x
+			want[c] += RoundViews(x)
 		}
 	}
 	prof, ok := f.an.TagProfile(name)
@@ -135,7 +136,7 @@ func TestEquation3Additivity(t *testing.T) {
 		t.Fatal("top tag vanished")
 	}
 	for c := range want {
-		if math.Abs(prof.Views[c]-want[c]) > 1e-6*(1+math.Abs(want[c])) {
+		if prof.Views[c] != want[c] {
 			t.Fatalf("country %d: aggregate %v, independent sum %v", c, prof.Views[c], want[c])
 		}
 	}
