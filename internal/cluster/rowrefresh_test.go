@@ -149,20 +149,29 @@ func TestRowRefreshIncarnationStraddlePublishesNothing(t *testing.T) {
 
 // TestRowRefreshRestlessShardBounded: a shard whose every reply carries a
 // new epoch keeps making the pass's own rows stale; the pass follows
-// maxEpochMoves times and gives up, and it is not a health failure.
+// maxEpochMoves times and gives up, and it is not a health failure. The
+// rows are taken while the shard holds still: a reply that moved the
+// epoch would start a pass racing its own request's rows, and the count
+// would depend on which landed first.
 func TestRowRefreshRestlessShardBounded(t *testing.T) {
-	shard, g := refreshGateway(t, 1, restlessLabel)
-	holdRows(t, g, "a")
-	g.WaitRowRefresh()
-	holdRows(t, g, "b")
-	g.WaitRowRefresh()
+	var restless atomic.Bool
+	shard, g := refreshGateway(t, 1, func(f *fakeShard, items int) uint64 {
+		if restless.Load() {
+			return restlessLabel(f, items)
+		}
+		return steadyLabel(f, items)
+	})
+	holdRows(t, g, "a", "b")
+	rows, s := g.topo.Load().rows, g.topo.Load().shards[0]
+	if heldRow(rows, "a") == nil || heldRow(rows, "b") == nil || s.refreshLegs.Load() != 0 {
+		t.Fatalf("a shard holding still: rows a %v, b %v held after %d refresh frames, want both and none", heldRow(rows, "a"), heldRow(rows, "b"), s.refreshLegs.Load())
+	}
+	restless.Store(true)
 	// Two rows, one to a frame: the first round re-reads both, at two
 	// epochs, and from there every round re-reads the older of the two and
 	// its reply makes the other the older.
-	s := g.topo.Load().shards[0]
-	before := s.refreshLegs.Load()
 	observeFold(shard, g)
-	if legs := s.refreshLegs.Load() - before; legs != 2+maxEpochMoves {
+	if legs := s.refreshLegs.Load(); legs != 2+maxEpochMoves {
 		t.Fatalf("the pass sent %d frames, want two and one for each of %d follow-ups", legs, maxEpochMoves)
 	}
 	if n := s.fails.Load(); n != 0 {

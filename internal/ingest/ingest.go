@@ -57,6 +57,12 @@ const numShards = 16
 // smuggle an unbounded vocabulary past the batch limits.
 const MaxEventTags = 64
 
+// TooManyTags is Validate's error for event i carrying n > MaxEventTags
+// tags, which the HTTP edge also answers before decoding such a list.
+func TooManyTags(i, n int) error {
+	return fmt.Errorf("ingest: event %d has %d tags, limit %d", i, n, MaxEventTags)
+}
+
 // MaxEventViews bounds one event's views, far above any real video's
 // total, so no feasible number of events sums a tag past float64 to +Inf.
 // It guards overflow, not exactness: nine events at the bound pass the
@@ -305,7 +311,7 @@ func Validate(events []Event, nCountries int) (int64, error) {
 			return 0, fmt.Errorf("ingest: event %d has no tags", i)
 		}
 		if len(e.Tags) > MaxEventTags {
-			return 0, fmt.Errorf("ingest: event %d has %d tags, limit %d", i, len(e.Tags), MaxEventTags)
+			return 0, TooManyTags(i, len(e.Tags))
 		}
 		for _, tag := range e.Tags {
 			if tag == "" {

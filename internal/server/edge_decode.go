@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode/utf8"
+
+	"viewstags/internal/ingest"
 )
 
 // This file and edge_encode.go are the edge codec: hand-written,
@@ -101,17 +103,27 @@ func (f failingReader) Read([]byte) (int, error) { return 0, f.err }
 // decoder. Its body has one array that -max-batch bounds (predict's batch,
 // ingest's events); count is that array's length as encoding/json would
 // decode it, and tooMany is the 400 for more than limit, with verbs for
-// the count and the limit.
+// the count and the limit. tags bounds its items' or events' tag lists.
 type edgeCodec[T any] struct {
 	fast    func(s string, v *T) bool
 	count   func(body []byte) int
 	tooMany string
+	tags    tagBound
 }
 
 var (
-	predictCodec = edgeCodec[PredictRequest]{parsePredictRequest, countBatch, "batch of %d exceeds limit %d"}
-	ingestCodec  = edgeCodec[IngestRequest]{parseIngestRequest, countEvents, "batch of %d events exceeds limit %d"}
+	predictCodec = edgeCodec[PredictRequest]{parsePredictRequest, countBatch, "batch of %d exceeds limit %d", tagBound{longPredictTags, tooManyTags}}
+	ingestCodec  = edgeCodec[IngestRequest]{parseIngestRequest, countEvents, "batch of %d events exceeds limit %d", tagBound{longEventTags, tooManyEventTags}}
 )
+
+// tagBound is a route's bound on a tag list, ingest.MaxEventTags, as
+// decodeBuffered applies it before decoding: longest finds the first list
+// over it in the first value — its item and length, n = 0 for none — and
+// refuse writes the 400 the route's own check would answer for it.
+type tagBound struct {
+	longest func(body []byte) (item, n int)
+	refuse  func(w http.ResponseWriter, item, n int)
+}
 
 // decodeEdge reads the whole body through the MaxBodyBytes cap, offers it
 // to the fast decoder and, when that declines, to decodeStrict over the
@@ -146,6 +158,25 @@ func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics,
 	}
 	rm.DecodeGeneral.Add(1)
 	*v = *new(T) // a declined fast decode may have filled some fields
+	return decodeBuffered(w, body, readErr, c.tags, v)
+}
+
+// decodeBuffered is decodeStrict over a body readBody read, with a failed
+// read replayed after the bytes that did arrive. A tag list over
+// ingest.MaxEventTags gets the route's own 400 (tags.refuse) before
+// decodeStrict would build it, a string header per tag: the lists are
+// counted in the first value only, as the batch is, and a body whose
+// first value is no valid JSON counts none (decodeStrict says why, having
+// found it before decoding). The fast decoder declines such a list at its
+// first tag past the bound, so it lands here.
+func decodeBuffered(w http.ResponseWriter, body []byte, readErr error, tags tagBound, v any) bool {
+	if readErr == nil && bytes.Count(body, []byte{','}) >= ingest.MaxEventTags {
+		_, end := widestArray(body, 0)
+		if item, n := tags.longest(body[:end]); n > ingest.MaxEventTags {
+			tags.refuse(w, item, n)
+			return false
+		}
+	}
 	var src io.Reader = bytes.NewReader(body)
 	if readErr != nil {
 		src = io.MultiReader(src, failingReader{readErr})
@@ -155,6 +186,15 @@ func decodeEdge[T any](w http.ResponseWriter, r *http.Request, rm *RouteMetrics,
 		return false
 	}
 	return true
+}
+
+// decodePlaceBody decodes a /v1/place request body into req, as DecodeBody
+// would but with its tag list counted first (decodeBuffered). On failure
+// the 400 has been written.
+func decodePlaceBody(w http.ResponseWriter, r *http.Request, req *PlaceRequest) bool {
+	buf, readErr := readBody(w, r)
+	defer releaseBodyBuf(buf)
+	return decodeBuffered(w, buf.Bytes(), readErr, tagBound{longPlaceTags, tooManyTags}, req)
 }
 
 // DecodePredictBody decodes a /v1/predict request body into req; rm is
@@ -238,6 +278,59 @@ func countEvents(body []byte) int {
 	}
 	_ = json.Unmarshal(body, &v)
 	return int(v.Events)
+}
+
+// longPredictTags, longPlaceTags and longEventTags are the routes'
+// tagBound.longest: the first item (in validTags' order) or event whose
+// list encoding/json would decode with more than ingest.MaxEventTags
+// tags, and that list's length; n is 0 when there is none or the body is
+// no valid JSON.
+func longPredictTags(body []byte) (item, n int) {
+	var v struct {
+		Tags  elemCount `json:"tags"`
+		Batch []struct {
+			Tags elemCount `json:"tags"`
+		} `json:"batch"`
+	}
+	_ = json.Unmarshal(body, &v)
+	if v.Tags > ingest.MaxEventTags {
+		return 0, int(v.Tags)
+	}
+	for i, it := range v.Batch {
+		if it.Tags > ingest.MaxEventTags {
+			return i, int(it.Tags)
+		}
+	}
+	return 0, 0
+}
+
+func longPlaceTags(body []byte) (item, n int) {
+	var v struct {
+		Tags elemCount `json:"tags"`
+	}
+	_ = json.Unmarshal(body, &v)
+	return 0, int(v.Tags)
+}
+
+func longEventTags(body []byte) (item, n int) {
+	var v struct {
+		Events []struct {
+			Tags elemCount `json:"tags"`
+		} `json:"events"`
+	}
+	_ = json.Unmarshal(body, &v)
+	for i, e := range v.Events {
+		if e.Tags > ingest.MaxEventTags {
+			return i, int(e.Tags)
+		}
+	}
+	return 0, 0
+}
+
+// tooManyEventTags is serveIngest's 400 for ingest.Validate's refusal of
+// the list.
+func tooManyEventTags(w http.ResponseWriter, i, n int) {
+	WriteError(w, http.StatusBadRequest, "%v", ingest.TooManyTags(i, n))
 }
 
 // edgeScanner walks one body. Every method that can fail returns
@@ -333,10 +426,15 @@ func (p *edgeScanner) str() (string, bool) {
 }
 
 // strList consumes an array of strings. An empty array is an empty
-// non-nil slice, as encoding/json makes it.
+// non-nil slice, as encoding/json makes it. A list longer than
+// ingest.MaxEventTags, which no item or event may carry, is declined at
+// its first string past the bound, unstored.
 func (p *edgeScanner) strList() ([]string, bool) {
 	start := len(p.strs)
 	ok := p.array(func() bool {
+		if len(p.strs)-start == ingest.MaxEventTags {
+			return false
+		}
 		v, ok := p.str()
 		p.strs = append(p.strs, v)
 		return ok

@@ -572,3 +572,74 @@ func TestEdgeBatchBoundedBeforeAllocating(t *testing.T) {
 		}
 	}
 }
+
+// TestEdgeTagListBoundedBeforeAllocating: an item's or an event's tag
+// list past ingest.MaxEventTags is the route's own 400 (validTags',
+// ingest.Validate's), and no decoder builds it first — the fast one, the
+// strict one (a body with an escape) and /v1/place's — so a 4 MB body of
+// empty tags costs a small multiple of its size, not a string header per
+// tag. The single item, a batch item, a later event and a list followed
+// by a trailing byte (counted first, as the batch is) all answer what the
+// route's check answers for the whole list.
+func TestEdgeTagListBoundedBeforeAllocating(t *testing.T) {
+	srv, _, _ := freshServer(t, false, 0, time.Hour)
+	const limit = ingest.MaxEventTags
+	fill := (MaxBodyBytes - 64) / len(`"",`)
+	list := func(tag string, n int) string {
+		return "[" + strings.TrimSuffix(strings.Repeat(tag+",", n), ",") + "]"
+	}
+	tooMany := func(item, n int) string { return fmt.Sprintf("item %d has %d tags (limit %d)", item, n, limit) }
+	tooManyEvent := func(i, n int) string { return fmt.Sprintf("ingest: event %d has %d tags, limit %d", i, n, limit) }
+	event := func(key, tags string) string {
+		return `{"video":"v","` + key + `":` + tags + `,"country":"BR","views":1}`
+	}
+	for _, c := range []struct {
+		name, path, body string
+		want             int
+		msg              string
+	}{
+		{"predict fast, limit tags", "/v1/predict", `{"tags":` + list(`"pop"`, limit) + `}`, http.StatusOK, ""},
+		{"predict fast, limit+1 tags", "/v1/predict", `{"tags":` + list(`"pop"`, limit+1) + `}`, http.StatusBadRequest, tooMany(0, limit+1)},
+		{"predict fast, empty tags filling the body", "/v1/predict", `{"tags":` + list(`""`, fill) + `}`, http.StatusBadRequest, tooMany(0, fill)},
+		{"predict fast, batch item 1", "/v1/predict", `{"batch":[{"tags":["pop"]},{"tags":` + list(`""`, fill-8) + `}]}`, http.StatusBadRequest, tooMany(1, fill-8)},
+		{"predict fast, then a trailing byte", "/v1/predict", `{"tags":` + list(`""`, fill) + `}x`, http.StatusBadRequest, tooMany(0, fill)},
+		{"predict strict, limit tags", "/v1/predict", `{"t\u0061gs":` + list(`"pop"`, limit) + `}`, http.StatusOK, ""},
+		{"predict strict, limit+1 tags", "/v1/predict", `{"t\u0061gs":` + list(`"pop"`, limit+1) + `}`, http.StatusBadRequest, tooMany(0, limit+1)},
+		{"predict strict, empty tags filling the body", "/v1/predict", `{"t\u0061gs":` + list(`""`, fill) + `}`, http.StatusBadRequest, tooMany(0, fill)},
+		{"predict strict, batch item 1", "/v1/predict", `{"b\u0061tch":[{"tags":["pop"]},{"tags":` + list(`""`, fill-8) + `}]}`, http.StatusBadRequest, tooMany(1, fill-8)},
+		{"ingest fast, limit tags", "/v1/ingest", `{"events":[` + event("tags", list(`"pop"`, limit)) + `]}`, http.StatusOK, ""},
+		{"ingest fast, limit+1 tags", "/v1/ingest", `{"events":[` + event("tags", list(`"pop"`, limit+1)) + `]}`, http.StatusBadRequest, tooManyEvent(0, limit+1)},
+		{"ingest fast, event 1 filling the body", "/v1/ingest", `{"events":[` + event("tags", `["pop"]`) + `,` + event("tags", list(`""`, fill-40)) + `]}`, http.StatusBadRequest, tooManyEvent(1, fill-40)},
+		{"ingest strict, limit+1 tags", "/v1/ingest", `{"events":[` + event("t\\u0061gs", list(`"pop"`, limit+1)) + `]}`, http.StatusBadRequest, tooManyEvent(0, limit+1)},
+		{"ingest strict, empty tags filling the body", "/v1/ingest", `{"events":[` + event("t\\u0061gs", list(`""`, fill-40)) + `]}`, http.StatusBadRequest, tooManyEvent(0, fill-40)},
+		{"place, limit tags", "/v1/place", `{"upload":"BR","tags":` + list(`"pop"`, limit) + `}`, http.StatusOK, ""},
+		{"place, limit+1 tags", "/v1/place", `{"upload":"BR","tags":` + list(`"pop"`, limit+1) + `}`, http.StatusBadRequest, tooMany(0, limit+1)},
+		{"place, empty tags filling the body", "/v1/place", `{"upload":"BR","tags":` + list(`""`, fill-8) + `}`, http.StatusBadRequest, tooMany(0, fill-8)},
+		{"place, then a trailing byte", "/v1/place", `{"upload":"BR","tags":` + list(`""`, fill-8) + `} x`, http.StatusBadRequest, tooMany(0, fill-8)},
+	} {
+		post := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, strings.NewReader(c.body)))
+			return rec
+		}
+		post() // warm the pools
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rec := post()
+		runtime.ReadMemStats(&after)
+		var e struct {
+			Error string `json:"error"`
+		}
+		_ = json.Unmarshal(rec.Body.Bytes(), &e)
+		if rec.Code != c.want || e.Error != c.msg {
+			t.Errorf("%s: %d %q, want %d %q", c.name, rec.Code, e.Error, c.want, c.msg)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %d-byte body, %d bytes allocated", c.name, len(c.body), alloc)
+		// The body's buffer and string, and little more.
+		if limit := uint64(3*len(c.body)) + 256<<10; c.want != http.StatusOK && alloc > limit {
+			t.Errorf("%s: a %d-byte body allocated %d bytes, over %d", c.name, len(c.body), alloc, limit)
+		}
+	}
+}

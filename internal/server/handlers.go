@@ -216,7 +216,7 @@ func (s *Server) Predict(r *http.Request, items [][]string, w tagviews.Weighting
 
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req PlaceRequest
-	if !DecodeBody(w, r, &req) {
+	if !decodePlaceBody(w, r, &req) {
 		return
 	}
 	world := s.world()

@@ -136,7 +136,7 @@ func validTags(w http.ResponseWriter, item int, tags []string) bool {
 		return false
 	}
 	if len(tags) > ingest.MaxEventTags {
-		WriteError(w, http.StatusBadRequest, "item %d has %d tags (limit %d)", item, len(tags), ingest.MaxEventTags)
+		tooManyTags(w, item, len(tags))
 		return false
 	}
 	for j, tag := range tags {
@@ -150,6 +150,12 @@ func validTags(w http.ResponseWriter, item int, tags []string) bool {
 		}
 	}
 	return true
+}
+
+// tooManyTags is validTags' 400 for an item of n > ingest.MaxEventTags
+// tags, which the JSON decoders also answer before building such a list.
+func tooManyTags(w http.ResponseWriter, item, n int) {
+	WriteError(w, http.StatusBadRequest, "item %d has %d tags (limit %d)", item, n, ingest.MaxEventTags)
 }
 
 // version reads the shard's version and the snapshot it describes. The

@@ -13,10 +13,12 @@ import (
 	"viewstags/internal/dataset"
 )
 
-// catalogHash2000 is Generate(DefaultConfig(2000)) hashed by hashVideo at
-// the commit before Generate became "drain the Generator": the streaming
-// form must not have moved one RNG call.
-const catalogHash2000 = 0x5cc83f5e63556a5e
+// catalogHash2000 is Generate(DefaultConfig(2000)) hashed by hashVideo:
+// pinned first at the commit before Generate became "drain the Generator"
+// (the streaming form must not have moved one RNG call), and re-pinned
+// when xrand's normals became the ziggurat's and its Gamma boost
+// exp(log U / a), which move the view fields but no tag set.
+const catalogHash2000 = 0x671cec91ffade493
 
 func hashVideo(h hash.Hash64, v *Video) {
 	put := func(x uint64) {

@@ -76,19 +76,6 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
-// NormFloat64 returns a standard normal deviate (Box–Muller; we favour
-// simplicity over the ziggurat since simulation setup is not hot).
-func (s *Source) NormFloat64() float64 {
-	for {
-		u := s.Float64()
-		if u == 0 {
-			continue
-		}
-		v := s.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-	}
-}
-
 // gammaDraws consumes the uniforms of one Gamma(shape, 1) deviate
 // (Marsaglia & Tsang, 2000), in their order: for a sub-unit shape the
 // boost uniform U (redrawn while 0), then the accept/reject loop at shape
@@ -163,9 +150,7 @@ func FinishDirichlet(alpha, draws, boosts []float64) {
 	var sum float64
 	for i, a := range alpha {
 		if a < 1 {
-			// The conversion rounds the product before the sum reads it:
-			// no fused multiply-add, on any architecture.
-			draws[i] = float64(draws[i] * math.Pow(boosts[i], 1/a))
+			draws[i] = boosted(draws[i], boosts[i], a)
 		}
 		sum += draws[i]
 	}
@@ -180,6 +165,15 @@ func FinishDirichlet(alpha, draws, boosts []float64) {
 	for i := range draws {
 		draws[i] /= sum
 	}
+}
+
+// boosted returns g * u^(1/a), the boost that makes a Gamma(a+1) deviate g
+// a Gamma(a) one, computed as exp(log u / a): cheaper than math.Pow, which
+// handles the signs and special cases a uniform in (0, 1) never has. The
+// conversion rounds the product before a caller's sum reads it: no fused
+// multiply-add, on any architecture.
+func boosted(g, u, a float64) float64 {
+	return float64(g * math.Exp(math.Log(u)/a))
 }
 
 // Bernoulli returns true with probability p.

@@ -21,7 +21,7 @@ func (s *Source) Gamma(shape float64) float64 {
 	g, boost := s.gammaDraws(shape)
 	if shape < 1 {
 		// Boost: Gamma(a) = Gamma(a+1) * U^{1/a}.
-		return g * math.Pow(boost, 1/shape)
+		return boosted(g, boost, shape)
 	}
 	return g
 }
@@ -161,40 +161,99 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestNormFloat64Moments holds the ziggurat to the standard normal where a
+// wrong table would show: the mean, the variance, the fourth moment (3),
+// the mass within one and two sigmas, and the two-sided tail beyond the
+// base strip's edge rn, which only the tail branch draws. Each try's
+// branch is read off a copy of the Source before the draw, and both
+// non-rectangle branches — the base strip's tail and a wedge — must have
+// run.
 func TestNormFloat64Moments(t *testing.T) {
 	s := NewSource(13)
-	const n = 200000
-	var sum, sumSq float64
+	const n = 1000000
+	var sum, sumSq, sum4 float64
+	var within1, within2, tail, baseTries, wedgeTries int
 	for i := 0; i < n; i++ {
+		peek := *s
+		u := peek.Uint64()
+		j, k := int32(u), u>>32&0x7F
+		if absInt32(j) >= kn[k] {
+			if k == 0 {
+				baseTries++
+			} else {
+				wedgeTries++
+			}
+		}
 		v := s.NormFloat64()
 		sum += v
 		sumSq += v * v
+		sum4 += v * v * v * v
+		switch a := math.Abs(v); {
+		case a < 1:
+			within1++
+			within2++
+		case a < 2:
+			within2++
+		case a > rn:
+			tail++
+		}
 	}
 	mean := sum / n
 	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
+	if math.Abs(mean) > 0.01 {
 		t.Errorf("normal mean = %v, want ~0", mean)
 	}
-	if math.Abs(variance-1) > 0.03 {
+	if math.Abs(variance-1) > 0.01 {
 		t.Errorf("normal variance = %v, want ~1", variance)
+	}
+	if m4 := sum4 / n; math.Abs(m4-3) > 0.05 {
+		t.Errorf("normal fourth moment = %v, want ~3", m4)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"P(|x|<1)", float64(within1) / n, 0.682689},
+		{"P(|x|<2)", float64(within2) / n, 0.954500},
+		{"P(|x|>rn)", float64(tail) / n, 5.761e-4},
+	} {
+		// Five binomial standard deviations.
+		if tol := 5 * math.Sqrt(c.want*(1-c.want)/n); math.Abs(c.got-c.want) > tol {
+			t.Errorf("%s = %v, want %v ± %v", c.name, c.got, c.want, tol)
+		}
+	}
+	if baseTries == 0 || wedgeTries == 0 {
+		t.Errorf("first tries took the base strip's tail %d times and a wedge %d times; both branches must run", baseTries, wedgeTries)
 	}
 }
 
+// TestGammaMean holds Gamma(shape) to its mean and its variance, both
+// equal to the shape, within five standard errors — at sub-unit shapes,
+// which the boost makes, as well as at unboosted ones. The boost's
+// arithmetic is checked here, so TestSkipDirichletMatchesDraw checks only
+// the stream split.
 func TestGammaMean(t *testing.T) {
-	for _, shape := range []float64{0.5, 1, 2.5, 9} {
+	for _, shape := range []float64{0.05, 0.3, 0.5, 1, 2.5, 9} {
 		s := NewSource(19)
 		const n = 100000
-		var sum float64
+		var sum, sumSq float64
 		for i := 0; i < n; i++ {
 			v := s.Gamma(shape)
 			if v < 0 {
 				t.Fatalf("Gamma(%v) negative: %v", shape, v)
 			}
 			sum += v
+			sumSq += v * v
 		}
 		mean := sum / n
-		if math.Abs(mean-shape) > 0.05*shape+0.02 {
-			t.Errorf("Gamma(%v) mean = %v, want ~%v", shape, mean, shape)
+		variance := sumSq/n - mean*mean
+		// The sample mean's variance is shape/n; the sample variance's is
+		// (mu4 - shape^2)/n with the fourth central moment 3k^2+6k.
+		if tol := 5 * math.Sqrt(shape/n); math.Abs(mean-shape) > tol {
+			t.Errorf("Gamma(%v) mean = %v, want %v ± %v", shape, mean, shape, tol)
+		}
+		if tol := 5 * math.Sqrt((2*shape*shape+6*shape)/n); math.Abs(variance-shape) > tol {
+			t.Errorf("Gamma(%v) variance = %v, want %v ± %v", shape, variance, shape, tol)
 		}
 	}
 	// The halves show the deviates only normalised: a component's mean is
