@@ -780,6 +780,62 @@ func BenchmarkIngestFold(b *testing.B) {
 	}, 100, rebuild)
 }
 
+// BenchmarkIngestAdd times Accumulator.Add under concurrent callers, as a
+// node's ingest handlers call it: batches of 4 events of 5 tags each over
+// the fixture's vocabulary, from every goroutine RunParallel starts, with
+// a Drain every 4096 adds so the deltas stay the size a fold interval
+// leaves them. Read it at -cpu 1,2: what the second row adds over the
+// first is what callers pay for sharing the accumulator.
+func BenchmarkIngestAdd(b *testing.B) {
+	res := benchFixture(b)
+	snap, err := profilestore.Build(res.Analysis)
+	if err != nil {
+		b.Fatal(err)
+	}
+	names := res.Analysis.TagNames()
+	nC := snap.World().N()
+	const eventsPerAdd, tagsPerEvent, drainEvery = 4, 5, 4096
+	batches := make([][]ingest.Event, 1024)
+	for k := range batches {
+		batches[k] = make([]ingest.Event, eventsPerAdd)
+		for i := range batches[k] {
+			e := &batches[k][i]
+			n := (k*eventsPerAdd + i) * tagsPerEvent
+			e.Tags = make([]string, tagsPerEvent)
+			for j := range e.Tags {
+				e.Tags[j] = names[(n+j)*7%len(names)]
+			}
+			e.Country = geo.CountryID(n % nC)
+			e.Views = 1
+		}
+	}
+	b.Run("parallel", func(b *testing.B) {
+		store, err := profilestore.NewStore(snap)
+		if err != nil {
+			b.Fatal(err)
+		}
+		acc, err := ingest.NewAccumulator(store, 1<<30)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var callers, adds atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			// Each caller starts at its own place in the batch cycle.
+			for k := int(callers.Add(1)) * 131; pb.Next(); k++ {
+				if err := acc.Add(batches[k%len(batches)]); err != nil {
+					b.Error(err)
+					return
+				}
+				if adds.Add(1)%drainEvery == 0 {
+					acc.Drain()
+				}
+			}
+		})
+	})
+}
+
 // paperVideos is the paper's corpus size, the vocabulary at which a
 // fold's fixed per-tag costs show (ROADMAP item 17).
 const paperVideos = 691000
