@@ -82,7 +82,7 @@ func nodeFixture(tb testing.TB) (*profilestore.Snapshot, *synth.Served) {
 		if boot, nodeErr = pipeline.BootSynthetic(bootPeakVideos, bootPeakSeed, alexa.DefaultConfig(), nil, true); nodeErr != nil {
 			return
 		}
-		nodeSnap, nodeErr = profilestore.BuildAggregate(boot.Aggregate, nil)
+		nodeSnap, nodeErr = profilestore.BuildAggregate(boot.Aggregate)
 		nodeServed = boot.Served
 	})
 	if nodeErr != nil {
@@ -684,7 +684,7 @@ func BenchmarkServePredict(b *testing.B) {
 }
 
 // BenchmarkIngestFold measures one full epoch of the streaming write
-// path — accumulate a batch of view events, drain the sharded deltas,
+// path — accumulate a batch of view events, drain the deltas,
 // Rebuild the snapshot copy-on-write, swap it in — at two touch widths:
 // a hot head of 100 tags and the whole vocabulary. The copy-on-write
 // contract says cost scales with touched tags plus O(tags) bookkeeping,
@@ -856,7 +856,7 @@ func paperFixture(tb testing.TB) *profilestore.Snapshot {
 		if boot, paperErr = pipeline.BootSynthetic(paperVideos, 20110301, alexa.DefaultConfig(), nil, false); paperErr != nil {
 			return
 		}
-		paperSnap, paperErr = profilestore.BuildAggregate(boot.Aggregate, nil)
+		paperSnap, paperErr = profilestore.BuildAggregate(boot.Aggregate)
 	})
 	if paperErr != nil {
 		tb.Fatalf("paper fixture: %v", paperErr)
@@ -922,7 +922,7 @@ func BenchmarkBoot(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := profilestore.BuildAggregate(boot.Aggregate, nil); err != nil {
+				if _, err := profilestore.BuildAggregate(boot.Aggregate); err != nil {
 					b.Fatal(err)
 				}
 				fields += boot.Fields

@@ -82,7 +82,7 @@ func bootPeakChild(mode string) error {
 			// slab of copies, with the sums alive until it returns.
 			snap, err = profilestore.BuildOwned(&tagviews.Analysis{Aggregate: *b.Aggregate}, nil)
 		} else {
-			snap, err = profilestore.BuildAggregate(b.Aggregate, nil)
+			snap, err = profilestore.BuildAggregate(b.Aggregate)
 		}
 		if err != nil {
 			return err
@@ -219,7 +219,7 @@ func bootLendingNothing(owns func(string) bool, keepServed bool) error {
 			agg.Add(&rec, pop)
 		}
 	}
-	_, err = profilestore.BuildAggregate(agg.Finish(), nil)
+	_, err = profilestore.BuildAggregate(agg.Finish())
 	return err
 }
 
@@ -254,7 +254,7 @@ func TestBootAllocationBudget(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = profilestore.BuildAggregate(b.Aggregate, nil)
+			_, err = profilestore.BuildAggregate(b.Aggregate)
 			return err
 		}
 	}

@@ -63,7 +63,7 @@ func TestTagRankingMatchesFullSort(t *testing.T) {
 		add := func(name string, total float64) {
 			views := make([]float64, nC)
 			views[src.Intn(nC)] = total
-			deltas = append(deltas, profilestore.TagDelta{Name: name, Views: views, ID: -1})
+			deltas = append(deltas, profilestore.TagDelta{Name: name, Views: views})
 		}
 		for i := 0; i < 8; i++ {
 			add(fmt.Sprintf("0-tie-%d-%d", round, i), profs[src.Intn(len(profs))].TotalViews)

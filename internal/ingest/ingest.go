@@ -6,15 +6,14 @@
 //
 // The design splits the write path in two, mirroring an LSM memtable:
 //
-//   - An Accumulator absorbs events at request rate into sharded
-//     mutable per-tag delta counters (one mutex per shard, tag ids
-//     interned against the live profilestore snapshot so repeat tags
-//     stay cheap). Readers of the serving store never see — or wait
-//     on — any of this state.
+//   - An Accumulator absorbs events at request rate into one map of
+//     mutable per-tag delta counters, keyed by tag name under one mutex
+//     held once per batch. Readers of the serving store never see — or
+//     wait on — any of this state.
 //
 //   - A Compactor periodically drains the accumulated deltas, folds
 //     them into a fresh snapshot via profilestore.Rebuild
-//     (copy-on-write: untouched tags share vectors with the base), and
+//     (copy-on-write: untouched tags share their sums with the base), and
 //     installs the result through the same atomic swap a batch reload
 //     uses. Each successful fold advances the accumulator's epoch.
 //
@@ -34,7 +33,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -46,9 +44,6 @@ import (
 	"viewstags/internal/profilestore"
 	"viewstags/internal/tagviews"
 )
-
-// numShards must stay a power of two so the hash→shard map is a mask.
-const numShards = 16
 
 // MaxEventTags bounds the tags one event may carry. Each distinct tag
 // allocates a per-country vector in the accumulator and, once folded, a
@@ -186,17 +181,8 @@ func ReadBatch(r *bincodec.Reader, max int) ([]Event, []string) {
 
 // tagAcc is one tag's unfolded delta.
 type tagAcc struct {
-	id     int32     // interning hint into the snapshot current at first touch
 	views  []float64 // Σ of the events' views, each rounded (tagviews.RoundViews)
 	videos int
-}
-
-// shard is one mutex-guarded slice of the delta map. Tags and upload
-// video ids hash to shards independently.
-type shard struct {
-	mu      sync.Mutex
-	tags    map[string]*tagAcc
-	uploads map[string]bool // video ids counted as new records this epoch
 }
 
 // Stats is a point-in-time summary of the accumulator, surfaced by the
@@ -218,11 +204,14 @@ type Stats struct {
 // Accumulator absorbs events between folds. All methods are safe for
 // concurrent use.
 type Accumulator struct {
-	store  *profilestore.Store
 	nC     int
 	buffer int64
-	seed   maphash.Seed
-	shards [numShards]shard
+
+	// mu guards the deltas: tags by name, and the video ids counted as
+	// new records this epoch.
+	mu      sync.Mutex
+	tags    map[string]*tagAcc
+	uploads map[string]bool
 
 	pending  atomic.Int64
 	events   atomic.Int64
@@ -256,21 +245,12 @@ func NewAccumulator(store *profilestore.Store, buffer int) (*Accumulator, error)
 	if buffer <= 0 {
 		buffer = 1 << 20
 	}
-	a := &Accumulator{
-		store:  store,
-		nC:     store.Load().World().N(),
-		buffer: int64(buffer),
-		seed:   maphash.MakeSeed(),
-	}
-	for i := range a.shards {
-		a.shards[i].tags = make(map[string]*tagAcc)
-		a.shards[i].uploads = make(map[string]bool)
-	}
-	return a, nil
-}
-
-func (a *Accumulator) shardOf(s string) *shard {
-	return &a.shards[maphash.String(a.seed, s)&(numShards-1)]
+	return &Accumulator{
+		nC:      store.Load().World().N(),
+		buffer:  int64(buffer),
+		tags:    make(map[string]*tagAcc),
+		uploads: make(map[string]bool),
+	}, nil
 }
 
 // SetJournal attaches the durability hook: every subsequently accepted
@@ -351,54 +331,45 @@ func (a *Accumulator) validate(events []Event, uploads []string) (int64, error) 
 	return charge, nil
 }
 
-// apply folds a validated batch into the shard delta maps, each event's
-// views rounded first (tagviews.RoundViews).
+// apply folds a validated batch into the delta map, each event's views
+// rounded first (tagviews.RoundViews).
 func (a *Accumulator) apply(events []Event, uploads []string) {
-	snap := a.store.Load()
+	a.mu.Lock()
 	for i := range events {
 		e := &events[i]
 		newUpload := e.Upload && a.announce(e.Video)
 		views := tagviews.RoundViews(e.Views)
 		for _, tag := range e.Tags {
-			sh := a.shardOf(tag)
-			sh.mu.Lock()
-			acc := sh.tags[tag]
+			acc := a.tags[tag]
 			if acc == nil {
-				acc = &tagAcc{id: -1, views: make([]float64, a.nC)}
-				// Interning hint: resolve once against the snapshot
-				// current at first touch; Rebuild revalidates it.
-				if id, ok := snap.Lookup(tag); ok {
-					acc.id = id
-				}
+				acc = &tagAcc{views: make([]float64, a.nC)}
 				// The key outlives the batch (Drain hands it to Rebuild,
 				// which keeps a novel tag's name for good), and a decoded
 				// string may be a substring of its request body: clone,
 				// or one tag pins its whole body.
-				sh.tags[strings.Clone(tag)] = acc
+				a.tags[strings.Clone(tag)] = acc
 			}
 			acc.views[e.Country] += views
 			if newUpload {
 				acc.videos++
 			}
-			sh.mu.Unlock()
 		}
 	}
 	for _, v := range uploads {
 		a.announce(v)
 	}
+	a.mu.Unlock()
 	a.events.Add(int64(len(events)))
 }
 
 // announce counts video toward this epoch's training-corpus increment
-// (Drain's newRecords) and reports whether it is new this epoch.
+// (Drain's newRecords) and reports whether it is new this epoch. The
+// caller holds a.mu.
 func (a *Accumulator) announce(video string) bool {
-	vs := a.shardOf(video)
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	if vs.uploads[video] {
+	if a.uploads[video] {
 		return false
 	}
-	vs.uploads[strings.Clone(video)] = true
+	a.uploads[strings.Clone(video)] = true
 	return true
 }
 
@@ -472,26 +443,19 @@ func (a *Accumulator) Replay(events []Event, uploads []string) error {
 // replays generations >= gen.
 func (a *Accumulator) Drain() (deltas []profilestore.TagDelta, newRecords int, released int64, gen uint64) {
 	a.foldMu.Lock()
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for name, acc := range sh.tags {
-			deltas = append(deltas, profilestore.TagDelta{
-				Name:   name,
-				ID:     acc.id,
-				Views:  acc.views,
-				Videos: acc.videos,
-			})
-		}
-		newRecords += len(sh.uploads)
-		if len(sh.tags) > 0 {
-			sh.tags = make(map[string]*tagAcc)
-		}
-		if len(sh.uploads) > 0 {
-			sh.uploads = make(map[string]bool)
-		}
-		sh.mu.Unlock()
+	a.mu.Lock()
+	deltas = make([]profilestore.TagDelta, 0, len(a.tags))
+	for name, acc := range a.tags {
+		deltas = append(deltas, profilestore.TagDelta{Name: name, Views: acc.views, Videos: acc.videos})
 	}
+	newRecords = len(a.uploads)
+	if len(a.tags) > 0 {
+		a.tags = make(map[string]*tagAcc)
+	}
+	if len(a.uploads) > 0 {
+		a.uploads = make(map[string]bool)
+	}
+	a.mu.Unlock()
 	a.gen++
 	gen = a.gen
 	released = a.pending.Load()

@@ -171,7 +171,7 @@ func Boot(o Options) (_ *Base, err error) {
 		}
 		b.Served = boot.Served
 		if !b.Recovered {
-			if b.Snap, err = profilestore.BuildAggregate(boot.Aggregate, nil); err != nil {
+			if b.Snap, err = profilestore.BuildAggregate(boot.Aggregate); err != nil {
 				return nil, err
 			}
 		}

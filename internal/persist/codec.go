@@ -69,12 +69,9 @@ var errTorn = fmt.Errorf("persist: torn record")
 // its writer a few kilobytes at a time; the writer should be a buffered
 // file. WriteSnapshot does not fsync.
 func WriteSnapshot(w io.Writer, meta CheckpointMeta, data profilestore.SnapshotData) error {
-	if len(data.Vecs) != len(data.Profiles) {
-		return fmt.Errorf("persist: %d vectors for %d profiles", len(data.Vecs), len(data.Profiles))
-	}
-	for _, vec := range data.Vecs {
-		if len(vec) != len(data.Codes) {
-			return fmt.Errorf("persist: vector has %d entries for %d countries", len(vec), len(data.Codes))
+	for i := range data.Profiles {
+		if n := len(data.Profiles[i].Views); n != len(data.Codes) {
+			return fmt.Errorf("persist: vector has %d entries for %d countries", n, len(data.Codes))
 		}
 	}
 	if _, err := w.Write(ckptMagic); err != nil {
@@ -115,8 +112,8 @@ func WriteSnapshot(w io.Writer, meta CheckpointMeta, data profilestore.SnapshotD
 		e.F64(p.TopShare)
 		flush(ckptChunk)
 	}
-	for _, vec := range data.Vecs {
-		e.F64s(vec)
+	for i := range data.Profiles {
+		e.F64s(data.Profiles[i].Views)
 		flush(ckptChunk)
 	}
 	e.U32(crc32.Update(sum, crc32.IEEETable, e.B))
@@ -126,8 +123,8 @@ func WriteSnapshot(w io.Writer, meta CheckpointMeta, data profilestore.SnapshotD
 
 // ReadSnapshot decodes a checkpoint written by WriteSnapshot (or a
 // VTCKPT01 one, to sums), verifying magic and checksum. The returned data
-// is freshly allocated (vectors share a few slab chunks), ready for
-// profilestore.FromData.
+// is freshly allocated (the profiles' sums share a few slab chunks), ready
+// for profilestore.FromData.
 func ReadSnapshot(src io.Reader) (CheckpointMeta, profilestore.SnapshotData, error) {
 	var meta CheckpointMeta
 	var data profilestore.SnapshotData
@@ -156,7 +153,7 @@ func ReadSnapshot(src io.Reader) (CheckpointMeta, profilestore.SnapshotData, err
 	}
 	nTags := r.Count("tag", maxTags, 0)
 	for i := 0; i < nTags && r.Err() == nil; i++ {
-		p := profilestore.Profile{ID: int32(i)}
+		var p profilestore.Profile
 		p.Name = r.Str(maxStrLen)
 		p.Videos = int(r.Uvarint())
 		p.TotalViews = r.F64()
@@ -165,8 +162,11 @@ func ReadSnapshot(src io.Reader) (CheckpointMeta, profilestore.SnapshotData, err
 		p.TopShare = r.F64()
 		data.Profiles = append(data.Profiles, p)
 	}
-	// nTags profiles have arrived, and the prior proved one vector's size.
-	data.Vecs = r.F64Rows(nTags, nCodes)
+	// nTags profiles have arrived, and the prior proved one vector's size:
+	// the slab's rows, in order, are their sums.
+	for i, row := range r.F64Rows(nTags, nCodes) {
+		data.Profiles[i].Views = row
+	}
 	if err := r.Err(); err != nil {
 		return meta, data, fmt.Errorf("persist: checkpoint decode: %w", err)
 	}

@@ -120,10 +120,9 @@ func testSnapshotData() profilestore.SnapshotData {
 		Codes:   []string{"BR", "US", "JP"},
 		Prior:   []float64{0.2, 0.5, 0.3},
 		Profiles: []profilestore.Profile{
-			{ID: 0, Name: "favela", Videos: 3, TotalViews: 1200, Spread: 1, TopCountry: 0, TopShare: 0.9},
-			{ID: 1, Name: "pop", Videos: 5, TotalViews: 9e6, Spread: 2, TopCountry: 1, TopShare: 0.4},
+			{Name: "favela", Videos: 3, Views: []float64{1080, 60, 60}, TotalViews: 1200, Spread: 1, TopCountry: 0, TopShare: 0.9},
+			{Name: "pop", Videos: 5, Views: []float64{2.7e6, 3.6e6, 2.7e6}, TotalViews: 9e6, Spread: 2, TopCountry: 1, TopShare: 0.4},
 		},
-		Vecs: [][]float64{{1080, 60, 60}, {2.7e6, 3.6e6, 2.7e6}},
 	}
 }
 
@@ -245,8 +244,8 @@ func TestCheckpointV1ReadAsSums(t *testing.T) {
 		t.Fatalf("LoadCheckpoint of a VTCKPT01 file: found=%v meta=%+v err=%v", found, meta, err)
 	}
 	want := testSnapshotData()
-	if got := snap.Export(); !reflect.DeepEqual(got.Profiles, want.Profiles) || !reflect.DeepEqual(got.Vecs, want.Vecs) {
-		t.Fatalf("recovered %+v %v, want %+v %v", got.Profiles, got.Vecs, want.Profiles, want.Vecs)
+	if got := snap.Export(); !reflect.DeepEqual(got.Profiles, want.Profiles) {
+		t.Fatalf("recovered %+v, want %+v", got.Profiles, want.Profiles)
 	}
 	if err := m.SaveCheckpoint(CheckpointMeta{Gen: 4, Epoch: 3}, snap.Export()); err != nil {
 		t.Fatal(err)

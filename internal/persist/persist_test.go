@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -105,13 +106,14 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		}
 	}
 	for i := range data.Profiles {
-		if got.Profiles[i] != data.Profiles[i] {
-			t.Fatalf("profile %d: %+v != %+v", i, got.Profiles[i], data.Profiles[i])
-		}
-		for c := range data.Vecs[i] {
-			if got.Vecs[i][c] != data.Vecs[i][c] {
+		g, d := got.Profiles[i], data.Profiles[i]
+		for c := range d.Views {
+			if g.Views[c] != d.Views[c] {
 				t.Fatalf("vec[%d][%d] not bit-identical", i, c)
 			}
+		}
+		if g.Views, d.Views = nil, nil; !reflect.DeepEqual(g, d) {
+			t.Fatalf("profile %d: %+v != %+v", i, g, d)
 		}
 	}
 
@@ -590,14 +592,14 @@ func TestRecoverToLastAckedEpoch(t *testing.T) {
 	refID, _ := ref.Lookup("zz-recover")
 	// The recovery folded the two batches apart, the reference together:
 	// the sums are exact, so the bits agree all the same.
-	va, vb := rec2.Vec(id), ref.Vec(refID)
-	for c := range va {
-		if math.Float64bits(va[c]) != math.Float64bits(vb[c]) {
-			t.Fatalf("recovered geography diverges at %d: %v vs %v", c, va[c], vb[c])
+	pa, pb := rec2.Export().Profiles[id], ref.Export().Profiles[refID]
+	for c := range pa.Views {
+		if math.Float64bits(pa.Views[c]) != math.Float64bits(pb.Views[c]) {
+			t.Fatalf("recovered geography diverges at %d: %v vs %v", c, pa.Views[c], pb.Views[c])
 		}
 	}
-	if pa, pb := rec2.Export().Profiles[id], ref.Export().Profiles[refID]; pa != pb {
-		t.Fatalf("recovered profile %+v != reference %+v", pa, pb)
+	if pa.Views, pb.Views = nil, nil; id != refID || !reflect.DeepEqual(pa, pb) {
+		t.Fatalf("recovered profile %d %+v != reference %d %+v", id, pa, refID, pb)
 	}
 	_ = m2.Close()
 }

@@ -42,14 +42,14 @@ func hashExport(d profilestore.SnapshotData) uint64 {
 		put(math.Float64bits(x))
 	}
 	for i, p := range d.Profiles {
-		put(uint64(p.ID))
+		put(uint64(i)) // the profile's id
 		h.Write([]byte(p.Name))
 		put(uint64(p.Videos))
 		put(math.Float64bits(p.TotalViews))
 		put(uint64(p.Spread))
 		put(uint64(p.TopCountry))
 		put(math.Float64bits(p.TopShare))
-		for _, x := range d.Vecs[i] {
+		for _, x := range p.Views {
 			put(math.Float64bits(x))
 		}
 	}
@@ -64,20 +64,21 @@ func sameExport(t *testing.T, what string, want, got profilestore.SnapshotData) 
 	if !reflect.DeepEqual(want.Codes, got.Codes) || want.Records != got.Records {
 		t.Fatalf("%s: codes/records differ: %d vs %d records", what, got.Records, want.Records)
 	}
-	if len(want.Profiles) != len(got.Profiles) || len(want.Vecs) != len(got.Vecs) {
+	if len(want.Profiles) != len(got.Profiles) {
 		t.Fatalf("%s: %d profiles, want %d", what, len(got.Profiles), len(want.Profiles))
 	}
 	if hashExport(want) == hashExport(got) {
 		return
 	}
 	for i := range want.Profiles {
-		if want.Profiles[i] != got.Profiles[i] {
-			t.Fatalf("%s: profile %d = %+v, want %+v", what, i, got.Profiles[i], want.Profiles[i])
-		}
-		for c := range want.Vecs[i] {
-			if math.Float64bits(want.Vecs[i][c]) != math.Float64bits(got.Vecs[i][c]) {
-				t.Fatalf("%s: tag %q country %d = %v, want %v", what, want.Profiles[i].Name, c, got.Vecs[i][c], want.Vecs[i][c])
+		w, g := want.Profiles[i], got.Profiles[i]
+		for c := range w.Views {
+			if math.Float64bits(w.Views[c]) != math.Float64bits(g.Views[c]) {
+				t.Fatalf("%s: tag %q country %d = %v, want %v", what, w.Name, c, g.Views[c], w.Views[c])
 			}
+		}
+		if w.Views, g.Views = nil, nil; !reflect.DeepEqual(w, g) {
+			t.Fatalf("%s: profile %d = %+v, want %+v", what, i, g, w)
 		}
 	}
 	t.Fatalf("%s: exports hash differently (prior?)", what)
@@ -120,7 +121,7 @@ func checkBoot(t *testing.T, what string, res *Result, b *Boot, owns func(string
 			t.Fatalf("%s: aggregate holds %q, which the slice does not own", what, tag)
 		}
 	}
-	got, err := profilestore.BuildAggregate(b.Aggregate, nil)
+	got, err := profilestore.BuildAggregate(b.Aggregate)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,8 +89,8 @@ type Boot struct {
 // generated, converted to its crawl record, filtered, reconstructed,
 // added to the sums of the tags owns admits (nil = all) and dropped. Same
 // videos and the same accumulation order as the retaining path, so
-// profilestore.BuildAggregate(boot.Aggregate, nil) — which consumes the
-// aggregate: its sums become the snapshot's vectors — exports bit for bit
+// profilestore.BuildAggregate(boot.Aggregate) — which consumes the
+// aggregate: its sums become the profiles' — exports bit for bit
 // what profilestore.BuildOwned(res.Analysis, owns) does. keepServed
 // collects, from this same pass, what /v1/preload reads of each video
 // (never its ground truth) into Boot.Served — which refers to neither the

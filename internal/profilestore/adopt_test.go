@@ -38,19 +38,19 @@ func sameSnapshot(t *testing.T, what string, want, got *profilestore.Snapshot) {
 	}
 	for id := int32(0); int(id) < want.NumTags(); id++ {
 		w, g := &want.Export().Profiles[id], &got.Export().Profiles[id]
-		if g.ID != w.ID || g.Name != w.Name || g.Videos != w.Videos || bits(g.TotalViews) != bits(w.TotalViews) ||
+		if g.Name != w.Name || g.Videos != w.Videos || bits(g.TotalViews) != bits(w.TotalViews) ||
 			g.Spread != w.Spread || g.TopCountry != w.TopCountry || bits(g.TopShare) != bits(w.TopShare) {
 			t.Fatalf("%s: profile %d = %+v, want %+v", what, id, *g, *w)
 		}
-		for c, x := range want.Vec(id) {
-			if bits(got.Vec(id)[c]) != bits(x) {
-				t.Fatalf("%s: tag %q country %d = %v, want %v", what, w.Name, c, got.Vec(id)[c], x)
+		for c, x := range w.Views {
+			if bits(g.Views[c]) != bits(x) {
+				t.Fatalf("%s: tag %q country %d = %v, want %v", what, w.Name, c, g.Views[c], x)
 			}
 		}
 	}
 	wantTop, gotTop := want.TopProfiles(want.NumTags()), got.TopProfiles(got.NumTags())
 	for i := range wantTop {
-		if gotTop[i].ID != wantTop[i].ID {
+		if gotTop[i].Name != wantTop[i].Name {
 			t.Fatalf("%s: rank %d by views is %q, want %q", what, i, gotTop[i].Name, wantTop[i].Name)
 		}
 	}
@@ -61,7 +61,7 @@ func sameSnapshot(t *testing.T, what string, want, got *profilestore.Snapshot) {
 
 // TestBuildAggregateAdoptsBitForBit: the consuming build over a streaming
 // boot's aggregate is the copying build over the retained analysis, bit
-// for bit — whether the slice was cut by the boot or by the build — and it
+// for bit — the whole vocabulary or the slice the boot cut — and it
 // leaves the aggregate empty, while the analysis stays whole.
 func TestBuildAggregateAdoptsBitForBit(t *testing.T) {
 	const videos, seed = 3000, 20110301
@@ -75,19 +75,18 @@ func TestBuildAggregateAdoptsBitForBit(t *testing.T) {
 	}
 	shard0 := func(tag string) bool { return rg.Owns(tag, 0) }
 	cases := []struct {
-		name               string
-		owns, bootBy, cuts func(string) bool
+		name string
+		owns func(string) bool
 	}{
-		{"whole", nil, nil, nil},
-		{"shard 0/3 cut by the boot", shard0, shard0, nil},
-		{"shard 0/3 cut by the build", shard0, nil, shard0},
+		{"whole", nil},
+		{"shard 0/3 cut by the boot", shard0},
 	}
 	for _, c := range cases {
 		want, err := profilestore.BuildOwned(res.Analysis, c.owns)
 		if err != nil {
 			t.Fatal(err)
 		}
-		boot, err := pipeline.BootSynthetic(videos, seed, alexa.DefaultConfig(), c.bootBy, false)
+		boot, err := pipeline.BootSynthetic(videos, seed, alexa.DefaultConfig(), c.owns, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +95,7 @@ func TestBuildAggregateAdoptsBitForBit(t *testing.T) {
 		if len(names) == 0 || want.NumTags() == 0 || (c.owns != nil && want.NumTags() >= res.Analysis.NumTags()) {
 			t.Fatalf("%s: %d tags aggregated, %d of %d owned: the case is degenerate", c.name, len(names), want.NumTags(), res.Analysis.NumTags())
 		}
-		got, err := profilestore.BuildAggregate(agg, c.cuts)
+		got, err := profilestore.BuildAggregate(agg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +112,7 @@ func TestBuildAggregateAdoptsBitForBit(t *testing.T) {
 		if agg.N() != got.Records() {
 			t.Fatalf("%s: the consumed aggregate counts %d records, the snapshot %d", c.name, agg.N(), got.Records())
 		}
-		again, err := profilestore.BuildAggregate(agg, nil)
+		again, err := profilestore.BuildAggregate(agg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,8 @@ func assertTotalsExact(t *testing.T, what string, s *Snapshot) {
 		t.Fatalf("%s: no tags", what)
 	}
 	for id := int32(0); int(id) < s.NumTags(); id++ {
-		p, vec := &s.profiles[id], s.Vec(id)
+		p := &s.profiles[id]
+		vec := p.Views
 		var back float64
 		for c := len(vec) - 1; c >= 0; c-- {
 			if vec[c] < 0 {
@@ -45,7 +46,7 @@ func TestTotalViewsIsSumOfVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adopted, err := BuildAggregate(boot.Aggregate, nil)
+	adopted, err := BuildAggregate(boot.Aggregate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestTotalViewsIsSumOfVector(t *testing.T) {
 		views := make([]float64, built.nC)
 		views[i] = tagviews.RoundViews(1e6 / float64(3+i))
 		views[i+7] = tagviews.RoundViews(123.456 * float64(i+1))
-		deltas = append(deltas, TagDelta{Name: name, Views: views, Videos: 1, ID: -1})
+		deltas = append(deltas, TagDelta{Name: name, Views: views, Videos: 1})
 	}
 	folded, err := Rebuild(built, deltas, 2)
 	if err != nil {
@@ -99,7 +100,7 @@ func TestFoldCutsAtTheExactRange(t *testing.T) {
 		for c := 0; c < 3; c++ {
 			views[c] = float64(units[k][c]) * tagviews.ViewUnit
 		}
-		return TagDelta{Name: "zz-range", Views: views, Videos: 1, ID: -1}
+		return TagDelta{Name: "zz-range", Views: views, Videos: 1}
 	}
 	fold := func(cuts ...[]int) *Snapshot {
 		s := base

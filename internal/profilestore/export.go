@@ -13,10 +13,9 @@ import (
 // seed are rebuilt at import). internal/persist serializes this shape.
 //
 // Export returns views into the live snapshot's backing storage —
-// Profiles, Vecs and Prior alias immutable state and must be treated as
-// read-only. FromData copies nothing either: the decoded slices become
-// the new snapshot's storage, so a decoder must hand over freshly
-// allocated data.
+// Profiles, their sums and Prior alias immutable state and must be
+// treated as read-only. FromData copies and writes nothing: the slices it
+// is handed become the new snapshot's storage.
 type SnapshotData struct {
 	// Codes is the country table, in id order — the import-time
 	// compatibility check: a snapshot only deserializes against a world
@@ -24,11 +23,10 @@ type SnapshotData struct {
 	Codes   []string
 	Records int
 	Prior   []float64
-	// Profiles is the tag table in id order; Profiles[i].ID == i.
+	// Profiles is the tag table in id order: a tag's id is its index.
+	// Each profile's Views has len(Codes) entries, and its TotalViews is
+	// their exact total.
 	Profiles []Profile
-	// Vecs[i] is Profiles[i]'s per-country view sums, length len(Codes)
-	// each; Profiles[i].TotalViews is their exact total.
-	Vecs [][]float64
 }
 
 // Export captures the snapshot's persistable content. The result
@@ -40,16 +38,13 @@ func (s *Snapshot) Export() SnapshotData {
 		Records:  s.records,
 		Prior:    s.prior,
 		Profiles: s.profiles,
-		Vecs:     s.vecTab,
 	}
 }
 
 // ExportFiltered captures the persistable content of the snapshot's
-// tags the keep predicate admits. Unlike Export it builds fresh Profile
-// and Vecs slices (the vectors themselves still alias immutable
-// storage), so the result survives FromData's positional id rewrite
-// without mutating the live snapshot. This is the shard-transfer
-// export: a source shard streams exactly the slice a destination owns.
+// tags the keep predicate admits, in a fresh profile table whose sums
+// still alias immutable storage. This is the shard-transfer export: a
+// source shard streams exactly the slice a destination owns.
 func (s *Snapshot) ExportFiltered(keep func(name string) bool) SnapshotData {
 	data := SnapshotData{
 		Codes:   s.world.Codes(),
@@ -61,7 +56,6 @@ func (s *Snapshot) ExportFiltered(keep func(name string) bool) SnapshotData {
 			continue
 		}
 		data.Profiles = append(data.Profiles, s.profiles[i])
-		data.Vecs = append(data.Vecs, s.vecTab[i])
 	}
 	return data
 }
@@ -80,7 +74,6 @@ func MergeData(base *Snapshot, data SnapshotData) (*Snapshot, error) {
 		Records:  base.records,
 		Prior:    base.prior,
 		Profiles: append([]Profile(nil), base.profiles...),
-		Vecs:     append([][]float64(nil), base.vecTab...),
 	}
 	if data.Records > merged.Records {
 		merged.Records = data.Records
@@ -89,17 +82,12 @@ func MergeData(base *Snapshot, data SnapshotData) (*Snapshot, error) {
 	for i := range merged.Profiles {
 		byName[merged.Profiles[i].Name] = i
 	}
-	if len(data.Vecs) != len(data.Profiles) {
-		return nil, fmt.Errorf("profilestore: merge data has %d vectors for %d profiles", len(data.Vecs), len(data.Profiles))
-	}
-	for i := range data.Profiles {
-		if j, ok := byName[data.Profiles[i].Name]; ok {
-			merged.Profiles[j] = data.Profiles[i]
-			merged.Vecs[j] = data.Vecs[i]
+	for _, p := range data.Profiles {
+		if j, ok := byName[p.Name]; ok {
+			merged.Profiles[j] = p
 		} else {
-			byName[data.Profiles[i].Name] = len(merged.Profiles)
-			merged.Profiles = append(merged.Profiles, data.Profiles[i])
-			merged.Vecs = append(merged.Vecs, data.Vecs[i])
+			byName[p.Name] = len(merged.Profiles)
+			merged.Profiles = append(merged.Profiles, p)
 		}
 	}
 	return FromData(merged, base.world)
@@ -119,10 +107,10 @@ func (s *Snapshot) Filter(keep func(name string) bool) (*Snapshot, error) {
 // data was exported under (same codes, same order) — vectors are
 // indexed by country id, so any drift would silently misattribute every
 // view. The round trip Export → FromData is bit-identical on every
-// persisted field: profiles, vectors, prior and record count compare
-// exactly; only the derived structures (hash seed, shard maps, volume
-// ranking) are rebuilt, and those are pure functions of the profile
-// table.
+// persisted field: profiles with their sums, prior and record count
+// compare exactly; only the derived structures (hash seed, shard maps)
+// are rebuilt, and those are pure functions of the profile table. data is
+// only read, so it may alias a live snapshot's Export.
 func FromData(data SnapshotData, world *geo.World) (*Snapshot, error) {
 	if world == nil {
 		return nil, fmt.Errorf("profilestore: nil world")
@@ -143,9 +131,6 @@ func FromData(data SnapshotData, world *geo.World) (*Snapshot, error) {
 	if len(data.Prior) != nC {
 		return nil, fmt.Errorf("profilestore: prior has %d entries for %d countries", len(data.Prior), nC)
 	}
-	if len(data.Vecs) != len(data.Profiles) {
-		return nil, fmt.Errorf("profilestore: %d vectors for %d profiles", len(data.Vecs), len(data.Profiles))
-	}
 	seen := make(map[string]bool, len(data.Profiles))
 	for i := range data.Profiles {
 		p := &data.Profiles[i]
@@ -156,24 +141,22 @@ func FromData(data SnapshotData, world *geo.World) (*Snapshot, error) {
 			return nil, fmt.Errorf("profilestore: duplicate profile name %q", p.Name)
 		}
 		seen[p.Name] = true
-		if len(data.Vecs[i]) != nC {
-			return nil, fmt.Errorf("profilestore: profile %q vector has %d entries for %d countries", p.Name, len(data.Vecs[i]), nC)
+		if len(p.Views) != nC {
+			return nil, fmt.Errorf("profilestore: profile %q vector has %d entries for %d countries", p.Name, len(p.Views), nC)
 		}
-		// Ids are positional; normalize rather than trust the wire.
-		p.ID = int32(i)
 	}
 	return newSnapshot(data, world), nil
 }
 
-// SharesToSums converts in place data whose vectors are normalized shares,
-// as VTCKPT01 checkpoints held them, into sums: each share times its
+// SharesToSums converts in place data whose profiles hold normalized
+// shares, as VTCKPT01 checkpoints did, into sums: each share times its
 // TotalViews, rounded (tagviews.RoundViews), and the profile derived again.
 func SharesToSums(data SnapshotData) {
 	for i := range data.Profiles {
-		p, vec := &data.Profiles[i], data.Vecs[i]
-		for c, x := range vec {
-			vec[c] = tagviews.RoundViews(x * p.TotalViews)
+		p := &data.Profiles[i]
+		for c, x := range p.Views {
+			p.Views[c] = tagviews.RoundViews(x * p.TotalViews)
 		}
-		deriveProfile(p, vec)
+		deriveProfile(p)
 	}
 }

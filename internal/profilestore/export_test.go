@@ -1,6 +1,7 @@
 package profilestore
 
 import (
+	"reflect"
 	"testing"
 
 	"viewstags/internal/geo"
@@ -18,8 +19,8 @@ func TestExportFromDataRoundTrip(t *testing.T) {
 	// Exercise the fold path too, so the exported snapshot carries both
 	// built and rebuilt vectors (they allocate differently).
 	snap, err := Rebuild(base, []TagDelta{
-		{Name: "zz-export-new", ID: -1, Views: mkvec(base.nC, 0, 50, 3, 25), Videos: 2},
-		{Name: base.profiles[0].Name, ID: 0, Views: mkvec(base.nC, 1, 10)},
+		{Name: "zz-export-new", Views: mkvec(base.nC, 0, 50, 3, 25), Videos: 2},
+		{Name: base.profiles[0].Name, Views: mkvec(base.nC, 1, 10)},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -44,14 +45,13 @@ func TestExportFromDataRoundTrip(t *testing.T) {
 	}
 	for i := range snap.profiles {
 		a, b := snap.profiles[i], got.profiles[i]
-		if a != b {
-			t.Fatalf("profile %d differs: %+v vs %+v", i, a, b)
-		}
-		va, vb := snap.vecTab[i], got.vecTab[i]
-		for c := range va {
-			if va[c] != vb[c] {
-				t.Fatalf("vec[%d][%d] %v != %v (not bit-identical)", i, c, vb[c], va[c])
+		for c := range a.Views {
+			if a.Views[c] != b.Views[c] {
+				t.Fatalf("vec[%d][%d] %v != %v (not bit-identical)", i, c, b.Views[c], a.Views[c])
 			}
+		}
+		if a.Views, b.Views = nil, nil; !reflect.DeepEqual(a, b) {
+			t.Fatalf("profile %d differs: %+v vs %+v", i, a, b)
 		}
 	}
 
@@ -117,9 +117,10 @@ func TestFromDataRejectsMismatches(t *testing.T) {
 		t.Fatal("FromData accepted a short prior")
 	}
 	bad = data
-	bad.Vecs = data.Vecs[:1]
+	bad.Profiles = append([]Profile(nil), data.Profiles...)
+	bad.Profiles[0].Views = data.Profiles[0].Views[:1]
 	if _, err := FromData(bad, res.Analysis.World); err == nil {
-		t.Fatal("FromData accepted a vector/profile count mismatch")
+		t.Fatal("FromData accepted a profile whose sums are not world-sized")
 	}
 }
 

@@ -202,7 +202,7 @@ func TestRebuildOnPartialSnapshot(t *testing.T) {
 	nC := len(p.Prior())
 	views := make([]float64, nC)
 	views[3] = 100
-	next, err := Rebuild(p, []TagDelta{{Name: "zz-fresh-partial", ID: -1, Views: views, Videos: 1}}, 1)
+	next, err := Rebuild(p, []TagDelta{{Name: "zz-fresh-partial", Views: views, Videos: 1}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestRebuildOnPartialSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatal("fresh tag not interned")
 	}
-	if vec, p := next.Vec(id), next.profiles[id]; vec[3] != 100 || p.TotalViews != 100 || p.TopShare != 1 {
+	if vec, p := next.profiles[id].Views, next.profiles[id]; vec[3] != 100 || p.TotalViews != 100 || p.TopShare != 1 {
 		t.Fatalf("fresh tag sums %v of %v (top share %v), want all 100 views on country 3", vec[3], p.TotalViews, p.TopShare)
 	}
 }

@@ -7,7 +7,7 @@ import "viewstags/internal/tagviews"
 // reports whether any tag was known. It reproduces
 // tagviews.Predictor.Predict exactly — same weighting schemes, same
 // harmonic rank discount, same traffic-prior fallback — but runs
-// against the snapshot's interned ids and contiguous vectors and
+// against the snapshot's interned ids and per-tag sums and
 // allocates nothing, which is what lets the HTTP hot path batch
 // thousands of predictions per second per core.
 //
@@ -65,7 +65,7 @@ func Normalize(dst []float64, wSum float64, prior []float64) bool {
 func (s *Snapshot) Row(tag string) (float64, int, []float64) {
 	if id, ok := s.Lookup(tag); ok {
 		if p := &s.profiles[id]; p.TotalViews > 0 {
-			return p.TotalViews, p.Videos, s.Vec(id)
+			return p.TotalViews, p.Videos, p.Views
 		}
 	}
 	return 0, 0, nil

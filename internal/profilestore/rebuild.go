@@ -17,28 +17,21 @@ type TagDelta struct {
 	Name   string
 	Views  []float64
 	Videos int
-
-	// ID is an interning hint: the tag's profile id in the snapshot the
-	// delta was accumulated against, or -1 when the tag was unknown
-	// there. Rebuild validates the hint against its base and falls back
-	// to a name lookup, so a stale hint (e.g. after a full batch reload
-	// re-interned the vocabulary) degrades to a hash lookup, never to
-	// corruption.
-	ID int32
 }
 
 // Rebuild folds view-event deltas into base copy-on-write and returns a
-// fresh immutable Snapshot: touched tags get base's sums plus the deltas —
-// exact, so the bits do not depend on where folds were cut — and
-// recomputed derived fields, brand-new tags are interned
-// with ids appended after base's (sorted by name, so a given
-// base+deltas pair rebuilds deterministically), and every untouched
-// tag's vector is shared with base — no re-aggregation, no slab copy.
+// fresh immutable Snapshot. Each delta is resolved by name, with one
+// lookup in base: touched tags get base's sums plus the deltas — exact,
+// so the bits do not depend on where folds were cut — and recomputed
+// derived fields, brand-new tags are interned with ids appended after
+// base's (sorted by name, so a given base+deltas pair rebuilds
+// deterministically), and every untouched tag's sums are shared with
+// base — no re-aggregation, no slab copy.
 // newRecords is the training-corpus increment (freshly uploaded videos),
 // the IDF numerator delta.
 //
 // The cost is O(touched·C) vector math plus O(tags) for copying the
-// profile and vector tables and cloning each name-index shard map a new
+// profile table and cloning each name-index shard map a new
 // tag lands in, independent of how many views the untouched vocabulary
 // aggregates. No volume ranking is kept: TopProfiles selects one per
 // call. Measured on 2 shared cores, BenchmarkIngestFold's hot-100 fold
@@ -61,15 +54,14 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 		records:  base.records + newRecords,
 		shards:   base.shards, // value copy: untouched shards share maps
 		profiles: append([]Profile(nil), base.profiles...),
-		vecTab:   append([][]float64(nil), base.vecTab...),
 		prior:    base.prior,
 		seed:     base.seed,
 	}
 
-	// Apply deltas: known tags accumulate into copies of their sums keyed
-	// by id; unknown tags collect for interning.
-	raw := make(map[int32][]float64)
-	var pending []TagDelta
+	// Apply deltas: known tags accumulate into copies of their sums;
+	// unknown tags collect for interning, duplicates merged by name.
+	touched := make(map[int32]bool)
+	var pending []Profile
 	pendingIdx := make(map[string]int)
 	for i := range deltas {
 		d := &deltas[i]
@@ -82,41 +74,29 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 		if d.Videos < 0 {
 			return nil, fmt.Errorf("profilestore: delta %q has negative videos", d.Name)
 		}
-		id := d.ID
-		if id < 0 || int(id) >= len(base.profiles) || base.profiles[id].Name != d.Name {
-			var ok bool
-			if id, ok = base.Lookup(d.Name); !ok {
-				// New tag: merge duplicate deltas by name, intern below.
-				if j, seen := pendingIdx[d.Name]; seen {
-					p := &pending[j]
-					for c, x := range d.Views {
-						p.Views[c] += x
-					}
-					p.Videos += d.Videos
-				} else {
-					pendingIdx[d.Name] = len(pending)
-					merged := *d
-					merged.Views = append([]float64(nil), d.Views...)
-					pending = append(pending, merged)
-				}
-				continue
+		var p *Profile
+		if id, ok := base.Lookup(d.Name); ok {
+			p = &next.profiles[id]
+			if !touched[id] {
+				touched[id] = true
+				p.Views = append([]float64(nil), p.Views...)
 			}
-		}
-		r := raw[id]
-		if r == nil {
-			r = append([]float64(nil), base.vecTab[id]...)
-			raw[id] = r
+		} else if j, seen := pendingIdx[d.Name]; seen {
+			p = &pending[j]
+		} else {
+			pendingIdx[d.Name] = len(pending)
+			pending = append(pending, Profile{Name: d.Name, Views: make([]float64, base.nC)})
+			p = &pending[len(pending)-1]
 		}
 		for c, x := range d.Views {
-			r[c] += x
+			p.Views[c] += x
 		}
-		next.profiles[id].Videos += d.Videos
+		p.Videos += d.Videos
 	}
 
 	// Finalize touched tags: the fields Build derives.
-	for id, r := range raw {
-		deriveProfile(&next.profiles[id], r)
-		next.vecTab[id] = r
+	for id := range touched {
+		deriveProfile(&next.profiles[id])
 	}
 
 	// Intern new tags with ids after base's, in name order so the id
@@ -124,12 +104,11 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 	sort.Slice(pending, func(a, b int) bool { return pending[a].Name < pending[b].Name })
 	cloned := make(map[int]bool)
 	for i := range pending {
-		d := &pending[i]
+		p := &pending[i]
+		deriveProfile(p)
 		id := int32(len(next.profiles))
-		next.profiles = append(next.profiles, Profile{ID: id, Name: d.Name, Videos: d.Videos})
-		deriveProfile(&next.profiles[id], d.Views) // a copy: pending owns it
-		next.vecTab = append(next.vecTab, d.Views)
-		h := next.shardOf(d.Name)
+		next.profiles = append(next.profiles, *p)
+		h := next.shardOf(p.Name)
 		if !cloned[h] {
 			// Copy-on-write of the one shard map gaining entries; the
 			// other 15 keep aliasing base's maps.
@@ -140,15 +119,16 @@ func Rebuild(base *Snapshot, deltas []TagDelta, newRecords int) (*Snapshot, erro
 			next.shards[h].ids = m
 			cloned[h] = true
 		}
-		next.shards[h].ids[d.Name] = id
+		next.shards[h].ids[p.Name] = id
 	}
 	return next, nil
 }
 
-// deriveProfile fills p's derived fields from the tag's sums: their exact
-// total and the concentration measures. It is the one place a profile is
-// derived from sums. A zero-mass vector has TopCountry -1.
-func deriveProfile(p *Profile, sums []float64) {
+// deriveProfile fills p's derived fields from its sums: their exact total
+// and the concentration measures. It is the one place a profile is
+// derived from sums. Zero-mass sums have TopCountry -1.
+func deriveProfile(p *Profile) {
+	sums := p.Views
 	p.TotalViews = dist.Sum(sums)
 	p.Spread = dist.Classify(sums)
 	top := dist.ArgMax(sums)

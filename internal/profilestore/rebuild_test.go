@@ -1,6 +1,7 @@
 package profilestore
 
 import (
+	"reflect"
 	"testing"
 
 	"viewstags/internal/dist"
@@ -8,7 +9,7 @@ import (
 )
 
 // deltaFor builds a TagDelta putting `views` view mass on one country.
-func deltaFor(t *testing.T, s *Snapshot, name string, country string, views float64, videos int, id int32) TagDelta {
+func deltaFor(t *testing.T, s *Snapshot, name string, country string, views float64, videos int) TagDelta {
 	t.Helper()
 	c, ok := s.World().ByCode(country)
 	if !ok {
@@ -16,7 +17,7 @@ func deltaFor(t *testing.T, s *Snapshot, name string, country string, views floa
 	}
 	vec := make([]float64, s.World().N())
 	vec[c] = views
-	return TagDelta{Name: name, Views: vec, Videos: videos, ID: id}
+	return TagDelta{Name: name, Views: vec, Videos: videos}
 }
 
 // TestRebuildFoldsDeltaMath pins the incremental fold to first
@@ -30,11 +31,11 @@ func TestRebuildFoldsDeltaMath(t *testing.T) {
 		t.Fatal("fixture has no 'pop' tag")
 	}
 	oldP := base.profiles[id]
-	oldVec := append([]float64(nil), base.Vec(id)...)
+	oldVec := append([]float64(nil), base.profiles[id].Views...)
 
 	jp := base.World().MustByCode("JP")
 	const added = 5e6
-	d := deltaFor(t, base, "pop", "JP", added, 3, id)
+	d := deltaFor(t, base, "pop", "JP", added, 3)
 	next, err := Rebuild(base, []TagDelta{d}, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +56,7 @@ func TestRebuildFoldsDeltaMath(t *testing.T) {
 
 	// Vector math: oldVec + delta, bit for bit, and its total is the
 	// profile's.
-	got := next.Vec(id)
+	got := next.profiles[id].Views
 	for c := range oldVec {
 		want := oldVec[c]
 		if c == int(jp) {
@@ -74,7 +75,7 @@ func TestRebuildFoldsDeltaMath(t *testing.T) {
 
 	// Base is untouched (copy-on-write, not in-place).
 	for c := range oldVec {
-		if base.Vec(id)[c] != oldVec[c] {
+		if base.profiles[id].Views[c] != oldVec[c] {
 			t.Fatal("Rebuild mutated the base snapshot")
 		}
 	}
@@ -91,14 +92,14 @@ func TestRebuildSharesUntouchedVectors(t *testing.T) {
 	if !ok {
 		t.Fatal("fixture has no 'pop' tag")
 	}
-	d := deltaFor(t, base, "pop", "BR", 1000, 0, -1)
+	d := deltaFor(t, base, "pop", "BR", 1000, 0)
 	next, err := Rebuild(base, []TagDelta{d}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := 0
 	for i := int32(0); i < int32(base.NumTags()); i++ {
-		bv, nv := base.Vec(i), next.Vec(i)
+		bv, nv := base.profiles[i].Views, next.profiles[i].Views
 		if i == id {
 			if &bv[0] == &nv[0] {
 				t.Fatal("touched tag shares its vector with base")
@@ -126,9 +127,9 @@ func TestRebuildInternsNewTags(t *testing.T) {
 	// Two deltas for the same new tag must merge; two distinct new tags
 	// must intern in name order for determinism.
 	deltas := []TagDelta{
-		deltaFor(t, base, "zz-brand-new", "BR", 800, 1, -1),
-		deltaFor(t, base, "aa-also-new", "JP", 500, 1, -1),
-		deltaFor(t, base, "zz-brand-new", "BR", 200, 0, -1),
+		deltaFor(t, base, "zz-brand-new", "BR", 800, 1),
+		deltaFor(t, base, "aa-also-new", "JP", 500, 1),
+		deltaFor(t, base, "zz-brand-new", "BR", 200, 0),
 	}
 	next, err := Rebuild(base, deltas, 2)
 	if err != nil {
@@ -154,8 +155,8 @@ func TestRebuildInternsNewTags(t *testing.T) {
 		t.Fatalf("merged new-tag profile wrong: %+v", z)
 	}
 	br := next.World().MustByCode("BR")
-	if z.TopCountry != br || next.Vec(zID)[br] != 1000 || z.TopShare != 1 {
-		t.Fatalf("new tag's mass not on BR: %+v vec[BR]=%v", z, next.Vec(zID)[br])
+	if z.TopCountry != br || next.profiles[zID].Views[br] != 1000 || z.TopShare != 1 {
+		t.Fatalf("new tag's mass not on BR: %+v vec[BR]=%v", z, next.profiles[zID].Views[br])
 	}
 	if z.Spread != dist.SpreadLocal {
 		t.Fatalf("single-country tag classified %v, want local", z.Spread)
@@ -178,9 +179,9 @@ func TestRebuildInternsNewTags(t *testing.T) {
 func TestRebuildDeterministic(t *testing.T) {
 	base := buildSnap(t)
 	deltas := []TagDelta{
-		deltaFor(t, base, "pop", "JP", 123, 1, -1),
-		deltaFor(t, base, "newtag-b", "BR", 50, 1, -1),
-		deltaFor(t, base, "newtag-a", "US", 70, 1, -1),
+		deltaFor(t, base, "pop", "JP", 123, 1),
+		deltaFor(t, base, "newtag-b", "BR", 50, 1),
+		deltaFor(t, base, "newtag-a", "US", 70, 1),
 	}
 	a, err := Rebuild(base, deltas, 3)
 	if err != nil {
@@ -194,41 +195,10 @@ func TestRebuildDeterministic(t *testing.T) {
 		t.Fatal("rebuilds disagree on shape")
 	}
 	for i := int32(0); i < int32(a.NumTags()); i++ {
-		pa, pb := &a.profiles[i], &b.profiles[i]
-		if *pa != *pb {
+		pa, pb := a.profiles[i], b.profiles[i]
+		if !reflect.DeepEqual(pa, pb) {
 			t.Fatalf("profiles diverge at %d: %+v != %+v", i, pa, pb)
 		}
-		va, vb := a.Vec(i), b.Vec(i)
-		for c := range va {
-			if va[c] != vb[c] {
-				t.Fatalf("vectors diverge at tag %d country %d", i, c)
-			}
-		}
-	}
-}
-
-// TestRebuildStaleIDHintFallsBack: a hint pointing at the wrong profile
-// (e.g. ids from before a batch reload) must degrade to a name lookup.
-func TestRebuildStaleIDHintFallsBack(t *testing.T) {
-	base := buildSnap(t)
-	id, ok := base.Lookup("pop")
-	if !ok {
-		t.Fatal("fixture has no 'pop' tag")
-	}
-	wrong := id + 1
-	if int(wrong) >= base.NumTags() {
-		wrong = 0
-	}
-	d := deltaFor(t, base, "pop", "BR", 999, 0, wrong)
-	next, err := Rebuild(base, []TagDelta{d}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if next.profiles[id].TotalViews != base.profiles[id].TotalViews+999 {
-		t.Fatal("stale hint not resolved by name")
-	}
-	if other := &next.profiles[wrong]; other.TotalViews != base.profiles[wrong].TotalViews {
-		t.Fatal("stale hint folded into the wrong profile")
 	}
 }
 
@@ -238,7 +208,7 @@ func TestRebuildByViewsReordered(t *testing.T) {
 	base := buildSnap(t)
 	top := base.TopProfiles(1)[0]
 	// Ingest a brand-new tag with double the current leader's mass.
-	d := deltaFor(t, base, "zz-viral", "US", top.TotalViews*2, 1, -1)
+	d := deltaFor(t, base, "zz-viral", "US", top.TotalViews*2, 1)
 	next, err := Rebuild(base, []TagDelta{d}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +226,7 @@ func TestRebuildSwapCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := Rebuild(base, []TagDelta{deltaFor(t, base, "pop", "BR", 1, 0, -1)}, 0)
+	next, err := Rebuild(base, []TagDelta{deltaFor(t, base, "pop", "BR", 1, 0)}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,16 +3,16 @@
 // immutable, sharded, read-optimized in-memory store the HTTP placement
 // service queries on its hot path.
 //
-// Layout: tag names are interned to dense int32 ids at build time; each
-// tag's exact per-country view sums (Eq. 3; tagviews.ViewUnit) are one
-// entry of a per-snapshot vector table, normalized only in a predict's
-// weight (Mix), so a predict touches the shard's name index and one
-// vector per tag and allocates nothing. Build backs the whole table with
-// one contiguous slab (id*C .. id*C+C); a daemon's boot (BuildAggregate)
-// adopts the per-tag sums it aggregated instead, as every fold does for
-// the tags it touches. Lookups hash into one of a power-of-two number of
-// shards, which keeps individual maps small and lets the build populate
-// them in parallel.
+// Layout: tag names are interned to dense int32 ids at build time, each
+// id the index of the tag's Profile in one table. A Profile carries the
+// tag's exact per-country view sums (Eq. 3; tagviews.ViewUnit),
+// normalized only in a predict's weight (Mix), so a predict touches the
+// shard's name index and one profile per tag and allocates nothing.
+// Build backs every profile's sums with one contiguous slab (id*C ..
+// id*C+C); a daemon's boot (BuildAggregate) adopts the per-tag sums it
+// aggregated instead, as every fold does for the tags it touches. Lookups
+// hash into one of a power-of-two number of shards, which keeps
+// individual maps small and lets the build populate them in parallel.
 //
 // The store itself is a single atomic pointer to an immutable Snapshot.
 // Readers never lock: they load the pointer once per request and work
@@ -21,7 +21,7 @@
 // without draining traffic. Fresh snapshots come from two paths: Build
 // re-aggregates a full tagviews.Analysis (batch reload), while Rebuild
 // folds streamed view-event deltas into an existing snapshot
-// copy-on-write, sharing every untouched tag vector with its base (the
+// copy-on-write, sharing every untouched tag's sums with its base (the
 // ingestion path; see Rebuild).
 package profilestore
 
@@ -40,13 +40,16 @@ import (
 // numShards must stay a power of two so the hash→shard map is a mask.
 const numShards = 16
 
-// Profile is one tag's serving-time record: identity plus the derived
-// concentration measures the API reports alongside predictions.
+// Profile is one tag's serving-time record: its name, its per-country
+// view sums, and the measures derived from them that the API reports
+// alongside predictions. Its id is its index in the snapshot's table.
 type Profile struct {
-	ID         int32
-	Name       string
-	Videos     int     // videos carrying the tag in the training corpus
-	TotalViews float64 // Σ of the tag's vector, exact: the normalizer and the by-views weight
+	Name   string
+	Videos int // videos carrying the tag in the training corpus
+	// Views is the tag's per-country view sums, one per country. It may
+	// be shared with other snapshots; never modify it.
+	Views      []float64
+	TotalViews float64 // Σ of Views, exact: the normalizer and the by-views weight
 	Spread     dist.Spread
 	TopCountry geo.CountryID
 	TopShare   float64
@@ -60,18 +63,17 @@ type shard struct {
 // Snapshot is an immutable build of the store. All methods are safe for
 // unsynchronized concurrent use.
 type Snapshot struct {
-	world    *geo.World
-	nC       int
-	records  int // training-corpus size, the IDF numerator
-	shards   [numShards]shard
+	world   *geo.World
+	nC      int
+	records int // training-corpus size, the IDF numerator
+	shards  [numShards]shard
+	// profiles[id] is tag id's record. Its sums are a piece of one slab
+	// after Build, the aggregate's own slice after BuildAggregate; Rebuild
+	// gives only the touched tags fresh sums and shares the rest with its
+	// base snapshot.
 	profiles []Profile
-	// vecTab[i] is profiles[i]'s per-country view sums: a piece of one
-	// slab after Build, the aggregate's own slice after BuildAggregate;
-	// Rebuild replaces only the touched tags' entries and aliases the rest
-	// into its base snapshot.
-	vecTab [][]float64
-	prior  []float64 // normalized traffic prior, the unknown-tag fallback
-	seed   maphash.Seed
+	prior    []float64 // normalized traffic prior, the unknown-tag fallback
+	seed     maphash.Seed
 }
 
 // Build constructs a Snapshot from a tag analysis. Profile ids are
@@ -101,22 +103,23 @@ func BuildOwned(an *tagviews.Analysis, owns func(name string) bool) (*Snapshot, 
 	return build(&an.Aggregate, owns, false), nil
 }
 
-// BuildAggregate is BuildOwned for a daemon whose boot aggregated its
-// slice without keeping the corpus (tagviews.Aggregator), and it takes
-// ownership of the aggregate: each admitted tag's sums become the
-// snapshot's vector — bit for bit what BuildOwned copies into its slab —
-// and the aggregate is released, left with no tags. The boot ends holding
-// one copy of what it serves.
-func BuildAggregate(an *tagviews.Aggregate, owns func(name string) bool) (*Snapshot, error) {
+// BuildAggregate is Build for a daemon whose boot aggregated its slice
+// without keeping the corpus (tagviews.Aggregator), whose pass admitted
+// only the tags it owns, and it takes ownership of the aggregate: each
+// tag's sums become its profile's — bit for bit what BuildOwned copies
+// into its slab — and the aggregate is released, left with no tags. The
+// boot ends holding one copy of what it serves.
+func BuildAggregate(an *tagviews.Aggregate) (*Snapshot, error) {
 	if an == nil {
 		return nil, fmt.Errorf("profilestore: nil aggregate")
 	}
-	return build(an, owns, true), nil
+	return build(an, nil, true), nil
 }
 
 // build fills a SnapshotData from the aggregate's raw sums, in sorted-name
-// order, and adopts it. With adopt the sums themselves become the vectors
-// and the aggregate is released; without, the vectors are a fresh slab.
+// order, and adopts it. With adopt the sums themselves become the
+// profiles' and the aggregate is released; without, they are copied into
+// a fresh slab.
 func build(an *tagviews.Aggregate, owns func(name string) bool, adopt bool) *Snapshot {
 	names := an.TagNames()
 	if owns != nil {
@@ -133,7 +136,6 @@ func build(an *tagviews.Aggregate, owns func(name string) bool, adopt bool) *Sna
 		Records:  an.N(),
 		Prior:    dist.Normalize(an.Pyt),
 		Profiles: make([]Profile, len(names)),
-		Vecs:     make([][]float64, len(names)),
 	}
 	var slab []float64
 	if !adopt {
@@ -146,9 +148,8 @@ func build(an *tagviews.Aggregate, owns func(name string) bool, adopt bool) *Sna
 			vec = slab[i*nC : (i+1)*nC : (i+1)*nC]
 			copy(vec, sums.Views)
 		}
-		data.Profiles[i] = Profile{ID: int32(i), Name: name, Videos: sums.Videos}
-		deriveProfile(&data.Profiles[i], vec)
-		data.Vecs[i] = vec
+		data.Profiles[i] = Profile{Name: name, Videos: sums.Videos, Views: vec}
+		deriveProfile(&data.Profiles[i])
 	}
 	if adopt {
 		an.Release()
@@ -164,7 +165,6 @@ func newSnapshot(data SnapshotData, world *geo.World) *Snapshot {
 		nC:       world.N(),
 		records:  data.Records,
 		profiles: data.Profiles,
-		vecTab:   data.Vecs,
 		prior:    data.Prior,
 		seed:     maphash.MakeSeed(),
 	}
@@ -210,12 +210,6 @@ func (s *Snapshot) Lookup(name string) (int32, bool) {
 	id, ok := s.shards[s.shardOf(name)].ids[name]
 	return id, ok
 }
-
-// Vec returns tag id's per-country view sums, which total its TotalViews.
-// The slice aliases the snapshot's backing storage (possibly shared with
-// the snapshot it was incrementally rebuilt from); callers must not
-// modify it.
-func (s *Snapshot) Vec(id int32) []float64 { return s.vecTab[id] }
 
 // Prior returns the snapshot's normalized traffic prior (the fallback
 // prediction). The slice is shared; do not modify.

@@ -14,10 +14,13 @@ import (
 type nameGen struct {
 	src *xrand.Source
 	buf []byte // the word being synthesized; a name is copied out once, when kept
+	// next[w] is the first numeric suffix of base word w not yet known to
+	// be taken: every smaller one from 2 was handed out or found taken.
+	next map[string]int
 }
 
 func newNameGen(src *xrand.Source) *nameGen {
-	return &nameGen{src: src}
+	return &nameGen{src: src, next: make(map[string]int)}
 }
 
 // syllables is the inventory per language cluster key.
@@ -52,9 +55,11 @@ func (g *nameGen) word(lang string) []byte {
 	return g.buf
 }
 
-// unique returns a synthesized tag name not already present in taken.
-// After a few collisions it falls back to a numeric suffix, which is
-// guaranteed fresh.
+// unique returns a synthesized tag name not already present in taken,
+// which the caller adds it to; taken only ever grows. After a few
+// collisions it falls back to the base word with the smallest numeric
+// suffix from 2 that is fresh, probing from the suffix it stopped at the
+// last time that base word was used.
 func (g *nameGen) unique(taken map[string]int, lang string) string {
 	for attempt := 0; attempt < 8; attempt++ {
 		w := g.word(lang)
@@ -63,10 +68,12 @@ func (g *nameGen) unique(taken map[string]int, lang string) string {
 		}
 	}
 	base := len(g.word(lang))
-	for i := 2; ; i++ {
+	for i := max(2, g.next[string(g.buf)]); ; i++ {
 		g.buf = strconv.AppendInt(g.buf[:base], int64(i), 10)
 		if _, dup := taken[string(g.buf)]; !dup {
-			return string(g.buf)
+			name := string(g.buf)
+			g.next[name[:base]] = i + 1 // the key shares the name's bytes
+			return name
 		}
 	}
 }

@@ -79,9 +79,9 @@ func (a *Aggregate) Sums(name string) (TagSums, bool) {
 }
 
 // Release empties the aggregate, handing every Views slice Sums returned
-// to whoever holds it — profilestore.BuildAggregate adopts them as a
-// snapshot's vectors. Afterwards the aggregate has no tags, so nothing
-// reads a vector the snapshot now owns.
+// to whoever holds it — profilestore.BuildAggregate adopts them as its
+// profiles' sums. Afterwards the aggregate has no tags, so nothing reads
+// a vector the snapshot now owns.
 func (a *Aggregate) Release() { a.tags = nil }
 
 // Record returns record i.
